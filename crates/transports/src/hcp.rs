@@ -1,0 +1,159 @@
+//! The high-priority control loop (HCP) as an interface.
+//!
+//! DCTCP, Swift, HPCC and PowerTCP all ride one reliability engine
+//! ([`DctcpFlowTx`]: segmentation, SACK, fast retransmit, RTO) and differ
+//! in four things only, which [`Hcp`] names: how a flow's sender is built
+//! (window law, initial window), how its data packets are stamped for
+//! feedback, when PPT's case-1 loop opens at flow start, and what tells
+//! the sender the path has spare capacity (PPT's case 2).
+//!
+//! [`Window<H>`] runs an HCP on its own — that is the HPCC, PowerTCP and
+//! Swift endpoint. [`crate::lcp::Lcp<H>`] layers PPT's low-priority loop
+//! and flow scheduling over the same `H` (Fig 14, appendix B).
+
+use std::collections::BTreeMap;
+
+use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimTime, Transport};
+use ppt_core::PptConfig;
+
+use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
+use crate::proto::{DataHdr, Proto};
+use crate::rx::TcpRx;
+use crate::tcp_base::{AckOutcome, DctcpFlowTx, SegOut, TcpCfg};
+
+/// The feedback channel an HCP's data packets are stamped for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stamp {
+    /// ECN-capable; switches mark, the receiver echoes ECE (DCTCP).
+    Ecn,
+    /// Not ECN-capable; the echoed timestamp is the only signal (Swift).
+    Delay,
+    /// Not ECN-capable; carries an INT stack that switches fill and the
+    /// receiver echoes (HPCC, PowerTCP).
+    Int,
+}
+
+/// When PPT's case-1 loop (§3.1, spare bandwidth at flow start) opens.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Case1 {
+    /// With the first window.
+    FirstRtt,
+    /// One base RTT in, sized to what the HCP then leaves unused.
+    SecondRtt,
+    /// Not at all: only the case-2 signal opens loops.
+    Never,
+}
+
+/// What differs between high-priority loops. `Lcp` keeps one value per
+/// flow (cloned from the endpoint's), so an implementation may hold
+/// per-flow detector state; `Window` only ever calls [`Hcp::flow_tx`].
+pub trait Hcp: Clone {
+    /// How this HCP's data packets are stamped.
+    const STAMP: Stamp;
+
+    /// Build a flow's sender: window law and initial window.
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx;
+
+    /// When case 1 opens for a flow (not) identified large at start.
+    fn case1(&self, _identified_large: bool) -> Case1 {
+        Case1::Never
+    }
+
+    /// Case 2, asked after every HCP ACK of a live flow (before the
+    /// window is refilled): `Some(initial LCP window)` when the feedback
+    /// just processed says the path has spare capacity.
+    fn spare_capacity(
+        &mut self,
+        _tx: &DctcpFlowTx,
+        _ack: &AckOutcome,
+        _cfg: &PptConfig,
+    ) -> Option<u64> {
+        None
+    }
+}
+
+/// The HCP data packet for `seg`, stamped for `H`'s feedback channel.
+pub(crate) fn hcp_packet<H: Hcp>(tx: &DctcpFlowTx, seg: SegOut, now: SimTime) -> Packet<Proto> {
+    let hdr = DataHdr {
+        offset: seg.offset,
+        len: seg.len,
+        msg_size: tx.size,
+        lcp: false,
+        retx: seg.retx,
+        sent_at: now,
+        int: (H::STAMP == Stamp::Int).then(Vec::new),
+    };
+    let mut pkt = Packet::data(tx.id, tx.src, tx.dst, seg.len, Proto::Data(hdr));
+    if H::STAMP != Stamp::Ecn {
+        pkt.ecn = Ecn::not_capable();
+    }
+    pkt
+}
+
+/// Transmit `flow`'s segments at the top priority while its window
+/// allows, then keep the RTO timer armed: the whole send path of an HCP
+/// running alone, and the primary-loop half of RC3 and the §2.3 oracle.
+pub(crate) fn pump<H: Hcp>(flow: &mut DctcpFlowTx, ctx: &mut Ctx<'_, Proto>) {
+    let now = ctx.now();
+    while let Some(seg) = flow.next_segment(now) {
+        if seg.retx {
+            ctx.note_retransmit(flow.id);
+        }
+        ctx.send(hcp_packet::<H>(flow, seg, now));
+    }
+    arm_rto(flow, ctx);
+}
+
+/// An HCP running alone: one window per flow, single priority.
+pub struct Window<H: Hcp> {
+    tcp: TcpCfg,
+    hcp: H,
+    tx: BTreeMap<FlowId, DctcpFlowTx>,
+    rx: BTreeMap<FlowId, TcpRx>,
+}
+
+impl<H: Hcp> Window<H> {
+    /// New endpoint running `hcp` over the TCP mechanics in `tcp`.
+    pub fn new(tcp: TcpCfg, hcp: H) -> Self {
+        Window { tcp, hcp, tx: BTreeMap::new(), rx: BTreeMap::new() }
+    }
+}
+
+impl<H: Hcp> Transport<Proto> for Window<H> {
+    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
+        let mut tx = self.hcp.flow_tx(flow, &self.tcp);
+        pump::<H>(&mut tx, ctx);
+        self.tx.insert(flow.id, tx);
+    }
+
+    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
+        match &pkt.payload {
+            Proto::Data(hdr) => {
+                let rx = self
+                    .rx
+                    .entry(pkt.flow)
+                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
+                rx.on_data(&pkt, hdr, ctx);
+            }
+            Proto::Ack(ack) => {
+                let Some(flow) = self.tx.get_mut(&pkt.flow) else { return };
+                flow.on_ack(ack, ctx.now());
+                if !flow.is_done() {
+                    pump::<H>(flow, ctx);
+                }
+            }
+            _ => unreachable!("window endpoint received a non-TCP packet"),
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
+        let token = Token::decode(token);
+        if token.kind != TIMER_RTO {
+            return;
+        }
+        let Some(flow) = self.tx.get_mut(&FlowId(token.flow)) else { return };
+        if service_rto(flow, ctx) {
+            pump::<H>(flow, ctx);
+        }
+    }
+}

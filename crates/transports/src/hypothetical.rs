@@ -12,8 +12,10 @@ use std::collections::BTreeMap;
 
 use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, Transport};
 
-use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
+use crate::common::{service_rto, Token, TIMER_RTO};
 use crate::dctcp::MwRecorder;
+use crate::hcp::pump;
+use crate::ppt::DctcpHcp;
 use crate::proto::{DataHdr, Proto};
 use crate::rx::TcpRx;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
@@ -52,28 +54,6 @@ impl HypotheticalTransport {
         }
     }
 
-    fn pump_hcp(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let now = ctx.now();
-        let Some(f) = self.tx.get_mut(&id) else { return };
-        let (src, dst, size) = (f.hcp.src, f.hcp.dst, f.hcp.size);
-        while let Some(seg) = f.hcp.next_segment(now) {
-            if seg.retx {
-                ctx.note_retransmit(id);
-            }
-            let hdr = DataHdr {
-                offset: seg.offset,
-                len: seg.len,
-                msg_size: size,
-                lcp: false,
-                retx: seg.retx,
-                sent_at: now,
-                int: None,
-            };
-            ctx.send(Packet::data(id, src, dst, seg.len, Proto::Data(hdr)));
-        }
-        arm_rto(&f.hcp, ctx);
-    }
-
     /// Once per RTT: send opportunistic tail packets so that
     /// cwnd + lp_inflight ≈ fill_fraction × MW.
     fn fill_tick(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
@@ -90,10 +70,7 @@ impl HypotheticalTransport {
         let mut budget = target.saturating_sub(occupied);
         let (src, dst, size) = (f.hcp.src, f.hcp.dst, f.hcp.size);
         while budget >= mss {
-            let Some((gap_start, gap_end)) = f.hcp.claimed().last_gap(size) else { break };
-            let start = gap_end.saturating_sub(mss).max(gap_start);
-            let len = (gap_end - start) as u32;
-            f.hcp.claimed_mut().insert(start, gap_end);
+            let Some((start, len)) = f.hcp.claim_tail(size, self.tcp.mss) else { break };
             f.lp_inflight += len as u64;
             budget = budget.saturating_sub(len as u64);
             let hdr = DataHdr {
@@ -114,10 +91,11 @@ impl HypotheticalTransport {
 
 impl Transport<Proto> for HypotheticalTransport {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let hcp = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
+        let mut hcp =
+            DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
+        pump::<DctcpHcp>(&mut hcp, ctx);
         let mw = self.oracle.get(&flow.id).copied();
         self.tx.insert(flow.id, HypoFlow { hcp, mw, lp_inflight: 0 });
-        self.pump_hcp(flow.id, ctx);
         self.fill_tick(flow.id, ctx);
         ctx.timer_after(
             self.tcp.base_rtt,
@@ -144,14 +122,10 @@ impl Transport<Proto> for HypotheticalTransport {
                 f.hcp.on_lcp_ack(&ack, now);
             }
             Proto::Ack(ack) => {
-                let ack = ack.clone();
-                let done = {
-                    let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
-                    f.hcp.on_ack(&ack, ctx.now());
-                    f.hcp.is_done()
-                };
-                if !done {
-                    self.pump_hcp(pkt.flow, ctx);
+                let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
+                f.hcp.on_ack(ack, ctx.now());
+                if !f.hcp.is_done() {
+                    pump::<DctcpHcp>(&mut f.hcp, ctx);
                 }
             }
             _ => unreachable!("hypothetical endpoint received a non-TCP packet"),
@@ -165,7 +139,7 @@ impl Transport<Proto> for HypotheticalTransport {
             TIMER_RTO => {
                 let Some(f) = self.tx.get_mut(&id) else { return };
                 if service_rto(&mut f.hcp, ctx) {
-                    self.pump_hcp(id, ctx);
+                    pump::<DctcpHcp>(&mut f.hcp, ctx);
                 }
             }
             TIMER_HYPO_FILL => {

@@ -7,63 +7,29 @@
 //! base power C²τ — then sets W = γ·(W_c/Γ + β) + (1−γ)·W. Reacting to
 //! the queue *gradient* lets PowerTCP back off while the queue is still
 //! building, a reaction HPCC only has once the queue level itself moves.
-//! The INT plumbing (collection at switch egress, echo in ACKs) is
-//! shared with `hpcc.rs` verbatim.
+//! Everything but the window law is HPCC's: the same [`Stamp::Int`]
+//! packets through the same [`Window`] endpoint.
 
-use std::collections::BTreeMap;
+use netsim::FlowDesc;
 
-use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, Transport};
-
-use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
-use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
+use crate::hcp::{Hcp, Stamp, Window};
+use crate::proto::Proto;
 use crate::tcp_base::{CcMode, DctcpFlowTx, PowerTcpCc, TcpCfg};
 
-/// The PowerTCP endpoint.
-pub struct PowerTcpTransport {
-    tcp: TcpCfg,
+/// PowerTCP as a high-priority loop (γ = 0.9, β = 1 MSS). No scheme
+/// layers an LCP over it, so it keeps [`Hcp`]'s defaults: no case 1, no
+/// spare-capacity signal.
+#[derive(Clone, Copy, Debug)]
+pub struct PowerTcpHcp {
     /// Line-rate start: the initial window is one BDP.
     bdp_bytes: u64,
-    tx: BTreeMap<FlowId, DctcpFlowTx>,
-    rx: BTreeMap<FlowId, TcpRx>,
 }
 
-impl PowerTcpTransport {
-    /// New endpoint (γ = 0.9, β = 1 MSS); `bdp_bytes` sizes the
-    /// line-rate initial window.
-    pub fn new(tcp: TcpCfg, bdp_bytes: u64) -> Self {
-        PowerTcpTransport { tcp, bdp_bytes, tx: BTreeMap::new(), rx: BTreeMap::new() }
-    }
+impl Hcp for PowerTcpHcp {
+    const STAMP: Stamp = Stamp::Int;
 
-    fn pump(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let now = ctx.now();
-        let Some(flow) = self.tx.get_mut(&id) else { return };
-        let (src, dst, size) = (flow.src, flow.dst, flow.size);
-        while let Some(seg) = flow.next_segment(now) {
-            if seg.retx {
-                ctx.note_retransmit(id);
-            }
-            let hdr = DataHdr {
-                offset: seg.offset,
-                len: seg.len,
-                msg_size: size,
-                lcp: false,
-                retx: seg.retx,
-                sent_at: now,
-                int: Some(Vec::new()),
-            };
-            let mut pkt = Packet::data(id, src, dst, seg.len, Proto::Data(hdr));
-            pkt.ecn = Ecn::not_capable(); // PowerTCP replaces ECN with INT
-            ctx.send(pkt);
-        }
-        arm_rto(flow, ctx);
-    }
-}
-
-impl Transport<Proto> for PowerTcpTransport {
-    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        // PowerTCP starts at line rate: IW = one BDP.
-        let mut tcp = self.tcp.clone();
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx {
+        let mut tcp = tcp.clone();
         tcp.init_cwnd_bytes = tcp.init_cwnd_bytes.max(self.bdp_bytes);
         // The window law divides by Γ on *every* ACK (unlike HPCC, which
         // only divides when congested), and an ACK arriving after the
@@ -75,57 +41,20 @@ impl Transport<Proto> for PowerTcpTransport {
         // idle-path ACK park megabytes in the NIC queue.
         tcp.max_cwnd_bytes = tcp.max_cwnd_bytes.min((4 * self.bdp_bytes).max(tcp.init_cwnd_bytes));
         let cc = PowerTcpCc::new(tcp.base_rtt, tcp.init_cwnd_bytes);
-        let tx = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp)
-            .with_cc_mode(CcMode::PowerTcp(cc));
-        self.tx.insert(flow.id, tx);
-        self.pump(flow.id, ctx);
-    }
-
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                let hdr = hdr.clone();
-                // INT echo path.
-                rx.on_data_with_int(&pkt, &hdr, ctx);
-            }
-            Proto::Ack(ack) => {
-                let ack = ack.clone();
-                let done = {
-                    let Some(flow) = self.tx.get_mut(&pkt.flow) else { return };
-                    flow.on_ack(&ack, ctx.now());
-                    flow.is_done()
-                };
-                if !done {
-                    self.pump(pkt.flow, ctx);
-                }
-            }
-            _ => unreachable!("PowerTCP endpoint received a non-TCP packet"),
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        if token.kind != TIMER_RTO {
-            return;
-        }
-        let id = FlowId(token.flow);
-        let Some(flow) = self.tx.get_mut(&id) else { return };
-        if service_rto(flow, ctx) {
-            self.pump(id, ctx);
-        }
+        DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp)
+            .with_cc_mode(CcMode::PowerTcp(cc))
     }
 }
+
+/// The PowerTCP endpoint.
+pub type PowerTcpTransport = Window<PowerTcpHcp>;
 
 /// Install PowerTCP on every host; the initial window is the topology's
 /// edge-link BDP.
 pub fn install_powertcp(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
-    let bdp = netsim::bdp_bytes(topo.edge_rate, topo.base_rtt);
+    let hcp = PowerTcpHcp { bdp_bytes: netsim::bdp_bytes(topo.edge_rate, topo.base_rtt) };
     for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(PowerTcpTransport::new(tcp.clone(), bdp)));
+        topo.sim.set_transport(h, Box::new(PowerTcpTransport::new(tcp.clone(), hcp)));
     }
 }
 

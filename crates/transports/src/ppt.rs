@@ -1,469 +1,77 @@
-//! **PPT** — the paper's pragmatic transport.
-//!
-//! Composition of the two components of §2.3:
-//!
-//! * **Dual-loop rate control (§3).** The HCP loop *is* DCTCP
-//!   ([`DctcpFlowTx`], untouched). The LCP loop sends opportunistic
-//!   packets from the tail of the send buffer: it opens intermittently
-//!   (case 1 at flow start — delayed one RTT for identified-large flows —
-//!   and case 2 whenever α hits its windowed minimum, Eq. 2), paces its
-//!   initial window over one RTT, then decays exponentially under the EWD
-//!   ACK clock, ignores ECE-marked low-priority ACKs, and expires after
-//!   two silent RTTs.
-//! * **Buffer-aware flow scheduling (§4).** Flows whose first syscall
-//!   exceeds the identification threshold are tagged large from byte 0;
-//!   everyone else starts at the top priority and ages down. HCP packets
-//!   use P0–P3, LCP packets mirror at P4–P7.
-//!
-//! The ablation switches in [`PptConfig`] disable individual pieces to
-//! reproduce Figs 15–18.
+//! **PPT** — the paper's pragmatic transport: the [`Lcp`] layer over
+//! DCTCP. This file holds only what is DCTCP-specific about it; the
+//! dual-loop machinery and flow scheduling live in [`crate::lcp`].
 
-use std::collections::BTreeMap;
+use netsim::FlowDesc;
+use ppt_core::{initial_window_case2, MinTracker, PptConfig};
 
-use netsim::trace::{LcpCloseReason, LcpTrigger};
-use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimDuration, TraceEvent, Transport};
-use ppt_core::{
-    initial_window_case1, initial_window_case2, FlowIdentifier, LcpAction, LcpLoop, LoopTrigger,
-    MinTracker, MirrorTagger, PptConfig,
-};
+use crate::hcp::{Case1, Hcp, Stamp};
+use crate::lcp::Lcp;
+use crate::proto::Proto;
+use crate::tcp_base::{AckOutcome, DctcpFlowTx, TcpCfg};
 
-use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
-use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
-use crate::tcp_base::{DctcpFlowTx, TcpCfg};
-
-/// LCP initial-burst pacing tick.
-pub const TIMER_LCP_PACE: u8 = 2;
-/// LCP liveness check (expiry after 2 silent RTTs).
-pub const TIMER_LCP_EXPIRY: u8 = 3;
-/// Delayed case-1 open for identified-large flows (2nd RTT).
-pub const TIMER_LCP_DELAYED_OPEN: u8 = 4;
-
-struct PptFlowTx {
-    hcp: DctcpFlowTx,
-    identified_large: bool,
-    lcp: Option<LcpLoop>,
-    /// Bumped whenever a loop closes; stale pace/expiry timers no-op.
-    lcp_gen: u16,
+/// DCTCP as the high-priority loop: ECN-marked, IW from [`TcpCfg`], and
+/// "α closed a round at its windowed minimum" as the spare-capacity
+/// signal (§3.1 case 2).
+#[derive(Clone, Debug)]
+pub struct DctcpHcp {
     min_tracker: MinTracker,
-    /// Remaining bytes of the paced initial burst.
-    pace_remaining: u64,
-    pace_interval: SimDuration,
 }
 
-/// The PPT endpoint (sender + receiver roles).
-pub struct PptTransport {
-    tcp: TcpCfg,
-    cfg: PptConfig,
-    identifier: FlowIdentifier,
-    tagger: MirrorTagger,
-    tx: BTreeMap<FlowId, PptFlowTx>,
-    rx: BTreeMap<FlowId, TcpRx>,
-}
-
-impl PptTransport {
-    /// Build an endpoint from the PPT configuration; TCP mechanics (MSS,
-    /// RTO, initial window) come from `tcp`.
-    pub fn new(tcp: TcpCfg, cfg: PptConfig) -> Self {
-        PptTransport {
-            identifier: FlowIdentifier { threshold_bytes: cfg.ident_threshold_bytes },
-            tagger: MirrorTagger::new(cfg.demotion_thresholds.clone()),
-            tcp,
-            cfg,
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
-        }
-    }
-
-    /// Transmit HCP segments while the window allows, then keep the RTO
-    /// timer armed.
-    fn pump_hcp(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let now = ctx.now();
-        let Some(f) = self.tx.get_mut(&id) else { return };
-        let mut outgoing = Vec::new();
-        while let Some(seg) = f.hcp.next_segment(now) {
-            outgoing.push(seg);
-        }
-        let prio = if self.cfg.scheduling_enabled {
-            self.tagger.hcp_priority(f.identified_large, f.hcp.bytes_sent)
-        } else {
-            0
-        };
-        let (src, dst, size) = (f.hcp.src, f.hcp.dst, f.hcp.size);
-        for seg in outgoing {
-            if seg.retx {
-                ctx.note_retransmit(id);
-                ctx.emit(TraceEvent::Retransmit {
-                    flow: id.0,
-                    offset: seg.offset,
-                    len: seg.len as u64,
-                });
-            }
-            let hdr = DataHdr {
-                offset: seg.offset,
-                len: seg.len,
-                msg_size: size,
-                lcp: false,
-                retx: seg.retx,
-                sent_at: now,
-                int: None,
-            };
-            ctx.send(Packet::data(id, src, dst, seg.len, Proto::Data(hdr)).with_priority(prio));
-        }
-        arm_rto(&f.hcp, ctx);
-    }
-
-    /// Send one opportunistic packet from the tail of the send buffer.
-    /// Returns false when there is nothing left to claim (loops crossed).
-    fn send_lcp_segment(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) -> bool {
-        let lcp_ecn = self.cfg.lcp_ecn_enabled;
-        let send_buffer = self.cfg.send_buffer_bytes;
-        let sched = self.cfg.scheduling_enabled;
-        let mss = self.tcp.mss as u64;
-        let Some(f) = self.tx.get_mut(&id) else { return false };
-        if f.hcp.is_done() {
-            return false;
-        }
-        // The LCP reads the TCP write queue from its tail: only bytes
-        // currently buffered are reachable (§5.1). The buffered window is
-        // [cum_acked, cum_acked + send_buffer).
-        let buffer_end = f.hcp.size.min(f.hcp.cum_acked().saturating_add(send_buffer));
-        let Some((gap_start, gap_end)) = f.hcp.claimed().last_gap(buffer_end) else {
-            return false;
-        };
-        let start = gap_end.saturating_sub(mss).max(gap_start);
-        let len = (gap_end - start) as u32;
-        f.hcp.claimed_mut().insert(start, gap_end);
-        f.hcp.add_sent_bytes(len as u64);
-        let prio =
-            if sched { self.tagger.lcp_priority(f.identified_large, f.hcp.bytes_sent) } else { 4 };
-        let hdr = DataHdr {
-            offset: start,
-            len,
-            msg_size: f.hcp.size,
-            lcp: true,
-            retx: false,
-            sent_at: ctx.now(),
-            int: None,
-        };
-        let mut pkt =
-            Packet::data(id, f.hcp.src, f.hcp.dst, len, Proto::Data(hdr)).with_priority(prio);
-        pkt.ecn = if lcp_ecn { Ecn::capable() } else { Ecn::not_capable() };
-        ctx.send(pkt);
-        ctx.emit(TraceEvent::LcpSend { flow: id.0, offset: start, len: len as u64 });
-        true
-    }
-
-    /// Open an LCP loop with initial window `init_bytes` (no-op when the
-    /// window is under one segment or a loop is already running).
-    fn open_lcp(
-        &mut self,
-        id: FlowId,
-        trigger: LoopTrigger,
-        init_bytes: u64,
-        ctx: &mut Ctx<'_, Proto>,
-    ) {
-        let mss = self.tcp.mss as u64;
-        let rtt = self.cfg.base_rtt;
-        let ewd = self.cfg.ewd_enabled;
-        {
-            let Some(f) = self.tx.get_mut(&id) else { return };
-            if f.lcp.is_some() || init_bytes < mss || f.hcp.is_done() {
-                return;
-            }
-            f.lcp = Some(LcpLoop::open(trigger, init_bytes, ctx.now()));
-            f.pace_remaining = init_bytes;
-            // Pace the initial window at I/RTT: one MSS every mss·RTT/I.
-            let interval_ns = (rtt.as_nanos() as u128 * mss as u128 / init_bytes as u128) as u64;
-            f.pace_interval = SimDuration::from_nanos(interval_ns.max(1));
-        }
-        ctx.emit(TraceEvent::LcpOpened {
-            flow: id.0,
-            trigger: match trigger {
-                LoopTrigger::FlowStart => LcpTrigger::FlowStart,
-                LoopTrigger::AlphaMinimum => LcpTrigger::QueueBuildup,
-            },
-            init_bytes,
-        });
-        let gen = self.tx[&id].lcp_gen;
-        if ewd {
-            // First paced packet goes out immediately; the timer drives the
-            // rest of the burst.
-            if self.send_lcp_segment(id, ctx) {
-                if let Some(f) = self.tx.get_mut(&id) {
-                    f.pace_remaining = f.pace_remaining.saturating_sub(mss);
-                }
-                let interval = self.tx[&id].pace_interval;
-                ctx.timer_after(
-                    interval,
-                    Token { kind: TIMER_LCP_PACE, generation: gen, flow: id.0 }.encode(),
-                );
-            }
-        } else {
-            // Ablation (Fig 16): no EWD — blast the whole initial window
-            // at line rate.
-            let packets = init_bytes.div_ceil(mss);
-            for _ in 0..packets {
-                if !self.send_lcp_segment(id, ctx) {
-                    break;
-                }
-            }
-            if let Some(f) = self.tx.get_mut(&id) {
-                f.pace_remaining = 0;
-            }
-        }
-        // Liveness check every RTT.
-        ctx.timer_after(
-            rtt,
-            Token { kind: TIMER_LCP_EXPIRY, generation: gen, flow: id.0 }.encode(),
-        );
-    }
-
-    fn close_lcp(f: &mut PptFlowTx, id: FlowId, reason: LcpCloseReason, ctx: &mut Ctx<'_, Proto>) {
-        if f.lcp.take().is_some() {
-            ctx.emit(TraceEvent::LcpClosed { flow: id.0, reason });
-        }
-        f.lcp_gen = f.lcp_gen.wrapping_add(1);
-        f.pace_remaining = 0;
+impl DctcpHcp {
+    /// α minima are detected over `cfg.alpha_min_window` rounds.
+    pub fn new(cfg: &PptConfig) -> Self {
+        DctcpHcp { min_tracker: MinTracker::new(cfg.alpha_min_window) }
     }
 }
 
-impl Transport<Proto> for PptTransport {
-    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        // Identification sees what actually lands in the send buffer.
-        let first_write = flow.first_write_bytes.min(self.cfg.send_buffer_bytes);
-        let identified_large =
-            self.cfg.identification_enabled && self.identifier.is_large_at_start(first_write);
-        let hcp = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
-        let f = PptFlowTx {
-            hcp,
-            identified_large,
-            lcp: None,
-            lcp_gen: 0,
-            min_tracker: MinTracker::new(self.cfg.alpha_min_window),
-            pace_remaining: 0,
-            pace_interval: SimDuration::ZERO,
-        };
-        self.tx.insert(flow.id, f);
-        self.pump_hcp(flow.id, ctx);
+impl Hcp for DctcpHcp {
+    const STAMP: Stamp = Stamp::Ecn;
 
-        // Case 1: open the LCP loop in the 1st RTT for normal flows,
-        // in the 2nd RTT for identified-large flows (§3.1).
-        let iw = self.tcp.init_cwnd_bytes;
-        let init = initial_window_case1(self.cfg.bdp_bytes(), iw);
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx {
+        DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp.clone())
+    }
+
+    /// 1st RTT for normal flows, 2nd RTT for identified-large ones (§3.1).
+    fn case1(&self, identified_large: bool) -> Case1 {
         if identified_large {
-            ctx.timer_after(
-                self.cfg.base_rtt,
-                Token { kind: TIMER_LCP_DELAYED_OPEN, generation: 0, flow: flow.id.0 }.encode(),
-            );
+            Case1::SecondRtt
         } else {
-            self.open_lcp(flow.id, LoopTrigger::FlowStart, init, ctx);
+            Case1::FirstRtt
         }
     }
 
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 2));
-                let hdr = hdr.clone();
-                rx.on_data(&pkt, &hdr, ctx);
-            }
-            Proto::Ack(ack) if ack.lcp => {
-                let ack = ack.clone();
-                let now = ctx.now();
-                let (send_count, open_more) = {
-                    let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
-                    f.hcp.on_lcp_ack(&ack, now);
-                    if f.hcp.is_done() {
-                        Self::close_lcp(f, pkt.flow, LcpCloseReason::FlowDone, ctx);
-                        (0, false)
-                    } else if let Some(lcp) = f.lcp.as_mut() {
-                        match lcp.on_low_priority_ack(ack.ece, now) {
-                            LcpAction::SendOne => {
-                                // With EWD, one ACK clocks one packet; the
-                                // no-EWD ablation clocks two (rate holds
-                                // instead of halving).
-                                (if self.cfg.ewd_enabled { 1 } else { 2 }, false)
-                            }
-                            LcpAction::Ignore => (0, false),
-                        }
-                    } else {
-                        (0, false)
-                    }
-                };
-                let _ = open_more;
-                let mut sent = 0u32;
-                for _ in 0..send_count {
-                    if !self.send_lcp_segment(pkt.flow, ctx) {
-                        break;
-                    }
-                    sent += 1;
-                }
-                ctx.emit(TraceEvent::LcpAck { flow: pkt.flow.0, ece: ack.ece, sent_new: sent > 0 });
-            }
-            Proto::Ack(ack) => {
-                let ack = ack.clone();
-                let now = ctx.now();
-                let round_alpha;
-                let done;
-                {
-                    let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
-                    let out = f.hcp.on_ack(&ack, now);
-                    round_alpha = out.round_alpha;
-                    done = f.hcp.is_done();
-                    if ctx.tracing() {
-                        if let Some(alpha) = round_alpha {
-                            ctx.emit(TraceEvent::AlphaUpdate { flow: pkt.flow.0, alpha });
-                        }
-                        ctx.emit(TraceEvent::CwndUpdate {
-                            flow: pkt.flow.0,
-                            cwnd: f.hcp.cwnd_bytes(),
-                        });
-                    }
-                    if done {
-                        Self::close_lcp(f, pkt.flow, LcpCloseReason::FlowDone, ctx);
-                    }
-                }
-                if !done {
-                    self.pump_hcp(pkt.flow, ctx);
-                    // Case 2: α closed a round at its windowed minimum →
-                    // spare bandwidth is likely; open a loop per Eq. 2.
-                    if let Some(alpha) = round_alpha {
-                        let open = {
-                            let f = self.tx.get_mut(&pkt.flow).expect("flow exists"); // simlint: allow(panic_hygiene)
-                            let is_min = f.min_tracker.push(alpha);
-                            if is_min && f.lcp.is_none() && f.hcp.wmax.past_slow_start() {
-                                f.hcp.wmax.w_max_bytes().map(|w| {
-                                    let target = (w as f64 * self.cfg.fill_fraction) as u64;
-                                    let i = initial_window_case2(alpha, target);
-                                    // §3: LCP + HCP must not exceed the
-                                    // (scaled) MW.
-                                    i.min(target.saturating_sub(f.hcp.cwnd_bytes()))
-                                })
-                            } else {
-                                None
-                            }
-                        };
-                        if let Some(init) = open {
-                            self.open_lcp(pkt.flow, LoopTrigger::AlphaMinimum, init, ctx);
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("PPT endpoint received a non-TCP packet"),
+    fn spare_capacity(
+        &mut self,
+        tx: &DctcpFlowTx,
+        ack: &AckOutcome,
+        cfg: &PptConfig,
+    ) -> Option<u64> {
+        let alpha = ack.round_alpha?;
+        if !self.min_tracker.push(alpha) || !tx.wmax.past_slow_start() {
+            return None;
         }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        let id = FlowId(token.flow);
-        match token.kind {
-            TIMER_RTO => {
-                let Some(f) = self.tx.get_mut(&id) else { return };
-                if service_rto(&mut f.hcp, ctx) {
-                    self.pump_hcp(id, ctx);
-                }
-            }
-            TIMER_LCP_PACE => {
-                let mss = self.tcp.mss as u64;
-                let proceed = {
-                    let Some(f) = self.tx.get_mut(&id) else { return };
-                    f.lcp.is_some() && f.lcp_gen == token.generation && f.pace_remaining > 0
-                };
-                if !proceed {
-                    return;
-                }
-                if self.send_lcp_segment(id, ctx) {
-                    let f = self.tx.get_mut(&id).expect("flow exists"); // simlint: allow(panic_hygiene)
-                    f.pace_remaining = f.pace_remaining.saturating_sub(mss);
-                    if f.pace_remaining > 0 {
-                        let interval = f.pace_interval;
-                        ctx.timer_after(
-                            interval,
-                            Token {
-                                kind: TIMER_LCP_PACE,
-                                generation: token.generation,
-                                flow: id.0,
-                            }
-                            .encode(),
-                        );
-                    }
-                }
-            }
-            TIMER_LCP_EXPIRY => {
-                let rtt = self.cfg.base_rtt;
-                let Some(f) = self.tx.get_mut(&id) else { return };
-                if f.lcp_gen != token.generation {
-                    return;
-                }
-                let Some(lcp) = f.lcp.as_ref() else { return };
-                if lcp.is_expired(ctx.now(), rtt) || f.hcp.is_done() {
-                    let reason = if f.hcp.is_done() {
-                        LcpCloseReason::FlowDone
-                    } else if lcp.ack_counts().0 == 0 {
-                        // Expired without a single LP ACK ever arriving:
-                        // the loop's packets (or their ACKs) all died, the
-                        // §3.2 total-preemption / loss case.
-                        LcpCloseReason::NoLpAcks
-                    } else {
-                        LcpCloseReason::Expired
-                    };
-                    Self::close_lcp(f, id, reason, ctx);
-                } else {
-                    ctx.timer_after(
-                        rtt,
-                        Token { kind: TIMER_LCP_EXPIRY, generation: token.generation, flow: id.0 }
-                            .encode(),
-                    );
-                }
-            }
-            TIMER_LCP_DELAYED_OPEN => {
-                // 2nd-RTT case-1 open for identified-large flows: the
-                // spare window is the BDP minus what HCP now occupies.
-                let init = {
-                    let Some(f) = self.tx.get_mut(&id) else { return };
-                    if f.hcp.is_done() || f.lcp.is_some() {
-                        return;
-                    }
-                    initial_window_case1(self.cfg.bdp_bytes(), f.hcp.cwnd_bytes())
-                };
-                self.open_lcp(id, LoopTrigger::FlowStart, init, ctx);
-            }
-            _ => {}
-        }
-    }
-
-    fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        let mut snap = netsim::CcSnapshot::default();
-        for f in self.tx.values().filter(|f| !f.hcp.is_done()) {
-            // The PPT window is the dual-loop total: the HCP congestion
-            // window plus the open LCP's window, when one exists. LCP
-            // segments claim flow bytes through the shared HCP ledger, so
-            // its in-flight is already covered by `inflight_bytes`.
-            snap.cwnd_bytes +=
-                f.hcp.cwnd_bytes() + f.lcp.as_ref().map_or(0, |l| l.initial_window_bytes());
-            snap.inflight_bytes += f.hcp.inflight_bytes();
-            snap.flows += 1;
-        }
-        snap
+        // Eq. 2 against the (scaled) MW; §3: LCP + HCP must not exceed it.
+        let target = (tx.wmax.w_max_bytes()? as f64 * cfg.fill_fraction) as u64;
+        Some(initial_window_case2(alpha, target).min(target.saturating_sub(tx.cwnd_bytes())))
     }
 }
+
+/// The PPT endpoint.
+pub type PptTransport = Lcp<DctcpHcp>;
 
 /// Install PPT on every host of a topology.
 pub fn install_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
     for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(PptTransport::new(tcp.clone(), cfg.clone())));
+        let ppt = PptTransport::new(tcp.clone(), cfg.clone(), DctcpHcp::new(cfg));
+        topo.sim.set_transport(h, Box::new(ppt));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimTime;
-    use netsim::{star, Rate, RunLimits, SwitchConfig};
+    use netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
 
     fn ppt_testbed(n: usize) -> (netsim::Topology<Proto>, TcpCfg, PptConfig) {
         let rate = Rate::gbps(10);
@@ -605,25 +213,35 @@ mod tests {
 
     #[test]
     fn ablations_run_to_completion() {
-        for (ecn, ewd, sched, ident) in [
-            (false, true, true, true),
-            (true, false, true, true),
-            (true, true, false, true),
-            (true, true, true, false),
-        ] {
-            let (mut topo, tcp, mut cfg) = ppt_testbed(3);
-            cfg.lcp_ecn_enabled = ecn;
-            cfg.ewd_enabled = ewd;
-            cfg.scheduling_enabled = sched;
-            cfg.identification_enabled = ident;
-            install_ppt(&mut topo, &tcp, &cfg);
-            topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 1 << 20, SimTime::ZERO, 1 << 20);
-            topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 50_000, SimTime(100_000), 50_000);
-            let report = run_flows(&mut topo, 10_000);
-            assert_eq!(
-                report.flows_completed, 2,
-                "ablation (ecn={ecn},ewd={ewd},sched={sched},ident={ident}) must still complete"
-            );
+        // The switches belong to the layer, so every HCP under it must
+        // honour them — not only DCTCP.
+        type Install = fn(&mut netsim::Topology<Proto>, &TcpCfg, &PptConfig);
+        let layered: [(&str, Install); 3] = [
+            ("ppt", install_ppt),
+            ("swift-ppt", crate::swift::install_swift_ppt),
+            ("hpcc-ppt", crate::hpcc::install_hpcc_ppt),
+        ];
+        for (name, install) in layered {
+            for (ecn, ewd, sched, ident) in [
+                (false, true, true, true),
+                (true, false, true, true),
+                (true, true, false, true),
+                (true, true, true, false),
+            ] {
+                let (mut topo, tcp, mut cfg) = ppt_testbed(3);
+                cfg.lcp_ecn_enabled = ecn;
+                cfg.ewd_enabled = ewd;
+                cfg.scheduling_enabled = sched;
+                cfg.identification_enabled = ident;
+                install(&mut topo, &tcp, &cfg);
+                topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 1 << 20, SimTime::ZERO, 1 << 20);
+                topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 50_000, SimTime(100_000), 50_000);
+                let report = run_flows(&mut topo, 10_000);
+                assert_eq!(
+                    report.flows_completed, 2,
+                    "{name} ablation (ecn={ecn},ewd={ewd},sched={sched},ident={ident}) must still complete"
+                );
+            }
         }
     }
 

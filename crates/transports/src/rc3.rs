@@ -20,7 +20,9 @@ use std::collections::BTreeMap;
 
 use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, Transport};
 
-use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
+use crate::common::{service_rto, Token, TIMER_RTO};
+use crate::hcp::pump;
+use crate::ppt::DctcpHcp;
 use crate::proto::{DataHdr, Proto};
 use crate::rx::TcpRx;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
@@ -75,28 +77,6 @@ impl Rc3Transport {
         }
     }
 
-    fn pump_hcp(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let now = ctx.now();
-        let Some(f) = self.tx.get_mut(&id) else { return };
-        let (src, dst, size) = (f.hcp.src, f.hcp.dst, f.hcp.size);
-        while let Some(seg) = f.hcp.next_segment(now) {
-            if seg.retx {
-                ctx.note_retransmit(id);
-            }
-            let hdr = DataHdr {
-                offset: seg.offset,
-                len: seg.len,
-                msg_size: size,
-                lcp: false,
-                retx: seg.retx,
-                sent_at: now,
-                int: None,
-            };
-            ctx.send(Packet::data(id, src, dst, seg.len, Proto::Data(hdr)));
-        }
-        arm_rto(&f.hcp, ctx);
-    }
-
     /// Top the low-priority loop back up to a full BDP of in-flight bytes.
     fn top_up(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
         let mss = self.tcp.mss as u64;
@@ -110,17 +90,14 @@ impl Rc3Transport {
         let (src, dst, size) = (f.hcp.src, f.hcp.dst, f.hcp.size);
         while f.lp_inflight + mss <= bdp {
             let buffer_end = size.min(f.hcp.cum_acked().saturating_add(send_buffer));
-            let Some((gap_start, gap_end)) = f.hcp.claimed().last_gap(buffer_end) else {
+            let Some((start, len)) = f.hcp.claim_tail(buffer_end, self.tcp.mss) else {
                 // Loops crossed: every byte claimed at least once.
                 f.lp_active = false;
                 break;
             };
-            let start = gap_end.saturating_sub(mss).max(gap_start);
-            let len = (gap_end - start) as u32;
-            f.hcp.claimed_mut().insert(start, gap_end);
             f.hcp.add_sent_bytes(len as u64);
             f.lp_inflight += len as u64;
-            let prio = Self::layer_priority(mss, size - gap_end);
+            let prio = Self::layer_priority(mss, size - (start + len as u64));
             let hdr = DataHdr {
                 offset: start,
                 len,
@@ -140,9 +117,10 @@ impl Rc3Transport {
 
 impl Transport<Proto> for Rc3Transport {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let hcp = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
+        let mut hcp =
+            DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
+        pump::<DctcpHcp>(&mut hcp, ctx);
         self.tx.insert(flow.id, Rc3FlowTx { hcp, lp_inflight: 0, lp_active: true });
-        self.pump_hcp(flow.id, ctx);
         self.top_up(flow.id, ctx);
         ctx.timer_after(
             self.tcp.base_rtt,
@@ -175,15 +153,10 @@ impl Transport<Proto> for Rc3Transport {
                 self.top_up(pkt.flow, ctx);
             }
             Proto::Ack(ack) => {
-                let ack = ack.clone();
-                let now = ctx.now();
-                let done = {
-                    let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
-                    f.hcp.on_ack(&ack, now);
-                    f.hcp.is_done()
-                };
-                if !done {
-                    self.pump_hcp(pkt.flow, ctx);
+                let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
+                f.hcp.on_ack(ack, ctx.now());
+                if !f.hcp.is_done() {
+                    pump::<DctcpHcp>(&mut f.hcp, ctx);
                 }
             }
             _ => unreachable!("RC3 endpoint received a non-TCP packet"),
@@ -197,7 +170,7 @@ impl Transport<Proto> for Rc3Transport {
             TIMER_RTO => {
                 let Some(f) = self.tx.get_mut(&id) else { return };
                 if service_rto(&mut f.hcp, ctx) {
-                    self.pump_hcp(id, ctx);
+                    pump::<DctcpHcp>(&mut f.hcp, ctx);
                 }
             }
             TIMER_RC3_TOPUP => {

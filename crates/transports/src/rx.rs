@@ -5,7 +5,7 @@
 //! applies the EWD two-for-one ACK coalescing to low-priority packets,
 //! and reports flow completion the moment every byte is present.
 
-use netsim::{Ctx, FlowId, HostId, Packet, SimTime};
+use netsim::{Ctx, FlowId, HostId, Packet};
 use ppt_core::LcpAckClock;
 
 use crate::common::IntervalSet;
@@ -71,7 +71,7 @@ impl TcpRx {
             self.lcp_pending.push((start, end));
             if let Some(ece) = self.lcp_clock.on_data(pkt.ecn.ce) {
                 let sacks = std::mem::take(&mut self.lcp_pending);
-                self.send_ack(sacks, ece, true, pkt.priority, hdr.sent_at, ctx);
+                self.send_ack(sacks, ece, pkt, hdr, ctx);
             }
         } else {
             // Per-packet ACK (HCP always; LCP when coalescing is off; and
@@ -80,59 +80,34 @@ impl TcpRx {
             if hdr.lcp {
                 sacks.append(&mut self.lcp_pending);
             }
-            self.send_ack(sacks, pkt.ecn.ce, hdr.lcp, pkt.priority, hdr.sent_at, ctx);
+            self.send_ack(sacks, pkt.ecn.ce, pkt, hdr, ctx);
         }
     }
 
+    /// ACK the data packet `pkt`/`hdr`, echoing its timestamp and whatever
+    /// INT stack the fabric stamped into it (HPCC, PowerTCP).
     fn send_ack(
         &self,
         sacks: Vec<(u64, u64)>,
         ece: bool,
-        lcp: bool,
-        data_prio: u8,
-        ts_echo: SimTime,
+        pkt: &Packet<Proto>,
+        hdr: &DataHdr,
         ctx: &mut Ctx<'_, Proto>,
     ) {
         // HCP ACKs ride the control (highest) priority; LCP ACKs stay in
         // the low-priority band of their data (§3.2: "one low-priority
         // ACK"), so they cannot perturb normal traffic.
-        let prio = if lcp { data_prio.max(4) } else { 0 };
+        let prio = if hdr.lcp { pkt.priority.max(4) } else { 0 };
         let ack = AckHdr {
             cum: self.received.contiguous_prefix(),
             sacks,
             ece,
-            lcp,
-            ts_echo,
-            int_echo: None,
-        };
-        let pkt =
-            Packet::ctrl(self.flow, ctx.host(), self.peer, Proto::Ack(ack)).with_priority(prio);
-        ctx.send(pkt);
-    }
-
-    /// Variant of [`Self::on_data`] that also echoes the INT stack (HPCC).
-    pub fn on_data_with_int(
-        &mut self,
-        pkt: &Packet<Proto>,
-        hdr: &DataHdr,
-        ctx: &mut Ctx<'_, Proto>,
-    ) {
-        let start = hdr.offset;
-        let end = hdr.offset + hdr.len as u64;
-        self.received.insert(start, end);
-        if !self.completed && self.received.covers(self.size) {
-            self.completed = true;
-            ctx.flow_completed(self.flow);
-        }
-        let ack = AckHdr {
-            cum: self.received.contiguous_prefix(),
-            sacks: vec![(start, end)],
-            ece: pkt.ecn.ce,
-            lcp: false,
+            lcp: hdr.lcp,
             ts_echo: hdr.sent_at,
             int_echo: hdr.int.clone(),
         };
-        let pkt = Packet::ctrl(self.flow, ctx.host(), self.peer, Proto::Ack(ack)).with_priority(0);
+        let pkt =
+            Packet::ctrl(self.flow, ctx.host(), self.peer, Proto::Ack(ack)).with_priority(prio);
         ctx.send(pkt);
     }
 }
@@ -141,7 +116,7 @@ impl TcpRx {
 mod tests {
     use super::*;
     use netsim::host::Effects;
-    use netsim::{Ecn, HostId};
+    use netsim::{Ecn, HostId, SimTime};
 
     fn data_pkt(
         flow: FlowId,
@@ -210,6 +185,27 @@ mod tests {
         assert!(acks[1].ece, "CE must echo as ECE");
         assert!(prios.iter().all(|&p| p == 0), "HCP ACKs ride P0");
         assert!(!done);
+    }
+
+    #[test]
+    fn int_stack_is_echoed_with_the_timestamp() {
+        let flow = FlowId(1);
+        let mut rx = TcpRx::new(flow, HostId(0), 4000, 2);
+        let (pkt, mut hdr) = data_pkt(flow, 0, 1000, 4000, false, false);
+        let hop = crate::proto::IntHop {
+            qlen_bytes: 7,
+            qlen_high_bytes: 7,
+            tx_bytes: 9,
+            tx_high_bytes: 9,
+            ts: SimTime(3),
+            rate_bps: 10_000_000_000,
+        };
+        hdr.int = Some(vec![hop]);
+        let (acks, prios, _) = drive(&mut rx, vec![(pkt, hdr)]);
+        assert_eq!(prios, vec![0]);
+        assert_eq!(acks[0].ts_echo, SimTime(5));
+        let echoed = acks[0].int_echo.as_ref().expect("INT stack echoed");
+        assert_eq!((echoed.len(), echoed[0].qlen_bytes, echoed[0].tx_bytes), (1, 7, 9));
     }
 
     #[test]

@@ -6,396 +6,74 @@
 //! target delay and closes it after two consecutive RTTs without
 //! low-priority ACKs, with the same mirror-symmetric flow scheduling.
 
-use std::collections::BTreeMap;
+use netsim::FlowDesc;
+use ppt_core::PptConfig;
 
-use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimDuration, Transport};
-use ppt_core::{FlowIdentifier, LcpAction, LcpLoop, LoopTrigger, MirrorTagger, PptConfig};
+use crate::hcp::{Case1, Hcp, Stamp, Window};
+use crate::lcp::Lcp;
+use crate::proto::Proto;
+use crate::tcp_base::{AckOutcome, CcMode, DctcpFlowTx, SwiftCc, TcpCfg};
 
-use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
-use crate::ppt::{TIMER_LCP_EXPIRY, TIMER_LCP_PACE};
-use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
-use crate::tcp_base::{CcMode, DctcpFlowTx, SwiftCc, TcpCfg};
+/// The Swift-like high-priority loop: delay-based window (target =
+/// 1.5 × base RTT), no ECN participation, and "delay below target" as
+/// the spare-capacity signal (Fig 14).
+#[derive(Clone, Copy, Debug)]
+pub struct SwiftHcp;
+
+impl Hcp for SwiftHcp {
+    const STAMP: Stamp = Stamp::Delay;
+
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx {
+        DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp.clone())
+            .with_cc_mode(CcMode::Swift(SwiftCc::new(tcp.base_rtt)))
+    }
+
+    /// The pipe is empty at flow start, as in PPT; identified-large flows
+    /// simply rely on the delay trigger.
+    fn case1(&self, identified_large: bool) -> Case1 {
+        if identified_large {
+            Case1::Never
+        } else {
+            Case1::FirstRtt
+        }
+    }
+
+    /// A loop sized to the gap between the window and the BDP.
+    fn spare_capacity(
+        &mut self,
+        tx: &DctcpFlowTx,
+        ack: &AckOutcome,
+        cfg: &PptConfig,
+    ) -> Option<u64> {
+        let CcMode::Swift(sw) = tx.cc_mode() else { return None };
+        (ack.delay_sample? < sw.target).then(|| cfg.bdp_bytes().saturating_sub(tx.cwnd_bytes()))
+    }
+}
 
 /// Plain Swift-like endpoint: delay-based window, single priority.
-pub struct SwiftTransport {
-    tcp: TcpCfg,
-    tx: BTreeMap<FlowId, DctcpFlowTx>,
-    rx: BTreeMap<FlowId, TcpRx>,
-}
-
-impl SwiftTransport {
-    /// New endpoint; the delay target defaults to 1.5 × base RTT.
-    pub fn new(tcp: TcpCfg) -> Self {
-        SwiftTransport { tcp, tx: BTreeMap::new(), rx: BTreeMap::new() }
-    }
-
-    fn pump(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let now = ctx.now();
-        let Some(flow) = self.tx.get_mut(&id) else { return };
-        let (src, dst, size) = (flow.src, flow.dst, flow.size);
-        while let Some(seg) = flow.next_segment(now) {
-            if seg.retx {
-                ctx.note_retransmit(id);
-            }
-            let hdr = DataHdr {
-                offset: seg.offset,
-                len: seg.len,
-                msg_size: size,
-                lcp: false,
-                retx: seg.retx,
-                sent_at: now,
-                int: None,
-            };
-            // Delay-based: no ECN participation.
-            let mut pkt = Packet::data(id, src, dst, seg.len, Proto::Data(hdr));
-            pkt.ecn = Ecn::not_capable();
-            ctx.send(pkt);
-        }
-        arm_rto(flow, ctx);
-    }
-}
-
-impl Transport<Proto> for SwiftTransport {
-    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let tx = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone())
-            .with_cc_mode(CcMode::Swift(SwiftCc::new(self.tcp.base_rtt)));
-        self.tx.insert(flow.id, tx);
-        self.pump(flow.id, ctx);
-    }
-
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                let hdr = hdr.clone();
-                rx.on_data(&pkt, &hdr, ctx);
-            }
-            Proto::Ack(ack) => {
-                let ack = ack.clone();
-                let done = {
-                    let Some(flow) = self.tx.get_mut(&pkt.flow) else { return };
-                    flow.on_ack(&ack, ctx.now());
-                    flow.is_done()
-                };
-                if !done {
-                    self.pump(pkt.flow, ctx);
-                }
-            }
-            _ => unreachable!("Swift endpoint received a non-TCP packet"),
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        if token.kind != TIMER_RTO {
-            return;
-        }
-        let id = FlowId(token.flow);
-        let Some(flow) = self.tx.get_mut(&id) else { return };
-        if service_rto(flow, ctx) {
-            self.pump(id, ctx);
-        }
-    }
-}
-
-struct SwiftPptFlow {
-    hcp: DctcpFlowTx,
-    identified_large: bool,
-    lcp: Option<LcpLoop>,
-    lcp_gen: u16,
-    pace_remaining: u64,
-    pace_interval: SimDuration,
-}
-
-/// PPT layered over the Swift-like transport (Fig 14): the LCP trigger is
-/// "delay below target" instead of "α at its minimum"; everything else —
-/// EWD, loop expiry, mirror tagging — is PPT's.
-pub struct SwiftPptTransport {
-    tcp: TcpCfg,
-    cfg: PptConfig,
-    identifier: FlowIdentifier,
-    tagger: MirrorTagger,
-    tx: BTreeMap<FlowId, SwiftPptFlow>,
-    rx: BTreeMap<FlowId, TcpRx>,
-}
-
-impl SwiftPptTransport {
-    /// New endpoint.
-    pub fn new(tcp: TcpCfg, cfg: PptConfig) -> Self {
-        SwiftPptTransport {
-            identifier: FlowIdentifier { threshold_bytes: cfg.ident_threshold_bytes },
-            tagger: MirrorTagger::new(cfg.demotion_thresholds.clone()),
-            tcp,
-            cfg,
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
-        }
-    }
-
-    fn pump_hcp(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let now = ctx.now();
-        let Some(f) = self.tx.get_mut(&id) else { return };
-        let prio = self.tagger.hcp_priority(f.identified_large, f.hcp.bytes_sent);
-        let (src, dst, size) = (f.hcp.src, f.hcp.dst, f.hcp.size);
-        while let Some(seg) = f.hcp.next_segment(now) {
-            if seg.retx {
-                ctx.note_retransmit(id);
-            }
-            let hdr = DataHdr {
-                offset: seg.offset,
-                len: seg.len,
-                msg_size: size,
-                lcp: false,
-                retx: seg.retx,
-                sent_at: now,
-                int: None,
-            };
-            let mut pkt = Packet::data(id, src, dst, seg.len, Proto::Data(hdr)).with_priority(prio);
-            pkt.ecn = Ecn::not_capable();
-            ctx.send(pkt);
-        }
-        arm_rto(&f.hcp, ctx);
-    }
-
-    fn send_lcp_segment(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) -> bool {
-        let mss = self.tcp.mss as u64;
-        let send_buffer = self.cfg.send_buffer_bytes;
-        let Some(f) = self.tx.get_mut(&id) else { return false };
-        if f.hcp.is_done() {
-            return false;
-        }
-        let buffer_end = f.hcp.size.min(f.hcp.cum_acked().saturating_add(send_buffer));
-        let Some((gap_start, gap_end)) = f.hcp.claimed().last_gap(buffer_end) else {
-            return false;
-        };
-        let start = gap_end.saturating_sub(mss).max(gap_start);
-        let len = (gap_end - start) as u32;
-        f.hcp.claimed_mut().insert(start, gap_end);
-        f.hcp.add_sent_bytes(len as u64);
-        let prio = self.tagger.lcp_priority(f.identified_large, f.hcp.bytes_sent);
-        let hdr = DataHdr {
-            offset: start,
-            len,
-            msg_size: f.hcp.size,
-            lcp: true,
-            retx: false,
-            sent_at: ctx.now(),
-            int: None,
-        };
-        let mut pkt =
-            Packet::data(id, f.hcp.src, f.hcp.dst, len, Proto::Data(hdr)).with_priority(prio);
-        // The LCP loop keeps ECN (it protects HCP through it) even though
-        // the delay-based HCP ignores marks.
-        pkt.ecn = if self.cfg.lcp_ecn_enabled { Ecn::capable() } else { Ecn::not_capable() };
-        ctx.send(pkt);
-        true
-    }
-
-    fn open_lcp(&mut self, id: FlowId, init_bytes: u64, ctx: &mut Ctx<'_, Proto>) {
-        let mss = self.tcp.mss as u64;
-        let rtt = self.cfg.base_rtt;
-        {
-            let Some(f) = self.tx.get_mut(&id) else { return };
-            if f.lcp.is_some() || init_bytes < mss || f.hcp.is_done() {
-                return;
-            }
-            f.lcp = Some(LcpLoop::open(LoopTrigger::FlowStart, init_bytes, ctx.now()));
-            f.pace_remaining = init_bytes;
-            let interval_ns = (rtt.as_nanos() as u128 * mss as u128 / init_bytes as u128) as u64;
-            f.pace_interval = SimDuration::from_nanos(interval_ns.max(1));
-        }
-        let gen = self.tx[&id].lcp_gen;
-        if self.send_lcp_segment(id, ctx) {
-            if let Some(f) = self.tx.get_mut(&id) {
-                f.pace_remaining = f.pace_remaining.saturating_sub(mss);
-            }
-            let interval = self.tx[&id].pace_interval;
-            ctx.timer_after(
-                interval,
-                Token { kind: TIMER_LCP_PACE, generation: gen, flow: id.0 }.encode(),
-            );
-        }
-        ctx.timer_after(
-            rtt,
-            Token { kind: TIMER_LCP_EXPIRY, generation: gen, flow: id.0 }.encode(),
-        );
-    }
-
-    fn close_lcp(f: &mut SwiftPptFlow) {
-        f.lcp = None;
-        f.lcp_gen = f.lcp_gen.wrapping_add(1);
-        f.pace_remaining = 0;
-    }
-}
-
-impl Transport<Proto> for SwiftPptTransport {
-    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let first_write = flow.first_write_bytes.min(self.cfg.send_buffer_bytes);
-        let identified_large = self.identifier.is_large_at_start(first_write);
-        let hcp = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone())
-            .with_cc_mode(CcMode::Swift(SwiftCc::new(self.tcp.base_rtt)));
-        self.tx.insert(
-            flow.id,
-            SwiftPptFlow {
-                hcp,
-                identified_large,
-                lcp: None,
-                lcp_gen: 0,
-                pace_remaining: 0,
-                pace_interval: SimDuration::ZERO,
-            },
-        );
-        self.pump_hcp(flow.id, ctx);
-        // Case 1 as in PPT: the pipe is empty at flow start.
-        let init = self.cfg.bdp_bytes().saturating_sub(self.tcp.init_cwnd_bytes);
-        if !identified_large {
-            self.open_lcp(flow.id, init, ctx);
-        }
-        // Identified-large flows simply rely on the delay trigger below.
-    }
-
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 2));
-                let hdr = hdr.clone();
-                rx.on_data(&pkt, &hdr, ctx);
-            }
-            Proto::Ack(ack) if ack.lcp => {
-                let ack = ack.clone();
-                let now = ctx.now();
-                let send = {
-                    let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
-                    f.hcp.on_lcp_ack(&ack, now);
-                    if f.hcp.is_done() {
-                        Self::close_lcp(f);
-                        false
-                    } else if let Some(lcp) = f.lcp.as_mut() {
-                        lcp.on_low_priority_ack(ack.ece, now) == LcpAction::SendOne
-                    } else {
-                        false
-                    }
-                };
-                if send {
-                    self.send_lcp_segment(pkt.flow, ctx);
-                }
-            }
-            Proto::Ack(ack) => {
-                let ack = ack.clone();
-                let now = ctx.now();
-                let (done, open_with) = {
-                    let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
-                    let out = f.hcp.on_ack(&ack, now);
-                    let done = f.hcp.is_done();
-                    if done {
-                        Self::close_lcp(f);
-                    }
-                    // Fig 14's trigger: delay below target ⇒ spare
-                    // capacity ⇒ open a loop sized to the window gap.
-                    let open = if !done && f.lcp.is_none() {
-                        match (out.delay_sample, f.hcp.cc_mode()) {
-                            (Some(d), CcMode::Swift(sw)) if d < sw.target => {
-                                Some(self.cfg.bdp_bytes().saturating_sub(f.hcp.cwnd_bytes()))
-                            }
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
-                    (done, open)
-                };
-                if !done {
-                    self.pump_hcp(pkt.flow, ctx);
-                    if let Some(init) = open_with {
-                        self.open_lcp(pkt.flow, init, ctx);
-                    }
-                }
-            }
-            _ => unreachable!("Swift-PPT endpoint received a non-TCP packet"),
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        let id = FlowId(token.flow);
-        match token.kind {
-            TIMER_RTO => {
-                let Some(f) = self.tx.get_mut(&id) else { return };
-                if service_rto(&mut f.hcp, ctx) {
-                    self.pump_hcp(id, ctx);
-                }
-            }
-            TIMER_LCP_PACE => {
-                let mss = self.tcp.mss as u64;
-                let proceed = {
-                    let Some(f) = self.tx.get_mut(&id) else { return };
-                    f.lcp.is_some() && f.lcp_gen == token.generation && f.pace_remaining > 0
-                };
-                if proceed && self.send_lcp_segment(id, ctx) {
-                    let f = self.tx.get_mut(&id).expect("flow exists"); // simlint: allow(panic_hygiene)
-                    f.pace_remaining = f.pace_remaining.saturating_sub(mss);
-                    if f.pace_remaining > 0 {
-                        let interval = f.pace_interval;
-                        ctx.timer_after(
-                            interval,
-                            Token {
-                                kind: TIMER_LCP_PACE,
-                                generation: token.generation,
-                                flow: id.0,
-                            }
-                            .encode(),
-                        );
-                    }
-                }
-            }
-            TIMER_LCP_EXPIRY => {
-                let rtt = self.cfg.base_rtt;
-                let Some(f) = self.tx.get_mut(&id) else { return };
-                if f.lcp_gen != token.generation {
-                    return;
-                }
-                let Some(lcp) = f.lcp.as_ref() else { return };
-                if lcp.is_expired(ctx.now(), rtt) || f.hcp.is_done() {
-                    Self::close_lcp(f);
-                } else {
-                    ctx.timer_after(
-                        rtt,
-                        Token { kind: TIMER_LCP_EXPIRY, generation: token.generation, flow: id.0 }
-                            .encode(),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-}
+pub type SwiftTransport = Window<SwiftHcp>;
+/// PPT layered over the Swift-like transport (Fig 14).
+pub type SwiftPptTransport = Lcp<SwiftHcp>;
 
 /// Install plain Swift on every host.
 pub fn install_swift(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
     for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(SwiftTransport::new(tcp.clone())));
+        topo.sim.set_transport(h, Box::new(SwiftTransport::new(tcp.clone(), SwiftHcp)));
     }
 }
 
 /// Install PPT-over-Swift on every host.
 pub fn install_swift_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
     for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(SwiftPptTransport::new(tcp.clone(), cfg.clone())));
+        let t = SwiftPptTransport::new(tcp.clone(), cfg.clone(), SwiftHcp);
+        topo.sim.set_transport(h, Box::new(t));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimTime;
-    use netsim::{star, Rate, RunLimits, SwitchConfig};
+    use netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
 
     fn setup(n: usize) -> (netsim::Topology<Proto>, TcpCfg, PptConfig) {
         let rate = Rate::gbps(10);

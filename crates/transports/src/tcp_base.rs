@@ -129,12 +129,6 @@ impl HpccCc {
         }
     }
 
-    /// Switch to priority-aware INT (see `high_band_only`).
-    pub fn with_high_band_only(mut self) -> Self {
-        self.high_band_only = true;
-        self
-    }
-
     /// The normalized max per-hop inflight estimate U from an echoed INT
     /// stack, updating the per-hop history.
     pub fn measure_u(&mut self, int: &[crate::proto::IntHop]) -> f64 {
@@ -414,14 +408,15 @@ impl DctcpFlowTx {
         self.inflight_bytes
     }
 
-    /// All bytes the flow has claimed (sent at least once by any loop).
-    pub fn claimed(&self) -> &IntervalSet {
-        &self.claimed
-    }
-
-    /// Mutable access for co-located loops (LCP marks tail bytes claimed).
-    pub fn claimed_mut(&mut self) -> &mut IntervalSet {
-        &mut self.claimed
+    /// Claim up to one MSS from the tail of the unclaimed bytes below
+    /// `limit` (the end of the buffered window) for a co-located
+    /// low-priority loop. Returns the claimed `(offset, len)`, or `None`
+    /// once the loops have crossed and nothing below `limit` is unclaimed.
+    pub fn claim_tail(&mut self, limit: u64, mss: u32) -> Option<(u64, u32)> {
+        let (gap_start, gap_end) = self.claimed.last_gap(limit)?;
+        let start = gap_end.saturating_sub(mss as u64).max(gap_start);
+        self.claimed.insert(start, gap_end);
+        Some((start, (gap_end - start) as u32))
     }
 
     /// Bytes known delivered.
@@ -888,7 +883,7 @@ mod tests {
         let size = 10 * netsim::MSS_BYTES as u64;
         let mut f = flow(size);
         let tail_start = size - 2 * netsim::MSS_BYTES as u64;
-        f.claimed_mut().insert(tail_start, size);
+        f.claimed.insert(tail_start, size);
         let lcp_ack = AckHdr {
             cum: 0,
             sacks: vec![(tail_start, size)],
@@ -917,12 +912,31 @@ mod tests {
         let size = 5 * netsim::MSS_BYTES as u64;
         let mut f = flow(size);
         let tail_start = size - netsim::MSS_BYTES as u64;
-        f.claimed_mut().insert(tail_start, size); // LCP sent it; ack lost
+        f.claimed.insert(tail_start, size); // LCP sent it; ack lost
         let mut offsets = Vec::new();
         while let Some(seg) = f.next_segment(SimTime::ZERO) {
             offsets.push(seg.offset);
         }
         assert!(offsets.contains(&tail_start), "HCP must cover the unacked tail: {offsets:?}");
+    }
+
+    #[test]
+    fn claim_tail_takes_at_most_one_mss_from_the_top_gap() {
+        let mss = netsim::MSS_BYTES;
+        let size = 10 * mss as u64;
+        let mut f = flow(size);
+        // Gap straddling `limit`: only bytes below the limit are reachable.
+        let limit = size - mss as u64 / 2;
+        assert_eq!(f.claim_tail(limit, mss), Some((limit - mss as u64, mss)));
+        // Sub-MSS gap: HCP holds [0, 100), the LCP everything from 300 up.
+        f.claimed.insert(0, 100);
+        f.claimed.insert(300, limit);
+        assert_eq!(f.claim_tail(limit, mss), Some((100, 200)));
+        // Empty gap: the loops crossed.
+        assert_eq!(f.claim_tail(limit, mss), None);
+        assert_eq!(f.claim_tail(0, mss), None);
+        // Claiming never counts as sending; callers age priorities themselves.
+        assert_eq!(f.bytes_sent, 0);
     }
 
     #[test]

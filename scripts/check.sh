@@ -121,6 +121,32 @@ cmp "$PFC_TMP/a/metrics.json" "$PFC_TMP/b/metrics.json"
 test -s "$PFC_TMP/a/events.jsonl"
 rm -rf "$PFC_TMP"
 
+echo "==> layered LCP smoke (swift-ppt / hpcc-ppt traces: byte-identical reruns, loops visible)"
+LCP_TMP="${TMPDIR:-/tmp}/pptlab-lcp-smoke.$$"
+for scheme in swift-ppt hpcc-ppt; do
+    mkdir -p "$LCP_TMP/$scheme/a" "$LCP_TMP/$scheme/b"
+    for run in a b; do
+        ./target/release/pptlab trace --schemes "$scheme" --topo star:4:10:20 \
+            --workload websearch --flows 40 --seed 42 --out "$LCP_TMP/$scheme/$run" > /dev/null
+    done
+    cmp "$LCP_TMP/$scheme/a/events.jsonl" "$LCP_TMP/$scheme/b/events.jsonl"
+    # The one LCP layer traces its loops whatever HCP is underneath.
+    grep -q '"ev":"lcp_opened"' "$LCP_TMP/$scheme/a/events.jsonl" || {
+        echo "check.sh: $scheme trace has no lcp_opened event" >&2
+        exit 1
+    }
+done
+rm -rf "$LCP_TMP"
+
+echo "==> transports non-test line counts (lines above the first #[cfg(test)] per file)"
+total=0
+for f in crates/transports/src/*.rs; do
+    n=$(awk '/#\[cfg\(test\)\]/ { exit } { c++ } END { print c + 0 }' "$f")
+    printf '%6d %s\n' "$n" "$f"
+    total=$((total + n))
+done
+printf '%6d total\n' "$total"
+
 echo "==> telemetry smoke (report byte-identical across reruns; goldens untouched)"
 TELEM_TMP="${TMPDIR:-/tmp}/pptlab-telemetry-smoke.$$"
 mkdir -p "$TELEM_TMP/a" "$TELEM_TMP/b" "$TELEM_TMP/t" "$TELEM_TMP/plain"

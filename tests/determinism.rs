@@ -143,6 +143,13 @@ fn pinned_seed_goldens_hold_on_the_heap_oracle_queue() {
 const POWERTCP_GOLDEN: (u64, u64) = (0xc75b_c408_55e6_d0c9, 0x70df_3d3a_e6c6_bb2c);
 const PFC_GOLDEN: (u64, u64) = (0x2ffc_8001_bf01_33c1, 0x0f03_df53_6c37_1a32);
 
+/// The two layered variants on the same workload: pins `Lcp<H>` over a
+/// non-DCTCP HCP — the delay and U triggers, INT stamping under an LCP,
+/// and the layer's trace events. DESIGN.md §16.4 records the digests
+/// these replaced and why each moved.
+const SWIFT_PPT_GOLDEN: (u64, u64) = (0x4440_892b_8e31_ca71, 0xda84_0dca_6138_af26);
+const HPCC_PPT_GOLDEN: (u64, u64) = (0xc76f_b074_f404_8fa2, 0xda13_9266_6fca_688a);
+
 /// Golden digests for the PFC switch mode: the pinned workload with PFC
 /// backpressure layered over PPT's switch config.
 fn pfc_golden_digests_on(seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u64) {
@@ -169,6 +176,24 @@ fn powertcp_and_pfc_mode_goldens_hold_on_both_queues() {
              (got trace={:#018x} fct={:#018x})",
             pfc.0, pfc.1
         );
+    }
+}
+
+#[test]
+fn layered_ppt_goldens_hold_on_both_queues() {
+    use ppt::netsim::QueueKind;
+    for queue in [QueueKind::Calendar, QueueKind::Heap] {
+        for (scheme, want) in
+            [(Scheme::SwiftPpt, SWIFT_PPT_GOLDEN), (Scheme::HpccPpt, HPCC_PPT_GOLDEN)]
+        {
+            let name = scheme.name();
+            let got = golden_digests_on(scheme, 42, queue);
+            assert_eq!(
+                got, want,
+                "{name} digests drifted on {queue:?} (got trace={:#018x} fct={:#018x})",
+                got.0, got.1
+            );
+        }
     }
 }
 
