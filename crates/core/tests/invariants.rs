@@ -1,8 +1,5 @@
-//! Invariants over the paper's §3/§4 algorithms.
-//!
-//! Deterministic seeded sweeps (always on) plus the original `proptest`
-//! suite behind the `proptest` feature (needs the dev-dependency
-//! restored — see crates/netsim/Cargo.toml).
+//! Invariants over the paper's §3/§4 algorithms: deterministic seeded
+//! sweeps driven by the in-tree [`Pcg32`].
 
 use netsim::{Pcg32, SimDuration, SimTime};
 use ppt_core::{
@@ -177,113 +174,4 @@ fn ignored_ece_acks_still_count_for_liveness() {
     }
     let (total, ece) = l.ack_counts();
     assert_eq!((total, ece), (9, 9));
-}
-
-/// The original property-based suite. Requires the `proptest` feature
-/// *and* the `proptest` dev-dependency restored in Cargo.toml.
-#[cfg(feature = "proptest")]
-mod property_based {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// α is always in [0, 1] no matter the feedback sequence.
-        #[test]
-        fn alpha_stays_in_unit_interval(rounds in proptest::collection::vec((0u64..1000, 0u64..1000), 1..200)) {
-            let mut a = AlphaEstimator::default();
-            for (acked, marked_raw) in rounds {
-                let marked = marked_raw.min(acked);
-                a.on_ack(acked, marked);
-                let alpha = a.end_of_round();
-                prop_assert!((0.0..=1.0).contains(&alpha), "alpha={alpha}");
-                prop_assert!((0.5..=1.0).contains(&a.cut_factor()));
-            }
-        }
-
-        /// Eq. 2 never asks for more than half of (the scaled) W_max, and
-        /// is monotone: a lower α_min yields a bigger initial window.
-        #[test]
-        fn eq2_bounds_and_monotonicity(wmax in 1u64..100_000_000, a1 in 0.0f64..1.0, a2 in 0.0f64..1.0) {
-            let i1 = initial_window_case2(a1, wmax);
-            let i2 = initial_window_case2(a2, wmax);
-            prop_assert!(i1 <= wmax / 2 + 1);
-            if a1 < a2 {
-                prop_assert!(i1 >= i2, "lower alpha must not shrink the window");
-            }
-        }
-
-        /// Case-1 window never exceeds the BDP.
-        #[test]
-        fn case1_bounded_by_bdp(bdp in 0u64..10_000_000, iw in 0u64..10_000_000) {
-            prop_assert!(initial_window_case1(bdp, iw) <= bdp);
-        }
-
-        /// Tagging monotonicity: priorities never *improve* as a flow
-        /// sends more bytes, and the LCP mirror never crosses into the
-        /// HCP band.
-        #[test]
-        fn tagging_is_monotone_and_banded(
-            sent_a in 0u64..100_000_000,
-            delta in 0u64..100_000_000,
-            large in proptest::bool::ANY,
-        ) {
-            let t = MirrorTagger::default();
-            let before = t.hcp_priority(large, sent_a);
-            let after = t.hcp_priority(large, sent_a + delta);
-            prop_assert!(after >= before, "priority improved with bytes sent");
-            prop_assert!(before <= 3);
-            let lcp = t.lcp_priority(large, sent_a);
-            prop_assert!((4..=7).contains(&lcp));
-            prop_assert_eq!(lcp, before + 4);
-        }
-
-        /// The EWD clock emits exactly floor(n/2) ACKs for n data packets
-        /// and ECE is set iff a CE mark arrived within the pair.
-        #[test]
-        fn ewd_clock_rate_halving_invariant(marks in proptest::collection::vec(proptest::bool::ANY, 0..300)) {
-            let mut clock = LcpAckClock::new();
-            let mut acks = 0;
-            let mut pending_ce = false;
-            for &ce in &marks {
-                pending_ce |= ce;
-                if let Some(ece) = clock.on_data(ce) {
-                    prop_assert_eq!(ece, pending_ce);
-                    pending_ce = false;
-                    acks += 1;
-                }
-            }
-            prop_assert_eq!(acks, marks.len() / 2);
-        }
-
-        /// MinTracker: over any sequence, the number of triggers is at
-        /// most the number of strict descents + 1, and a constant tail
-        /// never triggers.
-        #[test]
-        fn min_tracker_trigger_budget(values in proptest::collection::vec(0.0f64..1.0, 1..100)) {
-            let mut m = MinTracker::new(16);
-            let mut triggers = 0;
-            for &v in &values {
-                if m.push(v) {
-                    triggers += 1;
-                }
-            }
-            let descents = values.windows(2).filter(|w| w[1] < w[0]).count();
-            prop_assert!(triggers <= descents + 1, "triggers={triggers} descents={descents}");
-            let tail = *values.last().unwrap();
-            for _ in 0..32 {
-                prop_assert!(!m.push(tail), "tie triggered");
-            }
-        }
-
-        /// LCP loop expiry is exactly the 2-RTT silence rule.
-        #[test]
-        fn lcp_expiry_is_two_rtts(last_ack_ns in 0u64..10_000_000, probe_ns in 0u64..30_000_000) {
-            let rtt = SimDuration::from_micros(80);
-            let mut l = LcpLoop::open(LoopTrigger::FlowStart, 10_000, SimTime::ZERO);
-            l.on_low_priority_ack(false, SimTime(last_ack_ns));
-            let probe = SimTime(last_ack_ns.saturating_add(probe_ns));
-            let expired = l.is_expired(probe, rtt);
-            prop_assert_eq!(expired, probe_ns >= 2 * 80_000);
-        }
-    }
 }

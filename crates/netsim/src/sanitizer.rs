@@ -55,8 +55,8 @@ impl SanLevel {
         }
     }
 
-    /// Parse a `PPT_SANITIZE` / `--sanitize` value. `"1"` selects the
-    /// recommended per-epoch cadence; `"0"` and `""` mean off (`None`).
+    /// Parse a cadence id as given to `pptlab --sanitize`. `"1"` selects
+    /// the recommended per-epoch cadence; anything else unknown is `None`.
     pub fn parse(s: &str) -> Option<SanLevel> {
         match s {
             "event" | "per-event" => Some(SanLevel::PerEvent),

@@ -128,8 +128,8 @@ pub trait EventQueue<T: Copy> {
 }
 
 /// The `BinaryHeap` implementation: O(log n) push/pop, O(1) peek. Kept as
-/// the differential-testing oracle and selectable via
-/// [`crate::Simulator::set_queue_kind`] / `pptlab --queue heap`.
+/// the differential-testing oracle; tests and `bench_engine` select it
+/// via [`crate::Simulator::set_queue_kind`].
 pub struct HeapQueue<T> {
     heap: BinaryHeap<QEntry<T>>,
 }
@@ -392,25 +392,6 @@ pub enum QueueKind {
     Heap,
     /// The calendar queue / timing wheel (the default).
     Calendar,
-}
-
-impl QueueKind {
-    /// Parse a kind id as used by `pptlab --queue` and `PPT_QUEUE`.
-    pub fn parse(s: &str) -> Option<QueueKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binary_heap" => Some(QueueKind::Heap),
-            "calendar" | "wheel" | "calendar-queue" => Some(QueueKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// Stable id (used in JSON output and CLI round-trips).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-        }
-    }
 }
 
 /// Static dispatch over the two implementations — the engine stores this
@@ -683,12 +664,10 @@ mod tests {
         }
     }
 
-    /// The `Queue` wrapper dispatches to whichever kind it was built as
-    /// and round-trips kind ids.
+    /// The `Queue` wrapper dispatches to whichever kind it was built as.
     #[test]
-    fn queue_wrapper_and_kind_roundtrip() {
+    fn queue_wrapper_dispatches_to_its_kind() {
         for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            assert_eq!(QueueKind::parse(kind.as_str()), Some(kind));
             let mut q: Queue<u32> = Queue::new(kind);
             assert_eq!(q.kind(), kind);
             assert!(q.is_empty());
@@ -700,6 +679,5 @@ mod tests {
             let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|x| x.seq).collect();
             assert_eq!(order, vec![2, 0, 1]);
         }
-        assert_eq!(QueueKind::parse("nope"), None);
     }
 }

@@ -2,11 +2,13 @@
 //! workload, run, and collect FCT statistics — the loop every figure of
 //! the paper runs.
 
+use std::path::{Path, PathBuf};
+
 use netsim::trace::{
     encode_line, FlightRecorder, JsonObject, LogHistogram, MemorySink, MetricsRegistry, ProfKind,
     TraceEvent,
 };
-use netsim::{Rate, RunLimits, SimDuration, SimTime, SwitchConfig, Topology};
+use netsim::{Rate, RunLimits, SanLevel, SimDuration, SimTime, SwitchConfig, Topology};
 use transports::{MwRecorder, Proto, TcpCfg};
 use workloads::FlowSpec;
 
@@ -41,7 +43,7 @@ pub struct SchemeEnv {
     pub trim_threshold: u64,
     /// Run switches in PFC backpressure mode (per-priority XOFF/XON
     /// pause, thresholds derived from the port buffer). Off by default;
-    /// `pptlab --switch pfc` and the fault suite turn it on.
+    /// `pptlab --switch pfc` sets exactly this field.
     pub pfc: bool,
 }
 
@@ -568,6 +570,13 @@ pub struct Experiment {
     /// Continuous telemetry for the main run; `None` ⇒ off. The oracle
     /// recording pass of `Hypothetical` schemes is never telemetered.
     pub telemetry: Option<TelemetrySpec>,
+    /// Audit the main run with simsan at this cadence; `None` ⇒ off. A
+    /// `pre_run` hook that installed a sanitizer keeps its own cadence,
+    /// and the `Hypothetical` oracle pass is never sanitized.
+    pub sanitize: Option<SanLevel>,
+    /// Where an abnormal stop writes its flight-recorder dump, one file
+    /// per run; `None` ⇒ stderr.
+    pub dump_dir: Option<PathBuf>,
     /// Wall stop (simulated); generous defaults cover stragglers.
     pub max_time: SimTime,
     pub max_events: u64,
@@ -583,6 +592,8 @@ impl Experiment {
             flows,
             faults: None,
             telemetry: None,
+            sanitize: None,
+            dump_dir: None,
             max_time: SimTime(30_000_000_000), // 30s simulated
             max_events: 4_000_000_000,
         }
@@ -729,8 +740,7 @@ where
             // Recording pass: plain DCTCP on the same topology & flows.
             let rec: MwRecorder =
                 std::rc::Rc::new(std::cell::RefCell::new(std::collections::BTreeMap::new()));
-            let mut topo = exp.topo.build(apply_switch_env(Scheme::Dctcp.switch_config(&exp.env)));
-            apply_queue_env(&mut topo);
+            let mut topo = exp.topo.build(Scheme::Dctcp.switch_config(&exp.env));
             let tcp = exp.env.tcp_cfg();
             for &h in &topo.hosts.clone() {
                 topo.sim.set_transport(
@@ -747,8 +757,7 @@ where
         _ => None,
     };
 
-    let mut topo = exp.topo.build(apply_switch_env(exp.scheme.switch_config(&exp.env)));
-    apply_queue_env(&mut topo);
+    let mut topo = exp.topo.build(exp.scheme.switch_config(&exp.env));
     match (&exp.scheme, &oracle) {
         (Scheme::Hypothetical(frac), Some(rec)) => {
             transports::install_hypothetical(&mut topo, &exp.env.tcp_cfg(), rec, *frac);
@@ -764,15 +773,9 @@ where
     }
     workloads::install_flows(&mut topo.sim, &topo.hosts, &exp.flows);
     pre_run(&mut topo);
-    if !topo.sim.sanitizer_enabled() {
-        // PPT_SANITIZE=event|1|epoch|end installs the simsan runtime
-        // invariant auditor (DESIGN.md §13); pre_run hooks that already
-        // installed one keep their chosen cadence.
-        if let Ok(v) = std::env::var("PPT_SANITIZE") {
-            if let Some(level) = netsim::SanLevel::parse(&v) {
-                topo.sim.set_sanitizer(level);
-            }
-        }
+    // A pre_run hook that already installed a sanitizer keeps its cadence.
+    if let Some(level) = exp.sanitize.filter(|_| !topo.sim.sanitizer_enabled()) {
+        topo.sim.set_sanitizer(level);
     }
     if let Some(spec) = &exp.faults {
         if !spec.is_empty() {
@@ -797,34 +800,6 @@ where
     let counters = topo.sim.total_counters();
     let telemetry = topo.sim.telemetry().map(TelemetrySummary::from_telemetry);
     Outcome { fct, completion_ratio, counters, sim: topo.sim, report, telemetry }
-}
-
-/// Apply the `PPT_SWITCH=pfc` knob (set by `pptlab --switch pfc`): layer
-/// PFC backpressure over the scheme's switch config before the topology
-/// is built. A config that already carries PFC (programmatic `env.pfc`)
-/// keeps its thresholds. Tests use [`SchemeEnv::pfc`] instead — env vars
-/// are process-global and would race across parallel test threads.
-fn apply_switch_env(cfg: SwitchConfig) -> SwitchConfig {
-    match std::env::var("PPT_SWITCH").as_deref() {
-        Ok("pfc") if cfg.pfc.is_none() => {
-            let buf = cfg.port_buffer_bytes;
-            cfg.with_pfc(netsim::PfcConfig::for_buffer(buf))
-        }
-        _ => cfg,
-    }
-}
-
-/// Apply the `PPT_QUEUE=heap|calendar` debug knob (set by `pptlab
-/// --queue`): selects the engine's event-queue implementation before any
-/// event is scheduled. Both implementations pop in the same `(time, seq)`
-/// order, so this knob can never change results — that is exactly what it
-/// exists to prove (see `scripts/check.sh`'s byte-identity smoke).
-fn apply_queue_env(topo: &mut Topology<Proto>) {
-    if let Ok(v) = std::env::var("PPT_QUEUE") {
-        if let Some(kind) = netsim::QueueKind::parse(&v) {
-            topo.sim.set_queue_kind(kind);
-        }
-    }
 }
 
 /// Report an abnormal stop on stderr and, when the run was recorded by
@@ -863,38 +838,27 @@ fn warn_abnormal(exp: &Experiment, sim: &mut netsim::Simulator<Proto>, report: &
     let Some(sink) = sim.take_trace_sink() else { return };
     if let Some(rec) = sink.as_any().downcast_ref::<FlightRecorder>() {
         if !rec.is_empty() {
-            // With PPT_DUMP_DIR set, the ring dump goes to its own file —
-            // parallel sweep workers would otherwise interleave multi-line
-            // dumps on shared stderr. Stderr remains the default.
-            match std::env::var("PPT_DUMP_DIR") {
-                Ok(dir) if !dir.is_empty() => {
-                    let path = dump_file_path(&dir, exp);
-                    match std::fs::write(&path, rec.to_jsonl()) {
-                        Ok(()) => eprintln!(
-                            "flight recorder: last {} of {} events dumped to {}",
-                            rec.len(),
-                            rec.total_seen(),
-                            path,
-                        ),
-                        Err(e) => {
-                            eprintln!(
-                                "flight recorder: failed to write {path}: {e}; dumping to stderr"
-                            );
-                            eprintln!(
-                                "flight recorder: last {} of {} events:",
-                                rec.len(),
-                                rec.total_seen()
-                            );
-                            eprint!("{}", rec.to_jsonl());
-                        }
+            // With a dump dir, the ring dump goes to its own file — parallel
+            // sweep workers would otherwise interleave multi-line dumps on
+            // shared stderr. Stderr is the default and the fallback.
+            let written = exp.dump_dir.as_deref().and_then(|dir| {
+                let path = dump_file_path(dir, exp);
+                match std::fs::write(&path, rec.to_jsonl()) {
+                    Ok(()) => Some(path),
+                    Err(e) => {
+                        eprintln!("flight recorder: failed to write {}: {e}", path.display());
+                        None
                     }
                 }
-                _ => {
-                    eprintln!(
-                        "flight recorder: last {} of {} events:",
-                        rec.len(),
-                        rec.total_seen()
-                    );
+            });
+            let (len, seen) = (rec.len(), rec.total_seen());
+            match written {
+                Some(path) => eprintln!(
+                    "flight recorder: last {len} of {seen} events dumped to {}",
+                    path.display()
+                ),
+                None => {
+                    eprintln!("flight recorder: last {len} of {seen} events:");
                     eprint!("{}", rec.to_jsonl());
                 }
             }
@@ -904,18 +868,17 @@ fn warn_abnormal(exp: &Experiment, sim: &mut netsim::Simulator<Proto>, report: &
 }
 
 /// A collision-free dump file name: scheme + pid + a process-wide counter
-/// (several sweep workers in one process may dump concurrently).
-fn dump_file_path(dir: &str, exp: &Experiment) -> String {
+/// (several sweep workers in one process may dump concurrently). Display
+/// names carry `/`, spaces, `%` and `×` ("PPT w/o EWD", "PPT fill
+/// 75%×MW"), so every run of non-alphanumerics becomes one `-`.
+fn dump_file_path(dir: &Path, exp: &Experiment) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let n = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    format!(
-        "{}/ppt-dump-{}-{}-{}.jsonl",
-        dir.trim_end_matches('/'),
-        exp.scheme.name(),
-        std::process::id(),
-        n,
-    )
+    let name = exp.scheme.name();
+    let slug: Vec<&str> =
+        name.split(|c: char| !c.is_ascii_alphanumeric()).filter(|s| !s.is_empty()).collect();
+    dir.join(format!("ppt-dump-{}-{}-{}.jsonl", slug.join("-"), std::process::id(), n))
 }
 
 /// A captured event stream from a traced run.

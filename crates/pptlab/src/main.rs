@@ -9,15 +9,16 @@
 //! pptlab topos              # list topology ids
 //! ```
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ppt::harness::{
     collect_metrics, run_experiment, run_experiment_traced, Experiment, FaultCmd, FaultSpec,
     Scheme, TelemetrySpec, TelemetrySummary, TopoKind,
 };
-use ppt::netsim::{SimDuration, SimTime};
+use ppt::netsim::{SanLevel, SimDuration, SimTime};
 use ppt::stats::{analyze_lcp, analyze_recovery};
-use ppt::sweep::{run_points, SweepSpec};
+use ppt::sweep::{run_points, SweepPoint, SweepSpec};
 use ppt::trace::JsonObject;
 use ppt::workloads::{all_to_all, incast, FlowSpec, SizeDistribution, WorkloadSpec};
 
@@ -40,51 +41,47 @@ USAGE:
   pptlab topos                 list topology ids
   pptlab workloads             list workload ids
 
-OPTIONS (compare, sweep, trace):
+OPTIONS (compare, sweep, trace, faults, report — unless the flag names its
+commands; an option a command does not take is an error, not ignored):
   --schemes a,b,c   comma-separated scheme ids        [default: ppt,dctcp / ppt]
-  --topo ID         testbed | oversub | nonoversub | highspeed | star:<n>:<gbps>:<delay_us>
+  --topo ID         (also gen) testbed | oversub | nonoversub | highspeed |
+                    star:<n>:<gbps>:<delay_us> | fattree:<k>:<edge_gbps>
                                                       [default: testbed]
-  --workload ID     websearch | datamining | memcached [default: websearch]
-  --load F          network load in (0,1]             [default: 0.5]
-  --flows N         number of flows                   [default: 400 / 80]
-  --seed N          workload seed                     [default: 42]
+  --workload ID     (also gen) websearch | datamining | memcached
+                                                      [default: websearch]
+  --load F          (not sweep; also gen) network load in (0,1] [default: 0.5]
+  --flows N         (also gen) number of flows        [default: 400 / 80]
+  --seed N          (not sweep; also gen) workload seed [default: 42]
   --jobs N          worker threads; results are identical for any N [default: 1]
-  --incast N        (compare, trace) N-to-1 incast with N senders instead of all-to-all
-  --trace FILE      (compare, trace) replay a CSV flow trace instead of generating one
+  --incast N        (not sweep) N-to-1 incast with N senders instead of all-to-all
+  --trace FILE      (not sweep) replay a CSV flow trace instead of generating one
                     (columns: src,dst,size_bytes,start_ns,first_write_bytes)
   --loads a,b,c     (sweep) grid of loads             [default: 0.3,0.5,0.7]
   --seeds a,b,c     (sweep) grid of seeds             [default: 42]
-  --json            (compare) one JSON document / (sweep) one JSON line per point
+  --json            (compare, report) one JSON document / (sweep) one JSON
+                    line per point
   --metrics         (compare) also collect + print per-scheme metrics
   --out DIR         (trace, faults, report) output directory; faults/report only
                     write files when --out is given. report writes
                     <id>.report.json + <id>.telemetry.jsonl per scheme
                                                       [default: . / off]
-  --sanitize [LVL]  (compare, sweep, trace, faults) run simsan, the runtime
-                    invariant sanitizer, on every simulation. LVL is the
-                    audit cadence: event | epoch | end  [default: epoch]
-                    (equivalent to setting PPT_SANITIZE=LVL)
-  --switch MODE     (compare, sweep, trace, faults, report) switch mode:
-                    default | pfc. pfc layers per-priority XOFF/XON
-                    backpressure (lossless pausing) over every scheme's
-                    switch config (equivalent to setting PPT_SWITCH=pfc)
-  --buffers F       (compare, sweep, trace, faults, report) scale every
-                    buffer-denominated knob (port buffer, ECN/trim
-                    thresholds) by F, e.g. 0.1 for the tiny-buffer regime
-  --queue KIND      (compare, sweep, trace, faults, report) event-queue
-                    implementation: calendar (default) | heap (the
-                    BinaryHeap oracle). Both dispatch in the same
-                    (time, seq) order, so results are byte-identical —
-                    the knob exists for differential verification
-                    (equivalent to setting PPT_QUEUE=KIND)
-  --telemetry [IVL] (compare, sweep, trace, faults, report) enable the
-                    deterministic continuous-telemetry sampler at interval
-                    IVL: <n>ns | <n>us | <n>ms | bare <n> = microseconds
-                    [default: 10us]. Sampling only reads state, so traces
-                    and FCTs stay byte-identical with or without it.
+  --sanitize [LVL]  run simsan, the runtime invariant sanitizer, on every
+                    simulation. LVL is the audit cadence:
+                    event | epoch | end               [default: epoch]
+  --switch MODE     switch mode: default | pfc. pfc layers per-priority
+                    XOFF/XON backpressure (lossless pausing) over every
+                    scheme's switch config
+  --buffers F       scale every buffer-denominated knob (port buffer,
+                    ECN/trim thresholds) by F, e.g. 0.1 for the tiny-buffer
+                    regime
+  --telemetry [IVL] enable the deterministic continuous-telemetry sampler at
+                    interval IVL: <n>ns | <n>us | <n>ms | bare <n> =
+                    microseconds [default: 10us; report always samples].
+                    Sampling only reads state, so traces and FCTs stay
+                    byte-identical with or without it.
   --prof            (report) also run the wall-clock dispatch profiler and
                     include its (non-deterministic) breakdown in output
-  --faults SPEC     (compare, trace, faults) deterministic fault schedule.
+  --faults SPEC     deterministic fault schedule [faults default: loss=0.01].
                     SPEC is comma-separated items:
                       loss=F        per-packet data-loss probability
                       ackloss=F     per-packet control-loss probability
@@ -93,62 +90,45 @@ OPTIONS (compare, sweep, trace):
                       down:H:F:U    host H uplink down from F us until U us
                       stall:S:A:D   switch S stalled for D us starting at A us
                     e.g. --faults loss=0.01,seed=7,down:0:0:500
+
+ENVIRONMENT:
+  PPT_DUMP_DIR=DIR  write each abnormal stop's flight-recorder dump to its own
+                    file under DIR instead of stderr
 ";
 
-fn parse_scheme(id: &str) -> Option<Scheme> {
-    Some(match id {
-        "dctcp" => Scheme::Dctcp,
-        "tcp10" => Scheme::Tcp10,
-        "halfback" => Scheme::Halfback,
-        "expresspass" => Scheme::ExpressPass,
-        "ppt" => Scheme::Ppt,
-        "ppt-noecn" => Scheme::PptNoLcpEcn,
-        "ppt-noewd" => Scheme::PptNoEwd,
-        "ppt-nosched" => Scheme::PptNoScheduling,
-        "ppt-noident" => Scheme::PptNoIdentification,
-        "rc3" => Scheme::Rc3,
-        "pias" => Scheme::Pias,
-        "homa" => Scheme::Homa,
-        "aeolus" => Scheme::Aeolus,
-        "ndp" => Scheme::Ndp,
-        "hpcc" => Scheme::Hpcc,
-        "powertcp" => Scheme::PowerTcp,
-        "hpcc-ppt" => Scheme::HpccPpt,
-        "swift" => Scheme::Swift,
-        "swift-ppt" => Scheme::SwiftPpt,
-        "hypothetical" => Scheme::Hypothetical(1.0),
-        _ => {
-            if let Some(frac) = id.strip_prefix("ppt-fill:") {
-                return frac.parse().ok().map(Scheme::PptFill);
-            }
-            return None;
-        }
-    })
-}
-
-const SCHEME_IDS: &[&str] = &[
-    "dctcp",
-    "tcp10",
-    "halfback",
-    "expresspass",
-    "ppt",
-    "ppt-noecn",
-    "ppt-noewd",
-    "ppt-nosched",
-    "ppt-noident",
-    "ppt-fill:<f>",
-    "rc3",
-    "pias",
-    "homa",
-    "aeolus",
-    "ndp",
-    "hpcc",
-    "powertcp",
-    "hpcc-ppt",
-    "swift",
-    "swift-ppt",
-    "hypothetical",
+/// The one scheme-id table: `pptlab schemes` prints the ids and
+/// [`parse_scheme`] searches them.
+const SCHEMES: &[(&str, Scheme)] = &[
+    ("dctcp", Scheme::Dctcp),
+    ("tcp10", Scheme::Tcp10),
+    ("halfback", Scheme::Halfback),
+    ("expresspass", Scheme::ExpressPass),
+    ("ppt", Scheme::Ppt),
+    ("ppt-noecn", Scheme::PptNoLcpEcn),
+    ("ppt-noewd", Scheme::PptNoEwd),
+    ("ppt-nosched", Scheme::PptNoScheduling),
+    ("ppt-noident", Scheme::PptNoIdentification),
+    // The one parameterised row: `parse_scheme` reads <f> from the id.
+    ("ppt-fill:<f>", Scheme::PptFill(f64::NAN)),
+    ("rc3", Scheme::Rc3),
+    ("pias", Scheme::Pias),
+    ("homa", Scheme::Homa),
+    ("aeolus", Scheme::Aeolus),
+    ("ndp", Scheme::Ndp),
+    ("hpcc", Scheme::Hpcc),
+    ("powertcp", Scheme::PowerTcp),
+    ("hpcc-ppt", Scheme::HpccPpt),
+    ("swift", Scheme::Swift),
+    ("swift-ppt", Scheme::SwiftPpt),
+    ("hypothetical", Scheme::Hypothetical(1.0)),
 ];
+
+fn parse_scheme(id: &str) -> Option<Scheme> {
+    if let Some(frac) = id.strip_prefix("ppt-fill:") {
+        return frac.parse().ok().map(Scheme::PptFill);
+    }
+    SCHEMES.iter().find(|(key, _)| *key == id).map(|(_, scheme)| scheme.clone())
+}
 
 fn parse_topo(id: &str) -> Option<TopoKind> {
     Some(match id {
@@ -190,8 +170,8 @@ fn parse_workload(id: &str) -> Option<SizeDistribution> {
     })
 }
 
-/// Everything `compare` and `trace` share: topology, workload, and the
-/// concrete flow list (generated, incast, or replayed from CSV).
+/// Everything the single-workload commands share: topology, workload,
+/// and the concrete flow list (generated, incast, or replayed from CSV).
 struct RunSetup {
     topo: TopoKind,
     dist: SizeDistribution,
@@ -199,6 +179,13 @@ struct RunSetup {
     flows: usize,
     seed: u64,
     flow_list: Vec<FlowSpec>,
+}
+
+impl RunSetup {
+    /// The one place a CLI invocation becomes an [`Experiment`].
+    fn experiment(&self, scheme: &Scheme, opts: &RunOpts) -> Experiment {
+        opts.apply(Experiment::new(self.topo, scheme.clone(), self.flow_list.clone()))
+    }
 }
 
 fn parse_schemes(args: &Args, default: &str) -> Result<Vec<(String, Scheme)>, String> {
@@ -214,11 +201,19 @@ fn parse_schemes(args: &Args, default: &str) -> Result<Vec<(String, Scheme)>, St
         .collect()
 }
 
+fn topo_arg(args: &Args) -> Result<TopoKind, String> {
+    parse_topo(args.get("topo").unwrap_or("testbed"))
+        .ok_or_else(|| "bad --topo (try `pptlab topos`)".to_string())
+}
+
+fn workload_arg(args: &Args) -> Result<SizeDistribution, String> {
+    parse_workload(args.get("workload").unwrap_or("websearch"))
+        .ok_or_else(|| "bad --workload (try `pptlab workloads`)".to_string())
+}
+
 fn parse_setup(args: &Args, default_flows: usize) -> Result<RunSetup, String> {
-    let topo = parse_topo(args.get("topo").unwrap_or("testbed"))
-        .ok_or_else(|| "bad --topo (try `pptlab topos`)".to_string())?;
-    let dist = parse_workload(args.get("workload").unwrap_or("websearch"))
-        .ok_or_else(|| "bad --workload (try `pptlab workloads`)".to_string())?;
+    let topo = topo_arg(args)?;
+    let dist = workload_arg(args)?;
     let load: f64 = args.parse_or("load", 0.5)?;
     let flows: usize = args.parse_or("flows", default_flows)?;
     let seed: u64 = args.parse_or("seed", 42)?;
@@ -303,19 +298,6 @@ fn parse_faults(spec: &str) -> Result<FaultSpec, String> {
     Ok(f)
 }
 
-/// The optional `--faults` schedule shared by compare/trace/faults.
-fn parse_faults_arg(args: &Args) -> Result<Option<FaultSpec>, String> {
-    args.get("faults").map(parse_faults).transpose()
-}
-
-/// Attach `faults` (when present) to an experiment.
-fn with_faults(exp: Experiment, faults: &Option<FaultSpec>) -> Experiment {
-    match faults {
-        Some(f) => exp.with_faults(f.clone()),
-        None => exp,
-    }
-}
-
 /// Parse a sampling interval: `<n>ns`, `<n>us`, `<n>ms`, or a bare
 /// number meaning microseconds.
 fn parse_interval(v: &str) -> Result<SimDuration, String> {
@@ -336,90 +318,82 @@ fn parse_interval(v: &str) -> Result<SimDuration, String> {
     Ok(SimDuration(n * mult))
 }
 
-/// The optional `--telemetry [IVL]` spec shared by every run command.
-/// A bare `--telemetry` means the 10 µs default interval.
-fn parse_telemetry_arg(args: &Args) -> Result<Option<TelemetrySpec>, String> {
-    let Some(v) = args.get("telemetry") else { return Ok(None) };
-    let v = if v == "true" { "10us" } else { v };
-    let interval = parse_interval(v).map_err(|e| format!("--telemetry: {e}"))?;
-    let mut spec = TelemetrySpec::new(interval);
-    if args.flag("prof") {
-        spec = spec.with_prof();
-    }
-    Ok(Some(spec))
+/// Every per-run option of the five run commands, parsed once from
+/// [`Args`] and laid onto each experiment by [`RunOpts::apply`].
+struct RunOpts {
+    faults: Option<FaultSpec>,
+    telemetry: Option<TelemetrySpec>,
+    /// Scale factor for every buffer-denominated threshold.
+    buffers: Option<f64>,
+    pfc: bool,
+    sanitize: Option<SanLevel>,
+    dump_dir: Option<PathBuf>,
+    jobs: usize,
 }
 
-/// Attach `telemetry` (when present) to an experiment.
-fn with_telemetry(exp: Experiment, telemetry: &Option<TelemetrySpec>) -> Experiment {
-    match telemetry {
-        Some(t) => exp.with_telemetry(*t),
-        None => exp,
+impl RunOpts {
+    /// `faults` always injects and `report` always samples, so those two
+    /// commands fall back to a default spec where the others fall back
+    /// to off. A bare `--telemetry` / `--sanitize` means 10 µs / epoch.
+    fn parse(cmd: &str, args: &Args, dump_dir: Option<PathBuf>) -> Result<RunOpts, String> {
+        let faults = args
+            .get("faults")
+            .or((cmd == "faults").then_some("loss=0.01"))
+            .map(parse_faults)
+            .transpose()?;
+        let telemetry = match args.get("telemetry").or((cmd == "report").then_some("10us")) {
+            None => None,
+            Some(v) => {
+                let v = if v == "true" { "10us" } else { v };
+                let interval = parse_interval(v).map_err(|e| format!("--telemetry: {e}"))?;
+                let spec = TelemetrySpec::new(interval);
+                Some(if args.flag("prof") { spec.with_prof() } else { spec })
+            }
+        };
+        let buffers = match args.get("buffers") {
+            None => None,
+            Some(v) => {
+                let f: f64 = v.parse().map_err(|_| format!("--buffers: cannot parse '{v}'"))?;
+                if f.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+                    return Err(format!("--buffers: scale must be positive, got '{v}'"));
+                }
+                Some(f)
+            }
+        };
+        let pfc = match args.get("switch") {
+            None | Some("default") => false,
+            Some("pfc") => true,
+            Some(v) => return Err(format!("--switch: unknown mode '{v}' (default | pfc)")),
+        };
+        let sanitize = match args.get("sanitize") {
+            None => None,
+            Some(v) => {
+                let level = if v == "true" { "epoch" } else { v };
+                Some(SanLevel::parse(level).ok_or_else(|| {
+                    format!("--sanitize: unknown level '{level}' (event | epoch | end)")
+                })?)
+            }
+        };
+        let jobs = args.parse_or("jobs", 1)?;
+        Ok(RunOpts { faults, telemetry, buffers, pfc, sanitize, dump_dir, jobs })
     }
-}
 
-/// Turn `--sanitize [LVL]` into the `PPT_SANITIZE` environment variable the
-/// harness reads before every experiment. A bare `--sanitize` means the
-/// per-epoch cadence; the flag never changes simulation results (the
-/// sanitizer only observes), so traces stay byte-identical either way.
-fn apply_sanitize_flag(args: &Args) -> Result<(), String> {
-    let Some(v) = args.get("sanitize") else { return Ok(()) };
-    let level = if v == "true" { "epoch" } else { v };
-    if ppt::netsim::SanLevel::parse(level).is_none() {
-        return Err(format!("--sanitize: unknown level '{level}' (event | epoch | end)"));
-    }
-    std::env::set_var("PPT_SANITIZE", level);
-    Ok(())
-}
-
-/// Turn `--switch MODE` into the `PPT_SWITCH` environment variable the
-/// harness reads before building each topology. `pfc` layers per-priority
-/// XOFF/XON backpressure over every scheme's switch config; `default`
-/// leaves the scheme's own config untouched.
-fn apply_switch_flag(args: &Args) -> Result<(), String> {
-    match args.get("switch") {
-        None | Some("default") => Ok(()),
-        Some("pfc") => {
-            std::env::set_var("PPT_SWITCH", "pfc");
-            Ok(())
+    /// Lay the options onto one experiment. Observers (sanitizer,
+    /// telemetry) never change results; faults, buffers and PFC do.
+    fn apply(&self, mut exp: Experiment) -> Experiment {
+        exp.faults = self.faults.clone();
+        exp.telemetry = self.telemetry;
+        if let Some(f) = self.buffers {
+            exp.env = exp.env.scale_buffers(f);
         }
-        Some(v) => Err(format!("--switch: unknown mode '{v}' (default | pfc)")),
+        exp.env.pfc = self.pfc;
+        exp.sanitize = self.sanitize;
+        exp.dump_dir = self.dump_dir.clone();
+        exp
     }
 }
 
-/// Parse `--buffers F`: a positive scale factor applied to every
-/// buffer-denominated threshold of each experiment's environment.
-fn parse_buffers_arg(args: &Args) -> Result<Option<f64>, String> {
-    let Some(v) = args.get("buffers") else { return Ok(None) };
-    let f: f64 = v.parse().map_err(|_| format!("--buffers: cannot parse '{v}'"))?;
-    if f.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err(format!("--buffers: scale must be positive, got '{v}'"));
-    }
-    Ok(Some(f))
-}
-
-/// Apply `--buffers` (when present) to an experiment's environment.
-fn with_buffers(mut exp: Experiment, buffers: &Option<f64>) -> Experiment {
-    if let Some(f) = buffers {
-        exp.env = exp.env.clone().scale_buffers(*f);
-    }
-    exp
-}
-
-/// Turn `--queue KIND` into the `PPT_QUEUE` environment variable the
-/// harness reads before every experiment. Selects the engine's event-queue
-/// implementation (calendar by default); both pop in the same `(time,
-/// seq)` order, so the knob exists purely for differential checks and
-/// never changes results.
-fn apply_queue_flag(args: &Args) -> Result<(), String> {
-    let Some(v) = args.get("queue") else { return Ok(()) };
-    let Some(kind) = ppt::netsim::QueueKind::parse(v) else {
-        return Err(format!("--queue: unknown kind '{v}' (heap | calendar)"));
-    };
-    std::env::set_var("PPT_QUEUE", kind.as_str());
-    Ok(())
-}
-
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args, opts: &RunOpts) -> Result<(), String> {
     let schemes = parse_schemes(args, "ppt,dctcp")?;
     let setup = parse_setup(args, 400)?;
     let json_mode = args.flag("json");
@@ -441,20 +415,8 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     }
     // One experiment per scheme, executed by the shared sweep runner:
     // results come back in scheme order no matter how many workers ran.
-    let jobs: usize = args.parse_or("jobs", 1)?;
-    let faults = parse_faults_arg(args)?;
-    let telemetry = parse_telemetry_arg(args)?;
-    let buffers = parse_buffers_arg(args)?;
-    let results = run_points(schemes.len(), jobs, |i| {
-        let scheme = schemes[i].1.clone();
-        let exp = with_buffers(
-            with_telemetry(
-                with_faults(Experiment::new(setup.topo, scheme, setup.flow_list.clone()), &faults),
-                &telemetry,
-            ),
-            &buffers,
-        );
-        let outcome = run_experiment(&exp);
+    let results = run_points(schemes.len(), opts.jobs, |i| {
+        let outcome = run_experiment(&setup.experiment(&schemes[i].1, opts));
         let metrics = with_metrics.then(|| collect_metrics(&outcome).to_json());
         (outcome.fct.summary(), outcome.completion_ratio, outcome.counters.dropped, metrics)
     });
@@ -517,31 +479,17 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(args: &Args) -> Result<(), String> {
+fn cmd_trace(args: &Args, opts: &RunOpts) -> Result<(), String> {
     let schemes = parse_schemes(args, "ppt")?;
     let setup = parse_setup(args, 80)?;
-    let out_dir = std::path::PathBuf::from(args.get("out").unwrap_or("."));
+    let out_dir = PathBuf::from(args.get("out").unwrap_or("."));
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("--out {}: {e}", out_dir.display()))?;
 
     // Traced runs go through the shared sweep runner; file writes and
     // report lines stay on this thread, in scheme order, so output is
     // byte-identical for any --jobs.
-    let jobs: usize = args.parse_or("jobs", 1)?;
-    let faults = parse_faults_arg(args)?;
-    let telemetry = parse_telemetry_arg(args)?;
-    let buffers = parse_buffers_arg(args)?;
-    let results = run_points(schemes.len(), jobs, |i| {
-        let exp = with_buffers(
-            with_telemetry(
-                with_faults(
-                    Experiment::new(setup.topo, schemes[i].1.clone(), setup.flow_list.clone()),
-                    &faults,
-                ),
-                &telemetry,
-            ),
-            &buffers,
-        );
-        let (outcome, trace) = run_experiment_traced(&exp);
+    let results = run_points(schemes.len(), opts.jobs, |i| {
+        let (outcome, trace) = run_experiment_traced(&setup.experiment(&schemes[i].1, opts));
         (trace, collect_metrics(&outcome).to_json())
     });
 
@@ -570,28 +518,16 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_faults(args: &Args) -> Result<(), String> {
+fn cmd_faults(args: &Args, opts: &RunOpts) -> Result<(), String> {
     let schemes = parse_schemes(args, "ppt")?;
     let setup = parse_setup(args, 80)?;
-    let faults = parse_faults(args.get("faults").unwrap_or("loss=0.01"))?;
-    let out_dir = args.get("out").map(std::path::PathBuf::from);
+    let out_dir = args.get("out").map(PathBuf::from);
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;
     }
 
-    let jobs: usize = args.parse_or("jobs", 1)?;
-    let telemetry = parse_telemetry_arg(args)?;
-    let buffers = parse_buffers_arg(args)?;
-    let results = run_points(schemes.len(), jobs, |i| {
-        let exp = with_buffers(
-            with_telemetry(
-                Experiment::new(setup.topo, schemes[i].1.clone(), setup.flow_list.clone())
-                    .with_faults(faults.clone()),
-                &telemetry,
-            ),
-            &buffers,
-        );
-        let (outcome, trace) = run_experiment_traced(&exp);
+    let results = run_points(schemes.len(), opts.jobs, |i| {
+        let (outcome, trace) = run_experiment_traced(&setup.experiment(&schemes[i].1, opts));
         (
             trace,
             outcome.report.faults,
@@ -634,33 +570,24 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(args: &Args) -> Result<(), String> {
+fn cmd_sweep(args: &Args, opts: &RunOpts) -> Result<(), String> {
     let schemes = parse_schemes(args, "ppt,dctcp")?;
-    let topo = parse_topo(args.get("topo").unwrap_or("testbed"))
-        .ok_or_else(|| "bad --topo (try `pptlab topos`)".to_string())?;
-    let dist = parse_workload(args.get("workload").unwrap_or("websearch"))
-        .ok_or_else(|| "bad --workload (try `pptlab workloads`)".to_string())?;
+    let topo = topo_arg(args)?;
+    let dist = workload_arg(args)?;
     let loads = args.parse_list_or("loads", &[0.3, 0.5, 0.7])?;
     let seeds = args.parse_list_or("seeds", &[42u64])?;
     let flows: usize = args.parse_or("flows", 400)?;
-    let jobs: usize = args.parse_or("jobs", 1)?;
+    let jobs = opts.jobs;
     let json_mode = args.flag("json");
 
     let scheme_list: Vec<Scheme> = schemes.iter().map(|(_, s)| s.clone()).collect();
-    let telemetry = parse_telemetry_arg(args)?;
-    let buffers = parse_buffers_arg(args)?;
     let mut spec =
         SweepSpec::new().jobs(jobs).grid(topo, &scheme_list, &dist, &loads, flows, &seeds);
-    if let Some(t) = telemetry {
-        for p in &mut spec.points {
-            p.exp.telemetry = Some(t);
-        }
-    }
-    if let Some(f) = buffers {
-        for p in &mut spec.points {
-            p.exp.env = p.exp.env.clone().scale_buffers(f);
-        }
-    }
+    spec.points = spec
+        .points
+        .into_iter()
+        .map(|p| SweepPoint { label: p.label, exp: opts.apply(p.exp) })
+        .collect();
     if !json_mode {
         println!(
             "sweep: {} points ({} schemes x {} loads x {} seeds) on {topo:?}, \
@@ -773,41 +700,18 @@ fn render_report(name: &str, t: &TelemetrySummary) -> String {
     out
 }
 
-fn cmd_report(args: &Args) -> Result<(), String> {
+fn cmd_report(args: &Args, opts: &RunOpts) -> Result<(), String> {
     let schemes = parse_schemes(args, "ppt")?;
     let setup = parse_setup(args, 80)?;
-    let faults = parse_faults_arg(args)?;
-    // report always samples: default to the 10 µs interval when the flag
-    // was not given explicitly.
-    let telemetry = Some(parse_telemetry_arg(args)?.unwrap_or_else(|| {
-        let spec = TelemetrySpec::new(SimDuration::from_micros(10));
-        if args.flag("prof") {
-            spec.with_prof()
-        } else {
-            spec
-        }
-    }));
     let prof = args.flag("prof");
     let json_mode = args.flag("json");
-    let out_dir = args.get("out").map(std::path::PathBuf::from);
+    let out_dir = args.get("out").map(PathBuf::from);
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;
     }
 
-    let jobs: usize = args.parse_or("jobs", 1)?;
-    let buffers = parse_buffers_arg(args)?;
-    let results = run_points(schemes.len(), jobs, |i| {
-        let exp = with_buffers(
-            with_telemetry(
-                with_faults(
-                    Experiment::new(setup.topo, schemes[i].1.clone(), setup.flow_list.clone()),
-                    &faults,
-                ),
-                &telemetry,
-            ),
-            &buffers,
-        );
-        let outcome = run_experiment(&exp);
+    let results = run_points(schemes.len(), opts.jobs, |i| {
+        let outcome = run_experiment(&setup.experiment(&schemes[i].1, opts));
         let summary = outcome.telemetry.clone().expect("report runs always enable telemetry");
         // The raw sampled points as TraceEvent::Sample JSONL (Profile rows
         // only under --prof: they are wall-clock noise).
@@ -841,70 +745,61 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+const RUN_KEYS: &[&str] =
+    &["schemes", "jobs", "faults", "telemetry", "buffers", "switch", "sanitize"];
+const SETUP_KEYS: &[&str] = &["topo", "workload", "load", "flows", "seed", "trace", "incast"];
+
+/// The option-taking commands: name, the option keys each accepts, entry
+/// point. (`gen` runs nothing, so it declares no [`RunOpts`] key.)
+type Cmd = fn(&Args, &RunOpts) -> Result<(), String>;
+const COMMANDS: &[(&str, &[&[&str]], Cmd)] = &[
+    ("compare", &[RUN_KEYS, SETUP_KEYS, &["json", "metrics"]], cmd_compare),
+    ("sweep", &[RUN_KEYS, &["topo", "workload", "loads", "seeds", "flows", "json"]], cmd_sweep),
+    ("trace", &[RUN_KEYS, SETUP_KEYS, &["out"]], cmd_trace),
+    ("faults", &[RUN_KEYS, SETUP_KEYS, &["out"]], cmd_faults),
+    ("report", &[RUN_KEYS, SETUP_KEYS, &["out", "json", "prof"]], cmd_report),
+    ("gen", &[&["topo", "workload", "load", "flows", "seed"]], cmd_gen),
+];
+
+fn cmd_gen(args: &Args, _: &RunOpts) -> Result<(), String> {
+    let topo = topo_arg(args)?;
+    let load: f64 = args.parse_or("load", 0.5)?;
+    let flows: usize = args.parse_or("flows", 400)?;
+    let seed: u64 = args.parse_or("seed", 42)?;
+    let spec = WorkloadSpec::new(workload_arg(args)?, load, topo.edge_rate(), flows, seed);
+    let list = all_to_all(topo.hosts(), &spec);
+    ppt::workloads::write_csv(std::io::stdout().lock(), &list).map_err(|e| e.to_string())
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first() else {
+    let Some(cmd) = argv.first().map(String::as_str) else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    match cmd.as_str() {
-        "compare" | "sweep" | "trace" | "faults" | "report" => {
-            let args = match Args::parse(&argv[1..]) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = apply_sanitize_flag(&args)
-                .and_then(|()| apply_queue_flag(&args))
-                .and_then(|()| apply_switch_flag(&args))
-            {
-                eprintln!("error: {e}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-            let run = match cmd.as_str() {
-                "compare" => cmd_compare,
-                "sweep" => cmd_sweep,
-                "faults" => cmd_faults,
-                "report" => cmd_report,
-                _ => cmd_trace,
-            };
-            if let Err(e) = run(&args) {
+    if let Some((_, keys, run)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) {
+        // The process's one environment read: where abnormal-stop dumps go
+        // is a deployment path, so it is not a flag.
+        let dump_dir =
+            std::env::var_os("PPT_DUMP_DIR").filter(|d| !d.is_empty()).map(PathBuf::from);
+        // Every option is parsed here, once; a bad one prints the usage.
+        let parsed = Args::parse(cmd, &argv[1..], keys)
+            .and_then(|args| Ok((RunOpts::parse(cmd, &args, dump_dir)?, args)));
+        let result = match parsed {
+            Ok((opts, args)) => run(&args, &opts),
+            Err(e) => Err(format!("{e}\n\n{USAGE}")),
+        };
+        return match result {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
                 eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+                ExitCode::FAILURE
             }
-            ExitCode::SUCCESS
-        }
-        "gen" => {
-            let args = match Args::parse(&argv[1..]) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let run = || -> Result<(), String> {
-                let topo = parse_topo(args.get("topo").unwrap_or("testbed"))
-                    .ok_or_else(|| "bad --topo".to_string())?;
-                let dist = parse_workload(args.get("workload").unwrap_or("websearch"))
-                    .ok_or_else(|| "bad --workload".to_string())?;
-                let load: f64 = args.parse_or("load", 0.5)?;
-                let flows: usize = args.parse_or("flows", 400)?;
-                let seed: u64 = args.parse_or("seed", 42)?;
-                let spec = WorkloadSpec::new(dist, load, topo.edge_rate(), flows, seed);
-                let list = all_to_all(topo.hosts(), &spec);
-                ppt::workloads::write_csv(std::io::stdout().lock(), &list)
-                    .map_err(|e| e.to_string())
-            };
-            if let Err(e) = run() {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
+        };
+    }
+    match cmd {
         "schemes" => {
-            for id in SCHEME_IDS {
+            for (id, _) in SCHEMES {
                 println!("{id}");
             }
             ExitCode::SUCCESS
@@ -940,5 +835,33 @@ fn main() -> ExitCode {
             eprintln!("unknown command '{other}'\n\n{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every id `pptlab schemes` prints must parse (`ppt-fill:0.75`
+    /// standing in for the parameterised row), to pairwise-distinct
+    /// display names — no two rows may alias one scheme.
+    #[test]
+    fn every_listed_scheme_id_parses_to_a_distinct_scheme() {
+        let mut names: Vec<String> = SCHEMES
+            .iter()
+            .map(|(id, _)| {
+                let id = id.replace("<f>", "0.75");
+                parse_scheme(&id)
+                    .unwrap_or_else(|| panic!("listed id '{id}' does not parse"))
+                    .name()
+            })
+            .collect();
+        assert_eq!(names.len(), 21);
+        names.sort();
+        let listed = names.len();
+        names.dedup();
+        assert_eq!(names.len(), listed, "two scheme ids share a display name: {names:?}");
+        assert_eq!(parse_scheme("ppt-fill:<f>"), None, "the placeholder itself is not an id");
+        assert_eq!(parse_scheme("nope"), None);
     }
 }

@@ -367,8 +367,7 @@ mod tests {
     }
 
     /// Covered bytes always equals the brute-force union size, and gaps
-    /// returned never overlap covered ranges. Deterministic seeded sweep
-    /// mirroring the proptest strategy below.
+    /// returned never overlap covered ranges. Deterministic seeded sweep.
     #[test]
     fn interval_set_matches_brute_force_seeded() {
         for seed in 0..32u64 {
@@ -416,55 +415,6 @@ mod tests {
             }
             let probe = rng.gen_range(120);
             assert_eq!(s.contains(probe), brute[probe as usize], "seed {seed} probe {probe}");
-        }
-    }
-
-    /// The original property-based pair. Requires the `proptest` feature
-    /// *and* the `proptest` dev-dependency restored in Cargo.toml.
-    #[cfg(feature = "proptest")]
-    mod property_based {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Covered bytes always equals the brute-force union size,
-            /// and gaps returned never overlap covered ranges.
-            #[test]
-            fn interval_set_matches_brute_force(ops in proptest::collection::vec((0u64..200, 1u64..50), 0..40)) {
-                let mut s = IntervalSet::new();
-                let mut brute = vec![false; 300];
-                for (start, len) in ops {
-                    let end = start + len;
-                    s.insert(start, end);
-                    for slot in brute.iter_mut().take(end as usize).skip(start as usize) {
-                        *slot = true;
-                    }
-                }
-                let expect = brute.iter().filter(|&&b| b).count() as u64;
-                prop_assert_eq!(s.covered_bytes(), expect);
-                let prefix = brute.iter().take_while(|&&b| b).count() as u64;
-                prop_assert_eq!(s.contiguous_prefix(), prefix);
-                let gap = s.first_gap(0, 300);
-                let brute_gap_start = brute.iter().position(|&b| !b).map(|i| i as u64);
-                prop_assert_eq!(gap.map(|g| g.0), brute_gap_start);
-                let lgap = s.last_gap(300);
-                let brute_lgap_end = brute.iter().rposition(|&b| !b).map(|i| i as u64 + 1);
-                prop_assert_eq!(lgap.map(|g| g.1), brute_lgap_end);
-            }
-
-            /// contains() agrees with brute force at every point.
-            #[test]
-            fn contains_matches_brute_force(ops in proptest::collection::vec((0u64..100, 1u64..20), 0..20), probe in 0u64..120) {
-                let mut s = IntervalSet::new();
-                let mut brute = vec![false; 130];
-                for (start, len) in ops {
-                    s.insert(start, start + len);
-                    for slot in brute.iter_mut().take((start + len) as usize).skip(start as usize) {
-                        *slot = true;
-                    }
-                }
-                prop_assert_eq!(s.contains(probe), brute[probe as usize]);
-            }
         }
     }
 }

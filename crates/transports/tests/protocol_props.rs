@@ -1,9 +1,5 @@
 //! Randomized-workload and failure-injection tests across the transport
-//! family.
-//!
-//! Deterministic seeded sweeps (always on) plus the original `proptest`
-//! suite behind the `proptest` feature (needs the dev-dependency
-//! restored — see crates/netsim/Cargo.toml).
+//! family: deterministic seeded sweeps driven by the in-tree [`Pcg32`].
 
 use netsim::{star, Pcg32, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
 use ppt_core::PptConfig;
@@ -245,80 +241,4 @@ fn fifty_megabyte_elephant_completes() {
         fct.as_millis_f64(),
         ideal / 1_000_000
     );
-}
-
-/// The original property-based suite. Requires the `proptest` feature
-/// *and* the `proptest` dev-dependency restored in Cargo.toml.
-#[cfg(feature = "proptest")]
-mod property_based {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        /// DCTCP delivers any mix of flow sizes losslessly over an ECN
-        /// fabric.
-        #[test]
-        fn dctcp_random_workload_completes(
-            sizes in proptest::collection::vec(1u64..3_000_000, 1..10),
-        ) {
-            let mut topo = star::<Proto>(4, Rate::gbps(10), SimDuration::from_micros(20), SwitchConfig::dctcp(500_000, 60_000));
-            let t = tcp(topo.base_rtt);
-            install_dctcp(&mut topo, &t);
-            for (i, &size) in sizes.iter().enumerate() {
-                topo.sim.add_flow(topo.hosts[i % 3], topo.hosts[3], size, SimTime(i as u64 * 30_000), size);
-            }
-            let report = topo.sim.run(RunLimits { max_time: SimTime(120_000_000_000), max_events: 2_000_000_000 });
-            prop_assert_eq!(report.flows_completed, sizes.len());
-        }
-
-        /// PPT delivers any mix of flow sizes and first-write patterns.
-        #[test]
-        fn ppt_random_workload_completes(
-            flows in proptest::collection::vec((1u64..3_000_000, 1u64..3_000_000), 1..10),
-        ) {
-            let rate = Rate::gbps(10);
-            let mut topo = star::<Proto>(4, rate, SimDuration::from_micros(20), SwitchConfig::ppt(500_000, 60_000, 40_000));
-            let cfg = PptConfig::new(rate, topo.base_rtt);
-            let t = tcp(topo.base_rtt);
-            install_ppt(&mut topo, &t, &cfg);
-            for (i, &(size, fw)) in flows.iter().enumerate() {
-                let first_write = fw.min(size);
-                topo.sim.add_flow(topo.hosts[i % 3], topo.hosts[3], size, SimTime(i as u64 * 30_000), first_write);
-            }
-            let report = topo.sim.run(RunLimits { max_time: SimTime(120_000_000_000), max_events: 2_000_000_000 });
-            prop_assert_eq!(report.flows_completed, flows.len());
-        }
-
-        /// Homa delivers any mix of message sizes (grants + timeout
-        /// recovery).
-        #[test]
-        fn homa_random_workload_completes(
-            sizes in proptest::collection::vec(1u64..2_000_000, 1..8),
-        ) {
-            let mut topo = star::<Proto>(4, Rate::gbps(10), SimDuration::from_micros(20), SwitchConfig::basic(500_000));
-            install_homa(&mut topo, &HomaCfg::new(50_000));
-            for (i, &size) in sizes.iter().enumerate() {
-                topo.sim.add_flow(topo.hosts[i % 3], topo.hosts[3], size, SimTime(i as u64 * 40_000), size);
-            }
-            let report = topo.sim.run(RunLimits { max_time: SimTime(120_000_000_000), max_events: 2_000_000_000 });
-            prop_assert_eq!(report.flows_completed, sizes.len());
-        }
-
-        /// NDP delivers any mix of message sizes through the trim/pull
-        /// path.
-        #[test]
-        fn ndp_random_workload_completes(
-            sizes in proptest::collection::vec(1u64..2_000_000, 1..8),
-        ) {
-            let mut topo = star::<Proto>(4, Rate::gbps(10), SimDuration::from_micros(20), SwitchConfig::ndp(120_000, 12_000));
-            install_ndp(&mut topo, SimDuration::from_millis(1));
-            for (i, &size) in sizes.iter().enumerate() {
-                topo.sim.add_flow(topo.hosts[i % 3], topo.hosts[3], size, SimTime(i as u64 * 40_000), size);
-            }
-            let report = topo.sim.run(RunLimits { max_time: SimTime(120_000_000_000), max_events: 2_000_000_000 });
-            prop_assert_eq!(report.flows_completed, sizes.len());
-        }
-    }
 }

@@ -31,6 +31,21 @@ while read -r rule_id _; do
 done < "$LINT_TMP/rules.txt"
 rm -rf "$LINT_TMP"
 
+echo "==> one config path (no process-state tunnels; DESIGN.md §10.1)"
+# Library code sees run options only as Experiment fields: no crate below
+# the front doors may read the environment, and no test may write it
+# (tests share one process, so a written variable races).
+if grep -rnE 'std::env|env::var|set_var' \
+    crates/core/src crates/netsim/src crates/transports/src crates/trace/src \
+    crates/stats/src crates/workloads/src crates/ppt/src; then
+    echo "check.sh: library code touches the process environment" >&2
+    exit 1
+fi
+if grep -rn 'set_var' tests/; then
+    echo "check.sh: a test writes the process environment" >&2
+    exit 1
+fi
+
 echo "==> tier-1: build + tests"
 cargo build --release
 cargo test -q
@@ -46,23 +61,13 @@ cmp "$TRACE_TMP/a/events.jsonl" "$TRACE_TMP/b/events.jsonl"
 cmp "$TRACE_TMP/a/metrics.json" "$TRACE_TMP/b/metrics.json"
 test -s "$TRACE_TMP/a/events.jsonl"
 
-echo "==> queue equivalence smoke (calendar vs heap byte-identity)"
-# The calendar queue is the default; the BinaryHeap oracle must produce
-# the exact same event stream and metrics on the pinned golden scenario
-# (DESIGN.md §10.1). A single reordered same-tick event breaks the cmp.
-mkdir -p "$TRACE_TMP/heap"
-PPT_QUEUE=heap ./target/release/pptlab trace --schemes ppt --topo star:4:10:20 \
-    --workload websearch --flows 40 --seed 42 --out "$TRACE_TMP/heap" > /dev/null
-cmp "$TRACE_TMP/a/events.jsonl" "$TRACE_TMP/heap/events.jsonl"
-cmp "$TRACE_TMP/a/metrics.json" "$TRACE_TMP/heap/metrics.json"
-
 echo "==> simsan golden replay (sanitized run byte-identical, zero violations)"
 # Zero observer effect (DESIGN.md §13.3): the same traced run with the
 # runtime sanitizer on must reproduce the unsanitized stream byte for
 # byte, and a san_violation in the stream would itself break the cmp.
 mkdir -p "$TRACE_TMP/san"
-PPT_SANITIZE=1 ./target/release/pptlab trace --schemes ppt --topo star:4:10:20 \
-    --workload websearch --flows 40 --seed 42 --out "$TRACE_TMP/san" > /dev/null
+./target/release/pptlab trace --schemes ppt --topo star:4:10:20 --workload websearch \
+    --flows 40 --seed 42 --sanitize --out "$TRACE_TMP/san" > /dev/null
 cmp "$TRACE_TMP/a/events.jsonl" "$TRACE_TMP/san/events.jsonl"
 cmp "$TRACE_TMP/a/metrics.json" "$TRACE_TMP/san/metrics.json"
 if grep -q san_violation "$TRACE_TMP/san/events.jsonl"; then
@@ -70,6 +75,12 @@ if grep -q san_violation "$TRACE_TMP/san/events.jsonl"; then
     exit 1
 fi
 rm -rf "$TRACE_TMP"
+
+echo "==> unknown-option smoke (a misspelt flag is an error, not ignored)"
+if ./target/release/pptlab compare --bogus 1 > /dev/null 2>&1; then
+    echo "check.sh: pptlab accepted an option it does not have" >&2
+    exit 1
+fi
 
 echo "==> sweep smoke (serial vs parallel byte-identity)"
 SWEEP_TMP="${TMPDIR:-/tmp}/pptlab-sweep-smoke.$$"
@@ -138,14 +149,17 @@ for scheme in swift-ppt hpcc-ppt; do
 done
 rm -rf "$LCP_TMP"
 
-echo "==> transports non-test line counts (lines above the first #[cfg(test)] per file)"
-total=0
-for f in crates/transports/src/*.rs; do
-    n=$(awk '/#\[cfg\(test\)\]/ { exit } { c++ } END { print c + 0 }' "$f")
-    printf '%6d %s\n' "$n" "$f"
-    total=$((total + n))
+echo "==> non-test line counts (lines above the first #[cfg(test)] per file)"
+for group in "crates/transports/src/*.rs" \
+    "crates/pptlab/src/*.rs crates/ppt/src/harness.rs crates/netsim/src/sched.rs"; do
+    total=0
+    for f in $group; do
+        n=$(awk '/#\[cfg\(test\)\]/ { exit } { c++ } END { print c + 0 }' "$f")
+        printf '%6d %s\n' "$n" "$f"
+        total=$((total + n))
+    done
+    printf '%6d total\n' "$total"
 done
-printf '%6d total\n' "$total"
 
 echo "==> telemetry smoke (report byte-identical across reruns; goldens untouched)"
 TELEM_TMP="${TMPDIR:-/tmp}/pptlab-telemetry-smoke.$$"

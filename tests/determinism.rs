@@ -331,27 +331,26 @@ fn sweep_fingerprint(r: &ppt::sweep::PointResult) -> (String, Vec<(u64, u64)>, u
 /// produce identical per-flow FCT series, counters and event counts at
 /// every point, in the same (index-keyed) order. This is the contract
 /// that lets figure binaries take `PPT_JOBS` without a determinism
-/// caveat.
+/// caveat. Every other point is sanitized: `sanitize` is a field of the
+/// point's own experiment, so mixing it across workers moves nothing.
 #[test]
 fn sweep_results_identical_for_any_job_count() {
     use ppt::sweep::SweepSpec;
 
     let run = |jobs: usize| -> Vec<_> {
         let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
-        SweepSpec::new()
-            .jobs(jobs)
-            .grid(
-                topo,
-                &[Scheme::Ppt, Scheme::Dctcp, Scheme::Hypothetical(1.0)],
-                &SizeDistribution::web_search(),
-                &[0.3, 0.6],
-                40,
-                &[11, 13],
-            )
-            .run()
-            .iter()
-            .map(sweep_fingerprint)
-            .collect()
+        let mut spec = SweepSpec::new().jobs(jobs).grid(
+            topo,
+            &[Scheme::Ppt, Scheme::Dctcp, Scheme::Hypothetical(1.0)],
+            &SizeDistribution::web_search(),
+            &[0.3, 0.6],
+            40,
+            &[11, 13],
+        );
+        for p in spec.points.iter_mut().step_by(2) {
+            p.exp.sanitize = Some(ppt::netsim::SanLevel::PerEpoch);
+        }
+        spec.run().iter().map(sweep_fingerprint).collect()
     };
     let serial = run(1);
     let parallel = run(4);

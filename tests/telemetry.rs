@@ -138,41 +138,45 @@ fn sampled_series_byte_identical_and_prof_invisible() {
     assert_eq!(plain_a, profiled, "profiler perturbed the sampled series");
 }
 
-/// With `PPT_DUMP_DIR` set, an abnormal stop routes the flight-recorder
-/// ring to its own file instead of interleaving on stderr (satellite of
-/// this PR). The env var is process-global, so this test owns a unique
-/// directory and every other test in this binary completes normally.
+/// With `dump_dir` set, an abnormal stop routes the flight-recorder ring
+/// to its own file instead of interleaving on stderr — also for schemes
+/// whose display name ("PPT w/o EWD") is not a usable file name.
 #[test]
-fn abnormal_stop_dump_routes_to_ppt_dump_dir() {
-    let dir = std::env::temp_dir().join(format!("ppt-dump-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create dump dir");
-    std::env::set_var("PPT_DUMP_DIR", &dir);
+fn abnormal_stop_dump_routes_to_dump_dir() {
+    for (case, scheme) in [Scheme::Ppt, Scheme::PptNoEwd].into_iter().enumerate() {
+        let name = scheme.name();
+        let dir = std::env::temp_dir().join(format!("ppt-dump-test-{}-{case}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create dump dir");
 
-    let topo = TopoKind::Star { n: 3, rate_gbps: 10, delay_us: 20 };
-    let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.3, topo.edge_rate(), 20, 42);
-    let flows = all_to_all(topo.hosts(), &spec);
-    let mut exp = Experiment::new(topo, Scheme::Ppt, flows);
-    // Cut the run mid-flight: the first websearch arrival in this
-    // scenario is at ~9.7 ms and the full run ends at ~54 ms, so 20 ms
-    // guarantees recorded events AND unfinished flows.
-    exp.max_time = SimTime(20_000_000);
-    let outcome = run_experiment(&exp);
-    std::env::remove_var("PPT_DUMP_DIR");
-    assert!(outcome.report.is_abnormal(), "scenario must stop abnormally");
+        let topo = TopoKind::Star { n: 3, rate_gbps: 10, delay_us: 20 };
+        let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.3, topo.edge_rate(), 20, 42);
+        let flows = all_to_all(topo.hosts(), &spec);
+        let mut exp = Experiment::new(topo, scheme, flows);
+        exp.dump_dir = Some(dir.clone());
+        // Cut the run mid-flight: the first websearch arrival in this
+        // scenario is at ~9.7 ms and the full run ends at ~54 ms, so 20 ms
+        // guarantees recorded events AND unfinished flows.
+        exp.max_time = SimTime(20_000_000);
+        let outcome = run_experiment(&exp);
+        assert!(outcome.report.is_abnormal(), "{name}: scenario must stop abnormally");
 
-    let dumps: Vec<_> = std::fs::read_dir(&dir)
-        .expect("read dump dir")
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            name.starts_with("ppt-dump-") && name.ends_with(".jsonl")
-        })
-        .collect();
-    assert!(!dumps.is_empty(), "abnormal stop left no dump file in PPT_DUMP_DIR");
-    let body = std::fs::read_to_string(dumps[0].path()).expect("read dump file");
-    assert!(!body.is_empty(), "dump file is empty");
-    assert!(body.lines().all(|l| l.starts_with('{')), "dump file is not JSONL");
-    std::fs::remove_dir_all(&dir).ok();
+        let dumps: Vec<String> = std::fs::read_dir(&dir)
+            .expect("read dump dir")
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(dumps.len(), 1, "{name}: want exactly one dump file, found {dumps:?}");
+        let file = &dumps[0];
+        assert!(file.starts_with("ppt-dump-") && file.ends_with(".jsonl"), "{name}: {file}");
+        assert!(
+            file.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '.'),
+            "{name}: dump file name '{file}' is not shell- and path-safe"
+        );
+        let body = std::fs::read_to_string(dir.join(file)).expect("read dump file");
+        assert!(!body.is_empty(), "{name}: dump file is empty");
+        assert!(body.lines().all(|l| l.starts_with('{')), "{name}: dump file is not JSONL");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// `TelemetrySummary` round-trips through `from_telemetry` with the
