@@ -5,8 +5,10 @@
 //! Zero-dependency harness (`harness = false`): measures wall time with
 //! `std::time::Instant` and prints `name  ns/iter`. Timing output is
 //! informational only — nothing here gates on absolute numbers, so the
-//! harness stays robust on loaded CI machines. Run with
-//! `cargo bench -p bench`.
+//! harness stays robust on loaded CI machines. The one gate is a *ratio*
+//! taken inside this process: an in-order ACK against 8 192 in-flight
+//! segments may cost at most 3× one against 64 (`bench_ack_scaling`).
+//! Run with `cargo bench -p bench`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -14,7 +16,9 @@ use std::time::Instant;
 use ppt::core::{AlphaEstimator, LcpAckClock, MinTracker, MirrorTagger};
 use ppt::harness::{run_experiment, Experiment, Scheme, TopoKind};
 use ppt::netsim::{switch::enqueue_policy, FlowId, HostId, Packet, PortCounters, SwitchConfig};
-use ppt::transports::IntervalSet;
+use ppt::transports::{
+    AckHdr, CcMode, DctcpFlowTx, HpccCc, IntHop, IntervalSet, PowerTcpCc, SwiftCc, TcpCfg,
+};
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
 
 /// Time `f` over `iters` iterations (after `warmup` unmeasured ones) and
@@ -47,6 +51,140 @@ fn bench_interval_set() {
         s.insert(i * 1460, (i + 1) * 1460);
     }
     bench("interval_set/first_gap_scan", 10, 10_000, || s.first_gap(black_box(0), 2000 * 1460));
+}
+
+/// Nanoseconds per call of `f`, the fastest of `rounds` timings of `iters`
+/// calls each (the minimum discards rounds a noisy neighbour slowed).
+fn min_ns_per_call(rounds: u32, iters: u64, mut f: impl FnMut()) -> f64 {
+    (0..rounds)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `IntervalSet::insert` extending the top fragment of a set that holds
+/// `below` SACK-hole fragments underneath it: the shape of every in-order
+/// ACK of a flow whose tail went out first.
+fn bench_interval_append() {
+    for below in [16u64, 4_096] {
+        let mut s = IntervalSet::new();
+        for i in 0..below {
+            s.insert(4 * i, 4 * i + 2);
+        }
+        let mut top = 4 * below;
+        let ns = min_ns_per_call(5, 200_000, || {
+            black_box(s.insert(top, top + 2));
+            top += 2;
+        });
+        assert_eq!(s.range_count() as u64, below + 1, "appends must extend one fragment");
+        println!("{:<44} {ns:>12.1} ns/insert", format!("interval_set/append_above_{below}"));
+    }
+}
+
+/// A sender whose window is pinned at `segs` segments of an endless flow,
+/// fed in-order ACKs from a path at half line rate with empty queues
+/// (which keeps every window law pressing against the cap).
+struct AckLoad {
+    flow: DctcpFlowTx,
+    ack: AckHdr,
+    hop: IntHop,
+    now: ppt::netsim::SimTime,
+    segs: u64,
+}
+
+impl AckLoad {
+    const MSS: u64 = ppt::netsim::MSS_BYTES as u64;
+
+    fn new(mode: fn(ppt::netsim::SimDuration, u64) -> CcMode, segs: u64) -> Self {
+        let rtt = ppt::netsim::SimDuration::from_micros(80);
+        let mut cfg = TcpCfg::new(rtt);
+        cfg.init_cwnd_bytes = segs * Self::MSS;
+        cfg.max_cwnd_bytes = segs * Self::MSS;
+        let mut flow = DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), 1 << 50, cfg)
+            .with_cc_mode(mode(rtt, segs * Self::MSS));
+        let now = ppt::netsim::SimTime::ZERO;
+        while flow.next_segment(now).is_some() {}
+        let hop = IntHop {
+            qlen_bytes: 0,
+            qlen_high_bytes: 0,
+            tx_bytes: 0,
+            tx_high_bytes: 0,
+            ts: now,
+            rate_bps: 10_000_000_000,
+        };
+        let ack = AckHdr {
+            cum: 0,
+            sacks: vec![(0, 0)],
+            ece: false,
+            lcp: false,
+            ts_echo: now,
+            int_echo: Some(vec![hop]), // read by the INT laws only
+        };
+        let mut load = AckLoad { flow, ack, hop, now, segs };
+        (0..2 * segs).for_each(|_| load.one_ack()); // a warm, steady window
+        load
+    }
+
+    /// One in-order ACK and the one-segment refill that keeps the window full.
+    fn one_ack(&mut self) {
+        self.now += ppt::netsim::SimDuration::from_nanos(1_000);
+        self.hop.tx_bytes += 625;
+        self.hop.ts = self.now;
+        self.ack.sacks[0] = (self.ack.cum, self.ack.cum + Self::MSS);
+        self.ack.cum += Self::MSS;
+        self.ack.ts_echo = self.now;
+        if let Some(int) = self.ack.int_echo.as_mut() {
+            int[0] = self.hop;
+        }
+        black_box(self.flow.on_ack(&self.ack, self.now));
+        black_box(self.flow.next_segment(self.now));
+    }
+}
+
+/// ROADMAP item 1's "`on_ack` per `CcMode`" row, as a scaling law: the
+/// cost of one in-order ACK with 64 / 1 024 / 8 192 segments in flight,
+/// the three windows timed in rotation so drift of the box hits them
+/// alike. The engine finds what an ACK covers through the in-flight
+/// table's order, so the cost may grow with the table's depth but not with
+/// its size; returns false when any mode's 8 192-segment cost exceeds 3×
+/// its 64-segment one.
+fn bench_ack_scaling() -> bool {
+    use ppt::netsim::SimDuration;
+    let modes: [(&str, fn(SimDuration, u64) -> CcMode); 4] = [
+        ("dctcp", |_, _| CcMode::Dctcp),
+        ("swift", |rtt, _| CcMode::Swift(SwiftCc::new(rtt))),
+        ("hpcc", |rtt, w| CcMode::Hpcc(HpccCc::new(rtt, w))),
+        ("powertcp", |rtt, w| CcMode::PowerTcp(PowerTcpCc::new(rtt, w))),
+    ];
+    let mut ok = true;
+    for (name, mode) in modes {
+        let mut loads = [64, 1_024, 8_192].map(|segs| AckLoad::new(mode, segs));
+        let mut ns = [f64::INFINITY; 3];
+        for _ in 0..7 {
+            for (load, ns) in loads.iter_mut().zip(&mut ns) {
+                *ns = ns.min(min_ns_per_call(1, 20_000, || load.one_ack()));
+            }
+        }
+        for load in &loads {
+            let full = load.segs * AckLoad::MSS;
+            assert_eq!(load.flow.inflight_bytes(), full, "{name}: the window must stay full");
+        }
+        let ratio = ns[2] / ns[0];
+        ok &= ratio <= 3.0;
+        println!(
+            "{:<44} {:>8.1} / {:>8.1} / {:>8.1} ns/ack   (x{ratio:.2} from 64 to 8192 in flight)",
+            format!("tcp_base/on_ack_inorder/{name} @64/1024/8192"),
+            ns[0],
+            ns[1],
+            ns[2]
+        );
+    }
+    ok
 }
 
 fn bench_switch() {
@@ -152,8 +290,14 @@ fn bench_tracing_overhead() {
 fn main() {
     println!("microbench (zero-dep harness; informational timings)");
     bench_interval_set();
+    bench_interval_append();
+    let ack_cost_follows_the_ack = bench_ack_scaling();
     bench_switch();
     bench_core_state_machines();
     bench_end_to_end();
     bench_tracing_overhead();
+    if !ack_cost_follows_the_ack {
+        eprintln!("microbench: on_ack at 8192 segments in flight costs more than 3x on_ack at 64");
+        std::process::exit(1);
+    }
 }

@@ -46,15 +46,6 @@ pub enum SanLevel {
 }
 
 impl SanLevel {
-    /// Stable tag for logs and CLI plumbing.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SanLevel::PerEvent => "event",
-            SanLevel::PerEpoch => "epoch",
-            SanLevel::AtEnd => "end",
-        }
-    }
-
     /// Parse a cadence id as given to `pptlab --sanitize`. `"1"` selects
     /// the recommended per-epoch cadence; anything else unknown is `None`.
     pub fn parse(s: &str) -> Option<SanLevel> {

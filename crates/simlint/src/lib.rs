@@ -25,7 +25,7 @@
 //! | `panic_hygiene`   | no `unwrap()` / `expect(...)` / `panic!` in library code (binaries, benches and tests may) |
 //! | `float_cmp`       | no `==` / `!=` against a floating-point literal |
 //! | `forbid_unsafe`   | every crate root starts with `#![forbid(unsafe_code)]` |
-//! | `hot_path_alloc`  | no `Box::new` / `Vec::new` / `vec![` / `to_vec()` between hot-path fence pragmas in `netsim` library code (the per-event engine path must reuse pooled/scratch buffers) |
+//! | `hot_path_alloc`  | no `Box::new` / `Vec::new` / `vec![` / `to_vec()` between hot-path fence pragmas in `netsim` and `transports` library code (the per-event engine path and the per-ACK sender path must reuse pooled/scratch buffers) |
 //! | `shared_mut`      | no `static mut`, `Cell`/`RefCell`, `Mutex`/`RwLock`, atomics in the determinism crates — the sharded engine communicates via messages only |
 //! | `event_order`     | only the engine's enqueue helpers may push the event heap; the `(time, seq)` FIFO tie-break is engine-internal |
 //! | `unit_safety`     | public fns in `netsim`/`core`/`transports` take `SimTime`/`SimDuration`/`Rate` newtypes, not raw `u64`/`f64`, when the parameter name denotes a time or rate |

@@ -22,7 +22,7 @@ pub enum Rule {
     /// Crate roots must carry `#![forbid(unsafe_code)]`.
     ForbidUnsafe,
     /// No allocation constructors inside `// simlint: hot-path` fences
-    /// in `netsim` (the per-event engine path).
+    /// in `netsim` and `transports` (the per-event and per-ACK paths).
     HotPathAlloc,
     /// No shared-mutability primitives in DETERMINISM_CRATES: the
     /// planned sharded engine may only communicate via messages.
@@ -119,7 +119,7 @@ impl Rule {
             Rule::FloatCmp => "no ==/!= against a floating-point literal",
             Rule::ForbidUnsafe => "every crate root carries #![forbid(unsafe_code)]",
             Rule::HotPathAlloc => {
-                "no allocation constructors inside hot-path fences in netsim"
+                "no allocation constructors inside hot-path fences in netsim and transports"
             }
             Rule::SharedMut => {
                 "no shared-mutability primitives in determinism crates; shards talk via messages"
@@ -389,9 +389,11 @@ fn check_forbid_unsafe(rel_path: &str, class: FileClass, src: &MaskedSource, f: 
 }
 
 /// Allocation constructors that must not appear on the per-event engine
-/// path: each would hit the global allocator once per simulated event.
-/// The pool / scratch-buffer reuse in `engine.rs` exists precisely to
-/// avoid these; this rule keeps later edits from quietly regressing it.
+/// path or the per-ACK sender path: each would hit the global allocator
+/// once per simulated event. The pool / scratch-buffer reuse in
+/// `engine.rs` and the in-place scoreboard of `tcp_base.rs` exist
+/// precisely to avoid these; this rule keeps later edits from quietly
+/// regressing them.
 fn hot_path_alloc_hit(line: &str) -> Option<&'static str> {
     if !token_positions(line, "Box::new").is_empty() {
         return Some("Box::new");
@@ -409,7 +411,9 @@ fn hot_path_alloc_hit(line: &str) -> Option<&'static str> {
 }
 
 fn check_hot_path_alloc(rel_path: &str, class: FileClass, src: &MaskedSource, f: &mut Findings) {
-    if !rel_path.starts_with("crates/netsim/") || !class.is_library {
+    let fenced_crate =
+        ["crates/netsim/", "crates/transports/"].iter().any(|c| rel_path.starts_with(c));
+    if !fenced_crate || !class.is_library {
         return;
     }
     // Fence markers are pragmas (parsed from real comments only — a

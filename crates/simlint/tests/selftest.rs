@@ -77,7 +77,11 @@ fn hot_path_alloc_rule_fires_and_respects_pragma() {
     // the one after the close marker (19) do not.
     assert_eq!(lines, vec![9, 10, 11, 12], "fenced allocations must fire: {v:?}");
 
-    // Out of scope: the same content outside netsim is clean.
+    // The TCP-family sender path is fenced the same way.
+    let v = lint_source("crates/transports/src/fixture.rs", &src);
+    assert_eq!(lines_for(&v, Rule::HotPathAlloc), vec![9, 10, 11, 12], "transports: {v:?}");
+
+    // Out of scope: the same content outside netsim and transports is clean.
     let v = lint_source("crates/ppt/src/fixture.rs", &src);
     assert!(lines_for(&v, Rule::HotPathAlloc).is_empty());
 

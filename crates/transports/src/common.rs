@@ -28,34 +28,39 @@ impl IntervalSet {
 
     /// Insert `[start, end)`, merging with neighbours. Returns how many
     /// previously-uncovered bytes became covered.
+    // simlint: hot-path
     pub fn insert(&mut self, start: u64, end: u64) -> u64 {
         if start >= end {
             return 0;
         }
-        let mut new_start = start;
+        // Absorb every range that overlaps or touches [start, end), from
+        // the last one starting at or before `end` downwards. Ranges are
+        // disjoint and non-adjacent, so their ends rise with their starts:
+        // the first one ending below `start` ends the walk, and one that
+        // starts at or below `start` is the last that can reach it.
         let mut new_end = end;
-        // Absorb any range that overlaps or touches [start, end).
-        // Candidates begin at the last range starting at or before `end`.
-        let mut absorbed: Vec<u64> = Vec::new();
         let mut absorbed_bytes = 0u64;
-        for (&s, &e) in self.ranges.range(..=end) {
-            if e < start {
-                continue;
+        while let Some((&s, e)) = self.ranges.range_mut(..=end).next_back() {
+            if *e < start {
+                break;
             }
-            // Touching or overlapping.
-            new_start = new_start.min(s);
-            new_end = new_end.max(e);
-            absorbed.push(s);
-            absorbed_bytes += e - s;
-        }
-        for s in absorbed {
+            new_end = new_end.max(*e);
+            if s <= start {
+                // In-order progress: the range it lands in grows in place.
+                let gained = new_end - *e - absorbed_bytes;
+                *e = new_end;
+                self.covered += gained;
+                return gained;
+            }
+            absorbed_bytes += *e - s;
             self.ranges.remove(&s);
         }
-        self.ranges.insert(new_start, new_end);
-        let gained = (new_end - new_start) - absorbed_bytes;
+        self.ranges.insert(start, new_end);
+        let gained = (new_end - start) - absorbed_bytes;
         self.covered += gained;
         gained
     }
+    // simlint: hot-path-end
 
     /// Total covered bytes.
     pub fn covered_bytes(&self) -> u64 {
@@ -366,6 +371,16 @@ mod tests {
         assert_eq!(Token::decode(z.encode()), z);
     }
 
+    /// Insert `[start, end)` into both the set and its byte-per-slot twin,
+    /// checking `insert`'s return value and the fragment count.
+    fn insert_both(s: &mut IntervalSet, brute: &mut [bool], start: u64, end: u64, what: &str) {
+        let fresh = brute[start as usize..end as usize].iter().filter(|&&b| !b).count();
+        brute[start as usize..end as usize].fill(true);
+        assert_eq!(s.insert(start, end), fresh as u64, "{what}: bytes gained by [{start}, {end})");
+        let runs = (0..brute.len()).filter(|&i| brute[i] && (i == 0 || !brute[i - 1])).count();
+        assert_eq!(s.range_count(), runs, "{what}: fragments after [{start}, {end})");
+    }
+
     /// Covered bytes always equals the brute-force union size, and gaps
     /// returned never overlap covered ranges. Deterministic seeded sweep.
     #[test]
@@ -377,11 +392,7 @@ mod tests {
             for _ in 0..rng.gen_index(40) {
                 let start = rng.gen_range(200);
                 let len = 1 + rng.gen_range(49);
-                let end = start + len;
-                s.insert(start, end);
-                for slot in brute.iter_mut().take(end as usize).skip(start as usize) {
-                    *slot = true;
-                }
+                insert_both(&mut s, &mut brute, start, start + len, &format!("seed {seed}"));
             }
             let expect = brute.iter().filter(|&&b| b).count() as u64;
             assert_eq!(s.covered_bytes(), expect, "seed {seed}");
@@ -395,6 +406,44 @@ mod tests {
             let lgap = s.last_gap(300);
             let brute_lgap_end = brute.iter().rposition(|&b| !b).map(|i| i as u64 + 1);
             assert_eq!(lgap.map(|g| g.1), brute_lgap_end, "seed {seed}");
+        }
+    }
+
+    /// `insert` on heavily fragmented sets (a tail-first sender's `claimed`
+    /// and `acked`): the return value and the fragment count agree with
+    /// brute force for random spans and for every way of touching an
+    /// existing fragment.
+    #[test]
+    fn insert_matches_brute_force_on_fragmented_sets_seeded() {
+        for seed in 0..4u64 {
+            let what = format!("seed {seed}");
+            let mut rng = netsim::Pcg32::seed_from_u64(seed);
+            let mut s = IntervalSet::new();
+            let mut brute = vec![false; 8_200];
+            // 1 600 two-byte fragments on a four-byte pitch, in random order.
+            let mut slots: Vec<u64> = (0..1_600).collect();
+            while !slots.is_empty() {
+                let at = 100 + 4 * slots.swap_remove(rng.gen_index(slots.len()));
+                insert_both(&mut s, &mut brute, at, at + 2, &what);
+            }
+            assert!(s.range_count() >= 1_000, "{what}: {} fragments", s.range_count());
+            for _ in 0..400 {
+                let (fs, fe) = s.iter().nth(rng.gen_index(s.range_count())).expect("nth < count");
+                let (below, above) = (1 + rng.gen_range(40), 1 + rng.gen_range(40));
+                let (start, end) = match rng.gen_index(6) {
+                    0 => (fe, fe + above),                       // start == e
+                    1 => (fs.saturating_sub(below), fs),         // end == s
+                    2 => (fs, fe),                               // exact duplicate
+                    3 => (fs.saturating_sub(below), fe + above), // superset, maybe of several
+                    4 => (fs + 1, fe + above),                   // overlaps from inside
+                    _ => {
+                        let start = rng.gen_range(8_000);
+                        (start, start + 1 + rng.gen_range(150))
+                    }
+                };
+                insert_both(&mut s, &mut brute, start, end, &what);
+            }
+            assert_eq!(s.covered_bytes(), brute.iter().filter(|&&b| b).count() as u64, "{what}");
         }
     }
 

@@ -141,8 +141,7 @@ impl Transport<Proto> for DctcpTransport {
                     .rx
                     .entry(pkt.flow)
                     .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                let hdr = hdr.clone();
-                rx.on_data(&pkt, &hdr, ctx);
+                rx.on_data(&pkt, hdr, ctx);
             }
             Proto::Ack(ack) => {
                 let Some(flow) = self.tx.get_mut(&pkt.flow) else { return };

@@ -110,16 +110,14 @@ impl Transport<Proto> for HypotheticalTransport {
                     .rx
                     .entry(pkt.flow)
                     .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                let hdr = hdr.clone();
-                rx.on_data(&pkt, &hdr, ctx);
+                rx.on_data(&pkt, hdr, ctx);
             }
             Proto::Ack(ack) if ack.lcp => {
-                let ack = ack.clone();
                 let now = ctx.now();
                 let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
                 let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
                 f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
-                f.hcp.on_lcp_ack(&ack, now);
+                f.hcp.on_lcp_ack(ack, now);
             }
             Proto::Ack(ack) => {
                 let Some(f) = self.tx.get_mut(&pkt.flow) else { return };

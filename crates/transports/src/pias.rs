@@ -107,14 +107,12 @@ impl Transport<Proto> for PiasTransport {
                     .rx
                     .entry(pkt.flow)
                     .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                let hdr = hdr.clone();
-                rx.on_data(&pkt, &hdr, ctx);
+                rx.on_data(&pkt, hdr, ctx);
             }
             Proto::Ack(ack) => {
-                let ack = ack.clone();
                 let done = {
                     let Some(flow) = self.tx.get_mut(&pkt.flow) else { return };
-                    flow.on_ack(&ack, ctx.now());
+                    flow.on_ack(ack, ctx.now());
                     flow.is_done()
                 };
                 if !done {

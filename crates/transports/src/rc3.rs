@@ -136,17 +136,15 @@ impl Transport<Proto> for Rc3Transport {
                     .entry(pkt.flow)
                     // RC3 ACKs every low-priority packet (no EWD clock).
                     .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                let hdr = hdr.clone();
-                rx.on_data(&pkt, &hdr, ctx);
+                rx.on_data(&pkt, hdr, ctx);
             }
             Proto::Ack(ack) if ack.lcp => {
-                let ack = ack.clone();
                 let now = ctx.now();
                 {
                     let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
                     let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
                     f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
-                    f.hcp.on_lcp_ack(&ack, now);
+                    f.hcp.on_lcp_ack(ack, now);
                 }
                 // An ACK frees low-priority window: immediately refill it
                 // (this is what "fills the entire BDP every RTT" means).

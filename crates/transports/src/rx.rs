@@ -55,6 +55,10 @@ impl TcpRx {
 
     /// Handle a data packet addressed to this flow; emits ACK(s) and the
     /// completion notification through `ctx`.
+    ///
+    /// Not behind a simlint hot-path fence yet: every ACK still allocates
+    /// its `sacks` vector (and clones the INT stack); the fence goes up
+    /// when `AckHdr.sacks` goes inline (ROADMAP 2a).
     pub fn on_data(&mut self, pkt: &Packet<Proto>, hdr: &DataHdr, ctx: &mut Ctx<'_, Proto>) {
         let start = hdr.offset;
         let end = hdr.offset + hdr.len as u64;

@@ -154,7 +154,8 @@ impl HpccCc {
             u_max = u_max.max(u);
         }
         // Update history.
-        self.prev_int = int.to_vec();
+        self.prev_int.clear();
+        self.prev_int.extend_from_slice(int);
         self.last_u = u_max;
         u_max
     }
@@ -230,7 +231,8 @@ impl PowerTcpCc {
             let base_power = c * c * tau;
             g_max = g_max.max(lambda * voltage / base_power);
         }
-        self.prev_int = int.to_vec();
+        self.prev_int.clear();
+        self.prev_int.extend_from_slice(int);
         if g_max <= 0.0 {
             // No history yet (or an idle path): neutral power.
             g_max = 1.0;
@@ -437,6 +439,7 @@ impl DctcpFlowTx {
     /// The next HCP segment to transmit, honouring the window. Claims the
     /// bytes and tracks the segment; returns `None` when the window is
     /// full or there is nothing (new or lost) to send.
+    // simlint: hot-path
     pub fn next_segment(&mut self, now: SimTime) -> Option<SegOut> {
         if self.done {
             return None;
@@ -490,26 +493,25 @@ impl DctcpFlowTx {
         self.highest_sacked = self.highest_sacked.max(ack.cum);
         out.newly_acked = newly;
 
-        // Clear acked segments from the in-flight table.
-        let acked_offsets: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(&off, seg)| {
-                off + seg.len as u64 <= ack.cum
-                    || ack.sacks.iter().any(|&(s, e)| s <= off && off + seg.len as u64 <= e)
-            })
-            .map(|(&off, _)| off)
-            .collect();
-        for off in &acked_offsets {
-            if let Some(seg) = self.inflight.remove(off) {
-                self.inflight_bytes -= seg.len as u64;
-                if out.rtt_sample.is_none() && !seg.retx {
-                    out.rtt_sample = Some(now.saturating_since(seg.sent_at));
-                }
-            }
-        }
+        out.rtt_sample = self.clear_covered(ack, now);
+        self.update_window(ack, newly, now, &mut out);
+        self.fast_retransmit();
 
-        // Congestion-control window update (mode-specific).
+        if self.acked.covers(self.size) {
+            self.done = true;
+            self.inflight.clear();
+            self.inflight_bytes = 0;
+            self.rto_deadline = SimTime::MAX;
+        } else {
+            self.arm_rto(now);
+        }
+        out.done = self.done;
+        out
+    }
+
+    /// The mode-specific congestion-window reaction to one ACK that newly
+    /// covered `newly` bytes. Never reads the in-flight table.
+    fn update_window(&mut self, ack: &AckHdr, newly: u64, now: SimTime, out: &mut AckOutcome) {
         let mut mode = std::mem::replace(&mut self.cc_mode, CcMode::Dctcp);
         match &mut mode {
             CcMode::Dctcp => {
@@ -620,47 +622,40 @@ impl DctcpFlowTx {
             }
         }
         self.cc_mode = mode;
+    }
 
-        // Fast retransmit: segments with enough SACKed data above them.
+    /// Fast retransmit: segments with enough SACKed data above them. A
+    /// segment ending at or below `highest_sacked` starts below it, so
+    /// only that prefix of the table is visited; the lost ones go straight
+    /// onto the retransmission queue, in offset order.
+    fn fast_retransmit(&mut self) {
         let threshold = self.cfg.dupack_threshold;
-        let mut lost: Vec<(u64, u32)> = Vec::new();
-        for (&off, seg) in self.inflight.iter_mut() {
+        let queued = self.retx_queue.len();
+        for (&off, seg) in self.inflight.range_mut(..self.highest_sacked) {
             if off + (seg.len as u64) <= self.highest_sacked {
                 seg.dup_hits = seg.dup_hits.saturating_add(1);
                 if seg.dup_hits == threshold {
-                    lost.push((off, seg.len));
+                    self.retx_queue.push((off, seg.len));
                 }
             }
         }
-        if !lost.is_empty() {
-            for &(off, len) in &lost {
+        if self.retx_queue.len() > queued {
+            for &(off, len) in &self.retx_queue[queued..] {
                 self.inflight.remove(&off);
                 self.inflight_bytes -= len as u64;
-                self.retx_queue.push((off, len));
             }
             // One multiplicative cut per loss event.
             self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
             self.cwnd = self.ssthresh;
             self.enter_ca();
         }
-
-        if self.acked.covers(self.size) {
-            self.done = true;
-            self.inflight.clear();
-            self.inflight_bytes = 0;
-            self.rto_deadline = SimTime::MAX;
-        } else {
-            self.arm_rto(now);
-        }
-        out.done = self.done;
-        out
     }
 
     /// Process a *low-priority* (LCP) ACK: records delivered tail bytes
     /// without feeding congestion control — opportunistic packets must not
     /// inflate α, grow the window, or trigger HCP loss recovery.
     /// Returns the bytes newly covered.
-    pub fn on_lcp_ack(&mut self, ack: &AckHdr, _now: SimTime) -> u64 {
+    pub fn on_lcp_ack(&mut self, ack: &AckHdr, now: SimTime) -> u64 {
         if self.done {
             return 0;
         }
@@ -670,20 +665,7 @@ impl DctcpFlowTx {
         }
         // Drop any HCP in-flight segment the LCP ACK happens to cover
         // (possible after crossing) so window accounting stays truthful.
-        let covered: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(&off, seg)| {
-                ack.sacks.iter().any(|&(s, e)| s <= off && off + seg.len as u64 <= e)
-                    || off + seg.len as u64 <= ack.cum
-            })
-            .map(|(&off, _)| off)
-            .collect();
-        for off in covered {
-            if let Some(seg) = self.inflight.remove(&off) {
-                self.inflight_bytes -= seg.len as u64;
-            }
-        }
+        self.clear_covered(ack, now);
         if self.acked.covers(self.size) {
             self.done = true;
             self.inflight.clear();
@@ -692,6 +674,28 @@ impl DctcpFlowTx {
         }
         newly
     }
+
+    /// Drop every in-flight segment `ack` fully covers — by the cumulative
+    /// point (the block `[0, cum)`) or by one SACK block; a partial cover
+    /// clears nothing — and return the RTT sample of the lowest-offset one
+    /// that was never retransmitted. Segments are found through the
+    /// table's order, so the cost follows what the ACK covers, not the
+    /// window.
+    fn clear_covered(&mut self, ack: &AckHdr, now: SimTime) -> Option<SimDuration> {
+        let mut sample: Option<(u64, SimTime)> = None;
+        let blocks = std::iter::once((0, ack.cum)).chain(ack.sacks.iter().copied());
+        for (lo, hi) in blocks.filter(|&(lo, hi)| lo < hi) {
+            let covered = |&off: &u64, seg: &mut InflightSeg| off + seg.len as u64 <= hi;
+            for (off, seg) in self.inflight.extract_if(lo..hi, covered) {
+                self.inflight_bytes -= seg.len as u64;
+                if !seg.retx && sample.is_none_or(|(lowest, _)| off < lowest) {
+                    sample = Some((off, seg.sent_at));
+                }
+            }
+        }
+        sample.map(|(_, sent_at)| now.saturating_since(sent_at))
+    }
+    // simlint: hot-path-end
 
     /// Count opportunistic bytes toward the flow's total for priority
     /// aging (§4.2 demotes by bytes sent across both loops).
@@ -1024,6 +1028,286 @@ mod tests {
             f.cwnd_bytes(),
             c.max_cwnd_bytes
         );
+    }
+
+    // ------------------------------------------------------------
+    // Differential test of the ACK path. The reference is the O(window)
+    // scoreboard this engine ran before its in-flight table was searched
+    // by range: scan every segment to clear, scan every segment to count
+    // duplicate hits. Everything else (`acked`, the window law, RTO) is
+    // the engine's own code on a second flow.
+    // ------------------------------------------------------------
+
+    fn ref_clear_covered(f: &mut DctcpFlowTx, ack: &AckHdr, now: SimTime) -> Option<SimDuration> {
+        let covered: Vec<u64> = f
+            .inflight
+            .iter()
+            .filter(|(&off, seg)| {
+                off + seg.len as u64 <= ack.cum
+                    || ack.sacks.iter().any(|&(s, e)| s <= off && off + seg.len as u64 <= e)
+            })
+            .map(|(&off, _)| off)
+            .collect();
+        let mut sample = None;
+        for off in &covered {
+            if let Some(seg) = f.inflight.remove(off) {
+                f.inflight_bytes -= seg.len as u64;
+                if sample.is_none() && !seg.retx {
+                    sample = Some(now.saturating_since(seg.sent_at));
+                }
+            }
+        }
+        sample
+    }
+
+    fn ref_finish(f: &mut DctcpFlowTx) -> bool {
+        if f.acked.covers(f.size) {
+            f.done = true;
+            f.inflight.clear();
+            f.inflight_bytes = 0;
+            f.rto_deadline = SimTime::MAX;
+        }
+        f.done
+    }
+
+    fn ref_on_ack(f: &mut DctcpFlowTx, ack: &AckHdr, now: SimTime) -> AckOutcome {
+        let mut out = AckOutcome::default();
+        if f.done {
+            return out;
+        }
+        let mut newly = f.acked.insert(0, ack.cum);
+        for &(s, e) in &ack.sacks {
+            newly += f.acked.insert(s, e);
+            f.highest_sacked = f.highest_sacked.max(e);
+        }
+        f.highest_sacked = f.highest_sacked.max(ack.cum);
+        out.newly_acked = newly;
+        out.rtt_sample = ref_clear_covered(f, ack, now);
+        f.update_window(ack, newly, now, &mut out);
+
+        let mut lost: Vec<(u64, u32)> = Vec::new();
+        for (&off, seg) in f.inflight.iter_mut() {
+            if off + (seg.len as u64) <= f.highest_sacked {
+                seg.dup_hits = seg.dup_hits.saturating_add(1);
+                if seg.dup_hits == f.cfg.dupack_threshold {
+                    lost.push((off, seg.len));
+                }
+            }
+        }
+        if !lost.is_empty() {
+            for &(off, len) in &lost {
+                f.inflight.remove(&off);
+                f.inflight_bytes -= len as u64;
+                f.retx_queue.push((off, len));
+            }
+            f.ssthresh = (f.cwnd / 2.0).max(2.0 * f.cfg.mss as f64);
+            f.cwnd = f.ssthresh;
+            f.enter_ca();
+        }
+
+        if !ref_finish(f) {
+            f.arm_rto(now);
+        }
+        out.done = f.done;
+        out
+    }
+
+    fn ref_on_lcp_ack(f: &mut DctcpFlowTx, ack: &AckHdr, now: SimTime) -> u64 {
+        if f.done {
+            return 0;
+        }
+        let mut newly = f.acked.insert(0, ack.cum);
+        for &(s, e) in &ack.sacks {
+            newly += f.acked.insert(s, e);
+        }
+        ref_clear_covered(f, ack, now);
+        ref_finish(f);
+        newly
+    }
+
+    type Scoreboard = (Vec<(u64, u32, u8, bool)>, u64, Vec<(u64, u32)>, u64, u64, SimTime);
+
+    fn scoreboard(f: &DctcpFlowTx) -> Scoreboard {
+        (
+            f.inflight.iter().map(|(&off, s)| (off, s.len, s.dup_hits, s.retx)).collect(),
+            f.inflight_bytes,
+            f.retx_queue.clone(),
+            f.cwnd.to_bits(),
+            f.highest_sacked,
+            f.rto_deadline,
+        )
+    }
+
+    fn assert_same(real: &DctcpFlowTx, model: &DctcpFlowTx, what: &str) {
+        assert_eq!(scoreboard(real), scoreboard(model), "{what}");
+        // Debug prints every field, floats to round-trip precision.
+        assert_eq!(format!("{real:?}"), format!("{model:?}"), "{what}: beyond the scoreboard");
+    }
+
+    /// Feed `ack` to both flows down the path its `lcp` bit selects.
+    fn feed(real: &mut DctcpFlowTx, model: &mut DctcpFlowTx, ack: &AckHdr, now: SimTime) {
+        if ack.lcp {
+            assert_eq!(real.on_lcp_ack(ack, now), ref_on_lcp_ack(model, ack, now), "{ack:?}");
+        } else {
+            let (a, b) = (real.on_ack(ack, now), ref_on_ack(model, ack, now));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "outcome of {ack:?}");
+        }
+    }
+
+    #[test]
+    fn ack_path_matches_the_full_scan_reference_seeded() {
+        let mss = netsim::MSS_BYTES as u64;
+        // Paths the streams must reach: a fast retransmit, an RTO, an LCP
+        // ACK clearing an HCP segment after the loops crossed, a SACK
+        // block straddling a segment boundary, `cum` inside a segment.
+        let mut reached = [0u32; 5];
+        for mode_ix in 0..4u64 {
+            for seed in 0..16u64 {
+                let mut rng = netsim::Pcg32::seed_from_u64(seed * 4 + mode_ix);
+                let mut c = cfg();
+                c.init_cwnd_bytes = 24 * mss;
+                // Odd seeds end on a partial segment, so tail-first LCP
+                // segments never line up with head-first HCP ones.
+                let size = 160 * mss + (seed % 2) * 777;
+                let mk = || {
+                    let mode = match mode_ix {
+                        0 => CcMode::Dctcp,
+                        1 => CcMode::Swift(SwiftCc::new(c.base_rtt)),
+                        2 => CcMode::Hpcc(HpccCc::new(c.base_rtt, c.init_cwnd_bytes)),
+                        _ => CcMode::PowerTcp(PowerTcpCc::new(c.base_rtt, c.init_cwnd_bytes)),
+                    };
+                    DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), size, c.clone())
+                        .with_cc_mode(mode)
+                };
+                let (mut real, mut model) = (mk(), mk());
+                // What the receiver holds, and the (offset, len, lcp)
+                // packets still in the network.
+                let mut rcv = IntervalSet::new();
+                let mut wire: Vec<(u64, u32, bool)> = Vec::new();
+                let mut last_ack: Option<AckHdr> = None;
+                let mut now = SimTime::ZERO;
+                let mut tx_bytes = 0u64;
+                for step in 0..4000 {
+                    if real.is_done() {
+                        break;
+                    }
+                    now += SimDuration::from_nanos(1 + rng.gen_range(20_000));
+                    let what = format!("mode {mode_ix} seed {seed} step {step}");
+                    let mut ack = AckHdr {
+                        cum: rcv.contiguous_prefix(),
+                        sacks: Vec::new(),
+                        ece: rng.gen_index(8) == 0,
+                        lcp: false,
+                        ts_echo: SimTime(now.as_nanos().saturating_sub(rng.gen_range(200_000))),
+                        int_echo: (mode_ix >= 2).then(|| {
+                            tx_bytes += rng.gen_range(3 * mss);
+                            vec![hop(rng.gen_range(150_000), tx_bytes, now.as_nanos())]
+                        }),
+                    };
+                    // A segment the ACK touches without fully covering.
+                    let mut partly_covered: Option<(u64, u32)> = None;
+                    match rng.gen_index(16) {
+                        // Pump the window dry.
+                        0..=3 => {
+                            loop {
+                                let seg = real.next_segment(now);
+                                assert_eq!(seg, model.next_segment(now), "{what}");
+                                let Some(seg) = seg else { break };
+                                reached[0] += seg.retx as u32;
+                                wire.push((seg.offset, seg.len, false));
+                            }
+                            assert_same(&real, &model, &what);
+                            continue;
+                        }
+                        // The LCP claims a tail segment of the buffered window.
+                        4..=5 => {
+                            let limit = size.min(real.cum_acked() + 100 * mss);
+                            let claim = real.claim_tail(limit, mss as u32);
+                            assert_eq!(claim, model.claim_tail(limit, mss as u32), "{what}");
+                            wire.extend(claim.map(|(off, len)| (off, len, true)));
+                            continue;
+                        }
+                        // Deliver the oldest packet or (reordering) any one;
+                        // EWD may ACK two opportunistic packets at once.
+                        6..=11 if !wire.is_empty() => {
+                            let oldest = rng.gen_index(3) > 0;
+                            let pick = if oldest { 0 } else { rng.gen_index(wire.len()) };
+                            let mut delivered = vec![wire.remove(pick)];
+                            ack.lcp = delivered[0].2;
+                            if ack.lcp && rng.gen_index(2) == 0 {
+                                let second = wire.iter().position(|w| w.2);
+                                delivered.extend(second.map(|at| wire.remove(at)));
+                            }
+                            for (off, len, _) in delivered {
+                                rcv.insert(off, off + len as u64);
+                                ack.sacks.push((off, off + len as u64));
+                            }
+                            ack.cum = rcv.contiguous_prefix();
+                        }
+                        // Lose a packet.
+                        12 if !wire.is_empty() => {
+                            wire.remove(rng.gen_index(wire.len()));
+                            continue;
+                        }
+                        // The previous ACK again.
+                        13 if last_ack.is_some() => ack = last_ack.clone().expect("checked"),
+                        // Odd shapes around one in-flight segment.
+                        14 if !real.inflight.is_empty() => {
+                            let nth = rng.gen_index(real.inflight.len());
+                            let (&off, seg) = real.inflight.iter().nth(nth).expect("nth < len");
+                            let end = off + seg.len as u64;
+                            match rng.gen_index(3) {
+                                // Two overlapping blocks, both covering it.
+                                0 => ack
+                                    .sacks
+                                    .extend([(off, end), (off.saturating_sub(100), end + 100)]),
+                                // A block straddling one of its ends, or
+                                // a byte short of one.
+                                1 => {
+                                    let shapes =
+                                        [(off + 1, end + 10), (off + 1, end), (off, end - 1)];
+                                    ack.sacks.push(shapes[rng.gen_index(3)]);
+                                    partly_covered = Some((off, seg.len)).filter(|_| ack.cum < end);
+                                    reached[3] += partly_covered.is_some() as u32;
+                                }
+                                // The cumulative point lands inside it.
+                                _ => {
+                                    let inside = [off + seg.len as u64 / 2, end - 1];
+                                    ack.cum = inside[rng.gen_index(2)];
+                                    partly_covered = Some((off, seg.len));
+                                    reached[4] += 1;
+                                }
+                            }
+                        }
+                        // The retransmission timer fires.
+                        15 if rng.gen_index(4) == 0 && real.rto_deadline() != SimTime::MAX => {
+                            now = now.max(real.rto_deadline());
+                            let fired = real.on_rto(now);
+                            assert_eq!(fired, model.on_rto(now), "{what}");
+                            reached[1] += fired as u32;
+                            assert_same(&real, &model, &what);
+                            continue;
+                        }
+                        _ => continue,
+                    }
+                    let before = real.inflight.len();
+                    feed(&mut real, &mut model, &ack, now);
+                    assert_same(&real, &model, &what);
+                    reached[2] +=
+                        (ack.lcp && real.inflight.len() < before && !real.is_done()) as u32;
+                    if let Some((off, len)) = partly_covered.filter(|_| !real.is_done()) {
+                        // Not cleared: still in flight, or declared lost.
+                        assert!(
+                            real.inflight.contains_key(&off)
+                                || real.retx_queue.contains(&(off, len)),
+                            "{what}: a partial cover cleared segment {off}+{len}: {ack:?}"
+                        );
+                    }
+                    last_ack = Some(ack);
+                }
+            }
+        }
+        assert!(reached.iter().all(|&n| n > 0), "a path was never exercised: {reached:?}");
     }
 
     #[test]

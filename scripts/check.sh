@@ -187,4 +187,7 @@ rm -rf "$TELEM_TMP"
 echo "==> engine perf smoke (appends to BENCH_engine.json)"
 BENCH_ENGINE_PHASE=powertcp BENCH_ENGINE_SCHEME=powertcp ./target/release/bench_engine
 
+echo "==> microbench (fails when an in-order ACK at 8192 segments in flight costs > 3x one at 64)"
+cargo bench -q -p bench --bench microbench
+
 echo "check.sh: all green"

@@ -160,8 +160,7 @@ fn all_cadences_are_invisible_for_ppt() {
         assert_eq!(
             plain.to_jsonl(),
             trace.to_jsonl(),
-            "cadence {} perturbed the event stream",
-            level.as_str()
+            "cadence {level:?} perturbed the event stream"
         );
     }
 }
