@@ -4,8 +4,8 @@
 //! 2 senders -> 1 receiver at 40G, ECN K = 120KB, Web Search at 0.5 load;
 //! utilization sampled every 100us in steady state.
 
-use ppt::harness::{run_experiment_with, Experiment, Scheme, TopoKind};
-use ppt::netsim::{NodeId, SimDuration, SimTime};
+use ppt::harness::{run_experiment, star_bottleneck, Experiment, Scheme, TopoKind};
+use ppt::netsim::SimDuration;
 use ppt::stats::{mean_utilization, utilization_series};
 use ppt::workloads::{incast, SizeDistribution, WorkloadSpec};
 
@@ -13,7 +13,7 @@ fn main() {
     bench::banner(
         "Fig 1",
         "Link utilization of DCTCP under Web Search at 0.5 load",
-        "2->1 at 40G, K=120KB, 100us samples (ideal utilization: 50%)",
+        "2->1 at 40G, K=120KB, 100us samples over the whole run (ideal utilization: 50%)",
     );
     let topo = TopoKind::Star { n: 3, rate_gbps: 40, delay_us: 10 };
     let spec = WorkloadSpec::new(
@@ -24,26 +24,23 @@ fn main() {
         bench::seed(),
     );
     let flows = incast(2, &spec);
-    let mut exp = Experiment::new(topo, Scheme::Dctcp, flows);
+    let telemetry = bench::whole_run_telemetry(SimDuration::from_micros(100));
+    let mut exp = Experiment::new(topo, Scheme::Dctcp, flows).with_telemetry(telemetry);
     exp.env.k_high = 120_000;
     exp.env.port_buffer = 1_000_000;
 
-    // One point with a custom sampler extraction, run via the sweep
+    // One point with a custom series extraction, run via the sweep
     // layer's generic primitive (the simulator stays on the worker; only
     // the utilization series comes back).
     let mut results = ppt::sweep::run_points(1, bench::jobs(), |_| {
-        let mut sampler = None;
-        let outcome = run_experiment_with(&exp, |t| {
-            let port = t.sim.switch_port_towards(t.leaves[0], NodeId::Host(t.hosts[2])).unwrap();
-            let link = t.sim.switch_port_link(t.leaves[0], port);
-            sampler =
-                Some(t.sim.sample_link(link, SimDuration::from_micros(100), SimTime(60_000_000)));
-        });
-        utilization_series(outcome.sim.samples(sampler.unwrap()), topo.edge_rate())
+        let sim = run_experiment(&exp).sim;
+        let (sw, port) = star_bottleneck(&sim, 2).unwrap();
+        let util = sim.telemetry().unwrap().link_util(sim.switch_port_link(sw, port));
+        assert_eq!(util.evicted(), 0, "the ring must hold the whole run");
+        utilization_series(util)
     });
     let series = results.pop().unwrap();
-    // Steady state: skip the first 10ms, print a 10ms window.
-    // Busy-period statistics: with Poisson arrivals at load 0.5 the link
+    // Busy-period statistics (past a 2 ms warm-up): with Poisson arrivals at load 0.5 the link
     // is legitimately idle between flows; the paper's point is that
     // *while flows are transmitting* DCTCP's window cuts drag the link
     // down toward half of what it could carry. We therefore report the

@@ -6,8 +6,8 @@
 //! handled event — the same claim ("PPT's extra logic costs <1% over
 //! DCTCP") expressed in the simulator's terms.
 
-use ppt::harness::{Experiment, Scheme, TopoKind};
-use ppt::netsim::RunLimits;
+use ppt::harness::{run_experiment_with, Experiment, Scheme, TopoKind};
+use ppt::netsim::HostId;
 use ppt::workloads::SizeDistribution;
 
 fn main() {
@@ -32,16 +32,9 @@ fn main() {
         for scheme in [Scheme::Dctcp, Scheme::Ppt] {
             let name = scheme.name();
             let exp = Experiment::new(topo, scheme, flows.clone());
-            // Rebuild manually so we can flip measure_cpu on.
-            let mut t = exp.topo.build(exp.scheme.switch_config(&exp.env));
-            t.sim.measure_cpu = true;
-            exp.scheme.install(&mut t, &exp.env).expect("single-pass scheme");
-            ppt::workloads::install_flows(&mut t.sim, &t.hosts, &exp.flows);
-            t.sim.run(RunLimits { max_time: exp.max_time, max_events: exp.max_events });
-            let (ns, calls): (u64, u64) = t
-                .hosts
-                .iter()
-                .map(|&h| t.sim.cpu_account(h))
+            let sim = run_experiment_with(&exp, |t| t.sim.measure_cpu = true).sim;
+            let (ns, calls): (u64, u64) = (0..sim.host_count())
+                .map(|h| sim.cpu_account(HostId(h as u32)))
                 .fold((0, 0), |(a, b), (c, d)| (a + c, b + d));
             println!(
                 "{:<8} {:<8} {:>16} {:>16} {:>12.1}",

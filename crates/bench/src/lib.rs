@@ -10,7 +10,8 @@
 //! * `PPT_JOBS`  — sweep worker threads (default 1; output is identical
 //!   for any value, only wall-clock changes)
 
-use ppt::harness::{run_experiment, Experiment, Scheme, TopoKind};
+use ppt::harness::{run_experiment, Experiment, Scheme, TelemetrySpec, TopoKind};
+use ppt::netsim::SimDuration;
 use ppt::stats::FctSummary;
 use ppt::sweep::{PointResult, SweepSpec};
 use ppt::workloads::{all_to_all, incast, FlowSpec, SizeDistribution, WorkloadSpec};
@@ -104,6 +105,13 @@ pub fn sweep_and_print(topo: TopoKind, schemes: &[Scheme], flows: &[FlowSpec]) -
         fct_row(&r.label, &r.fct.summary(), r.completion_ratio);
     }
     results
+}
+
+/// Telemetry at `interval` with an 8192-point ring — room for every tick
+/// of the sub-second microbenchmark runs (Figs 1, 20, 28), which assert
+/// `evicted() == 0` so their statistics cover each run whole.
+pub fn whole_run_telemetry(interval: SimDuration) -> TelemetrySpec {
+    TelemetrySpec { series_capacity: 1 << 13, ..TelemetrySpec::new(interval) }
 }
 
 /// The standard six-scheme comparison of the large-scale figures.

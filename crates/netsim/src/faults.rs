@@ -23,8 +23,14 @@
 //! Identical schedules + seeds therefore reproduce byte-identical traces
 //! regardless of how many sweep workers run other simulations in parallel
 //! (each `Simulator` is fully self-contained; see DESIGN.md §11).
+//!
+//! The live side of a schedule is `FaultState`: link/switch status, the
+//! loss RNG and the recovery counters behind [`FaultReport`]. It takes
+//! what it reads as arguments and never sees the simulator, so its state
+//! machine is testable without a topology.
 
 use crate::ids::{LinkId, SwitchId};
+use crate::rng::Pcg32;
 use crate::time::{SimDuration, SimTime};
 
 /// One timed fault operation.
@@ -129,9 +135,237 @@ impl FaultSchedule {
     }
 }
 
+/// Fault-layer recovery statistics for one run. All zeros when no
+/// [`FaultSchedule`] was installed (retransmit noting still works).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultReport {
+    /// Packets destroyed by the fault layer (random loss + down links).
+    pub fault_drops: u64,
+    /// Retransmissions noted by transports via `Ctx::note_retransmit`,
+    /// summed over all flows.
+    pub retransmits: u64,
+    /// Longest single fault interval (link outage or switch stall),
+    /// including intervals still open when the run stopped.
+    pub max_stall: SimDuration,
+    /// Payload bytes delivered to hosts while at least one fault was
+    /// active (degraded-mode goodput).
+    pub goodput_during_fault_bytes: u64,
+}
+
+/// Live fault-injection state: the installed schedule plus the mutable
+/// link/switch status and recovery counters it drives.
+pub(crate) struct FaultState {
+    schedule: FaultSchedule,
+    /// Dedicated loss RNG, seeded from the schedule — never shared with
+    /// workload generation, so adding loss does not shift workload draws.
+    rng: Pcg32,
+    /// Start of the open outage per link (`Some` = down), by `LinkId`.
+    down_since: Vec<Option<SimTime>>,
+    /// Per-switch stall depth (overlapping stalls nest), by `SwitchId`.
+    stalled: Vec<u32>,
+    /// Start of the currently open stall per switch, for `max_stall`.
+    stall_since: Vec<Option<SimTime>>,
+    /// Number of currently active faults (down links + stalled switches).
+    active: u32,
+    /// Packets destroyed so far.
+    pub(crate) drops: u64,
+    /// Longest closed fault interval so far.
+    max_stall: SimDuration,
+    /// Payload bytes delivered to hosts while `active > 0`.
+    goodput_fault_bytes: u64,
+}
+
+impl FaultState {
+    /// Arm `schedule` over a fabric of `n_links` links and `n_switches`
+    /// switches, everything up and unstalled.
+    pub(crate) fn new(schedule: FaultSchedule, n_links: usize, n_switches: usize) -> Self {
+        FaultState {
+            rng: Pcg32::seed_from_u64(schedule.seed),
+            down_since: vec![None; n_links],
+            stalled: vec![0; n_switches],
+            stall_since: vec![None; n_switches],
+            active: 0,
+            drops: 0,
+            max_stall: SimDuration::ZERO,
+            goodput_fault_bytes: 0,
+            schedule,
+        }
+    }
+
+    /// The timed operations, in the order they enter the event queue.
+    pub(crate) fn ops(&self) -> &[TimedFault] {
+        &self.schedule.ops
+    }
+
+    /// Apply one timed operation at `now`. Redundant ops (`LinkUp` on an
+    /// up link, `StallEnd` on an unstalled switch, a second `LinkDown`)
+    /// change nothing. Returns the switch to restart when this op ended
+    /// the last of its nested stalls.
+    pub(crate) fn apply(&mut self, op: FaultOp, now: SimTime) -> Option<SwitchId> {
+        match op {
+            FaultOp::LinkDown(l) => {
+                let since = &mut self.down_since[l.0 as usize];
+                if since.is_none() {
+                    *since = Some(now);
+                    self.active += 1;
+                }
+            }
+            FaultOp::LinkUp(l) => {
+                if let Some(t0) = self.down_since[l.0 as usize].take() {
+                    self.close_interval(t0, now);
+                }
+            }
+            FaultOp::StallStart(s) => {
+                let si = s.0 as usize;
+                self.stalled[si] += 1;
+                if self.stalled[si] == 1 {
+                    self.stall_since[si] = Some(now);
+                    self.active += 1;
+                }
+            }
+            FaultOp::StallEnd(s) => {
+                let si = s.0 as usize;
+                if self.stalled[si] > 0 {
+                    self.stalled[si] -= 1;
+                    if self.stalled[si] == 0 {
+                        if let Some(t0) = self.stall_since[si].take() {
+                            self.close_interval(t0, now);
+                        }
+                        return Some(s);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    fn close_interval(&mut self, t0: SimTime, now: SimTime) {
+        self.max_stall = self.max_stall.max(now.saturating_since(t0));
+        self.active -= 1;
+    }
+
+    /// Whether `switch` is stalled (admits and drops, never serializes).
+    pub(crate) fn is_stalled(&self, switch: SwitchId) -> bool {
+        self.stalled.get(switch.0 as usize).is_some_and(|&depth| depth > 0)
+    }
+
+    /// Book a host delivery of `payload_bytes` as degraded-mode goodput
+    /// when any fault is active.
+    pub(crate) fn note_delivery(&mut self, payload_bytes: u32) {
+        if self.active > 0 {
+            self.goodput_fault_bytes += payload_bytes as u64;
+        }
+    }
+
+    /// Whether the fault layer destroys a packet of `payload_bytes` at
+    /// `prio` being serialized onto `link`. Draws from the fault RNG only
+    /// when a non-zero probability applies, so loss-free schedules take
+    /// zero draws.
+    // simlint: hot-path
+    pub(crate) fn loses_packet(&mut self, link: LinkId, payload_bytes: u32, prio: u8) -> bool {
+        if self.down_since.get(link.0 as usize).is_some_and(|d| d.is_some()) {
+            self.drops += 1;
+            return true;
+        }
+        // Control packets (header-only: ACKs, NACKs, pulls, credits) use
+        // the ACK-loss knob, gated on the priority band; data uses data_loss.
+        let p = if payload_bytes > 0 {
+            self.schedule.data_loss
+        } else if prio >= self.schedule.ack_loss_min_prio {
+            self.schedule.ack_loss
+        } else {
+            0.0
+        };
+        if p > 0.0 && self.rng.next_f64() < p {
+            self.drops += 1;
+            return true;
+        }
+        false
+    }
+    // simlint: hot-path-end
+
+    /// Statistics so far; `max_stall` counts fault intervals still open
+    /// at `now`. `retransmits` is the engine's to fill in.
+    pub(crate) fn report(&self, now: SimTime) -> FaultReport {
+        let open = self.down_since.iter().chain(&self.stall_since).flatten();
+        FaultReport {
+            fault_drops: self.drops,
+            retransmits: 0,
+            max_stall: open.fold(self.max_stall, |m, t0| m.max(now.saturating_since(*t0))),
+            goodput_during_fault_bytes: self.goodput_fault_bytes,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn state(schedule: FaultSchedule) -> FaultState {
+        FaultState::new(schedule, 2, 2)
+    }
+
+    #[test]
+    fn nested_stalls_resume_only_on_the_last_end() {
+        let (sw, other) = (SwitchId(1), SwitchId(0));
+        let mut fs = state(FaultSchedule::new(1));
+        assert_eq!(fs.apply(FaultOp::StallStart(sw), SimTime(100)), None);
+        assert_eq!(fs.apply(FaultOp::StallStart(sw), SimTime(200)), None);
+        assert!(fs.is_stalled(sw) && !fs.is_stalled(other));
+        assert_eq!(fs.apply(FaultOp::StallEnd(sw), SimTime(300)), None, "one stall still open");
+        assert!(fs.is_stalled(sw));
+        assert_eq!(fs.active, 1, "nested stalls of one switch are one active fault");
+        assert_eq!(fs.apply(FaultOp::StallEnd(sw), SimTime(450)), Some(sw));
+        assert!(!fs.is_stalled(sw));
+        assert_eq!(fs.active, 0);
+        // The interval runs from the first start to the last end.
+        assert_eq!(fs.report(SimTime(1_000)).max_stall, SimDuration::from_nanos(350));
+    }
+
+    #[test]
+    fn redundant_ops_leave_the_active_count_untouched() {
+        let mut fs = state(FaultSchedule::new(1));
+        assert_eq!(fs.apply(FaultOp::LinkUp(LinkId(0)), SimTime(10)), None);
+        assert_eq!(fs.apply(FaultOp::StallEnd(SwitchId(0)), SimTime(10)), None);
+        assert_eq!(fs.active, 0, "closing what was never opened must not underflow");
+        fs.apply(FaultOp::LinkDown(LinkId(0)), SimTime(20));
+        fs.apply(FaultOp::LinkDown(LinkId(0)), SimTime(30));
+        assert_eq!(fs.active, 1, "a link is down once however often it is taken down");
+        fs.apply(FaultOp::LinkUp(LinkId(0)), SimTime(50));
+        fs.apply(FaultOp::LinkUp(LinkId(0)), SimTime(60));
+        assert_eq!(fs.active, 0);
+        assert_eq!(fs.report(SimTime(100)).max_stall, SimDuration::from_nanos(30));
+    }
+
+    #[test]
+    fn report_counts_an_interval_still_open() {
+        let mut fs = state(FaultSchedule::new(1));
+        fs.apply(FaultOp::LinkDown(LinkId(1)), SimTime(100));
+        fs.apply(FaultOp::LinkUp(LinkId(1)), SimTime(150));
+        fs.apply(FaultOp::StallStart(SwitchId(0)), SimTime(200));
+        assert_eq!(fs.report(SimTime(220)).max_stall, SimDuration::from_nanos(50));
+        assert_eq!(fs.report(SimTime(900)).max_stall, SimDuration::from_nanos(700));
+        // Goodput is booked only while a fault is active.
+        fs.note_delivery(1_000);
+        fs.apply(FaultOp::StallEnd(SwitchId(0)), SimTime(950));
+        fs.note_delivery(5_000);
+        assert_eq!(fs.report(SimTime(950)).goodput_during_fault_bytes, 1_000);
+    }
+
+    #[test]
+    fn loss_free_schedule_draws_nothing_from_the_rng() {
+        let mut fs = state(FaultSchedule::new(9));
+        fs.apply(FaultOp::LinkDown(LinkId(0)), SimTime(0));
+        // A downed link destroys without a draw; with both probabilities
+        // zero, neither data nor control packets consult the RNG.
+        assert!(fs.loses_packet(LinkId(0), 1_460, 0));
+        for prio in 0..8 {
+            assert!(!fs.loses_packet(LinkId(1), 1_460, prio));
+            assert!(!fs.loses_packet(LinkId(1), 0, prio));
+        }
+        assert_eq!(fs.rng.next_u64(), Pcg32::seed_from_u64(9).next_u64());
+        assert_eq!(fs.report(SimTime(5)).fault_drops, 1);
+    }
 
     #[test]
     fn builders_accumulate_ops_in_order() {

@@ -30,9 +30,9 @@
 //!   priority-range byte caps.
 //! - Destination-based shortest-path routing with per-flow ECMP.
 //! - Star and leaf-spine topology builders matching the paper's setups.
-//! - Link-utilization and queue-occupancy samplers.
-//! - Continuous telemetry: a deterministic whole-fabric interval sampler
-//!   filling ring-buffered series and log-bucket histograms, plus an
+//! - Continuous telemetry, the one periodic observer: a deterministic
+//!   whole-fabric sampler filling ring-buffered series (link utilization,
+//!   per-port queue occupancy, ...) and log-bucket histograms, plus an
 //!   opt-in wall-clock dispatch profiler (see [`telemetry`]).
 //! - Per-host transport CPU accounting (the kernel-overhead substitute).
 //!
@@ -45,7 +45,10 @@ pub mod host;
 pub mod ids;
 pub mod link;
 pub mod packet;
+pub mod pfc;
+pub mod pool;
 pub mod queue;
+pub mod report;
 pub mod rng;
 pub mod sanitizer;
 pub mod sched;
@@ -57,16 +60,16 @@ pub mod units;
 
 pub use dcn_trace as trace;
 pub use dcn_trace::{TraceEvent, TraceSink};
-pub use engine::{
-    FaultReport, PoolStats, RunLimits, RunReport, Sample, SamplerId, Simulator, StopReason,
-};
-pub use faults::{FaultOp, FaultSchedule, TimedFault};
+pub use engine::Simulator;
+pub use faults::{FaultOp, FaultReport, FaultSchedule, TimedFault};
 pub use host::{Ctx, FlowDesc, Transport};
 pub use ids::{FlowId, HostId, LinkId, NodeId, SwitchId};
 pub use packet::{
     Ecn, HopTelemetry, NoPayload, Packet, Payload, CTRL_BYTES, HEADER_BYTES, MSS_BYTES, MTU_BYTES,
     NUM_PRIORITIES, TRIMMED_BYTES,
 };
+pub use pool::PoolStats;
+pub use report::{RunLimits, RunReport, StopReason};
 pub use rng::Pcg32;
 pub use sanitizer::{SanLevel, SanNote, SanViolation};
 pub use sched::QueueKind;
@@ -308,7 +311,7 @@ mod engine_tests {
     }
 
     #[test]
-    fn sampler_records_time_series() {
+    fn telemetry_records_link_utilization() {
         let mut topo = topology::star::<BlastHdr>(
             2,
             Rate::gbps(10),
@@ -321,15 +324,20 @@ mod engine_tests {
         let size = 1000 * MSS_BYTES as u64;
         topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, size);
         let uplink = topo.sim.host_uplink(topo.hosts[0]);
-        let s = topo.sim.sample_link(uplink, SimDuration::from_micros(100), SimTime(2_000_000));
+        topo.sim.enable_telemetry(TelemetryConfig::new(SimDuration::from_micros(100)));
         topo.sim.run(RunLimits::default());
-        let samples = topo.sim.samples(s);
-        assert!(samples.len() >= 10);
-        // Cumulative counter must be nondecreasing and end at the full size.
-        for w in samples.windows(2) {
-            assert!(w[1].value >= w[0].value);
-        }
-        assert!(samples.last().unwrap().value >= size);
+        let util = topo.sim.telemetry().unwrap().link_util(uplink);
+        // 1000 MTU packets at 10G serialize for ~1.2 ms: a dozen windows.
+        assert!(util.len() >= 10);
+        // The blast keeps the NIC saturated until the last window, and
+        // the windows together account for every byte the link carried
+        // (to within the packet straddling each window boundary).
+        let points: Vec<f64> = util.points().map(|p| p.value).collect();
+        assert!(points[..points.len() - 1].iter().all(|&u| u > 0.98), "{points:?}");
+        let window_bytes = Rate::gbps(10).bytes_in(SimDuration::from_micros(100)) as f64;
+        let carried = points.iter().sum::<f64>() * window_bytes;
+        let slack = (points.len() * MTU_BYTES as usize) as f64;
+        assert!((carried - topo.sim.link(uplink).tx_bytes as f64).abs() <= slack, "{points:?}");
     }
 
     #[test]

@@ -44,19 +44,12 @@ impl<P> PrioQueues<P> {
 
     /// Remove and return the head of the highest-priority non-empty queue.
     pub fn pop(&mut self) -> Option<Packet<P>> {
-        for p in 0..NUM_PRIORITIES {
-            if let Some(pkt) = self.queues[p].pop_front() {
-                self.bytes[p] -= pkt.wire_bytes as u64;
-                self.total_bytes -= pkt.wire_bytes as u64;
-                return Some(pkt);
-            }
-        }
-        None
+        self.pop_unpaused(0)
     }
 
     /// Remove and return the head of the highest-priority non-empty queue
     /// whose priority bit is clear in `paused_mask` (bit `p` set = priority
-    /// `p` is PFC-paused). Byte accounting is identical to [`pop`].
+    /// `p` is PFC-paused).
     pub fn pop_unpaused(&mut self, paused_mask: u8) -> Option<Packet<P>> {
         for p in 0..NUM_PRIORITIES {
             if paused_mask & (1 << p) != 0 {

@@ -1,0 +1,73 @@
+//! What bounds a run and what it returns: [`RunLimits`] in,
+//! [`RunReport`] out of [`crate::Simulator::run`].
+
+use crate::faults::FaultReport;
+use crate::time::SimTime;
+
+/// Run limits: the simulation stops at whichever comes first.
+#[derive(Clone, Copy, Debug)]
+pub struct RunLimits {
+    /// Hard stop time.
+    pub max_time: SimTime,
+    /// Hard event budget (guards against livelock bugs).
+    pub max_events: u64,
+}
+
+impl Default for RunLimits {
+    fn default() -> Self {
+        RunLimits { max_time: SimTime(u64::MAX), max_events: u64::MAX }
+    }
+}
+
+/// Why [`crate::Simulator::run`] returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StopReason {
+    /// The event queue drained: no further progress is possible. (Flows may
+    /// still be incomplete if the transport gave up on them.)
+    AllFlowsDone,
+    /// The `max_time` limit was reached; pending events were kept.
+    MaxTime,
+    /// The `max_events` budget was exhausted mid-run.
+    MaxEvents,
+    /// The sanitizer detected an invariant violation (see
+    /// [`crate::Simulator::set_sanitizer`] and
+    /// [`crate::Simulator::san_violations`]).
+    SanViolation,
+}
+
+impl StopReason {
+    /// Stable snake_case tag (used in JSON output and warnings).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            StopReason::AllFlowsDone => "all_flows_done",
+            StopReason::MaxTime => "max_time",
+            StopReason::MaxEvents => "max_events",
+            StopReason::SanViolation => "san_violation",
+        }
+    }
+}
+
+/// Summary of a completed run.
+#[derive(Clone, Copy, Debug)]
+pub struct RunReport {
+    /// Simulated time when the run stopped.
+    pub end_time: SimTime,
+    /// Events dispatched.
+    pub events: u64,
+    /// Flows that reported completion.
+    pub flows_completed: usize,
+    /// Total flows registered.
+    pub flows_total: usize,
+    /// Which limit (if any) stopped the run.
+    pub stop: StopReason,
+    /// Fault-layer recovery statistics.
+    pub faults: FaultReport,
+}
+
+impl RunReport {
+    /// A run is abnormal when a limit tripped or flows were left hanging —
+    /// the condition that triggers the harness's flight-recorder dump.
+    pub fn is_abnormal(&self) -> bool {
+        self.stop != StopReason::AllFlowsDone || self.flows_completed < self.flows_total
+    }
+}

@@ -23,9 +23,13 @@
 
 use std::collections::BTreeMap;
 
-use dcn_trace::SanCheck;
+use dcn_trace::{SanCheck, TraceEvent};
 
+use crate::engine::{PortState, Simulator};
+use crate::packet::Payload;
 use crate::time::SimTime;
+#[cfg(any(test, feature = "simsan-selftest"))]
+use crate::{engine::Ev, ids::HostId, ids::NodeId};
 
 /// How often the sanitizer cross-checks its ledger against engine state.
 ///
@@ -453,6 +457,153 @@ impl Sanitizer {
     pub(crate) fn mark_flushed(&mut self) -> bool {
         self.flushed = self.violations.len();
         !self.violations.is_empty()
+    }
+}
+
+impl<P: Payload> Simulator<P> {
+    /// Install the runtime invariant sanitizer at the given cadence
+    /// (see DESIGN.md §13). The ledger is seeded from the engine's
+    /// current state, so installing between `run()` calls is supported.
+    /// Replaces any previously installed sanitizer.
+    pub fn set_sanitizer(&mut self, level: SanLevel) {
+        let mut san = Box::new(Sanitizer::new(level));
+        for slot in self.pool.live_slots() {
+            san.seed_pool_slot(slot);
+        }
+        for (key, port) in self.san_ports() {
+            san.seed_port(key, port.queues.total_bytes(), port.queues.len() as u64, port.busy);
+        }
+        san.seed_faults(self.faults.as_ref().map_or(0, |fs| fs.drops));
+        self.san = Some(san);
+    }
+
+    /// Whether the sanitizer is currently installed.
+    pub fn sanitizer_enabled(&self) -> bool {
+        self.san.is_some()
+    }
+
+    /// Every sanitizer violation recorded so far (empty when disabled).
+    pub fn san_violations(&self) -> &[SanViolation] {
+        self.san.as_deref().map_or(&[], |s| s.violations())
+    }
+
+    /// Every egress port under its ledger key: host NICs in host order,
+    /// then switch ports in (switch, port) order.
+    fn san_ports(&self) -> impl Iterator<Item = (u64, &PortState<P>)> {
+        let nics =
+            self.hosts.iter().enumerate().filter_map(|(hi, host)| {
+                host.nic.as_ref().map(|nic| (host_port_key(hi as u32), nic))
+            });
+        let switch_ports = self.switches.iter().enumerate().flat_map(|(si, sw)| {
+            let keyed = move |(pi, port)| (switch_port_key(si as u32, pi as u16), port);
+            sw.ports.iter().enumerate().map(keyed)
+        });
+        nics.chain(switch_ports)
+    }
+
+    /// Count one dispatched event against the sanitizer cadence; when an
+    /// audit is due, run it and flush. Returns true when the run must stop
+    /// with `StopReason::SanViolation`.
+    pub(crate) fn san_tick(&mut self) -> bool {
+        let due = match self.san.as_mut() {
+            Some(s) => s.tick(),
+            None => return false,
+        };
+        if !due {
+            return false;
+        }
+        self.san_audit(false);
+        self.san_flush()
+    }
+
+    /// Cross-check the sanitizer ledger against the engine's real state.
+    pub(crate) fn san_audit(&mut self, quiescent: bool) {
+        let Some(mut san) = self.san.take() else { return };
+        let now = self.now;
+        san.audit_pool(now, self.pool.stats().live, quiescent);
+        for (key, port) in self.san_ports() {
+            san.audit_port(
+                now,
+                key,
+                port.queues.total_bytes(),
+                port.queues.len() as u64,
+                port.busy,
+                port.queues.audit_counters(),
+            );
+        }
+        san.audit_faults(now, self.faults.as_ref().map_or(0, |fs| fs.drops));
+        self.san = Some(san);
+    }
+
+    /// Emit every not-yet-reported violation as a `SanViolation` trace
+    /// event (stamped with its detection time); returns true when any
+    /// violation has ever been recorded.
+    pub(crate) fn san_flush(&mut self) -> bool {
+        let Some(mut san) = self.san.take() else { return false };
+        for v in san.unflushed() {
+            if let Some(sink) = self.trace.as_mut() {
+                let ev = TraceEvent::SanViolation {
+                    check: v.check,
+                    subject: v.subject,
+                    expected: v.expected,
+                    actual: v.actual,
+                };
+                sink.emit(v.at.0, &ev);
+            }
+        }
+        let any = san.mark_flushed();
+        self.san = Some(san);
+        any
+    }
+}
+
+/// Deliberate state-corruption hooks for the simsan selftest suite
+/// (`tests/sanitizer.rs`): each seeds exactly one corruption class that
+/// the sanitizer must flag (`corrupt_tie_break` sits beside the queue in
+/// [`crate::engine`]). Compiled only for tests and the `simsan-selftest`
+/// feature — release artifacts never contain them.
+#[cfg(any(test, feature = "simsan-selftest"))]
+impl<P: Payload> Simulator<P> {
+    /// Leak one pooled packet buffer: a slot vanishes from the free list
+    /// without its packet ever being delivered, so `pool_stats().live`
+    /// inflates relative to the sanitizer's ledger. No-op until at least
+    /// one packet has cycled through the pool.
+    pub fn corrupt_pool_leak(&mut self) {
+        self.pool.free_list_mut().pop();
+    }
+
+    /// Replay a free of an already-freed pool slot into the sanitizer's
+    /// ledger — the event stream a double-free bug would produce. No-op
+    /// until at least one slot has been freed or the sanitizer is off.
+    pub fn corrupt_pool_double_free(&mut self) {
+        let now = self.now;
+        let slot = self.pool.free_list_mut().first().copied();
+        if let (Some(slot), Some(s)) = (slot, self.san.as_mut()) {
+            s.observe_free(now, slot as usize);
+        }
+    }
+
+    /// Skew a host NIC's internal byte counters away from its queue
+    /// contents (the accounting-drift bug class).
+    pub fn corrupt_queue_counter(&mut self, host: HostId, skew_bytes: u64) {
+        if let Some(nic) = self.hosts[host.0 as usize].nic.as_mut() {
+            nic.queues.corrupt_skew_bytes(skew_bytes);
+        }
+    }
+
+    /// Schedule a TxDone for a host NIC with no serialization in flight
+    /// (the phantom-completion bug class).
+    pub fn corrupt_phantom_tx_done(&mut self, host: HostId) {
+        self.schedule(self.now, Ev::TxDone { node: NodeId::Host(host), port: 0 });
+    }
+
+    /// Bump the fault layer's drop counter without any packet having been
+    /// destroyed, leaving a drop the `FaultReport` cannot attribute.
+    /// No-op unless a fault schedule is installed.
+    pub fn corrupt_fault_attribution(&mut self) {
+        if let Some(fs) = self.faults.as_mut() {
+            fs.drops += 1;
+        }
     }
 }
 

@@ -1,12 +1,14 @@
 //! The engine's continuous-telemetry layer (DESIGN.md §14).
 //!
-//! A [`TelemetryConfig`] installed via `Simulator::enable_telemetry`
-//! arms a deterministic interval sampler: an `Ev::Sample` event rearmed
-//! every `interval` that *reads* engine state — per-port queue
-//! bytes/packets, per-link utilization since the last tick, live flow
-//! counts, packet-pool live/hit-rate, and the per-scheme aggregate
-//! cwnd/in-flight reported by [`crate::host::Transport::cc_snapshot`] —
-//! into ring-buffered [`Series`] and log-bucket [`LogHistogram`]s.
+//! A [`TelemetryConfig`] installed via [`Simulator::enable_telemetry`]
+//! arms the engine's one periodic observer: an `Ev::Sample` event,
+//! scheduled here at install and rearmed by the run loop every
+//! `interval`, that *reads* engine state — per-port queue bytes/packets
+//! and low-priority (P4–P7) bytes, per-link utilization since the last
+//! tick, live flow counts, packet-pool live/hit-rate, and the per-scheme
+//! aggregate cwnd/in-flight reported by
+//! [`crate::host::Transport::cc_snapshot`] — into ring-buffered
+//! [`Series`] and log-bucket [`LogHistogram`]s.
 //!
 //! Determinism contract: sampling never mutates simulation state and
 //! never emits into the installed trace sink, so a telemetry-enabled run
@@ -17,6 +19,9 @@
 
 use dcn_trace::{encode_line, LogHistogram, ProfKind, Series, TraceEvent};
 
+use crate::engine::{Ev, Simulator};
+use crate::ids::{LinkId, SwitchId};
+use crate::packet::Payload;
 use crate::time::{SimDuration, SimTime};
 
 /// Configuration for `Simulator::enable_telemetry`.
@@ -75,42 +80,49 @@ impl CcSnapshot {
 }
 
 /// Series index of the live-flow count.
-pub(crate) const IDX_FLOWS_LIVE: usize = 0;
+const IDX_FLOWS_LIVE: usize = 0;
 /// Series index of the packet-pool live-slot count.
-pub(crate) const IDX_POOL_LIVE: usize = 1;
+const IDX_POOL_LIVE: usize = 1;
 /// Series index of the packet-pool recycle hit rate.
-pub(crate) const IDX_POOL_HIT: usize = 2;
+const IDX_POOL_HIT: usize = 2;
 /// Series index of the aggregate congestion window.
-pub(crate) const IDX_CC_CWND: usize = 3;
+const IDX_CC_CWND: usize = 3;
 /// Series index of the aggregate in-flight bytes.
-pub(crate) const IDX_CC_INFLIGHT: usize = 4;
+const IDX_CC_INFLIGHT: usize = 4;
 /// First per-port series index (two series per switch port follow, then
-/// one utilization series per link).
-pub(crate) const IDX_FIRST_DYNAMIC: usize = 5;
+/// one utilization series per link, then one low-priority series per
+/// switch port).
+const IDX_FIRST_DYNAMIC: usize = 5;
 
 /// Telemetry state owned by the simulator while enabled: the series
 /// table, the three histograms, the sampler's utilization baseline and
 /// the (optional) profiler accumulators.
 #[derive(Debug)]
 pub struct Telemetry {
-    pub(crate) cfg: TelemetryConfig,
+    cfg: TelemetryConfig,
     /// Fixed layout: the scalar series (`IDX_*`), then
     /// `sw{si}.port{pi}.queue_bytes`/`.queue_pkts` pairs in (switch,
-    /// port) order from `port_base`, then `link{li}.util` from `link_base`.
-    pub(crate) series: Vec<Series>,
-    pub(crate) port_base: usize,
-    pub(crate) link_base: usize,
+    /// port) order from `port_base`, then `link{li}.util` from
+    /// `link_base`, then `sw{si}.port{pi}.queue_lp_bytes` from `lp_base`
+    /// (last, so the ids of everything before it never moved).
+    series: Vec<Series>,
+    port_base: usize,
+    link_base: usize,
+    lp_base: usize,
+    /// Ports on all switches before switch `si`: its port `pi` is the
+    /// fabric's `port_offsets[si] + pi`-th.
+    port_offsets: Vec<usize>,
     /// Flow completion times (recorded at completion, nanoseconds).
     pub(crate) fct_ns: LogHistogram,
     /// Per-packet time spent queued at a host NIC or switch egress port
     /// before serialization started, nanoseconds.
     pub(crate) queue_delay_ns: LogHistogram,
     /// Per-port backlog bytes observed at every sampler tick.
-    pub(crate) queue_depth_bytes: LogHistogram,
+    queue_depth_bytes: LogHistogram,
     /// Cumulative link tx bytes at the previous tick (utilization deltas).
-    pub(crate) last_link_tx: Vec<u64>,
-    pub(crate) last_sample_at: SimTime,
-    pub(crate) samples_taken: u64,
+    last_link_tx: Vec<u64>,
+    last_sample_at: SimTime,
+    samples_taken: u64,
     /// Wall-clock profiler accumulators, indexed in [`ProfKind::ALL`]
     /// order. Only written when `cfg.prof` is set.
     pub(crate) prof_counts: [u64; 6],
@@ -143,9 +155,30 @@ impl Telemetry {
         &self.series
     }
 
-    /// Look up a series by name (e.g. `"flows.live"`, `"link3.util"`).
+    /// Look up a series by name (e.g. `"flows.live"`, `"cc.cwnd_bytes"`).
     pub fn series_named(&self, name: &str) -> Option<&Series> {
         self.series.iter().find(|s| s.name() == name)
+    }
+
+    fn port_ordinal(&self, switch: SwitchId, port: u16) -> usize {
+        self.port_offsets[switch.0 as usize] + port as usize
+    }
+
+    /// Total backlog of a switch egress port, bytes (`queue_bytes`).
+    pub fn port_queue_bytes(&self, switch: SwitchId, port: u16) -> &Series {
+        &self.series[self.port_base + 2 * self.port_ordinal(switch, port)]
+    }
+
+    /// Low-priority (P4–P7) backlog of a switch egress port, bytes
+    /// (`queue_lp_bytes`); the high-priority share is the difference to
+    /// [`Self::port_queue_bytes`] at the same tick.
+    pub fn port_queue_lp_bytes(&self, switch: SwitchId, port: u16) -> &Series {
+        &self.series[self.lp_base + self.port_ordinal(switch, port)]
+    }
+
+    /// Utilization of a link per sampling window, 0..=1 (`util`).
+    pub fn link_util(&self, link: LinkId) -> &Series {
+        &self.series[self.link_base + link.0 as usize]
     }
 
     /// Flow-completion-time histogram, nanoseconds.
@@ -210,6 +243,136 @@ impl Telemetry {
                 }
             }
         }
+    }
+}
+
+impl<P: Payload> Simulator<P> {
+    /// Install the continuous-telemetry layer (DESIGN.md §14): a
+    /// deterministic whole-fabric sampler ticking every `cfg.interval`,
+    /// starting one interval from now. Sampling only *reads* simulation
+    /// state, so enabling telemetry leaves the trace and FCT streams of
+    /// the run byte-identical; the sampler stops rearming once every flow
+    /// has completed so the event queue still drains.
+    ///
+    /// Call after the topology is built (the series table is laid out
+    /// from the switch/port/link counts at install time).
+    pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
+        assert!(self.telemetry.is_none(), "telemetry already enabled");
+        assert!(cfg.interval > SimDuration::ZERO, "telemetry interval must be positive");
+        let cap = cfg.series_capacity;
+        let mut series = vec![
+            Series::new("flows.live", cap),
+            Series::new("pool.live", cap),
+            Series::new("pool.hit_rate", cap),
+            Series::new("cc.cwnd_bytes", cap),
+            Series::new("cc.inflight_bytes", cap),
+        ];
+        debug_assert_eq!(
+            series.len(),
+            IDX_FIRST_DYNAMIC,
+            "scalar series layout drifted from the IDX_* constants"
+        );
+        // One "sw{si}.port{pi}" stem per switch port, in (switch, port)
+        // order; `port_offsets[si]` is where switch `si`'s ports begin.
+        let mut port_offsets = Vec::with_capacity(self.switches.len());
+        let mut stems = Vec::new();
+        for (si, sw) in self.switches.iter().enumerate() {
+            port_offsets.push(stems.len());
+            stems.extend((0..sw.ports.len()).map(|pi| format!("sw{si}.port{pi}")));
+        }
+        let port_base = series.len();
+        for stem in &stems {
+            series.push(Series::new(format!("{stem}.queue_bytes"), cap));
+            series.push(Series::new(format!("{stem}.queue_pkts"), cap));
+        }
+        let link_base = series.len();
+        for li in 0..self.links.len() {
+            series.push(Series::new(format!("link{li}.util"), cap));
+        }
+        let lp_base = series.len();
+        for stem in &stems {
+            series.push(Series::new(format!("{stem}.queue_lp_bytes"), cap));
+        }
+        self.telemetry = Some(Box::new(Telemetry {
+            cfg,
+            series,
+            port_base,
+            link_base,
+            lp_base,
+            port_offsets,
+            fct_ns: LogHistogram::new(),
+            queue_delay_ns: LogHistogram::new(),
+            queue_depth_bytes: LogHistogram::new(),
+            last_link_tx: self.links.iter().map(|l| l.tx_bytes).collect(),
+            last_sample_at: self.now,
+            samples_taken: 0,
+            prof_counts: [0; 6],
+            prof_ns: [0; 6],
+            prof_batches: 0,
+            prof_batch_events: 0,
+        }));
+        self.schedule(self.now + cfg.interval, Ev::Sample);
+    }
+
+    /// The telemetry state, when enabled.
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry.as_deref()
+    }
+
+    /// Detach and return the telemetry state (e.g. to move it into a
+    /// post-run report without cloning the series table).
+    pub fn take_telemetry(&mut self) -> Option<Box<Telemetry>> {
+        self.telemetry.take()
+    }
+
+    /// One telemetry tick: snapshot fabric state into the series table.
+    /// Strictly read-only with respect to simulation state — the only
+    /// mutations are to the telemetry ledgers themselves — which is what
+    /// keeps telemetry-enabled runs byte-identical (DESIGN.md §14).
+    pub(crate) fn telemetry_tick(&mut self) {
+        // Detach the box so the borrow checker lets us walk `self` while
+        // filling the series; reattached below.
+        let Some(mut t) = self.telemetry.take() else { return };
+        let now = self.now;
+        let at = now.0;
+        // Every completed flow started, so started - completed = live;
+        // O(1) where a scan over `flows` would cost O(n) per tick.
+        let live_flows = self.flows_started - self.flows_completed;
+        t.series[IDX_FLOWS_LIVE].push(at, live_flows as f64);
+        let pool = self.pool.stats();
+        t.series[IDX_POOL_LIVE].push(at, pool.live as f64);
+        t.series[IDX_POOL_HIT].push(at, pool.hit_rate());
+        let mut cc = CcSnapshot::default();
+        for host in &self.hosts {
+            if let Some(transport) = host.transport.as_deref() {
+                cc.add(&transport.cc_snapshot());
+            }
+        }
+        t.series[IDX_CC_CWND].push(at, cc.cwnd_bytes as f64);
+        t.series[IDX_CC_INFLIGHT].push(at, cc.inflight_bytes as f64);
+        let ports = self.switches.iter().flat_map(|sw| &sw.ports);
+        for (ordinal, port) in ports.enumerate() {
+            let backlog = port.queues.total_bytes();
+            t.series[t.port_base + 2 * ordinal].push(at, backlog as f64);
+            t.series[t.port_base + 2 * ordinal + 1].push(at, port.queues.len() as f64);
+            t.series[t.lp_base + ordinal].push(at, port.queues.bytes_in_range(4..8) as f64);
+            t.queue_depth_bytes.record(backlog);
+        }
+        // Utilization = bytes the link moved this window over the bytes it
+        // could have moved; capped at 1.0 because a serialization that
+        // straddles the window boundary books its bytes at start-of-tx.
+        let window = now.saturating_since(t.last_sample_at);
+        for (li, link) in self.links.iter().enumerate() {
+            let tx = link.tx_bytes;
+            let delta = tx - t.last_link_tx[li];
+            t.last_link_tx[li] = tx;
+            let capacity = link.rate.bytes_in(window);
+            let util = if capacity == 0 { 0.0 } else { (delta as f64 / capacity as f64).min(1.0) };
+            t.series[t.link_base + li].push(at, util);
+        }
+        t.last_sample_at = now;
+        t.samples_taken += 1;
+        self.telemetry = Some(t);
     }
 }
 

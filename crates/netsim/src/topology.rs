@@ -1,11 +1,122 @@
-//! Topology builders for the paper's experiment setups.
+//! Topology construction: the [`Simulator`]'s cabling and routing
+//! primitives, and builders for the paper's experiment setups.
 
-use crate::engine::Simulator;
-use crate::ids::{HostId, NodeId, SwitchId};
+use std::collections::VecDeque;
+
+use crate::engine::{HostSlot, PortState, Simulator, SwitchSlot};
+use crate::ids::{HostId, LinkId, NodeId, SwitchId};
+use crate::link::Link;
 use crate::packet::Payload;
 use crate::switch::SwitchConfig;
 use crate::time::SimDuration;
 use crate::units::Rate;
+
+impl<P: Payload> Simulator<P> {
+    /// Add a host (must be cabled with [`Self::connect`] before use).
+    pub fn add_host(&mut self) -> HostId {
+        let id = HostId(self.hosts.len() as u32);
+        self.hosts.push(HostSlot { nic: None, transport: None, cpu_ns: 0, cpu_calls: 0 });
+        id
+    }
+
+    /// Add a switch with the given per-port configuration.
+    pub fn add_switch(&mut self, cfg: SwitchConfig) -> SwitchId {
+        let id = SwitchId(self.switches.len() as u32);
+        self.switches.push(SwitchSlot {
+            ports: Vec::new(),
+            cfg,
+            route_offsets: Vec::new(),
+            route_ports: Vec::new(),
+            pfc_xoff_count: [0; 8],
+        });
+        id
+    }
+
+    /// Cable `a` and `b` with a full-duplex link (two unidirectional links
+    /// of the same rate and delay). Hosts may be cabled exactly once.
+    pub fn connect(&mut self, a: NodeId, b: NodeId, rate: Rate, delay: SimDuration) {
+        self.attach_port(a, Link::new(rate, delay, b));
+        self.attach_port(b, Link::new(rate, delay, a));
+    }
+
+    /// Register `link` and give `node` the egress port that feeds it.
+    fn attach_port(&mut self, node: NodeId, link: Link) {
+        let port = PortState::new(LinkId(self.links.len() as u32));
+        self.links.push(link);
+        match node {
+            NodeId::Host(h) => {
+                let slot = &mut self.hosts[h.0 as usize];
+                assert!(slot.nic.is_none(), "host {h:?} already cabled");
+                slot.nic = Some(port);
+            }
+            NodeId::Switch(s) => self.switches[s.0 as usize].ports.push(port),
+        }
+    }
+
+    /// Compute destination-based ECMP routes on every switch via BFS
+    /// shortest paths. Call once after all `connect` calls.
+    pub fn build_routes(&mut self) {
+        let n_hosts = self.hosts.len();
+        for sw in &mut self.switches {
+            sw.route_offsets.clear();
+            sw.route_ports.clear();
+            sw.route_offsets.push(0);
+        }
+        // Distance (in hops) from every node to each destination host,
+        // computed by BFS from the host over reverse links. Links are
+        // symmetric here so forward BFS over neighbors is equivalent.
+        // Destinations are visited in ascending order, so each switch's
+        // CSR rows are appended in `dst` order.
+        let mut candidates: Vec<u16> = Vec::new();
+        for dst in 0..n_hosts {
+            let dist = self.bfs_from(NodeId::Host(HostId(dst as u32)));
+            for si in 0..self.switches.len() {
+                let my = dist[self.node_index(NodeId::Switch(SwitchId(si as u32)))];
+                candidates.clear();
+                for (pi, port) in self.switches[si].ports.iter().enumerate() {
+                    let peer = self.links[port.link.0 as usize].to;
+                    if dist[self.node_index(peer)] + 1 == my {
+                        candidates.push(pi as u16);
+                    }
+                }
+                let sw = &mut self.switches[si];
+                sw.route_ports.extend_from_slice(&candidates);
+                sw.route_offsets.push(sw.route_ports.len() as u32);
+            }
+        }
+    }
+
+    fn node_index(&self, n: NodeId) -> usize {
+        match n {
+            NodeId::Host(h) => h.0 as usize,
+            NodeId::Switch(s) => self.hosts.len() + s.0 as usize,
+        }
+    }
+
+    /// BFS hop distance from `start` to every node (usize::MAX = unreachable).
+    fn bfs_from(&self, start: NodeId) -> Vec<usize> {
+        let mut dist = vec![usize::MAX; self.hosts.len() + self.switches.len()];
+        let mut frontier = VecDeque::new();
+        dist[self.node_index(start)] = 0;
+        frontier.push_back(start);
+        while let Some(node) = frontier.pop_front() {
+            let d = dist[self.node_index(node)];
+            let ports = match node {
+                NodeId::Host(h) => self.hosts[h.0 as usize].nic.as_slice(),
+                NodeId::Switch(s) => &self.switches[s.0 as usize].ports,
+            };
+            for port in ports {
+                let peer = self.links[port.link.0 as usize].to;
+                let pi = self.node_index(peer);
+                if dist[pi] == usize::MAX {
+                    dist[pi] = d + 1;
+                    frontier.push_back(peer);
+                }
+            }
+        }
+        dist
+    }
+}
 
 /// A built topology: the simulator plus the ids needed to drive it.
 pub struct Topology<P: Payload> {
@@ -96,51 +207,37 @@ pub fn leaf_spine<P: Payload>(p: &LeafSpineParams, cfg: SwitchConfig) -> Topolog
     }
 }
 
-/// The paper's large-scale oversubscribed topology (§6.2): 144 servers,
-/// 9 leaves, 4 spines, 40 G edge / 100 G core.
-pub fn paper_oversubscribed<P: Payload>(cfg: SwitchConfig) -> Topology<P> {
+/// The paper's 144-server fabric — 9 leaves × 16 hosts, 4 spines, 2 µs
+/// links — at the given edge/core rates.
+fn paper_leaf_spine<P: Payload>(edge_gbps: u64, core_gbps: u64, cfg: SwitchConfig) -> Topology<P> {
     leaf_spine(
         &LeafSpineParams {
             n_leaves: 9,
             n_spines: 4,
             hosts_per_leaf: 16,
-            edge_rate: Rate::gbps(40),
-            core_rate: Rate::gbps(100),
+            edge_rate: Rate::gbps(edge_gbps),
+            core_rate: Rate::gbps(core_gbps),
             link_delay: SimDuration::from_micros(2),
         },
         cfg,
     )
+}
+
+/// The paper's large-scale oversubscribed topology (§6.2): 144 servers,
+/// 9 leaves, 4 spines, 40 G edge / 100 G core.
+pub fn paper_oversubscribed<P: Payload>(cfg: SwitchConfig) -> Topology<P> {
+    paper_leaf_spine(40, 100, cfg)
 }
 
 /// The appendix-E non-oversubscribed topology: 9 leaves × 16 hosts at
 /// 10 Gbps edge, 4 spines at 40 Gbps core (16×10 = 4×40, i.e. 1:1).
 pub fn paper_nonoversubscribed<P: Payload>(cfg: SwitchConfig) -> Topology<P> {
-    leaf_spine(
-        &LeafSpineParams {
-            n_leaves: 9,
-            n_spines: 4,
-            hosts_per_leaf: 16,
-            edge_rate: Rate::gbps(10),
-            core_rate: Rate::gbps(40),
-            link_delay: SimDuration::from_micros(2),
-        },
-        cfg,
-    )
+    paper_leaf_spine(10, 40, cfg)
 }
 
 /// The §6.3.2 100/400G topology.
 pub fn paper_100_400g<P: Payload>(cfg: SwitchConfig) -> Topology<P> {
-    leaf_spine(
-        &LeafSpineParams {
-            n_leaves: 9,
-            n_spines: 4,
-            hosts_per_leaf: 16,
-            edge_rate: Rate::gbps(100),
-            core_rate: Rate::gbps(400),
-            link_delay: SimDuration::from_micros(2),
-        },
-        cfg,
-    )
+    paper_leaf_spine(100, 400, cfg)
 }
 
 /// The paper's 15-host, 10 Gbps testbed (§6.1) with ~80 µs base RTT.

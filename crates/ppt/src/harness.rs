@@ -723,6 +723,18 @@ impl TelemetrySummary {
     }
 }
 
+/// A star's one switch and its egress port toward host `receiver` (the
+/// bottleneck of the N-to-1 microbenchmarks, Figs 1, 20, 28), for the
+/// typed [`netsim::Telemetry`] lookups; `None` if no port faces it.
+pub fn star_bottleneck(
+    sim: &netsim::Simulator<Proto>,
+    receiver: u32,
+) -> Option<(netsim::SwitchId, u16)> {
+    let sw = netsim::SwitchId(0);
+    let port = sim.switch_port_towards(sw, netsim::NodeId::Host(netsim::HostId(receiver)))?;
+    Some((sw, port))
+}
+
 /// Run an experiment end to end. `Hypothetical` schemes automatically run
 /// the plain-DCTCP recording pass on an identical topology + workload
 /// first (the §2.3 construction).

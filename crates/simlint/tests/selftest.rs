@@ -286,6 +286,15 @@ fn event_order_rule_fires_and_respects_engine_allowlist() {
                  impl E {\n    pub fn sneak(&mut self) {\n        self.heap.push(1);\n    }\n}\n";
     let v = lint_source("crates/netsim/src/engine.rs", rogue);
     assert_eq!(lines_for(&v, Rule::EventOrder), vec![4], "push outside schedule/run: {v:?}");
+
+    // The modules split out of engine.rs are ordinary netsim files: they
+    // reach the queue through `schedule`, never by minting a `QEntry`.
+    let sibling = fixture("event_order_sibling.rs");
+    let v = lint_source("crates/netsim/src/pfc.rs", &sibling);
+    let lines = lines_for(&v, Rule::EventOrder);
+    assert!(lines.contains(&3) && lines.contains(&7), "QEntry in a sibling module: {v:?}");
+    assert!(lines.contains(&8), "queue.push in a sibling module: {v:?}");
+    assert!(!lines.contains(&13), "calling schedule is the sanctioned path: {v:?}");
 }
 
 #[test]

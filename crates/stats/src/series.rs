@@ -1,6 +1,7 @@
-//! Time-series post-processing: link utilization and queue occupancy.
+//! Time-series post-processing: link utilization and queue occupancy,
+//! read from the engine's telemetry series (`netsim::Telemetry`).
 
-use netsim::{Rate, Sample};
+use netsim::trace::Series;
 
 /// One normalized utilization observation for a sampling interval.
 #[derive(Clone, Copy, Debug)]
@@ -11,25 +12,10 @@ pub struct UtilizationPoint {
     pub utilization: f64,
 }
 
-/// Convert cumulative tx-byte samples of a link into per-interval
-/// normalized utilization (Fig 1 / Fig 20 post-processing).
-pub fn utilization_series(samples: &[Sample], rate: Rate) -> Vec<UtilizationPoint> {
-    samples
-        .windows(2)
-        .map(|w| {
-            let dt_ns = w[1].at.as_nanos() - w[0].at.as_nanos();
-            let dbytes = w[1].value - w[0].value;
-            let capacity_bytes = rate.bytes_per_sec() as f64 * dt_ns as f64 / 1e9;
-            UtilizationPoint {
-                at_ns: w[1].at.as_nanos(),
-                utilization: if capacity_bytes > 0.0 {
-                    (dbytes as f64 / capacity_bytes).min(1.0)
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect()
+/// The points of a link's telemetry utilization series
+/// (`Telemetry::link_util`), for Fig 1 / Fig 20 post-processing.
+pub fn utilization_series(util: &Series) -> Vec<UtilizationPoint> {
+    util.points().map(|p| UtilizationPoint { at_ns: p.at, utilization: p.value }).collect()
 }
 
 /// Mean of a utilization series.
@@ -52,70 +38,52 @@ pub struct OccupancySplit {
     pub total_avg_bytes: f64,
 }
 
-/// Compute mean occupancy shares from port samples.
-pub fn occupancy_split(samples: &[Sample]) -> OccupancySplit {
-    if samples.is_empty() {
-        return OccupancySplit::default();
+/// Compute mean occupancy shares from one port's total and low-priority
+/// backlog series (`Telemetry::port_queue_bytes` / `port_queue_lp_bytes`,
+/// sampled at the same ticks).
+pub fn occupancy_split(total: &Series, low: &Series) -> OccupancySplit {
+    let mean = |s: &Series| s.points().map(|p| p.value).sum::<f64>() / s.len().max(1) as f64;
+    let (total_avg_bytes, low_avg_bytes) = (mean(total), mean(low));
+    OccupancySplit {
+        high_avg_bytes: total_avg_bytes - low_avg_bytes,
+        low_avg_bytes,
+        total_avg_bytes,
     }
-    let n = samples.len() as f64;
-    let mut high = 0.0;
-    let mut low = 0.0;
-    let mut total = 0.0;
-    for s in samples {
-        let h: u64 = s.per_priority[..4].iter().sum();
-        let l: u64 = s.per_priority[4..].iter().sum();
-        high += h as f64;
-        low += l as f64;
-        total += s.value as f64;
-    }
-    OccupancySplit { high_avg_bytes: high / n, low_avg_bytes: low / n, total_avg_bytes: total / n }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::SimTime;
 
-    fn sample(at_ns: u64, value: u64) -> Sample {
-        Sample { at: SimTime(at_ns), value, per_priority: [0; 8] }
+    fn series(values: &[f64]) -> Series {
+        let mut s = Series::new("s", 16);
+        for (i, v) in values.iter().enumerate() {
+            s.push((i as u64 + 1) * 100_000, *v);
+        }
+        s
     }
 
     #[test]
-    fn utilization_from_cumulative_counter() {
-        // 10Gbps link: 1.25 GB/s. 100us interval capacity = 125000 bytes.
-        let samples = vec![sample(0, 0), sample(100_000, 62_500), sample(200_000, 187_500)];
-        let u = utilization_series(&samples, Rate::gbps(10));
+    fn utilization_points_carry_the_window_ends() {
+        let u = utilization_series(&series(&[0.5, 1.0]));
         assert_eq!(u.len(), 2);
-        assert!((u[0].utilization - 0.5).abs() < 1e-9);
-        assert!((u[1].utilization - 1.0).abs() < 1e-9);
+        assert_eq!((u[0].at_ns, u[1].at_ns), (100_000, 200_000));
         assert!((mean_utilization(&u) - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_clamps_at_one() {
-        let samples = vec![sample(0, 0), sample(1, u64::MAX / 2)];
-        let u = utilization_series(&samples, Rate::mbps(1));
-        assert_eq!(u[0].utilization, 1.0);
     }
 
     #[test]
     fn empty_series_is_nan_mean() {
         assert!(mean_utilization(&[]).is_nan());
-        assert!(utilization_series(&[sample(0, 0)], Rate::gbps(1)).is_empty());
+        assert!(utilization_series(&series(&[])).is_empty());
     }
 
     #[test]
     fn occupancy_split_groups_priorities() {
-        let mut s1 = sample(0, 100);
-        s1.per_priority = [10, 10, 10, 10, 15, 15, 15, 15];
-        s1.value = 100;
-        let mut s2 = sample(1, 200);
-        s2.per_priority = [50, 0, 0, 0, 150, 0, 0, 0];
-        s2.value = 200;
-        let split = occupancy_split(&[s1, s2]);
+        let split = occupancy_split(&series(&[100.0, 200.0]), &series(&[60.0, 150.0]));
         assert_eq!(split.high_avg_bytes, (40.0 + 50.0) / 2.0);
         assert_eq!(split.low_avg_bytes, (60.0 + 150.0) / 2.0);
         assert_eq!(split.total_avg_bytes, 150.0);
+        assert_eq!(occupancy_split(&series(&[]), &series(&[])).total_avg_bytes, 0.0);
     }
 }
 

@@ -186,6 +186,22 @@ pub fn rto_token(flow: u64) -> u64 {
     Token { kind: TIMER_RTO, generation: 0, flow }.encode()
 }
 
+/// Sum window and in-flight bytes over an endpoint's senders that are
+/// still running, for `Transport::cc_snapshot`. Each item pairs a flow's
+/// [`DctcpFlowTx`] with the window bytes it holds outside it (an open LCP
+/// loop's; 0 for a plain window).
+pub(crate) fn cc_snapshot<'a>(
+    flows: impl Iterator<Item = (&'a DctcpFlowTx, u64)>,
+) -> netsim::CcSnapshot {
+    let mut snap = netsim::CcSnapshot::default();
+    for (tx, extra_window_bytes) in flows.filter(|(tx, _)| !tx.is_done()) {
+        snap.cwnd_bytes += tx.cwnd_bytes() + extra_window_bytes;
+        snap.inflight_bytes += tx.inflight_bytes();
+        snap.flows += 1;
+    }
+    snap
+}
+
 /// simsan probe shared by [`arm_rto`] and [`service_rto`]: every live
 /// TCP-family sender must hold a positive congestion window and only ever
 /// advance its cumulative ACK. Queues ledger notes via [`Ctx::san_note`]

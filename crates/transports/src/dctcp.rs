@@ -174,13 +174,7 @@ impl Transport<Proto> for DctcpTransport {
     }
 
     fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        let mut snap = netsim::CcSnapshot::default();
-        for flow in self.tx.values().filter(|f| !f.is_done()) {
-            snap.cwnd_bytes += flow.cwnd_bytes();
-            snap.inflight_bytes += flow.inflight_bytes();
-            snap.flows += 1;
-        }
-        snap
+        crate::common::cc_snapshot(self.tx.values().map(|tx| (tx, 0)))
     }
 }
 

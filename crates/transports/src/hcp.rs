@@ -156,4 +156,8 @@ impl<H: Hcp> Transport<Proto> for Window<H> {
             pump::<H>(flow, ctx);
         }
     }
+
+    fn cc_snapshot(&self) -> netsim::CcSnapshot {
+        crate::common::cc_snapshot(self.tx.values().map(|tx| (tx, 0)))
+    }
 }

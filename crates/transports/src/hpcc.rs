@@ -141,12 +141,7 @@ mod tests {
             .sim
             .switch_port_towards(topo.leaves[0], netsim::NodeId::Host(topo.hosts[2]))
             .unwrap();
-        let sampler = topo.sim.sample_port(
-            topo.leaves[0],
-            port,
-            SimDuration::from_micros(50),
-            SimTime(12_000_000),
-        );
+        topo.sim.enable_telemetry(netsim::TelemetryConfig::new(SimDuration::from_micros(50)));
         let report = topo
             .sim
             .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
@@ -154,9 +149,8 @@ mod tests {
         assert_eq!(topo.sim.total_counters().dropped, 0, "HPCC should not overflow a 200KB buffer");
         // Average backlog over the steady interval should be well under
         // the buffer (HPCC's near-zero-queue property, loosely checked).
-        let samples = topo.sim.samples(sampler);
-        let avg: f64 =
-            samples.iter().map(|s| s.value as f64).sum::<f64>() / samples.len().max(1) as f64;
+        let backlog = topo.sim.telemetry().unwrap().port_queue_bytes(topo.leaves[0], port);
+        let avg = backlog.points().map(|p| p.value).sum::<f64>() / backlog.len().max(1) as f64;
         assert!(avg < 100_000.0, "avg queue {avg} too deep for HPCC");
     }
 

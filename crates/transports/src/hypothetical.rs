@@ -163,6 +163,10 @@ impl Transport<Proto> for HypotheticalTransport {
             _ => {}
         }
     }
+
+    fn cc_snapshot(&self) -> netsim::CcSnapshot {
+        crate::common::cc_snapshot(self.tx.values().map(|f| (&f.hcp, 0)))
+    }
 }
 
 /// Install the hypothetical transport with a previously recorded oracle.

@@ -347,17 +347,14 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
     }
 
     fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        let mut snap = netsim::CcSnapshot::default();
-        for f in self.tx.values().filter(|f| !f.tx.is_done()) {
-            // The window is the dual-loop total: the HCP congestion
-            // window plus the open LCP's window, when one exists. LCP
-            // segments claim flow bytes through the shared HCP ledger, so
-            // its in-flight is already covered by `inflight_bytes`.
-            snap.cwnd_bytes +=
-                f.tx.cwnd_bytes() + f.lcp.as_ref().map_or(0, |l| l.initial_window_bytes());
-            snap.inflight_bytes += f.tx.inflight_bytes();
-            snap.flows += 1;
-        }
-        snap
+        // The window is the dual-loop total: the HCP congestion window
+        // plus the open LCP's window, when one exists. LCP segments claim
+        // flow bytes through the shared HCP ledger, so the loop's
+        // in-flight is already covered by the HCP's.
+        crate::common::cc_snapshot(
+            self.tx
+                .values()
+                .map(|f| (&f.tx, f.lcp.as_ref().map_or(0, |l| l.initial_window_bytes()))),
+        )
     }
 }

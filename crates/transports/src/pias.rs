@@ -134,6 +134,10 @@ impl Transport<Proto> for PiasTransport {
             self.pump(id, ctx);
         }
     }
+
+    fn cc_snapshot(&self) -> netsim::CcSnapshot {
+        crate::common::cc_snapshot(self.tx.values().map(|tx| (tx, 0)))
+    }
 }
 
 /// Install PIAS on every host.

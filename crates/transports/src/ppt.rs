@@ -145,22 +145,16 @@ mod tests {
         let size = 2 << 20;
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], size, SimTime::ZERO, size);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], size, SimTime::ZERO, size);
-        // Sample the switch egress port toward the receiver.
+        // Watch the switch egress port toward the receiver.
         let port = topo
             .sim
             .switch_port_towards(topo.leaves[0], netsim::NodeId::Host(topo.hosts[2]))
             .unwrap();
-        let sampler = topo.sim.sample_port(
-            topo.leaves[0],
-            port,
-            SimDuration::from_micros(5),
-            SimTime(3_000_000),
-        );
+        topo.sim.enable_telemetry(netsim::TelemetryConfig::new(SimDuration::from_micros(5)));
         run_flows(&mut topo, 1000);
-        let samples = topo.sim.samples(sampler);
-        let low_band_bytes: u64 =
-            samples.iter().map(|s| s.per_priority[4..].iter().sum::<u64>()).sum();
-        assert!(low_band_bytes > 0, "LCP traffic must appear in P4-P7");
+        let low_band = topo.sim.telemetry().unwrap().port_queue_lp_bytes(topo.leaves[0], port);
+        let low_band_bytes: f64 = low_band.points().map(|p| p.value).sum();
+        assert!(low_band_bytes > 0.0, "LCP traffic must appear in P4-P7");
     }
 
     #[test]

@@ -194,6 +194,10 @@ impl Transport<Proto> for Rc3Transport {
             _ => {}
         }
     }
+
+    fn cc_snapshot(&self) -> netsim::CcSnapshot {
+        crate::common::cc_snapshot(self.tx.values().map(|f| (&f.hcp, 0)))
+    }
 }
 
 /// Install RC3 on every host.

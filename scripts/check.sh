@@ -151,7 +151,8 @@ rm -rf "$LCP_TMP"
 
 echo "==> non-test line counts (lines above the first #[cfg(test)] per file)"
 for group in "crates/transports/src/*.rs" \
-    "crates/pptlab/src/*.rs crates/ppt/src/harness.rs crates/netsim/src/sched.rs"; do
+    "crates/pptlab/src/*.rs crates/ppt/src/harness.rs crates/netsim/src/sched.rs" \
+    "crates/netsim/src/*.rs crates/stats/src/series.rs"; do
     total=0
     for f in $group; do
         n=$(awk '/#\[cfg\(test\)\]/ { exit } { c++ } END { print c + 0 }' "$f")
@@ -160,6 +161,17 @@ for group in "crates/transports/src/*.rs" \
     done
     printf '%6d total\n' "$total"
 done
+
+echo "==> engine.rs is the run loop; telemetry is the one sampler (DESIGN.md §3, §14)"
+engine_lines=$(wc -l < crates/netsim/src/engine.rs)
+if [ "$engine_lines" -gt 1000 ]; then
+    echo "check.sh: engine.rs has $engine_lines lines (> 1000): move the concern to its module" >&2
+    exit 1
+fi
+if grep -rnwE 'sample_link|sample_port|SamplerId' crates tests examples; then
+    echo "check.sh: the legacy sampler API is back; use telemetry series" >&2
+    exit 1
+fi
 
 echo "==> telemetry smoke (report byte-identical across reruns; goldens untouched)"
 TELEM_TMP="${TMPDIR:-/tmp}/pptlab-telemetry-smoke.$$"

@@ -278,12 +278,13 @@ fn pinned_fault_schedule_goldens_for_any_job_count() {
 }
 
 /// One load point of the sweep: every per-flow FCT plus the raw queue-depth
-/// time series at the bottleneck port, in a byte-comparable form.
-type SweepPoint = (Vec<(u64, u64)>, Vec<(u64, u64, [u64; 8])>);
+/// time series at the bottleneck port (tick, total bytes, P4–P7 bytes, as
+/// bit patterns), in a byte-comparable form.
+type SweepPoint = (Vec<(u64, u64)>, Vec<(u64, u64, u64)>);
 
 fn websearch_sweep(scheme: Scheme, seed: u64) -> Vec<SweepPoint> {
-    use ppt::harness::run_experiment_with;
-    use ppt::netsim::{NodeId, SimDuration, SimTime};
+    use ppt::harness::{star_bottleneck, TelemetrySpec};
+    use ppt::netsim::SimDuration;
 
     let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
     let mut sweep = Vec::new();
@@ -291,23 +292,18 @@ fn websearch_sweep(scheme: Scheme, seed: u64) -> Vec<SweepPoint> {
         let spec =
             WorkloadSpec::new(SizeDistribution::web_search(), load, topo.edge_rate(), 60, seed);
         let flows = all_to_all(topo.hosts(), &spec);
-        let mut sampler = None;
-        let outcome = run_experiment_with(&Experiment::new(topo, scheme.clone(), flows), |t| {
-            let port = t.sim.switch_port_towards(t.leaves[0], NodeId::Host(t.hosts[0])).unwrap();
-            sampler = Some(t.sim.sample_port(
-                t.leaves[0],
-                port,
-                SimDuration::from_micros(50),
-                SimTime(40_000_000),
-            ));
-        });
+        let exp = Experiment::new(topo, scheme.clone(), flows)
+            .with_telemetry(TelemetrySpec::new(SimDuration::from_micros(50)));
+        let outcome = run_experiment(&exp);
         let fct_series: Vec<(u64, u64)> =
             outcome.fct.records().iter().map(|r| (r.size_bytes, r.fct.as_nanos())).collect();
-        let queue_series: Vec<(u64, u64, [u64; 8])> = outcome
-            .sim
-            .samples(sampler.unwrap())
-            .iter()
-            .map(|s| (s.at.0, s.value, s.per_priority))
+        let (sw, port) = star_bottleneck(&outcome.sim, 0).unwrap();
+        let t = outcome.sim.telemetry().unwrap();
+        let queue_series: Vec<(u64, u64, u64)> = t
+            .port_queue_bytes(sw, port)
+            .points()
+            .zip(t.port_queue_lp_bytes(sw, port).points())
+            .map(|(all, lp)| (all.at, all.value.to_bits(), lp.value.to_bits()))
             .collect();
         sweep.push((fct_series, queue_series));
     }

@@ -118,37 +118,49 @@ fn ewd_halves_the_per_rtt_lcp_send_volume() {
 
 /// The layered variants are observable through the same lens as PPT:
 /// their loops appear in the event stream with a trigger and a close
-/// reason, case 2 is labelled as such (delay- and U-triggered opens are
-/// not flow-start opens), and telemetry sees their windows.
+/// reason, and case 2 is labelled as such (delay- and U-triggered opens
+/// are not flow-start opens). And telemetry sees the windows of every
+/// scheme built on `DctcpFlowTx`, layered or not.
 #[test]
 fn layered_variants_expose_their_lcp_loops_and_windows() {
     use ppt::harness::TelemetrySpec;
     use ppt::netsim::SimDuration;
-    for scheme in [Scheme::SwiftPpt, Scheme::HpccPpt] {
+    let schemes = [
+        Scheme::SwiftPpt,
+        Scheme::HpccPpt,
+        Scheme::Ppt,
+        Scheme::Dctcp,
+        Scheme::Hpcc,
+        Scheme::PowerTcp,
+        Scheme::Swift,
+        Scheme::Pias,
+        Scheme::Rc3,
+        Scheme::Hypothetical(1.0),
+    ];
+    for scheme in schemes {
         let name = scheme.name();
+        let layered = matches!(scheme, Scheme::SwiftPpt | Scheme::HpccPpt);
         let mut exp = websearch_experiment(42, 60, 0.5)
             .with_telemetry(TelemetrySpec::new(SimDuration::from_micros(10)));
         exp.scheme = scheme;
         let (outcome, data) = run_experiment_traced(&exp);
         assert_eq!(outcome.report.stop, StopReason::AllFlowsDone, "{name}");
-        let report = analyze_lcp(&data.events, exp.topo.base_rtt());
-        assert!(!report.loops.is_empty(), "{name}: no LCP loop in the trace");
-        assert!(report.opened_queue_buildup >= 1, "{name}: no case-2 open");
-        assert_eq!(report.still_open, 0, "{name}: a loop outlived its flow");
-        assert!(
-            report.loops.iter().all(|l| l.close_reason.is_some()),
-            "{name}: a loop closed without a reason"
-        );
-        assert!(report.lcp_acks > 0, "{name}: no LCP ACK events");
-        let cwnd = outcome
-            .sim
-            .telemetry()
-            .and_then(|t| t.series_named("cc.cwnd_bytes"))
-            .expect("cc.cwnd_bytes series");
-        assert!(
-            cwnd.points().any(|p| p.value > 0.0),
-            "{name}: cc_snapshot never reported a window"
-        );
+        if layered {
+            let report = analyze_lcp(&data.events, exp.topo.base_rtt());
+            assert!(!report.loops.is_empty(), "{name}: no LCP loop in the trace");
+            assert!(report.opened_queue_buildup >= 1, "{name}: no case-2 open");
+            assert_eq!(report.still_open, 0, "{name}: a loop outlived its flow");
+            assert!(
+                report.loops.iter().all(|l| l.close_reason.is_some()),
+                "{name}: a loop closed without a reason"
+            );
+            assert!(report.lcp_acks > 0, "{name}: no LCP ACK events");
+        }
+        let telemetry = outcome.sim.telemetry().expect("telemetry enabled");
+        for series in ["cc.cwnd_bytes", "cc.inflight_bytes"] {
+            let s = telemetry.series_named(series).expect(series);
+            assert!(s.points().any(|p| p.value > 0.0), "{name}: {series} is flat zero");
+        }
     }
 }
 

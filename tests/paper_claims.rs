@@ -2,7 +2,8 @@
 //! numbers differ from the paper's testbed; the *orderings* are the
 //! claims under test here.
 
-use ppt::harness::{run_experiment, run_experiment_with, Experiment, Scheme, TopoKind};
+use ppt::harness::{run_experiment, star_bottleneck, Experiment, Scheme, TelemetrySpec, TopoKind};
+use ppt::netsim::SimDuration;
 use ppt::stats::{mean_utilization, utilization_series};
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
 
@@ -51,24 +52,12 @@ fn ppt_utilization_exceeds_dctcp() {
 
     let mut utils = Vec::new();
     for scheme in [Scheme::Dctcp, Scheme::Ppt] {
-        let mut sampler_slot = None;
-        let outcome = run_experiment_with(&Experiment::new(topo, scheme, flows.clone()), |t| {
-            let link = t.sim.host_uplink(t.hosts[2]); // receiver downlink is the switch side...
-                                                      // Sample the switch egress toward the receiver instead.
-            let port = t
-                .sim
-                .switch_port_towards(t.leaves[0], ppt::netsim::NodeId::Host(t.hosts[2]))
-                .unwrap();
-            let l = t.sim.switch_port_link(t.leaves[0], port);
-            let _ = link;
-            sampler_slot = Some(t.sim.sample_link(
-                l,
-                ppt::netsim::SimDuration::from_micros(100),
-                ppt::netsim::SimTime(20_000_000),
-            ));
-        });
-        let series =
-            utilization_series(outcome.sim.samples(sampler_slot.unwrap()), topo.edge_rate());
+        let exp = Experiment::new(topo, scheme, flows.clone())
+            .with_telemetry(TelemetrySpec::new(SimDuration::from_micros(100)));
+        let sim = run_experiment(&exp).sim;
+        let (sw, port) = star_bottleneck(&sim, 2).unwrap();
+        let link = sim.switch_port_link(sw, port);
+        let series = utilization_series(sim.telemetry().unwrap().link_util(link));
         utils.push(mean_utilization(&series));
     }
     assert!(utils[1] > utils[0], "PPT util {:.3} must exceed DCTCP util {:.3}", utils[1], utils[0]);
