@@ -5,10 +5,11 @@
 //! Zero-dependency harness (`harness = false`): measures wall time with
 //! `std::time::Instant` and prints `name  ns/iter`. Timing output is
 //! informational only — nothing here gates on absolute numbers, so the
-//! harness stays robust on loaded CI machines. The one gate is a *ratio*
-//! taken inside this process: an in-order ACK against 8 192 in-flight
-//! segments may cost at most 3× one against 64 (`bench_ack_scaling`).
-//! Run with `cargo bench -p bench`.
+//! harness stays robust on loaded CI machines. The two gates are a *ratio*
+//! taken inside this process — an in-order ACK against 8 192 in-flight
+//! segments may cost at most 3× one against 64 (`bench_ack_scaling`) — and
+//! an exact *count*: events dispatched per data packet of one DCTCP flow
+//! (`events_per_packet`). Run with `cargo bench -p bench`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -287,6 +288,36 @@ fn bench_tracing_overhead() {
     bench("trace/memory_sink", 2, 30, || run(Some(Box::new(MemorySink::new()))));
 }
 
+/// Events dispatched per data packet for one 4 MB DCTCP flow through one
+/// switch. A data packet and its ACK cross two links each: four `Deliver`s.
+/// Everything above that is `TxDone`s that had a successor to start and
+/// the flow's few RTO timer fires; an event that does no work is never
+/// scheduled (DESIGN.md §10.1), and this count is how one shows up if it
+/// comes back. The run is deterministic, so the count is exact.
+fn events_per_packet() -> f64 {
+    use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+    use ppt::transports::{install_dctcp, Proto, TcpCfg};
+    let mut topo = star::<Proto>(
+        2,
+        Rate::gbps(10),
+        SimDuration::from_micros(20),
+        SwitchConfig::dctcp(200_000, 30_000),
+    );
+    let cfg = TcpCfg::new(topo.base_rtt);
+    install_dctcp(&mut topo, &cfg);
+    topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 4 << 20, SimTime::ZERO, 4 << 20);
+    let report = topo.sim.run(RunLimits::default());
+    assert_eq!(report.flows_completed, 1);
+    let data_packets = topo.sim.link(topo.sim.host_uplink(topo.hosts[0])).tx_packets;
+    report.events as f64 / data_packets as f64
+}
+
+/// The gate on [`events_per_packet`]: the 5.998 measured when on-demand
+/// `TxDone` and the single live RTO timer landed, plus 5 %. It was 9.0 (four
+/// `Deliver`s, four `TxDone`s, one timer) when every transmit and every
+/// pump scheduled its own event.
+const MAX_EVENTS_PER_PACKET: f64 = 6.3;
+
 fn main() {
     println!("microbench (zero-dep harness; informational timings)");
     bench_interval_set();
@@ -296,8 +327,17 @@ fn main() {
     bench_core_state_machines();
     bench_end_to_end();
     bench_tracing_overhead();
+    let per_packet = events_per_packet();
+    println!("{:<44} {per_packet:>12.3} events/packet", "engine/events_per_packet/dctcp_4mb");
     if !ack_cost_follows_the_ack {
         eprintln!("microbench: on_ack at 8192 segments in flight costs more than 3x on_ack at 64");
+        std::process::exit(1);
+    }
+    if per_packet > MAX_EVENTS_PER_PACKET {
+        eprintln!(
+            "microbench: {per_packet:.3} events per data packet (gate {MAX_EVENTS_PER_PACKET}): \
+             something schedules a per-packet event that does no work"
+        );
         std::process::exit(1);
     }
 }

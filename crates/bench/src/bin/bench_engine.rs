@@ -221,11 +221,10 @@ fn measure_interleaved(runs: u32) -> Measurement {
 /// cancels exactly (unlike the cross-run overhead ratios). Run outside
 /// the timed loop — profiling is excluded from the overhead numbers just
 /// as it is from the determinism goldens.
-fn profile_breakdown() -> (String, f64, f64) {
+fn profile_breakdown() -> (String, f64) {
     let exp = engine_scenario();
     let cfg = TelemetryConfig::new(SimDuration::from_micros(TELEMETRY_INTERVAL_US)).with_prof();
     let outcome = run_experiment_with(&exp, |t| t.sim.enable_telemetry(cfg));
-    let mean_batch = outcome.sim.telemetry().and_then(|t| t.mean_batch_len()).unwrap_or(1.0);
     let rows = outcome
         .sim
         .telemetry()
@@ -251,7 +250,7 @@ fn profile_breakdown() -> (String, f64, f64) {
         }
     }
     arr.push(']');
-    (arr, sample_ns as f64 / total_ns.max(1) as f64, mean_batch)
+    (arr, sample_ns as f64 / total_ns.max(1) as f64)
 }
 
 /// An 8-point grid (2 schemes x 2 loads x 2 seeds) timed at a given
@@ -291,7 +290,7 @@ fn main() {
     // themselves; the wall-clock overhead ratios are end-to-end.
     let ns_per_event_telemetry = telemetry.wall_ns as f64 / telemetry.events.max(1) as f64;
 
-    let (profile, sampler_share, mean_batch) = profile_breakdown();
+    let (profile, sampler_share) = profile_breakdown();
 
     let sweep_serial_ns = measure_sweep(1);
     let sweep_parallel_ns = measure_sweep(4);
@@ -310,7 +309,6 @@ fn main() {
         .f64("pool_hit_rate", pool_hit_rate)
         .f64("ns_per_event_heap", ns_per_event_heap)
         .f64("heap_queue_ratio", m.heap_queue_ratio)
-        .f64("prof_mean_batch", mean_batch)
         .f64("ns_per_event_sanitized", ns_per_event_sanitized)
         .f64("simsan_overhead", m.simsan_overhead)
         .f64("simsan_overhead_floor", m.simsan_overhead_floor)

@@ -8,8 +8,9 @@
 //! the engine consults wall-clock randomness.
 //!
 //! This file is the loop itself — [`Simulator::run`], `dispatch`,
-//! `with_transport`, the enqueue/transmit path — and `schedule`, the one
-//! function outside [`crate::sched`] that pushes the event queue. What
+//! `with_transport`, the enqueue/transmit path — and the two functions
+//! outside [`crate::sched`] that push the event queue: `schedule`, and
+//! `push_tx_done` for a `TxDone` whose key was minted at transmit time. What
 //! the loop calls into lives in the module named for it: `topology`,
 //! `pool`, `faults`, `pfc`, `telemetry`, `sanitizer` (DESIGN.md §4).
 
@@ -79,7 +80,15 @@ fn prof_kind_index(ev: Ev) -> usize {
 pub(crate) struct PortState<P> {
     pub(crate) link: LinkId,
     pub(crate) queues: PrioQueues<P>,
+    /// A serialization is in flight. Call [`Simulator::settle`] before
+    /// reading it: a port whose `TxDone` was never pushed is still marked
+    /// busy after the instant that event would have dispatched.
     pub(crate) busy: bool,
+    /// The `(time, seq)` key `transmit` reserved for this serialization's
+    /// `TxDone` while that event is not in the queue. It is pushed only
+    /// once it has work to do, so `busy && !queues.is_empty()` implies
+    /// this is `None` (the event is queued).
+    unpushed_tx_done: Option<(SimTime, u64)>,
     counters: PortCounters,
     /// PFC receive state: bit `p` set = priority `p` must not be served
     /// (a pause frame from the downstream neighbour is in effect). Always
@@ -96,6 +105,7 @@ impl<P> PortState<P> {
             link,
             queues: PrioQueues::new(),
             busy: false,
+            unpushed_tx_done: None,
             counters: PortCounters::default(),
             paused_mask: 0,
             xoff_sent: 0,
@@ -134,12 +144,12 @@ pub struct Simulator<P: Payload> {
     pub(crate) now: SimTime,
     /// The event queue (calendar by default; see [`crate::sched`]).
     queue: Queue<Ev>,
-    /// Scratch buffer for same-tick batch draining in [`Self::run`],
-    /// parked here so it is allocated once per simulator.
-    batch: Vec<QEntry<Ev>>,
     /// In-flight packets, referenced from the event queue by [`PkRef`].
     pub(crate) pool: PacketPool<P>,
     seq: u64,
+    /// Sequence number of the event being dispatched: with `now`, the
+    /// point the run has reached in `(time, seq)` order.
+    cur_seq: u64,
     pub(crate) links: Vec<Link>,
     pub(crate) hosts: Vec<HostSlot<P>>,
     pub(crate) switches: Vec<SwitchSlot<P>>,
@@ -181,9 +191,9 @@ impl<P: Payload> Simulator<P> {
         Simulator {
             now: SimTime::ZERO,
             queue: Queue::new(QueueKind::Calendar),
-            batch: Vec::new(),
             pool: PacketPool::new(),
             seq: 0,
+            cur_seq: 0,
             links: Vec::new(),
             hosts: Vec::new(),
             switches: Vec::new(),
@@ -453,13 +463,20 @@ impl<P: Payload> Simulator<P> {
     // ---------------------------------------------------------------
 
     // simlint: hot-path
-    pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
+    /// Mint the next sequence number for an event at `at`. Every event
+    /// takes its place in the FIFO tie-break here, pushed now or later.
+    fn mint_seq(&mut self, at: SimTime) -> u64 {
         debug_assert!(at >= self.now, "scheduling into the past");
         if let Some(s) = self.san.as_mut() {
             s.observe_schedule(at, self.now, self.seq);
         }
-        self.queue.push(QEntry { at, seq: self.seq, ev });
         self.seq += 1;
+        self.seq - 1
+    }
+
+    pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
+        let seq = self.mint_seq(at);
+        self.queue.push(QEntry { at, seq, ev });
     }
 
     /// Current simulated time.
@@ -487,71 +504,52 @@ impl<P: Payload> Simulator<P> {
         }
 
         let mut stop = StopReason::AllFlowsDone;
-        // The self-profiler is opt-in (`TelemetryConfig::prof`): it reads
-        // the wall clock around every dispatch, and its numbers are
-        // machine noise — never part of any determinism golden.
+        // The self-profiler is opt-in (`TelemetryConfig::prof`): its
+        // numbers are machine noise — never part of any determinism golden.
+        // It reads the wall clock once per event: event i's end stamp is
+        // event i+1's start, so the per-kind times (pop and audit included)
+        // add up to the time spent in this loop.
         let prof = self.telemetry.as_deref().is_some_and(|t| t.prof_enabled());
-        // Drain same-tick batches: one queue probe covers every event that
-        // shares the earliest timestamp (TxDone/Deliver bursts at
-        // synchronized serialization boundaries). The batch is popped in
-        // `(time, seq)` order, and anything a dispatch schedules carries a
-        // later seq than the whole batch, so dispatch order is identical
-        // to popping one entry at a time. The scratch buffer lives on the
-        // simulator; take it to keep `self` borrowable during dispatch.
-        let mut batch = std::mem::take(&mut self.batch);
-        'runloop: loop {
-            match self.queue.peek_key() {
-                None => break,
+        let mut stamp = prof.then(std::time::Instant::now); // simlint: allow(determinism)
+
+        // One entry per iteration, strictly in `(time, seq)` order: a
+        // dispatch may push a `TxDone` under a key reserved earlier
+        // (`push_tx_done`), which can sort before entries already queued
+        // for this same tick.
+        while let Some((at, _)) = self.queue.peek_key() {
+            if at > limits.max_time {
                 // Not due yet: leave it queued for a future run() call.
-                Some((at, _)) if at > limits.max_time => {
-                    self.now = limits.max_time;
-                    stop = StopReason::MaxTime;
-                    break;
-                }
-                Some(_) => {}
+                // Everything at or before `max_time` has dispatched.
+                self.now = limits.max_time;
+                self.cur_seq = u64::MAX;
+                stop = StopReason::MaxTime;
+                break;
             }
-            // The pre-refactor loop dispatched at least one event per
-            // run() call even with an exhausted budget; keep that shape.
-            let budget = limits.max_events.saturating_sub(self.events).max(1);
-            self.queue.pop_batch(&mut batch, usize::try_from(budget).unwrap_or(usize::MAX));
-            for i in 0..batch.len() {
-                let entry = batch[i];
-                if let Some(s) = self.san.as_mut() {
-                    s.observe_pop(entry.at, entry.seq, self.now);
-                }
-                self.now = entry.at;
-                self.events += 1;
-                if prof {
-                    let kind = prof_kind_index(entry.ev);
-                    let t0 = std::time::Instant::now(); // simlint: allow(determinism)
-                    self.dispatch(entry.ev);
-                    let elapsed = t0.elapsed().as_nanos() as u64;
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.prof_counts[kind] += 1;
-                        t.prof_ns[kind] += elapsed;
-                    }
-                } else {
-                    self.dispatch(entry.ev);
-                }
-                let violated = self.san.is_some() && self.san_tick();
-                if violated || self.events >= limits.max_events {
-                    stop = if violated { StopReason::SanViolation } else { StopReason::MaxEvents };
-                    // Undrained tail flows back with its keys intact.
-                    for &e in &batch[i + 1..] {
-                        self.queue.push(e);
-                    }
-                    break 'runloop;
-                }
+            let Some(entry) = self.queue.pop() else { break };
+            if let Some(s) = self.san.as_mut() {
+                s.observe_pop(entry.at, entry.seq, self.now);
             }
-            if prof {
+            self.now = entry.at;
+            self.cur_seq = entry.seq;
+            self.events += 1;
+            self.dispatch(entry.ev);
+            let violated = self.san.is_some() && self.san_tick();
+            if let Some(t0) = stamp.as_mut() {
+                let t1 = std::time::Instant::now(); // simlint: allow(determinism)
                 if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.prof_batches += 1;
-                    t.prof_batch_events += batch.len() as u64;
+                    let kind = prof_kind_index(entry.ev);
+                    t.prof_counts[kind] += 1;
+                    t.prof_ns[kind] += t1.duration_since(*t0).as_nanos() as u64;
                 }
+                *t0 = t1;
+            }
+            // At least one event dispatches per run() call, even on an
+            // exhausted budget.
+            if violated || self.events >= limits.max_events {
+                stop = if violated { StopReason::SanViolation } else { StopReason::MaxEvents };
+                break;
             }
         }
-        batch.clear();
-        self.batch = batch;
         if self.san.is_some() && stop != StopReason::SanViolation {
             // Final audit; at a quiescent end (queue drained) no packet
             // may still be parked in the pool.
@@ -697,10 +695,14 @@ impl<P: Payload> Simulator<P> {
         if let Some(s) = self.san.as_mut() {
             s.observe_queue_push(host_port_key(host.0), pkt.wire_bytes as u64);
         }
-        let nic = self.port_mut(NodeId::Host(host), 0);
+        let node = NodeId::Host(host);
+        self.settle(node, 0);
+        let nic = self.port_mut(node, 0);
         nic.queues.push(pkt);
-        if !nic.busy {
-            self.start_tx(NodeId::Host(host), 0);
+        if nic.busy {
+            self.push_tx_done(node, 0);
+        } else {
+            self.start_tx(node, 0);
         }
     }
 
@@ -745,6 +747,7 @@ impl<P: Payload> Simulator<P> {
         });
         let (tflow, tprio, tbytes) = (pkt.flow.0, pkt.priority, pkt.payload_bytes() as u64);
         let (twire, tecn) = (pkt.wire_bytes as u64, pkt.ecn.capable && !pkt.ecn.ce);
+        self.settle(NodeId::Switch(switch), pi as u16);
         let sw = &mut self.switches[si];
         let port = &mut sw.ports[pi];
         let evicted_before = port.counters.evicted;
@@ -829,7 +832,9 @@ impl<P: Payload> Simulator<P> {
         match outcome {
             EnqueueOutcome::Dropped => {}
             EnqueueOutcome::Queued { .. } | EnqueueOutcome::Trimmed => {
-                if !busy {
+                if busy {
+                    self.push_tx_done(NodeId::Switch(switch), pi as u16);
+                } else {
                     self.start_tx(NodeId::Switch(switch), pi as u16);
                 }
             }
@@ -868,6 +873,7 @@ impl<P: Payload> Simulator<P> {
     /// Start an egress port's transmitter when it is idle with backlog
     /// waiting (after a stall or a pause lifts).
     pub(crate) fn kick(&mut self, node: NodeId, port: u16) {
+        self.settle(node, port);
         let slot = self.port(node, port);
         if !slot.busy && !slot.queues.is_empty() {
             self.start_tx(node, port);
@@ -888,8 +894,9 @@ impl<P: Payload> Simulator<P> {
         let arrive_at = self.now + ser + link.delay;
         let to = link.to;
         // The fault layer destroys packets *at serialization time*: the
-        // sender still pays the full serialization delay (TxDone fires as
-        // usual) but no Deliver is scheduled — the bits die on the wire.
+        // sender still pays the full serialization delay (the port stays
+        // busy until `tx_end`) but no Deliver is scheduled — the bits die
+        // on the wire.
         let (payload_bytes, prio) = (pkt.payload_bytes(), pkt.priority);
         if self.faults.as_mut().is_some_and(|fs| fs.loses_packet(link_id, payload_bytes, prio)) {
             if let Some(s) = self.san.as_mut() {
@@ -901,15 +908,52 @@ impl<P: Payload> Simulator<P> {
                 prio: pkt.priority,
                 bytes: pkt.wire_bytes as u64,
             });
-            self.schedule(self.now + ser, Ev::TxDone { node, port });
-            return;
+        } else {
+            let pkt = self.pool.insert(pkt);
+            if let Some(s) = self.san.as_mut() {
+                s.observe_alloc(self.now, pkt.0 as usize);
+            }
+            self.schedule(arrive_at, Ev::Deliver { to, pkt });
         }
-        let pkt = self.pool.insert(pkt);
-        if let Some(s) = self.san.as_mut() {
-            s.observe_alloc(self.now, pkt.0 as usize);
+        // The TxDone takes its sequence number here, right after the
+        // Deliver's, but enters the queue only when it will have a
+        // successor to start: now if one is waiting (even a paused one),
+        // else when one is enqueued while the port is still busy. An event
+        // that would find the queue empty changes nothing but `busy`, and
+        // `settle` does that in place.
+        let tx_end = self.now + ser;
+        let tx_seq = self.mint_seq(tx_end);
+        let slot = self.port_mut(node, port);
+        slot.unpushed_tx_done = Some((tx_end, tx_seq));
+        if !slot.queues.is_empty() {
+            self.push_tx_done(node, port);
         }
-        self.schedule(arrive_at, Ev::Deliver { to, pkt });
-        self.schedule(self.now + ser, Ev::TxDone { node, port });
+    }
+
+    /// Push `port`'s `TxDone` under the key `transmit` reserved for it,
+    /// unless it is queued already. The key lies ahead of the event being
+    /// dispatched (the caller settled the port), possibly within this tick.
+    fn push_tx_done(&mut self, node: NodeId, port: u16) {
+        if let Some((at, seq)) = self.port_mut(node, port).unpushed_tx_done.take() {
+            self.queue.push(QEntry { at, seq, ev: Ev::TxDone { node, port } });
+        }
+    }
+
+    /// Bring `port`'s `busy` flag up to date: if its `TxDone` was never
+    /// pushed and that event's key lies behind the event being dispatched,
+    /// it would have run by now and found the queue empty, so the port is
+    /// idle. Every reader of `busy` calls this first.
+    #[inline] // per-packet
+    pub(crate) fn settle(&mut self, node: NodeId, port: u16) {
+        let reached = (self.now, self.cur_seq);
+        let slot = self.port_mut(node, port);
+        if slot.unpushed_tx_done.is_some_and(|key| key < reached) {
+            slot.unpushed_tx_done = None;
+            slot.busy = false;
+            if let Some(s) = self.san.as_mut() {
+                s.observe_tx_done(self.now, san_port_key(node, port));
+            }
+        }
     }
 
     fn tx_done(&mut self, node: NodeId, port: u16) {

@@ -20,9 +20,9 @@
 //!
 //! ## Feature inventory
 //!
-//! - Calendar-queue event scheduler with O(1) near-horizon insert,
-//!   same-tick batch draining, and a swappable `BinaryHeap` oracle
-//!   (see [`sched`]).
+//! - Calendar-queue event scheduler with O(1) near-horizon insert and a
+//!   swappable `BinaryHeap` oracle (see [`sched`]); only events that do
+//!   work are scheduled (`TxDone` is pushed when it has a successor).
 //! - Hosts with 8-level strict-priority NIC egress queues.
 //! - Switches with per-port shared buffers, 8 strict-priority queues,
 //!   instantaneous-queue ECN marking with configurable scopes (per-queue /

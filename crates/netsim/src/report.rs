@@ -9,7 +9,8 @@ use crate::time::SimTime;
 pub struct RunLimits {
     /// Hard stop time.
     pub max_time: SimTime,
-    /// Hard event budget (guards against livelock bugs).
+    /// Hard event budget (guards against livelock bugs), in dispatched
+    /// events — see [`RunReport::events`].
     pub max_events: u64,
 }
 
@@ -52,7 +53,10 @@ impl StopReason {
 pub struct RunReport {
     /// Simulated time when the run stopped.
     pub end_time: SimTime,
-    /// Events dispatched.
+    /// Events dispatched. Only events that do work are ever scheduled
+    /// (DESIGN.md §10.1): a serialization whose `TxDone` would have found
+    /// its egress queue empty, and an RTO deadline that merely moved, add
+    /// nothing to this count.
     pub events: u64,
     /// Flows that reported completion.
     pub flows_completed: usize,

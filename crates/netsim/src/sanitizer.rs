@@ -26,10 +26,11 @@ use std::collections::BTreeMap;
 use dcn_trace::{SanCheck, TraceEvent};
 
 use crate::engine::{PortState, Simulator};
+use crate::ids::{HostId, NodeId, SwitchId};
 use crate::packet::Payload;
 use crate::time::SimTime;
 #[cfg(any(test, feature = "simsan-selftest"))]
-use crate::{engine::Ev, ids::HostId, ids::NodeId};
+use crate::{engine::Ev, ids::FlowId};
 
 /// How often the sanitizer cross-checks its ledger against engine state.
 ///
@@ -107,6 +108,18 @@ pub enum SanNote {
         /// Cumulative contiguous bytes ACKed so far.
         cum_acked: u64,
     },
+    /// The flow scheduled an RTO timer that it will act on when it fires.
+    /// The ledger enforces at most one such live timer per flow.
+    RtoArm {
+        /// Flow observed.
+        flow: u64,
+    },
+    /// The flow's live RTO timer stopped being live: it fired (consumed),
+    /// or an earlier deadline superseded it and its fire will be dropped.
+    RtoDisarm {
+        /// Flow observed.
+        flow: u64,
+    },
 }
 
 /// Ledger key for a host NIC egress port.
@@ -148,6 +161,9 @@ pub struct Sanitizer {
     ports: BTreeMap<u64, PortShadow>,
     // --- transport conservation ---
     last_cum_ack: BTreeMap<u64, u64>,
+    /// Live RTO timers per flow (0 or 1 on a healthy run). A flow enters
+    /// on its first note, so a ledger installed mid-run starts it at 0.
+    rto_live: BTreeMap<u64, u32>,
     // --- fault attribution ---
     fault_drops: u64,
     // --- audit/output state ---
@@ -167,6 +183,7 @@ impl Sanitizer {
             max_seq: None,
             ports: BTreeMap::new(),
             last_cum_ack: BTreeMap::new(),
+            rto_live: BTreeMap::new(),
             fault_drops: 0,
             violations: Vec::new(),
             flushed: 0,
@@ -322,7 +339,8 @@ impl Sanitizer {
         }
     }
 
-    /// A TxDone dispatched for the port behind `key`.
+    /// The serialization on the port behind `key` ended: its TxDone
+    /// dispatched, or the port settled idle without one.
     pub(crate) fn observe_tx_done(&mut self, when: SimTime, key: u64) {
         let shadow = self.ports.entry(key).or_default();
         let was_busy = shadow.tx_busy;
@@ -373,6 +391,24 @@ impl Sanitizer {
                     self.record(SanCheck::TransportConservation, when, flow, prev, cum_acked);
                 }
             }
+            SanNote::RtoArm { flow } => {
+                let live = self.rto_live.entry(flow).or_insert(0);
+                *live += 1;
+                if *live > 1 {
+                    // A second timer the flow would act on: the stale-fire
+                    // storm this check exists to keep out.
+                    let live = *live as u64;
+                    self.record(SanCheck::TransportConservation, when, flow, 1, live);
+                }
+            }
+            SanNote::RtoDisarm { flow } => match self.rto_live.get_mut(&flow) {
+                Some(0) => self.record(SanCheck::TransportConservation, when, flow, 1, 0),
+                Some(live) => *live -= 1,
+                // First note of a flow armed before a mid-run install.
+                None => {
+                    self.rto_live.insert(flow, 0);
+                }
+            },
         }
     }
 
@@ -409,6 +445,19 @@ impl Sanitizer {
             // Live packets with a drained heap: leaked in-flight slots.
             self.record(SanCheck::PoolConservation, when, u64::MAX, 0, pool_live);
         }
+    }
+
+    /// At a quiescent run end every timer has fired, so no flow may still
+    /// hold a live RTO timer: one that does armed a timer it never got.
+    pub(crate) fn audit_rto_timers(&mut self, when: SimTime) {
+        let held = self.rto_live.iter().filter(|&(_, &live)| live > 0);
+        self.violations.extend(held.map(|(&flow, &live)| SanViolation {
+            check: SanCheck::TransportConservation,
+            at: when,
+            subject: flow,
+            expected: 0,
+            actual: live as u64,
+        }));
     }
 
     /// Compare one port's shadow against the engine's queue bank and
@@ -467,6 +516,7 @@ impl<P: Payload> Simulator<P> {
     /// Replaces any previously installed sanitizer.
     pub fn set_sanitizer(&mut self, level: SanLevel) {
         let mut san = Box::new(Sanitizer::new(level));
+        self.settle_ports();
         for slot in self.pool.live_slots() {
             san.seed_pool_slot(slot);
         }
@@ -516,11 +566,30 @@ impl<P: Payload> Simulator<P> {
         self.san_flush()
     }
 
+    /// [`Simulator::settle`] every egress port, so `busy` can be compared
+    /// with the ledger (which closes a transmit when the port settles).
+    fn settle_ports(&mut self) {
+        for hi in 0..self.hosts.len() {
+            if self.hosts[hi].nic.is_some() {
+                self.settle(NodeId::Host(HostId(hi as u32)), 0);
+            }
+        }
+        for si in 0..self.switches.len() {
+            for pi in 0..self.switches[si].ports.len() {
+                self.settle(NodeId::Switch(SwitchId(si as u32)), pi as u16);
+            }
+        }
+    }
+
     /// Cross-check the sanitizer ledger against the engine's real state.
     pub(crate) fn san_audit(&mut self, quiescent: bool) {
+        self.settle_ports();
         let Some(mut san) = self.san.take() else { return };
         let now = self.now;
         san.audit_pool(now, self.pool.stats().live, quiescent);
+        if quiescent {
+            san.audit_rto_timers(now);
+        }
         for (key, port) in self.san_ports() {
             san.audit_port(
                 now,
@@ -595,6 +664,18 @@ impl<P: Payload> Simulator<P> {
     /// (the phantom-completion bug class).
     pub fn corrupt_phantom_tx_done(&mut self, host: HostId) {
         self.schedule(self.now, Ev::TxDone { node: NodeId::Host(host), port: 0 });
+    }
+
+    /// Replay two arms of `flow`'s RTO timer into the sanitizer's ledger
+    /// with no fire or supersession between them — the note stream of a
+    /// sender that schedules a second live timer. No-op when the
+    /// sanitizer is off.
+    pub fn corrupt_rto_double_arm(&mut self, flow: FlowId) {
+        let now = self.now;
+        if let Some(s) = self.san.as_mut() {
+            s.observe_note(now, SanNote::RtoArm { flow: flow.0 });
+            s.observe_note(now, SanNote::RtoArm { flow: flow.0 });
+        }
     }
 
     /// Bump the fault layer's drop counter without any packet having been
@@ -683,6 +764,34 @@ mod tests {
         assert!(s.violations().is_empty());
         s.observe_note(T0, SanNote::AckAdvance { flow: 7, cum_acked: 2000 });
         assert_eq!(s.violations()[0].check, SanCheck::TransportConservation);
+    }
+
+    #[test]
+    fn rto_ledger_allows_one_live_timer_per_flow() {
+        let mut s = Sanitizer::new(SanLevel::AtEnd);
+        // Arm, re-sleep, supersede, fire: never more than one live timer.
+        for note in [
+            SanNote::RtoArm { flow: 7 },
+            SanNote::RtoDisarm { flow: 7 },
+            SanNote::RtoArm { flow: 7 },
+            SanNote::RtoDisarm { flow: 7 },
+        ] {
+            s.observe_note(T0, note);
+        }
+        // A flow armed before a mid-run install enters the ledger at zero.
+        s.observe_note(T0, SanNote::RtoDisarm { flow: 8 });
+        s.audit_rto_timers(T0);
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        // A second arm while one is live, a fire nobody armed, and a timer
+        // still held when the queue has drained are all flagged.
+        s.observe_note(T0, SanNote::RtoArm { flow: 7 });
+        s.observe_note(T0, SanNote::RtoArm { flow: 7 });
+        assert_eq!(s.violations().len(), 1);
+        s.observe_note(T0, SanNote::RtoDisarm { flow: 8 });
+        assert_eq!(s.violations().len(), 2);
+        s.audit_rto_timers(T0);
+        assert_eq!(s.violations().len(), 3);
+        assert!(s.violations().iter().all(|v| v.check == SanCheck::TransportConservation));
     }
 
     #[test]

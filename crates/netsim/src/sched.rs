@@ -103,28 +103,6 @@ pub trait EventQueue<T: Copy> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Pop every entry sharing the earliest timestamp — a *same-tick
-    /// batch* — into `buf` (cleared first) in ascending `seq` order,
-    /// stopping after `max` entries. The batch is order-preserving by
-    /// construction: `seq` is globally monotone, so anything scheduled
-    /// while the batch dispatches sorts after every drained entry.
-    fn pop_batch(&mut self, buf: &mut Vec<QEntry<T>>, max: usize) {
-        buf.clear();
-        if max == 0 {
-            return;
-        }
-        let Some(first) = self.pop() else { return };
-        let at = first.at;
-        buf.push(first);
-        while buf.len() < max {
-            match self.peek_key() {
-                Some((t, _)) if t == at => {
-                    buf.push(self.pop().expect("peeked entry must pop")); // simlint: allow(panic_hygiene)
-                }
-                _ => break,
-            }
-        }
-    }
 }
 
 /// The `BinaryHeap` implementation: O(log n) push/pop, O(1) peek. Kept as
@@ -356,28 +334,6 @@ impl<T: Copy> EventQueue<T> for CalendarQueue<T> {
         }
         self.buckets[self.cur].last().map(|e| (e.at, e.seq))
     }
-
-    fn pop_batch(&mut self, buf: &mut Vec<QEntry<T>>, max: usize) {
-        buf.clear();
-        if max == 0 || !self.seek() {
-            return;
-        }
-        // Same-tick entries share a bucket (same time ⇒ same index and
-        // epoch), so the whole batch is a suffix of the live bucket.
-        let v = &mut self.buckets[self.cur];
-        let at = v.last().expect("seek guarantees a live entry").at; // simlint: allow(panic_hygiene)
-        while buf.len() < max {
-            match v.last() {
-                Some(e) if e.at == at => {
-                    buf.push(*e);
-                    v.pop();
-                }
-                _ => break,
-            }
-        }
-        self.wheel_len -= buf.len();
-        self.len -= buf.len();
-    }
     // simlint: hot-path-end
 
     fn len(&self) -> usize {
@@ -447,15 +403,6 @@ impl<T: Copy> Queue<T> {
             Queue::Calendar(q) => q.peek_key(),
         }
     }
-
-    /// See [`EventQueue::pop_batch`].
-    #[inline]
-    pub fn pop_batch(&mut self, buf: &mut Vec<QEntry<T>>, max: usize) {
-        match self {
-            Queue::Heap(q) => q.pop_batch(buf, max),
-            Queue::Calendar(q) => q.pop_batch(buf, max),
-        }
-    }
     // simlint: hot-path-end
 
     /// Entries currently queued.
@@ -481,9 +428,6 @@ impl<T: Copy> EventQueue<T> for Queue<T> {
     }
     fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         Queue::peek_key(self)
-    }
-    fn pop_batch(&mut self, buf: &mut Vec<QEntry<T>>, max: usize) {
-        Queue::pop_batch(self, buf, max)
     }
     fn len(&self) -> usize {
         Queue::len(self)
@@ -625,43 +569,6 @@ mod tests {
         assert_eq!(cal.peek_key(), Some((SimTime(150), 1)));
         let order: Vec<u64> = std::iter::from_fn(|| cal.pop()).map(|x| x.seq).collect();
         assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    /// `pop_batch` must return exactly the maximal same-tick run (bounded
-    /// by `max`), identically on both implementations, and concatenated
-    /// batches must equal the plain pop order.
-    #[test]
-    fn batches_agree_and_concatenate_to_pop_order() {
-        for (shift, bits) in GEOMETRIES {
-            let mut oracle: HeapQueue<u32> = HeapQueue::new();
-            let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(shift, bits);
-            let mut flat: HeapQueue<u32> = HeapQueue::new();
-            let mut rng = Pcg32::seed_from_u64(9);
-            for seq in 0..500u64 {
-                // Coarse times make same-tick runs common.
-                let entry = e(((rng.next_u32() % 64) as u64) << 6, seq);
-                oracle.push(entry);
-                cal.push(entry);
-                flat.push(entry);
-            }
-            let (mut ob, mut cb) = (Vec::new(), Vec::new());
-            let mut concat = Vec::new();
-            loop {
-                let max = 1 + (rng.next_u32() % 5) as usize;
-                oracle.pop_batch(&mut ob, max);
-                cal.pop_batch(&mut cb, max);
-                let okeys: Vec<_> = ob.iter().map(|x| (x.at, x.seq)).collect();
-                let ckeys: Vec<_> = cb.iter().map(|x| (x.at, x.seq)).collect();
-                assert_eq!(okeys, ckeys, "batch diverged");
-                if ob.is_empty() {
-                    break;
-                }
-                assert!(ob.iter().all(|x| x.at == ob[0].at), "batch mixed timestamps");
-                concat.extend(okeys);
-            }
-            let plain: Vec<_> = std::iter::from_fn(|| flat.pop()).map(|x| (x.at, x.seq)).collect();
-            assert_eq!(concat, plain, "batches did not concatenate to pop order");
-        }
     }
 
     /// The `Queue` wrapper dispatches to whichever kind it was built as.

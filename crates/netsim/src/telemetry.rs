@@ -127,11 +127,6 @@ pub struct Telemetry {
     /// order. Only written when `cfg.prof` is set.
     pub(crate) prof_counts: [u64; 6],
     pub(crate) prof_ns: [u64; 6],
-    /// Same-tick batches drained by the run loop and the events they
-    /// carried (the drain-loop's amortization factor). Only written when
-    /// `cfg.prof` is set.
-    pub(crate) prof_batches: u64,
-    pub(crate) prof_batch_events: u64,
 }
 
 impl Telemetry {
@@ -207,17 +202,6 @@ impl Telemetry {
             rows[i] = (*kind, self.prof_counts[i], self.prof_ns[i]);
         }
         Some(rows)
-    }
-
-    /// Mean events per same-tick batch drained by the run loop; `None`
-    /// unless the `prof` knob was set and at least one batch was drained.
-    /// A value near 1.0 means the workload rarely synchronizes timestamps;
-    /// larger values measure how much queue-probe cost batching amortizes.
-    pub fn mean_batch_len(&self) -> Option<f64> {
-        if !self.cfg.prof || self.prof_batches == 0 {
-            return None;
-        }
-        Some(self.prof_batch_events as f64 / self.prof_batches as f64)
     }
 
     /// Encode the sampled series as [`TraceEvent::Sample`] JSONL lines
@@ -308,8 +292,6 @@ impl<P: Payload> Simulator<P> {
             samples_taken: 0,
             prof_counts: [0; 6],
             prof_ns: [0; 6],
-            prof_batches: 0,
-            prof_batch_events: 0,
         }));
         self.schedule(self.now + cfg.interval, Ev::Sample);
     }

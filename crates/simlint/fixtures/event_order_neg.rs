@@ -10,7 +10,7 @@ impl Engine {
         self.heap.push(v);
     }
 
-    pub fn run(&mut self) {
+    fn push_tx_done(&mut self) {
         self.heap.push(7);
     }
 }

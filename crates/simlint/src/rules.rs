@@ -558,10 +558,11 @@ fn check_shared_mut(rel_path: &str, class: FileClass, src: &MaskedSource, f: &mu
 const ENGINE_FILE: &str = "crates/netsim/src/engine.rs";
 /// The file that owns the queue implementations (heap oracle + calendar).
 const SCHED_FILE: &str = "crates/netsim/src/sched.rs";
-/// Fns inside `engine.rs` allowed to push the queue: the enqueue helper
-/// and the run loop's requeue (both preserve the `(time, seq)` seq
-/// assignment that makes same-timestamp delivery FIFO).
-const ENGINE_PUSH_FNS: &[&str] = &["schedule", "run"];
+/// Fns inside `engine.rs` allowed to push the queue: the enqueue helper,
+/// and the one that pushes a `TxDone` under the `(time, seq)` key minted
+/// for it at transmit time (both keep the seq assignment that makes
+/// same-timestamp delivery FIFO).
+const ENGINE_PUSH_FNS: &[&str] = &["schedule", "push_tx_done"];
 /// Fns inside `sched.rs` allowed to push: the `EventQueue::push`
 /// implementations plus the internal redistribution helpers that move
 /// entries between tiers without minting new `(time, seq)` keys.

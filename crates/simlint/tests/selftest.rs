@@ -277,7 +277,7 @@ fn event_order_rule_fires_and_respects_engine_allowlist() {
     // The identical enqueue helpers are legal only inside engine.rs.
     let neg = fixture("event_order_neg.rs");
     let v = lint_source("crates/netsim/src/engine.rs", &neg);
-    assert!(lines_for(&v, Rule::EventOrder).is_empty(), "schedule/run may push: {v:?}");
+    assert!(lines_for(&v, Rule::EventOrder).is_empty(), "schedule/push_tx_done may push: {v:?}");
     let v = lint_source("crates/netsim/src/fixture.rs", &neg);
     assert!(!lines_for(&v, Rule::EventOrder).is_empty(), "same code elsewhere fires");
 
@@ -285,7 +285,11 @@ fn event_order_rule_fires_and_respects_engine_allowlist() {
     let rogue = "pub struct E { heap: std::collections::BinaryHeap<u64> }\n\
                  impl E {\n    pub fn sneak(&mut self) {\n        self.heap.push(1);\n    }\n}\n";
     let v = lint_source("crates/netsim/src/engine.rs", rogue);
-    assert_eq!(lines_for(&v, Rule::EventOrder), vec![4], "push outside schedule/run: {v:?}");
+    assert_eq!(
+        lines_for(&v, Rule::EventOrder),
+        vec![4],
+        "push outside schedule/push_tx_done: {v:?}"
+    );
 
     // The modules split out of engine.rs are ordinary netsim files: they
     // reach the queue through `schedule`, never by minting a `QEntry`.

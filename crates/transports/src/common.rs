@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use netsim::trace::SanCheck;
-use netsim::{Ctx, Payload, SanNote};
+use netsim::{Ctx, Payload, SanNote, SimTime};
 
 use crate::tcp_base::DctcpFlowTx;
 
@@ -179,9 +179,9 @@ impl Token {
 /// timeout armed by [`arm_rto`] and serviced by [`service_rto`].
 pub const TIMER_RTO: u8 = 1;
 
-/// The RTO timer token for `flow`. The generation is always 0: RTO timers
-/// are never invalidated wholesale — stale fires are filtered by comparing
-/// against the flow's live deadline in [`service_rto`].
+/// The RTO timer token for `flow`. The generation is always 0: a flow
+/// tells its one live RTO timer from superseded ones by fire time
+/// (`rto_timer_at`), not by token — see [`arm_rto`].
 pub fn rto_token(flow: u64) -> u64 {
     Token { kind: TIMER_RTO, generation: 0, flow }.encode()
 }
@@ -222,28 +222,54 @@ fn san_probe<P: Payload>(flow: &DctcpFlowTx, ctx: &mut Ctx<'_, P>) {
     ctx.san_note(SanNote::AckAdvance { flow: flow.id.0, cum_acked: flow.cum_acked() });
 }
 
-/// (Re-)arm the RTO timer at `flow`'s current deadline. No-op for finished
-/// flows. Call after every pump that may have started or moved the
-/// deadline; timers cannot be cancelled, so extra arms are harmless.
-pub fn arm_rto<P: Payload>(flow: &DctcpFlowTx, ctx: &mut Ctx<'_, P>) {
-    if !flow.is_done() {
-        san_probe(flow, ctx);
-        ctx.timer_at(flow.rto_deadline(), rto_token(flow.id.0));
+/// Schedule `flow`'s live RTO timer at its current deadline.
+fn schedule_rto<P: Payload>(flow: &mut DctcpFlowTx, ctx: &mut Ctx<'_, P>) {
+    // The engine fires a past-due timer at `now`; the flow must expect it there.
+    flow.rto_timer_at = flow.rto_deadline().max(ctx.now());
+    ctx.san_note(SanNote::RtoArm { flow: flow.id.0 });
+    ctx.timer_at(flow.rto_timer_at, rto_token(flow.id.0));
+}
+
+/// Keep `flow`'s RTO timer armed. No-op for finished flows. Call after
+/// every pump that may have started or moved the deadline.
+///
+/// A flow holds at most one *live* timer, the one firing at
+/// `rto_timer_at`. Timers cannot be cancelled, so a deadline that moved
+/// later (ACK progress) schedules nothing — the live timer re-sleeps when
+/// it fires, in [`service_rto`] — and only a deadline that moved *earlier*
+/// (an ACK resetting the back-off) schedules a new timer, which supersedes
+/// the old one: that one's fire time no longer matches and is dropped.
+pub fn arm_rto<P: Payload>(flow: &mut DctcpFlowTx, ctx: &mut Ctx<'_, P>) {
+    if flow.is_done() {
+        return;
+    }
+    san_probe(flow, ctx);
+    if flow.rto_deadline() < flow.rto_timer_at {
+        if flow.rto_timer_at != SimTime::MAX {
+            ctx.san_note(SanNote::RtoDisarm { flow: flow.id.0 });
+        }
+        schedule_rto(flow, ctx);
     }
 }
 
-/// Service a fired RTO timer for `flow`: ignore fires for finished flows,
-/// go back to sleep when the deadline has moved (ACK progress re-arms it),
-/// and otherwise apply the timeout. Returns true when the timeout fired —
-/// the caller must then pump the flow, which also re-arms the timer.
+/// Service a fired RTO timer for `flow`: drop a superseded fire, ignore
+/// the fire of a finished flow, go back to sleep (once) when the deadline
+/// has moved later, and otherwise apply the timeout. Returns true when the
+/// timeout fired — the caller must then pump the flow, which also re-arms
+/// the timer.
 pub fn service_rto<P: Payload>(flow: &mut DctcpFlowTx, ctx: &mut Ctx<'_, P>) -> bool {
+    let now = ctx.now();
+    if now != flow.rto_timer_at {
+        return false;
+    }
+    flow.rto_timer_at = SimTime::MAX;
+    ctx.san_note(SanNote::RtoDisarm { flow: flow.id.0 });
     if flow.is_done() {
         return false;
     }
-    let now = ctx.now();
     san_probe(flow, ctx);
     if now < flow.rto_deadline() {
-        ctx.timer_at(flow.rto_deadline(), rto_token(flow.id.0));
+        schedule_rto(flow, ctx);
         return false;
     }
     flow.on_rto(now);
@@ -256,37 +282,83 @@ mod tests {
 
     #[test]
     fn rto_helpers_arm_filter_and_fire() {
+        use crate::proto::AckHdr;
         use crate::tcp_base::TcpCfg;
         use netsim::host::Effects;
-        use netsim::{FlowId, HostId, NoPayload, SimDuration, SimTime};
+        use netsim::{FlowId, HostId, NoPayload, SimDuration};
+
+        /// Run `f` against a fresh effects sink at `now`; the timers it armed.
+        fn timers(now: SimTime, f: impl FnOnce(&mut Ctx<'_, NoPayload>)) -> Vec<(SimTime, u64)> {
+            let mut fx = Effects::<NoPayload>::default();
+            f(&mut Ctx::new(now, HostId(0), &mut fx));
+            fx.into_parts().1
+        }
+        fn ack(cum: u64) -> AckHdr {
+            AckHdr {
+                cum,
+                sacks: vec![],
+                ece: false,
+                lcp: false,
+                ts_echo: SimTime::ZERO,
+                int_echo: None,
+            }
+        }
 
         let cfg = TcpCfg::new(SimDuration::from_micros(80));
         let min_rto = cfg.min_rto;
+        let tok = rto_token(3);
         let mut flow = DctcpFlowTx::new(FlowId(3), HostId(0), HostId(1), 1_000_000, cfg);
         // Sending arms the deadline.
-        assert!(flow.next_segment(SimTime::ZERO).is_some());
-        let deadline = flow.rto_deadline();
-        assert_eq!(deadline, SimTime::ZERO + min_rto);
+        let first = flow.next_segment(SimTime::ZERO).expect("window open");
+        let d0 = flow.rto_deadline();
+        assert_eq!(d0, SimTime::ZERO + min_rto);
 
-        // arm_rto arms exactly one timer at the live deadline.
-        let mut fx = Effects::<NoPayload>::default();
-        arm_rto(&flow, &mut Ctx::new(SimTime::ZERO, HostId(0), &mut fx));
-        let (_, timers, _) = fx.into_parts();
-        assert_eq!(timers, vec![(deadline, rto_token(3))]);
+        // The first arm schedules the flow's one live timer at the deadline;
+        // a second arm at an equal deadline schedules nothing.
+        assert_eq!(timers(SimTime::ZERO, |ctx| arm_rto(&mut flow, ctx)), vec![(d0, tok)]);
+        assert_eq!(timers(SimTime::ZERO, |ctx| arm_rto(&mut flow, ctx)), vec![]);
+        // Nor does one at a later deadline (ACK progress pushed it out).
+        let t1 = SimTime(50_000);
+        flow.on_ack(&ack(first.offset + first.len as u64), t1);
+        assert!(flow.next_segment(t1).is_some());
+        let d1 = flow.rto_deadline();
+        assert_eq!(d1, t1 + min_rto);
+        assert_eq!(timers(t1, |ctx| arm_rto(&mut flow, ctx)), vec![]);
 
-        // A fire before the deadline is stale: no timeout taken, the timer
-        // goes back to sleep until the live deadline.
-        let mut fx = Effects::<NoPayload>::default();
-        assert!(!service_rto(&mut flow, &mut Ctx::new(SimTime(1), HostId(0), &mut fx)));
-        assert_eq!(flow.rto_deadline(), deadline, "stale fire must not touch the flow");
-        let (_, timers, _) = fx.into_parts();
-        assert_eq!(timers, vec![(deadline, rto_token(3))]);
+        // The live timer fires before the moved deadline: no timeout, and
+        // it re-sleeps exactly once, until the deadline.
+        let mut timed_out = true;
+        let armed = timers(d0, |ctx| timed_out = service_rto(&mut flow, ctx));
+        assert!(!timed_out);
+        assert_eq!(flow.rto_deadline(), d1, "a stale fire must not touch the flow");
+        assert_eq!(armed, vec![(d1, tok)]);
 
-        // At the deadline the timeout fires and backs the deadline off;
-        // the caller is told to pump (which re-arms).
-        let mut fx = Effects::<NoPayload>::default();
-        assert!(service_rto(&mut flow, &mut Ctx::new(deadline, HostId(0), &mut fx)));
-        assert!(flow.rto_deadline() > deadline, "timeout must back the deadline off");
+        // At the deadline the live timer takes the timeout and backs the
+        // deadline off; the caller is told to pump, which re-arms.
+        let armed = timers(d1, |ctx| timed_out = service_rto(&mut flow, ctx));
+        assert!(timed_out && armed.is_empty());
+        let retx = flow.next_segment(d1).expect("the timeout queued a retransmission");
+        let d2 = flow.rto_deadline();
+        assert_eq!(d2, d1 + min_rto + min_rto, "timeout must back the deadline off");
+        assert_eq!(timers(d1, |ctx| arm_rto(&mut flow, ctx)), vec![(d2, tok)]);
+
+        // ACK progress resets the back-off, so the deadline moves *earlier*:
+        // one new timer, which supersedes the one sleeping until d2.
+        let t3 = SimTime(d1.0 + 1_000);
+        flow.on_ack(&ack(retx.offset + retx.len as u64), t3);
+        assert!(flow.next_segment(t3).is_some());
+        let d3 = flow.rto_deadline();
+        assert!(d3 < d2);
+        assert_eq!(timers(t3, |ctx| arm_rto(&mut flow, ctx)), vec![(d3, tok)]);
+        let armed = timers(d3, |ctx| timed_out = service_rto(&mut flow, ctx));
+        assert!(timed_out && armed.is_empty());
+        let d4 = flow.rto_deadline();
+        assert_eq!(timers(d3, |ctx| arm_rto(&mut flow, ctx)), vec![(d4, tok)]);
+        // The superseded fire is dropped: no timeout, no re-sleep.
+        assert!(d3 < d2 && d2 < d4);
+        let armed = timers(d2, |ctx| timed_out = service_rto(&mut flow, ctx));
+        assert!(!timed_out && armed.is_empty());
+        assert_eq!(flow.rto_deadline(), d4);
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl<H: Hcp> LcpFlow<H> {
             }
             ctx.send(hcp_packet::<H>(&self.tx, seg, now).with_priority(prio));
         }
-        arm_rto(&self.tx, ctx);
+        arm_rto(&mut self.tx, ctx);
     }
 
     /// Send one opportunistic packet from the tail of the send buffer.

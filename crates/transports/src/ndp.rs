@@ -220,7 +220,9 @@ impl Transport<Proto> for NdpTransport {
             NdpHdr::Nack { offset, len } => {
                 let (offset, len) = (*offset, *len);
                 if let Some(tx) = self.tx.get_mut(&pkt.flow) {
-                    // Front of the queue: trimmed data is the oldest.
+                    // Back of the queue: `release_one` pops the front, so
+                    // trimmed ranges are resent in NACK-arrival order,
+                    // ahead of any new data.
                     tx.retx_queue.push_back((offset, len));
                     // A NACK may reach past `sent` (watchdog recovery of a
                     // dead pull chain): the range is queued for delivery

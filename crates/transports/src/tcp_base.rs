@@ -338,6 +338,9 @@ pub struct DctcpFlowTx {
     /// RTO state.
     rto_deadline: SimTime,
     rto_backoff: u32,
+    /// Fire time of the one engine timer that is live for this flow
+    /// (`SimTime::MAX` = none); owned by `common::{arm_rto, service_rto}`.
+    pub(crate) rto_timer_at: SimTime,
     /// Bytes the flow has pushed (for priority aging).
     pub bytes_sent: u64,
     /// Which window-update law runs (DCTCP / Swift / HPCC).
@@ -372,6 +375,7 @@ impl DctcpFlowTx {
             wmax: WmaxTracker::new(),
             rto_deadline: SimTime::MAX,
             rto_backoff: 0,
+            rto_timer_at: SimTime::MAX,
             bytes_sent: 0,
             cc_mode: CcMode::Dctcp,
             done: false,

@@ -11,7 +11,7 @@ use ppt::harness::{
     run_experiment_traced, run_experiment_traced_with, run_experiment_with, Experiment, FaultSpec,
     Scheme, TopoKind,
 };
-use ppt::netsim::{HostId, RunLimits, SanLevel, SanViolation, Simulator, StopReason};
+use ppt::netsim::{FlowId, HostId, RunLimits, SanLevel, SanViolation, Simulator, StopReason};
 use ppt::trace::SanCheck;
 use ppt::transports::Proto;
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
@@ -87,6 +87,12 @@ fn queue_counter_skew_is_caught() {
 fn phantom_tx_done_is_caught() {
     let (stop, v) = corrupted_run(false, |sim| sim.corrupt_phantom_tx_done(HostId(0)));
     assert_caught(stop, &v, SanCheck::LinkOccupancy);
+}
+
+#[test]
+fn second_live_rto_timer_is_caught() {
+    let (stop, v) = corrupted_run(false, |sim| sim.corrupt_rto_double_arm(FlowId(0)));
+    assert_caught(stop, &v, SanCheck::TransportConservation);
 }
 
 #[test]

@@ -51,8 +51,8 @@ fn telemetered_golden_digests(scheme: Scheme, seed: u64) -> (u64, u64) {
 #[test]
 fn telemetry_leaves_pinned_goldens_unchanged() {
     for (scheme, seed, want_trace, want_fct) in [
-        (Scheme::Ppt, 42u64, 0x393f_3bd8_9c20_8596_u64, 0x544f_c7e6_370c_f276_u64),
-        (Scheme::Dctcp, 42, 0x0d9e_974c_1169_b1bb, 0xdfbd_16a2_71d0_99be),
+        (Scheme::Ppt, 42u64, 0xe9a4_e439_ac56_fe20_u64, 0x544f_c7e6_370c_f276_u64),
+        (Scheme::Dctcp, 42, 0xf04a_9831_60e9_08d5, 0xdfbd_16a2_71d0_99be),
         (Scheme::Ndp, 7, 0xa624_4279_1c93_0e9f, 0x64cd_8caa_b1be_ec7b),
         (Scheme::Homa, 7, 0xd072_7754_f98c_10f5, 0xe4ec_42a4_cd20_bf42),
     ] {
@@ -199,4 +199,32 @@ fn summary_reflects_sampler_state() {
     assert_eq!(summary.series.len(), t.series().len());
     assert_eq!(summary.fct_ns.count(), outcome.fct.records().len() as u64);
     assert!(summary.prof.is_none(), "prof must stay off unless requested");
+}
+
+/// A TCP-family flow keeps one live RTO timer and moves it (DESIGN.md
+/// §10.1): without loss, the timers that dispatch are one re-sleep per
+/// `min_rto` of a flow's lifetime plus the last one, which finds the flow
+/// finished — not one per ACK, as when every pump scheduled its own.
+#[test]
+fn rto_timer_dispatches_follow_flow_lifetime_not_acks() {
+    use ppt::harness::run_experiment_with;
+    use ppt::trace::ProfKind;
+    let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
+    let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.3, topo.edge_rate(), 40, 42);
+    let exp = Experiment::new(topo, Scheme::Dctcp, all_to_all(topo.hosts(), &spec));
+    let min_rto = exp.env.min_rto.as_nanos();
+    let outcome = run_experiment_with(&exp, |t| {
+        t.sim.enable_telemetry(TelemetryConfig::new(SimDuration::from_micros(100)).with_prof());
+    });
+    assert_eq!(outcome.completion_ratio, 1.0);
+    assert_eq!(outcome.counters.dropped, 0, "the bound below is for a loss-free run");
+    let prof = outcome.sim.telemetry().and_then(|t| t.prof_breakdown()).expect("profiler on");
+    let count = |kind| prof.iter().find(|r| r.0 == kind).map_or(0, |r| r.1);
+    // DCTCP arms no other timer, so every Timer dispatch is an RTO timer.
+    // A timeout re-arms once more; count every retransmission as one.
+    let lifetimes = outcome.fct.records().iter().map(|r| 1 + r.fct.as_nanos().div_ceil(min_rto));
+    let bound = lifetimes.sum::<u64>() + outcome.report.faults.retransmits;
+    let timers = count(ProfKind::Timer);
+    assert!(timers > 0 && timers <= bound, "{timers} RTO timer dispatches, bound {bound}");
+    assert!(timers * 20 < count(ProfKind::Deliver), "{timers} timers: back to one per ACK?");
 }
