@@ -5,11 +5,13 @@
 //! Zero-dependency harness (`harness = false`): measures wall time with
 //! `std::time::Instant` and prints `name  ns/iter`. Timing output is
 //! informational only — nothing here gates on absolute numbers, so the
-//! harness stays robust on loaded CI machines. The two gates are a *ratio*
+//! harness stays robust on loaded CI machines. The gates are two *ratios*
 //! taken inside this process — an in-order ACK against 8 192 in-flight
-//! segments may cost at most 3× one against 64 (`bench_ack_scaling`) — and
-//! an exact *count*: events dispatched per data packet of one DCTCP flow
-//! (`events_per_packet`). Run with `cargo bench -p bench`.
+//! segments may cost at most 3× one against 64 (`bench_ack_scaling`), and a
+//! flow of a 16 000-flow Memcached run at most 1.5× a flow of a 2 000-flow
+//! one (`bench_flow_churn`) — and an exact *count*: events dispatched per
+//! data packet of one DCTCP flow (`events_per_packet`). Run with
+//! `cargo bench -p bench`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -188,6 +190,47 @@ fn bench_ack_scaling() -> bool {
     ok
 }
 
+/// Flow churn as a scaling law: host time per flow of an all-to-all
+/// Memcached run on the paper's testbed at 2 000 and at 16 000 flows, the
+/// two sizes timed in rotation so drift of the box hits them alike. Offered
+/// load is the same, so the flows in progress at any moment are as few in
+/// the long run as in the short one; endpoints retire a flow's state when
+/// it finishes (`FlowTable`), so the cost of a flow must not grow with how
+/// many came before it. Returns false when a scheme's per-flow cost at
+/// 16 000 flows exceeds 1.5× its cost at 2 000 (Homa, whose grant pass
+/// walked every receiver the host had ever seen, was at 3×).
+fn bench_flow_churn() -> bool {
+    let topo = TopoKind::PaperTestbed;
+    let mut ok = true;
+    for scheme in [Scheme::Dctcp, Scheme::Homa] {
+        let name = scheme.name();
+        let exps = [2_000usize, 16_000].map(|flows| {
+            let dist = SizeDistribution::memcached_w1();
+            let spec = WorkloadSpec::new(dist, 0.5, topo.edge_rate(), flows, 7);
+            (flows, Experiment::new(topo, scheme.clone(), all_to_all(topo.hosts(), &spec)))
+        });
+        let mut us_per_flow = [f64::INFINITY; 2];
+        for _ in 0..5 {
+            for ((flows, exp), best) in exps.iter().zip(&mut us_per_flow) {
+                let start = Instant::now();
+                let outcome = black_box(run_experiment(exp));
+                let us = start.elapsed().as_secs_f64() * 1e6 / *flows as f64;
+                assert_eq!(outcome.fct.records().len(), *flows, "{name}: every flow completes");
+                *best = best.min(us);
+            }
+        }
+        let ratio = us_per_flow[1] / us_per_flow[0];
+        ok &= ratio <= 1.5;
+        println!(
+            "{:<44} {:>8.2} / {:>8.2} us/flow   (x{ratio:.2} from 2000 to 16000 flows)",
+            format!("end_to_end/memcached_churn/{name} @2000/16000"),
+            us_per_flow[0],
+            us_per_flow[1]
+        );
+    }
+    ok
+}
+
 fn bench_switch() {
     let cfg = SwitchConfig::ppt(120_000, 96_000, 86_000);
     bench("switch/enqueue_policy_ecn", 10, 2_000, || {
@@ -323,6 +366,7 @@ fn main() {
     bench_interval_set();
     bench_interval_append();
     let ack_cost_follows_the_ack = bench_ack_scaling();
+    let flow_cost_follows_concurrency = bench_flow_churn();
     bench_switch();
     bench_core_state_machines();
     bench_end_to_end();
@@ -331,6 +375,12 @@ fn main() {
     println!("{:<44} {per_packet:>12.3} events/packet", "engine/events_per_packet/dctcp_4mb");
     if !ack_cost_follows_the_ack {
         eprintln!("microbench: on_ack at 8192 segments in flight costs more than 3x on_ack at 64");
+        std::process::exit(1);
+    }
+    if !flow_cost_follows_concurrency {
+        eprintln!(
+            "microbench: a flow of a 16000-flow run costs more than 1.5x a flow of a 2000-flow run"
+        );
         std::process::exit(1);
     }
     if per_packet > MAX_EVENTS_PER_PACKET {

@@ -6,14 +6,16 @@
 //! ## Determinism
 //!
 //! Each point is a complete, independent [`run_experiment`] call: a fresh
-//! `Simulator`, a fresh workload expansion, and (by harness default) its
-//! own bounded flight recorder — workers share no mutable state, so a
-//! point's bytes cannot depend on which worker ran it or on how points
-//! interleave in wall-clock time. Results are keyed by point *index*, not
-//! completion order, so `jobs = 1` and `jobs = N` return byte-identical
-//! vectors (asserted by `tests/determinism.rs`). The only observable
-//! difference under parallelism is stderr interleaving of abnormal-run
-//! warnings.
+//! `Simulator`, its own flow list (expanded once, when the spec is built —
+//! [`SweepSpec::grid`] — and released as soon as the point has run, so a
+//! sweep's memory does not hold every workload to the end), and (by
+//! harness default) its own bounded flight recorder — workers share no
+//! mutable state, so a point's bytes cannot depend on which worker ran it
+//! or on how points interleave in wall-clock time. Results are keyed by
+//! point *index*, not completion order, so `jobs = 1` and `jobs = N`
+//! return byte-identical vectors (asserted by `tests/determinism.rs`). The
+//! only observable difference under parallelism is stderr interleaving of
+//! abnormal-run warnings.
 //!
 //! Two-pass schemes ([`Scheme::Hypothetical`]) work unchanged: the oracle
 //! recording pass happens inside the worker's `run_experiment` call, so a
@@ -186,21 +188,32 @@ impl SweepSpec {
 
     /// Run every point and return results in point order.
     pub fn run(self) -> Vec<PointResult> {
-        let SweepSpec { points, jobs } = self;
-        run_points(points.len(), jobs, |i| {
-            let SweepPoint { label, exp } = &points[i];
-            PointResult::extract(label.clone(), exp.scheme.clone(), &run_experiment(exp))
+        self.run_each(|SweepPoint { label, exp }| {
+            PointResult::extract(label, exp.scheme.clone(), &run_experiment(&exp))
         })
     }
 
     /// Run every point with full event capture (a per-point `MemorySink`
     /// instead of the default flight recorder); results in point order.
     pub fn run_traced(self) -> Vec<(PointResult, TraceData)> {
+        self.run_each(|SweepPoint { label, exp }| {
+            let (outcome, trace) = run_experiment_traced(&exp);
+            (PointResult::extract(label, exp.scheme.clone(), &outcome), trace)
+        })
+    }
+
+    /// [`run_points`] over the spec, handing each point to `f` by value:
+    /// the point — its expanded flow list above all — is dropped when `f`
+    /// returns, not when the last point finishes.
+    fn run_each<T: Send>(self, f: impl Fn(SweepPoint) -> T + Sync) -> Vec<T> {
+        use std::sync::Mutex;
         let SweepSpec { points, jobs } = self;
+        let points: Vec<Mutex<Option<SweepPoint>>> =
+            points.into_iter().map(|p| Mutex::new(Some(p))).collect();
         run_points(points.len(), jobs, |i| {
-            let SweepPoint { label, exp } = &points[i];
-            let (outcome, trace) = run_experiment_traced(exp);
-            (PointResult::extract(label.clone(), exp.scheme.clone(), &outcome), trace)
+            let point = points[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+            // `run_points` hands out every index exactly once.
+            f(point.unwrap_or_else(|| unreachable!("sweep point {i} claimed twice")))
         })
     }
 }

@@ -1,10 +1,10 @@
-//! Shared transport machinery: byte-interval bookkeeping, timer tokens,
-//! and the TCP-family RTO arm/service helpers.
+//! Shared transport machinery: byte-interval bookkeeping, the per-endpoint
+//! flow table, timer tokens, and the TCP-family RTO arm/service helpers.
 
 use std::collections::BTreeMap;
 
 use netsim::trace::SanCheck;
-use netsim::{Ctx, Payload, SanNote, SimTime};
+use netsim::{Ctx, FlowId, Payload, SanNote, SimTime};
 
 use crate::tcp_base::DctcpFlowTx;
 
@@ -147,6 +147,116 @@ impl IntervalSet {
     }
 }
 
+/// One role's per-flow state at an endpoint (its senders, or its
+/// receivers): a dense slab of `T`, found through an index of the *live*
+/// flows sorted by id.
+///
+/// An endpoint [`retire`](FlowTable::retire)s a flow the moment it can
+/// prove the state inert, so the index holds the flows in progress — a
+/// handful, however many the run offers — and a lookup is a binary search
+/// of a few cache lines plus one slab probe. Freed slots are reused, so the
+/// slab's length is the high-water mark of concurrency. Flow ids arrive
+/// almost in ascending order (the engine numbers flows by start time), so
+/// an insert is normally an append. Iteration is ascending by id — the
+/// order of the ordered map this replaced, so nothing that walks a table
+/// (`cc_snapshot`, Homa's grant pass) can tell the difference.
+///
+/// What must outlive a flow (a *tombstone*: whatever answers a late packet
+/// the way the full state did) goes in a second table that is never
+/// retired from; DESIGN.md "Flow-state lifetime" lists each endpoint's.
+#[derive(Debug)]
+pub struct FlowTable<T> {
+    /// `(id, slot)` of every live flow, ascending by id.
+    index: Vec<(FlowId, usize)>,
+    /// `None` marks a free slot.
+    slots: Vec<Option<T>>,
+    /// Free slots; the last one freed is the next one filled.
+    free: Vec<usize>,
+}
+
+impl<T> Default for FlowTable<T> {
+    fn default() -> Self {
+        FlowTable { index: Vec::new(), slots: Vec::new(), free: Vec::new() }
+    }
+}
+
+/// Occupancy of a [`FlowTable`]: entries now, and the most it ever held
+/// at once (its slab never shrinks).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TableStats {
+    pub live: usize,
+    pub high_water: usize,
+}
+
+impl<T> FlowTable<T> {
+    /// Empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Current and peak occupancy.
+    pub fn stats(&self) -> TableStats {
+        TableStats { live: self.index.len(), high_water: self.slots.len() }
+    }
+
+    // simlint: hot-path
+    /// Where `id` sits in the index, or where it would be inserted.
+    fn position(&self, id: FlowId) -> Result<usize, usize> {
+        match self.index.last() {
+            Some(&(last, _)) if last < id => Err(self.index.len()),
+            _ => self.index.binary_search_by_key(&id, |&(k, _)| k),
+        }
+    }
+
+    /// Is `id` in the table?
+    pub fn contains(&self, id: FlowId) -> bool {
+        self.position(id).is_ok()
+    }
+
+    /// `id`'s state.
+    pub fn get(&self, id: FlowId) -> Option<&T> {
+        let at = self.position(id).ok()?;
+        self.slots[self.index[at].1].as_ref()
+    }
+
+    /// `id`'s state, mutably.
+    pub fn get_mut(&mut self, id: FlowId) -> Option<&mut T> {
+        let at = self.position(id).ok()?;
+        self.slots[self.index[at].1].as_mut()
+    }
+
+    /// Add `id` (replacing its state if it is already here) and hand the
+    /// stored state back.
+    pub fn insert(&mut self, id: FlowId, value: T) -> &mut T {
+        let slot = match self.position(id) {
+            Ok(at) => self.index[at].1,
+            Err(at) => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.slots.push(None);
+                    self.slots.len() - 1
+                });
+                self.index.insert(at, (id, slot));
+                slot
+            }
+        };
+        self.slots[slot].insert(value)
+    }
+
+    /// Take `id` out of the table, freeing its slot for the next flow.
+    pub fn retire(&mut self, id: FlowId) -> Option<T> {
+        let at = self.position(id).ok()?;
+        let (_, slot) = self.index.remove(at);
+        self.free.push(slot);
+        self.slots[slot].take()
+    }
+    // simlint: hot-path-end
+
+    /// Every flow's state, ascending by flow id.
+    pub fn values(&self) -> impl Iterator<Item = &T> + '_ {
+        self.index.iter().filter_map(|&(_, slot)| self.slots[slot].as_ref())
+    }
+}
+
 /// Timer token encoding: `[kind: 8][generation: 16][flow: 40]`.
 ///
 /// Transports key timers by flow and kind; the generation implements lazy
@@ -186,15 +296,15 @@ pub fn rto_token(flow: u64) -> u64 {
     Token { kind: TIMER_RTO, generation: 0, flow }.encode()
 }
 
-/// Sum window and in-flight bytes over an endpoint's senders that are
-/// still running, for `Transport::cc_snapshot`. Each item pairs a flow's
-/// [`DctcpFlowTx`] with the window bytes it holds outside it (an open LCP
-/// loop's; 0 for a plain window).
+/// Sum window and in-flight bytes over an endpoint's senders (its table
+/// holds only the running ones), for `Transport::cc_snapshot`. Each item
+/// pairs a flow's [`DctcpFlowTx`] with the window bytes it holds outside
+/// it (an open LCP loop's; 0 for a plain window).
 pub(crate) fn cc_snapshot<'a>(
     flows: impl Iterator<Item = (&'a DctcpFlowTx, u64)>,
 ) -> netsim::CcSnapshot {
     let mut snap = netsim::CcSnapshot::default();
-    for (tx, extra_window_bytes) in flows.filter(|(tx, _)| !tx.is_done()) {
+    for (tx, extra_window_bytes) in flows {
         snap.cwnd_bytes += tx.cwnd_bytes() + extra_window_bytes;
         snap.inflight_bytes += tx.inflight_bytes();
         snap.flows += 1;
@@ -276,9 +386,170 @@ pub fn service_rto<P: Payload>(flow: &mut DctcpFlowTx, ctx: &mut Ctx<'_, P>) -> 
     true
 }
 
+/// Give up a finished sender's live RTO timer, for the endpoint that is
+/// about to retire it from its [`FlowTable`]: the timer cannot be
+/// cancelled, so it still fires, finds no flow, and is dropped — the
+/// simsan ledger hears of the disarm now, not then.
+pub fn release_rto<P: Payload>(flow: &DctcpFlowTx, ctx: &mut Ctx<'_, P>) {
+    debug_assert!(flow.is_done(), "only a finished sender is retired");
+    if flow.rto_timer_at != SimTime::MAX {
+        ctx.san_note(SanNote::RtoDisarm { flow: flow.id.0 });
+    }
+}
+
+/// A scratch [`Ctx`] for driving one endpoint handler at a time — traced
+/// and sanitizing, so a test sees every effect a handler can have.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use netsim::host::Effects;
+    use netsim::trace::MemorySink;
+    use netsim::{Ctx, FlowId, HostId, Packet, SanNote, SimTime, TraceEvent};
+
+    use crate::proto::{AckHdr, Proto};
+
+    /// Everything one handler call did.
+    #[derive(Debug)]
+    pub(crate) struct Did {
+        pub packets: Vec<Packet<Proto>>,
+        pub timers: Vec<(SimTime, u64)>,
+        pub completed: Vec<FlowId>,
+        pub notes: Vec<SanNote>,
+        pub trace: Vec<TraceEvent>,
+    }
+
+    impl Did {
+        /// The call had no effect at all.
+        pub(crate) fn nothing(&self) -> bool {
+            self.packets.is_empty()
+                && self.timers.is_empty()
+                && self.completed.is_empty()
+                && self.notes.is_empty()
+                && self.trace.is_empty()
+        }
+
+        /// The ACK headers among the packets sent.
+        pub(crate) fn acks(&self) -> Vec<AckHdr> {
+            let ack = |p: &Packet<Proto>| match &p.payload {
+                Proto::Ack(a) => Some(a.clone()),
+                _ => None,
+            };
+            self.packets.iter().filter_map(ack).collect()
+        }
+
+        /// Flows whose RTO timer the call told simsan it disarmed.
+        pub(crate) fn rto_disarms(&self) -> Vec<u64> {
+            let disarm = |n: &SanNote| match n {
+                SanNote::RtoDisarm { flow } => Some(*flow),
+                _ => None,
+            };
+            self.notes.iter().filter_map(disarm).collect()
+        }
+    }
+
+    /// Run `f` as the engine would run a handler of `host` at `now`.
+    pub(crate) fn drive(now: SimTime, host: HostId, f: impl FnOnce(&mut Ctx<'_, Proto>)) -> Did {
+        let mut fx = Effects::<Proto>::default();
+        let mut sink = MemorySink::new();
+        f(&mut Ctx::with_trace(now, host, &mut fx, Some(&mut sink)).with_sanitizer(true));
+        let notes = fx.san_notes().to_vec();
+        let (packets, timers, completed) = fx.into_parts();
+        let trace = sink.into_events().into_iter().map(|(_, ev)| ev).collect();
+        Did { packets, timers, completed, notes, trace }
+    }
+
+    /// The ACK a receiver on `from` sends `flow`'s sender on `to`.
+    pub(crate) fn ack(flow: u64, (from, to): (u32, u32), cum: u64, lcp: bool) -> Packet<Proto> {
+        let (sacks, ts_echo) = (vec![(0, cum)], SimTime::ZERO);
+        let hdr = AckHdr { cum, sacks, ece: false, lcp, ts_echo, int_echo: None };
+        Packet::ctrl(FlowId(flow), HostId(from), HostId(to), Proto::Ack(hdr))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every lookup, insert and retire of a seeded random sequence agrees
+    /// with an ordered-map model, iteration included; ids arrive mostly
+    /// ascending with stragglers, as flow ids do.
+    #[test]
+    fn flow_table_matches_an_ordered_map_model_seeded() {
+        for seed in 0..8u64 {
+            let mut rng = netsim::Pcg32::seed_from_u64(seed);
+            let mut table = FlowTable::<u64>::new();
+            let mut model = BTreeMap::<FlowId, u64>::new();
+            let mut next_id = 0u64;
+            let mut peak = 0;
+            for step in 0..4_000u64 {
+                // A probe id near the live ones: hits and misses both.
+                let near =
+                    |rng: &mut netsim::Pcg32| FlowId(next_id.saturating_sub(rng.gen_range(40)));
+                // Hold the population near a concurrency of a few dozen.
+                let grow = model.len() < 16 + rng.gen_index(48);
+                match rng.gen_index(8) {
+                    // Insert: usually the next id up, sometimes an older one
+                    // (out of order, or one that is in the table already).
+                    0..=3 if grow => {
+                        let id =
+                            if rng.gen_index(4) == 0 { near(&mut rng) } else { FlowId(next_id) };
+                        next_id += 1;
+                        assert_eq!(*table.insert(id, step), step, "seed {seed}: insert hands back");
+                        model.insert(id, step);
+                    }
+                    // Retire: a live flow, or (4) a guess that may miss.
+                    op @ 0..=4 => {
+                        let live = model.keys().nth(rng.gen_index(model.len().max(1))).copied();
+                        let id = live.filter(|_| op < 4).unwrap_or_else(|| near(&mut rng));
+                        assert_eq!(
+                            table.retire(id),
+                            model.remove(&id),
+                            "seed {seed}: retire {id:?}"
+                        );
+                    }
+                    5 => {
+                        let id = near(&mut rng);
+                        if let Some(v) = table.get_mut(id) {
+                            *v += 1;
+                        }
+                        if let Some(v) = model.get_mut(&id) {
+                            *v += 1;
+                        }
+                    }
+                    _ => {
+                        let id = near(&mut rng);
+                        assert_eq!(table.get(id), model.get(&id), "seed {seed}: get {id:?}");
+                        assert_eq!(table.contains(id), model.contains_key(&id), "seed {seed}");
+                    }
+                }
+                peak = peak.max(model.len());
+                assert_eq!(table.stats().live, model.len(), "seed {seed} step {step}");
+                assert!(table.values().eq(model.values()), "seed {seed} step {step}: iteration");
+            }
+            // Freed slots were reused: the slab never outgrew the most
+            // flows held at once, far below the ids it has seen.
+            let stats = table.stats();
+            assert_eq!(stats, TableStats { live: model.len(), high_water: peak }, "seed {seed}");
+            assert!(peak <= 64 && next_id > 500, "seed {seed}: peak {peak} of {next_id} ids");
+        }
+    }
+
+    #[test]
+    fn flow_table_takes_ids_in_any_order_and_reuses_the_last_freed_slot() {
+        let mut t = FlowTable::new();
+        for id in [5u64, 9, 2, 7] {
+            t.insert(FlowId(id), id * 10);
+        }
+        assert_eq!(t.values().copied().collect::<Vec<_>>(), vec![20, 50, 70, 90]);
+        assert_eq!(t.retire(FlowId(5)), Some(50));
+        assert_eq!(t.retire(FlowId(5)), None);
+        assert_eq!(t.get(FlowId(5)), None);
+        t.insert(FlowId(1), 10);
+        assert_eq!(t.stats(), TableStats { live: 4, high_water: 4 });
+        assert_eq!(t.values().copied().collect::<Vec<_>>(), vec![10, 20, 70, 90]);
+        // Inserting an id that is already live replaces its state in place.
+        t.insert(FlowId(7), 71);
+        assert_eq!((t.get(FlowId(7)), t.stats().live), (Some(&71), 4));
+    }
 
     #[test]
     fn rto_helpers_arm_filter_and_fire() {

@@ -10,9 +10,9 @@ use std::rc::Rc;
 
 use netsim::{Ctx, FlowDesc, FlowId, Packet, TraceEvent, Transport};
 
-use crate::common::{arm_rto, service_rto, Token};
+use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token};
 use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
+use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 
 // Historical home of the shared TCP-family RTO timer kind.
@@ -35,8 +35,12 @@ pub type MwRecorder = Rc<RefCell<BTreeMap<FlowId, u64>>>;
 /// to 141 KB).
 pub struct DctcpTransport {
     cfg: TcpCfg,
-    tx: BTreeMap<FlowId, DctcpFlowTx>,
-    rx: BTreeMap<FlowId, TcpRx>,
+    /// Senders still waiting for ACKs.
+    tx: FlowTable<DctcpFlowTx>,
+    /// Final window of every finished sender: all the `CwndUpdate` trace
+    /// line of a late ACK needs.
+    tx_done: FlowTable<u64>,
+    rx: TcpRxTable,
     mw_recorder: Option<MwRecorder>,
     /// ECN participation (off for the TCP-10 / Halfback variants: they
     /// react to loss only).
@@ -51,8 +55,9 @@ impl DctcpTransport {
     pub fn new(cfg: TcpCfg) -> Self {
         DctcpTransport {
             cfg,
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
+            tx: FlowTable::new(),
+            tx_done: FlowTable::new(),
+            rx: TcpRxTable::new(1),
             mw_recorder: None,
             ecn_enabled: true,
             first_rtt_blast_cap: None,
@@ -79,6 +84,11 @@ impl DctcpTransport {
     pub fn with_mw_recorder(mut self, rec: MwRecorder) -> Self {
         self.mw_recorder = Some(rec);
         self
+    }
+
+    /// Occupancy of the `(sender, receiver)` tables: flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
     }
 
     fn pump(flow: &mut DctcpFlowTx, ecn: bool, ctx: &mut Ctx<'_, Proto>) {
@@ -129,22 +139,21 @@ impl Transport<Proto> for DctcpTransport {
                 cfg.init_cwnd_bytes = cfg.init_cwnd_bytes.max(flow.size_bytes);
             }
         }
-        let mut tx = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, cfg);
-        Self::pump(&mut tx, self.ecn_enabled, ctx);
-        self.tx.insert(flow.id, tx);
+        let tx = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, cfg);
+        Self::pump(self.tx.insert(flow.id, tx), self.ecn_enabled, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                rx.on_data(&pkt, hdr, ctx);
-            }
+            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
             Proto::Ack(ack) => {
-                let Some(flow) = self.tx.get_mut(&pkt.flow) else { return };
+                let Some(flow) = self.tx.get_mut(pkt.flow) else {
+                    // A late ACK of a finished flow moves nothing, but traces.
+                    if let Some(&cwnd) = self.tx_done.get(pkt.flow) {
+                        ctx.emit(TraceEvent::CwndUpdate { flow: pkt.flow.0, cwnd });
+                    }
+                    return;
+                };
                 let out = flow.on_ack(ack, ctx.now());
                 if ctx.tracing() {
                     if let Some(alpha) = out.round_alpha {
@@ -154,6 +163,9 @@ impl Transport<Proto> for DctcpTransport {
                 }
                 if flow.is_done() {
                     Self::record_mw(&self.mw_recorder, flow);
+                    release_rto(flow, ctx);
+                    self.tx_done.insert(pkt.flow, flow.cwnd_bytes());
+                    self.tx.retire(pkt.flow);
                 } else {
                     Self::pump(flow, self.ecn_enabled, ctx);
                 }
@@ -167,7 +179,7 @@ impl Transport<Proto> for DctcpTransport {
         if token.kind != TIMER_RTO {
             return;
         }
-        let Some(flow) = self.tx.get_mut(&FlowId(token.flow)) else { return };
+        let Some(flow) = self.tx.get_mut(FlowId(token.flow)) else { return };
         if service_rto(flow, ctx) {
             Self::pump(flow, self.ecn_enabled, ctx);
         }
@@ -287,5 +299,43 @@ mod tests {
         let rec = rec.borrow();
         assert!(rec.contains_key(&f1) && rec.contains_key(&f2));
         assert!(rec[&f1] >= netsim::MSS_BYTES as u64);
+    }
+
+    /// A sender is retired by the ACK that finishes it — with the simsan
+    /// ledger told its live RTO timer is given up — and what arrives later
+    /// does what it did to a done flow: an ACK traces the frozen window,
+    /// the timer's fire is dropped.
+    #[test]
+    fn a_finished_sender_is_retired_and_late_events_do_what_they_did() {
+        use crate::common::rto_token;
+        use crate::common::testkit::{ack, drive};
+        use netsim::HostId;
+        let me = HostId(0);
+        let mut t = DctcpTransport::new(TcpCfg::new(SimDuration::from_micros(80)));
+        let flow = netsim::FlowDesc::new(FlowId(3), me, HostId(1), 1000, SimTime::ZERO);
+        let start = drive(SimTime::ZERO, me, |ctx| t.on_flow_start(&flow, ctx));
+        assert_eq!((start.packets.len(), start.timers.len()), (1, 1));
+        let rto_at = start.timers[0].0;
+        assert_eq!(t.flow_tables().0, TableStats { live: 1, high_water: 1 });
+
+        let fin = drive(SimTime(100_000), me, |ctx| t.on_packet(ack(3, (1, 0), 1000, false), ctx));
+        let cwnd = match fin.trace.last() {
+            Some(&TraceEvent::CwndUpdate { flow: 3, cwnd }) => cwnd,
+            other => panic!("the finishing ACK traces the window, got {other:?}"),
+        };
+        assert_eq!(fin.rto_disarms(), vec![3], "retiring gives up the live timer");
+        assert!(fin.packets.is_empty() && fin.timers.is_empty());
+        assert_eq!(t.flow_tables().0, TableStats { live: 0, high_water: 1 });
+        assert_eq!(t.cc_snapshot().flows, 0);
+
+        // A duplicate of that ACK: the same one trace line a done flow emitted.
+        let late = drive(SimTime(150_000), me, |ctx| t.on_packet(ack(3, (1, 0), 1000, false), ctx));
+        assert_eq!(late.trace, vec![TraceEvent::CwndUpdate { flow: 3, cwnd }]);
+        assert!(late.packets.is_empty() && late.timers.is_empty() && late.notes.is_empty());
+        // The timer it left in the queue fires into nothing.
+        assert!(drive(rto_at, me, |ctx| t.on_timer(rto_token(3), ctx)).nothing());
+        // An ACK for a flow this host never sent is still ignored.
+        let stray = drive(rto_at, me, |ctx| t.on_packet(ack(4, (1, 0), 1000, false), ctx));
+        assert!(stray.nothing());
     }
 }

@@ -16,11 +16,11 @@
 //! (every topology here bottlenecks at the receiver downlink or a host
 //! uplink) the two are equivalent in the steady state.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use netsim::{Ctx, FlowDesc, FlowId, HostId, Packet, Rate, SimDuration, SimTime, Transport};
 
-use crate::common::{IntervalSet, Token};
+use crate::common::{FlowTable, IntervalSet, TableStats, Token};
 use crate::proto::{NdpHdr, Proto};
 
 /// Credit pacer tick.
@@ -54,7 +54,6 @@ struct EpRx {
     peer: HostId,
     size: u64,
     received: IntervalSet,
-    completed: bool,
     /// Credits already issued (bytes authorized).
     credited: u64,
     last_activity: SimTime,
@@ -70,8 +69,16 @@ struct EpRx {
 pub struct ExpressPassTransport {
     cfg: ExpressPassCfg,
     mss: u32,
-    tx: BTreeMap<FlowId, EpTx>,
-    rx: BTreeMap<FlowId, EpRx>,
+    /// Every sender the host started: nothing tells an ExpressPass sender
+    /// that its flow completed, so they stay to the end of the run.
+    tx: FlowTable<EpTx>,
+    /// Receivers still missing bytes.
+    rx: FlowTable<EpRx>,
+    /// The completed ones, each with whether it completed *under-credited*
+    /// (`credited < size`: a retried request had rewound the credit line):
+    /// a late request of such a flow still takes a turn in the credit
+    /// round-robin, which skips it.
+    rx_done: FlowTable<bool>,
     credit_queue: VecDeque<FlowId>,
     pacer_armed: bool,
 }
@@ -82,11 +89,18 @@ impl ExpressPassTransport {
         ExpressPassTransport {
             cfg,
             mss,
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
+            tx: FlowTable::new(),
+            rx: FlowTable::new(),
+            rx_done: FlowTable::new(),
             credit_queue: VecDeque::new(),
             pacer_armed: false,
         }
+    }
+
+    /// Occupancy of the `(sender, receiver)` tables; only the receivers'
+    /// follows the flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
     }
 
     fn credit_interval(&self) -> SimDuration {
@@ -109,10 +123,8 @@ impl ExpressPassTransport {
         let mss = self.mss as u64;
         self.pacer_armed = false;
         while let Some(flow) = self.credit_queue.pop_front() {
-            let Some(m) = self.rx.get_mut(&flow) else { continue };
-            if m.completed || m.credited >= m.size {
-                continue;
-            }
+            // Completed since it queued, or already fully credited.
+            let Some(m) = self.rx.get_mut(flow).filter(|m| m.credited < m.size) else { continue };
             m.credited = (m.credited + mss).min(m.size);
             let peer = m.peer;
             ctx.send(Packet::ctrl(flow, host, peer, Proto::Ndp(NdpHdr::Pull)));
@@ -151,18 +163,26 @@ impl Transport<Proto> for ExpressPassTransport {
             NdpHdr::Data { offset, len, msg_size, retx } => {
                 let (offset, len, msg_size, retx) = (*offset, *len, *msg_size, *retx);
                 let flow = pkt.flow;
-                let peer = pkt.src;
                 let now = ctx.now();
-                let watchdog = self.cfg.watchdog;
-                let first = !self.rx.contains_key(&flow);
-                let m = self.rx.entry(flow).or_insert_with(|| EpRx {
-                    peer,
-                    size: msg_size,
-                    received: IntervalSet::new(),
-                    completed: false,
-                    credited: 0,
-                    last_activity: now,
-                });
+                let mut first = false;
+                let m = match self.rx.get_mut(flow) {
+                    Some(m) => m,
+                    None => {
+                        if let Some(&under_credited) = self.rx_done.get(flow) {
+                            // Late packet of a completed flow.
+                            if len == 0 && under_credited {
+                                self.credit_queue.push_back(flow);
+                                self.arm_pacer(ctx);
+                            }
+                            return;
+                        }
+                        first = true;
+                        let (size, received) = (msg_size, IntervalSet::new());
+                        let m =
+                            EpRx { peer: pkt.src, size, received, credited: 0, last_activity: now };
+                        self.rx.insert(flow, m)
+                    }
+                };
                 m.last_activity = now;
                 if len == 0 {
                     // Request: admit to the credit round-robin. A *retried*
@@ -171,7 +191,7 @@ impl Transport<Proto> for ExpressPassTransport {
                     // actually hold. (Without this, a lost credit deadlocks:
                     // retries refresh `last_activity`, muzzling the stall
                     // watchdog, while `credited` claims the flow is served.)
-                    if retx && !m.completed {
+                    if retx {
                         m.credited = m.received.covered_bytes();
                     }
                     if first || m.credited < m.size {
@@ -180,23 +200,25 @@ impl Transport<Proto> for ExpressPassTransport {
                     }
                     if first {
                         ctx.timer_after(
-                            watchdog,
+                            self.cfg.watchdog,
                             Token { kind: TIMER_EP_WATCHDOG, generation: 0, flow: flow.0 }.encode(),
                         );
                     }
                     return;
                 }
                 m.received.insert(offset, offset + len as u64);
-                if !m.completed && m.received.covers(m.size) {
-                    m.completed = true;
+                if m.received.covers(m.size) {
+                    let under_credited = m.credited < m.size;
                     ctx.flow_completed(flow);
+                    self.rx.retire(flow);
+                    self.rx_done.insert(flow, under_credited);
                 }
             }
             // Recovery: resend a lost range (stall watchdog path).
             NdpHdr::Nack { offset, len } => {
                 let (offset, len) = (*offset, *len);
                 let mss = self.mss as u64;
-                let Some(tx) = self.tx.get(&pkt.flow) else { return };
+                let Some(tx) = self.tx.get(pkt.flow) else { return };
                 let mut off = offset;
                 let end = (offset + len as u64).min(tx.size);
                 while off < end {
@@ -214,7 +236,7 @@ impl Transport<Proto> for ExpressPassTransport {
             // Credit: release one data packet.
             NdpHdr::Pull => {
                 let mss = self.mss as u64;
-                let Some(tx) = self.tx.get_mut(&pkt.flow) else { return };
+                let Some(tx) = self.tx.get_mut(pkt.flow) else { return };
                 if tx.sent < tx.size {
                     let len = ((tx.size - tx.sent).min(mss)) as u32;
                     let hdr = NdpHdr::Data { offset: tx.sent, len, msg_size: tx.size, retx: false };
@@ -235,7 +257,7 @@ impl Transport<Proto> for ExpressPassTransport {
             TIMER_EP_CREDIT => self.pacer_tick(ctx),
             TIMER_EP_REQUEST => {
                 let flow = FlowId(token.flow);
-                let Some(tx) = self.tx.get(&flow) else { return };
+                let Some(tx) = self.tx.get(flow) else { return };
                 if tx.sent == 0 && tx.size > 0 {
                     let hdr = NdpHdr::Data { offset: 0, len: 0, msg_size: tx.size, retx: true };
                     ctx.send(Packet::ctrl(tx.id, tx.src, tx.dst, Proto::Ndp(hdr)));
@@ -248,14 +270,9 @@ impl Transport<Proto> for ExpressPassTransport {
             TIMER_EP_WATCHDOG => {
                 let flow = FlowId(token.flow);
                 let watchdog = self.cfg.watchdog;
-                let stalled = {
-                    let Some(m) = self.rx.get_mut(&flow) else { return };
-                    if m.completed {
-                        return;
-                    }
-                    ctx.now().saturating_since(m.last_activity) >= watchdog
-                };
-                if stalled {
+                // A completed flow's watchdog finds nothing and stops.
+                let Some(m) = self.rx.get(flow) else { return };
+                if ctx.now().saturating_since(m.last_activity) >= watchdog {
                     // Ask the sender to resend every hole below the credit
                     // line — its `sent` pointer only moves forward and the
                     // pacer cannot re-issue spent credits, so recovery must
@@ -263,17 +280,14 @@ impl Transport<Proto> for ExpressPassTransport {
                     // the sender treats a NACK as authorization to (re)send
                     // the range).
                     let host = ctx.host();
-                    let (peer, gaps) = {
-                        let m = self.rx.get(&flow).expect("checked above"); // simlint: allow(panic_hygiene)
-                        let mut gaps = Vec::new();
-                        let mut cursor = 0;
-                        let upto = m.received.covered_bytes().max(m.credited).min(m.size);
-                        while let Some((s, e)) = m.received.first_gap(cursor, upto) {
-                            gaps.push((s, (e - s).min(u32::MAX as u64) as u32));
-                            cursor = e;
-                        }
-                        (m.peer, gaps)
-                    };
+                    let peer = m.peer;
+                    let mut gaps = Vec::new();
+                    let mut cursor = 0;
+                    let upto = m.received.covered_bytes().max(m.credited).min(m.size);
+                    while let Some((s, e)) = m.received.first_gap(cursor, upto) {
+                        gaps.push((s, (e - s).min(u32::MAX as u64) as u32));
+                        cursor = e;
+                    }
                     for (off, len) in gaps {
                         ctx.send(Packet::ctrl(
                             flow,
@@ -348,6 +362,61 @@ mod tests {
         let fct = topo.sim.completion(f).unwrap().as_nanos() as f64;
         let ideal = Rate::gbps(10).serialization_time(size).as_nanos() as f64;
         assert!(fct / ideal < 1.5, "{}x ideal", fct / ideal);
+    }
+
+    /// A completed receiver leaves the table; late data and a late credit
+    /// request do nothing (the flow completed fully credited), the credit
+    /// pacer skips its stale turn, and its watchdog stops.
+    #[test]
+    fn a_completed_receiver_is_retired_and_late_packets_do_what_they_did() {
+        use crate::common::testkit::drive;
+        let me = HostId(1);
+        let cfg = ExpressPassCfg {
+            edge_rate: Rate::gbps(10),
+            credit_rate_factor: 0.95,
+            watchdog: SimDuration::from_millis(1),
+        };
+        let mut t = ExpressPassTransport::new(cfg, 1000);
+        let pkt_of = |flow: u64, offset: u64, len: u32, msg_size: u64, retx: bool| {
+            let hdr = NdpHdr::Data { offset, len, msg_size, retx };
+            Packet::ctrl(FlowId(flow), HostId(0), me, Proto::Ndp(hdr))
+        };
+        let pkt = |len: u32, retx: bool| pkt_of(7, 0, len, 1000, retx);
+        let request = drive(SimTime(10), me, |ctx| t.on_packet(pkt(0, false), ctx));
+        assert_eq!(request.timers.len(), 2, "credit pacer, then the watchdog");
+        let (credit_tick, watchdog) = (request.timers[0], request.timers[1]);
+        let credit = drive(credit_tick.0, me, |ctx| t.on_timer(credit_tick.1, ctx));
+        assert_eq!(credit.packets.len(), 1);
+        assert_eq!(t.flow_tables().1, TableStats { live: 1, high_water: 1 });
+        let done = drive(SimTime(5_000), me, |ctx| t.on_packet(pkt(1000, false), ctx));
+        assert_eq!(done.completed, vec![FlowId(7)]);
+        assert_eq!(t.flow_tables().1, TableStats { live: 0, high_water: 1 });
+        assert_eq!(t.rx_done.get(FlowId(7)), Some(&false), "it completed fully credited");
+
+        assert!(drive(SimTime(6_000), me, |ctx| t.on_packet(pkt(1000, true), ctx)).nothing());
+        assert!(drive(SimTime(7_000), me, |ctx| t.on_packet(pkt(0, true), ctx)).nothing());
+        assert!(drive(watchdog.0, me, |ctx| t.on_timer(watchdog.1, ctx)).nothing());
+        // A stale turn in the credit round-robin is skipped.
+        t.credit_queue.push_back(FlowId(7));
+        assert!(drive(SimTime(8_000), me, |ctx| t.on_timer(credit_tick.1, ctx)).nothing());
+        assert_eq!(t.flow_tables().1, TableStats { live: 0, high_water: 1 });
+
+        // A flow whose data outran its credit line completes under-credited
+        // (a retried request had rewound the line); its late request still
+        // takes a turn in the round-robin, which skips it.
+        drive(SimTime(9_000), me, |ctx| t.on_packet(pkt_of(8, 0, 0, 2000, false), ctx));
+        drive(SimTime(9_100), me, |ctx| t.on_packet(pkt_of(8, 0, 1000, 2000, false), ctx));
+        let done =
+            drive(SimTime(9_200), me, |ctx| t.on_packet(pkt_of(8, 1000, 1000, 2000, false), ctx));
+        assert_eq!(done.completed, vec![FlowId(8)]);
+        assert_eq!(t.rx_done.get(FlowId(8)), Some(&true));
+        t.credit_queue.clear();
+        t.pacer_armed = false;
+        let late = drive(SimTime(9_300), me, |ctx| t.on_packet(pkt_of(8, 0, 0, 2000, true), ctx));
+        assert!(late.packets.is_empty() && late.completed.is_empty());
+        assert_eq!(late.timers.len(), 1, "the late request arms the credit pacer");
+        assert!(drive(late.timers[0].0, me, |ctx| t.on_timer(late.timers[0].1, ctx)).nothing());
+        assert!(!t.pacer_armed && t.rx.stats().live == 0);
     }
 }
 

@@ -11,14 +11,12 @@
 //! Swift endpoint. [`crate::lcp::Lcp<H>`] layers PPT's low-priority loop
 //! and flow scheduling over the same `H` (Fig 14, appendix B).
 
-use std::collections::BTreeMap;
-
 use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimTime, Transport};
 use ppt_core::PptConfig;
 
-use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
+use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
+use crate::rx::TcpRxTable;
 use crate::tcp_base::{AckOutcome, DctcpFlowTx, SegOut, TcpCfg};
 
 /// The feedback channel an HCP's data packets are stamped for.
@@ -108,37 +106,39 @@ pub(crate) fn pump<H: Hcp>(flow: &mut DctcpFlowTx, ctx: &mut Ctx<'_, Proto>) {
 pub struct Window<H: Hcp> {
     tcp: TcpCfg,
     hcp: H,
-    tx: BTreeMap<FlowId, DctcpFlowTx>,
-    rx: BTreeMap<FlowId, TcpRx>,
+    /// Senders still waiting for ACKs; a finished one leaves nothing.
+    tx: FlowTable<DctcpFlowTx>,
+    rx: TcpRxTable,
 }
 
 impl<H: Hcp> Window<H> {
     /// New endpoint running `hcp` over the TCP mechanics in `tcp`.
     pub fn new(tcp: TcpCfg, hcp: H) -> Self {
-        Window { tcp, hcp, tx: BTreeMap::new(), rx: BTreeMap::new() }
+        Window { tcp, hcp, tx: FlowTable::new(), rx: TcpRxTable::new(1) }
+    }
+
+    /// Occupancy of the `(sender, receiver)` tables: flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
     }
 }
 
 impl<H: Hcp> Transport<Proto> for Window<H> {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let mut tx = self.hcp.flow_tx(flow, &self.tcp);
-        pump::<H>(&mut tx, ctx);
-        self.tx.insert(flow.id, tx);
+        let tx = self.hcp.flow_tx(flow, &self.tcp);
+        pump::<H>(self.tx.insert(flow.id, tx), ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                rx.on_data(&pkt, hdr, ctx);
-            }
+            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
             Proto::Ack(ack) => {
-                let Some(flow) = self.tx.get_mut(&pkt.flow) else { return };
+                let Some(flow) = self.tx.get_mut(pkt.flow) else { return };
                 flow.on_ack(ack, ctx.now());
-                if !flow.is_done() {
+                if flow.is_done() {
+                    release_rto(flow, ctx);
+                    self.tx.retire(pkt.flow);
+                } else {
                     pump::<H>(flow, ctx);
                 }
             }
@@ -151,7 +151,7 @@ impl<H: Hcp> Transport<Proto> for Window<H> {
         if token.kind != TIMER_RTO {
             return;
         }
-        let Some(flow) = self.tx.get_mut(&FlowId(token.flow)) else { return };
+        let Some(flow) = self.tx.get_mut(FlowId(token.flow)) else { return };
         if service_rto(flow, ctx) {
             pump::<H>(flow, ctx);
         }
@@ -159,5 +159,52 @@ impl<H: Hcp> Transport<Proto> for Window<H> {
 
     fn cc_snapshot(&self) -> netsim::CcSnapshot {
         crate::common::cc_snapshot(self.tx.values().map(|tx| (tx, 0)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::testkit::{ack, drive};
+    use netsim::{HostId, SimDuration};
+
+    /// Start one 1 000-byte flow on `t`, finish it with one ACK, and check
+    /// the sender was retired — RTO timer given up — and that nothing it
+    /// left behind (a late ACK of either loop, every timer it armed) can do
+    /// anything any more: these endpoints keep no tombstone.
+    fn finish_and_poke<T: Transport<Proto>>(mut t: T, senders: impl Fn(&T) -> TableStats) {
+        let me = HostId(0);
+        let flow = FlowDesc::new(FlowId(3), me, HostId(1), 1000, SimTime::ZERO);
+        let start = drive(SimTime::ZERO, me, |ctx| t.on_flow_start(&flow, ctx));
+        assert_eq!(senders(&t), TableStats { live: 1, high_water: 1 });
+        let at = SimTime(100_000);
+        let fin = drive(at, me, |ctx| t.on_packet(ack(3, (1, 0), 1000, false), ctx));
+        assert_eq!(fin.rto_disarms(), vec![3], "retiring gives up the live timer");
+        assert!(fin.packets.is_empty() && fin.timers.is_empty());
+        assert_eq!(senders(&t), TableStats { live: 0, high_water: 1 });
+        assert_eq!(t.cc_snapshot().flows, 0);
+        for lcp in [false, true] {
+            assert!(drive(at, me, |ctx| t.on_packet(ack(3, (1, 0), 1000, lcp), ctx)).nothing());
+        }
+        for (fires_at, token) in start.timers {
+            assert!(
+                drive(fires_at, me, |ctx| t.on_timer(token, ctx)).nothing(),
+                "token {token:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn tombstone_free_senders_retire_at_their_last_ack() {
+        use crate::{HpccHcp, HypotheticalTransport, PiasTransport, Rc3Transport, SwiftHcp};
+        let tcp = TcpCfg::new(SimDuration::from_micros(80));
+        finish_and_poke(Window::new(tcp.clone(), SwiftHcp), |t| t.flow_tables().0);
+        finish_and_poke(Window::new(tcp.clone(), HpccHcp::new(100_000)), |t| t.flow_tables().0);
+        finish_and_poke(PiasTransport::new(tcp.clone(), Default::default()), |t| t.flow_tables().0);
+        let rc3 = crate::Rc3Cfg { bdp_bytes: 100_000, send_buffer_bytes: 1 << 30 };
+        finish_and_poke(Rc3Transport::new(tcp.clone(), rc3), |t| t.flow_tables().0);
+        let oracle = crate::MwRecorder::default();
+        oracle.borrow_mut().insert(FlowId(3), 50_000);
+        finish_and_poke(HypotheticalTransport::new(tcp, &oracle, 1.0), |t| t.flow_tables().0);
     }
 }

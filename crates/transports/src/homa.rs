@@ -20,11 +20,9 @@
 //!   by the selective dropper, and lets the receiver request lost
 //!   unscheduled bytes immediately as scheduled retransmissions.
 
-use std::collections::BTreeMap;
-
 use netsim::{Ctx, FlowDesc, FlowId, HostId, Packet, SimDuration, SimTime, Transport};
 
-use crate::common::{IntervalSet, Token};
+use crate::common::{FlowTable, IntervalSet, TableStats, Token};
 use crate::proto::{HomaHdr, Proto};
 
 /// Receiver RESEND poll timer.
@@ -114,7 +112,6 @@ struct HomaRx {
     received: IntervalSet,
     /// Highest offset granted to the sender.
     granted: u64,
-    completed: bool,
     last_data: SimTime,
     /// Aeolus: unscheduled bytes the probe said were sent.
     probe_expected: Option<u64>,
@@ -124,14 +121,53 @@ struct HomaRx {
 pub struct HomaTransport {
     cfg: HomaCfg,
     mss: u32,
-    tx: BTreeMap<FlowId, HomaTx>,
-    rx: BTreeMap<FlowId, HomaRx>,
+    /// Every sender the host started: nothing tells a Homa sender that its
+    /// message completed, so they stay to the end of the run.
+    tx: FlowTable<HomaTx>,
+    /// Receivers still missing bytes: the set `regrant` ranks.
+    rx: FlowTable<HomaRx>,
+    /// The completed ones; late data re-runs the grant pass and no more.
+    rx_done: FlowTable<()>,
+    /// `regrant`'s `(remaining bytes, flow)` ranking, reused across calls.
+    grant_scratch: Vec<(u64, FlowId)>,
 }
 
 impl HomaTransport {
     /// New endpoint.
     pub fn new(cfg: HomaCfg, mss: u32) -> Self {
-        HomaTransport { cfg, mss, tx: BTreeMap::new(), rx: BTreeMap::new() }
+        HomaTransport {
+            cfg,
+            mss,
+            tx: FlowTable::new(),
+            rx: FlowTable::new(),
+            rx_done: FlowTable::new(),
+            grant_scratch: Vec::new(),
+        }
+    }
+
+    /// Occupancy of the `(sender, receiver)` tables; only the receivers'
+    /// follows the flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
+    }
+
+    /// The receiver for a flow first heard of now (by data or by probe),
+    /// with its timeout-recovery timer armed.
+    fn open_rx(
+        &mut self,
+        flow: FlowId,
+        peer: HostId,
+        size: u64,
+        granted: u64,
+        ctx: &mut Ctx<'_, Proto>,
+    ) -> &mut HomaRx {
+        ctx.timer_after(
+            self.cfg.resend_timeout,
+            Token { kind: TIMER_HOMA_RESEND, generation: 0, flow: flow.0 }.encode(),
+        );
+        let (received, last_data) = (IntervalSet::new(), ctx.now());
+        let m = HomaRx { flow, peer, size, received, granted, last_data, probe_expected: None };
+        self.rx.insert(flow, m)
     }
 
     fn send_range(
@@ -160,9 +196,7 @@ impl HomaTransport {
     }
 
     /// Transmit any newly-granted region.
-    fn pump_tx(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let mss = self.mss;
-        let Some(tx) = self.tx.get_mut(&id) else { return };
+    fn pump_tx(tx: &mut HomaTx, mss: u32, ctx: &mut Ctx<'_, Proto>) {
         let to = tx.granted.min(tx.size);
         if tx.sent < to {
             let from = tx.sent;
@@ -176,18 +210,19 @@ impl HomaTransport {
     /// for the `overcommit` incomplete messages with the fewest remaining
     /// bytes.
     fn regrant(&mut self, ctx: &mut Ctx<'_, Proto>) {
-        let mut active: Vec<(u64, FlowId)> = self
-            .rx
-            .values()
-            .filter(|m| !m.completed && m.granted < m.size)
-            .map(|m| (m.size - m.received.covered_bytes(), m.flow))
-            .collect();
-        active.sort();
+        let HomaTransport { cfg, rx, grant_scratch: active, .. } = self;
+        active.clear();
+        active.extend(
+            rx.values()
+                .filter(|m| m.granted < m.size)
+                .map(|m| (m.size - m.received.covered_bytes(), m.flow)),
+        );
+        active.sort_unstable();
         let host = ctx.host();
-        for (rank, &(_, flow)) in active.iter().take(self.cfg.overcommit).enumerate() {
-            let prio = self.cfg.sched_priority(rank);
-            let m = self.rx.get_mut(&flow).expect("rx exists"); // simlint: allow(panic_hygiene)
-            let target = m.size.min(m.received.covered_bytes() + self.cfg.rtt_bytes);
+        for (rank, &(_, flow)) in active.iter().take(cfg.overcommit).enumerate() {
+            let prio = cfg.sched_priority(rank);
+            let Some(m) = rx.get_mut(flow) else { continue };
+            let target = m.size.min(m.received.covered_bytes() + cfg.rtt_bytes);
             if target > m.granted {
                 m.granted = target;
                 let hdr = HomaHdr::Grant { granted_offset: target, prio };
@@ -239,49 +274,38 @@ impl Transport<Proto> for HomaTransport {
         match hdr {
             HomaHdr::Data { offset, len, msg_size, .. } => {
                 let (offset, len, msg_size) = (*offset, *len, *msg_size);
-                let now = ctx.now();
                 let flow = pkt.flow;
-                let peer = pkt.src;
-                let first = !self.rx.contains_key(&flow);
-                let timeout = self.cfg.resend_timeout;
-                let m = self.rx.entry(flow).or_insert_with(|| HomaRx {
-                    flow,
-                    peer,
-                    size: msg_size,
-                    received: IntervalSet::new(),
-                    granted: 0,
-                    completed: false,
-                    last_data: now,
-                    probe_expected: None,
-                });
-                m.last_data = now;
+                let m = match self.rx.get_mut(flow) {
+                    Some(m) => m,
+                    // Late data of a completed message.
+                    None if self.rx_done.contains(flow) => return self.regrant(ctx),
+                    // The unscheduled window needs no grants.
+                    None => {
+                        let unsched = msg_size.min(self.cfg.rtt_bytes);
+                        self.open_rx(flow, pkt.src, msg_size, unsched, ctx)
+                    }
+                };
+                m.last_data = ctx.now();
                 m.received.insert(offset, offset + len as u64);
-                // The unscheduled window needs no grants.
-                if first {
-                    m.granted = m.granted.max(msg_size.min(self.cfg.rtt_bytes));
-                    ctx.timer_after(
-                        timeout,
-                        Token { kind: TIMER_HOMA_RESEND, generation: 0, flow: flow.0 }.encode(),
-                    );
-                }
-                if !m.completed && m.received.covers(m.size) {
-                    m.completed = true;
+                if m.received.covers(m.size) {
                     ctx.flow_completed(flow);
+                    self.rx.retire(flow);
+                    self.rx_done.insert(flow, ());
                 }
                 self.regrant(ctx);
             }
             HomaHdr::Grant { granted_offset, prio } => {
                 let (granted_offset, prio) = (*granted_offset, *prio);
-                if let Some(tx) = self.tx.get_mut(&pkt.flow) {
+                if let Some(tx) = self.tx.get_mut(pkt.flow) {
                     tx.granted = tx.granted.max(granted_offset);
                     tx.sched_prio = prio;
+                    Self::pump_tx(tx, self.mss, ctx);
                 }
-                self.pump_tx(pkt.flow, ctx);
             }
             HomaHdr::Resend { offset, len } => {
                 let (offset, len) = (*offset, *len);
                 let mss = self.mss;
-                if let Some(tx) = self.tx.get(&pkt.flow) {
+                if let Some(tx) = self.tx.get(pkt.flow) {
                     // Retransmissions go out scheduled at the top
                     // scheduled priority.
                     let prio = self.cfg.sched_priority(0);
@@ -291,35 +315,23 @@ impl Transport<Proto> for HomaTransport {
             }
             HomaHdr::Probe { unscheduled_sent, msg_size } => {
                 let (unscheduled_sent, msg_size) = (*unscheduled_sent, *msg_size);
-                let now = ctx.now();
                 let flow = pkt.flow;
-                let peer = pkt.src;
-                let first = !self.rx.contains_key(&flow);
-                if first {
+                let m = match self.rx.get_mut(flow) {
+                    Some(m) => m,
+                    // The message completed before its probe arrived.
+                    None if self.rx_done.contains(flow) => return,
                     // The probe can overtake the P7 data burst; the
                     // timeout-recovery timer must still get armed.
-                    ctx.timer_after(
-                        self.cfg.resend_timeout,
-                        Token { kind: TIMER_HOMA_RESEND, generation: 0, flow: flow.0 }.encode(),
-                    );
-                }
-                let m = self.rx.entry(flow).or_insert_with(|| HomaRx {
-                    flow,
-                    peer,
-                    size: msg_size,
-                    received: IntervalSet::new(),
-                    granted: msg_size.min(unscheduled_sent),
-                    completed: false,
-                    last_data: now,
-                    probe_expected: None,
-                });
+                    None => {
+                        let granted = msg_size.min(unscheduled_sent);
+                        self.open_rx(flow, pkt.src, msg_size, granted, ctx)
+                    }
+                };
                 m.probe_expected = Some(unscheduled_sent);
                 m.granted = m.granted.max(unscheduled_sent);
                 // Aeolus: any hole below the probe line was selectively
                 // dropped — reclaim it immediately as scheduled traffic.
-                if !m.completed {
-                    Self::request_resends(m, unscheduled_sent, ctx);
-                }
+                Self::request_resends(m, unscheduled_sent, ctx);
             }
         }
     }
@@ -331,10 +343,8 @@ impl Transport<Proto> for HomaTransport {
         }
         let flow = FlowId(token.flow);
         let timeout = self.cfg.resend_timeout;
-        let Some(m) = self.rx.get_mut(&flow) else { return };
-        if m.completed {
-            return;
-        }
+        // A completed message's timer finds nothing and stops.
+        let Some(m) = self.rx.get_mut(flow) else { return };
         let now = ctx.now();
         if now.saturating_since(m.last_data) >= timeout {
             // Stalled: request every provable hole up to the granted line.
@@ -452,5 +462,53 @@ mod tests {
         assert_eq!(report.flows_completed, 8);
         let c = topo.sim.total_counters();
         assert!(c.dropped > 0, "selective dropper must engage under incast");
+    }
+
+    /// A completed receiver leaves the table (so the grant pass ranks live
+    /// messages only); late data still re-runs the grant pass, a late probe
+    /// does nothing, and nothing completes — or is created — twice.
+    #[test]
+    fn a_completed_receiver_is_retired_and_late_packets_do_what_they_did() {
+        use crate::common::testkit::drive;
+        let me = HostId(1);
+        let mut t = HomaTransport::new(HomaCfg::new(50_000), 1000);
+        let data = |flow: u64, offset: u64, size: u64| {
+            let hdr =
+                HomaHdr::Data { offset, len: 1000, msg_size: size, unscheduled: true, retx: false };
+            Packet::data(FlowId(flow), HostId(0), me, 1000, Proto::Homa(hdr))
+        };
+        let probe = |flow: u64, unscheduled_sent: u64, msg_size: u64| {
+            let hdr = HomaHdr::Probe { unscheduled_sent, msg_size };
+            Packet::ctrl(FlowId(flow), HostId(0), me, Proto::Homa(hdr))
+        };
+        let only = drive(SimTime(10), me, |ctx| t.on_packet(data(7, 0, 1000), ctx));
+        assert_eq!(only.completed, vec![FlowId(7)]);
+        assert_eq!(only.timers.len(), 1, "the resend timer is armed whatever happens next");
+        assert_eq!(t.flow_tables().1, TableStats { live: 0, high_water: 1 });
+
+        // A probe opens message 8 with less granted than it could have;
+        // probes do not run the grant pass, so the grant is still owed.
+        let opened = drive(SimTime(20), me, |ctx| t.on_packet(probe(8, 1000, 100_000), ctx));
+        assert_eq!(t.flow_tables().1, TableStats { live: 1, high_water: 1 });
+        let granted = |did: &crate::common::testkit::Did| {
+            let grants = did.packets.iter().filter_map(|p| match p.payload {
+                Proto::Homa(HomaHdr::Grant { granted_offset, .. }) => {
+                    Some((p.flow, granted_offset))
+                }
+                _ => None,
+            });
+            grants.collect::<Vec<_>>()
+        };
+        assert_eq!(granted(&opened), vec![]);
+
+        // Late data of the completed message: no completion, no receiver,
+        // but the grant pass runs and pays message 8 what it is owed.
+        let late = drive(SimTime(30), me, |ctx| t.on_packet(data(7, 0, 1000), ctx));
+        assert!(late.completed.is_empty() && late.timers.is_empty());
+        assert_eq!(granted(&late), vec![(FlowId(8), 50_000)]);
+        // A late probe, and the resend timer, of the completed message.
+        assert!(drive(SimTime(40), me, |ctx| t.on_packet(probe(7, 1000, 1000), ctx)).nothing());
+        assert!(drive(only.timers[0].0, me, |ctx| t.on_timer(only.timers[0].1, ctx)).nothing());
+        assert_eq!(t.flow_tables().1, TableStats { live: 1, high_water: 1 });
     }
 }

@@ -12,12 +12,12 @@ use std::collections::BTreeMap;
 
 use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, Transport};
 
-use crate::common::{service_rto, Token, TIMER_RTO};
+use crate::common::{release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::dctcp::MwRecorder;
 use crate::hcp::pump;
 use crate::ppt::DctcpHcp;
 use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
+use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 
 /// Per-RTT oracle fill tick.
@@ -35,11 +35,14 @@ struct HypoFlow {
 pub struct HypotheticalTransport {
     tcp: TcpCfg,
     /// MW oracle recorded from a prior plain-DCTCP run of the *same*
-    /// workload (same seeds ⇒ same flow ids).
+    /// workload (same seeds ⇒ same flow ids): a whole-run lookup, not
+    /// per-flow state.
     oracle: BTreeMap<FlowId, u64>,
     fill_fraction: f64,
-    tx: BTreeMap<FlowId, HypoFlow>,
-    rx: BTreeMap<FlowId, TcpRx>,
+    /// Senders still waiting for ACKs; a finished one leaves nothing (its
+    /// fill tick finds no flow and stops).
+    tx: FlowTable<HypoFlow>,
+    rx: TcpRxTable,
 }
 
 impl HypotheticalTransport {
@@ -49,28 +52,28 @@ impl HypotheticalTransport {
             tcp,
             oracle: oracle.borrow().clone(),
             fill_fraction,
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
+            tx: FlowTable::new(),
+            rx: TcpRxTable::new(1),
         }
+    }
+
+    /// Occupancy of the `(sender, receiver)` tables: flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
     }
 
     /// Once per RTT: send opportunistic tail packets so that
     /// cwnd + lp_inflight ≈ fill_fraction × MW.
-    fn fill_tick(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let mss = self.tcp.mss as u64;
-        let frac = self.fill_fraction;
+    fn fill_tick(tcp: &TcpCfg, fill_fraction: f64, f: &mut HypoFlow, ctx: &mut Ctx<'_, Proto>) {
+        let mss = tcp.mss as u64;
         let now = ctx.now();
-        let Some(f) = self.tx.get_mut(&id) else { return };
-        if f.hcp.is_done() {
-            return;
-        }
         let Some(mw) = f.mw else { return };
-        let target = (mw as f64 * frac) as u64;
+        let target = (mw as f64 * fill_fraction) as u64;
         let occupied = f.hcp.cwnd_bytes() + f.lp_inflight;
         let mut budget = target.saturating_sub(occupied);
-        let (src, dst, size) = (f.hcp.src, f.hcp.dst, f.hcp.size);
+        let (id, src, dst, size) = (f.hcp.id, f.hcp.src, f.hcp.dst, f.hcp.size);
         while budget >= mss {
-            let Some((start, len)) = f.hcp.claim_tail(size, self.tcp.mss) else { break };
+            let Some((start, len)) = f.hcp.claim_tail(size, tcp.mss) else { break };
             f.lp_inflight += len as u64;
             budget = budget.saturating_sub(len as u64);
             let hdr = DataHdr {
@@ -87,16 +90,22 @@ impl HypotheticalTransport {
             ctx.send(pkt);
         }
     }
+
+    /// Retire `id`, whose last byte was just acknowledged.
+    fn retire(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
+        if let Some(f) = self.tx.retire(id) {
+            release_rto(&f.hcp, ctx);
+        }
+    }
 }
 
 impl Transport<Proto> for HypotheticalTransport {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let mut hcp =
-            DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
-        pump::<DctcpHcp>(&mut hcp, ctx);
+        let hcp = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
         let mw = self.oracle.get(&flow.id).copied();
-        self.tx.insert(flow.id, HypoFlow { hcp, mw, lp_inflight: 0 });
-        self.fill_tick(flow.id, ctx);
+        let f = self.tx.insert(flow.id, HypoFlow { hcp, mw, lp_inflight: 0 });
+        pump::<DctcpHcp>(&mut f.hcp, ctx);
+        Self::fill_tick(&self.tcp, self.fill_fraction, f, ctx);
         ctx.timer_after(
             self.tcp.base_rtt,
             Token { kind: TIMER_HYPO_FILL, generation: 0, flow: flow.id.0 }.encode(),
@@ -105,26 +114,23 @@ impl Transport<Proto> for HypotheticalTransport {
 
     fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                rx.on_data(&pkt, hdr, ctx);
-            }
+            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
             Proto::Ack(ack) if ack.lcp => {
-                let now = ctx.now();
-                let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
+                let Some(f) = self.tx.get_mut(pkt.flow) else { return };
                 let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
                 f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
-                f.hcp.on_lcp_ack(ack, now);
+                f.hcp.on_lcp_ack(ack, ctx.now());
+                if f.hcp.is_done() {
+                    self.retire(pkt.flow, ctx);
+                }
             }
             Proto::Ack(ack) => {
-                let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
+                let Some(f) = self.tx.get_mut(pkt.flow) else { return };
                 f.hcp.on_ack(ack, ctx.now());
-                if !f.hcp.is_done() {
-                    pump::<DctcpHcp>(&mut f.hcp, ctx);
+                if f.hcp.is_done() {
+                    return self.retire(pkt.flow, ctx);
                 }
+                pump::<DctcpHcp>(&mut f.hcp, ctx);
             }
             _ => unreachable!("hypothetical endpoint received a non-TCP packet"),
         }
@@ -132,33 +138,23 @@ impl Transport<Proto> for HypotheticalTransport {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
         let token = Token::decode(token);
-        let id = FlowId(token.flow);
+        let Some(f) = self.tx.get_mut(FlowId(token.flow)) else { return };
         match token.kind {
             TIMER_RTO => {
-                let Some(f) = self.tx.get_mut(&id) else { return };
-                if service_rto(&mut f.hcp, ctx) {
+                let timed_out = service_rto(&mut f.hcp, ctx);
+                if timed_out {
                     pump::<DctcpHcp>(&mut f.hcp, ctx);
                 }
             }
             TIMER_HYPO_FILL => {
-                let live = {
-                    let Some(f) = self.tx.get_mut(&id) else { return };
-                    if f.hcp.is_done() {
-                        false
-                    } else {
-                        // Lost low-priority packets never get acked;
-                        // reclaim their budget each RTT.
-                        f.lp_inflight = 0;
-                        true
-                    }
-                };
-                if live {
-                    self.fill_tick(id, ctx);
-                    ctx.timer_after(
-                        self.tcp.base_rtt,
-                        Token { kind: TIMER_HYPO_FILL, generation: 0, flow: id.0 }.encode(),
-                    );
-                }
+                // Lost low-priority packets never get acked; reclaim their
+                // budget each RTT.
+                f.lp_inflight = 0;
+                Self::fill_tick(&self.tcp, self.fill_fraction, f, ctx);
+                ctx.timer_after(
+                    self.tcp.base_rtt,
+                    Token { kind: TIMER_HYPO_FILL, generation: 0, flow: token.flow }.encode(),
+                );
             }
             _ => {}
         }

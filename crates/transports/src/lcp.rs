@@ -16,18 +16,16 @@
 //! The ablation switches in [`PptConfig`] disable individual pieces to
 //! reproduce Figs 15–18, over whichever HCP is underneath.
 
-use std::collections::BTreeMap;
-
 use netsim::trace::{LcpCloseReason, LcpTrigger};
 use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimDuration, TraceEvent, Transport};
 use ppt_core::{
     initial_window_case1, FlowIdentifier, LcpAction, LcpLoop, LoopTrigger, MirrorTagger, PptConfig,
 };
 
-use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
+use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::hcp::{hcp_packet, Case1, Hcp};
 use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
+use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, SegOut, TcpCfg};
 
 /// LCP initial-burst pacing tick.
@@ -94,9 +92,6 @@ impl<H: Hcp> LcpFlow<H> {
     /// Send one opportunistic packet from the tail of the send buffer.
     /// Returns false when there is nothing left to claim (loops crossed).
     fn send_lcp_segment(&mut self, layer: &Layer, ctx: &mut Ctx<'_, Proto>) -> bool {
-        if self.tx.is_done() {
-            return false;
-        }
         // The LCP reads the TCP write queue from its tail: only bytes
         // currently buffered are reachable (§5.1). The buffered window is
         // [cum_acked, cum_acked + send_buffer).
@@ -142,7 +137,7 @@ impl<H: Hcp> LcpFlow<H> {
     ) {
         let mss = layer.tcp.mss as u64;
         let rtt = layer.cfg.base_rtt;
-        if self.lcp.is_some() || init_bytes < mss || self.tx.is_done() {
+        if self.lcp.is_some() || init_bytes < mss {
             return;
         }
         self.lcp = Some(LcpLoop::open(trigger, init_bytes, ctx.now()));
@@ -192,8 +187,12 @@ impl<H: Hcp> LcpFlow<H> {
 pub struct Lcp<H: Hcp> {
     layer: Layer,
     hcp: H,
-    tx: BTreeMap<FlowId, LcpFlow<H>>,
-    rx: BTreeMap<FlowId, TcpRx>,
+    /// Senders still waiting for ACKs: a flow in here is never done.
+    tx: FlowTable<LcpFlow<H>>,
+    /// Final HCP window of every finished sender: all the `CwndUpdate`
+    /// trace line of a late ACK needs.
+    tx_done: FlowTable<u64>,
+    rx: TcpRxTable,
     /// `pump_hcp`'s drained-window buffer, reused across calls.
     scratch: Vec<SegOut>,
 }
@@ -206,9 +205,25 @@ impl<H: Hcp> Lcp<H> {
         Lcp {
             layer: Layer { tagger: MirrorTagger::new(cfg.demotion_thresholds.clone()), tcp, cfg },
             hcp,
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
+            tx: FlowTable::new(),
+            tx_done: FlowTable::new(),
+            rx: TcpRxTable::new(2),
             scratch: Vec::new(),
+        }
+    }
+
+    /// Occupancy of the `(sender, receiver)` tables: flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
+    }
+
+    /// Retire `id`, whose last byte was just acknowledged and whose loop is
+    /// closed: every timer it still has in the queue finds nothing and is
+    /// dropped, as a done flow dropped it.
+    fn retire(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
+        if let Some(f) = self.tx.retire(id) {
+            release_rto(&f.tx, ctx);
+            self.tx_done.insert(id, f.tx.cwnd_bytes());
         }
     }
 }
@@ -221,15 +236,18 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
         let identifier = FlowIdentifier { threshold_bytes: layer.cfg.ident_threshold_bytes };
         let identified_large =
             layer.cfg.identification_enabled && identifier.is_large_at_start(first_write);
-        let f = self.tx.entry(flow.id).or_insert(LcpFlow {
-            tx: self.hcp.flow_tx(flow, &layer.tcp),
-            hcp: self.hcp.clone(),
-            identified_large,
-            lcp: None,
-            lcp_gen: 0,
-            pace_remaining: 0,
-            pace_interval: SimDuration::ZERO,
-        });
+        let f = self.tx.insert(
+            flow.id,
+            LcpFlow {
+                tx: self.hcp.flow_tx(flow, &layer.tcp),
+                hcp: self.hcp.clone(),
+                identified_large,
+                lcp: None,
+                lcp_gen: 0,
+                pace_remaining: 0,
+                pace_interval: SimDuration::ZERO,
+            },
+        );
         f.pump_hcp(layer, &mut self.scratch, ctx);
         match f.hcp.case1(identified_large) {
             Case1::FirstRtt => {
@@ -246,19 +264,21 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
     fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         let layer = &self.layer;
         match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 2));
-                rx.on_data(&pkt, hdr, ctx);
-            }
+            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
             Proto::Ack(ack) if ack.lcp => {
                 let now = ctx.now();
-                let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
+                let Some(f) = self.tx.get_mut(pkt.flow) else {
+                    // A late ACK of a finished flow moves nothing, but traces.
+                    if self.tx_done.contains(pkt.flow) {
+                        let (flow, ece) = (pkt.flow.0, ack.ece);
+                        ctx.emit(TraceEvent::LcpAck { flow, ece, sent_new: false });
+                    }
+                    return;
+                };
                 f.tx.on_lcp_ack(ack, now);
                 let mut sent_new = false;
-                if f.tx.is_done() {
+                let done = f.tx.is_done();
+                if done {
                     f.close_lcp(LcpCloseReason::FlowDone, ctx);
                 } else if let Some(lcp) = f.lcp.as_mut() {
                     if lcp.on_low_priority_ack(ack.ece, now) == LcpAction::SendOne {
@@ -272,9 +292,17 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
                     }
                 }
                 ctx.emit(TraceEvent::LcpAck { flow: pkt.flow.0, ece: ack.ece, sent_new });
+                if done {
+                    self.retire(pkt.flow, ctx);
+                }
             }
             Proto::Ack(ack) => {
-                let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
+                let Some(f) = self.tx.get_mut(pkt.flow) else {
+                    if let Some(&cwnd) = self.tx_done.get(pkt.flow) {
+                        ctx.emit(TraceEvent::CwndUpdate { flow: pkt.flow.0, cwnd });
+                    }
+                    return;
+                };
                 let out = f.tx.on_ack(ack, ctx.now());
                 if ctx.tracing() {
                     if let Some(alpha) = out.round_alpha {
@@ -284,7 +312,7 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
                 }
                 if f.tx.is_done() {
                     f.close_lcp(LcpCloseReason::FlowDone, ctx);
-                    return;
+                    return self.retire(pkt.flow, ctx);
                 }
                 // Case 2 is judged on the state the ACK left behind, before
                 // the pump below refills the window.
@@ -301,7 +329,7 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
         let layer = &self.layer;
         let token = Token::decode(token);
-        let Some(f) = self.tx.get_mut(&FlowId(token.flow)) else { return };
+        let Some(f) = self.tx.get_mut(FlowId(token.flow)) else { return };
         match token.kind {
             TIMER_RTO => {
                 let timed_out = service_rto(&mut f.tx, ctx);
@@ -324,9 +352,7 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
                     return;
                 }
                 let Some(lcp) = f.lcp.as_ref() else { return };
-                if f.tx.is_done() {
-                    f.close_lcp(LcpCloseReason::FlowDone, ctx);
-                } else if !lcp.is_expired(ctx.now(), rtt) {
+                if !lcp.is_expired(ctx.now(), rtt) {
                     ctx.timer_after(rtt, f.token(TIMER_LCP_EXPIRY));
                 } else if lcp.ack_counts().0 == 0 {
                     // Expired without a single LP ACK ever arriving: the
@@ -356,5 +382,59 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
                 .values()
                 .map(|f| (&f.tx, f.lcp.as_ref().map_or(0, |l| l.initial_window_bytes()))),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::common::rto_token;
+    use crate::common::testkit::{ack, drive};
+    use crate::ppt::{DctcpHcp, PptTransport};
+    use netsim::{HostId, Rate, SimTime};
+
+    /// The dual-loop sender is retired by whichever ACK finishes it, after
+    /// its loop closed and with its RTO timer given up; late ACKs of either
+    /// loop trace what they traced for a done flow, and none of its four
+    /// timer kinds can do anything any more.
+    #[test]
+    fn a_finished_dual_loop_sender_is_retired_and_late_events_do_what_they_did() {
+        let me = HostId(0);
+        let rtt = SimDuration::from_micros(80);
+        let cfg = PptConfig::new(Rate::gbps(10), rtt);
+        let mut t = PptTransport::new(TcpCfg::new(rtt), cfg.clone(), DctcpHcp::new(&cfg));
+        // Big enough that case 1 opens a loop beside the first window.
+        let size = 200_000;
+        let mut flow = FlowDesc::new(FlowId(3), me, HostId(1), size, SimTime::ZERO);
+        flow.first_write_bytes = 1000;
+        let start = drive(SimTime::ZERO, me, |ctx| t.on_flow_start(&flow, ctx));
+        assert!(start.trace.iter().any(|e| matches!(e, TraceEvent::LcpOpened { .. })));
+        let rto_at =
+            start.timers.iter().find(|&&(_, tok)| tok == rto_token(3)).expect("RTO armed").0;
+
+        // One low-priority ACK covers everything: the loop closes, the ACK
+        // is traced, and only then is the flow retired.
+        let at = SimTime(100_000);
+        let fin = drive(at, me, |ctx| t.on_packet(ack(3, (1, 0), size, true), ctx));
+        let closed = TraceEvent::LcpClosed { flow: 3, reason: LcpCloseReason::FlowDone };
+        let acked = TraceEvent::LcpAck { flow: 3, ece: false, sent_new: false };
+        assert_eq!(fin.trace, vec![closed, acked]);
+        assert_eq!(fin.rto_disarms(), vec![3]);
+        assert_eq!(t.flow_tables().0, TableStats { live: 0, high_water: 1 });
+
+        let late_lcp = drive(at, me, |ctx| t.on_packet(ack(3, (1, 0), size, true), ctx));
+        assert_eq!(late_lcp.trace, vec![acked]);
+        let late_hcp = drive(at, me, |ctx| t.on_packet(ack(3, (1, 0), size, false), ctx));
+        let cwnd = t.tx_done.get(FlowId(3)).copied().expect("the final window is kept");
+        assert_eq!(late_hcp.trace, vec![TraceEvent::CwndUpdate { flow: 3, cwnd }]);
+        for did in [&late_lcp, &late_hcp] {
+            assert!(did.packets.is_empty() && did.timers.is_empty() && did.notes.is_empty());
+        }
+        for kind in [TIMER_RTO, TIMER_LCP_PACE, TIMER_LCP_EXPIRY, TIMER_LCP_DELAYED_OPEN] {
+            let token = Token { kind, generation: 0, flow: 3 }.encode();
+            assert!(drive(rto_at, me, |ctx| t.on_timer(token, ctx)).nothing(), "timer kind {kind}");
+        }
+        let stray = drive(at, me, |ctx| t.on_packet(ack(4, (1, 0), size, true), ctx));
+        assert!(stray.nothing(), "an ACK for a flow this host never sent is still ignored");
     }
 }

@@ -40,7 +40,7 @@ pub mod rx;
 pub mod swift;
 pub mod tcp_base;
 
-pub use common::{IntervalSet, Token};
+pub use common::{FlowTable, IntervalSet, TableStats, Token};
 pub use dctcp::{install_dctcp, DctcpTransport, MwRecorder};
 pub use expresspass::{install_expresspass, ExpressPassCfg, ExpressPassTransport};
 pub use hcp::{Case1, Hcp, Stamp, Window};
@@ -54,7 +54,7 @@ pub use powertcp::{install_powertcp, PowerTcpHcp, PowerTcpTransport};
 pub use ppt::{install_ppt, DctcpHcp, PptTransport};
 pub use proto::{AckHdr, DataHdr, HomaHdr, IntHop, NdpHdr, Proto};
 pub use rc3::{install_rc3, Rc3Cfg, Rc3Transport};
-pub use rx::TcpRx;
+pub use rx::{TcpRx, TcpRxTable};
 pub use swift::{install_swift, install_swift_ppt, SwiftHcp, SwiftPptTransport, SwiftTransport};
 pub use tcp_base::{
     AckOutcome, CcMode, CcState, DctcpFlowTx, HpccCc, PowerTcpCc, SegOut, SwiftCc, TcpCfg,

@@ -14,11 +14,11 @@
 //! (trimmed payloads waste the capacity they occupied) but graceful
 //! steady-state behaviour under incast.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use netsim::{Ctx, FlowDesc, FlowId, HostId, Packet, Rate, SimDuration, SimTime, Transport};
 
-use crate::common::{IntervalSet, Token};
+use crate::common::{FlowTable, IntervalSet, TableStats, Token};
 use crate::proto::{NdpHdr, Proto};
 
 /// Receiver pull-pacer tick.
@@ -52,7 +52,6 @@ struct NdpRx {
     peer: HostId,
     size: u64,
     received: IntervalSet,
-    completed: bool,
     last_activity: SimTime,
 }
 
@@ -60,8 +59,14 @@ struct NdpRx {
 pub struct NdpTransport {
     cfg: NdpCfg,
     mss: u32,
-    tx: BTreeMap<FlowId, NdpTx>,
-    rx: BTreeMap<FlowId, NdpRx>,
+    /// Every sender the host started: nothing tells an NDP sender that its
+    /// flow completed, so they stay to the end of the run.
+    tx: FlowTable<NdpTx>,
+    /// Receivers still missing bytes.
+    rx: FlowTable<NdpRx>,
+    /// The completed ones. A late trimmed header still earns its NACK and
+    /// pull; both go by what the packet says, so the mark is all there is.
+    rx_done: FlowTable<()>,
     /// Receiver-side pull queue (one token per expected packet).
     pull_queue: VecDeque<FlowId>,
     pacer_armed: bool,
@@ -73,11 +78,18 @@ impl NdpTransport {
         NdpTransport {
             cfg,
             mss,
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
+            tx: FlowTable::new(),
+            rx: FlowTable::new(),
+            rx_done: FlowTable::new(),
             pull_queue: VecDeque::new(),
             pacer_armed: false,
         }
+    }
+
+    /// Occupancy of the `(sender, receiver)` tables; only the receivers'
+    /// follows the flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
     }
 
     fn data_packet(tx: &NdpTx, offset: u64, len: u32, retx: bool) -> Packet<Proto> {
@@ -92,7 +104,7 @@ impl NdpTransport {
     /// then new data.
     fn release_one(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
         let mss = self.mss as u64;
-        let Some(tx) = self.tx.get_mut(&id) else { return };
+        let Some(tx) = self.tx.get_mut(id) else { return };
         if let Some((off, len)) = tx.retx_queue.pop_front() {
             let take = len.min(mss as u32);
             if (take as u64) < len as u64 {
@@ -127,10 +139,8 @@ impl NdpTransport {
         let host = ctx.host();
         // Skip pulls for flows that completed since enqueueing.
         while let Some(flow) = self.pull_queue.pop_front() {
-            let live = self.rx.get(&flow).map(|m| !m.completed).unwrap_or(false);
-            if live {
-                let peer = self.rx[&flow].peer;
-                ctx.send(Packet::ctrl(flow, host, peer, Proto::Ndp(NdpHdr::Pull)));
+            if let Some(m) = self.rx.get(flow) {
+                ctx.send(Packet::ctrl(flow, host, m.peer, Proto::Ndp(NdpHdr::Pull)));
                 break;
             }
         }
@@ -153,21 +163,18 @@ impl Transport<Proto> for NdpTransport {
             src: flow.src,
             dst: flow.dst,
             size: flow.size_bytes,
-            sent: 0,
+            sent: first,
             retx_queue: VecDeque::new(),
         };
-        self.tx.insert(flow.id, tx);
         // Line-rate first window.
         let mss = self.mss as u64;
         let mut off = 0;
         while off < first {
             let len = ((first - off).min(mss)) as u32;
-            let tx = &self.tx[&flow.id];
-            let pkt = Self::data_packet(tx, off, len, false);
-            ctx.send(pkt);
+            ctx.send(Self::data_packet(&tx, off, len, false));
             off += len as u64;
         }
-        self.tx.get_mut(&flow.id).expect("flow exists").sent = first; // simlint: allow(panic_hygiene)
+        self.tx.insert(flow.id, tx);
     }
 
     fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
@@ -180,22 +187,26 @@ impl Transport<Proto> for NdpTransport {
                 let flow = pkt.flow;
                 let peer = pkt.src;
                 let now = ctx.now();
-                let watchdog = self.cfg.watchdog;
-                let first_seen = !self.rx.contains_key(&flow);
-                let m = self.rx.entry(flow).or_insert_with(|| NdpRx {
-                    peer,
-                    size: msg_size,
-                    received: IntervalSet::new(),
-                    completed: false,
-                    last_activity: now,
-                });
-                m.last_activity = now;
-                if first_seen {
-                    ctx.timer_after(
-                        watchdog,
-                        Token { kind: TIMER_NDP_WATCHDOG, generation: 0, flow: flow.0 }.encode(),
-                    );
-                }
+                // `None`: a late packet of a completed flow.
+                let m = match self.rx.get_mut(flow) {
+                    Some(m) => {
+                        m.last_activity = now;
+                        Some(m)
+                    }
+                    None if self.rx_done.contains(flow) => None,
+                    None => {
+                        ctx.timer_after(
+                            self.cfg.watchdog,
+                            Token { kind: TIMER_NDP_WATCHDOG, generation: 0, flow: flow.0 }
+                                .encode(),
+                        );
+                        let (size, received) = (msg_size, IntervalSet::new());
+                        Some(
+                            self.rx
+                                .insert(flow, NdpRx { peer, size, received, last_activity: now }),
+                        )
+                    }
+                };
                 if pkt.trimmed {
                     // Payload was cut: NACK so the sender requeues it, and
                     // pull it through the pacer like any other packet.
@@ -209,17 +220,19 @@ impl Transport<Proto> for NdpTransport {
                     self.enqueue_pull(flow, ctx);
                     return;
                 }
+                let Some(m) = m else { return };
                 m.received.insert(offset, offset + len as u64);
-                if !m.completed && m.received.covers(m.size) {
-                    m.completed = true;
+                if m.received.covers(m.size) {
                     ctx.flow_completed(flow);
-                } else if !m.completed {
+                    self.rx.retire(flow);
+                    self.rx_done.insert(flow, ());
+                } else {
                     self.enqueue_pull(flow, ctx);
                 }
             }
             NdpHdr::Nack { offset, len } => {
                 let (offset, len) = (*offset, *len);
-                if let Some(tx) = self.tx.get_mut(&pkt.flow) {
+                if let Some(tx) = self.tx.get_mut(pkt.flow) {
                     // Back of the queue: `release_one` pops the front, so
                     // trimmed ranges are resent in NACK-arrival order,
                     // ahead of any new data.
@@ -244,14 +257,9 @@ impl Transport<Proto> for NdpTransport {
             TIMER_NDP_WATCHDOG => {
                 let flow = FlowId(token.flow);
                 let watchdog = self.cfg.watchdog;
-                let stalled = {
-                    let Some(m) = self.rx.get(&flow) else { return };
-                    if m.completed {
-                        return;
-                    }
-                    ctx.now().saturating_since(m.last_activity) >= watchdog
-                };
-                if stalled {
+                // A completed flow's watchdog finds nothing and stops.
+                let Some(m) = self.rx.get(flow) else { return };
+                if ctx.now().saturating_since(m.last_activity) >= watchdog {
                     // Whole-packet loss (a failed link, not the trimmer)
                     // leaves holes no trimmed header ever advertised: NACK
                     // every gap up to the message size so the sender
@@ -259,16 +267,13 @@ impl Transport<Proto> for NdpTransport {
                     // clock them out.
                     let host = ctx.host();
                     let mss = self.mss as u64;
-                    let (peer, gaps) = {
-                        let m = self.rx.get(&flow).expect("checked above"); // simlint: allow(panic_hygiene)
-                        let mut gaps = Vec::new();
-                        let mut cursor = 0;
-                        while let Some((s, e)) = m.received.first_gap(cursor, m.size) {
-                            gaps.push((s, (e - s).min(u32::MAX as u64) as u32));
-                            cursor = e;
-                        }
-                        (m.peer, gaps)
-                    };
+                    let peer = m.peer;
+                    let mut gaps = Vec::new();
+                    let mut cursor = 0;
+                    while let Some((s, e)) = m.received.first_gap(cursor, m.size) {
+                        gaps.push((s, (e - s).min(u32::MAX as u64) as u32));
+                        cursor = e;
+                    }
                     for (off, len) in gaps {
                         ctx.send(Packet::ctrl(
                             flow,
@@ -365,5 +370,53 @@ mod tests {
         let fct = topo.sim.completion(f).unwrap().as_nanos() as f64;
         let ideal = Rate::gbps(10).serialization_time(size).as_nanos() as f64;
         assert!(fct / ideal < 2.6, "pull clocking too slow: {}x ideal", fct / ideal);
+    }
+
+    /// A completed receiver leaves the table; a late trimmed header still
+    /// earns its NACK and a turn in the pull queue (which the pacer skips),
+    /// and nothing completes — or is created — twice.
+    #[test]
+    fn a_completed_receiver_is_retired_and_late_packets_do_what_they_did() {
+        use crate::common::testkit::drive;
+        let me = HostId(1);
+        let cfg = NdpCfg {
+            initial_window_bytes: 50_000,
+            edge_rate: Rate::gbps(10),
+            watchdog: SimDuration::from_millis(1),
+        };
+        let mut t = NdpTransport::new(cfg, 1000);
+        let pkt = |offset: u64, trimmed: bool| {
+            let hdr = NdpHdr::Data { offset, len: 1000, msg_size: 2000, retx: false };
+            let mut p = Packet::data(FlowId(7), HostId(0), me, 1000, Proto::Ndp(hdr));
+            p.trimmed = trimmed;
+            p
+        };
+        let first = drive(SimTime(10), me, |ctx| t.on_packet(pkt(0, false), ctx));
+        // The watchdog, then the pacer for the pull the packet earned.
+        assert_eq!(first.timers.len(), 2);
+        let watchdog = first.timers[0];
+        assert_eq!(t.flow_tables().1, TableStats { live: 1, high_water: 1 });
+        let last = drive(SimTime(20), me, |ctx| t.on_packet(pkt(1000, false), ctx));
+        assert_eq!(last.completed, vec![FlowId(7)]);
+        assert_eq!(t.flow_tables().1, TableStats { live: 0, high_water: 1 });
+
+        // The queued pull finds the flow complete: nothing is sent.
+        let tick = drive(SimTime(30), me, |ctx| t.on_timer(first.timers[1].1, ctx));
+        assert!(tick.nothing() && !t.pacer_armed);
+        // A late whole duplicate changes nothing.
+        assert!(drive(SimTime(40), me, |ctx| t.on_packet(pkt(0, false), ctx)).nothing());
+        // A late trimmed header is NACKed to the sender and queues a pull.
+        let late = drive(SimTime(50), me, |ctx| t.on_packet(pkt(1000, true), ctx));
+        assert!(late.completed.is_empty(), "a flow completes once");
+        assert_eq!(late.packets.len(), 1);
+        assert_eq!(late.packets[0].dst, HostId(0));
+        let nacked =
+            matches!(late.packets[0].payload, Proto::Ndp(NdpHdr::Nack { offset: 1000, len: 1000 }));
+        assert!(nacked, "{:?}", late.packets[0].payload);
+        assert_eq!(late.timers.len(), 1, "the pull arms the pacer");
+        assert!(drive(SimTime(60), me, |ctx| t.on_timer(late.timers[0].1, ctx)).nothing());
+        // The watchdog of a completed flow stops.
+        assert!(drive(watchdog.0, me, |ctx| t.on_timer(watchdog.1, ctx)).nothing());
+        assert_eq!(t.flow_tables().1, TableStats { live: 0, high_water: 1 });
     }
 }

@@ -7,13 +7,11 @@
 //! has no spare-bandwidth filling and demotes large flows only *after*
 //! they have pushed a lot of bytes through the high-priority queues.
 
-use std::collections::BTreeMap;
-
 use netsim::{Ctx, FlowDesc, FlowId, Packet, TraceEvent, Transport};
 
-use crate::common::{arm_rto, service_rto, Token, TIMER_RTO};
+use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
+use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 
 /// PIAS demotion thresholds: bytes-sent boundaries between the 8 priority
@@ -37,46 +35,47 @@ impl PiasCfg {
     }
 }
 
+struct PiasFlow {
+    tx: DctcpFlowTx,
+    /// Last priority the flow's packets were tagged with — only
+    /// maintained while tracing, to emit `PiasDemote` on level changes.
+    traced_prio: u8,
+}
+
 /// The PIAS endpoint.
 pub struct PiasTransport {
     tcp: TcpCfg,
     cfg: PiasCfg,
-    tx: BTreeMap<FlowId, DctcpFlowTx>,
-    rx: BTreeMap<FlowId, TcpRx>,
-    /// Last priority each flow's packets were tagged with — only
-    /// maintained while tracing, to emit `PiasDemote` on level changes.
-    traced_prio: BTreeMap<FlowId, u8>,
+    /// Senders still waiting for ACKs; a finished one leaves nothing.
+    tx: FlowTable<PiasFlow>,
+    rx: TcpRxTable,
 }
 
 impl PiasTransport {
     /// New endpoint.
     pub fn new(tcp: TcpCfg, cfg: PiasCfg) -> Self {
-        PiasTransport {
-            tcp,
-            cfg,
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
-            traced_prio: BTreeMap::new(),
-        }
+        PiasTransport { tcp, cfg, tx: FlowTable::new(), rx: TcpRxTable::new(1) }
     }
 
-    fn pump(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
+    /// Occupancy of the `(sender, receiver)` tables: flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
+    }
+
+    fn pump(cfg: &PiasCfg, flow: &mut PiasFlow, ctx: &mut Ctx<'_, Proto>) {
         let now = ctx.now();
-        let Some(flow) = self.tx.get_mut(&id) else { return };
-        let (src, dst, size) = (flow.src, flow.dst, flow.size);
-        while let Some(seg) = flow.next_segment(now) {
+        let PiasFlow { tx, traced_prio } = flow;
+        let (id, src, dst, size) = (tx.id, tx.src, tx.dst, tx.size);
+        while let Some(seg) = tx.next_segment(now) {
             if seg.retx {
                 ctx.note_retransmit(id);
             }
-            let prio = self.cfg.priority(flow.bytes_sent);
+            let prio = cfg.priority(tx.bytes_sent);
             if ctx.tracing() {
-                let prev = *self.traced_prio.get(&id).unwrap_or(&0);
-                if prio > prev {
-                    ctx.emit(TraceEvent::PiasDemote { flow: id.0, from: prev, to: prio });
+                if prio > *traced_prio {
+                    ctx.emit(TraceEvent::PiasDemote { flow: id.0, from: *traced_prio, to: prio });
                 }
-                if prio != prev {
-                    self.traced_prio.insert(id, prio);
-                }
+                *traced_prio = prio;
             }
             let hdr = DataHdr {
                 offset: seg.offset,
@@ -89,34 +88,28 @@ impl PiasTransport {
             };
             ctx.send(Packet::data(id, src, dst, seg.len, Proto::Data(hdr)).with_priority(prio));
         }
-        arm_rto(flow, ctx);
+        arm_rto(tx, ctx);
     }
 }
 
 impl Transport<Proto> for PiasTransport {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
         let tx = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
-        self.tx.insert(flow.id, tx);
-        self.pump(flow.id, ctx);
+        let flow = self.tx.insert(flow.id, PiasFlow { tx, traced_prio: 0 });
+        Self::pump(&self.cfg, flow, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                rx.on_data(&pkt, hdr, ctx);
-            }
+            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
             Proto::Ack(ack) => {
-                let done = {
-                    let Some(flow) = self.tx.get_mut(&pkt.flow) else { return };
-                    flow.on_ack(ack, ctx.now());
-                    flow.is_done()
-                };
-                if !done {
-                    self.pump(pkt.flow, ctx);
+                let Some(flow) = self.tx.get_mut(pkt.flow) else { return };
+                flow.tx.on_ack(ack, ctx.now());
+                if flow.tx.is_done() {
+                    release_rto(&flow.tx, ctx);
+                    self.tx.retire(pkt.flow);
+                } else {
+                    Self::pump(&self.cfg, flow, ctx);
                 }
             }
             _ => unreachable!("PIAS endpoint received a non-TCP packet"),
@@ -128,15 +121,14 @@ impl Transport<Proto> for PiasTransport {
         if token.kind != TIMER_RTO {
             return;
         }
-        let id = FlowId(token.flow);
-        let Some(flow) = self.tx.get_mut(&id) else { return };
-        if service_rto(flow, ctx) {
-            self.pump(id, ctx);
+        let Some(flow) = self.tx.get_mut(FlowId(token.flow)) else { return };
+        if service_rto(&mut flow.tx, ctx) {
+            Self::pump(&self.cfg, flow, ctx);
         }
     }
 
     fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        crate::common::cc_snapshot(self.tx.values().map(|tx| (tx, 0)))
+        crate::common::cc_snapshot(self.tx.values().map(|f| (&f.tx, 0)))
     }
 }
 

@@ -16,15 +16,13 @@
 //! flow ride P4, the next 400 ride P5, the next 4000 ride P6 and the rest
 //! P7, so across flows the scarcest tail bytes win ties.
 
-use std::collections::BTreeMap;
-
 use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, Transport};
 
-use crate::common::{service_rto, Token, TIMER_RTO};
+use crate::common::{release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::hcp::pump;
 use crate::ppt::DctcpHcp;
 use crate::proto::{DataHdr, Proto};
-use crate::rx::TcpRx;
+use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 
 /// Per-RTT low-priority top-up tick.
@@ -52,14 +50,21 @@ struct Rc3FlowTx {
 pub struct Rc3Transport {
     tcp: TcpCfg,
     cfg: Rc3Cfg,
-    tx: BTreeMap<FlowId, Rc3FlowTx>,
-    rx: BTreeMap<FlowId, TcpRx>,
+    /// Senders still waiting for ACKs; a finished one leaves nothing (its
+    /// top-up tick finds no flow and stops).
+    tx: FlowTable<Rc3FlowTx>,
+    rx: TcpRxTable,
 }
 
 impl Rc3Transport {
-    /// New endpoint.
+    /// New endpoint. RC3 ACKs every low-priority packet (no EWD clock).
     pub fn new(tcp: TcpCfg, cfg: Rc3Cfg) -> Self {
-        Rc3Transport { tcp, cfg, tx: BTreeMap::new(), rx: BTreeMap::new() }
+        Rc3Transport { tcp, cfg, tx: FlowTable::new(), rx: TcpRxTable::new(1) }
+    }
+
+    /// Occupancy of the `(sender, receiver)` tables: flows in progress.
+    pub fn flow_tables(&self) -> (TableStats, TableStats) {
+        (self.tx.stats(), self.rx.stats())
     }
 
     /// RC3's recursive layer priority for a byte that sits `from_tail`
@@ -78,19 +83,16 @@ impl Rc3Transport {
     }
 
     /// Top the low-priority loop back up to a full BDP of in-flight bytes.
-    fn top_up(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let mss = self.tcp.mss as u64;
-        let bdp = self.cfg.bdp_bytes;
-        let send_buffer = self.cfg.send_buffer_bytes;
+    fn top_up(tcp: &TcpCfg, cfg: &Rc3Cfg, f: &mut Rc3FlowTx, ctx: &mut Ctx<'_, Proto>) {
+        let mss = tcp.mss as u64;
         let now = ctx.now();
-        let Some(f) = self.tx.get_mut(&id) else { return };
-        if !f.lp_active || f.hcp.is_done() {
+        if !f.lp_active {
             return;
         }
-        let (src, dst, size) = (f.hcp.src, f.hcp.dst, f.hcp.size);
-        while f.lp_inflight + mss <= bdp {
-            let buffer_end = size.min(f.hcp.cum_acked().saturating_add(send_buffer));
-            let Some((start, len)) = f.hcp.claim_tail(buffer_end, self.tcp.mss) else {
+        let (id, src, dst, size) = (f.hcp.id, f.hcp.src, f.hcp.dst, f.hcp.size);
+        while f.lp_inflight + mss <= cfg.bdp_bytes {
+            let buffer_end = size.min(f.hcp.cum_acked().saturating_add(cfg.send_buffer_bytes));
+            let Some((start, len)) = f.hcp.claim_tail(buffer_end, tcp.mss) else {
                 // Loops crossed: every byte claimed at least once.
                 f.lp_active = false;
                 break;
@@ -113,15 +115,21 @@ impl Rc3Transport {
             ctx.send(pkt);
         }
     }
+
+    /// Retire `id`, whose last byte was just acknowledged.
+    fn retire(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
+        if let Some(f) = self.tx.retire(id) {
+            release_rto(&f.hcp, ctx);
+        }
+    }
 }
 
 impl Transport<Proto> for Rc3Transport {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let mut hcp =
-            DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
-        pump::<DctcpHcp>(&mut hcp, ctx);
-        self.tx.insert(flow.id, Rc3FlowTx { hcp, lp_inflight: 0, lp_active: true });
-        self.top_up(flow.id, ctx);
+        let hcp = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
+        let f = self.tx.insert(flow.id, Rc3FlowTx { hcp, lp_inflight: 0, lp_active: true });
+        pump::<DctcpHcp>(&mut f.hcp, ctx);
+        Self::top_up(&self.tcp, &self.cfg, f, ctx);
         ctx.timer_after(
             self.tcp.base_rtt,
             Token { kind: TIMER_RC3_TOPUP, generation: 0, flow: flow.id.0 }.encode(),
@@ -130,32 +138,26 @@ impl Transport<Proto> for Rc3Transport {
 
     fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => {
-                let rx = self
-                    .rx
-                    .entry(pkt.flow)
-                    // RC3 ACKs every low-priority packet (no EWD clock).
-                    .or_insert_with(|| TcpRx::new(pkt.flow, pkt.src, hdr.msg_size, 1));
-                rx.on_data(&pkt, hdr, ctx);
-            }
+            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
             Proto::Ack(ack) if ack.lcp => {
-                let now = ctx.now();
-                {
-                    let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
-                    let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
-                    f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
-                    f.hcp.on_lcp_ack(ack, now);
+                let Some(f) = self.tx.get_mut(pkt.flow) else { return };
+                let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
+                f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
+                f.hcp.on_lcp_ack(ack, ctx.now());
+                if f.hcp.is_done() {
+                    return self.retire(pkt.flow, ctx);
                 }
                 // An ACK frees low-priority window: immediately refill it
                 // (this is what "fills the entire BDP every RTT" means).
-                self.top_up(pkt.flow, ctx);
+                Self::top_up(&self.tcp, &self.cfg, f, ctx);
             }
             Proto::Ack(ack) => {
-                let Some(f) = self.tx.get_mut(&pkt.flow) else { return };
+                let Some(f) = self.tx.get_mut(pkt.flow) else { return };
                 f.hcp.on_ack(ack, ctx.now());
-                if !f.hcp.is_done() {
-                    pump::<DctcpHcp>(&mut f.hcp, ctx);
+                if f.hcp.is_done() {
+                    return self.retire(pkt.flow, ctx);
                 }
+                pump::<DctcpHcp>(&mut f.hcp, ctx);
             }
             _ => unreachable!("RC3 endpoint received a non-TCP packet"),
         }
@@ -163,33 +165,23 @@ impl Transport<Proto> for Rc3Transport {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
         let token = Token::decode(token);
-        let id = FlowId(token.flow);
+        let Some(f) = self.tx.get_mut(FlowId(token.flow)) else { return };
         match token.kind {
             TIMER_RTO => {
-                let Some(f) = self.tx.get_mut(&id) else { return };
-                if service_rto(&mut f.hcp, ctx) {
+                let timed_out = service_rto(&mut f.hcp, ctx);
+                if timed_out {
                     pump::<DctcpHcp>(&mut f.hcp, ctx);
                 }
             }
-            TIMER_RC3_TOPUP => {
-                let active = {
-                    let Some(f) = self.tx.get_mut(&id) else { return };
-                    // Periodic refill: lost low-priority packets never get
-                    // acked, so reclaim their window each RTT.
-                    if f.lp_active && !f.hcp.is_done() {
-                        f.lp_inflight = 0;
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if active {
-                    self.top_up(id, ctx);
-                    ctx.timer_after(
-                        self.tcp.base_rtt,
-                        Token { kind: TIMER_RC3_TOPUP, generation: 0, flow: id.0 }.encode(),
-                    );
-                }
+            TIMER_RC3_TOPUP if f.lp_active => {
+                // Periodic refill: lost low-priority packets never get
+                // acked, so reclaim their window each RTT.
+                f.lp_inflight = 0;
+                Self::top_up(&self.tcp, &self.cfg, f, ctx);
+                ctx.timer_after(
+                    self.tcp.base_rtt,
+                    Token { kind: TIMER_RC3_TOPUP, generation: 0, flow: token.flow }.encode(),
+                );
             }
             _ => {}
         }

@@ -4,11 +4,15 @@
 //! interval set, generates per-packet ACKs with exact SACK information,
 //! applies the EWD two-for-one ACK coalescing to low-priority packets,
 //! and reports flow completion the moment every byte is present.
+//!
+//! [`TcpRxTable`] is an endpoint's receivers: the flows still missing
+//! bytes, and — apart from them — the completed ones, each shrunk to the
+//! tombstone that ACKs a late duplicate the way the full state did.
 
 use netsim::{Ctx, FlowId, HostId, Packet};
 use ppt_core::LcpAckClock;
 
-use crate::common::IntervalSet;
+use crate::common::{FlowTable, IntervalSet, TableStats};
 use crate::proto::{AckHdr, DataHdr, Proto};
 
 /// Per-flow receiver state.
@@ -18,6 +22,8 @@ pub struct TcpRx {
     /// The data sender (ACK destination).
     peer: HostId,
     size: u64,
+    /// Which bytes arrived; emptied at completion, when it would say
+    /// `[0, size)` for ever after.
     received: IntervalSet,
     completed: bool,
     lcp_clock: LcpAckClock,
@@ -50,7 +56,20 @@ impl TcpRx {
 
     /// Bytes received so far (deduplicated).
     pub fn received_bytes(&self) -> u64 {
-        self.received.covered_bytes()
+        if self.completed {
+            self.size
+        } else {
+            self.received.covered_bytes()
+        }
+    }
+
+    /// The cumulative ACK point.
+    fn cum(&self) -> u64 {
+        if self.completed {
+            self.size
+        } else {
+            self.received.contiguous_prefix()
+        }
     }
 
     /// Handle a data packet addressed to this flow; emits ACK(s) and the
@@ -58,15 +77,23 @@ impl TcpRx {
     ///
     /// Not behind a simlint hot-path fence yet: every ACK still allocates
     /// its `sacks` vector (and clones the INT stack); the fence goes up
-    /// when `AckHdr.sacks` goes inline (ROADMAP 2a).
+    /// when `AckHdr.sacks` goes inline (ROADMAP item 3, "Allocator-free
+    /// `Proto`").
     pub fn on_data(&mut self, pkt: &Packet<Proto>, hdr: &DataHdr, ctx: &mut Ctx<'_, Proto>) {
         let start = hdr.offset;
         let end = hdr.offset + hdr.len as u64;
-        self.received.insert(start, end);
 
-        let just_completed = !self.completed && self.received.covers(self.size);
+        let just_completed = !self.completed && {
+            self.received.insert(start, end);
+            self.received.covers(self.size)
+        };
         if just_completed {
+            debug_assert_eq!(self.received.covered_bytes(), self.size, "data past the flow's end");
             self.completed = true;
+            // What is left is the tombstone: a duplicate still gets its ACK
+            // (cum == size, the pending LCP SACKs and the EWD clock carry
+            // on), but the byte map has nothing more to say.
+            self.received = IntervalSet::new();
             ctx.flow_completed(self.flow);
         }
 
@@ -103,7 +130,7 @@ impl TcpRx {
         // ACK"), so they cannot perturb normal traffic.
         let prio = if hdr.lcp { pkt.priority.max(4) } else { 0 };
         let ack = AckHdr {
-            cum: self.received.contiguous_prefix(),
+            cum: self.cum(),
             sacks,
             ece,
             lcp: hdr.lcp,
@@ -113,6 +140,53 @@ impl TcpRx {
         let pkt =
             Packet::ctrl(self.flow, ctx.host(), self.peer, Proto::Ack(ack)).with_priority(prio);
         ctx.send(pkt);
+    }
+}
+
+/// One endpoint's TCP-family receivers.
+///
+/// `live` holds the flows still missing bytes and is what a data packet
+/// probes first. A receiver that completes moves — as the tombstone
+/// [`TcpRx::on_data`] left — to `done`, which is only searched when `live`
+/// misses: by a late duplicate, or once by the first packet of a new flow.
+#[derive(Debug)]
+pub struct TcpRxTable {
+    /// 1 = ACK every LCP packet (RC3-style), 2 = EWD two-for-one.
+    lcp_coalesce: u32,
+    live: FlowTable<TcpRx>,
+    done: FlowTable<TcpRx>,
+}
+
+impl TcpRxTable {
+    /// No receivers yet; each will coalesce LCP ACKs `lcp_coalesce` to one.
+    pub fn new(lcp_coalesce: u32) -> Self {
+        TcpRxTable { lcp_coalesce, live: FlowTable::new(), done: FlowTable::new() }
+    }
+
+    /// Handle a data packet: the flow's receiver (created from the first
+    /// packet, which carries the size) reassembles and ACKs it.
+    pub fn on_data(&mut self, pkt: &Packet<Proto>, hdr: &DataHdr, ctx: &mut Ctx<'_, Proto>) {
+        let flow = pkt.flow;
+        let rx = match self.live.get_mut(flow) {
+            Some(rx) => rx,
+            None => {
+                if let Some(tombstone) = self.done.get_mut(flow) {
+                    return tombstone.on_data(pkt, hdr, ctx);
+                }
+                self.live.insert(flow, TcpRx::new(flow, pkt.src, hdr.msg_size, self.lcp_coalesce))
+            }
+        };
+        rx.on_data(pkt, hdr, ctx);
+        if rx.is_complete() {
+            if let Some(tombstone) = self.live.retire(flow) {
+                self.done.insert(flow, tombstone);
+            }
+        }
+    }
+
+    /// Occupancy of the live table (completed receivers are not in it).
+    pub fn stats(&self) -> TableStats {
+        self.live.stats()
     }
 }
 
@@ -258,5 +332,52 @@ mod tests {
             ],
         );
         assert_eq!(rx.received_bytes(), 1000);
+    }
+
+    /// A completed receiver leaves the live table, and its tombstone ACKs
+    /// late duplicates exactly as the full state did: `cum` stays at the
+    /// size, an HCP duplicate is ACKed at once, LCP duplicates keep to the
+    /// EWD two-for-one clock — and nothing completes, or is created, twice.
+    #[test]
+    fn a_completed_receiver_retires_to_a_tombstone_that_still_acks() {
+        use crate::common::testkit;
+        let mut rxs = TcpRxTable::new(2);
+        let feed = |rxs: &mut TcpRxTable, (pkt, hdr): (Packet<Proto>, DataHdr)| {
+            testkit::drive(SimTime(10), HostId(1), |ctx| rxs.on_data(&pkt, &hdr, ctx))
+        };
+        let data = |flow: u64, offset: u64, len: u32, size: u64, lcp: bool| {
+            data_pkt(FlowId(flow), offset, len, size, lcp, false)
+        };
+
+        let first = feed(&mut rxs, data(7, 0, 1000, 2000, false));
+        assert!(first.completed.is_empty());
+        assert_eq!(rxs.stats(), TableStats { live: 1, high_water: 1 });
+        let last = feed(&mut rxs, data(7, 1000, 1000, 2000, false));
+        assert_eq!(last.completed, vec![FlowId(7)]);
+        assert_eq!(last.acks()[0].cum, 2000);
+        assert_eq!(rxs.stats(), TableStats { live: 0, high_water: 1 });
+        assert_eq!(rxs.done.get(FlowId(7)).map(TcpRx::received_bytes), Some(2000));
+
+        // A late HCP duplicate: one ACK, full cum, the duplicate's SACK.
+        let dup = feed(&mut rxs, data(7, 0, 1000, 2000, false));
+        assert!(dup.completed.is_empty(), "a flow completes once");
+        let acks = dup.acks();
+        assert_eq!(acks.len(), 1);
+        assert_eq!((acks[0].cum, &acks[0].sacks), (2000, &vec![(0, 1000)]));
+        assert_eq!(dup.packets[0].dst, HostId(0), "ACKs still go to the sender");
+
+        // Late LCP duplicates: one ACK per two, carrying both SACKs.
+        let odd = feed(&mut rxs, data(7, 1000, 500, 2000, true));
+        assert!(odd.nothing(), "the first of an EWD pair is held: {odd:?}");
+        let even = feed(&mut rxs, data(7, 1500, 500, 2000, true));
+        let acks = even.acks();
+        assert_eq!(acks.len(), 1);
+        assert!(acks[0].lcp && acks[0].cum == 2000);
+        assert_eq!(acks[0].sacks, vec![(1000, 1500), (1500, 2000)]);
+
+        // None of that made a receiver, and the slot serves the next flow.
+        assert_eq!(rxs.stats(), TableStats { live: 0, high_water: 1 });
+        feed(&mut rxs, data(8, 0, 1000, 5000, false));
+        assert_eq!(rxs.stats(), TableStats { live: 1, high_water: 1 });
     }
 }

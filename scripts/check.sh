@@ -46,6 +46,15 @@ if grep -rn 'set_var' tests/; then
     exit 1
 fi
 
+echo "==> one flow table (per-flow endpoint state lives in FlowTable; DESIGN.md §10.3)"
+# An ordered map keyed by flow keeps every flow it ever saw and costs a
+# tree descent per packet. The two whole-run lookups are maps by design:
+# the MwRecorder tap and the Hypothetical oracle copied from it.
+if grep -rn 'BTreeMap<FlowId' crates/transports/src | grep -vE 'type MwRecorder =|oracle: '; then
+    echo "check.sh: per-flow state in a BTreeMap<FlowId, _>; use common::FlowTable" >&2
+    exit 1
+fi
+
 echo "==> tier-1: build + tests (cargo test -q has a budget: ROADMAP item 5)"
 cargo build --release
 # Tier-1 latency is a budget, not an outcome: ~160 s on this 2-core box
@@ -210,6 +219,7 @@ echo "==> engine perf smoke (appends to BENCH_engine.json)"
 BENCH_ENGINE_PHASE=powertcp BENCH_ENGINE_SCHEME=powertcp ./target/release/bench_engine
 
 echo "==> microbench (fails when an in-order ACK at 8192 segments in flight costs > 3x one at 64,"
+echo "    a flow of a 16000-flow Memcached run costs > 1.5x a flow of a 2000-flow one,"
 echo "    or one DCTCP flow dispatches more than 6.3 events per data packet)"
 cargo bench -q -p bench --bench microbench
 

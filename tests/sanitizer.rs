@@ -101,6 +101,32 @@ fn unattributed_fault_drop_is_caught() {
     assert_caught(stop, &v, SanCheck::FaultAttribution);
 }
 
+/// A window sender is retired by the ACK that finishes it, nearly always
+/// with its RTO timer still in the event queue (a Memcached flow is done
+/// long before a timeout could fire). Retiring must tell the ledger the
+/// timer is given up, and its fire must then be dropped without a word: a
+/// sender that skips the first leaves one timer held per flow at the
+/// end-of-run audit, one that skips the second disarms a timer the ledger
+/// no longer knows. Every event is audited.
+#[test]
+fn retired_senders_leave_the_rto_ledger_balanced() {
+    for scheme in [Scheme::Ppt, Scheme::Dctcp] {
+        let name = scheme.name();
+        let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
+        let dist = SizeDistribution::memcached_w1();
+        let spec = WorkloadSpec::new(dist, 0.5, topo.edge_rate(), 300, 11);
+        let exp = Experiment::new(topo, scheme, all_to_all(topo.hosts(), &spec));
+        let outcome = run_experiment_with(&exp, |t| t.sim.set_sanitizer(SanLevel::PerEvent));
+        assert_eq!(outcome.report.stop, StopReason::AllFlowsDone, "{name}: the queue must drain");
+        assert_eq!(outcome.report.flows_completed, 300, "{name}");
+        assert!(
+            outcome.sim.san_violations().is_empty(),
+            "{name}: no timer may be held, or disarmed twice: {:?}",
+            outcome.sim.san_violations()
+        );
+    }
+}
+
 /// Zero observer effect, across every transport family: a sanitized run
 /// (per-epoch, the recommended/CI cadence) must produce a byte-identical
 /// event stream and identical per-flow FCTs to the same run unsanitized —
