@@ -217,8 +217,7 @@ impl<P: Payload> Simulator<P> {
     /// entries migrate with their `(time, seq)` keys intact, so the
     /// dispatch order — and every golden digest — is unchanged; switching
     /// mid-run is therefore legal, if pointless. The heap kind exists as
-    /// the differential oracle for tests and `bench_engine`; it is not a
-    /// run option.
+    /// the differential oracle for tests; it is not a run option.
     pub fn set_queue_kind(&mut self, kind: QueueKind) {
         if self.queue.kind() == kind {
             return;

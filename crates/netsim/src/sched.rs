@@ -106,8 +106,8 @@ pub trait EventQueue<T: Copy> {
 }
 
 /// The `BinaryHeap` implementation: O(log n) push/pop, O(1) peek. Kept as
-/// the differential-testing oracle; tests and `bench_engine` select it
-/// via [`crate::Simulator::set_queue_kind`].
+/// the differential-testing oracle; tests select it via
+/// [`crate::Simulator::set_queue_kind`].
 pub struct HeapQueue<T> {
     heap: BinaryHeap<QEntry<T>>,
 }

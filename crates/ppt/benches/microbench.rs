@@ -11,7 +11,7 @@
 //! flow of a 16 000-flow Memcached run at most 1.5× a flow of a 2 000-flow
 //! one (`bench_flow_churn`) — and an exact *count*: events dispatched per
 //! data packet of one DCTCP flow (`events_per_packet`). Run with
-//! `cargo bench -p bench`.
+//! `cargo bench -p ppt --bench microbench`.
 
 use std::hint::black_box;
 use std::time::Instant;

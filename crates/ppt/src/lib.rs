@@ -34,8 +34,9 @@
 //! | [`transports`] | PPT + every baseline as simulator endpoints |
 //! | [`workloads`] | flow-size CDFs, Poisson arrivals, traffic patterns |
 //! | `stats` (re-exported as `dcn_stats`) | FCT / utilization / occupancy statistics |
-//! | `bench` | one binary per paper table & figure |
+//! | [`figures`] | every paper table & figure as one table, run by `pptlab figure` |
 
+pub mod figures;
 pub mod harness;
 pub mod sweep;
 pub mod table1;

@@ -84,8 +84,8 @@ pub struct SweepPoint {
     pub exp: Experiment,
 }
 
-/// The `Send` extract of one point's [`Outcome`]: everything the figure
-/// binaries print, without the simulator itself.
+/// The `Send` extract of one point's [`Outcome`]: everything the figures
+/// print, without the simulator itself.
 #[derive(Clone, Debug)]
 pub struct PointResult {
     /// The point's label, copied from the spec.

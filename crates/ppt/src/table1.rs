@@ -1,5 +1,5 @@
-//! Table 1 — the qualitative scheme comparison — as data, so the bench
-//! harness can regenerate the table and tests can assert the claimed
+//! Table 1 — the qualitative scheme comparison — as data, so
+//! `ppt::figures` can regenerate the table and tests can assert the claimed
 //! properties line up with what the implementations actually do.
 
 /// How a scheme uses spare bandwidth (Table 1, "Spare bandwidth utilizing

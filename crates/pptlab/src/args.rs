@@ -44,12 +44,16 @@ impl Args {
         matches!(self.get(key), Some("true"))
     }
 
+    /// Parse `--key` as `T`; `None` when absent.
+    pub fn parse_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| format!("--{key}: cannot parse '{v}'")))
+            .transpose()
+    }
+
     /// Parse `--key` as `T`, defaulting when absent.
     pub fn parse_or<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 
     /// Parse `--key` as a comma-separated list of `T`, defaulting when

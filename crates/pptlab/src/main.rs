@@ -5,13 +5,16 @@
 //! pptlab compare --schemes ppt,dctcp,homa --topo testbed --workload websearch \
 //!                --load 0.5 --flows 600 --seed 42
 //! pptlab trace --schemes ppt --workload websearch --seed 42 --out runs/
+//! pptlab figure --ids all --jobs 2 --out results   # regenerate the paper
 //! pptlab schemes            # list every scheme id
 //! pptlab topos              # list topology ids
 //! ```
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use ppt::figures::{self, FigureOpts, FIGURES};
 use ppt::harness::{
     collect_metrics, run_experiment, run_experiment_traced, Experiment, FaultCmd, FaultSpec,
     Scheme, TelemetrySpec, TelemetrySummary, TopoKind,
@@ -37,6 +40,9 @@ USAGE:
   pptlab report [OPTIONS]      telemetered run: series summaries, histogram percentiles,
                                oscillation flags and (with --prof) a profile breakdown
   pptlab gen [OPTIONS] > t.csv generate a flow trace as CSV on stdout
+  pptlab figure --ids a,b|all  regenerate paper figures/tables (takes only --ids, --flows,
+                               --seed, --jobs, --out); `--ids all --out results` is the paper
+  pptlab figures               list figure ids (the stems of results/*.txt)
   pptlab schemes               list scheme ids
   pptlab topos                 list topology ids
   pptlab workloads             list workload ids
@@ -50,8 +56,8 @@ commands; an option a command does not take is an error, not ignored):
   --workload ID     (also gen) websearch | datamining | memcached
                                                       [default: websearch]
   --load F          (not sweep; also gen) network load in (0,1] [default: 0.5]
-  --flows N         (also gen) number of flows        [default: 400 / 80]
-  --seed N          (not sweep; also gen) workload seed [default: 42]
+  --flows N         (also gen, figure) number of flows [default: 400 / 80 / per figure]
+  --seed N          (not sweep; also gen, figure) workload seed [default: 42]
   --jobs N          worker threads; results are identical for any N [default: 1]
   --incast N        (not sweep) N-to-1 incast with N senders instead of all-to-all
   --trace FILE      (not sweep) replay a CSV flow trace instead of generating one
@@ -61,10 +67,10 @@ commands; an option a command does not take is an error, not ignored):
   --json            (compare, report) one JSON document / (sweep) one JSON
                     line per point
   --metrics         (compare) also collect + print per-scheme metrics
-  --out DIR         (trace, faults, report) output directory; faults/report only
-                    write files when --out is given. report writes
-                    <id>.report.json + <id>.telemetry.jsonl per scheme
-                                                      [default: . / off]
+  --out DIR         (trace, faults, report, figure) output directory; all but
+                    trace only write files when --out is given. report writes
+                    <id>.report.json + <id>.telemetry.jsonl per scheme, figure
+                    <id>.txt per figure               [default: . / off]
   --sanitize [LVL]  run simsan, the runtime invariant sanitizer, on every
                     simulation. LVL is the audit cadence:
                     event | epoch | end               [default: epoch]
@@ -759,7 +765,48 @@ const COMMANDS: &[(&str, &[&[&str]], Cmd)] = &[
     ("faults", &[RUN_KEYS, SETUP_KEYS, &["out"]], cmd_faults),
     ("report", &[RUN_KEYS, SETUP_KEYS, &["out", "json", "prof"]], cmd_report),
     ("gen", &[&["topo", "workload", "load", "flows", "seed"]], cmd_gen),
+    ("figure", &[&["ids", "flows", "seed", "jobs", "out"]], cmd_figure),
 ];
+
+/// Regenerate paper figures from the one table in [`ppt::figures`]: to
+/// stdout, or one `<id>.txt` per figure under `--out`. Stops at the first
+/// figure that fails, naming it; its file is left as it was.
+fn cmd_figure(args: &Args, opts: &RunOpts) -> Result<(), String> {
+    let ids = args.get("ids").ok_or("figure needs --ids <id,...|all> (try `pptlab figures`)")?;
+    let selected: Vec<&figures::Figure> = match ids {
+        "all" => FIGURES.iter().collect(),
+        _ => ids
+            .split(',')
+            .map(|id| {
+                figures::find(id.trim())
+                    .ok_or_else(|| format!("unknown figure '{id}' (try `pptlab figures`)"))
+            })
+            .collect::<Result<_, _>>()?,
+    };
+    let fig_opts = FigureOpts {
+        flows: args.parse_opt("flows")?,
+        seed: args.parse_or("seed", 42)?,
+        jobs: opts.jobs,
+    };
+    let out_dir = args.get("out").map(PathBuf::from);
+    if let Some(dir) = &out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("--out {}: {e}", dir.display()))?;
+    }
+    for fig in selected {
+        let path = out_dir.as_ref().map(|dir| dir.join(format!("{}.txt", fig.id)));
+        if let Some(path) = &path {
+            println!("{} -> {}", fig.id, path.display());
+        }
+        let mut text = Vec::new();
+        fig.run(&fig_opts, &mut text)
+            .and_then(|()| match &path {
+                Some(path) => std::fs::write(path, &text),
+                None => std::io::stdout().lock().write_all(&text),
+            })
+            .map_err(|e| format!("figure {}: {e}", fig.id))?;
+    }
+    Ok(())
+}
 
 fn cmd_gen(args: &Args, _: &RunOpts) -> Result<(), String> {
     let topo = topo_arg(args)?;
@@ -771,24 +818,32 @@ fn cmd_gen(args: &Args, _: &RunOpts) -> Result<(), String> {
     ppt::workloads::write_csv(std::io::stdout().lock(), &list).map_err(|e| e.to_string())
 }
 
+/// Run `cmd` if it is one of the option-taking [`COMMANDS`]. Every option
+/// is parsed here, once; a bad one prints the usage.
+fn run_command(
+    cmd: &str,
+    rest: &[String],
+    dump_dir: Option<PathBuf>,
+) -> Option<Result<(), String>> {
+    let (_, keys, run) = COMMANDS.iter().find(|(name, ..)| *name == cmd)?;
+    let parsed = Args::parse(cmd, rest, keys)
+        .and_then(|args| Ok((RunOpts::parse(cmd, &args, dump_dir)?, args)));
+    Some(match parsed {
+        Ok((opts, args)) => run(&args, &opts),
+        Err(e) => Err(format!("{e}\n\n{USAGE}")),
+    })
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first().map(String::as_str) else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    if let Some((_, keys, run)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) {
-        // The process's one environment read: where abnormal-stop dumps go
-        // is a deployment path, so it is not a flag.
-        let dump_dir =
-            std::env::var_os("PPT_DUMP_DIR").filter(|d| !d.is_empty()).map(PathBuf::from);
-        // Every option is parsed here, once; a bad one prints the usage.
-        let parsed = Args::parse(cmd, &argv[1..], keys)
-            .and_then(|args| Ok((RunOpts::parse(cmd, &args, dump_dir)?, args)));
-        let result = match parsed {
-            Ok((opts, args)) => run(&args, &opts),
-            Err(e) => Err(format!("{e}\n\n{USAGE}")),
-        };
+    // The process's one environment read: where abnormal-stop dumps go
+    // is a deployment path, so it is not a flag.
+    let dump_dir = std::env::var_os("PPT_DUMP_DIR").filter(|d| !d.is_empty()).map(PathBuf::from);
+    if let Some(result) = run_command(cmd, &argv[1..], dump_dir) {
         return match result {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -801,6 +856,12 @@ fn main() -> ExitCode {
         "schemes" => {
             for (id, _) in SCHEMES {
                 println!("{id}");
+            }
+            ExitCode::SUCCESS
+        }
+        "figures" => {
+            for fig in FIGURES {
+                println!("{}", fig.id);
             }
             ExitCode::SUCCESS
         }
@@ -863,5 +924,22 @@ mod tests {
         assert_eq!(names.len(), listed, "two scheme ids share a display name: {names:?}");
         assert_eq!(parse_scheme("ppt-fill:<f>"), None, "the placeholder itself is not an id");
         assert_eq!(parse_scheme("nope"), None);
+    }
+
+    /// `figure` goes through the same strict parsing as every command: an
+    /// unknown id, a malformed count and a positional id are errors, not a
+    /// silent fall-back to some default.
+    #[test]
+    fn figure_rejects_bad_ids_values_and_positional_arguments() {
+        let run = |argv: &[&str]| {
+            let rest: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            run_command("figure", &rest, None).expect("figure is a command")
+        };
+        assert!(run(&["--ids", "nope"]).unwrap_err().starts_with("unknown figure 'nope'"));
+        assert!(run(&["--ids", "table3_params,nope"]).is_err(), "one bad id fails the list");
+        let err = run(&["--ids", "table3_params", "--flows", "4k"]).unwrap_err();
+        assert_eq!(err, "--flows: cannot parse '4k'");
+        assert!(run(&["fig15_ablation"]).unwrap_err().starts_with("expected --option"));
+        assert!(run(&[]).unwrap_err().starts_with("figure needs --ids"));
     }
 }

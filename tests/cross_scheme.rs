@@ -71,7 +71,7 @@ fn every_scheme_survives_poisson_incast() {
 #[test]
 fn schemes_work_on_the_leaf_spine_fabric() {
     // A trimmed-down leaf-spine sanity pass (the full 144-host fabric is
-    // exercised by the bench binaries in release mode).
+    // exercised by `pptlab figure` in release mode).
     let topo = TopoKind::Oversubscribed;
     let spec = WorkloadSpec::new(SizeDistribution::memcached_w1(), 0.3, topo.edge_rate(), 150, 17);
     let flows = all_to_all(topo.hosts(), &spec);

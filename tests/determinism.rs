@@ -332,9 +332,10 @@ fn sweep_fingerprint(r: &ppt::sweep::PointResult) -> (String, Vec<(u64, u64)>, u
 /// grid run serially (`jobs = 1`) and on four workers (`jobs = 4`) must
 /// produce identical per-flow FCT series, counters and event counts at
 /// every point, in the same (index-keyed) order. This is the contract
-/// that lets figure binaries take `PPT_JOBS` without a determinism
-/// caveat. Every other point is sanitized: `sanitize` is a field of the
-/// point's own experiment, so mixing it across workers moves nothing.
+/// that lets `pptlab figure` (and every other command) take `--jobs`
+/// without a determinism caveat. Every other point is sanitized:
+/// `sanitize` is a field of the point's own experiment, so mixing it
+/// across workers moves nothing.
 #[test]
 fn sweep_results_identical_for_any_job_count() {
     use ppt::sweep::SweepSpec;
