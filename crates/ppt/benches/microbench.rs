@@ -5,13 +5,16 @@
 //! Zero-dependency harness (`harness = false`): measures wall time with
 //! `std::time::Instant` and prints `name  ns/iter`. Timing output is
 //! informational only — nothing here gates on absolute numbers, so the
-//! harness stays robust on loaded CI machines. The gates are two *ratios*
+//! harness stays robust on loaded CI machines. The gates are four *ratios*
 //! taken inside this process — an in-order ACK against 8 192 in-flight
-//! segments may cost at most 3× one against 64 (`bench_ack_scaling`), and a
+//! segments may cost at most 3× one against 64 (`bench_ack_scaling`), a
 //! flow of a 16 000-flow Memcached run at most 1.5× a flow of a 2 000-flow
-//! one (`bench_flow_churn`) — and an exact *count*: events dispatched per
-//! data packet of one DCTCP flow (`events_per_packet`). Run with
-//! `cargo bench -p ppt --bench microbench`.
+//! one (`bench_flow_churn`), a point of a 16 384-point telemetry series at
+//! most 1.5× a point of a 2 048-point one to analyze
+//! (`bench_analysis_scaling`), and a trace line at most 0.7× what a
+//! `write!`-based formatter takes for it (`bench_encode_line`) — and an
+//! exact *count*: events dispatched per data packet of one DCTCP flow
+//! (`events_per_packet`). Run with `cargo bench -p ppt --bench microbench`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -231,6 +234,187 @@ fn bench_flow_churn() -> bool {
     ok
 }
 
+/// The oscillation analysis as a scaling law: host time per point of
+/// `analyze_series` over a 2 048-point and a 16 384-point series of the
+/// same noisy 60-sample sawtooth, the two sizes timed in rotation. The
+/// autocorrelation examines a bounded number of lags (DESIGN.md §14.4), so
+/// a point costs the same whatever the ring holds; returns false when a
+/// point of the long series costs more than 1.5× a point of the short one
+/// (every lag up to half the window made it 8×).
+fn bench_analysis_scaling() -> bool {
+    use ppt::stats::analyze_series;
+    use ppt::trace::Series;
+    let series = [2_048usize, 16_384].map(|points| {
+        let mut rng = ppt::netsim::Pcg32::seed_from_u64(7);
+        let mut s = Series::new("bench", points);
+        for i in 0..points {
+            s.push(i as u64 * 10_000, (i % 60) as f64 + rng.next_f64());
+        }
+        s
+    });
+    let mut ns_per_point = [f64::INFINITY; 2];
+    for _ in 0..7 {
+        for (s, best) in series.iter().zip(&mut ns_per_point) {
+            let ns = min_ns_per_call(1, 4, || {
+                let a = black_box(analyze_series(black_box(s)));
+                assert_eq!(a.period_ns, Some(60 * 10_000), "the sawtooth's period");
+            });
+            *best = best.min(ns / s.len() as f64);
+        }
+    }
+    let ratio = ns_per_point[1] / ns_per_point[0];
+    println!(
+        "{:<44} {:>8.1} / {:>8.1} ns/point   (x{ratio:.2} from 2048 to 16384 points)",
+        "stats/analyze_series @2048/16384", ns_per_point[0], ns_per_point[1]
+    );
+    ratio <= 1.5
+}
+
+/// The `write!`-based event encoder `dcn_trace::encode_line` replaced: the
+/// timing baseline of [`bench_encode_line`], kept here and nowhere in the
+/// product. It produces the same bytes (the bench asserts it).
+fn fmt_encode_line(out: &mut String, at: u64, ev: &ppt::trace::TraceEvent) {
+    use ppt::trace::{json::push_f64, TraceEvent};
+    use std::fmt::Write;
+    let _ = write!(out, "{{\"at\":{at},\"ev\":\"{}\"", ev.kind());
+    match *ev {
+        TraceEvent::FlowStart { flow, src, dst, size } => {
+            let _ = write!(out, ",\"flow\":{flow},\"src\":{src},\"dst\":{dst},\"size\":{size}");
+        }
+        TraceEvent::FlowComplete { flow } => {
+            let _ = write!(out, ",\"flow\":{flow}");
+        }
+        TraceEvent::Enqueue { sw, port, flow, prio, qlen }
+        | TraceEvent::EcnMark { sw, port, flow, prio, qlen } => {
+            let _ = write!(
+                out,
+                ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"prio\":{prio},\"qlen\":{qlen}"
+            );
+        }
+        TraceEvent::Dequeue { sw, port, flow, prio }
+        | TraceEvent::Trim { sw, port, flow, prio } => {
+            let _ = write!(out, ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"prio\":{prio}");
+        }
+        TraceEvent::Drop { sw, port, flow, prio, bytes } => {
+            let _ = write!(
+                out,
+                ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"prio\":{prio},\"bytes\":{bytes}"
+            );
+        }
+        TraceEvent::Timer { host, token } => {
+            let _ = write!(out, ",\"host\":{host},\"token\":{token}");
+        }
+        TraceEvent::Retransmit { flow, offset, len }
+        | TraceEvent::LcpSend { flow, offset, len } => {
+            let _ = write!(out, ",\"flow\":{flow},\"offset\":{offset},\"len\":{len}");
+        }
+        TraceEvent::LcpOpened { flow, trigger, init_bytes } => {
+            let _ = write!(
+                out,
+                ",\"flow\":{flow},\"trigger\":\"{}\",\"init_bytes\":{init_bytes}",
+                trigger.as_str()
+            );
+        }
+        TraceEvent::LcpClosed { flow, reason } => {
+            let _ = write!(out, ",\"flow\":{flow},\"reason\":\"{}\"", reason.as_str());
+        }
+        TraceEvent::LcpAck { flow, ece, sent_new } => {
+            let _ = write!(out, ",\"flow\":{flow},\"ece\":{ece},\"sent_new\":{sent_new}");
+        }
+        TraceEvent::AlphaUpdate { flow, alpha } => {
+            let _ = write!(out, ",\"flow\":{flow},\"alpha\":");
+            push_f64(out, alpha);
+        }
+        TraceEvent::CwndUpdate { flow, cwnd } => {
+            let _ = write!(out, ",\"flow\":{flow},\"cwnd\":{cwnd}");
+        }
+        TraceEvent::PiasDemote { flow, from, to } => {
+            let _ = write!(out, ",\"flow\":{flow},\"from\":{from},\"to\":{to}");
+        }
+        TraceEvent::PfcXoff { sw, port, prio, qlen, on } => {
+            let _ = write!(
+                out,
+                ",\"sw\":{sw},\"port\":{port},\"prio\":{prio},\"qlen\":{qlen},\"on\":{on}"
+            );
+        }
+        TraceEvent::PfcPause { host, prio, on } => {
+            let _ = write!(out, ",\"host\":{host},\"prio\":{prio},\"on\":{on}");
+        }
+        TraceEvent::PfcSwPause { sw, port, prio, on } => {
+            let _ = write!(out, ",\"sw\":{sw},\"port\":{port},\"prio\":{prio},\"on\":{on}");
+        }
+        TraceEvent::LinkDown { link } | TraceEvent::LinkUp { link } => {
+            let _ = write!(out, ",\"link\":{link}");
+        }
+        TraceEvent::FaultDrop { link, flow, prio, bytes } => {
+            let _ =
+                write!(out, ",\"link\":{link},\"flow\":{flow},\"prio\":{prio},\"bytes\":{bytes}");
+        }
+        TraceEvent::SanViolation { check, subject, expected, actual } => {
+            let _ = write!(
+                out,
+                ",\"check\":\"{}\",\"subject\":{subject},\"expected\":{expected},\"actual\":{actual}",
+                check.as_str()
+            );
+        }
+        TraceEvent::Sample { series, value } => {
+            let _ = write!(out, ",\"series\":{series},\"value\":");
+            push_f64(out, value);
+        }
+        TraceEvent::Profile { kind, count, total_ns } => {
+            let _ = write!(
+                out,
+                ",\"kind\":\"{}\",\"count\":{count},\"total_ns\":{total_ns}",
+                kind.as_str()
+            );
+        }
+    }
+    out.push('}');
+}
+
+/// Trace-line encoding against its `fmt` baseline: the captured stream of
+/// a 50-flow PPT run encoded by `dcn_trace::encode_line` and by
+/// [`fmt_encode_line`], the two interleaved round by round so drift of the
+/// box hits them alike. A line is mostly integers, and `write!` builds a
+/// `fmt::Arguments` and dispatches through `dyn Write` for each; returns
+/// false when the product encoder takes more than 0.7× the baseline.
+fn bench_encode_line() -> bool {
+    use ppt::harness::run_experiment_traced;
+    use ppt::trace::{encode_line, TraceEvent};
+    let topo = TopoKind::Star { n: 4, rate_gbps: 10, delay_us: 20 };
+    let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), 50, 7);
+    let exp = Experiment::new(topo, Scheme::Ppt, all_to_all(topo.hosts(), &spec));
+    let (_, trace) = run_experiment_traced(&exp);
+    let events = &trace.events;
+
+    type Encoder = fn(&mut String, u64, &TraceEvent);
+    let encoders: [Encoder; 2] = [encode_line, fmt_encode_line];
+    let mut texts = [String::new(), String::new()];
+    let mut ns_per_line = [f64::INFINITY; 2];
+    for _ in 0..9 {
+        for ((encode, out), best) in encoders.iter().zip(&mut texts).zip(&mut ns_per_line) {
+            out.clear();
+            let start = Instant::now();
+            for (at, ev) in events {
+                encode(out, *at, ev);
+                out.push('\n');
+            }
+            black_box(&*out);
+            *best = best.min(start.elapsed().as_nanos() as f64 / events.len() as f64);
+        }
+    }
+    assert!(texts[0] == texts[1], "the two encoders must produce the same bytes");
+    let ratio = ns_per_line[0] / ns_per_line[1];
+    println!(
+        "{:<44} {:>8.1} / {:>8.1} ns/line   (x{ratio:.2} of the write!-based formatter, {} lines)",
+        "trace/encode_line vs fmt",
+        ns_per_line[0],
+        ns_per_line[1],
+        events.len()
+    );
+    ratio <= 0.7
+}
+
 fn bench_switch() {
     let cfg = SwitchConfig::ppt(120_000, 96_000, 86_000);
     bench("switch/enqueue_policy_ecn", 10, 2_000, || {
@@ -367,6 +551,8 @@ fn main() {
     bench_interval_append();
     let ack_cost_follows_the_ack = bench_ack_scaling();
     let flow_cost_follows_concurrency = bench_flow_churn();
+    let analysis_cost_follows_points = bench_analysis_scaling();
+    let encoder_beats_fmt = bench_encode_line();
     bench_switch();
     bench_core_state_machines();
     bench_end_to_end();
@@ -381,6 +567,17 @@ fn main() {
         eprintln!(
             "microbench: a flow of a 16000-flow run costs more than 1.5x a flow of a 2000-flow run"
         );
+        std::process::exit(1);
+    }
+    if !analysis_cost_follows_points {
+        eprintln!(
+            "microbench: a point of a 16384-point series costs more than 1.5x a point of a \
+             2048-point one to analyze"
+        );
+        std::process::exit(1);
+    }
+    if !encoder_beats_fmt {
+        eprintln!("microbench: encode_line takes more than 0.7x a write!-based formatter");
         std::process::exit(1);
     }
     if per_packet > MAX_EVENTS_PER_PACKET {

@@ -5,8 +5,8 @@
 use std::path::{Path, PathBuf};
 
 use netsim::trace::{
-    encode_line, FlightRecorder, JsonObject, LogHistogram, MemorySink, MetricsRegistry, ProfKind,
-    TraceEvent,
+    encode_jsonl, write_jsonl, FlightRecorder, JsonObject, LogHistogram, MemorySink,
+    MetricsRegistry, ProfKind, TraceEvent,
 };
 use netsim::{Rate, RunLimits, SanLevel, SimDuration, SimTime, SwitchConfig, Topology};
 use transports::{MwRecorder, Proto, TcpCfg};
@@ -678,6 +678,7 @@ impl TelemetrySummary {
             let mut obj = JsonObject::new()
                 .str("name", &a.name)
                 .u64("points", a.points as u64)
+                .u64("evicted", a.evicted)
                 .f64("mean", a.mean)
                 .f64("min", a.min)
                 .f64("max", a.max)
@@ -903,12 +904,14 @@ pub struct TraceData {
 impl TraceData {
     /// Encode the stream as JSON Lines (one event object per line).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (at, ev) in &self.events {
-            encode_line(&mut out, *at, ev);
-            out.push('\n');
-        }
-        out
+        encode_jsonl(&self.events)
+    }
+
+    /// Write the bytes of [`Self::to_jsonl`] to `w` line by line, so a
+    /// file is written without the text ever existing beside the events
+    /// it is made from. Hand it a buffered writer.
+    pub fn write_jsonl(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
+        write_jsonl(w, &self.events)
     }
 }
 
@@ -930,11 +933,13 @@ where
         topo.sim.set_trace_sink(Box::new(MemorySink::new()));
         pre_run(topo);
     });
+    // The sink was installed here and nothing reads it afterwards, so its
+    // vector is moved out, not copied.
     let events = outcome
         .sim
         .take_trace_sink()
-        .and_then(|sink| {
-            sink.as_any().downcast_ref::<MemorySink>().map(|mem| mem.events().to_vec())
+        .and_then(|mut sink| {
+            sink.as_any_mut().downcast_mut::<MemorySink>().map(MemorySink::take_events)
         })
         .unwrap_or_default();
     (outcome, TraceData { events })

@@ -11,13 +11,13 @@
 //! ```
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ppt::figures::{self, FigureOpts, FIGURES};
 use ppt::harness::{
     collect_metrics, run_experiment, run_experiment_traced, Experiment, FaultCmd, FaultSpec,
-    Scheme, TelemetrySpec, TelemetrySummary, TopoKind,
+    Scheme, TelemetrySpec, TelemetrySummary, TopoKind, TraceData,
 };
 use ppt::netsim::{SanLevel, SimDuration, SimTime};
 use ppt::stats::{analyze_lcp, analyze_recovery};
@@ -485,6 +485,17 @@ fn cmd_compare(args: &Args, opts: &RunOpts) -> Result<(), String> {
     Ok(())
 }
 
+/// Write a captured stream as JSON Lines, line by line: the file's text
+/// never exists in memory beside the events it is made from.
+fn write_events(path: &Path, trace: &TraceData) -> Result<(), String> {
+    let write = || {
+        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
+        trace.write_jsonl(&mut w)?;
+        w.flush()
+    };
+    write().map_err(|e| format!("{}: {e}", path.display()))
+}
+
 fn cmd_trace(args: &Args, opts: &RunOpts) -> Result<(), String> {
     let schemes = parse_schemes(args, "ppt")?;
     let setup = parse_setup(args, 80)?;
@@ -506,8 +517,7 @@ fn cmd_trace(args: &Args, opts: &RunOpts) -> Result<(), String> {
         } else {
             (out_dir.join(format!("{id}.events.jsonl")), out_dir.join(format!("{id}.metrics.json")))
         };
-        std::fs::write(&ev_path, trace.to_jsonl())
-            .map_err(|e| format!("{}: {e}", ev_path.display()))?;
+        write_events(&ev_path, &trace)?;
         std::fs::write(&m_path, metrics_json).map_err(|e| format!("{}: {e}", m_path.display()))?;
         println!(
             "{}: {} events -> {}, metrics -> {}",
@@ -549,9 +559,7 @@ fn cmd_faults(args: &Args, opts: &RunOpts) -> Result<(), String> {
         schemes.iter().zip(results)
     {
         if let Some(dir) = &out_dir {
-            let path = dir.join(format!("{id}.faults.events.jsonl"));
-            std::fs::write(&path, trace.to_jsonl())
-                .map_err(|e| format!("{}: {e}", path.display()))?;
+            write_events(&dir.join(format!("{id}.faults.events.jsonl")), &trace)?;
         }
         let rec = analyze_recovery(&trace.events, engine);
         let lcp = analyze_lcp(&trace.events, setup.topo.base_rtt());
@@ -672,6 +680,18 @@ fn render_report(name: &str, t: &TelemetrySummary) -> String {
             h.percentile(90.0),
             h.percentile(99.0),
             h.max(),
+        );
+    }
+    // The ring keeps the newest points; say so when it dropped any, since
+    // every per-series number then describes the tail of the run only.
+    let truncated: Vec<_> = t.series.iter().filter(|a| a.evicted > 0).collect();
+    if let Some(a) = truncated.first() {
+        let _ = writeln!(
+            out,
+            "{} series kept the last {} of {} samples; sample coarser or raise the ring",
+            truncated.len(),
+            a.points,
+            a.points as u64 + a.evicted,
         );
     }
     let oscillating: Vec<_> = t.oscillating().collect();
@@ -924,6 +944,29 @@ mod tests {
         assert_eq!(names.len(), listed, "two scheme ids share a display name: {names:?}");
         assert_eq!(parse_scheme("ppt-fill:<f>"), None, "the placeholder itself is not an id");
         assert_eq!(parse_scheme("nope"), None);
+    }
+
+    /// A report over a ring shorter than the run says so once, with the
+    /// counts; a run the ring held whole prints no such line.
+    #[test]
+    fn report_says_when_the_ring_dropped_samples() {
+        let topo = TopoKind::Star { n: 3, rate_gbps: 10, delay_us: 20 };
+        let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.3, topo.edge_rate(), 20, 42);
+        let exp = Experiment::new(topo, Scheme::Dctcp, all_to_all(topo.hosts(), &spec));
+        let report = |ring: usize| {
+            let mut spec = TelemetrySpec::new(SimDuration::from_micros(10));
+            spec.series_capacity = ring;
+            let outcome = run_experiment(&exp.clone().with_telemetry(spec));
+            let summary = outcome.telemetry.expect("telemetry was enabled");
+            (summary.samples, summary.series.len(), render_report("DCTCP", &summary))
+        };
+        let (samples, series, text) = report(64);
+        let line = format!(
+            "{series} series kept the last 64 of {samples} samples; sample coarser or raise the ring\n"
+        );
+        assert!(samples > 64 && text.contains(&line), "{text}");
+        let (_, _, whole) = report(1 << 20);
+        assert!(!whole.contains("kept the last"), "{whole}");
     }
 
     /// `figure` goes through the same strict parsing as every command: an

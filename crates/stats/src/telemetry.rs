@@ -15,7 +15,11 @@
 //! half-cycle), then the strongest positive peak past it (the full
 //! cycle). A peak at lag `L` with normalized correlation ≥
 //! [`OSC_THRESHOLD`] flags the series as oscillating with period
-//! `L × dt`. When autocorrelation finds no confident peak, a
+//! `L × dt`. Only lags up to `min(n / MIN_REPEATS, MAX_LAG)` are examined:
+//! a control-loop limit cycle repeats every few RTTs, dozens of times per
+//! window, whereas a shape seen twice in the window is as likely a pair
+//! of flow arrivals — and the bound makes the pass O(points × lags)
+//! (DESIGN.md §14.4). When autocorrelation finds no confident peak, a
 //! zero-crossing count still produces a period *estimate* (twice the mean
 //! half-cycle length) without setting the flag.
 
@@ -28,6 +32,15 @@ pub const MIN_POINTS: usize = 8;
 /// series to be flagged oscillating.
 pub const OSC_THRESHOLD: f64 = 0.2;
 
+/// A period counts only if it fits into the analyzed window at least this
+/// many times: two repetitions are a coincidence, four are a cycle.
+pub const MIN_REPEATS: usize = 4;
+
+/// Longest period examined, in samples. Whoever looks for a slower cycle
+/// samples coarser (`--telemetry <interval>`), which also lengthens the
+/// window the ring covers.
+pub const MAX_LAG: usize = 256;
+
 /// Summary statistics and oscillation verdict for one telemetry series.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SeriesAnalysis {
@@ -35,6 +48,9 @@ pub struct SeriesAnalysis {
     pub name: String,
     /// Points analyzed.
     pub points: usize,
+    /// Older points the ring dropped before the analysis: when non-zero,
+    /// every number here describes the last `points` samples only.
+    pub evicted: u64,
     /// Arithmetic mean of the values.
     pub mean: f64,
     /// Smallest value.
@@ -59,12 +75,12 @@ pub struct SeriesAnalysis {
 /// IEEE-754-exact over it in a fixed order, so equal runs give equal
 /// analyses.
 pub fn analyze_series(series: &Series) -> SeriesAnalysis {
-    let values: Vec<f64> = series.points().map(|p| p.value).collect();
-    let times: Vec<u64> = series.points().map(|p| p.at).collect();
+    let mut values: Vec<f64> = series.points().map(|p| p.value).collect();
     let n = values.len();
     let mut out = SeriesAnalysis {
         name: series.name().to_string(),
         points: n,
+        evicted: series.evicted(),
         mean: 0.0,
         min: 0.0,
         max: 0.0,
@@ -73,9 +89,9 @@ pub fn analyze_series(series: &Series) -> SeriesAnalysis {
         period_strength: 0.0,
         oscillating: false,
     };
-    if n == 0 {
+    let (Some(first), Some(last)) = (series.points().next(), series.last()) else {
         return out;
-    }
+    };
     let sum: f64 = values.iter().sum();
     out.mean = sum / n as f64;
     out.min = values.iter().copied().fold(f64::INFINITY, f64::min);
@@ -86,23 +102,20 @@ pub fn analyze_series(series: &Series) -> SeriesAnalysis {
     }
     // Mean sample spacing; the sampler is uniform, so this is exact up to
     // integer division.
-    let span = times[n - 1].saturating_sub(times[0]);
+    let span = last.at.saturating_sub(first.at);
     if span == 0 {
         return out;
     }
     let dt = span / (n as u64 - 1);
-    let centered: Vec<f64> = values.iter().map(|v| v - out.mean).collect();
-    let energy: f64 = centered.iter().map(|x| x * x).sum();
-    if energy <= 0.0 {
-        return out;
+    for v in &mut values {
+        *v -= out.mean;
     }
-    if let Some((lag, strength)) = autocorr_peak(&centered, energy) {
+    let centered = values;
+    if let Some((lag, strength)) = autocorr_peak(&centered) {
         out.period_ns = Some(lag as u64 * dt);
         out.period_strength = strength;
         out.oscillating = strength >= OSC_THRESHOLD;
-        return out;
-    }
-    if let Some(period) = zero_crossing_period(&centered, dt) {
+    } else if let Some(period) = zero_crossing_period(&centered, dt) {
         out.period_ns = Some(period);
     }
     out
@@ -114,31 +127,71 @@ pub fn analyze_all(series: &[Series]) -> Vec<SeriesAnalysis> {
 }
 
 /// Find the dominant positive autocorrelation peak past the first
-/// negative-correlation lag. Returns `(lag, normalized_correlation)`.
-fn autocorr_peak(centered: &[f64], energy: f64) -> Option<(usize, f64)> {
-    let n = centered.len();
-    let max_lag = n / 2;
-    let r = |lag: usize| -> f64 {
-        let mut acc = 0.0;
-        for i in 0..n - lag {
-            acc += centered[i] * centered[i + lag];
-        }
-        acc / energy
-    };
-    // The half-cycle: the first lag anti-correlated with lag zero.
-    let first_neg = (1..max_lag).find(|&lag| r(lag) < 0.0)?;
-    let mut best: Option<(usize, f64)> = None;
-    for lag in first_neg + 1..max_lag {
-        let v = r(lag);
-        if best.is_none_or(|(_, b)| v > b) {
-            best = Some((lag, v));
-        }
-    }
-    let (lag, strength) = best?;
-    if strength <= 0.0 {
+/// negative-correlation lag, over the lags a period may have: at most
+/// [`MAX_LAG`] samples, fitting the window [`MIN_REPEATS`] times. Returns
+/// `(lag, normalized_correlation)`.
+fn autocorr_peak(centered: &[f64]) -> Option<(usize, f64)> {
+    let max_lag = (centered.len() / MIN_REPEATS).min(MAX_LAG);
+    let r = autocorrelation(centered, max_lag);
+    let energy = r[0];
+    if energy <= 0.0 {
         return None;
     }
-    Some((lag, strength))
+    // The half-cycle: the first lag anti-correlated with lag zero.
+    let first_neg = (1..=max_lag).find(|&lag| r[lag] < 0.0)?;
+    // The full cycle: the strongest positive lag past it, the earliest on a tie.
+    let (lag, peak) = r.iter().enumerate().skip(first_neg + 1).fold((0, 0.0), |best, (lag, &v)| {
+        if v > best.1 {
+            (lag, v)
+        } else {
+            best
+        }
+    });
+    (peak > 0.0).then_some((lag, peak / energy))
+}
+
+/// Independent partial sums a product is accumulated in.
+const LANES: usize = 8;
+
+/// Samples per block of [`autocorrelation`]: 8 KB, so a block and the
+/// [`MAX_LAG`] samples past it stay in the L1 cache while every lag is
+/// taken over it, whatever the length of the series.
+const BLOCK: usize = 1024;
+
+/// `r[lag] = Σ x[i]·x[i+lag]` for `lag` in `0..=max_lag` (`r[0]` is the
+/// energy), block by block. Every element pair goes to a fixed block and,
+/// inside [`dot`], to a fixed lane, and blocks and lanes are folded first to
+/// last: each sum is a pure function of the input — rounded differently
+/// from a sequential sum, identically on every call and every machine.
+fn autocorrelation(x: &[f64], max_lag: usize) -> Vec<f64> {
+    let n = x.len();
+    let mut r = vec![0.0; max_lag + 1];
+    for start in (0..n).step_by(BLOCK) {
+        for (lag, sum) in r.iter_mut().enumerate() {
+            // Pairs `(i, i + lag)` with `i` in this block.
+            let end = (start + BLOCK).min(n - lag);
+            if start < end {
+                *sum += dot(&x[start..end], &x[start + lag..end + lag]);
+            }
+        }
+    }
+    r
+}
+
+/// `Σ a[i]·b[i]` in [`LANES`] partial sums. A single `f64` accumulator is
+/// one dependency chain the compiler may not reorder, so it runs at one
+/// add per four cycles; eight chains fill the vector units.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let mut a = a.chunks_exact(LANES);
+    let mut b = b.chunks_exact(LANES);
+    for (pa, pb) in a.by_ref().zip(b.by_ref()) {
+        for k in 0..LANES {
+            acc[k] += pa[k] * pb[k];
+        }
+    }
+    let rest: f64 = a.remainder().iter().zip(b.remainder()).map(|(p, q)| p * q).sum();
+    acc.iter().sum::<f64>() + rest
 }
 
 /// Period estimate from mean-crossing count: `crossings / 2` full cycles
@@ -180,6 +233,47 @@ mod tests {
         s
     }
 
+    /// The scan `autocorr_peak` replaced: every lag up to half the window,
+    /// one sequential accumulator. Kept as the reference the bounded,
+    /// lane-accumulated scan is compared against.
+    fn full_scan_peak(centered: &[f64], energy: f64) -> Option<(usize, f64)> {
+        let n = centered.len();
+        let max_lag = n / 2;
+        let r = |lag: usize| -> f64 {
+            let mut acc = 0.0;
+            for i in 0..n - lag {
+                acc += centered[i] * centered[i + lag];
+            }
+            acc / energy
+        };
+        let first_neg = (1..max_lag).find(|&lag| r(lag) < 0.0)?;
+        let mut best: Option<(usize, f64)> = None;
+        for lag in first_neg + 1..max_lag {
+            let v = r(lag);
+            if best.is_none_or(|(_, b)| v > b) {
+                best = Some((lag, v));
+            }
+        }
+        best.filter(|&(_, strength)| strength > 0.0)
+    }
+
+    fn centered(values: &[f64]) -> (Vec<f64>, f64) {
+        let mean = values.iter().sum::<f64>() / values.len() as f64;
+        let c: Vec<f64> = values.iter().map(|v| v - mean).collect();
+        let energy = c.iter().map(|x| x * x).sum();
+        (c, energy)
+    }
+
+    fn sine(n: usize, period: f64) -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * std::f64::consts::TAU / period).sin()).collect()
+    }
+
+    /// A sawtooth of `period` samples with a deterministic wobble on top.
+    fn noisy_sawtooth(n: usize, period: usize) -> Vec<f64> {
+        let mut rng = netsim::Pcg32::seed_from_u64(7);
+        (0..n).map(|i| (i % period) as f64 + rng.next_f64()).collect()
+    }
+
     #[test]
     fn empty_series_yields_zeroes() {
         let a = analyze_series(&series_of(&[], 1000));
@@ -210,6 +304,86 @@ mod tests {
         assert_eq!(period, 8000, "period-8 wave at dt=1000ns");
         assert!(a.period_strength >= OSC_THRESHOLD);
         assert_eq!(a.peak_to_peak, 2.0);
+    }
+
+    #[test]
+    fn periods_inside_the_bound_are_flagged_at_ring_size() {
+        // The default ring: 4 096 points at 10 us.
+        let square: Vec<f64> =
+            (0..4096).map(|i| if (i / 25) % 2 == 0 { 1.0 } else { 0.0 }).collect();
+        let a = analyze_series(&series_of(&square, 10_000));
+        assert!(a.oscillating, "a 50-sample square wave must be flagged");
+        assert_eq!(a.period_ns, Some(50 * 10_000));
+
+        let a = analyze_series(&series_of(&sine(4096, 200.0), 10_000));
+        assert!(a.oscillating, "a 200-sample sine is under MAX_LAG and must be flagged");
+        assert_eq!(a.period_ns, Some(200 * 10_000));
+        assert!(a.period_strength > 0.9, "strength {}", a.period_strength);
+    }
+
+    #[test]
+    fn shapes_that_do_not_repeat_four_times_are_not_flagged() {
+        let n = 4096;
+        let step: Vec<f64> = (0..n).map(|i| if i < n / 2 { 0.0 } else { 1.0 }).collect();
+        let ramp: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        // The DCTCP false positive of the full-lag scan: a 16 ms shape in a
+        // 41 ms window, flow arrivals seen two and a half times.
+        let arrivals = sine(n, 1600.0);
+        // Under the lag cap but not four times in a short window.
+        let thrice = sine(90, 30.0);
+        for (what, values) in
+            [("step", step), ("ramp", ramp), ("16 ms in 41 ms", arrivals), ("3 cycles", thrice)]
+        {
+            let a = analyze_series(&series_of(&values, 10_000));
+            assert!(!a.oscillating, "{what}: flagged with period {:?}", a.period_ns);
+            assert_eq!(a.period_strength, 0.0, "{what}: no autocorrelation peak may be reported");
+        }
+        // The scan this replaced did flag the arrivals shape.
+        let (c, energy) = centered(&sine(n, 1600.0));
+        let (lag, strength) = full_scan_peak(&c, energy).expect("the full scan sees the repeat");
+        assert!((1590..=1610).contains(&lag) && strength >= OSC_THRESHOLD, "{lag} {strength}");
+    }
+
+    #[test]
+    fn bounded_scan_agrees_with_the_full_scan_under_the_bound() {
+        for (what, values, lag) in [
+            ("square/8", (0..64).map(|i| ((i / 4) % 2) as f64).collect::<Vec<_>>(), 8),
+            ("sine/200", sine(4096, 200.0), 200),
+            ("sine/37", sine(1000, 37.0), 37),
+            ("sawtooth/60", noisy_sawtooth(4096, 60), 60),
+            ("sawtooth/256", noisy_sawtooth(4096, MAX_LAG), MAX_LAG),
+        ] {
+            let (c, energy) = centered(&values);
+            let bounded = autocorr_peak(&c).expect(what);
+            let full = full_scan_peak(&c, energy).expect(what);
+            assert_eq!(bounded.0, lag, "{what}: bounded scan's lag");
+            assert_eq!(full.0, lag, "{what}: full scan's lag");
+            assert!((bounded.1 - full.1).abs() < 1e-9, "{what}: {} vs {}", bounded.1, full.1);
+        }
+    }
+
+    #[test]
+    fn lane_accumulated_sum_is_a_pure_function_of_its_input() {
+        // Not a multiple of the block or the lane count: every tail runs.
+        let (c, _) = centered(&noisy_sawtooth(4099, 60));
+        let (a, b) = (autocorrelation(&c, MAX_LAG), autocorrelation(&c, MAX_LAG));
+        assert_eq!(a.len(), MAX_LAG + 1);
+        for lag in 0..=MAX_LAG {
+            assert_eq!(a[lag].to_bits(), b[lag].to_bits(), "lag {lag}: two calls, two sums");
+            let sequential: f64 = c.iter().zip(&c[lag..]).map(|(p, q)| p * q).sum();
+            assert!((a[lag] - sequential).abs() <= 1e-9 * sequential.abs().max(1.0), "lag {lag}");
+        }
+    }
+
+    #[test]
+    fn evicted_points_are_reported() {
+        let mut s = Series::new("ring", 16);
+        for i in 0..20u64 {
+            s.push(i * 1_000, (i % 4) as f64);
+        }
+        let a = analyze_series(&s);
+        assert_eq!((a.points, a.evicted), (16, 4));
+        assert_eq!(analyze_series(&series_of(&[1.0, 2.0], 1_000)).evicted, 0);
     }
 
     #[test]

@@ -22,6 +22,31 @@ pub fn push_escaped(out: &mut String, s: &str) {
     }
 }
 
+/// Append `v` in decimal. The digits are built in a stack buffer and
+/// appended once: no `fmt::Arguments`, which is most of what a `write!`
+/// of an integer costs, and an event line is mostly integers — half of
+/// them (switch, port, priority, most flow ids) below 100, which skip
+/// the buffer.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let digit = |d: u64| (b'0' + d as u8) as char;
+    if v < 100 {
+        if v >= 10 {
+            out.push(digit(v / 10));
+        }
+        out.push(digit(v % 10));
+        return;
+    }
+    // u64::MAX has 20 digits.
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    while v > 0 {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    out.extend(buf[start..].iter().map(|&d| d as char));
+}
+
 /// Append `v` as a JSON number. Rust's `Display` for finite `f64` is the
 /// shortest decimal that round-trips — deterministic and valid JSON.
 /// Non-finite values have no JSON representation and become `null`.
@@ -69,7 +94,7 @@ impl JsonObject {
 
     pub fn u64(mut self, k: &str, v: u64) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "{v}");
+        push_u64(&mut self.buf, v);
         self
     }
 

@@ -31,7 +31,10 @@ pub mod metrics;
 pub mod sink;
 pub mod telemetry;
 
-pub use event::{encode_line, LcpCloseReason, LcpTrigger, ProfKind, SanCheck, TraceEvent};
+pub use event::{
+    encode_jsonl, encode_line, write_jsonl, LcpCloseReason, LcpTrigger, ProfKind, SanCheck,
+    TraceEvent,
+};
 pub use json::JsonObject;
 pub use metrics::MetricsRegistry;
 pub use sink::{FlightRecorder, JsonlSink, MemorySink, TraceSink};

@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use crate::event::{encode_line, TraceEvent};
+use crate::event::{encode_jsonl, encode_line, TraceEvent};
 
 /// A consumer of trace events.
 ///
@@ -39,6 +39,13 @@ impl MemorySink {
         self.events
     }
 
+    /// Move the captured events out, leaving the sink empty: what a caller
+    /// holding the sink as `&mut dyn TraceSink` (`as_any_mut` + downcast)
+    /// uses where [`Self::into_events`] would need the concrete box.
+    pub fn take_events(&mut self) -> Vec<(u64, TraceEvent)> {
+        std::mem::take(&mut self.events)
+    }
+
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -50,12 +57,7 @@ impl MemorySink {
     /// Encode the whole stream as JSON-lines text (one trailing newline
     /// per event).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (at, ev) in &self.events {
-            encode_line(&mut out, *at, ev);
-            out.push('\n');
-        }
-        out
+        encode_jsonl(&self.events)
     }
 }
 
@@ -146,12 +148,7 @@ impl FlightRecorder {
 
     /// JSONL dump of the retained tail, oldest first.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (at, ev) in &self.ring {
-            encode_line(&mut out, *at, ev);
-            out.push('\n');
-        }
-        out
+        encode_jsonl(&self.ring)
     }
 }
 
@@ -218,5 +215,18 @@ mod tests {
         boxed.emit(1, &TraceEvent::FlowComplete { flow: 0 });
         let mem = boxed.as_any().downcast_ref::<MemorySink>().unwrap();
         assert_eq!(mem.len(), 1);
+    }
+
+    #[test]
+    fn take_events_moves_the_stream_out_of_a_boxed_sink() {
+        let mut boxed: Box<dyn TraceSink> = Box::new(MemorySink::new());
+        boxed.emit(1, &TraceEvent::FlowComplete { flow: 0 });
+        boxed.emit(2, &TraceEvent::FlowComplete { flow: 1 });
+        let mem = boxed.as_any_mut().downcast_mut::<MemorySink>().unwrap();
+        let before = mem.events().as_ptr();
+        let events = mem.take_events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events.as_ptr(), before, "the vector is moved, not copied");
+        assert!(mem.is_empty());
     }
 }

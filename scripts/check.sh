@@ -235,6 +235,8 @@ rm -rf "$FIG_TMP"
 
 echo "==> microbench (fails when an in-order ACK at 8192 segments in flight costs > 3x one at 64,"
 echo "    a flow of a 16000-flow Memcached run costs > 1.5x a flow of a 2000-flow one,"
+echo "    a point of a 16384-point telemetry series costs > 1.5x a point of a 2048-point one to analyze,"
+echo "    encode_line takes > 0.7x a write!-based formatter of the same trace lines,"
 echo "    or one DCTCP flow dispatches more than 6.3 events per data packet)"
 cargo bench -q -p ppt --bench microbench
 

@@ -180,7 +180,8 @@ fn abnormal_stop_dump_routes_to_dump_dir() {
 }
 
 /// `TelemetrySummary` round-trips through `from_telemetry` with the
-/// interval and sample count intact, and analyzes every series.
+/// interval and sample count intact, analyzes every series, and says how
+/// many samples each ring dropped before the analysis saw it.
 #[test]
 fn summary_reflects_sampler_state() {
     use ppt::harness::run_experiment_with;
@@ -188,8 +189,11 @@ fn summary_reflects_sampler_state() {
     let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.3, topo.edge_rate(), 20, 42);
     let flows = all_to_all(topo.hosts(), &spec);
     let exp = Experiment::new(topo, Scheme::Dctcp, flows);
+    // A ring far shorter than the run, so every series evicts.
+    let ring = 64;
     let outcome = run_experiment_with(&exp, |t| {
-        t.sim.enable_telemetry(TelemetryConfig::new(SimDuration::from_micros(10)));
+        let cfg = TelemetryConfig::new(SimDuration::from_micros(10)).with_series_capacity(ring);
+        t.sim.enable_telemetry(cfg);
     });
     let t = outcome.sim.telemetry().expect("telemetry enabled");
     let summary = TelemetrySummary::from_telemetry(t);
@@ -197,6 +201,13 @@ fn summary_reflects_sampler_state() {
     assert_eq!(summary.samples, t.samples_taken());
     assert!(summary.samples > 0);
     assert_eq!(summary.series.len(), t.series().len());
+    let json = summary.to_json(false);
+    for (a, s) in summary.series.iter().zip(t.series()) {
+        assert_eq!((a.points, a.evicted), (ring, s.evicted()), "{}", a.name);
+        assert_eq!(a.points as u64 + a.evicted, summary.samples, "{}: one point a tick", a.name);
+        let fields = format!("\"name\":\"{}\",\"points\":{ring},\"evicted\":{}", a.name, a.evicted);
+        assert!(json.contains(&fields), "{}: report JSON hides the truncation", a.name);
+    }
     assert_eq!(summary.fct_ns.count(), outcome.fct.records().len() as u64);
     assert!(summary.prof.is_none(), "prof must stay off unless requested");
 }
