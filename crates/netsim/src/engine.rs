@@ -16,7 +16,7 @@
 
 use dcn_trace::{TraceEvent, TraceSink};
 
-use crate::faults::{FaultOp, FaultSchedule, FaultState};
+use crate::faults::{FaultSchedule, FaultState};
 use crate::host::{Ctx, Effects, FlowDesc, Transport};
 use crate::ids::{FlowId, HostId, LinkId, NodeId, SwitchId};
 use crate::link::Link;
@@ -24,7 +24,7 @@ use crate::packet::{Packet, Payload};
 use crate::pool::{PacketPool, PkRef};
 use crate::queue::PrioQueues;
 use crate::sanitizer::{host_port_key, switch_port_key, Sanitizer};
-use crate::sched::{QEntry, Queue, QueueKind};
+use crate::sched::{Due, EventQueue, QEntry, Queue, QueueKind};
 use crate::switch::{enqueue_policy, EnqueueOutcome, MarkScope, PortCounters, SwitchConfig};
 use crate::telemetry::Telemetry;
 use crate::time::SimTime;
@@ -35,7 +35,7 @@ pub use crate::report::{RunLimits, RunReport, StopReason};
 
 /// Engine-internal events. Deliberately `Copy`-sized: the one non-`Copy`
 /// payload (an in-flight packet) lives in the [`PacketPool`] slab and is
-/// carried here by index, so queue entries are 24-byte values that move
+/// carried here by index, so queue entries are 32-byte values that move
 /// through bucket sorts and heap sifts without touching whole packets.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Ev {
@@ -154,6 +154,8 @@ pub struct Simulator<P: Payload> {
     pub(crate) hosts: Vec<HostSlot<P>>,
     pub(crate) switches: Vec<SwitchSlot<P>>,
     flows: Vec<FlowDesc>,
+    /// How many of `flows` have their `FlowStart` in the queue already.
+    flows_scheduled: usize,
     completions: Vec<Option<SimTime>>,
     effects: Effects<P>,
     events: u64,
@@ -198,6 +200,7 @@ impl<P: Payload> Simulator<P> {
             hosts: Vec::new(),
             switches: Vec::new(),
             flows: Vec::new(),
+            flows_scheduled: 0,
             completions: Vec::new(),
             effects: Effects::default(),
             events: 0,
@@ -388,7 +391,8 @@ impl<P: Payload> Simulator<P> {
     /// fully built (per-link/per-switch state is sized here) and before
     /// the first [`Self::run`] call; replaces any previous schedule.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        assert!(self.events == 0, "fault schedule must be installed before the run starts");
+        let fresh = self.events == 0 && self.faults.as_ref().is_none_or(|fs| fs.scheduled == 0);
+        assert!(fresh, "fault schedule must be installed before the run starts");
         self.faults = Some(FaultState::new(schedule, self.links.len(), self.switches.len()));
     }
 
@@ -407,26 +411,6 @@ impl<P: Payload> Simulator<P> {
     /// Retransmissions noted for `flow` via `Ctx::note_retransmit`.
     pub fn flow_retransmits(&self, flow: FlowId) -> u32 {
         self.retransmit_counts.get(flow.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Apply timed fault op `idx` (dispatch target for `Ev::Fault`).
-    fn apply_fault(&mut self, idx: u32) {
-        let now = self.now;
-        let Some(fs) = self.faults.as_mut() else { return };
-        let Some(op) = fs.ops().get(idx as usize).map(|timed| timed.op) else { return };
-        let resumed = fs.apply(op, now);
-        match op {
-            FaultOp::LinkDown(l) => self.emit(TraceEvent::LinkDown { link: l.0 }),
-            FaultOp::LinkUp(l) => self.emit(TraceEvent::LinkUp { link: l.0 }),
-            FaultOp::StallStart(_) | FaultOp::StallEnd(_) => {}
-        }
-        if let Some(s) = resumed {
-            // Restart every backlogged idle port in a fixed (port index)
-            // order so the resume is deterministic.
-            for pi in 0..self.switches[s.0 as usize].ports.len() {
-                self.kick(NodeId::Switch(s), pi as u16);
-            }
-        }
     }
 
     // ---------------------------------------------------------------
@@ -483,25 +467,26 @@ impl<P: Payload> Simulator<P> {
         self.now
     }
 
+    /// Schedule what was registered since the last call: every new flow's
+    /// start, then every new timed fault op, each in registration order — a
+    /// fixed sequence-number layout, so identical schedules reproduce
+    /// identical tie-breaks. A time already passed means "now".
+    fn schedule_registered(&mut self) {
+        for i in self.flows_scheduled..self.flows.len() {
+            self.schedule(self.flows[i].start.max(self.now), Ev::FlowStart(i as u32));
+        }
+        self.flows_scheduled = self.flows.len();
+        while let Some((i, at)) = self.faults.as_mut().and_then(FaultState::next_unscheduled) {
+            self.schedule(at.max(self.now), Ev::Fault(i));
+        }
+    }
+
     /// Run until the event queue drains or a limit is hit.
     ///
-    /// On the first call every registered flow's start event is scheduled;
-    /// subsequent calls resume from where the previous one stopped.
+    /// Flows registered since the previous call get their start event on
+    /// entry; the run then resumes from where that call stopped.
     pub fn run(&mut self, limits: RunLimits) -> RunReport {
-        if self.events == 0 {
-            for i in 0..self.flows.len() {
-                self.schedule(self.flows[i].start, Ev::FlowStart(i as u32));
-            }
-            // Timed fault ops enter the queue after every FlowStart, in
-            // schedule order — a fixed sequence-number layout that makes
-            // identical schedules reproduce identical tie-breaks.
-            let mut i = 0;
-            while let Some(at) = self.faults.as_ref().and_then(|fs| fs.ops().get(i)).map(|t| t.at) {
-                self.schedule(at, Ev::Fault(i as u32));
-                i += 1;
-            }
-        }
-
+        self.schedule_registered();
         let mut stop = StopReason::AllFlowsDone;
         // The self-profiler is opt-in (`TelemetryConfig::prof`): its
         // numbers are machine noise — never part of any determinism golden.
@@ -515,16 +500,19 @@ impl<P: Payload> Simulator<P> {
         // dispatch may push a `TxDone` under a key reserved earlier
         // (`push_tx_done`), which can sort before entries already queued
         // for this same tick.
-        while let Some((at, _)) = self.queue.peek_key() {
-            if at > limits.max_time {
-                // Not due yet: leave it queued for a future run() call.
-                // Everything at or before `max_time` has dispatched.
-                self.now = limits.max_time;
-                self.cur_seq = u64::MAX;
-                stop = StopReason::MaxTime;
-                break;
-            }
-            let Some(entry) = self.queue.pop() else { break };
+        loop {
+            let entry = match self.queue.pop_due(limits.max_time) {
+                Due::Entry(entry) => entry,
+                Due::Later => {
+                    // Not due yet: it stays queued for a future run() call.
+                    // Everything at or before `max_time` has dispatched.
+                    self.now = limits.max_time;
+                    self.cur_seq = u64::MAX;
+                    stop = StopReason::MaxTime;
+                    break;
+                }
+                Due::Empty => break,
+            };
             if let Some(s) = self.san.as_mut() {
                 s.observe_pop(entry.at, entry.seq, self.now);
             }

@@ -19,7 +19,8 @@
 //!
 //! Determinism: the fault RNG is owned by the simulator, advances only
 //! when a non-zero probability applies to a serialized packet, and timed
-//! ops are scheduled in schedule order before the first event dispatch.
+//! ops are scheduled in schedule order, once each, by the `run` call that
+//! follows their installation.
 //! Identical schedules + seeds therefore reproduce byte-identical traces
 //! regardless of how many sweep workers run other simulations in parallel
 //! (each `Simulator` is fully self-contained; see DESIGN.md §11).
@@ -27,9 +28,15 @@
 //! The live side of a schedule is `FaultState`: link/switch status, the
 //! loss RNG and the recovery counters behind [`FaultReport`]. It takes
 //! what it reads as arguments and never sees the simulator, so its state
-//! machine is testable without a topology.
+//! machine is testable without a topology. The engine side — what a
+//! dispatched `Ev::Fault` does to the simulator — is
+//! `Simulator::apply_fault` below it.
 
-use crate::ids::{LinkId, SwitchId};
+use dcn_trace::TraceEvent;
+
+use crate::engine::Simulator;
+use crate::ids::{LinkId, NodeId, SwitchId};
+use crate::packet::Payload;
 use crate::rng::Pcg32;
 use crate::time::{SimDuration, SimTime};
 
@@ -156,6 +163,8 @@ pub struct FaultReport {
 /// link/switch status and recovery counters it drives.
 pub(crate) struct FaultState {
     schedule: FaultSchedule,
+    /// How many of the schedule's timed ops are in the event queue.
+    pub(crate) scheduled: usize,
     /// Dedicated loss RNG, seeded from the schedule — never shared with
     /// workload generation, so adding loss does not shift workload draws.
     rng: Pcg32,
@@ -189,7 +198,17 @@ impl FaultState {
             max_stall: SimDuration::ZERO,
             goodput_fault_bytes: 0,
             schedule,
+            scheduled: 0,
         }
+    }
+
+    /// Index and time of the next timed op not yet in the event queue,
+    /// counting it as scheduled.
+    pub(crate) fn next_unscheduled(&mut self) -> Option<(u32, SimTime)> {
+        let i = self.scheduled;
+        let at = self.schedule.ops.get(i)?.at;
+        self.scheduled += 1;
+        Some((i as u32, at))
     }
 
     /// The timed operations, in the order they enter the event queue.
@@ -293,6 +312,28 @@ impl FaultState {
             retransmits: 0,
             max_stall: open.fold(self.max_stall, |m, t0| m.max(now.saturating_since(*t0))),
             goodput_during_fault_bytes: self.goodput_fault_bytes,
+        }
+    }
+}
+
+impl<P: Payload> Simulator<P> {
+    /// Apply timed fault op `idx` (dispatch target for `Ev::Fault`).
+    pub(crate) fn apply_fault(&mut self, idx: u32) {
+        let now = self.now;
+        let Some(fs) = self.faults.as_mut() else { return };
+        let Some(op) = fs.ops().get(idx as usize).map(|timed| timed.op) else { return };
+        let resumed = fs.apply(op, now);
+        match op {
+            FaultOp::LinkDown(l) => self.emit(TraceEvent::LinkDown { link: l.0 }),
+            FaultOp::LinkUp(l) => self.emit(TraceEvent::LinkUp { link: l.0 }),
+            FaultOp::StallStart(_) | FaultOp::StallEnd(_) => {}
+        }
+        if let Some(s) = resumed {
+            // Restart every backlogged idle port in a fixed (port index)
+            // order so the resume is deterministic.
+            for pi in 0..self.switches[s.0 as usize].ports.len() {
+                self.kick(NodeId::Switch(s), pi as u16);
+            }
         }
     }
 }

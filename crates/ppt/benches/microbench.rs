@@ -5,14 +5,16 @@
 //! Zero-dependency harness (`harness = false`): measures wall time with
 //! `std::time::Instant` and prints `name  ns/iter`. Timing output is
 //! informational only — nothing here gates on absolute numbers, so the
-//! harness stays robust on loaded CI machines. The gates are four *ratios*
+//! harness stays robust on loaded CI machines. The gates are five *ratios*
 //! taken inside this process — an in-order ACK against 8 192 in-flight
 //! segments may cost at most 3× one against 64 (`bench_ack_scaling`), a
 //! flow of a 16 000-flow Memcached run at most 1.5× a flow of a 2 000-flow
 //! one (`bench_flow_churn`), a point of a 16 384-point telemetry series at
 //! most 1.5× a point of a 2 048-point one to analyze
-//! (`bench_analysis_scaling`), and a trace line at most 0.7× what a
-//! `write!`-based formatter takes for it (`bench_encode_line`) — and an
+//! (`bench_analysis_scaling`), a trace line at most 0.7× what a
+//! `write!`-based formatter takes for it (`bench_encode_line`), and an
+//! event-queue hold at 100 G link speeds and 4 096 queued events at most
+//! 4× one at 10 G and 64 (`bench_sched_hold`) — and an
 //! exact *count*: events dispatched per data packet of one DCTCP flow
 //! (`events_per_packet`). Run with `cargo bench -p ppt --bench microbench`.
 
@@ -415,6 +417,63 @@ fn bench_encode_line() -> bool {
     ratio <= 0.7
 }
 
+/// The event queue's hold model (pop the earliest entry, push one a
+/// realistic delta later, at constant occupancy) as a scaling law: the
+/// 10 G testbed's deltas — 1.2 µs serialisations, 20 µs propagations — at 64
+/// queued events against the 100 G fabric's — 120 ns, 1 µs — at 4 096, the
+/// two timed in rotation. The calendar queue's buckets are narrow enough
+/// for the fast links and its bitmap skips what that leaves empty on the
+/// slow ones. What is left is density: 4 096 events inside one microsecond
+/// put a thousand in each 256 ns bucket, where a sort and an in-order
+/// insert cost ~2.6× the sparse hold. Returns false above 4× (2 µs
+/// buckets, all 4 096 in one: 19×).
+fn bench_sched_hold() -> bool {
+    use ppt::netsim::sched::{CalendarQueue, EventQueue, QEntry};
+    use ppt::netsim::{Pcg32, SimTime};
+    struct Hold {
+        q: CalendarQueue<u32>,
+        rng: Pcg32,
+        seq: u64,
+        deltas: [u64; 2],
+    }
+    impl Hold {
+        /// Five serialisations to three propagations, the engine's own mix.
+        fn delta(&mut self) -> u64 {
+            self.deltas[(self.rng.next_u32() % 8 >= 5) as usize]
+        }
+        fn push(&mut self, at: u64, ev: u32) {
+            self.q.push(QEntry { at: SimTime(at), seq: self.seq, ev });
+            self.seq += 1;
+        }
+    }
+    let mut holds = [(64u32, [1_200, 20_000]), (4_096, [120, 1_000])].map(|(occupancy, deltas)| {
+        let rng = Pcg32::seed_from_u64(occupancy as u64);
+        let mut h = Hold { q: CalendarQueue::new(), rng, seq: 0, deltas };
+        for i in 0..occupancy {
+            let at = h.delta() * (1 + i as u64 % 4);
+            h.push(at, i);
+        }
+        h
+    });
+    let mut ns = [f64::INFINITY; 2];
+    for _ in 0..7 {
+        for (h, ns) in holds.iter_mut().zip(&mut ns) {
+            *ns = ns.min(min_ns_per_call(1, 200_000, || {
+                let e = h.q.pop().expect("occupancy is constant");
+                let at = e.at.as_nanos() + h.delta();
+                h.push(at, e.ev);
+            }));
+        }
+    }
+    black_box(holds.iter().map(|h| h.q.len()).sum::<usize>());
+    let ratio = ns[1] / ns[0];
+    println!(
+        "{:<44} {:>8.1} / {:>8.1} ns/hold   (x{ratio:.2} from 10G at 64 queued to 100G at 4096)",
+        "sched/hold 10G@64 / 100G@4096", ns[0], ns[1]
+    );
+    ratio <= 4.0
+}
+
 fn bench_switch() {
     let cfg = SwitchConfig::ppt(120_000, 96_000, 86_000);
     bench("switch/enqueue_policy_ecn", 10, 2_000, || {
@@ -553,6 +612,7 @@ fn main() {
     let flow_cost_follows_concurrency = bench_flow_churn();
     let analysis_cost_follows_points = bench_analysis_scaling();
     let encoder_beats_fmt = bench_encode_line();
+    let queue_cost_ignores_link_rate = bench_sched_hold();
     bench_switch();
     bench_core_state_machines();
     bench_end_to_end();
@@ -578,6 +638,13 @@ fn main() {
     }
     if !encoder_beats_fmt {
         eprintln!("microbench: encode_line takes more than 0.7x a write!-based formatter");
+        std::process::exit(1);
+    }
+    if !queue_cost_ignores_link_rate {
+        eprintln!(
+            "microbench: an event-queue hold at 100G and 4096 queued costs more than 4x one \
+             at 10G and 64"
+        );
         std::process::exit(1);
     }
     if per_packet > MAX_EVENTS_PER_PACKET {

@@ -1,7 +1,6 @@
 //! Trace sinks: where the event stream goes.
 
 use std::any::Any;
-use std::collections::VecDeque;
 
 use crate::event::{encode_jsonl, encode_line, TraceEvent};
 
@@ -113,7 +112,10 @@ impl TraceSink for JsonlSink {
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     cap: usize,
-    ring: VecDeque<(u64, TraceEvent)>,
+    /// `cap` rounded up to a power of two slots, all filled from the start
+    /// so a write is one masked store; event `i` of the run is in slot
+    /// `i & (slots - 1)` until event `i + slots` overwrites it.
+    ring: Vec<(u64, TraceEvent)>,
     total: u64,
 }
 
@@ -121,7 +123,8 @@ impl FlightRecorder {
     /// `cap` is clamped to at least 1.
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
-        FlightRecorder { cap, ring: VecDeque::with_capacity(cap), total: 0 }
+        let filler = (0, TraceEvent::FlowComplete { flow: 0 });
+        FlightRecorder { cap, ring: vec![filler; cap.next_power_of_two()], total: 0 }
     }
 
     /// Total events seen, including those already evicted from the ring.
@@ -134,30 +137,30 @@ impl FlightRecorder {
     }
 
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.total.min(self.cap as u64) as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.total == 0
     }
 
     /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(u64, TraceEvent)> {
-        self.ring.iter()
+    pub fn events(&self) -> impl ExactSizeIterator<Item = &(u64, TraceEvent)> {
+        let mask = self.ring.len() - 1;
+        let first = self.total as usize - self.len();
+        (0..self.len()).map(move |k| &self.ring[(first + k) & mask])
     }
 
     /// JSONL dump of the retained tail, oldest first.
     pub fn to_jsonl(&self) -> String {
-        encode_jsonl(&self.ring)
+        encode_jsonl(self.events())
     }
 }
 
 impl TraceSink for FlightRecorder {
     fn emit(&mut self, at: u64, ev: &TraceEvent) {
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-        }
-        self.ring.push_back((at, *ev));
+        let mask = self.ring.len() - 1;
+        self.ring[self.total as usize & mask] = (at, *ev);
         self.total += 1;
     }
     fn as_any(&self) -> &dyn Any {
@@ -207,6 +210,27 @@ mod tests {
         assert_eq!(r.len(), 3);
         let kept: Vec<u64> = r.events().map(|(at, _)| *at).collect();
         assert_eq!(kept, vec![7, 8, 9]);
+    }
+
+    /// The masked ring against the `VecDeque` it replaced, at capacities on
+    /// and off a power of two, before and after the ring wraps.
+    #[test]
+    fn flight_recorder_yields_what_a_deque_would() {
+        for cap in [1usize, 3, 4, 256] {
+            let mut r = FlightRecorder::new(cap);
+            let mut deque = std::collections::VecDeque::new();
+            for i in 0..(3 * cap as u64 + 1) {
+                let ev = TraceEvent::Timer { host: i as u32, token: i };
+                if deque.len() == cap {
+                    deque.pop_front();
+                }
+                deque.push_back((i, ev));
+                r.emit(i, &ev);
+                assert_eq!((r.len(), r.total_seen()), (deque.len(), i + 1));
+                assert!(r.events().eq(deque.iter()), "cap {cap} after {i}");
+                assert_eq!(r.to_jsonl(), encode_jsonl(&deque));
+            }
+        }
     }
 
     #[test]

@@ -72,6 +72,9 @@ if [ "$test_elapsed" -gt "$TEST_CEILING_S" ]; then
     exit 1
 fi
 
+echo "==> event-queue differential suite, long form (1 M ops per schedule, both queues in lockstep)"
+cargo test -q --release -p netsim --lib -- --ignored randomized_schedules_pop_identically_at_a_million_ops
+
 echo "==> pptlab trace smoke (byte-identical reruns)"
 TRACE_TMP="${TMPDIR:-/tmp}/pptlab-trace-smoke.$$"
 mkdir -p "$TRACE_TMP/a" "$TRACE_TMP/b"
@@ -187,6 +190,7 @@ done
 
 echo "==> engine.rs is the run loop; telemetry is the one sampler (DESIGN.md §3, §14)"
 engine_lines=$(wc -l < crates/netsim/src/engine.rs)
+echo "check.sh: engine.rs has $engine_lines lines (ceiling 1000)"
 if [ "$engine_lines" -gt 1000 ]; then
     echo "check.sh: engine.rs has $engine_lines lines (> 1000): move the concern to its module" >&2
     exit 1
@@ -237,6 +241,7 @@ echo "==> microbench (fails when an in-order ACK at 8192 segments in flight cost
 echo "    a flow of a 16000-flow Memcached run costs > 1.5x a flow of a 2000-flow one,"
 echo "    a point of a 16384-point telemetry series costs > 1.5x a point of a 2048-point one to analyze,"
 echo "    encode_line takes > 0.7x a write!-based formatter of the same trace lines,"
+echo "    an event-queue hold at 100G deltas and 4096 queued costs > 4x one at 10G deltas and 64,"
 echo "    or one DCTCP flow dispatches more than 6.3 events per data packet)"
 cargo bench -q -p ppt --bench microbench
 
