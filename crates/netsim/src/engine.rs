@@ -8,11 +8,12 @@
 //! the engine consults wall-clock randomness.
 //!
 //! This file is the loop itself — [`Simulator::run`], `dispatch`,
-//! `with_transport`, the enqueue/transmit path — and the two functions
-//! outside [`crate::sched`] that push the event queue: `schedule`, and
-//! `push_tx_done` for a `TxDone` whose key was minted at transmit time. What
-//! the loop calls into lives in the module named for it: `topology`,
-//! `pool`, `faults`, `pfc`, `telemetry`, `sanitizer` (DESIGN.md §4).
+//! `with_transport` — and the two functions outside [`crate::sched`] that
+//! push the event queue: `schedule`, and `push_tx_done` for a `TxDone`
+//! whose key was minted at transmit time. What the loop calls into lives in
+//! the module named for it: `hop` (what one packet does at one egress
+//! port), `topology`, `pool`, `faults`, `pfc`, `telemetry`, `sanitizer`
+//! (DESIGN.md §4).
 
 use dcn_trace::{TraceEvent, TraceSink};
 
@@ -20,12 +21,12 @@ use crate::faults::{FaultSchedule, FaultState};
 use crate::host::{Ctx, Effects, FlowDesc, Transport};
 use crate::ids::{FlowId, HostId, LinkId, NodeId, SwitchId};
 use crate::link::Link;
-use crate::packet::{Packet, Payload};
-use crate::pool::{PacketPool, PkRef};
-use crate::queue::PrioQueues;
-use crate::sanitizer::{host_port_key, switch_port_key, Sanitizer};
+use crate::packet::Payload;
+use crate::pool::{Handle, PacketPool, PkRef};
+use crate::queue::QueueBank;
+use crate::sanitizer::Sanitizer;
 use crate::sched::{Due, EventQueue, QEntry, Queue, QueueKind};
-use crate::switch::{enqueue_policy, EnqueueOutcome, MarkScope, PortCounters, SwitchConfig};
+use crate::switch::{PortCounters, SwitchConfig};
 use crate::telemetry::Telemetry;
 use crate::time::SimTime;
 
@@ -34,9 +35,9 @@ pub use crate::pool::PoolStats;
 pub use crate::report::{RunLimits, RunReport, StopReason};
 
 /// Engine-internal events. Deliberately `Copy`-sized: the one non-`Copy`
-/// payload (an in-flight packet) lives in the [`PacketPool`] slab and is
-/// carried here by index, so queue entries are 32-byte values that move
-/// through bucket sorts and heap sifts without touching whole packets.
+/// payload (a packet) lives in the [`PacketPool`] slab for its whole life
+/// and is carried here by index, so queue entries are 32-byte values that
+/// move through bucket sorts and heap sifts without touching whole packets.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Ev {
     /// The application starts flow `flows[idx]` at its source host.
@@ -76,10 +77,11 @@ fn prof_kind_index(ev: Ev) -> usize {
     }
 }
 
-/// One egress transmitter: a priority-queue bank feeding one link.
-pub(crate) struct PortState<P> {
+/// One egress transmitter: a priority-queue bank feeding one link. The
+/// bank holds pool handles; the packets stay in [`Simulator::pool`].
+pub(crate) struct PortState {
     pub(crate) link: LinkId,
-    pub(crate) queues: PrioQueues<P>,
+    pub(crate) queues: QueueBank<Handle>,
     /// A serialization is in flight. Call [`Simulator::settle`] before
     /// reading it: a port whose `TxDone` was never pushed is still marked
     /// busy after the instant that event would have dispatched.
@@ -88,8 +90,8 @@ pub(crate) struct PortState<P> {
     /// `TxDone` while that event is not in the queue. It is pushed only
     /// once it has work to do, so `busy && !queues.is_empty()` implies
     /// this is `None` (the event is queued).
-    unpushed_tx_done: Option<(SimTime, u64)>,
-    counters: PortCounters,
+    pub(crate) unpushed_tx_done: Option<(SimTime, u64)>,
+    pub(crate) counters: PortCounters,
     /// PFC receive state: bit `p` set = priority `p` must not be served
     /// (a pause frame from the downstream neighbour is in effect). Always
     /// zero when no switch on the fabric runs PFC.
@@ -99,11 +101,11 @@ pub(crate) struct PortState<P> {
     pub(crate) xoff_sent: u8,
 }
 
-impl<P> PortState<P> {
+impl PortState {
     pub(crate) fn new(link: LinkId) -> Self {
         PortState {
             link,
-            queues: PrioQueues::new(),
+            queues: QueueBank::new(),
             busy: false,
             unpushed_tx_done: None,
             counters: PortCounters::default(),
@@ -111,11 +113,19 @@ impl<P> PortState<P> {
             xoff_sent: 0,
         }
     }
+
+    /// Nothing stands between an arriving packet of priority `prio` and
+    /// the wire: no serialization in flight, nothing queued, no pause.
+    /// Call [`Simulator::settle`] first.
+    #[inline] // per-packet call from another module (codegen unit)
+    pub(crate) fn idle_for(&self, prio: u8) -> bool {
+        !self.busy && self.queues.is_empty() && self.paused_mask & (1 << prio) == 0
+    }
 }
 
 pub(crate) struct HostSlot<P> {
     /// The single NIC egress port; `None` until the host is cabled.
-    pub(crate) nic: Option<PortState<P>>,
+    pub(crate) nic: Option<PortState>,
     pub(crate) transport: Option<Box<dyn Transport<P>>>,
     /// Wall-clock nanoseconds spent inside this host's transport handlers
     /// and number of handler invocations (the Fig-19 CPU substitute).
@@ -123,8 +133,8 @@ pub(crate) struct HostSlot<P> {
     pub(crate) cpu_calls: u64,
 }
 
-pub(crate) struct SwitchSlot<P> {
-    pub(crate) ports: Vec<PortState<P>>,
+pub(crate) struct SwitchSlot {
+    pub(crate) ports: Vec<PortState>,
     pub(crate) cfg: SwitchConfig,
     /// Destination-based ECMP table in CSR form: the candidate egress
     /// ports for destination host `d` are
@@ -144,15 +154,16 @@ pub struct Simulator<P: Payload> {
     pub(crate) now: SimTime,
     /// The event queue (calendar by default; see [`crate::sched`]).
     queue: Queue<Ev>,
-    /// In-flight packets, referenced from the event queue by [`PkRef`].
+    /// Every packet in the network, referenced from the event queue and
+    /// the egress banks by [`PkRef`].
     pub(crate) pool: PacketPool<P>,
     seq: u64,
     /// Sequence number of the event being dispatched: with `now`, the
     /// point the run has reached in `(time, seq)` order.
-    cur_seq: u64,
+    pub(crate) cur_seq: u64,
     pub(crate) links: Vec<Link>,
     pub(crate) hosts: Vec<HostSlot<P>>,
-    pub(crate) switches: Vec<SwitchSlot<P>>,
+    pub(crate) switches: Vec<SwitchSlot>,
     flows: Vec<FlowDesc>,
     /// How many of `flows` have their `FlowStart` in the queue already.
     flows_scheduled: usize,
@@ -290,7 +301,7 @@ impl<P: Payload> Simulator<P> {
 
     /// Egress port `port` of `node`. A host is a one-port node: its NIC
     /// is port 0, whatever `port` says.
-    pub(crate) fn port(&self, node: NodeId, port: u16) -> &PortState<P> {
+    pub(crate) fn port(&self, node: NodeId, port: u16) -> &PortState {
         match node {
             NodeId::Host(h) => self.hosts[h.0 as usize].nic.as_ref().expect("host not cabled"), // simlint: allow(panic_hygiene)
             NodeId::Switch(s) => &self.switches[s.0 as usize].ports[port as usize],
@@ -299,7 +310,7 @@ impl<P: Payload> Simulator<P> {
 
     /// Mutable twin of [`Self::port`].
     #[inline] // per-packet; lets the host/switch match fold into each caller
-    pub(crate) fn port_mut(&mut self, node: NodeId, port: u16) -> &mut PortState<P> {
+    pub(crate) fn port_mut(&mut self, node: NodeId, port: u16) -> &mut PortState {
         match node {
             NodeId::Host(h) => self.hosts[h.0 as usize].nic.as_mut().expect("host not cabled"), // simlint: allow(panic_hygiene)
             NodeId::Switch(s) => &mut self.switches[s.0 as usize].ports[port as usize],
@@ -338,20 +349,14 @@ impl<P: Payload> Simulator<P> {
     /// Aggregate counters over every switch port.
     pub fn total_counters(&self) -> PortCounters {
         let mut total = PortCounters::default();
-        for sw in &self.switches {
-            for p in &sw.ports {
-                total.enqueued += p.counters.enqueued;
-                total.dropped += p.counters.dropped;
-                total.trimmed += p.counters.trimmed;
-                total.marked += p.counters.marked;
-                total.dropped_bytes += p.counters.dropped_bytes;
-            }
+        for port in self.switches.iter().flat_map(|sw| &sw.ports) {
+            total.add(&port.counters);
         }
         total
     }
 
-    /// Packet-pool counters: how often in-flight packet buffers were
-    /// recycled vs freshly allocated, and how many are live right now.
+    /// Packet-pool counters: how often packet slots were recycled vs
+    /// freshly allocated, and how many packets are on a wire right now.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -448,7 +453,7 @@ impl<P: Payload> Simulator<P> {
     // simlint: hot-path
     /// Mint the next sequence number for an event at `at`. Every event
     /// takes its place in the FIFO tie-break here, pushed now or later.
-    fn mint_seq(&mut self, at: SimTime) -> u64 {
+    pub(crate) fn mint_seq(&mut self, at: SimTime) -> u64 {
         debug_assert!(at >= self.now, "scheduling into the past");
         if let Some(s) = self.san.as_mut() {
             s.observe_schedule(at, self.now, self.seq);
@@ -555,6 +560,11 @@ impl<P: Payload> Simulator<P> {
         }
     }
 
+    // One call site, in `run`. Out of line, the 16-byte `Ev` travels from
+    // the queue's return slot to this function's argument slot through two
+    // overlapping unaligned copies that defeat store forwarding: ~10 % of
+    // `incast_ndp`'s run time in two `mov`s.
+    #[inline(always)]
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::FlowStart(idx) => {
@@ -573,9 +583,10 @@ impl<P: Payload> Simulator<P> {
                 if let Some(s) = self.san.as_mut() {
                     s.observe_free(self.now, pkt.0 as usize);
                 }
-                let pkt = self.pool.take(pkt);
+                self.pool.arrive();
                 match to {
                     NodeId::Host(h) => {
+                        let pkt = self.pool.take(pkt);
                         if let Some(fs) = self.faults.as_mut() {
                             fs.note_delivery(pkt.payload_bytes());
                         }
@@ -606,14 +617,12 @@ impl<P: Payload> Simulator<P> {
         }
     }
 
-    /// Run a transport handler on `host` with a fresh effects sink, then
+    /// Run a transport handler on `host` with an empty effects sink, then
     /// apply the effects (transmit packets, arm timers, record completions).
     fn with_transport<F>(&mut self, host: HostId, f: F)
     where
         F: FnOnce(&mut dyn Transport<P>, &mut Ctx<'_, P>),
     {
-        let mut effects = std::mem::take(&mut self.effects);
-        effects.clear();
         let now = self.now;
         let sanitize = self.san.is_some();
         {
@@ -623,7 +632,8 @@ impl<P: Payload> Simulator<P> {
                 .transport
                 .as_deref_mut()
                 .unwrap_or_else(|| panic!("no transport installed on {host:?}")); // simlint: allow(panic_hygiene)
-            let mut ctx = Ctx::with_trace(now, host, &mut effects, trace).with_sanitizer(sanitize);
+            let mut ctx =
+                Ctx::with_trace(now, host, &mut self.effects, trace).with_sanitizer(sanitize);
             if self.measure_cpu {
                 let t0 = std::time::Instant::now(); // simlint: allow(determinism)
                 f(transport, &mut ctx);
@@ -635,13 +645,14 @@ impl<P: Payload> Simulator<P> {
         }
         // Apply effects in a fixed order — timers, completions, packets —
         // so queue sequence numbers (and therefore FIFO tie-breaks) are
-        // assigned exactly as they always were. `effects` is a local moved
-        // out of `self`, so packets drain straight into `host_enqueue`
-        // without an intermediate collect; the buffers are handed back at
-        // the end and reused across every transport invocation.
+        // assigned exactly as they always were. Every list is emptied here,
+        // which is what leaves the sink clean for the next handler, and
+        // none is moved unless it has to be: the `Copy` lists are read by
+        // index and cleared, and the packets — applied by value, by code
+        // that re-enters `self` — are moved out only when there are any.
         // Retransmit notes first: they only bump counters (never touch the
         // queue), so draining them here cannot shift sequence numbers.
-        for flow in effects.retransmits.drain(..) {
+        for flow in self.effects.retransmits.drain(..) {
             self.retransmits_total += 1;
             if let Some(c) = self.retransmit_counts.get_mut(flow.0 as usize) {
                 *c += 1;
@@ -649,16 +660,18 @@ impl<P: Payload> Simulator<P> {
         }
         // Sanitizer notes likewise are ledger-only: the vec is empty unless
         // the sanitizer is installed (Ctx::san_note gates on it).
-        for note in effects.san_notes.drain(..) {
+        for note in self.effects.san_notes.drain(..) {
             if let Some(s) = self.san.as_mut() {
                 s.observe_note(now, note);
             }
         }
-        for (at, token) in effects.timers.drain(..) {
-            let at = at.max(now);
-            self.schedule(at, Ev::Timer { host, token });
+        for i in 0..self.effects.timers.len() {
+            let (at, token) = self.effects.timers[i];
+            self.schedule(at.max(now), Ev::Timer { host, token });
         }
-        for flow in effects.completed.drain(..) {
+        self.effects.timers.clear();
+        for i in 0..self.effects.completed.len() {
+            let flow = self.effects.completed[i];
             let slot = &mut self.completions[flow.0 as usize];
             if slot.is_none() {
                 *slot = Some(now);
@@ -670,298 +683,26 @@ impl<P: Payload> Simulator<P> {
                 self.emit(TraceEvent::FlowComplete { flow: flow.0 });
             }
         }
-        for pkt in effects.packets.drain(..) {
-            self.host_enqueue(host, pkt);
-        }
-        self.effects = effects;
-    }
-
-    /// Enqueue a packet at a host NIC and kick the transmitter if idle.
-    fn host_enqueue(&mut self, host: HostId, mut pkt: Packet<P>) {
-        pkt.enq_at = self.now;
-        if let Some(s) = self.san.as_mut() {
-            s.observe_queue_push(host_port_key(host.0), pkt.wire_bytes as u64);
-        }
-        let node = NodeId::Host(host);
-        self.settle(node, 0);
-        let nic = self.port_mut(node, 0);
-        nic.queues.push(pkt);
-        if nic.busy {
-            self.push_tx_done(node, 0);
-        } else {
-            self.start_tx(node, 0);
-        }
-    }
-
-    /// Route + admission at a switch, kicking the egress transmitter.
-    fn switch_forward(&mut self, switch: SwitchId, pkt: Packet<P>) {
-        let si = switch.0 as usize;
-        let sw = &self.switches[si];
-        assert!(
-            sw.route_offsets.len() > 1,
-            "switch {switch:?} has no route table (did you call build_routes?)"
-        );
-        let d = pkt.dst.0 as usize;
-        let (lo, hi) = (sw.route_offsets[d] as usize, sw.route_offsets[d + 1] as usize);
-        let candidates = &sw.route_ports[lo..hi];
-        assert!(
-            !candidates.is_empty(),
-            "switch {switch:?} has no route to {:?} (did you call build_routes?)",
-            pkt.dst
-        );
-        let pi = candidates[(pkt.flow.path_hash() % candidates.len() as u64) as usize] as usize;
-        // INT telemetry observes the egress port state before enqueue.
-        let (qlen, qlen_high, tx_bytes, tx_high, rate) = {
-            let port = &self.switches[si].ports[pi];
-            let link = &self.links[port.link.0 as usize];
-            (
-                port.queues.total_bytes(),
-                port.queues.bytes_in_range(0..4),
-                link.tx_bytes,
-                link.tx_high_bytes,
-                link.rate,
-            )
-        };
-        let mut pkt = pkt;
-        pkt.enq_at = self.now;
-        pkt.payload.on_switch_hop(crate::packet::HopTelemetry {
-            qlen_bytes: qlen,
-            qlen_high_bytes: qlen_high,
-            tx_bytes,
-            tx_high_bytes: tx_high,
-            ts: self.now,
-            link_rate: rate,
-        });
-        let (tflow, tprio, tbytes) = (pkt.flow.0, pkt.priority, pkt.payload_bytes() as u64);
-        let (twire, tecn) = (pkt.wire_bytes as u64, pkt.ecn.capable && !pkt.ecn.ce);
-        self.settle(NodeId::Switch(switch), pi as u16);
-        let sw = &mut self.switches[si];
-        let port = &mut sw.ports[pi];
-        let evicted_before = port.counters.evicted;
-        let outcome = enqueue_policy(&sw.cfg, &mut port.queues, &mut port.counters, pkt);
-        let backlog = port.queues.total_bytes();
-        let busy = port.busy;
-        if self.san.is_some() {
-            let key = switch_port_key(switch.0, pi as u16);
-            let evicted = port.counters.evicted != evicted_before;
-            let qpkts = port.queues.len() as u64;
-            // ECN consistency inputs for a marked admission: the rule (if
-            // any) at this priority and the scoped backlog the mark
-            // decision saw (marking happens pre-push, so subtract the
-            // packet's own wire bytes from the post-push scoped backlog).
-            let mark_inputs = match outcome {
-                EnqueueOutcome::Queued { marked: true } => {
-                    let rule = sw.cfg.ecn[tprio as usize];
-                    let thr = if tecn { rule.map(|r| r.threshold_bytes) } else { None };
-                    let scoped = match rule.map(|r| r.scope) {
-                        Some(MarkScope::Queue) => port.queues.bytes_at(tprio),
-                        Some(MarkScope::Range(lo, hi)) => port.queues.bytes_in_range(lo..hi),
-                        _ => port.queues.total_bytes(),
-                    };
-                    Some((scoped.saturating_sub(twire), thr))
-                }
-                _ => None,
-            };
-            let wire = match outcome {
-                EnqueueOutcome::Queued { .. } => Some(twire),
-                EnqueueOutcome::Trimmed => Some(crate::packet::TRIMMED_BYTES as u64),
-                EnqueueOutcome::Dropped => None,
-            };
-            if let Some(s) = self.san.as_mut() {
-                if let Some(w) = wire {
-                    s.observe_queue_push(key, w);
-                }
-                if evicted {
-                    s.observe_queue_resync(key, backlog, qpkts);
-                }
-                if let Some((scoped, thr)) = mark_inputs {
-                    s.observe_ecn_mark(self.now, key, scoped, thr);
-                }
+        self.effects.completed.clear();
+        if !self.effects.packets.is_empty() {
+            let mut packets = std::mem::take(&mut self.effects.packets);
+            for pkt in packets.drain(..) {
+                self.host_enqueue(host, pkt);
             }
-        }
-        if self.trace.is_some() {
-            let (sw, port) = (switch.0, pi as u16);
-            match outcome {
-                EnqueueOutcome::Dropped => self.emit(TraceEvent::Drop {
-                    sw,
-                    port,
-                    flow: tflow,
-                    prio: tprio,
-                    bytes: tbytes,
-                }),
-                EnqueueOutcome::Trimmed => {
-                    self.emit(TraceEvent::Trim { sw, port, flow: tflow, prio: tprio })
-                }
-                EnqueueOutcome::Queued { marked } => {
-                    self.emit(TraceEvent::Enqueue {
-                        sw,
-                        port,
-                        flow: tflow,
-                        prio: tprio,
-                        qlen: backlog,
-                    });
-                    if marked {
-                        self.emit(TraceEvent::EcnMark {
-                            sw,
-                            port,
-                            flow: tflow,
-                            prio: tprio,
-                            qlen: backlog,
-                        });
-                    }
-                }
-            }
-        }
-        // PFC thresholds see the post-admission backlog (push-out evictions
-        // may also have drained other priorities below XON, so this runs
-        // on every outcome).
-        self.pfc_update(switch, pi);
-        match outcome {
-            EnqueueOutcome::Dropped => {}
-            EnqueueOutcome::Queued { .. } | EnqueueOutcome::Trimmed => {
-                if busy {
-                    self.push_tx_done(NodeId::Switch(switch), pi as u16);
-                } else {
-                    self.start_tx(NodeId::Switch(switch), pi as u16);
-                }
-            }
-        }
-    }
-
-    /// Begin serializing the head-of-line unpaused packet of an egress
-    /// port, if there is one.
-    #[inline] // per-packet; lets the host/switch match fold into each caller
-    pub(crate) fn start_tx(&mut self, node: NodeId, port: u16) {
-        // A stalled switch admits (and drops) but never starts serializing;
-        // backlogged ports are kicked again when the stall ends.
-        if let (NodeId::Switch(s), Some(fs)) = (node, self.faults.as_ref()) {
-            if fs.is_stalled(s) {
-                return;
-            }
-        }
-        let slot = self.port_mut(node, port);
-        let Some(pkt) = slot.queues.pop_unpaused(slot.paused_mask) else { return };
-        slot.busy = true;
-        let link_id = slot.link;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.queue_delay_ns.record(self.now.saturating_since(pkt.enq_at).as_nanos());
-        }
-        if let Some(s) = self.san.as_mut() {
-            s.observe_queue_pop(self.now, san_port_key(node, port), pkt.wire_bytes as u64);
-        }
-        if let NodeId::Switch(s) = node {
-            self.emit(TraceEvent::Dequeue { sw: s.0, port, flow: pkt.flow.0, prio: pkt.priority });
-            // The dequeue may have drained this port's backlog through XON.
-            self.pfc_update(s, port as usize);
-        }
-        self.transmit(node, port, link_id, pkt);
-    }
-
-    /// Start an egress port's transmitter when it is idle with backlog
-    /// waiting (after a stall or a pause lifts).
-    pub(crate) fn kick(&mut self, node: NodeId, port: u16) {
-        self.settle(node, port);
-        let slot = self.port(node, port);
-        if !slot.busy && !slot.queues.is_empty() {
-            self.start_tx(node, port);
-        }
-    }
-
-    fn transmit(&mut self, node: NodeId, port: u16, link_id: LinkId, pkt: Packet<P>) {
-        if let Some(s) = self.san.as_mut() {
-            s.observe_tx_start(self.now, san_port_key(node, port));
-        }
-        let link = &mut self.links[link_id.0 as usize];
-        link.tx_bytes += pkt.wire_bytes as u64;
-        link.tx_packets += 1;
-        if pkt.priority < 4 {
-            link.tx_high_bytes += pkt.wire_bytes as u64;
-        }
-        let ser = link.rate.serialization_time(pkt.wire_bytes as u64);
-        let arrive_at = self.now + ser + link.delay;
-        let to = link.to;
-        // The fault layer destroys packets *at serialization time*: the
-        // sender still pays the full serialization delay (the port stays
-        // busy until `tx_end`) but no Deliver is scheduled — the bits die
-        // on the wire.
-        let (payload_bytes, prio) = (pkt.payload_bytes(), pkt.priority);
-        if self.faults.as_mut().is_some_and(|fs| fs.loses_packet(link_id, payload_bytes, prio)) {
-            if let Some(s) = self.san.as_mut() {
-                s.observe_fault_drop();
-            }
-            self.emit(TraceEvent::FaultDrop {
-                link: link_id.0,
-                flow: pkt.flow.0,
-                prio: pkt.priority,
-                bytes: pkt.wire_bytes as u64,
-            });
-        } else {
-            let pkt = self.pool.insert(pkt);
-            if let Some(s) = self.san.as_mut() {
-                s.observe_alloc(self.now, pkt.0 as usize);
-            }
-            self.schedule(arrive_at, Ev::Deliver { to, pkt });
-        }
-        // The TxDone takes its sequence number here, right after the
-        // Deliver's, but enters the queue only when it will have a
-        // successor to start: now if one is waiting (even a paused one),
-        // else when one is enqueued while the port is still busy. An event
-        // that would find the queue empty changes nothing but `busy`, and
-        // `settle` does that in place.
-        let tx_end = self.now + ser;
-        let tx_seq = self.mint_seq(tx_end);
-        let slot = self.port_mut(node, port);
-        slot.unpushed_tx_done = Some((tx_end, tx_seq));
-        if !slot.queues.is_empty() {
-            self.push_tx_done(node, port);
+            self.effects.packets = packets;
         }
     }
 
     /// Push `port`'s `TxDone` under the key `transmit` reserved for it,
     /// unless it is queued already. The key lies ahead of the event being
     /// dispatched (the caller settled the port), possibly within this tick.
-    fn push_tx_done(&mut self, node: NodeId, port: u16) {
+    pub(crate) fn push_tx_done(&mut self, node: NodeId, port: u16) {
         if let Some((at, seq)) = self.port_mut(node, port).unpushed_tx_done.take() {
             self.queue.push(QEntry { at, seq, ev: Ev::TxDone { node, port } });
         }
     }
 
-    /// Bring `port`'s `busy` flag up to date: if its `TxDone` was never
-    /// pushed and that event's key lies behind the event being dispatched,
-    /// it would have run by now and found the queue empty, so the port is
-    /// idle. Every reader of `busy` calls this first.
-    #[inline] // per-packet
-    pub(crate) fn settle(&mut self, node: NodeId, port: u16) {
-        let reached = (self.now, self.cur_seq);
-        let slot = self.port_mut(node, port);
-        if slot.unpushed_tx_done.is_some_and(|key| key < reached) {
-            slot.unpushed_tx_done = None;
-            slot.busy = false;
-            if let Some(s) = self.san.as_mut() {
-                s.observe_tx_done(self.now, san_port_key(node, port));
-            }
-        }
-    }
-
-    fn tx_done(&mut self, node: NodeId, port: u16) {
-        if let Some(s) = self.san.as_mut() {
-            s.observe_tx_done(self.now, san_port_key(node, port));
-        }
-        let slot = self.port_mut(node, port);
-        slot.busy = false;
-        if !slot.queues.is_empty() {
-            self.start_tx(node, port);
-        }
-    }
     // simlint: hot-path-end
-}
-
-/// Sanitizer ledger key for an egress port (host NICs always use port 0).
-fn san_port_key(node: NodeId, port: u16) -> u64 {
-    match node {
-        NodeId::Host(h) => host_port_key(h.0),
-        NodeId::Switch(s) => switch_port_key(s.0, port),
-    }
 }
 
 #[cfg(any(test, feature = "simsan-selftest"))]

@@ -79,14 +79,6 @@ impl<P> Effects<P> {
     pub fn san_notes(&self) -> &[SanNote] {
         &self.san_notes
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.packets.clear();
-        self.timers.clear();
-        self.completed.clear();
-        self.retransmits.clear();
-        self.san_notes.clear();
-    }
 }
 
 /// Execution context handed to every transport callback.

@@ -41,6 +41,7 @@
 
 pub mod engine;
 pub mod faults;
+mod hop;
 pub mod host;
 pub mod ids;
 pub mod link;
@@ -525,5 +526,36 @@ mod engine_tests {
         topo.sim.run(RunLimits::default());
         let c = topo.sim.total_counters();
         assert!(c.dropped > 50, "expected heavy drops, got {c:?}");
+    }
+
+    #[test]
+    fn the_switch_total_sums_every_port_counter() {
+        let mut topo = topology::star::<BlastHdr>(
+            3,
+            Rate::gbps(10),
+            SimDuration::from_micros(1),
+            SwitchConfig::basic(5_000),
+        );
+        // Named field by field: a seventh counter does not compile here
+        // until someone decides what its total is.
+        let each = PortCounters {
+            enqueued: 1,
+            dropped: 20,
+            trimmed: 300,
+            marked: 4_000,
+            evicted: 50_000,
+            dropped_bytes: 600_000,
+        };
+        let ports = topo.sim.switches[0].ports.len() as u64;
+        for port in &mut topo.sim.switches[0].ports {
+            port.counters = each;
+        }
+        let PortCounters { enqueued, dropped, trimmed, marked, evicted, dropped_bytes } =
+            topo.sim.total_counters();
+        assert_eq!(
+            [enqueued, dropped, trimmed, marked, evicted, dropped_bytes],
+            [1, 20, 300, 4_000, 50_000, 600_000].map(|one| one * ports),
+            "over {ports} ports"
+        );
     }
 }

@@ -110,9 +110,9 @@ pub struct Packet<P> {
 
 /// The `Copy` half of a [`Packet`] — everything except the protocol
 /// payload. The engine's packet pool stores metadata and payloads in
-/// separate arrays (struct-of-arrays) so forwarding decisions, which only
-/// read metadata, touch one densely packed cache line per event; payloads
-/// are fetched only at delivery.
+/// separate arrays (struct-of-arrays): a switch routes, admits, marks and
+/// trims by reading and writing this alone, one densely packed cache line
+/// per hop, and the payload stays where the sender's NIC put it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PacketMeta {
     pub(crate) flow: FlowId,
@@ -124,6 +124,22 @@ pub(crate) struct PacketMeta {
     pub(crate) trimmable: bool,
     pub(crate) trimmed: bool,
     pub(crate) enq_at: SimTime,
+}
+
+/// User payload bytes of a packet `wire_bytes` long on the wire.
+fn payload_bytes_of(wire_bytes: u32, trimmed: bool) -> u32 {
+    if trimmed || wire_bytes <= HEADER_BYTES {
+        0
+    } else {
+        wire_bytes - HEADER_BYTES
+    }
+}
+
+impl PacketMeta {
+    /// [`Packet::payload_bytes`] of the packet this is the metadata of.
+    pub(crate) fn payload_bytes(&self) -> u32 {
+        payload_bytes_of(self.wire_bytes, self.trimmed)
+    }
 }
 
 impl<P> Packet<P> {
@@ -221,11 +237,7 @@ impl<P: Payload> Packet<P> {
 
     /// User payload bytes carried (0 for control or trimmed packets).
     pub fn payload_bytes(&self) -> u32 {
-        if self.trimmed || self.wire_bytes <= HEADER_BYTES {
-            0
-        } else {
-            self.wire_bytes - HEADER_BYTES
-        }
+        payload_bytes_of(self.wire_bytes, self.trimmed)
     }
 }
 

@@ -4,79 +4,118 @@ use std::collections::VecDeque;
 
 use crate::packet::{Packet, NUM_PRIORITIES};
 
+/// What a queue bank reads of the items it stores: which queue an item
+/// joins and how many bytes it adds to the backlog.
+pub trait Queued {
+    /// Strict priority, 0 (highest) .. 7 (lowest).
+    fn priority(&self) -> u8;
+    /// Bytes occupied on the wire.
+    fn wire_bytes(&self) -> u32;
+}
+
+impl<P> Queued for Packet<P> {
+    fn priority(&self) -> u8 {
+        self.priority
+    }
+    fn wire_bytes(&self) -> u32 {
+        self.wire_bytes
+    }
+}
+
 /// A bank of eight strict-priority FIFO queues with byte accounting.
 ///
 /// Priority 0 is served first. The bank tracks the byte backlog of each
 /// queue and of the whole bank; switches use those for ECN-marking and
-/// shared-buffer admission decisions.
+/// shared-buffer admission decisions. It stores `T`: whole packets
+/// ([`PrioQueues`]) or, inside the engine, the pool handle of one.
 #[derive(Debug)]
-pub struct PrioQueues<P> {
-    queues: [VecDeque<Packet<P>>; NUM_PRIORITIES],
+pub struct QueueBank<T> {
+    queues: [VecDeque<T>; NUM_PRIORITIES],
     bytes: [u64; NUM_PRIORITIES],
     total_bytes: u64,
+    /// Bit `p` set = queue `p` holds at least one item, so the head of
+    /// line is one `trailing_zeros` away instead of a scan of the bank.
+    occupied: u8,
+    len: usize,
 }
 
-impl<P> Default for PrioQueues<P> {
+/// A queue bank that holds its packets by value.
+pub type PrioQueues<P> = QueueBank<Packet<P>>;
+
+impl<T: Queued> Default for QueueBank<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<P> PrioQueues<P> {
+impl<T: Queued> QueueBank<T> {
     /// An empty queue bank.
     pub fn new() -> Self {
-        PrioQueues {
+        QueueBank {
             queues: std::array::from_fn(|_| VecDeque::new()),
             bytes: [0; NUM_PRIORITIES],
             total_bytes: 0,
+            occupied: 0,
+            len: 0,
         }
     }
 
     // simlint: hot-path
-    /// Append a packet to its priority queue.
-    pub fn push(&mut self, pkt: Packet<P>) {
-        let p = pkt.priority as usize;
+    /// Append an item to its priority queue.
+    pub fn push(&mut self, item: T) {
+        let p = item.priority() as usize;
         debug_assert!(p < NUM_PRIORITIES, "packet priority {p} out of range");
-        self.bytes[p] += pkt.wire_bytes as u64;
-        self.total_bytes += pkt.wire_bytes as u64;
-        self.queues[p].push_back(pkt);
+        self.bytes[p] += item.wire_bytes() as u64;
+        self.total_bytes += item.wire_bytes() as u64;
+        self.occupied |= 1 << p;
+        self.len += 1;
+        self.queues[p].push_back(item);
     }
 
     /// Remove and return the head of the highest-priority non-empty queue.
-    pub fn pop(&mut self) -> Option<Packet<P>> {
+    pub fn pop(&mut self) -> Option<T> {
         self.pop_unpaused(0)
     }
 
     /// Remove and return the head of the highest-priority non-empty queue
     /// whose priority bit is clear in `paused_mask` (bit `p` set = priority
     /// `p` is PFC-paused).
-    pub fn pop_unpaused(&mut self, paused_mask: u8) -> Option<Packet<P>> {
-        for p in 0..NUM_PRIORITIES {
-            if paused_mask & (1 << p) != 0 {
-                continue;
-            }
-            if let Some(pkt) = self.queues[p].pop_front() {
-                self.bytes[p] -= pkt.wire_bytes as u64;
-                self.total_bytes -= pkt.wire_bytes as u64;
-                return Some(pkt);
-            }
+    #[inline] // per-packet call from another module (codegen unit)
+    pub fn pop_unpaused(&mut self, paused_mask: u8) -> Option<T> {
+        let eligible = self.occupied & !paused_mask;
+        if eligible == 0 {
+            return None;
         }
-        None
+        let p = eligible.trailing_zeros() as usize;
+        let item = self.queues[p].pop_front()?;
+        self.removed(p, &item);
+        Some(item)
     }
 
-    /// Evict the most recently queued packet of the lowest-priority
+    /// Evict the most recently queued item of the lowest-priority
     /// non-empty queue whose priority is strictly below `above`.
     /// Models shared-buffer push-out: arriving high-priority traffic
     /// reclaims space from low-priority backlog.
-    pub fn evict_lowest_below(&mut self, above: u8) -> Option<Packet<P>> {
-        for p in (above as usize + 1..NUM_PRIORITIES).rev() {
-            if let Some(pkt) = self.queues[p].pop_back() {
-                self.bytes[p] -= pkt.wire_bytes as u64;
-                self.total_bytes -= pkt.wire_bytes as u64;
-                return Some(pkt);
-            }
+    pub fn evict_lowest_below(&mut self, above: u8) -> Option<T> {
+        // Bits above+1 ..= 7.
+        let lower = self.occupied & !(u8::MAX >> (7 - above.min(7)));
+        if lower == 0 {
+            return None;
         }
-        None
+        let p = NUM_PRIORITIES - 1 - lower.leading_zeros() as usize;
+        let item = self.queues[p].pop_back()?;
+        self.removed(p, &item);
+        Some(item)
+    }
+
+    /// Book `item` out of queue `p`, which it has just left.
+    fn removed(&mut self, p: usize, item: &T) {
+        self.bytes[p] -= item.wire_bytes() as u64;
+        self.total_bytes -= item.wire_bytes() as u64;
+        self.len -= 1;
+        if self.queues[p].is_empty() {
+            self.occupied &= !(1 << p);
+        }
     }
     // simlint: hot-path-end
 
@@ -97,30 +136,37 @@ impl<P> PrioQueues<P> {
 
     /// Total queued packet count.
     pub fn len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.len
     }
 
     /// True when no packet is queued.
     pub fn is_empty(&self) -> bool {
-        self.total_bytes == 0 && self.len() == 0
+        self.len == 0
+    }
+
+    /// Every queued item, highest priority first, FIFO within one.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.queues.iter().flatten()
     }
 
     /// Recompute the byte counters from the queue contents and compare
     /// them against the incrementally maintained ones. Returns
     /// `Some((recomputed_total, counter_total))` when any per-priority or
-    /// total counter has drifted; `None` when accounting is consistent.
+    /// total counter has drifted — or the occupancy mask or the item count
+    /// disagrees with the contents; `None` when accounting is consistent.
     /// Used by the simsan queue-accounting audit.
     pub fn audit_counters(&self) -> Option<(u64, u64)> {
         let mut sum = 0u64;
-        let mut per_ok = true;
+        let mut consistent = true;
+        let mut items = 0;
         for p in 0..NUM_PRIORITIES {
-            let b: u64 = self.queues[p].iter().map(|pkt| pkt.wire_bytes as u64).sum();
-            if b != self.bytes[p] {
-                per_ok = false;
-            }
+            let b: u64 = self.queues[p].iter().map(|item| item.wire_bytes() as u64).sum();
+            consistent &= b == self.bytes[p];
+            consistent &= self.queues[p].is_empty() == (self.occupied & (1 << p) == 0);
+            items += self.queues[p].len();
             sum += b;
         }
-        if sum != self.total_bytes || !per_ok {
+        if sum != self.total_bytes || items != self.len || !consistent {
             Some((sum, self.total_bytes))
         } else {
             None
@@ -202,5 +248,28 @@ mod tests {
         for i in 1..=5u32 {
             assert_eq!(q.pop().unwrap().payload_bytes(), i);
         }
+    }
+
+    #[test]
+    fn occupancy_mask_and_count_follow_the_contents() {
+        let mut q = PrioQueues::new();
+        assert!(q.is_empty() && q.audit_counters().is_none());
+        assert_eq!(q.len(), 0);
+        for (prio, bytes) in [(7, 10), (2, 20), (7, 30), (4, 40)] {
+            q.push(pkt(prio, bytes));
+            assert!(q.audit_counters().is_none(), "after push at P{prio}");
+        }
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.iter().map(|p| p.payload_bytes()).collect::<Vec<_>>(), vec![20, 40, 10, 30]);
+        // Nothing strictly below P7; below P4 only P7, newest first.
+        assert!(q.evict_lowest_below(7).is_none());
+        assert_eq!(q.evict_lowest_below(4).unwrap().payload_bytes(), 30);
+        assert_eq!(q.evict_lowest_below(4).unwrap().payload_bytes(), 10);
+        assert!(q.evict_lowest_below(4).is_none(), "P7 drained: its bit must clear");
+        assert_eq!(q.evict_lowest_below(0).unwrap().payload_bytes(), 40);
+        assert!(q.audit_counters().is_none());
+        assert_eq!((q.len(), q.is_empty()), (1, false));
+        assert_eq!(q.pop().unwrap().payload_bytes(), 20);
+        assert!(q.is_empty() && q.pop().is_none() && q.audit_counters().is_none());
     }
 }

@@ -49,7 +49,7 @@ impl StopReason {
 }
 
 /// Summary of a completed run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunReport {
     /// Simulated time when the run stopped.
     pub end_time: SimTime,

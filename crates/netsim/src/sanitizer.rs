@@ -21,7 +21,7 @@
 //! triggers the harness flight-recorder dump. See DESIGN.md §13 for the
 //! invariant catalogue.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dcn_trace::{SanCheck, TraceEvent};
 
@@ -235,7 +235,7 @@ impl Sanitizer {
     // Observation hooks (called from the engine hot path when enabled)
     // ---------------------------------------------------------------
 
-    /// A pool slot was handed out for an in-flight packet.
+    /// The packet in pool slot `slot` went onto a wire.
     pub(crate) fn observe_alloc(&mut self, when: SimTime, slot: usize) {
         if self.slot_live.len() <= slot {
             self.slot_live.resize(slot + 1, false);
@@ -249,7 +249,8 @@ impl Sanitizer {
         }
     }
 
-    /// A pool slot was consumed by a delivery.
+    /// The packet in pool slot `slot` came off its wire: its delivery
+    /// dispatched.
     pub(crate) fn observe_free(&mut self, when: SimTime, slot: usize) {
         match self.slot_live.get_mut(slot) {
             Some(live) if *live => {
@@ -434,16 +435,29 @@ impl Sanitizer {
         }
     }
 
-    /// Compare the pool ledger against `pool_live` (the engine's
-    /// `pool_stats().live`). At a quiescent run end no packet may remain
-    /// in flight.
-    pub(crate) fn audit_pool(&mut self, when: SimTime, pool_live: u64, quiescent: bool) {
-        if pool_live != self.live {
-            self.record(SanCheck::PoolConservation, when, u64::MAX, self.live, pool_live);
+    /// Pool conservation. The wire ledger must agree with `on_wire` (the
+    /// engine's `pool_stats().live`), and every occupied slot must be
+    /// accounted for: a packet is on a wire or in a queue, nowhere else.
+    /// At a quiescent run end no slot may be occupied at all.
+    pub(crate) fn audit_pool(
+        &mut self,
+        when: SimTime,
+        on_wire: u64,
+        queued: u64,
+        occupied: u64,
+        quiescent: bool,
+    ) {
+        if on_wire != self.live {
+            self.record(SanCheck::PoolConservation, when, u64::MAX, self.live, on_wire);
         }
-        if quiescent && pool_live > 0 {
-            // Live packets with a drained heap: leaked in-flight slots.
-            self.record(SanCheck::PoolConservation, when, u64::MAX, 0, pool_live);
+        if occupied != on_wire + queued {
+            // A slot nobody holds (leaked), or a holder without a slot.
+            self.record(SanCheck::PoolConservation, when, u64::MAX, on_wire + queued, occupied);
+        }
+        if quiescent && occupied > 0 {
+            // Packets left with a drained event queue: nothing will ever
+            // deliver or drop them.
+            self.record(SanCheck::PoolConservation, when, u64::MAX, 0, occupied);
         }
     }
 
@@ -517,7 +531,12 @@ impl<P: Payload> Simulator<P> {
     pub fn set_sanitizer(&mut self, level: SanLevel) {
         let mut san = Box::new(Sanitizer::new(level));
         self.settle_ports();
-        for slot in self.pool.live_slots() {
+        // The wire ledger holds the occupied slots no queue refers to.
+        let queued: BTreeSet<usize> = self
+            .san_ports()
+            .flat_map(|(_, port)| port.queues.iter().map(|h| h.pkt.0 as usize))
+            .collect();
+        for slot in self.pool.occupied_slots().filter(|slot| !queued.contains(slot)) {
             san.seed_pool_slot(slot);
         }
         for (key, port) in self.san_ports() {
@@ -539,7 +558,7 @@ impl<P: Payload> Simulator<P> {
 
     /// Every egress port under its ledger key: host NICs in host order,
     /// then switch ports in (switch, port) order.
-    fn san_ports(&self) -> impl Iterator<Item = (u64, &PortState<P>)> {
+    fn san_ports(&self) -> impl Iterator<Item = (u64, &PortState)> {
         let nics =
             self.hosts.iter().enumerate().filter_map(|(hi, host)| {
                 host.nic.as_ref().map(|nic| (host_port_key(hi as u32), nic))
@@ -586,7 +605,8 @@ impl<P: Payload> Simulator<P> {
         self.settle_ports();
         let Some(mut san) = self.san.take() else { return };
         let now = self.now;
-        san.audit_pool(now, self.pool.stats().live, quiescent);
+        let queued = self.san_ports().map(|(_, port)| port.queues.len() as u64).sum();
+        san.audit_pool(now, self.pool.stats().live, queued, self.pool.occupied(), quiescent);
         if quiescent {
             san.audit_rto_timers(now);
         }
@@ -634,9 +654,9 @@ impl<P: Payload> Simulator<P> {
 #[cfg(any(test, feature = "simsan-selftest"))]
 impl<P: Payload> Simulator<P> {
     /// Leak one pooled packet buffer: a slot vanishes from the free list
-    /// without its packet ever being delivered, so `pool_stats().live`
-    /// inflates relative to the sanitizer's ledger. No-op until at least
-    /// one packet has cycled through the pool.
+    /// with no packet in it, so the pool counts one more occupied slot
+    /// than there are packets on wires and in queues. No-op until at
+    /// least one packet has cycled through the pool.
     pub fn corrupt_pool_leak(&mut self) {
         self.pool.free_list_mut().pop();
     }
@@ -704,10 +724,25 @@ mod tests {
         assert_eq!(s.violations().len(), 1);
         assert_eq!(s.violations()[0].check, SanCheck::PoolConservation);
 
-        // A pool that says one live packet vs an empty ledger is a leak.
+        // A pool that says one packet on a wire vs an empty ledger is a leak.
         let mut s = Sanitizer::new(SanLevel::AtEnd);
-        s.audit_pool(T0, 1, true);
+        s.audit_pool(T0, 1, 0, 1, true);
         assert_eq!(s.violations().len(), 2, "mismatch + quiescence: {:?}", s.violations());
+
+        // Two on wires and three queued fill five slots; a sixth occupied
+        // slot belongs to nobody, and a queue that lost a packet shows too.
+        let mut s = Sanitizer::new(SanLevel::AtEnd);
+        s.observe_alloc(T0, 0);
+        s.observe_alloc(T0, 4);
+        s.audit_pool(T0, 2, 3, 5, false);
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        s.audit_pool(T0, 2, 3, 6, false);
+        s.audit_pool(T0, 2, 2, 5, false);
+        assert_eq!(s.violations().len(), 2, "{:?}", s.violations());
+        // Nothing on a wire is not enough at a quiescent end.
+        let mut s = Sanitizer::new(SanLevel::AtEnd);
+        s.audit_pool(T0, 0, 1, 1, true);
+        assert_eq!(s.violations().len(), 1, "a packet stranded in a queue: {:?}", s.violations());
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! budget. On every enqueue the port decides, in order: admit / trim / drop,
 //! then whether to set the CE codepoint. All policies here are pure
 //! functions of configuration + instantaneous queue state so they can be
-//! unit-tested without an engine.
+//! unit-tested without an engine. There is one admission function,
+//! `admit`: it reads and writes packet metadata only, so the engine runs
+//! it on a pooled packet in place and [`enqueue_policy`] is `admit` plus a
+//! push for callers that hold packets by value.
 
-use crate::packet::{Packet, Payload, NUM_PRIORITIES, TRIMMED_BYTES};
-use crate::queue::PrioQueues;
+use crate::packet::{Packet, PacketMeta, Payload, NUM_PRIORITIES, TRIMMED_BYTES};
+use crate::queue::{PrioQueues, QueueBank, Queued};
 
 /// What backlog an ECN rule compares against its threshold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -209,27 +212,42 @@ pub struct PortCounters {
     pub dropped_bytes: u64,
 }
 
+impl PortCounters {
+    /// Add `other` into `self`, field by field.
+    pub fn add(&mut self, other: &PortCounters) {
+        // Destructured, so a new counter cannot be left out of a total.
+        let PortCounters { enqueued, dropped, trimmed, marked, evicted, dropped_bytes } = *other;
+        self.enqueued += enqueued;
+        self.dropped += dropped;
+        self.trimmed += trimmed;
+        self.marked += marked;
+        self.evicted += evicted;
+        self.dropped_bytes += dropped_bytes;
+    }
+}
+
 // simlint: hot-path
-/// Apply the admission + marking policy for `pkt` against `queues`,
-/// mutating the packet (CE bit, trimming) and pushing it when admitted.
-///
-/// Returns what happened so the caller can update counters / stop
-/// tracking the packet.
-pub fn enqueue_policy<P: Payload>(
+/// The admission + marking policy for a packet arriving at `queues`: evict
+/// what push-out says must go (each evicted item is handed to `evicted`,
+/// which returns its payload bytes), then admit, trim or drop, then decide
+/// the CE bit. Mutates `pkt` (CE bit, trimming) and `counters`; pushes
+/// nothing — the caller stores or forwards an admitted packet.
+pub(crate) fn admit<T: Queued>(
     cfg: &SwitchConfig,
-    queues: &mut PrioQueues<P>,
+    queues: &mut QueueBank<T>,
     counters: &mut PortCounters,
-    mut pkt: Packet<P>,
+    pkt: &mut PacketMeta,
+    mut evicted: impl FnMut(T) -> u32,
 ) -> EnqueueOutcome {
     // Push-out: a full port sheds strictly-lower-priority backlog to admit
     // the arrival.
     if cfg.push_out {
         while queues.total_bytes() + pkt.wire_bytes as u64 > cfg.port_buffer_bytes {
             match queues.evict_lowest_below(pkt.priority) {
-                Some(evicted) => {
+                Some(item) => {
                     counters.evicted += 1;
                     counters.dropped += 1;
-                    counters.dropped_bytes += evicted.payload_bytes() as u64;
+                    counters.dropped_bytes += evicted(item) as u64;
                 }
                 None => break,
             }
@@ -251,7 +269,6 @@ pub fn enqueue_policy<P: Payload>(
         }
         counters.trimmed += 1;
         counters.enqueued += 1;
-        queues.push(pkt);
         return EnqueueOutcome::Trimmed;
     }
 
@@ -291,8 +308,26 @@ pub fn enqueue_policy<P: Payload>(
     }
 
     counters.enqueued += 1;
-    queues.push(pkt);
     EnqueueOutcome::Queued { marked }
+}
+
+/// Apply the admission + marking policy for `pkt` against `queues`,
+/// mutating the packet (CE bit, trimming) and pushing it when admitted.
+///
+/// Returns what happened so the caller can update counters / stop
+/// tracking the packet.
+pub fn enqueue_policy<P: Payload>(
+    cfg: &SwitchConfig,
+    queues: &mut PrioQueues<P>,
+    counters: &mut PortCounters,
+    pkt: Packet<P>,
+) -> EnqueueOutcome {
+    let (mut meta, payload) = pkt.into_parts();
+    let outcome = admit(cfg, queues, counters, &mut meta, |p: Packet<P>| p.payload_bytes());
+    if outcome != EnqueueOutcome::Dropped {
+        queues.push(Packet::from_parts(meta, payload));
+    }
+    outcome
 }
 // simlint: hot-path-end
 

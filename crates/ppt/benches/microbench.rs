@@ -537,10 +537,75 @@ fn bench_end_to_end() {
     }
 }
 
-/// Tracing overhead: the same run with no sink (the default engine
-/// path), the harness's bounded flight recorder, and a full in-memory
-/// capture. The no-sink path must stay within noise of pre-trace
-/// numbers — the sink is an `Option` checked per emission point.
+/// Wall nanoseconds per packet of a 20 000-packet burst from one host
+/// through one switch port to another host. The sender's link is 10 Gbps;
+/// an egress link four times faster is idle at every arrival (the packet
+/// passes from admission to the wire, no `TxDone`), one four times slower
+/// is busy at every arrival but the first (stored, then started by a
+/// `TxDone`). Both runs pay the same NIC and delivery work, so the
+/// difference is the switch hop's.
+fn bench_hop() {
+    use ppt::netsim::host::{Ctx, FlowDesc, Transport};
+    use ppt::netsim::{NodeId, Payload, Rate, RunLimits, SimDuration, SimTime, Simulator};
+    const PACKETS: u64 = 20_000;
+
+    #[derive(Clone, Debug)]
+    struct Hdr;
+    impl Payload for Hdr {}
+
+    /// The source blasts the whole flow at once; the sink counts it in.
+    struct Blast(u64);
+    impl Transport<Hdr> for Blast {
+        fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Hdr>) {
+            for _ in 0..PACKETS {
+                ctx.send(Packet::data(flow.id, flow.src, flow.dst, 1460, Hdr));
+            }
+        }
+        fn on_packet(&mut self, pkt: Packet<Hdr>, ctx: &mut Ctx<'_, Hdr>) {
+            self.0 += 1;
+            if self.0 == PACKETS {
+                ctx.flow_completed(pkt.flow);
+            }
+        }
+        fn on_timer(&mut self, _: u64, _: &mut Ctx<'_, Hdr>) {}
+    }
+
+    let run = |egress: Rate| {
+        let mut sim = Simulator::<Hdr>::new();
+        let sw = sim.add_switch(SwitchConfig::basic(1 << 30));
+        let (a, b) = (sim.add_host(), sim.add_host());
+        let delay = SimDuration::from_micros(1);
+        sim.connect(NodeId::Host(a), NodeId::Switch(sw), Rate::gbps(10), delay);
+        sim.connect(NodeId::Host(b), NodeId::Switch(sw), egress, delay);
+        sim.build_routes();
+        sim.set_transport(a, Box::new(Blast(0)));
+        sim.set_transport(b, Box::new(Blast(0)));
+        sim.add_flow(a, b, PACKETS * 1460, SimTime::ZERO, 1);
+        let report = sim.run(RunLimits::default());
+        assert_eq!(report.flows_completed, 1, "hop bench: the burst must arrive");
+        report.events
+    };
+    let mut ns = [0.0f64; 2];
+    for (slot, egress) in [Rate::gbps(40), Rate::mbps(2_500)].into_iter().enumerate() {
+        ns[slot] = min_ns_per_call(5, 1, || {
+            black_box(run(egress));
+        }) / PACKETS as f64;
+    }
+    println!(
+        "{:<44} {:>8.1} / {:>8.1} ns/packet   (x{:.2} from an idle switch port to a backlogged one)",
+        "hop/idle / hop/backlogged",
+        ns[0],
+        ns[1],
+        ns[1] / ns[0]
+    );
+}
+
+/// Tracing overhead: the same run with no sink, a bounded flight recorder,
+/// and a full in-memory capture. `trace/off` is what `run_experiment`
+/// runs — the harness installs no sink, and replays an abnormal run under
+/// a recorder instead (DESIGN.md §9) — so the other two lines price the
+/// replay pass and `run_experiment_traced`. The sink is an `Option`
+/// checked per emission point.
 fn bench_tracing_overhead() {
     use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
     use ppt::trace::{FlightRecorder, MemorySink, TraceSink};
@@ -614,6 +679,7 @@ fn main() {
     let encoder_beats_fmt = bench_encode_line();
     let queue_cost_ignores_link_rate = bench_sched_hold();
     bench_switch();
+    bench_hop();
     bench_core_state_machines();
     bench_end_to_end();
     bench_tracing_overhead();

@@ -15,9 +15,8 @@ use workloads::FlowSpec;
 use dcn_stats::{FctStats, SeriesAnalysis};
 use ppt_core::PptConfig;
 
-/// Ring capacity of the always-on flight recorder: enough to show the
-/// final few RTTs of activity when a run ends abnormally, small enough
-/// that steady-state runs pay only a bounded-ring write per event.
+/// Ring capacity of the flight recorder an abnormal run is replayed
+/// under: enough to show the final few RTTs of activity before the stop.
 pub const FLIGHT_RECORDER_EVENTS: usize = 256;
 
 /// Everything scheme installation needs to know about the environment.
@@ -744,7 +743,45 @@ pub fn run_experiment(exp: &Experiment) -> Outcome {
 }
 
 /// [`run_experiment`] with a pre-run hook for installing samplers.
+///
+/// The run carries no trace sink unless `pre_run` installs one, so every
+/// emission site is one untaken branch. A run that stops abnormally is
+/// then run a second time, identically, with a [`FlightRecorder`]
+/// attached, and the tail of that replay is dumped: determinism is the
+/// black box. An abnormal run costs twice; a normal one pays nothing.
+/// `pre_run` is therefore called once per pass.
 pub fn run_experiment_with<F>(exp: &Experiment, pre_run: F) -> Outcome
+where
+    F: Fn(&mut Topology<Proto>),
+{
+    let (mut topo, report) = run_once(exp, &pre_run);
+    if report.is_abnormal() {
+        warn_abnormal(exp, &topo.sim, &report);
+        // A sink `pre_run` installed saw the run itself; nothing to replay.
+        if !topo.sim.trace_enabled() {
+            // The first pass is dropped before the second starts and the
+            // second is what the caller gets — the same state, by
+            // determinism — so a run stopped for running away is never
+            // held in memory twice.
+            drop(topo);
+            let (replay, replayed) = run_once(exp, |t: &mut Topology<Proto>| {
+                pre_run(t);
+                t.sim.set_trace_sink(Box::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS)));
+            });
+            debug_assert_eq!(replayed, report, "{}: the replay diverged", exp.scheme.name());
+            topo = replay;
+            let sink = topo.sim.take_trace_sink();
+            if let Some(rec) = sink.as_deref().and_then(|s| s.as_any().downcast_ref()) {
+                dump_flight_recorder(exp, rec);
+            }
+        }
+    }
+    collect_outcome(topo, report)
+}
+
+/// One pass of an experiment, from an empty topology to the stopped
+/// simulator. `Hypothetical` schemes run their recording pass first.
+fn run_once<F>(exp: &Experiment, pre_run: F) -> (Topology<Proto>, netsim::RunReport)
 where
     F: FnOnce(&mut Topology<Proto>),
 {
@@ -799,15 +836,12 @@ where
     if let Some(spec) = &exp.telemetry {
         topo.sim.enable_telemetry(spec.config());
     }
-    if !topo.sim.trace_enabled() {
-        // No caller-installed sink: keep a bounded flight recorder running
-        // so abnormal stops can dump the tail of the event stream.
-        topo.sim.set_trace_sink(Box::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS)));
-    }
     let report = topo.sim.run(RunLimits { max_time: exp.max_time, max_events: exp.max_events });
-    if report.is_abnormal() {
-        warn_abnormal(exp, &mut topo.sim, &report);
-    }
+    (topo, report)
+}
+
+/// Collect what a stopped run leaves behind.
+fn collect_outcome(topo: Topology<Proto>, report: netsim::RunReport) -> Outcome {
     let fct = FctStats::from_sim(&topo.sim);
     let completion_ratio = FctStats::completion_ratio(&topo.sim);
     let counters = topo.sim.total_counters();
@@ -815,9 +849,8 @@ where
     Outcome { fct, completion_ratio, counters, sim: topo.sim, report, telemetry }
 }
 
-/// Report an abnormal stop on stderr and, when the run was recorded by
-/// the default [`FlightRecorder`], dump the ring's tail as JSONL.
-fn warn_abnormal(exp: &Experiment, sim: &mut netsim::Simulator<Proto>, report: &netsim::RunReport) {
+/// Report an abnormal stop on stderr.
+fn warn_abnormal(exp: &Experiment, sim: &netsim::Simulator<Proto>, report: &netsim::RunReport) {
     eprintln!(
         "warning: {} run stopped abnormally: reason={} flows={}/{}",
         exp.scheme.name(),
@@ -848,36 +881,36 @@ fn warn_abnormal(exp: &Experiment, sim: &mut netsim::Simulator<Proto>, report: &
             );
         }
     }
-    let Some(sink) = sim.take_trace_sink() else { return };
-    if let Some(rec) = sink.as_any().downcast_ref::<FlightRecorder>() {
-        if !rec.is_empty() {
-            // With a dump dir, the ring dump goes to its own file — parallel
-            // sweep workers would otherwise interleave multi-line dumps on
-            // shared stderr. Stderr is the default and the fallback.
-            let written = exp.dump_dir.as_deref().and_then(|dir| {
-                let path = dump_file_path(dir, exp);
-                match std::fs::write(&path, rec.to_jsonl()) {
-                    Ok(()) => Some(path),
-                    Err(e) => {
-                        eprintln!("flight recorder: failed to write {}: {e}", path.display());
-                        None
-                    }
-                }
-            });
-            let (len, seen) = (rec.len(), rec.total_seen());
-            match written {
-                Some(path) => eprintln!(
-                    "flight recorder: last {len} of {seen} events dumped to {}",
-                    path.display()
-                ),
-                None => {
-                    eprintln!("flight recorder: last {len} of {seen} events:");
-                    eprint!("{}", rec.to_jsonl());
-                }
+}
+
+/// Dump the tail of an abnormal run's replay as JSONL.
+fn dump_flight_recorder(exp: &Experiment, rec: &FlightRecorder) {
+    if rec.is_empty() {
+        return;
+    }
+    // With a dump dir, the ring dump goes to its own file — parallel
+    // sweep workers would otherwise interleave multi-line dumps on
+    // shared stderr. Stderr is the default and the fallback.
+    let written = exp.dump_dir.as_deref().and_then(|dir| {
+        let path = dump_file_path(dir, exp);
+        match std::fs::write(&path, rec.to_jsonl()) {
+            Ok(()) => Some(path),
+            Err(e) => {
+                eprintln!("flight recorder: failed to write {}: {e}", path.display());
+                None
             }
         }
+    });
+    let (len, seen) = (rec.len(), rec.total_seen());
+    match written {
+        Some(path) => {
+            eprintln!("flight recorder: last {len} of {seen} events dumped to {}", path.display())
+        }
+        None => {
+            eprintln!("flight recorder: last {len} of {seen} events:");
+            eprint!("{}", rec.to_jsonl());
+        }
     }
-    sim.set_trace_sink(sink);
 }
 
 /// A collision-free dump file name: scheme + pid + a process-wide counter
@@ -915,24 +948,29 @@ impl TraceData {
     }
 }
 
-/// Run an experiment with full event capture: a [`MemorySink`] replaces
-/// the default flight recorder and records every engine + transport
-/// event. Same experiment (topology, scheme, flows, seed) ⇒ identical
-/// event stream.
+/// Run an experiment with full event capture: a [`MemorySink`] records
+/// every engine + transport event. Same experiment (topology, scheme,
+/// flows, seed) ⇒ identical event stream.
 pub fn run_experiment_traced(exp: &Experiment) -> (Outcome, TraceData) {
     run_experiment_traced_with(exp, |_| {})
 }
 
 /// [`run_experiment_traced`] with a pre-run hook (runs after the memory
 /// sink is installed — use it for samplers or [`netsim::Simulator::set_sanitizer`]).
+/// The captured stream is the record of an abnormal stop, so this door
+/// never replays and `pre_run` is called once.
 pub fn run_experiment_traced_with<F>(exp: &Experiment, pre_run: F) -> (Outcome, TraceData)
 where
     F: FnOnce(&mut Topology<Proto>),
 {
-    let mut outcome = run_experiment_with(exp, |topo| {
+    let (topo, report) = run_once(exp, |topo: &mut Topology<Proto>| {
         topo.sim.set_trace_sink(Box::new(MemorySink::new()));
         pre_run(topo);
     });
+    if report.is_abnormal() {
+        warn_abnormal(exp, &topo.sim, &report);
+    }
+    let mut outcome = collect_outcome(topo, report);
     // The sink was installed here and nothing reads it afterwards, so its
     // vector is moved out, not copied.
     let events = outcome

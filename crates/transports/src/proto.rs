@@ -101,6 +101,10 @@ pub enum Proto {
     Ndp(NdpHdr),
 }
 
+// A packet is stored once, in the engine's pool, but it is still moved by
+// value from a transport into it and out again: keep it two cache lines.
+const _: () = assert!(std::mem::size_of::<netsim::Packet<Proto>>() <= 128, "Packet<Proto> grew");
+
 impl Payload for Proto {
     fn on_switch_hop(&mut self, hop: HopTelemetry) {
         if let Proto::Data(DataHdr { int: Some(stack), .. }) = self {

@@ -58,6 +58,15 @@ if grep -rn 'BTreeMap<FlowId' crates/transports/src | grep -vE 'type MwRecorder 
     exit 1
 fi
 
+echo "==> a packet is stored once (queues hold pool handles; DESIGN.md §10.1, Packet lifetime)"
+# The engine's banks are QueueBank<Handle>. A deque of whole packets is how
+# the 120-byte copies come back; the by-value bank (queue::PrioQueues, for
+# callers without a pool) is QueueBank<Packet<P>> and needs no such line.
+if grep -rn 'VecDeque<Packet' crates/*/src; then
+    echo "check.sh: a queue of packets by value; queue pool handles (netsim::pool::Handle)" >&2
+    exit 1
+fi
+
 echo "==> tier-1: build + tests (cargo test -q has a budget: ROADMAP item 5)"
 cargo build --release
 # Tier-1 latency is a budget, not an outcome: ~160 s on this 2-core box
@@ -74,6 +83,10 @@ fi
 
 echo "==> event-queue differential suite, long form (1 M ops per schedule, both queues in lockstep)"
 cargo test -q --release -p netsim --lib -- --ignored randomized_schedules_pop_identically_at_a_million_ops
+
+echo "==> simsan selftests, release build (every corruption class caught; pool conservation is the control)"
+cargo test -q --release -p ppt --test sanitizer
+cargo test -q --release -p netsim --test pass_through
 
 echo "==> pptlab trace smoke (byte-identical reruns)"
 TRACE_TMP="${TMPDIR:-/tmp}/pptlab-trace-smoke.$$"
@@ -190,7 +203,8 @@ done
 
 echo "==> engine.rs is the run loop; telemetry is the one sampler (DESIGN.md §3, §14)"
 engine_lines=$(wc -l < crates/netsim/src/engine.rs)
-echo "check.sh: engine.rs has $engine_lines lines (ceiling 1000)"
+hop_lines=$(wc -l < crates/netsim/src/hop.rs)
+echo "check.sh: engine.rs has $engine_lines lines (ceiling 1000); hop.rs, which it calls per packet, $hop_lines"
 if [ "$engine_lines" -gt 1000 ]; then
     echo "check.sh: engine.rs has $engine_lines lines (> 1000): move the concern to its module" >&2
     exit 1

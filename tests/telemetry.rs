@@ -8,7 +8,7 @@ use ppt::harness::{
     run_experiment, run_experiment_traced, Experiment, Scheme, TelemetrySpec, TelemetrySummary,
     TopoKind,
 };
-use ppt::netsim::{SimDuration, SimTime, TelemetryConfig};
+use ppt::netsim::{SanLevel, SimDuration, SimTime, StopReason, TelemetryConfig};
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
 
 /// FNV-1a 64-bit, matching `tests/determinism.rs`.
@@ -138,45 +138,123 @@ fn sampled_series_byte_identical_and_prof_invisible() {
     assert_eq!(plain_a, profiled, "profiler perturbed the sampled series");
 }
 
+/// The scenario of the abnormal-stop tests: three hosts, twenty Web
+/// Search flows (the first arrives at ~9.7 ms, the run ends at ~54 ms).
+fn dump_exp(scheme: Scheme, dir: &std::path::Path) -> Experiment {
+    let topo = TopoKind::Star { n: 3, rate_gbps: 10, delay_us: 20 };
+    let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.3, topo.edge_rate(), 20, 42);
+    let mut exp = Experiment::new(topo, scheme, all_to_all(topo.hosts(), &spec));
+    exp.dump_dir = Some(dir.to_path_buf());
+    exp
+}
+
+/// A fresh directory for one abnormal run's dump.
+fn dump_dir(case: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ppt-dump-test-{}-{case}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create dump dir");
+    dir
+}
+
+/// The one dump file an abnormal run left in `dir`: its name and bytes.
+fn only_dump(dir: &std::path::Path, name: &str) -> (String, String) {
+    let dumps: Vec<String> = std::fs::read_dir(dir)
+        .expect("read dump dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(dumps.len(), 1, "{name}: want exactly one dump file, found {dumps:?}");
+    let body = std::fs::read_to_string(dir.join(&dumps[0])).expect("read dump file");
+    std::fs::remove_dir_all(dir).ok();
+    (dumps[0].clone(), body)
+}
+
 /// With `dump_dir` set, an abnormal stop routes the flight-recorder ring
 /// to its own file instead of interleaving on stderr — also for schemes
-/// whose display name ("PPT w/o EWD") is not a usable file name.
+/// whose display name ("PPT w/o EWD") is not a usable file name. The ring
+/// is filled by a replay of the run (DESIGN.md §9): its bytes must be the
+/// ones the recorder wrote when it rode along with every run — the hashes
+/// were taken at the last commit that did that.
 #[test]
 fn abnormal_stop_dump_routes_to_dump_dir() {
-    for (case, scheme) in [Scheme::Ppt, Scheme::PptNoEwd].into_iter().enumerate() {
+    let cases =
+        [(Scheme::Ppt, 0x2893_b740_874f_513b_u64), (Scheme::PptNoEwd, 0xda9f_5522_8880_8532)];
+    for (case, (scheme, want)) in cases.into_iter().enumerate() {
         let name = scheme.name();
-        let dir = std::env::temp_dir().join(format!("ppt-dump-test-{}-{case}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create dump dir");
-
-        let topo = TopoKind::Star { n: 3, rate_gbps: 10, delay_us: 20 };
-        let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.3, topo.edge_rate(), 20, 42);
-        let flows = all_to_all(topo.hosts(), &spec);
-        let mut exp = Experiment::new(topo, scheme, flows);
-        exp.dump_dir = Some(dir.clone());
-        // Cut the run mid-flight: the first websearch arrival in this
-        // scenario is at ~9.7 ms and the full run ends at ~54 ms, so 20 ms
-        // guarantees recorded events AND unfinished flows.
+        let dir = dump_dir(&format!("max-time-{case}"));
+        let mut exp = dump_exp(scheme, &dir);
+        // Cut the run mid-flight: 20 ms guarantees recorded events AND
+        // unfinished flows.
         exp.max_time = SimTime(20_000_000);
         let outcome = run_experiment(&exp);
         assert!(outcome.report.is_abnormal(), "{name}: scenario must stop abnormally");
+        assert!(!outcome.sim.trace_enabled(), "{name}: the recorder lives in the replay only");
 
-        let dumps: Vec<String> = std::fs::read_dir(&dir)
-            .expect("read dump dir")
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(dumps.len(), 1, "{name}: want exactly one dump file, found {dumps:?}");
-        let file = &dumps[0];
+        let (file, body) = only_dump(&dir, &name);
         assert!(file.starts_with("ppt-dump-") && file.ends_with(".jsonl"), "{name}: {file}");
         assert!(
             file.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '.'),
             "{name}: dump file name '{file}' is not shell- and path-safe"
         );
-        let body = std::fs::read_to_string(dir.join(file)).expect("read dump file");
         assert!(!body.is_empty(), "{name}: dump file is empty");
         assert!(body.lines().all(|l| l.starts_with('{')), "{name}: dump file is not JSONL");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(fnv1a64(body.as_bytes()), want, "{name}: the replayed tail moved");
     }
+}
+
+/// A run cut by its event budget replays to the same 256 lines the
+/// always-on recorder printed to stderr for it (hash taken at that
+/// commit; the file and stderr get the same text).
+#[test]
+fn max_events_stop_replays_to_the_recorded_tail() {
+    let dir = dump_dir("max-events");
+    let mut exp = dump_exp(Scheme::Dctcp, &dir);
+    exp.max_events = 5_000;
+    let outcome = run_experiment(&exp);
+    assert_eq!(outcome.report.stop, StopReason::MaxEvents);
+    assert_eq!(outcome.report.events, 5_000);
+    let (_, body) = only_dump(&dir, "DCTCP");
+    assert_eq!(body.lines().count(), 256);
+    assert_eq!(fnv1a64(body.as_bytes()), 0x7aef_aea7_060b_bcb4, "the replayed tail moved");
+}
+
+/// A sanitizer stop replays to the same violation: the hook corrupts the
+/// event queue before the run, the per-event audit stops it at once, and
+/// the dump — written by the second pass, which `pre_run` corrupted the
+/// same way — ends in the violation the first pass reported.
+#[test]
+fn san_violation_stop_replays_to_the_same_violation() {
+    use ppt::harness::run_experiment_with;
+    let dir = dump_dir("san");
+    let exp = dump_exp(Scheme::Ppt, &dir);
+    let outcome = run_experiment_with(&exp, |t| {
+        t.sim.set_sanitizer(SanLevel::PerEvent);
+        t.sim.corrupt_tie_break();
+    });
+    assert_eq!(outcome.report.stop, StopReason::SanViolation);
+    let v = outcome.sim.san_violations().last().expect("a violation was recorded");
+    let (_, body) = only_dump(&dir, "PPT");
+    let want = format!(
+        "\"ev\":\"san_violation\",\"check\":\"{}\",\"subject\":{},\"expected\":{},\"actual\":{}}}",
+        v.check.as_str(),
+        v.subject,
+        v.expected,
+        v.actual
+    );
+    let last = body.lines().last().expect("dump has lines");
+    assert!(last.ends_with(&want), "dump ends in {last}, first pass saw {want}");
+}
+
+/// A run that ends normally is run once, without a sink: nothing is
+/// recorded, so transports see `Ctx::tracing() == false`.
+#[test]
+fn a_normal_run_carries_no_recorder() {
+    let dir = dump_dir("normal");
+    let outcome = run_experiment(&dump_exp(Scheme::Ppt, &dir));
+    assert!(!outcome.report.is_abnormal());
+    assert!(!outcome.sim.trace_enabled(), "no sink was installed");
+    assert_eq!(std::fs::read_dir(&dir).expect("read dump dir").count(), 0, "and nothing dumped");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `TelemetrySummary` round-trips through `from_telemetry` with the
