@@ -136,35 +136,52 @@ fn parse_scheme(id: &str) -> Option<Scheme> {
     SCHEMES.iter().find(|(key, _)| *key == id).map(|(_, scheme)| scheme.clone())
 }
 
-fn parse_topo(id: &str) -> Option<TopoKind> {
-    Some(match id {
+/// Parse a `--topo` id. Sizes and rates the topology builders would
+/// assert on (or divide by) are refused here, as errors.
+fn parse_topo(id: &str) -> Result<TopoKind, String> {
+    let bad = || format!("bad --topo '{id}' (try `pptlab topos`)");
+    let fields = |rest: &str, n: usize| -> Result<Vec<u64>, String> {
+        let parts: Result<Vec<u64>, _> = rest.split(':').map(str::parse).collect();
+        parts.ok().filter(|p| p.len() == n).ok_or_else(bad)
+    };
+    Ok(match id {
         "testbed" => TopoKind::PaperTestbed,
         "oversub" => TopoKind::Oversubscribed,
         "nonoversub" => TopoKind::NonOversubscribed,
         "highspeed" => TopoKind::HighSpeed,
         _ => {
             if let Some(rest) = id.strip_prefix("fattree:") {
-                let parts: Vec<&str> = rest.split(':').collect();
-                if parts.len() != 2 {
-                    return None;
+                let p = fields(rest, 2)?;
+                let (k, edge_gbps) = (p[0] as usize, p[1]);
+                if k < 2 || !k.is_multiple_of(2) {
+                    return Err(format!("--topo {id}: a fat-tree needs an even k of at least 2"));
                 }
-                return Some(TopoKind::FatTree {
-                    k: parts[0].parse().ok()?,
-                    edge_gbps: parts[1].parse().ok()?,
-                });
+                if edge_gbps == 0 {
+                    return Err(format!("--topo {id}: the edge rate must be above 0 Gbps"));
+                }
+                return Ok(TopoKind::FatTree { k, edge_gbps });
             }
-            let rest = id.strip_prefix("star:")?;
-            let parts: Vec<&str> = rest.split(':').collect();
-            if parts.len() != 3 {
-                return None;
+            let p = fields(id.strip_prefix("star:").ok_or_else(bad)?, 3)?;
+            let (n, rate_gbps, delay_us) = (p[0] as usize, p[1], p[2]);
+            if n < 2 {
+                return Err(format!("--topo {id}: a star needs at least 2 hosts"));
             }
-            TopoKind::Star {
-                n: parts[0].parse().ok()?,
-                rate_gbps: parts[1].parse().ok()?,
-                delay_us: parts[2].parse().ok()?,
+            if rate_gbps == 0 {
+                return Err(format!("--topo {id}: the link rate must be above 0 Gbps"));
             }
+            TopoKind::Star { n, rate_gbps, delay_us }
         }
     })
+}
+
+/// A network load is a fraction of the edge rate in (0, 1]; the workload
+/// generators assert it.
+fn check_load(key: &str, load: f64) -> Result<f64, String> {
+    if load > 0.0 && load <= 1.0 {
+        Ok(load)
+    } else {
+        Err(format!("--{key}: load {load} is outside (0, 1]"))
+    }
 }
 
 fn parse_workload(id: &str) -> Option<SizeDistribution> {
@@ -209,7 +226,6 @@ fn parse_schemes(args: &Args, default: &str) -> Result<Vec<(String, Scheme)>, St
 
 fn topo_arg(args: &Args) -> Result<TopoKind, String> {
     parse_topo(args.get("topo").unwrap_or("testbed"))
-        .ok_or_else(|| "bad --topo (try `pptlab topos`)".to_string())
 }
 
 fn workload_arg(args: &Args) -> Result<SizeDistribution, String> {
@@ -220,7 +236,7 @@ fn workload_arg(args: &Args) -> Result<SizeDistribution, String> {
 fn parse_setup(args: &Args, default_flows: usize) -> Result<RunSetup, String> {
     let topo = topo_arg(args)?;
     let dist = workload_arg(args)?;
-    let load: f64 = args.parse_or("load", 0.5)?;
+    let load = check_load("load", args.parse_or("load", 0.5)?)?;
     let flows: usize = args.parse_or("flows", default_flows)?;
     let seed: u64 = args.parse_or("seed", 42)?;
 
@@ -588,7 +604,8 @@ fn cmd_sweep(args: &Args, opts: &RunOpts) -> Result<(), String> {
     let schemes = parse_schemes(args, "ppt,dctcp")?;
     let topo = topo_arg(args)?;
     let dist = workload_arg(args)?;
-    let loads = args.parse_list_or("loads", &[0.3, 0.5, 0.7])?;
+    let loads: Vec<f64> = args.parse_list_or("loads", &[0.3, 0.5, 0.7])?;
+    loads.iter().try_for_each(|&load| check_load("loads", load).map(drop))?;
     let seeds = args.parse_list_or("seeds", &[42u64])?;
     let flows: usize = args.parse_or("flows", 400)?;
     let jobs = opts.jobs;
@@ -830,7 +847,7 @@ fn cmd_figure(args: &Args, opts: &RunOpts) -> Result<(), String> {
 
 fn cmd_gen(args: &Args, _: &RunOpts) -> Result<(), String> {
     let topo = topo_arg(args)?;
-    let load: f64 = args.parse_or("load", 0.5)?;
+    let load = check_load("load", args.parse_or("load", 0.5)?)?;
     let flows: usize = args.parse_or("flows", 400)?;
     let seed: u64 = args.parse_or("seed", 42)?;
     let spec = WorkloadSpec::new(workload_arg(args)?, load, topo.edge_rate(), flows, seed);
@@ -984,5 +1001,37 @@ mod tests {
         assert_eq!(err, "--flows: cannot parse '4k'");
         assert!(run(&["fig15_ablation"]).unwrap_err().starts_with("expected --option"));
         assert!(run(&[]).unwrap_err().starts_with("figure needs --ids"));
+    }
+
+    /// Spec values the workload generators and topology builders assert on
+    /// (or divide by) are argument errors like any other: one line, no
+    /// backtrace, nothing run.
+    #[test]
+    fn out_of_range_loads_and_topologies_are_errors_not_panics() {
+        let err = |cmd: &str, argv: &[&str]| {
+            let rest: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            run_command(cmd, &rest, None).expect("a command").expect_err("must be refused")
+        };
+        assert_eq!(err("compare", &["--load", "0"]), "--load: load 0 is outside (0, 1]");
+        assert_eq!(err("gen", &["--load", "NaN"]), "--load: load NaN is outside (0, 1]");
+        assert_eq!(err("sweep", &["--loads", "0.5,1.5"]), "--loads: load 1.5 is outside (0, 1]");
+        for (topo, says) in [
+            ("star:1:10:20", "a star needs at least 2 hosts"),
+            ("star:2:0:20", "the link rate must be above 0 Gbps"),
+            ("fattree:3:10", "a fat-tree needs an even k of at least 2"),
+            ("fattree:0:10", "a fat-tree needs an even k of at least 2"),
+            ("fattree:4:0", "the edge rate must be above 0 Gbps"),
+        ] {
+            for cmd in ["compare", "sweep", "trace", "gen"] {
+                assert_eq!(err(cmd, &["--topo", topo]), format!("--topo {topo}: {says}"));
+            }
+        }
+        assert!(err("compare", &["--topo", "star:2:10"]).starts_with("bad --topo 'star:2:10'"));
+        assert!(err("compare", &["--topo", "ring"]).starts_with("bad --topo 'ring'"));
+        assert_eq!(
+            parse_topo("star:2:1:1"),
+            Ok(TopoKind::Star { n: 2, rate_gbps: 1, delay_us: 1 }),
+            "the smallest star is still a topology"
+        );
     }
 }

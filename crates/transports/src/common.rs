@@ -1,8 +1,6 @@
 //! Shared transport machinery: byte-interval bookkeeping, the per-endpoint
 //! flow table, timer tokens, and the TCP-family RTO arm/service helpers.
 
-use std::collections::BTreeMap;
-
 use netsim::trace::SanCheck;
 use netsim::{Ctx, FlowId, Payload, SanNote, SimTime};
 
@@ -13,10 +11,19 @@ use crate::tcp_base::DctcpFlowTx;
 /// Used for receiver reassembly (which bytes arrived), sender scoreboards
 /// (which bytes were SACKed) and the dual-loop "claimed" set (which bytes
 /// either loop has transmitted at least once).
+///
+/// A flow goes out head-first on its primary loop and tail-first on its
+/// opportunistic one, so a set is a block growing up from byte 0, at most
+/// a block growing down from the end, and the odd hole a loss leaves. The
+/// block at 0 is a field; the rest is a sorted vector that an in-order
+/// flow never allocates and that almost every insert touches at one end.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalSet {
-    // start -> end, non-overlapping, non-adjacent.
-    ranges: BTreeMap<u64, u64>,
+    /// `[0, prefix)` is covered; 0 when byte 0 is not.
+    prefix: u64,
+    /// The ranges above the prefix, ascending: disjoint, non-adjacent, and
+    /// the first one starts beyond `prefix`.
+    ranges: Vec<(u64, u64)>,
     covered: u64,
 }
 
@@ -33,32 +40,75 @@ impl IntervalSet {
         if start >= end {
             return 0;
         }
-        // Absorb every range that overlaps or touches [start, end), from
-        // the last one starting at or before `end` downwards. Ranges are
-        // disjoint and non-adjacent, so their ends rise with their starts:
-        // the first one ending below `start` ends the walk, and one that
-        // starts at or below `start` is the last that can reach it.
-        let mut new_end = end;
-        let mut absorbed_bytes = 0u64;
-        while let Some((&s, e)) = self.ranges.range_mut(..=end).next_back() {
-            if *e < start {
-                break;
-            }
-            new_end = new_end.max(*e);
-            if s <= start {
-                // In-order progress: the range it lands in grows in place.
-                let gained = new_end - *e - absorbed_bytes;
-                *e = new_end;
-                self.covered += gained;
-                return gained;
-            }
-            absorbed_bytes += *e - s;
-            self.ranges.remove(&s);
-        }
-        self.ranges.insert(start, new_end);
-        let gained = (new_end - start) - absorbed_bytes;
+        let gained = if start <= self.prefix {
+            self.grow_prefix(end)
+        } else {
+            self.insert_above(start, end)
+        };
         self.covered += gained;
         gained
+    }
+
+    /// Extend the prefix to `end`, swallowing every range that reaches.
+    fn grow_prefix(&mut self, end: u64) -> u64 {
+        if end <= self.prefix {
+            return 0;
+        }
+        let reached = self.ranges.iter().take_while(|&&(s, _)| s <= end).count();
+        let mut new_end = end;
+        let mut absorbed = 0;
+        for (s, e) in self.ranges.drain(..reached) {
+            absorbed += e - s;
+            new_end = new_end.max(e);
+        }
+        let gained = new_end - self.prefix - absorbed;
+        self.prefix = new_end;
+        gained
+    }
+
+    /// Insert a range that starts beyond the prefix. Ranges are disjoint
+    /// and non-adjacent, so their ends rise with their starts: those that
+    /// overlap or touch `[start, end)` are consecutive, from the first one
+    /// ending at or after `start` to the last one starting at or before
+    /// `end`, and they collapse into the first of them. A flow works at
+    /// the vector's ends — in order above its top range, tail first at or
+    /// below its bottom one — and reaches one range at most, so both
+    /// bounds are probed there before they are searched for.
+    fn insert_above(&mut self, start: u64, end: u64) -> u64 {
+        let ranges = &mut self.ranges;
+        if let Some((s, e)) = ranges.last_mut() {
+            if *s <= start && start <= *e {
+                // In-order progress: the top range grows in place.
+                let gained = end.saturating_sub(*e);
+                *e += gained;
+                return gained;
+            }
+        }
+        let lo = if ranges.last().is_none_or(|&(_, e)| e < start) {
+            ranges.len()
+        } else if ranges[0].1 >= start {
+            0
+        } else {
+            ranges.partition_point(|&(_, e)| e < start)
+        };
+        let hi = match ranges[lo..] {
+            [] => lo,
+            [(s, _), ..] if s > end => lo,
+            [_] => lo + 1,
+            [_, (s, _), ..] if s > end => lo + 1,
+            _ => lo + ranges[lo..].partition_point(|&(s, _)| s <= end),
+        };
+        if lo == hi {
+            ranges.insert(lo, (start, end));
+            return end - start;
+        }
+        let merged = (start.min(ranges[lo].0), end.max(ranges[hi - 1].1));
+        let absorbed: u64 = ranges[lo..hi].iter().map(|&(s, e)| e - s).sum();
+        ranges[lo] = merged;
+        if hi - lo > 1 {
+            ranges.drain(lo + 1..hi);
+        }
+        merged.1 - merged.0 - absorbed
     }
     // simlint: hot-path-end
 
@@ -69,81 +119,65 @@ impl IntervalSet {
 
     /// Length of the contiguous covered prefix starting at 0.
     pub fn contiguous_prefix(&self) -> u64 {
-        match self.ranges.first_key_value() {
-            Some((&0, &e)) => e,
-            _ => 0,
-        }
+        self.prefix
     }
 
     /// True when `[0, size)` is fully covered.
     pub fn covers(&self, size: u64) -> bool {
-        self.contiguous_prefix() >= size
+        self.prefix >= size
     }
 
     /// Is `offset` covered?
     pub fn contains(&self, offset: u64) -> bool {
-        self.ranges.range(..=offset).next_back().is_some_and(|(&s, &e)| s <= offset && offset < e)
+        offset < self.prefix || {
+            let above = self.ranges.partition_point(|&(s, _)| s <= offset);
+            above > 0 && offset < self.ranges[above - 1].1
+        }
     }
 
     /// The lowest uncovered range within `[from, limit)`, if any.
     pub fn first_gap(&self, from: u64, limit: u64) -> Option<(u64, u64)> {
-        if from >= limit {
+        let mut cursor = from.max(self.prefix);
+        // The first range ending above the cursor either covers it — the
+        // gap then opens at that range's end, and the next range closes it
+        // — or lies wholly above and closes the gap the cursor opens.
+        let mut at = self.ranges.partition_point(|&(_, e)| e <= cursor);
+        if let Some(&(s, e)) = self.ranges.get(at) {
+            if s <= cursor {
+                cursor = e;
+                at += 1;
+            }
+        }
+        if cursor >= limit {
             return None;
         }
-        let mut cursor = from;
-        // Extend cursor through any range covering it.
-        if let Some((&s, &e)) = self.ranges.range(..=cursor).next_back() {
-            if s <= cursor && cursor < e {
-                cursor = e;
-            }
-        }
-        while cursor < limit {
-            match self.ranges.range(cursor..).next() {
-                Some((&s, &e)) => {
-                    if s > cursor {
-                        return Some((cursor, s.min(limit)));
-                    }
-                    cursor = e;
-                }
-                None => return Some((cursor, limit)),
-            }
-        }
-        None
+        let gap_end = self.ranges.get(at).map_or(limit, |&(s, _)| s.min(limit));
+        Some((cursor, gap_end))
     }
 
     /// The highest uncovered range within `[0, limit)`, if any.
     pub fn last_gap(&self, limit: u64) -> Option<(u64, u64)> {
-        if limit == 0 {
-            return None;
-        }
         let mut cursor = limit;
-        // Walk ranges from the top down.
-        for (&s, &e) in self.ranges.range(..limit).rev() {
-            if e >= cursor {
-                // Range covers up to (or beyond) the cursor: skip below it.
-                cursor = s;
-                if cursor == 0 {
-                    return None;
-                }
-                continue;
-            }
-            return Some((e, cursor));
+        // The ranges starting below the limit, from the top down: only the
+        // highest can reach the cursor, and the gap then ends where it starts.
+        let mut below = self.ranges.partition_point(|&(s, _)| s < limit);
+        if below > 0 && self.ranges[below - 1].1 >= cursor {
+            cursor = self.ranges[below - 1].0;
+            below -= 1;
         }
-        if cursor > 0 {
-            Some((0, cursor))
-        } else {
-            None
-        }
+        let gap_start = if below > 0 { self.ranges[below - 1].1 } else { self.prefix };
+        (gap_start < cursor).then_some((gap_start, cursor))
     }
 
     /// Iterate covered ranges in order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.ranges.iter().map(|(&s, &e)| (s, e))
+        let head = (self.prefix > 0).then_some((0, self.prefix));
+        head.into_iter().chain(self.ranges.iter().copied())
     }
 
     /// Number of disjoint ranges (diagnostics).
     pub fn range_count(&self) -> usize {
-        self.ranges.len()
+        (self.prefix > 0) as usize + self.ranges.len()
     }
 }
 
@@ -459,7 +493,7 @@ pub(crate) mod testkit {
 
     /// The ACK a receiver on `from` sends `flow`'s sender on `to`.
     pub(crate) fn ack(flow: u64, (from, to): (u32, u32), cum: u64, lcp: bool) -> Packet<Proto> {
-        let (sacks, ts_echo) = (vec![(0, cum)], SimTime::ZERO);
+        let (sacks, ts_echo) = ([(0, cum)].into(), SimTime::ZERO);
         let hdr = AckHdr { cum, sacks, ece: false, lcp, ts_echo, int_echo: None };
         Packet::ctrl(FlowId(flow), HostId(from), HostId(to), Proto::Ack(hdr))
     }
@@ -467,6 +501,8 @@ pub(crate) mod testkit {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     /// Every lookup, insert and retire of a seeded random sequence agrees
@@ -567,7 +603,7 @@ mod tests {
         fn ack(cum: u64) -> AckHdr {
             AckHdr {
                 cum,
-                sacks: vec![],
+                sacks: [].into(),
                 ece: false,
                 lcp: false,
                 ts_echo: SimTime::ZERO,
@@ -823,6 +859,208 @@ mod tests {
             }
             let probe = rng.gen_range(120);
             assert_eq!(s.contains(probe), brute[probe as usize], "seed {seed} probe {probe}");
+        }
+    }
+
+    /// The ordered-map byte set `IntervalSet` was before it became a prefix
+    /// and a sorted vector, kept as the model of the differential test below.
+    #[derive(Default)]
+    struct MapSet {
+        // start -> end, non-overlapping, non-adjacent.
+        ranges: BTreeMap<u64, u64>,
+        covered: u64,
+    }
+
+    impl MapSet {
+        fn insert(&mut self, start: u64, end: u64) -> u64 {
+            if start >= end {
+                return 0;
+            }
+            let mut new_end = end;
+            let mut absorbed_bytes = 0u64;
+            while let Some((&s, e)) = self.ranges.range_mut(..=end).next_back() {
+                if *e < start {
+                    break;
+                }
+                new_end = new_end.max(*e);
+                if s <= start {
+                    let gained = new_end - *e - absorbed_bytes;
+                    *e = new_end;
+                    self.covered += gained;
+                    return gained;
+                }
+                absorbed_bytes += *e - s;
+                self.ranges.remove(&s);
+            }
+            self.ranges.insert(start, new_end);
+            let gained = (new_end - start) - absorbed_bytes;
+            self.covered += gained;
+            gained
+        }
+
+        fn contiguous_prefix(&self) -> u64 {
+            match self.ranges.first_key_value() {
+                Some((&0, &e)) => e,
+                _ => 0,
+            }
+        }
+
+        fn contains(&self, offset: u64) -> bool {
+            self.ranges
+                .range(..=offset)
+                .next_back()
+                .is_some_and(|(&s, &e)| s <= offset && offset < e)
+        }
+
+        fn first_gap(&self, from: u64, limit: u64) -> Option<(u64, u64)> {
+            if from >= limit {
+                return None;
+            }
+            let mut cursor = from;
+            if let Some((&s, &e)) = self.ranges.range(..=cursor).next_back() {
+                if s <= cursor && cursor < e {
+                    cursor = e;
+                }
+            }
+            while cursor < limit {
+                match self.ranges.range(cursor..).next() {
+                    Some((&s, &e)) => {
+                        if s > cursor {
+                            return Some((cursor, s.min(limit)));
+                        }
+                        cursor = e;
+                    }
+                    None => return Some((cursor, limit)),
+                }
+            }
+            None
+        }
+
+        fn last_gap(&self, limit: u64) -> Option<(u64, u64)> {
+            if limit == 0 {
+                return None;
+            }
+            let mut cursor = limit;
+            for (&s, &e) in self.ranges.range(..limit).rev() {
+                if e >= cursor {
+                    cursor = s;
+                    if cursor == 0 {
+                        return None;
+                    }
+                    continue;
+                }
+                return Some((e, cursor));
+            }
+            Some((0, cursor))
+        }
+    }
+
+    /// Every accessor agrees with the ordered-map model after every one of
+    /// 4 000 inserts per seed, drawn from the shapes transports produce —
+    /// in-order appends, tail-first prepends, retransmitted duplicates —
+    /// and the ones they could: overlaps, exact adjacency on either side,
+    /// and spans that swallow several ranges (or all of them) at once.
+    #[test]
+    fn interval_set_matches_the_ordered_map_model_seeded() {
+        const SPAN: u64 = 60_000;
+        for seed in 0..8u64 {
+            let mut rng = netsim::Pcg32::seed_from_u64(seed);
+            let (mut set, mut model) = (IntervalSet::new(), MapSet::default());
+            // The head-first and tail-first frontiers of the current "flow".
+            let (mut head, mut tail) = (0u64, SPAN);
+            let (mut swallowed_many, mut most_ranges) = (0, 0);
+            for step in 0..4_000 {
+                let what = format!("seed {seed} step {step}");
+                if head >= tail || set.covers(SPAN) || (seed % 2 == 1 && step % 1_000 == 999) {
+                    // The flow is over (or, on odd seeds, now and then):
+                    // start the next one on an empty pair.
+                    (set, model) = (IntervalSet::new(), MapSet::default());
+                    (head, tail) = (0, SPAN);
+                }
+                let len = 1 + rng.gen_range(40);
+                let nth = |rng: &mut netsim::Pcg32, set: &IntervalSet| {
+                    set.iter().nth(rng.gen_index(set.range_count().max(1)))
+                };
+                let (start, end) = match rng.gen_index(10) {
+                    // In order: extends the prefix, or leaves a hole below.
+                    0..=2 => {
+                        let start =
+                            head + if rng.gen_index(8) == 0 { rng.gen_range(30) } else { 0 };
+                        head = start + len;
+                        (start, head)
+                    }
+                    // Tail first, sometimes skipping a little.
+                    3..=4 => {
+                        let end =
+                            tail - (rng.gen_index(8) == 0) as u64 * rng.gen_range(30).min(tail);
+                        tail = end.saturating_sub(len);
+                        (tail, end)
+                    }
+                    // Anywhere between the two frontiers.
+                    5 => {
+                        let start = head + rng.gen_range(tail - head);
+                        (start, start + len)
+                    }
+                    // Around an existing range: adjacent above, adjacent
+                    // below, a duplicate, an overlap from inside.
+                    6..=7 => match nth(&mut rng, &set) {
+                        Some((s, e)) => match rng.gen_index(4) {
+                            0 => (e, e + len),
+                            1 => (s.saturating_sub(len), s),
+                            2 => (s, e),
+                            _ => (s + (e - s) / 2, e + len),
+                        },
+                        None => (0, len),
+                    },
+                    // A span from inside one range to inside another a few
+                    // further up, swallowing those between.
+                    8 => {
+                        let from = rng.gen_index(set.range_count().max(1));
+                        let mut reach = set.iter().skip(from).take(1 + rng.gen_index(4));
+                        match (reach.next(), reach.last()) {
+                            (Some((s, _)), Some((_, e))) => (s + 1, e - 1),
+                            (Some((s, e)), None) => (s + (e - s) / 2, e),
+                            _ => (0, len),
+                        }
+                    }
+                    // Fill the lowest hole.
+                    _ => set.first_gap(0, SPAN).unwrap_or((0, 1)),
+                };
+                let before = set.range_count();
+                assert_eq!(set.insert(start, end), model.insert(start, end), "{what}: insert");
+                swallowed_many += (before >= set.range_count() + 2) as u32;
+                most_ranges = most_ranges.max(set.range_count());
+
+                assert!(set.iter().eq(model.ranges.iter().map(|(&s, &e)| (s, e))), "{what}");
+                assert_eq!(set.range_count(), model.ranges.len(), "{what}");
+                assert_eq!(set.covered_bytes(), model.covered, "{what}");
+                assert_eq!(set.contiguous_prefix(), model.contiguous_prefix(), "{what}");
+                // Probes at the edges of what was inserted and at random.
+                let probes = [
+                    0,
+                    start.saturating_sub(1),
+                    start,
+                    end.saturating_sub(1),
+                    end,
+                    rng.gen_range(SPAN),
+                ];
+                for p in probes {
+                    assert_eq!(set.contains(p), model.contains(p), "{what}: contains {p}");
+                    assert_eq!(set.covers(p), model.contiguous_prefix() >= p, "{what}: covers {p}");
+                    assert_eq!(set.last_gap(p), model.last_gap(p), "{what}: last_gap {p}");
+                    for limit in [end, p + len, SPAN] {
+                        assert_eq!(
+                            set.first_gap(p, limit),
+                            model.first_gap(p, limit),
+                            "{what}: first_gap {p}..{limit}"
+                        );
+                    }
+                }
+            }
+            assert!(
+                swallowed_many > 20 && most_ranges >= 8,
+                "seed {seed}: {swallowed_many} multi-range merges, {most_ranges} ranges at most"
+            );
         }
     }
 }

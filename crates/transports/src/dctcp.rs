@@ -11,7 +11,7 @@ use std::rc::Rc;
 use netsim::{Ctx, FlowDesc, FlowId, Packet, TraceEvent, Transport};
 
 use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token};
-use crate::proto::{DataHdr, Proto};
+use crate::proto::{DataHdr, IntSlot, Proto};
 use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 
@@ -109,7 +109,7 @@ impl DctcpTransport {
                 lcp: false,
                 retx: seg.retx,
                 sent_at: now,
-                int: None,
+                int: IntSlot::Off,
             };
             let mut pkt = Packet::data(flow.id, flow.src, flow.dst, seg.len, Proto::Data(hdr));
             if !ecn {
@@ -143,9 +143,9 @@ impl Transport<Proto> for DctcpTransport {
         Self::pump(self.tx.insert(flow.id, tx), self.ecn_enabled, ctx);
     }
 
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
+    fn on_packet(&mut self, mut pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
+            Proto::Data(_) => self.rx.on_data(&mut pkt, ctx),
             Proto::Ack(ack) => {
                 let Some(flow) = self.tx.get_mut(pkt.flow) else {
                     // A late ACK of a finished flow moves nothing, but traces.

@@ -15,7 +15,7 @@ use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimTime, Transport};
 use ppt_core::PptConfig;
 
 use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
-use crate::proto::{DataHdr, Proto};
+use crate::proto::{DataHdr, IntSlot, Proto};
 use crate::rx::TcpRxTable;
 use crate::tcp_base::{AckOutcome, DctcpFlowTx, SegOut, TcpCfg};
 
@@ -79,7 +79,7 @@ pub(crate) fn hcp_packet<H: Hcp>(tx: &DctcpFlowTx, seg: SegOut, now: SimTime) ->
         lcp: false,
         retx: seg.retx,
         sent_at: now,
-        int: (H::STAMP == Stamp::Int).then(Vec::new),
+        int: if H::STAMP == Stamp::Int { IntSlot::Armed } else { IntSlot::Off },
     };
     let mut pkt = Packet::data(tx.id, tx.src, tx.dst, seg.len, Proto::Data(hdr));
     if H::STAMP != Stamp::Ecn {
@@ -129,9 +129,9 @@ impl<H: Hcp> Transport<Proto> for Window<H> {
         pump::<H>(self.tx.insert(flow.id, tx), ctx);
     }
 
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
+    fn on_packet(&mut self, mut pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
+            Proto::Data(_) => self.rx.on_data(&mut pkt, ctx),
             Proto::Ack(ack) => {
                 let Some(flow) = self.tx.get_mut(pkt.flow) else { return };
                 flow.on_ack(ack, ctx.now());

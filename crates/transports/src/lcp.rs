@@ -24,7 +24,7 @@ use ppt_core::{
 
 use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::hcp::{hcp_packet, Case1, Hcp};
-use crate::proto::{DataHdr, Proto};
+use crate::proto::{DataHdr, IntSlot, Proto};
 use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, SegOut, TcpCfg};
 
@@ -113,7 +113,7 @@ impl<H: Hcp> LcpFlow<H> {
             lcp: true,
             retx: false,
             sent_at: ctx.now(),
-            int: None,
+            int: IntSlot::Off,
         };
         let id = self.tx.id;
         let mut pkt =
@@ -261,10 +261,10 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
         }
     }
 
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
+    fn on_packet(&mut self, mut pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         let layer = &self.layer;
         match &pkt.payload {
-            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
+            Proto::Data(_) => self.rx.on_data(&mut pkt, ctx),
             Proto::Ack(ack) if ack.lcp => {
                 let now = ctx.now();
                 let Some(f) = self.tx.get_mut(pkt.flow) else {

@@ -52,7 +52,7 @@ pub use ndp::{install_ndp, NdpCfg, NdpTransport};
 pub use pias::{install_pias, PiasCfg, PiasTransport};
 pub use powertcp::{install_powertcp, PowerTcpHcp, PowerTcpTransport};
 pub use ppt::{install_ppt, DctcpHcp, PptTransport};
-pub use proto::{AckHdr, DataHdr, HomaHdr, IntHop, NdpHdr, Proto};
+pub use proto::{AckHdr, DataHdr, HomaHdr, IntHop, IntSlot, IntStack, NdpHdr, Proto, SackBlocks};
 pub use rc3::{install_rc3, Rc3Cfg, Rc3Transport};
 pub use rx::{TcpRx, TcpRxTable};
 pub use swift::{install_swift, install_swift_ppt, SwiftHcp, SwiftPptTransport, SwiftTransport};

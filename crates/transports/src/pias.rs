@@ -10,7 +10,7 @@
 use netsim::{Ctx, FlowDesc, FlowId, Packet, TraceEvent, Transport};
 
 use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
-use crate::proto::{DataHdr, Proto};
+use crate::proto::{DataHdr, IntSlot, Proto};
 use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 
@@ -84,7 +84,7 @@ impl PiasTransport {
                 lcp: false,
                 retx: seg.retx,
                 sent_at: now,
-                int: None,
+                int: IntSlot::Off,
             };
             ctx.send(Packet::data(id, src, dst, seg.len, Proto::Data(hdr)).with_priority(prio));
         }
@@ -99,9 +99,9 @@ impl Transport<Proto> for PiasTransport {
         Self::pump(&self.cfg, flow, ctx);
     }
 
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
+    fn on_packet(&mut self, mut pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
+            Proto::Data(_) => self.rx.on_data(&mut pkt, ctx),
             Proto::Ack(ack) => {
                 let Some(flow) = self.tx.get_mut(pkt.flow) else { return };
                 flow.tx.on_ack(ack, ctx.now());

@@ -11,7 +11,7 @@ use netsim::{HopTelemetry, Payload, SimTime};
 pub const MAX_INT_HOPS: usize = 5;
 
 /// One INT record, as stamped by an HPCC-capable switch.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IntHop {
     /// Egress queue backlog at enqueue, bytes.
     pub qlen_bytes: u64,
@@ -25,6 +25,155 @@ pub struct IntHop {
     pub ts: SimTime,
     /// Egress link rate, bits per second.
     pub rate_bps: u64,
+}
+
+/// A packet's INT records, one per switch egress it crossed, oldest first;
+/// reads as a slice.
+///
+/// The headers hold it as one thin `Box` (8 bytes where a `Vec` took 24):
+/// the sender allocates it with the data packet, switches fill it in
+/// place, the receiver *moves* it into the ACK, and it is freed where that
+/// ACK lands. Never inline in the header — a 300-byte `Proto` is moved ~11
+/// times per packet (ROADMAP item 4). The first hop lives in the box
+/// itself, so a path through one switch (the testbed, a star) costs one
+/// 80-byte allocation per packet and nothing per hop; a fabric path moves
+/// to a vector sized for [`MAX_INT_HOPS`] at its second hop.
+#[derive(Clone, Debug, Default)]
+pub struct IntStack {
+    first: IntHop,
+    /// Every hop, once there are two.
+    all: Vec<IntHop>,
+    len: u8,
+}
+
+impl IntStack {
+    /// Record one more hop; a full stack ignores it.
+    pub fn push(&mut self, hop: IntHop) {
+        match self.len as usize {
+            0 => self.first = hop,
+            1 => {
+                self.all.reserve_exact(MAX_INT_HOPS);
+                self.all.extend([self.first, hop]);
+            }
+            MAX_INT_HOPS.. => return,
+            _ => self.all.push(hop),
+        }
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for IntStack {
+    type Target = [IntHop];
+    fn deref(&self) -> &[IntHop] {
+        if self.len <= 1 {
+            &std::slice::from_ref(&self.first)[..self.len as usize]
+        } else {
+            &self.all
+        }
+    }
+}
+
+impl std::ops::DerefMut for IntStack {
+    fn deref_mut(&mut self) -> &mut [IntHop] {
+        if self.len <= 1 {
+            &mut std::slice::from_mut(&mut self.first)[..self.len as usize]
+        } else {
+            &mut self.all
+        }
+    }
+}
+
+impl FromIterator<IntHop> for IntStack {
+    fn from_iter<I: IntoIterator<Item = IntHop>>(hops: I) -> Self {
+        let mut stack = IntStack::default();
+        hops.into_iter().for_each(|hop| stack.push(hop));
+        stack
+    }
+}
+
+/// Where a data packet's INT stack is.
+#[derive(Clone, Debug, Default)]
+pub enum IntSlot {
+    /// Not an INT flow: switches stamp nothing, the ACK echoes nothing.
+    #[default]
+    Off,
+    /// An INT flow's packet that no switch has stamped yet. Nothing is
+    /// allocated for it: a window queued in the sender's NIC holds no stacks.
+    Armed,
+    /// The hops crossed so far.
+    Stack(Box<IntStack>),
+}
+
+impl IntSlot {
+    /// Record a switch hop, if this packet collects them.
+    fn push(&mut self, hop: IntHop) {
+        match self {
+            IntSlot::Off => {}
+            IntSlot::Armed => *self = IntSlot::Stack(Box::new([hop].into_iter().collect())),
+            IntSlot::Stack(stack) => stack.push(hop),
+        }
+    }
+
+    /// Take the stack out for the ACK, leaving the packet without one.
+    pub fn take(&mut self) -> Option<Box<IntStack>> {
+        match std::mem::take(self) {
+            IntSlot::Off => None,
+            IntSlot::Armed => Some(Box::default()),
+            IntSlot::Stack(stack) => Some(stack),
+        }
+    }
+}
+
+/// Most SACK blocks one ACK carries. An EWD ACK carries the ranges of the
+/// packets it coalesces; any other carries the segment that triggered it
+/// and — a flow's completing packet — what EWD held short of a full ACK.
+pub const MAX_SACK_BLOCKS: usize = ppt_core::LCP_PACKETS_PER_ACK as usize;
+
+/// An ACK's SACK blocks, held inline so that building an ACK allocates
+/// nothing. Reads as a slice of `(start, end)` byte ranges.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SackBlocks {
+    blocks: [(u64, u64); MAX_SACK_BLOCKS],
+    len: u8,
+}
+
+impl SackBlocks {
+    /// Add a block. A receiver never holds more than [`MAX_SACK_BLOCKS`]
+    /// for one ACK; one that would is a bug in it.
+    pub fn push(&mut self, block: (u64, u64)) {
+        assert!((self.len as usize) < MAX_SACK_BLOCKS, "an ACK with over {MAX_SACK_BLOCKS} blocks");
+        self.blocks[self.len as usize] = block;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for SackBlocks {
+    type Target = [(u64, u64)];
+    fn deref(&self) -> &[(u64, u64)] {
+        &self.blocks[..self.len as usize]
+    }
+}
+
+impl std::ops::DerefMut for SackBlocks {
+    fn deref_mut(&mut self) -> &mut [(u64, u64)] {
+        &mut self.blocks[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a SackBlocks {
+    type Item = &'a (u64, u64);
+    type IntoIter = std::slice::Iter<'a, (u64, u64)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<const N: usize> From<[(u64, u64); N]> for SackBlocks {
+    fn from(blocks: [(u64, u64); N]) -> Self {
+        let mut out = SackBlocks::default();
+        blocks.into_iter().for_each(|b| out.push(b));
+        out
+    }
 }
 
 /// TCP-family data header (DCTCP, PPT, RC3, PIAS, Swift, HPCC).
@@ -42,8 +191,8 @@ pub struct DataHdr {
     pub retx: bool,
     /// Send timestamp, echoed by the ACK for RTT sampling.
     pub sent_at: SimTime,
-    /// INT stack; `Some` only for HPCC flows.
-    pub int: Option<Vec<IntHop>>,
+    /// INT stack; on only for HPCC and PowerTCP flows.
+    pub int: IntSlot,
 }
 
 /// TCP-family ACK header.
@@ -52,15 +201,15 @@ pub struct AckHdr {
     /// Bytes received contiguously from offset 0.
     pub cum: u64,
     /// Selectively acknowledged ranges (the segment(s) triggering this ACK).
-    pub sacks: Vec<(u64, u64)>,
+    pub sacks: SackBlocks,
     /// ECN echo of the acked data packet(s).
     pub ece: bool,
     /// True for low-priority (LCP) ACKs.
     pub lcp: bool,
     /// Echo of the data packet's send timestamp (RTT sampling).
     pub ts_echo: SimTime,
-    /// Echoed INT stack (HPCC).
-    pub int_echo: Option<Vec<IntHop>>,
+    /// The data packet's INT stack, handed back (HPCC, PowerTCP).
+    pub int_echo: Option<Box<IntStack>>,
 }
 
 /// Homa-family headers.
@@ -107,18 +256,18 @@ const _: () = assert!(std::mem::size_of::<netsim::Packet<Proto>>() <= 128, "Pack
 
 impl Payload for Proto {
     fn on_switch_hop(&mut self, hop: HopTelemetry) {
-        if let Proto::Data(DataHdr { int: Some(stack), .. }) = self {
-            if stack.len() < MAX_INT_HOPS {
-                stack.push(IntHop {
-                    qlen_bytes: hop.qlen_bytes,
-                    qlen_high_bytes: hop.qlen_high_bytes,
-                    tx_bytes: hop.tx_bytes,
-                    tx_high_bytes: hop.tx_high_bytes,
-                    ts: hop.ts,
-                    rate_bps: hop.link_rate.bits_per_sec(),
-                });
-            }
-        }
+        let Proto::Data(DataHdr { int: int @ (IntSlot::Armed | IntSlot::Stack(_)), .. }) = self
+        else {
+            return;
+        };
+        int.push(IntHop {
+            qlen_bytes: hop.qlen_bytes,
+            qlen_high_bytes: hop.qlen_high_bytes,
+            tx_bytes: hop.tx_bytes,
+            tx_high_bytes: hop.tx_high_bytes,
+            ts: hop.ts,
+            rate_bps: hop.link_rate.bits_per_sec(),
+        });
     }
 }
 
@@ -145,70 +294,79 @@ mod tests {
     use super::*;
     use netsim::Rate;
 
-    #[test]
-    fn int_stack_grows_per_hop_only_when_enabled() {
-        let hop = HopTelemetry {
-            qlen_bytes: 100,
+    fn data(int: IntSlot) -> Proto {
+        Proto::Data(DataHdr {
+            offset: 0,
+            len: 100,
+            msg_size: 100,
+            lcp: false,
+            retx: false,
+            sent_at: SimTime::ZERO,
+            int,
+        })
+    }
+
+    fn hop(qlen_bytes: u64) -> HopTelemetry {
+        HopTelemetry {
+            qlen_bytes,
             qlen_high_bytes: 80,
             tx_bytes: 5_000,
             tx_high_bytes: 4_000,
             ts: SimTime(1),
             link_rate: Rate::gbps(40),
-        };
-        let mut with_int = Proto::Data(DataHdr {
-            offset: 0,
-            len: 100,
-            msg_size: 100,
-            lcp: false,
-            retx: false,
-            sent_at: SimTime::ZERO,
-            int: Some(Vec::new()),
-        });
-        with_int.on_switch_hop(hop);
-        with_int.on_switch_hop(hop);
-        match &with_int {
-            Proto::Data(d) => assert_eq!(d.int.as_ref().unwrap().len(), 2),
-            _ => unreachable!(),
         }
-
-        let mut without = Proto::Data(DataHdr {
-            offset: 0,
-            len: 100,
-            msg_size: 100,
-            lcp: false,
-            retx: false,
-            sent_at: SimTime::ZERO,
-            int: None,
-        });
-        without.on_switch_hop(hop);
-        assert!(matches!(&without, Proto::Data(d) if d.int.is_none()));
     }
 
     #[test]
+    fn int_stack_grows_per_hop_only_when_enabled() {
+        let mut with_int = data(IntSlot::Armed);
+        with_int.on_switch_hop(hop(100));
+        with_int.on_switch_hop(hop(200));
+        let Proto::Data(d) = &mut with_int else { unreachable!() };
+        let stack = d.int.take().expect("an INT packet hands its stack over");
+        assert_eq!(stack.iter().map(|h| h.qlen_bytes).collect::<Vec<_>>(), [100, 200]);
+        assert!(matches!(d.int, IntSlot::Off), "taken once");
+
+        let mut without = data(IntSlot::Off);
+        without.on_switch_hop(hop(100));
+        assert!(matches!(&without, Proto::Data(d) if matches!(d.int, IntSlot::Off)));
+    }
+
+    /// A packet allocates its stack at the first switch, not at the sender:
+    /// until then it is `Armed`, and one that met no switch echoes an empty
+    /// stack — still an echo, which the INT window laws act on.
+    #[test]
+    fn an_armed_packet_holds_no_stack_until_its_first_hop() {
+        let mut p = data(IntSlot::Armed);
+        assert!(matches!(&p, Proto::Data(d) if matches!(d.int, IntSlot::Armed)));
+        p.on_switch_hop(hop(7));
+        assert!(
+            matches!(&p, Proto::Data(d) if matches!(&d.int, IntSlot::Stack(s) if s.len() == 1))
+        );
+        assert_eq!(IntSlot::Armed.take().map(|stack| stack.len()), Some(0));
+    }
+
+    /// Hops keep their order across the move from the box to the vector,
+    /// one by one up to the cap; slices and their mutable twins agree.
+    #[test]
     fn int_stack_caps_depth() {
-        let hop = HopTelemetry {
-            qlen_bytes: 0,
-            qlen_high_bytes: 0,
-            tx_bytes: 0,
-            tx_high_bytes: 0,
-            ts: SimTime::ZERO,
-            link_rate: Rate::gbps(1),
-        };
-        let mut p = Proto::Data(DataHdr {
-            offset: 0,
-            len: 1,
-            msg_size: 1,
-            lcp: false,
-            retx: false,
-            sent_at: SimTime::ZERO,
-            int: Some(Vec::new()),
-        });
-        for _ in 0..20 {
-            p.on_switch_hop(hop);
+        let mut p = data(IntSlot::Armed);
+        for n in 0..20 {
+            p.on_switch_hop(hop(n));
+            let Proto::Data(DataHdr { int: IntSlot::Stack(stack), .. }) = &mut p else {
+                unreachable!()
+            };
+            let expect: Vec<u64> = (0..=n.min(MAX_INT_HOPS as u64 - 1)).collect();
+            assert_eq!(stack.iter().map(|h| h.qlen_bytes).collect::<Vec<_>>(), expect);
+            assert_eq!(stack.iter_mut().map(|h| h.qlen_bytes).collect::<Vec<_>>(), expect);
         }
-        match &p {
-            Proto::Data(d) => assert_eq!(d.int.as_ref().unwrap().len(), MAX_INT_HOPS),
-            _ => unreachable!(),
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "an ACK with over 2 blocks")]
+    fn a_sack_block_too_many_is_a_bug() {
+        let mut blocks = SackBlocks::from([(0, 1), (2, 3)]);
+        assert_eq!((blocks.len(), blocks[1]), (2, (2, 3)));
+        blocks.push((4, 5));
     }
 }

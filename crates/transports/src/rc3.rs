@@ -21,7 +21,7 @@ use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, Transport};
 use crate::common::{release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::hcp::pump;
 use crate::ppt::DctcpHcp;
-use crate::proto::{DataHdr, Proto};
+use crate::proto::{DataHdr, IntSlot, Proto};
 use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 
@@ -107,7 +107,7 @@ impl Rc3Transport {
                 lcp: true,
                 retx: false,
                 sent_at: now,
-                int: None,
+                int: IntSlot::Off,
             };
             let mut pkt = Packet::data(id, src, dst, len, Proto::Data(hdr)).with_priority(prio);
             // RC3's low loop ignores congestion signals entirely.
@@ -136,9 +136,9 @@ impl Transport<Proto> for Rc3Transport {
         );
     }
 
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
+    fn on_packet(&mut self, mut pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
         match &pkt.payload {
-            Proto::Data(hdr) => self.rx.on_data(&pkt, hdr, ctx),
+            Proto::Data(_) => self.rx.on_data(&mut pkt, ctx),
             Proto::Ack(ack) if ack.lcp => {
                 let Some(f) = self.tx.get_mut(pkt.flow) else { return };
                 let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();

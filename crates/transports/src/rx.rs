@@ -13,7 +13,7 @@ use netsim::{Ctx, FlowId, HostId, Packet};
 use ppt_core::LcpAckClock;
 
 use crate::common::{FlowTable, IntervalSet, TableStats};
-use crate::proto::{AckHdr, DataHdr, Proto};
+use crate::proto::{AckHdr, DataHdr, Proto, SackBlocks};
 
 /// Per-flow receiver state.
 #[derive(Debug)]
@@ -28,7 +28,7 @@ pub struct TcpRx {
     completed: bool,
     lcp_clock: LcpAckClock,
     /// Pending SACK ranges for the next coalesced LCP ACK.
-    lcp_pending: Vec<(u64, u64)>,
+    lcp_pending: SackBlocks,
     /// 1 = ACK every LCP packet (RC3-style), 2 = EWD two-for-one.
     lcp_coalesce: u32,
 }
@@ -44,7 +44,7 @@ impl TcpRx {
             received: IntervalSet::new(),
             completed: false,
             lcp_clock: LcpAckClock::new(),
-            lcp_pending: Vec::new(),
+            lcp_pending: SackBlocks::default(),
             lcp_coalesce,
         }
     }
@@ -72,14 +72,11 @@ impl TcpRx {
         }
     }
 
-    /// Handle a data packet addressed to this flow; emits ACK(s) and the
-    /// completion notification through `ctx`.
-    ///
-    /// Not behind a simlint hot-path fence yet: every ACK still allocates
-    /// its `sacks` vector (and clones the INT stack); the fence goes up
-    /// when `AckHdr.sacks` goes inline (ROADMAP item 3, "Allocator-free
-    /// `Proto`").
-    pub fn on_data(&mut self, pkt: &Packet<Proto>, hdr: &DataHdr, ctx: &mut Ctx<'_, Proto>) {
+    // simlint: hot-path
+    /// Handle a data packet addressed to this flow — `hdr`, which arrived
+    /// CE-marked or not at `priority` — and emit ACK(s) and the completion
+    /// notification through `ctx`. Takes the packet's INT stack for the ACK.
+    pub fn on_data(&mut self, hdr: &mut DataHdr, ce: bool, priority: u8, ctx: &mut Ctx<'_, Proto>) {
         let start = hdr.offset;
         let end = hdr.offset + hdr.len as u64;
 
@@ -100,47 +97,50 @@ impl TcpRx {
         if hdr.lcp && self.lcp_coalesce > 1 && !just_completed {
             // EWD: one low-priority ACK per two opportunistic packets.
             self.lcp_pending.push((start, end));
-            if let Some(ece) = self.lcp_clock.on_data(pkt.ecn.ce) {
+            if let Some(ece) = self.lcp_clock.on_data(ce) {
                 let sacks = std::mem::take(&mut self.lcp_pending);
-                self.send_ack(sacks, ece, pkt, hdr, ctx);
+                self.send_ack(sacks, ece, hdr, priority, ctx);
             }
         } else {
             // Per-packet ACK (HCP always; LCP when coalescing is off; and
             // the completing packet regardless, so the sender can finish).
-            let mut sacks = vec![(start, end)];
+            let mut sacks = SackBlocks::from([(start, end)]);
             if hdr.lcp {
-                sacks.append(&mut self.lcp_pending);
+                for &held in &std::mem::take(&mut self.lcp_pending) {
+                    sacks.push(held);
+                }
             }
-            self.send_ack(sacks, pkt.ecn.ce, pkt, hdr, ctx);
+            self.send_ack(sacks, ce, hdr, priority, ctx);
         }
     }
 
-    /// ACK the data packet `pkt`/`hdr`, echoing its timestamp and whatever
-    /// INT stack the fabric stamped into it (HPCC, PowerTCP).
+    /// ACK the data packet `hdr`, echoing its timestamp and handing back
+    /// whatever INT stack the fabric stamped into it (HPCC, PowerTCP).
     fn send_ack(
         &self,
-        sacks: Vec<(u64, u64)>,
+        sacks: SackBlocks,
         ece: bool,
-        pkt: &Packet<Proto>,
-        hdr: &DataHdr,
+        hdr: &mut DataHdr,
+        priority: u8,
         ctx: &mut Ctx<'_, Proto>,
     ) {
         // HCP ACKs ride the control (highest) priority; LCP ACKs stay in
         // the low-priority band of their data (§3.2: "one low-priority
         // ACK"), so they cannot perturb normal traffic.
-        let prio = if hdr.lcp { pkt.priority.max(4) } else { 0 };
+        let prio = if hdr.lcp { priority.max(4) } else { 0 };
         let ack = AckHdr {
             cum: self.cum(),
             sacks,
             ece,
             lcp: hdr.lcp,
             ts_echo: hdr.sent_at,
-            int_echo: hdr.int.clone(),
+            int_echo: hdr.int.take(),
         };
         let pkt =
             Packet::ctrl(self.flow, ctx.host(), self.peer, Proto::Ack(ack)).with_priority(prio);
         ctx.send(pkt);
     }
+    // simlint: hot-path-end
 }
 
 /// One endpoint's TCP-family receivers.
@@ -163,26 +163,32 @@ impl TcpRxTable {
         TcpRxTable { lcp_coalesce, live: FlowTable::new(), done: FlowTable::new() }
     }
 
+    // simlint: hot-path
     /// Handle a data packet: the flow's receiver (created from the first
-    /// packet, which carries the size) reassembles and ACKs it.
-    pub fn on_data(&mut self, pkt: &Packet<Proto>, hdr: &DataHdr, ctx: &mut Ctx<'_, Proto>) {
-        let flow = pkt.flow;
+    /// packet, which carries the size) reassembles and ACKs it. The packet
+    /// is the endpoint's to consume: its INT stack leaves with the ACK.
+    pub fn on_data(&mut self, pkt: &mut Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
+        let Packet { flow, src, ecn, priority, payload: Proto::Data(hdr), .. } = pkt else {
+            unreachable!("a TCP-family receiver is handed data packets only");
+        };
+        let (flow, ce, priority) = (*flow, ecn.ce, *priority);
         let rx = match self.live.get_mut(flow) {
             Some(rx) => rx,
             None => {
                 if let Some(tombstone) = self.done.get_mut(flow) {
-                    return tombstone.on_data(pkt, hdr, ctx);
+                    return tombstone.on_data(hdr, ce, priority, ctx);
                 }
-                self.live.insert(flow, TcpRx::new(flow, pkt.src, hdr.msg_size, self.lcp_coalesce))
+                self.live.insert(flow, TcpRx::new(flow, *src, hdr.msg_size, self.lcp_coalesce))
             }
         };
-        rx.on_data(pkt, hdr, ctx);
+        rx.on_data(hdr, ce, priority, ctx);
         if rx.is_complete() {
             if let Some(tombstone) = self.live.retire(flow) {
                 self.done.insert(flow, tombstone);
             }
         }
     }
+    // simlint: hot-path-end
 
     /// Occupancy of the live table (completed receivers are not in it).
     pub fn stats(&self) -> TableStats {
@@ -193,6 +199,7 @@ impl TcpRxTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{IntHop, IntSlot, IntStack, MAX_SACK_BLOCKS};
     use netsim::host::Effects;
     use netsim::{Ecn, HostId, SimTime};
 
@@ -203,7 +210,7 @@ mod tests {
         size: u64,
         lcp: bool,
         ce: bool,
-    ) -> (Packet<Proto>, DataHdr) {
+    ) -> Packet<Proto> {
         let hdr = DataHdr {
             offset,
             len,
@@ -211,26 +218,24 @@ mod tests {
             lcp,
             retx: false,
             sent_at: SimTime(5),
-            int: None,
+            int: IntSlot::Off,
         };
-        let mut pkt = Packet::data(flow, HostId(0), HostId(1), len, Proto::Data(hdr.clone()))
+        let mut pkt = Packet::data(flow, HostId(0), HostId(1), len, Proto::Data(hdr))
             .with_priority(if lcp { 4 } else { 0 });
         pkt.ecn = Ecn { capable: true, ce };
-        (pkt, hdr)
+        pkt
     }
 
     /// Drive the receiver with a scratch Ctx and collect emitted ACKs.
-    fn drive(
-        rx: &mut TcpRx,
-        packets: Vec<(Packet<Proto>, DataHdr)>,
-    ) -> (Vec<AckHdr>, Vec<u8>, bool) {
+    fn drive(rx: &mut TcpRx, packets: Vec<Packet<Proto>>) -> (Vec<AckHdr>, Vec<u8>, bool) {
         let mut acks = Vec::new();
         let mut prios = Vec::new();
         let mut completed = false;
-        for (pkt, hdr) in packets {
+        for mut pkt in packets {
             let mut effects = Effects::default();
             let mut ctx = Ctx::new(SimTime(10), HostId(1), &mut effects);
-            rx.on_data(&pkt, &hdr, &mut ctx);
+            let Proto::Data(hdr) = &mut pkt.payload else { unreachable!() };
+            rx.on_data(hdr, pkt.ecn.ce, pkt.priority, &mut ctx);
             let (pkts, _timers, done) = effects.into_parts();
             completed |= !done.is_empty();
             for p in pkts {
@@ -256,33 +261,36 @@ mod tests {
         );
         assert_eq!(acks.len(), 2);
         assert_eq!(acks[0].cum, 1000);
-        assert_eq!(acks[0].sacks, vec![(0, 1000)]);
+        assert_eq!(acks[0].sacks[..], [(0, 1000)]);
         assert!(!acks[0].ece);
         assert_eq!(acks[1].cum, 1000, "hole keeps cum at 1000");
-        assert_eq!(acks[1].sacks, vec![(2000, 3000)]);
+        assert_eq!(acks[1].sacks[..], [(2000, 3000)]);
         assert!(acks[1].ece, "CE must echo as ECE");
         assert!(prios.iter().all(|&p| p == 0), "HCP ACKs ride P0");
         assert!(!done);
     }
 
+    /// The ACK carries the very stack the data packet arrived with — the
+    /// sender's allocation, moved — and the packet is left without one.
     #[test]
     fn int_stack_is_echoed_with_the_timestamp() {
         let flow = FlowId(1);
-        let mut rx = TcpRx::new(flow, HostId(0), 4000, 2);
-        let (pkt, mut hdr) = data_pkt(flow, 0, 1000, 4000, false, false);
-        let hop = crate::proto::IntHop {
-            qlen_bytes: 7,
-            qlen_high_bytes: 7,
-            tx_bytes: 9,
-            tx_high_bytes: 9,
-            ts: SimTime(3),
-            rate_bps: 10_000_000_000,
-        };
-        hdr.int = Some(vec![hop]);
-        let (acks, prios, _) = drive(&mut rx, vec![(pkt, hdr)]);
-        assert_eq!(prios, vec![0]);
-        assert_eq!(acks[0].ts_echo, SimTime(5));
-        let echoed = acks[0].int_echo.as_ref().expect("INT stack echoed");
+        let mut rxs = TcpRxTable::new(2);
+        let mut pkt = data_pkt(flow, 0, 1000, 4000, false, false);
+        let hop = IntHop { qlen_bytes: 7, tx_bytes: 9, ts: SimTime(3), ..IntHop::default() };
+        let stack: Box<IntStack> = Box::new([hop].into_iter().collect());
+        let sent: *const IntStack = &*stack;
+        let Proto::Data(hdr) = &mut pkt.payload else { unreachable!() };
+        hdr.int = IntSlot::Stack(stack);
+        let did = crate::common::testkit::drive(SimTime(10), HostId(1), |ctx| {
+            rxs.on_data(&mut pkt, ctx);
+        });
+        assert!(matches!(&pkt.payload, Proto::Data(hdr) if matches!(hdr.int, IntSlot::Off)));
+        assert_eq!(did.packets[0].priority, 0);
+        let Proto::Ack(ack) = &did.packets[0].payload else { unreachable!() };
+        assert_eq!(ack.ts_echo, SimTime(5));
+        let echoed = ack.int_echo.as_deref().expect("INT stack echoed");
+        assert!(std::ptr::eq(echoed, sent), "the echo must be the sender's stack, not a copy");
         assert_eq!((echoed.len(), echoed[0].qlen_bytes, echoed[0].tx_bytes), (1, 7, 9));
     }
 
@@ -334,6 +342,38 @@ mod tests {
         assert_eq!(rx.received_bytes(), 1000);
     }
 
+    /// However HCP, LCP, duplicate and completing packets interleave, with
+    /// EWD coalescing or without, no ACK outgrows its inline blocks (adding
+    /// one too many panics; the count of ACKs at the limit is informative),
+    /// and every range a receiver held is sent exactly once.
+    #[test]
+    fn no_ack_overflows_its_inline_sack_blocks_seeded() {
+        let mss = 1_000u64;
+        let mut most = 0;
+        for seed in 0..32u64 {
+            let mut rng = netsim::Pcg32::seed_from_u64(seed);
+            let size = (4 + rng.gen_range(12)) * mss;
+            let mut rx = TcpRx::new(FlowId(seed), HostId(0), size, 1 + (seed % 2) as u32);
+            let (mut sent, mut acked) = (0usize, 0usize);
+            // Long enough to complete the flow and keep poking its tombstone.
+            for _ in 0..200 {
+                let offset = rng.gen_range(size / mss) * mss;
+                let lcp = rng.gen_index(3) > 0;
+                let pkt = data_pkt(FlowId(seed), offset, 1000, size, lcp, false);
+                let (acks, _, _) = drive(&mut rx, vec![pkt]);
+                sent += 1;
+                for ack in &acks {
+                    assert_eq!(ack.lcp, lcp);
+                    acked += ack.sacks.len();
+                    most = most.max(ack.sacks.len());
+                }
+            }
+            assert!(rx.is_complete(), "seed {seed}");
+            assert_eq!(sent, acked + rx.lcp_pending.len(), "seed {seed}: a range per packet");
+        }
+        assert!((2..=MAX_SACK_BLOCKS).contains(&most), "largest ACK carried {most} blocks");
+    }
+
     /// A completed receiver leaves the live table, and its tombstone ACKs
     /// late duplicates exactly as the full state did: `cum` stays at the
     /// size, an HCP duplicate is ACKed at once, LCP duplicates keep to the
@@ -342,8 +382,8 @@ mod tests {
     fn a_completed_receiver_retires_to_a_tombstone_that_still_acks() {
         use crate::common::testkit;
         let mut rxs = TcpRxTable::new(2);
-        let feed = |rxs: &mut TcpRxTable, (pkt, hdr): (Packet<Proto>, DataHdr)| {
-            testkit::drive(SimTime(10), HostId(1), |ctx| rxs.on_data(&pkt, &hdr, ctx))
+        let feed = |rxs: &mut TcpRxTable, mut pkt: Packet<Proto>| {
+            testkit::drive(SimTime(10), HostId(1), |ctx| rxs.on_data(&mut pkt, ctx))
         };
         let data = |flow: u64, offset: u64, len: u32, size: u64, lcp: bool| {
             data_pkt(FlowId(flow), offset, len, size, lcp, false)
@@ -363,7 +403,7 @@ mod tests {
         assert!(dup.completed.is_empty(), "a flow completes once");
         let acks = dup.acks();
         assert_eq!(acks.len(), 1);
-        assert_eq!((acks[0].cum, &acks[0].sacks), (2000, &vec![(0, 1000)]));
+        assert_eq!((acks[0].cum, &acks[0].sacks[..]), (2000, &[(0, 1000)][..]));
         assert_eq!(dup.packets[0].dst, HostId(0), "ACKs still go to the sender");
 
         // Late LCP duplicates: one ACK per two, carrying both SACKs.
@@ -373,7 +413,7 @@ mod tests {
         let acks = even.acks();
         assert_eq!(acks.len(), 1);
         assert!(acks[0].lcp && acks[0].cum == 2000);
-        assert_eq!(acks[0].sacks, vec![(1000, 1500), (1500, 2000)]);
+        assert_eq!(acks[0].sacks[..], [(1000, 1500), (1500, 2000)]);
 
         // None of that made a receiver, and the slot serves the next flow.
         assert_eq!(rxs.stats(), TableStats { live: 0, high_water: 1 });

@@ -7,7 +7,7 @@
 //! PIAS compose it; Swift and HPCC reuse the reliability plumbing with
 //! their own window update.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use netsim::{FlowId, HostId, SimDuration, SimTime};
 use ppt_core::{AlphaEstimator, WmaxTracker};
@@ -288,6 +288,7 @@ pub struct AckOutcome {
 
 #[derive(Clone, Copy, Debug)]
 struct InflightSeg {
+    offset: u64,
     len: u32,
     sent_at: SimTime,
     /// SACK-hole counter: number of ACK arrivals that SACKed data above
@@ -320,8 +321,10 @@ pub struct DctcpFlowTx {
     hcp_next: u64,
     /// Bytes known delivered (cum + SACK).
     acked: IntervalSet,
-    /// Outstanding HCP segments by offset.
-    inflight: BTreeMap<u64, InflightSeg>,
+    /// Outstanding HCP segments, ascending by offset, one per offset. New
+    /// data is appended in offset order and acknowledged from the front, so
+    /// the scoreboard is a ring; only a retransmission lands inside it.
+    inflight: VecDeque<InflightSeg>,
     inflight_bytes: u64,
     /// Highest offset+len ever transmitted (α round bookkeeping).
     snd_hi: u64,
@@ -365,7 +368,7 @@ impl DctcpFlowTx {
             claimed: IntervalSet::new(),
             hcp_next: 0,
             acked: IntervalSet::new(),
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             inflight_bytes: 0,
             snd_hi: 0,
             retx_queue: Vec::new(),
@@ -473,7 +476,17 @@ impl DctcpFlowTx {
     }
 
     fn track_sent(&mut self, offset: u64, len: u32, now: SimTime, retx: bool) {
-        self.inflight.insert(offset, InflightSeg { len, sent_at: now, dup_hits: 0, retx });
+        let seg = InflightSeg { offset, len, sent_at: now, dup_hits: 0, retx };
+        if self.inflight.back().is_none_or(|back| back.offset < offset) {
+            self.inflight.push_back(seg);
+        } else {
+            // A retransmission below what is outstanding; one of an offset
+            // that is outstanding (queued twice) takes that segment's place.
+            match self.inflight.binary_search_by_key(&offset, |s| s.offset) {
+                Ok(at) => self.inflight[at] = seg,
+                Err(at) => self.inflight.insert(at, seg),
+            }
+        }
         self.inflight_bytes += len as u64;
         self.snd_hi = self.snd_hi.max(offset + len as u64);
         self.bytes_sent += len as u64;
@@ -630,24 +643,25 @@ impl DctcpFlowTx {
 
     /// Fast retransmit: segments with enough SACKed data above them. A
     /// segment ending at or below `highest_sacked` starts below it, so
-    /// only that prefix of the table is visited; the lost ones go straight
+    /// only that prefix of the ring is visited; the lost ones go straight
     /// onto the retransmission queue, in offset order.
     fn fast_retransmit(&mut self) {
         let threshold = self.cfg.dupack_threshold;
+        let highest_sacked = self.highest_sacked;
         let queued = self.retx_queue.len();
-        for (&off, seg) in self.inflight.range_mut(..self.highest_sacked) {
-            if off + (seg.len as u64) <= self.highest_sacked {
-                seg.dup_hits = seg.dup_hits.saturating_add(1);
-                if seg.dup_hits == threshold {
-                    self.retx_queue.push((off, seg.len));
-                }
+        extract_range(&mut self.inflight, 0, highest_sacked, |seg| {
+            if seg.offset + seg.len as u64 > highest_sacked {
+                return false;
             }
-        }
+            seg.dup_hits = seg.dup_hits.saturating_add(1);
+            let lost = seg.dup_hits == threshold;
+            if lost {
+                self.retx_queue.push((seg.offset, seg.len));
+                self.inflight_bytes -= seg.len as u64;
+            }
+            lost
+        });
         if self.retx_queue.len() > queued {
-            for &(off, len) in &self.retx_queue[queued..] {
-                self.inflight.remove(&off);
-                self.inflight_bytes -= len as u64;
-            }
             // One multiplicative cut per loss event.
             self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
             self.cwnd = self.ssthresh;
@@ -683,19 +697,22 @@ impl DctcpFlowTx {
     /// point (the block `[0, cum)`) or by one SACK block; a partial cover
     /// clears nothing — and return the RTT sample of the lowest-offset one
     /// that was never retransmitted. Segments are found through the
-    /// table's order, so the cost follows what the ACK covers, not the
-    /// window.
+    /// ring's order — the cumulative block pops them off its front — so
+    /// the cost follows what the ACK covers, not the window.
     fn clear_covered(&mut self, ack: &AckHdr, now: SimTime) -> Option<SimDuration> {
         let mut sample: Option<(u64, SimTime)> = None;
         let blocks = std::iter::once((0, ack.cum)).chain(ack.sacks.iter().copied());
         for (lo, hi) in blocks.filter(|&(lo, hi)| lo < hi) {
-            let covered = |&off: &u64, seg: &mut InflightSeg| off + seg.len as u64 <= hi;
-            for (off, seg) in self.inflight.extract_if(lo..hi, covered) {
-                self.inflight_bytes -= seg.len as u64;
-                if !seg.retx && sample.is_none_or(|(lowest, _)| off < lowest) {
-                    sample = Some((off, seg.sent_at));
+            extract_range(&mut self.inflight, lo, hi, |seg| {
+                let covered = seg.offset + seg.len as u64 <= hi;
+                if covered {
+                    self.inflight_bytes -= seg.len as u64;
+                    if !seg.retx && sample.is_none_or(|(lowest, _)| seg.offset < lowest) {
+                        sample = Some((seg.offset, seg.sent_at));
+                    }
                 }
-            }
+                covered
+            });
         }
         sample.map(|(_, sent_at)| now.saturating_since(sent_at))
     }
@@ -768,9 +785,37 @@ impl DctcpFlowTx {
     }
 }
 
+// simlint: hot-path
+/// Visit the segments of `ring` whose offsets lie in `[lo, hi)`, in order,
+/// and remove those `take` says to — an ordered map's `extract_if` over a
+/// key range, for the ring. Segments that stay close up towards `lo`, and
+/// one `drain` removes the rest: from the ring's front, a move of its head.
+fn extract_range(
+    ring: &mut VecDeque<InflightSeg>,
+    lo: u64,
+    hi: u64,
+    mut take: impl FnMut(&mut InflightSeg) -> bool,
+) {
+    let first = if lo == 0 { 0 } else { ring.partition_point(|seg| seg.offset < lo) };
+    let (mut kept, mut at) = (first, first);
+    while let Some(seg) = ring.get_mut(at).filter(|seg| seg.offset < hi) {
+        if !take(seg) {
+            let stays = *seg;
+            ring[kept] = stays;
+            kept += 1;
+        }
+        at += 1;
+    }
+    if kept < at {
+        ring.drain(kept..at);
+    }
+}
+// simlint: hot-path-end
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::SackBlocks;
 
     fn cfg() -> TcpCfg {
         TcpCfg::new(SimDuration::from_micros(80))
@@ -780,8 +825,14 @@ mod tests {
         DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), size, cfg())
     }
 
-    fn ack(cum: u64, sacks: Vec<(u64, u64)>, ece: bool) -> AckHdr {
+    fn ack<const N: usize>(cum: u64, sacks: [(u64, u64); N], ece: bool) -> AckHdr {
+        let sacks = sacks.into();
         AckHdr { cum, sacks, ece, lcp: false, ts_echo: SimTime::ZERO, int_echo: None }
+    }
+
+    /// An INT stack of one hop.
+    fn int_stack(hop: crate::proto::IntHop) -> Box<crate::proto::IntStack> {
+        Box::new([hop].into_iter().collect())
     }
 
     #[test]
@@ -807,7 +858,7 @@ mod tests {
         let w0 = f.cwnd_bytes();
         t = SimTime(80_000);
         for (o, l) in offs {
-            f.on_ack(&ack(o + l as u64, vec![(o, o + l as u64)], false), t);
+            f.on_ack(&ack(o + l as u64, [(o, o + l as u64)], false), t);
         }
         // cwnd grew by the acked bytes (exponential growth).
         assert_eq!(f.cwnd_bytes(), 2 * w0);
@@ -826,7 +877,7 @@ mod tests {
         // All ACKs carry ECE: α stays 1 → cut to half at round end.
         let before = f.cwnd_bytes() + cfg().init_cwnd_bytes; // after growth
         for (o, l) in offs {
-            f.on_ack(&ack(o + l as u64, vec![(o, o + l as u64)], true), t);
+            f.on_ack(&ack(o + l as u64, [(o, o + l as u64)], true), t);
         }
         // After the round: slow-start growth happened then the cut applied.
         assert!(f.cwnd_bytes() < before, "cwnd must be cut");
@@ -845,7 +896,7 @@ mod tests {
         // Lose segment 0: SACK segments 1..=4 (4 dup events > threshold 3).
         let t = SimTime(80_000);
         for seg in segs.iter().skip(1).take(4) {
-            f.on_ack(&ack(0, vec![(seg.offset, seg.offset + seg.len as u64)], false), t);
+            f.on_ack(&ack(0, [(seg.offset, seg.offset + seg.len as u64)], false), t);
         }
         // Segment 0 must now be queued for retransmission.
         let next = f.next_segment(SimTime(90_000)).expect("retx segment");
@@ -877,7 +928,7 @@ mod tests {
         while let Some(s) = f.next_segment(SimTime::ZERO) {
             segs.push(s);
         }
-        let out = f.on_ack(&ack(size, vec![], false), SimTime(1));
+        let out = f.on_ack(&ack(size, [], false), SimTime(1));
         assert!(out.done);
         assert!(f.is_done());
         assert_eq!(f.rto_deadline(), SimTime::MAX);
@@ -894,7 +945,7 @@ mod tests {
         f.claimed.insert(tail_start, size);
         let lcp_ack = AckHdr {
             cum: 0,
-            sacks: vec![(tail_start, size)],
+            sacks: [(tail_start, size)].into(),
             ece: false,
             lcp: true,
             ts_echo: SimTime::ZERO,
@@ -955,7 +1006,7 @@ mod tests {
             segs.push(s);
         }
         let last = segs.last().unwrap();
-        let out = f.on_ack(&ack(last.offset + last.len as u64, vec![], false), SimTime(80_000));
+        let out = f.on_ack(&ack(last.offset + last.len as u64, [], false), SimTime(80_000));
         assert!(out.round_alpha.is_some(), "full-window ACK closes the round");
         assert!(out.round_alpha.unwrap() < 1.0);
     }
@@ -996,14 +1047,14 @@ mod tests {
         while f.next_segment(SimTime::ZERO).is_some() {}
         let w0 = f.cwnd_bytes();
         // Neutral power: the window grows by the γ-weighted β probe.
-        let mut a = ack(1460, vec![(0, 1460)], false);
-        a.int_echo = Some(vec![hop(0, 0, 0)]);
+        let mut a = ack(1460, [(0, 1460)], false);
+        a.int_echo = Some(int_stack(hop(0, 0, 0)));
         f.on_ack(&a, SimTime(80_000));
         assert!(f.cwnd_bytes() > w0, "neutral power must leave room for additive growth");
         // High power (queue built fast at line rate): multiplicative cut
         // below the pre-congestion window.
-        let mut a = ack(2920, vec![(1460, 2920)], false);
-        a.int_echo = Some(vec![hop(100_000, 50_000, 40_000)]);
+        let mut a = ack(2920, [(1460, 2920)], false);
+        a.int_echo = Some(int_stack(hop(100_000, 50_000, 40_000)));
         f.on_ack(&a, SimTime(160_000));
         assert!(f.cwnd_bytes() < w0, "high power must shrink the window, got {}", f.cwnd_bytes());
     }
@@ -1020,11 +1071,11 @@ mod tests {
         while f.next_segment(SimTime::ZERO).is_some() {}
         // Prime per-hop history, then echo an almost-idle observation:
         // tiny tx delta, empty queue → λ ≈ 0 → Γ ≈ 0 after smoothing.
-        let mut a = ack(1460, vec![(0, 1460)], false);
-        a.int_echo = Some(vec![hop(0, 0, 0)]);
+        let mut a = ack(1460, [(0, 1460)], false);
+        a.int_echo = Some(int_stack(hop(0, 0, 0)));
         f.on_ack(&a, SimTime(80_000));
-        let mut a = ack(2920, vec![(1460, 2920)], false);
-        a.int_echo = Some(vec![hop(0, 1, 160_000)]);
+        let mut a = ack(2920, [(1460, 2920)], false);
+        a.int_echo = Some(int_stack(hop(0, 1, 160_000)));
         f.on_ack(&a, SimTime(160_000));
         assert!(
             f.cwnd_bytes() <= c.max_cwnd_bytes,
@@ -1035,125 +1086,150 @@ mod tests {
     }
 
     // ------------------------------------------------------------
-    // Differential test of the ACK path. The reference is the O(window)
-    // scoreboard this engine ran before its in-flight table was searched
-    // by range: scan every segment to clear, scan every segment to count
-    // duplicate hits. Everything else (`acked`, the window law, RTO) is
-    // the engine's own code on a second flow.
+    // Differential test of the ACK path. The reference is the scoreboard
+    // this engine ran first: an ordered map of segments by offset, every
+    // one of them scanned to clear what an ACK covers and again to count
+    // duplicate hits. Everything else (`acked`, the window law, RTO, which
+    // segment goes next) is the engine's own code on a second flow, whose
+    // ring is emptied into the map after every call that sends.
     // ------------------------------------------------------------
 
-    fn ref_clear_covered(f: &mut DctcpFlowTx, ack: &AckHdr, now: SimTime) -> Option<SimDuration> {
-        let covered: Vec<u64> = f
-            .inflight
-            .iter()
-            .filter(|(&off, seg)| {
-                off + seg.len as u64 <= ack.cum
-                    || ack.sacks.iter().any(|&(s, e)| s <= off && off + seg.len as u64 <= e)
-            })
-            .map(|(&off, _)| off)
-            .collect();
-        let mut sample = None;
-        for off in &covered {
-            if let Some(seg) = f.inflight.remove(off) {
-                f.inflight_bytes -= seg.len as u64;
-                if sample.is_none() && !seg.retx {
-                    sample = Some(now.saturating_since(seg.sent_at));
+    struct Model {
+        flow: DctcpFlowTx,
+        inflight: std::collections::BTreeMap<u64, InflightSeg>,
+    }
+
+    impl Model {
+        /// Move what the flow just tracked into the map: a segment at an
+        /// offset that is already there replaces it.
+        fn absorb(&mut self) {
+            for seg in self.flow.inflight.drain(..) {
+                self.inflight.insert(seg.offset, seg);
+            }
+        }
+
+        fn next_segment(&mut self, now: SimTime) -> Option<SegOut> {
+            let seg = self.flow.next_segment(now);
+            self.absorb();
+            seg
+        }
+
+        fn on_rto(&mut self, now: SimTime) -> bool {
+            let fired = self.flow.on_rto(now);
+            if fired {
+                self.inflight.clear();
+            }
+            fired
+        }
+
+        fn clear_covered(&mut self, ack: &AckHdr, now: SimTime) -> Option<SimDuration> {
+            let covered: Vec<u64> = self
+                .inflight
+                .iter()
+                .filter(|(&off, seg)| {
+                    off + seg.len as u64 <= ack.cum
+                        || ack.sacks.iter().any(|&(s, e)| s <= off && off + seg.len as u64 <= e)
+                })
+                .map(|(&off, _)| off)
+                .collect();
+            let mut sample = None;
+            for off in &covered {
+                if let Some(seg) = self.inflight.remove(off) {
+                    self.flow.inflight_bytes -= seg.len as u64;
+                    if sample.is_none() && !seg.retx {
+                        sample = Some(now.saturating_since(seg.sent_at));
+                    }
                 }
             }
+            sample
         }
-        sample
-    }
 
-    fn ref_finish(f: &mut DctcpFlowTx) -> bool {
-        if f.acked.covers(f.size) {
-            f.done = true;
-            f.inflight.clear();
-            f.inflight_bytes = 0;
-            f.rto_deadline = SimTime::MAX;
+        fn finish(&mut self) -> bool {
+            let f = &mut self.flow;
+            if f.acked.covers(f.size) {
+                f.done = true;
+                self.inflight.clear();
+                f.inflight_bytes = 0;
+                f.rto_deadline = SimTime::MAX;
+            }
+            f.done
         }
-        f.done
-    }
 
-    fn ref_on_ack(f: &mut DctcpFlowTx, ack: &AckHdr, now: SimTime) -> AckOutcome {
-        let mut out = AckOutcome::default();
-        if f.done {
-            return out;
-        }
-        let mut newly = f.acked.insert(0, ack.cum);
-        for &(s, e) in &ack.sacks {
-            newly += f.acked.insert(s, e);
-            f.highest_sacked = f.highest_sacked.max(e);
-        }
-        f.highest_sacked = f.highest_sacked.max(ack.cum);
-        out.newly_acked = newly;
-        out.rtt_sample = ref_clear_covered(f, ack, now);
-        f.update_window(ack, newly, now, &mut out);
+        fn on_ack(&mut self, ack: &AckHdr, now: SimTime) -> AckOutcome {
+            let mut out = AckOutcome::default();
+            if self.flow.done {
+                return out;
+            }
+            let f = &mut self.flow;
+            let mut newly = f.acked.insert(0, ack.cum);
+            for &(s, e) in &ack.sacks {
+                newly += f.acked.insert(s, e);
+                f.highest_sacked = f.highest_sacked.max(e);
+            }
+            f.highest_sacked = f.highest_sacked.max(ack.cum);
+            out.newly_acked = newly;
+            out.rtt_sample = self.clear_covered(ack, now);
+            let f = &mut self.flow;
+            f.update_window(ack, newly, now, &mut out);
 
-        let mut lost: Vec<(u64, u32)> = Vec::new();
-        for (&off, seg) in f.inflight.iter_mut() {
-            if off + (seg.len as u64) <= f.highest_sacked {
-                seg.dup_hits = seg.dup_hits.saturating_add(1);
-                if seg.dup_hits == f.cfg.dupack_threshold {
-                    lost.push((off, seg.len));
+            let mut lost: Vec<(u64, u32)> = Vec::new();
+            for (&off, seg) in self.inflight.iter_mut() {
+                if off + (seg.len as u64) <= f.highest_sacked {
+                    seg.dup_hits = seg.dup_hits.saturating_add(1);
+                    if seg.dup_hits == f.cfg.dupack_threshold {
+                        lost.push((off, seg.len));
+                    }
                 }
             }
-        }
-        if !lost.is_empty() {
-            for &(off, len) in &lost {
-                f.inflight.remove(&off);
-                f.inflight_bytes -= len as u64;
-                f.retx_queue.push((off, len));
+            if !lost.is_empty() {
+                for &(off, len) in &lost {
+                    self.inflight.remove(&off);
+                    f.inflight_bytes -= len as u64;
+                    f.retx_queue.push((off, len));
+                }
+                f.ssthresh = (f.cwnd / 2.0).max(2.0 * f.cfg.mss as f64);
+                f.cwnd = f.ssthresh;
+                f.enter_ca();
             }
-            f.ssthresh = (f.cwnd / 2.0).max(2.0 * f.cfg.mss as f64);
-            f.cwnd = f.ssthresh;
-            f.enter_ca();
+
+            if !self.finish() {
+                self.flow.arm_rto(now);
+            }
+            out.done = self.flow.done;
+            out
         }
 
-        if !ref_finish(f) {
-            f.arm_rto(now);
+        fn on_lcp_ack(&mut self, ack: &AckHdr, now: SimTime) -> u64 {
+            if self.flow.done {
+                return 0;
+            }
+            let mut newly = self.flow.acked.insert(0, ack.cum);
+            for &(s, e) in &ack.sacks {
+                newly += self.flow.acked.insert(s, e);
+            }
+            self.clear_covered(ack, now);
+            self.finish();
+            newly
         }
-        out.done = f.done;
-        out
     }
 
-    fn ref_on_lcp_ack(f: &mut DctcpFlowTx, ack: &AckHdr, now: SimTime) -> u64 {
-        if f.done {
-            return 0;
-        }
-        let mut newly = f.acked.insert(0, ack.cum);
-        for &(s, e) in &ack.sacks {
-            newly += f.acked.insert(s, e);
-        }
-        ref_clear_covered(f, ack, now);
-        ref_finish(f);
-        newly
-    }
-
-    type Scoreboard = (Vec<(u64, u32, u8, bool)>, u64, Vec<(u64, u32)>, u64, u64, SimTime);
-
-    fn scoreboard(f: &DctcpFlowTx) -> Scoreboard {
-        (
-            f.inflight.iter().map(|(&off, s)| (off, s.len, s.dup_hits, s.retx)).collect(),
-            f.inflight_bytes,
-            f.retx_queue.clone(),
-            f.cwnd.to_bits(),
-            f.highest_sacked,
-            f.rto_deadline,
-        )
-    }
-
-    fn assert_same(real: &DctcpFlowTx, model: &DctcpFlowTx, what: &str) {
-        assert_eq!(scoreboard(real), scoreboard(model), "{what}");
+    /// The ring holds exactly the map's segments, in the map's order, and
+    /// every other field of the two flows is equal.
+    fn assert_same(real: &DctcpFlowTx, model: &mut Model, what: &str) {
+        let offsets: Vec<u64> = real.inflight.iter().map(|seg| seg.offset).collect();
+        assert!(offsets.windows(2).all(|w| w[0] < w[1]), "{what}: ring out of order: {offsets:?}");
+        model.flow.inflight.extend(model.inflight.values().copied());
         // Debug prints every field, floats to round-trip precision.
-        assert_eq!(format!("{real:?}"), format!("{model:?}"), "{what}: beyond the scoreboard");
+        assert_eq!(format!("{real:?}"), format!("{:?}", model.flow), "{what}");
+        model.flow.inflight.clear();
     }
 
     /// Feed `ack` to both flows down the path its `lcp` bit selects.
-    fn feed(real: &mut DctcpFlowTx, model: &mut DctcpFlowTx, ack: &AckHdr, now: SimTime) {
+    fn feed(real: &mut DctcpFlowTx, model: &mut Model, ack: &AckHdr, now: SimTime) {
         if ack.lcp {
-            assert_eq!(real.on_lcp_ack(ack, now), ref_on_lcp_ack(model, ack, now), "{ack:?}");
+            assert_eq!(real.on_lcp_ack(ack, now), model.on_lcp_ack(ack, now), "{ack:?}");
         } else {
-            let (a, b) = (real.on_ack(ack, now), ref_on_ack(model, ack, now));
+            let (a, b) = (real.on_ack(ack, now), model.on_ack(ack, now));
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "outcome of {ack:?}");
         }
     }
@@ -1163,8 +1239,11 @@ mod tests {
         let mss = netsim::MSS_BYTES as u64;
         // Paths the streams must reach: a fast retransmit, an RTO, an LCP
         // ACK clearing an HCP segment after the loops crossed, a SACK
-        // block straddling a segment boundary, `cum` inside a segment.
-        let mut reached = [0u32; 5];
+        // block straddling a segment boundary, `cum` inside a segment, a
+        // SACK block clearing a segment from the middle of the ring while
+        // the hole below it stays, a retransmission tracked below the
+        // ring's front, and one tracked at an offset that is outstanding.
+        let mut reached = [0u32; 8];
         for mode_ix in 0..4u64 {
             for seed in 0..16u64 {
                 let mut rng = netsim::Pcg32::seed_from_u64(seed * 4 + mode_ix);
@@ -1173,6 +1252,8 @@ mod tests {
                 // Odd seeds end on a partial segment, so tail-first LCP
                 // segments never line up with head-first HCP ones.
                 let size = 160 * mss + (seed % 2) * 777;
+                // Every fourth seed loses a packet in four, not one in sixteen.
+                let lossy = seed % 4 == 3;
                 let mk = || {
                     let mode = match mode_ix {
                         0 => CcMode::Dctcp,
@@ -1183,7 +1264,8 @@ mod tests {
                     DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), size, c.clone())
                         .with_cc_mode(mode)
                 };
-                let (mut real, mut model) = (mk(), mk());
+                let mut real = mk();
+                let mut model = Model { flow: mk(), inflight: Default::default() };
                 // What the receiver holds, and the (offset, len, lcp)
                 // packets still in the network.
                 let mut rcv = IntervalSet::new();
@@ -1199,35 +1281,40 @@ mod tests {
                     let what = format!("mode {mode_ix} seed {seed} step {step}");
                     let mut ack = AckHdr {
                         cum: rcv.contiguous_prefix(),
-                        sacks: Vec::new(),
+                        sacks: SackBlocks::default(),
                         ece: rng.gen_index(8) == 0,
                         lcp: false,
                         ts_echo: SimTime(now.as_nanos().saturating_sub(rng.gen_range(200_000))),
                         int_echo: (mode_ix >= 2).then(|| {
                             tx_bytes += rng.gen_range(3 * mss);
-                            vec![hop(rng.gen_range(150_000), tx_bytes, now.as_nanos())]
+                            int_stack(hop(rng.gen_range(150_000), tx_bytes, now.as_nanos()))
                         }),
                     };
+                    let ring: Vec<u64> = real.inflight.iter().map(|seg| seg.offset).collect();
                     // A segment the ACK touches without fully covering.
                     let mut partly_covered: Option<(u64, u32)> = None;
                     match rng.gen_index(16) {
                         // Pump the window dry.
                         0..=3 => {
+                            let mut ring = ring;
                             loop {
                                 let seg = real.next_segment(now);
                                 assert_eq!(seg, model.next_segment(now), "{what}");
                                 let Some(seg) = seg else { break };
                                 reached[0] += seg.retx as u32;
+                                reached[6] += ring.first().is_some_and(|&f| seg.offset < f) as u32;
+                                reached[7] += ring.contains(&seg.offset) as u32;
+                                ring = real.inflight.iter().map(|seg| seg.offset).collect();
                                 wire.push((seg.offset, seg.len, false));
                             }
-                            assert_same(&real, &model, &what);
+                            assert_same(&real, &mut model, &what);
                             continue;
                         }
                         // The LCP claims a tail segment of the buffered window.
                         4..=5 => {
                             let limit = size.min(real.cum_acked() + 100 * mss);
                             let claim = real.claim_tail(limit, mss as u32);
-                            assert_eq!(claim, model.claim_tail(limit, mss as u32), "{what}");
+                            assert_eq!(claim, model.flow.claim_tail(limit, mss as u32), "{what}");
                             wire.extend(claim.map(|(off, len)| (off, len, true)));
                             continue;
                         }
@@ -1253,18 +1340,22 @@ mod tests {
                             wire.remove(rng.gen_index(wire.len()));
                             continue;
                         }
+                        6..=8 if lossy && !wire.is_empty() => {
+                            wire.remove(0);
+                            continue;
+                        }
                         // The previous ACK again.
                         13 if last_ack.is_some() => ack = last_ack.clone().expect("checked"),
                         // Odd shapes around one in-flight segment.
                         14 if !real.inflight.is_empty() => {
-                            let nth = rng.gen_index(real.inflight.len());
-                            let (&off, seg) = real.inflight.iter().nth(nth).expect("nth < len");
-                            let end = off + seg.len as u64;
+                            let seg = real.inflight[rng.gen_index(real.inflight.len())];
+                            let (off, end) = (seg.offset, seg.offset + seg.len as u64);
                             match rng.gen_index(3) {
                                 // Two overlapping blocks, both covering it.
-                                0 => ack
-                                    .sacks
-                                    .extend([(off, end), (off.saturating_sub(100), end + 100)]),
+                                0 => {
+                                    ack.sacks.push((off, end));
+                                    ack.sacks.push((off.saturating_sub(100), end + 100));
+                                }
                                 // A block straddling one of its ends, or
                                 // a byte short of one.
                                 1 => {
@@ -1289,21 +1380,25 @@ mod tests {
                             let fired = real.on_rto(now);
                             assert_eq!(fired, model.on_rto(now), "{what}");
                             reached[1] += fired as u32;
-                            assert_same(&real, &model, &what);
+                            assert!(!fired || real.inflight.is_empty(), "{what}: an RTO clears");
+                            assert_same(&real, &mut model, &what);
                             continue;
                         }
                         _ => continue,
                     }
-                    let before = real.inflight.len();
                     feed(&mut real, &mut model, &ack, now);
-                    assert_same(&real, &model, &what);
+                    assert_same(&real, &mut model, &what);
+                    let outstanding = |off: &u64| real.inflight.iter().any(|s| s.offset == *off);
                     reached[2] +=
-                        (ack.lcp && real.inflight.len() < before && !real.is_done()) as u32;
+                        (ack.lcp && real.inflight.len() < ring.len() && !real.is_done()) as u32;
+                    if let [front, middle @ .., _] = &ring[..] {
+                        let from_the_middle = middle.iter().any(|off| !outstanding(off));
+                        reached[5] += (from_the_middle && outstanding(front)) as u32;
+                    }
                     if let Some((off, len)) = partly_covered.filter(|_| !real.is_done()) {
                         // Not cleared: still in flight, or declared lost.
                         assert!(
-                            real.inflight.contains_key(&off)
-                                || real.retx_queue.contains(&(off, len)),
+                            outstanding(&off) || real.retx_queue.contains(&(off, len)),
                             "{what}: a partial cover cleared segment {off}+{len}: {ack:?}"
                         );
                     }
@@ -1328,7 +1423,7 @@ mod tests {
             t += 80_000;
             for s in segs {
                 f.on_ack(
-                    &ack(s.offset + s.len as u64, vec![(s.offset, s.offset + s.len as u64)], false),
+                    &ack(s.offset + s.len as u64, [(s.offset, s.offset + s.len as u64)], false),
                     SimTime(t),
                 );
             }

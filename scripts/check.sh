@@ -58,6 +58,19 @@ if grep -rn 'BTreeMap<FlowId' crates/transports/src | grep -vE 'type MwRecorder 
     exit 1
 fi
 
+echo "==> flow state is flat memory (no ordered map under a byte set, a scoreboard or an ACK; DESIGN.md §10.3)"
+# IntervalSet is a prefix and a sorted vector, the sender scoreboard a ring,
+# SACK blocks inline: a tree here is a descent per ACK and a node allocation
+# per flow. The models the differential tests compare against stay, below
+# each file's first #[cfg(test)].
+for f in common tcp_base rx; do
+    if awk '/#\[cfg\(test\)\]/ { exit } /BTreeMap/ { print FILENAME ":" FNR ": " $0; hit = 1 } END { exit !hit }' \
+        "crates/transports/src/$f.rs"; then
+        echo "check.sh: an ordered map on the per-ACK path; see DESIGN.md §10.3, Layout" >&2
+        exit 1
+    fi
+done
+
 echo "==> a packet is stored once (queues hold pool handles; DESIGN.md §10.1, Packet lifetime)"
 # The engine's banks are QueueBank<Handle>. A deque of whole packets is how
 # the 120-byte copies come back; the by-value bank (queue::PrioQueues, for
@@ -201,6 +214,9 @@ for group in "crates/transports/src/*.rs" \
     printf '%6d total\n' "$total"
 done
 
+echo "==> documents that describe the system (ROADMAP item 6: the trend, made visible)"
+wc -l DESIGN.md CHANGES.md
+
 echo "==> engine.rs is the run loop; telemetry is the one sampler (DESIGN.md §3, §14)"
 engine_lines=$(wc -l < crates/netsim/src/engine.rs)
 hop_lines=$(wc -l < crates/netsim/src/hop.rs)
@@ -251,8 +267,9 @@ for id in $(./target/release/pptlab figures); do
 done
 rm -rf "$FIG_TMP"
 
-echo "==> microbench (fails when an in-order ACK at 8192 segments in flight costs > 3x one at 64,"
-echo "    a flow of a 16000-flow Memcached run costs > 1.5x a flow of a 2000-flow one,"
+echo "==> microbench (fails when an ACK at 1024 segments in flight costs > 1.5x one at 16, in order or above a hole,"
+echo "    or in order at 8192 > 3x; a tail-first IntervalSet insert costs > 3x an in-order one;"
+echo "    a flow of a 16000-flow Memcached run costs > 1.5x a flow of a 2000-flow one, or a DCTCP flow > 2.2x a Homa flow;"
 echo "    a point of a 16384-point telemetry series costs > 1.5x a point of a 2048-point one to analyze,"
 echo "    encode_line takes > 0.7x a write!-based formatter of the same trace lines,"
 echo "    an event-queue hold at 100G deltas and 4096 queued costs > 4x one at 10G deltas and 64,"
