@@ -102,10 +102,11 @@ fn bench_interval_append() {
 /// dual loop — the head in order while the tail goes out last segment
 /// first with every eighth lost, so a range is opened below all the others
 /// 125 times. The set is a prefix and a sorted vector: the first shape
-/// bumps the prefix (under 2 ns), the second works at the vector's front,
-/// where opening a range moves the others up. Returns false when an insert
-/// of the second costs more than 3× one of the first (2.4× measured; the
-/// ordered map this replaced: 5.5 and 23.7 ns, 4.3×).
+/// bumps the prefix (2 ns), the second grows the vector's bottom range
+/// down in place and, after each loss, opens a range below the ~60 others
+/// and moves them up — that move is what keeps it above 2×. Returns false
+/// when an insert of the second costs more than 3× one of the first
+/// (2.0–2.6× measured; the ordered map this replaced: 5.5 and 23.7 ns, 4.3×).
 fn bench_interval_shapes() -> bool {
     const SEG: u64 = ppt::netsim::MSS_BYTES as u64;
     const OPS: u64 = 2_000;

@@ -31,55 +31,36 @@ pub struct IntHop {
 /// reads as a slice.
 ///
 /// The headers hold it as one thin `Box` (8 bytes where a `Vec` took 24):
-/// the sender allocates it with the data packet, switches fill it in
-/// place, the receiver *moves* it into the ACK, and it is freed where that
-/// ACK lands. Never inline in the header — a 300-byte `Proto` is moved ~11
-/// times per packet (ROADMAP item 4). The first hop lives in the box
-/// itself, so a path through one switch (the testbed, a star) costs one
-/// 80-byte allocation per packet and nothing per hop; a fabric path moves
-/// to a vector sized for [`MAX_INT_HOPS`] at its second hop.
+/// allocated once at the packet's first switch, filled in place by the
+/// rest, *moved* by the receiver into the ACK, and freed where that ACK
+/// lands. Never inline in the header — a 300-byte `Proto` is moved ~11
+/// times per packet (ROADMAP item 4).
 #[derive(Clone, Debug, Default)]
 pub struct IntStack {
-    first: IntHop,
-    /// Every hop, once there are two.
-    all: Vec<IntHop>,
+    hops: [IntHop; MAX_INT_HOPS],
     len: u8,
 }
 
 impl IntStack {
     /// Record one more hop; a full stack ignores it.
     pub fn push(&mut self, hop: IntHop) {
-        match self.len as usize {
-            0 => self.first = hop,
-            1 => {
-                self.all.reserve_exact(MAX_INT_HOPS);
-                self.all.extend([self.first, hop]);
-            }
-            MAX_INT_HOPS.. => return,
-            _ => self.all.push(hop),
+        if let Some(slot) = self.hops.get_mut(self.len as usize) {
+            *slot = hop;
+            self.len += 1;
         }
-        self.len += 1;
     }
 }
 
 impl std::ops::Deref for IntStack {
     type Target = [IntHop];
     fn deref(&self) -> &[IntHop] {
-        if self.len <= 1 {
-            &std::slice::from_ref(&self.first)[..self.len as usize]
-        } else {
-            &self.all
-        }
+        &self.hops[..self.len as usize]
     }
 }
 
 impl std::ops::DerefMut for IntStack {
     fn deref_mut(&mut self) -> &mut [IntHop] {
-        if self.len <= 1 {
-            &mut std::slice::from_mut(&mut self.first)[..self.len as usize]
-        } else {
-            &mut self.all
-        }
+        &mut self.hops[..self.len as usize]
     }
 }
 
@@ -346,8 +327,8 @@ mod tests {
         assert_eq!(IntSlot::Armed.take().map(|stack| stack.len()), Some(0));
     }
 
-    /// Hops keep their order across the move from the box to the vector,
-    /// one by one up to the cap; slices and their mutable twins agree.
+    /// Hops keep their order, one by one up to the cap; slices and their
+    /// mutable twins agree.
     #[test]
     fn int_stack_caps_depth() {
         let mut p = data(IntSlot::Armed);

@@ -800,8 +800,10 @@ fn extract_range(
     let (mut kept, mut at) = (first, first);
     while let Some(seg) = ring.get_mut(at).filter(|seg| seg.offset < hi) {
         if !take(seg) {
-            let stays = *seg;
-            ring[kept] = stays;
+            if kept != at {
+                let stays = *seg;
+                ring[kept] = stays;
+            }
             kept += 1;
         }
         at += 1;
