@@ -203,6 +203,38 @@ fn layered_ppt_goldens_hold_on_both_queues() {
     }
 }
 
+/// The TCP-family schemes that used to run on five hand-written endpoints
+/// (and the three `Window<H>` ones never pinned): the standard golden
+/// workload, seed 42, `(scheme, trace digest, FCT digest)`.
+const TCP_FAMILY_GOLDENS: [(Scheme, u64, u64); 8] = [
+    (Scheme::Tcp10, 0x878d_bbea_ae5d_cfd3, 0xf145_1fd0_a0d4_bff5),
+    (Scheme::Halfback, 0x5348_d3d6_7799_f21e, 0x6135_78fe_beba_f798),
+    (Scheme::Pias, 0xd6a0_faf5_6d77_ec5a, 0xc536_1551_6b57_5840),
+    (Scheme::Rc3, 0x2882_2118_91d2_8112, 0x1b1d_4aa9_83cf_37c4),
+    (Scheme::Rc3BufferCap(0.5), 0x13b6_b895_7cd9_260e, 0xde49_403a_7c6b_8a9e),
+    (Scheme::Hypothetical(1.0), 0x912e_db82_4480_21f0, 0x42f9_74b5_c50a_d376),
+    (Scheme::Hpcc, 0x44ff_a3ec_7ffd_e1db, 0x5080_094a_2793_6673),
+    (Scheme::Swift, 0x5975_10cd_3bd8_884d, 0x4bd7_2920_2e41_6a44),
+];
+
+#[test]
+fn tcp_family_goldens_hold_on_both_queues() {
+    use ppt::netsim::QueueKind;
+    for queue in [QueueKind::Calendar, QueueKind::Heap] {
+        for (scheme, want_trace, want_fct) in TCP_FAMILY_GOLDENS {
+            let name = scheme.name();
+            let got = golden_digests_on(scheme, 42, queue);
+            assert_eq!(
+                got,
+                (want_trace, want_fct),
+                "{name} digests drifted on {queue:?} (got trace={:#018x} fct={:#018x})",
+                got.0,
+                got.1
+            );
+        }
+    }
+}
+
 /// The new goldens also hold across the parallel sweep layer: jobs 1 and
 /// jobs 4 reproduce the same digests (PFC pause state and INT telemetry
 /// live entirely inside each `Simulator`).
