@@ -696,7 +696,7 @@ fn bench_hop() {
 fn bench_tracing_overhead() {
     use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
     use ppt::trace::{FlightRecorder, MemorySink, TraceSink};
-    use ppt::transports::{install_dctcp, Proto, TcpCfg};
+    use ppt::transports::{install, DctcpHcp, DctcpTransport, Proto, TcpCfg};
 
     let run = |sink: Option<Box<dyn TraceSink>>| {
         let mut topo = star::<Proto>(
@@ -706,7 +706,7 @@ fn bench_tracing_overhead() {
             SwitchConfig::dctcp(200_000, 30_000),
         );
         let cfg = TcpCfg::new(topo.base_rtt);
-        install_dctcp(&mut topo, &cfg);
+        install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp::default(), ()));
         for i in 0..12u64 {
             topo.sim.add_flow(
                 topo.hosts[(i % 3) as usize],
@@ -734,7 +734,7 @@ fn bench_tracing_overhead() {
 /// comes back. The run is deterministic, so the count is exact.
 fn events_per_packet() -> f64 {
     use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
-    use ppt::transports::{install_dctcp, Proto, TcpCfg};
+    use ppt::transports::{install, DctcpHcp, DctcpTransport, Proto, TcpCfg};
     let mut topo = star::<Proto>(
         2,
         Rate::gbps(10),
@@ -742,7 +742,7 @@ fn events_per_packet() -> f64 {
         SwitchConfig::dctcp(200_000, 30_000),
     );
     let cfg = TcpCfg::new(topo.base_rtt);
-    install_dctcp(&mut topo, &cfg);
+    install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp::default(), ()));
     topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 4 << 20, SimTime::ZERO, 4 << 20);
     let report = topo.sim.run(RunLimits::default());
     assert_eq!(report.flows_completed, 1);

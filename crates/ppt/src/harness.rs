@@ -9,7 +9,11 @@ use netsim::trace::{
     MetricsRegistry, ProfKind, TraceEvent,
 };
 use netsim::{Rate, RunLimits, SanLevel, SimDuration, SimTime, SwitchConfig, Topology};
-use transports::{MwRecorder, Proto, TcpCfg};
+use transports::{
+    install, DctcpHcp, ExpressPassCfg, ExpressPassTransport, Halfback, HomaCfg, HomaTransport,
+    HpccHcp, Lcp, MwRecorder, NdpCfg, NdpTransport, Oracle, PiasCfg, PowerTcpHcp, Proto, Rc3Cfg,
+    SwiftHcp, Tcp10, TcpCfg, Window,
+};
 use workloads::FlowSpec;
 
 use dcn_stats::{FctStats, SeriesAnalysis};
@@ -183,6 +187,35 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// Every scheme, the three parameterised variants at one
+    /// representative value each.
+    pub fn all() -> Vec<Scheme> {
+        vec![
+            Scheme::Dctcp,
+            Scheme::Tcp10,
+            Scheme::Halfback,
+            Scheme::ExpressPass,
+            Scheme::Ppt,
+            Scheme::PptNoLcpEcn,
+            Scheme::PptNoEwd,
+            Scheme::PptNoScheduling,
+            Scheme::PptNoIdentification,
+            Scheme::PptFill(0.75),
+            Scheme::Rc3,
+            Scheme::Rc3BufferCap(0.5),
+            Scheme::Pias,
+            Scheme::Homa,
+            Scheme::Aeolus,
+            Scheme::Ndp,
+            Scheme::Hpcc,
+            Scheme::PowerTcp,
+            Scheme::HpccPpt,
+            Scheme::Swift,
+            Scheme::SwiftPpt,
+            Scheme::Hypothetical(1.0),
+        ]
+    }
+
     /// Display name matching the paper's figures.
     pub fn name(&self) -> String {
         match self {
@@ -237,8 +270,8 @@ impl Scheme {
             | Scheme::PptNoIdentification
             | Scheme::PptFill(_)
             | Scheme::SwiftPpt
+            | Scheme::Rc3
             | Scheme::Hypothetical(_) => SwitchConfig::ppt(env.port_buffer, env.k_high, env.k_low),
-            Scheme::Rc3 => SwitchConfig::ppt(env.port_buffer, env.k_high, env.k_low),
             Scheme::Rc3BufferCap(frac) => SwitchConfig::ppt(env.port_buffer, env.k_high, env.k_low)
                 .with_range_cap(4, 8, (env.port_buffer as f64 * frac) as u64),
             Scheme::Homa => transports::homa_switch_config(env.port_buffer, false),
@@ -266,74 +299,56 @@ impl Scheme {
     /// variant, which requires the oracle recording pass that
     /// [`run_experiment`] and the sweep runner perform automatically.
     pub fn install(&self, topo: &mut Topology<Proto>, env: &SchemeEnv) -> Result<(), InstallError> {
-        let tcp = env.tcp_cfg();
+        let (tcp, ppt) = (env.tcp_cfg(), env.ppt_cfg());
+        let (rate, rtt, mss) = (topo.edge_rate, topo.base_rtt, netsim::MSS_BYTES);
+        // PPT proper and its ablations: the LCP layer over DCTCP.
+        let lcp = |topo: &mut Topology<Proto>, ppt: PptConfig| {
+            install(topo, || Lcp::new(tcp.clone(), ppt.clone(), DctcpHcp::new(&ppt)))
+        };
         match self {
-            Scheme::Dctcp => transports::install_dctcp(topo, &tcp),
-            Scheme::Tcp10 => {
-                for &h in &topo.hosts.clone() {
-                    topo.sim
-                        .set_transport(h, Box::new(transports::DctcpTransport::tcp10(tcp.clone())));
-                }
+            Scheme::Dctcp => install(topo, || Window::new(tcp.clone(), DctcpHcp::default(), ())),
+            Scheme::Tcp10 => install(topo, || Window::new(tcp.clone(), Tcp10, ())),
+            Scheme::Halfback => install(topo, || Window::new(tcp.clone(), Halfback, ())),
+            Scheme::ExpressPass => {
+                let cfg = ExpressPassCfg::new(rate, env.min_rto);
+                install(topo, || ExpressPassTransport::new(cfg.clone(), mss))
             }
-            Scheme::Halfback => {
-                for &h in &topo.hosts.clone() {
-                    topo.sim.set_transport(
-                        h,
-                        Box::new(transports::DctcpTransport::halfback(tcp.clone())),
-                    );
-                }
-            }
-            Scheme::ExpressPass => transports::install_expresspass(topo, env.min_rto),
-            Scheme::Ppt => transports::install_ppt(topo, &tcp, &env.ppt_cfg()),
-            Scheme::PptNoLcpEcn => {
-                let mut cfg = env.ppt_cfg();
-                cfg.lcp_ecn_enabled = false;
-                transports::install_ppt(topo, &tcp, &cfg);
-            }
-            Scheme::PptNoEwd => {
-                let mut cfg = env.ppt_cfg();
-                cfg.ewd_enabled = false;
-                transports::install_ppt(topo, &tcp, &cfg);
-            }
-            Scheme::PptNoScheduling => {
-                let mut cfg = env.ppt_cfg();
-                cfg.scheduling_enabled = false;
-                transports::install_ppt(topo, &tcp, &cfg);
-            }
+            Scheme::Ppt => lcp(topo, ppt),
+            Scheme::PptNoLcpEcn => lcp(topo, PptConfig { lcp_ecn_enabled: false, ..ppt }),
+            Scheme::PptNoEwd => lcp(topo, PptConfig { ewd_enabled: false, ..ppt }),
+            Scheme::PptNoScheduling => lcp(topo, PptConfig { scheduling_enabled: false, ..ppt }),
             Scheme::PptNoIdentification => {
-                let mut cfg = env.ppt_cfg();
-                cfg.identification_enabled = false;
-                transports::install_ppt(topo, &tcp, &cfg);
+                lcp(topo, PptConfig { identification_enabled: false, ..ppt })
             }
-            Scheme::PptFill(frac) => {
-                let mut cfg = env.ppt_cfg();
-                cfg.fill_fraction = *frac;
-                transports::install_ppt(topo, &tcp, &cfg);
-            }
+            Scheme::PptFill(frac) => lcp(topo, PptConfig { fill_fraction: *frac, ..ppt }),
             Scheme::Rc3 | Scheme::Rc3BufferCap(_) => {
-                let cfg = transports::Rc3Cfg {
-                    bdp_bytes: netsim::bdp_bytes(env.edge_rate, env.base_rtt),
-                    send_buffer_bytes: 2 << 30,
-                };
-                transports::install_rc3(topo, &tcp, &cfg);
+                let bdp_bytes = netsim::bdp_bytes(env.edge_rate, env.base_rtt);
+                let cfg = Rc3Cfg { bdp_bytes, send_buffer_bytes: 2 << 30 };
+                install(topo, || Window::new(tcp.clone(), DctcpHcp::default(), cfg.clone()))
             }
-            Scheme::Pias => transports::install_pias(topo, &tcp, &transports::PiasCfg::default()),
-            Scheme::Homa => {
-                let mut cfg = transports::HomaCfg::new(env.rtt_bytes);
+            Scheme::Pias => {
+                install(topo, || Window::new(tcp.clone(), DctcpHcp::default(), PiasCfg::default()))
+            }
+            Scheme::Homa | Scheme::Aeolus => {
+                let mut cfg = HomaCfg::new(env.rtt_bytes);
+                cfg.aeolus = *self == Scheme::Aeolus;
                 cfg.resend_timeout = env.min_rto;
-                transports::install_homa(topo, &cfg);
+                install(topo, || HomaTransport::new(cfg.clone(), mss))
             }
-            Scheme::Aeolus => {
-                let mut cfg = transports::HomaCfg::new(env.rtt_bytes).aeolus();
-                cfg.resend_timeout = env.min_rto;
-                transports::install_homa(topo, &cfg);
+            Scheme::Ndp => {
+                let cfg = NdpCfg::new(rate, rtt, env.min_rto);
+                install(topo, || NdpTransport::new(cfg.clone(), mss))
             }
-            Scheme::Ndp => transports::install_ndp(topo, env.min_rto),
-            Scheme::Hpcc => transports::install_hpcc(topo, &tcp),
-            Scheme::PowerTcp => transports::install_powertcp(topo, &tcp),
-            Scheme::HpccPpt => transports::install_hpcc_ppt(topo, &tcp, &env.ppt_cfg()),
-            Scheme::Swift => transports::install_swift(topo, &tcp),
-            Scheme::SwiftPpt => transports::install_swift_ppt(topo, &tcp, &env.ppt_cfg()),
+            Scheme::Hpcc => install(topo, || Window::new(tcp.clone(), HpccHcp::new(rate, rtt), ())),
+            Scheme::PowerTcp => {
+                install(topo, || Window::new(tcp.clone(), PowerTcpHcp::new(rate, rtt), ()))
+            }
+            Scheme::HpccPpt => {
+                let hcp = HpccHcp::new(rate, rtt).with_high_band_only();
+                install(topo, || Lcp::new(tcp.clone(), ppt.clone(), hcp))
+            }
+            Scheme::Swift => install(topo, || Window::new(tcp.clone(), SwiftHcp, ())),
+            Scheme::SwiftPpt => install(topo, || Lcp::new(tcp.clone(), ppt.clone(), SwiftHcp)),
             Scheme::Hypothetical(_) => return Err(InstallError::NeedsTwoPass),
         }
         Ok(())
@@ -785,41 +800,25 @@ fn run_once<F>(exp: &Experiment, pre_run: F) -> (Topology<Proto>, netsim::RunRep
 where
     F: FnOnce(&mut Topology<Proto>),
 {
-    let oracle: Option<MwRecorder> = match exp.scheme {
-        Scheme::Hypothetical(_) => {
-            // Recording pass: plain DCTCP on the same topology & flows.
-            let rec: MwRecorder =
-                std::rc::Rc::new(std::cell::RefCell::new(std::collections::BTreeMap::new()));
-            let mut topo = exp.topo.build(Scheme::Dctcp.switch_config(&exp.env));
-            let tcp = exp.env.tcp_cfg();
-            for &h in &topo.hosts.clone() {
-                topo.sim.set_transport(
-                    h,
-                    Box::new(
-                        transports::DctcpTransport::new(tcp.clone()).with_mw_recorder(rec.clone()),
-                    ),
-                );
-            }
-            workloads::install_flows(&mut topo.sim, &topo.hosts, &exp.flows);
-            topo.sim.run(RunLimits { max_time: exp.max_time, max_events: exp.max_events });
-            Some(rec)
-        }
-        _ => None,
-    };
-
+    let tcp = exp.env.tcp_cfg();
     let mut topo = exp.topo.build(exp.scheme.switch_config(&exp.env));
-    match (&exp.scheme, &oracle) {
-        (Scheme::Hypothetical(frac), Some(rec)) => {
-            transports::install_hypothetical(&mut topo, &exp.env.tcp_cfg(), rec, *frac);
-        }
-        _ => {
-            // Unreachable by construction: the only erroring variant is
-            // Hypothetical, and the oracle branch above always takes it.
-            if let Err(e) = exp.scheme.install(&mut topo, &exp.env) {
-                debug_assert!(false, "{}: {e}", exp.scheme.name());
-                eprintln!("warning: {}: {e}; hosts left without transports", exp.scheme.name());
-            }
-        }
+    if let Scheme::Hypothetical(frac) = exp.scheme {
+        // Recording pass: plain DCTCP on the same topology & flows.
+        let rec = MwRecorder::default();
+        let mut pass = exp.topo.build(Scheme::Dctcp.switch_config(&exp.env));
+        install(&mut pass, || {
+            Window::new(tcp.clone(), DctcpHcp::default(), ()).with_mw_recorder(rec.clone())
+        });
+        workloads::install_flows(&mut pass.sim, &pass.hosts, &exp.flows);
+        pass.sim.run(RunLimits { max_time: exp.max_time, max_events: exp.max_events });
+        install(&mut topo, || {
+            Window::new(tcp.clone(), DctcpHcp::default(), Oracle::new(&rec, frac))
+        });
+    } else if let Err(e) = exp.scheme.install(&mut topo, &exp.env) {
+        // Unreachable by construction: the only erroring variant is
+        // Hypothetical, and the branch above always takes it.
+        debug_assert!(false, "{}: {e}", exp.scheme.name());
+        eprintln!("warning: {}: {e}; hosts left without transports", exp.scheme.name());
     }
     workloads::install_flows(&mut topo.sim, &topo.hosts, &exp.flows);
     pre_run(&mut topo);
@@ -1053,36 +1052,9 @@ pub fn collect_metrics(outcome: &Outcome) -> MetricsRegistry {
 mod tests {
     use super::*;
 
-    fn all_schemes() -> Vec<Scheme> {
-        vec![
-            Scheme::Dctcp,
-            Scheme::Tcp10,
-            Scheme::Halfback,
-            Scheme::ExpressPass,
-            Scheme::Ppt,
-            Scheme::PptNoLcpEcn,
-            Scheme::PptNoEwd,
-            Scheme::PptNoScheduling,
-            Scheme::PptNoIdentification,
-            Scheme::PptFill(0.75),
-            Scheme::Rc3,
-            Scheme::Rc3BufferCap(0.5),
-            Scheme::Pias,
-            Scheme::Homa,
-            Scheme::Aeolus,
-            Scheme::Ndp,
-            Scheme::Hpcc,
-            Scheme::PowerTcp,
-            Scheme::HpccPpt,
-            Scheme::Swift,
-            Scheme::SwiftPpt,
-            Scheme::Hypothetical(1.0),
-        ]
-    }
-
     #[test]
     fn scheme_names_are_unique() {
-        let names: Vec<String> = all_schemes().iter().map(|s| s.name()).collect();
+        let names: Vec<String> = Scheme::all().iter().map(|s| s.name()).collect();
         let mut dedup = names.clone();
         dedup.sort();
         dedup.dedup();
@@ -1092,7 +1064,7 @@ mod tests {
     #[test]
     fn switch_configs_are_well_formed() {
         let env = SchemeEnv::paper_sim(Rate::gbps(40), SimDuration::from_micros(12));
-        for scheme in all_schemes() {
+        for scheme in Scheme::all() {
             let cfg = scheme.switch_config(&env);
             assert!(cfg.port_buffer_bytes > 0, "{}: zero buffer", scheme.name());
             for rule in cfg.ecn.iter().flatten() {
@@ -1112,7 +1084,7 @@ mod tests {
     fn env_pfc_layers_backpressure_on_every_scheme() {
         let mut env = SchemeEnv::paper_sim(Rate::gbps(40), SimDuration::from_micros(12));
         env.pfc = true;
-        for scheme in all_schemes() {
+        for scheme in Scheme::all() {
             let cfg = scheme.switch_config(&env);
             let pfc = cfg.pfc.unwrap_or_else(|| panic!("{}: env.pfc ignored", scheme.name()));
             assert!(pfc.xon_bytes < pfc.xoff_bytes, "{}: no hysteresis", scheme.name());
@@ -1173,7 +1145,7 @@ mod tests {
         assert_eq!(err, Err(InstallError::NeedsTwoPass));
         assert!(format!("{}", InstallError::NeedsTwoPass).contains("two-pass"));
         // Every other scheme installs in a single pass.
-        for scheme in all_schemes() {
+        for scheme in Scheme::all() {
             if matches!(scheme, Scheme::Hypothetical(_)) {
                 continue;
             }

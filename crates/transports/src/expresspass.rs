@@ -42,6 +42,13 @@ pub struct ExpressPassCfg {
     pub watchdog: SimDuration,
 }
 
+impl ExpressPassCfg {
+    /// Credits paced at 0.95 of `edge_rate`.
+    pub fn new(edge_rate: Rate, watchdog: SimDuration) -> Self {
+        ExpressPassCfg { edge_rate, credit_rate_factor: 0.95, watchdog }
+    }
+}
+
 struct EpTx {
     id: FlowId,
     src: HostId,
@@ -309,19 +316,15 @@ impl Transport<Proto> for ExpressPassTransport {
     }
 }
 
-/// Install ExpressPass on every host.
-pub fn install_expresspass(topo: &mut netsim::Topology<Proto>, watchdog: SimDuration) {
-    let cfg = ExpressPassCfg { edge_rate: topo.edge_rate, credit_rate_factor: 0.95, watchdog };
-    for &h in &topo.hosts.clone() {
-        topo.sim
-            .set_transport(h, Box::new(ExpressPassTransport::new(cfg.clone(), netsim::MSS_BYTES)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::{star, RunLimits, SwitchConfig};
+
+    pub(super) fn install_expresspass(topo: &mut netsim::Topology<Proto>, watchdog: SimDuration) {
+        let cfg = ExpressPassCfg::new(topo.edge_rate, watchdog);
+        crate::install(topo, || ExpressPassTransport::new(cfg.clone(), netsim::MSS_BYTES));
+    }
 
     fn setup(n: usize) -> netsim::Topology<Proto> {
         star::<Proto>(n, Rate::gbps(10), SimDuration::from_micros(20), SwitchConfig::basic(200_000))
@@ -422,6 +425,7 @@ mod tests {
 
 #[cfg(test)]
 mod stress_tests {
+    use super::tests::install_expresspass;
     use super::*;
     use crate::proto::Proto;
     use netsim::{star, RunLimits, SwitchConfig};

@@ -1,21 +1,25 @@
-//! The high-priority control loop (HCP) as an interface.
+//! The TCP-family endpoint and the two policies that make it a scheme.
 //!
-//! DCTCP, Swift, HPCC and PowerTCP all ride one reliability engine
-//! ([`DctcpFlowTx`]: segmentation, SACK, fast retransmit, RTO) and differ
-//! in four things only, which [`Hcp`] names: how a flow's sender is built
-//! (window law, initial window), how its data packets are stamped for
-//! feedback, when PPT's case-1 loop opens at flow start, and what tells
-//! the sender the path has spare capacity (PPT's case 2).
+//! Every reactive scheme here rides one reliability engine
+//! ([`DctcpFlowTx`]: segmentation, SACK, fast retransmit, RTO) and one
+//! receiver ([`TcpRxTable`]). [`Hcp`] names what differs between primary
+//! loops: how a flow's sender is built (window law, initial window), how
+//! its data packets are stamped for feedback, and — for PPT — when the
+//! case-1 loop opens and what signals spare capacity (case 2). [`Beside`]
+//! names what a scheme runs beside the primary loop: PIAS's demotion,
+//! RC3's top-up, the §2.3 oracle's fill; `()` is nothing.
 //!
-//! [`Window<H>`] runs an HCP on its own — that is the HPCC, PowerTCP and
-//! Swift endpoint. [`crate::lcp::Lcp<H>`] layers PPT's low-priority loop
-//! and flow scheduling over the same `H` (Fig 14, appendix B).
+//! [`Window<H, L>`] is the endpoint: DCTCP, TCP-10, Halfback, HPCC,
+//! PowerTCP, Swift, PIAS, RC3 and the oracle are `(H, L)` pairs.
+//! [`crate::lcp::Lcp<H>`] layers PPT's low-priority loop and flow
+//! scheduling over the same `H` (Fig 14, appendix B).
 
-use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimTime, Transport};
+use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimTime, TraceEvent, Transport};
 use ppt_core::PptConfig;
 
 use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
-use crate::proto::{DataHdr, IntSlot, Proto};
+use crate::dctcp::MwRecorder;
+use crate::proto::{AckHdr, DataHdr, IntSlot, Proto};
 use crate::rx::TcpRxTable;
 use crate::tcp_base::{AckOutcome, DctcpFlowTx, SegOut, TcpCfg};
 
@@ -70,95 +74,223 @@ pub trait Hcp: Clone {
     }
 }
 
-/// The HCP data packet for `seg`, stamped for `H`'s feedback channel.
-pub(crate) fn hcp_packet<H: Hcp>(tx: &DctcpFlowTx, seg: SegOut, now: SimTime) -> Packet<Proto> {
+/// What a scheme runs beside a flow's primary loop. The endpoint holds
+/// one `L`; each flow holds an `L::Flow`. Every hook defaults to nothing.
+pub trait Beside {
+    /// Per-flow state.
+    type Flow: Default;
+    /// Timer kind of the per-RTT tick.
+    const TICK: u8 = 0;
+
+    /// A starting flow's state.
+    fn flow(&self, _flow: &FlowDesc) -> Self::Flow {
+        Self::Flow::default()
+    }
+
+    /// Priority of the primary-loop segment just taken from `tx`.
+    fn hcp_priority(
+        &self,
+        _flow: &mut Self::Flow,
+        _tx: &DctcpFlowTx,
+        _ctx: &mut Ctx<'_, Proto>,
+    ) -> u8 {
+        0
+    }
+
+    /// A low-priority ACK was applied to `tx` and left it unfinished.
+    fn on_low_ack(
+        &self,
+        _flow: &mut Self::Flow,
+        _tx: &mut DctcpFlowTx,
+        _ack: &AckHdr,
+        _ctx: &mut Ctx<'_, Proto>,
+    ) {
+    }
+
+    /// The per-RTT tick: called once the first window is out, and again
+    /// one base RTT after every call that returns true.
+    fn on_tick(
+        &self,
+        _flow: &mut Self::Flow,
+        _tx: &mut DctcpFlowTx,
+        _ctx: &mut Ctx<'_, Proto>,
+    ) -> bool {
+        false
+    }
+}
+
+impl Beside for () {
+    type Flow = ();
+}
+
+/// Send the primary-loop segment `seg` at `prio`, stamped for `H`'s
+/// feedback channel; a retransmission is noted and traced.
+pub(crate) fn send_hcp<H: Hcp>(tx: &DctcpFlowTx, seg: SegOut, prio: u8, ctx: &mut Ctx<'_, Proto>) {
+    if seg.retx {
+        ctx.note_retransmit(tx.id);
+        ctx.emit(TraceEvent::Retransmit { flow: tx.id.0, offset: seg.offset, len: seg.len as u64 });
+    }
     let hdr = DataHdr {
         offset: seg.offset,
         len: seg.len,
         msg_size: tx.size,
         lcp: false,
         retx: seg.retx,
-        sent_at: now,
+        sent_at: ctx.now(),
         int: if H::STAMP == Stamp::Int { IntSlot::Armed } else { IntSlot::Off },
     };
-    let mut pkt = Packet::data(tx.id, tx.src, tx.dst, seg.len, Proto::Data(hdr));
+    let mut pkt =
+        Packet::data(tx.id, tx.src, tx.dst, seg.len, Proto::Data(hdr)).with_priority(prio);
     if H::STAMP != Stamp::Ecn {
         pkt.ecn = Ecn::not_capable();
     }
+    ctx.send(pkt);
+}
+
+/// The low-priority packet carrying `len` bytes at `offset`, claimed from
+/// the tail of `tx`'s send buffer. It never carries INT; `ecn` says
+/// whether switches may mark it.
+pub(crate) fn low_packet(
+    tx: &DctcpFlowTx,
+    (offset, len): (u64, u32),
+    prio: u8,
+    ecn: bool,
+    now: SimTime,
+) -> Packet<Proto> {
+    let hdr = DataHdr {
+        offset,
+        len,
+        msg_size: tx.size,
+        lcp: true,
+        retx: false,
+        sent_at: now,
+        int: IntSlot::Off,
+    };
+    let mut pkt = Packet::data(tx.id, tx.src, tx.dst, len, Proto::Data(hdr)).with_priority(prio);
+    pkt.ecn = if ecn { Ecn::capable() } else { Ecn::not_capable() };
     pkt
 }
 
-/// Transmit `flow`'s segments at the top priority while its window
-/// allows, then keep the RTO timer armed: the whole send path of an HCP
-/// running alone, and the primary-loop half of RC3 and the §2.3 oracle.
-pub(crate) fn pump<H: Hcp>(flow: &mut DctcpFlowTx, ctx: &mut Ctx<'_, Proto>) {
-    let now = ctx.now();
-    while let Some(seg) = flow.next_segment(now) {
-        if seg.retx {
-            ctx.note_retransmit(flow.id);
-        }
-        ctx.send(hcp_packet::<H>(flow, seg, now));
-    }
-    arm_rto(flow, ctx);
-}
-
-/// An HCP running alone: one window per flow, single priority.
-pub struct Window<H: Hcp> {
+/// The TCP-family endpoint (sender + receiver roles): primary loop `H`,
+/// `L` beside it.
+pub struct Window<H: Hcp, L: Beside = ()> {
     tcp: TcpCfg,
     hcp: H,
-    /// Senders still waiting for ACKs; a finished one leaves nothing.
-    tx: FlowTable<DctcpFlowTx>,
+    beside: L,
+    /// Senders still waiting for ACKs.
+    tx: FlowTable<(DctcpFlowTx, L::Flow)>,
+    /// Final window of every finished sender: all the `CwndUpdate` trace
+    /// line of a late ACK needs.
+    tx_done: FlowTable<u64>,
     rx: TcpRxTable,
+    mw_recorder: Option<MwRecorder>,
 }
 
-impl<H: Hcp> Window<H> {
-    /// New endpoint running `hcp` over the TCP mechanics in `tcp`.
-    pub fn new(tcp: TcpCfg, hcp: H) -> Self {
-        Window { tcp, hcp, tx: FlowTable::new(), rx: TcpRxTable::new(1) }
+impl<H: Hcp, L: Beside> Window<H, L> {
+    /// New endpoint running `hcp`, with `beside` beside it, over the TCP
+    /// mechanics in `tcp`.
+    pub fn new(tcp: TcpCfg, hcp: H, beside: L) -> Self {
+        Window {
+            tcp,
+            hcp,
+            beside,
+            tx: FlowTable::new(),
+            tx_done: FlowTable::new(),
+            rx: TcpRxTable::new(1),
+            mw_recorder: None,
+        }
+    }
+
+    /// Record each completed flow's maximum congestion window into the
+    /// shared map (the MW oracle for the hypothetical-DCTCP experiments).
+    pub fn with_mw_recorder(mut self, rec: MwRecorder) -> Self {
+        self.mw_recorder = Some(rec);
+        self
     }
 
     /// Occupancy of the `(sender, receiver)` tables: flows in progress.
     pub fn flow_tables(&self) -> (TableStats, TableStats) {
         (self.tx.stats(), self.rx.stats())
     }
+
+    /// Transmit segments while the window allows, then keep the RTO timer
+    /// armed.
+    fn pump(beside: &L, (tx, flow): &mut (DctcpFlowTx, L::Flow), ctx: &mut Ctx<'_, Proto>) {
+        let now = ctx.now();
+        while let Some(seg) = tx.next_segment(now) {
+            let prio = beside.hcp_priority(flow, tx, ctx);
+            send_hcp::<H>(tx, seg, prio, ctx);
+        }
+        arm_rto(tx, ctx);
+    }
 }
 
-impl<H: Hcp> Transport<Proto> for Window<H> {
+impl<H: Hcp, L: Beside> Transport<Proto> for Window<H, L> {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let tx = self.hcp.flow_tx(flow, &self.tcp);
-        pump::<H>(self.tx.insert(flow.id, tx), ctx);
+        let state = (self.hcp.flow_tx(flow, &self.tcp), self.beside.flow(flow));
+        let state = self.tx.insert(flow.id, state);
+        Self::pump(&self.beside, state, ctx);
+        // The first tick is now; the timer brings the rest.
+        self.on_timer(Token { kind: L::TICK, generation: 0, flow: flow.id.0 }.encode(), ctx);
     }
 
     fn on_packet(&mut self, mut pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        match &pkt.payload {
-            Proto::Data(_) => self.rx.on_data(&mut pkt, ctx),
-            Proto::Ack(ack) => {
-                let Some(flow) = self.tx.get_mut(pkt.flow) else { return };
-                flow.on_ack(ack, ctx.now());
-                if flow.is_done() {
-                    release_rto(flow, ctx);
-                    self.tx.retire(pkt.flow);
-                } else {
-                    pump::<H>(flow, ctx);
-                }
-            }
+        let ack = match &pkt.payload {
+            Proto::Data(_) => return self.rx.on_data(&mut pkt, ctx),
+            Proto::Ack(ack) => ack,
             _ => unreachable!("window endpoint received a non-TCP packet"),
+        };
+        let id = pkt.flow;
+        let Some(state) = self.tx.get_mut(id) else {
+            // A late ACK of a finished flow moves nothing, but traces.
+            if let Some(&cwnd) = self.tx_done.get(id).filter(|_| !ack.lcp) {
+                ctx.emit(TraceEvent::CwndUpdate { flow: id.0, cwnd });
+            }
+            return;
+        };
+        let (tx, flow) = state;
+        if ack.lcp {
+            tx.on_lcp_ack(ack, ctx.now());
+        } else {
+            let out = tx.on_ack(ack, ctx.now());
+            if ctx.tracing() {
+                if let Some(alpha) = out.round_alpha {
+                    ctx.emit(TraceEvent::AlphaUpdate { flow: id.0, alpha });
+                }
+                ctx.emit(TraceEvent::CwndUpdate { flow: id.0, cwnd: tx.cwnd_bytes() });
+            }
+        }
+        if tx.is_done() {
+            if let Some(rec) = &self.mw_recorder {
+                // Prefer the congestion-avoidance MW; flows that never left
+                // slow start fall back to the final window.
+                let mw = tx.wmax.w_max_bytes().unwrap_or_else(|| tx.cwnd_bytes());
+                rec.borrow_mut().insert(id, mw);
+            }
+            release_rto(tx, ctx);
+            self.tx_done.insert(id, tx.cwnd_bytes());
+            self.tx.retire(id);
+        } else if ack.lcp {
+            self.beside.on_low_ack(flow, tx, ack, ctx);
+        } else {
+            Self::pump(&self.beside, state, ctx);
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        if token.kind != TIMER_RTO {
-            return;
-        }
-        let Some(flow) = self.tx.get_mut(FlowId(token.flow)) else { return };
-        if service_rto(flow, ctx) {
-            pump::<H>(flow, ctx);
+    fn on_timer(&mut self, raw: u64, ctx: &mut Ctx<'_, Proto>) {
+        let token = Token::decode(raw);
+        let Some(state) = self.tx.get_mut(FlowId(token.flow)) else { return };
+        if token.kind == TIMER_RTO {
+            if service_rto(&mut state.0, ctx) {
+                Self::pump(&self.beside, state, ctx);
+            }
+        } else if token.kind == L::TICK && self.beside.on_tick(&mut state.1, &mut state.0, ctx) {
+            ctx.timer_after(self.tcp.base_rtt, raw);
         }
     }
 
     fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        crate::common::cc_snapshot(self.tx.values().map(|tx| (tx, 0)))
+        crate::common::cc_snapshot(self.tx.values().map(|(tx, _)| (tx, 0)))
     }
 }
 
@@ -166,25 +298,33 @@ impl<H: Hcp> Transport<Proto> for Window<H> {
 mod tests {
     use super::*;
     use crate::common::testkit::{ack, drive};
-    use netsim::{HostId, SimDuration};
+    use netsim::{HostId, Rate, SimDuration};
 
     /// Start one 1 000-byte flow on `t`, finish it with one ACK, and check
     /// the sender was retired — RTO timer given up — and that nothing it
-    /// left behind (a late ACK of either loop, every timer it armed) can do
-    /// anything any more: these endpoints keep no tombstone.
-    fn finish_and_poke<T: Transport<Proto>>(mut t: T, senders: impl Fn(&T) -> TableStats) {
+    /// left behind can do anything any more: a late primary-loop ACK traces
+    /// the final window, a late low-priority one nothing, neither sends or
+    /// arms anything, and every timer the flow armed fires into nothing.
+    fn finish_and_poke<H: Hcp, L: Beside>(mut t: Window<H, L>) {
         let me = HostId(0);
         let flow = FlowDesc::new(FlowId(3), me, HostId(1), 1000, SimTime::ZERO);
         let start = drive(SimTime::ZERO, me, |ctx| t.on_flow_start(&flow, ctx));
-        assert_eq!(senders(&t), TableStats { live: 1, high_water: 1 });
+        assert_eq!(t.flow_tables().0, TableStats { live: 1, high_water: 1 });
         let at = SimTime(100_000);
         let fin = drive(at, me, |ctx| t.on_packet(ack(3, (1, 0), 1000, false), ctx));
+        let cwnd = match fin.trace.last() {
+            Some(&TraceEvent::CwndUpdate { flow: 3, cwnd }) => cwnd,
+            other => panic!("the finishing ACK traces the window, got {other:?}"),
+        };
         assert_eq!(fin.rto_disarms(), vec![3], "retiring gives up the live timer");
         assert!(fin.packets.is_empty() && fin.timers.is_empty());
-        assert_eq!(senders(&t), TableStats { live: 0, high_water: 1 });
+        assert_eq!(t.flow_tables().0, TableStats { live: 0, high_water: 1 });
         assert_eq!(t.cc_snapshot().flows, 0);
         for lcp in [false, true] {
-            assert!(drive(at, me, |ctx| t.on_packet(ack(3, (1, 0), 1000, lcp), ctx)).nothing());
+            let late = drive(at, me, |ctx| t.on_packet(ack(3, (1, 0), 1000, lcp), ctx));
+            let traced = if lcp { vec![] } else { vec![TraceEvent::CwndUpdate { flow: 3, cwnd }] };
+            assert_eq!(late.trace, traced);
+            assert!(late.packets.is_empty() && late.timers.is_empty() && late.notes.is_empty());
         }
         for (fires_at, token) in start.timers {
             assert!(
@@ -195,16 +335,23 @@ mod tests {
     }
 
     #[test]
-    fn tombstone_free_senders_retire_at_their_last_ack() {
-        use crate::{HpccHcp, HypotheticalTransport, PiasTransport, Rc3Transport, SwiftHcp};
+    fn every_window_sender_retires_at_its_last_ack() {
+        use crate::{
+            DctcpHcp, Halfback, HpccHcp, Oracle, PiasCfg, PowerTcpHcp, Rc3Cfg, SwiftHcp, Tcp10,
+        };
         let tcp = TcpCfg::new(SimDuration::from_micros(80));
-        finish_and_poke(Window::new(tcp.clone(), SwiftHcp), |t| t.flow_tables().0);
-        finish_and_poke(Window::new(tcp.clone(), HpccHcp::new(100_000)), |t| t.flow_tables().0);
-        finish_and_poke(PiasTransport::new(tcp.clone(), Default::default()), |t| t.flow_tables().0);
-        let rc3 = crate::Rc3Cfg { bdp_bytes: 100_000, send_buffer_bytes: 1 << 30 };
-        finish_and_poke(Rc3Transport::new(tcp.clone(), rc3), |t| t.flow_tables().0);
+        let (rate, rtt, dctcp) = (Rate::gbps(10), tcp.base_rtt, DctcpHcp::default);
+        finish_and_poke(Window::new(tcp.clone(), dctcp(), ()));
+        finish_and_poke(Window::new(tcp.clone(), Tcp10, ()));
+        finish_and_poke(Window::new(tcp.clone(), Halfback, ()));
+        finish_and_poke(Window::new(tcp.clone(), SwiftHcp, ()));
+        finish_and_poke(Window::new(tcp.clone(), HpccHcp::new(rate, rtt), ()));
+        finish_and_poke(Window::new(tcp.clone(), PowerTcpHcp::new(rate, rtt), ()));
+        finish_and_poke(Window::new(tcp.clone(), dctcp(), PiasCfg::default()));
+        let rc3 = Rc3Cfg { bdp_bytes: 100_000, send_buffer_bytes: 1 << 30 };
+        finish_and_poke(Window::new(tcp.clone(), dctcp(), rc3));
         let oracle = crate::MwRecorder::default();
         oracle.borrow_mut().insert(FlowId(3), 50_000);
-        finish_and_poke(HypotheticalTransport::new(tcp, &oracle, 1.0), |t| t.flow_tables().0);
+        finish_and_poke(Window::new(tcp, dctcp(), Oracle::new(&oracle, 1.0)));
     }
 }

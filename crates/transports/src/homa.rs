@@ -358,17 +358,14 @@ impl Transport<Proto> for HomaTransport {
     }
 }
 
-/// Install Homa (or Aeolus when `cfg.aeolus`) on every host.
-pub fn install_homa(topo: &mut netsim::Topology<Proto>, cfg: &HomaCfg) {
-    for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(HomaTransport::new(cfg.clone(), netsim::MSS_BYTES)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::{star, Rate, RunLimits, SimDuration};
+
+    fn install_homa(topo: &mut netsim::Topology<Proto>, cfg: &HomaCfg) {
+        crate::install(topo, || HomaTransport::new(cfg.clone(), netsim::MSS_BYTES));
+    }
 
     fn setup(n: usize, aeolus: bool) -> (netsim::Topology<Proto>, HomaCfg) {
         let rate = Rate::gbps(10);

@@ -11,15 +11,14 @@
 //! INT-based transports: "one may open a PPT LCP loop to send
 //! low-priority opportunistic packets whenever HPCC's estimated in-flight
 //! bytes are smaller than BDP and use PPT's buffer-aware scheduling to
-//! prioritize small flows over large ones". [`install_hpcc_ppt`] does
+//! prioritize small flows over large ones". [`HpccPptTransport`] does
 //! exactly that with [`Lcp`] over the same [`HpccHcp`].
 
-use netsim::FlowDesc;
+use netsim::{FlowDesc, Rate, SimDuration};
 use ppt_core::PptConfig;
 
 use crate::hcp::{Hcp, Stamp, Window};
 use crate::lcp::Lcp;
-use crate::proto::Proto;
 use crate::tcp_base::{AckOutcome, CcMode, DctcpFlowTx, HpccCc, TcpCfg};
 
 /// Open the LCP loop when HPCC's inflight estimate falls below this
@@ -38,9 +37,9 @@ pub struct HpccHcp {
 }
 
 impl HpccHcp {
-    /// `bdp_bytes` sizes the line-rate initial window.
-    pub fn new(bdp_bytes: u64) -> Self {
-        HpccHcp { bdp_bytes, high_band_only: false }
+    /// The line-rate initial window is the BDP of the edge link.
+    pub fn new(edge_rate: Rate, base_rtt: SimDuration) -> Self {
+        HpccHcp { bdp_bytes: netsim::bdp_bytes(edge_rate, base_rtt), high_band_only: false }
     }
 
     /// Measure only the high-priority band, as an HCP sharing its path
@@ -85,27 +84,21 @@ pub type HpccTransport = Window<HpccHcp>;
 /// The PPT-over-HPCC endpoint.
 pub type HpccPptTransport = Lcp<HpccHcp>;
 
-/// Install HPCC on every host; the initial window is the topology's
-/// edge-link BDP.
-pub fn install_hpcc(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
-    let hcp = HpccHcp::new(netsim::bdp_bytes(topo.edge_rate, topo.base_rtt));
-    for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(HpccTransport::new(tcp.clone(), hcp)));
-    }
-}
-
-/// Install PPT-over-HPCC on every host.
-pub fn install_hpcc_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
-    let hcp = HpccHcp::new(netsim::bdp_bytes(topo.edge_rate, topo.base_rtt)).with_high_band_only();
-    for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(HpccPptTransport::new(tcp.clone(), cfg.clone(), hcp)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Proto;
     use netsim::{star, EcnRule, MarkScope, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+
+    fn install_hpcc(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
+        let hcp = HpccHcp::new(topo.edge_rate, topo.base_rtt);
+        crate::install(topo, || HpccTransport::new(tcp.clone(), hcp, ()));
+    }
+
+    fn install_hpcc_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
+        let hcp = HpccHcp::new(topo.edge_rate, topo.base_rtt).with_high_band_only();
+        crate::install(topo, || HpccPptTransport::new(tcp.clone(), cfg.clone(), hcp));
+    }
 
     fn setup(n: usize) -> (netsim::Topology<Proto>, TcpCfg) {
         let rate = Rate::gbps(10);
@@ -209,7 +202,7 @@ mod tests {
             netsim::SimDuration::from_micros(20),
             SwitchConfig::basic(200_000),
         );
-        crate::hpcc::install_hpcc(&mut b, &tcp);
+        install_hpcc(&mut b, &tcp);
         let g = b.sim.add_flow(b.hosts[0], b.hosts[1], size, SimTime::ZERO, size);
         b.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
         let hpcc_fct = b.sim.completion(g).expect("hpcc done");

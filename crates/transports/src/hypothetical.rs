@@ -10,184 +10,85 @@
 
 use std::collections::BTreeMap;
 
-use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, Transport};
+use netsim::{Ctx, FlowDesc, FlowId};
 
-use crate::common::{release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::dctcp::MwRecorder;
-use crate::hcp::pump;
+use crate::hcp::{low_packet, Beside, Window};
 use crate::ppt::DctcpHcp;
-use crate::proto::{DataHdr, IntSlot, Proto};
-use crate::rx::TcpRxTable;
-use crate::tcp_base::{DctcpFlowTx, TcpCfg};
+use crate::proto::Proto;
+use crate::tcp_base::DctcpFlowTx;
 
 /// Per-RTT oracle fill tick.
 pub const TIMER_HYPO_FILL: u8 = 9;
 
-struct HypoFlow {
-    hcp: DctcpFlowTx,
-    /// The oracle MW from the recording run (None → no filling).
-    mw: Option<u64>,
-    /// Low-priority bytes in flight.
-    lp_inflight: u64,
-}
-
-/// The hypothetical-DCTCP endpoint.
-pub struct HypotheticalTransport {
-    tcp: TcpCfg,
-    /// MW oracle recorded from a prior plain-DCTCP run of the *same*
-    /// workload (same seeds ⇒ same flow ids): a whole-run lookup, not
-    /// per-flow state.
+/// The oracle filler: what runs beside DCTCP in the hypothetical endpoint.
+pub struct Oracle {
+    /// MW recorded from a prior plain-DCTCP run of the *same* workload
+    /// (same seeds ⇒ same flow ids): a whole-run lookup, not per-flow state.
     oracle: BTreeMap<FlowId, u64>,
     fill_fraction: f64,
-    /// Senders still waiting for ACKs; a finished one leaves nothing (its
-    /// fill tick finds no flow and stops).
-    tx: FlowTable<HypoFlow>,
-    rx: TcpRxTable,
 }
 
-impl HypotheticalTransport {
+impl Oracle {
     /// Build from a recorded oracle.
-    pub fn new(tcp: TcpCfg, oracle: &MwRecorder, fill_fraction: f64) -> Self {
-        HypotheticalTransport {
-            tcp,
-            oracle: oracle.borrow().clone(),
-            fill_fraction,
-            tx: FlowTable::new(),
-            rx: TcpRxTable::new(1),
-        }
-    }
-
-    /// Occupancy of the `(sender, receiver)` tables: flows in progress.
-    pub fn flow_tables(&self) -> (TableStats, TableStats) {
-        (self.tx.stats(), self.rx.stats())
-    }
-
-    /// Once per RTT: send opportunistic tail packets so that
-    /// cwnd + lp_inflight ≈ fill_fraction × MW.
-    fn fill_tick(tcp: &TcpCfg, fill_fraction: f64, f: &mut HypoFlow, ctx: &mut Ctx<'_, Proto>) {
-        let mss = tcp.mss as u64;
-        let now = ctx.now();
-        let Some(mw) = f.mw else { return };
-        let target = (mw as f64 * fill_fraction) as u64;
-        let occupied = f.hcp.cwnd_bytes() + f.lp_inflight;
-        let mut budget = target.saturating_sub(occupied);
-        let (id, src, dst, size) = (f.hcp.id, f.hcp.src, f.hcp.dst, f.hcp.size);
-        while budget >= mss {
-            let Some((start, len)) = f.hcp.claim_tail(size, tcp.mss) else { break };
-            f.lp_inflight += len as u64;
-            budget = budget.saturating_sub(len as u64);
-            let hdr = DataHdr {
-                offset: start,
-                len,
-                msg_size: size,
-                lcp: true,
-                retx: false,
-                sent_at: now,
-                int: IntSlot::Off,
-            };
-            let mut pkt = Packet::data(id, src, dst, len, Proto::Data(hdr)).with_priority(4);
-            pkt.ecn = Ecn::capable();
-            ctx.send(pkt);
-        }
-    }
-
-    /// Retire `id`, whose last byte was just acknowledged.
-    fn retire(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        if let Some(f) = self.tx.retire(id) {
-            release_rto(&f.hcp, ctx);
-        }
+    pub fn new(oracle: &MwRecorder, fill_fraction: f64) -> Self {
+        Oracle { oracle: oracle.borrow().clone(), fill_fraction }
     }
 }
 
-impl Transport<Proto> for HypotheticalTransport {
-    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let hcp = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
-        let mw = self.oracle.get(&flow.id).copied();
-        let f = self.tx.insert(flow.id, HypoFlow { hcp, mw, lp_inflight: 0 });
-        pump::<DctcpHcp>(&mut f.hcp, ctx);
-        Self::fill_tick(&self.tcp, self.fill_fraction, f, ctx);
-        ctx.timer_after(
-            self.tcp.base_rtt,
-            Token { kind: TIMER_HYPO_FILL, generation: 0, flow: flow.id.0 }.encode(),
-        );
+impl Beside for Oracle {
+    /// The flow's MW from the recording run (None → no filling).
+    type Flow = Option<u64>;
+    const TICK: u8 = TIMER_HYPO_FILL;
+
+    fn flow(&self, flow: &FlowDesc) -> Option<u64> {
+        self.oracle.get(&flow.id).copied()
     }
 
-    fn on_packet(&mut self, mut pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        match &pkt.payload {
-            Proto::Data(_) => self.rx.on_data(&mut pkt, ctx),
-            Proto::Ack(ack) if ack.lcp => {
-                let Some(f) = self.tx.get_mut(pkt.flow) else { return };
-                let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
-                f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
-                f.hcp.on_lcp_ack(ack, ctx.now());
-                if f.hcp.is_done() {
-                    self.retire(pkt.flow, ctx);
-                }
-            }
-            Proto::Ack(ack) => {
-                let Some(f) = self.tx.get_mut(pkt.flow) else { return };
-                f.hcp.on_ack(ack, ctx.now());
-                if f.hcp.is_done() {
-                    return self.retire(pkt.flow, ctx);
-                }
-                pump::<DctcpHcp>(&mut f.hcp, ctx);
-            }
-            _ => unreachable!("hypothetical endpoint received a non-TCP packet"),
+    /// Once per RTT: send opportunistic tail packets so that cwnd plus
+    /// this RTT's fill ≈ fill_fraction × MW. The fill of earlier RTTs is
+    /// not counted: delivered or lost, it no longer occupies the path.
+    fn on_tick(
+        &self,
+        mw: &mut Option<u64>,
+        tx: &mut DctcpFlowTx,
+        ctx: &mut Ctx<'_, Proto>,
+    ) -> bool {
+        let target = mw.map_or(0, |mw| (mw as f64 * self.fill_fraction) as u64);
+        let mut budget = target.saturating_sub(tx.cwnd_bytes());
+        while budget >= tx.mss() as u64 {
+            let Some(seg) = tx.claim_tail(tx.size, tx.mss()) else { break };
+            budget = budget.saturating_sub(seg.1 as u64);
+            ctx.send(low_packet(tx, seg, 4, true, ctx.now()));
         }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        let Some(f) = self.tx.get_mut(FlowId(token.flow)) else { return };
-        match token.kind {
-            TIMER_RTO => {
-                let timed_out = service_rto(&mut f.hcp, ctx);
-                if timed_out {
-                    pump::<DctcpHcp>(&mut f.hcp, ctx);
-                }
-            }
-            TIMER_HYPO_FILL => {
-                // Lost low-priority packets never get acked; reclaim their
-                // budget each RTT.
-                f.lp_inflight = 0;
-                Self::fill_tick(&self.tcp, self.fill_fraction, f, ctx);
-                ctx.timer_after(
-                    self.tcp.base_rtt,
-                    Token { kind: TIMER_HYPO_FILL, generation: 0, flow: token.flow }.encode(),
-                );
-            }
-            _ => {}
-        }
-    }
-
-    fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        crate::common::cc_snapshot(self.tx.values().map(|f| (&f.hcp, 0)))
+        true
     }
 }
 
-/// Install the hypothetical transport with a previously recorded oracle.
-pub fn install_hypothetical(
-    topo: &mut netsim::Topology<Proto>,
-    tcp: &TcpCfg,
-    oracle: &MwRecorder,
-    fill_fraction: f64,
-) {
-    for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(
-            h,
-            Box::new(HypotheticalTransport::new(tcp.clone(), oracle, fill_fraction)),
-        );
-    }
-}
+/// The hypothetical-DCTCP endpoint: DCTCP with the oracle filler beside it.
+pub type HypotheticalTransport = Window<DctcpHcp, Oracle>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dctcp::DctcpTransport;
+    use crate::tcp_base::TcpCfg;
     use netsim::SimTime;
     use netsim::{star, Rate, RunLimits, SimDuration, SwitchConfig};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    fn install_hypothetical(
+        topo: &mut netsim::Topology<Proto>,
+        tcp: &TcpCfg,
+        oracle: &MwRecorder,
+        fill_fraction: f64,
+    ) {
+        crate::install(topo, || {
+            let oracle = Oracle::new(oracle, fill_fraction);
+            HypotheticalTransport::new(tcp.clone(), DctcpHcp::default(), oracle)
+        });
+    }
 
     /// Run DCTCP to record MWs, then the hypothetical filler on the same
     /// workload; the filler must cut the large flow's FCT.
@@ -202,12 +103,9 @@ mod tests {
         let mut a = mk();
         let tcp = TcpCfg::new(a.base_rtt);
         let rec: MwRecorder = Rc::new(RefCell::new(BTreeMap::new()));
-        for &h in &a.hosts.clone() {
-            a.sim.set_transport(
-                h,
-                Box::new(DctcpTransport::new(tcp.clone()).with_mw_recorder(rec.clone())),
-            );
-        }
+        crate::install(&mut a, || {
+            DctcpTransport::new(tcp.clone(), DctcpHcp::default(), ()).with_mw_recorder(rec.clone())
+        });
         let f1 = a.sim.add_flow(a.hosts[0], a.hosts[2], size, SimTime::ZERO, size);
         let f2 = a.sim.add_flow(a.hosts[1], a.hosts[2], size, SimTime(40_000_000), size);
         a.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });

@@ -17,14 +17,14 @@
 //! reproduce Figs 15–18, over whichever HCP is underneath.
 
 use netsim::trace::{LcpCloseReason, LcpTrigger};
-use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, SimDuration, TraceEvent, Transport};
+use netsim::{Ctx, FlowDesc, FlowId, Packet, SimDuration, TraceEvent, Transport};
 use ppt_core::{
     initial_window_case1, FlowIdentifier, LcpAction, LcpLoop, LoopTrigger, MirrorTagger, PptConfig,
 };
 
 use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
-use crate::hcp::{hcp_packet, Case1, Hcp};
-use crate::proto::{DataHdr, IntSlot, Proto};
+use crate::hcp::{low_packet, send_hcp, Case1, Hcp};
+use crate::proto::Proto;
 use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, SegOut, TcpCfg};
 
@@ -65,7 +65,6 @@ impl<H: Hcp> LcpFlow<H> {
     /// the priority tag ages by bytes sent *including* this burst.
     fn pump_hcp(&mut self, layer: &Layer, scratch: &mut Vec<SegOut>, ctx: &mut Ctx<'_, Proto>) {
         let now = ctx.now();
-        let id = self.tx.id;
         scratch.clear();
         while let Some(seg) = self.tx.next_segment(now) {
             scratch.push(seg);
@@ -76,15 +75,7 @@ impl<H: Hcp> LcpFlow<H> {
             0
         };
         for &seg in scratch.iter() {
-            if seg.retx {
-                ctx.note_retransmit(id);
-                ctx.emit(TraceEvent::Retransmit {
-                    flow: id.0,
-                    offset: seg.offset,
-                    len: seg.len as u64,
-                });
-            }
-            ctx.send(hcp_packet::<H>(&self.tx, seg, now).with_priority(prio));
+            send_hcp::<H>(&self.tx, seg, prio, ctx);
         }
         arm_rto(&mut self.tx, ctx);
     }
@@ -106,23 +97,11 @@ impl<H: Hcp> LcpFlow<H> {
         } else {
             4
         };
-        let hdr = DataHdr {
-            offset,
-            len,
-            msg_size: self.tx.size,
-            lcp: true,
-            retx: false,
-            sent_at: ctx.now(),
-            int: IntSlot::Off,
-        };
-        let id = self.tx.id;
-        let mut pkt =
-            Packet::data(id, self.tx.src, self.tx.dst, len, Proto::Data(hdr)).with_priority(prio);
         // The LCP keeps ECN whatever the HCP's signal is: marks on its
         // own packets are how it yields to normal traffic (§3.2).
-        pkt.ecn = if layer.cfg.lcp_ecn_enabled { Ecn::capable() } else { Ecn::not_capable() };
-        ctx.send(pkt);
-        ctx.emit(TraceEvent::LcpSend { flow: id.0, offset, len: len as u64 });
+        let ecn = layer.cfg.lcp_ecn_enabled;
+        ctx.send(low_packet(&self.tx, (offset, len), prio, ecn, ctx.now()));
+        ctx.emit(TraceEvent::LcpSend { flow: self.tx.id.0, offset, len: len as u64 });
         true
     }
 

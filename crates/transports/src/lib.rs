@@ -5,22 +5,23 @@
 //!
 //! | module | scheme | role in the paper |
 //! |---|---|---|
-//! | [`dctcp`] | DCTCP | reactive baseline; PPT's HCP loop |
-//! | [`hcp`] | — | the [`Hcp`] interface and [`Window`], the endpoint that runs one alone |
+//! | [`hcp`] | — | [`Window<H, L>`], the TCP-family endpoint, and its two policies: [`Hcp`] (the primary loop) and [`Beside`] (what runs beside it) |
+//! | [`dctcp`] | DCTCP, TCP-10, Halfback | reactive baselines; DCTCP is PPT's HCP loop |
 //! | [`lcp`] | — | [`Lcp`]: PPT's dual-loop layer + scheduling over any [`Hcp`] |
 //! | [`ppt`] | **PPT** | the paper's contribution: [`Lcp`] over DCTCP |
-//! | [`rc3`] | RC3 | prior dual-loop reactive baseline |
-//! | [`pias`] | PIAS | information-agnostic scheduling baseline |
+//! | [`rc3`] | RC3 | prior dual-loop reactive baseline: a [`Beside`] on DCTCP |
+//! | [`pias`] | PIAS | information-agnostic scheduling baseline: a [`Beside`] on DCTCP |
 //! | [`homa`] | Homa | proactive receiver-driven baseline |
 //! | [`homa`] (Aeolus mode) | Aeolus | proactive pre-credit baseline (Homa + selective drop) |
 //! | [`ndp`] | NDP | proactive trimming baseline |
-//! | [`hpcc`] | HPCC, PPT-over-HPCC | INT-based reactive baseline; [`Lcp`] over it (appendix B) |
-//! | [`powertcp`] | PowerTCP | INT-based power window law |
-//! | [`swift`] | Swift-like, PPT-over-Swift | delay-based CC; [`Lcp`] over it (Fig 14) |
-//! | [`hypothetical`] | hypothetical DCTCP | the MW-oracle gap filler (§2.3) |
+//! | [`expresspass`] | ExpressPass | proactive credit-scheduled baseline |
+//! | [`hpcc`] | HPCC, PPT-over-HPCC | INT-based [`Hcp`]; [`Lcp`] over it (appendix B) |
+//! | [`powertcp`] | PowerTCP | INT-based power window law: an [`Hcp`] |
+//! | [`swift`] | Swift-like, PPT-over-Swift | delay-based [`Hcp`]; [`Lcp`] over it (Fig 14) |
+//! | [`hypothetical`] | hypothetical DCTCP | the MW-oracle gap filler (§2.3): a [`Beside`] on DCTCP |
 //!
 //! All share one packet header type, [`proto::Proto`], so any scheme runs
-//! on `Simulator<Proto>`.
+//! on `Simulator<Proto>`; [`install`] puts one on every host.
 
 pub mod common;
 pub mod dctcp;
@@ -41,21 +42,31 @@ pub mod swift;
 pub mod tcp_base;
 
 pub use common::{FlowTable, IntervalSet, TableStats, Token};
-pub use dctcp::{install_dctcp, DctcpTransport, MwRecorder};
-pub use expresspass::{install_expresspass, ExpressPassCfg, ExpressPassTransport};
-pub use hcp::{Case1, Hcp, Stamp, Window};
-pub use homa::{homa_switch_config, install_homa, HomaCfg, HomaTransport};
-pub use hpcc::{install_hpcc, install_hpcc_ppt, HpccHcp, HpccPptTransport, HpccTransport};
-pub use hypothetical::{install_hypothetical, HypotheticalTransport};
+pub use dctcp::{DctcpTransport, Halfback, MwRecorder, Tcp10};
+pub use expresspass::{ExpressPassCfg, ExpressPassTransport};
+pub use hcp::{Beside, Case1, Hcp, Stamp, Window};
+pub use homa::{homa_switch_config, HomaCfg, HomaTransport};
+pub use hpcc::{HpccHcp, HpccPptTransport, HpccTransport};
+pub use hypothetical::{HypotheticalTransport, Oracle};
 pub use lcp::Lcp;
-pub use ndp::{install_ndp, NdpCfg, NdpTransport};
-pub use pias::{install_pias, PiasCfg, PiasTransport};
-pub use powertcp::{install_powertcp, PowerTcpHcp, PowerTcpTransport};
-pub use ppt::{install_ppt, DctcpHcp, PptTransport};
+pub use ndp::{NdpCfg, NdpTransport};
+pub use pias::{PiasCfg, PiasTransport};
+pub use powertcp::{PowerTcpHcp, PowerTcpTransport};
+pub use ppt::{DctcpHcp, PptTransport};
 pub use proto::{AckHdr, DataHdr, HomaHdr, IntHop, IntSlot, IntStack, NdpHdr, Proto, SackBlocks};
-pub use rc3::{install_rc3, Rc3Cfg, Rc3Transport};
+pub use rc3::{Rc3Cfg, Rc3Transport};
 pub use rx::{TcpRx, TcpRxTable};
-pub use swift::{install_swift, install_swift_ppt, SwiftHcp, SwiftPptTransport, SwiftTransport};
+pub use swift::{SwiftHcp, SwiftPptTransport, SwiftTransport};
 pub use tcp_base::{
     AckOutcome, CcMode, CcState, DctcpFlowTx, HpccCc, PowerTcpCc, SegOut, SwiftCc, TcpCfg,
 };
+
+/// Put a fresh endpoint from `make` on every host of `topo`.
+pub fn install<T: netsim::Transport<Proto> + 'static>(
+    topo: &mut netsim::Topology<Proto>,
+    mut make: impl FnMut() -> T,
+) {
+    for &h in &topo.hosts.clone() {
+        topo.sim.set_transport(h, Box::new(make()));
+    }
+}

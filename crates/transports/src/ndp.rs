@@ -37,6 +37,13 @@ pub struct NdpCfg {
     pub watchdog: SimDuration,
 }
 
+impl NdpCfg {
+    /// The initial window is the BDP of the edge link.
+    pub fn new(edge_rate: Rate, base_rtt: SimDuration, watchdog: SimDuration) -> Self {
+        NdpCfg { initial_window_bytes: netsim::bdp_bytes(edge_rate, base_rtt), edge_rate, watchdog }
+    }
+}
+
 struct NdpTx {
     id: FlowId,
     src: HostId,
@@ -299,22 +306,15 @@ impl Transport<Proto> for NdpTransport {
     }
 }
 
-/// Install NDP on every host; the initial window is the edge BDP.
-pub fn install_ndp(topo: &mut netsim::Topology<Proto>, watchdog: SimDuration) {
-    let cfg = NdpCfg {
-        initial_window_bytes: netsim::bdp_bytes(topo.edge_rate, topo.base_rtt),
-        edge_rate: topo.edge_rate,
-        watchdog,
-    };
-    for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(NdpTransport::new(cfg.clone(), netsim::MSS_BYTES)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use netsim::{star, RunLimits, SwitchConfig};
+
+    fn install_ndp(topo: &mut netsim::Topology<Proto>, watchdog: SimDuration) {
+        let cfg = NdpCfg::new(topo.edge_rate, topo.base_rtt, watchdog);
+        crate::install(topo, || NdpTransport::new(cfg.clone(), netsim::MSS_BYTES));
+    }
 
     fn setup(n: usize) -> netsim::Topology<Proto> {
         // NDP switch: shallow 60KB port buffer, trim beyond 12KB.

@@ -10,10 +10,9 @@
 //! Everything but the window law is HPCC's: the same [`Stamp::Int`]
 //! packets through the same [`Window`] endpoint.
 
-use netsim::FlowDesc;
+use netsim::{FlowDesc, Rate, SimDuration};
 
 use crate::hcp::{Hcp, Stamp, Window};
-use crate::proto::Proto;
 use crate::tcp_base::{CcMode, DctcpFlowTx, PowerTcpCc, TcpCfg};
 
 /// PowerTCP as a high-priority loop (γ = 0.9, β = 1 MSS). No scheme
@@ -23,6 +22,13 @@ use crate::tcp_base::{CcMode, DctcpFlowTx, PowerTcpCc, TcpCfg};
 pub struct PowerTcpHcp {
     /// Line-rate start: the initial window is one BDP.
     bdp_bytes: u64,
+}
+
+impl PowerTcpHcp {
+    /// The line-rate initial window is the BDP of the edge link.
+    pub fn new(edge_rate: Rate, base_rtt: SimDuration) -> Self {
+        PowerTcpHcp { bdp_bytes: netsim::bdp_bytes(edge_rate, base_rtt) }
+    }
 }
 
 impl Hcp for PowerTcpHcp {
@@ -49,19 +55,16 @@ impl Hcp for PowerTcpHcp {
 /// The PowerTCP endpoint.
 pub type PowerTcpTransport = Window<PowerTcpHcp>;
 
-/// Install PowerTCP on every host; the initial window is the topology's
-/// edge-link BDP.
-pub fn install_powertcp(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
-    let hcp = PowerTcpHcp { bdp_bytes: netsim::bdp_bytes(topo.edge_rate, topo.base_rtt) };
-    for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(PowerTcpTransport::new(tcp.clone(), hcp)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Proto;
     use netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+
+    fn install_powertcp(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
+        let hcp = PowerTcpHcp::new(topo.edge_rate, topo.base_rtt);
+        crate::install(topo, || PowerTcpTransport::new(tcp.clone(), hcp, ()));
+    }
 
     fn setup(n: usize) -> (netsim::Topology<Proto>, TcpCfg) {
         let rate = Rate::gbps(10);

@@ -7,7 +7,6 @@ use ppt_core::{initial_window_case2, MinTracker, PptConfig};
 
 use crate::hcp::{Case1, Hcp, Stamp};
 use crate::lcp::Lcp;
-use crate::proto::Proto;
 use crate::tcp_base::{AckOutcome, DctcpFlowTx, TcpCfg};
 
 /// DCTCP as the high-priority loop: ECN-marked, IW from [`TcpCfg`], and
@@ -22,6 +21,13 @@ impl DctcpHcp {
     /// α minima are detected over `cfg.alpha_min_window` rounds.
     pub fn new(cfg: &PptConfig) -> Self {
         DctcpHcp { min_tracker: MinTracker::new(cfg.alpha_min_window) }
+    }
+}
+
+/// DCTCP with no LCP over it: the detector window is never consulted.
+impl Default for DctcpHcp {
+    fn default() -> Self {
+        DctcpHcp { min_tracker: MinTracker::new(ppt_core::DEFAULT_MIN_WINDOW) }
     }
 }
 
@@ -60,18 +66,15 @@ impl Hcp for DctcpHcp {
 /// The PPT endpoint.
 pub type PptTransport = Lcp<DctcpHcp>;
 
-/// Install PPT on every host of a topology.
-pub fn install_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
-    for &h in &topo.hosts.clone() {
-        let ppt = PptTransport::new(tcp.clone(), cfg.clone(), DctcpHcp::new(cfg));
-        topo.sim.set_transport(h, Box::new(ppt));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Proto;
     use netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+
+    fn install_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
+        crate::install(topo, || PptTransport::new(tcp.clone(), cfg.clone(), DctcpHcp::new(cfg)));
+    }
 
     fn ppt_testbed(n: usize) -> (netsim::Topology<Proto>, TcpCfg, PptConfig) {
         let rate = Rate::gbps(10);
@@ -118,7 +121,9 @@ mod tests {
         let rate = Rate::gbps(10);
         let delay = SimDuration::from_micros(20);
         let mut dctcp_topo = star::<Proto>(2, rate, delay, SwitchConfig::dctcp(200_000, 17_000));
-        crate::dctcp::install_dctcp(&mut dctcp_topo, &tcp);
+        crate::install(&mut dctcp_topo, || {
+            crate::DctcpTransport::new(tcp.clone(), DctcpHcp::default(), ())
+        });
         let g = dctcp_topo.sim.add_flow(
             dctcp_topo.hosts[0],
             dctcp_topo.hosts[1],
@@ -209,11 +214,17 @@ mod tests {
     fn ablations_run_to_completion() {
         // The switches belong to the layer, so every HCP under it must
         // honour them — not only DCTCP.
+        use crate::{HpccHcp, Lcp, SwiftHcp};
         type Install = fn(&mut netsim::Topology<Proto>, &TcpCfg, &PptConfig);
         let layered: [(&str, Install); 3] = [
             ("ppt", install_ppt),
-            ("swift-ppt", crate::swift::install_swift_ppt),
-            ("hpcc-ppt", crate::hpcc::install_hpcc_ppt),
+            ("swift-ppt", |topo, tcp, cfg| {
+                crate::install(topo, || Lcp::new(tcp.clone(), cfg.clone(), SwiftHcp))
+            }),
+            ("hpcc-ppt", |topo, tcp, cfg| {
+                let hcp = HpccHcp::new(topo.edge_rate, topo.base_rtt).with_high_band_only();
+                crate::install(topo, || Lcp::new(tcp.clone(), cfg.clone(), hcp))
+            }),
         ];
         for (name, install) in layered {
             for (ecn, ewd, sched, ident) in [

@@ -16,14 +16,12 @@
 //! flow ride P4, the next 400 ride P5, the next 4000 ride P6 and the rest
 //! P7, so across flows the scarcest tail bytes win ties.
 
-use netsim::{Ctx, Ecn, FlowDesc, FlowId, Packet, Transport};
+use netsim::Ctx;
 
-use crate::common::{release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
-use crate::hcp::pump;
+use crate::hcp::{low_packet, Beside, Window};
 use crate::ppt::DctcpHcp;
-use crate::proto::{DataHdr, IntSlot, Proto};
-use crate::rx::TcpRxTable;
-use crate::tcp_base::{DctcpFlowTx, TcpCfg};
+use crate::proto::{AckHdr, Proto};
+use crate::tcp_base::DctcpFlowTx;
 
 /// Per-RTT low-priority top-up tick.
 pub const TIMER_RC3_TOPUP: u8 = 5;
@@ -38,35 +36,16 @@ pub struct Rc3Cfg {
     pub send_buffer_bytes: u64,
 }
 
-struct Rc3FlowTx {
-    hcp: DctcpFlowTx,
+/// A flow's low-priority loop.
+#[derive(Default)]
+pub struct Rc3Flow {
     /// Low-priority bytes currently in flight (sent, not yet acked).
     lp_inflight: u64,
-    /// The low-priority loop is open until it crosses the primary loop.
-    lp_active: bool,
+    /// The loop has crossed the primary loop and is closed.
+    crossed: bool,
 }
 
-/// The RC3 endpoint.
-pub struct Rc3Transport {
-    tcp: TcpCfg,
-    cfg: Rc3Cfg,
-    /// Senders still waiting for ACKs; a finished one leaves nothing (its
-    /// top-up tick finds no flow and stops).
-    tx: FlowTable<Rc3FlowTx>,
-    rx: TcpRxTable,
-}
-
-impl Rc3Transport {
-    /// New endpoint. RC3 ACKs every low-priority packet (no EWD clock).
-    pub fn new(tcp: TcpCfg, cfg: Rc3Cfg) -> Self {
-        Rc3Transport { tcp, cfg, tx: FlowTable::new(), rx: TcpRxTable::new(1) }
-    }
-
-    /// Occupancy of the `(sender, receiver)` tables: flows in progress.
-    pub fn flow_tables(&self) -> (TableStats, TableStats) {
-        (self.tx.stats(), self.rx.stats())
-    }
-
+impl Rc3Cfg {
     /// RC3's recursive layer priority for a byte that sits `from_tail`
     /// bytes before the end of the flow.
     fn layer_priority(mss: u64, from_tail: u64) -> u8 {
@@ -83,137 +62,79 @@ impl Rc3Transport {
     }
 
     /// Top the low-priority loop back up to a full BDP of in-flight bytes.
-    fn top_up(tcp: &TcpCfg, cfg: &Rc3Cfg, f: &mut Rc3FlowTx, ctx: &mut Ctx<'_, Proto>) {
-        let mss = tcp.mss as u64;
-        let now = ctx.now();
-        if !f.lp_active {
+    fn top_up(&self, f: &mut Rc3Flow, tx: &mut DctcpFlowTx, ctx: &mut Ctx<'_, Proto>) {
+        if f.crossed {
             return;
         }
-        let (id, src, dst, size) = (f.hcp.id, f.hcp.src, f.hcp.dst, f.hcp.size);
-        while f.lp_inflight + mss <= cfg.bdp_bytes {
-            let buffer_end = size.min(f.hcp.cum_acked().saturating_add(cfg.send_buffer_bytes));
-            let Some((start, len)) = f.hcp.claim_tail(buffer_end, tcp.mss) else {
-                // Loops crossed: every byte claimed at least once.
-                f.lp_active = false;
+        let mss = tx.mss();
+        while f.lp_inflight + mss as u64 <= self.bdp_bytes {
+            let buffer_end = tx.size.min(tx.cum_acked().saturating_add(self.send_buffer_bytes));
+            let Some((start, len)) = tx.claim_tail(buffer_end, mss) else {
+                // Every byte claimed at least once.
+                f.crossed = true;
                 break;
             };
-            f.hcp.add_sent_bytes(len as u64);
+            tx.add_sent_bytes(len as u64);
             f.lp_inflight += len as u64;
-            let prio = Self::layer_priority(mss, size - (start + len as u64));
-            let hdr = DataHdr {
-                offset: start,
-                len,
-                msg_size: size,
-                lcp: true,
-                retx: false,
-                sent_at: now,
-                int: IntSlot::Off,
-            };
-            let mut pkt = Packet::data(id, src, dst, len, Proto::Data(hdr)).with_priority(prio);
+            let prio = Self::layer_priority(mss as u64, tx.size - (start + len as u64));
             // RC3's low loop ignores congestion signals entirely.
-            pkt.ecn = Ecn::not_capable();
-            ctx.send(pkt);
-        }
-    }
-
-    /// Retire `id`, whose last byte was just acknowledged.
-    fn retire(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        if let Some(f) = self.tx.retire(id) {
-            release_rto(&f.hcp, ctx);
+            ctx.send(low_packet(tx, (start, len), prio, false, ctx.now()));
         }
     }
 }
 
-impl Transport<Proto> for Rc3Transport {
-    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let hcp = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, self.tcp.clone());
-        let f = self.tx.insert(flow.id, Rc3FlowTx { hcp, lp_inflight: 0, lp_active: true });
-        pump::<DctcpHcp>(&mut f.hcp, ctx);
-        Self::top_up(&self.tcp, &self.cfg, f, ctx);
-        ctx.timer_after(
-            self.tcp.base_rtt,
-            Token { kind: TIMER_RC3_TOPUP, generation: 0, flow: flow.id.0 }.encode(),
-        );
+impl Beside for Rc3Cfg {
+    type Flow = Rc3Flow;
+    const TICK: u8 = TIMER_RC3_TOPUP;
+
+    /// An ACK frees low-priority window: immediately refill it (this is
+    /// what "fills the entire BDP every RTT" means).
+    fn on_low_ack(
+        &self,
+        f: &mut Rc3Flow,
+        tx: &mut DctcpFlowTx,
+        ack: &AckHdr,
+        ctx: &mut Ctx<'_, Proto>,
+    ) {
+        let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
+        f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
+        self.top_up(f, tx, ctx);
     }
 
-    fn on_packet(&mut self, mut pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        match &pkt.payload {
-            Proto::Data(_) => self.rx.on_data(&mut pkt, ctx),
-            Proto::Ack(ack) if ack.lcp => {
-                let Some(f) = self.tx.get_mut(pkt.flow) else { return };
-                let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
-                f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
-                f.hcp.on_lcp_ack(ack, ctx.now());
-                if f.hcp.is_done() {
-                    return self.retire(pkt.flow, ctx);
-                }
-                // An ACK frees low-priority window: immediately refill it
-                // (this is what "fills the entire BDP every RTT" means).
-                Self::top_up(&self.tcp, &self.cfg, f, ctx);
-            }
-            Proto::Ack(ack) => {
-                let Some(f) = self.tx.get_mut(pkt.flow) else { return };
-                f.hcp.on_ack(ack, ctx.now());
-                if f.hcp.is_done() {
-                    return self.retire(pkt.flow, ctx);
-                }
-                pump::<DctcpHcp>(&mut f.hcp, ctx);
-            }
-            _ => unreachable!("RC3 endpoint received a non-TCP packet"),
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        let Some(f) = self.tx.get_mut(FlowId(token.flow)) else { return };
-        match token.kind {
-            TIMER_RTO => {
-                let timed_out = service_rto(&mut f.hcp, ctx);
-                if timed_out {
-                    pump::<DctcpHcp>(&mut f.hcp, ctx);
-                }
-            }
-            TIMER_RC3_TOPUP if f.lp_active => {
-                // Periodic refill: lost low-priority packets never get
-                // acked, so reclaim their window each RTT.
-                f.lp_inflight = 0;
-                Self::top_up(&self.tcp, &self.cfg, f, ctx);
-                ctx.timer_after(
-                    self.tcp.base_rtt,
-                    Token { kind: TIMER_RC3_TOPUP, generation: 0, flow: token.flow }.encode(),
-                );
-            }
-            _ => {}
-        }
-    }
-
-    fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        crate::common::cc_snapshot(self.tx.values().map(|f| (&f.hcp, 0)))
+    /// Periodic refill: lost low-priority packets never get acked, so
+    /// reclaim their window each RTT, until the tick after the loops cross.
+    fn on_tick(&self, f: &mut Rc3Flow, tx: &mut DctcpFlowTx, ctx: &mut Ctx<'_, Proto>) -> bool {
+        let open = !f.crossed;
+        f.lp_inflight = 0;
+        self.top_up(f, tx, ctx);
+        open
     }
 }
 
-/// Install RC3 on every host.
-pub fn install_rc3(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &Rc3Cfg) {
-    for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(Rc3Transport::new(tcp.clone(), cfg.clone())));
-    }
-}
+/// The RC3 endpoint: DCTCP with the tail-first low-priority loop beside
+/// it. RC3 ACKs every low-priority packet (no EWD clock).
+pub type Rc3Transport = Window<DctcpHcp, Rc3Cfg>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp_base::TcpCfg;
     use netsim::SimTime;
     use netsim::{star, Rate, RunLimits, SimDuration, SwitchConfig};
+
+    fn install_rc3(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &Rc3Cfg) {
+        crate::install(topo, || Rc3Transport::new(tcp.clone(), DctcpHcp::default(), cfg.clone()));
+    }
 
     #[test]
     fn layer_priorities_follow_recursive_split() {
         let mss = netsim::MSS_BYTES as u64;
-        assert_eq!(Rc3Transport::layer_priority(mss, 0), 4);
-        assert_eq!(Rc3Transport::layer_priority(mss, 39 * mss), 4);
-        assert_eq!(Rc3Transport::layer_priority(mss, 40 * mss), 5);
-        assert_eq!(Rc3Transport::layer_priority(mss, 439 * mss), 5);
-        assert_eq!(Rc3Transport::layer_priority(mss, 440 * mss), 6);
-        assert_eq!(Rc3Transport::layer_priority(mss, 5000 * mss), 7);
+        assert_eq!(Rc3Cfg::layer_priority(mss, 0), 4);
+        assert_eq!(Rc3Cfg::layer_priority(mss, 39 * mss), 4);
+        assert_eq!(Rc3Cfg::layer_priority(mss, 40 * mss), 5);
+        assert_eq!(Rc3Cfg::layer_priority(mss, 439 * mss), 5);
+        assert_eq!(Rc3Cfg::layer_priority(mss, 440 * mss), 6);
+        assert_eq!(Rc3Cfg::layer_priority(mss, 5000 * mss), 7);
     }
 
     #[test]
@@ -253,7 +174,7 @@ mod tests {
         let rc3_fct = a.sim.completion(f).expect("rc3 done");
 
         let mut b = star::<Proto>(2, rate, delay, SwitchConfig::dctcp(200_000, 17_000));
-        crate::dctcp::install_dctcp(&mut b, &tcp);
+        crate::install(&mut b, || crate::DctcpTransport::new(tcp.clone(), DctcpHcp::default(), ()));
         let g = b.sim.add_flow(b.hosts[0], b.hosts[1], size, SimTime::ZERO, size);
         b.sim.run(RunLimits::default());
         let dctcp_fct = b.sim.completion(g).expect("dctcp done");

@@ -11,7 +11,6 @@ use ppt_core::PptConfig;
 
 use crate::hcp::{Case1, Hcp, Stamp, Window};
 use crate::lcp::Lcp;
-use crate::proto::Proto;
 use crate::tcp_base::{AckOutcome, CcMode, DctcpFlowTx, SwiftCc, TcpCfg};
 
 /// The Swift-like high-priority loop: delay-based window (target =
@@ -55,25 +54,19 @@ pub type SwiftTransport = Window<SwiftHcp>;
 /// PPT layered over the Swift-like transport (Fig 14).
 pub type SwiftPptTransport = Lcp<SwiftHcp>;
 
-/// Install plain Swift on every host.
-pub fn install_swift(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
-    for &h in &topo.hosts.clone() {
-        topo.sim.set_transport(h, Box::new(SwiftTransport::new(tcp.clone(), SwiftHcp)));
-    }
-}
-
-/// Install PPT-over-Swift on every host.
-pub fn install_swift_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
-    for &h in &topo.hosts.clone() {
-        let t = SwiftPptTransport::new(tcp.clone(), cfg.clone(), SwiftHcp);
-        topo.sim.set_transport(h, Box::new(t));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Proto;
     use netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+
+    fn install_swift(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
+        crate::install(topo, || SwiftTransport::new(tcp.clone(), SwiftHcp, ()));
+    }
+
+    fn install_swift_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
+        crate::install(topo, || SwiftPptTransport::new(tcp.clone(), cfg.clone(), SwiftHcp));
+    }
 
     fn setup(n: usize) -> (netsim::Topology<Proto>, TcpCfg, PptConfig) {
         let rate = Rate::gbps(10);

@@ -412,6 +412,11 @@ impl DctcpFlowTx {
         self.alpha.alpha()
     }
 
+    /// Segment size.
+    pub fn mss(&self) -> u32 {
+        self.cfg.mss
+    }
+
     /// Bytes in flight on the primary loop.
     pub fn inflight_bytes(&self) -> u64 {
         self.inflight_bytes

@@ -110,21 +110,21 @@ fn window_endpoints_hold_only_flows_in_progress() {
         "DCTCP",
         Senders::Window,
         ecn(),
-        |t| DctcpTransport::new(tcp(t)),
+        |t| DctcpTransport::new(tcp(t), DctcpHcp::default(), ()),
         DctcpTransport::flow_tables,
     );
     churn(
         "Swift",
         Senders::Window,
         SwitchConfig::basic(200_000),
-        |t| Window::new(tcp(t), SwiftHcp),
+        |t| Window::new(tcp(t), SwiftHcp, ()),
         Window::flow_tables,
     );
     churn(
         "PIAS",
         Senders::Window,
         ecn(),
-        |t| PiasTransport::new(tcp(t), Default::default()),
+        |t| PiasTransport::new(tcp(t), DctcpHcp::default(), Default::default()),
         PiasTransport::flow_tables,
     );
     let dual_band = || SwitchConfig::ppt(200_000, 30_000, 20_000);
@@ -135,7 +135,11 @@ fn window_endpoints_hold_only_flows_in_progress() {
     churn("PPT", Senders::Window, dual_band(), ppt, PptTransport::flow_tables);
     let rc3 = |t: &Topology<Proto>| {
         let bdp_bytes = netsim::bdp_bytes(t.edge_rate, t.base_rtt);
-        Rc3Transport::new(tcp(t), Rc3Cfg { bdp_bytes, send_buffer_bytes: 2 << 30 })
+        Rc3Transport::new(
+            tcp(t),
+            DctcpHcp::default(),
+            Rc3Cfg { bdp_bytes, send_buffer_bytes: 2 << 30 },
+        )
     };
     churn("RC3", Senders::Window, dual_band(), rc3, Rc3Transport::flow_tables);
 }
@@ -151,9 +155,7 @@ fn receiver_driven_endpoints_retire_receivers_and_keep_senders() {
         HomaTransport::flow_tables,
     );
     let ndp = |t: &Topology<Proto>| {
-        let initial_window_bytes = netsim::bdp_bytes(t.edge_rate, t.base_rtt);
-        let cfg = NdpCfg { initial_window_bytes, edge_rate: t.edge_rate, watchdog };
-        NdpTransport::new(cfg, netsim::MSS_BYTES)
+        NdpTransport::new(NdpCfg::new(t.edge_rate, t.base_rtt, watchdog), netsim::MSS_BYTES)
     };
     churn(
         "NDP",
@@ -163,8 +165,7 @@ fn receiver_driven_endpoints_retire_receivers_and_keep_senders() {
         NdpTransport::flow_tables,
     );
     let ep = |t: &Topology<Proto>| {
-        let cfg = ExpressPassCfg { edge_rate: t.edge_rate, credit_rate_factor: 0.95, watchdog };
-        ExpressPassTransport::new(cfg, netsim::MSS_BYTES)
+        ExpressPassTransport::new(ExpressPassCfg::new(t.edge_rate, watchdog), netsim::MSS_BYTES)
     };
     churn(
         "ExpressPass",

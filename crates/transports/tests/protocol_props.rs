@@ -3,7 +3,29 @@
 
 use netsim::{star, Pcg32, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
 use ppt_core::PptConfig;
-use transports::{install_dctcp, install_homa, install_ndp, install_ppt, HomaCfg, Proto, TcpCfg};
+use transports::{
+    install, DctcpHcp, DctcpTransport, HomaCfg, HomaTransport, NdpCfg, NdpTransport, PptTransport,
+    Proto, TcpCfg,
+};
+
+type Topo = netsim::Topology<Proto>;
+
+fn install_dctcp(topo: &mut Topo, tcp: &TcpCfg) {
+    install(topo, || DctcpTransport::new(tcp.clone(), DctcpHcp::default(), ()));
+}
+
+fn install_ppt(topo: &mut Topo, tcp: &TcpCfg, cfg: &PptConfig) {
+    install(topo, || PptTransport::new(tcp.clone(), cfg.clone(), DctcpHcp::new(cfg)));
+}
+
+fn install_homa(topo: &mut Topo, cfg: &HomaCfg) {
+    install(topo, || HomaTransport::new(cfg.clone(), netsim::MSS_BYTES));
+}
+
+fn install_ndp(topo: &mut Topo, watchdog: SimDuration) {
+    let cfg = NdpCfg::new(topo.edge_rate, topo.base_rtt, watchdog);
+    install(topo, || NdpTransport::new(cfg.clone(), netsim::MSS_BYTES));
+}
 
 fn tcp(base_rtt: SimDuration) -> TcpCfg {
     TcpCfg::new(base_rtt)

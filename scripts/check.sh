@@ -71,6 +71,26 @@ for f in common tcp_base rx; do
     fi
 done
 
+echo "==> one TCP-family endpoint (Window, and Lcp over it; DESIGN.md §16)"
+# ExpressPass, Homa, NDP, Window, Lcp. A sixth `impl Transport` is a copy of
+# Window's ACK / RTO / retire loop: write an Hcp or a Beside instead. Data
+# packets are built in two places, hcp::{send_hcp, low_packet}.
+impls=$(grep -c 'Transport<Proto> for' crates/transports/src/*.rs | awk -F: '{ n += $2 } END { print n }')
+if [ "$impls" -gt 5 ]; then
+    echo "check.sh: $impls Transport<Proto> impls under crates/transports/src (at most 5)" >&2
+    exit 1
+fi
+hdrs=0
+for f in crates/transports/src/*.rs; do
+    [ "$f" = crates/transports/src/proto.rs ] && continue
+    n=$(awk '/#\[cfg\(test\)\]/ { exit } /DataHdr \{/ { c++ } END { print c + 0 }' "$f")
+    hdrs=$((hdrs + n))
+done
+if [ "$hdrs" -gt 2 ]; then
+    echo "check.sh: $hdrs hand-built DataHdr literals outside proto.rs (at most 2)" >&2
+    exit 1
+fi
+
 echo "==> a packet is stored once (queues hold pool handles; DESIGN.md §10.1, Packet lifetime)"
 # The engine's banks are QueueBank<Handle>. A deque of whole packets is how
 # the 120-byte copies come back; the by-value bank (queue::PrioQueues, for
@@ -183,7 +203,7 @@ cmp "$PFC_TMP/a/metrics.json" "$PFC_TMP/b/metrics.json"
 test -s "$PFC_TMP/a/events.jsonl"
 rm -rf "$PFC_TMP"
 
-echo "==> layered LCP smoke (swift-ppt / hpcc-ppt traces: byte-identical reruns, loops visible)"
+echo "==> layered trace smoke (swift-ppt / hpcc-ppt: byte-identical reruns, loops visible; hpcc / pias / rc3: windows visible)"
 LCP_TMP="${TMPDIR:-/tmp}/pptlab-lcp-smoke.$$"
 for scheme in swift-ppt hpcc-ppt; do
     mkdir -p "$LCP_TMP/$scheme/a" "$LCP_TMP/$scheme/b"
@@ -195,6 +215,16 @@ for scheme in swift-ppt hpcc-ppt; do
     # The one LCP layer traces its loops whatever HCP is underneath.
     grep -q '"ev":"lcp_opened"' "$LCP_TMP/$scheme/a/events.jsonl" || {
         echo "check.sh: $scheme trace has no lcp_opened event" >&2
+        exit 1
+    }
+done
+# The one window endpoint traces its window whatever (H, L) it runs.
+mkdir -p "$LCP_TMP/window"
+./target/release/pptlab trace --schemes hpcc,pias,rc3 --topo star:4:10:20 \
+    --workload websearch --flows 40 --seed 42 --out "$LCP_TMP/window" > /dev/null
+for scheme in hpcc pias rc3; do
+    grep -q '"ev":"cwnd_update"' "$LCP_TMP/window/$scheme.events.jsonl" || {
+        echo "check.sh: $scheme trace has no cwnd_update event" >&2
         exit 1
     }
 done

@@ -1,7 +1,7 @@
 //! Scheme conformance: one shared invariant battery that every registered
 //! scheme must pass. New transports are covered by construction — add the
-//! scheme to [`registered_schemes`] (the harness unit tests force the two
-//! lists to agree) and the battery runs it through:
+//! scheme to [`registered_schemes`] (a test below holds it against
+//! `Scheme::all`) and the battery runs it through:
 //!
 //! 1. completion — every flow finishes and the run stops on its own;
 //! 2. no starvation — every flow's FCT is positive and finite (no flow is
@@ -135,37 +135,13 @@ fn battery_results_are_identical_for_jobs_1_and_4() {
     }
 }
 
-/// The registry above and the harness's own scheme list cannot drift: any
-/// single-pass scheme the harness knows must be here (ablation variants
-/// map to their parent transport), so adding a transport without
+/// The registry above and the harness's own scheme list (`Scheme::all`)
+/// cannot drift: any scheme the harness knows must be here (ablation
+/// variants map to their parent transport), so adding a transport without
 /// conformance coverage fails this test, not code review.
 #[test]
 fn registry_covers_every_harness_scheme_family() {
     let covered = registered_schemes();
-    let families: Vec<Scheme> = vec![
-        Scheme::Dctcp,
-        Scheme::Tcp10,
-        Scheme::Halfback,
-        Scheme::ExpressPass,
-        Scheme::Ppt,
-        Scheme::PptNoLcpEcn,
-        Scheme::PptNoEwd,
-        Scheme::PptNoScheduling,
-        Scheme::PptNoIdentification,
-        Scheme::PptFill(0.75),
-        Scheme::Rc3,
-        Scheme::Rc3BufferCap(0.5),
-        Scheme::Pias,
-        Scheme::Homa,
-        Scheme::Aeolus,
-        Scheme::Ndp,
-        Scheme::Hpcc,
-        Scheme::PowerTcp,
-        Scheme::HpccPpt,
-        Scheme::Swift,
-        Scheme::SwiftPpt,
-        Scheme::Hypothetical(1.0),
-    ];
     let family_of = |s: &Scheme| -> Scheme {
         match s {
             Scheme::PptNoLcpEcn
@@ -182,7 +158,7 @@ fn registry_covers_every_harness_scheme_family() {
             other => other.clone(),
         }
     };
-    for scheme in &families {
+    for scheme in &Scheme::all() {
         let fam = family_of(scheme);
         assert!(
             covered.contains(&fam),

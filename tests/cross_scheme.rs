@@ -10,37 +10,11 @@ fn small_workload(topo: TopoKind, n_flows: usize, seed: u64) -> Vec<ppt::workloa
     all_to_all(topo.hosts(), &spec)
 }
 
-fn all_schemes() -> Vec<Scheme> {
-    vec![
-        Scheme::Dctcp,
-        Scheme::Tcp10,
-        Scheme::Halfback,
-        Scheme::ExpressPass,
-        Scheme::Ppt,
-        Scheme::PptNoLcpEcn,
-        Scheme::PptNoEwd,
-        Scheme::PptNoScheduling,
-        Scheme::PptNoIdentification,
-        Scheme::PptFill(0.5),
-        Scheme::Rc3,
-        Scheme::Rc3BufferCap(0.4),
-        Scheme::Pias,
-        Scheme::Homa,
-        Scheme::Aeolus,
-        Scheme::Ndp,
-        Scheme::Hpcc,
-        Scheme::HpccPpt,
-        Scheme::Swift,
-        Scheme::SwiftPpt,
-        Scheme::Hypothetical(1.0),
-    ]
-}
-
 #[test]
 fn every_scheme_completes_an_all_to_all_workload() {
     let topo = TopoKind::Star { n: 6, rate_gbps: 10, delay_us: 20 };
     let flows = small_workload(topo, 60, 3);
-    for scheme in all_schemes() {
+    for scheme in Scheme::all() {
         let name = scheme.name();
         let outcome = run_experiment(&Experiment::new(topo, scheme, flows.clone()));
         assert!(
@@ -57,7 +31,7 @@ fn every_scheme_survives_poisson_incast() {
     let topo = TopoKind::Star { n: 8, rate_gbps: 10, delay_us: 20 };
     let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), 40, 11);
     let flows = incast(7, &spec);
-    for scheme in all_schemes() {
+    for scheme in Scheme::all() {
         let name = scheme.name();
         let outcome = run_experiment(&Experiment::new(topo, scheme, flows.clone()));
         assert!(

@@ -260,3 +260,55 @@ fn fault_runs_repeat_bit_identically() {
     assert_eq!(a_faults, b_faults, "fault counters diverged between identical runs");
     assert!(a_faults.fault_drops > 0 && a_faults.max_stall.as_nanos() >= 300_000);
 }
+
+/// Every TCP-family endpoint traces what it retransmits: after random loss
+/// plus an uplink outage the stream holds one `retransmit` line per
+/// retransmission the engine counted, so recovery is timed to the first
+/// repair after link-up — not to whichever flow happens to complete next,
+/// the one instant every scheme that traced nothing used to share.
+#[test]
+fn every_tcp_family_scheme_traces_its_retransmissions() {
+    let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
+    let flows = workload(topo, 40, 42);
+    for scheme in [
+        Scheme::Dctcp,
+        Scheme::Tcp10,
+        Scheme::Halfback,
+        Scheme::Pias,
+        Scheme::Rc3,
+        Scheme::Hypothetical(1.0),
+        Scheme::Hpcc,
+        Scheme::PowerTcp,
+        Scheme::Swift,
+        Scheme::Ppt,
+        Scheme::SwiftPpt,
+        Scheme::HpccPpt,
+    ] {
+        let name = scheme.name();
+        let faults = FaultSpec::new(7).with_data_loss(0.01).cmd(FaultCmd::HostUplinkDown {
+            host: 0,
+            from: SimTime(200_000),
+            until: SimTime(700_000),
+        });
+        let (outcome, trace) = run_experiment_traced(
+            &Experiment::new(topo, scheme, flows.clone()).with_faults(faults),
+        );
+        let engine = outcome.report.faults;
+        let rec = analyze_recovery(&trace.events, engine);
+        assert!(engine.retransmits > 0, "{name}: nothing was retransmitted");
+        assert_eq!(rec.retransmits, engine.retransmits, "{name}: untraced retransmissions");
+
+        let up = rec.outages[0].until_ns.expect("the outage ends inside the run");
+        let next_completion = trace
+            .events
+            .iter()
+            .find(|(at, ev)| *at >= up && matches!(ev, TraceEvent::FlowComplete { .. }))
+            .map(|(at, _)| at - up)
+            .expect("a flow completes after the outage");
+        assert!(
+            rec.recovery_times_ns[0] < next_completion,
+            "{name}: recovery {} ns is the next flow completion, not a repair",
+            rec.recovery_times_ns[0]
+        );
+    }
+}

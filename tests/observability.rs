@@ -53,7 +53,7 @@ fn tracing_does_not_change_the_run() {
 #[test]
 fn no_sink_means_no_trace() {
     use ppt::netsim::{star, Rate, RunLimits, SimDuration, SwitchConfig};
-    use ppt::transports::{install_dctcp, Proto, TcpCfg};
+    use ppt::transports::{install, DctcpHcp, DctcpTransport, Proto, TcpCfg};
     let mut topo = star::<Proto>(
         3,
         Rate::gbps(10),
@@ -61,7 +61,7 @@ fn no_sink_means_no_trace() {
         SwitchConfig::dctcp(200_000, 30_000),
     );
     let cfg = TcpCfg::new(topo.base_rtt);
-    install_dctcp(&mut topo, &cfg);
+    install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp::default(), ()));
     topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 500_000, SimTime::ZERO, 1);
     assert!(!topo.sim.trace_enabled());
     let report = topo.sim.run(RunLimits::default());
