@@ -28,7 +28,7 @@ use crate::tcp_base::{AckOutcome, DctcpFlowTx, SegOut, TcpCfg};
 pub enum Stamp {
     /// ECN-capable; switches mark, the receiver echoes ECE (DCTCP).
     Ecn,
-    /// Not ECN-capable; the echoed timestamp is the only signal (Swift).
+    /// Not ECN-capable, no INT: delay (Swift) or loss (TCP-10) is the signal.
     Delay,
     /// Not ECN-capable; carries an INT stack that switches fill and the
     /// receiver echoes (HPCC, PowerTCP).
@@ -147,9 +147,8 @@ pub(crate) fn send_hcp<H: Hcp>(tx: &DctcpFlowTx, seg: SegOut, prio: u8, ctx: &mu
     ctx.send(pkt);
 }
 
-/// The low-priority packet carrying `len` bytes at `offset`, claimed from
-/// the tail of `tx`'s send buffer. It never carries INT; `ecn` says
-/// whether switches may mark it.
+/// The low-priority packet for `len` bytes at `offset`, claimed from `tx`'s
+/// tail. It never carries INT; `ecn` says whether switches may mark it.
 pub(crate) fn low_packet(
     tx: &DctcpFlowTx,
     (offset, len): (u64, u32),
@@ -179,8 +178,8 @@ pub struct Window<H: Hcp, L: Beside = ()> {
     beside: L,
     /// Senders still waiting for ACKs.
     tx: FlowTable<(DctcpFlowTx, L::Flow)>,
-    /// Final window of every finished sender: all the `CwndUpdate` trace
-    /// line of a late ACK needs.
+    /// Final window of every sender that finished while traced: all the
+    /// `CwndUpdate` line of a late ACK needs.
     tx_done: FlowTable<u64>,
     rx: TcpRxTable,
     mw_recorder: Option<MwRecorder>,
@@ -268,7 +267,9 @@ impl<H: Hcp, L: Beside> Transport<Proto> for Window<H, L> {
                 rec.borrow_mut().insert(id, mw);
             }
             release_rto(tx, ctx);
-            self.tx_done.insert(id, tx.cwnd_bytes());
+            if ctx.tracing() {
+                self.tx_done.insert(id, tx.cwnd_bytes());
+            }
             self.tx.retire(id);
         } else if ack.lcp {
             self.beside.on_low_ack(flow, tx, ack, ctx);
