@@ -56,12 +56,6 @@ impl HomaCfg {
         }
     }
 
-    /// Switch to Aeolus behaviour.
-    pub fn aeolus(mut self) -> Self {
-        self.aeolus = true;
-        self
-    }
-
     fn unsched_priority(&self, msg_size: u64) -> u8 {
         if self.aeolus {
             return 7; // pre-credit packets ride the droppable band
@@ -383,7 +377,7 @@ mod tests {
         assert_eq!(cfg.unsched_priority(10_000), 2);
         assert_eq!(cfg.unsched_priority(100_000), 3);
         assert_eq!(cfg.unsched_priority(10_000_000), 4);
-        let ae = HomaCfg::new(50_000).aeolus();
+        let ae = HomaCfg { aeolus: true, ..HomaCfg::new(50_000) };
         assert_eq!(ae.unsched_priority(1_000), 7);
     }
 

@@ -168,8 +168,8 @@ pub struct Lcp<H: Hcp> {
     hcp: H,
     /// Senders still waiting for ACKs: a flow in here is never done.
     tx: FlowTable<LcpFlow<H>>,
-    /// Final HCP window of every finished sender: all the `CwndUpdate`
-    /// trace line of a late ACK needs.
+    /// Final HCP window of every sender that finished while traced: all
+    /// the `CwndUpdate` line of a late ACK needs.
     tx_done: FlowTable<u64>,
     rx: TcpRxTable,
     /// `pump_hcp`'s drained-window buffer, reused across calls.
@@ -202,7 +202,9 @@ impl<H: Hcp> Lcp<H> {
     fn retire(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
         if let Some(f) = self.tx.retire(id) {
             release_rto(&f.tx, ctx);
-            self.tx_done.insert(id, f.tx.cwnd_bytes());
+            if ctx.tracing() {
+                self.tx_done.insert(id, f.tx.cwnd_bytes());
+            }
         }
     }
 }
