@@ -3,7 +3,7 @@
 
 use netsim::{bdp_bytes, Rate, SimDuration};
 
-use crate::alpha::{DEFAULT_G, DEFAULT_MIN_WINDOW};
+use crate::alpha::DEFAULT_MIN_WINDOW;
 use crate::ecn::{LAMBDA_HIGH, LAMBDA_LOW};
 use crate::scheduling::{DEFAULT_DEMOTION_THRESHOLDS, DEFAULT_IDENT_THRESHOLD_BYTES};
 
@@ -14,8 +14,6 @@ pub struct PptConfig {
     pub link_rate: Rate,
     /// Base (unloaded) round-trip time.
     pub base_rtt: SimDuration,
-    /// DCTCP EWMA gain g.
-    pub g: f64,
     /// Window (in RTTs) over which α-minimum triggers are detected.
     pub alpha_min_window: usize,
     /// λ for the HCP queues' ECN threshold (Eq. 3).
@@ -48,7 +46,6 @@ impl PptConfig {
         PptConfig {
             link_rate,
             base_rtt,
-            g: DEFAULT_G,
             alpha_min_window: DEFAULT_MIN_WINDOW,
             lambda_high: LAMBDA_HIGH,
             lambda_low: LAMBDA_LOW,
@@ -84,7 +81,7 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = PptConfig::new(Rate::gbps(40), SimDuration::from_micros(16));
-        assert_eq!(c.g, 1.0 / 16.0);
+        assert_eq!(crate::alpha::DEFAULT_G, 1.0 / 16.0);
         assert_eq!(c.lambda_high, 0.17);
         assert_eq!(c.lambda_low, 0.1);
         assert_eq!(c.fill_fraction, 1.0);

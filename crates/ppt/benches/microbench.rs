@@ -28,7 +28,8 @@ use ppt::core::{AlphaEstimator, LcpAckClock, MinTracker, MirrorTagger};
 use ppt::harness::{run_experiment, Experiment, Scheme, TopoKind};
 use ppt::netsim::{switch::enqueue_policy, FlowId, HostId, Packet, PortCounters, SwitchConfig};
 use ppt::transports::{
-    AckHdr, CcMode, DctcpFlowTx, HpccCc, IntHop, IntervalSet, PowerTcpCc, SwiftCc, TcpCfg,
+    AckHdr, DctcpFlowTx, DctcpLaw, HpccLaw, IntHop, IntervalSet, PowerTcpLaw, SwiftLaw, TcpCfg,
+    WindowLaw,
 };
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
 
@@ -144,13 +145,14 @@ fn bench_interval_shapes() -> bool {
     ratio <= 3.0
 }
 
-/// A sender whose window is pinned at `segs` segments of an endless flow,
-/// fed ACKs from a path at half line rate with empty queues (which keeps
-/// every window law pressing against the cap): in order, or — `hole` —
+/// A sender on law `W` whose window is pinned at `segs` segments of an
+/// endless flow, fed ACKs from a path at half line rate with empty queues
+/// (which keeps every window law pressing against the cap): in order, or — `hole` —
 /// SACKs marching up above a first segment that is never acknowledged nor
 /// (the duplicate threshold is out of reach) declared lost.
-struct AckLoad {
+struct AckLoad<W> {
     flow: DctcpFlowTx,
+    law: W,
     ack: AckHdr,
     hop: IntHop,
     now: ppt::netsim::SimTime,
@@ -158,19 +160,19 @@ struct AckLoad {
     hole: bool,
 }
 
-impl AckLoad {
-    const MSS: u64 = ppt::netsim::MSS_BYTES as u64;
+const MSS: u64 = ppt::netsim::MSS_BYTES as u64;
 
-    fn new(mode: fn(ppt::netsim::SimDuration, u64) -> CcMode, segs: u64, hole: bool) -> Self {
+impl<W: WindowLaw> AckLoad<W> {
+    fn new(mk: fn(&DctcpFlowTx) -> W, segs: u64, hole: bool) -> Self {
         let rtt = ppt::netsim::SimDuration::from_micros(80);
         let mut cfg = TcpCfg::new(rtt);
-        cfg.init_cwnd_bytes = segs * Self::MSS;
-        cfg.max_cwnd_bytes = segs * Self::MSS;
+        cfg.init_cwnd_bytes = segs * MSS;
+        cfg.max_cwnd_bytes = segs * MSS;
         if hole {
             cfg.dupack_threshold = 0; // a hit count is never 0 again
         }
-        let mut flow = DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), 1 << 50, cfg)
-            .with_cc_mode(mode(rtt, segs * Self::MSS));
+        let mut flow = DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), 1 << 50, cfg);
+        let law = mk(&flow);
         let now = ppt::netsim::SimTime::ZERO;
         while flow.next_segment(now).is_some() {}
         let hop = IntHop {
@@ -189,7 +191,7 @@ impl AckLoad {
             ts_echo: now,
             int_echo: Some(Box::new([hop].into_iter().collect())), // read by the INT laws only
         };
-        let mut load = AckLoad { flow, ack, hop, now, segs, hole };
+        let mut load = AckLoad { flow, law, ack, hop, now, segs, hole };
         (0..2 * segs).for_each(|_| load.one_ack()); // a warm, steady window
         load
     }
@@ -201,69 +203,70 @@ impl AckLoad {
         self.hop.tx_bytes += 625;
         self.hop.ts = self.now;
         if self.hole {
-            let sacked = self.ack.sacks[0].1.max(Self::MSS);
-            self.ack.sacks[0] = (sacked, sacked + Self::MSS);
+            let sacked = self.ack.sacks[0].1.max(MSS);
+            self.ack.sacks[0] = (sacked, sacked + MSS);
         } else {
-            self.ack.sacks[0] = (self.ack.cum, self.ack.cum + Self::MSS);
-            self.ack.cum += Self::MSS;
+            self.ack.sacks[0] = (self.ack.cum, self.ack.cum + MSS);
+            self.ack.cum += MSS;
         }
         self.ack.ts_echo = self.now;
         if let Some(int) = self.ack.int_echo.as_mut() {
             int[0] = self.hop;
         }
-        black_box(self.flow.on_ack(&self.ack, self.now));
+        black_box(self.flow.on_ack(&self.ack, self.now, &mut self.law));
         black_box(self.flow.next_segment(self.now));
     }
 }
 
-/// ROADMAP item 1's "`on_ack` per `CcMode`" row, as a scaling law: the
+/// ROADMAP item 1's "`on_ack` per window law" row, as a scaling law: the
 /// cost of one ACK with 16 / 1 024 / 8 192 segments in flight, the windows
 /// timed in rotation so drift of the box hits them alike. The scoreboard
 /// is a ring, appended to in offset order: an in-order ACK pops its front,
 /// and a SACK above a hole at the front takes the segment behind it, so
 /// what an ACK costs follows what it covers and not the window. Returns
-/// false when any mode's 1 024-segment cost exceeds 1.5× its 16-segment
+/// false when any law's 1 024-segment cost exceeds 1.5× its 16-segment
 /// one, in order or above a hole, or its in-order 8 192-segment cost 3×
 /// (the ring then outgrows the cache the 16-segment one sits in).
 fn bench_ack_scaling() -> bool {
-    use ppt::netsim::SimDuration;
-    let modes: [(&str, fn(SimDuration, u64) -> CcMode); 4] = [
-        ("dctcp", |_, _| CcMode::Dctcp),
-        ("swift", |rtt, _| CcMode::Swift(SwiftCc::new(rtt))),
-        ("hpcc", |rtt, w| CcMode::Hpcc(HpccCc::new(rtt, w))),
-        ("powertcp", |rtt, w| CcMode::PowerTcp(PowerTcpCc::new(rtt, w))),
-    ];
+    // Every row runs (`&`, not `&&`); the INT laws latch W_c from the
+    // pinned window.
+    bench_law("dctcp", DctcpLaw::new)
+        & bench_law("swift", |tx| SwiftLaw::new(tx.cfg().base_rtt))
+        & bench_law("hpcc", |tx| HpccLaw::new(tx.cwnd_bytes(), false))
+        & bench_law("powertcp", |tx| PowerTcpLaw::new(tx.cwnd_bytes()))
+}
+
+/// [`bench_ack_scaling`]'s rows for one law.
+fn bench_law<W: WindowLaw>(name: &str, mk: fn(&DctcpFlowTx) -> W) -> bool {
     let mut ok = true;
-    for (name, mode) in modes {
-        for (shape, hole, windows) in
-            [("inorder", false, &[16, 1_024, 8_192][..]), ("hole", true, &[16, 1_024])]
-        {
-            let mut loads: Vec<AckLoad> =
-                windows.iter().map(|&segs| AckLoad::new(mode, segs, hole)).collect();
-            let mut ns = vec![f64::INFINITY; loads.len()];
-            for _ in 0..7 {
-                for (load, ns) in loads.iter_mut().zip(&mut ns) {
-                    *ns = ns.min(min_ns_per_call(1, 20_000, || load.one_ack()));
-                }
+    for (shape, hole, windows) in
+        [("inorder", false, &[16, 1_024, 8_192][..]), ("hole", true, &[16, 1_024])]
+    {
+        let mut loads: Vec<AckLoad<W>> =
+            windows.iter().map(|&segs| AckLoad::new(mk, segs, hole)).collect();
+        let mut ns = vec![f64::INFINITY; loads.len()];
+        for _ in 0..7 {
+            for (load, ns) in loads.iter_mut().zip(&mut ns) {
+                *ns = ns.min(min_ns_per_call(1, 20_000, || load.one_ack()));
             }
-            for load in &loads {
-                let full = load.segs * AckLoad::MSS;
-                assert_eq!(load.flow.inflight_bytes(), full, "{name}: the window must stay full");
-                assert_eq!(load.flow.cum_acked() == 0, hole, "{name}: the hole stays open");
-            }
-            let ratios: Vec<f64> = ns[1..].iter().map(|far| far / ns[0]).collect();
-            ok &= ratios[0] <= 1.5 && ratios.get(1).is_none_or(|&r| r <= 3.0);
-            let list = |xs: &[f64], prec: usize| {
-                xs.iter().map(|x| format!("{x:.prec$}")).collect::<Vec<_>>().join(" / ")
-            };
-            let at: Vec<String> = windows.iter().map(u64::to_string).collect();
-            println!(
-                "{:<44} {} ns/ack   (x{} from 16 in flight)",
-                format!("tcp_base/on_ack_{shape}/{name} @{}", at.join("/")),
-                list(&ns, 1),
-                list(&ratios, 2),
-            );
         }
+        for load in &loads {
+            let full = load.segs * MSS;
+            assert_eq!(load.flow.inflight_bytes(), full, "{name}: the window must stay full");
+            assert_eq!(load.flow.cum_acked() == 0, hole, "{name}: the hole stays open");
+        }
+        let ratios: Vec<f64> = ns[1..].iter().map(|far| far / ns[0]).collect();
+        ok &= ratios[0] <= 1.5 && ratios.get(1).is_none_or(|&r| r <= 3.0);
+        let list = |xs: &[f64], prec: usize| {
+            xs.iter().map(|x| format!("{x:.prec$}")).collect::<Vec<_>>().join(" / ")
+        };
+        let at: Vec<String> = windows.iter().map(u64::to_string).collect();
+        println!(
+            "{:<44} {} ns/ack   (x{} from 16 in flight)",
+            format!("tcp_base/on_ack_{shape}/{name} @{}", at.join("/")),
+            list(&ns, 1),
+            list(&ratios, 2),
+        );
     }
     ok
 }

@@ -585,6 +585,7 @@ mod tests {
 
     #[test]
     fn rto_helpers_arm_filter_and_fire() {
+        use crate::dctcp::DctcpLaw;
         use crate::proto::AckHdr;
         use crate::tcp_base::TcpCfg;
         use netsim::host::Effects;
@@ -611,6 +612,7 @@ mod tests {
         let min_rto = cfg.min_rto;
         let tok = rto_token(3);
         let mut flow = DctcpFlowTx::new(FlowId(3), HostId(0), HostId(1), 1_000_000, cfg);
+        let mut law = DctcpLaw::new(&flow);
         // Sending arms the deadline.
         let first = flow.next_segment(SimTime::ZERO).expect("window open");
         let d0 = flow.rto_deadline();
@@ -622,7 +624,7 @@ mod tests {
         assert_eq!(timers(SimTime::ZERO, |ctx| arm_rto(&mut flow, ctx)), vec![]);
         // Nor does one at a later deadline (ACK progress pushed it out).
         let t1 = SimTime(50_000);
-        flow.on_ack(&ack(first.offset + first.len as u64), t1);
+        flow.on_ack(&ack(first.offset + first.len as u64), t1, &mut law);
         assert!(flow.next_segment(t1).is_some());
         let d1 = flow.rto_deadline();
         assert_eq!(d1, t1 + min_rto);
@@ -648,7 +650,7 @@ mod tests {
         // ACK progress resets the back-off, so the deadline moves *earlier*:
         // one new timer, which supersedes the one sleeping until d2.
         let t3 = SimTime(d1.0 + 1_000);
-        flow.on_ack(&ack(retx.offset + retx.len as u64), t3);
+        flow.on_ack(&ack(retx.offset + retx.len as u64), t3, &mut law);
         assert!(flow.next_segment(t3).is_some());
         let d3 = flow.rto_deadline();
         assert!(d3 < d2);

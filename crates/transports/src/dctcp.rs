@@ -1,6 +1,6 @@
 //! DCTCP (the paper's primary reactive baseline and PPT's HCP loop) and
 //! its two loss-driven Table-1 variants, TCP-10 and Halfback: each is
-//! [`Window`] over its own [`Hcp`].
+//! [`Window`] over its own [`Hcp`], and all three run [`DctcpLaw`].
 
 // The MwRecorder oracle handle below is the one sanctioned RefCell use:
 // a measurement tap, not simulation state (see its doc comment).
@@ -9,11 +9,13 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use netsim::{FlowDesc, FlowId};
+use netsim::{FlowDesc, FlowId, SimTime};
+use ppt_core::{AlphaEstimator, DEFAULT_G};
 
 use crate::hcp::{Hcp, Stamp, Window};
 use crate::ppt::DctcpHcp;
-use crate::tcp_base::{DctcpFlowTx, TcpCfg};
+use crate::proto::AckHdr;
+use crate::tcp_base::{DctcpFlowTx, TcpCfg, WindowLaw};
 
 /// Shared map for recording each flow's maximum window — consumed by the
 /// "hypothetical DCTCP" oracle experiments (Fig 2/3/20).
@@ -24,6 +26,71 @@ use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 // simlint: allow(shared_mut)
 pub type MwRecorder = Rc<RefCell<BTreeMap<FlowId, u64>>>;
 
+/// DCTCP's window law (the paper's Eq. 1): Reno's increase, and once per
+/// round — a window of data acknowledged — α folds in the fraction of
+/// ECE-echoing bytes and, if the round saw one, the window is cut by α/2.
+/// Unmarked (TCP-10, Halfback) only fast retransmit and RTO cut it.
+#[derive(Clone, Debug)]
+pub struct DctcpLaw {
+    alpha: AlphaEstimator,
+    /// The round closes once feedback covers this offset.
+    round_end: u64,
+    /// An ECE arrived in this round.
+    ce_in_round: bool,
+}
+
+impl DctcpLaw {
+    /// The law for `tx`. Its first round ends with the flow's first
+    /// segment, `[0, min(size, MSS))`: the segment every endpoint sends
+    /// before any ACK can arrive.
+    pub fn new(tx: &DctcpFlowTx) -> Self {
+        let round_end = tx.size.min(tx.mss() as u64);
+        DctcpLaw { alpha: AlphaEstimator::new(DEFAULT_G), round_end, ce_in_round: false }
+    }
+
+    /// Current α.
+    pub fn alpha(&self) -> f64 {
+        self.alpha.alpha()
+    }
+}
+
+impl WindowLaw for DctcpLaw {
+    fn on_ack(
+        &mut self,
+        tx: &mut DctcpFlowTx,
+        ack: &AckHdr,
+        newly: u64,
+        _: SimTime,
+    ) -> Option<f64> {
+        // Every HCP ACK feeds α, a duplicate as one byte.
+        self.alpha.on_ack(newly.max(1), if ack.ece { newly.max(1) } else { 0 });
+        self.ce_in_round |= ack.ece;
+        if newly > 0 {
+            tx.grow(newly);
+            tx.set_cwnd(tx.cwnd());
+        }
+        if self.round_end == 0 || tx.cum_high_water() < self.round_end {
+            return None;
+        }
+        let alpha = self.alpha.end_of_round();
+        // One multiplicative cut per round at most: the mark is consumed
+        // here and only re-arms on fresh ECE.
+        if self.ce_in_round {
+            tx.cut(self.alpha.cut_factor());
+        }
+        self.ce_in_round = false;
+        self.round_end = tx.snd_hi().max(tx.cum_high_water());
+        Some(alpha)
+    }
+}
+
+/// A DCTCP sender for `flow` over `tcp`, and its law.
+pub(crate) fn dctcp_flow(flow: &FlowDesc, tcp: TcpCfg) -> (DctcpFlowTx, DctcpLaw) {
+    let tx = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp);
+    let law = DctcpLaw::new(&tx);
+    (tx, law)
+}
+
 /// Plain DCTCP: all data at the highest priority, ECN-driven window.
 pub type DctcpTransport = Window<DctcpHcp>;
 
@@ -33,9 +100,10 @@ pub struct Tcp10;
 
 impl Hcp for Tcp10 {
     const STAMP: Stamp = Stamp::Delay;
+    type Law = DctcpLaw;
 
-    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx {
-        DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp.clone())
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, DctcpLaw) {
+        dctcp_flow(flow, tcp.clone())
     }
 }
 
@@ -46,14 +114,15 @@ pub struct Halfback;
 
 impl Hcp for Halfback {
     const STAMP: Stamp = Stamp::Delay;
+    type Law = DctcpLaw;
 
-    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx {
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, DctcpLaw) {
         let mut tcp = tcp.clone();
         if flow.size_bytes <= 141_000 {
             // Short flows go out at line rate immediately.
             tcp.init_cwnd_bytes = tcp.init_cwnd_bytes.max(flow.size_bytes);
         }
-        DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp)
+        dctcp_flow(flow, tcp)
     }
 }
 

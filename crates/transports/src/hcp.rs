@@ -3,11 +3,12 @@
 //! Every reactive scheme here rides one reliability engine
 //! ([`DctcpFlowTx`]: segmentation, SACK, fast retransmit, RTO) and one
 //! receiver ([`TcpRxTable`]). [`Hcp`] names what differs between primary
-//! loops: how a flow's sender is built (window law, initial window), how
-//! its data packets are stamped for feedback, and — for PPT — when the
-//! case-1 loop opens and what signals spare capacity (case 2). [`Beside`]
-//! names what a scheme runs beside the primary loop: PIAS's demotion,
-//! RC3's top-up, the §2.3 oracle's fill; `()` is nothing.
+//! loops: how a flow's sender is built (initial window) and which
+//! [`WindowLaw`] moves its window, how its data packets are stamped for
+//! feedback, and — for PPT — when the case-1 loop opens and what signals
+//! spare capacity (case 2). [`Beside`] names what a scheme runs beside the
+//! primary loop: PIAS's demotion, RC3's top-up, the §2.3 oracle's fill;
+//! `()` is nothing.
 //!
 //! [`Window<H, L>`] is the endpoint: DCTCP, TCP-10, Halfback, HPCC,
 //! PowerTCP, Swift, PIAS, RC3 and the oracle are `(H, L)` pairs.
@@ -21,7 +22,7 @@ use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, To
 use crate::dctcp::MwRecorder;
 use crate::proto::{AckHdr, DataHdr, IntSlot, Proto};
 use crate::rx::TcpRxTable;
-use crate::tcp_base::{AckOutcome, DctcpFlowTx, SegOut, TcpCfg};
+use crate::tcp_base::{DctcpFlowTx, SegOut, TcpCfg, WindowLaw};
 
 /// The feedback channel an HCP's data packets are stamped for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,9 +53,11 @@ pub enum Case1 {
 pub trait Hcp: Clone {
     /// How this HCP's data packets are stamped.
     const STAMP: Stamp;
+    /// A flow's window law, kept beside its sender.
+    type Law: WindowLaw;
 
-    /// Build a flow's sender: window law and initial window.
-    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx;
+    /// Build a flow's sender (its initial window) and its window law.
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, Self::Law);
 
     /// When case 1 opens for a flow (not) identified large at start.
     fn case1(&self, _identified_large: bool) -> Case1 {
@@ -62,12 +65,14 @@ pub trait Hcp: Clone {
     }
 
     /// Case 2, asked after every HCP ACK of a live flow (before the
-    /// window is refilled): `Some(initial LCP window)` when the feedback
-    /// just processed says the path has spare capacity.
+    /// window is refilled): `Some(initial LCP window)` when what the ACK
+    /// just fed `law` — `round_alpha` is what its `on_ack` returned — says
+    /// the path has spare capacity.
     fn spare_capacity(
         &mut self,
         _tx: &DctcpFlowTx,
-        _ack: &AckOutcome,
+        _law: &Self::Law,
+        _round_alpha: Option<f64>,
         _cfg: &PptConfig,
     ) -> Option<u64> {
         None
@@ -176,8 +181,8 @@ pub struct Window<H: Hcp, L: Beside = ()> {
     tcp: TcpCfg,
     hcp: H,
     beside: L,
-    /// Senders still waiting for ACKs.
-    tx: FlowTable<(DctcpFlowTx, L::Flow)>,
+    /// Senders still waiting for ACKs, with their laws.
+    tx: FlowTable<(DctcpFlowTx, H::Law, L::Flow)>,
     /// Final window of every sender that finished while traced: all the
     /// `CwndUpdate` line of a late ACK needs.
     tx_done: FlowTable<u64>,
@@ -214,7 +219,7 @@ impl<H: Hcp, L: Beside> Window<H, L> {
 
     /// Transmit segments while the window allows, then keep the RTO timer
     /// armed.
-    fn pump(beside: &L, (tx, flow): &mut (DctcpFlowTx, L::Flow), ctx: &mut Ctx<'_, Proto>) {
+    fn pump(beside: &L, tx: &mut DctcpFlowTx, flow: &mut L::Flow, ctx: &mut Ctx<'_, Proto>) {
         let now = ctx.now();
         while let Some(seg) = tx.next_segment(now) {
             let prio = beside.hcp_priority(flow, tx, ctx);
@@ -226,9 +231,9 @@ impl<H: Hcp, L: Beside> Window<H, L> {
 
 impl<H: Hcp, L: Beside> Transport<Proto> for Window<H, L> {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let state = (self.hcp.flow_tx(flow, &self.tcp), self.beside.flow(flow));
-        let state = self.tx.insert(flow.id, state);
-        Self::pump(&self.beside, state, ctx);
+        let (tx, law) = self.hcp.flow_tx(flow, &self.tcp);
+        let (tx, _, f) = self.tx.insert(flow.id, (tx, law, self.beside.flow(flow)));
+        Self::pump(&self.beside, tx, f, ctx);
         // The first tick is now; the timer brings the rest.
         self.on_timer(Token { kind: L::TICK, generation: 0, flow: flow.id.0 }.encode(), ctx);
     }
@@ -240,20 +245,19 @@ impl<H: Hcp, L: Beside> Transport<Proto> for Window<H, L> {
             _ => unreachable!("window endpoint received a non-TCP packet"),
         };
         let id = pkt.flow;
-        let Some(state) = self.tx.get_mut(id) else {
+        let Some((tx, law, flow)) = self.tx.get_mut(id) else {
             // A late ACK of a finished flow moves nothing, but traces.
             if let Some(&cwnd) = self.tx_done.get(id).filter(|_| !ack.lcp) {
                 ctx.emit(TraceEvent::CwndUpdate { flow: id.0, cwnd });
             }
             return;
         };
-        let (tx, flow) = state;
         if ack.lcp {
-            tx.on_lcp_ack(ack, ctx.now());
+            tx.on_lcp_ack(ack);
         } else {
-            let out = tx.on_ack(ack, ctx.now());
+            let round_alpha = tx.on_ack(ack, ctx.now(), law);
             if ctx.tracing() {
-                if let Some(alpha) = out.round_alpha {
+                if let Some(alpha) = round_alpha {
                     ctx.emit(TraceEvent::AlphaUpdate { flow: id.0, alpha });
                 }
                 ctx.emit(TraceEvent::CwndUpdate { flow: id.0, cwnd: tx.cwnd_bytes() });
@@ -274,24 +278,24 @@ impl<H: Hcp, L: Beside> Transport<Proto> for Window<H, L> {
         } else if ack.lcp {
             self.beside.on_low_ack(flow, tx, ack, ctx);
         } else {
-            Self::pump(&self.beside, state, ctx);
+            Self::pump(&self.beside, tx, flow, ctx);
         }
     }
 
     fn on_timer(&mut self, raw: u64, ctx: &mut Ctx<'_, Proto>) {
         let token = Token::decode(raw);
-        let Some(state) = self.tx.get_mut(FlowId(token.flow)) else { return };
+        let Some((tx, _, flow)) = self.tx.get_mut(FlowId(token.flow)) else { return };
         if token.kind == TIMER_RTO {
-            if service_rto(&mut state.0, ctx) {
-                Self::pump(&self.beside, state, ctx);
+            if service_rto(tx, ctx) {
+                Self::pump(&self.beside, tx, flow, ctx);
             }
-        } else if token.kind == L::TICK && self.beside.on_tick(&mut state.1, &mut state.0, ctx) {
+        } else if token.kind == L::TICK && self.beside.on_tick(flow, tx, ctx) {
             ctx.timer_after(self.tcp.base_rtt, raw);
         }
     }
 
     fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        crate::common::cc_snapshot(self.tx.values().map(|(tx, _)| (tx, 0)))
+        crate::common::cc_snapshot(self.tx.values().map(|(tx, ..)| (tx, 0)))
     }
 }
 
@@ -354,5 +358,94 @@ mod tests {
         let oracle = crate::MwRecorder::default();
         oracle.borrow_mut().insert(FlowId(3), 50_000);
         finish_and_poke(Window::new(tcp, dctcp(), Oracle::new(&oracle, 1.0)));
+    }
+
+    /// Start a 1 MB flow on `hcp`, send its first window, then feed it each
+    /// `(at, ack)` in turn: what `spare_capacity` says after each.
+    fn spare_after<H: Hcp>(mut hcp: H, acks: &[(SimTime, AckHdr)]) -> Vec<Option<u64>> {
+        let tcp = TcpCfg::new(SimDuration::from_micros(80));
+        let cfg = PptConfig::new(Rate::gbps(10), tcp.base_rtt);
+        let flow = FlowDesc::new(FlowId(3), HostId(0), HostId(1), 1 << 20, SimTime::ZERO);
+        let (mut tx, mut law) = hcp.flow_tx(&flow, &tcp);
+        while tx.next_segment(SimTime::ZERO).is_some() {}
+        let spare = |(at, ack): &(SimTime, AckHdr)| {
+            let round_alpha = tx.on_ack(ack, *at, &mut law);
+            hcp.spare_capacity(&tx, &law, round_alpha, &cfg)
+        };
+        acks.iter().map(spare).collect()
+    }
+
+    /// Each HCP's case-2 signal (DESIGN.md §16), driven across its
+    /// boundary through the law that feeds it.
+    #[test]
+    fn each_spare_capacity_signal_flips_at_its_boundary() {
+        use crate::proto::{IntHop, IntStack};
+        use crate::{DctcpHcp, HpccHcp, SwiftHcp};
+        let mss = netsim::MSS_BYTES as u64;
+        let us = |n: u64| SimTime(n * 1_000);
+        // An ACK up to `cum`, its data sent `delay_us` ago, with INT `hop`.
+        let hdr = |cum: u64, ece: bool, at: SimTime, delay_us: u64, hop: Option<IntHop>| AckHdr {
+            cum,
+            sacks: [].into(),
+            ece,
+            lcp: false,
+            ts_echo: SimTime(at.0 - delay_us * 1_000),
+            int_echo: hop.map(|hop| Box::new([hop].into_iter().collect::<IntStack>())),
+        };
+        // One 10G hop, seen at `at` with `qlen` queued and `tx` sent.
+        let hop = |qlen: u64, tx: u64, at: SimTime| IntHop {
+            qlen_bytes: qlen,
+            qlen_high_bytes: qlen,
+            tx_bytes: tx,
+            tx_high_bytes: tx,
+            ts: at,
+            rate_bps: 10_000_000_000,
+        };
+        let (a, b, c) = (us(200), us(300), us(400));
+        let dctcp = spare_after(
+            DctcpHcp::new(&PptConfig::new(Rate::gbps(10), SimDuration::from_micros(80))),
+            &[
+                // The first round closes in slow start: α = 15/16, a minimum
+                // of nothing, but the MW it would fill to is not known yet.
+                (a, hdr(mss, false, a, 0, None)),
+                // The window's round, all marked: α rises, no minimum (the
+                // mark cuts the window, so the flow leaves slow start).
+                (b, hdr(10 * mss, true, b, 0, None)),
+                // A duplicate closes an unmarked round: α falls to a strict
+                // minimum past slow start.
+                (c, hdr(10 * mss, false, c, 0, None)),
+            ],
+        );
+        let swift = spare_after(
+            SwiftHcp,
+            &[
+                // Target = 1.5 × 80 µs: 130 µs is over it, 100 µs under.
+                (a, hdr(mss, false, a, 130, None)),
+                (b, hdr(2 * mss, false, b, 100, None)),
+                // A duplicate measures no delay.
+                (c, hdr(2 * mss, false, c, 100, None)),
+            ],
+        );
+        // Base RTT 80 µs at 10G: U = qlen / 100 KB + tx rate / line rate.
+        let hpcc = spare_after(
+            HpccHcp::new(Rate::gbps(10), SimDuration::from_micros(80)),
+            &[
+                // No history and an empty queue: U = 0, no signal.
+                (a, hdr(mss, false, a, 0, Some(hop(0, 0, a)))),
+                // Half line rate over the last 100 µs: U = 0.5.
+                (b, hdr(2 * mss, false, b, 0, Some(hop(0, 62_500, b)))),
+                // 95 KB queued on top: U = 1.45.
+                (c, hdr(3 * mss, false, c, 0, Some(hop(95_000, 125_000, c)))),
+            ],
+        );
+        let rows = [
+            ("dctcp", dctcp, [false, false, true]),
+            ("swift", swift, [false, true, false]),
+            ("hpcc", hpcc, [false, true, false]),
+        ];
+        for (name, spare, want) in rows {
+            let got: Vec<bool> = spare.iter().map(Option::is_some).collect();
+            assert_eq!(got, want, "{name}: {spare:?}");
+        }
     }
 }

@@ -14,17 +14,130 @@
 //! prioritize small flows over large ones". [`HpccPptTransport`] does
 //! exactly that with [`Lcp`] over the same [`HpccHcp`].
 
-use netsim::{FlowDesc, Rate, SimDuration};
+use netsim::{FlowDesc, Rate, SimDuration, SimTime};
 use ppt_core::PptConfig;
 
 use crate::hcp::{Hcp, Stamp, Window};
 use crate::lcp::Lcp;
-use crate::tcp_base::{AckOutcome, CcMode, DctcpFlowTx, HpccCc, TcpCfg};
+use crate::proto::{AckHdr, IntHop};
+use crate::tcp_base::{DctcpFlowTx, TcpCfg, WindowLaw};
 
 /// Open the LCP loop when HPCC's inflight estimate falls below this
 /// fraction of capacity (the appendix's "in-flight bytes smaller than
 /// BDP" condition, with a little hysteresis).
 pub const DEFAULT_U_OPEN_THRESHOLD: f64 = 0.90;
+
+/// Utilization target η.
+const ETA: f64 = 0.95;
+/// Additive-increase stages before a multiplicative step.
+const MAX_STAGE: u32 = 5;
+/// Additive increase per update W_AI, bytes.
+const W_AI: f64 = netsim::MSS_BYTES as f64;
+
+/// What the INT-driven laws (HPCC, PowerTCP) keep between ACKs: the
+/// previous INT stack, hop by hop, and the reference window W_c, latched
+/// once per RTT.
+#[derive(Clone, Debug)]
+pub(crate) struct IntHistory {
+    /// Previous INT observation per hop, keyed by hop index.
+    prev: Vec<IntHop>,
+    /// Reference window W_c.
+    pub(crate) wc: f64,
+    /// W_c is latched again by the first ACK past this offset: the end of
+    /// the data in flight at the last latch.
+    latch_at: u64,
+}
+
+impl IntHistory {
+    pub(crate) fn new(init_cwnd: u64) -> Self {
+        IntHistory { prev: Vec::new(), wc: init_cwnd as f64, latch_at: 0 }
+    }
+
+    /// Visit each hop of `int` beside the same hop of the previous stack,
+    /// if that had one, then keep `int` as the previous stack.
+    pub(crate) fn advance(&mut self, int: &[IntHop], mut f: impl FnMut(&IntHop, Option<&IntHop>)) {
+        for (i, hop) in int.iter().enumerate() {
+            f(hop, self.prev.get(i));
+        }
+        self.prev.clear();
+        self.prev.extend_from_slice(int);
+    }
+
+    /// Latch W_c at `tx`'s window if `ack` is the first of a new RTT; true
+    /// when it did.
+    pub(crate) fn latch(&mut self, ack: &AckHdr, tx: &DctcpFlowTx) -> bool {
+        let due = ack.cum > self.latch_at;
+        if due {
+            self.wc = tx.cwnd();
+            self.latch_at = tx.snd_hi();
+        }
+        due
+    }
+}
+
+/// HPCC's window law (per the HPCC paper's per-ACK update driven by INT
+/// telemetry): from the bottleneck's inflight estimate U, W = W_c/(U/η) +
+/// W_AI when U ≥ η or after [`MAX_STAGE`] additive steps, else W_c + W_AI.
+#[derive(Clone, Debug)]
+pub struct HpccLaw {
+    hist: IntHistory,
+    /// Priority-aware INT: measure only the high-priority band (P0–P3).
+    /// Required when an LCP loop shares the path — otherwise HPCC counts
+    /// the opportunistic traffic as congestion, yields window, and the
+    /// LCP loop absorbs the yield in a spiral.
+    high_band_only: bool,
+    inc_stage: u32,
+    /// The inflight estimate U of the last ACK that carried INT (the
+    /// appendix-B variant opens its LCP loop when this drops below 1).
+    last_u: f64,
+}
+
+impl HpccLaw {
+    /// HPCC from a window of `init_cwnd` bytes.
+    pub fn new(init_cwnd: u64, high_band_only: bool) -> Self {
+        HpccLaw { hist: IntHistory::new(init_cwnd), high_band_only, inc_stage: 0, last_u: 0.0 }
+    }
+}
+
+impl WindowLaw for HpccLaw {
+    fn on_ack(&mut self, tx: &mut DctcpFlowTx, ack: &AckHdr, _: u64, _: SimTime) -> Option<f64> {
+        // U: the normalized inflight estimate of the most loaded hop, with
+        // T = the base RTT in qlen/(B·T).
+        let (t, high) = (tx.cfg().base_rtt.as_secs_f64(), self.high_band_only);
+        let mut u: f64 = 0.0;
+        self.hist.advance(ack.int_echo.as_deref()?, |hop, prev| {
+            let b_bytes_per_sec = hop.rate_bps as f64 / 8.0;
+            let qlen = if high { hop.qlen_high_bytes } else { hop.qlen_bytes };
+            let mut hop_u = qlen as f64 / (b_bytes_per_sec * t);
+            if let Some(prev) = prev {
+                let dt_ns = hop.ts.as_nanos().saturating_sub(prev.ts.as_nanos());
+                if dt_ns > 0 {
+                    let (now_tx, prev_tx) = if high {
+                        (hop.tx_high_bytes, prev.tx_high_bytes)
+                    } else {
+                        (hop.tx_bytes, prev.tx_bytes)
+                    };
+                    let dbytes = now_tx.saturating_sub(prev_tx) as f64;
+                    let tx_rate = dbytes / (dt_ns as f64 / 1e9);
+                    hop_u += tx_rate / b_bytes_per_sec;
+                }
+            }
+            u = u.max(hop_u);
+        });
+        self.last_u = u;
+        if self.hist.latch(ack, tx) {
+            self.inc_stage = 0;
+        }
+        let wc = self.hist.wc;
+        if u >= ETA || self.inc_stage >= MAX_STAGE {
+            tx.set_cwnd((wc / (u / ETA).max(1e-3) + W_AI).max(tx.mss() as f64));
+        } else {
+            tx.set_cwnd(wc + W_AI);
+            self.inc_stage += 1;
+        }
+        None
+    }
+}
 
 /// HPCC as the high-priority loop (η = 0.95, maxStage = 5, W_AI = 1 MSS):
 /// INT instead of ECN, a line-rate start, and U below
@@ -43,7 +156,7 @@ impl HpccHcp {
     }
 
     /// Measure only the high-priority band, as an HCP sharing its path
-    /// with an LCP must (see [`HpccCc::high_band_only`]).
+    /// with an LCP must (see [`HpccLaw`]).
     pub fn with_high_band_only(mut self) -> Self {
         self.high_band_only = true;
         self
@@ -52,14 +165,13 @@ impl HpccHcp {
 
 impl Hcp for HpccHcp {
     const STAMP: Stamp = Stamp::Int;
+    type Law = HpccLaw;
 
-    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx {
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, HpccLaw) {
         let mut tcp = tcp.clone();
         tcp.init_cwnd_bytes = tcp.init_cwnd_bytes.max(self.bdp_bytes);
-        let mut cc = HpccCc::new(tcp.base_rtt, tcp.init_cwnd_bytes);
-        cc.high_band_only = self.high_band_only;
-        DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp)
-            .with_cc_mode(CcMode::Hpcc(cc))
+        let law = HpccLaw::new(tcp.init_cwnd_bytes, self.high_band_only);
+        (DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp), law)
     }
 
     // No case 1: HPCC already starts at line rate (IW = BDP), so there is
@@ -70,11 +182,11 @@ impl Hcp for HpccHcp {
     fn spare_capacity(
         &mut self,
         tx: &DctcpFlowTx,
-        _ack: &AckOutcome,
-        _cfg: &PptConfig,
+        law: &HpccLaw,
+        _: Option<f64>,
+        _: &PptConfig,
     ) -> Option<u64> {
-        let CcMode::Hpcc(h) = tx.cc_mode() else { return None };
-        (h.last_u > 0.0 && h.last_u < DEFAULT_U_OPEN_THRESHOLD)
+        (law.last_u > 0.0 && law.last_u < DEFAULT_U_OPEN_THRESHOLD)
             .then(|| self.bdp_bytes.saturating_sub(tx.inflight_bytes()))
     }
 }

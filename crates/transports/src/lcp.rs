@@ -43,8 +43,9 @@ struct Layer {
     tagger: MirrorTagger,
 }
 
-struct LcpFlow<H> {
+struct LcpFlow<H: Hcp> {
     tx: DctcpFlowTx,
+    law: H::Law,
     hcp: H,
     identified_large: bool,
     lcp: Option<LcpLoop>,
@@ -217,10 +218,12 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
         let identifier = FlowIdentifier { threshold_bytes: layer.cfg.ident_threshold_bytes };
         let identified_large =
             layer.cfg.identification_enabled && identifier.is_large_at_start(first_write);
+        let (tx, law) = self.hcp.flow_tx(flow, &layer.tcp);
         let f = self.tx.insert(
             flow.id,
             LcpFlow {
-                tx: self.hcp.flow_tx(flow, &layer.tcp),
+                tx,
+                law,
                 hcp: self.hcp.clone(),
                 identified_large,
                 lcp: None,
@@ -256,7 +259,7 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
                     }
                     return;
                 };
-                f.tx.on_lcp_ack(ack, now);
+                f.tx.on_lcp_ack(ack);
                 let mut sent_new = false;
                 let done = f.tx.is_done();
                 if done {
@@ -284,9 +287,9 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
                     }
                     return;
                 };
-                let out = f.tx.on_ack(ack, ctx.now());
+                let round_alpha = f.tx.on_ack(ack, ctx.now(), &mut f.law);
                 if ctx.tracing() {
-                    if let Some(alpha) = out.round_alpha {
+                    if let Some(alpha) = round_alpha {
                         ctx.emit(TraceEvent::AlphaUpdate { flow: pkt.flow.0, alpha });
                     }
                     ctx.emit(TraceEvent::CwndUpdate { flow: pkt.flow.0, cwnd: f.tx.cwnd_bytes() });
@@ -297,7 +300,7 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
                 }
                 // Case 2 is judged on the state the ACK left behind, before
                 // the pump below refills the window.
-                let spare = f.hcp.spare_capacity(&f.tx, &out, &layer.cfg);
+                let spare = f.hcp.spare_capacity(&f.tx, &f.law, round_alpha, &layer.cfg);
                 f.pump_hcp(layer, &mut self.scratch, ctx);
                 if let Some(init) = spare {
                     f.open_lcp(layer, LoopTrigger::AlphaMinimum, init, ctx);

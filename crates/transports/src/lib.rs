@@ -5,8 +5,9 @@
 //!
 //! | module | scheme | role in the paper |
 //! |---|---|---|
-//! | [`hcp`] | — | [`Window<H, L>`], the TCP-family endpoint, and its two policies: [`Hcp`] (the primary loop) and [`Beside`] (what runs beside it) |
-//! | [`dctcp`] | DCTCP, TCP-10, Halfback | reactive baselines; DCTCP is PPT's HCP loop |
+//! | [`tcp_base`] | — | [`DctcpFlowTx`], the reliability engine every TCP-family sender runs, and the [`WindowLaw`] seam |
+//! | [`hcp`] | — | [`Window<H, L>`], the TCP-family endpoint, and its two policies: [`Hcp`] (the primary loop and its law) and [`Beside`] (what runs beside it) |
+//! | [`dctcp`] | DCTCP, TCP-10, Halfback | reactive baselines on [`DctcpLaw`]; DCTCP is PPT's HCP loop |
 //! | [`lcp`] | — | [`Lcp`]: PPT's dual-loop layer + scheduling over any [`Hcp`] |
 //! | [`ppt`] | **PPT** | the paper's contribution: [`Lcp`] over DCTCP |
 //! | [`rc3`] | RC3 | prior dual-loop reactive baseline: a [`Beside`] on DCTCP |
@@ -15,9 +16,9 @@
 //! | [`homa`] (Aeolus mode) | Aeolus | proactive pre-credit baseline (Homa + selective drop) |
 //! | [`ndp`] | NDP | proactive trimming baseline |
 //! | [`expresspass`] | ExpressPass | proactive credit-scheduled baseline |
-//! | [`hpcc`] | HPCC, PPT-over-HPCC | INT-based [`Hcp`]; [`Lcp`] over it (appendix B) |
-//! | [`powertcp`] | PowerTCP | INT-based power window law: an [`Hcp`] |
-//! | [`swift`] | Swift-like, PPT-over-Swift | delay-based [`Hcp`]; [`Lcp`] over it (Fig 14) |
+//! | [`hpcc`] | HPCC, PPT-over-HPCC | INT-based [`Hcp`] on [`HpccLaw`]; [`Lcp`] over it (appendix B) |
+//! | [`powertcp`] | PowerTCP | INT-based power window law [`PowerTcpLaw`]: an [`Hcp`] |
+//! | [`swift`] | Swift-like, PPT-over-Swift | delay-based [`Hcp`] on [`SwiftLaw`]; [`Lcp`] over it (Fig 14) |
 //! | [`hypothetical`] | hypothetical DCTCP | the MW-oracle gap filler (§2.3): a [`Beside`] on DCTCP |
 //!
 //! All share one packet header type, [`proto::Proto`], so any scheme runs
@@ -42,24 +43,22 @@ pub mod swift;
 pub mod tcp_base;
 
 pub use common::{FlowTable, IntervalSet, TableStats, Token};
-pub use dctcp::{DctcpTransport, Halfback, MwRecorder, Tcp10};
+pub use dctcp::{DctcpLaw, DctcpTransport, Halfback, MwRecorder, Tcp10};
 pub use expresspass::{ExpressPassCfg, ExpressPassTransport};
 pub use hcp::{Beside, Case1, Hcp, Stamp, Window};
 pub use homa::{homa_switch_config, HomaCfg, HomaTransport};
-pub use hpcc::{HpccHcp, HpccPptTransport, HpccTransport};
+pub use hpcc::{HpccHcp, HpccLaw, HpccPptTransport, HpccTransport};
 pub use hypothetical::{HypotheticalTransport, Oracle};
 pub use lcp::Lcp;
 pub use ndp::{NdpCfg, NdpTransport};
 pub use pias::{PiasCfg, PiasTransport};
-pub use powertcp::{PowerTcpHcp, PowerTcpTransport};
+pub use powertcp::{PowerTcpHcp, PowerTcpLaw, PowerTcpTransport};
 pub use ppt::{DctcpHcp, PptTransport};
 pub use proto::{AckHdr, DataHdr, HomaHdr, IntHop, IntSlot, IntStack, NdpHdr, Proto, SackBlocks};
 pub use rc3::{Rc3Cfg, Rc3Transport};
 pub use rx::{TcpRx, TcpRxTable};
-pub use swift::{SwiftHcp, SwiftPptTransport, SwiftTransport};
-pub use tcp_base::{
-    AckOutcome, CcMode, CcState, DctcpFlowTx, HpccCc, PowerTcpCc, SegOut, SwiftCc, TcpCfg,
-};
+pub use swift::{SwiftHcp, SwiftLaw, SwiftPptTransport, SwiftTransport};
+pub use tcp_base::{CcState, DctcpFlowTx, SegOut, TcpCfg, WindowLaw};
 
 /// Put a fresh endpoint from `make` on every host of `topo`.
 pub fn install<T: netsim::Transport<Proto> + 'static>(

@@ -5,9 +5,10 @@
 use netsim::FlowDesc;
 use ppt_core::{initial_window_case2, MinTracker, PptConfig};
 
+use crate::dctcp::{dctcp_flow, DctcpLaw};
 use crate::hcp::{Case1, Hcp, Stamp};
 use crate::lcp::Lcp;
-use crate::tcp_base::{AckOutcome, DctcpFlowTx, TcpCfg};
+use crate::tcp_base::{DctcpFlowTx, TcpCfg};
 
 /// DCTCP as the high-priority loop: ECN-marked, IW from [`TcpCfg`], and
 /// "α closed a round at its windowed minimum" as the spare-capacity
@@ -33,9 +34,10 @@ impl Default for DctcpHcp {
 
 impl Hcp for DctcpHcp {
     const STAMP: Stamp = Stamp::Ecn;
+    type Law = DctcpLaw;
 
-    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx {
-        DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp.clone())
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, DctcpLaw) {
+        dctcp_flow(flow, tcp.clone())
     }
 
     /// 1st RTT for normal flows, 2nd RTT for identified-large ones (§3.1).
@@ -50,10 +52,11 @@ impl Hcp for DctcpHcp {
     fn spare_capacity(
         &mut self,
         tx: &DctcpFlowTx,
-        ack: &AckOutcome,
+        _: &DctcpLaw,
+        round_alpha: Option<f64>,
         cfg: &PptConfig,
     ) -> Option<u64> {
-        let alpha = ack.round_alpha?;
+        let alpha = round_alpha?;
         if !self.min_tracker.push(alpha) || !tx.wmax.past_slow_start() {
             return None;
         }

@@ -252,24 +252,6 @@ impl Payload for Proto {
     }
 }
 
-impl Proto {
-    /// Shorthand accessors used pervasively by the transports.
-    pub fn as_data(&self) -> Option<&DataHdr> {
-        match self {
-            Proto::Data(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// ACK accessor.
-    pub fn as_ack(&self) -> Option<&AckHdr> {
-        match self {
-            Proto::Ack(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,12 +6,67 @@
 //! target delay and closes it after two consecutive RTTs without
 //! low-priority ACKs, with the same mirror-symmetric flow scheduling.
 
-use netsim::FlowDesc;
+use netsim::{FlowDesc, SimDuration, SimTime};
 use ppt_core::PptConfig;
 
 use crate::hcp::{Case1, Hcp, Stamp, Window};
 use crate::lcp::Lcp;
-use crate::tcp_base::{AckOutcome, CcMode, DctcpFlowTx, SwiftCc, TcpCfg};
+use crate::proto::AckHdr;
+use crate::tcp_base::{DctcpFlowTx, TcpCfg, WindowLaw};
+
+/// Multiplicative-decrease gain β.
+const BETA: f64 = 0.8;
+/// Most of the window one decrease may take.
+const MAX_MDF: f64 = 0.5;
+
+/// Swift's window law, the fabric-delay half (Fig 14's "conceptually
+/// equivalent to Swift" variant): Reno's increase while an ACK's delay is
+/// under target, else a decrease in proportion to the overshoot, at most
+/// once per base RTT.
+#[derive(Clone, Debug)]
+pub struct SwiftLaw {
+    /// Target one-way+return fabric delay.
+    target: SimDuration,
+    /// Last multiplicative decrease.
+    last_decrease: SimTime,
+    /// The delay (now − `ts_echo`) of the last ACK, if it acknowledged
+    /// anything new: the case-2 signal.
+    delay: Option<SimDuration>,
+}
+
+impl SwiftLaw {
+    /// Swift defaults for a given base RTT: target = 1.5 × base RTT.
+    pub fn new(base_rtt: SimDuration) -> Self {
+        SwiftLaw {
+            target: SimDuration::from_nanos(base_rtt.as_nanos() * 3 / 2),
+            last_decrease: SimTime::ZERO,
+            delay: None,
+        }
+    }
+}
+
+impl WindowLaw for SwiftLaw {
+    fn on_ack(
+        &mut self,
+        tx: &mut DctcpFlowTx,
+        ack: &AckHdr,
+        newly: u64,
+        now: SimTime,
+    ) -> Option<f64> {
+        self.delay = (newly > 0).then(|| now.saturating_since(ack.ts_echo));
+        let delay = self.delay?;
+        if delay < self.target {
+            tx.grow(newly);
+        } else if now.saturating_since(self.last_decrease) >= tx.cfg().base_rtt {
+            let over =
+                (delay.as_nanos() - self.target.as_nanos()) as f64 / delay.as_nanos().max(1) as f64;
+            tx.cut((1.0 - BETA * over).max(1.0 - MAX_MDF));
+            self.last_decrease = now;
+        }
+        tx.set_cwnd(tx.cwnd());
+        None
+    }
+}
 
 /// The Swift-like high-priority loop: delay-based window (target =
 /// 1.5 × base RTT), no ECN participation, and "delay below target" as
@@ -21,10 +76,11 @@ pub struct SwiftHcp;
 
 impl Hcp for SwiftHcp {
     const STAMP: Stamp = Stamp::Delay;
+    type Law = SwiftLaw;
 
-    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> DctcpFlowTx {
-        DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp.clone())
-            .with_cc_mode(CcMode::Swift(SwiftCc::new(tcp.base_rtt)))
+    fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, SwiftLaw) {
+        let tx = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp.clone());
+        (tx, SwiftLaw::new(tcp.base_rtt))
     }
 
     /// The pipe is empty at flow start, as in PPT; identified-large flows
@@ -41,11 +97,11 @@ impl Hcp for SwiftHcp {
     fn spare_capacity(
         &mut self,
         tx: &DctcpFlowTx,
-        ack: &AckOutcome,
+        law: &SwiftLaw,
+        _: Option<f64>,
         cfg: &PptConfig,
     ) -> Option<u64> {
-        let CcMode::Swift(sw) = tx.cc_mode() else { return None };
-        (ack.delay_sample? < sw.target).then(|| cfg.bdp_bytes().saturating_sub(tx.cwnd_bytes()))
+        (law.delay? < law.target).then(|| cfg.bdp_bytes().saturating_sub(tx.cwnd_bytes()))
     }
 }
 

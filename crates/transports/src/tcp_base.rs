@@ -1,16 +1,13 @@
-//! The shared TCP-family engine: a DCTCP sender flow and a common
-//! receiver.
-//!
-//! `DctcpFlowTx` implements everything a window-based ECN sender needs —
-//! segmentation, SACK scoreboarding, fast retransmit, RTO, slow start /
-//! congestion avoidance, and the DCTCP α-based window cut. PPT, RC3 and
-//! PIAS compose it; Swift and HPCC reuse the reliability plumbing with
-//! their own window update.
+//! The reliability engine every TCP-family sender runs: [`DctcpFlowTx`]
+//! (segmentation, SACK scoreboard, fast retransmit, RTO, and the byte
+//! ledgers PPT's low-priority loop claims tail segments from). How the
+//! window reacts to an ACK is a [`WindowLaw`], kept in its scheme's file
+//! (DCTCP's, which TCP-10 and Halfback share, in `dctcp.rs`).
 
 use std::collections::VecDeque;
 
 use netsim::{FlowId, HostId, SimDuration, SimTime};
-use ppt_core::{AlphaEstimator, WmaxTracker};
+use ppt_core::WmaxTracker;
 
 use crate::common::IntervalSet;
 use crate::proto::AckHdr;
@@ -22,12 +19,10 @@ pub struct TcpCfg {
     pub mss: u32,
     /// Initial congestion window, bytes (TCP-10-era default: 10 MSS).
     pub init_cwnd_bytes: u64,
-    /// Base round-trip time (pacing & α round bookkeeping fallback).
+    /// Base round-trip time (Swift's decrease interval, per-RTT ticks, τ).
     pub base_rtt: SimDuration,
     /// Minimum retransmission timeout.
     pub min_rto: SimDuration,
-    /// DCTCP EWMA gain.
-    pub g: f64,
     /// Hard congestion-window cap, bytes.
     pub max_cwnd_bytes: u64,
     /// Duplicate-SACK threshold for fast retransmit.
@@ -43,7 +38,6 @@ impl TcpCfg {
             init_cwnd_bytes: 10 * netsim::MSS_BYTES as u64,
             base_rtt,
             min_rto: SimDuration::from_millis(10),
-            g: ppt_core::DEFAULT_G,
             max_cwnd_bytes: 16 << 20,
             dupack_threshold: 3,
         }
@@ -57,210 +51,22 @@ pub enum CcState {
     CongestionAvoidance,
 }
 
-/// Swift-style delay-based congestion control state (Fig 14's
-/// "conceptually equivalent to Swift" variant: the window reacts to the
-/// fabric delay only).
-#[derive(Clone, Copy, Debug)]
-pub struct SwiftCc {
-    /// Target one-way+return fabric delay.
-    pub target: SimDuration,
-    /// Multiplicative-decrease gain β.
-    pub beta: f64,
-    /// Maximum fraction the window may lose per decrease.
-    pub max_mdf: f64,
-    /// Last multiplicative decrease (rate-limited to once per RTT).
-    pub last_decrease: SimTime,
-}
-
-impl SwiftCc {
-    /// Swift defaults for a given base RTT: target = 1.5 × base RTT.
-    pub fn new(base_rtt: SimDuration) -> Self {
-        SwiftCc {
-            target: SimDuration::from_nanos(base_rtt.as_nanos() * 3 / 2),
-            beta: 0.8,
-            max_mdf: 0.5,
-            last_decrease: SimTime::ZERO,
-        }
-    }
-}
-
-/// HPCC congestion-control state (per the HPCC paper's per-ACK window
-/// update driven by INT telemetry).
-#[derive(Clone, Debug)]
-pub struct HpccCc {
-    /// Utilization target η.
-    pub eta: f64,
-    /// Additive increase per update, bytes.
-    pub w_ai: f64,
-    /// Max additive-increase stages before a multiplicative step.
-    pub max_stage: u32,
-    /// Base RTT (the T in qlen/(B·T)).
-    pub base_rtt: SimDuration,
-    /// Reference window W_c.
-    pub wc: f64,
-    pub inc_stage: u32,
-    pub last_update_seq: u64,
-    /// Previous INT observation per hop, keyed by hop index.
-    pub prev_int: Vec<crate::proto::IntHop>,
-    /// Most recent inflight estimate U (the appendix-B PPT-over-HPCC
-    /// variant opens its LCP loop when this drops below 1).
-    pub last_u: f64,
-    /// Priority-aware INT: measure only the high-priority band (P0–P3).
-    /// Required when an LCP loop shares the path — otherwise HPCC counts
-    /// the opportunistic traffic as congestion, yields window, and the
-    /// LCP loop absorbs the yield in a spiral.
-    pub high_band_only: bool,
-}
-
-impl HpccCc {
-    /// HPCC defaults: η = 0.95, maxStage = 5, W_AI = one MSS.
-    pub fn new(base_rtt: SimDuration, init_cwnd: u64) -> Self {
-        HpccCc {
-            eta: 0.95,
-            w_ai: netsim::MSS_BYTES as f64,
-            max_stage: 5,
-            base_rtt,
-            wc: init_cwnd as f64,
-            inc_stage: 0,
-            last_update_seq: 0,
-            prev_int: Vec::new(),
-            last_u: 0.0,
-            high_band_only: false,
-        }
-    }
-
-    /// The normalized max per-hop inflight estimate U from an echoed INT
-    /// stack, updating the per-hop history.
-    pub fn measure_u(&mut self, int: &[crate::proto::IntHop]) -> f64 {
-        let mut u_max: f64 = 0.0;
-        for (i, hop) in int.iter().enumerate() {
-            let b_bytes_per_sec = hop.rate_bps as f64 / 8.0;
-            let t = self.base_rtt.as_secs_f64();
-            let qlen = if self.high_band_only { hop.qlen_high_bytes } else { hop.qlen_bytes };
-            let mut u = qlen as f64 / (b_bytes_per_sec * t);
-            if let Some(prev) = self.prev_int.get(i) {
-                let dt_ns = hop.ts.as_nanos().saturating_sub(prev.ts.as_nanos());
-                if dt_ns > 0 {
-                    let (now_tx, prev_tx) = if self.high_band_only {
-                        (hop.tx_high_bytes, prev.tx_high_bytes)
-                    } else {
-                        (hop.tx_bytes, prev.tx_bytes)
-                    };
-                    let dbytes = now_tx.saturating_sub(prev_tx) as f64;
-                    let tx_rate = dbytes / (dt_ns as f64 / 1e9);
-                    u += tx_rate / b_bytes_per_sec;
-                }
-            }
-            u_max = u_max.max(u);
-        }
-        // Update history.
-        self.prev_int.clear();
-        self.prev_int.extend_from_slice(int);
-        self.last_u = u_max;
-        u_max
-    }
-}
-
-/// PowerTCP congestion-control state (NSDI'22): the window tracks
-/// in-network *power* — current × voltage, where the current λ is the
-/// per-hop throughput plus queue gradient and the voltage is the queue
-/// plus one BDP — normalized so Γ = 1 at the q = 0, λ = C equilibrium.
-/// Reacting to the gradient term lets it respond to congestion *while
-/// queues are still building*, one RTT earlier than HPCC's inflight
-/// estimate, which only sees the queue level itself.
-#[derive(Clone, Debug)]
-pub struct PowerTcpCc {
-    /// EWMA gain γ of the window update (wc/Γ blends into cwnd at γ).
-    pub gamma: f64,
-    /// Additive increase β per update, bytes.
-    pub beta: f64,
-    /// Base RTT (the τ that converts rate to BDP and scales base power).
-    pub base_rtt: SimDuration,
-    /// Reference window W_c, latched once per RTT like HPCC's.
-    pub wc: f64,
-    pub last_update_seq: u64,
-    /// Previous INT observation per hop, keyed by hop index.
-    pub prev_int: Vec<crate::proto::IntHop>,
-    /// Time-smoothed normalized power Γ (Algorithm 1's ewma over τ).
-    pub smoothed: f64,
-    /// When the previous power measurement was taken (Δt of the ewma).
-    pub last_measure: SimTime,
-}
-
-impl PowerTcpCc {
-    /// PowerTCP defaults: γ = 0.9, β = one MSS, Γ starts at equilibrium.
-    pub fn new(base_rtt: SimDuration, init_cwnd: u64) -> Self {
-        PowerTcpCc {
-            gamma: 0.9,
-            beta: netsim::MSS_BYTES as f64,
-            base_rtt,
-            wc: init_cwnd as f64,
-            last_update_seq: 0,
-            prev_int: Vec::new(),
-            smoothed: 1.0,
-            last_measure: SimTime::ZERO,
-        }
-    }
-
-    /// Normalized power Γ from an echoed INT stack: per hop,
-    /// λ = Δq/Δt + ΔtxBytes/Δt (current), v = q + C·τ (voltage), and the
-    /// base power C²·τ normalizes the product so Γ = 1 means "exactly
-    /// line rate with empty queues". The max over hops is then smoothed
-    /// over one base RTT. Hops without history contribute nothing (the
-    /// first ACK of a flow measures neutral power).
-    pub fn measure_power(&mut self, int: &[crate::proto::IntHop], now: SimTime) -> f64 {
-        let tau = self.base_rtt.as_secs_f64();
-        let mut g_max: f64 = 0.0;
-        for (i, hop) in int.iter().enumerate() {
-            let c = hop.rate_bps as f64 / 8.0; // bytes/sec
-            if c <= 0.0 {
-                continue;
-            }
-            let Some(prev) = self.prev_int.get(i) else { continue };
-            let dt_ns = hop.ts.as_nanos().saturating_sub(prev.ts.as_nanos());
-            if dt_ns == 0 {
-                continue;
-            }
-            let dt = dt_ns as f64 / 1e9;
-            let dq = hop.qlen_bytes as f64 - prev.qlen_bytes as f64;
-            let tx_rate = hop.tx_bytes.saturating_sub(prev.tx_bytes) as f64 / dt;
-            // Draining queues can push λ negative; clamp at zero (the
-            // window still grows through the β term and the small Γ).
-            let lambda = (dq / dt + tx_rate).max(0.0);
-            let voltage = hop.qlen_bytes as f64 + c * tau;
-            let base_power = c * c * tau;
-            g_max = g_max.max(lambda * voltage / base_power);
-        }
-        self.prev_int.clear();
-        self.prev_int.extend_from_slice(int);
-        if g_max <= 0.0 {
-            // No history yet (or an idle path): neutral power.
-            g_max = 1.0;
-        }
-        // Time-weighted ewma over one base RTT (PowerTCP Algorithm 1).
-        let dt = now.saturating_since(self.last_measure).as_secs_f64();
-        self.last_measure = now;
-        self.smoothed = if dt >= tau || tau <= 0.0 {
-            g_max
-        } else {
-            (self.smoothed * (tau - dt) + g_max * dt) / tau
-        };
-        self.smoothed
-    }
-}
-
-/// Which window-update law the flow runs. The reliability machinery
-/// (segmentation, SACK, RTO) is identical across all of them.
-#[derive(Clone, Debug)]
-pub enum CcMode {
-    /// ECN-fraction-based DCTCP (the default).
-    Dctcp,
-    /// Delay-based Swift-like control.
-    Swift(SwiftCc),
-    /// INT-based HPCC control.
-    Hpcc(HpccCc),
-    /// INT-based PowerTCP control (power = current × voltage).
-    PowerTcp(PowerTcpCc),
+/// How a flow's congestion window reacts to its primary-loop ACKs. One
+/// value per flow; [`DctcpFlowTx::on_ack`] calls it on every HCP ACK of a
+/// live flow — duplicates included — once the ACK's bytes are recorded and
+/// the segments it covers cleared, and before fast retransmit reads the
+/// window.
+pub trait WindowLaw {
+    /// React to `ack`, which newly covered `newly` bytes of `tx`'s flow.
+    /// Returns the fresh α when the ACK closed a DCTCP round: the value the
+    /// endpoints trace as `alpha_update` and PPT's case 2 watches.
+    fn on_ack(
+        &mut self,
+        tx: &mut DctcpFlowTx,
+        ack: &AckHdr,
+        newly: u64,
+        now: SimTime,
+    ) -> Option<f64>;
 }
 
 /// A segment the transport should put on the wire.
@@ -271,33 +77,25 @@ pub struct SegOut {
     pub retx: bool,
 }
 
-/// Everything the caller needs to react to an ACK.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AckOutcome {
-    /// Bytes newly covered by this ACK.
-    pub newly_acked: u64,
-    /// An α round closed with this ACK; carries the fresh α.
-    pub round_alpha: Option<f64>,
-    /// The flow is fully acknowledged.
-    pub done: bool,
-    /// An RTT sample measured from the echoed timestamp.
-    pub rtt_sample: Option<SimDuration>,
-    /// Swift mode: the per-ACK delay sample (now − ts_echo).
-    pub delay_sample: Option<SimDuration>,
-}
-
+/// A scoreboard entry: one outstanding primary-loop segment.
 #[derive(Clone, Copy, Debug)]
 struct InflightSeg {
     offset: u64,
     len: u32,
-    sent_at: SimTime,
     /// SACK-hole counter: number of ACK arrivals that SACKed data above
     /// this segment while it remained unacked.
     dup_hits: u8,
-    retx: bool,
 }
 
-/// A DCTCP sender flow.
+// A ring holds an entry per segment in flight (~11 k at the 16 MB cap) and
+// doubles as it grows: an entry's size is most of a large flow's resident
+// state (ROADMAP item 4, ring RSS), so it holds only what an ACK reads.
+const _: () = assert!(
+    std::mem::size_of::<InflightSeg>() == 16,
+    "a scoreboard entry outgrew 16 bytes: the ring's RSS grows with it"
+);
+
+/// A TCP-family sender flow.
 #[derive(Debug)]
 pub struct DctcpFlowTx {
     pub id: FlowId,
@@ -326,15 +124,12 @@ pub struct DctcpFlowTx {
     /// the scoreboard is a ring; only a retransmission lands inside it.
     inflight: VecDeque<InflightSeg>,
     inflight_bytes: u64,
-    /// Highest offset+len ever transmitted (α round bookkeeping).
+    /// Highest offset+len ever transmitted.
     snd_hi: u64,
     /// HCP retransmission queue.
     retx_queue: Vec<(u64, u32)>,
     highest_sacked: u64,
 
-    alpha: AlphaEstimator,
-    round_end: u64,
-    ce_in_round: bool,
     /// Maximum congestion-avoidance window (PPT's MW).
     pub wmax: WmaxTracker,
 
@@ -346,8 +141,6 @@ pub struct DctcpFlowTx {
     pub(crate) rto_timer_at: SimTime,
     /// Bytes the flow has pushed (for priority aging).
     pub bytes_sent: u64,
-    /// Which window-update law runs (DCTCP / Swift / HPCC).
-    cc_mode: CcMode,
     done: bool,
 }
 
@@ -360,7 +153,6 @@ impl DctcpFlowTx {
             src,
             dst,
             size,
-            alpha: AlphaEstimator::new(cfg.g),
             cfg,
             cwnd: init,
             ssthresh: f64::INFINITY,
@@ -373,28 +165,18 @@ impl DctcpFlowTx {
             snd_hi: 0,
             retx_queue: Vec::new(),
             highest_sacked: 0,
-            round_end: 0,
-            ce_in_round: false,
             wmax: WmaxTracker::new(),
             rto_deadline: SimTime::MAX,
             rto_backoff: 0,
             rto_timer_at: SimTime::MAX,
             bytes_sent: 0,
-            cc_mode: CcMode::Dctcp,
             done: false,
         }
     }
 
-    /// Switch the window-update law (builder-style). The reliability
-    /// machinery is shared; only the reaction to feedback changes.
-    pub fn with_cc_mode(mut self, mode: CcMode) -> Self {
-        self.cc_mode = mode;
-        self
-    }
-
-    /// Read the current CC mode (e.g. Swift target inspection).
-    pub fn cc_mode(&self) -> &CcMode {
-        &self.cc_mode
+    /// The TCP mechanics this flow runs on.
+    pub fn cfg(&self) -> &TcpCfg {
+        &self.cfg
     }
 
     /// Current congestion window, bytes.
@@ -402,14 +184,9 @@ impl DctcpFlowTx {
         self.cwnd as u64
     }
 
-    /// Current phase.
-    pub fn state(&self) -> CcState {
-        self.state
-    }
-
-    /// Current α.
-    pub fn alpha(&self) -> f64 {
-        self.alpha.alpha()
+    /// Current congestion window, unrounded.
+    pub(crate) fn cwnd(&self) -> f64 {
+        self.cwnd
     }
 
     /// Segment size.
@@ -420,6 +197,11 @@ impl DctcpFlowTx {
     /// Bytes in flight on the primary loop.
     pub fn inflight_bytes(&self) -> u64 {
         self.inflight_bytes
+    }
+
+    /// End of the highest byte ever sent: where the data in flight ends.
+    pub(crate) fn snd_hi(&self) -> u64 {
+        self.snd_hi
     }
 
     /// Claim up to one MSS from the tail of the unclaimed bytes below
@@ -433,11 +215,6 @@ impl DctcpFlowTx {
         Some((start, (gap_end - start) as u32))
     }
 
-    /// Bytes known delivered.
-    pub fn acked(&self) -> &IntervalSet {
-        &self.acked
-    }
-
     /// True once every byte is acknowledged.
     pub fn is_done(&self) -> bool {
         self.done
@@ -446,6 +223,13 @@ impl DctcpFlowTx {
     /// Fully acknowledged prefix.
     pub fn cum_acked(&self) -> u64 {
         self.acked.contiguous_prefix()
+    }
+
+    /// Highest fully-acked watermark used for round accounting: the
+    /// contiguous prefix plus SACKed ranges beyond it count toward the
+    /// round because DCTCP rounds are about feedback coverage, not order.
+    pub(crate) fn cum_high_water(&self) -> u64 {
+        self.highest_sacked.max(self.cum_acked())
     }
 
     /// The next HCP segment to transmit, honouring the window. Claims the
@@ -464,7 +248,7 @@ impl DctcpFlowTx {
             if self.acked.contains(offset) {
                 continue; // acked in the meantime
             }
-            self.track_sent(offset, len, now, true);
+            self.track_sent(offset, len, now);
             return Some(SegOut { offset, len, retx: true });
         }
         // New data: the next in-order byte that is not yet acknowledged.
@@ -476,12 +260,12 @@ impl DctcpFlowTx {
         let len = ((gap_end - gap_start).min(self.cfg.mss as u64)) as u32;
         self.claimed.insert(gap_start, gap_start + len as u64);
         self.hcp_next = gap_start + len as u64;
-        self.track_sent(gap_start, len, now, false);
+        self.track_sent(gap_start, len, now);
         Some(SegOut { offset: gap_start, len, retx: false })
     }
 
-    fn track_sent(&mut self, offset: u64, len: u32, now: SimTime, retx: bool) {
-        let seg = InflightSeg { offset, len, sent_at: now, dup_hits: 0, retx };
+    fn track_sent(&mut self, offset: u64, len: u32, now: SimTime) {
+        let seg = InflightSeg { offset, len, dup_hits: 0 };
         if self.inflight.back().is_none_or(|back| back.offset < offset) {
             self.inflight.push_back(seg);
         } else {
@@ -495,17 +279,15 @@ impl DctcpFlowTx {
         self.inflight_bytes += len as u64;
         self.snd_hi = self.snd_hi.max(offset + len as u64);
         self.bytes_sent += len as u64;
-        if self.round_end == 0 {
-            self.round_end = self.snd_hi;
-        }
         self.arm_rto(now);
     }
 
-    /// Process an ACK (cumulative + SACK ranges + ECN echo).
-    pub fn on_ack(&mut self, ack: &AckHdr, now: SimTime) -> AckOutcome {
-        let mut out = AckOutcome::default();
+    /// Process a primary-loop ACK (cumulative + SACK ranges + ECN echo):
+    /// record what it covers, let `law` move the window, then look for
+    /// losses. Returns what `law` returns.
+    pub fn on_ack(&mut self, ack: &AckHdr, now: SimTime, law: &mut impl WindowLaw) -> Option<f64> {
         if self.done {
-            return out;
+            return None;
         }
         let mut newly = self.acked.insert(0, ack.cum);
         for &(s, e) in &ack.sacks {
@@ -513,137 +295,16 @@ impl DctcpFlowTx {
             self.highest_sacked = self.highest_sacked.max(e);
         }
         self.highest_sacked = self.highest_sacked.max(ack.cum);
-        out.newly_acked = newly;
-
-        out.rtt_sample = self.clear_covered(ack, now);
-        self.update_window(ack, newly, now, &mut out);
+        self.clear_covered(ack);
+        let round_alpha = law.on_ack(self, ack, newly, now);
+        if newly > 0 {
+            self.rto_backoff = 0;
+        }
         self.fast_retransmit();
-
-        if self.acked.covers(self.size) {
-            self.done = true;
-            self.inflight.clear();
-            self.inflight_bytes = 0;
-            self.rto_deadline = SimTime::MAX;
-        } else {
+        if !self.finish() {
             self.arm_rto(now);
         }
-        out.done = self.done;
-        out
-    }
-
-    /// The mode-specific congestion-window reaction to one ACK that newly
-    /// covered `newly` bytes. Never reads the in-flight table.
-    fn update_window(&mut self, ack: &AckHdr, newly: u64, now: SimTime, out: &mut AckOutcome) {
-        let mut mode = std::mem::replace(&mut self.cc_mode, CcMode::Dctcp);
-        match &mut mode {
-            CcMode::Dctcp => {
-                // ECN + α bookkeeping (HCP ACKs only; callers filter LCP ACKs).
-                self.alpha.on_ack(newly.max(1), if ack.ece { newly.max(1) } else { 0 });
-                if ack.ece {
-                    self.ce_in_round = true;
-                }
-                if newly > 0 {
-                    match self.state {
-                        CcState::SlowStart => {
-                            self.cwnd += newly as f64;
-                            if self.cwnd >= self.ssthresh {
-                                self.enter_ca();
-                            }
-                        }
-                        CcState::CongestionAvoidance => {
-                            self.cwnd += self.cfg.mss as f64 * newly as f64 / self.cwnd;
-                        }
-                    }
-                    self.cwnd = self.cwnd.min(self.cfg.max_cwnd_bytes as f64);
-                    self.wmax.observe(self.cwnd as u64);
-                    self.rto_backoff = 0;
-                }
-                // α round boundary: one window of data acknowledged.
-                if self.cum_high_water() >= self.round_end && self.round_end > 0 {
-                    let alpha = self.alpha.end_of_round();
-                    // One multiplicative cut per round at most: ce_in_round
-                    // is consumed here and only re-arms on fresh ECE.
-                    if self.ce_in_round {
-                        self.cwnd = (self.cwnd * self.alpha.cut_factor()).max(self.cfg.mss as f64);
-                        self.ssthresh = self.cwnd;
-                        self.enter_ca();
-                    }
-                    self.ce_in_round = false;
-                    self.round_end = self.snd_hi.max(self.cum_high_water());
-                    out.round_alpha = Some(alpha);
-                }
-            }
-            CcMode::Swift(sw) => {
-                if newly > 0 {
-                    let delay = now.saturating_since(ack.ts_echo);
-                    out.delay_sample = Some(delay);
-                    if delay < sw.target {
-                        match self.state {
-                            CcState::SlowStart => {
-                                self.cwnd += newly as f64;
-                                if self.cwnd >= self.ssthresh {
-                                    self.enter_ca();
-                                }
-                            }
-                            CcState::CongestionAvoidance => {
-                                self.cwnd += self.cfg.mss as f64 * newly as f64 / self.cwnd;
-                            }
-                        }
-                    } else if now.saturating_since(sw.last_decrease) >= self.cfg.base_rtt {
-                        let over = (delay.as_nanos() - sw.target.as_nanos()) as f64
-                            / delay.as_nanos().max(1) as f64;
-                        let factor = (1.0 - sw.beta * over).max(1.0 - sw.max_mdf);
-                        self.cwnd = (self.cwnd * factor).max(self.cfg.mss as f64);
-                        self.ssthresh = self.cwnd;
-                        sw.last_decrease = now;
-                        self.enter_ca();
-                    }
-                    self.cwnd = self.cwnd.min(self.cfg.max_cwnd_bytes as f64);
-                    self.wmax.observe(self.cwnd as u64);
-                    self.rto_backoff = 0;
-                }
-            }
-            CcMode::Hpcc(h) => {
-                if let Some(int) = &ack.int_echo {
-                    let u = h.measure_u(int);
-                    if ack.cum > h.last_update_seq {
-                        h.wc = self.cwnd;
-                        h.inc_stage = 0;
-                        h.last_update_seq = self.snd_hi;
-                    }
-                    if u >= h.eta || h.inc_stage >= h.max_stage {
-                        self.cwnd = (h.wc / (u / h.eta).max(1e-3) + h.w_ai)
-                            .clamp(self.cfg.mss as f64, self.cfg.max_cwnd_bytes as f64);
-                    } else {
-                        self.cwnd = (h.wc + h.w_ai).min(self.cfg.max_cwnd_bytes as f64);
-                        h.inc_stage += 1;
-                    }
-                    self.wmax.observe(self.cwnd as u64);
-                }
-                if newly > 0 {
-                    self.rto_backoff = 0;
-                }
-            }
-            CcMode::PowerTcp(p) => {
-                if let Some(int) = &ack.int_echo {
-                    let power = p.measure_power(int, now);
-                    if ack.cum > p.last_update_seq {
-                        p.wc = self.cwnd;
-                        p.last_update_seq = self.snd_hi;
-                    }
-                    // w = γ·(w_c/Γ + β) + (1−γ)·w: multiplicative toward
-                    // the power-balanced window, additive β probing.
-                    self.cwnd = (p.gamma * (p.wc / power.max(1e-3) + p.beta)
-                        + (1.0 - p.gamma) * self.cwnd)
-                        .clamp(self.cfg.mss as f64, self.cfg.max_cwnd_bytes as f64);
-                    self.wmax.observe(self.cwnd as u64);
-                }
-                if newly > 0 {
-                    self.rto_backoff = 0;
-                }
-            }
-        }
-        self.cc_mode = mode;
+        round_alpha
     }
 
     /// Fast retransmit: segments with enough SACKed data above them. A
@@ -677,49 +338,47 @@ impl DctcpFlowTx {
     /// Process a *low-priority* (LCP) ACK: records delivered tail bytes
     /// without feeding congestion control — opportunistic packets must not
     /// inflate α, grow the window, or trigger HCP loss recovery.
-    /// Returns the bytes newly covered.
-    pub fn on_lcp_ack(&mut self, ack: &AckHdr, now: SimTime) -> u64 {
+    pub fn on_lcp_ack(&mut self, ack: &AckHdr) {
         if self.done {
-            return 0;
+            return;
         }
-        let mut newly = self.acked.insert(0, ack.cum);
+        self.acked.insert(0, ack.cum);
         for &(s, e) in &ack.sacks {
-            newly += self.acked.insert(s, e);
+            self.acked.insert(s, e);
         }
         // Drop any HCP in-flight segment the LCP ACK happens to cover
         // (possible after crossing) so window accounting stays truthful.
-        self.clear_covered(ack, now);
-        if self.acked.covers(self.size) {
-            self.done = true;
-            self.inflight.clear();
-            self.inflight_bytes = 0;
-            self.rto_deadline = SimTime::MAX;
-        }
-        newly
+        self.clear_covered(ack);
+        self.finish();
     }
 
     /// Drop every in-flight segment `ack` fully covers — by the cumulative
     /// point (the block `[0, cum)`) or by one SACK block; a partial cover
-    /// clears nothing — and return the RTT sample of the lowest-offset one
-    /// that was never retransmitted. Segments are found through the
-    /// ring's order — the cumulative block pops them off its front — so
-    /// the cost follows what the ACK covers, not the window.
-    fn clear_covered(&mut self, ack: &AckHdr, now: SimTime) -> Option<SimDuration> {
-        let mut sample: Option<(u64, SimTime)> = None;
+    /// clears nothing. Segments are found through the ring's order — the
+    /// cumulative block pops them off its front — so the cost follows what
+    /// the ACK covers, not the window.
+    fn clear_covered(&mut self, ack: &AckHdr) {
         let blocks = std::iter::once((0, ack.cum)).chain(ack.sacks.iter().copied());
         for (lo, hi) in blocks.filter(|&(lo, hi)| lo < hi) {
             extract_range(&mut self.inflight, lo, hi, |seg| {
                 let covered = seg.offset + seg.len as u64 <= hi;
                 if covered {
                     self.inflight_bytes -= seg.len as u64;
-                    if !seg.retx && sample.is_none_or(|(lowest, _)| seg.offset < lowest) {
-                        sample = Some((seg.offset, seg.sent_at));
-                    }
                 }
                 covered
             });
         }
-        sample.map(|(_, sent_at)| now.saturating_since(sent_at))
+    }
+
+    /// Mark the flow done once every byte is acknowledged; true if it is.
+    fn finish(&mut self) -> bool {
+        if self.acked.covers(self.size) {
+            self.done = true;
+            self.inflight.clear();
+            self.inflight_bytes = 0;
+            self.rto_deadline = SimTime::MAX;
+        }
+        self.done
     }
     // simlint: hot-path-end
 
@@ -729,11 +388,36 @@ impl DctcpFlowTx {
         self.bytes_sent += bytes;
     }
 
-    /// Highest fully-acked watermark used for round accounting: the
-    /// contiguous prefix plus SACKed ranges beyond it count toward the
-    /// round because DCTCP rounds are about feedback coverage, not order.
-    fn cum_high_water(&self) -> u64 {
-        self.highest_sacked.max(self.cum_acked())
+    /// For a [`WindowLaw`]: Reno's increase for `newly` acknowledged bytes, which DCTCP and
+    /// Swift share: all of them in slow start (leaving it at `ssthresh`),
+    /// MSS·newly/cwnd in congestion avoidance. Uncapped: see `set_cwnd`.
+    pub(crate) fn grow(&mut self, newly: u64) {
+        match self.state {
+            CcState::SlowStart => {
+                self.cwnd += newly as f64;
+                if self.cwnd >= self.ssthresh {
+                    self.enter_ca();
+                }
+            }
+            CcState::CongestionAvoidance => {
+                self.cwnd += self.cfg.mss as f64 * newly as f64 / self.cwnd;
+            }
+        }
+    }
+
+    /// Multiplicative decrease by `factor`, to no less than one MSS; the
+    /// result is the new `ssthresh` and the flow leaves slow start.
+    pub(crate) fn cut(&mut self, factor: f64) {
+        self.cwnd = (self.cwnd * factor).max(self.cfg.mss as f64);
+        self.ssthresh = self.cwnd;
+        self.enter_ca();
+    }
+
+    /// Set the window to `cwnd`, capped at `max_cwnd_bytes`, and let the
+    /// MW tracker observe it.
+    pub(crate) fn set_cwnd(&mut self, cwnd: f64) {
+        self.cwnd = cwnd.min(self.cfg.max_cwnd_bytes as f64);
+        self.wmax.observe(self.cwnd as u64);
     }
 
     fn enter_ca(&mut self) {
@@ -822,14 +506,21 @@ fn extract_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dctcp::DctcpLaw;
+    use crate::hpcc::HpccLaw;
+    use crate::powertcp::PowerTcpLaw;
     use crate::proto::SackBlocks;
+    use crate::swift::SwiftLaw;
 
     fn cfg() -> TcpCfg {
         TcpCfg::new(SimDuration::from_micros(80))
     }
 
-    fn flow(size: u64) -> DctcpFlowTx {
-        DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), size, cfg())
+    /// A DCTCP sender of `size` bytes and its law.
+    fn flow(size: u64) -> (DctcpFlowTx, DctcpLaw) {
+        let tx = DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), size, cfg());
+        let law = DctcpLaw::new(&tx);
+        (tx, law)
     }
 
     fn ack<const N: usize>(cum: u64, sacks: [(u64, u64); N], ece: bool) -> AckHdr {
@@ -844,7 +535,7 @@ mod tests {
 
     #[test]
     fn initial_window_limits_burst() {
-        let mut f = flow(1 << 20);
+        let (mut f, _) = flow(1 << 20);
         let mut sent = 0u64;
         while let Some(seg) = f.next_segment(SimTime::ZERO) {
             sent += seg.len as u64;
@@ -855,7 +546,7 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_round() {
-        let mut f = flow(10 << 20);
+        let (mut f, mut law) = flow(10 << 20);
         let mut t = SimTime::ZERO;
         // Round 1: send IW, ack it all.
         let mut offs = Vec::new();
@@ -865,16 +556,16 @@ mod tests {
         let w0 = f.cwnd_bytes();
         t = SimTime(80_000);
         for (o, l) in offs {
-            f.on_ack(&ack(o + l as u64, [(o, o + l as u64)], false), t);
+            f.on_ack(&ack(o + l as u64, [(o, o + l as u64)], false), t, &mut law);
         }
         // cwnd grew by the acked bytes (exponential growth).
         assert_eq!(f.cwnd_bytes(), 2 * w0);
-        assert_eq!(f.state(), CcState::SlowStart);
+        assert_eq!(f.state, CcState::SlowStart);
     }
 
     #[test]
     fn ecn_marks_cut_window_once_per_round() {
-        let mut f = flow(10 << 20);
+        let (mut f, mut law) = flow(10 << 20);
         let mut t = SimTime::ZERO;
         let mut offs = Vec::new();
         while let Some(seg) = f.next_segment(t) {
@@ -884,17 +575,17 @@ mod tests {
         // All ACKs carry ECE: α stays 1 → cut to half at round end.
         let before = f.cwnd_bytes() + cfg().init_cwnd_bytes; // after growth
         for (o, l) in offs {
-            f.on_ack(&ack(o + l as u64, [(o, o + l as u64)], true), t);
+            f.on_ack(&ack(o + l as u64, [(o, o + l as u64)], true), t, &mut law);
         }
         // After the round: slow-start growth happened then the cut applied.
         assert!(f.cwnd_bytes() < before, "cwnd must be cut");
-        assert_eq!(f.state(), CcState::CongestionAvoidance);
-        assert!(f.alpha() > 0.9, "all-marked round drives α up");
+        assert_eq!(f.state, CcState::CongestionAvoidance);
+        assert!(law.alpha() > 0.9, "all-marked round drives α up");
     }
 
     #[test]
     fn sack_holes_trigger_fast_retransmit() {
-        let mut f = flow(1 << 20);
+        let (mut f, mut law) = flow(1 << 20);
         let mut segs = Vec::new();
         while let Some(seg) = f.next_segment(SimTime::ZERO) {
             segs.push(seg);
@@ -903,7 +594,7 @@ mod tests {
         // Lose segment 0: SACK segments 1..=4 (4 dup events > threshold 3).
         let t = SimTime(80_000);
         for seg in segs.iter().skip(1).take(4) {
-            f.on_ack(&ack(0, [(seg.offset, seg.offset + seg.len as u64)], false), t);
+            f.on_ack(&ack(0, [(seg.offset, seg.offset + seg.len as u64)], false), t, &mut law);
         }
         // Segment 0 must now be queued for retransmission.
         let next = f.next_segment(SimTime(90_000)).expect("retx segment");
@@ -913,7 +604,7 @@ mod tests {
 
     #[test]
     fn rto_collapses_window_and_retransmits_head() {
-        let mut f = flow(1 << 20);
+        let (mut f, _) = flow(1 << 20);
         while f.next_segment(SimTime::ZERO).is_some() {}
         let deadline = f.rto_deadline();
         assert!(deadline > SimTime::ZERO && deadline < SimTime::MAX);
@@ -930,13 +621,12 @@ mod tests {
     #[test]
     fn completion_after_all_bytes_acked() {
         let size = 3 * netsim::MSS_BYTES as u64;
-        let mut f = flow(size);
+        let (mut f, mut law) = flow(size);
         let mut segs = Vec::new();
         while let Some(s) = f.next_segment(SimTime::ZERO) {
             segs.push(s);
         }
-        let out = f.on_ack(&ack(size, [], false), SimTime(1));
-        assert!(out.done);
+        f.on_ack(&ack(size, [], false), SimTime(1), &mut law);
         assert!(f.is_done());
         assert_eq!(f.rto_deadline(), SimTime::MAX);
         assert!(f.next_segment(SimTime(2)).is_none());
@@ -947,7 +637,7 @@ mod tests {
         // Simulate the PPT crossing: the tail was delivered by LCP and the
         // low-priority ACK arrived — HCP must jump over it.
         let size = 10 * netsim::MSS_BYTES as u64;
-        let mut f = flow(size);
+        let (mut f, _) = flow(size);
         let tail_start = size - 2 * netsim::MSS_BYTES as u64;
         f.claimed.insert(tail_start, size);
         let lcp_ack = AckHdr {
@@ -958,7 +648,7 @@ mod tests {
             ts_echo: SimTime::ZERO,
             int_echo: None,
         };
-        f.on_lcp_ack(&lcp_ack, SimTime::ZERO);
+        f.on_lcp_ack(&lcp_ack);
         let mut max_off = 0;
         while let Some(seg) = f.next_segment(SimTime::ZERO) {
             max_off = max_off.max(seg.offset + seg.len as u64);
@@ -976,7 +666,7 @@ mod tests {
         // primary loop must transmit it when it reaches that offset —
         // never strand it behind an RTO.
         let size = 5 * netsim::MSS_BYTES as u64;
-        let mut f = flow(size);
+        let (mut f, _) = flow(size);
         let tail_start = size - netsim::MSS_BYTES as u64;
         f.claimed.insert(tail_start, size); // LCP sent it; ack lost
         let mut offsets = Vec::new();
@@ -990,7 +680,7 @@ mod tests {
     fn claim_tail_takes_at_most_one_mss_from_the_top_gap() {
         let mss = netsim::MSS_BYTES;
         let size = 10 * mss as u64;
-        let mut f = flow(size);
+        let (mut f, _) = flow(size);
         // Gap straddling `limit`: only bytes below the limit are reachable.
         let limit = size - mss as u64 / 2;
         assert_eq!(f.claim_tail(limit, mss), Some((limit - mss as u64, mss)));
@@ -1007,15 +697,16 @@ mod tests {
 
     #[test]
     fn round_alpha_reported_at_boundary() {
-        let mut f = flow(1 << 20);
+        let (mut f, mut law) = flow(1 << 20);
         let mut segs = Vec::new();
         while let Some(s) = f.next_segment(SimTime::ZERO) {
             segs.push(s);
         }
         let last = segs.last().unwrap();
-        let out = f.on_ack(&ack(last.offset + last.len as u64, [], false), SimTime(80_000));
-        assert!(out.round_alpha.is_some(), "full-window ACK closes the round");
-        assert!(out.round_alpha.unwrap() < 1.0);
+        let alpha =
+            f.on_ack(&ack(last.offset + last.len as u64, [], false), SimTime(80_000), &mut law);
+        let alpha = alpha.expect("full-window ACK closes the round");
+        assert!(alpha < 1.0);
     }
 
     fn hop(qlen: u64, tx: u64, ts_ns: u64) -> crate::proto::IntHop {
@@ -1029,69 +720,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn powertcp_power_is_neutral_at_line_rate_and_rises_with_queue_gradient() {
-        // 10G, τ = 80µs: C = 1.25e9 B/s, BDP = 100KB, base power = C²τ.
-        let mut p = PowerTcpCc::new(SimDuration::from_micros(80), 100_000);
-        // First ACK has no per-hop history: neutral power.
-        let g = p.measure_power(&[hop(0, 0, 0)], SimTime(0));
-        assert!((g - 1.0).abs() < 1e-9, "{g}");
-        // Line rate with empty queue is the equilibrium: λ = C, v = BDP,
-        // so Γ = C·(C·τ)/(C²·τ) = 1 exactly.
-        let g = p.measure_power(&[hop(0, 50_000, 40_000)], SimTime(40_000));
-        assert!((g - 1.0).abs() < 1e-6, "{g}");
-        // A building queue adds its gradient to the current and its depth
-        // to the voltage: power must rise above 1.
-        let g = p.measure_power(&[hop(60_000, 100_000, 80_000)], SimTime(80_000));
-        assert!(g > 1.0, "{g}");
-    }
-
-    #[test]
-    fn powertcp_window_tracks_power() {
-        let c = cfg();
-        let mut f = DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), 100 << 20, c.clone())
-            .with_cc_mode(CcMode::PowerTcp(PowerTcpCc::new(c.base_rtt, c.init_cwnd_bytes)));
-        while f.next_segment(SimTime::ZERO).is_some() {}
-        let w0 = f.cwnd_bytes();
-        // Neutral power: the window grows by the γ-weighted β probe.
-        let mut a = ack(1460, [(0, 1460)], false);
-        a.int_echo = Some(int_stack(hop(0, 0, 0)));
-        f.on_ack(&a, SimTime(80_000));
-        assert!(f.cwnd_bytes() > w0, "neutral power must leave room for additive growth");
-        // High power (queue built fast at line rate): multiplicative cut
-        // below the pre-congestion window.
-        let mut a = ack(2920, [(1460, 2920)], false);
-        a.int_echo = Some(int_stack(hop(100_000, 50_000, 40_000)));
-        f.on_ack(&a, SimTime(160_000));
-        assert!(f.cwnd_bytes() < w0, "high power must shrink the window, got {}", f.cwnd_bytes());
-    }
-
-    #[test]
-    fn powertcp_near_zero_power_cannot_blow_past_the_cap() {
-        // An ACK after an idle/drained path measures Γ ≈ 0; the wc/Γ
-        // term must clamp at max_cwnd_bytes instead of inflating the
-        // window a thousandfold (the divisor floor alone allows 1000×).
-        let mut c = cfg();
-        c.max_cwnd_bytes = 4 * c.init_cwnd_bytes;
-        let mut f = DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), 100 << 20, c.clone())
-            .with_cc_mode(CcMode::PowerTcp(PowerTcpCc::new(c.base_rtt, c.init_cwnd_bytes)));
-        while f.next_segment(SimTime::ZERO).is_some() {}
-        // Prime per-hop history, then echo an almost-idle observation:
-        // tiny tx delta, empty queue → λ ≈ 0 → Γ ≈ 0 after smoothing.
-        let mut a = ack(1460, [(0, 1460)], false);
-        a.int_echo = Some(int_stack(hop(0, 0, 0)));
-        f.on_ack(&a, SimTime(80_000));
-        let mut a = ack(2920, [(1460, 2920)], false);
-        a.int_echo = Some(int_stack(hop(0, 1, 160_000)));
-        f.on_ack(&a, SimTime(160_000));
-        assert!(
-            f.cwnd_bytes() <= c.max_cwnd_bytes,
-            "near-zero power blew the window to {} (cap {})",
-            f.cwnd_bytes(),
-            c.max_cwnd_bytes
-        );
-    }
-
     // ------------------------------------------------------------
     // Differential test of the ACK path. The reference is the scoreboard
     // this engine ran first: an ordered map of segments by offset, every
@@ -1101,12 +729,13 @@ mod tests {
     // ring is emptied into the map after every call that sends.
     // ------------------------------------------------------------
 
-    struct Model {
+    struct Model<W> {
         flow: DctcpFlowTx,
+        law: W,
         inflight: std::collections::BTreeMap<u64, InflightSeg>,
     }
 
-    impl Model {
+    impl<W: WindowLaw> Model<W> {
         /// Move what the flow just tracked into the map: a segment at an
         /// offset that is already there replaces it.
         fn absorb(&mut self) {
@@ -1129,43 +758,29 @@ mod tests {
             fired
         }
 
-        fn clear_covered(&mut self, ack: &AckHdr, now: SimTime) -> Option<SimDuration> {
-            let covered: Vec<u64> = self
-                .inflight
-                .iter()
-                .filter(|(&off, seg)| {
-                    off + seg.len as u64 <= ack.cum
-                        || ack.sacks.iter().any(|&(s, e)| s <= off && off + seg.len as u64 <= e)
-                })
-                .map(|(&off, _)| off)
-                .collect();
-            let mut sample = None;
-            for off in &covered {
-                if let Some(seg) = self.inflight.remove(off) {
+        fn clear_covered(&mut self, ack: &AckHdr) {
+            self.inflight.retain(|&off, seg| {
+                let end = off + seg.len as u64;
+                let covered =
+                    end <= ack.cum || ack.sacks.iter().any(|&(s, e)| s <= off && end <= e);
+                if covered {
                     self.flow.inflight_bytes -= seg.len as u64;
-                    if sample.is_none() && !seg.retx {
-                        sample = Some(now.saturating_since(seg.sent_at));
-                    }
                 }
-            }
-            sample
+                !covered
+            });
         }
 
         fn finish(&mut self) -> bool {
-            let f = &mut self.flow;
-            if f.acked.covers(f.size) {
-                f.done = true;
+            let done = self.flow.finish();
+            if done {
                 self.inflight.clear();
-                f.inflight_bytes = 0;
-                f.rto_deadline = SimTime::MAX;
             }
-            f.done
+            done
         }
 
-        fn on_ack(&mut self, ack: &AckHdr, now: SimTime) -> AckOutcome {
-            let mut out = AckOutcome::default();
+        fn on_ack(&mut self, ack: &AckHdr, now: SimTime) -> Option<f64> {
             if self.flow.done {
-                return out;
+                return None;
             }
             let f = &mut self.flow;
             let mut newly = f.acked.insert(0, ack.cum);
@@ -1174,10 +789,12 @@ mod tests {
                 f.highest_sacked = f.highest_sacked.max(e);
             }
             f.highest_sacked = f.highest_sacked.max(ack.cum);
-            out.newly_acked = newly;
-            out.rtt_sample = self.clear_covered(ack, now);
+            self.clear_covered(ack);
             let f = &mut self.flow;
-            f.update_window(ack, newly, now, &mut out);
+            let round_alpha = self.law.on_ack(f, ack, newly, now);
+            if newly > 0 {
+                f.rto_backoff = 0;
+            }
 
             let mut lost: Vec<(u64, u32)> = Vec::new();
             for (&off, seg) in self.inflight.iter_mut() {
@@ -1202,48 +819,60 @@ mod tests {
             if !self.finish() {
                 self.flow.arm_rto(now);
             }
-            out.done = self.flow.done;
-            out
+            round_alpha
         }
 
-        fn on_lcp_ack(&mut self, ack: &AckHdr, now: SimTime) -> u64 {
+        fn on_lcp_ack(&mut self, ack: &AckHdr) {
             if self.flow.done {
-                return 0;
+                return;
             }
-            let mut newly = self.flow.acked.insert(0, ack.cum);
+            self.flow.acked.insert(0, ack.cum);
             for &(s, e) in &ack.sacks {
-                newly += self.flow.acked.insert(s, e);
+                self.flow.acked.insert(s, e);
             }
-            self.clear_covered(ack, now);
+            self.clear_covered(ack);
             self.finish();
-            newly
         }
     }
 
     /// The ring holds exactly the map's segments, in the map's order, and
-    /// every other field of the two flows is equal.
-    fn assert_same(real: &DctcpFlowTx, model: &mut Model, what: &str) {
+    /// every other field of the two flows and of their laws is equal.
+    fn assert_same<W: WindowLaw + std::fmt::Debug>(
+        (real, law): &(DctcpFlowTx, W),
+        model: &mut Model<W>,
+        what: &str,
+    ) {
         let offsets: Vec<u64> = real.inflight.iter().map(|seg| seg.offset).collect();
         assert!(offsets.windows(2).all(|w| w[0] < w[1]), "{what}: ring out of order: {offsets:?}");
         model.flow.inflight.extend(model.inflight.values().copied());
         // Debug prints every field, floats to round-trip precision.
         assert_eq!(format!("{real:?}"), format!("{:?}", model.flow), "{what}");
+        assert_eq!(format!("{law:?}"), format!("{:?}", model.law), "{what}");
         model.flow.inflight.clear();
     }
 
     /// Feed `ack` to both flows down the path its `lcp` bit selects.
-    fn feed(real: &mut DctcpFlowTx, model: &mut Model, ack: &AckHdr, now: SimTime) {
+    fn feed<W: WindowLaw>(
+        (real, law): &mut (DctcpFlowTx, W),
+        model: &mut Model<W>,
+        ack: &AckHdr,
+        now: SimTime,
+    ) {
         if ack.lcp {
-            assert_eq!(real.on_lcp_ack(ack, now), model.on_lcp_ack(ack, now), "{ack:?}");
+            real.on_lcp_ack(ack);
+            model.on_lcp_ack(ack);
         } else {
-            let (a, b) = (real.on_ack(ack, now), model.on_ack(ack, now));
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "outcome of {ack:?}");
+            let alpha = real.on_ack(ack, now, law);
+            assert_eq!(
+                alpha.map(f64::to_bits),
+                model.on_ack(ack, now).map(f64::to_bits),
+                "{ack:?}"
+            );
         }
     }
 
     #[test]
     fn ack_path_matches_the_full_scan_reference_seeded() {
-        let mss = netsim::MSS_BYTES as u64;
         // Paths the streams must reach: a fast retransmit, an RTO, an LCP
         // ACK clearing an HCP segment after the loops crossed, a SACK
         // block straddling a segment boundary, `cum` inside a segment, a
@@ -1251,169 +880,173 @@ mod tests {
         // the hole below it stays, a retransmission tracked below the
         // ring's front, and one tracked at an offset that is outstanding.
         let mut reached = [0u32; 8];
-        for mode_ix in 0..4u64 {
-            for seed in 0..16u64 {
-                let mut rng = netsim::Pcg32::seed_from_u64(seed * 4 + mode_ix);
-                let mut c = cfg();
-                c.init_cwnd_bytes = 24 * mss;
-                // Odd seeds end on a partial segment, so tail-first LCP
-                // segments never line up with head-first HCP ones.
-                let size = 160 * mss + (seed % 2) * 777;
-                // Every fourth seed loses a packet in four, not one in sixteen.
-                let lossy = seed % 4 == 3;
-                let mk = || {
-                    let mode = match mode_ix {
-                        0 => CcMode::Dctcp,
-                        1 => CcMode::Swift(SwiftCc::new(c.base_rtt)),
-                        2 => CcMode::Hpcc(HpccCc::new(c.base_rtt, c.init_cwnd_bytes)),
-                        _ => CcMode::PowerTcp(PowerTcpCc::new(c.base_rtt, c.init_cwnd_bytes)),
-                    };
-                    DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), size, c.clone())
-                        .with_cc_mode(mode)
-                };
-                let mut real = mk();
-                let mut model = Model { flow: mk(), inflight: Default::default() };
-                // What the receiver holds, and the (offset, len, lcp)
-                // packets still in the network.
-                let mut rcv = IntervalSet::new();
-                let mut wire: Vec<(u64, u32, bool)> = Vec::new();
-                let mut last_ack: Option<AckHdr> = None;
-                let mut now = SimTime::ZERO;
-                let mut tx_bytes = 0u64;
-                for step in 0..4000 {
-                    if real.is_done() {
-                        break;
-                    }
-                    now += SimDuration::from_nanos(1 + rng.gen_range(20_000));
-                    let what = format!("mode {mode_ix} seed {seed} step {step}");
-                    let mut ack = AckHdr {
-                        cum: rcv.contiguous_prefix(),
-                        sacks: SackBlocks::default(),
-                        ece: rng.gen_index(8) == 0,
-                        lcp: false,
-                        ts_echo: SimTime(now.as_nanos().saturating_sub(rng.gen_range(200_000))),
-                        int_echo: (mode_ix >= 2).then(|| {
-                            tx_bytes += rng.gen_range(3 * mss);
-                            int_stack(hop(rng.gen_range(150_000), tx_bytes, now.as_nanos()))
-                        }),
-                    };
-                    let ring: Vec<u64> = real.inflight.iter().map(|seg| seg.offset).collect();
-                    // A segment the ACK touches without fully covering.
-                    let mut partly_covered: Option<(u64, u32)> = None;
-                    match rng.gen_index(16) {
-                        // Pump the window dry.
-                        0..=3 => {
-                            let mut ring = ring;
-                            loop {
-                                let seg = real.next_segment(now);
-                                assert_eq!(seg, model.next_segment(now), "{what}");
-                                let Some(seg) = seg else { break };
-                                reached[0] += seg.retx as u32;
-                                reached[6] += ring.first().is_some_and(|&f| seg.offset < f) as u32;
-                                reached[7] += ring.contains(&seg.offset) as u32;
-                                ring = real.inflight.iter().map(|seg| seg.offset).collect();
-                                wire.push((seg.offset, seg.len, false));
-                            }
-                            assert_same(&real, &mut model, &what);
-                            continue;
-                        }
-                        // The LCP claims a tail segment of the buffered window.
-                        4..=5 => {
-                            let limit = size.min(real.cum_acked() + 100 * mss);
-                            let claim = real.claim_tail(limit, mss as u32);
-                            assert_eq!(claim, model.flow.claim_tail(limit, mss as u32), "{what}");
-                            wire.extend(claim.map(|(off, len)| (off, len, true)));
-                            continue;
-                        }
-                        // Deliver the oldest packet or (reordering) any one;
-                        // EWD may ACK two opportunistic packets at once.
-                        6..=11 if !wire.is_empty() => {
-                            let oldest = rng.gen_index(3) > 0;
-                            let pick = if oldest { 0 } else { rng.gen_index(wire.len()) };
-                            let mut delivered = vec![wire.remove(pick)];
-                            ack.lcp = delivered[0].2;
-                            if ack.lcp && rng.gen_index(2) == 0 {
-                                let second = wire.iter().position(|w| w.2);
-                                delivered.extend(second.map(|at| wire.remove(at)));
-                            }
-                            for (off, len, _) in delivered {
-                                rcv.insert(off, off + len as u64);
-                                ack.sacks.push((off, off + len as u64));
-                            }
-                            ack.cum = rcv.contiguous_prefix();
-                        }
-                        // Lose a packet.
-                        12 if !wire.is_empty() => {
-                            wire.remove(rng.gen_index(wire.len()));
-                            continue;
-                        }
-                        6..=8 if lossy && !wire.is_empty() => {
-                            wire.remove(0);
-                            continue;
-                        }
-                        // The previous ACK again.
-                        13 if last_ack.is_some() => ack = last_ack.clone().expect("checked"),
-                        // Odd shapes around one in-flight segment.
-                        14 if !real.inflight.is_empty() => {
-                            let seg = real.inflight[rng.gen_index(real.inflight.len())];
-                            let (off, end) = (seg.offset, seg.offset + seg.len as u64);
-                            match rng.gen_index(3) {
-                                // Two overlapping blocks, both covering it.
-                                0 => {
-                                    ack.sacks.push((off, end));
-                                    ack.sacks.push((off.saturating_sub(100), end + 100));
-                                }
-                                // A block straddling one of its ends, or
-                                // a byte short of one.
-                                1 => {
-                                    let shapes =
-                                        [(off + 1, end + 10), (off + 1, end), (off, end - 1)];
-                                    ack.sacks.push(shapes[rng.gen_index(3)]);
-                                    partly_covered = Some((off, seg.len)).filter(|_| ack.cum < end);
-                                    reached[3] += partly_covered.is_some() as u32;
-                                }
-                                // The cumulative point lands inside it.
-                                _ => {
-                                    let inside = [off + seg.len as u64 / 2, end - 1];
-                                    ack.cum = inside[rng.gen_index(2)];
-                                    partly_covered = Some((off, seg.len));
-                                    reached[4] += 1;
-                                }
-                            }
-                        }
-                        // The retransmission timer fires.
-                        15 if rng.gen_index(4) == 0 && real.rto_deadline() != SimTime::MAX => {
-                            now = now.max(real.rto_deadline());
-                            let fired = real.on_rto(now);
-                            assert_eq!(fired, model.on_rto(now), "{what}");
-                            reached[1] += fired as u32;
-                            assert!(!fired || real.inflight.is_empty(), "{what}: an RTO clears");
-                            assert_same(&real, &mut model, &what);
-                            continue;
-                        }
-                        _ => continue,
-                    }
-                    feed(&mut real, &mut model, &ack, now);
-                    assert_same(&real, &mut model, &what);
-                    let outstanding = |off: &u64| real.inflight.iter().any(|s| s.offset == *off);
-                    reached[2] +=
-                        (ack.lcp && real.inflight.len() < ring.len() && !real.is_done()) as u32;
-                    if let [front, middle @ .., _] = &ring[..] {
-                        let from_the_middle = middle.iter().any(|off| !outstanding(off));
-                        reached[5] += (from_the_middle && outstanding(front)) as u32;
-                    }
-                    if let Some((off, len)) = partly_covered.filter(|_| !real.is_done()) {
-                        // Not cleared: still in flight, or declared lost.
-                        assert!(
-                            outstanding(&off) || real.retx_queue.contains(&(off, len)),
-                            "{what}: a partial cover cleared segment {off}+{len}: {ack:?}"
-                        );
-                    }
-                    last_ack = Some(ack);
+        let (rtt, iw) = (cfg().base_rtt, 24 * netsim::MSS_BYTES as u64);
+        drive_seeded(0, &mut reached, DctcpLaw::new);
+        drive_seeded(1, &mut reached, |_| SwiftLaw::new(rtt));
+        drive_seeded(2, &mut reached, |_| HpccLaw::new(iw, false));
+        drive_seeded(3, &mut reached, |_| PowerTcpLaw::new(iw));
+        assert!(reached.iter().all(|&n| n > 0), "a path was never exercised: {reached:?}");
+    }
+
+    /// Sixteen seeded streams of sends, ACKs, losses and timeouts through
+    /// a real sender running the law `mk` builds and through the model.
+    fn drive_seeded<W: WindowLaw + std::fmt::Debug>(
+        mode_ix: u64,
+        reached: &mut [u32; 8],
+        mk: impl Fn(&DctcpFlowTx) -> W,
+    ) {
+        let mss = netsim::MSS_BYTES as u64;
+        for seed in 0..16u64 {
+            let mut rng = netsim::Pcg32::seed_from_u64(seed * 4 + mode_ix);
+            let mut c = cfg();
+            c.init_cwnd_bytes = 24 * mss;
+            // Odd seeds end on a partial segment, so tail-first LCP
+            // segments never line up with head-first HCP ones.
+            let size = 160 * mss + (seed % 2) * 777;
+            // Every fourth seed loses a packet in four, not one in sixteen.
+            let lossy = seed % 4 == 3;
+            let tx = || DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), size, c.clone());
+            let mut real = (tx(), mk(&tx()));
+            let mut model = Model { flow: tx(), law: mk(&tx()), inflight: Default::default() };
+            // What the receiver holds, and the (offset, len, lcp)
+            // packets still in the network.
+            let mut rcv = IntervalSet::new();
+            let mut wire: Vec<(u64, u32, bool)> = Vec::new();
+            let mut last_ack: Option<AckHdr> = None;
+            let mut now = SimTime::ZERO;
+            let mut tx_bytes = 0u64;
+            for step in 0..4000 {
+                if real.0.is_done() {
+                    break;
                 }
+                now += SimDuration::from_nanos(1 + rng.gen_range(20_000));
+                let what = format!("mode {mode_ix} seed {seed} step {step}");
+                let mut ack = AckHdr {
+                    cum: rcv.contiguous_prefix(),
+                    sacks: SackBlocks::default(),
+                    ece: rng.gen_index(8) == 0,
+                    lcp: false,
+                    ts_echo: SimTime(now.as_nanos().saturating_sub(rng.gen_range(200_000))),
+                    int_echo: (mode_ix >= 2).then(|| {
+                        tx_bytes += rng.gen_range(3 * mss);
+                        int_stack(hop(rng.gen_range(150_000), tx_bytes, now.as_nanos()))
+                    }),
+                };
+                let ring: Vec<u64> = real.0.inflight.iter().map(|seg| seg.offset).collect();
+                // A segment the ACK touches without fully covering.
+                let mut partly_covered: Option<(u64, u32)> = None;
+                match rng.gen_index(16) {
+                    // Pump the window dry.
+                    0..=3 => {
+                        let mut ring = ring;
+                        loop {
+                            let seg = real.0.next_segment(now);
+                            assert_eq!(seg, model.next_segment(now), "{what}");
+                            let Some(seg) = seg else { break };
+                            reached[0] += seg.retx as u32;
+                            reached[6] += ring.first().is_some_and(|&f| seg.offset < f) as u32;
+                            reached[7] += ring.contains(&seg.offset) as u32;
+                            ring = real.0.inflight.iter().map(|seg| seg.offset).collect();
+                            wire.push((seg.offset, seg.len, false));
+                        }
+                        assert_same(&real, &mut model, &what);
+                        continue;
+                    }
+                    // The LCP claims a tail segment of the buffered window.
+                    4..=5 => {
+                        let limit = size.min(real.0.cum_acked() + 100 * mss);
+                        let claim = real.0.claim_tail(limit, mss as u32);
+                        assert_eq!(claim, model.flow.claim_tail(limit, mss as u32), "{what}");
+                        wire.extend(claim.map(|(off, len)| (off, len, true)));
+                        continue;
+                    }
+                    // Deliver the oldest packet or (reordering) any one;
+                    // EWD may ACK two opportunistic packets at once.
+                    6..=11 if !wire.is_empty() => {
+                        let oldest = rng.gen_index(3) > 0;
+                        let pick = if oldest { 0 } else { rng.gen_index(wire.len()) };
+                        let mut delivered = vec![wire.remove(pick)];
+                        ack.lcp = delivered[0].2;
+                        if ack.lcp && rng.gen_index(2) == 0 {
+                            let second = wire.iter().position(|w| w.2);
+                            delivered.extend(second.map(|at| wire.remove(at)));
+                        }
+                        for (off, len, _) in delivered {
+                            rcv.insert(off, off + len as u64);
+                            ack.sacks.push((off, off + len as u64));
+                        }
+                        ack.cum = rcv.contiguous_prefix();
+                    }
+                    // Lose a packet.
+                    12 if !wire.is_empty() => {
+                        wire.remove(rng.gen_index(wire.len()));
+                        continue;
+                    }
+                    6..=8 if lossy && !wire.is_empty() => {
+                        wire.remove(0);
+                        continue;
+                    }
+                    // The previous ACK again.
+                    13 if last_ack.is_some() => ack = last_ack.clone().expect("checked"),
+                    // Odd shapes around one in-flight segment.
+                    14 if !real.0.inflight.is_empty() => {
+                        let seg = real.0.inflight[rng.gen_index(real.0.inflight.len())];
+                        let (off, end) = (seg.offset, seg.offset + seg.len as u64);
+                        match rng.gen_index(3) {
+                            // Two overlapping blocks, both covering it.
+                            0 => {
+                                ack.sacks.push((off, end));
+                                ack.sacks.push((off.saturating_sub(100), end + 100));
+                            }
+                            // A block straddling one of its ends, or
+                            // a byte short of one.
+                            1 => {
+                                let shapes = [(off + 1, end + 10), (off + 1, end), (off, end - 1)];
+                                ack.sacks.push(shapes[rng.gen_index(3)]);
+                                partly_covered = Some((off, seg.len)).filter(|_| ack.cum < end);
+                                reached[3] += partly_covered.is_some() as u32;
+                            }
+                            // The cumulative point lands inside it.
+                            _ => {
+                                let inside = [off + seg.len as u64 / 2, end - 1];
+                                ack.cum = inside[rng.gen_index(2)];
+                                partly_covered = Some((off, seg.len));
+                                reached[4] += 1;
+                            }
+                        }
+                    }
+                    // The retransmission timer fires.
+                    15 if rng.gen_index(4) == 0 && real.0.rto_deadline() != SimTime::MAX => {
+                        now = now.max(real.0.rto_deadline());
+                        let fired = real.0.on_rto(now);
+                        assert_eq!(fired, model.on_rto(now), "{what}");
+                        reached[1] += fired as u32;
+                        assert!(!fired || real.0.inflight.is_empty(), "{what}: an RTO clears");
+                        assert_same(&real, &mut model, &what);
+                        continue;
+                    }
+                    _ => continue,
+                }
+                feed(&mut real, &mut model, &ack, now);
+                assert_same(&real, &mut model, &what);
+                let real = &real.0;
+                let outstanding = |off: &u64| real.inflight.iter().any(|s| s.offset == *off);
+                reached[2] +=
+                    (ack.lcp && real.inflight.len() < ring.len() && !real.is_done()) as u32;
+                if let [front, middle @ .., _] = &ring[..] {
+                    let from_the_middle = middle.iter().any(|off| !outstanding(off));
+                    reached[5] += (from_the_middle && outstanding(front)) as u32;
+                }
+                if let Some((off, len)) = partly_covered.filter(|_| !real.is_done()) {
+                    // Not cleared: still in flight, or declared lost.
+                    assert!(
+                        outstanding(&off) || real.retx_queue.contains(&(off, len)),
+                        "{what}: a partial cover cleared segment {off}+{len}: {ack:?}"
+                    );
+                }
+                last_ack = Some(ack);
             }
         }
-        assert!(reached.iter().all(|&n| n > 0), "a path was never exercised: {reached:?}");
     }
 
     #[test]
@@ -1421,6 +1054,7 @@ mod tests {
         let mut c = cfg();
         c.max_cwnd_bytes = 20 * c.mss as u64;
         let mut f = DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), 100 << 20, c.clone());
+        let mut law = DctcpLaw::new(&f);
         let mut t = 0u64;
         for _ in 0..30 {
             let mut segs = Vec::new();
@@ -1429,10 +1063,8 @@ mod tests {
             }
             t += 80_000;
             for s in segs {
-                f.on_ack(
-                    &ack(s.offset + s.len as u64, [(s.offset, s.offset + s.len as u64)], false),
-                    SimTime(t),
-                );
+                let end = s.offset + s.len as u64;
+                f.on_ack(&ack(end, [(s.offset, end)], false), SimTime(t), &mut law);
             }
             assert!(f.cwnd_bytes() <= c.max_cwnd_bytes);
         }

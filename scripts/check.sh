@@ -260,6 +260,18 @@ if grep -rnwE 'sample_link|sample_port|SamplerId' crates tests examples; then
     exit 1
 fi
 
+echo "==> tcp_base.rs is the reliability engine; each window law lives with its Hcp (DESIGN.md §16)"
+tcp_base_lines=$(awk '/#\[cfg\(test\)\]/ { exit } { c++ } END { print c + 0 }' crates/transports/src/tcp_base.rs)
+echo "check.sh: tcp_base.rs has $tcp_base_lines non-test lines (ceiling 600)"
+if [ "$tcp_base_lines" -gt 600 ]; then
+    echo "check.sh: tcp_base.rs has $tcp_base_lines non-test lines (> 600): a window law belongs in its scheme's file" >&2
+    exit 1
+fi
+if grep -rnE 'CcMode|cc_mode' crates; then
+    echo "check.sh: a runtime window-law switch is back; write the law as its Hcp's WindowLaw" >&2
+    exit 1
+fi
+
 echo "==> telemetry smoke (report byte-identical across reruns; goldens untouched)"
 TELEM_TMP="${TMPDIR:-/tmp}/pptlab-telemetry-smoke.$$"
 mkdir -p "$TELEM_TMP/a" "$TELEM_TMP/b" "$TELEM_TMP/t" "$TELEM_TMP/plain"
