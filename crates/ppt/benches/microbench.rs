@@ -8,9 +8,10 @@
 //! harness stays robust on loaded CI machines. The gates are *ratios*
 //! taken inside this process — an ACK against 1 024 in-flight segments may
 //! cost at most 1.5× one against 16, in order or above a hole, and an
-//! in-order one against 8 192 at most 3× (`bench_ack_scaling`), a
-//! tail-first `IntervalSet` insert at most 3× an in-order one
-//! (`bench_interval_shapes`), a flow of a 16 000-flow Memcached run at most
+//! in-order one against 8 192 at most 3× (`bench_ack_scaling`), a resend
+//! after an RTO over 8 192 segments at most 3× one over 16
+//! (`bench_rto_resend`), a tail-first `IntervalSet` insert at most 3× an
+//! in-order one (`bench_interval_shapes`), a flow of a 16 000-flow Memcached run at most
 //! 1.5× a flow of a 2 000-flow one and a DCTCP flow at most 2.2× a Homa
 //! flow (`bench_flow_churn`), a point of a 16 384-point telemetry series at
 //! most 1.5× a point of a 2 048-point one to analyze
@@ -269,6 +270,55 @@ fn bench_law<W: WindowLaw>(name: &str, mk: fn(&DctcpFlowTx) -> W) -> bool {
         );
     }
     ok
+}
+
+/// A flow of `segs` segments, all sent, then timed out — every entry of
+/// its scoreboard lost — and the top half SACKed, which opens the window
+/// over the bottom half: what is left to do is resend it, lowest first.
+fn timed_out(segs: u64) -> (DctcpFlowTx, ppt::netsim::SimTime) {
+    let mut cfg = TcpCfg::new(ppt::netsim::SimDuration::from_micros(80));
+    cfg.init_cwnd_bytes = segs * MSS;
+    cfg.max_cwnd_bytes = segs * MSS;
+    let mut flow = DctcpFlowTx::new(FlowId(0), HostId(0), HostId(1), 1 << 50, cfg);
+    let mut law = DctcpLaw::new(&flow);
+    while flow.next_segment(ppt::netsim::SimTime::ZERO).is_some() {}
+    let now = flow.rto_deadline();
+    flow.on_rto(now);
+    let top_half = [(segs / 2 * MSS, segs * MSS)].into();
+    let ack =
+        AckHdr { cum: 0, sacks: top_half, ece: false, lcp: false, ts_echo: now, int_echo: None };
+    flow.on_ack(&ack, now, &mut law);
+    (flow, now)
+}
+
+/// Resending a window after an RTO, at 16 and 8 192 segments: the
+/// `next_segment` calls that drain [`timed_out`] flows, 8 192 resends per
+/// timing whatever the window. Each resend finds the lowest lost entry by
+/// binary search from the flow's low-water offset, never by scanning the
+/// ring. Returns false when one at 8 192 costs more than 3× one at 16.
+fn bench_rto_resend() -> bool {
+    const RESENDS: u64 = 8_192;
+    let windows = [16, 8_192];
+    let mut ns = [f64::INFINITY; 2];
+    for _ in 0..7 {
+        for (&segs, ns) in windows.iter().zip(&mut ns) {
+            let mut flows: Vec<_> = (0..RESENDS / (segs / 2)).map(|_| timed_out(segs)).collect();
+            let mut calls = 0u64;
+            let start = Instant::now();
+            for (flow, now) in &mut flows {
+                while black_box(flow.next_segment(*now)).is_some() {
+                    calls += 1;
+                }
+            }
+            *ns = ns.min(start.elapsed().as_nanos() as f64 / calls as f64);
+        }
+    }
+    let ratio = ns[1] / ns[0];
+    println!(
+        "{:<44} {:>8.1} / {:>8.1} ns/resend   (x{ratio:.2} from 16 in flight)",
+        "tcp_base/rto_resend @16/8192", ns[0], ns[1]
+    );
+    ratio <= 3.0
 }
 
 /// Flow churn as a scaling law: host time per flow of an all-to-all
@@ -765,6 +815,7 @@ fn main() {
     bench_interval_append();
     let tail_first_costs_like_in_order = bench_interval_shapes();
     let ack_cost_follows_the_ack = bench_ack_scaling();
+    let resend_cost_ignores_the_window = bench_rto_resend();
     let flow_cost_follows_concurrency = bench_flow_churn();
     let analysis_cost_follows_points = bench_analysis_scaling();
     let encoder_beats_fmt = bench_encode_line();
@@ -784,6 +835,12 @@ fn main() {
         eprintln!(
             "microbench: on_ack at 1024 segments in flight costs more than 1.5x on_ack at 16 \
              (in order or above a hole), or in order at 8192 more than 3x"
+        );
+        std::process::exit(1);
+    }
+    if !resend_cost_ignores_the_window {
+        eprintln!(
+            "microbench: a resend after an RTO over 8192 segments costs more than 3x one over 16"
         );
         std::process::exit(1);
     }

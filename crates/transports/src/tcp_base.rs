@@ -77,22 +77,31 @@ pub struct SegOut {
     pub retx: bool,
 }
 
-/// A scoreboard entry: one outstanding primary-loop segment.
+/// A scoreboard entry: one primary-loop segment sent and not yet
+/// acknowledged, in flight or lost.
 #[derive(Clone, Copy, Debug)]
 struct InflightSeg {
     offset: u64,
     len: u32,
     /// SACK-hole counter: number of ACK arrivals that SACKed data above
-    /// this segment while it remained unacked.
+    /// this segment while it was in flight.
     dup_hits: u8,
+    /// Declared lost and not sent again yet: not in `inflight_bytes`.
+    lost: bool,
+    /// Sent again: hits wait for `DctcpFlowTx::recovery_point`.
+    resent: bool,
 }
 
-// A ring holds an entry per segment in flight (~11 k at the 16 MB cap) and
+// A ring holds an entry per segment outstanding (~11 k at the 16 MB cap) and
 // doubles as it grows: an entry's size is most of a large flow's resident
 // state (ROADMAP item 4, ring RSS), so it holds only what an ACK reads.
 const _: () = assert!(
     std::mem::size_of::<InflightSeg>() == 16,
     "a scoreboard entry outgrew 16 bytes: the ring's RSS grows with it"
+);
+const _: () = assert!(
+    std::mem::size_of::<DctcpFlowTx>() <= 296,
+    "a TCP-family sender outgrew 296 bytes: every flow in progress carries one"
 );
 
 /// A TCP-family sender flow.
@@ -119,15 +128,21 @@ pub struct DctcpFlowTx {
     hcp_next: u64,
     /// Bytes known delivered (cum + SACK).
     acked: IntervalSet,
-    /// Outstanding HCP segments, ascending by offset, one per offset. New
-    /// data is appended in offset order and acknowledged from the front, so
-    /// the scoreboard is a ring; only a retransmission lands inside it.
+    /// The scoreboard: every HCP segment sent and not yet acknowledged,
+    /// once, ascending by offset. Entries never overlap and all end at or
+    /// below `hcp_next`, so new data is appended and the cumulative point
+    /// pops the front: a ring. Loss marks an entry; only an ACK removes it.
     inflight: VecDeque<InflightSeg>,
+    /// Bytes of the entries not marked lost.
     inflight_bytes: u64,
     /// Highest offset+len ever transmitted.
     snd_hi: u64,
-    /// HCP retransmission queue.
-    retx_queue: Vec<(u64, u32)>,
+    /// No lost entry starts below this offset (`u64::MAX`: none is lost).
+    lost_lo: u64,
+    /// `snd_hi` when the last retransmission went out (RFC 6675's
+    /// RecoveryPoint). Until `highest_sacked` passes it, SACKs are for data
+    /// sent before the resend, so resent entries take no duplicate hits.
+    recovery_point: u64,
     highest_sacked: u64,
 
     /// Maximum congestion-avoidance window (PPT's MW).
@@ -163,7 +178,8 @@ impl DctcpFlowTx {
             inflight: VecDeque::new(),
             inflight_bytes: 0,
             snd_hi: 0,
-            retx_queue: Vec::new(),
+            lost_lo: u64::MAX,
+            recovery_point: 0,
             highest_sacked: 0,
             wmax: WmaxTracker::new(),
             rto_deadline: SimTime::MAX,
@@ -232,9 +248,9 @@ impl DctcpFlowTx {
         self.highest_sacked.max(self.cum_acked())
     }
 
-    /// The next HCP segment to transmit, honouring the window. Claims the
-    /// bytes and tracks the segment; returns `None` when the window is
-    /// full or there is nothing (new or lost) to send.
+    /// The next HCP segment to transmit, honouring the window: the lowest
+    /// lost entry, else new data (claimed and tracked). `None` when the
+    /// window is full or there is nothing (lost or new) to send.
     // simlint: hot-path
     pub fn next_segment(&mut self, now: SimTime) -> Option<SegOut> {
         if self.done {
@@ -243,43 +259,45 @@ impl DctcpFlowTx {
         if self.inflight_bytes + self.cfg.mss as u64 > self.cwnd_bytes().max(self.cfg.mss as u64) {
             return None;
         }
-        // Retransmissions first.
-        while let Some((offset, len)) = self.retx_queue.pop() {
-            if self.acked.contains(offset) {
-                continue; // acked in the meantime
+        let seg = match self.resend_lowest_lost() {
+            Some(seg) => seg,
+            None => {
+                // New data: the next in-order byte that is not yet
+                // acknowledged. LCP-delivered (acked) tail ranges are jumped
+                // over — the paper's "advancing snd_nxt" on crossing;
+                // LCP-sent-but-unacked bytes are NOT skipped, so a lost
+                // opportunistic packet is repaired by the primary loop in
+                // order rather than waiting out an RTO.
+                let (gap_start, gap_end) = self.acked.first_gap(self.hcp_next, self.size)?;
+                let len = ((gap_end - gap_start).min(self.cfg.mss as u64)) as u32;
+                self.claimed.insert(gap_start, gap_start + len as u64);
+                self.hcp_next = gap_start + len as u64;
+                self.inflight.push_back(InflightSeg::new(gap_start, len));
+                SegOut { offset: gap_start, len, retx: false }
             }
-            self.track_sent(offset, len, now);
-            return Some(SegOut { offset, len, retx: true });
-        }
-        // New data: the next in-order byte that is not yet acknowledged.
-        // LCP-delivered (acked) tail ranges are jumped over — the paper's
-        // "advancing snd_nxt" on crossing; LCP-sent-but-unacked bytes are
-        // NOT skipped, so a lost opportunistic packet is repaired by the
-        // primary loop in order rather than waiting out an RTO.
-        let (gap_start, gap_end) = self.acked.first_gap(self.hcp_next, self.size)?;
-        let len = ((gap_end - gap_start).min(self.cfg.mss as u64)) as u32;
-        self.claimed.insert(gap_start, gap_start + len as u64);
-        self.hcp_next = gap_start + len as u64;
-        self.track_sent(gap_start, len, now);
-        Some(SegOut { offset: gap_start, len, retx: false })
+        };
+        self.inflight_bytes += seg.len as u64;
+        self.snd_hi = self.snd_hi.max(seg.offset + seg.len as u64);
+        self.bytes_sent += seg.len as u64;
+        self.arm_rto(now);
+        Some(seg)
     }
 
-    fn track_sent(&mut self, offset: u64, len: u32, now: SimTime) {
-        let seg = InflightSeg { offset, len, dup_hits: 0 };
-        if self.inflight.back().is_none_or(|back| back.offset < offset) {
-            self.inflight.push_back(seg);
-        } else {
-            // A retransmission below what is outstanding; one of an offset
-            // that is outstanding (queued twice) takes that segment's place.
-            match self.inflight.binary_search_by_key(&offset, |s| s.offset) {
-                Ok(at) => self.inflight[at] = seg,
-                Err(at) => self.inflight.insert(at, seg),
-            }
+    /// Put the lowest lost entry — the hole the cumulative point waits on —
+    /// back in flight as resent, found by binary search from `lost_lo`.
+    fn resend_lowest_lost(&mut self) -> Option<SegOut> {
+        if self.lost_lo == u64::MAX {
+            return None;
         }
-        self.inflight_bytes += len as u64;
-        self.snd_hi = self.snd_hi.max(offset + len as u64);
-        self.bytes_sent += len as u64;
-        self.arm_rto(now);
+        let from = self.inflight.partition_point(|seg| seg.offset < self.lost_lo);
+        let Some(seg) = self.inflight.range_mut(from..).find(|seg| seg.lost) else {
+            self.lost_lo = u64::MAX;
+            return None;
+        };
+        *seg = InflightSeg { resent: true, ..InflightSeg::new(seg.offset, seg.len) };
+        self.lost_lo = seg.offset;
+        self.recovery_point = self.snd_hi.max(seg.offset + seg.len as u64);
+        Some(SegOut { offset: seg.offset, len: seg.len, retx: true })
     }
 
     /// Process a primary-loop ACK (cumulative + SACK ranges + ECN echo):
@@ -307,27 +325,30 @@ impl DctcpFlowTx {
         round_alpha
     }
 
-    /// Fast retransmit: segments with enough SACKed data above them. A
-    /// segment ending at or below `highest_sacked` starts below it, so
-    /// only that prefix of the ring is visited; the lost ones go straight
-    /// onto the retransmission queue, in offset order.
+    /// Fast retransmit: mark lost the entries in flight with enough SACKed
+    /// data above them. Entries never overlap, so those ending at or below
+    /// `highest_sacked` are a prefix of the ring, the only part visited.
+    /// Resent entries take no hits until the recovery point is passed.
     fn fast_retransmit(&mut self) {
-        let threshold = self.cfg.dupack_threshold;
-        let highest_sacked = self.highest_sacked;
-        let queued = self.retx_queue.len();
-        extract_range(&mut self.inflight, 0, highest_sacked, |seg| {
+        let (threshold, highest_sacked) = (self.cfg.dupack_threshold, self.highest_sacked);
+        let recovering = highest_sacked <= self.recovery_point;
+        let mut marked = false;
+        for seg in self.inflight.iter_mut() {
             if seg.offset + seg.len as u64 > highest_sacked {
-                return false;
+                break;
+            }
+            if seg.lost || (seg.resent && recovering) {
+                continue;
             }
             seg.dup_hits = seg.dup_hits.saturating_add(1);
-            let lost = seg.dup_hits == threshold;
-            if lost {
-                self.retx_queue.push((seg.offset, seg.len));
+            if seg.dup_hits == threshold {
+                seg.lost = true;
                 self.inflight_bytes -= seg.len as u64;
+                self.lost_lo = self.lost_lo.min(seg.offset);
+                marked = true;
             }
-            lost
-        });
-        if self.retx_queue.len() > queued {
+        }
+        if marked {
             // One multiplicative cut per loss event.
             self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
             self.cwnd = self.ssthresh;
@@ -352,21 +373,20 @@ impl DctcpFlowTx {
         self.finish();
     }
 
-    /// Drop every in-flight segment `ack` fully covers — by the cumulative
-    /// point (the block `[0, cum)`) or by one SACK block; a partial cover
-    /// clears nothing. Segments are found through the ring's order — the
-    /// cumulative block pops them off its front — so the cost follows what
-    /// the ACK covers, not the window.
+    /// Drop every entry `ack` fully covers — by the cumulative point (the
+    /// block `[0, cum)`) or by one SACK block; a partial cover clears
+    /// nothing. Entries never overlap, so a block covers a run of them, found
+    /// by binary search and drained: the cost follows the ACK, not the window.
     fn clear_covered(&mut self, ack: &AckHdr) {
         let blocks = std::iter::once((0, ack.cum)).chain(ack.sacks.iter().copied());
         for (lo, hi) in blocks.filter(|&(lo, hi)| lo < hi) {
-            extract_range(&mut self.inflight, lo, hi, |seg| {
-                let covered = seg.offset + seg.len as u64 <= hi;
-                if covered {
-                    self.inflight_bytes -= seg.len as u64;
-                }
-                covered
-            });
+            let first = if lo == 0 { 0 } else { self.inflight.partition_point(|s| s.offset < lo) };
+            let mut end = first;
+            while let Some(seg) = self.inflight.get(end).filter(|s| s.offset + s.len as u64 <= hi) {
+                self.inflight_bytes -= if seg.lost { 0 } else { seg.len as u64 };
+                end += 1;
+            }
+            self.inflight.drain(first..end);
         }
     }
 
@@ -444,64 +464,43 @@ impl DctcpFlowTx {
         self.rto_deadline
     }
 
-    /// Handle an expired RTO timer. Returns true when a timeout action was
-    /// taken (caller should then pump the flow and re-arm its timer).
-    pub fn on_rto(&mut self, now: SimTime) -> bool {
-        if self.done || now < self.rto_deadline {
-            return false;
-        }
-        // Retransmit the first unacked claimed range; collapse the window.
-        let gap = self.acked.first_gap(0, self.size);
-        let Some((start, end)) = gap else {
-            return false;
-        };
-        // Only retransmit bytes we have actually sent before.
+    /// Take a due timeout (`common::service_rto` calls this only then): mark
+    /// every entry lost, forgetting none, so the ring resends lowest first as
+    /// the one-MSS window reopens; the deadline backs off.
+    pub fn on_rto(&mut self, now: SimTime) {
+        debug_assert!(!self.done && now >= self.rto_deadline, "an RTO fires only when due");
+        let Some((start, end)) = self.acked.first_gap(0, self.size) else { return };
+        // Only bytes that were sent can be lost.
         if !self.claimed.contains(start) {
             // Nothing outstanding — stall was send-side; just re-arm.
             self.arm_rto(now);
-            return false;
+            return;
         }
-        let len = (end - start).min(self.cfg.mss as u64) as u32;
-        self.retx_queue.push((start, len));
-        self.inflight.clear();
+        if start >= self.hcp_next {
+            // Only the LCP sent what the receiver waits on: the primary
+            // loop takes those bytes over as a lost entry of its own.
+            let len = (end - start).min(self.cfg.mss as u64) as u32;
+            self.claimed.insert(start, start + len as u64);
+            self.hcp_next = start + len as u64;
+            self.inflight.push_back(InflightSeg::new(start, len));
+        }
+        self.inflight.iter_mut().for_each(|seg| seg.lost = true);
         self.inflight_bytes = 0;
+        self.lost_lo = 0;
         self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
         self.cwnd = self.cfg.mss as f64;
         self.state = CcState::SlowStart;
         self.rto_backoff += 1;
         self.arm_rto(now);
-        true
     }
 }
 
-// simlint: hot-path
-/// Visit the segments of `ring` whose offsets lie in `[lo, hi)`, in order,
-/// and remove those `take` says to — an ordered map's `extract_if` over a
-/// key range, for the ring. Segments that stay close up towards `lo`, and
-/// one `drain` removes the rest: from the ring's front, a move of its head.
-fn extract_range(
-    ring: &mut VecDeque<InflightSeg>,
-    lo: u64,
-    hi: u64,
-    mut take: impl FnMut(&mut InflightSeg) -> bool,
-) {
-    let first = if lo == 0 { 0 } else { ring.partition_point(|seg| seg.offset < lo) };
-    let (mut kept, mut at) = (first, first);
-    while let Some(seg) = ring.get_mut(at).filter(|seg| seg.offset < hi) {
-        if !take(seg) {
-            if kept != at {
-                let stays = *seg;
-                ring[kept] = stays;
-            }
-            kept += 1;
-        }
-        at += 1;
-    }
-    if kept < at {
-        ring.drain(kept..at);
+impl InflightSeg {
+    /// A segment just sent for the first time.
+    fn new(offset: u64, len: u32) -> Self {
+        InflightSeg { offset, len, dup_hits: 0, lost: false, resent: false }
     }
 }
-// simlint: hot-path-end
 
 #[cfg(test)]
 mod tests {
@@ -590,32 +589,55 @@ mod tests {
         while let Some(seg) = f.next_segment(SimTime::ZERO) {
             segs.push(seg);
         }
-        assert!(segs.len() >= 5);
-        // Lose segment 0: SACK segments 1..=4 (4 dup events > threshold 3).
+        assert_eq!(segs.len(), 10);
+        // Lose segments 0, 2 and 4: SACKing the other seven gives each
+        // hole at least three duplicate hits.
         let t = SimTime(80_000);
-        for seg in segs.iter().skip(1).take(4) {
-            f.on_ack(&ack(0, [(seg.offset, seg.offset + seg.len as u64)], false), t, &mut law);
+        let mut rcv = IntervalSet::new();
+        for seg in [1, 3, 5, 6, 7, 8, 9].map(|i| segs[i]) {
+            let block = (seg.offset, seg.offset + seg.len as u64);
+            rcv.insert(block.0, block.1);
+            f.on_ack(&ack(0, [block], false), t, &mut law);
         }
-        // Segment 0 must now be queued for retransmission.
-        let next = f.next_segment(SimTime(90_000)).expect("retx segment");
-        assert!(next.retx);
-        assert_eq!(next.offset, segs[0].offset);
+        // Each repair is delivered in turn, and the holes go out lowest
+        // first whatever room the window leaves each time.
+        let mut resent: Vec<SegOut> = Vec::new();
+        for next in 0..3 {
+            resent.extend(std::iter::from_fn(|| f.next_segment(t)).filter(|seg| seg.retx));
+            let seg = resent[next];
+            let block = (seg.offset, seg.offset + seg.len as u64);
+            rcv.insert(block.0, block.1);
+            f.on_ack(&ack(rcv.contiguous_prefix(), [block], false), t, &mut law);
+        }
+        let offsets: Vec<u64> = resent.iter().map(|seg| seg.offset).collect();
+        assert_eq!(offsets, [0, 2, 4].map(|i| segs[i].offset));
     }
 
     #[test]
     fn rto_collapses_window_and_retransmits_head() {
-        let (mut f, _) = flow(1 << 20);
+        let (mut f, mut law) = flow(1 << 20);
         while f.next_segment(SimTime::ZERO).is_some() {}
+        let outstanding = f.inflight.len();
         let deadline = f.rto_deadline();
         assert!(deadline > SimTime::ZERO && deadline < SimTime::MAX);
-        assert!(f.on_rto(deadline));
+        f.on_rto(deadline);
         assert_eq!(f.cwnd_bytes(), cfg().mss as u64);
+        // Nothing is forgotten: every segment is still on the scoreboard,
+        // lost, and none of them counts as in flight.
+        assert_eq!(f.inflight.len(), outstanding);
+        assert!(f.inflight.iter().all(|seg| seg.lost) && f.inflight_bytes() == 0);
         let seg = f.next_segment(deadline).expect("head retransmit");
         assert!(seg.retx);
         assert_eq!(seg.offset, 0);
+        assert_eq!(f.next_segment(deadline), None, "a one-MSS window");
         // Backoff doubles the next deadline distance.
         let d2 = f.rto_deadline();
         assert_eq!(d2.saturating_since(deadline).as_nanos(), 2 * cfg().min_rto.as_nanos());
+        // The head's ACK reopens the window onto the next lost segment.
+        let t = SimTime(deadline.as_nanos() + 80_000);
+        f.on_ack(&ack(seg.len as u64, [], false), t, &mut law);
+        let next = f.next_segment(t).expect("the next hole");
+        assert_eq!((next.offset, next.retx), (seg.len as u64, true));
     }
 
     #[test]
@@ -721,12 +743,13 @@ mod tests {
     }
 
     // ------------------------------------------------------------
-    // Differential test of the ACK path. The reference is the scoreboard
-    // this engine ran first: an ordered map of segments by offset, every
-    // one of them scanned to clear what an ACK covers and again to count
-    // duplicate hits. Everything else (`acked`, the window law, RTO, which
-    // segment goes next) is the engine's own code on a second flow, whose
-    // ring is emptied into the map after every call that sends.
+    // Differential test of the scoreboard. The reference is an ordered map
+    // of entries by offset, every one of them scanned to clear what an ACK
+    // covers, again to count duplicate hits, again to find the lowest lost
+    // entry to resend, and once more to mark them all lost on a timeout.
+    // Everything else (`acked`, the window law, new data) is the engine's
+    // own code on a second flow, whose ring is emptied into the map after
+    // every call that sends.
     // ------------------------------------------------------------
 
     struct Model<W> {
@@ -736,26 +759,58 @@ mod tests {
     }
 
     impl<W: WindowLaw> Model<W> {
-        /// Move what the flow just tracked into the map: a segment at an
-        /// offset that is already there replaces it.
+        /// Move the new data the flow just tracked into the map.
         fn absorb(&mut self) {
             for seg in self.flow.inflight.drain(..) {
-                self.inflight.insert(seg.offset, seg);
+                let twice = self.inflight.insert(seg.offset, seg);
+                assert!(twice.is_none(), "new data at an outstanding offset {}", seg.offset);
             }
         }
 
+        /// The lowest lost entry if the window has room for it, else
+        /// whatever new data the flow sends.
         fn next_segment(&mut self, now: SimTime) -> Option<SegOut> {
-            let seg = self.flow.next_segment(now);
-            self.absorb();
-            seg
+            let f = &mut self.flow;
+            let mss = f.cfg.mss as u64;
+            let open = !f.done && f.inflight_bytes + mss <= f.cwnd_bytes().max(mss);
+            let Some(seg) = self.inflight.values_mut().find(|seg| seg.lost).filter(|_| open) else {
+                let seg = f.next_segment(now);
+                self.absorb();
+                return seg;
+            };
+            *seg = InflightSeg { dup_hits: 0, lost: false, resent: true, ..*seg };
+            f.snd_hi = f.snd_hi.max(seg.offset + seg.len as u64);
+            f.recovery_point = f.snd_hi;
+            f.inflight_bytes += seg.len as u64;
+            f.bytes_sent += seg.len as u64;
+            f.arm_rto(now);
+            Some(SegOut { offset: seg.offset, len: seg.len, retx: true })
         }
 
-        fn on_rto(&mut self, now: SimTime) -> bool {
-            let fired = self.flow.on_rto(now);
-            if fired {
-                self.inflight.clear();
+        /// A timeout: every entry lost, the first gap added when no entry
+        /// holds its first byte, the window collapsed.
+        fn on_rto(&mut self, now: SimTime) {
+            let f = &mut self.flow;
+            let (start, end) = f.acked.first_gap(0, f.size).expect("a flow in progress");
+            if !f.claimed.contains(start) {
+                f.arm_rto(now);
+                return;
             }
-            fired
+            let holds =
+                |seg: &InflightSeg| seg.offset <= start && start < seg.offset + seg.len as u64;
+            if !self.inflight.values().any(holds) {
+                let len = (end - start).min(f.cfg.mss as u64) as u32;
+                f.claimed.insert(start, start + len as u64);
+                f.hcp_next = start + len as u64;
+                self.inflight.insert(start, InflightSeg::new(start, len));
+            }
+            self.inflight.values_mut().for_each(|seg| seg.lost = true);
+            f.inflight_bytes = 0;
+            f.ssthresh = (f.cwnd / 2.0).max(2.0 * f.cfg.mss as f64);
+            f.cwnd = f.cfg.mss as f64;
+            f.state = CcState::SlowStart;
+            f.rto_backoff += 1;
+            f.arm_rto(now);
         }
 
         fn clear_covered(&mut self, ack: &AckHdr) {
@@ -763,7 +818,7 @@ mod tests {
                 let end = off + seg.len as u64;
                 let covered =
                     end <= ack.cum || ack.sacks.iter().any(|&(s, e)| s <= off && end <= e);
-                if covered {
+                if covered && !seg.lost {
                     self.flow.inflight_bytes -= seg.len as u64;
                 }
                 !covered
@@ -796,21 +851,20 @@ mod tests {
                 f.rto_backoff = 0;
             }
 
-            let mut lost: Vec<(u64, u32)> = Vec::new();
-            for (&off, seg) in self.inflight.iter_mut() {
-                if off + (seg.len as u64) <= f.highest_sacked {
+            let recovering = f.highest_sacked <= f.recovery_point;
+            let mut marked = false;
+            for seg in self.inflight.values_mut() {
+                let sacked_above = seg.offset + seg.len as u64 <= f.highest_sacked;
+                if sacked_above && !seg.lost && !(seg.resent && recovering) {
                     seg.dup_hits = seg.dup_hits.saturating_add(1);
                     if seg.dup_hits == f.cfg.dupack_threshold {
-                        lost.push((off, seg.len));
+                        seg.lost = true;
+                        f.inflight_bytes -= seg.len as u64;
+                        marked = true;
                     }
                 }
             }
-            if !lost.is_empty() {
-                for &(off, len) in &lost {
-                    self.inflight.remove(&off);
-                    f.inflight_bytes -= len as u64;
-                    f.retx_queue.push((off, len));
-                }
+            if marked {
                 f.ssthresh = (f.cwnd / 2.0).max(2.0 * f.cfg.mss as f64);
                 f.cwnd = f.ssthresh;
                 f.enter_ca();
@@ -835,15 +889,21 @@ mod tests {
         }
     }
 
-    /// The ring holds exactly the map's segments, in the map's order, and
-    /// every other field of the two flows and of their laws is equal.
+    /// The ring holds exactly the map's entries, in the map's order and
+    /// without overlap, no lost one below `lost_lo`, and every other field
+    /// of the two flows and of their laws is equal.
     fn assert_same<W: WindowLaw + std::fmt::Debug>(
         (real, law): &(DctcpFlowTx, W),
         model: &mut Model<W>,
         what: &str,
     ) {
-        let offsets: Vec<u64> = real.inflight.iter().map(|seg| seg.offset).collect();
-        assert!(offsets.windows(2).all(|w| w[0] < w[1]), "{what}: ring out of order: {offsets:?}");
+        let ring: Vec<(u64, u64)> =
+            real.inflight.iter().map(|seg| (seg.offset, seg.offset + seg.len as u64)).collect();
+        assert!(ring.windows(2).all(|w| w[0].1 <= w[1].0), "{what}: ring out of order: {ring:?}");
+        let below = real.inflight.iter().find(|seg| seg.lost && seg.offset < real.lost_lo);
+        assert!(below.is_none(), "{what}: {below:?} is lost below {}", real.lost_lo);
+        // The low-water mark is the ring's search hint; the map scans.
+        model.flow.lost_lo = real.lost_lo;
         model.flow.inflight.extend(model.inflight.values().copied());
         // Debug prints every field, floats to round-trip precision.
         assert_eq!(format!("{real:?}"), format!("{:?}", model.flow), "{what}");
@@ -873,13 +933,15 @@ mod tests {
 
     #[test]
     fn ack_path_matches_the_full_scan_reference_seeded() {
-        // Paths the streams must reach: a fast retransmit, an RTO, an LCP
+        // Paths the streams must reach: a retransmission, an RTO, an LCP
         // ACK clearing an HCP segment after the loops crossed, a SACK
         // block straddling a segment boundary, `cum` inside a segment, a
         // SACK block clearing a segment from the middle of the ring while
-        // the hole below it stays, a retransmission tracked below the
-        // ring's front, and one tracked at an offset that is outstanding.
-        let mut reached = [0u32; 8];
+        // the hole below it stays, a resent entry spared a duplicate hit
+        // below the recovery point, one marked lost again above it, an RTO
+        // over a ring that already holds lost entries, and an RTO whose
+        // first gap only the LCP sent.
+        let mut reached = [0u32; 10];
         let (rtt, iw) = (cfg().base_rtt, 24 * netsim::MSS_BYTES as u64);
         drive_seeded(0, &mut reached, DctcpLaw::new);
         drive_seeded(1, &mut reached, |_| SwiftLaw::new(rtt));
@@ -892,7 +954,7 @@ mod tests {
     /// a real sender running the law `mk` builds and through the model.
     fn drive_seeded<W: WindowLaw + std::fmt::Debug>(
         mode_ix: u64,
-        reached: &mut [u32; 8],
+        reached: &mut [u32; 10],
         mk: impl Fn(&DctcpFlowTx) -> W,
     ) {
         let mss = netsim::MSS_BYTES as u64;
@@ -933,20 +995,24 @@ mod tests {
                     }),
                 };
                 let ring: Vec<u64> = real.0.inflight.iter().map(|seg| seg.offset).collect();
+                // Resent entries in flight before this step.
+                let resent: Vec<u64> = real
+                    .0
+                    .inflight
+                    .iter()
+                    .filter(|s| s.resent && !s.lost)
+                    .map(|s| s.offset)
+                    .collect();
                 // A segment the ACK touches without fully covering.
                 let mut partly_covered: Option<(u64, u32)> = None;
                 match rng.gen_index(16) {
                     // Pump the window dry.
                     0..=3 => {
-                        let mut ring = ring;
                         loop {
                             let seg = real.0.next_segment(now);
                             assert_eq!(seg, model.next_segment(now), "{what}");
                             let Some(seg) = seg else { break };
                             reached[0] += seg.retx as u32;
-                            reached[6] += ring.first().is_some_and(|&f| seg.offset < f) as u32;
-                            reached[7] += ring.contains(&seg.offset) as u32;
-                            ring = real.0.inflight.iter().map(|seg| seg.offset).collect();
                             wire.push((seg.offset, seg.len, false));
                         }
                         assert_same(&real, &mut model, &what);
@@ -1018,10 +1084,16 @@ mod tests {
                     // The retransmission timer fires.
                     15 if rng.gen_index(4) == 0 && real.0.rto_deadline() != SimTime::MAX => {
                         now = now.max(real.0.rto_deadline());
-                        let fired = real.0.on_rto(now);
-                        assert_eq!(fired, model.on_rto(now), "{what}");
+                        let backoff = real.0.rto_backoff;
+                        let lost_before = real.0.inflight.iter().any(|seg| seg.lost);
+                        real.0.on_rto(now);
+                        model.on_rto(now);
+                        let fired = real.0.rto_backoff > backoff;
                         reached[1] += fired as u32;
-                        assert!(!fired || real.0.inflight.is_empty(), "{what}: an RTO clears");
+                        reached[8] += (fired && lost_before) as u32;
+                        reached[9] += (real.0.inflight.len() > ring.len()) as u32;
+                        let all_lost = real.0.inflight.iter().all(|seg| seg.lost);
+                        assert!(!fired || all_lost, "{what}: an RTO marks every entry lost");
                         assert_same(&real, &mut model, &what);
                         continue;
                     }
@@ -1030,17 +1102,24 @@ mod tests {
                 feed(&mut real, &mut model, &ack, now);
                 assert_same(&real, &mut model, &what);
                 let real = &real.0;
-                let outstanding = |off: &u64| real.inflight.iter().any(|s| s.offset == *off);
+                let entry = |off: u64| real.inflight.iter().find(|s| s.offset == off);
+                let outstanding = |off: &u64| entry(*off).is_some();
                 reached[2] +=
                     (ack.lcp && real.inflight.len() < ring.len() && !real.is_done()) as u32;
                 if let [front, middle @ .., _] = &ring[..] {
                     let from_the_middle = middle.iter().any(|off| !outstanding(off));
                     reached[5] += (from_the_middle && outstanding(front)) as u32;
                 }
+                for seg in resent.iter().filter_map(|&off| entry(off)).filter(|_| !ack.lcp) {
+                    let sacked_above = seg.offset + seg.len as u64 <= real.highest_sacked;
+                    let recovering = real.highest_sacked <= real.recovery_point;
+                    reached[6] += (sacked_above && recovering) as u32;
+                    reached[7] += seg.lost as u32;
+                }
                 if let Some((off, len)) = partly_covered.filter(|_| !real.is_done()) {
-                    // Not cleared: still in flight, or declared lost.
+                    // Not cleared: in flight or lost, it keeps its entry.
                     assert!(
-                        outstanding(&off) || real.retx_queue.contains(&(off, len)),
+                        outstanding(&off),
                         "{what}: a partial cover cleared segment {off}+{len}: {ack:?}"
                     );
                 }

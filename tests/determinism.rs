@@ -145,9 +145,11 @@ fn pinned_seed_goldens_hold_on_the_heap_oracle_queue() {
 /// pins the INT echo path, the power computation, and the window law.
 /// `PFC_GOLDEN`: the same workload on `Scheme::Ppt` with `env.pfc` set —
 /// pins the pause/resume machinery (threshold crossings, pause-frame
-/// propagation, fixed-port-order resume) end to end.
+/// propagation, fixed-port-order resume) end to end. Its run retransmits,
+/// so it moved with `RECOVERY_GOLDENS` when the scoreboard ring replaced
+/// the retransmission queue.
 const POWERTCP_GOLDEN: (u64, u64) = (0xbb9e_33ec_99e0_819c, 0x70df_3d3a_e6c6_bb2c);
-const PFC_GOLDEN: (u64, u64) = (0x46d4_4a5b_9c57_dd84, 0x0f03_df53_6c37_1a32);
+const PFC_GOLDEN: (u64, u64) = (0xb54c_7813_007c_4ff4, 0x9dca_8638_cae2_1323);
 
 /// The two layered variants on the same workload: pins `Lcp<H>` over a
 /// non-DCTCP HCP — the delay and U triggers, INT stamping under an LCP,
@@ -205,27 +207,37 @@ fn layered_ppt_goldens_hold_on_both_queues() {
 
 /// The other `Window<H, L>` schemes on the standard golden workload, seed
 /// 42: `(scheme, trace digest, FCT digest)`. The FCT halves were recorded
-/// while PIAS, RC3 and the oracle were endpoints of their own and did not
-/// move when they became policies; the trace halves of all but TCP-10 and
-/// Halfback (and `POWERTCP_GOLDEN`'s) were re-pinned then, because the one
-/// endpoint traces `retransmit` / `alpha_update` / `cwnd_update` for every
-/// scheme — DESIGN.md §16 has the old → new table.
-const TCP_FAMILY_GOLDENS: [(Scheme, u64, u64); 8] = [
-    (Scheme::Tcp10, 0x878d_bbea_ae5d_cfd3, 0xf145_1fd0_a0d4_bff5),
-    (Scheme::Halfback, 0x5348_d3d6_7799_f21e, 0x6135_78fe_beba_f798),
+/// while PIAS and the oracle were endpoints of their own and did not move
+/// when they became policies; the trace halves (and `POWERTCP_GOLDEN`'s)
+/// were re-pinned then, because the one endpoint traces `retransmit` /
+/// `alpha_update` / `cwnd_update` for every scheme — DESIGN.md §16 has the
+/// old → new table. None of these runs retransmits
+/// (`goldens_outside_the_recovery_set_retransmit_nothing`).
+const TCP_FAMILY_GOLDENS: [(Scheme, u64, u64); 4] = [
     (Scheme::Pias, 0xe375_9eda_6539_3692, 0xc536_1551_6b57_5840),
-    (Scheme::Rc3, 0xe5d2_9577_dd66_2084, 0x1b1d_4aa9_83cf_37c4),
-    (Scheme::Rc3BufferCap(0.5), 0xbb2f_f017_ca0b_5a5f, 0xde49_403a_7c6b_8a9e),
     (Scheme::Hypothetical(1.0), 0x3a65_3b06_051f_774a, 0x42f9_74b5_c50a_d376),
     (Scheme::Hpcc, 0x6d95_b77d_3bca_e73d, 0x5080_094a_2793_6673),
     (Scheme::Swift, 0x280e_b376_ef42_4065, 0x4bd7_2920_2e41_6a44),
+];
+
+/// The `Window<H, L>` goldens that retransmit, with `PFC_GOLDEN` and the
+/// fault golden: the only ones a change to loss recovery may move. All six
+/// were re-pinned once, when the scoreboard ring replaced the
+/// retransmission queue; DESIGN.md §16, "Loss recovery", has the old → new
+/// table.
+const RECOVERY_GOLDENS: [(Scheme, u64, u64); 4] = [
+    (Scheme::Tcp10, 0xfd44_6e3e_4f65_a126, 0xe33d_ea56_8385_381e),
+    (Scheme::Halfback, 0xf10a_3fa3_903b_ef02, 0xb9e6_e5b9_f591_d917),
+    (Scheme::Rc3, 0xb5c4_d80d_a398_5fa8, 0x91fc_eaed_d058_6fac),
+    (Scheme::Rc3BufferCap(0.5), 0x1e6d_98e4_1724_3369, 0xc201_b64d_1ccd_980a),
 ];
 
 #[test]
 fn tcp_family_goldens_hold_on_both_queues() {
     use ppt::netsim::QueueKind;
     for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        for (scheme, want_trace, want_fct) in TCP_FAMILY_GOLDENS {
+        for (scheme, want_trace, want_fct) in TCP_FAMILY_GOLDENS.into_iter().chain(RECOVERY_GOLDENS)
+        {
             let name = scheme.name();
             let got = golden_digests_on(scheme, 42, queue);
             assert_eq!(
@@ -236,6 +248,29 @@ fn tcp_family_goldens_hold_on_both_queues() {
                 got.1
             );
         }
+    }
+}
+
+/// The golden protocol for loss recovery: only goldens whose runs
+/// retransmit may move when `tcp_base` changes how it repairs loss, and
+/// those are listed apart (`RECOVERY_GOLDENS`, `PFC_GOLDEN`, the fault
+/// golden). Every other pinned golden must not send a single
+/// retransmission, or a recovery change could move it unannounced.
+#[test]
+fn goldens_outside_the_recovery_set_retransmit_nothing() {
+    use ppt::harness::run_experiment_traced;
+    use ppt::trace::TraceEvent;
+    let pinned = PINNED_GOLDENS.map(|(scheme, seed, ..)| (scheme, seed));
+    let at_42 = [Scheme::PowerTcp, Scheme::SwiftPpt, Scheme::HpccPpt]
+        .into_iter()
+        .chain(TCP_FAMILY_GOLDENS.map(|(scheme, ..)| scheme))
+        .map(|scheme| (scheme, 42));
+    for (scheme, seed) in pinned.into_iter().chain(at_42) {
+        let name = scheme.name();
+        let (_, trace) = run_experiment_traced(&golden_experiment(scheme, seed));
+        let resent =
+            trace.events.iter().filter(|(_, ev)| matches!(ev, TraceEvent::Retransmit { .. }));
+        assert_eq!(resent.count(), 0, "{name} seed {seed}: a pinned golden retransmits");
     }
 }
 
@@ -258,7 +293,8 @@ fn powertcp_and_pfc_mode_goldens_for_any_job_count() {
 }
 
 /// (trace hash, FCT digest) for the pinned fault-injection golden: 1%
-/// data loss plus a host-0 uplink outage from 100 µs to 600 µs.
+/// data loss plus a host-0 uplink outage from 100 µs to 600 µs. Seed 42's
+/// pair moved with `RECOVERY_GOLDENS` (DESIGN.md §16, "Loss recovery").
 fn fault_golden_digests_on(seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u64) {
     use ppt::harness::{run_experiment_traced_with, FaultCmd, FaultSpec};
     use ppt::netsim::SimTime;
@@ -294,7 +330,7 @@ fn fault_golden_digests(seed: u64) -> (u64, u64) {
 fn pinned_fault_golden_holds_on_the_heap_oracle_queue() {
     assert_eq!(
         fault_golden_digests_on(42, ppt::netsim::QueueKind::Heap),
-        (0x9828_975c_42c4_9ce9_u64, 0xe5d2_a262_ff6d_197e_u64),
+        (0x1041_346c_da41_7f88_u64, 0xb674_eeec_1b2d_6af1_u64),
         "heap-oracle fault digests diverged from pinned golden (seed 42)"
     );
 }
@@ -314,7 +350,7 @@ fn pinned_fault_schedule_goldens_for_any_job_count() {
     assert_eq!(serial, parallel, "fault run diverged between jobs=1 and jobs=4");
     assert_eq!(
         serial[0],
-        (0x9828_975c_42c4_9ce9_u64, 0xe5d2_a262_ff6d_197e_u64),
+        (0x1041_346c_da41_7f88_u64, 0xb674_eeec_1b2d_6af1_u64),
         "pinned fault golden drifted (seed 42)"
     );
 }

@@ -312,3 +312,72 @@ fn every_tcp_family_scheme_traces_its_retransmissions() {
         );
     }
 }
+
+/// Counts `retransmit` lines per `(flow, offset)`: all a runaway check needs
+/// of the event stream, in memory that does not grow with the run.
+#[derive(Default)]
+struct ResendCounter(std::collections::BTreeMap<(u64, u64), u32>);
+
+impl ppt::trace::TraceSink for ResendCounter {
+    fn emit(&mut self, _: u64, ev: &TraceEvent) {
+        if let TraceEvent::Retransmit { flow, offset, .. } = *ev {
+            *self.0.entry((flow, offset)).or_default() += 1;
+        }
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Run `exp` under an event cap about ten times what it needs and check
+/// that it did not run away: every flow done, at most `max_live` packets
+/// alive at once, and no offset retransmitted more than three times.
+fn assert_no_runaway(mut exp: Experiment, max_events: u64, max_live: u64) {
+    use ppt::netsim::{StopReason, Topology};
+    use ppt::transports::Proto;
+    let name = exp.scheme.name();
+    exp.max_events = max_events;
+    let outcome = ppt::harness::run_experiment_with(&exp, |t: &mut Topology<Proto>| {
+        t.sim.set_trace_sink(Box::new(ResendCounter::default()));
+    });
+    assert_eq!(outcome.report.stop, StopReason::AllFlowsDone, "{name}: ran away");
+    let live = outcome.sim.pool_stats().fresh;
+    assert!(live <= max_live, "{name}: {live} packets alive at once (bound {max_live})");
+    let mut sim = outcome.sim;
+    let sink = sim.take_trace_sink().expect("the counter is installed");
+    let counts = &sink.as_any().downcast_ref::<ResendCounter>().expect("a ResendCounter").0;
+    let worst = counts.iter().max_by_key(|&(_, n)| *n);
+    assert!(
+        worst.is_none_or(|(_, &n)| n <= 3),
+        "{name}: (flow, offset) {worst:?} retransmitted more than 3 times"
+    );
+}
+
+/// HPCC with a tenth of the buffers: its window is recomputed from INT on
+/// every ACK, so a resent segment declared lost again three ACKs later —
+/// and sent again — once grew its NIC backlog by gigabytes. Now 341 636
+/// events and a peak of 6 002 packets alive.
+#[test]
+fn hpcc_with_tenth_buffers_does_not_run_away() {
+    let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
+    let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), 60, 42);
+    let mut exp = Experiment::new(topo, Scheme::Hpcc, all_to_all(topo.hosts(), &spec));
+    exp.env = exp.env.scale_buffers(0.1);
+    assert_no_runaway(exp, 3_500_000, 10_000);
+}
+
+/// PowerTCP under 2 % data loss on `pptlab compare`'s default scenario: the
+/// same re-declared resends once ate 2 GB here (and resent one offset of
+/// an 80-flow run 12 734 times). Now 3 794 427 events and 4 042 packets
+/// alive.
+#[test]
+fn powertcp_under_two_percent_loss_does_not_run_away() {
+    let topo = TopoKind::PaperTestbed;
+    let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), 400, 42);
+    let exp = Experiment::new(topo, Scheme::PowerTcp, all_to_all(topo.hosts(), &spec))
+        .with_faults(FaultSpec::new(7).with_data_loss(0.02));
+    assert_no_runaway(exp, 38_000_000, 10_000);
+}
