@@ -22,7 +22,7 @@ use crate::host::{Ctx, Effects, FlowDesc, Transport};
 use crate::ids::{FlowId, HostId, LinkId, NodeId, SwitchId};
 use crate::link::Link;
 use crate::packet::Payload;
-use crate::pool::{Handle, PacketPool, PkRef};
+use crate::pool::{Handle, PkRef};
 use crate::queue::QueueBank;
 use crate::sanitizer::Sanitizer;
 use crate::sched::{Due, EventQueue, QEntry, Queue, QueueKind};
@@ -35,7 +35,7 @@ pub use crate::pool::PoolStats;
 pub use crate::report::{RunLimits, RunReport, StopReason};
 
 /// Engine-internal events. Deliberately `Copy`-sized: the one non-`Copy`
-/// payload (a packet) lives in the [`PacketPool`] slab for its whole life
+/// payload (a packet) lives in the packet pool's slab for its whole life
 /// and is carried here by index, so queue entries are 32-byte values that
 /// move through bucket sorts and heap sifts without touching whole packets.
 #[derive(Clone, Copy, Debug)]
@@ -78,7 +78,7 @@ fn prof_kind_index(ev: Ev) -> usize {
 }
 
 /// One egress transmitter: a priority-queue bank feeding one link. The
-/// bank holds pool handles; the packets stay in [`Simulator::pool`].
+/// bank holds pool handles; the packets stay in the engine's pool.
 pub(crate) struct PortState {
     pub(crate) link: LinkId,
     pub(crate) queues: QueueBank<Handle>,
@@ -117,7 +117,6 @@ impl PortState {
     /// Nothing stands between an arriving packet of priority `prio` and
     /// the wire: no serialization in flight, nothing queued, no pause.
     /// Call [`Simulator::settle`] first.
-    #[inline] // per-packet call from another module (codegen unit)
     pub(crate) fn idle_for(&self, prio: u8) -> bool {
         !self.busy && self.queues.is_empty() && self.paused_mask & (1 << prio) == 0
     }
@@ -154,9 +153,6 @@ pub struct Simulator<P: Payload> {
     pub(crate) now: SimTime,
     /// The event queue (calendar by default; see [`crate::sched`]).
     queue: Queue<Ev>,
-    /// Every packet in the network, referenced from the event queue and
-    /// the egress banks by [`PkRef`].
-    pub(crate) pool: PacketPool<P>,
     seq: u64,
     /// Sequence number of the event being dispatched: with `now`, the
     /// point the run has reached in `(time, seq)` order.
@@ -168,7 +164,11 @@ pub struct Simulator<P: Payload> {
     /// How many of `flows` have their `FlowStart` in the queue already.
     flows_scheduled: usize,
     completions: Vec<Option<SimTime>>,
-    effects: Effects<P>,
+    /// The sink every transport handler writes to, and in it the packet
+    /// pool: every packet in the network, written there by `Ctx::send`
+    /// and referenced from the event queue and the egress banks by
+    /// [`PkRef`].
+    pub(crate) effects: Effects<P>,
     events: u64,
     pub(crate) flows_completed: usize,
     /// Flows whose `FlowStart` has dispatched; with `flows_completed`
@@ -204,7 +204,6 @@ impl<P: Payload> Simulator<P> {
         Simulator {
             now: SimTime::ZERO,
             queue: Queue::new(QueueKind::Calendar),
-            pool: PacketPool::new(),
             seq: 0,
             cur_seq: 0,
             links: Vec::new(),
@@ -309,7 +308,6 @@ impl<P: Payload> Simulator<P> {
     }
 
     /// Mutable twin of [`Self::port`].
-    #[inline] // per-packet; lets the host/switch match fold into each caller
     pub(crate) fn port_mut(&mut self, node: NodeId, port: u16) -> &mut PortState {
         match node {
             NodeId::Host(h) => self.hosts[h.0 as usize].nic.as_mut().expect("host not cabled"), // simlint: allow(panic_hygiene)
@@ -358,7 +356,7 @@ impl<P: Payload> Simulator<P> {
     /// Packet-pool counters: how often packet slots were recycled vs
     /// freshly allocated, and how many packets are on a wire right now.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.effects.pool.stats()
     }
 
     /// Wall-clock nanoseconds spent in a host's transport handlers and the
@@ -462,6 +460,10 @@ impl<P: Payload> Simulator<P> {
         self.seq - 1
     }
 
+    // Per event, from several modules; with `CalendarQueue::push` inlined into
+    // it, LLVM keeps it out of line unless told (DESIGN.md §10.1, "Inlining
+    // hints on the hop path", has what each hint measured).
+    #[inline(always)]
     pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
         let seq = self.mint_seq(at);
         self.queue.push(QEntry { at, seq, ev });
@@ -583,10 +585,10 @@ impl<P: Payload> Simulator<P> {
                 if let Some(s) = self.san.as_mut() {
                     s.observe_free(self.now, pkt.0 as usize);
                 }
-                self.pool.arrive();
+                self.effects.pool.arrive();
                 match to {
                     NodeId::Host(h) => {
-                        let pkt = self.pool.take(pkt);
+                        let pkt = self.effects.pool.take(pkt);
                         if let Some(fs) = self.faults.as_mut() {
                             fs.note_delivery(pkt.payload_bytes());
                         }
@@ -647,9 +649,8 @@ impl<P: Payload> Simulator<P> {
         // so queue sequence numbers (and therefore FIFO tie-breaks) are
         // assigned exactly as they always were. Every list is emptied here,
         // which is what leaves the sink clean for the next handler, and
-        // none is moved unless it has to be: the `Copy` lists are read by
-        // index and cleared, and the packets — applied by value, by code
-        // that re-enters `self` — are moved out only when there are any.
+        // none is moved: each is read by index, by code that may re-enter
+        // `self`, and cleared. The packets are already in the pool.
         // Retransmit notes first: they only bump counters (never touch the
         // queue), so draining them here cannot shift sequence numbers.
         for flow in self.effects.retransmits.drain(..) {
@@ -684,13 +685,11 @@ impl<P: Payload> Simulator<P> {
             }
         }
         self.effects.completed.clear();
-        if !self.effects.packets.is_empty() {
-            let mut packets = std::mem::take(&mut self.effects.packets);
-            for pkt in packets.drain(..) {
-                self.host_enqueue(host, pkt);
-            }
-            self.effects.packets = packets;
+        for i in 0..self.effects.sent.len() {
+            let pkt = self.effects.sent[i];
+            self.host_enqueue(host, pkt);
         }
+        self.effects.sent.clear();
     }
 
     /// Push `port`'s `TxDone` under the key `transmit` reserved for it,

@@ -1,13 +1,13 @@
 //! The hop: what one packet does at one egress port (DESIGN.md §10).
 //!
-//! A packet enters the pool once, in `host_enqueue`, and every later step
-//! — NIC queue, wire, switch admission, switch queue, wire again — passes
-//! its 4-byte [`PkRef`]. A switch reads and writes the pooled
-//! [`crate::packet::PacketMeta`] in place and reaches the payload only
-//! through `on_switch_hop`. The slot is given back at exactly one of:
-//! delivery to a host (`dispatch`), a tail / range-cap / trimmed-header
-//! drop or a push-out eviction (`switch_forward`), a fault loss
-//! (`transmit`).
+//! A packet enters the pool once, when its sender's `Ctx::send` writes it
+//! there, and every later step — NIC queue, wire, switch admission, switch
+//! queue, wire again — passes its 4-byte [`PkRef`]. A switch reads and
+//! writes the pooled [`crate::packet::PacketMeta`] in place and reaches the
+//! payload only through `on_switch_hop`, for a packet that asked for hop
+//! telemetry. The slot is given back at exactly one of: delivery to a host
+//! (`dispatch`), a tail / range-cap / trimmed-header drop or a push-out
+//! eviction (`switch_forward`), a fault loss (`transmit`).
 //!
 //! An idle port stores nothing: when the port is not busy, its bank is
 //! empty and nothing pauses or stalls it, an admitted packet goes from
@@ -19,22 +19,22 @@ use dcn_trace::TraceEvent;
 
 use crate::engine::{Ev, Simulator};
 use crate::ids::{HostId, NodeId, SwitchId};
-use crate::packet::{HopTelemetry, Packet, Payload, TRIMMED_BYTES};
+use crate::packet::{HopTelemetry, Payload, TRIMMED_BYTES};
 use crate::pool::{Handle, PkRef};
 use crate::sanitizer::{host_port_key, switch_port_key};
 use crate::switch::{admit, EnqueueOutcome, MarkScope};
 
 // simlint: hot-path
 impl<P: Payload> Simulator<P> {
-    /// Accept a packet at a host NIC — its one entry into the pool — and
-    /// kick the transmitter if idle.
-    pub(crate) fn host_enqueue(&mut self, host: HostId, mut pkt: Packet<P>) {
-        pkt.enq_at = self.now;
-        let (wire_bytes, priority) = (pkt.wire_bytes, pkt.priority);
+    /// Hand a packet its sender has just written into the pool to the
+    /// host's NIC, and kick the transmitter if idle.
+    pub(crate) fn host_enqueue(&mut self, host: HostId, pkt: PkRef) {
+        let meta = self.effects.pool.meta_mut(pkt);
+        meta.enq_at = self.now;
+        let (wire_bytes, priority) = (meta.wire_bytes, meta.priority);
         if let Some(s) = self.san.as_mut() {
             s.observe_queue_push(host_port_key(host.0), wire_bytes as u64);
         }
-        let pkt = self.pool.insert(pkt);
         let node = NodeId::Host(host);
         self.settle(node, 0);
         let nic = self.port_mut(node, 0);
@@ -58,7 +58,7 @@ impl<P: Payload> Simulator<P> {
             sw.route_offsets.len() > 1,
             "switch {switch:?} has no route table (did you call build_routes?)"
         );
-        let mut meta = *self.pool.meta(pkt);
+        let mut meta = *self.effects.pool.meta(pkt);
         let d = meta.dst.0 as usize;
         let (lo, hi) = (sw.route_offsets[d] as usize, sw.route_offsets[d + 1] as usize);
         let candidates = &sw.route_ports[lo..hi];
@@ -67,19 +67,25 @@ impl<P: Payload> Simulator<P> {
             "switch {switch:?} has no route to {:?} (did you call build_routes?)",
             meta.dst
         );
-        let pi = candidates[(meta.flow.path_hash() % candidates.len() as u64) as usize] as usize;
-        // INT telemetry observes the egress port state before enqueue.
-        let port = &sw.ports[pi];
-        let link = &self.links[port.link.0 as usize];
-        let hop = HopTelemetry {
-            qlen_bytes: port.queues.total_bytes(),
-            qlen_high_bytes: port.queues.bytes_in_range(0..4),
-            tx_bytes: link.tx_bytes,
-            tx_high_bytes: link.tx_high_bytes,
-            ts: self.now,
-            link_rate: link.rate,
-        };
-        self.pool.payload_mut(pkt).on_switch_hop(hop);
+        // A lone candidate needs no hash and no 64-bit division.
+        let pi = match *candidates {
+            [only] => only,
+            _ => candidates[(meta.flow.path_hash() % candidates.len() as u64) as usize],
+        } as usize;
+        if meta.hop_telemetry {
+            // INT telemetry observes the egress port state before enqueue.
+            let port = &sw.ports[pi];
+            let link = &self.links[port.link.0 as usize];
+            let hop = HopTelemetry {
+                qlen_bytes: port.queues.total_bytes(),
+                qlen_high_bytes: port.queues.bytes_in_range(0..4),
+                tx_bytes: link.tx_bytes,
+                tx_high_bytes: link.tx_high_bytes,
+                ts: self.now,
+                link_rate: link.rate,
+            };
+            self.effects.pool.payload_mut(pkt).on_switch_hop(hop);
+        }
         meta.enq_at = self.now;
         let (tflow, tprio, tbytes) = (meta.flow.0, meta.priority, meta.payload_bytes() as u64);
         let (twire, tecn) = (meta.wire_bytes as u64, meta.ecn.capable && !meta.ecn.ce);
@@ -87,7 +93,7 @@ impl<P: Payload> Simulator<P> {
         self.settle(node, pi as u16);
         // A stalled switch admits (and drops) but never starts serializing.
         let stalled = self.faults.as_ref().is_some_and(|fs| fs.is_stalled(switch));
-        let pool = &mut self.pool;
+        let pool = &mut self.effects.pool;
         let sw = &mut self.switches[si];
         let port = &mut sw.ports[pi];
         let evicted_before = port.counters.evicted;
@@ -97,6 +103,7 @@ impl<P: Payload> Simulator<P> {
             payload_bytes
         });
         let admitted = outcome != EnqueueOutcome::Dropped;
+        let evicted = port.counters.evicted != evicted_before;
         // The pass-through leaves PFC out rather than emulating it: a lone
         // packet can cross XOFF, and the pause frames that sends are
         // events of their own.
@@ -116,7 +123,6 @@ impl<P: Payload> Simulator<P> {
         let busy = port.busy;
         if self.san.is_some() {
             let key = switch_port_key(switch.0, pi as u16);
-            let evicted = port.counters.evicted != evicted_before;
             let qpkts = port.queues.len() as u64 + own_pkts;
             // ECN consistency inputs for a marked admission: the rule (if
             // any) at this priority and the scoped backlog the mark
@@ -185,10 +191,10 @@ impl<P: Payload> Simulator<P> {
                 }
             }
         }
-        // PFC thresholds see the post-admission backlog (push-out evictions
-        // may also have drained other priorities below XON, so this runs
-        // on every outcome).
-        self.pfc_update(switch, pi);
+        // PFC thresholds see the post-admission backlog: the admitted
+        // packet's priority moved, and a push-out eviction may have drained
+        // any other below XON.
+        self.pfc_update(switch, pi, if evicted { u8::MAX } else { 1 << meta.priority });
         if pass {
             self.transmit(node, pi as u16, pkt);
         } else if admitted {
@@ -202,7 +208,6 @@ impl<P: Payload> Simulator<P> {
 
     /// Begin serializing the head-of-line unpaused packet of an egress
     /// port, if there is one.
-    #[inline] // per-packet; lets the host/switch match fold into each caller
     pub(crate) fn start_tx(&mut self, node: NodeId, port: u16) {
         // A stalled switch admits (and drops) but never starts serializing;
         // backlogged ports are kicked again when the stall ends.
@@ -231,7 +236,7 @@ impl<P: Payload> Simulator<P> {
     /// bank, or (the pass-through) would have been pushed and popped within
     /// this call.
     fn transmit(&mut self, node: NodeId, port: u16, pkt: PkRef) {
-        let meta = self.pool.meta(pkt);
+        let meta = self.effects.pool.meta(pkt);
         let (flow, priority, wire_bytes) = (meta.flow.0, meta.priority, meta.wire_bytes as u64);
         let (payload_bytes, enq_at) = (meta.payload_bytes(), meta.enq_at);
         let slot = self.port_mut(node, port);
@@ -245,8 +250,8 @@ impl<P: Payload> Simulator<P> {
         }
         if let NodeId::Switch(s) = node {
             self.emit(TraceEvent::Dequeue { sw: s.0, port, flow, prio: priority });
-            // The dequeue may have drained this port's backlog through XON.
-            self.pfc_update(s, port as usize);
+            // The dequeue may have drained this priority through XON.
+            self.pfc_update(s, port as usize, 1 << priority);
         }
         if let Some(s) = self.san.as_mut() {
             s.observe_tx_start(self.now, san_port_key(node, port));
@@ -275,9 +280,9 @@ impl<P: Payload> Simulator<P> {
                 prio: priority,
                 bytes: wire_bytes,
             });
-            self.pool.release(pkt);
+            self.effects.pool.release(pkt);
         } else {
-            self.pool.depart();
+            self.effects.pool.depart();
             if let Some(s) = self.san.as_mut() {
                 s.observe_alloc(self.now, pkt.0 as usize);
             }
@@ -302,7 +307,6 @@ impl<P: Payload> Simulator<P> {
     /// pushed and that event's key lies behind the event being dispatched,
     /// it would have run by now and found the queue empty, so the port is
     /// idle. Every reader of `busy` calls this first.
-    #[inline] // per-packet
     pub(crate) fn settle(&mut self, node: NodeId, port: u16) {
         let reached = (self.now, self.cur_seq);
         let slot = self.port_mut(node, port);

@@ -4,6 +4,7 @@ use dcn_trace::{TraceEvent, TraceSink};
 
 use crate::ids::{FlowId, HostId};
 use crate::packet::{Packet, Payload};
+use crate::pool::{PacketPool, PkRef};
 use crate::sanitizer::SanNote;
 use crate::time::{SimDuration, SimTime};
 
@@ -39,7 +40,11 @@ impl FlowDesc {
 /// transmit from this host's NIC, timers to arm, and flows to mark complete.
 #[derive(Debug)]
 pub struct Effects<P> {
-    pub(crate) packets: Vec<Packet<P>>,
+    /// The engine's packet pool. A sent packet is written here once, by
+    /// [`Ctx::send`], and stays in its slot until delivered or dropped.
+    pub(crate) pool: PacketPool<P>,
+    /// The slots sent this dispatch, in send order, for the NIC.
+    pub(crate) sent: Vec<PkRef>,
     pub(crate) timers: Vec<(SimTime, u64)>,
     pub(crate) completed: Vec<FlowId>,
     /// Flows that retransmitted data this dispatch (recovery accounting;
@@ -54,7 +59,8 @@ pub struct Effects<P> {
 impl<P> Default for Effects<P> {
     fn default() -> Self {
         Effects {
-            packets: Vec::new(),
+            pool: PacketPool::new(),
+            sent: Vec::new(),
             timers: Vec::new(),
             completed: Vec::new(),
             retransmits: Vec::new(),
@@ -65,9 +71,11 @@ impl<P> Default for Effects<P> {
 
 impl<P> Effects<P> {
     /// Decompose into (packets, timers, completed flows) — lets transport
-    /// authors unit-test handlers without an engine.
-    pub fn into_parts(self) -> (Vec<Packet<P>>, Vec<(SimTime, u64)>, Vec<FlowId>) {
-        (self.packets, self.timers, self.completed)
+    /// authors unit-test handlers without an engine. The packets are taken
+    /// back out of the pool, in send order.
+    pub fn into_parts(mut self) -> (Vec<Packet<P>>, Vec<(SimTime, u64)>, Vec<FlowId>) {
+        let packets = self.sent.iter().map(|&pkt| self.pool.take(pkt)).collect();
+        (packets, self.timers, self.completed)
     }
 
     /// Flows noted via [`Ctx::note_retransmit`] (unit-test accessor).
@@ -162,7 +170,8 @@ impl<'a, P: Payload> Ctx<'a, P> {
 
     /// Queue a packet for transmission on this host's NIC.
     pub fn send(&mut self, pkt: Packet<P>) {
-        self.effects.packets.push(pkt);
+        let pkt = self.effects.pool.insert(pkt);
+        self.effects.sent.push(pkt);
     }
 
     /// Arm a timer that fires `on_timer(token)` at absolute time `at`.

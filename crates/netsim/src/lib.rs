@@ -280,6 +280,52 @@ mod engine_tests {
         );
     }
 
+    /// A switch hands the payload a hop record at every egress of a packet
+    /// sent `with_hop_telemetry`, and never touches any other packet's.
+    #[test]
+    fn only_hop_telemetry_packets_are_stamped_at_each_switch() {
+        #[derive(Clone, Debug)]
+        struct Hops(u32);
+        impl Payload for Hops {
+            fn on_switch_hop(&mut self, _hop: HopTelemetry) {
+                self.0 += 1;
+            }
+        }
+        /// Sends one stamped and one plain packet across leaf, spine and
+        /// leaf; completes the flow once both arrived as they should.
+        struct Probe(u32);
+        impl Transport<Hops> for Probe {
+            fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Hops>) {
+                let pkt = || Packet::data(flow.id, flow.src, flow.dst, 100, Hops(0));
+                ctx.send(pkt().with_hop_telemetry());
+                ctx.send(pkt());
+            }
+            fn on_packet(&mut self, pkt: Packet<Hops>, ctx: &mut Ctx<'_, Hops>) {
+                let stamped = if pkt.hop_telemetry { 3 } else { 0 };
+                assert_eq!(pkt.payload.0, stamped, "hop_telemetry: {}", pkt.hop_telemetry);
+                self.0 += 1 << pkt.hop_telemetry as u32;
+                if self.0 == 3 {
+                    ctx.flow_completed(pkt.flow);
+                }
+            }
+            fn on_timer(&mut self, _: u64, _: &mut Ctx<'_, Hops>) {}
+        }
+        let params = LeafSpineParams {
+            n_leaves: 2,
+            n_spines: 2,
+            hosts_per_leaf: 1,
+            edge_rate: Rate::gbps(10),
+            core_rate: Rate::gbps(40),
+            link_delay: SimDuration::from_micros(1),
+        };
+        let mut topo = leaf_spine::<Hops>(&params, SwitchConfig::basic(1 << 20));
+        for &h in &topo.hosts {
+            topo.sim.set_transport(h, Box::new(Probe(0)));
+        }
+        topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 200, SimTime::ZERO, 200);
+        assert_eq!(topo.sim.run(RunLimits::default()).flows_completed, 1, "both arrived");
+    }
+
     #[test]
     fn ecmp_spreads_flows_across_spines() {
         let params = LeafSpineParams {

@@ -47,7 +47,9 @@ pub struct HopTelemetry {
 /// The single hook lets INT-style transports (HPCC) collect per-hop state;
 /// everyone else uses the default no-op.
 pub trait Payload: Clone + std::fmt::Debug {
-    /// Called once per switch egress enqueue, in path order.
+    /// Called once per switch egress enqueue, in path order, for a packet
+    /// built [`Packet::with_hop_telemetry`]; no other packet's payload is
+    /// read or written between its sender and its receiver.
     fn on_switch_hop(&mut self, _hop: HopTelemetry) {}
 }
 
@@ -99,6 +101,10 @@ pub struct Packet<P> {
     /// Set when a switch has removed the payload; `wire_bytes` is then
     /// [`TRIMMED_BYTES`] and the receiver must request retransmission.
     pub trimmed: bool,
+    /// Every switch egress hands the payload a [`HopTelemetry`] record
+    /// ([`Payload::on_switch_hop`]): in-band network telemetry, which the
+    /// INT-driven window laws read.
+    pub hop_telemetry: bool,
     /// When this packet last entered an egress queue (host NIC or switch
     /// port); the engine restamps it at every hop and reads it at dequeue
     /// to feed the telemetry queueing-delay histogram. One 8-byte store
@@ -112,7 +118,7 @@ pub struct Packet<P> {
 /// payload. The engine's packet pool stores metadata and payloads in
 /// separate arrays (struct-of-arrays): a switch routes, admits, marks and
 /// trims by reading and writing this alone, one densely packed cache line
-/// per hop, and the payload stays where the sender's NIC put it.
+/// per hop, and reaches the payload only for a `hop_telemetry` packet.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PacketMeta {
     pub(crate) flow: FlowId,
@@ -123,8 +129,12 @@ pub(crate) struct PacketMeta {
     pub(crate) ecn: Ecn,
     pub(crate) trimmable: bool,
     pub(crate) trimmed: bool,
+    pub(crate) hop_telemetry: bool,
     pub(crate) enq_at: SimTime,
 }
+
+// A switch hop's working set; a pool slot's metadata is this and no more.
+const _: () = assert!(std::mem::size_of::<PacketMeta>() == 40, "PacketMeta is 40 bytes");
 
 /// User payload bytes of a packet `wire_bytes` long on the wire.
 fn payload_bytes_of(wire_bytes: u32, trimmed: bool) -> u32 {
@@ -155,6 +165,7 @@ impl<P> Packet<P> {
                 ecn: self.ecn,
                 trimmable: self.trimmable,
                 trimmed: self.trimmed,
+                hop_telemetry: self.hop_telemetry,
                 enq_at: self.enq_at,
             },
             self.payload,
@@ -172,6 +183,7 @@ impl<P> Packet<P> {
             ecn: meta.ecn,
             trimmable: meta.trimmable,
             trimmed: meta.trimmed,
+            hop_telemetry: meta.hop_telemetry,
             enq_at: meta.enq_at,
             payload,
         }
@@ -194,6 +206,7 @@ impl<P: Payload> Packet<P> {
             ecn: Ecn::capable(),
             trimmable: false,
             trimmed: false,
+            hop_telemetry: false,
             enq_at: SimTime::ZERO,
             payload,
         }
@@ -211,6 +224,7 @@ impl<P: Payload> Packet<P> {
             ecn: Ecn::not_capable(),
             trimmable: false,
             trimmed: false,
+            hop_telemetry: false,
             enq_at: SimTime::ZERO,
             payload,
         }
@@ -226,6 +240,13 @@ impl<P: Payload> Packet<P> {
     /// Mark as trimmable (NDP data packets), builder-style.
     pub fn with_trimmable(mut self, trimmable: bool) -> Self {
         self.trimmable = trimmable;
+        self
+    }
+
+    /// Collect a [`HopTelemetry`] record at every switch egress,
+    /// builder-style.
+    pub fn with_hop_telemetry(mut self) -> Self {
+        self.hop_telemetry = true;
         self
     }
 
@@ -290,9 +311,10 @@ mod tests {
 
     #[test]
     fn builder_methods_apply() {
-        let p = pkt(100).with_priority(5).with_trimmable(true).without_ecn();
+        assert!(!pkt(100).hop_telemetry);
+        let p = pkt(100).with_priority(5).with_trimmable(true).without_ecn().with_hop_telemetry();
         assert_eq!(p.priority, 5);
-        assert!(p.trimmable);
+        assert!(p.trimmable && p.hop_telemetry);
         assert!(!p.ecn.capable);
     }
 }

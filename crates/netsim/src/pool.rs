@@ -1,5 +1,5 @@
-//! The packet slab: where a packet lives from the moment its sender's NIC
-//! accepts it until it is delivered to a host or dropped.
+//! The packet slab: where a packet lives from the moment its sender sends
+//! it until it is delivered to a host or dropped.
 
 use crate::packet::{Packet, PacketMeta};
 use crate::queue::Queued;
@@ -55,16 +55,19 @@ impl PoolStats {
 }
 
 /// Free-list slab holding every packet in the network, one slot per packet
-/// life: a packet enters once, when its sender's NIC accepts it, and leaves
-/// once — delivered to a host transport ([`Self::take`]) or dropped,
-/// evicted or lost ([`Self::release`]). Queues, wires and switches pass the
-/// 4-byte [`PkRef`] between them. The slab high-water mark is the peak
-/// number of packets alive at once, not the total sent.
+/// life: a packet enters once, when a transport handler sends it
+/// (`Ctx::send` writes it here), and leaves once — delivered to a host
+/// transport ([`Self::take`]) or dropped, evicted or lost
+/// ([`Self::release`]). Queues, wires and switches pass the 4-byte
+/// [`PkRef`] between them. The slab high-water mark is the peak number of
+/// packets alive at once, not the total sent.
 ///
 /// Struct-of-arrays layout: the `Copy` metadata every forwarding decision
 /// reads and writes sits in one dense array, while the protocol payloads —
-/// variable-sized, touched only by `on_switch_hop` and at delivery — live
-/// in a parallel array whose `Option` doubles as the slot-liveness flag.
+/// touched only by `on_switch_hop` of a hop-telemetry packet and at
+/// delivery — live in a parallel array whose `Option` doubles as the
+/// slot-liveness flag.
+#[derive(Debug)]
 pub(crate) struct PacketPool<P> {
     meta: Vec<PacketMeta>,
     payload: Vec<Option<P>>,

@@ -80,7 +80,6 @@ impl<T: Queued> QueueBank<T> {
     /// Remove and return the head of the highest-priority non-empty queue
     /// whose priority bit is clear in `paused_mask` (bit `p` set = priority
     /// `p` is PFC-paused).
-    #[inline] // per-packet call from another module (codegen unit)
     pub fn pop_unpaused(&mut self, paused_mask: u8) -> Option<T> {
         let eligible = self.occupied & !paused_mask;
         if eligible == 0 {

@@ -4,7 +4,7 @@
 //! behind a zero-cost-when-off flag ([`crate::Simulator::set_sanitizer`]).
 //! The sanitizer maintains its own ledger of what the engine *should*
 //! hold — pool occupancy, per-port queue accounting, link occupancy,
-//! event-clock discipline, fault attribution — fed by observation hooks
+//! event-clock discipline, fault attribution, PFC state — fed by observation hooks
 //! at the same places the engine mutates its real state, and checks the
 //! two against each other at a configurable cadence.
 //!
@@ -27,7 +27,8 @@ use dcn_trace::{SanCheck, TraceEvent};
 
 use crate::engine::{PortState, Simulator};
 use crate::ids::{HostId, NodeId, SwitchId};
-use crate::packet::Payload;
+use crate::packet::{Payload, NUM_PRIORITIES};
+use crate::switch::PfcConfig;
 use crate::time::SimTime;
 #[cfg(any(test, feature = "simsan-selftest"))]
 use crate::{engine::Ev, ids::FlowId};
@@ -501,6 +502,45 @@ impl Sanitizer {
         }
     }
 
+    /// PFC transmit state of one switch against the backlog it summarises.
+    /// For every governed priority of every port: XOFF bit clear ⇒ backlog
+    /// below XOFF, bit set ⇒ backlog above XON — what every re-evaluation
+    /// re-establishes, so a backlog that moved without one shows here. And
+    /// the switch's assertion count of each priority is the number of its
+    /// ports with that bit set.
+    pub(crate) fn audit_pfc(
+        &mut self,
+        when: SimTime,
+        switch: u32,
+        pfc: &PfcConfig,
+        ports: &[PortState],
+        xoff_count: &[u16; NUM_PRIORITIES],
+    ) {
+        let mut asserting = [0u64; NUM_PRIORITIES];
+        for (pi, port) in ports.iter().enumerate() {
+            let key = switch_port_key(switch, pi as u16);
+            for (p, asserting) in asserting.iter_mut().enumerate() {
+                let bit = 1u8 << p;
+                let on = port.xoff_sent & bit != 0;
+                *asserting += on as u64;
+                if pfc.priority_mask & bit == 0 {
+                    continue;
+                }
+                let backlog = port.queues.bytes_at(p as u8);
+                if !on && backlog >= pfc.xoff_bytes {
+                    self.record(SanCheck::PfcState, when, key, pfc.xoff_bytes, backlog);
+                } else if on && backlog <= pfc.xon_bytes {
+                    self.record(SanCheck::PfcState, when, key, pfc.xon_bytes, backlog);
+                }
+            }
+        }
+        for (count, asserting) in xoff_count.iter().zip(asserting) {
+            if *count as u64 != asserting {
+                self.record(SanCheck::PfcState, when, switch as u64, asserting, *count as u64);
+            }
+        }
+    }
+
     /// Compare the fault-drop ledger against the engine's attributed
     /// total (`FaultState::drops`, surfaced as `FaultReport.fault_drops`).
     pub(crate) fn audit_faults(&mut self, when: SimTime, attributed: u64) {
@@ -536,7 +576,7 @@ impl<P: Payload> Simulator<P> {
             .san_ports()
             .flat_map(|(_, port)| port.queues.iter().map(|h| h.pkt.0 as usize))
             .collect();
-        for slot in self.pool.occupied_slots().filter(|slot| !queued.contains(slot)) {
+        for slot in self.effects.pool.occupied_slots().filter(|slot| !queued.contains(slot)) {
             san.seed_pool_slot(slot);
         }
         for (key, port) in self.san_ports() {
@@ -606,7 +646,8 @@ impl<P: Payload> Simulator<P> {
         let Some(mut san) = self.san.take() else { return };
         let now = self.now;
         let queued = self.san_ports().map(|(_, port)| port.queues.len() as u64).sum();
-        san.audit_pool(now, self.pool.stats().live, queued, self.pool.occupied(), quiescent);
+        let pool = &self.effects.pool;
+        san.audit_pool(now, pool.stats().live, queued, pool.occupied(), quiescent);
         if quiescent {
             san.audit_rto_timers(now);
         }
@@ -619,6 +660,11 @@ impl<P: Payload> Simulator<P> {
                 port.busy,
                 port.queues.audit_counters(),
             );
+        }
+        for (si, sw) in self.switches.iter().enumerate() {
+            if let Some(pfc) = &sw.cfg.pfc {
+                san.audit_pfc(now, si as u32, pfc, &sw.ports, &sw.pfc_xoff_count);
+            }
         }
         san.audit_faults(now, self.faults.as_ref().map_or(0, |fs| fs.drops));
         self.san = Some(san);
@@ -658,7 +704,7 @@ impl<P: Payload> Simulator<P> {
     /// than there are packets on wires and in queues. No-op until at
     /// least one packet has cycled through the pool.
     pub fn corrupt_pool_leak(&mut self) {
-        self.pool.free_list_mut().pop();
+        self.effects.pool.free_list_mut().pop();
     }
 
     /// Replay a free of an already-freed pool slot into the sanitizer's
@@ -666,7 +712,7 @@ impl<P: Payload> Simulator<P> {
     /// until at least one slot has been freed or the sanitizer is off.
     pub fn corrupt_pool_double_free(&mut self) {
         let now = self.now;
-        let slot = self.pool.free_list_mut().first().copied();
+        let slot = self.effects.pool.free_list_mut().first().copied();
         if let (Some(slot), Some(s)) = (slot, self.san.as_mut()) {
             s.observe_free(now, slot as usize);
         }
@@ -704,6 +750,17 @@ impl<P: Payload> Simulator<P> {
     pub fn corrupt_fault_attribution(&mut self) {
         if let Some(fs) = self.faults.as_mut() {
             fs.drops += 1;
+        }
+    }
+
+    /// Flip the XOFF bit of priority 0 on port 0 of the first PFC switch,
+    /// leaving its backlog and the switch's assertion count as they were:
+    /// the state a backlog change that skipped its re-evaluation leaves.
+    /// No-op when no switch runs PFC.
+    pub fn corrupt_pfc_state(&mut self) {
+        let sw = self.switches.iter_mut().find(|sw| sw.cfg.pfc.is_some());
+        if let Some(port) = sw.and_then(|sw| sw.ports.first_mut()) {
+            port.xoff_sent ^= 1;
         }
     }
 }
@@ -827,6 +884,42 @@ mod tests {
         s.audit_rto_timers(T0);
         assert_eq!(s.violations().len(), 3);
         assert!(s.violations().iter().all(|v| v.check == SanCheck::TransportConservation));
+    }
+
+    #[test]
+    fn pfc_audit_holds_bits_to_backlogs_and_counts_to_bits() {
+        use crate::ids::LinkId;
+        use crate::pool::{Handle, PkRef};
+        let pfc = PfcConfig { xoff_bytes: 3_000, xon_bytes: 1_000, priority_mask: 0b0000_0011 };
+        let mut ports = [PortState::new(LinkId(0)), PortState::new(LinkId(1))];
+        let queue = |port: &mut PortState, priority, wire_bytes| {
+            port.queues.push(Handle { pkt: PkRef(0), wire_bytes, priority });
+        };
+        // P0 asserted at XOFF, P1 released inside the band: consistent.
+        queue(&mut ports[0], 0, 3_000);
+        queue(&mut ports[0], 1, 2_000);
+        ports[0].xoff_sent = 0b01;
+        let mut counts = [1, 0, 0, 0, 0, 0, 0, 0];
+        let mut s = Sanitizer::new(SanLevel::AtEnd);
+        s.audit_pfc(T0, 4, &pfc, &ports, &counts);
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        // P1 asserted inside the band is consistent too, once counted; an
+        // ungoverned P7 bit is only counted.
+        ports[0].xoff_sent = 0b1000_0011;
+        counts[1] = 1;
+        counts[7] = 1;
+        s.audit_pfc(T0, 4, &pfc, &ports, &counts);
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        // A bit clear at XOFF, a bit set at XON, and counts that miss them.
+        queue(&mut ports[1], 1, 3_000);
+        queue(&mut ports[1], 0, 1_000);
+        ports[1].xoff_sent = 0b01;
+        s.audit_pfc(T0, 4, &pfc, &ports, &counts);
+        let got: Vec<_> =
+            s.violations().iter().map(|v| (v.subject, v.expected, v.actual)).collect();
+        let port1 = switch_port_key(4, 1);
+        assert_eq!(got, [(port1, 1_000, 1_000), (port1, 3_000, 3_000), (4, 2, 1)]);
+        assert!(s.violations().iter().all(|v| v.check == SanCheck::PfcState));
     }
 
     #[test]

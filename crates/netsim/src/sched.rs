@@ -406,6 +406,7 @@ impl<T: Copy> Default for CalendarQueue<T> {
 
 impl<T: Copy> EventQueue<T> for CalendarQueue<T> {
     // simlint: hot-path
+    #[inline(always)] // into the engine's `schedule` and `push_tx_done`
     fn push(&mut self, entry: QEntry<T>) {
         let at = entry.at.0;
         if at < self.wheel_time {

@@ -321,7 +321,7 @@ impl<P: Payload> Simulator<P> {
         // O(1) where a scan over `flows` would cost O(n) per tick.
         let live_flows = self.flows_started - self.flows_completed;
         t.series[IDX_FLOWS_LIVE].push(at, live_flows as f64);
-        let pool = self.pool.stats();
+        let pool = self.effects.pool.stats();
         t.series[IDX_POOL_LIVE].push(at, pool.live as f64);
         t.series[IDX_POOL_HIT].push(at, pool.hit_rate());
         let mut cc = CcSnapshot::default();

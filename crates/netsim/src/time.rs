@@ -24,26 +24,22 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Nanoseconds since the epoch.
-    #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Convert to fractional microseconds (for reporting).
-    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// Convert to fractional milliseconds (for reporting).
-    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// Elapsed duration since `earlier`. Saturates at zero rather than
     /// panicking so that defensive comparisons are cheap.
-    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -53,49 +49,41 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Build a duration from nanoseconds.
-    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
 
     /// Build a duration from microseconds.
-    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// Build a duration from milliseconds.
-    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
 
     /// Build a duration from seconds.
-    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
     }
 
     /// Nanoseconds in this span.
-    #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Fractional seconds in this span.
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Fractional microseconds in this span.
-    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Scale the duration by an integer factor, saturating on overflow.
-    #[inline]
     pub fn saturating_mul(self, k: u64) -> Self {
         SimDuration(self.0.saturating_mul(k))
     }
@@ -103,14 +91,12 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
-    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
-    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -118,7 +104,6 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
-    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "SimTime subtraction went negative");
         SimDuration(self.0 - rhs.0)
@@ -127,7 +112,6 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
-    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
@@ -135,7 +119,6 @@ impl Add for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
-    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         debug_assert!(self.0 >= rhs.0, "SimDuration subtraction went negative");
         SimDuration(self.0 - rhs.0)
@@ -144,7 +127,6 @@ impl Sub for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
-    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 * rhs)
     }
@@ -152,7 +134,6 @@ impl Mul<u64> for SimDuration {
 
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
-    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }

@@ -9,22 +9,32 @@ use crate::time::SimDuration;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Rate {
     bits_per_sec: u64,
+    /// Picoseconds one byte takes on the wire, when that is a whole number
+    /// no larger than 8 × 10⁹ (every rate from 1 kbps that divides
+    /// 8 × 10¹² bps, which is every rate a topology uses); 0 otherwise.
+    /// A function of `bits_per_sec`, so the derived orderings agree.
+    ps_per_byte: u64,
 }
+
+/// Picoseconds per byte at one bit per second.
+const PS_PER_BYTE_AT_1BPS: u64 = 8_000_000_000_000;
 
 impl Rate {
     /// Rate from raw bits per second.
     pub const fn from_bps(bits_per_sec: u64) -> Self {
-        Rate { bits_per_sec }
+        let whole = bits_per_sec >= 1_000 && PS_PER_BYTE_AT_1BPS.is_multiple_of(bits_per_sec);
+        let ps_per_byte = if whole { PS_PER_BYTE_AT_1BPS / bits_per_sec } else { 0 };
+        Rate { bits_per_sec, ps_per_byte }
     }
 
     /// Rate from gigabits per second (e.g. `Rate::gbps(40)`).
     pub const fn gbps(g: u64) -> Self {
-        Rate { bits_per_sec: g * 1_000_000_000 }
+        Self::from_bps(g * 1_000_000_000)
     }
 
     /// Rate from megabits per second.
     pub const fn mbps(m: u64) -> Self {
-        Rate { bits_per_sec: m * 1_000_000 }
+        Self::from_bps(m * 1_000_000)
     }
 
     /// Raw bits per second.
@@ -41,10 +51,19 @@ impl Rate {
     ///
     /// Rounds up to the next nanosecond so that back-to-back transmissions
     /// never overlap.
+    ///
+    /// Per packet per hop. At a rate with whole picoseconds per byte,
+    /// `8e9 · bytes / bps` is `ps_per_byte · bytes / 1 000` exactly, and
+    /// the division by a constant compiles to a multiply; any other rate
+    /// pays the 64-bit division. `ps_per_byte ≤ 8e9` keeps the product
+    /// within the range of the general form's.
     pub fn serialization_time(self, bytes: u64) -> SimDuration {
         debug_assert!(self.bits_per_sec > 0, "zero-rate link");
-        let bits = bytes * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(self.bits_per_sec);
+        let ns = if self.ps_per_byte != 0 {
+            (bytes * self.ps_per_byte).div_ceil(1_000)
+        } else {
+            (bytes * 8 * 1_000_000_000).div_ceil(self.bits_per_sec)
+        };
         SimDuration::from_nanos(ns)
     }
 
@@ -72,6 +91,33 @@ mod tests {
         assert_eq!(Rate::gbps(40).serialization_time(1500).as_nanos(), 300);
         // rounding up: 1 byte at 3 bps -> ceil(8e9/3)
         assert_eq!(Rate::from_bps(3).serialization_time(1).as_nanos(), 2_666_666_667);
+    }
+
+    /// The division-free form is the exact ceiling at every topology rate,
+    /// and a rate without whole picoseconds per byte takes the general one.
+    #[test]
+    fn serialization_time_is_the_exact_ceiling_for_every_wire_size() {
+        let rates = [
+            Rate::gbps(1),
+            Rate::mbps(2_500),
+            Rate::gbps(10),
+            Rate::gbps(25),
+            Rate::gbps(40),
+            Rate::gbps(100),
+            Rate::gbps(400),
+            Rate::from_bps(3),
+        ];
+        for rate in rates {
+            assert_eq!(rate.ps_per_byte != 0, rate.bits_per_sec() != 3, "{rate:?}");
+            for bytes in 1..=1_500u64 {
+                let exact = (bytes * 8 * 1_000_000_000).div_ceil(rate.bits_per_sec());
+                assert_eq!(
+                    rate.serialization_time(bytes).as_nanos(),
+                    exact,
+                    "{bytes} B at {rate:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,18 +18,25 @@ impl Payload for Hdr {}
 /// worst case for a shallow buffer, and exactly what PFC must absorb.
 struct Blast {
     rx: std::collections::BTreeMap<FlowId, (u64, u64)>,
+    /// The priority this host sends at.
+    prio: u8,
 }
 
 impl Blast {
     fn boxed() -> Box<Self> {
-        Box::new(Blast { rx: std::collections::BTreeMap::new() })
+        Self::at(0)
+    }
+
+    fn at(prio: u8) -> Box<Self> {
+        Box::new(Blast { rx: std::collections::BTreeMap::new(), prio })
     }
 }
 
 impl Transport<Hdr> for Blast {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Hdr>) {
         for (_off, len) in segment(flow.size_bytes) {
-            ctx.send(Packet::data(flow.id, flow.src, flow.dst, len, Hdr { size: flow.size_bytes }));
+            let hdr = Hdr { size: flow.size_bytes };
+            ctx.send(Packet::data(flow.id, flow.src, flow.dst, len, hdr).with_priority(self.prio));
         }
     }
     fn on_packet(&mut self, pkt: Packet<Hdr>, ctx: &mut Ctx<'_, Hdr>) {
@@ -157,4 +164,36 @@ fn pfc_runs_are_deterministic_and_sanitizer_clean() {
     // must see pause-gated pops consistently) changes nothing.
     assert_eq!(digest(false), digest(false));
     assert_eq!(digest(false).1, digest(true).1);
+}
+
+/// Push-out evictions move the backlog of priorities other than the
+/// arriving packet's: P0 bursts into a port whose P7 backlog holds XOFF
+/// evict P7 packets until P7 falls to XON, and that must release P7 there
+/// and then. The per-event sanitizer audits the PFC state after every event.
+#[test]
+fn push_out_evictions_release_the_priorities_they_drain() {
+    let pfc = PfcConfig { xoff_bytes: 12_000, xon_bytes: 8_000, priority_mask: 0xFF };
+    let cfg = SwitchConfig::basic(20_000).with_push_out(true).with_pfc(pfc);
+    let mut topo = star::<Hdr>(5, Rate::gbps(10), SimDuration::from_micros(1), cfg);
+    topo.sim.set_trace_sink(Box::new(netsim::trace::MemorySink::new()));
+    topo.sim.set_sanitizer(SanLevel::PerEvent);
+    for (i, &h) in topo.hosts.clone().iter().enumerate() {
+        topo.sim.set_transport(h, Blast::at(if i < 2 { 7 } else { 0 }));
+    }
+    // Two P7 senders build the backlog and hold XOFF; two P0 senders
+    // arrive later and overflow the 20 KB port.
+    let sink = topo.hosts[4];
+    for (src, start) in [(0, 0), (1, 0), (2, 30_000), (3, 30_000)] {
+        topo.sim.add_flow(topo.hosts[src], sink, 100_000, SimTime(start), 1);
+    }
+    topo.sim.run(RunLimits::default());
+    assert!(topo.sim.san_violations().is_empty(), "{:?}", topo.sim.san_violations());
+    assert!(topo.sim.total_counters().evicted > 0, "the P0 burst must push P7 out");
+    let trace = topo.sim.take_trace_sink().expect("installed");
+    let events = trace.as_any().downcast_ref::<netsim::trace::MemorySink>().expect("memory");
+    let evicting = |at: u64| (30_000..40_000).contains(&at);
+    let released = events.events().iter().any(|(at, ev)| {
+        matches!(ev, netsim::TraceEvent::PfcXoff { prio: 7, on: false, .. }) && evicting(*at)
+    });
+    assert!(released, "an eviction drained P7 through XON: it is released at once");
 }

@@ -18,7 +18,8 @@
 //! (`bench_analysis_scaling`), a trace line at most 0.7× what a
 //! `write!`-based formatter takes for it (`bench_encode_line`), and an
 //! event-queue hold at 100 G link speeds and 4 096 queued events at most
-//! 4× one at 10 G and 64 (`bench_sched_hold`) — and an
+//! 4× one at 10 G and 64 (`bench_sched_hold`), a switch hop under PFC at
+//! most 1.3× one without (`bench_hop`) — and an
 //! exact *count*: events dispatched per data packet of one DCTCP flow
 //! (`events_per_packet`). Run with `cargo bench -p ppt --bench microbench`.
 
@@ -632,7 +633,7 @@ fn bench_switch() {
                     lcp: i % 2 == 0,
                     retx: false,
                     sent_at: ppt::netsim::SimTime::ZERO,
-                    int: ppt::transports::IntSlot::Off,
+                    int: None,
                 }),
             )
             .with_priority((i % 8) as u8);
@@ -683,11 +684,19 @@ fn bench_end_to_end() {
 /// passes from admission to the wire, no `TxDone`), one four times slower
 /// is busy at every arrival but the first (stored, then started by a
 /// `TxDone`). Both runs pay the same NIC and delivery work, so the
-/// difference is the switch hop's.
-fn bench_hop() {
+/// difference is the switch hop's. The third is the backlogged run again
+/// through a PFC switch whose thresholds the burst never reaches: what is
+/// left is the XOFF/XON bookkeeping of each enqueue and dequeue. The three
+/// are timed in rotation. Returns false when the PFC hop costs more than
+/// 1.3x the backlogged one (re-evaluating all eight priorities twice per
+/// hop, it cost more than that).
+fn bench_hop() -> bool {
     use ppt::netsim::host::{Ctx, FlowDesc, Transport};
-    use ppt::netsim::{NodeId, Payload, Rate, RunLimits, SimDuration, SimTime, Simulator};
+    use ppt::netsim::{
+        NodeId, Payload, PfcConfig, Rate, RunLimits, SimDuration, SimTime, Simulator,
+    };
     const PACKETS: u64 = 20_000;
+    const BUFFER: u64 = 1 << 30;
 
     #[derive(Clone, Debug)]
     struct Hdr;
@@ -710,9 +719,9 @@ fn bench_hop() {
         fn on_timer(&mut self, _: u64, _: &mut Ctx<'_, Hdr>) {}
     }
 
-    let run = |egress: Rate| {
+    let run = |egress: Rate, cfg: &SwitchConfig| {
         let mut sim = Simulator::<Hdr>::new();
-        let sw = sim.add_switch(SwitchConfig::basic(1 << 30));
+        let sw = sim.add_switch(cfg.clone());
         let (a, b) = (sim.add_host(), sim.add_host());
         let delay = SimDuration::from_micros(1);
         sim.connect(NodeId::Host(a), NodeId::Switch(sw), Rate::gbps(10), delay);
@@ -723,13 +732,22 @@ fn bench_hop() {
         sim.add_flow(a, b, PACKETS * 1460, SimTime::ZERO, 1);
         let report = sim.run(RunLimits::default());
         assert_eq!(report.flows_completed, 1, "hop bench: the burst must arrive");
+        assert_eq!(sim.total_counters().dropped, 0, "hop bench: nothing may be lost");
         report.events
     };
-    let mut ns = [0.0f64; 2];
-    for (slot, egress) in [Rate::gbps(40), Rate::mbps(2_500)].into_iter().enumerate() {
-        ns[slot] = min_ns_per_call(5, 1, || {
-            black_box(run(egress));
-        }) / PACKETS as f64;
+    let basic = SwitchConfig::basic(BUFFER);
+    let pfc = basic.clone().with_pfc(PfcConfig::for_buffer(BUFFER));
+    assert!(PACKETS * 1500 < pfc.pfc.expect("set").xoff_bytes, "the burst stays below XOFF");
+    let runs = [(Rate::gbps(40), &basic), (Rate::mbps(2_500), &basic), (Rate::mbps(2_500), &pfc)];
+    let mut ns = [f64::INFINITY; 3];
+    for _ in 0..5 {
+        for ((egress, cfg), ns) in runs.iter().zip(&mut ns) {
+            *ns = ns.min(
+                min_ns_per_call(1, 1, || {
+                    black_box(run(*egress, cfg));
+                }) / PACKETS as f64,
+            );
+        }
     }
     println!(
         "{:<44} {:>8.1} / {:>8.1} ns/packet   (x{:.2} from an idle switch port to a backlogged one)",
@@ -738,6 +756,12 @@ fn bench_hop() {
         ns[1],
         ns[1] / ns[0]
     );
+    let ratio = ns[2] / ns[1];
+    println!(
+        "{:<44} {:>8.1} / {:>8.1} ns/packet   (x{ratio:.2} from a backlogged port to one under PFC)",
+        "hop/backlogged / hop/pfc", ns[1], ns[2]
+    );
+    ratio <= 1.3
 }
 
 /// Tracing overhead: the same run with no sink, a bounded flight recorder,
@@ -821,7 +845,7 @@ fn main() {
     let encoder_beats_fmt = bench_encode_line();
     let queue_cost_ignores_link_rate = bench_sched_hold();
     bench_switch();
-    bench_hop();
+    let pfc_costs_like_no_pfc = bench_hop();
     bench_core_state_machines();
     bench_end_to_end();
     bench_tracing_overhead();
@@ -866,6 +890,13 @@ fn main() {
         eprintln!(
             "microbench: an event-queue hold at 100G and 4096 queued costs more than 4x one \
              at 10G and 64"
+        );
+        std::process::exit(1);
+    }
+    if !pfc_costs_like_no_pfc {
+        eprintln!(
+            "microbench: a switch hop under PFC (thresholds never reached) costs more than 1.3x \
+             one without"
         );
         std::process::exit(1);
     }

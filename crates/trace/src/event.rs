@@ -89,6 +89,11 @@ pub enum SanCheck {
     TransportConservation,
     /// Fault-injected drops not fully attributed in the `FaultReport`.
     FaultAttribution,
+    /// PFC transmit state out of step with the backlog it summarises: a
+    /// governed priority's XOFF bit clear at or above XOFF, or set at or
+    /// below XON, or a switch's assertion count not the number of its
+    /// ports asserting.
+    PfcState,
 }
 
 impl SanCheck {
@@ -103,6 +108,7 @@ impl SanCheck {
             SanCheck::LinkOccupancy => "link_occupancy",
             SanCheck::TransportConservation => "transport_conservation",
             SanCheck::FaultAttribution => "fault_attribution",
+            SanCheck::PfcState => "pfc_state",
         }
     }
 }

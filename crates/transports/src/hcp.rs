@@ -20,7 +20,7 @@ use ppt_core::PptConfig;
 
 use crate::common::{arm_rto, release_rto, service_rto, FlowTable, TableStats, Token, TIMER_RTO};
 use crate::dctcp::MwRecorder;
-use crate::proto::{AckHdr, DataHdr, IntSlot, Proto};
+use crate::proto::{AckHdr, DataHdr, Proto};
 use crate::rx::TcpRxTable;
 use crate::tcp_base::{DctcpFlowTx, SegOut, TcpCfg, WindowLaw};
 
@@ -142,12 +142,15 @@ pub(crate) fn send_hcp<H: Hcp>(tx: &DctcpFlowTx, seg: SegOut, prio: u8, ctx: &mu
         lcp: false,
         retx: seg.retx,
         sent_at: ctx.now(),
-        int: if H::STAMP == Stamp::Int { IntSlot::Armed } else { IntSlot::Off },
+        int: None,
     };
     let mut pkt =
         Packet::data(tx.id, tx.src, tx.dst, seg.len, Proto::Data(hdr)).with_priority(prio);
     if H::STAMP != Stamp::Ecn {
         pkt.ecn = Ecn::not_capable();
+    }
+    if H::STAMP == Stamp::Int {
+        pkt = pkt.with_hop_telemetry();
     }
     ctx.send(pkt);
 }
@@ -161,15 +164,8 @@ pub(crate) fn low_packet(
     ecn: bool,
     now: SimTime,
 ) -> Packet<Proto> {
-    let hdr = DataHdr {
-        offset,
-        len,
-        msg_size: tx.size,
-        lcp: true,
-        retx: false,
-        sent_at: now,
-        int: IntSlot::Off,
-    };
+    let hdr =
+        DataHdr { offset, len, msg_size: tx.size, lcp: true, retx: false, sent_at: now, int: None };
     let mut pkt = Packet::data(tx.id, tx.src, tx.dst, len, Proto::Data(hdr)).with_priority(prio);
     pkt.ecn = if ecn { Ecn::capable() } else { Ecn::not_capable() };
     pkt

@@ -54,7 +54,7 @@ pub use ndp::{NdpCfg, NdpTransport};
 pub use pias::{PiasCfg, PiasTransport};
 pub use powertcp::{PowerTcpHcp, PowerTcpLaw, PowerTcpTransport};
 pub use ppt::{DctcpHcp, PptTransport};
-pub use proto::{AckHdr, DataHdr, HomaHdr, IntHop, IntSlot, IntStack, NdpHdr, Proto, SackBlocks};
+pub use proto::{AckHdr, DataHdr, HomaHdr, IntHop, IntStack, NdpHdr, Proto, SackBlocks};
 pub use rc3::{Rc3Cfg, Rc3Transport};
 pub use rx::{TcpRx, TcpRxTable};
 pub use swift::{SwiftHcp, SwiftLaw, SwiftPptTransport, SwiftTransport};

@@ -1,9 +1,10 @@
 //! The wire header carried by every packet, shared by all transports.
 //!
 //! One enum covers every implemented protocol family so a whole experiment
-//! runs on `Simulator<Proto>`. Only HPCC's INT stack has switch-visible
-//! behaviour (per-hop telemetry collection); everything else is opaque to
-//! the network.
+//! runs on `Simulator<Proto>`. Only the INT stack of a packet sent
+//! `with_hop_telemetry` (HPCC, PowerTCP) has switch-visible behaviour
+//! (per-hop telemetry collection); everything else is opaque to the
+//! network.
 
 use netsim::{HopTelemetry, Payload, SimTime};
 
@@ -31,10 +32,10 @@ pub struct IntHop {
 /// reads as a slice.
 ///
 /// The headers hold it as one thin `Box` (8 bytes where a `Vec` took 24):
-/// allocated once at the packet's first switch, filled in place by the
-/// rest, *moved* by the receiver into the ACK, and freed where that ACK
-/// lands. Never inline in the header — a 300-byte `Proto` is moved ~11
-/// times per packet (ROADMAP item 4).
+/// allocated at the packet's first switch, filled in place by the rest,
+/// *moved* by the receiver into the ACK, and freed where that ACK lands.
+/// Only a packet built `with_hop_telemetry` collects one. Never inline in
+/// the header — a 300-byte `Proto` is moved several times per packet.
 #[derive(Clone, Debug, Default)]
 pub struct IntStack {
     hops: [IntHop; MAX_INT_HOPS],
@@ -69,39 +70,6 @@ impl FromIterator<IntHop> for IntStack {
         let mut stack = IntStack::default();
         hops.into_iter().for_each(|hop| stack.push(hop));
         stack
-    }
-}
-
-/// Where a data packet's INT stack is.
-#[derive(Clone, Debug, Default)]
-pub enum IntSlot {
-    /// Not an INT flow: switches stamp nothing, the ACK echoes nothing.
-    #[default]
-    Off,
-    /// An INT flow's packet that no switch has stamped yet. Nothing is
-    /// allocated for it: a window queued in the sender's NIC holds no stacks.
-    Armed,
-    /// The hops crossed so far.
-    Stack(Box<IntStack>),
-}
-
-impl IntSlot {
-    /// Record a switch hop, if this packet collects them.
-    fn push(&mut self, hop: IntHop) {
-        match self {
-            IntSlot::Off => {}
-            IntSlot::Armed => *self = IntSlot::Stack(Box::new([hop].into_iter().collect())),
-            IntSlot::Stack(stack) => stack.push(hop),
-        }
-    }
-
-    /// Take the stack out for the ACK, leaving the packet without one.
-    pub fn take(&mut self) -> Option<Box<IntStack>> {
-        match std::mem::take(self) {
-            IntSlot::Off => None,
-            IntSlot::Armed => Some(Box::default()),
-            IntSlot::Stack(stack) => Some(stack),
-        }
     }
 }
 
@@ -172,8 +140,9 @@ pub struct DataHdr {
     pub retx: bool,
     /// Send timestamp, echoed by the ACK for RTT sampling.
     pub sent_at: SimTime,
-    /// INT stack; on only for HPCC and PowerTCP flows.
-    pub int: IntSlot,
+    /// The hops stamped so far, for a packet sent `with_hop_telemetry`
+    /// (HPCC and PowerTCP data): none until its first switch.
+    pub int: Option<Box<IntStack>>,
 }
 
 /// TCP-family ACK header.
@@ -237,18 +206,16 @@ const _: () = assert!(std::mem::size_of::<netsim::Packet<Proto>>() <= 128, "Pack
 
 impl Payload for Proto {
     fn on_switch_hop(&mut self, hop: HopTelemetry) {
-        let Proto::Data(DataHdr { int: int @ (IntSlot::Armed | IntSlot::Stack(_)), .. }) = self
-        else {
-            return;
-        };
-        int.push(IntHop {
-            qlen_bytes: hop.qlen_bytes,
-            qlen_high_bytes: hop.qlen_high_bytes,
-            tx_bytes: hop.tx_bytes,
-            tx_high_bytes: hop.tx_high_bytes,
-            ts: hop.ts,
-            rate_bps: hop.link_rate.bits_per_sec(),
-        });
+        if let Proto::Data(DataHdr { int, .. }) = self {
+            int.get_or_insert_default().push(IntHop {
+                qlen_bytes: hop.qlen_bytes,
+                qlen_high_bytes: hop.qlen_high_bytes,
+                tx_bytes: hop.tx_bytes,
+                tx_high_bytes: hop.tx_high_bytes,
+                ts: hop.ts,
+                rate_bps: hop.link_rate.bits_per_sec(),
+            });
+        }
     }
 }
 
@@ -257,7 +224,7 @@ mod tests {
     use super::*;
     use netsim::Rate;
 
-    fn data(int: IntSlot) -> Proto {
+    fn data() -> Proto {
         Proto::Data(DataHdr {
             offset: 0,
             len: 100,
@@ -265,7 +232,7 @@ mod tests {
             lcp: false,
             retx: false,
             sent_at: SimTime::ZERO,
-            int,
+            int: None,
         })
     }
 
@@ -280,45 +247,40 @@ mod tests {
         }
     }
 
+    /// A data packet holds no stack until its first switch, which
+    /// allocates it; an ACK has nowhere to stamp a hop.
     #[test]
-    fn int_stack_grows_per_hop_only_when_enabled() {
-        let mut with_int = data(IntSlot::Armed);
-        with_int.on_switch_hop(hop(100));
-        with_int.on_switch_hop(hop(200));
-        let Proto::Data(d) = &mut with_int else { unreachable!() };
-        let stack = d.int.take().expect("an INT packet hands its stack over");
+    fn int_stack_is_allocated_at_the_first_hop_and_grows_per_hop() {
+        let mut p = data();
+        assert!(matches!(&p, Proto::Data(d) if d.int.is_none()));
+        p.on_switch_hop(hop(100));
+        p.on_switch_hop(hop(200));
+        let Proto::Data(d) = &mut p else { unreachable!() };
+        let stack = d.int.take().expect("a stamped packet hands its stack over");
         assert_eq!(stack.iter().map(|h| h.qlen_bytes).collect::<Vec<_>>(), [100, 200]);
-        assert!(matches!(d.int, IntSlot::Off), "taken once");
+        assert_eq!((stack[0].rate_bps, stack[0].tx_high_bytes), (40_000_000_000, 4_000));
 
-        let mut without = data(IntSlot::Off);
-        without.on_switch_hop(hop(100));
-        assert!(matches!(&without, Proto::Data(d) if matches!(d.int, IntSlot::Off)));
-    }
-
-    /// A packet allocates its stack at the first switch, not at the sender:
-    /// until then it is `Armed`, and one that met no switch echoes an empty
-    /// stack — still an echo, which the INT window laws act on.
-    #[test]
-    fn an_armed_packet_holds_no_stack_until_its_first_hop() {
-        let mut p = data(IntSlot::Armed);
-        assert!(matches!(&p, Proto::Data(d) if matches!(d.int, IntSlot::Armed)));
-        p.on_switch_hop(hop(7));
-        assert!(
-            matches!(&p, Proto::Data(d) if matches!(&d.int, IntSlot::Stack(s) if s.len() == 1))
-        );
-        assert_eq!(IntSlot::Armed.take().map(|stack| stack.len()), Some(0));
+        let ack = AckHdr {
+            cum: 0,
+            sacks: SackBlocks::default(),
+            ece: false,
+            lcp: false,
+            ts_echo: SimTime::ZERO,
+            int_echo: None,
+        };
+        let mut p = Proto::Ack(ack);
+        p.on_switch_hop(hop(100));
+        assert!(matches!(&p, Proto::Ack(a) if a.int_echo.is_none()));
     }
 
     /// Hops keep their order, one by one up to the cap; slices and their
     /// mutable twins agree.
     #[test]
     fn int_stack_caps_depth() {
-        let mut p = data(IntSlot::Armed);
+        let mut p = data();
         for n in 0..20 {
             p.on_switch_hop(hop(n));
-            let Proto::Data(DataHdr { int: IntSlot::Stack(stack), .. }) = &mut p else {
-                unreachable!()
-            };
+            let Proto::Data(DataHdr { int: Some(stack), .. }) = &mut p else { unreachable!() };
             let expect: Vec<u64> = (0..=n.min(MAX_INT_HOPS as u64 - 1)).collect();
             assert_eq!(stack.iter().map(|h| h.qlen_bytes).collect::<Vec<_>>(), expect);
             assert_eq!(stack.iter_mut().map(|h| h.qlen_bytes).collect::<Vec<_>>(), expect);

@@ -168,10 +168,16 @@ impl TcpRxTable {
     /// packet, which carries the size) reassembles and ACKs it. The packet
     /// is the endpoint's to consume: its INT stack leaves with the ACK.
     pub fn on_data(&mut self, pkt: &mut Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        let Packet { flow, src, ecn, priority, payload: Proto::Data(hdr), .. } = pkt else {
+        let Packet { flow, src, ecn, priority, hop_telemetry, payload: Proto::Data(hdr), .. } = pkt
+        else {
             unreachable!("a TCP-family receiver is handed data packets only");
         };
         let (flow, ce, priority) = (*flow, ecn.ce, *priority);
+        if *hop_telemetry {
+            // Echoed even when no switch stamped it: the INT laws act on an
+            // empty echo too.
+            hdr.int.get_or_insert_default();
+        }
         let rx = match self.live.get_mut(flow) {
             Some(rx) => rx,
             None => {
@@ -199,7 +205,7 @@ impl TcpRxTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{IntHop, IntSlot, IntStack, MAX_SACK_BLOCKS};
+    use crate::proto::{IntHop, IntStack, MAX_SACK_BLOCKS};
     use netsim::host::Effects;
     use netsim::{Ecn, HostId, SimTime};
 
@@ -218,7 +224,7 @@ mod tests {
             lcp,
             retx: false,
             sent_at: SimTime(5),
-            int: IntSlot::Off,
+            int: None,
         };
         let mut pkt = Packet::data(flow, HostId(0), HostId(1), len, Proto::Data(hdr))
             .with_priority(if lcp { 4 } else { 0 });
@@ -281,17 +287,29 @@ mod tests {
         let stack: Box<IntStack> = Box::new([hop].into_iter().collect());
         let sent: *const IntStack = &*stack;
         let Proto::Data(hdr) = &mut pkt.payload else { unreachable!() };
-        hdr.int = IntSlot::Stack(stack);
+        hdr.int = Some(stack);
         let did = crate::common::testkit::drive(SimTime(10), HostId(1), |ctx| {
             rxs.on_data(&mut pkt, ctx);
         });
-        assert!(matches!(&pkt.payload, Proto::Data(hdr) if matches!(hdr.int, IntSlot::Off)));
+        assert!(matches!(&pkt.payload, Proto::Data(hdr) if hdr.int.is_none()));
         assert_eq!(did.packets[0].priority, 0);
         let Proto::Ack(ack) = &did.packets[0].payload else { unreachable!() };
         assert_eq!(ack.ts_echo, SimTime(5));
         let echoed = ack.int_echo.as_deref().expect("INT stack echoed");
         assert!(std::ptr::eq(echoed, sent), "the echo must be the sender's stack, not a copy");
         assert_eq!((echoed.len(), echoed[0].qlen_bytes, echoed[0].tx_bytes), (1, 7, 9));
+
+        // The flag, not the stack, says whether to echo: a hop-telemetry
+        // packet no switch stamped gets an empty echo, any other none.
+        for (offset, flagged) in [(1000, true), (2000, false)] {
+            let mut pkt = data_pkt(flow, offset, 1000, 4000, false, false);
+            pkt.hop_telemetry = flagged;
+            let did = crate::common::testkit::drive(SimTime(10), HostId(1), |ctx| {
+                rxs.on_data(&mut pkt, ctx);
+            });
+            let echo = did.acks()[0].int_echo.as_ref().map(|stack| stack.len());
+            assert_eq!(echo, flagged.then_some(0), "flagged: {flagged}");
+        }
     }
 
     #[test]

@@ -99,6 +99,19 @@ if grep -rn 'VecDeque<Packet' crates/*/src; then
     echo "check.sh: a queue of packets by value; queue pool handles (netsim::pool::Handle)" >&2
     exit 1
 fi
+# One send path: Ctx::send writes a packet into the pool and Effects carries
+# its PkRef; a staging list of whole packets is two more 128-byte moves per send.
+if awk '/pub struct Effects/ { in_fx = 1 } in_fx && /Vec<Packet</ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        in_fx && /^}/ { in_fx = 0 } END { exit !hit }' crates/netsim/src/host.rs; then
+    echo "check.sh: Effects stages packets by value again; Ctx::send writes them into the pool" >&2
+    exit 1
+fi
+# One INT signal: PacketMeta's hop_telemetry flag says which packets a switch
+# stamps; the header holds only what was stamped (Option<Box<IntStack>>).
+if grep -rn 'IntSlot::Armed' crates tests; then
+    echo "check.sh: a second INT signal beside PacketMeta::hop_telemetry" >&2
+    exit 1
+fi
 
 echo "==> tier-1: build + tests (cargo test -q has a budget: ROADMAP item 5)"
 cargo build --release
@@ -244,6 +257,20 @@ for group in "crates/transports/src/*.rs" \
     printf '%6d total\n' "$total"
 done
 
+echo "==> netsim / transports non-test lines against ROADMAP's row (each PR reports its delta)"
+# ROADMAP.md's "Non-test lines today" row, as of its last re-anchor; the
+# re-anchor that rewrites that row updates these two numbers with it.
+for row in "netsim 5206" "transports 4004"; do
+    # shellcheck disable=SC2086
+    set -- $row
+    total=0
+    for f in crates/"$1"/src/*.rs; do
+        n=$(awk '/#\[cfg\(test\)\]/ { exit } { c++ } END { print c + 0 }' "$f")
+        total=$((total + n))
+    done
+    printf 'check.sh: %s has %d non-test lines (%+d against the recorded %d)\n' "$1" "$total" $((total - $2)) "$2"
+done
+
 echo "==> documents that describe the system (ROADMAP item 6: the trend, made visible)"
 wc -l DESIGN.md CHANGES.md
 
@@ -328,6 +355,7 @@ echo "    a flow of a 16000-flow Memcached run costs > 1.5x a flow of a 2000-flo
 echo "    a point of a 16384-point telemetry series costs > 1.5x a point of a 2048-point one to analyze,"
 echo "    encode_line takes > 0.7x a write!-based formatter of the same trace lines,"
 echo "    an event-queue hold at 100G deltas and 4096 queued costs > 4x one at 10G deltas and 64,"
+echo "    a switch hop under PFC whose thresholds are never reached costs > 1.3x one without,"
 echo "    or one DCTCP flow dispatches more than 6.3 events per data packet)"
 cargo bench -q -p ppt --bench microbench
 

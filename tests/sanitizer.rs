@@ -26,21 +26,22 @@ fn small_exp(scheme: Scheme, seed: u64) -> Experiment {
     Experiment::new(topo, scheme, all_to_all(topo.hosts(), &spec))
 }
 
-/// Run a small PPT experiment with the sanitizer on at its default
-/// per-epoch cadence, verify the clean run is violation-free, corrupt the
-/// quiescent simulator through a selftest hook, run again, and return what
-/// the sanitizer reported. Per-epoch is enough for every corruption class:
-/// the pop-path checks (tie-break, phantom TxDone) observe every event
-/// regardless of cadence, and the ledger classes are caught by the
-/// end-of-run audit that every level performs.
+/// The small PPT experiment the corruption classes are seeded into.
+fn ppt() -> Experiment {
+    small_exp(Scheme::Ppt, 11)
+}
+
+/// Run `exp` with the sanitizer on at its default per-epoch cadence,
+/// verify the clean run is violation-free, corrupt the quiescent simulator
+/// through a selftest hook, run again, and return what the sanitizer
+/// reported. Per-epoch is enough for every corruption class: the pop-path
+/// checks (tie-break, phantom TxDone) observe every event regardless of
+/// cadence, and the ledger classes are caught by the end-of-run audit that
+/// every level performs.
 fn corrupted_run(
-    with_faults: bool,
+    exp: Experiment,
     corrupt: impl FnOnce(&mut Simulator<Proto>),
 ) -> (StopReason, Vec<SanViolation>) {
-    let mut exp = small_exp(Scheme::Ppt, 11);
-    if with_faults {
-        exp = exp.with_faults(FaultSpec::new(3).with_data_loss(0.01));
-    }
     let outcome = run_experiment_with(&exp, |t| t.sim.set_sanitizer(SanLevel::PerEpoch));
     assert_eq!(outcome.report.stop, StopReason::AllFlowsDone, "clean run must finish");
     assert!(outcome.sim.san_violations().is_empty(), "clean run must be violation-free");
@@ -61,44 +62,60 @@ fn assert_caught(stop: StopReason, violations: &[SanViolation], check: SanCheck)
 
 #[test]
 fn pool_leak_is_caught() {
-    let (stop, v) = corrupted_run(false, |sim| sim.corrupt_pool_leak());
+    let (stop, v) = corrupted_run(ppt(), |sim| sim.corrupt_pool_leak());
     assert_caught(stop, &v, SanCheck::PoolConservation);
 }
 
 #[test]
 fn pool_double_free_is_caught() {
-    let (stop, v) = corrupted_run(false, |sim| sim.corrupt_pool_double_free());
+    let (stop, v) = corrupted_run(ppt(), |sim| sim.corrupt_pool_double_free());
     assert_caught(stop, &v, SanCheck::PoolConservation);
 }
 
 #[test]
 fn tie_break_reorder_is_caught() {
-    let (stop, v) = corrupted_run(false, |sim| sim.corrupt_tie_break());
+    let (stop, v) = corrupted_run(ppt(), |sim| sim.corrupt_tie_break());
     assert_caught(stop, &v, SanCheck::TieBreak);
 }
 
 #[test]
 fn queue_counter_skew_is_caught() {
-    let (stop, v) = corrupted_run(false, |sim| sim.corrupt_queue_counter(HostId(0), 512));
+    let (stop, v) = corrupted_run(ppt(), |sim| sim.corrupt_queue_counter(HostId(0), 512));
     assert_caught(stop, &v, SanCheck::QueueAccounting);
 }
 
 #[test]
 fn phantom_tx_done_is_caught() {
-    let (stop, v) = corrupted_run(false, |sim| sim.corrupt_phantom_tx_done(HostId(0)));
+    let (stop, v) = corrupted_run(ppt(), |sim| sim.corrupt_phantom_tx_done(HostId(0)));
     assert_caught(stop, &v, SanCheck::LinkOccupancy);
 }
 
 #[test]
 fn second_live_rto_timer_is_caught() {
-    let (stop, v) = corrupted_run(false, |sim| sim.corrupt_rto_double_arm(FlowId(0)));
+    let (stop, v) = corrupted_run(ppt(), |sim| sim.corrupt_rto_double_arm(FlowId(0)));
     assert_caught(stop, &v, SanCheck::TransportConservation);
 }
 
 #[test]
 fn unattributed_fault_drop_is_caught() {
-    let (stop, v) = corrupted_run(true, |sim| sim.corrupt_fault_attribution());
+    let (stop, v) =
+        corrupted_run(ppt().with_faults(FaultSpec::new(3).with_data_loss(0.01)), |sim| {
+            sim.corrupt_fault_attribution()
+        });
     assert_caught(stop, &v, SanCheck::FaultAttribution);
+}
+
+/// An XOFF bit flipped behind the backlog's back breaks both PFC rules
+/// at once — a set bit over an empty queue, and an assertion count that
+/// no longer counts the ports asserting — and nothing else.
+#[test]
+fn pfc_state_out_of_step_is_caught() {
+    let mut exp = ppt();
+    exp.env.pfc = true;
+    let (stop, v) = corrupted_run(exp, |sim| sim.corrupt_pfc_state());
+    assert_caught(stop, &v, SanCheck::PfcState);
+    assert!(v.iter().all(|v| v.check == SanCheck::PfcState), "{v:?}");
+    assert_eq!(v.len(), 2, "{v:?}");
 }
 
 /// A window sender is retired by the ACK that finishes it, nearly always
