@@ -176,6 +176,11 @@ pub struct Simulator<P: Payload> {
     pub(crate) flows_started: usize,
     /// `None` = fault injection disabled: the hot path pays one branch.
     pub(crate) faults: Option<FaultState>,
+    /// Some switch runs PFC: only then can the fabric wedge, and only then
+    /// does a timer dispatch look for it ([`Self::pfc_deadlocked`]).
+    pub(crate) pfc_fabric: bool,
+    /// Pause / resume frames scheduled and not yet applied.
+    pub(crate) pfc_frames_in_flight: u32,
     /// Per-flow retransmit counts (fed by `Ctx::note_retransmit`).
     retransmit_counts: Vec<u32>,
     retransmits_total: u64,
@@ -217,6 +222,8 @@ impl<P: Payload> Simulator<P> {
             flows_completed: 0,
             flows_started: 0,
             faults: None,
+            pfc_fabric: false,
+            pfc_frames_in_flight: 0,
             retransmit_counts: Vec::new(),
             retransmits_total: 0,
             trace: None,
@@ -518,7 +525,12 @@ impl<P: Payload> Simulator<P> {
                     stop = StopReason::MaxTime;
                     break;
                 }
-                Due::Empty => break,
+                Due::Empty => {
+                    if self.pfc_deadlocked() {
+                        stop = StopReason::Deadlock;
+                    }
+                    break;
+                }
             };
             if let Some(s) = self.san.as_mut() {
                 s.observe_pop(entry.at, entry.seq, self.now);
@@ -541,6 +553,11 @@ impl<P: Payload> Simulator<P> {
             // exhausted budget.
             if violated || self.events >= limits.max_events {
                 stop = if violated { StopReason::SanViolation } else { StopReason::MaxEvents };
+                break;
+            }
+            // A wedged fabric still fires its senders' timers forever.
+            if matches!(entry.ev, Ev::Timer { .. }) && self.pfc_deadlocked() {
+                stop = StopReason::Deadlock;
                 break;
             }
         }

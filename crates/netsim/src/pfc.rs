@@ -80,6 +80,7 @@ impl<P: Payload> Simulator<P> {
             let link = self.switches[si].ports[pi].link;
             let l = &self.links[link.0 as usize];
             let (to, delay) = (l.to, l.delay);
+            self.pfc_frames_in_flight += 1;
             self.schedule(self.now + delay, Ev::Pfc { to, origin: switch, prio, xoff });
         }
     }
@@ -88,6 +89,7 @@ impl<P: Payload> Simulator<P> {
     /// the paused bit on the egress port facing `origin`, and on resume
     /// kick the transmitter if backlog was left waiting behind the pause.
     pub(crate) fn apply_pfc(&mut self, to: NodeId, origin: SwitchId, prio: u8, xoff: bool) {
+        self.pfc_frames_in_flight -= 1;
         let bit = 1u8 << prio;
         // The egress port whose link faces the congested switch is the
         // one that must stop serving the paused priority; a host has
@@ -115,6 +117,33 @@ impl<P: Payload> Simulator<P> {
         if !xoff {
             self.kick(to, pi);
         }
+    }
+
+    /// The lossless fabric has wedged: nothing is on a wire, no pause
+    /// frame is in flight, no transmitter is busy, and backlog remains,
+    /// all of it at priorities its port is paused on. Only a dequeue sends
+    /// a resume, and no port can dequeue, so nothing will move it again —
+    /// whatever the hosts' timers send next only joins it. Read-only: a
+    /// port whose unpushed `TxDone` lies behind the dispatch point counts
+    /// as idle, as [`Self::settle`] would leave it. One branch on a fabric
+    /// without PFC.
+    #[inline]
+    pub(crate) fn pfc_deadlocked(&self) -> bool {
+        if !self.pfc_fabric || self.pfc_frames_in_flight != 0 || self.effects.pool.stats().live != 0
+        {
+            return false;
+        }
+        let reached = (self.now, self.cur_seq);
+        let nics = self.hosts.iter().filter_map(|h| h.nic.as_ref());
+        let mut backlog = false;
+        for port in nics.chain(self.switches.iter().flat_map(|sw| &sw.ports)) {
+            let busy = port.busy && !port.unpushed_tx_done.is_some_and(|key| key < reached);
+            if busy || port.queues.occupied() & !port.paused_mask != 0 {
+                return false;
+            }
+            backlog |= !port.queues.is_empty();
+        }
+        backlog
     }
 
     /// PFC receive state of a host NIC (bit `p` set = priority `p` paused).

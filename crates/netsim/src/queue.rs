@@ -128,6 +128,11 @@ impl<T: Queued> QueueBank<T> {
         range.map(|p| self.bytes[p as usize]).sum()
     }
 
+    /// Bit `p` set = priority `p` holds at least one item.
+    pub(crate) fn occupied(&self) -> u8 {
+        self.occupied
+    }
+
     /// Total byte backlog across all priorities.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes

@@ -22,6 +22,7 @@ impl<P: Payload> Simulator<P> {
     /// Add a switch with the given per-port configuration.
     pub fn add_switch(&mut self, cfg: SwitchConfig) -> SwitchId {
         let id = SwitchId(self.switches.len() as u32);
+        self.pfc_fabric |= cfg.pfc.is_some();
         self.switches.push(SwitchSlot {
             ports: Vec::new(),
             cfg,
