@@ -21,7 +21,7 @@ use crate::faults::{FaultSchedule, FaultState};
 use crate::host::{Ctx, Effects, FlowDesc, Transport};
 use crate::ids::{FlowId, HostId, LinkId, NodeId, SwitchId};
 use crate::link::Link;
-use crate::packet::Payload;
+use crate::packet::{Payload, NUM_PRIORITIES};
 use crate::pool::{Handle, PkRef};
 use crate::queue::QueueBank;
 use crate::sanitizer::Sanitizer;
@@ -53,12 +53,12 @@ pub(crate) enum Ev {
     Sample,
     /// Timed fault operation `schedule.ops[idx]` applies.
     Fault(u32),
-    /// A PFC pause (`xoff == true`) or resume frame from `origin` arrives
-    /// at `to` for priority `prio`. Pause frames are zero-payload MAC
-    /// control frames: they never enter egress queues or the packet pool,
-    /// so they are carried entirely by this `Copy` event and reach the
-    /// neighbour after pure propagation delay.
-    Pfc { to: NodeId, origin: SwitchId, prio: u8, xoff: bool },
+    /// A PFC pause (`xoff == true`) or resume frame for priority `prio`
+    /// arrives at egress port `port` of `to`. Pause frames are zero-payload
+    /// MAC control frames: they never enter egress queues or the packet
+    /// pool, so they are carried entirely by this `Copy` event and reach
+    /// the neighbour after pure propagation delay.
+    Pfc { to: NodeId, port: u16, prio: u8, xoff: bool },
 }
 
 /// Profiler accumulator slot for an event, in [`dcn_trace::ProfKind::ALL`]
@@ -96,9 +96,15 @@ pub(crate) struct PortState {
     /// (a pause frame from the downstream neighbour is in effect). Always
     /// zero when no switch on the fabric runs PFC.
     pub(crate) paused_mask: u8,
-    /// PFC transmit state (switch egress ports only): bit `p` set = this
-    /// port has an unreleased XOFF outstanding for priority `p`.
+    /// PFC transmit state (switch ports only): bit `p` set = the
+    /// neighbour this port's link leads to has an unreleased pause for
+    /// priority `p` from us, because what arrived through this port at
+    /// that priority reached XOFF.
     pub(crate) xoff_sent: u8,
+    /// PFC ingress accounts (switch ports only): per priority, the bytes
+    /// queued anywhere in this switch that arrived through this port
+    /// (DESIGN.md §15.1). Only a PFC switch books them.
+    pub(crate) ingress_bytes: [u64; NUM_PRIORITIES],
 }
 
 impl PortState {
@@ -111,6 +117,7 @@ impl PortState {
             counters: PortCounters::default(),
             paused_mask: 0,
             xoff_sent: 0,
+            ingress_bytes: [0; NUM_PRIORITIES],
         }
     }
 
@@ -142,10 +149,6 @@ pub(crate) struct SwitchSlot {
     /// of chasing a `Vec<Vec<u16>>` double indirection.
     pub(crate) route_offsets: Vec<u32>,
     pub(crate) route_ports: Vec<u16>,
-    /// PFC: number of egress ports currently asserting XOFF, per priority.
-    /// Pause frames broadcast on the 0→1 edge, resumes on the 1→0 edge, so
-    /// overlapping congested ports nest like overlapping switch stalls.
-    pub(crate) pfc_xoff_count: [u16; 8],
 }
 
 /// The simulator.
@@ -621,7 +624,7 @@ impl<P: Payload> Simulator<P> {
             }
             Ev::Sample => self.take_sample(),
             Ev::Fault(idx) => self.apply_fault(idx),
-            Ev::Pfc { to, origin, prio, xoff } => self.apply_pfc(to, origin, prio, xoff),
+            Ev::Pfc { to, port, prio, xoff } => self.apply_pfc(to, port, prio, xoff),
         }
     }
 

@@ -191,10 +191,11 @@ impl<P: Payload> Simulator<P> {
                 }
             }
         }
-        // PFC thresholds see the post-admission backlog: the admitted
-        // packet's priority moved, and a push-out eviction may have drained
-        // any other below XON.
-        self.pfc_update(switch, pi, if evicted { u8::MAX } else { 1 << meta.priority });
+        // The admitted packet joins the account of the port it came in
+        // through (a PFC switch evicts nothing, so no other account moved).
+        if admitted {
+            self.pfc_update(switch, meta.ingress, meta.priority, meta.wire_bytes as u64, true);
+        }
         if pass {
             self.transmit(node, pi as u16, pkt);
         } else if admitted {
@@ -238,7 +239,7 @@ impl<P: Payload> Simulator<P> {
     fn transmit(&mut self, node: NodeId, port: u16, pkt: PkRef) {
         let meta = self.effects.pool.meta(pkt);
         let (flow, priority, wire_bytes) = (meta.flow.0, meta.priority, meta.wire_bytes as u64);
-        let (payload_bytes, enq_at) = (meta.payload_bytes(), meta.enq_at);
+        let (payload_bytes, enq_at, ingress) = (meta.payload_bytes(), meta.enq_at, meta.ingress);
         let slot = self.port_mut(node, port);
         slot.busy = true;
         let link_id = slot.link;
@@ -250,8 +251,8 @@ impl<P: Payload> Simulator<P> {
         }
         if let NodeId::Switch(s) = node {
             self.emit(TraceEvent::Dequeue { sw: s.0, port, flow, prio: priority });
-            // The dequeue may have drained this priority through XON.
-            self.pfc_update(s, port as usize, 1 << priority);
+            // The dequeue may have drained its ingress account through XON.
+            self.pfc_update(s, ingress, priority, wire_bytes, false);
         }
         if let Some(s) = self.san.as_mut() {
             s.observe_tx_start(self.now, san_port_key(node, port));
@@ -264,7 +265,7 @@ impl<P: Payload> Simulator<P> {
         }
         let ser = link.rate.serialization_time(wire_bytes);
         let arrive_at = self.now + ser + link.delay;
-        let to = link.to;
+        let (to, to_port) = (link.to, link.to_port);
         // The fault layer destroys packets *at serialization time*: the
         // sender still pays the full serialization delay (the port stays
         // busy until `tx_end`) but no Deliver is scheduled — the bits die
@@ -282,6 +283,7 @@ impl<P: Payload> Simulator<P> {
             });
             self.effects.pool.release(pkt);
         } else {
+            self.effects.pool.meta_mut(pkt).ingress = to_port;
             self.effects.pool.depart();
             if let Some(s) = self.san.as_mut() {
                 s.observe_alloc(self.now, pkt.0 as usize);

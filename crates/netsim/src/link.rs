@@ -17,6 +17,10 @@ pub struct Link {
     pub delay: SimDuration,
     /// Receiving node.
     pub to: NodeId,
+    /// The port of `to` a packet arrives on: the egress port that feeds
+    /// this cable's other direction. PFC accounts a switch's backlog to
+    /// it and sends its pause frames back along it (DESIGN.md §15.1).
+    pub to_port: u16,
     /// Cumulative bytes handed to the wire (includes headers). Updated when
     /// serialization of a packet begins; used for utilization sampling and
     /// INT telemetry.
@@ -30,7 +34,7 @@ pub struct Link {
 
 impl Link {
     /// A fresh link with zeroed counters.
-    pub fn new(rate: Rate, delay: SimDuration, to: NodeId) -> Self {
-        Link { rate, delay, to, tx_bytes: 0, tx_packets: 0, tx_high_bytes: 0 }
+    pub fn new(rate: Rate, delay: SimDuration, to: NodeId, to_port: u16) -> Self {
+        Link { rate, delay, to, to_port, tx_bytes: 0, tx_packets: 0, tx_high_bytes: 0 }
     }
 }

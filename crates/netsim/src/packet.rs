@@ -130,6 +130,11 @@ pub(crate) struct PacketMeta {
     pub(crate) trimmable: bool,
     pub(crate) trimmed: bool,
     pub(crate) hop_telemetry: bool,
+    /// The port the packet enters its next node through
+    /// ([`crate::link::Link::to_port`]), stamped when it goes onto a wire;
+    /// at a switch, the port it came in through: the account a PFC switch
+    /// books its bytes to (DESIGN.md §15.1).
+    pub(crate) ingress: u16,
     pub(crate) enq_at: SimTime,
 }
 
@@ -166,6 +171,7 @@ impl<P> Packet<P> {
                 trimmable: self.trimmable,
                 trimmed: self.trimmed,
                 hop_telemetry: self.hop_telemetry,
+                ingress: 0,
                 enq_at: self.enq_at,
             },
             self.payload,

@@ -34,7 +34,7 @@ pub enum StopReason {
     /// [`crate::Simulator::set_sanitizer`] and
     /// [`crate::Simulator::san_violations`]).
     SanViolation,
-    /// The lossless fabric wedged (DESIGN.md §15.3): nothing was on a
+    /// The lossless fabric wedged (DESIGN.md §15.1): nothing was on a
     /// wire, no pause frame was in flight, no transmitter was busy, and
     /// backlog remained, all of it behind a PFC pause. No event can move
     /// it again, so the run stopped at the timer dispatch or queue drain

@@ -27,7 +27,7 @@ use dcn_trace::{SanCheck, TraceEvent};
 
 use crate::engine::{PortState, Simulator};
 use crate::ids::{HostId, NodeId, SwitchId};
-use crate::packet::{Payload, NUM_PRIORITIES};
+use crate::packet::{Payload, MTU_BYTES, NUM_PRIORITIES};
 use crate::switch::PfcConfig;
 use crate::time::SimTime;
 #[cfg(any(test, feature = "simsan-selftest"))]
@@ -131,6 +131,23 @@ pub fn host_port_key(host: u32) -> u64 {
 /// Ledger key for a switch egress port.
 pub fn switch_port_key(switch: u32, port: u16) -> u64 {
     (1u64 << 32) | ((switch as u64) << 16) | port as u64
+}
+
+/// What simsan holds one PFC ingress account to ([`Sanitizer::audit_pfc`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PfcIngress {
+    /// The port's XOFF bits (`PortState::xoff_sent`).
+    pub(crate) xoff_sent: u8,
+    /// The switch's account of the bytes it holds that came in through the
+    /// port, per priority.
+    pub(crate) booked: [u64; NUM_PRIORITIES],
+    /// The same, recounted from the queued packets' `ingress` stamps.
+    pub(crate) queued: [u64; NUM_PRIORITIES],
+    /// XOFF plus what can still arrive once it is crossed: the crossing
+    /// packet, the cable's bytes in flight both ways while the pause
+    /// travels, and the packet the neighbour is serializing when it lands —
+    /// XOFF + bdp(rate, 2 · delay) + 2 · MTU.
+    pub(crate) headroom: u64,
 }
 
 /// Shadow state for one egress port.
@@ -502,41 +519,38 @@ impl Sanitizer {
         }
     }
 
-    /// PFC transmit state of one switch against the backlog it summarises.
-    /// For every governed priority of every port: XOFF bit clear ⇒ backlog
-    /// below XOFF, bit set ⇒ backlog above XON — what every re-evaluation
-    /// re-establishes, so a backlog that moved without one shows here. And
-    /// the switch's assertion count of each priority is the number of its
-    /// ports with that bit set.
+    /// PFC state of one switch, ingress port by ingress port, priority by
+    /// priority (subject: the port key). Three rules:
+    /// - XOFF bit clear ⇒ account below XOFF, bit set ⇒ account above XON
+    ///   (expected: the threshold) — what every re-evaluation
+    ///   re-establishes, so an account that moved without one shows here;
+    /// - the account equals the bytes queued in the switch whose `ingress`
+    ///   stamp is this port (expected: the recount), so no packet joined
+    ///   or left without booking;
+    /// - the account stays within `headroom` (expected: it): what the
+    ///   pause bounds instead of the buffer.
     pub(crate) fn audit_pfc(
         &mut self,
         when: SimTime,
         switch: u32,
         pfc: &PfcConfig,
-        ports: &[PortState],
-        xoff_count: &[u16; NUM_PRIORITIES],
+        ingress: &[PfcIngress],
     ) {
-        let mut asserting = [0u64; NUM_PRIORITIES];
-        for (pi, port) in ports.iter().enumerate() {
+        for (pi, port) in ingress.iter().enumerate() {
             let key = switch_port_key(switch, pi as u16);
-            for (p, asserting) in asserting.iter_mut().enumerate() {
-                let bit = 1u8 << p;
-                let on = port.xoff_sent & bit != 0;
-                *asserting += on as u64;
-                if pfc.priority_mask & bit == 0 {
-                    continue;
+            for (p, (&booked, &queued)) in port.booked.iter().zip(&port.queued).enumerate() {
+                let on = port.xoff_sent & (1 << p) != 0;
+                if !on && booked >= pfc.xoff_bytes {
+                    self.record(SanCheck::PfcState, when, key, pfc.xoff_bytes, booked);
+                } else if on && booked <= pfc.xon_bytes {
+                    self.record(SanCheck::PfcState, when, key, pfc.xon_bytes, booked);
                 }
-                let backlog = port.queues.bytes_at(p as u8);
-                if !on && backlog >= pfc.xoff_bytes {
-                    self.record(SanCheck::PfcState, when, key, pfc.xoff_bytes, backlog);
-                } else if on && backlog <= pfc.xon_bytes {
-                    self.record(SanCheck::PfcState, when, key, pfc.xon_bytes, backlog);
+                if booked != queued {
+                    self.record(SanCheck::PfcState, when, key, queued, booked);
                 }
-            }
-        }
-        for (count, asserting) in xoff_count.iter().zip(asserting) {
-            if *count as u64 != asserting {
-                self.record(SanCheck::PfcState, when, switch as u64, asserting, *count as u64);
+                if booked > port.headroom {
+                    self.record(SanCheck::PfcState, when, key, port.headroom, booked);
+                }
             }
         }
     }
@@ -662,9 +676,20 @@ impl<P: Payload> Simulator<P> {
             );
         }
         for (si, sw) in self.switches.iter().enumerate() {
-            if let Some(pfc) = &sw.cfg.pfc {
-                san.audit_pfc(now, si as u32, pfc, &sw.ports, &sw.pfc_xoff_count);
+            let Some(pfc) = &sw.cfg.pfc else { continue };
+            let account = |port: &PortState| {
+                let link = &self.links[port.link.0 as usize];
+                let in_flight = link.rate.bytes_in(link.delay * 2) + 2 * MTU_BYTES as u64;
+                let (xoff_sent, booked) = (port.xoff_sent, port.ingress_bytes);
+                let queued = [0; NUM_PRIORITIES];
+                PfcIngress { xoff_sent, booked, queued, headroom: pfc.xoff_bytes + in_flight }
+            };
+            let mut ingress: Vec<_> = sw.ports.iter().map(account).collect();
+            for h in sw.ports.iter().flat_map(|port| port.queues.iter()) {
+                let stamp = pool.meta(h.pkt).ingress as usize;
+                ingress[stamp].queued[h.priority as usize] += h.wire_bytes as u64;
             }
+            san.audit_pfc(now, si as u32, pfc, &ingress);
         }
         san.audit_faults(now, self.faults.as_ref().map_or(0, |fs| fs.drops));
         self.san = Some(san);
@@ -753,14 +778,13 @@ impl<P: Payload> Simulator<P> {
         }
     }
 
-    /// Flip the XOFF bit of priority 0 on port 0 of the first PFC switch,
-    /// leaving its backlog and the switch's assertion count as they were:
-    /// the state a backlog change that skipped its re-evaluation leaves.
-    /// No-op when no switch runs PFC.
+    /// Book one MTU of priority 0 into ingress port 0's account on the
+    /// first PFC switch with no packet behind it: the drift a packet that
+    /// left without its booking leaves. No-op when no switch runs PFC.
     pub fn corrupt_pfc_state(&mut self) {
         let sw = self.switches.iter_mut().find(|sw| sw.cfg.pfc.is_some());
         if let Some(port) = sw.and_then(|sw| sw.ports.first_mut()) {
-            port.xoff_sent ^= 1;
+            port.ingress_bytes[0] += MTU_BYTES as u64;
         }
     }
 }
@@ -887,38 +911,28 @@ mod tests {
     }
 
     #[test]
-    fn pfc_audit_holds_bits_to_backlogs_and_counts_to_bits() {
-        use crate::ids::LinkId;
-        use crate::pool::{Handle, PkRef};
-        let pfc = PfcConfig { xoff_bytes: 3_000, xon_bytes: 1_000, priority_mask: 0b0000_0011 };
-        let mut ports = [PortState::new(LinkId(0)), PortState::new(LinkId(1))];
-        let queue = |port: &mut PortState, priority, wire_bytes| {
-            port.queues.push(Handle { pkt: PkRef(0), wire_bytes, priority });
-        };
-        // P0 asserted at XOFF, P1 released inside the band: consistent.
-        queue(&mut ports[0], 0, 3_000);
-        queue(&mut ports[0], 1, 2_000);
-        ports[0].xoff_sent = 0b01;
-        let mut counts = [1, 0, 0, 0, 0, 0, 0, 0];
+    fn pfc_audit_holds_accounts_to_bits_recounts_and_headroom() {
+        let pfc = PfcConfig { xoff_bytes: 3_000, xon_bytes: 1_000 };
+        let at = |bytes: &[u64]| std::array::from_fn(|p| bytes.get(p).copied().unwrap_or(0));
+        let ingress =
+            |xoff_sent, booked, queued| PfcIngress { xoff_sent, booked, queued, headroom: 10_000 };
+        // P0 asserted at XOFF, P1 released inside the band, both made up
+        // of what is queued; then P1 asserted inside the band: consistent.
+        let port0 = at(&[3_000, 2_000]);
         let mut s = Sanitizer::new(SanLevel::AtEnd);
-        s.audit_pfc(T0, 4, &pfc, &ports, &counts);
+        s.audit_pfc(T0, 4, &pfc, &[ingress(0b01, port0, port0)]);
+        s.audit_pfc(T0, 4, &pfc, &[ingress(0b11, port0, port0)]);
         assert!(s.violations().is_empty(), "{:?}", s.violations());
-        // P1 asserted inside the band is consistent too, once counted; an
-        // ungoverned P7 bit is only counted.
-        ports[0].xoff_sent = 0b1000_0011;
-        counts[1] = 1;
-        counts[7] = 1;
-        s.audit_pfc(T0, 4, &pfc, &ports, &counts);
-        assert!(s.violations().is_empty(), "{:?}", s.violations());
-        // A bit clear at XOFF, a bit set at XON, and counts that miss them.
-        queue(&mut ports[1], 1, 3_000);
-        queue(&mut ports[1], 0, 1_000);
-        ports[1].xoff_sent = 0b01;
-        s.audit_pfc(T0, 4, &pfc, &ports, &counts);
+        // Port 1: a bit set at XON whose account the queue does not make
+        // up, a bit clear at XOFF, and an account past the headroom.
+        let port1 = ingress(0b101, at(&[1_000, 3_000, 12_000]), at(&[500, 3_000, 12_000]));
+        s.audit_pfc(T0, 4, &pfc, &[ingress(0b01, port0, port0), port1]);
         let got: Vec<_> =
             s.violations().iter().map(|v| (v.subject, v.expected, v.actual)).collect();
-        let port1 = switch_port_key(4, 1);
-        assert_eq!(got, [(port1, 1_000, 1_000), (port1, 3_000, 3_000), (4, 2, 1)]);
+        let key = switch_port_key(4, 1);
+        let want =
+            [(key, 1_000, 1_000), (key, 500, 1_000), (key, 3_000, 3_000), (key, 10_000, 12_000)];
+        assert_eq!(got, want);
         assert!(s.violations().iter().all(|v| v.check == SanCheck::PfcState));
     }
 

@@ -48,40 +48,36 @@ pub struct RangeCap {
     pub cap_bytes: u64,
 }
 
-/// PFC-style hop-by-hop backpressure thresholds (802.1Qbb flavoured).
+/// PFC hop-by-hop backpressure thresholds (802.1Qbb), on every priority.
 ///
-/// When a priority's backlog at an egress port reaches `xoff_bytes`, the
-/// switch sends a pause frame for that priority to every upstream neighbour;
-/// when the backlog drains to `xon_bytes` or below it sends a resume.
-/// `priority_mask` selects which priorities participate (bit `p` set =
-/// priority `p` is lossless-flow-controlled).
+/// When the bytes a switch holds of one priority that came in through one
+/// port reach `xoff_bytes`, the switch sends a pause frame for that
+/// priority back through that port, to the one neighbour that sent them;
+/// when they drain to `xon_bytes` or below it sends a resume. A PFC switch
+/// is lossless: the pause, not `port_buffer_bytes`, bounds its backlog
+/// (DESIGN.md §15.1).
 #[derive(Clone, Copy, Debug)]
 pub struct PfcConfig {
-    /// Per-priority backlog at which the port asserts XOFF, bytes.
+    /// Per-(ingress, priority) backlog at which the switch asserts XOFF, bytes.
     pub xoff_bytes: u64,
-    /// Per-priority backlog at or below which XOFF is released (XON).
-    /// Must be below `xoff_bytes` for hysteresis.
+    /// Per-(ingress, priority) backlog at or below which XOFF is released
+    /// (XON). Must be below `xoff_bytes` for hysteresis.
     pub xon_bytes: u64,
-    /// Bit `p` set = PFC governs priority `p`.
-    pub priority_mask: u8,
 }
 
 impl PfcConfig {
     /// Thresholds derived from the port buffer: XOFF at a quarter of the
-    /// buffer, XON at an eighth, all eight priorities governed.
+    /// buffer, XON at an eighth.
     pub fn for_buffer(port_buffer_bytes: u64) -> Self {
-        PfcConfig {
-            xoff_bytes: (port_buffer_bytes / 4).max(1),
-            xon_bytes: port_buffer_bytes / 8,
-            priority_mask: 0xFF,
-        }
+        PfcConfig { xoff_bytes: (port_buffer_bytes / 4).max(1), xon_bytes: port_buffer_bytes / 8 }
     }
 }
 
 /// Per-switch (applied to every egress port) configuration.
 #[derive(Clone, Debug)]
 pub struct SwitchConfig {
-    /// Shared byte budget per egress port.
+    /// Shared byte budget per egress port. A PFC switch never drops or
+    /// evicts against it: its pauses bound the backlog instead.
     pub port_buffer_bytes: u64,
     /// ECN rule per priority level; `None` disables marking there.
     pub ecn: [Option<EcnRule>; NUM_PRIORITIES],
@@ -98,6 +94,8 @@ pub struct SwitchConfig {
     /// low-priority backlog).
     pub push_out: bool,
     /// PFC backpressure thresholds; `None` disables hop-by-hop pausing.
+    /// `Some` makes admission lossless: no push-out, no tail drop, and
+    /// trimming only at the trim threshold (range caps still drop).
     pub pfc: Option<PfcConfig>,
 }
 
@@ -231,7 +229,8 @@ impl PortCounters {
 /// what push-out says must go (each evicted item is handed to `evicted`,
 /// which returns its payload bytes), then admit, trim or drop, then decide
 /// the CE bit. Mutates `pkt` (CE bit, trimming) and `counters`; pushes
-/// nothing — the caller stores or forwards an admitted packet.
+/// nothing — the caller stores or forwards an admitted packet. Under PFC
+/// the buffer is no limit, so nothing is evicted or dropped for room.
 pub(crate) fn admit<T: Queued>(
     cfg: &SwitchConfig,
     queues: &mut QueueBank<T>,
@@ -239,10 +238,11 @@ pub(crate) fn admit<T: Queued>(
     pkt: &mut PacketMeta,
     mut evicted: impl FnMut(T) -> u32,
 ) -> EnqueueOutcome {
+    let buffer = if cfg.pfc.is_some() { u64::MAX } else { cfg.port_buffer_bytes };
     // Push-out: a full port sheds strictly-lower-priority backlog to admit
     // the arrival.
     if cfg.push_out {
-        while queues.total_bytes() + pkt.wire_bytes as u64 > cfg.port_buffer_bytes {
+        while queues.total_bytes() + pkt.wire_bytes as u64 > buffer {
             match queues.evict_lowest_below(pkt.priority) {
                 Some(item) => {
                     counters.evicted += 1;
@@ -254,7 +254,7 @@ pub(crate) fn admit<T: Queued>(
         }
     }
     let backlog = queues.total_bytes();
-    let fits = backlog + pkt.wire_bytes as u64 <= cfg.port_buffer_bytes;
+    let fits = backlog + pkt.wire_bytes as u64 <= buffer;
 
     // NDP-style trimming: engage at the trim threshold or on overflow.
     let over_trim = cfg.trim_threshold_bytes.map(|t| backlog >= t).unwrap_or(false);
@@ -263,7 +263,7 @@ pub(crate) fn admit<T: Queued>(
         pkt.wire_bytes = TRIMMED_BYTES;
         pkt.priority = 0;
         // A trimmed header that still does not fit is dropped.
-        if queues.total_bytes() + pkt.wire_bytes as u64 > cfg.port_buffer_bytes {
+        if queues.total_bytes() + pkt.wire_bytes as u64 > buffer {
             counters.dropped += 1;
             return EnqueueOutcome::Dropped;
         }

@@ -28,7 +28,6 @@ impl<P: Payload> Simulator<P> {
             cfg,
             route_offsets: Vec::new(),
             route_ports: Vec::new(),
-            pfc_xoff_count: [0; 8],
         });
         id
     }
@@ -36,8 +35,14 @@ impl<P: Payload> Simulator<P> {
     /// Cable `a` and `b` with a full-duplex link (two unidirectional links
     /// of the same rate and delay). Hosts may be cabled exactly once.
     pub fn connect(&mut self, a: NodeId, b: NodeId, rate: Rate, delay: SimDuration) {
-        self.attach_port(a, Link::new(rate, delay, b));
-        self.attach_port(b, Link::new(rate, delay, a));
+        // Each direction arrives on the port the other one leaves from.
+        let next_port = |n: NodeId| match n {
+            NodeId::Host(_) => 0,
+            NodeId::Switch(s) => self.port_count(s) as u16,
+        };
+        let (pa, pb) = (next_port(a), next_port(b));
+        self.attach_port(a, Link::new(rate, delay, b, pb));
+        self.attach_port(b, Link::new(rate, delay, a, pa));
     }
 
     /// Register `link` and give `node` the egress port that feeds it.

@@ -217,7 +217,7 @@ fn a_stalled_switch_stores() {
 fn a_pfc_switch_stores_and_its_thresholds_see_a_lone_packet() {
     // XOFF below one MTU: a single packet crosses it going in and XON
     // coming out. Only the stored path moves the backlog PFC reads.
-    let pfc = PfcConfig { xoff_bytes: 1_000, xon_bytes: 500, priority_mask: 0xFF };
+    let pfc = PfcConfig { xoff_bytes: 1_000, xon_bytes: 500 };
     let r = run(deep().with_pfc(pfc), None, &[(0, 1, 0, ONE)]);
     let xoffs: Vec<(u64, bool, u64)> = r
         .events
@@ -231,36 +231,38 @@ fn a_pfc_switch_stores_and_its_thresholds_see_a_lone_packet() {
     assert_eq!(r.dequeues(0), vec![HOP]);
 }
 
-/// Pause times of host 1's NIC at priority 0: `(paused at, resumed at)`.
+/// Pause times of host 2's NIC at priority 0: `(paused at, resumed at)`.
 fn pause_window(r: &Run) -> (u64, u64) {
     let at = |want: bool| {
         r.events.iter().find_map(|(at, ev)| match *ev {
-            TraceEvent::PfcPause { host: 1, prio: 0, on } if on == want => Some(*at),
+            TraceEvent::PfcPause { host: 2, prio: 0, on } if on == want => Some(*at),
             _ => None,
         })
     };
-    (at(true).expect("host 1 paused"), at(false).expect("host 1 resumed"))
+    (at(true).expect("host 2 paused"), at(false).expect("host 2 resumed"))
 }
 
 #[test]
 fn a_paused_priority_stores_while_the_others_pass() {
-    // Hosts 0 and 2 overload the port towards host 1; the switch pauses
-    // priority 0 at every neighbour, host 1 included. What host 1 hands
-    // its idle, empty NIC inside that window waits at priority 0 and
-    // leaves at once at priority 3.
-    let pfc = PfcConfig { xoff_bytes: 2_000, xon_bytes: 1_000, priority_mask: 0xFF };
+    // Hosts 0 and 2 overload the port towards host 1; host 2's bytes back
+    // up past XOFF, so the switch pauses priority 0 at host 2 — the one
+    // neighbour whose bytes fill it. What host 2 hands its NIC inside that
+    // window, once its burst has left, waits at priority 0 and leaves at
+    // once at priority 3.
+    let pfc = PfcConfig { xoff_bytes: 2_000, xon_bytes: 1_000 };
     let cfg = deep().with_pfc(pfc);
     let burst = Burst { count: 4, ..ONE };
     let load = [(0, 1, 0, burst), (2, 1, 0, burst)];
     let (paused, resumed) = pause_window(&run(cfg.clone(), None, &load));
     let inside = (paused + resumed) / 2;
     assert!(paused < inside && inside < resumed, "window {paused}..{resumed}");
+    assert!(inside > 4 * SER, "host 2's NIC is idle and empty by then");
 
     let mut flows = load.to_vec();
-    flows.push((1, 0, inside, ONE));
-    flows.push((1, 0, inside, Burst { prio: 3, ..ONE }));
+    flows.push((2, 3, inside, ONE));
+    flows.push((2, 3, inside, Burst { prio: 3, ..ONE }));
     let r = run(cfg, None, &flows);
-    assert_eq!(pause_window(&r), (paused, resumed), "the reverse traffic shares no port");
+    assert_eq!(pause_window(&r), (paused, resumed), "the new traffic joins no paused account");
     // Flow 3 (P3) is not paused: it passes through the NIC when handed
     // over, although flow 2 (P0) was handed over first and is waiting.
     assert_eq!(r.enqueues(3)[0].0, inside + HOP);

@@ -1,11 +1,12 @@
-//! PFC backpressure behaviour: pausing under incast, lossless operation
-//! with adequate headroom, upstream propagation, and determinism.
+//! PFC backpressure behaviour: pausing under incast, lossless operation,
+//! upstream propagation, determinism, and the deadlock a cyclic buffer
+//! dependency makes.
 
 use netsim::host::{Ctx, FlowDesc, Transport};
 use netsim::packet::segment;
 use netsim::{
-    star, FlowId, LeafSpineParams, Packet, Payload, PfcConfig, Rate, RunLimits, SanLevel,
-    SimDuration, SimTime, SwitchConfig, Topology,
+    star, FlowId, HostId, LeafSpineParams, NodeId, Packet, Payload, PfcConfig, Rate, RunLimits,
+    SanLevel, SimDuration, SimTime, Simulator, StopReason, SwitchConfig, SwitchId, Topology,
 };
 
 #[derive(Clone, Debug)]
@@ -75,7 +76,7 @@ fn run_probing_pauses(topo: &mut Topology<Hdr>) -> (netsim::RunReport, [bool; 4]
         for (i, slot) in paused.iter_mut().enumerate() {
             *slot |= topo.sim.host_paused_mask(topo.hosts[i]) != 0;
         }
-        if report.stop != netsim::StopReason::MaxTime {
+        if report.stop != StopReason::MaxTime {
             return (report, paused);
         }
         t += 50_000;
@@ -91,14 +92,14 @@ fn pfc_pauses_senders_and_prevents_incast_drops() {
     assert!(report.flows_completed < 3, "blast senders never retransmit, so drops must show");
     assert!(lossy.sim.total_counters().dropped > 0);
 
-    // With PFC the switch pauses the sending NICs instead: headroom
-    // (buffer - XOFF = 75KB) absorbs the in-flight bytes and nothing
-    // is lost — the backlog waits at the hosts.
+    // With PFC the switch pauses the sending NICs instead, each on its
+    // own ingress account, and nothing is lost — the backlog waits at the
+    // hosts.
     let mut lossless = incast_star(SwitchConfig::basic(BUF).with_pfc(PfcConfig::for_buffer(BUF)));
     let (report, paused) = run_probing_pauses(&mut lossless);
     assert_eq!(report.flows_completed, 3, "PFC must make the incast lossless");
     assert_eq!(lossless.sim.total_counters().dropped, 0);
-    assert!(paused.iter().any(|&p| p), "the incast must actually have triggered pauses");
+    assert_eq!(paused, [true, true, true, false], "each sender is paused, the receiver never");
     // Terminal state: every pause released once the fabric drained.
     for i in 0..4 {
         assert_eq!(lossless.sim.host_paused_mask(lossless.hosts[i]), 0);
@@ -136,7 +137,7 @@ fn pfc_propagates_upstream_across_switches() {
                 spine_paused |= topo.sim.switch_port_paused_mask(spine, p as u16) != 0;
             }
         }
-        if report.stop != netsim::StopReason::MaxTime {
+        if report.stop != StopReason::MaxTime {
             break report;
         }
         t += 50_000;
@@ -166,13 +167,13 @@ fn pfc_runs_are_deterministic_and_sanitizer_clean() {
     assert_eq!(digest(false).1, digest(true).1);
 }
 
-/// Push-out evictions move the backlog of priorities other than the
-/// arriving packet's: P0 bursts into a port whose P7 backlog holds XOFF
-/// evict P7 packets until P7 falls to XON, and that must release P7 there
-/// and then. The per-event sanitizer audits the PFC state after every event.
+/// A PFC switch is lossless whatever else it is configured to do: with
+/// push-out on and a 20 KB buffer that four converging senders overrun, it
+/// evicts nothing and drops nothing — the pauses bound each ingress, and
+/// the per-event audit holds every account within its headroom.
 #[test]
-fn push_out_evictions_release_the_priorities_they_drain() {
-    let pfc = PfcConfig { xoff_bytes: 12_000, xon_bytes: 8_000, priority_mask: 0xFF };
+fn a_pfc_switch_never_evicts_or_tail_drops_even_with_push_out() {
+    let pfc = PfcConfig { xoff_bytes: 12_000, xon_bytes: 8_000 };
     let cfg = SwitchConfig::basic(20_000).with_push_out(true).with_pfc(pfc);
     let mut topo = star::<Hdr>(5, Rate::gbps(10), SimDuration::from_micros(1), cfg);
     topo.sim.set_trace_sink(Box::new(netsim::trace::MemorySink::new()));
@@ -180,20 +181,73 @@ fn push_out_evictions_release_the_priorities_they_drain() {
     for (i, &h) in topo.hosts.clone().iter().enumerate() {
         topo.sim.set_transport(h, Blast::at(if i < 2 { 7 } else { 0 }));
     }
-    // Two P7 senders build the backlog and hold XOFF; two P0 senders
-    // arrive later and overflow the 20 KB port.
+    // Two P7 senders build the backlog; two P0 senders arrive later, the
+    // arrivals a lossy push-out port would evict P7 for.
     let sink = topo.hosts[4];
     for (src, start) in [(0, 0), (1, 0), (2, 30_000), (3, 30_000)] {
         topo.sim.add_flow(topo.hosts[src], sink, 100_000, SimTime(start), 1);
     }
-    topo.sim.run(RunLimits::default());
+    let report = topo.sim.run(RunLimits::default());
+    assert_eq!((report.stop, report.flows_completed), (StopReason::AllFlowsDone, 4));
     assert!(topo.sim.san_violations().is_empty(), "{:?}", topo.sim.san_violations());
-    assert!(topo.sim.total_counters().evicted > 0, "the P0 burst must push P7 out");
+    let c = topo.sim.total_counters();
+    assert_eq!((c.evicted, c.dropped), (0, 0), "{c:?}");
     let trace = topo.sim.take_trace_sink().expect("installed");
     let events = trace.as_any().downcast_ref::<netsim::trace::MemorySink>().expect("memory");
-    let evicting = |at: u64| (30_000..40_000).contains(&at);
-    let released = events.events().iter().any(|(at, ev)| {
-        matches!(ev, netsim::TraceEvent::PfcXoff { prio: 7, on: false, .. }) && evicting(*at)
+    let deepest = events.events().iter().filter_map(|(_, ev)| match *ev {
+        netsim::TraceEvent::Enqueue { qlen, .. } => Some(qlen),
+        _ => None,
     });
-    assert!(released, "an eviction drained P7 through XON: it is released at once");
+    assert!(deepest.max() > Some(20_000), "the buffer is no limit: the pauses are");
+}
+
+/// Switches in a ring, one host each, every host blasting to the host two
+/// hops clockwise: each ring link carries two flows, so every switch pauses
+/// the one before it, and the pauses close a cycle. The buffer dependency
+/// that up/down Clos routing cannot form — and the run must say so.
+fn ring(senders: usize) -> (Simulator<Hdr>, netsim::RunReport) {
+    const N: u32 = 5;
+    let mut sim = Simulator::<Hdr>::new();
+    let cfg = SwitchConfig::basic(30_000).with_pfc(PfcConfig::for_buffer(30_000));
+    let (rate, delay) = (Rate::gbps(10), SimDuration::from_micros(1));
+    for i in 0..N {
+        sim.add_switch(cfg.clone());
+        let h = sim.add_host();
+        sim.connect(NodeId::Host(h), NodeId::Switch(SwitchId(i)), rate, delay);
+        sim.set_transport(h, Blast::boxed());
+    }
+    for i in 0..N {
+        sim.connect(
+            NodeId::Switch(SwitchId(i)),
+            NodeId::Switch(SwitchId((i + 1) % N)),
+            rate,
+            delay,
+        );
+    }
+    sim.build_routes();
+    for i in 0..senders as u32 {
+        sim.add_flow(HostId(i), HostId((i + 2) % N), 2_000_000, SimTime::ZERO, 1);
+    }
+    sim.set_sanitizer(SanLevel::PerEpoch);
+    let report = sim.run(RunLimits::default());
+    assert!(sim.san_violations().is_empty(), "{:?}", sim.san_violations());
+    (sim, report)
+}
+
+#[test]
+fn a_cyclic_pause_dependency_stops_the_run_as_a_deadlock() {
+    let (sim, report) = ring(5);
+    assert_eq!(report.stop, StopReason::Deadlock);
+    assert_eq!(report.flows_completed, 0);
+    assert!(report.end_time < SimTime(100_000), "found as it forms: {:?}", report.end_time);
+    assert_eq!(sim.total_counters().dropped, 0, "wedged, not lossy");
+    for s in 0..5 {
+        let paused = (0..sim.port_count(SwitchId(s)) as u16)
+            .any(|p| sim.switch_port_paused_mask(SwitchId(s), p) != 0);
+        assert!(paused, "switch {s} is a link of the cycle");
+    }
+    // One sender fewer leaves a ring link with one flow: no cycle, and the
+    // same detector lets the run finish.
+    let (_, report) = ring(4);
+    assert_eq!((report.stop, report.flows_completed), (StopReason::AllFlowsDone, 4));
 }

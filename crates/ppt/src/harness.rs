@@ -246,7 +246,9 @@ impl Scheme {
 
     /// The switch configuration this scheme requires. With `env.pfc`
     /// set, PFC backpressure (thresholds derived from the port buffer)
-    /// is layered on top of whatever the scheme asked for.
+    /// is layered on top of whatever the scheme asked for, which makes
+    /// the switch lossless: push-out and the buffer limit stop applying,
+    /// range caps and trimming do not (DESIGN.md §15.1).
     pub fn switch_config(&self, env: &SchemeEnv) -> SwitchConfig {
         let cfg = self.base_switch_config(env);
         if env.pfc {

@@ -306,6 +306,28 @@ if grep -n 'retx_queue' crates/transports/src/tcp_base.rs; then
     exit 1
 fi
 
+echo "==> one pause, one port (per-ingress PFC; DESIGN.md §15.1)"
+# A PFC switch books bytes to the port they came in through and pauses the
+# one neighbour behind it. A switch-wide assertion count broadcast to every
+# neighbour is how a ToR and a spine once paused each other into a wedge.
+if grep -rnE 'pfc_broadcast|pfc_xoff_count|priority_mask' crates/netsim crates/ppt crates/pptlab tests; then
+    echo "check.sh: the switch-wide pause is back; key PFC on the ingress port" >&2
+    exit 1
+fi
+
+echo "==> lossless fabric smoke (PFC on a fat-tree: every flow completes, in bounded memory)"
+# The switch-wide pause wedged DCTCP here (103 of 150 flows), and ExpressPass
+# grew gigabytes of credits behind the wedge (at 100 flows neither wedged, so
+# the smoke runs 150); a relapse fails the cap or the completion check.
+pfc_out=$(ulimit -v 1000000 && ./target/release/pptlab compare --schemes dctcp,expresspass \
+    --topo fattree:4:10 --switch pfc --flows 150 --json 2>&1)
+pfc_done=$(printf '%s\n' "$pfc_out" | grep -o '"completion_ratio":1,' | wc -l)
+if [ "$pfc_done" -ne 2 ] || printf '%s\n' "$pfc_out" | grep -q 'stopped abnormally'; then
+    printf '%s\n' "$pfc_out" | grep -v '^{"at"' >&2
+    echo "check.sh: a PFC fat-tree run left flows unfinished" >&2
+    exit 1
+fi
+
 echo "==> runaway smoke (HPCC at a tenth of the buffers finishes in bounded memory)"
 # It once grew its NIC backlog by gigabytes; a 1 GB address-space cap turns
 # a relapse into a failed allocation instead of a machine out of memory.

@@ -13,8 +13,11 @@
 //! 4. digest stability — the per-flow FCT series is byte-identical across
 //!    reruns, across `jobs = 1` vs `jobs = 4`, and across both event-queue
 //!    implementations (calendar default vs the `BinaryHeap` oracle).
+//!
+//! Under PFC (DESIGN.md §15) the same registry must finish losslessly on
+//! the multi-tier fabrics, and PFC that never pauses must be invisible.
 
-use ppt::harness::{run_experiment_with, Experiment, Scheme, TopoKind};
+use ppt::harness::{run_experiment_traced, run_experiment_with, Experiment, Scheme, TopoKind};
 use ppt::netsim::{QueueKind, SanLevel, StopReason};
 use ppt::sweep::run_points;
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
@@ -166,5 +169,62 @@ fn registry_covers_every_harness_scheme_family() {
             scheme.name(),
             fam.name()
         );
+    }
+}
+
+/// The lossless fabric does not wedge: under PFC every registered scheme
+/// finishes every flow on the Oversubscribed leaf-spine and on a k = 4
+/// fat-tree, the run stops because the work is done, the per-epoch audit
+/// (which holds every ingress account within its headroom) stays clean, and
+/// no switch evicts or drops for lack of buffer — the pauses bound its
+/// backlog. A drop can only be a scheme's own range cap (Aeolus).
+#[test]
+fn every_registered_scheme_completes_losslessly_under_pfc_on_the_fabrics() {
+    let schemes = registered_schemes();
+    // On the first load the switch-wide pause broadcast left seven of these
+    // schemes wedged; on the second it tail-dropped for RC3 (the fat-tree
+    // wedge needs 150 flows: check.sh's smoke runs it in release).
+    let fabrics = [(TopoKind::Oversubscribed, 80), (TopoKind::FatTree { k: 4, edge_gbps: 10 }, 60)];
+    for (topo, flows) in fabrics {
+        run_points(schemes.len(), 2, |i| {
+            let scheme = schemes[i].clone();
+            let name = format!("{} on {topo:?}", scheme.name());
+            let spec =
+                WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), flows, 42);
+            let mut exp = Experiment::new(topo, scheme, all_to_all(topo.hosts(), &spec));
+            exp.env.pfc = true;
+            let outcome = run_experiment_with(&exp, |t| t.sim.set_sanitizer(SanLevel::PerEpoch));
+            assert_eq!(outcome.report.stop, StopReason::AllFlowsDone, "{name}: abnormal stop");
+            assert_eq!(outcome.completion_ratio, 1.0, "{name}: completion ratio");
+            let violations = outcome.sim.san_violations();
+            assert!(violations.is_empty(), "{name}: {violations:?}");
+            let c = outcome.sim.total_counters();
+            assert_eq!(c.evicted, 0, "{name}: a PFC switch evicted");
+            if exp.scheme.switch_config(&exp.env).range_caps.is_empty() {
+                assert_eq!(c.dropped, 0, "{name}: a PFC switch dropped");
+            }
+        });
+    }
+}
+
+/// Metamorphic: PFC whose XOFF no backlog reaches is lossy switching with a
+/// buffer nothing fills. Same event stream byte for byte, same FCTs, for
+/// every registered scheme: the ingress accounts, the lossless admission
+/// and the deadlock check observe and never act.
+#[test]
+fn pfc_with_unreachable_xoff_is_lossy_with_an_unbounded_buffer() {
+    for scheme in registered_schemes() {
+        let run = |pfc: bool| {
+            let mut exp = experiment(scheme.clone());
+            // XOFF at a quarter of it: 256 GiB.
+            exp.env.port_buffer = 1 << 40;
+            exp.env.pfc = pfc;
+            let (outcome, trace) = run_experiment_traced(&exp);
+            let fcts: Vec<_> = outcome.fct.records().iter().map(|r| r.fct.as_nanos()).collect();
+            (outcome.report.events, fcts, trace.to_jsonl())
+        };
+        let (lossy, pfc) = (run(false), run(true));
+        assert_eq!(lossy.1, pfc.1, "{}: FCTs", scheme.name());
+        assert!(lossy == pfc, "{}: the event streams differ", scheme.name());
     }
 }

@@ -30,8 +30,9 @@ fn observe(exp: &Experiment) -> Observed {
 
 #[test]
 fn options_are_per_experiment_not_per_process() {
-    // A 6-to-1 incast into a 100 KB port: deep enough past XOFF (a quarter
-    // of the buffer) that the PFC runs must pause.
+    // A 6-to-1 incast into a 20 KB port: PFC accounts each sender's bytes
+    // apart, and each sender's first window alone is past XOFF (a quarter
+    // of the buffer), so the PFC runs must pause.
     let topo = TopoKind::Star { n: 7, rate_gbps: 10, delay_us: 20 };
     let flows = ppt::workloads::incast_burst(6, 300_000, 1_000);
     let mut exps = Vec::new();
@@ -39,7 +40,7 @@ fn options_are_per_experiment_not_per_process() {
         for pfc in [false, true] {
             for sanitize in [None, Some(SanLevel::PerEpoch)] {
                 let mut exp = Experiment::new(topo, scheme.clone(), flows.clone());
-                exp.env = exp.env.scale_buffers(0.1);
+                exp.env = exp.env.scale_buffers(0.02);
                 exp.env.pfc = pfc;
                 exp.sanitize = sanitize;
                 exps.push(exp);
