@@ -96,8 +96,9 @@ impl<P: Payload> Simulator<P> {
     /// The lossless fabric has wedged: nothing is on a wire, no pause
     /// frame is in flight, no transmitter is busy, and backlog remains,
     /// all of it at priorities its port is paused on. Only a dequeue sends
-    /// a resume, and no port can dequeue, so nothing will move it again —
-    /// whatever the hosts' timers send next only joins it. Read-only: a
+    /// a resume, and no port can dequeue, so nothing will move that backlog
+    /// again: what the hosts send later can only join it or pass it by.
+    /// Read-only: a
     /// port whose unpushed `TxDone` lies behind the dispatch point counts
     /// as idle, as [`Self::settle`] would leave it. One branch on a fabric
     /// without PFC.

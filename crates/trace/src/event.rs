@@ -192,16 +192,18 @@ pub enum TraceEvent {
     CwndUpdate { flow: u64, cwnd: u64 },
     /// PIAS demoted `flow` between priority levels.
     PiasDemote { flow: u64, from: u8, to: u8 },
-    /// A switch egress port crossed a PFC threshold for priority `prio`
-    /// and broadcast pause (`on == true`, backlog ≥ XOFF) or resume
-    /// (`on == false`, backlog ≤ XON) frames to every upstream neighbour.
-    /// `qlen` is the priority's backlog at the crossing.
+    /// The bytes switch `sw` holds of priority `prio` that came in through
+    /// `port` crossed a PFC threshold, and the switch sent a pause
+    /// (`on == true`, ≥ XOFF) or resume (`on == false`, ≤ XON) frame back
+    /// through that port to the one neighbour behind it. `qlen` is that
+    /// ingress account at the crossing.
     PfcXoff { sw: u32, port: u16, prio: u8, qlen: u64, on: bool },
     /// A host NIC applied a received pause (`on == true`) or resume
     /// (`on == false`) frame for priority `prio`.
     PfcPause { host: u32, prio: u8, on: bool },
     /// A switch egress port applied a received pause/resume frame for
-    /// priority `prio` (the port faces the congested downstream switch).
+    /// priority `prio` (the port feeds the downstream switch whose
+    /// ingress account it filled).
     PfcSwPause { sw: u32, port: u16, prio: u8, on: bool },
     /// A scheduled fault took `link` down: everything serialized onto it
     /// until the matching [`TraceEvent::LinkUp`] is lost on the wire.

@@ -148,8 +148,7 @@ fn pinned_seed_goldens_hold_on_the_heap_oracle_queue() {
 /// crossings, one frame to the one neighbour that filled the account,
 /// lossless admission) end to end. Its run retransmits, so it moved with
 /// `RECOVERY_GOLDENS` when the scoreboard ring replaced the retransmission
-/// queue, and it moved alone when the pause went from every neighbour to
-/// one (was `(0xb54c_7813_007c_4ff4, 0x9dca_8638_cae2_1323)`).
+/// queue.
 const POWERTCP_GOLDEN: (u64, u64) = (0xbb9e_33ec_99e0_819c, 0x70df_3d3a_e6c6_bb2c);
 const PFC_GOLDEN: (u64, u64) = (0xb886_9142_c5be_5660, 0xf7ac_2e0a_905a_a3f6);
 
