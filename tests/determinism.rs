@@ -293,10 +293,12 @@ fn powertcp_and_pfc_mode_goldens_for_any_job_count() {
     assert_eq!(serial, vec![POWERTCP_GOLDEN, PFC_GOLDEN]);
 }
 
-/// (trace hash, FCT digest) for the pinned fault-injection golden: 1%
-/// data loss plus a host-0 uplink outage from 100 µs to 600 µs. Seed 42's
-/// pair moved with `RECOVERY_GOLDENS` (DESIGN.md §16, "Loss recovery").
-fn fault_golden_digests_on(seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u64) {
+/// (trace hash, FCT digest) for the pinned fault-injection golden on
+/// `scheme`: 1% data loss plus a host-0 uplink outage from 100 µs to
+/// 600 µs. The run must retransmit, or it would not pin the recovery paths
+/// it is kept for. PPT seed 42's pair moved with `RECOVERY_GOLDENS`
+/// (DESIGN.md §16, "Loss recovery").
+fn fault_golden_digests_on(scheme: Scheme, seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u64) {
     use ppt::harness::{run_experiment_traced_with, FaultCmd, FaultSpec};
     use ppt::netsim::SimTime;
     let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
@@ -307,9 +309,14 @@ fn fault_golden_digests_on(seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u6
         from: SimTime(100_000),
         until: SimTime(600_000),
     });
+    let name = scheme.name();
     let (outcome, trace) = run_experiment_traced_with(
-        &Experiment::new(topo, Scheme::Ppt, flows).with_faults(faults),
+        &Experiment::new(topo, scheme, flows).with_faults(faults),
         |t| t.sim.set_queue_kind(queue),
+    );
+    assert!(
+        outcome.report.faults.retransmits > 0,
+        "{name} seed {seed}: a fault run resent nothing"
     );
     let trace_hash = fnv1a64(trace.to_jsonl().as_bytes());
     let mut fct_buf = String::new();
@@ -320,7 +327,45 @@ fn fault_golden_digests_on(seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u6
 }
 
 fn fault_golden_digests(seed: u64) -> (u64, u64) {
-    fault_golden_digests_on(seed, ppt::netsim::QueueKind::Calendar)
+    fault_golden_digests_on(Scheme::Ppt, seed, ppt::netsim::QueueKind::Calendar)
+}
+
+/// The receiver-driven schemes (DESIGN.md §16, "Receiver-driven
+/// endpoints") where `PINNED_GOLDENS` does not reach them, seed 42:
+/// `(scheme, under the fault schedule, trace digest, FCT digest)`. Aeolus
+/// and ExpressPass on the golden workload; all four under
+/// `fault_golden_digests_on`'s schedule, whose loss runs the watchdogs,
+/// RESENDs, probes and request retries.
+const PULL_GOLDENS: [(Scheme, bool, u64, u64); 6] = [
+    (Scheme::Aeolus, false, 0x16d5_4be5_3894_d673, 0x27bb_2ce1_ec41_e1f2),
+    (Scheme::ExpressPass, false, 0xeefc_69e1_3084_5ef4, 0xd4cc_7140_6f04_8575),
+    (Scheme::Ndp, true, 0x6f09_3fb5_1e5f_fda7, 0xf6c9_c4ed_3a1c_628e),
+    (Scheme::Homa, true, 0x835e_fe57_d517_a41e, 0x95f6_88c4_b3d6_1ec1),
+    (Scheme::Aeolus, true, 0x17c9_b086_b94e_8fa7, 0x2287_0489_2931_9074),
+    (Scheme::ExpressPass, true, 0xafa5_76e9_756d_9b48, 0xfc97_d0fd_2af5_0b99),
+];
+
+#[test]
+fn pull_goldens_hold_on_both_queues() {
+    use ppt::netsim::QueueKind;
+    let mut drifted = Vec::new();
+    for queue in [QueueKind::Calendar, QueueKind::Heap] {
+        for (scheme, faulted, want_trace, want_fct) in PULL_GOLDENS {
+            let name = scheme.name();
+            let got = if faulted {
+                fault_golden_digests_on(scheme, 42, queue)
+            } else {
+                golden_digests_on(scheme, 42, queue)
+            };
+            if got != (want_trace, want_fct) {
+                drifted.push(format!(
+                    "{name} (faults: {faulted}) on {queue:?}: trace={:#018x} fct={:#018x}",
+                    got.0, got.1
+                ));
+            }
+        }
+    }
+    assert!(drifted.is_empty(), "pull goldens drifted:\n{}", drifted.join("\n"));
 }
 
 /// The pinned fault golden (seed 42) must also hold on the heap oracle:
@@ -330,7 +375,7 @@ fn fault_golden_digests(seed: u64) -> (u64, u64) {
 #[test]
 fn pinned_fault_golden_holds_on_the_heap_oracle_queue() {
     assert_eq!(
-        fault_golden_digests_on(42, ppt::netsim::QueueKind::Heap),
+        fault_golden_digests_on(Scheme::Ppt, 42, ppt::netsim::QueueKind::Heap),
         (0x1041_346c_da41_7f88_u64, 0xb674_eeec_1b2d_6af1_u64),
         "heap-oracle fault digests diverged from pinned golden (seed 42)"
     );
