@@ -10,9 +10,8 @@ use netsim::trace::{
 };
 use netsim::{Rate, RunLimits, SanLevel, SimDuration, SimTime, SwitchConfig, Topology};
 use transports::{
-    install, DctcpHcp, ExpressPassCfg, ExpressPassTransport, Halfback, HomaCfg, HomaTransport,
-    HpccHcp, Lcp, MwRecorder, NdpCfg, NdpTransport, Oracle, PiasCfg, PowerTcpHcp, Proto, Rc3Cfg,
-    SwiftHcp, Tcp10, TcpCfg, Window,
+    install, DctcpHcp, ExpressPassCfg, Halfback, HomaCfg, HpccHcp, Lcp, MwRecorder, NdpCfg, Oracle,
+    PiasCfg, PowerTcpHcp, Proto, Pull, Rc3Cfg, SwiftHcp, Tcp10, TcpCfg, Window,
 };
 use workloads::FlowSpec;
 
@@ -313,7 +312,7 @@ impl Scheme {
             Scheme::Halfback => install(topo, || Window::new(tcp.clone(), Halfback, ())),
             Scheme::ExpressPass => {
                 let cfg = ExpressPassCfg::new(rate, env.min_rto);
-                install(topo, || ExpressPassTransport::new(cfg.clone(), mss))
+                install(topo, || Pull::new(cfg.clone(), mss))
             }
             Scheme::Ppt => lcp(topo, ppt),
             Scheme::PptNoLcpEcn => lcp(topo, PptConfig { lcp_ecn_enabled: false, ..ppt }),
@@ -335,11 +334,11 @@ impl Scheme {
                 let mut cfg = HomaCfg::new(env.rtt_bytes);
                 cfg.aeolus = *self == Scheme::Aeolus;
                 cfg.resend_timeout = env.min_rto;
-                install(topo, || HomaTransport::new(cfg.clone(), mss))
+                install(topo, || Pull::new(cfg.clone(), mss))
             }
             Scheme::Ndp => {
                 let cfg = NdpCfg::new(rate, rtt, env.min_rto);
-                install(topo, || NdpTransport::new(cfg.clone(), mss))
+                install(topo, || Pull::new(cfg.clone(), mss))
             }
             Scheme::Hpcc => install(topo, || Window::new(tcp.clone(), HpccHcp::new(rate, rtt), ())),
             Scheme::PowerTcp => {

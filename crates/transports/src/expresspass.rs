@@ -15,13 +15,15 @@
 //! are folded into the receiver-side pacer: on a single-bottleneck path
 //! (every topology here bottlenecks at the receiver downlink or a host
 //! uplink) the two are equivalent in the steady state.
+//!
+//! On the wire ([`PullHdr`]) a credit request is a `Request`, a credit a
+//! `Pull`, and the stall watchdog's NACK a `Resend`.
 
-use std::collections::VecDeque;
+use netsim::{Ctx, Packet, Rate, SimDuration};
 
-use netsim::{Ctx, FlowDesc, FlowId, HostId, Packet, Rate, SimDuration, SimTime, Transport};
-
-use crate::common::{FlowTable, IntervalSet, TableStats, Token};
-use crate::proto::{NdpHdr, Proto};
+use crate::common::Token;
+use crate::proto::{Proto, PullHdr};
+use crate::pull::{Grant, Pull, PullRx, PullTx};
 
 /// Credit pacer tick.
 pub const TIMER_EP_CREDIT: u8 = 10;
@@ -30,288 +32,124 @@ pub const TIMER_EP_WATCHDOG: u8 = 11;
 /// Sender-side request retry (covers a lost credit request).
 pub const TIMER_EP_REQUEST: u8 = 12;
 
-/// ExpressPass configuration.
+/// ExpressPass configuration, and the [`Grant`] policy it runs.
 #[derive(Clone, Debug)]
 pub struct ExpressPassCfg {
     /// Downlink rate credits are paced against.
     pub edge_rate: Rate,
-    /// Credit pacing de-rate (the real system's feedback loop converges
-    /// close to full utilization; 0.95 is generous and stable).
-    pub credit_rate_factor: f64,
-    /// Watchdog for stalled incomplete flows.
+    /// Watchdog for stalled incomplete flows, and the sender's request
+    /// retry.
     pub watchdog: SimDuration,
 }
 
 impl ExpressPassCfg {
-    /// Credits paced at 0.95 of `edge_rate`.
+    /// Credit pacing de-rate (the real system's feedback loop converges
+    /// close to full utilization; 0.95 is generous and stable).
+    pub const CREDIT_RATE_FACTOR: f64 = 0.95;
+
+    /// Credits paced at [`Self::CREDIT_RATE_FACTOR`] of `edge_rate`.
     pub fn new(edge_rate: Rate, watchdog: SimDuration) -> Self {
-        ExpressPassCfg { edge_rate, credit_rate_factor: 0.95, watchdog }
+        ExpressPassCfg { edge_rate, watchdog }
     }
-}
-
-struct EpTx {
-    id: FlowId,
-    src: HostId,
-    dst: HostId,
-    size: u64,
-    sent: u64,
-}
-
-struct EpRx {
-    peer: HostId,
-    size: u64,
-    received: IntervalSet,
-    /// Credits already issued (bytes authorized).
-    credited: u64,
-    last_activity: SimTime,
 }
 
 /// The ExpressPass endpoint.
-///
-/// Wire format reuse: credit requests, credits and data ride the
-/// [`NdpHdr`] shapes (`Pull` = credit, `Nack` = credit request carrying
-/// the message size in `len`'s place is *not* done — requests use
-/// `Data { len: 0 }`), since the semantics map one-to-one and the
-/// simulator never inspects these fields.
-pub struct ExpressPassTransport {
-    cfg: ExpressPassCfg,
-    mss: u32,
-    /// Every sender the host started: nothing tells an ExpressPass sender
-    /// that its flow completed, so they stay to the end of the run.
-    tx: FlowTable<EpTx>,
-    /// Receivers still missing bytes.
-    rx: FlowTable<EpRx>,
-    /// The completed ones, each with whether it completed *under-credited*
-    /// (`credited < size`: a retried request had rewound the credit line):
-    /// a late request of such a flow still takes a turn in the credit
-    /// round-robin, which skips it.
-    rx_done: FlowTable<bool>,
-    credit_queue: VecDeque<FlowId>,
-    pacer_armed: bool,
-}
+pub type ExpressPassTransport = Pull<ExpressPassCfg>;
 
-impl ExpressPassTransport {
-    /// New endpoint.
-    pub fn new(cfg: ExpressPassCfg, mss: u32) -> Self {
-        ExpressPassTransport {
-            cfg,
-            mss,
-            tx: FlowTable::new(),
-            rx: FlowTable::new(),
-            rx_done: FlowTable::new(),
-            credit_queue: VecDeque::new(),
-            pacer_armed: false,
-        }
+impl Grant for ExpressPassCfg {
+    const WATCHDOG: u8 = TIMER_EP_WATCHDOG;
+    const PACER: u8 = TIMER_EP_CREDIT;
+    type Tx = ();
+    /// The credit line: bytes authorized.
+    type Rx = u64;
+    /// Whether the flow completed *under-credited* (`credited < size`: a
+    /// retried request had rewound the credit line): a late request of such
+    /// a flow still takes a turn in the credit round-robin, which skips it.
+    type Done = bool;
+
+    fn watchdog(&self) -> SimDuration {
+        self.watchdog
     }
 
-    /// Occupancy of the `(sender, receiver)` tables; only the receivers'
-    /// follows the flows in progress.
-    pub fn flow_tables(&self) -> (TableStats, TableStats) {
-        (self.tx.stats(), self.rx.stats())
-    }
-
-    fn credit_interval(&self) -> SimDuration {
-        let base = self.cfg.edge_rate.serialization_time(netsim::MTU_BYTES as u64);
-        SimDuration::from_nanos((base.as_nanos() as f64 / self.cfg.credit_rate_factor) as u64)
-    }
-
-    fn arm_pacer(&mut self, ctx: &mut Ctx<'_, Proto>) {
-        if !self.pacer_armed && !self.credit_queue.is_empty() {
-            self.pacer_armed = true;
-            ctx.timer_after(
-                self.credit_interval(),
-                Token { kind: TIMER_EP_CREDIT, generation: 0, flow: 0 }.encode(),
-            );
-        }
-    }
-
-    fn pacer_tick(&mut self, ctx: &mut Ctx<'_, Proto>) {
-        let host = ctx.host();
-        let mss = self.mss as u64;
-        self.pacer_armed = false;
-        while let Some(flow) = self.credit_queue.pop_front() {
-            // Completed since it queued, or already fully credited.
-            let Some(m) = self.rx.get_mut(flow).filter(|m| m.credited < m.size) else { continue };
-            m.credited = (m.credited + mss).min(m.size);
-            let peer = m.peer;
-            ctx.send(Packet::ctrl(flow, host, peer, Proto::Ndp(NdpHdr::Pull)));
-            // Still hungry? go to the back of the round-robin.
-            if m.credited < m.size {
-                self.credit_queue.push_back(flow);
-            }
-            break;
-        }
-        self.arm_pacer(ctx);
-    }
-}
-
-impl Transport<Proto> for ExpressPassTransport {
-    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        self.tx.insert(
-            flow.id,
-            EpTx { id: flow.id, src: flow.src, dst: flow.dst, size: flow.size_bytes, sent: 0 },
-        );
+    fn start(&self, tx: &mut PullTx<()>, _mss: u32, ctx: &mut Ctx<'_, Proto>) {
         // Credit request only — the 1st RTT carries no data.
-        let hdr = NdpHdr::Data { offset: 0, len: 0, msg_size: flow.size_bytes, retx: false };
-        ctx.send(Packet::ctrl(flow.id, flow.src, flow.dst, Proto::Ndp(hdr)));
+        ctx.send(tx.ctrl(PullHdr::Request { msg_size: tx.size, retry: false }));
         // Retry the request if no credit ever arrives (lost request).
-        ctx.timer_after(
-            self.cfg.watchdog,
-            Token { kind: TIMER_EP_REQUEST, generation: 0, flow: flow.id.0 }.encode(),
-        );
+        let token = Token { kind: TIMER_EP_REQUEST, generation: 0, flow: tx.id.0 };
+        ctx.timer_after(self.watchdog, token.encode());
     }
 
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        let Proto::Ndp(hdr) = &pkt.payload else {
-            unreachable!("ExpressPass endpoint received an alien packet")
-        };
-        match hdr {
-            // Credit request (len == 0) or data.
-            NdpHdr::Data { offset, len, msg_size, retx } => {
-                let (offset, len, msg_size, retx) = (*offset, *len, *msg_size, *retx);
-                let flow = pkt.flow;
-                let now = ctx.now();
-                let mut first = false;
-                let m = match self.rx.get_mut(flow) {
-                    Some(m) => m,
-                    None => {
-                        if let Some(&under_credited) = self.rx_done.get(flow) {
-                            // Late packet of a completed flow.
-                            if len == 0 && under_credited {
-                                self.credit_queue.push_back(flow);
-                                self.arm_pacer(ctx);
-                            }
-                            return;
-                        }
-                        first = true;
-                        let (size, received) = (msg_size, IntervalSet::new());
-                        let m =
-                            EpRx { peer: pkt.src, size, received, credited: 0, last_activity: now };
-                        self.rx.insert(flow, m)
-                    }
-                };
-                m.last_activity = now;
-                if len == 0 {
-                    // Request: admit to the credit round-robin. A *retried*
-                    // request means the sender is still at byte zero — any
-                    // credits we issued were lost, so re-issue from what we
-                    // actually hold. (Without this, a lost credit deadlocks:
-                    // retries refresh `last_activity`, muzzling the stall
-                    // watchdog, while `credited` claims the flow is served.)
-                    if retx {
-                        m.credited = m.received.covered_bytes();
-                    }
-                    if first || m.credited < m.size {
-                        self.credit_queue.push_back(flow);
-                        self.arm_pacer(ctx);
-                    }
-                    if first {
-                        ctx.timer_after(
-                            self.cfg.watchdog,
-                            Token { kind: TIMER_EP_WATCHDOG, generation: 0, flow: flow.0 }.encode(),
-                        );
+    fn done(rx: &PullRx<u64>) -> bool {
+        rx.policy < rx.size
+    }
+
+    /// Every hole below the credit line: the sender's `sent` pointer only
+    /// moves forward and the pacer cannot re-issue spent credits, so
+    /// recovery must be an explicit NACK (which also covers lost credits:
+    /// the sender treats a NACK as authorization to (re)send the range).
+    fn stall_line(rx: &PullRx<u64>) -> u64 {
+        rx.received.covered_bytes().max(rx.policy).min(rx.size)
+    }
+
+    fn pace_interval(&self) -> SimDuration {
+        let base = self.edge_rate.serialization_time(netsim::MTU_BYTES as u64);
+        SimDuration::from_nanos((base.as_nanos() as f64 / Self::CREDIT_RATE_FACTOR) as u64)
+    }
+
+    /// A credit for one more MSS; still hungry, to the back of the
+    /// round-robin. Fully credited: skipped.
+    fn turn(rx: &mut PullRx<u64>, mss: u32) -> Option<bool> {
+        (rx.policy < rx.size).then(|| {
+            rx.policy = (rx.policy + mss as u64).min(rx.size);
+            rx.policy < rx.size
+        })
+    }
+
+    /// A request: admit the flow to the credit round-robin.
+    fn on_control(ep: &mut Pull<Self>, pkt: &Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
+        let Proto::Pull(PullHdr::Request { msg_size, retry }) = pkt.payload else { return };
+        let (flow, now) = (pkt.flow, ctx.now());
+        let mut first = false;
+        let m = match ep.rx.get_mut(flow) {
+            Some(m) => m,
+            None => {
+                if let Some(&under_credited) = ep.rx_done.get(flow) {
+                    // Late request of a completed flow.
+                    if under_credited {
+                        ep.pace(flow, ctx);
                     }
                     return;
                 }
-                m.received.insert(offset, offset + len as u64);
-                if m.received.covers(m.size) {
-                    let under_credited = m.credited < m.size;
-                    ctx.flow_completed(flow);
-                    self.rx.retire(flow);
-                    self.rx_done.insert(flow, under_credited);
-                }
+                first = true;
+                ep.rx.insert(flow, PullRx::new(pkt.src, msg_size, now, 0))
             }
-            // Recovery: resend a lost range (stall watchdog path).
-            NdpHdr::Nack { offset, len } => {
-                let (offset, len) = (*offset, *len);
-                let mss = self.mss as u64;
-                let Some(tx) = self.tx.get(pkt.flow) else { return };
-                let mut off = offset;
-                let end = (offset + len as u64).min(tx.size);
-                while off < end {
-                    let take = ((end - off).min(mss)) as u32;
-                    ctx.note_retransmit(tx.id);
-                    let hdr =
-                        NdpHdr::Data { offset: off, len: take, msg_size: tx.size, retx: true };
-                    let p = Packet::data(tx.id, tx.src, tx.dst, take, Proto::Ndp(hdr))
-                        .with_priority(1)
-                        .without_ecn();
-                    ctx.send(p);
-                    off += take as u64;
-                }
-            }
-            // Credit: release one data packet.
-            NdpHdr::Pull => {
-                let mss = self.mss as u64;
-                let Some(tx) = self.tx.get_mut(pkt.flow) else { return };
-                if tx.sent < tx.size {
-                    let len = ((tx.size - tx.sent).min(mss)) as u32;
-                    let hdr = NdpHdr::Data { offset: tx.sent, len, msg_size: tx.size, retx: false };
-                    let p = Packet::data(tx.id, tx.src, tx.dst, len, Proto::Ndp(hdr))
-                        .with_priority(1)
-                        .without_ecn();
-                    tx.sent += len as u64;
-                    ctx.send(p);
-                }
-            }
-            _ => {}
+        };
+        m.last_activity = now;
+        // A *retried* request means the sender is still at byte zero — any
+        // credits we issued were lost, so re-issue from what we actually
+        // hold. (Without this, a lost credit deadlocks: retries refresh
+        // `last_activity`, muzzling the stall watchdog, while the credit
+        // line claims the flow is served.)
+        if retry {
+            m.policy = m.received.covered_bytes();
+        }
+        if first || m.policy < m.size {
+            ep.pace(flow, ctx);
+        }
+        if first {
+            ep.arm_watchdog(flow, ctx);
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        match token.kind {
-            TIMER_EP_CREDIT => self.pacer_tick(ctx),
-            TIMER_EP_REQUEST => {
-                let flow = FlowId(token.flow);
-                let Some(tx) = self.tx.get(flow) else { return };
-                if tx.sent == 0 && tx.size > 0 {
-                    let hdr = NdpHdr::Data { offset: 0, len: 0, msg_size: tx.size, retx: true };
-                    ctx.send(Packet::ctrl(tx.id, tx.src, tx.dst, Proto::Ndp(hdr)));
-                    ctx.timer_after(
-                        self.cfg.watchdog,
-                        Token { kind: TIMER_EP_REQUEST, generation: 0, flow: token.flow }.encode(),
-                    );
-                }
-            }
-            TIMER_EP_WATCHDOG => {
-                let flow = FlowId(token.flow);
-                let watchdog = self.cfg.watchdog;
-                // A completed flow's watchdog finds nothing and stops.
-                let Some(m) = self.rx.get(flow) else { return };
-                if ctx.now().saturating_since(m.last_activity) >= watchdog {
-                    // Ask the sender to resend every hole below the credit
-                    // line — its `sent` pointer only moves forward and the
-                    // pacer cannot re-issue spent credits, so recovery must
-                    // be an explicit NACK (this also covers lost credits:
-                    // the sender treats a NACK as authorization to (re)send
-                    // the range).
-                    let host = ctx.host();
-                    let peer = m.peer;
-                    let mut gaps = Vec::new();
-                    let mut cursor = 0;
-                    let upto = m.received.covered_bytes().max(m.credited).min(m.size);
-                    while let Some((s, e)) = m.received.first_gap(cursor, upto) {
-                        gaps.push((s, (e - s).min(u32::MAX as u64) as u32));
-                        cursor = e;
-                    }
-                    for (off, len) in gaps {
-                        ctx.send(Packet::ctrl(
-                            flow,
-                            host,
-                            peer,
-                            Proto::Ndp(NdpHdr::Nack { offset: off, len }),
-                        ));
-                    }
-                    self.credit_queue.push_back(flow);
-                    self.arm_pacer(ctx);
-                }
-                ctx.timer_after(
-                    watchdog,
-                    Token { kind: TIMER_EP_WATCHDOG, generation: 0, flow: token.flow }.encode(),
-                );
-            }
-            _ => {}
+    /// The sender's request retry, until the first credit arrives.
+    fn on_timer(ep: &mut Pull<Self>, token: Token, ctx: &mut Ctx<'_, Proto>) {
+        if token.kind != TIMER_EP_REQUEST {
+            return;
+        }
+        let Some(tx) = ep.tx.get(netsim::FlowId(token.flow)) else { return };
+        if tx.sent == 0 && tx.size > 0 {
+            ctx.send(tx.ctrl(PullHdr::Request { msg_size: tx.size, retry: true }));
+            ctx.timer_after(ep.g.watchdog, token.encode());
         }
     }
 }
@@ -319,7 +157,8 @@ impl Transport<Proto> for ExpressPassTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{star, RunLimits, SwitchConfig};
+    use crate::common::TableStats;
+    use netsim::{star, FlowId, HostId, RunLimits, SimTime, SwitchConfig, Transport};
 
     pub(super) fn install_expresspass(topo: &mut netsim::Topology<Proto>, watchdog: SimDuration) {
         let cfg = ExpressPassCfg::new(topo.edge_rate, watchdog);
@@ -374,15 +213,16 @@ mod tests {
     fn a_completed_receiver_is_retired_and_late_packets_do_what_they_did() {
         use crate::common::testkit::drive;
         let me = HostId(1);
-        let cfg = ExpressPassCfg {
-            edge_rate: Rate::gbps(10),
-            credit_rate_factor: 0.95,
-            watchdog: SimDuration::from_millis(1),
-        };
+        let cfg =
+            ExpressPassCfg { edge_rate: Rate::gbps(10), watchdog: SimDuration::from_millis(1) };
         let mut t = ExpressPassTransport::new(cfg, 1000);
-        let pkt_of = |flow: u64, offset: u64, len: u32, msg_size: u64, retx: bool| {
-            let hdr = NdpHdr::Data { offset, len, msg_size, retx };
-            Packet::ctrl(FlowId(flow), HostId(0), me, Proto::Ndp(hdr))
+        // A credit request when `len` is 0, data otherwise.
+        let pkt_of = |flow: u64, offset: u64, len: u32, msg_size: u64, retry: bool| {
+            let hdr = match len {
+                0 => PullHdr::Request { msg_size, retry },
+                _ => PullHdr::Data { offset, len, msg_size },
+            };
+            Packet::ctrl(FlowId(flow), HostId(0), me, Proto::Pull(hdr))
         };
         let pkt = |len: u32, retx: bool| pkt_of(7, 0, len, 1000, retx);
         let request = drive(SimTime(10), me, |ctx| t.on_packet(pkt(0, false), ctx));
@@ -400,7 +240,7 @@ mod tests {
         assert!(drive(SimTime(7_000), me, |ctx| t.on_packet(pkt(0, true), ctx)).nothing());
         assert!(drive(watchdog.0, me, |ctx| t.on_timer(watchdog.1, ctx)).nothing());
         // A stale turn in the credit round-robin is skipped.
-        t.credit_queue.push_back(FlowId(7));
+        t.paced.push_back(FlowId(7));
         assert!(drive(SimTime(8_000), me, |ctx| t.on_timer(credit_tick.1, ctx)).nothing());
         assert_eq!(t.flow_tables().1, TableStats { live: 0, high_water: 1 });
 
@@ -413,7 +253,7 @@ mod tests {
             drive(SimTime(9_200), me, |ctx| t.on_packet(pkt_of(8, 1000, 1000, 2000, false), ctx));
         assert_eq!(done.completed, vec![FlowId(8)]);
         assert_eq!(t.rx_done.get(FlowId(8)), Some(&true));
-        t.credit_queue.clear();
+        t.paced.clear();
         t.pacer_armed = false;
         let late = drive(SimTime(9_300), me, |ctx| t.on_packet(pkt_of(8, 0, 0, 2000, true), ctx));
         assert!(late.packets.is_empty() && late.completed.is_empty());

@@ -16,17 +16,17 @@
 
 use std::collections::VecDeque;
 
-use netsim::{Ctx, FlowDesc, FlowId, HostId, Packet, Rate, SimDuration, SimTime, Transport};
+use netsim::{Ctx, FlowId, Rate, SimDuration};
 
-use crate::common::{FlowTable, IntervalSet, TableStats, Token};
-use crate::proto::{NdpHdr, Proto};
+use crate::proto::Proto;
+use crate::pull::{send, Grant, Pull, PullTx, PULLED_PRIORITY};
 
 /// Receiver pull-pacer tick.
 pub const TIMER_NDP_PULL: u8 = 7;
 /// Receiver stall watchdog.
 pub const TIMER_NDP_WATCHDOG: u8 = 8;
 
-/// NDP configuration.
+/// NDP configuration, and the [`Grant`] policy it runs.
 #[derive(Clone, Debug)]
 pub struct NdpCfg {
     /// First-window size (one BDP).
@@ -44,272 +44,71 @@ impl NdpCfg {
     }
 }
 
-struct NdpTx {
-    id: FlowId,
-    src: HostId,
-    dst: HostId,
-    size: u64,
-    /// Next new byte.
-    sent: u64,
-    /// NACKed ranges awaiting a pull.
-    retx_queue: VecDeque<(u64, u32)>,
-}
-
-struct NdpRx {
-    peer: HostId,
-    size: u64,
-    received: IntervalSet,
-    last_activity: SimTime,
-}
-
 /// The NDP endpoint.
-pub struct NdpTransport {
-    cfg: NdpCfg,
-    mss: u32,
-    /// Every sender the host started: nothing tells an NDP sender that its
-    /// flow completed, so they stay to the end of the run.
-    tx: FlowTable<NdpTx>,
-    /// Receivers still missing bytes.
-    rx: FlowTable<NdpRx>,
-    /// The completed ones. A late trimmed header still earns its NACK and
-    /// pull; both go by what the packet says, so the mark is all there is.
-    rx_done: FlowTable<()>,
-    /// Receiver-side pull queue (one token per expected packet).
-    pull_queue: VecDeque<FlowId>,
-    pacer_armed: bool,
-}
+pub type NdpTransport = Pull<NdpCfg>;
 
-impl NdpTransport {
-    /// New endpoint.
-    pub fn new(cfg: NdpCfg, mss: u32) -> Self {
-        NdpTransport {
-            cfg,
-            mss,
-            tx: FlowTable::new(),
-            rx: FlowTable::new(),
-            rx_done: FlowTable::new(),
-            pull_queue: VecDeque::new(),
-            pacer_armed: false,
-        }
+/// A stalled receiver NACKs every gap up to the message size: whole-packet
+/// loss (a failed link, not the trimmer) leaves holes no trimmed header
+/// ever advertised. Each NACKed MSS, and the stall itself, earns a pull.
+impl Grant for NdpCfg {
+    const WATCHDOG: u8 = TIMER_NDP_WATCHDOG;
+    const PACER: u8 = TIMER_NDP_PULL;
+    const TRIMMABLE: bool = true;
+    const PULLS_PER_REQUEST: bool = true;
+    /// NACKed ranges awaiting a pull.
+    type Tx = VecDeque<(u64, u32)>;
+    type Rx = ();
+    /// The completed mark: a late trimmed header still earns its NACK and
+    /// pull, and both go by what the packet says.
+    type Done = ();
+
+    fn watchdog(&self) -> SimDuration {
+        self.watchdog
     }
 
-    /// Occupancy of the `(sender, receiver)` tables; only the receivers'
-    /// follows the flows in progress.
-    pub fn flow_tables(&self) -> (TableStats, TableStats) {
-        (self.tx.stats(), self.rx.stats())
-    }
-
-    fn data_packet(tx: &NdpTx, offset: u64, len: u32, retx: bool) -> Packet<Proto> {
-        let hdr = NdpHdr::Data { offset, len, msg_size: tx.size, retx };
-        Packet::data(tx.id, tx.src, tx.dst, len, Proto::Ndp(hdr))
-            .with_priority(1)
-            .with_trimmable(true)
-            .without_ecn()
-    }
-
-    /// Release one packet in response to a PULL: retransmissions first,
-    /// then new data.
-    fn release_one(&mut self, id: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let mss = self.mss as u64;
-        let Some(tx) = self.tx.get_mut(id) else { return };
-        if let Some((off, len)) = tx.retx_queue.pop_front() {
-            let take = len.min(mss as u32);
-            if (take as u64) < len as u64 {
-                tx.retx_queue.push_front((off + take as u64, len - take));
-            }
-            ctx.note_retransmit(tx.id);
-            let pkt = Self::data_packet(tx, off, take, true);
-            ctx.send(pkt);
-            return;
-        }
-        if tx.sent < tx.size {
-            let len = ((tx.size - tx.sent).min(mss)) as u32;
-            let pkt = Self::data_packet(tx, tx.sent, len, false);
-            tx.sent += len as u64;
-            ctx.send(pkt);
-        }
-    }
-
-    fn enqueue_pull(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        self.pull_queue.push_back(flow);
-        if !self.pacer_armed {
-            self.pacer_armed = true;
-            // First pull fires after one packet service time.
-            ctx.timer_after(
-                self.cfg.edge_rate.serialization_time(netsim::MTU_BYTES as u64),
-                Token { kind: TIMER_NDP_PULL, generation: 0, flow: 0 }.encode(),
-            );
-        }
-    }
-
-    fn pacer_tick(&mut self, ctx: &mut Ctx<'_, Proto>) {
-        let host = ctx.host();
-        // Skip pulls for flows that completed since enqueueing.
-        while let Some(flow) = self.pull_queue.pop_front() {
-            if let Some(m) = self.rx.get(flow) {
-                ctx.send(Packet::ctrl(flow, host, m.peer, Proto::Ndp(NdpHdr::Pull)));
-                break;
-            }
-        }
-        if self.pull_queue.is_empty() {
-            self.pacer_armed = false;
-        } else {
-            ctx.timer_after(
-                self.cfg.edge_rate.serialization_time(netsim::MTU_BYTES as u64),
-                Token { kind: TIMER_NDP_PULL, generation: 0, flow: 0 }.encode(),
-            );
-        }
-    }
-}
-
-impl Transport<Proto> for NdpTransport {
-    fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
-        let first = flow.size_bytes.min(self.cfg.initial_window_bytes);
-        let tx = NdpTx {
-            id: flow.id,
-            src: flow.src,
-            dst: flow.dst,
-            size: flow.size_bytes,
-            sent: first,
-            retx_queue: VecDeque::new(),
-        };
+    fn start(&self, tx: &mut PullTx<Self::Tx>, mss: u32, ctx: &mut Ctx<'_, Proto>) {
         // Line-rate first window.
-        let mss = self.mss as u64;
-        let mut off = 0;
-        while off < first {
-            let len = ((first - off).min(mss)) as u32;
-            ctx.send(Self::data_packet(&tx, off, len, false));
-            off += len as u64;
-        }
-        self.tx.insert(flow.id, tx);
+        tx.sent = tx.size.min(self.initial_window_bytes);
+        send::<Self>(tx, (0, tx.sent), PULLED_PRIORITY, false, mss, ctx);
     }
 
-    fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        let Proto::Ndp(hdr) = &pkt.payload else {
-            unreachable!("NDP endpoint received a non-NDP packet")
-        };
-        match hdr {
-            NdpHdr::Data { offset, len, msg_size, .. } => {
-                let (offset, len, msg_size) = (*offset, *len, *msg_size);
-                let flow = pkt.flow;
-                let peer = pkt.src;
-                let now = ctx.now();
-                // `None`: a late packet of a completed flow.
-                let m = match self.rx.get_mut(flow) {
-                    Some(m) => {
-                        m.last_activity = now;
-                        Some(m)
-                    }
-                    None if self.rx_done.contains(flow) => None,
-                    None => {
-                        ctx.timer_after(
-                            self.cfg.watchdog,
-                            Token { kind: TIMER_NDP_WATCHDOG, generation: 0, flow: flow.0 }
-                                .encode(),
-                        );
-                        let (size, received) = (msg_size, IntervalSet::new());
-                        Some(
-                            self.rx
-                                .insert(flow, NdpRx { peer, size, received, last_activity: now }),
-                        )
-                    }
-                };
-                if pkt.trimmed {
-                    // Payload was cut: NACK so the sender requeues it, and
-                    // pull it through the pacer like any other packet.
-                    let host = ctx.host();
-                    ctx.send(Packet::ctrl(
-                        flow,
-                        host,
-                        peer,
-                        Proto::Ndp(NdpHdr::Nack { offset, len }),
-                    ));
-                    self.enqueue_pull(flow, ctx);
-                    return;
-                }
-                let Some(m) = m else { return };
-                m.received.insert(offset, offset + len as u64);
-                if m.received.covers(m.size) {
-                    ctx.flow_completed(flow);
-                    self.rx.retire(flow);
-                    self.rx_done.insert(flow, ());
-                } else {
-                    self.enqueue_pull(flow, ctx);
-                }
-            }
-            NdpHdr::Nack { offset, len } => {
-                let (offset, len) = (*offset, *len);
-                if let Some(tx) = self.tx.get_mut(pkt.flow) {
-                    // Back of the queue: `release_one` pops the front, so
-                    // trimmed ranges are resent in NACK-arrival order,
-                    // ahead of any new data.
-                    tx.retx_queue.push_back((offset, len));
-                    // A NACK may reach past `sent` (watchdog recovery of a
-                    // dead pull chain): the range is queued for delivery
-                    // now, so never send it again as "new" data.
-                    tx.sent = tx.sent.max(offset + len as u64);
-                }
-            }
-            NdpHdr::Pull => {
-                self.release_one(pkt.flow, ctx);
-            }
-            NdpHdr::Ack { .. } => {}
+    fn arrived(ep: &mut Pull<Self>, flow: FlowId, live: bool, ctx: &mut Ctx<'_, Proto>) {
+        if live {
+            ep.pace(flow, ctx);
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token::decode(token);
-        match token.kind {
-            TIMER_NDP_PULL => self.pacer_tick(ctx),
-            TIMER_NDP_WATCHDOG => {
-                let flow = FlowId(token.flow);
-                let watchdog = self.cfg.watchdog;
-                // A completed flow's watchdog finds nothing and stops.
-                let Some(m) = self.rx.get(flow) else { return };
-                if ctx.now().saturating_since(m.last_activity) >= watchdog {
-                    // Whole-packet loss (a failed link, not the trimmer)
-                    // leaves holes no trimmed header ever advertised: NACK
-                    // every gap up to the message size so the sender
-                    // requeues them, with one pull per missing packet to
-                    // clock them out.
-                    let host = ctx.host();
-                    let mss = self.mss as u64;
-                    let peer = m.peer;
-                    let mut gaps = Vec::new();
-                    let mut cursor = 0;
-                    while let Some((s, e)) = m.received.first_gap(cursor, m.size) {
-                        gaps.push((s, (e - s).min(u32::MAX as u64) as u32));
-                        cursor = e;
-                    }
-                    for (off, len) in gaps {
-                        ctx.send(Packet::ctrl(
-                            flow,
-                            host,
-                            peer,
-                            Proto::Ndp(NdpHdr::Nack { offset: off, len }),
-                        ));
-                        for _ in 0..(len as u64).div_ceil(mss) {
-                            self.enqueue_pull(flow, ctx);
-                        }
-                    }
-                    // Kick the sender with an extra pull (covers lost
-                    // pulls/NACKs/headers).
-                    self.enqueue_pull(flow, ctx);
-                }
-                ctx.timer_after(
-                    watchdog,
-                    Token { kind: TIMER_NDP_WATCHDOG, generation: 0, flow: token.flow }.encode(),
-                );
-            }
-            _ => {}
+    fn on_resend(&self, tx: &mut PullTx<Self::Tx>, offset: u64, len: u32) -> Option<u8> {
+        // Back of the queue: `queued_resend` pops the front, so NACKed
+        // ranges are resent in arrival order, ahead of any new data.
+        tx.policy.push_back((offset, len));
+        // A NACK may reach past `sent` (watchdog recovery of a dead pull
+        // chain): the range is queued for delivery now, so never send it
+        // again as "new" data.
+        tx.sent = tx.sent.max(offset + len as u64);
+        None
+    }
+
+    fn queued_resend(queue: &mut Self::Tx, mss: u32) -> Option<(u64, u32)> {
+        let (offset, len) = queue.pop_front()?;
+        let take = len.min(mss);
+        if take < len {
+            queue.push_front((offset + take as u64, len - take));
         }
+        Some((offset, take))
+    }
+
+    fn pace_interval(&self) -> SimDuration {
+        self.edge_rate.serialization_time(netsim::MTU_BYTES as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{star, RunLimits, SwitchConfig};
+    use crate::common::TableStats;
+    use crate::proto::PullHdr;
+    use netsim::{star, HostId, Packet, RunLimits, SimTime, SwitchConfig, Transport};
 
     fn install_ndp(topo: &mut netsim::Topology<Proto>, watchdog: SimDuration) {
         let cfg = NdpCfg::new(topo.edge_rate, topo.base_rtt, watchdog);
@@ -386,8 +185,8 @@ mod tests {
         };
         let mut t = NdpTransport::new(cfg, 1000);
         let pkt = |offset: u64, trimmed: bool| {
-            let hdr = NdpHdr::Data { offset, len: 1000, msg_size: 2000, retx: false };
-            let mut p = Packet::data(FlowId(7), HostId(0), me, 1000, Proto::Ndp(hdr));
+            let hdr = PullHdr::Data { offset, len: 1000, msg_size: 2000 };
+            let mut p = Packet::data(FlowId(7), HostId(0), me, 1000, Proto::Pull(hdr));
             p.trimmed = trimmed;
             p
         };
@@ -410,8 +209,10 @@ mod tests {
         assert!(late.completed.is_empty(), "a flow completes once");
         assert_eq!(late.packets.len(), 1);
         assert_eq!(late.packets[0].dst, HostId(0));
-        let nacked =
-            matches!(late.packets[0].payload, Proto::Ndp(NdpHdr::Nack { offset: 1000, len: 1000 }));
+        let nacked = matches!(
+            late.packets[0].payload,
+            Proto::Pull(PullHdr::Resend { offset: 1000, len: 1000 })
+        );
         assert!(nacked, "{:?}", late.packets[0].payload);
         assert_eq!(late.timers.len(), 1, "the pull arms the pacer");
         assert!(drive(SimTime(60), me, |ctx| t.on_timer(late.timers[0].1, ctx)).nothing());

@@ -162,33 +162,27 @@ pub struct AckHdr {
     pub int_echo: Option<Box<IntStack>>,
 }
 
-/// Homa-family headers.
-#[derive(Clone, Debug)]
-pub enum HomaHdr {
-    /// Data (unscheduled in the first RTTbytes, scheduled afterwards).
-    Data { offset: u64, len: u32, msg_size: u64, unscheduled: bool, retx: bool },
-    /// Receiver grant: sender may transmit up to `granted_offset` at
-    /// priority `prio`.
-    Grant { granted_offset: u64, prio: u8 },
-    /// Receiver asks for retransmission of `[offset, offset+len)`.
-    Resend { offset: u64, len: u32 },
-    /// Aeolus probe: trails the unscheduled burst; tells the receiver how
-    /// many unscheduled bytes were sent so lost ones are detected at once.
-    Probe { unscheduled_sent: u64, msg_size: u64 },
-}
-
-/// NDP headers.
-#[derive(Clone, Debug)]
-pub enum NdpHdr {
-    /// Data packet (trimmable; a trimmed one arrives with
-    /// `Packet::trimmed == true` and no payload).
-    Data { offset: u64, len: u32, msg_size: u64, retx: bool },
-    /// Receiver acknowledges a full data packet.
-    Ack { offset: u64 },
-    /// Receiver reports a trimmed packet (sender must requeue the range).
-    Nack { offset: u64, len: u32 },
-    /// Receiver-paced pull: sender may release one more packet.
+/// Receiver-driven header (NDP, Homa, Aeolus, ExpressPass; `pull.rs`).
+#[derive(Clone, Copy, Debug)]
+pub enum PullHdr {
+    /// Data. An NDP switch may trim it: it then arrives with
+    /// `Packet::trimmed == true` and no payload.
+    Data { offset: u64, len: u32, msg_size: u64 },
+    /// Receiver-paced: the sender may release one more packet (NDP's
+    /// pull, ExpressPass's credit).
     Pull,
+    /// The sender may transmit up to `granted_offset` at priority `prio`
+    /// (Homa).
+    Grant { granted_offset: u64, prio: u8 },
+    /// The receiver asks for `[offset, offset + len)` again (NDP's NACK,
+    /// Homa's RESEND, ExpressPass's NACK).
+    Resend { offset: u64, len: u32 },
+    /// Aeolus: trails the unscheduled burst and tells the receiver how many
+    /// unscheduled bytes were sent, so lost ones are detected at once.
+    Probe { unscheduled_sent: u64, msg_size: u64 },
+    /// ExpressPass: a `msg_size`-byte message asks for credits; `retry`
+    /// when the sender has had none since its last request.
+    Request { msg_size: u64, retry: bool },
 }
 
 /// The union header.
@@ -196,8 +190,7 @@ pub enum NdpHdr {
 pub enum Proto {
     Data(DataHdr),
     Ack(AckHdr),
-    Homa(HomaHdr),
-    Ndp(NdpHdr),
+    Pull(PullHdr),
 }
 
 // A packet is stored once, in the engine's pool, but it is still moved by

@@ -71,13 +71,19 @@ for f in common tcp_base rx; do
     fi
 done
 
-echo "==> one TCP-family endpoint (Window, and Lcp over it; DESIGN.md §16)"
-# ExpressPass, Homa, NDP, Window, Lcp. A sixth `impl Transport` is a copy of
-# Window's ACK / RTO / retire loop: write an Hcp or a Beside instead. Data
-# packets are built in two places, hcp::{send_hcp, low_packet}.
+echo "==> one TCP-family endpoint and one receiver-driven endpoint (Window, Lcp, Pull; DESIGN.md §16)"
+# Window, Lcp over it, and Pull. A fourth `impl Transport` is a copy of
+# Window's ACK / RTO / retire loop or of Pull's grant / watchdog / pacer
+# loop: write an Hcp, a Beside or a Grant instead. TCP-family data packets
+# are built in two places, hcp::{send_hcp, low_packet}.
 impls=$(grep -c 'Transport<Proto> for' crates/transports/src/*.rs | awk -F: '{ n += $2 } END { print n }')
-if [ "$impls" -gt 5 ]; then
-    echo "check.sh: $impls Transport<Proto> impls under crates/transports/src (at most 5)" >&2
+if [ "$impls" -gt 3 ]; then
+    echo "check.sh: $impls Transport<Proto> impls under crates/transports/src (at most 3)" >&2
+    exit 1
+fi
+# NDP, Homa, Aeolus and ExpressPass share one header, PullHdr.
+if grep -rnE 'NdpHdr|HomaHdr|Proto::(Ndp|Homa)\b' crates tests examples benchmarks; then
+    echo "check.sh: a per-scheme receiver-driven header is back; use PullHdr" >&2
     exit 1
 fi
 hdrs=0
