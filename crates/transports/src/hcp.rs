@@ -291,7 +291,7 @@ impl<H: Hcp, L: Beside> Transport<Proto> for Window<H, L> {
     }
 
     fn cc_snapshot(&self) -> netsim::CcSnapshot {
-        crate::common::cc_snapshot(self.tx.values().map(|(tx, ..)| (tx, 0)))
+        crate::common::cc_snapshot(self.tx.iter().map(|(_, (tx, ..))| (tx, 0)))
     }
 }
 

@@ -363,8 +363,8 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
         // in-flight is already covered by the HCP's.
         crate::common::cc_snapshot(
             self.tx
-                .values()
-                .map(|f| (&f.tx, f.lcp.as_ref().map_or(0, |l| l.initial_window_bytes()))),
+                .iter()
+                .map(|(_, f)| (&f.tx, f.lcp.as_ref().map_or(0, |l| l.initial_window_bytes()))),
         )
     }
 }
