@@ -35,9 +35,11 @@
 //! | [`workloads`] | flow-size CDFs, Poisson arrivals, traffic patterns |
 //! | `stats` (re-exported as `dcn_stats`) | FCT / utilization / occupancy statistics |
 //! | [`figures`] | every paper table & figure as one table, run by `pptlab figure` |
+//! | [`spec`] | the run grammar: the scheme, topology and workload tables, options → `Experiment`s |
 
 pub mod figures;
 pub mod harness;
+pub mod spec;
 pub mod sweep;
 pub mod table1;
 

@@ -49,6 +49,30 @@ if grep -rn 'set_var' tests/; then
     exit 1
 fi
 
+echo "==> one run grammar (ppt::spec parses every run into Experiments; one scheme table; DESIGN.md §10.1)"
+# pptlab keeps its commands and their printing; every option value is
+# parsed by ppt::spec, and the harness's telemetry knobs are the engine's
+# own TelemetryConfig. A private options struct is how a second path back.
+if grep -rnE '\b(RunOpts|RunSetup)\b|struct TelemetrySpec' crates tests examples; then
+    echo "check.sh: a second options path is back; parse run options in ppt::spec" >&2
+    exit 1
+fi
+# Scheme ids and display names are the rows of spec::SCHEMES, which
+# Scheme::all, Scheme::name, parsing and `pptlab schemes` all read. An id or
+# a name of a variant in code elsewhere (comments and tests aside) is a
+# second list to keep in step.
+for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    [ "$f" = crates/ppt/src/spec.rs ] && continue
+    if awk '/#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+            /"(ppt-no[a-z]+|hpcc-ppt|swift-ppt|PPT w\/o [A-Za-z]+|PPT-over-[A-Za-z]+|Swift-like)"/ ||
+            /"(ppt-fill|rc3-cap):|"(PPT fill |RC3 lp-buf |hypothetical DCTCP \()(\{|<f>)/ {
+                print FILENAME ":" FNR ": " $0; hit = 1 }
+            END { exit !hit }' "$f"; then
+        echo "check.sh: a second scheme list; name schemes through ppt::spec::SCHEMES" >&2
+        exit 1
+    fi
+done
+
 echo "==> one flow table (per-flow endpoint state lives in FlowTable; DESIGN.md §10.3)"
 # An ordered map keyed by flow keeps every flow it ever saw and costs a
 # tree descent per packet. The two whole-run lookups are maps by design:
@@ -252,7 +276,7 @@ rm -rf "$LCP_TMP"
 echo "==> non-test line counts (lines above the first #[cfg(test)] per file)"
 for group in "crates/transports/src/*.rs" \
     "crates/ppt/src/figures/*.rs" \
-    "crates/pptlab/src/*.rs crates/ppt/src/harness.rs crates/netsim/src/sched.rs" \
+    "crates/pptlab/src/*.rs crates/ppt/src/harness.rs crates/ppt/src/spec.rs crates/netsim/src/sched.rs" \
     "crates/netsim/src/*.rs crates/stats/src/series.rs"; do
     total=0
     for f in $group; do
