@@ -1,11 +1,10 @@
 //! The discrete-event simulation engine: the run loop.
 //!
 //! A [`Simulator`] owns every node, link and flow, plus a single
-//! time-ordered event queue (see [`crate::sched`]: a calendar queue by
-//! default, with the `BinaryHeap` oracle selectable for differential
-//! checks). Determinism: events at equal times are dispatched in insertion
-//! order (FIFO tie-break on a monotone sequence number), and nothing in
-//! the engine consults wall-clock randomness.
+//! time-ordered event queue (the calendar queue of [`crate::sched`]).
+//! Determinism: events at equal times are dispatched in insertion order
+//! (FIFO tie-break on a monotone sequence number), and nothing in the
+//! engine consults wall-clock randomness.
 //!
 //! This file is the loop itself — [`Simulator::run`], `dispatch`,
 //! `with_transport` — and the two functions outside [`crate::sched`] that
@@ -25,7 +24,7 @@ use crate::packet::{Payload, NUM_PRIORITIES};
 use crate::pool::{Handle, PkRef};
 use crate::queue::QueueBank;
 use crate::sanitizer::Sanitizer;
-use crate::sched::{Due, EventQueue, QEntry, Queue, QueueKind};
+use crate::sched::{CalendarQueue, Due, EventQueue, QEntry};
 use crate::switch::{PortCounters, SwitchConfig};
 use crate::telemetry::Telemetry;
 use crate::time::SimTime;
@@ -154,8 +153,8 @@ pub(crate) struct SwitchSlot {
 /// The simulator.
 pub struct Simulator<P: Payload> {
     pub(crate) now: SimTime,
-    /// The event queue (calendar by default; see [`crate::sched`]).
-    queue: Queue<Ev>,
+    /// The event queue; simsan shadows its keys ([`crate::sanitizer`]).
+    pub(crate) queue: CalendarQueue<Ev>,
     seq: u64,
     /// Sequence number of the event being dispatched: with `now`, the
     /// point the run has reached in `(time, seq)` order.
@@ -211,7 +210,7 @@ impl<P: Payload> Simulator<P> {
     pub fn new() -> Self {
         Simulator {
             now: SimTime::ZERO,
-            queue: Queue::new(QueueKind::Calendar),
+            queue: CalendarQueue::new(),
             seq: 0,
             cur_seq: 0,
             links: Vec::new(),
@@ -234,27 +233,6 @@ impl<P: Payload> Simulator<P> {
             telemetry: None,
             measure_cpu: false,
         }
-    }
-
-    /// Switch the event-queue implementation (default: calendar). Pending
-    /// entries migrate with their `(time, seq)` keys intact, so the
-    /// dispatch order — and every golden digest — is unchanged; switching
-    /// mid-run is therefore legal, if pointless. The heap kind exists as
-    /// the differential oracle for tests; it is not a run option.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        if self.queue.kind() == kind {
-            return;
-        }
-        let mut dst = Queue::new(kind);
-        while let Some(e) = self.queue.pop() {
-            dst.push(e);
-        }
-        self.queue = dst;
-    }
-
-    /// The active event-queue implementation.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Install the transport endpoint for a host.
@@ -476,6 +454,9 @@ impl<P: Payload> Simulator<P> {
     #[inline(always)]
     pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
         let seq = self.mint_seq(at);
+        if let Some(s) = self.san.as_mut() {
+            s.observe_push(at, seq);
+        }
         self.queue.push(QEntry { at, seq, ev });
     }
 
@@ -717,6 +698,9 @@ impl<P: Payload> Simulator<P> {
     /// dispatched (the caller settled the port), possibly within this tick.
     pub(crate) fn push_tx_done(&mut self, node: NodeId, port: u16) {
         if let Some((at, seq)) = self.port_mut(node, port).unpushed_tx_done.take() {
+            if let Some(s) = self.san.as_mut() {
+                s.observe_push(at, seq);
+            }
             self.queue.push(QEntry { at, seq, ev: Ev::TxDone { node, port } });
         }
     }
@@ -737,5 +721,12 @@ impl<P: Payload> Simulator<P> {
         self.queue.push(entry); // simlint: allow(event_order)
         self.queue.push(entry); // simlint: allow(event_order)
         self.seq += 1;
+    }
+
+    /// Simsan selftest hook: discard the front queue entry without
+    /// dispatching it, as a queue that lost an entry would. Stop a run with
+    /// events still queued first; on a drained queue this is a no-op.
+    pub fn corrupt_queue_loss(&mut self) {
+        self.queue.pop();
     }
 }

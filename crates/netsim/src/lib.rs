@@ -10,8 +10,7 @@
 //! - **Synchronous, single-threaded, event-driven.** The workload is
 //!   CPU-bound; an async runtime would add nondeterminism for no benefit.
 //! - **Deterministic.** One totally-ordered event queue with FIFO
-//!   tie-break (a calendar queue by default, with a `BinaryHeap` oracle
-//!   for differential checks — see [`sched`]); no wall-clock or hash-map
+//!   tie-break (a calendar queue, see [`sched`]); no wall-clock or hash-map
 //!   iteration order leaks into behaviour.
 //! - **Arena + ids, not pointers.** Nodes and links live in `Vec`s and are
 //!   addressed by small copyable ids.
@@ -20,9 +19,10 @@
 //!
 //! ## Feature inventory
 //!
-//! - Calendar-queue event scheduler with O(1) near-horizon insert and a
-//!   swappable `BinaryHeap` oracle (see [`sched`]); only events that do
-//!   work are scheduled (`TxDone` is pushed when it has a successor).
+//! - Calendar-queue event scheduler with O(1) near-horizon insert, whose
+//!   every pop simsan checks against a shadow of the pushed keys (see
+//!   [`sched`]); only events that do work are scheduled (`TxDone` is
+//!   pushed when it has a successor).
 //! - Hosts with 8-level strict-priority NIC egress queues.
 //! - Switches with per-port shared buffers, 8 strict-priority queues,
 //!   instantaneous-queue ECN marking with configurable scopes (per-queue /
@@ -73,7 +73,6 @@ pub use pool::PoolStats;
 pub use report::{RunLimits, RunReport, StopReason};
 pub use rng::Pcg32;
 pub use sanitizer::{SanLevel, SanNote, SanViolation};
-pub use sched::QueueKind;
 pub use switch::{
     EcnRule, EnqueueOutcome, MarkScope, PfcConfig, PortCounters, RangeCap, SwitchConfig,
 };

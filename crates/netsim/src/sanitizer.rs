@@ -28,6 +28,7 @@ use dcn_trace::{SanCheck, TraceEvent};
 use crate::engine::{PortState, Simulator};
 use crate::ids::{HostId, NodeId, SwitchId};
 use crate::packet::{Payload, MTU_BYTES, NUM_PRIORITIES};
+use crate::sched::EventQueue;
 use crate::switch::PfcConfig;
 use crate::time::SimTime;
 #[cfg(any(test, feature = "simsan-selftest"))]
@@ -75,7 +76,8 @@ pub struct SanViolation {
     /// Simulated time at detection.
     pub at: SimTime,
     /// The entity involved: a port ledger key, pool slot, flow id, heap
-    /// sequence number or link id, depending on `check`.
+    /// sequence number or link id, depending on `check` (for
+    /// `EventOrder`, the time of the least key pushed).
     pub subject: u64,
     /// What the ledger says the value should be.
     pub expected: u64,
@@ -123,6 +125,12 @@ pub enum SanNote {
     },
 }
 
+/// An event-queue key `(at, seq)` as one integer in the same order: one
+/// comparison instead of two in the shadow's searches.
+fn event_key(at: SimTime, seq: u64) -> u128 {
+    (at.0 as u128) << 64 | seq as u128
+}
+
 /// Ledger key for a host NIC egress port.
 pub fn host_port_key(host: u32) -> u64 {
     host as u64
@@ -163,6 +171,34 @@ struct PortShadow {
     tx_busy: bool,
 }
 
+/// Every port's shadow under its ledger key: host NICs by host, switch
+/// ports by (switch, port) — an index, not a search, on every hop.
+#[derive(Debug, Default)]
+struct PortLedger {
+    hosts: Vec<PortShadow>,
+    switches: Vec<Vec<PortShadow>>,
+}
+
+impl PortLedger {
+    /// The shadow behind `key`, a fresh one the first time it is named.
+    fn get(&mut self, key: u64) -> &mut PortShadow {
+        match key >> 32 {
+            0 => entry(&mut self.hosts, key),
+            _ => entry(entry(&mut self.switches, key >> 16 & 0xffff), key & 0xffff),
+        }
+    }
+}
+
+/// Entry `i` of a ledger indexed by a dense id (a host, switch or port),
+/// created with its default the first time it is named.
+fn entry<T: Clone + Default>(v: &mut Vec<T>, i: u64) -> &mut T {
+    let i = i as usize;
+    if v.len() <= i {
+        v.resize(i + 1, T::default());
+    }
+    &mut v[i]
+}
+
 /// The simsan ledger. Owned by the engine (`Simulator::san`); every
 /// field is plain owned state so the determinism contract (no shared
 /// mutability, no entropy) holds for sanitized runs too.
@@ -175,8 +211,11 @@ pub struct Sanitizer {
     // --- event-clock discipline ---
     last_pop: Option<(SimTime, u64)>,
     max_seq: Option<u64>,
+    /// The key of every entry pushed onto the event queue and not yet
+    /// popped ([`event_key`]), descending: each pop must be the last.
+    queued: Vec<u128>,
     // --- queue accounting + link occupancy ---
-    ports: BTreeMap<u64, PortShadow>,
+    ports: PortLedger,
     // --- transport conservation ---
     last_cum_ack: BTreeMap<u64, u64>,
     /// Live RTO timers per flow (0 or 1 on a healthy run). A flow enters
@@ -199,7 +238,8 @@ impl Sanitizer {
             live: 0,
             last_pop: None,
             max_seq: None,
-            ports: BTreeMap::new(),
+            queued: Vec::new(),
+            ports: PortLedger::default(),
             last_cum_ack: BTreeMap::new(),
             rto_live: BTreeMap::new(),
             fault_drops: 0,
@@ -241,7 +281,7 @@ impl Sanitizer {
 
     /// Seed one port's shadow from the engine's current state.
     pub(crate) fn seed_port(&mut self, key: u64, bytes: u64, pkts: u64, busy: bool) {
-        self.ports.insert(key, PortShadow { bytes, pkts, tx_busy: busy });
+        *self.ports.get(key) = PortShadow { bytes, pkts, tx_busy: busy };
     }
 
     /// Seed the fault-drop ledger from the engine's current total.
@@ -310,18 +350,39 @@ impl Sanitizer {
             }
         }
         self.last_pop = Some((when, seq));
+        let key = event_key(when, seq);
+        if self.queued.last() == Some(&key) {
+            self.queued.pop();
+        } else {
+            // Popped out of order, or an entry the ledger never saw pushed
+            // (subject, expected: the least pushed key's time and seq,
+            // `u64::MAX` for none). Keys up to the popped one are written
+            // off as lost, so one lost entry is one violation.
+            let least = self.queued.last().copied().unwrap_or(u128::MAX);
+            let (at, expected) = ((least >> 64) as u64, least as u64);
+            self.record(SanCheck::EventOrder, when, at, expected, seq);
+            let kept = self.queued.partition_point(|&k| k > key);
+            self.queued.truncate(kept);
+        }
+    }
+
+    /// An entry under `(when, seq)` went onto the event queue.
+    pub(crate) fn observe_push(&mut self, when: SimTime, seq: u64) {
+        let key = event_key(when, seq);
+        let at = self.queued.partition_point(|&k| k > key);
+        self.queued.insert(at, key);
     }
 
     /// A packet of `wire_bytes` entered the queue bank behind `key`.
     pub(crate) fn observe_queue_push(&mut self, key: u64, wire_bytes: u64) {
-        let shadow = self.ports.entry(key).or_default();
+        let shadow = self.ports.get(key);
         shadow.bytes += wire_bytes;
         shadow.pkts += 1;
     }
 
     /// A packet of `wire_bytes` left the queue bank behind `key`.
     pub(crate) fn observe_queue_pop(&mut self, when: SimTime, key: u64, wire_bytes: u64) {
-        let shadow = self.ports.entry(key).or_default();
+        let shadow = self.ports.get(key);
         let had_bytes = shadow.bytes;
         let underflow = shadow.pkts == 0 || shadow.bytes < wire_bytes;
         if underflow {
@@ -342,14 +403,14 @@ impl Sanitizer {
     /// engine could not observe individually; resync this port's shadow
     /// from the post-admission engine state.
     pub(crate) fn observe_queue_resync(&mut self, key: u64, bytes: u64, pkts: u64) {
-        let shadow = self.ports.entry(key).or_default();
+        let shadow = self.ports.get(key);
         shadow.bytes = bytes;
         shadow.pkts = pkts;
     }
 
     /// A serialization started on the port behind `key`.
     pub(crate) fn observe_tx_start(&mut self, when: SimTime, key: u64) {
-        let shadow = self.ports.entry(key).or_default();
+        let shadow = self.ports.get(key);
         let was_busy = shadow.tx_busy;
         shadow.tx_busy = true;
         if was_busy {
@@ -361,7 +422,7 @@ impl Sanitizer {
     /// The serialization on the port behind `key` ended: its TxDone
     /// dispatched, or the port settled idle without one.
     pub(crate) fn observe_tx_done(&mut self, when: SimTime, key: u64) {
-        let shadow = self.ports.entry(key).or_default();
+        let shadow = self.ports.get(key);
         let was_busy = shadow.tx_busy;
         shadow.tx_busy = false;
         if !was_busy {
@@ -507,7 +568,7 @@ impl Sanitizer {
         if let Some((recomputed, counter)) = recount {
             self.record(SanCheck::QueueAccounting, when, key, recomputed, counter);
         }
-        let shadow = *self.ports.entry(key).or_default();
+        let shadow = *self.ports.get(key);
         if shadow.bytes != bytes {
             self.record(SanCheck::QueueAccounting, when, key, shadow.bytes, bytes);
         }
@@ -555,6 +616,15 @@ impl Sanitizer {
         }
     }
 
+    /// The queue shadow must hold one key per queued entry (subject
+    /// `u64::MAX`: the queue as a whole).
+    pub(crate) fn audit_queue(&mut self, when: SimTime, len: usize) {
+        if self.queued.len() != len {
+            let shadow = self.queued.len() as u64;
+            self.record(SanCheck::EventOrder, when, u64::MAX, shadow, len as u64);
+        }
+    }
+
     /// Compare the fault-drop ledger against the engine's attributed
     /// total (`FaultState::drops`, surfaced as `FaultReport.fault_drops`).
     pub(crate) fn audit_faults(&mut self, when: SimTime, attributed: u64) {
@@ -597,6 +667,9 @@ impl<P: Payload> Simulator<P> {
             san.seed_port(key, port.queues.total_bytes(), port.queues.len() as u64, port.busy);
         }
         san.seed_faults(self.faults.as_ref().map_or(0, |fs| fs.drops));
+        for (at, seq) in self.queue.keys() {
+            san.observe_push(at, seq);
+        }
         self.san = Some(san);
     }
 
@@ -692,6 +765,7 @@ impl<P: Payload> Simulator<P> {
             san.audit_pfc(now, si as u32, pfc, &ingress);
         }
         san.audit_faults(now, self.faults.as_ref().map_or(0, |fs| fs.drops));
+        san.audit_queue(now, self.queue.len());
         self.san = Some(san);
     }
 
@@ -719,9 +793,9 @@ impl<P: Payload> Simulator<P> {
 
 /// Deliberate state-corruption hooks for the simsan selftest suite
 /// (`tests/sanitizer.rs`): each seeds exactly one corruption class that
-/// the sanitizer must flag (`corrupt_tie_break` sits beside the queue in
-/// [`crate::engine`]). Compiled only for tests and the `simsan-selftest`
-/// feature — release artifacts never contain them.
+/// the sanitizer must flag (`corrupt_tie_break` and `corrupt_queue_loss`
+/// sit beside the queue in [`crate::engine`]). Compiled only for tests and
+/// the `simsan-selftest` feature — release artifacts never contain them.
 #[cfg(any(test, feature = "simsan-selftest"))]
 impl<P: Payload> Simulator<P> {
     /// Leak one pooled packet buffer: a slot vanishes from the free list
@@ -840,11 +914,41 @@ mod tests {
         assert!(s.violations().iter().any(|v| v.check == SanCheck::SchedulePast));
 
         let mut s = Sanitizer::new(SanLevel::AtEnd);
+        s.observe_push(SimTime(5), 0);
+        s.observe_push(SimTime(5), 2);
         s.observe_pop(SimTime(5), 0, SimTime(5));
         s.observe_pop(SimTime(5), 2, SimTime(5));
         assert!(s.violations().is_empty());
         s.observe_pop(SimTime(4), 3, SimTime(5));
         assert_eq!(s.violations()[0].check, SanCheck::ClockMonotonic);
+    }
+
+    #[test]
+    fn event_order_shadow_requires_the_least_pushed_key() {
+        let mut s = Sanitizer::new(SanLevel::AtEnd);
+        let keys = [(SimTime(10), 0), (SimTime(10), 3), (SimTime(20), 1), (SimTime(30), 2)];
+        for (at, seq) in keys {
+            s.observe_push(at, seq);
+        }
+        s.observe_pop(SimTime(10), 0, SimTime(0));
+        s.audit_queue(T0, 3);
+        assert!(s.violations().is_empty(), "{:?}", s.violations());
+        // (10, 3) is lost: the next pop names it and the key popped, and
+        // writes it off, so the following pop and audit are clean again.
+        s.observe_pop(SimTime(20), 1, SimTime(10));
+        let got: Vec<_> =
+            s.violations().iter().map(|v| (v.at, v.subject, v.expected, v.actual)).collect();
+        assert_eq!(got, [(SimTime(20), 10, 3, 1)]);
+        s.audit_queue(T0, 1);
+        s.observe_pop(SimTime(30), 2, SimTime(20));
+        assert_eq!(s.violations().len(), 1);
+        // A pop nobody pushed, and a queue holding more than was pushed.
+        s.observe_pop(SimTime(40), 9, SimTime(30));
+        s.audit_queue(T0, 1);
+        let got: Vec<_> =
+            s.violations()[1..].iter().map(|v| (v.subject, v.expected, v.actual)).collect();
+        assert_eq!(got, [(u64::MAX, u64::MAX, 9), (u64::MAX, 0, 1)]);
+        assert!(s.violations().iter().all(|v| v.check == SanCheck::EventOrder));
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //! The engine dispatches every event through a single queue whose pop order
 //! *is* the determinism contract: entries come out in ascending `(at, seq)`,
 //! where `seq` is the globally monotone insertion number the engine assigns
-//! in [`crate::Simulator`]'s `schedule`. Two implementations of
-//! [`EventQueue`] pop in *exactly* the same order for unique keys, so
-//! switching between them never moves a byte of any trace or FCT stream:
+//! in [`crate::Simulator`]'s `schedule`. [`CalendarQueue`] is that queue: a
+//! timing wheel whose cost follows the number of events, not the rate of
+//! the links behind them. Two oracles hold it to the contract:
 //!
-//! * [`HeapQueue`] — a `BinaryHeap`, kept as the *oracle*: its correctness
-//!   is a one-liner (heap property + inverted [`Ord`] on [`QEntry`]), so the
-//!   other is differentially tested against it (the tests at the bottom of
-//!   this file) and every golden runs under both.
-//! * [`CalendarQueue`] — the engine default: a timing wheel whose cost
-//!   follows the number of events, not the rate of the links behind them.
+//! * in this file's tests, a `BinaryHeap` reference (`HeapQueue`, whose
+//!   correctness is a one-liner: heap property + inverted [`Ord`] on
+//!   [`QEntry`]) runs every randomized and scripted schedule in lockstep;
+//! * at run time, simsan ([`crate::sanitizer`]) shadows every pushed key and
+//!   requires each pop to be the least of them (`SanCheck::EventOrder`).
 //!
 //! # Layout of the calendar queue
 //!
@@ -37,7 +36,7 @@
 //! reversed first, so the sort sees arrival order, which is nearly
 //! ascending) and kept sorted by every later insert. Same-tick entries may
 //! lie in a list in any physical order and may have come through different
-//! tiers; the sort restores ascending `seq`, byte-identical to the heap.
+//! tiers; the sort restores ascending `seq`, the order a heap pops in.
 //!
 //! **Why one promotion per jump is enough.** An overflow entry is at or
 //! beyond the horizon it was refused at, and the horizon only grows, so all
@@ -138,46 +137,6 @@ pub trait EventQueue<T: Copy> {
             Some((at, _)) if at > max_time => Due::Later,
             Some(_) => self.pop().map_or(Due::Empty, Due::Entry),
         }
-    }
-}
-
-/// The `BinaryHeap` implementation: O(log n) push/pop, O(1) peek. Kept as
-/// the differential-testing oracle; tests select it via
-/// [`crate::Simulator::set_queue_kind`].
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<QEntry<T>>,
-}
-
-impl<T: Copy> HeapQueue<T> {
-    /// An empty heap queue.
-    pub fn new() -> Self {
-        HeapQueue { heap: BinaryHeap::new() }
-    }
-}
-
-impl<T: Copy> Default for HeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Copy> EventQueue<T> for HeapQueue<T> {
-    // simlint: hot-path
-    fn push(&mut self, entry: QEntry<T>) {
-        self.heap.push(entry);
-    }
-
-    fn pop(&mut self) -> Option<QEntry<T>> {
-        self.heap.pop()
-    }
-    // simlint: hot-path-end
-
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(QEntry::key)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -396,6 +355,17 @@ impl<T: Copy> CalendarQueue<T> {
             self.push(e);
         }
     }
+
+    /// The key of every queued entry, in no particular order: simsan seeds
+    /// its shadow of the queue from this when installed mid-run.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
+        let link = |i: u32| (i != NIL).then_some(i);
+        let ring = self.heads.iter().flat_map(move |&head| {
+            std::iter::successors(link(head), move |&i| link(self.slab[i as usize].next))
+        });
+        let unread = self.live[self.cursor..].iter().chain(self.overflow.iter());
+        unread.map(QEntry::key).chain(ring.map(|i| self.slab[i as usize].entry.key()))
+    }
 }
 
 impl<T: Copy> Default for CalendarQueue<T> {
@@ -453,89 +423,41 @@ impl<T: Copy> EventQueue<T> for CalendarQueue<T> {
     }
 }
 
-/// Which [`EventQueue`] implementation a [`crate::Simulator`] runs on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The `BinaryHeap` oracle.
-    Heap,
-    /// The calendar queue / timing wheel (the default).
-    Calendar,
-}
-
-/// Static dispatch over the two implementations — the engine stores this
-/// so the per-event cost is one branch, not a vtable call.
-pub enum Queue<T> {
-    /// A [`HeapQueue`].
-    Heap(HeapQueue<T>),
-    /// A [`CalendarQueue`].
-    Calendar(CalendarQueue<T>),
-}
-
-impl<T: Copy> Queue<T> {
-    /// An empty queue of the given kind (default geometry for calendar).
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => Queue::Heap(HeapQueue::new()),
-            QueueKind::Calendar => Queue::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// The kind of the active implementation.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            Queue::Heap(_) => QueueKind::Heap,
-            Queue::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-}
-
-impl<T: Copy> EventQueue<T> for Queue<T> {
-    // simlint: hot-path
-    #[inline]
-    fn push(&mut self, entry: QEntry<T>) {
-        match self {
-            Queue::Heap(q) => q.push(entry),
-            Queue::Calendar(q) => q.push(entry),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<QEntry<T>> {
-        match self {
-            Queue::Heap(q) => q.pop(),
-            Queue::Calendar(q) => q.pop(),
-        }
-    }
-
-    #[inline]
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            Queue::Heap(q) => q.peek_key(),
-            Queue::Calendar(q) => q.peek_key(),
-        }
-    }
-
-    #[inline]
-    fn pop_due(&mut self, max_time: SimTime) -> Due<T> {
-        match self {
-            Queue::Heap(q) => q.pop_due(max_time),
-            Queue::Calendar(q) => q.pop_due(max_time),
-        }
-    }
-    // simlint: hot-path-end
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Heap(q) => q.len(),
-            Queue::Calendar(q) => q.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Pcg32;
+
+    /// The reference implementation every test here holds the calendar
+    /// queue to: a `BinaryHeap`, correct by the heap property and the
+    /// inverted [`Ord`] on [`QEntry`].
+    struct HeapQueue<T> {
+        heap: BinaryHeap<QEntry<T>>,
+    }
+
+    impl<T: Copy> HeapQueue<T> {
+        fn new() -> Self {
+            HeapQueue { heap: BinaryHeap::new() }
+        }
+    }
+
+    impl<T: Copy> EventQueue<T> for HeapQueue<T> {
+        fn push(&mut self, entry: QEntry<T>) {
+            self.heap.push(entry);
+        }
+
+        fn pop(&mut self) -> Option<QEntry<T>> {
+            self.heap.pop()
+        }
+
+        fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+            self.heap.peek().map(QEntry::key)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     fn e(at: u64, seq: u64) -> QEntry<u32> {
         QEntry { at: SimTime(at), seq, ev: seq as u32 }
@@ -830,20 +752,42 @@ mod tests {
         ]);
     }
 
-    /// The `Queue` wrapper dispatches to whichever kind it was built as.
+    /// The engine's queue and the reference agree through every trait
+    /// method on one script: a same-time pair and an earlier key pushed
+    /// after it, drained by `pop_due` up to the pair's time, then by `pop`.
     #[test]
     fn queue_wrapper_dispatches_to_its_kind() {
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            let mut q: Queue<u32> = Queue::new(kind);
-            assert_eq!(q.kind(), kind);
+        let (mut heap, mut cal) = (HeapQueue::new(), CalendarQueue::new());
+        let queues: [&mut dyn EventQueue<u32>; 2] = [&mut heap, &mut cal];
+        let orders = queues.map(|q| {
             assert!(q.is_empty());
-            q.push(e(5, 0));
-            q.push(e(5, 1));
-            q.push(e(3, 2));
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.peek_key(), Some((SimTime(3), 2)));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|x| x.seq).collect();
-            assert_eq!(order, vec![2, 0, 1]);
+            for x in [e(5, 0), e(5, 1), e(3, 2), e(9, 3)] {
+                q.push(x);
+            }
+            assert_eq!((q.len(), q.peek_key()), (4, Some((SimTime(3), 2))));
+            let mut order = Vec::new();
+            while let Due::Entry(x) = q.pop_due(SimTime(5)) {
+                order.push(x.seq);
+            }
+            assert_eq!(q.pop_due(SimTime(5)), Due::Later);
+            order.extend(q.pop().map(|x| x.seq));
+            assert_eq!(q.pop_due(SimTime::MAX), Due::Empty);
+            order
+        });
+        assert_eq!(orders, [vec![2, 0, 1, 3], vec![2, 0, 1, 3]]);
+    }
+
+    /// `keys()` names every queued entry once, wherever it waits: the
+    /// unread part of the live bucket, a bucket list, or the overflow heap.
+    #[test]
+    fn keys_lists_every_tier() {
+        let mut cal: CalendarQueue<u32> = CalendarQueue::with_geometry(4, 3); // span 128 ns
+        for (at, s) in [(0, 0), (1, 1), (20, 2), (40, 3), (5_000, 4)] {
+            cal.push(e(at, s));
         }
+        cal.pop();
+        let mut keys: Vec<u64> = cal.keys().map(|(_, s)| s).collect();
+        keys.sort_unstable();
+        assert_eq!((keys, cal.len()), (vec![1, 2, 3, 4], 4));
     }
 }

@@ -1,12 +1,13 @@
 //! `TxDone` on demand (DESIGN.md §10.1): the event is pushed only when it
 //! has a successor to start, under the `(time, seq)` key reserved for it at
 //! transmit time — so how many dispatch changes, and nothing else does.
-//! Every test runs on both event-queue kinds.
+//! Every run is sanitized per event, so simsan checks each pop against
+//! the keys pushed, reserved `TxDone` keys included.
 
 use netsim::host::{Ctx, FlowDesc, Transport};
 use netsim::trace::ProfKind;
 use netsim::{
-    FlowId, HostId, NodeId, Packet, Payload, QueueKind, Rate, RunLimits, SimDuration, SimTime,
+    FlowId, HostId, NodeId, Packet, Payload, Rate, RunLimits, SanLevel, SimDuration, SimTime,
     Simulator, TelemetryConfig, MSS_BYTES,
 };
 
@@ -74,9 +75,9 @@ const DELAY: u64 = 1_000;
 
 /// Run `script` over a two-host line; the completion time of each flow in
 /// nanoseconds and the number of `TxDone` events dispatched.
-fn run_line(script: &[Send], queue: QueueKind) -> (Vec<u64>, u64) {
+fn run_line(script: &[Send]) -> (Vec<u64>, u64) {
     let mut sim = Simulator::<Hdr>::new();
-    sim.set_queue_kind(queue);
+    sim.set_sanitizer(SanLevel::PerEvent);
     let (a, b) = (sim.add_host(), sim.add_host());
     sim.connect(NodeId::Host(a), NodeId::Host(b), Rate::gbps(10), SimDuration::from_nanos(DELAY));
     sim.set_transport(a, Box::new(Scripted(script.to_vec())));
@@ -87,6 +88,7 @@ fn run_line(script: &[Send], queue: QueueKind) -> (Vec<u64>, u64) {
     sim.enable_telemetry(TelemetryConfig::new(SimDuration::from_micros(100)).with_prof());
     let report = sim.run(RunLimits::default());
     assert_eq!(report.flows_completed, script.len());
+    assert!(sim.san_violations().is_empty(), "{:?}", sim.san_violations());
     let done =
         (0..script.len()).map(|i| sim.completion(FlowId(i as u64)).expect("done").0).collect();
     let prof = sim.telemetry().and_then(|t| t.prof_breakdown()).expect("profiler on");
@@ -94,31 +96,25 @@ fn run_line(script: &[Send], queue: QueueKind) -> (Vec<u64>, u64) {
     (done, tx_done)
 }
 
-const QUEUES: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
-
 #[test]
 fn paced_packets_dispatch_no_tx_done() {
     // Ten packets 5 µs apart: each finds the NIC idle again.
     let script: Vec<Send> =
         (0..10).map(|i| Send { at: SimTime(5_000 * i), prio: 0, armed_late: false }).collect();
-    for queue in QUEUES {
-        let (done, tx_done) = run_line(&script, queue);
-        let want: Vec<u64> = (0..10).map(|i| 5_000 * i + SER + DELAY).collect();
-        assert_eq!(done, want, "{queue:?}");
-        assert_eq!(tx_done, 0, "{queue:?}: an idle port needs no TxDone");
-    }
+    let (done, tx_done) = run_line(&script);
+    let want: Vec<u64> = (0..10).map(|i| 5_000 * i + SER + DELAY).collect();
+    assert_eq!(done, want);
+    assert_eq!(tx_done, 0, "an idle port needs no TxDone");
 }
 
 #[test]
 fn back_to_back_burst_dispatches_one_tx_done_per_successor() {
     // Ten packets at t = 0: nine of them wait for a predecessor.
     let script = [Send { at: SimTime::ZERO, prio: 0, armed_late: false }; 10];
-    for queue in QUEUES {
-        let (done, tx_done) = run_line(&script, queue);
-        let want: Vec<u64> = (1..=10).map(|k| k * SER + DELAY).collect();
-        assert_eq!(done, want, "{queue:?}");
-        assert_eq!(tx_done, 9, "{queue:?}");
-    }
+    let (done, tx_done) = run_line(&script);
+    let want: Vec<u64> = (1..=10).map(|k| k * SER + DELAY).collect();
+    assert_eq!(done, want);
+    assert_eq!(tx_done, 9);
 }
 
 /// Flow 0's packet leaves the NIC at exactly `SER`; flow 1 (low priority)
@@ -143,19 +139,17 @@ fn arrivals_at_exactly_tx_end_start_in_eager_order() {
         // arrival starts at once.
         ((true, true), (first, second)),
     ];
-    for queue in QUEUES {
-        for ((low_late, high_late), (low_done, high_done)) in cases {
-            let script = [
-                Send { at: SimTime::ZERO, prio: 0, armed_late: false },
-                Send { at, prio: 7, armed_late: low_late },
-                Send { at, prio: 0, armed_late: high_late },
-            ];
-            let (done, _) = run_line(&script, queue);
-            assert_eq!(
-                done,
-                vec![SER + DELAY, low_done, high_done],
-                "{queue:?}, low armed late: {low_late}, high armed late: {high_late}"
-            );
-        }
+    for ((low_late, high_late), (low_done, high_done)) in cases {
+        let script = [
+            Send { at: SimTime::ZERO, prio: 0, armed_late: false },
+            Send { at, prio: 7, armed_late: low_late },
+            Send { at, prio: 0, armed_late: high_late },
+        ];
+        let (done, _) = run_line(&script);
+        assert_eq!(
+            done,
+            vec![SER + DELAY, low_done, high_done],
+            "low armed late: {low_late}, high armed late: {high_late}"
+        );
     }
 }

@@ -374,6 +374,17 @@ impl TopoKind {
         }
     }
 
+    /// Switch count, as [`Self::build`] would make it.
+    pub fn switches(&self) -> usize {
+        match *self {
+            TopoKind::Star { .. } | TopoKind::PaperTestbed => 1,
+            // k pods of k/2 edge and k/2 aggregation switches, (k/2)^2 cores.
+            TopoKind::FatTree { k, .. } => k * k + k * k / 4,
+            // 9 leaves, 4 spines.
+            _ => 13,
+        }
+    }
+
     /// Base RTT of the topology.
     pub fn base_rtt(&self) -> SimDuration {
         match *self {

@@ -9,7 +9,7 @@ use std::mem::discriminant;
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use netsim::{SanLevel, SimDuration, SimTime, SwitchConfig};
+use netsim::{SanLevel, SimDuration, SimTime};
 use workloads::{all_to_all, incast, FlowSpec, SizeDistribution, WorkloadSpec};
 
 use crate::harness::{Experiment, FaultCmd, FaultSpec, Scheme, TelemetrySpec, TopoKind};
@@ -191,6 +191,10 @@ pub fn parse_topo(id: &str) -> Result<TopoKind, String> {
         if edge_gbps == 0 {
             return Err(format!("--topo {id}: the edge rate must be above 0 Gbps"));
         }
+        // The fabric's upper tiers run at four times the edge rate.
+        if edge_gbps.checked_mul(4).and_then(bps).is_none() {
+            return Err(format!("--topo {id}: the edge rate {edge_gbps} Gbps is too large"));
+        }
         return Ok(TopoKind::FatTree { k, edge_gbps });
     }
     let [n, rate_gbps, delay_us] =
@@ -202,7 +206,28 @@ pub fn parse_topo(id: &str) -> Result<TopoKind, String> {
     if rate_gbps == 0 {
         return Err(format!("--topo {id}: the link rate must be above 0 Gbps"));
     }
+    if bps(rate_gbps).is_none() {
+        return Err(format!("--topo {id}: the link rate {rate_gbps} Gbps is too large"));
+    }
+    // Windows and timers are sized from the base RTT (four of these), so
+    // the clock needs headroom well beyond it.
+    if delay_us > MAX_DELAY_US {
+        return Err(format!("--topo {id}: the delay {delay_us} us is above 1 s"));
+    }
     Ok(TopoKind::Star { n, rate_gbps, delay_us })
+}
+
+/// The longest one-way link delay a star takes, in microseconds.
+const MAX_DELAY_US: u64 = 1_000_000;
+
+/// `us` microseconds in nanoseconds, if that fits the clock.
+fn nanos(us: u64) -> Option<u64> {
+    us.checked_mul(1_000)
+}
+
+/// `gbps` in bits per second, if that fits a `Rate`.
+fn bps(gbps: u64) -> Option<u64> {
+    gbps.checked_mul(1_000_000_000)
 }
 
 /// `a:b:…` as exactly `N` numbers.
@@ -266,6 +291,10 @@ pub fn parse_faults(spec: &str, topo: TopoKind) -> Result<FaultSpec, String> {
             if until_us <= from_us {
                 return Err(format!("--faults: '{item}': the outage must end after it starts"));
             }
+            // `from` is earlier, so it fits the clock when `until` does.
+            if nanos(until_us).is_none() {
+                return Err(format!("--faults: '{item}': {until_us} us is too large"));
+            }
             f.events.push(FaultCmd::HostUplinkDown {
                 host,
                 from: SimTime(from_us * 1_000),
@@ -274,11 +303,15 @@ pub fn parse_faults(spec: &str, topo: TopoKind) -> Result<FaultSpec, String> {
         } else if let Some(rest) = item.strip_prefix("stall:") {
             let [switch, at_us, dur_us] = triple(item, rest)?;
             let switch = switch as usize;
-            let switches = topo.build(SwitchConfig::basic(1)).sim.switch_count();
+            let switches = topo.switches();
             if switch >= switches {
                 return Err(format!(
                     "--faults: '{item}': switch {switch} is not on the topology (it has {switches})"
                 ));
+            }
+            // The start and the length fit the clock when their sum does.
+            if nanos(at_us.saturating_add(dur_us)).is_none() {
+                return Err(format!("--faults: '{item}': {at_us} + {dur_us} us is too large"));
             }
             f.events.push(FaultCmd::SwitchStall {
                 switch,
@@ -302,7 +335,8 @@ pub fn parse_interval(v: &str) -> Result<SimDuration, String> {
         .unwrap_or((v, 1_000));
     let n = digits.parse::<u64>().ok().filter(|&n| n > 0);
     let bad = || format!("bad interval '{v}' (want <n>ns | <n>us | <n>ms | <n>)");
-    Ok(SimDuration(n.ok_or_else(bad)? * mult))
+    let ns = n.ok_or_else(bad)?.checked_mul(mult);
+    Ok(SimDuration(ns.ok_or_else(|| format!("interval '{v}' is too large"))?))
 }
 
 /// A run command's options, parsed. Every experiment the command runs is
@@ -452,6 +486,7 @@ fn flow_list(args: &Args, topo: TopoKind, spec: &WorkloadSpec) -> Result<Vec<Flo
 mod tests {
     use super::*;
     use crate::harness::FaultCmd;
+    use netsim::SwitchConfig;
     use workloads::incast;
 
     const KEYS: &[&[&str]] = &[&["load", "flows", "seed"], &["loads", "json", "metrics"]];
@@ -545,6 +580,20 @@ mod tests {
         assert_eq!(parse_scheme("rc3-cap:0.25"), Some(Scheme::Rc3BufferCap(0.25)));
         assert_eq!(parse_scheme("ppt-fill:<f>"), None, "the placeholder itself is not an id");
         assert_eq!(parse_scheme("nope"), None);
+    }
+
+    /// `TopoKind::switches` is what `build` makes, for every `TOPOS` row
+    /// (the two parameterised ones at a few sizes), so `stall:` checks a
+    /// switch index without building the fabric.
+    #[test]
+    fn every_topology_counts_the_switches_it_builds() {
+        let named = TOPOS.iter().filter_map(|&(.., kind)| kind);
+        let sized = ["star:3:10:20", "fattree:2:10", "fattree:4:10", "fattree:6:40"]
+            .map(|id| parse_topo(id).unwrap());
+        for kind in named.chain(sized) {
+            let built = kind.build(SwitchConfig::basic(1)).sim.switch_count();
+            assert_eq!(kind.switches(), built, "{kind:?}");
+        }
     }
 
     /// One command line that sets every run option yields the experiment

@@ -644,6 +644,12 @@ mod tests {
             ("fattree:3:10", "a fat-tree needs an even k of at least 2"),
             ("fattree:0:10", "a fat-tree needs an even k of at least 2"),
             ("fattree:4:0", "the edge rate must be above 0 Gbps"),
+            // Microseconds and Gbps that do not fit the nanosecond clock or a
+            // bits-per-second rate (they wrapped in release, panicked in debug).
+            ("star:2:10:1000001", "the delay 1000001 us is above 1 s"),
+            ("star:2:10:18446744073709552", "the delay 18446744073709552 us is above 1 s"),
+            ("star:2:20000000000:20", "the link rate 20000000000 Gbps is too large"),
+            ("fattree:4:5000000000", "the edge rate 5000000000 Gbps is too large"),
         ] {
             for cmd in ["compare", "sweep", "trace", "gen"] {
                 assert_eq!(err(cmd, &["--topo", topo]), format!("--topo {topo}: {says}"));
@@ -675,9 +681,30 @@ mod tests {
                 &["--faults", "down:0:10:5"],
                 "'down:0:10:5': the outage must end after it starts",
             ),
+            (
+                "compare",
+                &["--faults", "down:0:1:18446744073709552"],
+                "'down:0:1:18446744073709552': 18446744073709552 us is too large",
+            ),
+            (
+                "faults",
+                &["--faults", "stall:0:18446744073709552:1"],
+                "'stall:0:18446744073709552:1': 18446744073709552 + 1 us is too large",
+            ),
+            (
+                "trace",
+                &["--faults", "stall:0:18446744073709551:1"],
+                "'stall:0:18446744073709551:1': 18446744073709551 + 1 us is too large",
+            ),
         ] {
             let argv: Vec<&str> = star.iter().chain(argv).copied().collect();
             assert_eq!(err(cmd, &argv), format!("--faults: {says}"));
+        }
+        for interval in ["18446744073709552", "18446744073709552us", "18446744073710ms"] {
+            assert_eq!(
+                err("report", &["--telemetry", interval]),
+                format!("--telemetry: interval '{interval}' is too large")
+            );
         }
         assert_eq!(
             err("compare", &["--incast", "0"]),

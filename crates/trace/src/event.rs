@@ -73,6 +73,9 @@ pub enum SanCheck {
     /// FIFO tie-break: heap sequence numbers must be assigned in strictly
     /// increasing order so same-time events dispatch in insertion order.
     TieBreak,
+    /// Event order: every pop is the least `(time, seq)` key pushed and not
+    /// yet popped, and the queue holds exactly the keys pushed onto it.
+    EventOrder,
     /// A handler scheduled an event before the current simulated time.
     SchedulePast,
     /// Queue accounting: byte counters recomputed from queue contents (or
@@ -102,6 +105,7 @@ impl SanCheck {
             SanCheck::PoolConservation => "pool_conservation",
             SanCheck::ClockMonotonic => "clock_monotonic",
             SanCheck::TieBreak => "tie_break",
+            SanCheck::EventOrder => "event_order",
             SanCheck::SchedulePast => "schedule_past",
             SanCheck::QueueAccounting => "queue_accounting",
             SanCheck::EcnMark => "ecn_mark",

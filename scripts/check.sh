@@ -121,6 +121,23 @@ if [ "$hdrs" -gt 2 ]; then
     exit 1
 fi
 
+echo "==> one event queue at runtime (the calendar queue; simsan checks every pop; DESIGN.md §10.1)"
+# The heap reference lives in sched.rs's tests. A runtime choice of queue is
+# how whole golden runs came to be run twice; the event-order shadow in
+# simsan checks each pop of every sanitized run instead.
+queue_pat='QueueKind|set_queue_kind|enum Queue<|Queue::Heap'
+for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    if awk -v pat="$queue_pat" '/#\[cfg\(test\)\]/ { exit } $0 ~ pat { print FILENAME ":" FNR ": " $0; hit = 1 }
+            END { exit !hit }' "$f"; then
+        echo "check.sh: a runtime choice of event queue is back; the engine stores a CalendarQueue" >&2
+        exit 1
+    fi
+done
+if grep -rnE "$queue_pat" tests crates/*/tests; then
+    echo "check.sh: a test selects an event queue; sanitize the run instead" >&2
+    exit 1
+fi
+
 echo "==> a packet is stored once (queues hold pool handles; DESIGN.md §10.1, Packet lifetime)"
 # The engine's banks are QueueBank<Handle>. A deque of whole packets is how
 # the 120-byte copies come back; the by-value bank (queue::PrioQueues, for
@@ -157,7 +174,7 @@ if [ "$test_elapsed" -gt "$TEST_CEILING_S" ]; then
     exit 1
 fi
 
-echo "==> event-queue differential suite, long form (1 M ops per schedule, both queues in lockstep)"
+echo "==> event-queue differential suite, long form (1 M ops per schedule, calendar queue and heap reference in lockstep)"
 cargo test -q --release -p netsim --lib -- --ignored randomized_schedules_pop_identically_at_a_million_ops
 
 echo "==> simsan selftests, release build (every corruption class caught; pool conservation is the control)"
@@ -290,7 +307,7 @@ done
 echo "==> netsim / transports non-test lines against ROADMAP's row (each PR reports its delta)"
 # ROADMAP.md's "Non-test lines today" row, as of its last re-anchor; the
 # re-anchor that rewrites that row updates these two numbers with it.
-for row in "netsim 5206" "transports 4004"; do
+for row in "netsim 5390" "transports 3802"; do
     # shellcheck disable=SC2086
     set -- $row
     total=0

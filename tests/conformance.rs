@@ -11,14 +11,15 @@
 //!    (regressions are violations at any audit cadence), alongside the
 //!    engine-side conservation ledger for the non-TCP schemes;
 //! 4. digest stability — the per-flow FCT series is byte-identical across
-//!    reruns, across `jobs = 1` vs `jobs = 4`, and across both event-queue
-//!    implementations (calendar default vs the `BinaryHeap` oracle).
+//!    reruns, across `jobs = 1` vs `jobs = 4`, and with simsan on or off
+//!    (the sanitized run also checks every event-queue pop against the
+//!    keys pushed).
 //!
 //! Under PFC (DESIGN.md §15) the same registry must finish losslessly on
 //! the multi-tier fabrics, and PFC that never pauses must be invisible.
 
 use ppt::harness::{run_experiment_traced, run_experiment_with, Experiment, Scheme, TopoKind};
-use ppt::netsim::{QueueKind, SanLevel, StopReason};
+use ppt::netsim::{SanLevel, StopReason};
 use ppt::sweep::run_points;
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
 
@@ -55,15 +56,15 @@ fn experiment(scheme: Scheme) -> Experiment {
     Experiment::new(topo, scheme, flows)
 }
 
-/// One battery run: per-flow `(size, fct_ns)` series under the given
-/// queue, optionally sanitized at the per-event cadence.
-fn battery_run(scheme: Scheme, queue: QueueKind, sanitize: bool) -> Vec<(u64, u64)> {
+/// One battery run: per-flow `(size, fct_ns)` series, optionally
+/// sanitized at the per-epoch cadence.
+fn battery_run(scheme: Scheme, sanitize: bool) -> Vec<(u64, u64)> {
     let name = scheme.name();
     let outcome = run_experiment_with(&experiment(scheme), |t| {
-        t.sim.set_queue_kind(queue);
         if sanitize {
-            // Per-epoch cadence: the ACK-monotonicity ledger is checked on
-            // every note regardless of cadence; the epoch audit sweeps the
+            // Per-epoch cadence: the ACK-monotonicity ledger and the
+            // event-order shadow are checked on every note and every pop
+            // regardless of cadence; the epoch audit sweeps the
             // queue-accounting ledger often enough without per-event cost.
             t.sim.set_sanitizer(SanLevel::PerEpoch);
         }
@@ -104,18 +105,15 @@ fn battery_run(scheme: Scheme, queue: QueueKind, sanitize: bool) -> Vec<(u64, u6
 }
 
 /// The full battery, scheme by scheme. Digest stability leg: the sanitized
-/// calendar run, the plain calendar rerun, and the heap-oracle run must
-/// produce byte-identical per-flow FCT series (this also re-proves that
-/// the sanitizer and the queue implementation are both invisible).
+/// run and the plain rerun must produce byte-identical per-flow FCT series
+/// (this also re-proves that the sanitizer is invisible).
 #[test]
 fn every_registered_scheme_passes_the_battery() {
     for scheme in registered_schemes() {
         let name = scheme.name();
-        let sanitized = battery_run(scheme.clone(), QueueKind::Calendar, true);
-        let plain = battery_run(scheme.clone(), QueueKind::Calendar, false);
+        let sanitized = battery_run(scheme.clone(), true);
+        let plain = battery_run(scheme, false);
         assert_eq!(sanitized, plain, "{name}: FCTs changed across reruns / under simsan");
-        let heap = battery_run(scheme, QueueKind::Heap, false);
-        assert_eq!(plain, heap, "{name}: FCTs differ between calendar and heap queues");
     }
 }
 
@@ -126,11 +124,8 @@ fn every_registered_scheme_passes_the_battery() {
 #[test]
 fn battery_results_are_identical_for_jobs_1_and_4() {
     let schemes = registered_schemes();
-    let digests = |jobs: usize| {
-        run_points(schemes.len(), jobs, |i| {
-            battery_run(schemes[i].clone(), QueueKind::Calendar, false)
-        })
-    };
+    let digests =
+        |jobs: usize| run_points(schemes.len(), jobs, |i| battery_run(schemes[i].clone(), false));
     let serial = digests(1);
     let parallel = digests(4);
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {

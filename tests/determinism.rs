@@ -47,8 +47,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The four pinned `(scheme, seed, trace digest, FCT digest)` goldens.
-/// The default engine queue (the calendar queue) must reproduce these,
-/// and so must the `BinaryHeap` oracle — see
+/// A plain run must reproduce these, and so must a sanitized one, whose
+/// simsan checks every event-queue pop against the keys pushed — see
 /// `pinned_seed_goldens_hold_on_the_heap_oracle_queue`.
 ///
 /// The trace halves of the TCP-family goldens in this file were re-pinned
@@ -63,11 +63,30 @@ const PINNED_GOLDENS: [(Scheme, u64, u64, u64); 4] = [
     (Scheme::Homa, 7, 0xd072_7754_f98c_10f5, 0xe4ec_42a4_cd20_bf42),
 ];
 
-/// (trace JSONL hash, FCT digest) of one traced experiment under the
-/// given event-queue implementation.
-fn experiment_digests_on(exp: &Experiment, queue: ppt::netsim::QueueKind) -> (u64, u64) {
+/// Install simsan at its per-epoch cadence when `sanitize` is set. Its
+/// pop check (each pop the least key pushed and not yet popped) runs on
+/// every event whatever the cadence, so a sanitized golden holds the event
+/// queue to its `(time, seq)` contract over the whole run.
+fn sanitize_if(sanitize: bool) -> impl Fn(&mut ppt::netsim::Topology<ppt::transports::Proto>) {
+    move |t| {
+        if sanitize {
+            t.sim.set_sanitizer(ppt::netsim::SanLevel::PerEpoch);
+        }
+    }
+}
+
+/// A sanitized run must record no violation.
+fn assert_clean(outcome: &ppt::harness::Outcome, name: &str) {
+    let violations = outcome.sim.san_violations();
+    assert!(violations.is_empty(), "{name}: simsan violations {violations:?}");
+}
+
+/// (trace JSONL hash, FCT digest) of one traced experiment, under simsan
+/// when `sanitize` is set (which must then stay silent).
+fn experiment_digests_on(exp: &Experiment, sanitize: bool) -> (u64, u64) {
     use ppt::harness::run_experiment_traced_with;
-    let (outcome, trace) = run_experiment_traced_with(exp, |t| t.sim.set_queue_kind(queue));
+    let (outcome, trace) = run_experiment_traced_with(exp, sanitize_if(sanitize));
+    assert_clean(&outcome, &exp.scheme.name());
     let trace_hash = fnv1a64(trace.to_jsonl().as_bytes());
     let mut fct_buf = String::new();
     for r in outcome.fct.records() {
@@ -86,14 +105,14 @@ fn golden_experiment(scheme: Scheme, seed: u64) -> Experiment {
 }
 
 /// (trace JSONL hash, FCT digest) for one pinned-seed traced run, under
-/// the given event-queue implementation.
-fn golden_digests_on(scheme: Scheme, seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u64) {
-    experiment_digests_on(&golden_experiment(scheme, seed), queue)
+/// simsan when `sanitize` is set.
+fn golden_digests_on(scheme: Scheme, seed: u64, sanitize: bool) -> (u64, u64) {
+    experiment_digests_on(&golden_experiment(scheme, seed), sanitize)
 }
 
-/// (trace JSONL hash, FCT digest) under the engine's default queue.
+/// (trace JSONL hash, FCT digest) of the production path: no sanitizer.
 fn golden_digests(scheme: Scheme, seed: u64) -> (u64, u64) {
-    golden_digests_on(scheme, seed, ppt::netsim::QueueKind::Calendar)
+    golden_digests_on(scheme, seed, false)
 }
 
 /// Golden equivalence: the engine must reproduce the pre-refactor event
@@ -118,28 +137,26 @@ fn pinned_seed_goldens_are_byte_identical() {
     }
 }
 
-/// Differential golden: the `BinaryHeap` oracle queue must reproduce the
-/// exact same pinned digests as the calendar queue. Together with
-/// `pinned_seed_goldens_are_byte_identical` this proves the two event-queue
-/// implementations are byte-indistinguishable on real workloads, not just
-/// on the randomized unit sequences in `netsim::sched`.
+/// The pinned goldens under simsan: every event-queue pop of the four runs
+/// is checked against the shadow of the keys pushed (the heap oracle's
+/// contract, on real workloads rather than only on the randomized unit
+/// sequences in `netsim::sched`), and the digests must not move.
 #[test]
 fn pinned_seed_goldens_hold_on_the_heap_oracle_queue() {
     for (scheme, seed, want_trace, want_fct) in PINNED_GOLDENS {
         let name = scheme.name();
-        let (trace_hash, fct_hash) = golden_digests_on(scheme, seed, ppt::netsim::QueueKind::Heap);
+        let (trace_hash, fct_hash) = golden_digests_on(scheme, seed, true);
         assert_eq!(
             (trace_hash, fct_hash),
             (want_trace, want_fct),
-            "{name} seed {seed}: heap-oracle digests diverged from pinned goldens \
+            "{name} seed {seed}: sanitized digests diverged from pinned goldens \
              (got trace={trace_hash:#018x} fct={fct_hash:#018x})"
         );
     }
 }
 
-/// Pinned goldens for the two PR-10 additions, each asserted under both
-/// event-queue implementations (the heap oracle must reproduce the
-/// calendar queue bit for bit here too).
+/// Pinned goldens for the two PR-10 additions, each asserted under simsan
+/// (its event-order shadow checks every pop here too).
 ///
 /// `POWERTCP_GOLDEN`: the standard golden workload on `Scheme::PowerTcp` —
 /// pins the INT echo path, the power computation, and the window law.
@@ -161,48 +178,39 @@ const HPCC_PPT_GOLDEN: (u64, u64) = (0x96e8_b3e9_5658_4af7, 0xda13_9266_6fca_688
 
 /// Golden digests for the PFC switch mode: the pinned workload with PFC
 /// backpressure layered over PPT's switch config.
-fn pfc_golden_digests_on(seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u64) {
+fn pfc_golden_digests_on(seed: u64, sanitize: bool) -> (u64, u64) {
     let mut exp = golden_experiment(Scheme::Ppt, seed);
     exp.env.pfc = true;
-    experiment_digests_on(&exp, queue)
+    experiment_digests_on(&exp, sanitize)
 }
 
 #[test]
 fn powertcp_and_pfc_mode_goldens_hold_on_both_queues() {
-    use ppt::netsim::QueueKind;
-    for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        let ptcp = golden_digests_on(Scheme::PowerTcp, 42, queue);
-        assert_eq!(
-            ptcp, POWERTCP_GOLDEN,
-            "PowerTCP digests drifted on {queue:?} \
-             (got trace={:#018x} fct={:#018x})",
-            ptcp.0, ptcp.1
-        );
-        let pfc = pfc_golden_digests_on(42, queue);
-        assert_eq!(
-            pfc, PFC_GOLDEN,
-            "PFC-mode digests drifted on {queue:?} \
-             (got trace={:#018x} fct={:#018x})",
-            pfc.0, pfc.1
-        );
-    }
+    let ptcp = golden_digests_on(Scheme::PowerTcp, 42, true);
+    assert_eq!(
+        ptcp, POWERTCP_GOLDEN,
+        "PowerTCP digests drifted (got trace={:#018x} fct={:#018x})",
+        ptcp.0, ptcp.1
+    );
+    let pfc = pfc_golden_digests_on(42, true);
+    assert_eq!(
+        pfc, PFC_GOLDEN,
+        "PFC-mode digests drifted (got trace={:#018x} fct={:#018x})",
+        pfc.0, pfc.1
+    );
 }
 
 #[test]
 fn layered_ppt_goldens_hold_on_both_queues() {
-    use ppt::netsim::QueueKind;
-    for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        for (scheme, want) in
-            [(Scheme::SwiftPpt, SWIFT_PPT_GOLDEN), (Scheme::HpccPpt, HPCC_PPT_GOLDEN)]
-        {
-            let name = scheme.name();
-            let got = golden_digests_on(scheme, 42, queue);
-            assert_eq!(
-                got, want,
-                "{name} digests drifted on {queue:?} (got trace={:#018x} fct={:#018x})",
-                got.0, got.1
-            );
-        }
+    for (scheme, want) in [(Scheme::SwiftPpt, SWIFT_PPT_GOLDEN), (Scheme::HpccPpt, HPCC_PPT_GOLDEN)]
+    {
+        let name = scheme.name();
+        let got = golden_digests_on(scheme, 42, true);
+        assert_eq!(
+            got, want,
+            "{name} digests drifted (got trace={:#018x} fct={:#018x})",
+            got.0, got.1
+        );
     }
 }
 
@@ -235,20 +243,16 @@ const RECOVERY_GOLDENS: [(Scheme, u64, u64); 4] = [
 
 #[test]
 fn tcp_family_goldens_hold_on_both_queues() {
-    use ppt::netsim::QueueKind;
-    for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        for (scheme, want_trace, want_fct) in TCP_FAMILY_GOLDENS.into_iter().chain(RECOVERY_GOLDENS)
-        {
-            let name = scheme.name();
-            let got = golden_digests_on(scheme, 42, queue);
-            assert_eq!(
-                got,
-                (want_trace, want_fct),
-                "{name} digests drifted on {queue:?} (got trace={:#018x} fct={:#018x})",
-                got.0,
-                got.1
-            );
-        }
+    for (scheme, want_trace, want_fct) in TCP_FAMILY_GOLDENS.into_iter().chain(RECOVERY_GOLDENS) {
+        let name = scheme.name();
+        let got = golden_digests_on(scheme, 42, true);
+        assert_eq!(
+            got,
+            (want_trace, want_fct),
+            "{name} digests drifted (got trace={:#018x} fct={:#018x})",
+            got.0,
+            got.1
+        );
     }
 }
 
@@ -280,12 +284,11 @@ fn goldens_outside_the_recovery_set_retransmit_nothing() {
 /// live entirely inside each `Simulator`).
 #[test]
 fn powertcp_and_pfc_mode_goldens_for_any_job_count() {
-    use ppt::netsim::QueueKind;
     use ppt::sweep::run_points;
     let digests = |jobs: usize| {
         run_points(2, jobs, |i| match i {
-            0 => golden_digests_on(Scheme::PowerTcp, 42, QueueKind::Calendar),
-            _ => pfc_golden_digests_on(42, QueueKind::Calendar),
+            0 => golden_digests(Scheme::PowerTcp, 42),
+            _ => pfc_golden_digests_on(42, false),
         })
     };
     let serial = digests(1);
@@ -297,8 +300,8 @@ fn powertcp_and_pfc_mode_goldens_for_any_job_count() {
 /// `scheme`: 1% data loss plus a host-0 uplink outage from 100 µs to
 /// 600 µs. The run must retransmit, or it would not pin the recovery paths
 /// it is kept for. PPT seed 42's pair moved with `RECOVERY_GOLDENS`
-/// (DESIGN.md §16, "Loss recovery").
-fn fault_golden_digests_on(scheme: Scheme, seed: u64, queue: ppt::netsim::QueueKind) -> (u64, u64) {
+/// (DESIGN.md §16, "Loss recovery"). Under simsan when `sanitize` is set.
+fn fault_golden_digests_on(scheme: Scheme, seed: u64, sanitize: bool) -> (u64, u64) {
     use ppt::harness::{run_experiment_traced_with, FaultCmd, FaultSpec};
     use ppt::netsim::SimTime;
     let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
@@ -312,8 +315,9 @@ fn fault_golden_digests_on(scheme: Scheme, seed: u64, queue: ppt::netsim::QueueK
     let name = scheme.name();
     let (outcome, trace) = run_experiment_traced_with(
         &Experiment::new(topo, scheme, flows).with_faults(faults),
-        |t| t.sim.set_queue_kind(queue),
+        sanitize_if(sanitize),
     );
+    assert_clean(&outcome, &name);
     assert!(
         outcome.report.faults.retransmits > 0,
         "{name} seed {seed}: a fault run resent nothing"
@@ -327,7 +331,7 @@ fn fault_golden_digests_on(scheme: Scheme, seed: u64, queue: ppt::netsim::QueueK
 }
 
 fn fault_golden_digests(seed: u64) -> (u64, u64) {
-    fault_golden_digests_on(Scheme::Ppt, seed, ppt::netsim::QueueKind::Calendar)
+    fault_golden_digests_on(Scheme::Ppt, seed, false)
 }
 
 /// The receiver-driven schemes (DESIGN.md §16, "Receiver-driven
@@ -347,37 +351,34 @@ const PULL_GOLDENS: [(Scheme, bool, u64, u64); 6] = [
 
 #[test]
 fn pull_goldens_hold_on_both_queues() {
-    use ppt::netsim::QueueKind;
     let mut drifted = Vec::new();
-    for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        for (scheme, faulted, want_trace, want_fct) in PULL_GOLDENS {
-            let name = scheme.name();
-            let got = if faulted {
-                fault_golden_digests_on(scheme, 42, queue)
-            } else {
-                golden_digests_on(scheme, 42, queue)
-            };
-            if got != (want_trace, want_fct) {
-                drifted.push(format!(
-                    "{name} (faults: {faulted}) on {queue:?}: trace={:#018x} fct={:#018x}",
-                    got.0, got.1
-                ));
-            }
+    for (scheme, faulted, want_trace, want_fct) in PULL_GOLDENS {
+        let name = scheme.name();
+        let got = if faulted {
+            fault_golden_digests_on(scheme, 42, true)
+        } else {
+            golden_digests_on(scheme, 42, true)
+        };
+        if got != (want_trace, want_fct) {
+            drifted.push(format!(
+                "{name} (faults: {faulted}): trace={:#018x} fct={:#018x}",
+                got.0, got.1
+            ));
         }
     }
     assert!(drifted.is_empty(), "pull goldens drifted:\n{}", drifted.join("\n"));
 }
 
-/// The pinned fault golden (seed 42) must also hold on the heap oracle:
-/// fault command scheduling, loss draws and retransmission timers all flow
-/// through the same event queue, so this exercises the queue-equivalence
-/// claim under pathological (bursty, far-future timer) schedules too.
+/// The pinned fault golden (seed 42) must also hold under simsan: fault
+/// command scheduling, loss draws and retransmission timers all flow
+/// through the same event queue, so its event-order shadow checks the
+/// queue under pathological (bursty, far-future timer) schedules too.
 #[test]
 fn pinned_fault_golden_holds_on_the_heap_oracle_queue() {
     assert_eq!(
-        fault_golden_digests_on(Scheme::Ppt, 42, ppt::netsim::QueueKind::Heap),
+        fault_golden_digests_on(Scheme::Ppt, 42, true),
         (0x1041_346c_da41_7f88_u64, 0xb674_eeec_1b2d_6af1_u64),
-        "heap-oracle fault digests diverged from pinned golden (seed 42)"
+        "sanitized fault digests diverged from pinned golden (seed 42)"
     );
 }
 

@@ -11,7 +11,9 @@ use ppt::harness::{
     run_experiment_traced, run_experiment_traced_with, run_experiment_with, Experiment, FaultSpec,
     Scheme, TopoKind,
 };
-use ppt::netsim::{FlowId, HostId, RunLimits, SanLevel, SanViolation, Simulator, StopReason};
+use ppt::netsim::{
+    FlowId, HostId, RunLimits, SanLevel, SanViolation, SimTime, Simulator, StopReason,
+};
 use ppt::trace::SanCheck;
 use ppt::transports::Proto;
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
@@ -76,6 +78,23 @@ fn pool_double_free_is_caught() {
 fn tie_break_reorder_is_caught() {
     let (stop, v) = corrupted_run(ppt(), |sim| sim.corrupt_tie_break());
     assert_caught(stop, &v, SanCheck::TieBreak);
+}
+
+/// A queue that loses an entry: the run is stopped with events queued,
+/// the hook discards the front one, and the resumed run's first pop is not
+/// the least key simsan saw pushed.
+#[test]
+fn lost_queue_entry_is_caught() {
+    let mut exp = ppt();
+    exp.max_time = SimTime(200_000);
+    let (outcome, _) =
+        run_experiment_traced_with(&exp, |t| t.sim.set_sanitizer(SanLevel::PerEpoch));
+    assert_eq!(outcome.report.stop, StopReason::MaxTime, "the run must stop with work queued");
+    assert!(outcome.sim.san_violations().is_empty(), "clean run must be violation-free");
+    let mut sim = outcome.sim;
+    sim.corrupt_queue_loss();
+    let report = sim.run(RunLimits::default());
+    assert_caught(report.stop, sim.san_violations(), SanCheck::EventOrder);
 }
 
 #[test]
