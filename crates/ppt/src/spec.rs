@@ -13,7 +13,7 @@ use netsim::{SanLevel, SimDuration, SimTime};
 use workloads::{all_to_all, incast, FlowSpec, SizeDistribution, WorkloadSpec};
 
 use crate::harness::{Experiment, FaultCmd, FaultSpec, Scheme, TelemetrySpec, TopoKind};
-use crate::sweep::SweepSpec;
+use crate::sweep::{grid_cells, Cell};
 
 /// Parsed `--key value` pairs.
 pub struct Args {
@@ -397,6 +397,9 @@ impl Run {
             (vec![load], vec![args.parse_or("seed", 42)?])
         };
         let flows = args.parse_or("flows", default_flows)?;
+        if flows == 0 {
+            return Err("--flows 0: a generated workload needs at least 1 flow".to_string());
+        }
         let flow_list = match cmd {
             "sweep" => Vec::new(),
             _ => {
@@ -444,18 +447,15 @@ impl Run {
         Experiment { scheme: self.schemes[i].1.clone(), ..self.template.clone() }
     }
 
-    /// `sweep`'s scheme × load × seed grid ([`SweepSpec::grid`]), every
-    /// cell on the template's topology and options.
-    pub fn sweep(&self) -> SweepSpec {
-        let schemes: Vec<Scheme> = self.schemes.iter().map(|(_, s)| s.clone()).collect();
+    /// `sweep`'s scheme × load × seed grid ([`grid_cells`]), every cell on
+    /// the template's topology and options, its flows not yet drawn.
+    pub fn sweep(&self) -> impl Iterator<Item = Cell> + '_ {
+        let schemes = self.schemes.iter().map(|(_, scheme)| scheme);
         let (topo, dist, flows) = (self.template.topo, &self.dist, self.flows);
-        let spec = SweepSpec::new().jobs(self.jobs);
-        let mut spec = spec.grid(topo, &schemes, dist, &self.loads, flows, &self.seeds);
-        for point in &mut spec.points {
-            let (scheme, flows) = (point.exp.scheme.clone(), std::mem::take(&mut point.exp.flows));
-            point.exp = Experiment { scheme, flows, ..self.template.clone() };
-        }
-        spec
+        grid_cells(topo, schemes, dist, &self.loads, flows, &self.seeds).map(|cell| {
+            let exp = Experiment { scheme: cell.exp.scheme, ..self.template.clone() };
+            Cell { exp, ..cell }
+        })
     }
 }
 
@@ -664,9 +664,10 @@ mod tests {
             by_hand(Scheme::Rc3BufferCap(0.25), incast(4, &spec))
         );
 
-        let sweep = run("sweep", &format!("{options} --loads 0.4,0.6 --seeds 7,8")).sweep();
-        assert_eq!(sweep.len(), 8);
-        let cell = &sweep.points[7].exp;
+        let sweep = run("sweep", &format!("{options} --loads 0.4,0.6 --seeds 7,8"));
+        let points: Vec<_> = sweep.sweep().map(Cell::expand).collect();
+        assert_eq!(points.len(), 8);
+        let cell = &points[7].exp;
         let spec = WorkloadSpec::new(dist, 0.6, topo.edge_rate(), 30, 8);
         let want = by_hand(Scheme::Rc3BufferCap(0.25), all_to_all(topo.hosts(), &spec));
         assert_eq!(format!("{cell:?}"), want);

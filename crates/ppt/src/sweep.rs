@@ -1,78 +1,106 @@
 //! The shared sweep layer: every figure of the paper is a grid of
 //! (scheme, load, seed, …) points, and this module is the one place that
-//! loop lives — a declarative [`SweepSpec`] executed by a zero-dependency
-//! `std::thread` worker pool.
+//! loop lives — [`run_stream`], a zero-dependency `std::thread` worker
+//! pool that pulls its points off an iterator and hands results back in
+//! point order, and the declarative [`SweepSpec`] and [`grid_cells`] it
+//! runs.
+//!
+//! ## Memory
+//!
+//! A sweep of lazy [`Cell`]s holds one expanded point per worker and hands
+//! each result on as soon as the points before it are done (DESIGN.md §10.2).
 //!
 //! ## Determinism
 //!
 //! Each point is a complete, independent [`run_experiment`] call: a fresh
-//! `Simulator`, its own flow list (expanded once, when the spec is built —
-//! [`SweepSpec::grid`] — and released as soon as the point has run, so a
-//! sweep's memory does not hold every workload to the end), and (by
-//! harness default) its own bounded flight recorder — workers share no
-//! mutable state, so a point's bytes cannot depend on which worker ran it
-//! or on how points interleave in wall-clock time. Results are keyed by
-//! point *index*, not completion order, so `jobs = 1` and `jobs = N`
-//! return byte-identical vectors (asserted by `tests/determinism.rs`). The
-//! only observable difference under parallelism is stderr interleaving of
-//! abnormal-run warnings.
+//! `Simulator`, its own flow list and (by harness default) its own bounded
+//! flight recorder — workers share no mutable state, so a point's bytes
+//! cannot depend on which worker ran it or on how points interleave in
+//! wall-clock time. Results are keyed by point *index*, not completion
+//! order, so `jobs = 1` and `jobs = N` return byte-identical sequences
+//! (asserted by `tests/determinism.rs`). The only observable difference
+//! under parallelism is stderr interleaving of abnormal-run warnings.
 //!
 //! Two-pass schemes ([`Scheme::Hypothetical`]) work unchanged: the oracle
 //! recording pass happens inside the worker's `run_experiment` call, so a
 //! sweep may freely mix single-pass and two-pass points.
 
+use std::collections::BTreeMap;
+use std::sync::{mpsc, Mutex};
+
 use dcn_stats::FctStats;
 use netsim::{PortCounters, RunReport};
 use workloads::{all_to_all, SizeDistribution, WorkloadSpec};
 
-use crate::harness::{run_experiment, run_experiment_traced, Experiment, Scheme, TopoKind};
-use crate::harness::{Outcome, TraceData};
+use crate::harness::{run_experiment, Experiment, Outcome, Scheme, TopoKind};
+
+/// The one runner: take `items` one at a time as a worker frees up, run
+/// `f` on each on `jobs` worker threads, and hand every result to `emit`
+/// on the caller's thread, in item order, as soon as it and every earlier
+/// result are done. At most `jobs` items are out of the iterator at once;
+/// results that finish ahead of an earlier one wait in a reorder buffer.
+///
+/// `jobs <= 1`, or an iterator known to hold at most one item, runs
+/// serially on the caller's thread with no pool at all. A panic in any
+/// point propagates to the caller once all workers have stopped.
+pub fn run_stream<I, T, F, E>(items: I, jobs: usize, f: F, mut emit: E)
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+    T: Send,
+    F: Fn(I::Item) -> T + Sync,
+    E: FnMut(T),
+{
+    let items = items.into_iter();
+    let workers = items.size_hint().1.map_or(jobs, |n| jobs.min(n));
+    if workers <= 1 {
+        items.for_each(|item| emit(f(item)));
+        return;
+    }
+    let items = Mutex::new(items.enumerate());
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let (items, f, tx) = (&items, &f, tx.clone());
+            scope.spawn(move || loop {
+                // The lock is held only to take the item, not to run it. A
+                // poisoned lock means a worker panicked taking one: stop, and
+                // the scope hands that panic to the caller.
+                let Ok(mut items) = items.lock() else { break };
+                let Some((i, item)) = items.next() else { break };
+                drop(items);
+                if tx.send((i, f(item))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        let mut early = BTreeMap::new();
+        let mut next = 0;
+        for (i, out) in rx {
+            early.insert(i, out);
+            while let Some(out) = early.remove(&next) {
+                emit(out);
+                next += 1;
+            }
+        }
+    });
+}
 
 /// Run `f(0..n)` on `jobs` worker threads and return the results in index
-/// order. The primitive under [`SweepSpec::run`]; use it directly when a
-/// figure needs a custom per-point extraction (samplers, traces, …).
+/// order. Use it directly when a figure needs a custom per-point
+/// extraction (samplers, traces, …).
 ///
 /// `T` must be `Send` plain data — the full [`Outcome`] (which owns the
-/// simulator) stays on the worker thread. `jobs <= 1` runs serially on
-/// the caller's thread with no pool at all. A panic in any point
-/// propagates to the caller once all workers have stopped.
+/// simulator) stays on the worker thread.
 pub fn run_points<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n) {
-            scope.spawn(|| loop {
-                // Work-stealing counter: each index is claimed exactly once.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                let mut slots = results.lock().unwrap_or_else(|e| e.into_inner());
-                slots[i] = Some(out);
-            });
-        }
-    });
-    let slots = results.into_inner().unwrap_or_else(|e| e.into_inner());
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Some(v) => v,
-            // Unreachable: every index below `n` is claimed by exactly one
-            // worker, and the scope joins (or propagates a panic from)
-            // every worker before we get here.
-            None => unreachable!("sweep point not computed"),
-        })
-        .collect()
+    let mut out = Vec::with_capacity(n);
+    run_stream(0..n, jobs, f, |t| out.push(t));
+    out
 }
 
 /// One cell of a sweep: a display label plus the experiment to run.
@@ -82,6 +110,73 @@ pub struct SweepPoint {
     pub label: String,
     /// The fully-described experiment for this cell.
     pub exp: Experiment,
+}
+
+impl SweepPoint {
+    /// Run the point; its experiment, flow list included, is dropped
+    /// before the result is returned.
+    pub fn run(self) -> PointResult {
+        let SweepPoint { label, exp } = self;
+        let outcome = run_experiment(&exp);
+        PointResult::extract(label, exp.scheme, outcome)
+    }
+}
+
+/// A sweep cell before its flows exist: `exp` with an empty flow list,
+/// and the all-to-all workload on `exp.topo` that generates them.
+#[derive(Clone, Debug)]
+pub struct Cell {
+    /// Human-readable tag carried into the result.
+    pub label: String,
+    /// The experiment to run, without its flows.
+    pub exp: Experiment,
+    /// What generates the flows.
+    pub workload: WorkloadSpec,
+}
+
+impl Cell {
+    /// The point with the cell's flows drawn.
+    pub fn expand(self) -> SweepPoint {
+        let Cell { label, mut exp, workload } = self;
+        exp.flows = all_to_all(exp.topo.hosts(), &workload);
+        SweepPoint { label, exp }
+    }
+
+    /// Expand the cell and run it.
+    pub fn run(self) -> PointResult {
+        self.expand().run()
+    }
+}
+
+/// The scheme × load × seed grid of the paper's figures as cells, in
+/// row-major order (scheme outermost, seed innermost): an all-to-all
+/// workload of `flows` flows drawn from `dist` on `topo`. Lazy: a cell is
+/// made when it is taken.
+pub fn grid_cells<'a>(
+    topo: TopoKind,
+    schemes: impl IntoIterator<Item = &'a Scheme, IntoIter: 'a>,
+    dist: &'a SizeDistribution,
+    loads: &'a [f64],
+    flows: usize,
+    seeds: &'a [u64],
+) -> impl Iterator<Item = Cell> + 'a {
+    schemes.into_iter().flat_map(move |scheme| {
+        loads.iter().flat_map(move |&load| {
+            seeds.iter().map(move |&seed| {
+                let label = match (loads.len(), seeds.len()) {
+                    (1, 1) => scheme.name(),
+                    (_, 1) => format!("{} load {load}", scheme.name()),
+                    (1, _) => format!("{} seed {seed}", scheme.name()),
+                    _ => format!("{} load {load} seed {seed}", scheme.name()),
+                };
+                Cell {
+                    label,
+                    exp: Experiment::new(topo, scheme.clone(), Vec::new()),
+                    workload: WorkloadSpec::new(dist.clone(), load, topo.edge_rate(), flows, seed),
+                }
+            })
+        })
+    })
 }
 
 /// The `Send` extract of one point's [`Outcome`]: everything the figures
@@ -105,16 +200,9 @@ pub struct PointResult {
 }
 
 impl PointResult {
-    fn extract(label: String, scheme: Scheme, outcome: &Outcome) -> Self {
-        PointResult {
-            label,
-            scheme,
-            fct: outcome.fct.clone(),
-            completion_ratio: outcome.completion_ratio,
-            counters: outcome.counters,
-            report: outcome.report,
-            telemetry: outcome.telemetry.clone(),
-        }
+    fn extract(label: String, scheme: Scheme, outcome: Outcome) -> Self {
+        let Outcome { fct, completion_ratio, counters, report, telemetry, .. } = outcome;
+        PointResult { label, scheme, fct, completion_ratio, counters, report, telemetry }
     }
 }
 
@@ -145,9 +233,7 @@ impl SweepSpec {
         self
     }
 
-    /// Append the scheme × load × seed grid of the paper's figures, in
-    /// row-major order (scheme outermost, seed innermost): an all-to-all
-    /// workload of `flows` flows drawn from `dist` on `topo`.
+    /// Append the [`grid_cells`] grid, every cell expanded now.
     pub fn grid(
         mut self,
         topo: TopoKind,
@@ -157,22 +243,8 @@ impl SweepSpec {
         flows: usize,
         seeds: &[u64],
     ) -> Self {
-        for scheme in schemes {
-            for &load in loads {
-                for &seed in seeds {
-                    let spec = WorkloadSpec::new(dist.clone(), load, topo.edge_rate(), flows, seed);
-                    let exp =
-                        Experiment::new(topo, scheme.clone(), all_to_all(topo.hosts(), &spec));
-                    let label = match (loads.len(), seeds.len()) {
-                        (1, 1) => scheme.name(),
-                        (_, 1) => format!("{} load {load}", scheme.name()),
-                        (1, _) => format!("{} seed {seed}", scheme.name()),
-                        _ => format!("{} load {load} seed {seed}", scheme.name()),
-                    };
-                    self.points.push(SweepPoint { label, exp });
-                }
-            }
-        }
+        let cells = grid_cells(topo, schemes, dist, loads, flows, seeds);
+        self.points.extend(cells.map(Cell::expand));
         self
     }
 
@@ -186,35 +258,13 @@ impl SweepSpec {
         self.points.is_empty()
     }
 
-    /// Run every point and return results in point order.
+    /// Run every point and return results in point order. Each point is
+    /// handed to its worker by value, so its flow list is dropped when it
+    /// has run, not when the last point finishes.
     pub fn run(self) -> Vec<PointResult> {
-        self.run_each(|SweepPoint { label, exp }| {
-            PointResult::extract(label, exp.scheme.clone(), &run_experiment(&exp))
-        })
-    }
-
-    /// Run every point with full event capture (a per-point `MemorySink`
-    /// instead of the default flight recorder); results in point order.
-    pub fn run_traced(self) -> Vec<(PointResult, TraceData)> {
-        self.run_each(|SweepPoint { label, exp }| {
-            let (outcome, trace) = run_experiment_traced(&exp);
-            (PointResult::extract(label, exp.scheme.clone(), &outcome), trace)
-        })
-    }
-
-    /// [`run_points`] over the spec, handing each point to `f` by value:
-    /// the point — its expanded flow list above all — is dropped when `f`
-    /// returns, not when the last point finishes.
-    fn run_each<T: Send>(self, f: impl Fn(SweepPoint) -> T + Sync) -> Vec<T> {
-        use std::sync::Mutex;
-        let SweepSpec { points, jobs } = self;
-        let points: Vec<Mutex<Option<SweepPoint>>> =
-            points.into_iter().map(|p| Mutex::new(Some(p))).collect();
-        run_points(points.len(), jobs, |i| {
-            let point = points[i].lock().unwrap_or_else(|e| e.into_inner()).take();
-            // `run_points` hands out every index exactly once.
-            f(point.unwrap_or_else(|| unreachable!("sweep point {i} claimed twice")))
-        })
+        let mut out = Vec::with_capacity(self.points.len());
+        run_stream(self.points, self.jobs, SweepPoint::run, |r| out.push(r));
+        out
     }
 }
 
@@ -240,6 +290,67 @@ mod tests {
     fn serial_path_used_for_jobs_1() {
         assert_eq!(run_points(3, 1, |i| i * i), vec![0, 1, 4]);
         assert_eq!(run_points(0, 4, |i| i), Vec::<usize>::new());
+    }
+
+    /// The runner takes an item only when a worker is free and drops it
+    /// when its point has run: an iterator that counts the items it has
+    /// handed out and not yet seen dropped sees exactly `jobs` at its peak
+    /// (the first `jobs` points wait until that many have been out at once,
+    /// for at most ten seconds, so a runner with fewer workers fails rather
+    /// than hangs).
+    #[test]
+    fn the_runner_holds_at_most_jobs_items_at_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        struct Live<'a>(usize, &'a AtomicUsize);
+        impl Drop for Live<'_> {
+            fn drop(&mut self) {
+                self.1.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        for jobs in [1, 3] {
+            let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let items = (0..12).map(|i| {
+                peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                Live(i, &live)
+            });
+            let work = |item: Live| {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while item.0 < jobs
+                    && peak.load(Ordering::SeqCst) < jobs
+                    && Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+                item.0
+            };
+            let mut out = Vec::new();
+            run_stream(items, jobs, work, |i| out.push(i));
+            assert_eq!(out, (0..12).collect::<Vec<_>>(), "jobs {jobs}");
+            assert_eq!(peak.load(Ordering::SeqCst), jobs, "jobs {jobs}: items out at once");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "jobs {jobs}: an item was never dropped");
+        }
+    }
+
+    /// Point 0 finishes last, after every later point has: the results
+    /// still reach the caller in point order.
+    #[test]
+    fn results_come_back_in_point_order_when_a_late_point_finishes_first() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        let finished = AtomicUsize::new(0);
+        let mut out = Vec::new();
+        let work = |i: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while i == 0 && finished.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            (i, finished.fetch_add(1, Ordering::SeqCst))
+        };
+        run_stream(0..4, 2, work, |r| out.push(r));
+        let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert_eq!(out[0].1, 3, "point 0 was meant to finish last: {out:?}");
     }
 
     #[test]

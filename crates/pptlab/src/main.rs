@@ -10,7 +10,7 @@
 //! pptlab topos              # list topology ids
 //! ```
 
-use std::io::Write as _;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -19,7 +19,7 @@ use ppt::harness::{collect_metrics, run_experiment, run_experiment_traced};
 use ppt::harness::{TelemetrySummary, TraceData};
 use ppt::spec::{Args, Run, SCHEMES, TOPOS, WORKLOADS};
 use ppt::stats::{analyze_lcp, analyze_recovery, FctSummary};
-use ppt::sweep::run_points;
+use ppt::sweep::{run_points, run_stream, Cell};
 use ppt::trace::JsonObject;
 
 const USAGE: &str = "\
@@ -275,13 +275,19 @@ fn cmd_faults(args: &Args, run: &Run) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &Args, run: &Run) -> Result<(), String> {
-    let json_mode = args.flag("json");
-    let spec = run.sweep();
+    write_sweep(args.flag("json"), run, &mut std::io::stdout().lock()).map_err(|e| e.to_string())
+}
+
+/// `sweep`'s table, or with `json_mode` its JSON lines, to `out`. Each row
+/// is written as soon as its point and every earlier one have run; a
+/// cell's flows exist only while its point runs.
+fn write_sweep(json_mode: bool, run: &Run, out: &mut dyn Write) -> std::io::Result<()> {
     if !json_mode {
-        println!(
+        writeln!(
+            out,
             "sweep: {} points ({} schemes x {} loads x {} seeds) on {:?}, \
              workload={} flows={} jobs={}\n",
-            spec.len(),
+            run.schemes.len() * run.loads.len() * run.seeds.len(),
             run.schemes.len(),
             run.loads.len(),
             run.seeds.len(),
@@ -289,12 +295,13 @@ fn cmd_sweep(args: &Args, run: &Run) -> Result<(), String> {
             run.dist.name(),
             run.flows,
             run.jobs,
-        );
-        println!("{}", fct_header("point", 34));
+        )?;
+        writeln!(out, "{}", fct_header("point", 34))?;
     }
-    for r in spec.run() {
+    let mut written = Ok(());
+    run_stream(run.sweep(), run.jobs, Cell::run, |r| {
         let (s, drops) = (r.fct.summary(), r.counters.dropped);
-        if json_mode {
+        let line = if json_mode {
             let row = JsonObject::new().str("point", &r.label).str("scheme", &r.scheme.name());
             let mut doc = fct_json(row, &s, r.completion_ratio, drops);
             if let Some(t) = &r.telemetry {
@@ -302,12 +309,15 @@ fn cmd_sweep(args: &Args, run: &Run) -> Result<(), String> {
                     .u64("telemetry_samples", t.samples)
                     .u64("oscillating_series", t.oscillating().count() as u64);
             }
-            println!("{}", doc.finish());
+            doc.finish()
         } else {
-            println!("{}", fct_row(&r.label, 34, &s, r.completion_ratio, drops));
+            fct_row(&r.label, 34, &s, r.completion_ratio, drops)
+        };
+        if written.is_ok() {
+            written = writeln!(out, "{line}");
         }
-    }
-    Ok(())
+    });
+    written
 }
 
 /// Render the `pptlab report` terminal block for one scheme.
@@ -626,6 +636,27 @@ mod tests {
         assert!(run(&[]).unwrap_err().starts_with("figure needs --ids"));
     }
 
+    /// `sweep --json` on a small grid writes the same bytes whether its
+    /// points run on one worker or on two.
+    #[test]
+    fn sweep_json_is_the_same_bytes_for_any_job_count() {
+        let json = |jobs: &str| {
+            let line = format!(
+                "--schemes ppt,dctcp --topo star:4:10:20 --loads 0.3,0.6 --seeds 42,7 \
+                 --flows 20 --jobs {jobs} --json"
+            );
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let (_, keys, _) = COMMANDS.iter().find(|(name, ..)| *name == "sweep").unwrap();
+            let args = Args::parse("sweep", &argv, keys).unwrap();
+            let mut out = Vec::new();
+            write_sweep(true, &Run::parse("sweep", &args, None).unwrap(), &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let serial = json("1");
+        assert_eq!(serial.lines().count(), 8, "{serial}");
+        assert_eq!(serial, json("2"));
+    }
+
     /// Spec values the workload generators and topology builders assert on
     /// (or divide by) are argument errors like any other: one line, no
     /// backtrace, nothing run.
@@ -705,6 +736,10 @@ mod tests {
                 err("report", &["--telemetry", interval]),
                 format!("--telemetry: interval '{interval}' is too large")
             );
+        }
+        for cmd in ["compare", "sweep", "trace"] {
+            let says = "--flows 0: a generated workload needs at least 1 flow";
+            assert_eq!(err(cmd, &["--flows", "0"]), says);
         }
         assert_eq!(
             err("compare", &["--incast", "0"]),
