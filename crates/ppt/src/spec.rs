@@ -5,6 +5,7 @@
 //! parsing searches and the `pptlab` listings print.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::mem::discriminant;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -69,22 +70,23 @@ impl Args {
     }
 
     /// Parse `--key` as a comma-separated list of `T`, defaulting when
-    /// absent.
-    pub fn parse_list_or<T: FromStr + Clone>(
+    /// absent. A value given twice (`0.5,0.50`) is an error: the grid would
+    /// run its points twice.
+    pub fn parse_list_or<T: FromStr + Clone + PartialEq + Display>(
         &self,
         key: &str,
         default: &[T],
     ) -> Result<Vec<T>, String> {
-        match self.get(key) {
-            None => Ok(default.to_vec()),
-            Some(v) => v
-                .split(',')
-                .map(|p| {
-                    let p = p.trim();
-                    p.parse().map_err(|_| format!("--{key}: cannot parse '{p}'"))
-                })
-                .collect(),
+        let Some(v) = self.get(key) else { return Ok(default.to_vec()) };
+        let mut list: Vec<T> = Vec::new();
+        for p in v.split(',').map(str::trim) {
+            let value = p.parse().map_err(|_| format!("--{key}: cannot parse '{p}'"))?;
+            if let Some(earlier) = list.iter().find(|&e| *e == value) {
+                return Err(format!("--{key}: '{p}' repeats {earlier}"));
+            }
+            list.push(value);
         }
+        Ok(list)
     }
 }
 
@@ -92,7 +94,9 @@ impl Args {
 /// [`Scheme::name`] and `pptlab schemes` read this one table. An id ending
 /// in `<f>` takes the variant's fraction from what follows its prefix, a
 /// `<f>` in a name prints the fraction as a percentage, and the value is
-/// the variant at one representative fraction.
+/// the variant at one representative fraction. A parsed fraction is finite
+/// and above 0, at most 1 for `rc3-cap` (a share of the buffer) and at
+/// most 4 for `ppt-fill` (a multiple of MW; Fig 3 goes to 1.5).
 pub const SCHEMES: &[(&str, &str, Scheme)] = &[
     ("dctcp", "DCTCP", Scheme::Dctcp),
     ("tcp10", "TCP-10", Scheme::Tcp10),
@@ -128,14 +132,31 @@ fn fraction(scheme: &mut Scheme) -> Option<&mut f64> {
 
 /// The scheme a [`SCHEMES`] id names.
 pub fn parse_scheme(id: &str) -> Option<Scheme> {
-    SCHEMES.iter().find_map(|(key, _, value)| match key.strip_suffix("<f>") {
-        None => (*key == id).then(|| value.clone()),
-        Some(prefix) => {
-            let mut scheme = value.clone();
-            *fraction(&mut scheme)? = id.strip_prefix(prefix)?.parse().ok()?;
-            Some(scheme)
+    scheme_of(id).ok()
+}
+
+/// [`parse_scheme`], saying why an id names no scheme.
+fn scheme_of(id: &str) -> Result<Scheme, String> {
+    let mut scheme = SCHEMES
+        .iter()
+        .find_map(|(key, _, value)| match key.strip_suffix("<f>") {
+            None => (*key == id).then(|| value.clone()),
+            Some(prefix) => {
+                let mut scheme = value.clone();
+                *fraction(&mut scheme)? = id.strip_prefix(prefix)?.parse().ok()?;
+                Some(scheme)
+            }
+        })
+        .ok_or_else(|| format!("unknown scheme '{id}' (try `pptlab schemes`)"))?;
+    // RC3's low-priority cap is a share of the port buffer, PPT's fill a
+    // multiple of MW.
+    let max = if matches!(scheme, Scheme::Rc3BufferCap(_)) { 1.0 } else { 4.0 };
+    match fraction(&mut scheme) {
+        Some(f) if !(*f > 0.0 && *f <= max) => {
+            Err(format!("--schemes: '{id}': the fraction must be in (0, {max}]"))
         }
-    })
+        _ => Ok(scheme),
+    }
 }
 
 /// A scheme's display name, from its [`SCHEMES`] row.
@@ -154,8 +175,7 @@ pub(crate) fn scheme_name(scheme: &Scheme) -> String {
 fn parse_schemes(list: &str) -> Result<Vec<(String, Scheme)>, String> {
     let mut schemes: Vec<(String, Scheme)> = Vec::new();
     for id in list.split(',').map(str::trim) {
-        let scheme = parse_scheme(id)
-            .ok_or_else(|| format!("unknown scheme '{id}' (try `pptlab schemes`)"))?;
+        let scheme = scheme_of(id)?;
         if schemes.iter().any(|(_, s)| *s == scheme) {
             return Err(format!("--schemes: '{id}' repeats {}", scheme.name()));
         }
@@ -188,6 +208,9 @@ pub fn parse_topo(id: &str) -> Result<TopoKind, String> {
         if k < 2 || !k.is_multiple_of(2) {
             return Err(format!("--topo {id}: a fat-tree needs an even k of at least 2"));
         }
+        if k > MAX_FATTREE_K {
+            return Err(format!("--topo {id}: a fat-tree takes a k of at most {MAX_FATTREE_K}"));
+        }
         if edge_gbps == 0 {
             return Err(format!("--topo {id}: the edge rate must be above 0 Gbps"));
         }
@@ -202,6 +225,9 @@ pub fn parse_topo(id: &str) -> Result<TopoKind, String> {
     let n = n as usize;
     if n < 2 {
         return Err(format!("--topo {id}: a star needs at least 2 hosts"));
+    }
+    if n > MAX_STAR_HOSTS {
+        return Err(format!("--topo {id}: a star takes at most {MAX_STAR_HOSTS} hosts"));
     }
     if rate_gbps == 0 {
         return Err(format!("--topo {id}: the link rate must be above 0 Gbps"));
@@ -219,6 +245,34 @@ pub fn parse_topo(id: &str) -> Result<TopoKind, String> {
 
 /// The longest one-way link delay a star takes, in microseconds.
 const MAX_DELAY_US: u64 = 1_000_000;
+
+/// The most hosts a star takes. Routes are built by one search of the
+/// fabric per host, so the build grows as n² (`star:32000` took 58 s and
+/// 55 MB; a billion hosts aborts allocating its ports), and a switch
+/// numbers its ports in 16 bits.
+const MAX_STAR_HOSTS: usize = 32_768;
+
+/// The largest fat-tree k. Hosts and links both grow as k³ and the route
+/// build searches the fabric once per host, so it grows as k⁶:
+/// `fattree:32` (8 192 hosts) took 12 s and 356 MB, `fattree:64` was still
+/// building after ten minutes at 6.9 GB.
+const MAX_FATTREE_K: usize = 32;
+
+/// The most flows a generated workload draws: the list alone is 40 bytes
+/// a flow (400 MB here), and its endpoints hold about 2.2 KB a flow while
+/// it runs. A count past what memory holds aborts the process in the
+/// allocator, where it cannot be an error.
+const MAX_FLOWS: usize = 10_000_000;
+
+/// `--flows`, if given: at most [`MAX_FLOWS`].
+pub fn parse_flows(args: &Args) -> Result<Option<usize>, String> {
+    match args.parse_opt("flows")? {
+        Some(n) if n > MAX_FLOWS => {
+            Err(format!("--flows {n}: a generated workload takes at most {MAX_FLOWS} flows"))
+        }
+        flows => Ok(flows),
+    }
+}
 
 /// `us` microseconds in nanoseconds, if that fits the clock.
 fn nanos(us: u64) -> Option<u64> {
@@ -396,7 +450,7 @@ impl Run {
             let load = check_load("load", args.parse_or("load", 0.5)?)?;
             (vec![load], vec![args.parse_or("seed", 42)?])
         };
-        let flows = args.parse_or("flows", default_flows)?;
+        let flows = parse_flows(args)?.unwrap_or(default_flows);
         if flows == 0 {
             return Err("--flows 0: a generated workload needs at least 1 flow".to_string());
         }

@@ -233,7 +233,8 @@ impl SweepSpec {
         self
     }
 
-    /// Append the [`grid_cells`] grid, every cell expanded now.
+    /// Append the [`grid_cells`] grid, every cell expanded now, each (load,
+    /// seed) workload drawn once and cloned for every later scheme.
     pub fn grid(
         mut self,
         topo: TopoKind,
@@ -243,8 +244,19 @@ impl SweepSpec {
         flows: usize,
         seeds: &[u64],
     ) -> Self {
-        let cells = grid_cells(topo, schemes, dist, loads, flows, seeds);
-        self.points.extend(cells.map(Cell::expand));
+        // Scheme-major order: cell `i` draws what cell `i % block` of the
+        // first scheme's block drew.
+        let (first, block) = (self.points.len(), loads.len() * seeds.len());
+        for (i, cell) in grid_cells(topo, schemes, dist, loads, flows, seeds).enumerate() {
+            let point = if i < block {
+                cell.expand()
+            } else {
+                let Cell { label, mut exp, .. } = cell;
+                exp.flows = self.points[first + i % block].exp.flows.clone();
+                SweepPoint { label, exp }
+            };
+            self.points.push(point);
+        }
         self
     }
 
@@ -366,5 +378,33 @@ mod tests {
         assert_eq!(spec.len(), 4);
         let labels: Vec<&str> = spec.points.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, ["DCTCP load 0.3", "DCTCP load 0.6", "PPT load 0.3", "PPT load 0.6"]);
+    }
+
+    /// The eager grid clones each (load, seed) workload of the first
+    /// scheme's block for the later schemes, and behind a point already in
+    /// the spec its points are the lazy grid's, cell for cell.
+    #[test]
+    fn grid_draws_each_load_and_seed_once() {
+        let topo = TopoKind::PaperTestbed;
+        let schemes = [Scheme::Dctcp, Scheme::Ppt, Scheme::Homa];
+        let (dist, loads, seeds) = (SizeDistribution::memcached_w1(), [0.3, 0.6], [1, 2, 3]);
+        let ahead = WorkloadSpec::new(dist.clone(), 0.5, topo.edge_rate(), 12, 99);
+        let ahead = Experiment::new(topo, Scheme::Dctcp, all_to_all(topo.hosts(), &ahead));
+        let spec = SweepSpec::new().point("ahead", ahead);
+        let spec = spec.grid(topo, &schemes, &dist, &loads, 20, &seeds);
+        let want: Vec<SweepPoint> =
+            grid_cells(topo, &schemes, &dist, &loads, 20, &seeds).map(Cell::expand).collect();
+        let flows = |p: &SweepPoint| format!("{:?}", p.exp.flows);
+        assert_eq!(spec.len(), 1 + 18);
+        for (i, (got, want)) in spec.points[1..].iter().zip(&want).enumerate() {
+            assert_eq!(got.label, want.label, "point {i}");
+            assert_eq!(got.exp.scheme, want.exp.scheme, "point {i}");
+            assert_eq!(flows(got), flows(want), "point {i}");
+        }
+        // The point ahead and each (load, seed) have flows of their own, so
+        // a clone from the wrong point cannot pass for the right one.
+        let distinct: std::collections::BTreeSet<String> =
+            spec.points[..1].iter().chain(&want[..6]).map(flows).collect();
+        assert_eq!(distinct.len(), 7);
     }
 }

@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use ppt::figures::{self, FigureOpts, FIGURES};
 use ppt::harness::{collect_metrics, run_experiment, run_experiment_traced};
 use ppt::harness::{TelemetrySummary, TraceData};
-use ppt::spec::{Args, Run, SCHEMES, TOPOS, WORKLOADS};
+use ppt::spec::{parse_flows, Args, Run, SCHEMES, TOPOS, WORKLOADS};
 use ppt::stats::{analyze_lcp, analyze_recovery, FctSummary};
 use ppt::sweep::{run_points, run_stream, Cell};
 use ppt::trace::JsonObject;
@@ -43,20 +43,22 @@ USAGE:
 OPTIONS (compare, sweep, trace, faults, report — unless the flag names its
 commands; an option a command does not take is an error, not ignored):
   --schemes a,b,c   comma-separated `pptlab schemes` ids, each scheme once;
-                    ppt-fill:<f> and rc3-cap:<f> take a fraction
+                    ppt-fill:<f> takes a fraction in (0,4], rc3-cap:<f> in (0,1]
                                                       [default: ppt,dctcp / ppt]
-  --topo ID         (also gen) a `pptlab topos` id    [default: testbed]
+  --topo ID         (also gen) a `pptlab topos` id; a star has at most 32768
+                    hosts, a fat-tree a k of at most 32 [default: testbed]
   --workload ID     (also gen) a `pptlab workloads` id [default: websearch]
   --load F          (not sweep; also gen) network load in (0,1] [default: 0.5]
-  --flows N         (also gen, figure) number of flows [default: 400 / 80 / per figure]
+  --flows N         (also gen, figure) number of flows, at most 10000000
+                                                      [default: 400 / 80 / per figure]
   --seed N          (not sweep; also gen, figure) workload seed [default: 42]
   --jobs N          worker threads; results are identical for any N [default: 1]
   --incast N        (not sweep) N-to-1 incast with N >= 1 senders, not all-to-all
   --trace FILE      (not sweep) replay a CSV flow trace instead of generating one
                     (columns: src,dst,size_bytes,start_ns,first_write_bytes); it
                     fixes the flows: no --workload/--load/--flows/--seed/--incast
-  --loads a,b,c     (sweep) grid of loads             [default: 0.3,0.5,0.7]
-  --seeds a,b,c     (sweep) grid of seeds             [default: 42]
+  --loads a,b,c     (sweep) grid of loads, each once  [default: 0.3,0.5,0.7]
+  --seeds a,b,c     (sweep) grid of seeds, each once  [default: 42]
   --json            (compare, report) one JSON document / (sweep) one JSON
                     line per point
   --metrics         (compare) also collect + print per-scheme metrics
@@ -459,16 +461,17 @@ fn cmd_figure(args: &Args) -> Result<(), String> {
     let ids = args.get("ids").ok_or("figure needs --ids <id,...|all> (try `pptlab figures`)")?;
     let selected: Vec<&figures::Figure> = match ids {
         "all" => FIGURES.iter().collect(),
-        _ => ids
-            .split(',')
+        _ => args
+            .parse_list_or::<String>("ids", &[])?
+            .iter()
             .map(|id| {
-                figures::find(id.trim())
+                figures::find(id)
                     .ok_or_else(|| format!("unknown figure '{id}' (try `pptlab figures`)"))
             })
             .collect::<Result<_, _>>()?,
     };
     let fig_opts = FigureOpts {
-        flows: args.parse_opt("flows")?,
+        flows: parse_flows(args)?,
         seed: args.parse_or("seed", 42)?,
         jobs: args.parse_or("jobs", 1)?,
     };
@@ -681,6 +684,11 @@ mod tests {
             ("star:2:10:18446744073709552", "the delay 18446744073709552 us is above 1 s"),
             ("star:2:20000000000:20", "the link rate 20000000000 Gbps is too large"),
             ("fattree:4:5000000000", "the edge rate 5000000000 Gbps is too large"),
+            // Sizes whose build aborts in the allocator or runs for hours.
+            ("star:32769:10:20", "a star takes at most 32768 hosts"),
+            ("star:1000000000:10:20", "a star takes at most 32768 hosts"),
+            ("fattree:34:10", "a fat-tree takes a k of at most 32"),
+            ("fattree:64:10", "a fat-tree takes a k of at most 32"),
         ] {
             for cmd in ["compare", "sweep", "trace", "gen"] {
                 assert_eq!(err(cmd, &["--topo", topo]), format!("--topo {topo}: {says}"));
@@ -741,6 +749,18 @@ mod tests {
             let says = "--flows 0: a generated workload needs at least 1 flow";
             assert_eq!(err(cmd, &["--flows", "0"]), says);
         }
+        // A list the allocator cannot hold is refused before it is drawn.
+        for cmd in ["compare", "sweep", "trace", "gen"] {
+            for flows in ["10000001", "100000000000", "18446744073709551615"] {
+                let says =
+                    format!("--flows {flows}: a generated workload takes at most 10000000 flows");
+                assert_eq!(err(cmd, &["--flows", flows]), says);
+            }
+        }
+        assert_eq!(
+            err("figure", &["--ids", "table3_params", "--flows", "100000000000"]),
+            "--flows 100000000000: a generated workload takes at most 10000000 flows"
+        );
         assert_eq!(
             err("compare", &["--incast", "0"]),
             "--incast 0: an incast needs at least 1 sender"
@@ -755,6 +775,37 @@ mod tests {
             err("compare", &["--schemes", "ppt-fill:0.5,dctcp,ppt-fill:0.50"]),
             "--schemes: 'ppt-fill:0.50' repeats PPT fill 50%×MW"
         );
+        // A scheme's fraction is finite and above 0; RC3's cap is a share
+        // of the buffer, PPT's fill at most 4×MW.
+        for (cmd, id, max) in [
+            ("compare", "ppt-fill:NaN", 4),
+            ("sweep", "ppt-fill:1e300", 4),
+            ("trace", "ppt-fill:0", 4),
+            ("compare", "ppt-fill:4.5", 4),
+            ("compare", "rc3-cap:-0.5", 1),
+            ("sweep", "rc3-cap:inf", 1),
+            ("trace", "rc3-cap:1.5", 1),
+        ] {
+            let says = format!("--schemes: '{id}': the fraction must be in (0, {max}]");
+            assert_eq!(err(cmd, &["--schemes", &format!("ppt,{id}")]), says);
+        }
+        assert_eq!(ppt::spec::parse_scheme("ppt-fill:4"), Some(Scheme::PptFill(4.0)));
+        assert_eq!(ppt::spec::parse_scheme("rc3-cap:1"), Some(Scheme::Rc3BufferCap(1.0)));
+        // A list option names each value once, compared as values.
+        for (cmd, key, list, says) in [
+            ("sweep", "loads", "0.5,0.5", "'0.5' repeats 0.5"),
+            ("sweep", "loads", "0.3,0.5,0.50", "'0.50' repeats 0.5"),
+            ("sweep", "seeds", "1,1", "'1' repeats 1"),
+            ("sweep", "seeds", "7,01,1", "'1' repeats 1"),
+            (
+                "figure",
+                "ids",
+                "table3_params,table3_params",
+                "'table3_params' repeats table3_params",
+            ),
+        ] {
+            assert_eq!(err(cmd, &[&format!("--{key}"), list]), format!("--{key}: {says}"));
+        }
         assert_eq!(
             parse_topo("star:2:1:1"),
             Ok(TopoKind::Star { n: 2, rate_gbps: 1, delay_us: 1 }),
