@@ -17,7 +17,7 @@
 //! self-profiler around the dispatch loop whose numbers are machine
 //! noise by construction and are therefore excluded from every golden.
 
-use dcn_trace::{encode_line, LogHistogram, ProfKind, Series, TraceEvent};
+use dcn_trace::{encode_telemetry, LogHistogram, ProfKind, Series};
 
 use crate::engine::{Ev, Simulator};
 use crate::ids::{LinkId, SwitchId};
@@ -204,29 +204,15 @@ impl Telemetry {
         Some(rows)
     }
 
-    /// Encode the sampled series as [`TraceEvent::Sample`] JSONL lines
+    /// Encode the sampled series as [`dcn_trace::TraceEvent::Sample`] JSONL lines
     /// (series id = layout index), appending to `out`. With
-    /// `include_prof`, [`TraceEvent::Profile`] rows follow — wall-clock
+    /// `include_prof`, [`dcn_trace::TraceEvent::Profile`] rows follow — wall-clock
     /// data, so callers must keep it out of byte-compared artifacts.
-    pub fn dump_events(&self, out: &mut String, include_prof: bool) {
-        for (i, s) in self.series.iter().enumerate() {
-            for p in s.points() {
-                encode_line(out, p.at, &TraceEvent::Sample { series: i as u32, value: p.value });
-                out.push('\n');
-            }
-        }
-        if include_prof {
-            if let Some(rows) = self.prof_breakdown() {
-                for (kind, count, total_ns) in rows {
-                    encode_line(
-                        out,
-                        self.last_sample_at.0,
-                        &TraceEvent::Profile { kind, count, total_ns },
-                    );
-                    out.push('\n');
-                }
-            }
-        }
+    /// The bytes are [`encode_telemetry`]'s.
+    pub fn dump_events(&self, out: &mut Vec<u8>, include_prof: bool) {
+        let rows = self.prof_breakdown().filter(|_| include_prof);
+        let profile = rows.as_ref().map(|rows| (self.last_sample_at.0, &rows[..]));
+        encode_telemetry(out, &self.series, profile);
     }
 }
 

@@ -16,7 +16,8 @@
 //! flow (`bench_flow_churn`), a point of a 16 384-point telemetry series at
 //! most 1.5× a point of a 2 048-point one to analyze
 //! (`bench_analysis_scaling`), a trace line at most 0.7× what a
-//! `write!`-based formatter takes for it (`bench_encode_line`), and an
+//! `write!`-based formatter takes for it (`bench_encode_line`) and a line of
+//! a whole stream at most 0.38× (`bench_encode_jsonl`), and an
 //! event-queue hold at 100 G link speeds and 4 096 queued events at most
 //! 4× one at 10 G and 64 (`bench_sched_hold`), a switch hop under PFC at
 //! most 1.3× one without (`bench_hop`) — and an
@@ -515,20 +516,23 @@ fn fmt_encode_line(out: &mut String, at: u64, ev: &ppt::trace::TraceEvent) {
     out.push('}');
 }
 
-/// Trace-line encoding against its `fmt` baseline: the captured stream of
-/// a 50-flow PPT run encoded by `dcn_trace::encode_line` and by
-/// [`fmt_encode_line`], the two interleaved round by round so drift of the
-/// box hits them alike. A line is mostly integers, and `write!` builds a
-/// `fmt::Arguments` and dispatches through `dyn Write` for each; returns
-/// false when the product encoder takes more than 0.7× the baseline.
-fn bench_encode_line() -> bool {
-    use ppt::harness::run_experiment_traced;
-    use ppt::trace::{encode_line, TraceEvent};
+/// The captured stream of a 50-flow PPT run: what the encoding benches
+/// encode.
+fn captured_trace() -> Vec<(u64, ppt::trace::TraceEvent)> {
     let topo = TopoKind::Star { n: 4, rate_gbps: 10, delay_us: 20 };
     let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), 50, 7);
     let exp = Experiment::new(topo, Scheme::Ppt, all_to_all(topo.hosts(), &spec));
-    let (_, trace) = run_experiment_traced(&exp);
-    let events = &trace.events;
+    ppt::harness::run_experiment_traced(&exp).1.events
+}
+
+/// Trace-line encoding against its `fmt` baseline: [`captured_trace`]
+/// encoded by `dcn_trace::encode_line` and by [`fmt_encode_line`], the two
+/// interleaved round by round so drift of the box hits them alike. A line
+/// is mostly integers, and `write!` builds a `fmt::Arguments` and
+/// dispatches through `dyn Write` for each; returns false when the product
+/// encoder takes more than 0.7× the baseline.
+fn bench_encode_line(events: &[(u64, ppt::trace::TraceEvent)]) -> bool {
+    use ppt::trace::{encode_line, TraceEvent};
 
     type Encoder = fn(&mut String, u64, &TraceEvent);
     let encoders: [Encoder; 2] = [encode_line, fmt_encode_line];
@@ -556,6 +560,46 @@ fn bench_encode_line() -> bool {
         events.len()
     );
     ratio <= 0.7
+}
+
+/// The gate on [`bench_encode_jsonl`]: ×0.30–0.32 measured over three runs
+/// on a shared 2-core x86-64 VM when every stream started going through
+/// one byte-level encoder, plus 0.06 for noise. The `String` encoder it
+/// replaced measured ×0.45 on the same box, so it would fail the gate.
+const MAX_JSONL_VS_FMT: f64 = 0.38;
+
+/// Stream encoding, the trace door's cost: `dcn_trace::encode_jsonl` over
+/// [`captured_trace`] per line, against [`fmt_encode_line`] appending the
+/// same lines to a `String` of the same capacity, interleaved round by
+/// round. Returns false above [`MAX_JSONL_VS_FMT`].
+fn bench_encode_jsonl(events: &[(u64, ppt::trace::TraceEvent)]) -> bool {
+    use ppt::trace::encode_jsonl;
+    let mut ns_per_line = [f64::INFINITY; 2];
+    let mut texts = [String::new(), String::new()];
+    for _ in 0..9 {
+        let start = Instant::now();
+        texts[0] = black_box(encode_jsonl(events));
+        ns_per_line[0] = ns_per_line[0].min(start.elapsed().as_nanos() as f64);
+        let start = Instant::now();
+        let mut out = String::with_capacity(events.len() * 80);
+        for (at, ev) in events {
+            fmt_encode_line(&mut out, *at, ev);
+            out.push('\n');
+        }
+        texts[1] = black_box(out);
+        ns_per_line[1] = ns_per_line[1].min(start.elapsed().as_nanos() as f64);
+    }
+    assert!(texts[0] == texts[1], "the two encoders must produce the same bytes");
+    let ns_per_line = ns_per_line.map(|ns| ns / events.len() as f64);
+    let ratio = ns_per_line[0] / ns_per_line[1];
+    println!(
+        "{:<44} {:>8.1} / {:>8.1} ns/line   (x{ratio:.2} of the write!-based formatter, {} lines)",
+        "trace/encode_jsonl vs fmt",
+        ns_per_line[0],
+        ns_per_line[1],
+        events.len()
+    );
+    ratio <= MAX_JSONL_VS_FMT
 }
 
 /// The event queue's hold model (pop the earliest entry, push one a
@@ -842,7 +886,9 @@ fn main() {
     let resend_cost_ignores_the_window = bench_rto_resend();
     let flow_cost_follows_concurrency = bench_flow_churn();
     let analysis_cost_follows_points = bench_analysis_scaling();
-    let encoder_beats_fmt = bench_encode_line();
+    let trace = captured_trace();
+    let encoder_beats_fmt = bench_encode_line(&trace);
+    let stream_encoder_beats_fmt = bench_encode_jsonl(&trace);
     let queue_cost_ignores_link_rate = bench_sched_hold();
     bench_switch();
     let pfc_costs_like_no_pfc = bench_hop();
@@ -884,6 +930,13 @@ fn main() {
     }
     if !encoder_beats_fmt {
         eprintln!("microbench: encode_line takes more than 0.7x a write!-based formatter");
+        std::process::exit(1);
+    }
+    if !stream_encoder_beats_fmt {
+        eprintln!(
+            "microbench: encode_jsonl takes more than {MAX_JSONL_VS_FMT}x a write!-based \
+             formatter per line"
+        );
         std::process::exit(1);
     }
     if !queue_cost_ignores_link_rate {

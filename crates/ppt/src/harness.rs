@@ -577,18 +577,18 @@ pub struct Outcome {
     pub telemetry: Option<TelemetrySummary>,
 }
 
-/// `Send`-able digest of a run's telemetry: per-series analyses, the
-/// three histograms and the optional profile rows. Everything except
-/// `prof` is a pure function of simulated state, so its JSON encoding is
-/// byte-identical across reruns and sweep job counts (DESIGN.md §14).
+/// `Send`-able digest of what a run's sampler counted: the interval, the
+/// ticks, the three histograms and the optional profile rows. Everything
+/// except `prof` is a pure function of simulated state, so its JSON
+/// encoding is byte-identical across reruns and sweep job counts (DESIGN.md
+/// §14). The per-series analysis is not in it: it is made where it is
+/// printed, by [`dcn_stats::analyze_all`] over the run's series.
 #[derive(Clone, Debug)]
 pub struct TelemetrySummary {
     /// Sampling interval used.
     pub interval: SimDuration,
     /// Sampler ticks taken.
     pub samples: u64,
-    /// Per-series amplitude/oscillation analyses, in series-table order.
-    pub series: Vec<SeriesAnalysis>,
     /// Flow completion times, nanoseconds.
     pub fct_ns: LogHistogram,
     /// Per-packet queueing delay, nanoseconds.
@@ -606,7 +606,6 @@ impl TelemetrySummary {
         TelemetrySummary {
             interval: t.interval(),
             samples: t.samples_taken(),
-            series: dcn_stats::analyze_all(t.series()),
             fct_ns: t.fct_hist().clone(),
             queue_delay_ns: t.queue_delay_hist().clone(),
             queue_depth_bytes: t.queue_depth_hist().clone(),
@@ -614,14 +613,15 @@ impl TelemetrySummary {
         }
     }
 
-    /// Deterministic JSON encoding for `pptlab report`. Profile rows are
-    /// wall-clock noise, so they only appear when `include_prof` is set —
-    /// default report output stays byte-comparable.
-    pub fn to_json(&self, include_prof: bool) -> String {
-        let mut series = String::from("[");
-        for (i, a) in self.series.iter().enumerate() {
+    /// Deterministic JSON encoding for `pptlab report`, with `series` (the
+    /// run's [`dcn_stats::analyze_all`]) as its per-series block. Profile
+    /// rows are wall-clock noise, so they only appear when `include_prof`
+    /// is set — default report output stays byte-comparable.
+    pub fn to_json(&self, series: &[SeriesAnalysis], include_prof: bool) -> String {
+        let mut block = String::from("[");
+        for (i, a) in series.iter().enumerate() {
             if i > 0 {
-                series.push(',');
+                block.push(',');
             }
             let mut obj = JsonObject::new()
                 .str("name", &a.name)
@@ -634,13 +634,13 @@ impl TelemetrySummary {
             if let Some(p) = a.period_ns {
                 obj = obj.u64("period_ns", p).f64("period_strength", a.period_strength);
             }
-            series.push_str(&obj.bool("oscillating", a.oscillating).finish());
+            block.push_str(&obj.bool("oscillating", a.oscillating).finish());
         }
-        series.push(']');
+        block.push(']');
         let mut obj = JsonObject::new()
             .u64("interval_ns", self.interval.as_nanos())
             .u64("samples", self.samples)
-            .raw("series", &series)
+            .raw("series", &block)
             .raw("fct_ns", &self.fct_ns.to_json())
             .raw("queue_delay_ns", &self.queue_delay_ns.to_json())
             .raw("queue_depth_bytes", &self.queue_depth_bytes.to_json());
@@ -664,11 +664,6 @@ impl TelemetrySummary {
             }
         }
         obj.finish()
-    }
-
-    /// Series flagged as oscillating by the analysis pass.
-    pub fn oscillating(&self) -> impl Iterator<Item = &SeriesAnalysis> {
-        self.series.iter().filter(|a| a.oscillating)
     }
 }
 

@@ -116,9 +116,17 @@ impl SweepPoint {
     /// Run the point; its experiment, flow list included, is dropped
     /// before the result is returned.
     pub fn run(self) -> PointResult {
+        self.run_with(|_| ()).0
+    }
+
+    /// [`Self::run`], also handing the whole [`Outcome`], simulator and its
+    /// telemetry included, to `inspect` on the thread that ran it: for
+    /// what a caller reads from the run beyond the [`PointResult`].
+    pub fn run_with<T>(self, inspect: impl FnOnce(&Outcome) -> T) -> (PointResult, T) {
         let SweepPoint { label, exp } = self;
         let outcome = run_experiment(&exp);
-        PointResult::extract(label, exp.scheme, outcome)
+        let seen = inspect(&outcome);
+        (PointResult::extract(label, exp.scheme, outcome), seen)
     }
 }
 

@@ -16,9 +16,9 @@ use std::process::ExitCode;
 
 use ppt::figures::{self, FigureOpts, FIGURES};
 use ppt::harness::{collect_metrics, run_experiment, run_experiment_traced};
-use ppt::harness::{TelemetrySummary, TraceData};
+use ppt::harness::{Outcome, TelemetrySummary, TraceData};
 use ppt::spec::{parse_flows, Args, Run, SCHEMES, TOPOS, WORKLOADS};
-use ppt::stats::{analyze_lcp, analyze_recovery, FctSummary};
+use ppt::stats::{analyze_all, analyze_lcp, analyze_recovery, FctSummary, SeriesAnalysis};
 use ppt::sweep::{run_points, run_stream, Cell};
 use ppt::trace::JsonObject;
 
@@ -29,6 +29,7 @@ USAGE:
   pptlab compare [OPTIONS]     run schemes on one workload and print FCT rows
   pptlab sweep [OPTIONS]       run a scheme x load x seed grid and print one row per point
   pptlab trace [OPTIONS]       record a traced run: events.jsonl + metrics.json
+                               (+ telemetry.jsonl with --telemetry)
   pptlab faults [OPTIONS]      traced fault-injection run; one JSONL recovery summary per scheme
   pptlab report [OPTIONS]      telemetered run: series summaries, histogram percentiles,
                                oscillation flags and (with --prof) a profile breakdown
@@ -75,11 +76,15 @@ commands; an option a command does not take is an error, not ignored):
   --buffers F       scale every buffer-denominated knob (port buffer,
                     ECN/trim thresholds) by F, e.g. 0.1 for the tiny-buffer
                     regime
-  --telemetry [IVL] enable the deterministic continuous-telemetry sampler at
-                    interval IVL: <n>ns | <n>us | <n>ms | bare <n> =
-                    microseconds [default: 10us; report always samples].
-                    Sampling only reads state, so traces and FCTs stay
-                    byte-identical with or without it.
+  --telemetry [IVL] (sweep, trace, report) enable the deterministic
+                    continuous-telemetry sampler at interval IVL: <n>ns |
+                    <n>us | <n>ms | bare <n> = microseconds [default: 10us;
+                    report always samples]. Sampling only reads state, so
+                    traces and FCTs stay byte-identical with or without it.
+                    sweep --json adds telemetry_samples and
+                    oscillating_series to each row; trace writes the
+                    sampled series as telemetry.jsonl (<id>.telemetry.jsonl
+                    with several schemes), the bytes report writes
   --prof            (report) also run the wall-clock dispatch profiler and
                     include its (non-deterministic) breakdown in output
   --faults SPEC     deterministic fault schedule [faults default: loss=0.01].
@@ -184,15 +189,26 @@ fn cmd_compare(args: &Args, run: &Run) -> Result<(), String> {
     Ok(())
 }
 
-/// Write a captured stream as JSON Lines, line by line: the file's text
-/// never exists in memory beside the events it is made from.
+/// Write a captured stream as JSON Lines, a chunk at a time: the file's
+/// text never exists in memory beside the events it is made from.
 fn write_events(path: &Path, trace: &TraceData) -> Result<(), String> {
-    let write = || {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        trace.write_jsonl(&mut w)?;
-        w.flush()
-    };
+    let write = || trace.write_jsonl(&mut std::fs::File::create(path)?);
     write().map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Write `bytes` to `path`, naming the path in the error.
+fn write_file(path: &Path, bytes: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, bytes).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// A telemetered run's sampled series as `TraceEvent::Sample` JSONL, the
+/// `telemetry.jsonl` of `trace` and `report` (`Profile` rows only with
+/// `prof`: they are wall-clock noise); `None` when nothing sampled.
+fn telemetry_dump(outcome: &Outcome, prof: bool) -> Option<Vec<u8>> {
+    let t = outcome.sim.telemetry()?;
+    let mut dump = Vec::new();
+    t.dump_events(&mut dump, prof);
+    Some(dump)
 }
 
 /// `--out`, created when given.
@@ -212,25 +228,34 @@ fn cmd_trace(args: &Args, run: &Run) -> Result<(), String> {
     // byte-identical for any --jobs.
     let results = run_points(run.schemes.len(), run.jobs, |i| {
         let (outcome, trace) = run_experiment_traced(&run.experiment(i));
-        (trace, collect_metrics(&outcome).to_json())
+        (trace, collect_metrics(&outcome).to_json(), telemetry_dump(&outcome, false))
     });
 
     let single = run.schemes.len() == 1;
-    for ((id, scheme), (trace, metrics_json)) in run.schemes.iter().zip(results) {
-        let (ev_path, m_path) = if single {
-            (out_dir.join("events.jsonl"), out_dir.join("metrics.json"))
-        } else {
-            (out_dir.join(format!("{id}.events.jsonl")), out_dir.join(format!("{id}.metrics.json")))
+    for ((id, scheme), (trace, metrics_json, telemetry)) in run.schemes.iter().zip(results) {
+        let path = |name: &str| {
+            if single {
+                out_dir.join(name)
+            } else {
+                out_dir.join(format!("{id}.{name}"))
+            }
         };
+        let (ev_path, m_path) = (path("events.jsonl"), path("metrics.json"));
         write_events(&ev_path, &trace)?;
-        std::fs::write(&m_path, metrics_json).map_err(|e| format!("{}: {e}", m_path.display()))?;
-        println!(
+        write_file(&m_path, metrics_json)?;
+        let mut line = format!(
             "{}: {} events -> {}, metrics -> {}",
             scheme.name(),
             trace.events.len(),
             ev_path.display(),
             m_path.display()
         );
+        if let Some(dump) = telemetry {
+            let t_path = path("telemetry.jsonl");
+            write_file(&t_path, dump)?;
+            line += &format!(", telemetry -> {}", t_path.display());
+        }
+        println!("{line}");
         let lcp = analyze_lcp(&trace.events, run.template.topo.base_rtt());
         if !lcp.loops.is_empty() {
             print!("{}", lcp.render());
@@ -300,16 +325,23 @@ fn write_sweep(json_mode: bool, run: &Run, out: &mut dyn Write) -> std::io::Resu
         )?;
         writeln!(out, "{}", fct_header("point", 34))?;
     }
+    // The JSON rows count the oscillating series of a telemetered point, so
+    // only they run the series analysis, on the worker that holds the run.
+    let point = |cell: Cell| {
+        cell.expand().run_with(|outcome| {
+            let t = outcome.sim.telemetry().filter(|_| json_mode)?;
+            Some(analyze_all(t.series()).iter().filter(|a| a.oscillating).count() as u64)
+        })
+    };
     let mut written = Ok(());
-    run_stream(run.sweep(), run.jobs, Cell::run, |r| {
+    run_stream(run.sweep(), run.jobs, point, |(r, oscillating)| {
         let (s, drops) = (r.fct.summary(), r.counters.dropped);
         let line = if json_mode {
             let row = JsonObject::new().str("point", &r.label).str("scheme", &r.scheme.name());
             let mut doc = fct_json(row, &s, r.completion_ratio, drops);
-            if let Some(t) = &r.telemetry {
-                doc = doc
-                    .u64("telemetry_samples", t.samples)
-                    .u64("oscillating_series", t.oscillating().count() as u64);
+            if let (Some(t), Some(oscillating)) = (&r.telemetry, oscillating) {
+                doc =
+                    doc.u64("telemetry_samples", t.samples).u64("oscillating_series", oscillating);
             }
             doc.finish()
         } else {
@@ -322,8 +354,9 @@ fn write_sweep(json_mode: bool, run: &Run, out: &mut dyn Write) -> std::io::Resu
     written
 }
 
-/// Render the `pptlab report` terminal block for one scheme.
-fn render_report(name: &str, t: &TelemetrySummary) -> String {
+/// Render the `pptlab report` terminal block for one scheme: its summary
+/// and the analysis of each of its series.
+fn render_report(name: &str, t: &TelemetrySummary, series: &[SeriesAnalysis]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -355,7 +388,7 @@ fn render_report(name: &str, t: &TelemetrySummary) -> String {
     }
     // The ring keeps the newest points; say so when it dropped any, since
     // every per-series number then describes the tail of the run only.
-    let truncated: Vec<_> = t.series.iter().filter(|a| a.evicted > 0).collect();
+    let truncated: Vec<_> = series.iter().filter(|a| a.evicted > 0).collect();
     if let Some(a) = truncated.first() {
         let _ = writeln!(
             out,
@@ -365,9 +398,8 @@ fn render_report(name: &str, t: &TelemetrySummary) -> String {
             a.points as u64 + a.evicted,
         );
     }
-    let oscillating: Vec<_> = t.oscillating().collect();
-    let _ =
-        writeln!(out, "oscillating series: {} of {} analyzed", oscillating.len(), t.series.len());
+    let oscillating: Vec<_> = series.iter().filter(|a| a.oscillating).collect();
+    let _ = writeln!(out, "oscillating series: {} of {} analyzed", oscillating.len(), series.len());
     for a in &oscillating {
         let _ = writeln!(
             out,
@@ -401,43 +433,53 @@ fn cmd_report(args: &Args, run: &Run) -> Result<(), String> {
     let prof = args.flag("prof");
     let json_mode = args.flag("json");
     let out_dir = out_dir(args)?;
+    write_report(run, prof, json_mode, out_dir.as_deref(), &mut std::io::stdout().lock())
+}
+
+/// `report`'s text blocks, or with `json_mode` its JSON lines, to `out`,
+/// and with `out_dir` each scheme's `<id>.report.json` and
+/// `<id>.telemetry.jsonl`. The series analysis runs here, the one command
+/// besides `sweep --json` that prints it.
+fn write_report(
+    run: &Run,
+    prof: bool,
+    json_mode: bool,
+    out_dir: Option<&Path>,
+    out: &mut dyn Write,
+) -> Result<(), String> {
     let results = run_points(run.schemes.len(), run.jobs, |i| {
         let outcome = run_experiment(&run.experiment(i));
-        let summary = outcome.telemetry.clone().expect("report runs always enable telemetry");
-        // The raw sampled points as TraceEvent::Sample JSONL (Profile rows
-        // only under --prof: they are wall-clock noise).
-        let mut dump = String::new();
-        if let Some(t) = outcome.sim.telemetry() {
-            t.dump_events(&mut dump, prof);
-        }
-        (summary, dump)
+        let t = outcome.sim.telemetry().expect("report runs always enable telemetry");
+        (
+            TelemetrySummary::from_telemetry(t),
+            analyze_all(t.series()),
+            telemetry_dump(&outcome, prof),
+        )
     });
 
     // All printing happens here, in scheme order, so output is
     // byte-identical for any --jobs (profile rows excepted, by design).
-    for ((id, scheme), (summary, dump)) in run.schemes.iter().zip(results) {
+    for ((id, scheme), (summary, series, dump)) in run.schemes.iter().zip(results) {
         let name = scheme.name();
         let report_json = JsonObject::new()
             .str("scheme", &name)
-            .raw("telemetry", &summary.to_json(prof))
+            .raw("telemetry", &summary.to_json(&series, prof))
             .finish();
-        if let Some(dir) = &out_dir {
-            let rp = dir.join(format!("{id}.report.json"));
-            std::fs::write(&rp, &report_json).map_err(|e| format!("{}: {e}", rp.display()))?;
-            let tp = dir.join(format!("{id}.telemetry.jsonl"));
-            std::fs::write(&tp, &dump).map_err(|e| format!("{}: {e}", tp.display()))?;
+        if let Some(dir) = out_dir {
+            write_file(&dir.join(format!("{id}.report.json")), &report_json)?;
+            write_file(&dir.join(format!("{id}.telemetry.jsonl")), dump.unwrap_or_default())?;
         }
-        if json_mode {
-            println!("{report_json}");
+        let text = if json_mode {
+            format!("{report_json}\n")
         } else {
-            print!("{}", render_report(&name, &summary));
-        }
+            render_report(&name, &summary, &series)
+        };
+        out.write_all(text.as_bytes()).map_err(|e| e.to_string())?;
     }
     Ok(())
 }
 
-const RUN_KEYS: &[&str] =
-    &["schemes", "jobs", "faults", "telemetry", "buffers", "switch", "sanitize"];
+const RUN_KEYS: &[&str] = &["schemes", "jobs", "faults", "buffers", "switch", "sanitize"];
 const SETUP_KEYS: &[&str] = &["topo", "workload", "load", "flows", "seed", "trace", "incast"];
 const GRID_KEYS: &[&str] = &["topo", "workload", "loads", "seeds", "flows"];
 
@@ -446,10 +488,10 @@ const GRID_KEYS: &[&str] = &["topo", "workload", "loads", "seeds", "flows"];
 type Cmd = fn(&Args, &Run) -> Result<(), String>;
 const COMMANDS: &[(&str, &[&[&str]], Option<Cmd>)] = &[
     ("compare", &[RUN_KEYS, SETUP_KEYS, &["json", "metrics"]], Some(cmd_compare)),
-    ("sweep", &[RUN_KEYS, GRID_KEYS, &["json"]], Some(cmd_sweep)),
-    ("trace", &[RUN_KEYS, SETUP_KEYS, &["out"]], Some(cmd_trace)),
+    ("sweep", &[RUN_KEYS, GRID_KEYS, &["json", "telemetry"]], Some(cmd_sweep)),
+    ("trace", &[RUN_KEYS, SETUP_KEYS, &["out", "telemetry"]], Some(cmd_trace)),
     ("faults", &[RUN_KEYS, SETUP_KEYS, &["out"]], Some(cmd_faults)),
-    ("report", &[RUN_KEYS, SETUP_KEYS, &["out", "json", "prof"]], Some(cmd_report)),
+    ("report", &[RUN_KEYS, SETUP_KEYS, &["out", "json", "prof", "telemetry"]], Some(cmd_report)),
     ("gen", &[&["topo", "workload", "load", "flows", "seed"]], Some(cmd_gen)),
     ("figure", &[&["ids", "flows", "seed", "jobs", "out"]], None),
 ];
@@ -610,8 +652,9 @@ mod tests {
             let mut spec = TelemetrySpec::new(SimDuration::from_micros(10));
             spec.series_capacity = ring;
             let outcome = run_experiment(&exp.clone().with_telemetry(spec));
+            let series = analyze_all(outcome.sim.telemetry().expect("enabled").series());
             let summary = outcome.telemetry.expect("telemetry was enabled");
-            (summary.samples, summary.series.len(), render_report("DCTCP", &summary))
+            (summary.samples, series.len(), render_report("DCTCP", &summary, &series))
         };
         let (samples, series, text) = report(64);
         let line = format!(
@@ -639,6 +682,67 @@ mod tests {
         assert!(run(&[]).unwrap_err().starts_with("figure needs --ids"));
     }
 
+    /// `cmd`'s options from one command line, as `main` parses them.
+    fn parse_run(cmd: &str, line: &str) -> Run {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let (_, keys, _) = COMMANDS.iter().find(|(name, ..)| *name == cmd).unwrap();
+        let args = Args::parse(cmd, &argv, keys).unwrap();
+        Run::parse(cmd, &args, None).unwrap()
+    }
+
+    /// FNV-1a 64-bit, as the workspace's golden tests digest bytes.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    /// The bytes the series analysis feeds, pinned: `report` as text and as
+    /// `--json`, and `sweep --json --telemetry`, on a small star. The digests
+    /// were taken from the build that still analyzed every telemetered run
+    /// in the harness, so moving the analysis to its readers moved nothing.
+    #[test]
+    fn report_and_sweep_telemetry_bytes_are_pinned() {
+        let report = parse_run("report", "--schemes ppt,dctcp --topo star:4:10:20 --flows 40");
+        let text = |json_mode: bool| {
+            let mut out = Vec::new();
+            write_report(&report, false, json_mode, None, &mut out).unwrap();
+            out
+        };
+        let sweep = parse_run(
+            "sweep",
+            "--schemes ppt,dctcp --topo star:4:10:20 --loads 0.3,0.6 --flows 40 \
+             --telemetry 10us --json",
+        );
+        let mut rows = Vec::new();
+        write_sweep(true, &sweep, &mut rows).unwrap();
+        for (what, bytes, want) in [
+            ("report", text(false), 0xab6b_05ee_251b_3943_u64),
+            ("report --json", text(true), 0x39f1_5369_1d8d_620e),
+            ("sweep --json --telemetry", rows, 0x5888_370f_f37d_8e3c),
+        ] {
+            let got = fnv1a64(&bytes);
+            assert_eq!(
+                got,
+                want,
+                "{what} moved (got {got:#018x}):\n{}",
+                String::from_utf8_lossy(&bytes)
+            );
+        }
+    }
+
+    /// `trace --telemetry` writes the sampled series of its traced run, the
+    /// bytes `report` writes for the same run untraced (`check.sh`'s
+    /// telemetry smoke `cmp`s the two files).
+    #[test]
+    fn trace_telemetry_is_the_report_dump() {
+        let exp =
+            parse_run("trace", "--topo star:4:10:20 --flows 20 --telemetry 10us").experiment(0);
+        let traced = telemetry_dump(&run_experiment_traced(&exp).0, false).expect("sampled");
+        assert!(traced.starts_with(br#"{"at":10000,"ev":"sample","series":0,"#), "no samples");
+        assert_eq!(Some(traced), telemetry_dump(&run_experiment(&exp), false));
+    }
+
     /// `sweep --json` on a small grid writes the same bytes whether its
     /// points run on one worker or on two.
     #[test]
@@ -648,11 +752,8 @@ mod tests {
                 "--schemes ppt,dctcp --topo star:4:10:20 --loads 0.3,0.6 --seeds 42,7 \
                  --flows 20 --jobs {jobs} --json"
             );
-            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
-            let (_, keys, _) = COMMANDS.iter().find(|(name, ..)| *name == "sweep").unwrap();
-            let args = Args::parse("sweep", &argv, keys).unwrap();
             let mut out = Vec::new();
-            write_sweep(true, &Run::parse("sweep", &args, None).unwrap(), &mut out).unwrap();
+            write_sweep(true, &parse_run("sweep", &line), &mut out).unwrap();
             String::from_utf8(out).unwrap()
         };
         let serial = json("1");
@@ -738,6 +839,12 @@ mod tests {
         ] {
             let argv: Vec<&str> = star.iter().chain(argv).copied().collect();
             assert_eq!(err(cmd, &argv), format!("--faults: {says}"));
+        }
+        // The sampler runs only where something prints what it records.
+        for cmd in ["compare", "faults"] {
+            let says = format!("unknown option --telemetry for '{cmd}'");
+            assert!(err(cmd, &["--telemetry", "10us"]).starts_with(&says), "{cmd}");
+            assert!(err(cmd, &["--telemetry"]).starts_with(&says), "{cmd}");
         }
         for interval in ["18446744073709552", "18446744073709552us", "18446744073710ms"] {
             assert_eq!(

@@ -33,7 +33,7 @@
 //! | `assert_msg`      | every `assert!` / `debug_assert!` in the determinism crates carries a message string naming the violated invariant (`assert_eq!`/`assert_ne!` print both operands already and are exempt) |
 //! | `pragma_hygiene`  | an `allow(...)` pragma that suppresses nothing (or names an unknown rule/directive) is itself a violation |
 //! | `paper_constants` | λ_LCP = 0.1 < λ_HCP = 0.17 (Eq. 3) and the 1-ACK-per-2-LCP-packets constant match DESIGN.md |
-//! | `trace_schema`    | every `TraceEvent` variant has a `kind()` arm and a JSONL encoder arm in `encode_line` (`crates/trace/src/event.rs`) |
+//! | `trace_schema`    | every `TraceEvent` variant has a `kind()` arm and a JSONL encoder arm in `encode_into`, the one encoder (`crates/trace/src/event.rs`) |
 //!
 //! ## Pragmas
 //!

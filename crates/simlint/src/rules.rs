@@ -951,11 +951,12 @@ pub fn check_paper_constants(root: &Path, out: &mut Vec<Violation>) {
 }
 
 /// Rule `trace_schema`: every variant of the `TraceEvent` enum must have
-/// a matching `TraceEvent::<Variant>` encoder arm inside `encode_line`
-/// (`crates/trace/src/event.rs`). A variant without an arm would compile
-/// fine — `encode_line`'s match is total only because the rustc
-/// exhaustiveness check covers the *enum*, not the JSONL schema — but
-/// its events would be missing from every events.jsonl on disk.
+/// a matching `TraceEvent::<Variant>` encoder arm inside `encode_into`
+/// (`crates/trace/src/event.rs`), the one encoder every JSONL stream goes
+/// through. A variant without an arm would compile fine — the match is
+/// total only because the rustc exhaustiveness check covers the *enum*,
+/// not the JSONL schema — but its events would be missing from every
+/// events.jsonl on disk.
 pub fn check_trace_schema(root: &Path, out: &mut Vec<Violation>) {
     let path = "crates/trace/src/event.rs";
     let mut fail = |line: usize, message: String| {
@@ -1006,11 +1007,12 @@ pub fn check_trace_schema(root: &Path, out: &mut Vec<Violation>) {
         return;
     }
 
-    // Brace-counted body of a named fn: from the first line containing
-    // `needle` until depth returns to zero. Works for free fns and for
-    // methods nested inside an impl block.
+    // Brace-counted body of a named fn: from the first line holding
+    // `needle` as whole tokens (so `fn encode_into` is not
+    // `fn encode_into_text`) until depth returns to zero. Works for free fns
+    // and for methods nested inside an impl block.
     let fn_body = |needle: &str| -> Option<&[String]> {
-        let start = masked.lines.iter().position(|l| l.contains(needle))?;
+        let start = masked.lines.iter().position(|l| !token_positions(l, needle).is_empty())?;
         let mut depth = 0i32;
         let mut opened = false;
         for (off, line) in masked.lines[start..].iter().enumerate() {
@@ -1033,12 +1035,12 @@ pub fn check_trace_schema(root: &Path, out: &mut Vec<Violation>) {
 
     // Every variant needs an arm in both halves of the schema: `kind()`
     // (the stable event-kind string, used for filtering and the SAMPLES
-    // gallery) and `encode_line` (the JSONL encoder). `Sample`/`Profile`
+    // gallery) and `encode_into` (the JSONL encoder). `Sample`/`Profile`
     // style additions that only patch one of the two are exactly the
     // drift this rule exists to catch.
     for (fn_name, missing_what) in [
         ("fn kind", "kind() arm; its event-kind string would be unnameable"),
-        ("fn encode_line", "encoder arm in encode_line; events.jsonl would drop it"),
+        ("fn encode_into", "encoder arm in encode_into; events.jsonl would drop it"),
     ] {
         let Some(body) = fn_body(fn_name) else {
             fail(1, format!("`{fn_name}` not found"));

@@ -190,7 +190,7 @@ impl TraceEvent {
     }
 }
 
-pub fn encode_line(out: &mut String, at: u64, ev: &TraceEvent) {
+fn encode_into(out: &mut Line, at: u64, ev: &TraceEvent) {
     match ev {
         TraceEvent::FlowStart { flow } => {}
         _ => {}
@@ -207,6 +207,20 @@ pub fn encode_line(out: &mut String, at: u64, ev: &TraceEvent) {
     assert!(
         !out.iter().any(|v| v.message.contains("FlowStart")),
         "encoded variant must not fire: {out:?}"
+    );
+
+    // A fn whose name merely starts with the encoder's is not the encoder:
+    // its arms cover nothing.
+    let decoy = broken.replace(
+        "fn encode_into(",
+        "fn encode_into_text(ev: &TraceEvent) {\n    match ev {\n        TraceEvent::Orphan { .. } => {}\n    }\n}\n\nfn encode_into(",
+    );
+    std::fs::write(trace_src.join("event.rs"), decoy).expect("write decoy fixture");
+    let mut out = Vec::new();
+    simlint::rules::check_trace_schema(&tmp, &mut out);
+    assert!(
+        out.iter().any(|v| v.rule == Rule::TraceSchema && v.message.contains("Orphan")),
+        "an arm in `encode_into_text` must not cover `encode_into`: {out:?}"
     );
 
     // A variant with an encoder arm but no kind() arm must also fire —

@@ -10,11 +10,14 @@
 //! DCTCP alpha/cwnd updates, PIAS demotions) through `Ctx::emit`.
 //!
 //! The JSONL wire format is one object per line, `at` (sim-time ns) and
-//! `ev` (the [`TraceEvent::kind`] tag) first, then variant fields. The
-//! encoder in [`encode_line`] must have one arm per variant — simlint's
-//! `trace_schema` rule enforces that.
+//! `ev` (the [`TraceEvent::kind`] tag) first, then variant fields. One
+//! encoder, `encode_into`, holds an arm per variant — simlint's
+//! `trace_schema` rule enforces that — and [`encode_line`],
+//! [`encode_jsonl`], [`write_jsonl`] and [`encode_telemetry`] all go
+//! through it.
 
-use crate::json::{push_f64, push_u64};
+use crate::json::{decimal_len, push_f64, push_u64, write_decimal};
+use crate::telemetry::Series;
 
 /// Why an LCP (low-priority control loop) was opened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,212 +269,356 @@ impl TraceEvent {
     }
 }
 
-/// `,"<name>":` as one literal, so a field's key is a single `push_str`.
+/// `,"<name>":` as one literal, so a field's key is a single copy.
 macro_rules! key {
     ($name:literal) => {
         concat!(",\"", $name, "\":")
     };
 }
 
-// The three field writers are inlined so that each call site copies a key
-// of known length: a fixed-size store where a call would be a `memcpy`.
-
-#[inline(always)]
-fn num(out: &mut String, key: &str, v: u64) {
-    out.push_str(key);
-    push_u64(out, v);
+/// `,"ev":"<tag>","<first field>":`: a variant's tag and the key of its
+/// first field as one literal.
+macro_rules! head {
+    ($tag:literal, $first:literal) => {
+        concat!(",\"ev\":\"", $tag, "\",\"", $first, "\":")
+    };
 }
 
-#[inline(always)]
-fn text(out: &mut String, key: &str, v: &str) {
-    out.push_str(key);
-    out.push('"');
-    out.push_str(v);
-    out.push('"');
-}
+/// The longest line an event encodes to, newline included: an
+/// `alpha_update` with a 20-digit `at` and `flow` and the longest number
+/// `Display` prints for an `f64`, a negative subnormal (`-0.` and 324 more
+/// digits), is 412 bytes.
+const LINE_MAX: usize = 412;
 
-#[inline(always)]
-fn flag(out: &mut String, key: &str, v: bool) {
-    out.push_str(key);
-    out.push_str(if v { "true" } else { "false" });
-}
-
-/// Room for the longest all-integer line (`san_violation` with four
-/// 20-digit values is 174 bytes); a float that prints longer than that
-/// grows the buffer the usual way.
-const LINE_RESERVE: usize = 192;
-
-/// Append the JSONL encoding of `(at, ev)` to `out` (no trailing newline).
+/// What [`encode_into`] writes to: a [`Line`] for the byte streams, or a
+/// `String` for [`encode_line`]. Every byte it writes is ASCII.
 ///
-/// Integers go through [`push_u64`] and everything else is a literal: no
-/// `fmt::Arguments` is built, which was over half of a line's cost. The
-/// bytes are pinned per variant by the tests below.
+/// The writers are inlined so that each call site copies a key of known
+/// length: a fixed-size store where a call would be a `memcpy`.
+trait Out {
+    /// Append a literal.
+    fn put(&mut self, s: &str);
+    /// Append `v` in decimal.
+    fn put_u64(&mut self, v: u64);
+    /// Append `v` as [`push_f64`] does: `Display`, the shortest decimal
+    /// that round-trips, or `null` where JSON has no number.
+    fn put_f64(&mut self, v: f64);
+
+    #[inline(always)]
+    fn num(&mut self, key: &str, v: u64) {
+        self.put(key);
+        self.put_u64(v);
+    }
+
+    #[inline(always)]
+    fn text(&mut self, key: &str, v: &str) {
+        self.put(key);
+        self.put("\"");
+        self.put(v);
+        self.put("\"");
+    }
+
+    #[inline(always)]
+    fn flag(&mut self, key: &str, v: bool) {
+        self.put(key);
+        self.put(if v { "true" } else { "false" });
+    }
+
+    #[inline(always)]
+    fn float(&mut self, key: &str, v: f64) {
+        self.put(key);
+        self.put_f64(v);
+    }
+
+    /// The four fields every switch-queue event starts with, `sw` keyed by
+    /// the variant's `head`.
+    #[inline(always)]
+    fn port_flow(&mut self, head: &str, sw: u32, port: u16, flow: u64, prio: u8) {
+        self.num(head, sw.into());
+        self.num(key!("port"), port.into());
+        self.num(key!("flow"), flow);
+        self.num(key!("prio"), prio.into());
+    }
+}
+
+/// One line being encoded, on the stack: keys and digits are stored at an
+/// index with no capacity to check, and the finished line goes to its
+/// stream in one copy.
+struct Line {
+    bytes: [u8; LINE_MAX],
+    len: usize,
+}
+
+impl Line {
+    fn new() -> Self {
+        Line { bytes: [0; LINE_MAX], len: 0 }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+impl Out for Line {
+    #[inline(always)]
+    fn put(&mut self, s: &str) {
+        let end = self.len + s.len();
+        self.bytes[self.len..end].copy_from_slice(s.as_bytes());
+        self.len = end;
+    }
+
+    #[inline(always)]
+    fn put_u64(&mut self, v: u64) {
+        let end = self.len + decimal_len(v);
+        write_decimal(v, &mut self.bytes[self.len..end]);
+        self.len = end;
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        use std::io::Write;
+        let mut rest = &mut self.bytes[self.len..];
+        let room = rest.len();
+        // [`LINE_MAX`] leaves room for the longest `Display`, so only a
+        // non-finite value takes the `null`.
+        if v.is_finite() && write!(rest, "{v}").is_ok() {
+            self.len += room - rest.len();
+        } else {
+            self.put("null");
+        }
+    }
+}
+
+impl Out for String {
+    #[inline(always)]
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    #[inline(always)]
+    fn put_u64(&mut self, v: u64) {
+        push_u64(self, v);
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        push_f64(self, v);
+    }
+}
+
+/// Encode `(at, ev)` into `out`, after what it holds (no newline): the
+/// workspace's one event encoder, which every stream goes through.
+///
+/// Each arm starts with one literal holding the `ev` tag and the first
+/// key, integers are written from a two-digit table and everything else is
+/// a literal, so no `fmt::Arguments` is built but for a float. Every byte
+/// is ASCII. The bytes are pinned per variant by the tests below.
 ///
 /// simlint's `trace_schema` rule checks that every `TraceEvent` variant
 /// appears as an arm inside this function's body.
-pub fn encode_line(out: &mut String, at: u64, ev: &TraceEvent) {
-    out.reserve(LINE_RESERVE);
-    out.push_str("{\"at\":");
-    push_u64(out, at);
-    text(out, key!("ev"), ev.kind());
+fn encode_into(out: &mut impl Out, at: u64, ev: &TraceEvent) {
+    out.num("{\"at\":", at);
     match *ev {
         TraceEvent::FlowStart { flow, src, dst, size } => {
-            num(out, key!("flow"), flow);
-            num(out, key!("src"), src.into());
-            num(out, key!("dst"), dst.into());
-            num(out, key!("size"), size);
+            out.num(head!("flow_start", "flow"), flow);
+            out.num(key!("src"), src.into());
+            out.num(key!("dst"), dst.into());
+            out.num(key!("size"), size);
         }
-        TraceEvent::FlowComplete { flow } => num(out, key!("flow"), flow),
-        TraceEvent::Enqueue { sw, port, flow, prio, qlen }
-        | TraceEvent::EcnMark { sw, port, flow, prio, qlen } => {
-            port_flow(out, sw, port, flow, prio);
-            num(out, key!("qlen"), qlen);
+        TraceEvent::FlowComplete { flow } => out.num(head!("flow_complete", "flow"), flow),
+        TraceEvent::Enqueue { sw, port, flow, prio, qlen } => {
+            out.port_flow(head!("enqueue", "sw"), sw, port, flow, prio);
+            out.num(key!("qlen"), qlen);
         }
-        TraceEvent::Dequeue { sw, port, flow, prio }
-        | TraceEvent::Trim { sw, port, flow, prio } => {
-            port_flow(out, sw, port, flow, prio);
+        TraceEvent::Dequeue { sw, port, flow, prio } => {
+            out.port_flow(head!("dequeue", "sw"), sw, port, flow, prio);
         }
         TraceEvent::Drop { sw, port, flow, prio, bytes } => {
-            port_flow(out, sw, port, flow, prio);
-            num(out, key!("bytes"), bytes);
+            out.port_flow(head!("drop", "sw"), sw, port, flow, prio);
+            out.num(key!("bytes"), bytes);
+        }
+        TraceEvent::EcnMark { sw, port, flow, prio, qlen } => {
+            out.port_flow(head!("ecn_mark", "sw"), sw, port, flow, prio);
+            out.num(key!("qlen"), qlen);
+        }
+        TraceEvent::Trim { sw, port, flow, prio } => {
+            out.port_flow(head!("trim", "sw"), sw, port, flow, prio);
         }
         TraceEvent::Timer { host, token } => {
-            num(out, key!("host"), host.into());
-            num(out, key!("token"), token);
+            out.num(head!("timer", "host"), host.into());
+            out.num(key!("token"), token);
         }
-        TraceEvent::Retransmit { flow, offset, len }
-        | TraceEvent::LcpSend { flow, offset, len } => {
-            num(out, key!("flow"), flow);
-            num(out, key!("offset"), offset);
-            num(out, key!("len"), len);
+        TraceEvent::Retransmit { flow, offset, len } => {
+            out.num(head!("retransmit", "flow"), flow);
+            out.num(key!("offset"), offset);
+            out.num(key!("len"), len);
         }
         TraceEvent::LcpOpened { flow, trigger, init_bytes } => {
-            num(out, key!("flow"), flow);
-            text(out, key!("trigger"), trigger.as_str());
-            num(out, key!("init_bytes"), init_bytes);
+            out.num(head!("lcp_opened", "flow"), flow);
+            out.text(key!("trigger"), trigger.as_str());
+            out.num(key!("init_bytes"), init_bytes);
         }
         TraceEvent::LcpClosed { flow, reason } => {
-            num(out, key!("flow"), flow);
-            text(out, key!("reason"), reason.as_str());
+            out.num(head!("lcp_closed", "flow"), flow);
+            out.text(key!("reason"), reason.as_str());
         }
         TraceEvent::LcpAck { flow, ece, sent_new } => {
-            num(out, key!("flow"), flow);
-            flag(out, key!("ece"), ece);
-            flag(out, key!("sent_new"), sent_new);
+            out.num(head!("lcp_ack", "flow"), flow);
+            out.flag(key!("ece"), ece);
+            out.flag(key!("sent_new"), sent_new);
+        }
+        TraceEvent::LcpSend { flow, offset, len } => {
+            out.num(head!("lcp_send", "flow"), flow);
+            out.num(key!("offset"), offset);
+            out.num(key!("len"), len);
         }
         TraceEvent::AlphaUpdate { flow, alpha } => {
-            num(out, key!("flow"), flow);
-            out.push_str(key!("alpha"));
-            push_f64(out, alpha);
+            out.num(head!("alpha_update", "flow"), flow);
+            out.float(key!("alpha"), alpha);
         }
         TraceEvent::CwndUpdate { flow, cwnd } => {
-            num(out, key!("flow"), flow);
-            num(out, key!("cwnd"), cwnd);
+            out.num(head!("cwnd_update", "flow"), flow);
+            out.num(key!("cwnd"), cwnd);
         }
         TraceEvent::PiasDemote { flow, from, to } => {
-            num(out, key!("flow"), flow);
-            num(out, key!("from"), from.into());
-            num(out, key!("to"), to.into());
+            out.num(head!("pias_demote", "flow"), flow);
+            out.num(key!("from"), from.into());
+            out.num(key!("to"), to.into());
         }
         TraceEvent::PfcXoff { sw, port, prio, qlen, on } => {
-            num(out, key!("sw"), sw.into());
-            num(out, key!("port"), port.into());
-            num(out, key!("prio"), prio.into());
-            num(out, key!("qlen"), qlen);
-            flag(out, key!("on"), on);
+            out.num(head!("pfc_xoff", "sw"), sw.into());
+            out.num(key!("port"), port.into());
+            out.num(key!("prio"), prio.into());
+            out.num(key!("qlen"), qlen);
+            out.flag(key!("on"), on);
         }
         TraceEvent::PfcPause { host, prio, on } => {
-            num(out, key!("host"), host.into());
-            num(out, key!("prio"), prio.into());
-            flag(out, key!("on"), on);
+            out.num(head!("pfc_pause", "host"), host.into());
+            out.num(key!("prio"), prio.into());
+            out.flag(key!("on"), on);
         }
         TraceEvent::PfcSwPause { sw, port, prio, on } => {
-            num(out, key!("sw"), sw.into());
-            num(out, key!("port"), port.into());
-            num(out, key!("prio"), prio.into());
-            flag(out, key!("on"), on);
+            out.num(head!("pfc_sw_pause", "sw"), sw.into());
+            out.num(key!("port"), port.into());
+            out.num(key!("prio"), prio.into());
+            out.flag(key!("on"), on);
         }
-        TraceEvent::LinkDown { link } | TraceEvent::LinkUp { link } => {
-            num(out, key!("link"), link.into());
-        }
+        TraceEvent::LinkDown { link } => out.num(head!("link_down", "link"), link.into()),
+        TraceEvent::LinkUp { link } => out.num(head!("link_up", "link"), link.into()),
         TraceEvent::FaultDrop { link, flow, prio, bytes } => {
-            num(out, key!("link"), link.into());
-            num(out, key!("flow"), flow);
-            num(out, key!("prio"), prio.into());
-            num(out, key!("bytes"), bytes);
+            out.num(head!("fault_drop", "link"), link.into());
+            out.num(key!("flow"), flow);
+            out.num(key!("prio"), prio.into());
+            out.num(key!("bytes"), bytes);
         }
         TraceEvent::SanViolation { check, subject, expected, actual } => {
-            text(out, key!("check"), check.as_str());
-            num(out, key!("subject"), subject);
-            num(out, key!("expected"), expected);
-            num(out, key!("actual"), actual);
+            out.text(head!("san_violation", "check"), check.as_str());
+            out.num(key!("subject"), subject);
+            out.num(key!("expected"), expected);
+            out.num(key!("actual"), actual);
         }
         TraceEvent::Sample { series, value } => {
-            num(out, key!("series"), series.into());
-            out.push_str(key!("value"));
-            push_f64(out, value);
+            out.num(head!("sample", "series"), series.into());
+            out.float(key!("value"), value);
         }
         TraceEvent::Profile { kind, count, total_ns } => {
-            text(out, key!("kind"), kind.as_str());
-            num(out, key!("count"), count);
-            num(out, key!("total_ns"), total_ns);
+            out.text(head!("profile", "kind"), kind.as_str());
+            out.num(key!("count"), count);
+            out.num(key!("total_ns"), total_ns);
         }
     }
-    out.push('}');
+    out.put("}");
 }
 
-/// The four fields every switch-queue event starts with.
-fn port_flow(out: &mut String, sw: u32, port: u16, flow: u64, prio: u8) {
-    num(out, key!("sw"), sw.into());
-    num(out, key!("port"), port.into());
-    num(out, key!("flow"), flow);
-    num(out, key!("prio"), prio.into());
+/// Append the JSONL encoding of `(at, ev)` to `out` (no trailing newline):
+/// the one encoder writing straight into text, for a caller that builds a
+/// `String` line by line.
+pub fn encode_line(out: &mut String, at: u64, ev: &TraceEvent) {
+    encode_into(out, at, ev);
+}
+
+/// The workspace's one JSONL loop: hand each event's line, newline
+/// included, to `each`, encoding every line in one reused [`Line`].
+fn for_each_line(
+    events: impl IntoIterator<Item = (u64, TraceEvent)>,
+    mut each: impl FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut line = Line::new();
+    for (at, ev) in events {
+        line.len = 0;
+        encode_into(&mut line, at, &ev);
+        line.put("\n");
+        each(line.bytes())?;
+    }
+    Ok(())
 }
 
 /// What a line of a captured stream runs to: the PPT and DCTCP streams of
 /// the pinned scenarios average 69 to 72 bytes.
 const LINE_ESTIMATE: usize = 80;
 
-/// The workspace's one JSONL loop: append each event's line, newline
-/// included, to `buf`, then let `after_line` drain it or leave it to grow.
-fn encode_lines<'a>(
-    events: impl IntoIterator<Item = &'a (u64, TraceEvent)>,
-    buf: &mut String,
-    mut after_line: impl FnMut(&mut String) -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    for (at, ev) in events {
-        encode_line(buf, *at, ev);
-        buf.push('\n');
-        after_line(buf)?;
-    }
-    Ok(())
-}
-
-/// Encode `events` as JSON Lines text, one trailing newline per event.
+/// Encode `events` as JSON Lines text, one trailing newline per event:
+/// every line into one byte buffer, checked as UTF-8 once at the end.
 pub fn encode_jsonl<'a, I>(events: I) -> String
 where
     I: IntoIterator<Item = &'a (u64, TraceEvent)>,
     I::IntoIter: ExactSizeIterator,
 {
     let events = events.into_iter();
-    let mut out = String::with_capacity(events.len() * LINE_ESTIMATE);
-    // Nothing drains the buffer, so nothing can fail.
-    let _ = encode_lines(events, &mut out, |_| Ok(()));
-    out
+    let mut out = Vec::with_capacity(events.len() * LINE_ESTIMATE);
+    // Nothing here can fail.
+    let _ = for_each_line(events.copied(), |line| {
+        out.extend_from_slice(line);
+        Ok(())
+    });
+    // The bytes are ASCII, so the check passes and the vector becomes the
+    // string as it is; the lossy fallback only keeps a panic out of the
+    // library.
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
+/// How much encoded text [`write_jsonl`] gathers before it writes.
+const WRITE_CHUNK: usize = 64 * 1024;
+
 /// Write `events` as JSON Lines to `w`, the same bytes as [`encode_jsonl`],
-/// through one reused line buffer: the text never exists whole in memory.
-/// Hand it a buffered writer; every line is its own `write_all`.
+/// in writes of about 64 KiB from one reused buffer: the text
+/// never exists whole in memory, and `w` needs no buffering of its own.
 pub fn write_jsonl<'a>(
     w: &mut impl std::io::Write,
     events: impl IntoIterator<Item = &'a (u64, TraceEvent)>,
 ) -> std::io::Result<()> {
-    encode_lines(events, &mut String::with_capacity(LINE_RESERVE), |line| {
-        w.write_all(line.as_bytes())?;
-        line.clear();
+    let mut buf = Vec::with_capacity(WRITE_CHUNK + LINE_MAX);
+    for_each_line(events.into_iter().copied(), |line| {
+        buf.extend_from_slice(line);
+        if buf.len() >= WRITE_CHUNK {
+            w.write_all(&buf)?;
+            buf.clear();
+        }
         Ok(())
-    })
+    })?;
+    w.write_all(&buf)
+}
+
+/// Append a run's sampled telemetry to `out` as JSON Lines: one
+/// [`TraceEvent::Sample`] line per retained point of every series (series
+/// id = index in `series`), then, given `profile = Some((at, rows))`, one
+/// [`TraceEvent::Profile`] line per `(kind, count, total_ns)` row stamped
+/// `at`. `netsim::Telemetry::dump_events` is this over its series table.
+pub fn encode_telemetry(
+    out: &mut Vec<u8>,
+    series: &[Series],
+    profile: Option<(u64, &[(ProfKind, u64, u64)])>,
+) {
+    let samples = series.iter().enumerate().flat_map(|(i, s)| {
+        s.points().map(move |p| (p.at, TraceEvent::Sample { series: i as u32, value: p.value }))
+    });
+    let (at, rows) = profile.unwrap_or((0, &[]));
+    let rows = rows
+        .iter()
+        .map(|&(kind, count, total_ns)| (at, TraceEvent::Profile { kind, count, total_ns }));
+    // Nothing here can fail.
+    let _ = for_each_line(samples.chain(rows), |line| {
+        out.extend_from_slice(line);
+        Ok(())
+    });
 }
 
 #[cfg(test)]
@@ -704,25 +851,105 @@ mod tests {
         }
     }
 
-    #[test]
-    fn encoder_matches_the_write_based_reference_on_every_edge() {
-        let ints = [0, 9, 10, 99, 100, u16::MAX as u64, u32::MAX as u64, u64::MAX];
-        let floats = [0.0625, 1e21, -0.0, f64::NAN];
-        let (mut got, mut want) = (String::new(), String::new());
+    const EDGE_INTS: [u64; 8] = [0, 9, 10, 99, 100, u16::MAX as u64, u32::MAX as u64, u64::MAX];
+    /// `-5e-324` prints the longest `Display` an `f64` has: `-0.` and 324
+    /// more digits.
+    const EDGE_FLOATS: [f64; 8] =
+        [0.0625, 1e21, -0.0, f64::NAN, f64::INFINITY, -5e-324, f64::MIN_POSITIVE, f64::MAX];
+
+    /// Every variant at every edge integer (as `at` and as each integer
+    /// field) and every edge float, in that order.
+    fn edge_events() -> Vec<(u64, TraceEvent)> {
+        let mut events = Vec::new();
         for sample in SAMPLES {
-            for v in ints {
-                for f in floats {
-                    let ev = with_values(sample, v, f);
-                    got.clear();
-                    want.clear();
-                    encode_line(&mut got, v, &ev);
-                    reference_line(&mut want, v, &ev);
-                    assert_eq!(got, want, "{ev:?} at {v}");
+            for v in EDGE_INTS {
+                for f in EDGE_FLOATS {
+                    events.push((v, with_values(sample, v, f)));
                 }
             }
         }
+        events
+    }
+
+    /// The reference's JSONL text of `events`.
+    fn reference_jsonl<'a>(events: impl IntoIterator<Item = &'a (u64, TraceEvent)>) -> String {
+        let mut text = String::new();
+        for (at, ev) in events {
+            reference_line(&mut text, *at, ev);
+            text.push('\n');
+        }
+        text
+    }
+
+    /// Each door to the one encoder writes what the `write!` reference
+    /// writes, line for line: `encode_line`, `encode_jsonl`, `write_jsonl`
+    /// (past one write chunk), the sinks' `to_jsonl` and `encode_telemetry`,
+    /// which `Telemetry::dump_events` is.
+    #[test]
+    fn encoder_matches_the_write_based_reference_on_every_edge() {
+        let events = edge_events();
+        let want = reference_jsonl(&events);
+        assert!(want.len() > WRITE_CHUNK, "the stream must cross a write chunk");
+        let longest = want.lines().map(str::len).max().unwrap_or(0);
+        assert_eq!(longest + 1, LINE_MAX, "the longest line, newline included, fills a Line");
+
+        let mut lines = String::new();
+        for (at, ev) in &events {
+            let start = lines.len();
+            encode_line(&mut lines, *at, ev);
+            let mut one = String::new();
+            reference_line(&mut one, *at, ev);
+            assert_eq!(lines[start..], one, "{ev:?} at {at}");
+            lines.push('\n');
+        }
+        assert_eq!(lines, want, "encode_line");
+        assert_eq!(encode_jsonl(&events), want, "encode_jsonl");
+        let mut written = Vec::new();
+        write_jsonl(&mut written, &events).expect("writing to a Vec cannot fail");
+        assert_eq!(String::from_utf8(written).expect("ASCII"), want, "write_jsonl");
+
+        let mut memory = crate::MemorySink::new();
+        let mut recorder = crate::FlightRecorder::new(events.len());
+        let mut tail = crate::FlightRecorder::new(100);
+        for (at, ev) in &events {
+            for sink in [&mut memory as &mut dyn crate::TraceSink, &mut recorder, &mut tail] {
+                sink.emit(*at, ev);
+            }
+        }
+        assert_eq!(memory.to_jsonl(), want, "MemorySink::to_jsonl");
+        assert_eq!(recorder.to_jsonl(), want, "FlightRecorder::to_jsonl");
+        let last = reference_jsonl(&events[events.len() - 100..]);
+        assert_eq!(tail.to_jsonl(), last, "FlightRecorder::to_jsonl of a wrapped ring");
+
+        // The telemetry stream: a series per edge float holding a point at
+        // every edge integer, then profile rows of every kind.
+        let mut series = Vec::new();
+        let mut want_samples = Vec::new();
+        for (i, &value) in EDGE_FLOATS.iter().enumerate() {
+            let mut s = Series::new(format!("s{i}"), EDGE_INTS.len());
+            for at in EDGE_INTS {
+                s.push(at, value);
+                want_samples.push((at, TraceEvent::Sample { series: i as u32, value }));
+            }
+            series.push(s);
+        }
+        for (at, v) in [(0, 0), (9, 99), (u64::MAX, u64::MAX)] {
+            let rows: Vec<(ProfKind, u64, u64)> =
+                ProfKind::ALL.iter().map(|&kind| (kind, v, at)).collect();
+            let mut got = Vec::new();
+            encode_telemetry(&mut got, &series, Some((at, &rows)));
+            let profile = rows.iter().map(|&(kind, count, total_ns)| {
+                (at, TraceEvent::Profile { kind, count, total_ns })
+            });
+            let all: Vec<(u64, TraceEvent)> = want_samples.iter().copied().chain(profile).collect();
+            assert_eq!(String::from_utf8(got).expect("ASCII"), reference_jsonl(&all), "telemetry");
+        }
+        let mut got = Vec::new();
+        encode_telemetry(&mut got, &series, None);
+        assert_eq!(String::from_utf8(got).expect("ASCII"), reference_jsonl(&want_samples));
+
         // The f64 cases print what JSON can carry.
-        got.clear();
+        let mut got = String::new();
         encode_line(&mut got, 1, &TraceEvent::Sample { series: 0, value: f64::NAN });
         assert_eq!(got, r#"{"at":1,"ev":"sample","series":0,"value":null}"#);
         got.clear();

@@ -22,29 +22,50 @@ pub fn push_escaped(out: &mut String, s: &str) {
     }
 }
 
-/// Append `v` in decimal. The digits are built in a stack buffer and
-/// appended once: no `fmt::Arguments`, which is most of what a `write!`
-/// of an integer costs, and an event line is mostly integers — half of
-/// them (switch, port, priority, most flow ids) below 100, which skip
-/// the buffer.
-pub fn push_u64(out: &mut String, mut v: u64) {
-    let digit = |d: u64| (b'0' + d as u8) as char;
-    if v < 100 {
-        if v >= 10 {
-            out.push(digit(v / 10));
-        }
-        out.push(digit(v % 10));
+/// `"00"` to `"99"`, two digits a lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// How many decimal digits `v` has.
+pub(crate) fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+/// Write the [`decimal_len`]`(v)` digits of `v` into `digits`, two at a
+/// time from [`DIGIT_PAIRS`], last pair first: no `fmt::Arguments`, which
+/// is most of what a `write!` of an integer costs.
+#[inline(always)]
+pub(crate) fn write_decimal(mut v: u64, digits: &mut [u8]) {
+    let mut end = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        end -= 2;
+        digits[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        digits[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        digits[end - 1] = b'0' + v as u8;
+    }
+}
+
+/// Append `v` in decimal. Most integers of an event line (switch, port,
+/// priority, many flow ids) are one digit, which skips the buffer.
+pub fn push_u64(out: &mut String, v: u64) {
+    if v < 10 {
+        out.push(char::from(b'0' + v as u8));
         return;
     }
-    // u64::MAX has 20 digits.
     let mut buf = [0u8; 20];
-    let mut start = buf.len();
-    while v > 0 {
-        start -= 1;
-        buf[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-    out.extend(buf[start..].iter().map(|&d| d as char));
+    let digits = &mut buf[..decimal_len(v)];
+    write_decimal(v, digits);
+    out.extend(digits.iter().map(|&d| char::from(d)));
 }
 
 /// Append `v` as a JSON number. Rust's `Display` for finite `f64` is the
@@ -165,6 +186,18 @@ mod tests {
             .raw("e", "[1,2]")
             .finish();
         assert_eq!(line, r#"{"a":1,"b":"x\"y","c":false,"d":0.5,"e":[1,2]}"#);
+    }
+
+    #[test]
+    fn decimal_matches_display_at_every_width() {
+        let mut s = String::new();
+        for v in [0, 7, 9, 10, 42, 99, 100, 101, 999, 1000, 65_535, 4_294_967_295, u64::MAX] {
+            for w in [v, v.saturating_sub(1), v.saturating_add(1)] {
+                s.clear();
+                push_u64(&mut s, w);
+                assert_eq!(s, w.to_string());
+            }
+        }
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub mod sink;
 pub mod telemetry;
 
 pub use event::{
-    encode_jsonl, encode_line, write_jsonl, LcpCloseReason, LcpTrigger, ProfKind, SanCheck,
-    TraceEvent,
+    encode_jsonl, encode_line, encode_telemetry, write_jsonl, LcpCloseReason, LcpTrigger, ProfKind,
+    SanCheck, TraceEvent,
 };
 pub use json::JsonObject;
 pub use metrics::MetricsRegistry;

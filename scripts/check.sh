@@ -422,7 +422,7 @@ echo "==> runaway smoke (HPCC at a tenth of the buffers finishes in bounded memo
 (ulimit -v 1000000 && ./target/release/pptlab compare --schemes hpcc --topo star:5:10:20 \
     --flows 60 --buffers 0.1 > /dev/null)
 
-echo "==> telemetry smoke (report byte-identical across reruns; goldens untouched)"
+echo "==> telemetry smoke (report byte-identical across reruns; goldens untouched; trace dumps report's series)"
 TELEM_TMP="${TMPDIR:-/tmp}/pptlab-telemetry-smoke.$$"
 mkdir -p "$TELEM_TMP/a" "$TELEM_TMP/b" "$TELEM_TMP/t" "$TELEM_TMP/plain"
 # The report pipeline (sampler -> series analysis -> histograms -> JSON)
@@ -443,6 +443,10 @@ test -s "$TELEM_TMP/a.jsonl"
 ./target/release/pptlab trace --schemes ppt --topo star:4:10:20 --workload websearch \
     --flows 40 --seed 42 --out "$TELEM_TMP/plain" > /dev/null
 cmp "$TELEM_TMP/t/events.jsonl" "$TELEM_TMP/plain/events.jsonl"
+# `trace --telemetry` writes the sampled series report writes for the same run.
+./target/release/pptlab trace --schemes ppt --topo star:5:10:20 --workload websearch \
+    --flows 40 --seed 42 --telemetry 10us --out "$TELEM_TMP/r" > /dev/null
+cmp "$TELEM_TMP/r/telemetry.jsonl" "$TELEM_TMP/a/ppt.telemetry.jsonl"
 rm -rf "$TELEM_TMP"
 
 echo "==> figure smoke (every figure at --flows 40; --jobs 1 vs --jobs 2 byte-identity)"
@@ -464,6 +468,7 @@ echo "    or in order at 8192 > 3x; a tail-first IntervalSet insert costs > 3x a
 echo "    a flow of a 16000-flow Memcached run costs > 1.5x a flow of a 2000-flow one, or a DCTCP flow > 2.2x a Homa flow;"
 echo "    a point of a 16384-point telemetry series costs > 1.5x a point of a 2048-point one to analyze,"
 echo "    encode_line takes > 0.7x a write!-based formatter of the same trace lines,"
+echo "    encode_jsonl takes > 0.38x that formatter per line of the whole stream,"
 echo "    an event-queue hold at 100G deltas and 4096 queued costs > 4x one at 10G deltas and 64,"
 echo "    a switch hop under PFC whose thresholds are never reached costs > 1.3x one without,"
 echo "    or one DCTCP flow dispatches more than 6.3 events per data packet)"

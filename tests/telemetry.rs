@@ -9,6 +9,7 @@ use ppt::harness::{
     TopoKind,
 };
 use ppt::netsim::{SanLevel, SimDuration, SimTime, StopReason, TelemetryConfig};
+use ppt::stats::analyze_all;
 use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
 
 /// FNV-1a 64-bit, matching `tests/determinism.rs`.
@@ -68,7 +69,8 @@ fn telemetry_leaves_pinned_goldens_unchanged() {
 }
 
 /// A telemetered run's summary JSON (series analyses + histogram dumps),
-/// which is what `pptlab report` prints per scheme.
+/// which is what `pptlab report` prints per scheme: the analysis is made
+/// from the run's series, as `report` makes it.
 fn summary_json(scheme: Scheme, seed: u64) -> String {
     let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
     let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), 60, seed);
@@ -76,7 +78,8 @@ fn summary_json(scheme: Scheme, seed: u64) -> String {
     let exp = Experiment::new(topo, scheme, flows)
         .with_telemetry(TelemetrySpec::new(SimDuration::from_micros(10)));
     let outcome = run_experiment(&exp);
-    outcome.telemetry.as_ref().expect("telemetry summary present").to_json(false)
+    let series = analyze_all(outcome.sim.telemetry().expect("telemetry enabled").series());
+    outcome.telemetry.as_ref().expect("telemetry summary present").to_json(&series, false)
 }
 
 /// The report JSON is itself deterministic: byte-identical when the same
@@ -116,11 +119,11 @@ fn raw_dump(scheme: Scheme, seed: u64, prof: bool) -> String {
         }
         t.sim.enable_telemetry(cfg);
     });
-    let mut out = String::new();
+    let mut out = Vec::new();
     // Never include profile rows: they are wall-clock and the one part of
     // telemetry that is *expected* to differ between runs (DESIGN.md §14.3).
     outcome.sim.telemetry().expect("telemetry enabled").dump_events(&mut out, false);
-    out
+    String::from_utf8(out).expect("the encoder writes ASCII")
 }
 
 /// The raw sample stream is byte-identical across reruns, and enabling
@@ -258,8 +261,9 @@ fn a_normal_run_carries_no_recorder() {
 }
 
 /// `TelemetrySummary` round-trips through `from_telemetry` with the
-/// interval and sample count intact, analyzes every series, and says how
-/// many samples each ring dropped before the analysis saw it.
+/// interval and sample count intact, and its JSON, given the analysis of
+/// every series, says how many samples each ring dropped before the
+/// analysis saw it.
 #[test]
 fn summary_reflects_sampler_state() {
     use ppt::harness::run_experiment_with;
@@ -278,9 +282,10 @@ fn summary_reflects_sampler_state() {
     assert_eq!(summary.interval, SimDuration::from_micros(10));
     assert_eq!(summary.samples, t.samples_taken());
     assert!(summary.samples > 0);
-    assert_eq!(summary.series.len(), t.series().len());
-    let json = summary.to_json(false);
-    for (a, s) in summary.series.iter().zip(t.series()) {
+    let series = analyze_all(t.series());
+    assert_eq!(series.len(), t.series().len());
+    let json = summary.to_json(&series, false);
+    for (a, s) in series.iter().zip(t.series()) {
         assert_eq!((a.points, a.evicted), (ring, s.evicted()), "{}", a.name);
         assert_eq!(a.points as u64 + a.evicted, summary.samples, "{}: one point a tick", a.name);
         let fields = format!("\"name\":\"{}\",\"points\":{ring},\"evicted\":{}", a.name, a.evicted);
