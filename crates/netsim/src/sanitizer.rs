@@ -46,7 +46,9 @@ pub enum SanLevel {
     /// highest overhead).
     PerEvent,
     /// Audit every [`EPOCH_EVENTS`] events and at end of run (the
-    /// recommended default; bench-measured overhead is a few percent).
+    /// recommended default). A DCTCP run on an 8-host star costs about
+    /// ×1.7 a plain one: pptbench's `netsim.sanitizer.overhead_ratio`,
+    /// interleaved runs on a 2-core box (DESIGN.md §13.2).
     PerEpoch,
     /// Audit only once, when the run stops.
     AtEnd,

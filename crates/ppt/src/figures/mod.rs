@@ -4,10 +4,12 @@
 //! door that runs them.
 //!
 //! Most figures are an FCT table — a topology, a traffic pattern, one or
-//! more workload panels and loads, a list of scheme rows and a footer —
-//! and are pure data (`FctFigure`) run by one function that hands every
-//! (panel, load, row) cell to [`crate::sweep`], so `jobs` speeds all of
-//! them up and the bytes written never depend on it. The figures that
+//! more workload panels and loads, a list of scheme rows and the paper's
+//! claims about them — and are pure data (`FctFigure`) run by one function
+//! that hands every (panel, load, row) cell to [`crate::sweep`], so `jobs`
+//! speeds all of them up and the bytes written never depend on it. Under
+//! each table it prints one `claim:` line per claim with its verdict
+//! (`claims.rs`, DESIGN.md §5). The figures that
 //! measure something else (utilisation, occupancy, handler wall time,
 //! static tables) are one function each in `custom.rs`.
 //!
@@ -22,8 +24,12 @@ use workloads::{all_to_all, incast, FlowSpec, SizeDistribution, WorkloadSpec};
 use crate::harness::Scheme::{self, *};
 use crate::harness::{Experiment, SchemeEnv, TopoKind};
 use crate::sweep::{PointResult, SweepSpec};
+use claims::{claim, Claim, Column::*, Paper::*, Vs};
 
+mod claims;
 mod custom;
+
+pub use claims::{change, panel_verdicts, verdict, Band, Column, Paper, Verdict, FLOOR_PCT};
 
 /// What the caller may set for a figure run. None of it changes which
 /// lines a figure prints, only the numbers (`flows`, `seed`) or the
@@ -61,6 +67,16 @@ impl Figure {
             Kind::Custom(run) => run(opts, out),
         }
     }
+
+    /// How many `claim:` lines the figure prints under each of its FCT
+    /// tables, in print order; empty for a figure with no FCT table.
+    pub fn claims_per_table(&self) -> Vec<usize> {
+        let Kind::Fct(fig) = &self.kind else { return Vec::new() };
+        let per_panel = |p| fig.claims.iter().filter(|c| c.applies_to(p)).count();
+        (0..fig.panels.len())
+            .flat_map(|p| std::iter::repeat_n(per_panel(p), fig.loads.len()))
+            .collect()
+    }
 }
 
 /// Look a figure up by id.
@@ -90,8 +106,10 @@ struct FctFigure {
     /// More than one load prints a `-- load L --` line above each table.
     loads: &'static [f64],
     rows: &'static [Row],
-    /// Printed under each table after one blank line.
-    footer: &'static [Footer],
+    /// The paper's claims about the rows, from the "Paper:" sentences of
+    /// EXPERIMENTS.md; printed with their verdicts under each table after
+    /// one blank line.
+    claims: &'static [Claim],
 }
 
 /// `(figure label, workload, default flow count)`; the defaults are sized
@@ -117,18 +135,6 @@ const fn row(scheme: Scheme) -> Row {
     Row { scheme, tweak: None }
 }
 
-enum Footer {
-    Text(&'static str),
-    /// `(lead, large)` prints `lead: overall ±x%, small avg ±x%, small p99
-    /// ±x%[, large ±x%]`: the second row's change against the first.
-    Change(&'static str, bool),
-    /// `(lead, against, paper)` prints `lead±x% (paper: P)`: the last
-    /// row's overall average against row `against`.
-    Versus(&'static str, usize, &'static str),
-    /// The fill fraction of the row with the lowest overall average.
-    BestFill,
-}
-
 const WEB_SEARCH: fn() -> SizeDistribution = SizeDistribution::web_search;
 const DATA_MINING: fn() -> SizeDistribution = SizeDistribution::data_mining;
 
@@ -142,7 +148,7 @@ const OVERSUB: FctFigure = FctFigure {
     panels: &[],
     loads: &[0.5],
     rows: &[],
-    footer: &[],
+    claims: &[],
 };
 const LEAF_SPINE: &str = "144-host leaf-spine 40/100G, Web Search, load 0.5";
 /// The workload nine figures on [`OVERSUB`] share: Web Search, 1 200 flows.
@@ -154,23 +160,37 @@ const fn ws_1200(fig: &'static str) -> Panel {
 const LARGE_SCALE: &[Row] = &[row(Ndp), row(Aeolus), row(Homa), row(Rc3), row(Dctcp), row(Ppt)];
 /// The testbed comparison set (§6.1).
 const TESTBED: &[Row] = &[row(Homa), row(Rc3), row(Dctcp), row(Ppt)];
-const ABLATION: &[Footer] = &[Footer::Change("ablation slowdown", false)];
+/// §6.1 on the testbed: PPT (row 3) has the lowest overall average, and its
+/// small flows finish far faster than DCTCP's and RC3's.
+const TESTBED_CLAIMS: &[Claim] = &[
+    claim(3, Vs::Best, Overall, Lower),
+    claim(3, Vs::Row(2), SmallAvg, Lower),
+    claim(3, Vs::Row(1), SmallAvg, Lower),
+];
+/// An ablation's slowdown against full PPT (row 0): the paper's overall,
+/// small-average and small-p99 changes.
+const fn ablation(overall: f64, small: f64, p99: f64) -> [Claim; 3] {
+    [
+        claim(1, Vs::Row(0), Overall, Pct(overall)),
+        claim(1, Vs::Row(0), SmallAvg, Pct(small)),
+        claim(1, Vs::Row(0), SmallP99, Pct(p99)),
+    ]
+}
 
 /// Every figure and table, in the order `--ids all` runs them.
+#[rustfmt::skip] // one `fct(id, FctFigure {` per figure, read as a table
 pub const FIGURES: &[Figure] = &[
     custom("ext_fairness", custom::ext_fairness),
     // Appendix B's future work, not a paper figure: PPT's dual loop and
     // scheduling over the INT-based HPCC. One addition the sketch missed:
     // the INT must report the high band only, or HPCC counts the
     // opportunistic traffic as congestion and yields the window to it.
+    // Expected: scheduling gains for small flows on top of HPCC's graceful
+    // rate control, overall close to native PPT. The paper has no numbers.
     fct("ext_hpcc_ppt", FctFigure {
         what: "PPT-over-HPCC vs plain HPCC vs PPT",
         panels: &[ws_1200("Ext (appendix B)")],
         rows: &[row(Hpcc), row(HpccPpt), row(Ppt)],
-        footer: &[Footer::Text(
-            "expected: PPT-over-HPCC adds scheduling gains for small flows on top of\n\
-             HPCC's graceful rate control; overall close to native PPT.",
-        )],
         ..OVERSUB
     }),
     // §2.1's reactive-startup spectrum: TCP-10 and Halfback only attack
@@ -192,21 +212,27 @@ pub const FIGURES: &[Figure] = &[
         setup: "144-host leaf-spine 40/100G, Web Search, all-to-all, load 0.5",
         panels: &[("Fig 2", WEB_SEARCH, 1500)],
         rows: &[row(Dctcp), row(Ndp), row(Homa), row(Hypothetical(1.0))],
-        footer: &[
-            Footer::Versus("hypothetical vs Homa: ", 2, "-33%"),
-            Footer::Versus("hypothetical vs NDP:  ", 1, "-40%"),
+        claims: &[
+            claim(3, Vs::Row(2), Overall, Pct(-33.0)),
+            claim(3, Vs::Row(1), Overall, Pct(-40.0)),
         ],
         ..OVERSUB
     }),
     // Fig 3: filling the window gap to different fractions of MW.
-    // Under-filling wastes capacity, over-filling causes losses; 1× wins.
+    // Under-filling wastes capacity (+56 %), over-filling causes losses;
+    // 1× wins. The paper's "up to 6×" for 1.5× is a peak, not a value at
+    // this set-up, so that claim is the ordering.
     fct("fig03_fill_fraction", FctFigure {
         what: "Overall avg FCT when filling the gap to f x MW",
         setup: "144-host leaf-spine 40/100G, Data Mining, all-to-all, load 0.6",
         panels: &[("Fig 3", DATA_MINING, 250)],
         loads: &[0.6],
         rows: &[row(Hypothetical(0.5)), row(Hypothetical(1.0)), row(Hypothetical(1.5))],
-        footer: &[Footer::BestFill],
+        claims: &[
+            claim(0, Vs::Row(1), Overall, Pct(56.0)),
+            claim(2, Vs::Row(1), Overall, Higher),
+            claim(1, Vs::Best, Overall, Lower),
+        ],
         ..OVERSUB
     }),
     // Figs 8 & 9: testbed 15-to-15 all-to-all FCT statistics vs load, for
@@ -218,6 +244,7 @@ pub const FIGURES: &[Figure] = &[
         panels: &[("Fig 8", WEB_SEARCH, 800), ("Fig 9", DATA_MINING, 250)],
         loads: &[0.3, 0.5, 0.7],
         rows: TESTBED,
+        claims: TESTBED_CLAIMS,
         ..OVERSUB
     }),
     // Figs 10 & 11: testbed 14-to-1 incast FCT statistics at load 0.5, for
@@ -229,15 +256,21 @@ pub const FIGURES: &[Figure] = &[
         pattern: Pattern::Incast(14),
         panels: &[("Fig 10", WEB_SEARCH, 400), ("Fig 11", DATA_MINING, 150)],
         rows: TESTBED,
+        claims: TESTBED_CLAIMS,
         ..OVERSUB
     }),
     // Figs 12 & 13: large-scale simulation on the 1.4:1 oversubscribed
-    // 40/100 G fabric — the headline six-scheme comparison.
+    // 40/100 G fabric — the headline six-scheme comparison: PPT lowest
+    // overall, −46.3 % against Homa on Web Search.
     fct("fig12_13_largescale", FctFigure {
         what: "[Simulation] large-scale, {} workload",
         setup: "144 hosts, 9 leaves, 4 spines, 40/100G, all-to-all, load 0.5",
         panels: &[("Fig 12", WEB_SEARCH, 1500), ("Fig 13", DATA_MINING, 400)],
         rows: LARGE_SCALE,
+        claims: &[
+            claim(5, Vs::Best, Overall, Lower),
+            claim(5, Vs::Row(2), Overall, Pct(-46.3)).only(0),
+        ],
         ..OVERSUB
     }),
     // Fig 14: PPT's design as a building block for a delay-based
@@ -247,21 +280,24 @@ pub const FIGURES: &[Figure] = &[
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 14")],
         rows: &[row(Swift), row(SwiftPpt)],
-        footer: &[
-            Footer::Change("reductions vs plain delay-based", true),
-            Footer::Text("paper: -16.7% overall, -56.5%/-72.1% small avg/tail, -11% large"),
+        claims: &[
+            claim(1, Vs::Row(0), Overall, Pct(-16.7)),
+            claim(1, Vs::Row(0), SmallAvg, Pct(-56.5)),
+            claim(1, Vs::Row(0), SmallP99, Pct(-72.1)),
+            claim(1, Vs::Row(0), LargeAvg, Pct(-11.0)),
         ],
         ..OVERSUB
     }),
     // Figs 15–18: ablations — original PPT against PPT without ECN on the
     // LCP queues (15), without EWD, i.e. line-rate LCP (16), without flow
-    // scheduling (17) and without buffer-aware identification (18).
+    // scheduling (17) and without buffer-aware identification (18). The
+    // paper reports no overall change without identification.
     fct("fig15_ablation", FctFigure {
         what: "[Simulation] Effect of ECN for the LCP loop",
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 15")],
         rows: &[row(Ppt), row(PptNoLcpEcn)],
-        footer: ABLATION,
+        claims: &ablation(18.9, 59.6, 78.4),
         ..OVERSUB
     }),
     fct("fig16_ablation", FctFigure {
@@ -269,7 +305,7 @@ pub const FIGURES: &[Figure] = &[
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 16")],
         rows: &[row(Ppt), row(PptNoEwd)],
-        footer: ABLATION,
+        claims: &ablation(26.0, 63.5, 85.8),
         ..OVERSUB
     }),
     fct("fig17_ablation", FctFigure {
@@ -277,7 +313,7 @@ pub const FIGURES: &[Figure] = &[
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 17")],
         rows: &[row(Ppt), row(PptNoScheduling)],
-        footer: ABLATION,
+        claims: &ablation(26.0, 66.0, 51.2),
         ..OVERSUB
     }),
     fct("fig18_ablation", FctFigure {
@@ -285,25 +321,33 @@ pub const FIGURES: &[Figure] = &[
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 18")],
         rows: &[row(Ppt), row(PptNoIdentification)],
-        footer: ABLATION,
+        claims: &ablation(0.0, 4.3, 31.9),
         ..OVERSUB
     }),
     custom("fig19_cpu_overhead", custom::fig19),
     custom("fig20_ppt_util", custom::fig20),
     custom("fig21_memcached", custom::fig21),
     // Fig 22: the 100/400 G topology — PPT's gains persist at higher line
-    // rates (with small-flow tails inflated by the larger BDP).
+    // rates (with small-flow tails inflated by the larger BDP, behind Homa's
+    // and Aeolus's).
     fct("fig22_100_400g", FctFigure {
         what: "[100/400G] FCTs under Web Search at 0.5 load",
         setup: "144 hosts, 9 leaves, 4 spines, 100G edge / 400G core",
         topo: TopoKind::HighSpeed,
         panels: &[("Fig 22", WEB_SEARCH, 1500)],
         rows: LARGE_SCALE,
+        claims: &[
+            claim(5, Vs::Best, Overall, Lower),
+            claim(5, Vs::Row(2), SmallP99, Higher),
+            claim(5, Vs::Row(1), SmallP99, Higher),
+        ],
         ..OVERSUB
     }),
     custom("fig23_incast", custom::fig23),
     // Fig 24 (appendix D): RC3 still loses to PPT even when its
-    // low-priority queues are capped to a fraction of the switch buffer.
+    // low-priority queues are capped to a fraction of the switch buffer,
+    // by up to −71 % overall and −73 % / −75 % on small flows' average /
+    // tail: the paper's best case, so set against the worst cap.
     fct("fig24_rc3_buffer", FctFigure {
         what: "[Simulation] RC3 with capped low-priority buffer vs PPT",
         panels: &[ws_1200("Fig 24")],
@@ -314,9 +358,12 @@ pub const FIGURES: &[Figure] = &[
             row(Rc3BufferCap(0.6)),
             row(Rc3BufferCap(0.8)),
         ],
-        footer: &[Footer::Text(
-            "paper: PPT beats RC3 at every cap (up to -71% overall, -73%/-75% small avg/tail)",
-        )],
+        claims: &[
+            claim(0, Vs::Best, Overall, Lower),
+            claim(0, Vs::Worst, Overall, Pct(-71.0)),
+            claim(0, Vs::Worst, SmallAvg, Pct(-73.0)),
+            claim(0, Vs::Worst, SmallP99, Pct(-75.0)),
+        ],
         ..OVERSUB
     }),
     // Fig 25 (appendix D): PPT vs PIAS and HPCC.
@@ -324,33 +371,48 @@ pub const FIGURES: &[Figure] = &[
         what: "[Simulation] PPT vs PIAS vs HPCC",
         panels: &[ws_1200("Fig 25")],
         rows: &[row(Pias), row(Hpcc), row(Ppt)],
-        footer: &[Footer::Text("paper: PPT -24.6% overall vs PIAS, -4.7% overall vs HPCC")],
+        claims: &[
+            claim(2, Vs::Row(0), Overall, Pct(-24.6)),
+            claim(2, Vs::Row(1), Overall, Pct(-4.7)),
+        ],
         ..OVERSUB
     }),
     // Fig 26 (appendix E): the non-oversubscribed topology — friendlier to
-    // proactive transports; PPT still wins overall and on large flows.
+    // proactive transports; PPT still wins overall and on large flows, its
+    // small-flow tail up to 37.5 % above the best proactive scheme's.
     fct("fig26_nonoversub", FctFigure {
         what: "[Non-oversubscribed] FCTs under Web Search at 0.5 load",
         setup: "144 hosts, 10G edge / 40G core, 1:1 bisection",
         topo: TopoKind::NonOversubscribed,
         panels: &[("Fig 26", WEB_SEARCH, 1000)],
         rows: LARGE_SCALE,
+        claims: &[
+            claim(5, Vs::Best, Overall, Lower),
+            claim(5, Vs::Best, LargeAvg, Lower),
+            claim(5, Vs::Best, SmallP99, Pct(37.5)),
+        ],
         ..OVERSUB
     }),
     // Fig 27 (appendix F): sensitivity to the TCP send buffer size. Small
-    // buffers blunt the tail loop's reach on large flows; 2 MB is enough.
+    // buffers blunt the tail loop's reach (128 KB hurts overall and large
+    // FCT); 2 MB is enough (the average Web Search flow is 1.6 MB).
     fct("fig27_sendbuf", FctFigure {
         what: "[Simulation] PPT FCTs vs TCP send buffer capacity",
         panels: &[ws_1200("Fig 27")],
         rows: &[
-            Row { scheme: Ppt, tweak: Some(("PPT sndbuf=128KB", |e| e.send_buffer = 128 << 10)) },
+            Row {
+                scheme: Ppt,
+                tweak: Some(("PPT sndbuf=128KB", |e| e.send_buffer = 128 << 10)),
+            },
             Row { scheme: Ppt, tweak: Some(("PPT sndbuf=2MB", |e| e.send_buffer = 2 << 20)) },
             Row { scheme: Ppt, tweak: Some(("PPT sndbuf=4MB", |e| e.send_buffer = 4 << 20)) },
             Row { scheme: Ppt, tweak: Some(("PPT sndbuf=2GB", |e| e.send_buffer = 2 << 30)) },
         ],
-        footer: &[Footer::Text(
-            "paper: 128KB hurts overall/large FCT; >=2MB suffices (avg WebSearch flow is 1.6MB)",
-        )],
+        claims: &[
+            claim(0, Vs::Row(1), Overall, Higher),
+            claim(0, Vs::Row(1), LargeAvg, Higher),
+            claim(3, Vs::Row(1), Overall, Pct(0.0)),
+        ],
         ..OVERSUB
     }),
     custom("fig28_buffer_occupancy", custom::fig28),
@@ -411,13 +473,13 @@ fn run_fct(fig: &FctFigure, opts: &FigureOpts, out: &mut dyn Write) -> io::Resul
     }
     let results = sweep(opts, exps);
     let mut tables = results.chunks(fig.rows.len());
-    for &(label, dist, _) in fig.panels {
+    for (panel, &(label, dist, _)) in fig.panels.iter().enumerate() {
         banner(out, label, &fig.what.replace("{}", dist().name()), fig.setup)?;
         for &load in fig.loads {
             if fig.loads.len() > 1 {
                 writeln!(out, "\n-- load {load} --")?;
             }
-            write_table(fig, tables.next().unwrap_or_default(), out)?;
+            write_table(fig, panel, tables.next().unwrap_or_default(), out)?;
         }
         if fig.panels.len() > 1 {
             writeln!(out)?;
@@ -426,16 +488,23 @@ fn run_fct(fig: &FctFigure, opts: &FigureOpts, out: &mut dyn Write) -> io::Resul
     Ok(())
 }
 
-/// One header, one line per row, then the footer.
-fn write_table(fig: &FctFigure, table: &[PointResult], out: &mut dyn Write) -> io::Result<()> {
+/// One header, one line per row, then the panel's claims.
+fn write_table(
+    fig: &FctFigure,
+    panel: usize,
+    table: &[PointResult],
+    out: &mut dyn Write,
+) -> io::Result<()> {
     writeln!(
         out,
         "{:<24} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "scheme", "overall(us)", "small avg", "small p99", "large avg", "done%"
     )?;
     let rows: Vec<FctSummary> = table.iter().map(|r| r.fct.summary()).collect();
-    for ((r, s), row) in table.iter().zip(&rows).zip(fig.rows) {
-        let name = row.tweak.map_or(r.label.as_str(), |(label, _)| label);
+    let labels: Vec<&str> = (table.iter().zip(fig.rows))
+        .map(|(r, row)| row.tweak.map_or(r.label.as_str(), |(label, _)| label))
+        .collect();
+    for ((r, s), name) in table.iter().zip(&rows).zip(&labels) {
         let (all, small, p99) = (s.overall_avg_us, s.small_avg_us, s.small_p99_us);
         let (large, done) = (s.large_avg_us, r.completion_ratio * 100.0);
         writeln!(
@@ -443,43 +512,12 @@ fn write_table(fig: &FctFigure, table: &[PointResult], out: &mut dyn Write) -> i
             "{name:<24} {all:>12.1} {small:>12.1} {p99:>12.1} {large:>12.1} {done:>8.1}"
         )?;
     }
-    if !fig.footer.is_empty() {
+    let mut claims = fig.claims.iter().filter(|c| c.applies_to(panel)).peekable();
+    if claims.peek().is_some() {
         writeln!(out)?;
     }
-    // Relative change of `new` against `base`, percent.
-    let change = |new: f64, base: f64| (new / base - 1.0) * 100.0;
-    for line in fig.footer {
-        match *line {
-            Footer::Text(text) => writeln!(out, "{text}")?,
-            Footer::Change(lead, with_large) => {
-                let [base, new, ..] = &rows[..] else { continue };
-                let all = change(new.overall_avg_us, base.overall_avg_us);
-                let small = change(new.small_avg_us, base.small_avg_us);
-                let p99 = change(new.small_p99_us, base.small_p99_us);
-                write!(
-                    out,
-                    "{lead}: overall {all:+.1}%, small avg {small:+.1}%, small p99 {p99:+.1}%"
-                )?;
-                if with_large {
-                    write!(out, ", large {:+.1}%", change(new.large_avg_us, base.large_avg_us))?;
-                }
-                writeln!(out)?;
-            }
-            Footer::Versus(lead, against, paper) => {
-                let (Some(new), Some(base)) = (rows.last(), rows.get(against)) else { continue };
-                let by = change(new.overall_avg_us, base.overall_avg_us);
-                writeln!(out, "{lead}{by:+.1}% (paper: {paper})")?;
-            }
-            Footer::BestFill => {
-                let mut best = (f64::MAX, 0.0);
-                for (r, s) in table.iter().zip(&rows) {
-                    if let (Hypothetical(frac), true) = (&r.scheme, s.overall_avg_us < best.0) {
-                        best = (s.overall_avg_us, *frac);
-                    }
-                }
-                writeln!(out, "best fill fraction: {:.2} x MW (paper: 1.0 x MW)", best.1)?;
-            }
-        }
+    for claim in claims {
+        writeln!(out, "{}", claim.evaluate(&labels, &rows))?;
     }
     Ok(())
 }

@@ -779,10 +779,15 @@ fn collect_outcome(topo: Topology<Proto>, report: netsim::RunReport) -> Outcome 
 
 /// Report an abnormal stop on stderr.
 fn warn_abnormal(exp: &Experiment, sim: &netsim::Simulator<Proto>, report: &netsim::RunReport) {
+    // `AllFlowsDone` only says the queue drained; with flows left over
+    // that is the abnormality, so name it for what happened.
+    let reason = match report.stop {
+        netsim::StopReason::AllFlowsDone => "queue_drained",
+        stop => stop.as_str(),
+    };
     eprintln!(
-        "warning: {} run stopped abnormally: reason={} flows={}/{}",
+        "warning: {} run stopped abnormally: reason={reason} flows={}/{}",
         exp.scheme.name(),
-        report.stop.as_str(),
         report.flows_completed,
         report.flows_total,
     );

@@ -264,7 +264,7 @@ const MAX_FATTREE_K: usize = 32;
 /// allocator, where it cannot be an error.
 const MAX_FLOWS: usize = 10_000_000;
 
-/// `--flows`, if given: at most [`MAX_FLOWS`].
+/// `--flows`, if given: at most `MAX_FLOWS` (10 000 000).
 pub fn parse_flows(args: &Args) -> Result<Option<usize>, String> {
     match args.parse_opt("flows")? {
         Some(n) if n > MAX_FLOWS => {

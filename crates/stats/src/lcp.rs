@@ -57,6 +57,26 @@ impl LcpLoop {
     }
 }
 
+/// The loops of one (trigger, close reason) pair and their LCP sends.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LcpCell {
+    /// Loops that opened on this trigger and closed for this reason.
+    pub loops: usize,
+    /// `lcp_send` packets those loops sent.
+    pub sends: usize,
+}
+
+impl LcpCell {
+    /// Mean `lcp_send` packets per loop; `None` for an empty cell.
+    pub fn mean_sends(&self) -> Option<f64> {
+        (self.loops > 0).then(|| self.sends as f64 / self.loops as f64)
+    }
+}
+
+/// Row and column labels of [`LcpReport::by_cause`].
+const LCP_TRIGGERS: [&str; 2] = ["flow-start", "queue-buildup"];
+const LCP_CLOSES: [&str; 4] = ["flow-done", "expired", "no-lp-acks", "still open"];
+
 /// Aggregate LCP behaviour over a whole trace.
 #[derive(Clone, Debug, Default)]
 pub struct LcpReport {
@@ -75,6 +95,9 @@ pub struct LcpReport {
     pub closed_no_lp_acks: usize,
     /// Loops still open when the trace ended.
     pub still_open: usize,
+    /// Trigger × close reason: rows flow start, queue buildup; columns
+    /// flow done, expired, no LP ACKs, still open.
+    pub by_cause: [[LcpCell; 4]; 2],
     /// Mean lifetime of closed loops, µs.
     pub mean_duration_us: f64,
     /// Total LCP ACKs seen.
@@ -113,6 +136,20 @@ impl LcpReport {
             "  closed: {} flow-done, {} expired, {} no-lp-acks, {} still open\n",
             self.closed_flow_done, self.closed_expired, self.closed_no_lp_acks, self.still_open
         ));
+        out.push_str("  loops (mean lcp_send per loop) by trigger x close:\n");
+        out.push_str(&format!("    {:<14}", ""));
+        for close in LCP_CLOSES {
+            out.push_str(&format!(" {close:>16}"));
+        }
+        out.push('\n');
+        for (trigger, row) in LCP_TRIGGERS.iter().zip(&self.by_cause) {
+            out.push_str(&format!("    {trigger:<14}"));
+            for cell in row {
+                let mean = cell.mean_sends().map_or("-".to_string(), |m| format!("{m:.1}"));
+                out.push_str(&format!(" {:>16}", format!("{} ({mean})", cell.loops)));
+            }
+            out.push('\n');
+        }
         out.push_str(&format!("  mean loop duration: {:.1} us\n", self.mean_duration_us));
         out.push_str(&format!(
             "  LCP acks: {} ({} ECE-marked, {:.0}% of those ignored)\n",
@@ -188,16 +225,19 @@ pub fn analyze_lcp(events: &[(u64, TraceEvent)], rtt: SimDuration) -> LcpReport 
     let (mut dur_sum, mut dur_n) = (0u64, 0usize);
     let (mut ratio_sum, mut ratio_n) = (0.0f64, 0usize);
     for l in &loops {
-        match l.trigger {
-            LcpTrigger::FlowStart => report.opened_flow_start += 1,
-            LcpTrigger::QueueBuildup => report.opened_queue_buildup += 1,
-        }
-        match l.close_reason {
-            Some(LcpCloseReason::FlowDone) => report.closed_flow_done += 1,
-            Some(LcpCloseReason::Expired) => report.closed_expired += 1,
-            Some(LcpCloseReason::NoLpAcks) => report.closed_no_lp_acks += 1,
-            None => report.still_open += 1,
-        }
+        let row = match l.trigger {
+            LcpTrigger::FlowStart => 0,
+            LcpTrigger::QueueBuildup => 1,
+        };
+        let col = match l.close_reason {
+            Some(LcpCloseReason::FlowDone) => 0,
+            Some(LcpCloseReason::Expired) => 1,
+            Some(LcpCloseReason::NoLpAcks) => 2,
+            None => 3,
+        };
+        let cell = &mut report.by_cause[row][col];
+        cell.loops += 1;
+        cell.sends += l.sends.len();
         if l.closed_at.is_some() {
             dur_sum += l.duration_ns();
             dur_n += 1;
@@ -212,6 +252,12 @@ pub fn analyze_lcp(events: &[(u64, TraceEvent)], rtt: SimDuration) -> LcpReport 
             }
         }
     }
+    let table = report.by_cause;
+    let opened = |row: usize| table[row].iter().map(|c| c.loops).sum();
+    let closed = |col: usize| table.iter().map(|r| r[col].loops).sum();
+    (report.opened_flow_start, report.opened_queue_buildup) = (opened(0), opened(1));
+    (report.closed_flow_done, report.closed_expired) = (closed(0), closed(1));
+    (report.closed_no_lp_acks, report.still_open) = (closed(2), closed(3));
     report.mean_duration_us = if dur_n == 0 { 0.0 } else { dur_sum as f64 / dur_n as f64 / 1000.0 };
     report.ewd_ratios = ratio_n;
     report.ewd_halving_ratio = if ratio_n == 0 { 0.0 } else { ratio_sum / ratio_n as f64 };
@@ -253,6 +299,13 @@ mod tests {
         // Windows: [8, 4] → one pair with ratio 0.5.
         assert_eq!(r.ewd_ratios, 1);
         assert!((r.ewd_halving_ratio - 0.5).abs() < 1e-12);
+        // Flow 1: flow start → flow done, three sends; flow 2 still open.
+        let mut by_cause = [[LcpCell::default(); 4]; 2];
+        by_cause[0][0] = LcpCell { loops: 1, sends: 3 };
+        by_cause[1][3] = LcpCell { loops: 1, sends: 0 };
+        assert_eq!(r.by_cause, by_cause);
+        assert_eq!(r.by_cause[0][0].mean_sends(), Some(3.0));
+        assert_eq!(r.by_cause[0][1].mean_sends(), None);
     }
 
     #[test]

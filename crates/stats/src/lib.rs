@@ -14,7 +14,7 @@ pub mod series;
 pub mod telemetry;
 
 pub use fct::{FctRecord, FctStats, FctSummary, SMALL_FLOW_MAX_BYTES};
-pub use lcp::{analyze_lcp, LcpLoop, LcpReport};
+pub use lcp::{analyze_lcp, LcpCell, LcpLoop, LcpReport};
 pub use recovery::{analyze_recovery, OutageWindow, RecoveryReport};
 pub use series::{
     jain_index, mean_utilization, occupancy_split, utilization_series, OccupancySplit,

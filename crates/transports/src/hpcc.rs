@@ -77,7 +77,7 @@ impl IntHistory {
 
 /// HPCC's window law (per the HPCC paper's per-ACK update driven by INT
 /// telemetry): from the bottleneck's inflight estimate U, W = W_c/(U/η) +
-/// W_AI when U ≥ η or after [`MAX_STAGE`] additive steps, else W_c + W_AI.
+/// W_AI when U ≥ η or after `MAX_STAGE` (5) additive steps, else W_c + W_AI.
 #[derive(Clone, Debug)]
 pub struct HpccLaw {
     hist: IntHistory,

@@ -94,6 +94,21 @@ fn ece_marked_lcp_acks_are_ignored() {
     assert_eq!(report.ece_ignored, ece, "analyzer saw a reacted-to ECE ack");
 }
 
+/// The trigger × close-reason table accounts for every loop and every
+/// LCP send of a run exactly once.
+#[test]
+fn lcp_cause_table_accounts_for_every_loop_and_send() {
+    let (_, data) = run_experiment_traced(&websearch_experiment(42, 60, 0.6));
+    let rtt = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 }.base_rtt();
+    let report = analyze_lcp(&data.events, rtt);
+    let cells = || report.by_cause.iter().flatten();
+    let sends = data.events.iter().filter(|(_, ev)| matches!(ev, TraceEvent::LcpSend { .. }));
+    assert!(!report.loops.is_empty(), "PPT run never opened an LCP loop");
+    assert_eq!(cells().map(|c| c.loops).sum::<usize>(), report.loops.len());
+    assert_eq!(cells().map(|c| c.sends).sum::<usize>(), sends.count());
+    assert!(report.render().contains("by trigger x close"), "{}", report.render());
+}
+
 /// Fig 16's mechanism: with EWD on, the LCP send volume roughly halves
 /// each RTT.
 #[test]

@@ -1,7 +1,9 @@
 //! Directional paper claims, verified end to end at small scale. Absolute
 //! numbers differ from the paper's testbed; the *orderings* are the
-//! claims under test here.
+//! claims under test here. The FCT comparisons are rows of one table,
+//! judged by the same `verdict` as the figures' claim lines.
 
+use ppt::figures::{change, verdict, Band, Column, Verdict};
 use ppt::harness::{run_experiment, star_bottleneck, Experiment, Scheme, TelemetrySpec, TopoKind};
 use ppt::netsim::SimDuration;
 use ppt::stats::{mean_utilization, utilization_series};
@@ -12,34 +14,115 @@ fn websearch(topo: TopoKind, load: f64, n: usize, seed: u64) -> Vec<ppt::workloa
     all_to_all(topo.hosts(), &spec)
 }
 
-/// §1/§6: PPT reduces the overall average FCT vs DCTCP.
-#[test]
-fn ppt_beats_dctcp_overall() {
-    let topo = TopoKind::Star { n: 8, rate_gbps: 10, delay_us: 20 };
-    let flows = websearch(topo, 0.5, 150, 21);
-    let dctcp = run_experiment(&Experiment::new(topo, Scheme::Dctcp, flows.clone()));
-    let ppt = run_experiment(&Experiment::new(topo, Scheme::Ppt, flows));
-    assert!(
-        ppt.fct.overall_avg_us() < dctcp.fct.overall_avg_us(),
-        "ppt={:.1}us dctcp={:.1}us",
-        ppt.fct.overall_avg_us(),
-        dctcp.fct.overall_avg_us()
+/// One FCT comparison: on a Web Search workload at `load` over a 10 G star
+/// of `hosts`, the percent change of `row` against `base` in `column` must
+/// fall in `band`.
+struct FctClaim {
+    name: &'static str,
+    hosts: usize,
+    load: f64,
+    flows: usize,
+    seed: u64,
+    row: Scheme,
+    base: Scheme,
+    column: Column,
+    band: Band,
+}
+
+const FCT_CLAIMS: &[FctClaim] = &[
+    // §1/§6: PPT reduces the overall average FCT vs DCTCP.
+    FctClaim {
+        name: "ppt_beats_dctcp_overall",
+        hosts: 8,
+        load: 0.5,
+        flows: 150,
+        seed: 21,
+        row: Scheme::Ppt,
+        base: Scheme::Dctcp,
+        column: Column::Overall,
+        band: Band { lo: f64::NEG_INFINITY, hi: 0.0, open: true },
+    },
+    // §6.1: PPT's small flows beat DCTCP's by a wide margin (priorities).
+    FctClaim {
+        name: "ppt_small_flows_beat_dctcp_small_flows",
+        hosts: 8,
+        load: 0.6,
+        flows: 200,
+        seed: 33,
+        row: Scheme::Ppt,
+        base: Scheme::Dctcp,
+        column: Column::SmallAvg,
+        band: Band { lo: f64::NEG_INFINITY, hi: 0.0, open: true },
+    },
+    // §6 headline: PPT must not starve large flows (its large-flow FCT
+    // stays under 1.3× DCTCP's).
+    FctClaim {
+        name: "ppt_does_not_starve_large_flows",
+        hosts: 8,
+        load: 0.5,
+        flows: 150,
+        seed: 17,
+        row: Scheme::Ppt,
+        base: Scheme::Dctcp,
+        column: Column::LargeAvg,
+        band: Band { lo: f64::NEG_INFINITY, hi: 30.0, open: true },
+    },
+    // Fig 3's left edge: under-filling (50% × MW) must not beat full
+    // filling by more than 5 %.
+    FctClaim {
+        name: "underfilling_loses_to_full_filling",
+        hosts: 6,
+        load: 0.5,
+        flows: 120,
+        seed: 77,
+        row: Scheme::PptFill(1.0),
+        base: Scheme::PptFill(0.5),
+        column: Column::Overall,
+        band: Band { lo: f64::NEG_INFINITY, hi: 5.0, open: false },
+    },
+];
+
+/// Run the row of [`FCT_CLAIMS`] named `name` and require its verdict to
+/// hold.
+fn check(name: &str) {
+    let c = FCT_CLAIMS.iter().find(|c| c.name == name).expect("a row of FCT_CLAIMS");
+    let topo = TopoKind::Star { n: c.hosts, rate_gbps: 10, delay_us: 20 };
+    let flows = websearch(topo, c.load, c.flows, c.seed);
+    let run = |scheme: &Scheme| {
+        let outcome = run_experiment(&Experiment::new(topo, scheme.clone(), flows.clone()));
+        c.column.of(&outcome.fct.summary())
+    };
+    let (row, base) = (run(&c.row), run(&c.base));
+    let pct = change(row, base);
+    assert_eq!(
+        verdict(pct, c.band),
+        Verdict::Holds,
+        "{name}: {} {} {row:.1}us vs {} {base:.1}us = {pct:+.2}%, band {:?}",
+        c.column.name(),
+        c.row.name(),
+        c.base.name(),
+        c.band
     );
 }
 
-/// §6.1: PPT's small flows beat DCTCP's by a wide margin (priorities).
+#[test]
+fn ppt_beats_dctcp_overall() {
+    check("ppt_beats_dctcp_overall");
+}
+
 #[test]
 fn ppt_small_flows_beat_dctcp_small_flows() {
-    let topo = TopoKind::Star { n: 8, rate_gbps: 10, delay_us: 20 };
-    let flows = websearch(topo, 0.6, 200, 33);
-    let dctcp = run_experiment(&Experiment::new(topo, Scheme::Dctcp, flows.clone()));
-    let ppt = run_experiment(&Experiment::new(topo, Scheme::Ppt, flows));
-    assert!(
-        ppt.fct.small_avg_us() < dctcp.fct.small_avg_us(),
-        "ppt={:.1}us dctcp={:.1}us",
-        ppt.fct.small_avg_us(),
-        dctcp.fct.small_avg_us()
-    );
+    check("ppt_small_flows_beat_dctcp_small_flows");
+}
+
+#[test]
+fn ppt_does_not_starve_large_flows() {
+    check("ppt_does_not_starve_large_flows");
+}
+
+#[test]
+fn underfilling_loses_to_full_filling() {
+    check("underfilling_loses_to_full_filling");
 }
 
 /// §2.3/Fig 20: PPT's bottleneck utilization beats DCTCP's under load.
@@ -61,37 +144,6 @@ fn ppt_utilization_exceeds_dctcp() {
         utils.push(mean_utilization(&series));
     }
     assert!(utils[1] > utils[0], "PPT util {:.3} must exceed DCTCP util {:.3}", utils[1], utils[0]);
-}
-
-/// §6 headline: PPT must not starve large flows (its large-flow FCT stays
-/// in DCTCP's ballpark or better).
-#[test]
-fn ppt_does_not_starve_large_flows() {
-    let topo = TopoKind::Star { n: 8, rate_gbps: 10, delay_us: 20 };
-    let flows = websearch(topo, 0.5, 150, 17);
-    let dctcp = run_experiment(&Experiment::new(topo, Scheme::Dctcp, flows.clone()));
-    let ppt = run_experiment(&Experiment::new(topo, Scheme::Ppt, flows));
-    assert!(
-        ppt.fct.large_avg_us() < dctcp.fct.large_avg_us() * 1.3,
-        "ppt large={:.1}us dctcp large={:.1}us",
-        ppt.fct.large_avg_us(),
-        dctcp.fct.large_avg_us()
-    );
-}
-
-/// Fig 3's left edge: under-filling (50% × MW) must not beat full filling.
-#[test]
-fn underfilling_loses_to_full_filling() {
-    let topo = TopoKind::Star { n: 6, rate_gbps: 10, delay_us: 20 };
-    let flows = websearch(topo, 0.5, 120, 77);
-    let full = run_experiment(&Experiment::new(topo, Scheme::PptFill(1.0), flows.clone()));
-    let under = run_experiment(&Experiment::new(topo, Scheme::PptFill(0.5), flows));
-    assert!(
-        full.fct.overall_avg_us() <= under.fct.overall_avg_us() * 1.05,
-        "full={:.1}us under={:.1}us",
-        full.fct.overall_avg_us(),
-        under.fct.overall_avg_us()
-    );
 }
 
 /// ROADMAP tiny-buffer question: with every buffer-denominated knob 10×
