@@ -1,13 +1,15 @@
 //! The paper's claims as data, and their verdicts.
 //!
-//! A [`Claim`] is the percent change of one row of an FCT table against
-//! another row — or against the best or the worst other row — in one of
-//! the four FCT columns, with what the paper says of that change. Its band
+//! A [`Claim`] is the percent change of one row of a figure's table
+//! against another row — or against the best or the worst other row — in
+//! one column ([`Metric`]: one of the four FCT columns, or a custom
+//! figure's [`Col`]), with what the paper says of that change. Its band
 //! comes from the paper's value by one rule, [`Band::of`] (DESIGN.md §5),
-//! and [`verdict`] places the measured change against it. `run_fct` prints
-//! one [`ClaimLine`] per claim under every table the claim applies to, and
-//! [`ClaimLine::parse`] reads it back, so EXPERIMENTS.md's marks can be
-//! checked against the recorded results without running anything.
+//! and [`verdict`] places the measured change against it. Every figure
+//! with claims prints one [`ClaimLine`] per claim under every table the
+//! claim applies to, and [`ClaimLine::parse`] reads it back, so
+//! EXPERIMENTS.md's marks can be checked against the recorded results
+//! without running anything.
 
 use std::fmt;
 
@@ -29,12 +31,18 @@ pub enum Column {
     LargeAvg,
 }
 
-impl Column {
-    const ALL: [Column; 4] =
-        [Column::Overall, Column::SmallAvg, Column::SmallP99, Column::LargeAvg];
+/// What a claim measures in one row of its table: an FCT [`Column`] of a
+/// [`FctSummary`], or a custom figure's own column (`Col`).
+pub trait Metric<R>: Copy {
+    /// The name a claim line prints.
+    fn name(self) -> &'static str;
+    /// The value in `row`; `NaN` where the row has no samples (an empty
+    /// bin).
+    fn of(self, row: &R) -> f64;
+}
 
-    /// The column's name in a claim line.
-    pub fn name(self) -> &'static str {
+impl Metric<FctSummary> for Column {
+    fn name(self) -> &'static str {
         match self {
             Column::Overall => "overall",
             Column::SmallAvg => "small avg",
@@ -43,14 +51,34 @@ impl Column {
         }
     }
 
-    /// The column's value in `s`, µs; `NaN` for an empty bin.
-    pub fn of(self, s: &FctSummary) -> f64 {
+    /// The value in µs.
+    fn of(self, s: &FctSummary) -> f64 {
         match self {
             Column::Overall => s.overall_avg_us,
             Column::SmallAvg => s.small_avg_us,
             Column::SmallP99 => s.small_p99_us,
             Column::LargeAvg => s.large_avg_us,
         }
+    }
+}
+
+/// A column of a custom figure's table: the name its claim lines print,
+/// and its value in one row's statistics (`NaN`: no samples).
+pub(super) struct Col<R>(pub &'static str, pub fn(&R) -> f64);
+
+impl<R> Clone for Col<R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<R> Copy for Col<R> {}
+
+impl<R> Metric<R> for Col<R> {
+    fn name(self) -> &'static str {
+        self.0
+    }
+    fn of(self, row: &R) -> f64 {
+        (self.1)(row)
     }
 }
 
@@ -181,20 +209,21 @@ pub(super) enum Vs {
     Worst,
 }
 
-/// One comparative claim of the paper about an FCT figure.
+/// One comparative claim of the paper about a figure: an FCT column by
+/// default, a custom figure's [`Col`] otherwise.
 #[derive(Clone, Copy, Debug)]
-pub(super) struct Claim {
+pub(super) struct Claim<C = Column> {
     /// The row whose change is measured, by index.
     row: usize,
     vs: Vs,
-    column: Column,
+    column: C,
     paper: Paper,
     /// Only under this panel's tables (`None`: under every table). No
     /// claim the paper makes is about one load of several.
     panel: Option<usize>,
 }
 
-pub(super) const fn claim(row: usize, vs: Vs, column: Column, paper: Paper) -> Claim {
+pub(super) const fn claim<C>(row: usize, vs: Vs, column: C, paper: Paper) -> Claim<C> {
     Claim { row, vs, column, paper, panel: None }
 }
 
@@ -203,15 +232,20 @@ impl Claim {
     pub(super) const fn only(self, panel: usize) -> Claim {
         Claim { panel: Some(panel), ..self }
     }
+}
 
+impl<C> Claim<C> {
     /// Whether the claim is printed under panel `panel`'s tables.
     pub(super) fn applies_to(&self, panel: usize) -> bool {
         self.panel.is_none_or(|p| p == panel)
     }
 
     /// The claim's line for one table: `labels` and `rows` in row order.
-    pub(super) fn evaluate(&self, labels: &[&str], rows: &[FctSummary]) -> ClaimLine {
-        let value = |i: usize| rows.get(i).map_or(f64::NAN, |s| self.column.of(s));
+    pub(super) fn evaluate<R>(&self, labels: &[&str], rows: &[R]) -> ClaimLine
+    where
+        C: Metric<R>,
+    {
+        let value = |i: usize| rows.get(i).map_or(f64::NAN, |r| self.column.of(r));
         let label = |i: usize| labels.get(i).copied().unwrap_or("?");
         // The other row lowest (or highest) in the column; empty bins and
         // ties never displace an earlier row.
@@ -232,7 +266,7 @@ impl Claim {
         let pct = base.map_or(f64::NAN, |i| change(value(self.row), value(i)));
         ClaimLine {
             verdict: verdict(pct, Band::of(self.paper)),
-            column: self.column,
+            metric: self.column.name().to_string(),
             row: label(self.row).to_string(),
             against,
             change: pct.is_finite().then_some(pct),
@@ -241,7 +275,7 @@ impl Claim {
     }
 }
 
-/// One printed claim, `claim: <mark> <column>, <row> vs <against>: <change>
+/// One printed claim, `claim: <mark> <metric>, <row> vs <against>: <change>
 /// (paper <number | lower | higher>)`; `<against>` is a row label, or
 /// `best <label>` / `worst <label>`, and `<change>` is `n/a` for an empty
 /// bin.
@@ -249,7 +283,8 @@ impl Claim {
 pub(super) struct ClaimLine {
     /// The claim's verdict on this table.
     verdict: Verdict,
-    column: Column,
+    /// The name of the column the claim is about.
+    metric: String,
     /// The label of the row whose change is measured.
     row: String,
     /// What it is set against, as printed.
@@ -264,7 +299,7 @@ const PREFIX: &str = "claim: ";
 impl fmt::Display for ClaimLine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mark = self.verdict.mark();
-        write!(f, "{PREFIX}{mark} {}, {} vs {}: ", self.column.name(), self.row, self.against)?;
+        write!(f, "{PREFIX}{mark} {}, {} vs {}: ", self.metric, self.row, self.against)?;
         match self.change {
             Some(pct) => write!(f, "{pct:+.1}%")?,
             None => write!(f, "n/a")?,
@@ -283,13 +318,13 @@ impl ClaimLine {
     fn parse(line: &str) -> Option<ClaimLine> {
         let pct = |s: &str| s.strip_suffix('%')?.parse::<f64>().ok();
         let (mark, rest) = line.strip_prefix(PREFIX)?.split_once(' ')?;
-        let (column, rest) = rest.split_once(", ")?;
+        let (metric, rest) = rest.split_once(", ")?;
         let (rest, paper) = rest.strip_suffix(')')?.rsplit_once(" (paper ")?;
         let (rows, change) = rest.rsplit_once(": ")?;
         let (row, against) = rows.split_once(" vs ")?;
         Some(ClaimLine {
             verdict: Verdict::from_mark(mark)?,
-            column: Column::ALL.into_iter().find(|c| c.name() == column)?,
+            metric: metric.to_string(),
             row: row.to_string(),
             against: against.to_string(),
             change: if change == "n/a" { None } else { Some(pct(change)?) },
@@ -420,7 +455,7 @@ mod tests {
     fn a_claim_line_reads_back_as_printed() {
         let line = ClaimLine {
             verdict: Verdict::Weak,
-            column: Column::SmallP99,
+            metric: "small p99".to_string(),
             row: "hypothetical DCTCP (100%×MW)".to_string(),
             against: "worst RC3 lp-buf 80%".to_string(),
             change: Some(-12.5),

@@ -1,15 +1,21 @@
 //! The figures that are not an FCT table: each measures its own thing and
 //! is one function. The 2→1 microbenchmarks (Figs 1, 20, 28, 29) share
 //! [`Bottleneck`] and Figs 1/20 the busy-period statistics of [`Busy`].
+//! Figs 20, 28 and 29 carry the paper's claims over the columns they print
+//! as data ([`Claim`] over a [`Col`]) and print one `claim:` line per claim
+//! under each table. Fig 1 stays prose: its one row has nothing to be set
+//! against, and its claim is an absolute range over a window still to be
+//! settled. Fig 19 prints wall-clock time.
 
 use std::io::{self, Write};
 
 use dcn_stats::{jain_index, mean_utilization, occupancy_split, utilization_series};
 use dcn_stats::{OccupancySplit, UtilizationPoint};
-use netsim::{HostId, Rate, SimDuration, SimTime};
+use netsim::{HostId, PortCounters, Rate, SimDuration, SimTime};
 use workloads::{all_to_all, FlowSpec, SizeDistribution, WorkloadSpec};
 
-use super::{banner, sweep, workload, FigureOpts, Pattern, LARGE_SCALE};
+use super::claims::{claim, Claim, Col, Metric, Paper::*, Vs};
+use super::{banner, sweep, workload, FigureOpts, Pattern};
 use crate::harness::{
     run_experiment, run_experiment_with, star_bottleneck, Experiment, Scheme, SchemeEnv,
     TelemetrySpec, TopoKind,
@@ -124,6 +130,26 @@ pub(super) fn fig01(opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "\npaper: DCTCP fluctuates between ~0.25 and ~0.5 while busy")
 }
 
+/// Fig 20's claims over its rows DCTCP, hypothetical, PPT: DCTCP's
+/// post-cut dips (busy p10) sit 1.8× below PPT's, −44 %, and PPT's busy
+/// mean is the hypothetical's.
+const FIG20: &[Claim<Col<Busy>>] = &[
+    claim(0, Vs::Row(2), Col("busy p10", |b| b.pct(0.1).unwrap_or(f64::NAN)), Pct(-44.0)),
+    claim(2, Vs::Row(1), Col("busy mean", |b| b.mean.unwrap_or(f64::NAN)), Pct(0.0)),
+];
+/// Fig 20 has one table.
+pub(super) const FIG20_LINES: &[usize] = &[FIG20.len()];
+
+/// Print `claims`' lines for one table: `labels` and `rows` in row order.
+fn write_claims<R, C: Metric<R>>(
+    out: &mut dyn Write,
+    claims: &[Claim<C>],
+    labels: &[&str],
+    rows: &[R],
+) -> io::Result<()> {
+    claims.iter().try_for_each(|c| writeln!(out, "{}", c.evaluate(labels, rows)))
+}
+
 /// Fig 20: link utilization — PPT matches the hypothetical DCTCP and
 /// beats plain DCTCP (which dips to ~25 %).
 pub(super) fn fig20(opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
@@ -142,25 +168,66 @@ pub(super) fn fig20(opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
     let exps = [Scheme::Dctcp, Scheme::Hypothetical(1.0), Scheme::Ppt]
         .map(|scheme| net.exp(scheme, 1_000_000, 120_000, 100_000));
     let runs = read_bottleneck(opts, &exps, SimDuration::from_micros(100))?;
-    for (exp, (series, _)) in exps.iter().zip(&runs) {
-        let (name, mean, busy) = (exp.scheme.name(), mean_utilization(series), Busy::of(series));
+    let names = exps.map(|exp| exp.scheme.name());
+    let mut rows = Vec::new();
+    for (name, (series, _)) in names.iter().zip(&runs) {
+        let (mean, busy) = (mean_utilization(series), Busy::of(series));
         let (busy_mean, p10, p25) = (f3(busy.mean), f3(busy.pct(0.1)), f3(busy.pct(0.25)));
         writeln!(out, "{name:<28} {mean:>10.3} {busy_mean:>10} {p10:>10} {p25:>10}")?;
+        rows.push(busy);
     }
-    writeln!(out, "\npaper: PPT ≈ hypothetical ≈ 0.5; DCTCP dips to 0.25 (1.8x lower)")
+    writeln!(out)?;
+    write_claims(out, FIG20, &names.each_ref().map(String::as_str), &rows)
 }
 
-/// The ECN-threshold sweep of Figs 28/29: DCTCP, RC3 and PPT with K at
-/// 60 % and 80 % of a 120 KB port buffer, the same K for both priority
+/// The schemes of Figs 28/29, in row order: DCTCP, RC3, PPT.
+const SWEPT: [Scheme; 3] = [Scheme::Dctcp, Scheme::Rc3, Scheme::Ppt];
+/// Their ECN thresholds, as fractions of the port buffer: one table each.
+const THRESHOLDS: [f64; 2] = [0.6, 0.8];
+
+/// The ECN-threshold sweep of Figs 28/29: [`SWEPT`] with K at each of
+/// [`THRESHOLDS`] of a 120 KB port buffer, the same K for both priority
 /// groups, load 0.8. Each case comes with its `K(%buf)` column.
 fn threshold_sweep(opts: &FigureOpts) -> (Vec<f64>, Vec<Experiment>) {
     let net = Bottleneck::new(opts, 4, 0.8, 400);
     let at = |frac: f64| {
         let k = (120_000.0 * frac) as u64;
-        [Scheme::Dctcp, Scheme::Rc3, Scheme::Ppt]
-            .map(|scheme| (frac * 100.0, net.exp(scheme, 120_000, k, k)))
+        SWEPT.map(|scheme| (frac * 100.0, net.exp(scheme, 120_000, k, k)))
     };
-    [0.6, 0.8].into_iter().flat_map(at).unzip()
+    THRESHOLDS.into_iter().flat_map(at).unzip()
+}
+
+/// The low-priority group's share of the mean occupancy, percent; `None`
+/// when nothing was ever queued.
+fn low_share(split: &OccupancySplit) -> Option<f64> {
+    (split.total_avg_bytes > 0.0).then(|| split.low_avg_bytes / split.total_avg_bytes * 100.0)
+}
+
+/// Fig 28's claim: PPT's low-priority share against RC3's, −88 %, the
+/// ratio of the midpoints of the paper's ranges (2.6–3.1 % and 17.4–30.2 %).
+const FIG28: &[Claim<Col<OccupancySplit>>] =
+    &[claim(2, Vs::Row(1), Col("low share", |s| low_share(s).unwrap_or(f64::NAN)), Pct(-88.0))];
+/// Figs 28/29 print one table per threshold.
+pub(super) const FIG28_LINES: &[usize] = &[FIG28.len(); THRESHOLDS.len()];
+
+/// Delivered packets over packets that reached the port, percent; `None`
+/// when none did.
+fn efficiency(c: &PortCounters) -> Option<f64> {
+    let sent = c.enqueued + c.dropped;
+    (sent > 0).then(|| (1.0 - c.dropped as f64 / sent as f64) * 100.0)
+}
+
+/// Fig 29's claims: PPT's efficiency is DCTCP's, and RC3's is 14.6–18.4 %
+/// below PPT's (the midpoint, −16.5 %).
+const FIG29: &[Claim<Col<PortCounters>>] =
+    &[claim(2, Vs::Row(0), EFFICIENCY, Pct(0.0)), claim(1, Vs::Row(2), EFFICIENCY, Pct(-16.5))];
+const EFFICIENCY: Col<PortCounters> = Col("efficiency", |c| efficiency(c).unwrap_or(f64::NAN));
+pub(super) const FIG29_LINES: &[usize] = &[FIG29.len(); THRESHOLDS.len()];
+
+/// A percentage to one decimal in `width` columns, or `n/a`.
+fn pct(v: Option<f64>, width: usize) -> String {
+    let text = v.map_or_else(|| "n/a".into(), |v| format!("{v:.1}%"));
+    format!("{text:>width$}")
 }
 
 /// Fig 28 (appendix F): switch buffer occupancy split between the high-
@@ -180,16 +247,19 @@ pub(super) fn fig28(opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
     )?;
     let (ks, exps) = threshold_sweep(opts);
     let runs = read_bottleneck(opts, &exps, SimDuration::from_micros(200))?;
-    for (i, ((k, exp), (_, split))) in ks.iter().zip(&exps).zip(&runs).enumerate() {
-        let (high, low, total) = (split.high_avg_bytes, split.low_avg_bytes, split.total_avg_bytes);
-        let share = if total > 0.0 { low / total * 100.0 } else { 0.0 };
-        let name = exp.scheme.name();
-        writeln!(out, "{k:<10.0} {name:<10} {high:>12.0} {low:>12.0} {total:>12.0} {share:>9.1}%")?;
-        if i % 3 == 2 {
-            writeln!(out)?;
+    let names = SWEPT.map(|scheme| scheme.name());
+    for (ks, runs) in ks.chunks(SWEPT.len()).zip(runs.chunks(SWEPT.len())) {
+        let splits: Vec<OccupancySplit> = runs.iter().map(|(_, split)| *split).collect();
+        for ((k, name), split) in ks.iter().zip(&names).zip(&splits) {
+            let (high, low, total) =
+                (split.high_avg_bytes, split.low_avg_bytes, split.total_avg_bytes);
+            let share = pct(low_share(split), 10);
+            writeln!(out, "{k:<10.0} {name:<10} {high:>12.0} {low:>12.0} {total:>12.0} {share}")?;
         }
+        write_claims(out, FIG28, &names.each_ref().map(String::as_str), &splits)?;
+        writeln!(out)?;
     }
-    writeln!(out, "paper: PPT's low-priority queue holds 2.6-3.1% of occupancy; RC3's 17.4-30.2%")
+    Ok(())
 }
 
 /// Fig 29 (appendix F): transfer efficiency (received bytes / sent bytes)
@@ -207,19 +277,17 @@ pub(super) fn fig29(opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
         "K(%buf)", "scheme", "sent pkts", "dropped pkts", "efficiency"
     )?;
     let (ks, exps) = threshold_sweep(opts);
-    for (i, (k, r)) in ks.iter().zip(sweep(opts, exps)).enumerate() {
-        let (name, dropped) = (&r.label, r.counters.dropped);
-        let sent = r.counters.enqueued + dropped;
-        let eff = (1.0 - dropped as f64 / sent.max(1) as f64) * 100.0;
-        writeln!(out, "{k:<10.0} {name:<10} {sent:>14} {dropped:>14} {eff:>11.1}%")?;
-        if i % 3 == 2 {
-            writeln!(out)?;
+    let names = SWEPT.map(|scheme| scheme.name());
+    let counters: Vec<PortCounters> = sweep(opts, exps).iter().map(|r| r.counters).collect();
+    for (ks, counters) in ks.chunks(SWEPT.len()).zip(counters.chunks(SWEPT.len())) {
+        for ((k, name), c) in ks.iter().zip(&names).zip(counters) {
+            let (sent, dropped, eff) = (c.enqueued + c.dropped, c.dropped, pct(efficiency(c), 12));
+            writeln!(out, "{k:<10.0} {name:<10} {sent:>14} {dropped:>14} {eff}")?;
         }
+        write_claims(out, FIG29, &names.each_ref().map(String::as_str), counters)?;
+        writeln!(out)?;
     }
-    writeln!(
-        out,
-        "paper: PPT ~= DCTCP; RC3 14.6-18.4% lower (low-priority loop loses ~50% of its sends)"
-    )
+    Ok(())
 }
 
 /// Fig 19: kernel datapath processing overhead, PPT vs DCTCP.
@@ -264,63 +332,6 @@ pub(super) fn fig19(opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
         )?;
     }
     Ok(())
-}
-
-/// Fig 21: the Facebook Memcached workload (Homa's W1) — every flow
-/// ≤100 KB, >70 % under 1000 B, so the table has an average and a tail
-/// column only. PPT wins on both.
-pub(super) fn fig21(opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
-    banner(
-        out,
-        "Fig 21",
-        "[Simulation] FCTs with the Memcached workload (all flows <100KB)",
-        "144-host leaf-spine 40/100G, all-to-all, load 0.5",
-    )?;
-    writeln!(out, "{:<24} {:>12} {:>12} {:>8}", "scheme", "avg FCT(us)", "p99 FCT(us)", "done%")?;
-    let topo = TopoKind::Oversubscribed;
-    let dist = SizeDistribution::memcached_w1();
-    let flows = workload(opts, topo, Pattern::AllToAll, dist, 0.5, 4000);
-    let exps = LARGE_SCALE.iter().map(|r| Experiment::new(topo, r.scheme.clone(), flows.clone()));
-    for r in sweep(opts, exps) {
-        let (name, avg, p99) = (&r.label, r.fct.small_avg_us(), r.fct.small_p99_us());
-        let done = r.completion_ratio * 100.0;
-        writeln!(out, "{name:<24} {avg:>12.1} {p99:>12.1} {done:>8.1}")?;
-    }
-    writeln!(out, "\npaper: PPT reduces avg/tail FCT by at least 25%/55.6% vs all others")
-}
-
-/// Fig 23: heavy N-to-1 incast sweep. PPT tracks DCTCP (little spare
-/// bandwidth to harvest) and beats Homa/Aeolus. RC3 is excluded, as in
-/// the paper (it cannot sustain heavy incast).
-pub(super) fn fig23(opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
-    banner(
-        out,
-        "Fig 23",
-        "[Incast] overall avg FCT vs incast ratio N",
-        "144-host oversubscribed fabric, Web Search at 0.6, N senders -> 1",
-    )?;
-    writeln!(out, "{:<12} {:>6} {:>14} {:>8}", "scheme", "N", "overall(us)", "done%")?;
-    // The full N x scheme grid as one sweep, printed in grid order.
-    let topo = TopoKind::Oversubscribed;
-    let schemes = [Scheme::Ndp, Scheme::Aeolus, Scheme::Homa, Scheme::Dctcp, Scheme::Ppt];
-    let mut grid = Vec::new();
-    for n in [32usize, 64, 128] {
-        let dist = SizeDistribution::web_search();
-        let flows = workload(opts, topo, Pattern::Incast(n), dist, 0.6, 400);
-        grid.extend(schemes.iter().map(|s| (n, Experiment::new(topo, s.clone(), flows.clone()))));
-    }
-    let (ns, exps): (Vec<usize>, Vec<Experiment>) = grid.into_iter().unzip();
-    for (i, (n, r)) in ns.iter().zip(sweep(opts, exps)).enumerate() {
-        let (name, fct, done) = (&r.label, r.fct.overall_avg_us(), r.completion_ratio * 100.0);
-        writeln!(out, "{name:<12} {n:>6} {fct:>14.1} {done:>8.1}")?;
-        if (i + 1) % schemes.len() == 0 {
-            writeln!(out)?;
-        }
-    }
-    writeln!(
-        out,
-        "note: N=256 exceeds the 144-host fabric; the paper's sweep tops out our host count at 128."
-    )
 }
 
 /// §4.1: buffer-aware identification accuracy. The paper measures, on
@@ -515,4 +526,28 @@ pub(super) fn table4_5(_: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
     }
     writeln!(out, "\nmodified modules total 3448 LoC = 42.2% of the application;")?;
     writeln!(out, "PPT's kernel prototype is ~400 LoC with zero application changes.")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An empty split or no packets at all is no statistic: the figures
+    /// print `n/a`, and so do the claim lines that read these values.
+    #[test]
+    fn empty_inputs_are_not_numbers() {
+        assert_eq!(low_share(&OccupancySplit::default()), None);
+        assert_eq!(efficiency(&PortCounters::default()), None);
+        let names = ["DCTCP", "RC3", "PPT"];
+        let split = [OccupancySplit::default(); 3];
+        let line = FIG28[0].evaluate(&names, &split).to_string();
+        assert_eq!(line, "claim: n/a low share, PPT vs RC3: n/a (paper -88.0%)");
+        let line = FIG29[1].evaluate(&names, &[PortCounters::default(); 3]).to_string();
+        assert_eq!(line, "claim: n/a efficiency, RC3 vs PPT: n/a (paper -16.5%)");
+        let split =
+            OccupancySplit { high_avg_bytes: 3.0, low_avg_bytes: 1.0, total_avg_bytes: 4.0 };
+        assert_eq!(low_share(&split), Some(25.0));
+        let c = PortCounters { enqueued: 3, dropped: 1, ..PortCounters::default() };
+        assert_eq!(efficiency(&c), Some(75.0));
+    }
 }

@@ -3,15 +3,16 @@
 //! `results/<id>.txt`, and `pptlab figure --ids <id,…|all>` is the one
 //! door that runs them.
 //!
-//! Most figures are an FCT table — a topology, a traffic pattern, one or
-//! more workload panels and loads, a list of scheme rows and the paper's
-//! claims about them — and are pure data (`FctFigure`) run by one function
-//! that hands every (panel, load, row) cell to [`crate::sweep`], so `jobs`
-//! speeds all of them up and the bytes written never depend on it. Under
-//! each table it prints one `claim:` line per claim with its verdict
-//! (`claims.rs`, DESIGN.md §5). The figures that
+//! Most figures are an FCT table — a topology, one or more workload
+//! panels, traffic patterns and loads, a list of scheme rows and the
+//! paper's claims about them — and are pure data (`FctFigure`) run by one
+//! function that hands every (panel, pattern, load, row) cell to
+//! [`crate::sweep`], so `jobs` speeds all of them up and the bytes written
+//! never depend on it. Under each table it prints one `claim:` line per
+//! claim with its verdict (`claims.rs`, DESIGN.md §5). The figures that
 //! measure something else (utilisation, occupancy, handler wall time,
-//! static tables) are one function each in `custom.rs`.
+//! static tables) are one function each in `custom.rs`; Figs 20, 28 and 29
+//! print the same `claim:` lines over the numbers of their own tables.
 //!
 //! A figure writes to a `&mut dyn Write` and returns `io::Result`: a
 //! statistic over an empty sample set prints `n/a`, it does not abort.
@@ -29,7 +30,9 @@ use claims::{claim, Claim, Column::*, Paper::*, Vs};
 mod claims;
 mod custom;
 
-pub use claims::{change, panel_verdicts, verdict, Band, Column, Paper, Verdict, FLOOR_PCT};
+pub use claims::{
+    change, panel_verdicts, verdict, Band, Column, Metric, Paper, Verdict, FLOOR_PCT,
+};
 
 /// What the caller may set for a figure run. None of it changes which
 /// lines a figure prints, only the numbers (`flows`, `seed`) or the
@@ -54,8 +57,9 @@ pub struct Figure {
 enum Kind {
     /// An FCT table, described as data.
     Fct(FctFigure),
-    /// A measurement-specific figure.
-    Custom(Run),
+    /// A measurement-specific figure, and the number of `claim:` lines it
+    /// prints under each of its tables (empty: it has no claims).
+    Custom(Run, &'static [usize]),
 }
 type Run = fn(&FigureOpts, &mut dyn Write) -> io::Result<()>;
 
@@ -64,18 +68,20 @@ impl Figure {
     pub fn run(&self, opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
         match &self.kind {
             Kind::Fct(fig) => run_fct(fig, opts, out),
-            Kind::Custom(run) => run(opts, out),
+            Kind::Custom(run, _) => run(opts, out),
         }
     }
 
-    /// How many `claim:` lines the figure prints under each of its FCT
-    /// tables, in print order; empty for a figure with no FCT table.
+    /// How many `claim:` lines the figure prints under each of its tables,
+    /// in print order; empty for a figure with no table of claims.
     pub fn claims_per_table(&self) -> Vec<usize> {
-        let Kind::Fct(fig) = &self.kind else { return Vec::new() };
+        let fig = match &self.kind {
+            Kind::Fct(fig) => fig,
+            Kind::Custom(_, lines) => return lines.to_vec(),
+        };
         let per_panel = |p| fig.claims.iter().filter(|c| c.applies_to(p)).count();
-        (0..fig.panels.len())
-            .flat_map(|p| std::iter::repeat_n(per_panel(p), fig.loads.len()))
-            .collect()
+        let tables = fig.patterns.len() * fig.loads.len();
+        (0..fig.panels.len()).flat_map(|p| std::iter::repeat_n(per_panel(p), tables)).collect()
     }
 }
 
@@ -89,21 +95,27 @@ const fn fct(id: &'static str, fig: FctFigure) -> Figure {
 }
 
 const fn custom(id: &'static str, run: Run) -> Figure {
-    Figure { id, kind: Kind::Custom(run) }
+    Figure { id, kind: Kind::Custom(run, &[]) }
 }
 
-/// An FCT-table figure: `panels` × `loads` tables of `rows`.
+/// A custom figure that prints `lines[t]` claim lines under its table `t`.
+const fn judged(id: &'static str, run: Run, lines: &'static [usize]) -> Figure {
+    Figure { id, kind: Kind::Custom(run, lines) }
+}
+
+/// An FCT-table figure: `panels` × `patterns` × `loads` tables of `rows`.
 struct FctFigure {
     /// Banner lines; `{}` in `what` stands for the panel's workload name.
     what: &'static str,
     setup: &'static str,
     topo: TopoKind,
-    pattern: Pattern,
     /// One banner + table group each (Figs 8/9, 10/11 and 12/13 are one
     /// set-up under two workloads), followed by a blank line when there
     /// are several.
     panels: &'static [Panel],
-    /// More than one load prints a `-- load L --` line above each table.
+    /// More than one pattern (Fig 23's incast ratios) or load prints a
+    /// `-- <pattern>, load L --` line, naming what varies, above each table.
+    patterns: &'static [Pattern],
     loads: &'static [f64],
     rows: &'static [Row],
     /// The paper's claims about the rows, from the "Paper:" sentences of
@@ -137,6 +149,7 @@ const fn row(scheme: Scheme) -> Row {
 
 const WEB_SEARCH: fn() -> SizeDistribution = SizeDistribution::web_search;
 const DATA_MINING: fn() -> SizeDistribution = SizeDistribution::data_mining;
+const MEMCACHED: fn() -> SizeDistribution = SizeDistribution::memcached_w1;
 
 /// The large-scale set-up (§6.2): all-to-all at load 0.5 on the 1.4:1
 /// oversubscribed 144-host 40/100 G fabric. Every figure starts from it.
@@ -144,8 +157,8 @@ const OVERSUB: FctFigure = FctFigure {
     what: "",
     setup: "144-host oversubscribed fabric, Web Search, load 0.5",
     topo: TopoKind::Oversubscribed,
-    pattern: Pattern::AllToAll,
     panels: &[],
+    patterns: &[Pattern::AllToAll],
     loads: &[0.5],
     rows: &[],
     claims: &[],
@@ -253,8 +266,8 @@ pub const FIGURES: &[Figure] = &[
         what: "[Testbed] 14-to-1 incast, {} workload",
         setup: "15 hosts, 10G, 80us RTT, load 0.5 on the sink downlink",
         topo: TopoKind::PaperTestbed,
-        pattern: Pattern::Incast(14),
         panels: &[("Fig 10", WEB_SEARCH, 400), ("Fig 11", DATA_MINING, 150)],
+        patterns: &[Pattern::Incast(14)],
         rows: TESTBED,
         claims: TESTBED_CLAIMS,
         ..OVERSUB
@@ -325,8 +338,22 @@ pub const FIGURES: &[Figure] = &[
         ..OVERSUB
     }),
     custom("fig19_cpu_overhead", custom::fig19),
-    custom("fig20_ppt_util", custom::fig20),
-    custom("fig21_memcached", custom::fig21),
+    judged("fig20_ppt_util", custom::fig20, custom::FIG20_LINES),
+    // Fig 21: the Facebook Memcached workload (Homa's W1) — every flow
+    // ≤ 100 KB, > 70 % under 1 000 B, so the large-flow column is empty.
+    // PPT reduces the average and the tail by at least 25 % / 55.6 % against
+    // every other scheme: its small-flow columns against the best other row.
+    fct("fig21_memcached", FctFigure {
+        what: "[Simulation] FCTs with the Memcached workload (all flows <100KB)",
+        setup: "144-host leaf-spine 40/100G, all-to-all, load 0.5",
+        panels: &[("Fig 21", MEMCACHED, 4000)],
+        rows: LARGE_SCALE,
+        claims: &[
+            claim(5, Vs::Best, SmallAvg, Pct(-25.0)),
+            claim(5, Vs::Best, SmallP99, Pct(-55.6)),
+        ],
+        ..OVERSUB
+    }),
     // Fig 22: the 100/400 G topology — PPT's gains persist at higher line
     // rates (with small-flow tails inflated by the larger BDP, behind Homa's
     // and Aeolus's).
@@ -343,7 +370,24 @@ pub const FIGURES: &[Figure] = &[
         ],
         ..OVERSUB
     }),
-    custom("fig23_incast", custom::fig23),
+    // Fig 23: heavy N-to-1 incast, one table per N. PPT tracks DCTCP
+    // (little spare bandwidth to harvest) and beats Homa and Aeolus. RC3
+    // is left out, as in the paper (it cannot sustain heavy incast).
+    fct("fig23_incast", FctFigure {
+        what: "[Incast] FCTs vs incast ratio N",
+        setup: "144-host oversubscribed fabric, Web Search at 0.6, N senders -> 1; \
+                N=256 exceeds the 144-host fabric, so the sweep tops out at 128",
+        panels: &[("Fig 23", WEB_SEARCH, 400)],
+        patterns: &[Pattern::Incast(32), Pattern::Incast(64), Pattern::Incast(128)],
+        loads: &[0.6],
+        rows: &[row(Ndp), row(Aeolus), row(Homa), row(Dctcp), row(Ppt)],
+        claims: &[
+            claim(4, Vs::Row(3), Overall, Pct(0.0)),
+            claim(4, Vs::Row(2), Overall, Lower),
+            claim(4, Vs::Row(1), Overall, Lower),
+        ],
+        ..OVERSUB
+    }),
     // Fig 24 (appendix D): RC3 still loses to PPT even when its
     // low-priority queues are capped to a fraction of the switch buffer,
     // by up to −71 % overall and −73 % / −75 % on small flows' average /
@@ -415,8 +459,8 @@ pub const FIGURES: &[Figure] = &[
         ],
         ..OVERSUB
     }),
-    custom("fig28_buffer_occupancy", custom::fig28),
-    custom("fig29_transfer_efficiency", custom::fig29),
+    judged("fig28_buffer_occupancy", custom::fig28, custom::FIG28_LINES),
+    judged("fig29_transfer_efficiency", custom::fig29, custom::FIG29_LINES),
     custom("sec4_identification", custom::sec4),
     custom("table1_comparison", custom::table1),
     custom("table2_workloads", custom::table2),
@@ -455,19 +499,22 @@ fn sweep(opts: &FigureOpts, exps: impl IntoIterator<Item = Experiment>) -> Vec<P
     exps.into_iter().fold(spec, |spec, exp| spec.point(exp.scheme.name(), exp)).run()
 }
 
-/// Run an FCT-table figure: every (panel, load, row) cell is one point of
-/// a single sweep, printed in table order whatever order they finished in.
+/// Run an FCT-table figure: every (panel, pattern, load, row) cell is one
+/// point of a single sweep, printed in table order whatever order they
+/// finished in.
 fn run_fct(fig: &FctFigure, opts: &FigureOpts, out: &mut dyn Write) -> io::Result<()> {
     let mut exps = Vec::new();
     for &(_, dist, default_flows) in fig.panels {
-        for &load in fig.loads {
-            let flows = workload(opts, fig.topo, fig.pattern, dist(), load, default_flows);
-            for row in fig.rows {
-                let mut exp = Experiment::new(fig.topo, row.scheme.clone(), flows.clone());
-                if let Some((_, tweak)) = row.tweak {
-                    tweak(&mut exp.env);
+        for &pattern in fig.patterns {
+            for &load in fig.loads {
+                let flows = workload(opts, fig.topo, pattern, dist(), load, default_flows);
+                for row in fig.rows {
+                    let mut exp = Experiment::new(fig.topo, row.scheme.clone(), flows.clone());
+                    if let Some((_, tweak)) = row.tweak {
+                        tweak(&mut exp.env);
+                    }
+                    exps.push(exp);
                 }
-                exps.push(exp);
             }
         }
     }
@@ -475,11 +522,20 @@ fn run_fct(fig: &FctFigure, opts: &FigureOpts, out: &mut dyn Write) -> io::Resul
     let mut tables = results.chunks(fig.rows.len());
     for (panel, &(label, dist, _)) in fig.panels.iter().enumerate() {
         banner(out, label, &fig.what.replace("{}", dist().name()), fig.setup)?;
-        for &load in fig.loads {
-            if fig.loads.len() > 1 {
-                writeln!(out, "\n-- load {load} --")?;
+        for &pattern in fig.patterns {
+            for &load in fig.loads {
+                let mut varies = Vec::new();
+                if let (true, Pattern::Incast(n)) = (fig.patterns.len() > 1, pattern) {
+                    varies.push(format!("{n}-to-1 incast"));
+                }
+                if fig.loads.len() > 1 {
+                    varies.push(format!("load {load}"));
+                }
+                if !varies.is_empty() {
+                    writeln!(out, "\n-- {} --", varies.join(", "))?;
+                }
+                write_table(fig, panel, tables.next().unwrap_or_default(), out)?;
             }
-            write_table(fig, panel, tables.next().unwrap_or_default(), out)?;
         }
         if fig.panels.len() > 1 {
             writeln!(out)?;
@@ -504,13 +560,12 @@ fn write_table(
     let labels: Vec<&str> = (table.iter().zip(fig.rows))
         .map(|(r, row)| row.tweak.map_or(r.label.as_str(), |(label, _)| label))
         .collect();
+    // An empty bin (Fig 21 has no large flows) prints `n/a`.
+    let us = |v: f64| if v.is_nan() { "n/a".to_string() } else { format!("{v:.1}") };
     for ((r, s), name) in table.iter().zip(&rows).zip(&labels) {
-        let (all, small, p99) = (s.overall_avg_us, s.small_avg_us, s.small_p99_us);
-        let (large, done) = (s.large_avg_us, r.completion_ratio * 100.0);
-        writeln!(
-            out,
-            "{name:<24} {all:>12.1} {small:>12.1} {p99:>12.1} {large:>12.1} {done:>8.1}"
-        )?;
+        let (all, small, p99) = (us(s.overall_avg_us), us(s.small_avg_us), us(s.small_p99_us));
+        let (large, done) = (us(s.large_avg_us), r.completion_ratio * 100.0);
+        writeln!(out, "{name:<24} {all:>12} {small:>12} {p99:>12} {large:>12} {done:>8.1}")?;
     }
     let mut claims = fig.claims.iter().filter(|c| c.applies_to(panel)).peekable();
     if claims.peek().is_some() {

@@ -11,9 +11,10 @@
 //!   and bools — constructing one never allocates, so the disabled path
 //!   costs a single branch.
 //! - **[`TraceSink`]**: where events go. [`MemorySink`] keeps everything
-//!   (tests, analyzers), [`JsonlSink`] eagerly encodes to JSON-lines text,
-//!   and [`FlightRecorder`] is a bounded ring that keeps only the last N
-//!   events for post-mortem dumps on abnormal runs.
+//!   (tests, analyzers, `pptlab trace`), and [`FlightRecorder`] is a
+//!   bounded ring that keeps only the last N events for post-mortem dumps
+//!   on abnormal runs. Text is made from the typed events afterwards, by
+//!   [`encode_jsonl`] or streamed by [`write_jsonl`].
 //! - **[`MetricsRegistry`]**: BTreeMap-keyed counters and gauges with a
 //!   hand-rolled, deterministically ordered JSON snapshot. No serde; the
 //!   workspace stays offline.
@@ -37,5 +38,5 @@ pub use event::{
 };
 pub use json::JsonObject;
 pub use metrics::MetricsRegistry;
-pub use sink::{FlightRecorder, JsonlSink, MemorySink, TraceSink};
+pub use sink::{FlightRecorder, MemorySink, TraceSink};
 pub use telemetry::{LogHistogram, Series, SeriesPoint};

@@ -2,7 +2,7 @@
 
 use std::any::Any;
 
-use crate::event::{encode_jsonl, encode_line, TraceEvent};
+use crate::event::{encode_jsonl, TraceEvent};
 
 /// A consumer of trace events.
 ///
@@ -63,40 +63,6 @@ impl MemorySink {
 impl TraceSink for MemorySink {
     fn emit(&mut self, at: u64, ev: &TraceEvent) {
         self.events.push((at, *ev));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Encodes every event to JSONL text eagerly. Streams into one growing
-/// `String` buffer the caller writes to disk when the run ends.
-#[derive(Debug, Default, Clone)]
-pub struct JsonlSink {
-    buf: String,
-}
-
-impl JsonlSink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn as_str(&self) -> &str {
-        &self.buf
-    }
-
-    pub fn into_string(self) -> String {
-        self.buf
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn emit(&mut self, at: u64, ev: &TraceEvent) {
-        encode_line(&mut self.buf, at, ev);
-        self.buf.push('\n');
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -174,6 +140,7 @@ impl TraceSink for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::encode_line;
 
     #[test]
     fn memory_sink_records_in_order() {
@@ -185,19 +152,23 @@ mod tests {
         assert_eq!(s.to_jsonl().lines().count(), 2);
     }
 
+    /// A memory sink's text is its events through `encode_line`, one
+    /// newline-terminated line each, in emission order.
     #[test]
-    fn jsonl_sink_matches_memory_sink_encoding() {
+    fn memory_sink_text_is_one_encoded_line_per_event() {
         let evs = [
             (5, TraceEvent::Timer { host: 1, token: 9 }),
             (6, TraceEvent::FlowComplete { flow: 3 }),
         ];
-        let mut a = MemorySink::new();
-        let mut b = JsonlSink::new();
+        let mut s = MemorySink::new();
+        let mut want = String::new();
         for (at, ev) in &evs {
-            a.emit(*at, ev);
-            b.emit(*at, ev);
+            s.emit(*at, ev);
+            encode_line(&mut want, *at, ev);
+            want.push('\n');
         }
-        assert_eq!(a.to_jsonl(), b.as_str());
+        assert_eq!(s.to_jsonl(), want);
+        assert_eq!(encode_jsonl(&evs), want);
     }
 
     #[test]
