@@ -544,6 +544,16 @@ fn run_fct(fig: &FctFigure, opts: &FigureOpts, out: &mut dyn Write) -> io::Resul
     Ok(())
 }
 
+/// The four FCT columns of a table row, 12 wide: microseconds to one
+/// decimal, or `n/a` for an empty bin (no large flow in a Memcached run).
+/// `pptlab compare` and `sweep` print the same cells.
+pub fn fct_cells(s: &FctSummary) -> String {
+    let us = |v: f64| if v.is_nan() { "n/a".to_string() } else { format!("{v:.1}") };
+    let [all, small, p99, large] =
+        [s.overall_avg_us, s.small_avg_us, s.small_p99_us, s.large_avg_us].map(us);
+    format!("{all:>12} {small:>12} {p99:>12} {large:>12}")
+}
+
 /// One header, one line per row, then the panel's claims.
 fn write_table(
     fig: &FctFigure,
@@ -560,12 +570,9 @@ fn write_table(
     let labels: Vec<&str> = (table.iter().zip(fig.rows))
         .map(|(r, row)| row.tweak.map_or(r.label.as_str(), |(label, _)| label))
         .collect();
-    // An empty bin (Fig 21 has no large flows) prints `n/a`.
-    let us = |v: f64| if v.is_nan() { "n/a".to_string() } else { format!("{v:.1}") };
     for ((r, s), name) in table.iter().zip(&rows).zip(&labels) {
-        let (all, small, p99) = (us(s.overall_avg_us), us(s.small_avg_us), us(s.small_p99_us));
-        let (large, done) = (us(s.large_avg_us), r.completion_ratio * 100.0);
-        writeln!(out, "{name:<24} {all:>12} {small:>12} {p99:>12} {large:>12} {done:>8.1}")?;
+        let done = r.completion_ratio * 100.0;
+        writeln!(out, "{name:<24} {} {done:>8.1}", fct_cells(s))?;
     }
     let mut claims = fig.claims.iter().filter(|c| c.applies_to(panel)).peekable();
     if claims.peek().is_some() {

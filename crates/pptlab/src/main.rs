@@ -112,17 +112,10 @@ fn fct_header(first: &str, width: usize) -> String {
     )
 }
 
-/// One row of that table.
+/// One row of that table, in `figure`'s cells.
 fn fct_row(label: &str, width: usize, s: &FctSummary, completion_ratio: f64, drops: u64) -> String {
-    format!(
-        "{label:<width$} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>8.1} {:>10}",
-        s.overall_avg_us,
-        s.small_avg_us,
-        s.small_p99_us,
-        s.large_avg_us,
-        completion_ratio * 100.0,
-        drops
-    )
+    let (cells, done) = (figures::fct_cells(s), completion_ratio * 100.0);
+    format!("{label:<width$} {cells} {done:>8.1} {drops:>10}")
 }
 
 /// The FCT fields of one `compare` / `sweep` JSON row, after `row`'s own.
@@ -759,6 +752,20 @@ mod tests {
         let serial = json("1");
         assert_eq!(serial.lines().count(), 8, "{serial}");
         assert_eq!(serial, json("2"));
+    }
+
+    /// An empty bin prints `n/a` in `compare` and `sweep` as in `figure`:
+    /// a Memcached run has no large flow, and its `large avg` was `NaN`.
+    #[test]
+    fn an_empty_fct_bin_prints_n_a() {
+        let line = "--schemes homa --topo star:4:10:20 --workload memcached --flows 20";
+        let mut out = Vec::new();
+        write_sweep(false, &parse_run("sweep", line), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let row = text.lines().last().unwrap();
+        assert!(row.starts_with("Homa") && !text.contains("NaN"), "{text}");
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cells[cells.len() - 3], "n/a", "{row}");
     }
 
     /// Spec values the workload generators and topology builders assert on

@@ -21,7 +21,6 @@
 
 use netsim::{Ctx, Packet, Rate, SimDuration};
 
-use crate::common::Token;
 use crate::proto::{Proto, PullHdr};
 use crate::pull::{Grant, Pull, PullRx, PullTx};
 
@@ -29,7 +28,7 @@ use crate::pull::{Grant, Pull, PullRx, PullTx};
 pub const TIMER_EP_CREDIT: u8 = 10;
 /// Receiver stall watchdog.
 pub const TIMER_EP_WATCHDOG: u8 = 11;
-/// Sender-side request retry (covers a lost credit request).
+/// Sender-side request retry (covers a lost credit request): its [`Grant::RETRY`].
 pub const TIMER_EP_REQUEST: u8 = 12;
 
 /// ExpressPass configuration, and the [`Grant`] policy it runs.
@@ -59,6 +58,7 @@ pub type ExpressPassTransport = Pull<ExpressPassCfg>;
 impl Grant for ExpressPassCfg {
     const WATCHDOG: u8 = TIMER_EP_WATCHDOG;
     const PACER: u8 = TIMER_EP_CREDIT;
+    const RETRY: u8 = TIMER_EP_REQUEST;
     type Tx = ();
     /// The credit line: bytes authorized.
     type Rx = u64;
@@ -74,9 +74,11 @@ impl Grant for ExpressPassCfg {
     fn start(&self, tx: &mut PullTx<()>, _mss: u32, ctx: &mut Ctx<'_, Proto>) {
         // Credit request only — the 1st RTT carries no data.
         ctx.send(tx.ctrl(PullHdr::Request { msg_size: tx.size, retry: false }));
-        // Retry the request if no credit ever arrives (lost request).
-        let token = Token { kind: TIMER_EP_REQUEST, generation: 0, flow: tx.id.0 };
-        ctx.timer_after(self.watchdog, token.encode());
+    }
+
+    /// The request again, marked a retry: no credit and no NACK arrived.
+    fn reopen(tx: &PullTx<()>) -> PullHdr {
+        PullHdr::Request { msg_size: tx.size, retry: true }
     }
 
     fn done(rx: &PullRx<u64>) -> bool {
@@ -137,19 +139,7 @@ impl Grant for ExpressPassCfg {
             ep.pace(flow, ctx);
         }
         if first {
-            ep.arm_watchdog(flow, ctx);
-        }
-    }
-
-    /// The sender's request retry, until the first credit arrives.
-    fn on_timer(ep: &mut Pull<Self>, token: Token, ctx: &mut Ctx<'_, Proto>) {
-        if token.kind != TIMER_EP_REQUEST {
-            return;
-        }
-        let Some(tx) = ep.tx.get(netsim::FlowId(token.flow)) else { return };
-        if tx.sent == 0 && tx.size > 0 {
-            ctx.send(tx.ctrl(PullHdr::Request { msg_size: tx.size, retry: true }));
-            ctx.timer_after(ep.g.watchdog, token.encode());
+            ep.arm(Self::WATCHDOG, flow, ctx);
         }
     }
 }

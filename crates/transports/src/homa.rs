@@ -115,8 +115,7 @@ fn regrant(ep: &mut HomaTransport, ctx: &mut Ctx<'_, Proto>) {
 }
 // simlint: hot-path-end
 
-/// Late data of a completed message re-runs the grant pass and no more; a
-/// late probe does nothing.
+/// Late data of a completed message re-runs the grant pass and no more.
 impl Grant for HomaCfg {
     const WATCHDOG: u8 = TIMER_HOMA_RESEND;
     type Tx = ();
@@ -156,28 +155,6 @@ impl Grant for HomaCfg {
     /// Retransmissions go out scheduled, at the top scheduled priority.
     fn on_resend(&self, _tx: &mut PullTx<()>, _offset: u64, _len: u32) -> Option<u8> {
         Some(self.sched_priority(0))
-    }
-
-    /// Aeolus's probe: any hole below its line was selectively dropped, so
-    /// it is reclaimed at once as scheduled traffic.
-    fn on_control(ep: &mut Pull<Self>, pkt: &Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
-        let Proto::Pull(PullHdr::Probe { unscheduled_sent, msg_size }) = pkt.payload else {
-            return;
-        };
-        let flow = pkt.flow;
-        let m = match ep.rx.get_mut(flow) {
-            Some(m) => m,
-            // The message completed before its probe arrived.
-            None if ep.rx_done.contains(flow) => return,
-            // The probe can overtake the P7 data burst; the timeout-recovery
-            // timer must still get armed.
-            None => {
-                ep.arm_watchdog(flow, ctx);
-                ep.rx.insert(flow, PullRx::new(pkt.src, msg_size, ctx.now(), 0))
-            }
-        };
-        m.policy = m.policy.max(unscheduled_sent);
-        ep.request_gaps(flow, unscheduled_sent, ctx);
     }
 }
 
@@ -287,7 +264,7 @@ mod tests {
 
     /// A completed receiver leaves the table (so the grant pass ranks live
     /// messages only); late data still re-runs the grant pass, a late probe
-    /// does nothing, and nothing completes — or is created — twice.
+    /// is answered `Done`, and nothing completes — or is created — twice.
     #[test]
     fn a_completed_receiver_is_retired_and_late_packets_do_what_they_did() {
         use crate::common::testkit::drive;
@@ -306,8 +283,8 @@ mod tests {
         assert_eq!(only.timers.len(), 1, "the resend timer is armed whatever happens next");
         assert_eq!(t.flow_tables().1, TableStats { live: 0, high_water: 1 });
 
-        // A probe opens message 8 with less granted than it could have;
-        // probes do not run the grant pass, so the grant is still owed.
+        // A probe opens message 8 at `Grant::open`'s line, its unscheduled
+        // window: no grant is owed to it, and its prefix is asked for.
         let opened = drive(SimTime(20), me, |ctx| t.on_packet(probe(8, 1000, 100_000), ctx));
         assert_eq!(t.flow_tables().1, TableStats { live: 1, high_water: 1 });
         let granted = |did: &crate::common::testkit::Did| {
@@ -320,14 +297,20 @@ mod tests {
             grants.collect::<Vec<_>>()
         };
         assert_eq!(granted(&opened), vec![]);
+        let asked = opened.packets.iter().map(|p| p.payload.clone()).collect::<Vec<_>>();
+        assert!(matches!(asked[..], [Proto::Pull(PullHdr::Resend { offset: 0, len: 1000 })]));
 
-        // Late data of the completed message: no completion, no receiver,
-        // but the grant pass runs and pays message 8 what it is owed.
+        // Late data of the completed message: no completion, no receiver;
+        // the grant pass runs and finds nothing owed.
         let late = drive(SimTime(30), me, |ctx| t.on_packet(data(7, 0, 1000), ctx));
         assert!(late.completed.is_empty() && late.timers.is_empty());
-        assert_eq!(granted(&late), vec![(FlowId(8), 50_000)]);
-        // A late probe, and the resend timer, of the completed message.
-        assert!(drive(SimTime(40), me, |ctx| t.on_packet(probe(7, 1000, 1000), ctx)).nothing());
+        assert_eq!(granted(&late), vec![]);
+        // A late probe of the completed message is answered `Done`; its
+        // resend timer finds nothing.
+        let done = drive(SimTime(40), me, |ctx| t.on_packet(probe(7, 1000, 1000), ctx));
+        let answer = done.packets.iter().map(|p| (p.dst, p.payload.clone())).collect::<Vec<_>>();
+        assert!(matches!(answer[..], [(HostId(0), Proto::Pull(PullHdr::Done))]), "{answer:?}");
+        assert!(done.timers.is_empty() && done.completed.is_empty());
         assert!(drive(only.timers[0].0, me, |ctx| t.on_timer(only.timers[0].1, ctx)).nothing());
         assert_eq!(t.flow_tables().1, TableStats { live: 1, high_water: 1 });
     }

@@ -163,7 +163,7 @@ pub struct AckHdr {
 }
 
 /// Receiver-driven header (NDP, Homa, Aeolus, ExpressPass; `pull.rs`).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PullHdr {
     /// Data. An NDP switch may trim it: it then arrives with
     /// `Packet::trimmed == true` and no payload.
@@ -177,9 +177,12 @@ pub enum PullHdr {
     /// The receiver asks for `[offset, offset + len)` again (NDP's NACK,
     /// Homa's RESEND, ExpressPass's NACK).
     Resend { offset: u64, len: u32 },
-    /// Aeolus: trails the unscheduled burst and tells the receiver how many
-    /// unscheduled bytes were sent, so lost ones are detected at once.
+    /// Trails Aeolus's unscheduled burst, and is any sender's retry until
+    /// its receiver is heard from: how many unscheduled bytes were sent,
+    /// so lost ones are requested at once.
     Probe { unscheduled_sent: u64, msg_size: u64 },
+    /// A completed receiver's answer to a probe.
+    Done,
     /// ExpressPass: a `msg_size`-byte message asks for credits; `retry`
     /// when the sender has had none since its last request.
     Request { msg_size: u64, retry: bool },

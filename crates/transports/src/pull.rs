@@ -4,11 +4,11 @@
 //! Table 1: proactive, receiver-driven, passive first RTT). A sender sends
 //! an unscheduled prefix, then exactly what its receiver authorizes; a
 //! receiver reassembles, authorizes, and re-requests what a stall leaves
-//! missing. [`Pull<G>`] is that endpoint over one header ([`PullHdr`]);
-//! [`Grant`] names what differs between the schemes: the prefix, the
-//! per-flow authorization state, what a data arrival triggers, how far a
-//! stall re-requests, and whether the receiver paces its authorizations
-//! (DESIGN.md §16, "Receiver-driven endpoints").
+//! missing; a sender that hears nothing re-opens. [`Pull<G>`] is that
+//! endpoint over one header ([`PullHdr`]); [`Grant`] names what differs
+//! between the schemes: the prefix, the opener, the per-flow authorization
+//! state, what a data arrival triggers, how far a stall re-requests, and
+//! whether the receiver paces its authorizations (DESIGN.md §16).
 
 use std::collections::VecDeque;
 
@@ -28,6 +28,8 @@ pub trait Grant: Sized {
     const WATCHDOG: u8;
     /// Timer kind of the receiver's pacer; 0 when the scheme has none.
     const PACER: u8 = 0;
+    /// Timer kind of the sender's retry: 13 unless the scheme names one.
+    const RETRY: u8 = 13;
     /// Switches may trim this scheme's data packets to their header.
     const TRIMMABLE: bool = false;
     /// A range the receiver requests again also takes one pacer turn per
@@ -40,12 +42,19 @@ pub trait Grant: Sized {
     /// What a completed receiver leaves for late packets.
     type Done: Copy + Default;
 
-    /// How long a receiver may hear nothing before it re-requests.
+    /// How long a receiver may hear nothing before it re-requests, and a
+    /// sender before it re-opens.
     fn watchdog(&self) -> SimDuration;
 
     /// A flow starts: move `tx.sent` past the unscheduled prefix and send
     /// it, with whatever else the scheme sends unasked.
     fn start(&self, tx: &mut PullTx<Self::Tx>, mss: u32, ctx: &mut Ctx<'_, Proto>);
+
+    /// What a sender that has heard nothing sends again: a probe of its
+    /// unscheduled prefix.
+    fn reopen(tx: &PullTx<Self::Tx>) -> PullHdr {
+        PullHdr::Probe { unscheduled_sent: tx.sent, msg_size: tx.size }
+    }
 
     /// A receiver's state when the first packet of a `size`-byte message
     /// arrives.
@@ -89,16 +98,12 @@ pub trait Grant: Sized {
         Some(false)
     }
 
-    /// A control packet the endpoint does not handle itself: Aeolus's
-    /// probe, ExpressPass's credit request.
+    /// ExpressPass's credit request.
     fn on_control(_ep: &mut Pull<Self>, _pkt: &Packet<Proto>, _ctx: &mut Ctx<'_, Proto>) {}
-
-    /// A timer of a kind other than the watchdog and the pacer.
-    fn on_timer(_ep: &mut Pull<Self>, _token: Token, _ctx: &mut Ctx<'_, Proto>) {}
 }
 
-/// A flow's sender. Never retired: nothing tells a receiver-driven sender
-/// its flow completed, and a request may name any flow at any time.
+/// A flow's sender. Never retired: only a probing sender hears that its
+/// flow completed (`Done`), and a request may name any flow at any time.
 pub struct PullTx<T> {
     pub(crate) id: FlowId,
     pub(crate) src: HostId,
@@ -106,6 +111,8 @@ pub struct PullTx<T> {
     pub(crate) size: u64,
     /// Next new byte.
     pub(crate) sent: u64,
+    /// A pull, grant, resend or `Done` has arrived: the retry stops.
+    pub(crate) heard: bool,
     pub(crate) policy: T,
 }
 
@@ -191,8 +198,9 @@ impl<G: Grant> Pull<G> {
         (self.tx.stats(), self.rx.stats())
     }
 
-    pub(crate) fn arm_watchdog(&self, flow: FlowId, ctx: &mut Ctx<'_, Proto>) {
-        let token = Token { kind: G::WATCHDOG, generation: 0, flow: flow.0 };
+    /// Arm `flow`'s watchdog or retry: both sleep one watchdog.
+    pub(crate) fn arm(&self, kind: u8, flow: FlowId, ctx: &mut Ctx<'_, Proto>) {
+        let token = Token { kind, generation: 0, flow: flow.0 };
         ctx.timer_after(self.g.watchdog(), token.encode());
     }
 
@@ -239,7 +247,7 @@ impl<G: Grant> Pull<G> {
             }
             None if self.rx_done.contains(flow) => None,
             None => {
-                self.arm_watchdog(flow, ctx);
+                self.arm(G::WATCHDOG, flow, ctx);
                 let m = PullRx::new(peer, msg_size, now, self.g.open(msg_size));
                 Some(self.rx.insert(flow, m))
             }
@@ -285,10 +293,11 @@ impl<G: Grant> Pull<G> {
 
     /// Sender: what a pull or credit (a kept resend's next segment, else
     /// one new one), a grant (everything up to its line) or a resend
-    /// request releases.
+    /// request releases; `Done` releases nothing. Each stops the retry.
     fn release(&mut self, id: FlowId, hdr: PullHdr, ctx: &mut Ctx<'_, Proto>) {
         let mss = self.mss;
         let Some(tx) = self.tx.get_mut(id) else { return };
+        tx.heard = true;
         let (from, to, prio, retx) = match hdr {
             PullHdr::Pull => match G::queued_resend(&mut tx.policy, mss) {
                 Some((offset, len)) => (offset, offset + len as u64, PULLED_PRIORITY, true),
@@ -320,6 +329,31 @@ impl<G: Grant> Pull<G> {
         }
     }
 
+    /// Receiver: a sender's probe, Aeolus's trailer or any sender's retry.
+    /// A completed receiver answers `Done`; any other asks for the holes
+    /// below the prefix, first opening a message it never heard of.
+    fn on_probe(&mut self, pkt: &Packet<Proto>, prefix: u64, size: u64, ctx: &mut Ctx<'_, Proto>) {
+        let (flow, peer, now) = (pkt.flow, pkt.src, ctx.now());
+        if self.rx_done.contains(flow) {
+            return ctx.send(Packet::ctrl(flow, ctx.host(), peer, Proto::Pull(PullHdr::Done)));
+        }
+        if !self.rx.contains(flow) {
+            self.arm(G::WATCHDOG, flow, ctx);
+            self.rx.insert(flow, PullRx::new(peer, size, now, self.g.open(size)));
+        }
+        self.request_gaps(flow, prefix, ctx);
+    }
+
+    /// Sender: until the receiver is heard from, send the opener again
+    /// every watchdog.
+    fn retry(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Proto>) {
+        let Some(tx) = self.tx.get(flow) else { return };
+        if !tx.heard {
+            ctx.send(tx.ctrl(G::reopen(tx)));
+            self.arm(G::RETRY, flow, ctx);
+        }
+    }
+
     fn on_watchdog(&mut self, flow: FlowId, ctx: &mut Ctx<'_, Proto>) {
         // A completed flow's watchdog finds nothing and stops.
         let Some(m) = self.rx.get(flow) else { return };
@@ -331,16 +365,17 @@ impl<G: Grant> Pull<G> {
                 self.pace(flow, ctx);
             }
         }
-        self.arm_watchdog(flow, ctx);
+        self.arm(G::WATCHDOG, flow, ctx);
     }
 }
 
 impl<G: Grant> Transport<Proto> for Pull<G> {
     fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, Proto>) {
         let (id, src, dst, size) = (flow.id, flow.src, flow.dst, flow.size_bytes);
-        let mut tx = PullTx { id, src, dst, size, sent: 0, policy: G::Tx::default() };
+        let mut tx = PullTx { id, src, dst, size, sent: 0, heard: false, policy: G::Tx::default() };
         self.g.start(&mut tx, self.mss, ctx);
         self.tx.insert(id, tx);
+        self.arm(G::RETRY, id, ctx);
     }
 
     fn on_packet(&mut self, pkt: Packet<Proto>, ctx: &mut Ctx<'_, Proto>) {
@@ -349,10 +384,13 @@ impl<G: Grant> Transport<Proto> for Pull<G> {
         };
         match hdr {
             PullHdr::Data { .. } => self.on_data(&pkt, ctx),
-            PullHdr::Pull | PullHdr::Grant { .. } | PullHdr::Resend { .. } => {
+            PullHdr::Pull | PullHdr::Grant { .. } | PullHdr::Resend { .. } | PullHdr::Done => {
                 self.release(pkt.flow, hdr, ctx)
             }
-            PullHdr::Probe { .. } | PullHdr::Request { .. } => G::on_control(self, &pkt, ctx),
+            PullHdr::Probe { unscheduled_sent, msg_size } => {
+                self.on_probe(&pkt, unscheduled_sent, msg_size, ctx)
+            }
+            PullHdr::Request { .. } => G::on_control(self, &pkt, ctx),
         }
     }
 
@@ -363,7 +401,8 @@ impl<G: Grant> Transport<Proto> for Pull<G> {
         } else if G::PACER != 0 && token.kind == G::PACER {
             self.pacer_tick(ctx);
         } else {
-            G::on_timer(self, token, ctx);
+            debug_assert_eq!(token.kind, G::RETRY, "a timer of no receiver-driven kind");
+            self.retry(FlowId(token.flow), ctx);
         }
     }
 }
@@ -374,6 +413,7 @@ mod tests {
     use crate::common::testkit::drive;
     use crate::{ExpressPassCfg, HomaCfg, NdpCfg};
     use netsim::{Pcg32, Rate};
+    use std::fmt::Debug;
 
     const MSS: u32 = 1000;
     const SEGMENTS: u64 = 40;
@@ -484,6 +524,140 @@ mod tests {
             let line = covered(&arrived).max(credited).min(SIZE);
             assert_eq!(asked, holes(&arrived, line), "ExpressPass seed {seed}");
             assert_eq!(turns, 1, "ExpressPass seed {seed}");
+        }
+    }
+
+    /// The four policies with a 1 ms watchdog: NDP with a 10-segment first
+    /// window, Homa and Aeolus with 5 segments unscheduled, ExpressPass.
+    fn ndp() -> NdpCfg {
+        let watchdog = SimDuration::from_millis(1);
+        NdpCfg { initial_window_bytes: 10 * MSS as u64, edge_rate: Rate::gbps(10), watchdog }
+    }
+    fn homa(aeolus: bool) -> HomaCfg {
+        let watchdog = SimDuration::from_millis(1);
+        HomaCfg { resend_timeout: watchdog, aeolus, ..HomaCfg::new(5 * MSS as u64) }
+    }
+    fn expresspass() -> ExpressPassCfg {
+        ExpressPassCfg::new(Rate::gbps(10), SimDuration::from_millis(1))
+    }
+
+    /// A `G` sender that hears nothing sends `opener` once per watchdog,
+    /// and a pull, a grant, a resend or a `Done` (`k` retries in, one
+    /// fresh flow each) stops it for good.
+    fn retries<G: Grant + Clone>(name: &str, g: G, opener: PullHdr) {
+        let (me, peer) = (HostId(0), HostId(1));
+        let watchdog = g.watchdog();
+        let heard = [
+            PullHdr::Pull,
+            PullHdr::Grant { granted_offset: SIZE, prio: 5 },
+            PullHdr::Resend { offset: 0, len: MSS },
+            PullHdr::Done,
+        ];
+        for (k, hdr) in heard.into_iter().enumerate() {
+            let flow = FlowId(k as u64);
+            let token = Token { kind: G::RETRY, generation: 0, flow: flow.0 }.encode();
+            let mut t = Pull::new(g.clone(), MSS);
+            let desc = FlowDesc::new(flow, me, peer, SIZE, SimTime::ZERO);
+            let started = drive(SimTime::ZERO, me, |ctx| t.on_flow_start(&desc, ctx));
+            let mut at = SimTime::ZERO + watchdog;
+            assert_eq!(started.timers, vec![(at, token)], "{name}: one retry timer");
+            for _ in 0..=k {
+                let fired = drive(at, me, |ctx| t.on_timer(token, ctx));
+                let sent: Vec<_> =
+                    fired.packets.iter().map(|p| (p.dst, p.payload.clone())).collect();
+                assert!(
+                    matches!(sent[..], [(to, Proto::Pull(h))] if to == peer && h == opener),
+                    "{name}: {sent:?}"
+                );
+                at += watchdog;
+                assert_eq!(fired.timers, vec![(at, token)], "{name}: re-armed");
+            }
+            let pkt = Packet::ctrl(flow, peer, me, Proto::Pull(hdr));
+            drive(at, me, |ctx| t.on_packet(pkt, ctx));
+            assert!(drive(at, me, |ctx| t.on_timer(token, ctx)).nothing(), "{name} after {hdr:?}");
+        }
+    }
+
+    /// The one sender retry (DESIGN.md §16): Homa, Aeolus and NDP probe
+    /// their unscheduled prefix, ExpressPass retries its credit request.
+    #[test]
+    fn a_sender_that_hears_nothing_reopens_every_watchdog_until_it_hears() {
+        let probe = |prefix: u64| PullHdr::Probe { unscheduled_sent: prefix, msg_size: SIZE };
+        retries("NDP", ndp(), probe(10 * MSS as u64));
+        retries("Homa", homa(false), probe(5 * MSS as u64));
+        retries("Aeolus", homa(true), probe(5 * MSS as u64));
+        retries("ExpressPass", expresspass(), PullHdr::Request { msg_size: SIZE, retry: true });
+    }
+
+    /// The resend requests among `packets`, each to `peer`.
+    fn resends(packets: &[Packet<Proto>], peer: HostId, what: &str) -> Vec<(u64, u32)> {
+        let resend = |p: &Packet<Proto>| match p.payload {
+            Proto::Pull(PullHdr::Resend { offset, len }) if p.dst == peer => (offset, len),
+            ref other => panic!("{what}: a probe sent {other:?}"),
+        };
+        packets.iter().map(resend).collect()
+    }
+
+    /// One seeded life of a `G` receiver that hears of its message first
+    /// from a probe: it opens as `Grant::open` says, with its watchdog,
+    /// and asks for everything below the prefix; after a random subset
+    /// arrives, a second probe asks for exactly the holes below its prefix;
+    /// once complete, a probe is answered `Done` and nothing else.
+    fn probed<G: Grant>(name: &str, g: G, seed: u64)
+    where
+        G::Rx: PartialEq + Debug,
+    {
+        let (me, peer, flow) = (HostId(1), HostId(0), FlowId(3));
+        let what = format!("{name} seed {seed}");
+        let (watchdog, opened_as) = (g.watchdog(), g.open(SIZE));
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut t = Pull::new(g, MSS);
+        let probe = |prefix: u64| {
+            let hdr = PullHdr::Probe { unscheduled_sent: prefix, msg_size: SIZE };
+            Packet::ctrl(flow, peer, me, Proto::Pull(hdr))
+        };
+        let prefix = rng.gen_range(SIZE + 1);
+        let opened = drive(SimTime(10), me, |ctx| t.on_packet(probe(prefix), ctx));
+        let dog = Token { kind: G::WATCHDOG, generation: 0, flow: flow.0 }.encode();
+        assert_eq!(opened.timers.first(), Some(&(SimTime(10) + watchdog, dog)), "{what}");
+        let m = t.rx.get(flow).expect("the probe opened a receiver");
+        assert_eq!((m.peer, m.size, &m.policy), (peer, SIZE, &opened_as), "{what}");
+        let none = [false; SEGMENTS as usize];
+        assert_eq!(resends(&opened.packets, peer, &what), holes(&none, prefix), "{what}");
+
+        let arrived: Vec<bool> = (0..SEGMENTS).map(|_| rng.gen_index(2) == 0).collect();
+        let data = |seg: u64| {
+            let hdr = PullHdr::Data { offset: seg * MSS as u64, len: MSS, msg_size: SIZE };
+            Packet::data(flow, peer, me, MSS, Proto::Pull(hdr))
+        };
+        for seg in (0..SEGMENTS).filter(|&s| arrived[s as usize]) {
+            drive(SimTime(20), me, |ctx| t.on_packet(data(seg), ctx));
+        }
+        if t.rx.contains(flow) {
+            let prefix = rng.gen_range(SIZE + 1);
+            let again = drive(SimTime(30), me, |ctx| t.on_packet(probe(prefix), ctx));
+            assert_eq!(resends(&again.packets, peer, &what), holes(&arrived, prefix), "{what}");
+        }
+        for seg in (0..SEGMENTS).filter(|&s| !arrived[s as usize]) {
+            drive(SimTime(40), me, |ctx| t.on_packet(data(seg), ctx));
+        }
+        assert!(t.rx_done.contains(flow), "{what}: never completed");
+        let late = drive(SimTime(50), me, |ctx| t.on_packet(probe(prefix), ctx));
+        let sent: Vec<_> = late.packets.iter().map(|p| (p.dst, p.payload.clone())).collect();
+        assert!(matches!(sent[..], [(to, Proto::Pull(PullHdr::Done))] if to == peer), "{what}");
+        assert!(late.timers.is_empty() && late.completed.is_empty(), "{what}: {late:?}");
+    }
+
+    /// The one probe path (DESIGN.md §16), for every policy: an unknown
+    /// receiver opens and requests exactly the gaps below the prefix, a
+    /// live one the holes below it, a completed one answers `Done`.
+    #[test]
+    fn a_probe_opens_an_unknown_receiver_and_a_completed_one_answers_done_seeded() {
+        for seed in 0..16u64 {
+            probed("NDP", ndp(), seed);
+            probed("Homa", homa(false), seed);
+            probed("Aeolus", homa(true), seed);
+            probed("ExpressPass", expresspass(), seed);
         }
     }
 }

@@ -425,6 +425,21 @@ echo "==> runaway smoke (HPCC at a tenth of the buffers finishes in bounded memo
 (ulimit -v 1000000 && ./target/release/pptlab compare --schemes hpcc --topo star:5:10:20 \
     --flows 60 --buffers 0.1 > /dev/null)
 
+echo "==> receiver-driven retry smoke (a sender that hears nothing re-opens; DESIGN.md §16)"
+# Without the one sender retry in `Pull`, Homa stranded a message whose one
+# unscheduled packet was lost here, and ExpressPass retried a request whose
+# flow NACKs had served until `max_time`.
+RETRY_TMP="${TMPDIR:-/tmp}/pptlab-retry-smoke.$$"
+retry_out=$( (./target/release/pptlab trace --schemes homa --topo star:5:10:20 --flows 60 \
+    --seed 42 --faults loss=0.02,seed=7 --out "$RETRY_TMP" &&
+    ./target/release/pptlab compare --schemes expresspass --topo star:5:10:20 --flows 60 \
+        --seed 42 --faults loss=0.02,ackloss=0.05,seed=8) 2>&1)
+rm -rf "$RETRY_TMP"
+if printf '%s\n' "$retry_out" | grep 'stopped abnormally' >&2; then
+    echo "check.sh: a receiver-driven run stopped abnormally" >&2
+    exit 1
+fi
+
 echo "==> telemetry smoke (report byte-identical across reruns; goldens untouched; trace dumps report's series)"
 TELEM_TMP="${TMPDIR:-/tmp}/pptlab-telemetry-smoke.$$"
 mkdir -p "$TELEM_TMP/a" "$TELEM_TMP/b" "$TELEM_TMP/t" "$TELEM_TMP/plain"

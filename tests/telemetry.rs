@@ -54,8 +54,8 @@ fn telemetry_leaves_pinned_goldens_unchanged() {
     for (scheme, seed, want_trace, want_fct) in [
         (Scheme::Ppt, 42u64, 0xe9a4_e439_ac56_fe20_u64, 0x544f_c7e6_370c_f276_u64),
         (Scheme::Dctcp, 42, 0xf04a_9831_60e9_08d5, 0xdfbd_16a2_71d0_99be),
-        (Scheme::Ndp, 7, 0xa624_4279_1c93_0e9f, 0x64cd_8caa_b1be_ec7b),
-        (Scheme::Homa, 7, 0xd072_7754_f98c_10f5, 0xe4ec_42a4_cd20_bf42),
+        (Scheme::Ndp, 7, 0x7acd_8402_dead_c899, 0xb3aa_baec_50cc_3ebd),
+        (Scheme::Homa, 7, 0xc53b_7f40_97a1_92b5, 0x3dc3_da6d_a116_c414),
     ] {
         let name = scheme.name();
         let (trace_hash, fct_hash) = telemetered_golden_digests(scheme, seed);
