@@ -15,8 +15,8 @@
 //!   mirror-symmetric packet tagging (§4.2);
 //! * [`wmax`] — maximum-window tracking restricted to the
 //!   congestion-avoidance phase (§2.3, footnote 3);
-//! * [`config`] — every knob with the paper's defaults, including the
-//!   ablation switches evaluated in §6.3.
+//! * [`config`] — PPT's environment and the five knobs the paper varies
+//!   ([`PptKnobs`]: Fig 3's fill and the ablations of §6.3).
 //!
 //! The `transports` crate wires these pieces into a full sender/receiver
 //! on the `netsim` simulator; everything here is also directly usable by
@@ -30,7 +30,7 @@ pub mod scheduling;
 pub mod wmax;
 
 pub use alpha::{AlphaEstimator, MinTracker, DEFAULT_G, DEFAULT_MIN_WINDOW};
-pub use config::PptConfig;
+pub use config::{PptConfig, PptKnobs};
 pub use ecn::{marking_threshold_bytes, ppt_thresholds, LAMBDA_HIGH, LAMBDA_LOW};
 pub use lcp::{
     initial_window_case1, initial_window_case2, LcpAckClock, LcpAction, LcpLoop, LoopTrigger,

@@ -26,6 +26,7 @@ use crate::harness::Scheme::{self, *};
 use crate::harness::{Experiment, SchemeEnv, TopoKind};
 use crate::sweep::{PointResult, SweepSpec};
 use claims::{claim, Claim, Column::*, Paper::*, Vs};
+use ppt_core::PptKnobs;
 
 mod claims;
 mod custom;
@@ -147,6 +148,9 @@ const fn row(scheme: Scheme) -> Row {
     Row { scheme, tweak: None }
 }
 
+/// PPT as the paper runs it.
+const PPT: Row = row(Scheme::Ppt);
+
 const WEB_SEARCH: fn() -> SizeDistribution = SizeDistribution::web_search;
 const DATA_MINING: fn() -> SizeDistribution = SizeDistribution::data_mining;
 const MEMCACHED: fn() -> SizeDistribution = SizeDistribution::memcached_w1;
@@ -170,9 +174,9 @@ const fn ws_1200(fig: &'static str) -> Panel {
 }
 
 /// The six-scheme comparison of the large-scale figures.
-const LARGE_SCALE: &[Row] = &[row(Ndp), row(Aeolus), row(Homa), row(Rc3), row(Dctcp), row(Ppt)];
+const LARGE_SCALE: &[Row] = &[row(Ndp), row(Aeolus), row(Homa), row(Rc3), row(Dctcp), PPT];
 /// The testbed comparison set (§6.1).
-const TESTBED: &[Row] = &[row(Homa), row(Rc3), row(Dctcp), row(Ppt)];
+const TESTBED: &[Row] = &[row(Homa), row(Rc3), row(Dctcp), PPT];
 /// §6.1 on the testbed: PPT (row 3) has the lowest overall average, and its
 /// small flows finish far faster than DCTCP's and RC3's.
 const TESTBED_CLAIMS: &[Claim] = &[
@@ -203,7 +207,7 @@ pub const FIGURES: &[Figure] = &[
     fct("ext_hpcc_ppt", FctFigure {
         what: "PPT-over-HPCC vs plain HPCC vs PPT",
         panels: &[ws_1200("Ext (appendix B)")],
-        rows: &[row(Hpcc), row(HpccPpt), row(Ppt)],
+        rows: &[row(Hpcc), row(HpccPpt), PPT],
         ..OVERSUB
     }),
     // §2.1's reactive-startup spectrum: TCP-10 and Halfback only attack
@@ -214,7 +218,7 @@ pub const FIGURES: &[Figure] = &[
         setup: "15-host testbed, Web Search, load 0.5",
         topo: TopoKind::PaperTestbed,
         panels: &[("Ext (§2.1)", WEB_SEARCH, 500)],
-        rows: &[row(Tcp10), row(Halfback), row(Dctcp), row(ExpressPass), row(Rc3), row(Ppt)],
+        rows: &[row(Tcp10), row(Halfback), row(Dctcp), row(ExpressPass), row(Rc3), PPT],
         ..OVERSUB
     }),
     custom("fig01_dctcp_util", custom::fig01),
@@ -309,7 +313,7 @@ pub const FIGURES: &[Figure] = &[
         what: "[Simulation] Effect of ECN for the LCP loop",
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 15")],
-        rows: &[row(Ppt), row(PptNoLcpEcn)],
+        rows: &[PPT, row(Lcp(PptKnobs { lcp_ecn: false, ..PptKnobs::PAPER }))],
         claims: &ablation(18.9, 59.6, 78.4),
         ..OVERSUB
     }),
@@ -317,7 +321,7 @@ pub const FIGURES: &[Figure] = &[
         what: "[Simulation] Effect of EWD",
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 16")],
-        rows: &[row(Ppt), row(PptNoEwd)],
+        rows: &[PPT, row(Lcp(PptKnobs { ewd: false, ..PptKnobs::PAPER }))],
         claims: &ablation(26.0, 63.5, 85.8),
         ..OVERSUB
     }),
@@ -325,7 +329,7 @@ pub const FIGURES: &[Figure] = &[
         what: "[Simulation] Effect of flow scheduling",
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 17")],
-        rows: &[row(Ppt), row(PptNoScheduling)],
+        rows: &[PPT, row(Lcp(PptKnobs { scheduling: false, ..PptKnobs::PAPER }))],
         claims: &ablation(26.0, 66.0, 51.2),
         ..OVERSUB
     }),
@@ -333,7 +337,7 @@ pub const FIGURES: &[Figure] = &[
         what: "[Simulation] Effect of buffer-aware identification",
         setup: LEAF_SPINE,
         panels: &[ws_1200("Fig 18")],
-        rows: &[row(Ppt), row(PptNoIdentification)],
+        rows: &[PPT, row(Lcp(PptKnobs { identification: false, ..PptKnobs::PAPER }))],
         claims: &ablation(0.0, 4.3, 31.9),
         ..OVERSUB
     }),
@@ -380,7 +384,7 @@ pub const FIGURES: &[Figure] = &[
         panels: &[("Fig 23", WEB_SEARCH, 400)],
         patterns: &[Pattern::Incast(32), Pattern::Incast(64), Pattern::Incast(128)],
         loads: &[0.6],
-        rows: &[row(Ndp), row(Aeolus), row(Homa), row(Dctcp), row(Ppt)],
+        rows: &[row(Ndp), row(Aeolus), row(Homa), row(Dctcp), PPT],
         claims: &[
             claim(4, Vs::Row(3), Overall, Pct(0.0)),
             claim(4, Vs::Row(2), Overall, Lower),
@@ -396,7 +400,7 @@ pub const FIGURES: &[Figure] = &[
         what: "[Simulation] RC3 with capped low-priority buffer vs PPT",
         panels: &[ws_1200("Fig 24")],
         rows: &[
-            row(Ppt),
+            PPT,
             row(Rc3BufferCap(0.2)),
             row(Rc3BufferCap(0.4)),
             row(Rc3BufferCap(0.6)),
@@ -414,7 +418,7 @@ pub const FIGURES: &[Figure] = &[
     fct("fig25_pias_hpcc", FctFigure {
         what: "[Simulation] PPT vs PIAS vs HPCC",
         panels: &[ws_1200("Fig 25")],
-        rows: &[row(Pias), row(Hpcc), row(Ppt)],
+        rows: &[row(Pias), row(Hpcc), PPT],
         claims: &[
             claim(2, Vs::Row(0), Overall, Pct(-24.6)),
             claim(2, Vs::Row(1), Overall, Pct(-4.7)),
@@ -444,13 +448,10 @@ pub const FIGURES: &[Figure] = &[
         what: "[Simulation] PPT FCTs vs TCP send buffer capacity",
         panels: &[ws_1200("Fig 27")],
         rows: &[
-            Row {
-                scheme: Ppt,
-                tweak: Some(("PPT sndbuf=128KB", |e| e.send_buffer = 128 << 10)),
-            },
-            Row { scheme: Ppt, tweak: Some(("PPT sndbuf=2MB", |e| e.send_buffer = 2 << 20)) },
-            Row { scheme: Ppt, tweak: Some(("PPT sndbuf=4MB", |e| e.send_buffer = 4 << 20)) },
-            Row { scheme: Ppt, tweak: Some(("PPT sndbuf=2GB", |e| e.send_buffer = 2 << 30)) },
+            Row { tweak: Some(("PPT sndbuf=128KB", |e| e.send_buffer = 128 << 10)), ..PPT },
+            Row { tweak: Some(("PPT sndbuf=2MB", |e| e.send_buffer = 2 << 20)), ..PPT },
+            Row { tweak: Some(("PPT sndbuf=4MB", |e| e.send_buffer = 4 << 20)), ..PPT },
+            Row { tweak: Some(("PPT sndbuf=2GB", |e| e.send_buffer = 2 << 30)), ..PPT },
         ],
         claims: &[
             claim(0, Vs::Row(1), Overall, Higher),

@@ -16,7 +16,7 @@ use transports::{
 use workloads::FlowSpec;
 
 use dcn_stats::{FctStats, SeriesAnalysis};
-use ppt_core::PptConfig;
+use ppt_core::{PptConfig, PptKnobs};
 
 /// Ring capacity of the flight recorder an abnormal run is replayed
 /// under: enough to show the final few RTTs of activity before the stop.
@@ -141,7 +141,7 @@ impl std::fmt::Display for InstallError {
 
 impl std::error::Error for InstallError {}
 
-/// Every scheme the paper evaluates, plus PPT's ablation variants.
+/// Every scheme the paper evaluates, PPT's ablations as [`Scheme::Lcp`] knobs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Scheme {
     Dctcp,
@@ -151,17 +151,9 @@ pub enum Scheme {
     Halfback,
     /// Table 1 baseline: credit-scheduled proactive transport.
     ExpressPass,
-    Ppt,
-    /// Fig 15: LCP without ECN.
-    PptNoLcpEcn,
-    /// Fig 16: no EWD (line-rate LCP).
-    PptNoEwd,
-    /// Fig 17: no flow scheduling.
-    PptNoScheduling,
-    /// Fig 18: no buffer-aware identification.
-    PptNoIdentification,
-    /// Fig 3: fill to `fraction × MW`.
-    PptFill(f64),
+    /// PPT: the LCP layer over DCTCP at one setting of the knobs the paper
+    /// varies ([`Scheme::Ppt`] sets them as the paper runs it).
+    Lcp(PptKnobs),
     Rc3,
     /// Fig 24: RC3 with the low-priority buffer capped to a fraction of
     /// the port buffer.
@@ -186,6 +178,11 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// PPT as the paper runs it; a constant, not a variant, so `Scheme::Ppt`
+    /// still names it in a `static` or `const` (pptbench's tables) and calls.
+    #[allow(non_upper_case_globals)]
+    pub const Ppt: Scheme = Scheme::Lcp(PptKnobs::PAPER);
+
     /// Every scheme, the three parameterised variants at one
     /// representative value each: the rows of [`crate::spec::SCHEMES`].
     pub fn all() -> Vec<Scheme> {
@@ -218,15 +215,9 @@ impl Scheme {
             Scheme::Tcp10 | Scheme::Halfback | Scheme::ExpressPass => {
                 SwitchConfig::basic(env.port_buffer)
             }
-            Scheme::Ppt
-            | Scheme::PptNoLcpEcn
-            | Scheme::PptNoEwd
-            | Scheme::PptNoScheduling
-            | Scheme::PptNoIdentification
-            | Scheme::PptFill(_)
-            | Scheme::SwiftPpt
-            | Scheme::Rc3
-            | Scheme::Hypothetical(_) => SwitchConfig::ppt(env.port_buffer, env.k_high, env.k_low),
+            Scheme::Lcp(_) | Scheme::SwiftPpt | Scheme::Rc3 | Scheme::Hypothetical(_) => {
+                SwitchConfig::ppt(env.port_buffer, env.k_high, env.k_low)
+            }
             Scheme::Rc3BufferCap(frac) => SwitchConfig::ppt(env.port_buffer, env.k_high, env.k_low)
                 .with_range_cap(4, 8, (env.port_buffer as f64 * frac) as u64),
             Scheme::Homa => transports::homa_switch_config(env.port_buffer, false),
@@ -256,10 +247,6 @@ impl Scheme {
     pub fn install(&self, topo: &mut Topology<Proto>, env: &SchemeEnv) -> Result<(), InstallError> {
         let (tcp, ppt) = (env.tcp_cfg(), env.ppt_cfg());
         let (rate, rtt, mss) = (topo.edge_rate, topo.base_rtt, netsim::MSS_BYTES);
-        // PPT proper and its ablations: the LCP layer over DCTCP.
-        let lcp = |topo: &mut Topology<Proto>, ppt: PptConfig| {
-            install(topo, || Lcp::new(tcp.clone(), ppt.clone(), DctcpHcp::new(&ppt)))
-        };
         match self {
             Scheme::Dctcp => install(topo, || Window::new(tcp.clone(), DctcpHcp::default(), ())),
             Scheme::Tcp10 => install(topo, || Window::new(tcp.clone(), Tcp10, ())),
@@ -268,14 +255,10 @@ impl Scheme {
                 let cfg = ExpressPassCfg::new(rate, env.min_rto);
                 install(topo, || Pull::new(cfg.clone(), mss))
             }
-            Scheme::Ppt => lcp(topo, ppt),
-            Scheme::PptNoLcpEcn => lcp(topo, PptConfig { lcp_ecn_enabled: false, ..ppt }),
-            Scheme::PptNoEwd => lcp(topo, PptConfig { ewd_enabled: false, ..ppt }),
-            Scheme::PptNoScheduling => lcp(topo, PptConfig { scheduling_enabled: false, ..ppt }),
-            Scheme::PptNoIdentification => {
-                lcp(topo, PptConfig { identification_enabled: false, ..ppt })
+            Scheme::Lcp(knobs) => {
+                let ppt = PptConfig { knobs: *knobs, ..ppt };
+                install(topo, || Lcp::new(tcp.clone(), ppt, DctcpHcp::default()))
             }
-            Scheme::PptFill(frac) => lcp(topo, PptConfig { fill_fraction: *frac, ..ppt }),
             Scheme::Rc3 | Scheme::Rc3BufferCap(_) => {
                 let bdp_bytes = netsim::bdp_bytes(env.edge_rate, env.base_rtt);
                 let cfg = Rc3Cfg { bdp_bytes, send_buffer_bytes: 2 << 30 };
@@ -300,10 +283,10 @@ impl Scheme {
             }
             Scheme::HpccPpt => {
                 let hcp = HpccHcp::new(rate, rtt).with_high_band_only();
-                install(topo, || Lcp::new(tcp.clone(), ppt.clone(), hcp))
+                install(topo, || Lcp::new(tcp.clone(), ppt, hcp))
             }
             Scheme::Swift => install(topo, || Window::new(tcp.clone(), SwiftHcp, ())),
-            Scheme::SwiftPpt => install(topo, || Lcp::new(tcp.clone(), ppt.clone(), SwiftHcp)),
+            Scheme::SwiftPpt => install(topo, || Lcp::new(tcp.clone(), ppt, SwiftHcp)),
             Scheme::Hypothetical(_) => return Err(InstallError::NeedsTwoPass),
         }
         Ok(())

@@ -903,7 +903,8 @@ mod tests {
             let says = format!("--schemes: '{id}': the fraction must be in (0, {max}]");
             assert_eq!(err(cmd, &["--schemes", &format!("ppt,{id}")]), says);
         }
-        assert_eq!(ppt::spec::parse_scheme("ppt-fill:4"), Some(Scheme::PptFill(4.0)));
+        let fill_4 = ppt::core::PptKnobs { fill: 4.0, ..ppt::core::PptKnobs::PAPER };
+        assert_eq!(ppt::spec::parse_scheme("ppt-fill:4"), Some(Scheme::Lcp(fill_4)));
         assert_eq!(ppt::spec::parse_scheme("rc3-cap:1"), Some(Scheme::Rc3BufferCap(1.0)));
         // A list option names each value once, compared as values.
         for (cmd, key, list, says) in [

@@ -399,7 +399,7 @@ mod tests {
         };
         let (a, b, c) = (us(200), us(300), us(400));
         let dctcp = spare_after(
-            DctcpHcp::new(&PptConfig::new(Rate::gbps(10), SimDuration::from_micros(80))),
+            DctcpHcp::default(),
             &[
                 // The first round closes in slow start: α = 15/16, a minimum
                 // of nothing, but the MW it would fill to is not known yet.

@@ -209,7 +209,7 @@ mod tests {
 
     fn install_hpcc_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
         let hcp = HpccHcp::new(topo.edge_rate, topo.base_rtt).with_high_band_only();
-        crate::install(topo, || HpccPptTransport::new(tcp.clone(), cfg.clone(), hcp));
+        crate::install(topo, || HpccPptTransport::new(tcp.clone(), *cfg, hcp));
     }
 
     fn setup(n: usize) -> (netsim::Topology<Proto>, TcpCfg) {

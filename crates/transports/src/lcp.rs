@@ -13,8 +13,8 @@
 //!   everyone else starts at the top priority and ages down. HCP packets
 //!   use P0–P3, LCP packets mirror at P4–P7.
 //!
-//! The ablation switches in [`PptConfig`] disable individual pieces to
-//! reproduce Figs 15–18, over whichever HCP is underneath.
+//! The knobs in [`PptKnobs`](ppt_core::PptKnobs) disable individual pieces
+//! to reproduce Figs 15–18, over whichever HCP is underneath.
 
 use netsim::trace::{LcpCloseReason, LcpTrigger};
 use netsim::{Ctx, FlowDesc, FlowId, Packet, SimDuration, TraceEvent, Transport};
@@ -70,7 +70,7 @@ impl<H: Hcp> LcpFlow<H> {
         while let Some(seg) = self.tx.next_segment(now) {
             scratch.push(seg);
         }
-        let prio = if layer.cfg.scheduling_enabled {
+        let prio = if layer.cfg.knobs.scheduling {
             layer.tagger.hcp_priority(self.identified_large, self.tx.bytes_sent)
         } else {
             0
@@ -93,14 +93,14 @@ impl<H: Hcp> LcpFlow<H> {
             return false;
         };
         self.tx.add_sent_bytes(len as u64);
-        let prio = if layer.cfg.scheduling_enabled {
+        let prio = if layer.cfg.knobs.scheduling {
             layer.tagger.lcp_priority(self.identified_large, self.tx.bytes_sent)
         } else {
             4
         };
         // The LCP keeps ECN whatever the HCP's signal is: marks on its
         // own packets are how it yields to normal traffic (§3.2).
-        let ecn = layer.cfg.lcp_ecn_enabled;
+        let ecn = layer.cfg.knobs.lcp_ecn;
         ctx.send(low_packet(&self.tx, (offset, len), prio, ecn, ctx.now()));
         ctx.emit(TraceEvent::LcpSend { flow: self.tx.id.0, offset, len: len as u64 });
         true
@@ -129,7 +129,7 @@ impl<H: Hcp> LcpFlow<H> {
             },
             init_bytes,
         });
-        if layer.cfg.ewd_enabled {
+        if layer.cfg.knobs.ewd {
             // Pace the initial window at I/RTT: one MSS every mss·RTT/I.
             // The first packet goes out immediately; the timer drives the
             // rest of the burst.
@@ -183,7 +183,7 @@ impl<H: Hcp> Lcp<H> {
     /// `hcp`.
     pub fn new(tcp: TcpCfg, cfg: PptConfig, hcp: H) -> Self {
         Lcp {
-            layer: Layer { tagger: MirrorTagger::new(cfg.demotion_thresholds.clone()), tcp, cfg },
+            layer: Layer { tagger: MirrorTagger::default(), tcp, cfg },
             hcp,
             tx: FlowTable::new(),
             tx_done: FlowTable::new(),
@@ -215,9 +215,8 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
         let layer = &self.layer;
         // Identification sees what actually lands in the send buffer.
         let first_write = flow.first_write_bytes.min(layer.cfg.send_buffer_bytes);
-        let identifier = FlowIdentifier { threshold_bytes: layer.cfg.ident_threshold_bytes };
-        let identified_large =
-            layer.cfg.identification_enabled && identifier.is_large_at_start(first_write);
+        let identified_large = layer.cfg.knobs.identification
+            && FlowIdentifier::default().is_large_at_start(first_write);
         let (tx, law) = self.hcp.flow_tx(flow, &layer.tcp);
         let f = self.tx.insert(
             flow.id,
@@ -270,7 +269,7 @@ impl<H: Hcp> Transport<Proto> for Lcp<H> {
                         // ablation clocks two (rate holds instead of
                         // halving).
                         sent_new = f.send_lcp_segment(layer, ctx);
-                        if sent_new && !layer.cfg.ewd_enabled {
+                        if sent_new && !layer.cfg.knobs.ewd {
                             f.send_lcp_segment(layer, ctx);
                         }
                     }
@@ -386,7 +385,7 @@ mod tests {
         let me = HostId(0);
         let rtt = SimDuration::from_micros(80);
         let cfg = PptConfig::new(Rate::gbps(10), rtt);
-        let mut t = PptTransport::new(TcpCfg::new(rtt), cfg.clone(), DctcpHcp::new(&cfg));
+        let mut t = PptTransport::new(TcpCfg::new(rtt), cfg, DctcpHcp::default());
         // Big enough that case 1 opens a loop beside the first window.
         let size = 200_000;
         let mut flow = FlowDesc::new(FlowId(3), me, HostId(1), size, SimTime::ZERO);

@@ -121,7 +121,7 @@ mod tests {
     }
 
     fn install_swift_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
-        crate::install(topo, || SwiftPptTransport::new(tcp.clone(), cfg.clone(), SwiftHcp));
+        crate::install(topo, || SwiftPptTransport::new(tcp.clone(), *cfg, SwiftHcp));
     }
 
     fn setup(n: usize) -> (netsim::Topology<Proto>, TcpCfg, PptConfig) {

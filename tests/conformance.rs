@@ -135,18 +135,14 @@ fn battery_results_are_identical_for_jobs_1_and_4() {
 
 /// The registry above and the harness's own scheme list (`Scheme::all`)
 /// cannot drift: any scheme the harness knows must be here (ablation
-/// variants map to their parent transport), so adding a transport without
+/// rows map to their parent transport), so adding a transport without
 /// conformance coverage fails this test, not code review.
 #[test]
 fn registry_covers_every_harness_scheme_family() {
     let covered = registered_schemes();
     let family_of = |s: &Scheme| -> Scheme {
         match s {
-            Scheme::PptNoLcpEcn
-            | Scheme::PptNoEwd
-            | Scheme::PptNoScheduling
-            | Scheme::PptNoIdentification
-            | Scheme::PptFill(_) => Scheme::Ppt,
+            Scheme::Lcp(_) => Scheme::Ppt,
             Scheme::Rc3BufferCap(_) => Scheme::Rc3,
             // Layered variants ride on their base transport's battery
             // coverage plus their own dedicated tests.

@@ -3,6 +3,7 @@
 //! claims under test here. Every claim is a row of one table, judged by
 //! the same `verdict` as the figures' claim lines.
 
+use ppt::core::PptKnobs;
 use ppt::figures::{change, verdict, Band, Column, Metric, Verdict};
 use ppt::harness::{
     run_experiment, run_experiment_traced, star_bottleneck, Experiment, Outcome, Scheme,
@@ -105,8 +106,8 @@ const CLAIMS: &[Claim] = &[
         flows: 120,
         seed: 77,
         incast: None,
-        row: side(Scheme::PptFill(1.0)),
-        base: side(Scheme::PptFill(0.5)),
+        row: side(Scheme::Lcp(PptKnobs { fill: 1.0, ..PptKnobs::PAPER })),
+        base: side(Scheme::Lcp(PptKnobs { fill: 0.5, ..PptKnobs::PAPER })),
         measure: Measure::Fct(Column::Overall),
         band: Band { lo: f64::NEG_INFINITY, hi: 5.0, open: false },
     },

@@ -4,6 +4,7 @@
 //! report JSON must themselves be byte-identical across reruns and
 //! worker counts.
 
+use ppt::core::PptKnobs;
 use ppt::harness::{
     run_experiment, run_experiment_traced, Experiment, Scheme, TelemetrySpec, TelemetrySummary,
     TopoKind,
@@ -180,8 +181,8 @@ fn only_dump(dir: &std::path::Path, name: &str) -> (String, String) {
 /// were taken at the last commit that did that.
 #[test]
 fn abnormal_stop_dump_routes_to_dump_dir() {
-    let cases =
-        [(Scheme::Ppt, 0x2893_b740_874f_513b_u64), (Scheme::PptNoEwd, 0xda9f_5522_8880_8532)];
+    let no_ewd = Scheme::Lcp(PptKnobs { ewd: false, ..PptKnobs::PAPER });
+    let cases = [(Scheme::Ppt, 0x2893_b740_874f_513b_u64), (no_ewd, 0xda9f_5522_8880_8532)];
     for (case, (scheme, want)) in cases.into_iter().enumerate() {
         let name = scheme.name();
         let dir = dump_dir(&format!("max-time-{case}"));
