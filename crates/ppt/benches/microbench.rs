@@ -439,7 +439,8 @@ fn fmt_encode_line(out: &mut String, at: u64, ev: &ppt::trace::TraceEvent) {
         | TraceEvent::Trim { sw, port, flow, prio } => {
             let _ = write!(out, ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"prio\":{prio}");
         }
-        TraceEvent::Drop { sw, port, flow, prio, bytes } => {
+        TraceEvent::Drop { sw, port, flow, prio, bytes }
+        | TraceEvent::Evict { sw, port, flow, prio, bytes } => {
             let _ = write!(
                 out,
                 ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"prio\":{prio},\"bytes\":{bytes}"

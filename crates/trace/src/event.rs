@@ -176,6 +176,9 @@ pub enum TraceEvent {
     Dequeue { sw: u32, port: u16, flow: u64, prio: u8 },
     /// A packet was dropped at admission (buffer exhausted).
     Drop { sw: u32, port: u16, flow: u64, prio: u8, bytes: u64 },
+    /// A queued lower-priority packet was pushed out to admit an arrival;
+    /// `bytes` is its payload. With `Drop`, every packet a switch lost.
+    Evict { sw: u32, port: u16, flow: u64, prio: u8, bytes: u64 },
     /// A packet was ECN-marked at admission (instantaneous queue > K).
     EcnMark { sw: u32, port: u16, flow: u64, prio: u8, qlen: u64 },
     /// A packet's payload was trimmed to a header at admission (NDP-style).
@@ -245,6 +248,7 @@ impl TraceEvent {
             TraceEvent::Enqueue { .. } => "enqueue",
             TraceEvent::Dequeue { .. } => "dequeue",
             TraceEvent::Drop { .. } => "drop",
+            TraceEvent::Evict { .. } => "evict",
             TraceEvent::EcnMark { .. } => "ecn_mark",
             TraceEvent::Trim { .. } => "trim",
             TraceEvent::Timer { .. } => "timer",
@@ -433,6 +437,10 @@ fn encode_into(out: &mut impl Out, at: u64, ev: &TraceEvent) {
         }
         TraceEvent::Drop { sw, port, flow, prio, bytes } => {
             out.port_flow(head!("drop", "sw"), sw, port, flow, prio);
+            out.num(key!("bytes"), bytes);
+        }
+        TraceEvent::Evict { sw, port, flow, prio, bytes } => {
+            out.port_flow(head!("evict", "sw"), sw, port, flow, prio);
             out.num(key!("bytes"), bytes);
         }
         TraceEvent::EcnMark { sw, port, flow, prio, qlen } => {
@@ -632,6 +640,7 @@ mod tests {
         TraceEvent::Enqueue { sw: 0, port: 2, flow: 1, prio: 0, qlen: 2920 },
         TraceEvent::Dequeue { sw: 0, port: 2, flow: 1, prio: 0 },
         TraceEvent::Drop { sw: 0, port: 2, flow: 1, prio: 7, bytes: 1460 },
+        TraceEvent::Evict { sw: 0, port: 2, flow: 4, prio: 6, bytes: 1460 },
         TraceEvent::EcnMark { sw: 0, port: 2, flow: 1, prio: 0, qlen: 95_000 },
         TraceEvent::Trim { sw: 0, port: 2, flow: 1, prio: 0 },
         TraceEvent::Timer { host: 4, token: 77 },
@@ -667,6 +676,7 @@ mod tests {
         r#"{"at":123,"ev":"enqueue","sw":0,"port":2,"flow":1,"prio":0,"qlen":2920}"#,
         r#"{"at":123,"ev":"dequeue","sw":0,"port":2,"flow":1,"prio":0}"#,
         r#"{"at":123,"ev":"drop","sw":0,"port":2,"flow":1,"prio":7,"bytes":1460}"#,
+        r#"{"at":123,"ev":"evict","sw":0,"port":2,"flow":4,"prio":6,"bytes":1460}"#,
         r#"{"at":123,"ev":"ecn_mark","sw":0,"port":2,"flow":1,"prio":0,"qlen":95000}"#,
         r#"{"at":123,"ev":"trim","sw":0,"port":2,"flow":1,"prio":0}"#,
         r#"{"at":123,"ev":"timer","host":4,"token":77}"#,
@@ -709,7 +719,8 @@ mod tests {
             TraceEvent::Dequeue { sw, port, flow, prio } => {
                 let _ = write!(out, ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"prio\":{prio}");
             }
-            TraceEvent::Drop { sw, port, flow, prio, bytes } => {
+            TraceEvent::Drop { sw, port, flow, prio, bytes }
+            | TraceEvent::Evict { sw, port, flow, prio, bytes } => {
                 let _ = write!(
                     out,
                     ",\"sw\":{sw},\"port\":{port},\"flow\":{flow},\"prio\":{prio},\"bytes\":{bytes}"
@@ -817,6 +828,9 @@ mod tests {
             TraceEvent::Dequeue { .. } => TraceEvent::Dequeue { sw: w, port: h, flow: v, prio: b },
             TraceEvent::Drop { .. } => {
                 TraceEvent::Drop { sw: w, port: h, flow: v, prio: b, bytes: v }
+            }
+            TraceEvent::Evict { .. } => {
+                TraceEvent::Evict { sw: w, port: h, flow: v, prio: b, bytes: v }
             }
             TraceEvent::EcnMark { .. } => {
                 TraceEvent::EcnMark { sw: w, port: h, flow: v, prio: b, qlen: v }
@@ -973,7 +987,7 @@ mod tests {
         let mut kinds: Vec<&str> = SAMPLES.iter().map(TraceEvent::kind).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 25, "SAMPLES must hold each variant once");
+        assert_eq!(kinds.len(), 26, "SAMPLES must hold each variant once");
     }
 
     #[test]

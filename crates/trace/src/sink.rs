@@ -158,6 +158,7 @@ mod tests {
     fn memory_sink_text_is_one_encoded_line_per_event() {
         let evs = [
             (5, TraceEvent::Timer { host: 1, token: 9 }),
+            (6, TraceEvent::Evict { sw: 0, port: 1, flow: 2, prio: 7, bytes: 1460 }),
             (6, TraceEvent::FlowComplete { flow: 3 }),
         ];
         let mut s = MemorySink::new();

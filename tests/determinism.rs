@@ -176,9 +176,10 @@ const PFC_GOLDEN: (u64, u64) = (0xb886_9142_c5be_5660, 0xf7ac_2e0a_905a_a3f6);
 /// The two layered variants on the same workload: pins `Lcp<H>` over a
 /// non-DCTCP HCP — the delay and U triggers, INT stamping under an LCP,
 /// and the layer's trace events. CHANGES.md (PR 12) records the digests
-/// these replaced and why each moved.
-const SWIFT_PPT_GOLDEN: (u64, u64) = (0x97e3_2b49_7765_34f5, 0xda84_0dca_6138_af26);
-const HPCC_PPT_GOLDEN: (u64, u64) = (0x96e8_b3e9_5658_4af7, 0xda13_9266_6fca_688a);
+/// these replaced and why each moved; their trace halves moved once more,
+/// with the push-out schemes below, when evictions became `evict` lines.
+const SWIFT_PPT_GOLDEN: (u64, u64) = (0x55d2_9434_df09_f48b, 0xda84_0dca_6138_af26);
+const HPCC_PPT_GOLDEN: (u64, u64) = (0x3173_66d9_569b_8b74, 0xda13_9266_6fca_688a);
 
 /// Golden digests for the PFC switch mode: the pinned workload with PFC
 /// backpressure layered over PPT's switch config.
@@ -224,11 +225,12 @@ fn layered_ppt_goldens_hold_on_both_queues() {
 /// when they became policies; the trace halves (and `POWERTCP_GOLDEN`'s)
 /// were re-pinned then, because the one endpoint traces `retransmit` /
 /// `alpha_update` / `cwnd_update` for every scheme — DESIGN.md §16 has the
-/// old → new table. None of these runs retransmits
+/// old → new table. The oracle's trace half, and RC3's two below, moved
+/// again when push-out evictions became `evict` lines (CHANGES.md). None of these runs retransmits
 /// (`goldens_outside_the_recovery_set_retransmit_nothing`).
 const TCP_FAMILY_GOLDENS: [(Scheme, u64, u64); 4] = [
     (Scheme::Pias, 0xe375_9eda_6539_3692, 0xc536_1551_6b57_5840),
-    (Scheme::Hypothetical(1.0), 0x3a65_3b06_051f_774a, 0x42f9_74b5_c50a_d376),
+    (Scheme::Hypothetical(1.0), 0xd1f7_4b5e_df62_e819, 0x42f9_74b5_c50a_d376),
     (Scheme::Hpcc, 0x6d95_b77d_3bca_e73d, 0x5080_094a_2793_6673),
     (Scheme::Swift, 0x280e_b376_ef42_4065, 0x4bd7_2920_2e41_6a44),
 ];
@@ -241,8 +243,8 @@ const TCP_FAMILY_GOLDENS: [(Scheme, u64, u64); 4] = [
 const RECOVERY_GOLDENS: [(Scheme, u64, u64); 4] = [
     (Scheme::Tcp10, 0xfd44_6e3e_4f65_a126, 0xe33d_ea56_8385_381e),
     (Scheme::Halfback, 0xf10a_3fa3_903b_ef02, 0xb9e6_e5b9_f591_d917),
-    (Scheme::Rc3, 0xb5c4_d80d_a398_5fa8, 0x91fc_eaed_d058_6fac),
-    (Scheme::Rc3BufferCap(0.5), 0x1e6d_98e4_1724_3369, 0xc201_b64d_1ccd_980a),
+    (Scheme::Rc3, 0xeca8_72f4_94a8_98b1, 0x91fc_eaed_d058_6fac),
+    (Scheme::Rc3BufferCap(0.5), 0xc520_a27a_72b7_cf44, 0xc201_b64d_1ccd_980a),
 ];
 
 #[test]

@@ -32,6 +32,29 @@ fn traced_websearch_run_is_byte_identical() {
     }
 }
 
+/// Every packet a switch loses is in the stream: with tenth-size buffers,
+/// each scheme's `drop` and `evict` lines add up to its switches' dropped
+/// count, and the `evict` lines alone to its push-out evictions.
+#[test]
+fn every_switch_loss_is_a_drop_or_an_evict_line() {
+    let (mut drops, mut evicts) = (0, 0);
+    for scheme in Scheme::all() {
+        let mut exp = websearch_experiment(42, 40, 0.6);
+        exp.scheme = scheme.clone();
+        exp.env = exp.env.scale_buffers(0.1);
+        let (outcome, data) = run_experiment_traced(&exp);
+        let lines = |kind| data.events.iter().filter(|(_, ev)| ev.kind() == kind).count() as u64;
+        let (c, name) = (&outcome.counters, scheme.name());
+        assert_eq!(lines("drop") + lines("evict"), c.dropped, "{name}: a loss left no line");
+        assert_eq!(lines("evict"), c.evicted, "{name}");
+        (drops, evicts) = (drops + lines("drop"), evicts + lines("evict"));
+    }
+    assert!(
+        drops > 0 && evicts > 0,
+        "the workload must overflow: {drops} drops, {evicts} evictions"
+    );
+}
+
 /// Tracing must not perturb the simulation: the traced and untraced runs
 /// of one experiment report identical results.
 #[test]
