@@ -129,6 +129,7 @@ impl Hcp for Halfback {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::common::TableStats;
     use crate::proto::Proto;
     use netsim::{
@@ -150,7 +151,7 @@ mod tests {
         install_dctcp(&mut topo, &cfg);
         let size = 1 << 20; // 1MB
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, size);
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(100), 100_000);
         assert_eq!(report.flows_completed, 1, "flow must complete");
         let fct = topo.sim.completion(f).unwrap();
         // Ideal: ~860us serialization + slow-start ramp. Allow 5x ideal.

@@ -147,6 +147,7 @@ impl Grant for ExpressPassCfg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::common::TableStats;
     use netsim::{star, FlowId, HostId, RunLimits, SimTime, SwitchConfig, Transport};
 
@@ -164,7 +165,7 @@ mod tests {
         let mut topo = setup(2);
         install_expresspass(&mut topo, SimDuration::from_millis(1));
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 1_000, SimTime::ZERO, 1_000);
-        topo.sim.run(RunLimits::default());
+        run_done(&mut topo.sim, SimDuration::from_millis(100), 10_000);
         let fct = topo.sim.completion(f).unwrap();
         // Request (1/2 RTT) + credit (1/2 RTT) + data (1/2 RTT) > 1 RTT.
         assert!(fct.as_nanos() > 80_000 + 40_000, "fct={fct} must include the credit round-trip");

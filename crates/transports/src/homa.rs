@@ -161,6 +161,7 @@ impl Grant for HomaCfg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::common::TableStats;
     use netsim::{star, HostId, Rate, RunLimits, SimDuration, SimTime, Transport};
 
@@ -193,7 +194,7 @@ mod tests {
         let (mut topo, cfg) = setup(2, false);
         install_homa(&mut topo, &cfg);
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 10_000, SimTime::ZERO, 10_000);
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(100), 10_000);
         assert_eq!(report.flows_completed, 1);
         // One-way: ~40us prop + serialization; no grant round needed.
         let fct = topo.sim.completion(f).unwrap();

@@ -118,6 +118,7 @@ pub type Rc3Transport = Window<DctcpHcp, Rc3Cfg>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::tcp_base::TcpCfg;
     use netsim::SimTime;
     use netsim::{star, Rate, RunLimits, SimDuration, SwitchConfig};
@@ -176,7 +177,7 @@ mod tests {
         let mut b = star::<Proto>(2, rate, delay, SwitchConfig::dctcp(200_000, 17_000));
         crate::install(&mut b, || crate::DctcpTransport::new(tcp.clone(), DctcpHcp::default(), ()));
         let g = b.sim.add_flow(b.hosts[0], b.hosts[1], size, SimTime::ZERO, size);
-        b.sim.run(RunLimits::default());
+        run_done(&mut b.sim, SimDuration::from_millis(100), 1_000_000);
         let dctcp_fct = b.sim.completion(g).expect("dctcp done");
 
         assert!(rc3_fct < dctcp_fct, "rc3={rc3_fct} dctcp={dctcp_fct}");
