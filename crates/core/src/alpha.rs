@@ -101,6 +101,14 @@ pub struct MinTracker {
     values: VecDeque<f64>,
 }
 
+/// Minima over the paper's [`DEFAULT_MIN_WINDOW`] rounds; nothing is
+/// allocated until the first observation.
+impl Default for MinTracker {
+    fn default() -> Self {
+        MinTracker { window: DEFAULT_MIN_WINDOW, values: VecDeque::new() }
+    }
+}
+
 impl MinTracker {
     /// Track minima over the last `window` observations (≥ 1).
     pub fn new(window: usize) -> Self {

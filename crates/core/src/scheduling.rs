@@ -33,7 +33,7 @@ impl FlowIdentifier {
 ///
 /// ```
 /// use ppt_core::MirrorTagger;
-/// let t = MirrorTagger::default();
+/// let t = MirrorTagger;
 /// // Identified-large flows are pinned to the band floors P3/P7:
 /// assert_eq!(t.hcp_priority(true, 0), 3);
 /// assert_eq!(t.lcp_priority(true, 0), 7);
@@ -47,44 +47,25 @@ impl FlowIdentifier {
 /// * flows identified large at start use the half's lowest priority
 ///   (P3 / P7) from the first byte;
 /// * unidentified flows start at the half's highest priority (P0 / P4) and
-///   demote one level each time their bytes-sent crosses an aging
-///   threshold — the PIAS fallback that eventually catches unidentified
-///   large flows.
-#[derive(Clone, Debug)]
-pub struct MirrorTagger {
-    /// Aging thresholds (bytes sent) for demotion P0→P1→P2→P3. Must be
-    /// strictly increasing; length ≤ 3.
-    pub demotion_thresholds: Vec<u64>,
-}
+///   demote one level each time their bytes-sent crosses one of the
+///   [`DEFAULT_DEMOTION_THRESHOLDS`] — the PIAS fallback that eventually
+///   catches unidentified large flows.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MirrorTagger;
 
-/// Default aging thresholds. Chosen geometrically so the bulk of small
-/// flows (≤100 KB) finish in the top two levels while anything beyond
-/// 1 MB lands in the lowest level with the identified-large flows.
+/// Aging thresholds (bytes sent) for demotion P0→P1→P2→P3. Chosen
+/// geometrically so the bulk of small flows (≤100 KB) finish in the top
+/// two levels while anything beyond 1 MB lands in the lowest level with
+/// the identified-large flows.
 pub const DEFAULT_DEMOTION_THRESHOLDS: [u64; 3] = [100_000, 400_000, 1_000_000];
 
-impl Default for MirrorTagger {
-    fn default() -> Self {
-        MirrorTagger { demotion_thresholds: DEFAULT_DEMOTION_THRESHOLDS.to_vec() }
-    }
-}
-
 impl MirrorTagger {
-    /// Build with custom thresholds (must be strictly increasing, ≤ 3).
-    pub fn new(demotion_thresholds: Vec<u64>) -> Self {
-        assert!(demotion_thresholds.len() <= 3, "only 3 demotions fit in 4 levels");
-        for w in demotion_thresholds.windows(2) {
-            assert!(w[0] < w[1], "thresholds must be strictly increasing");
-        }
-        MirrorTagger { demotion_thresholds }
-    }
-
     /// HCP priority (0..=3) for a flow's next packet.
     pub fn hcp_priority(&self, identified_large: bool, bytes_sent: u64) -> u8 {
         if identified_large {
             return 3;
         }
-        let level = self.demotion_thresholds.iter().take_while(|&&t| bytes_sent >= t).count() as u8;
-        level.min(3)
+        DEFAULT_DEMOTION_THRESHOLDS.iter().take_while(|&&t| bytes_sent >= t).count() as u8
     }
 
     /// LCP priority: the mirror of the HCP priority in the low half
@@ -108,7 +89,7 @@ mod tests {
 
     #[test]
     fn identified_large_pinned_to_lowest() {
-        let t = MirrorTagger::default();
+        let t = MirrorTagger;
         assert_eq!(t.hcp_priority(true, 0), 3);
         assert_eq!(t.hcp_priority(true, 10_000_000), 3);
         assert_eq!(t.lcp_priority(true, 0), 7);
@@ -116,18 +97,20 @@ mod tests {
 
     #[test]
     fn unidentified_demote_with_bytes_sent() {
-        let t = MirrorTagger::new(vec![100, 200, 300]);
+        let t = MirrorTagger;
         assert_eq!(t.hcp_priority(false, 0), 0);
-        assert_eq!(t.hcp_priority(false, 99), 0);
-        assert_eq!(t.hcp_priority(false, 100), 1);
-        assert_eq!(t.hcp_priority(false, 250), 2);
-        assert_eq!(t.hcp_priority(false, 300), 3);
+        assert_eq!(t.hcp_priority(false, 99_999), 0);
+        assert_eq!(t.hcp_priority(false, 100_000), 1);
+        assert_eq!(t.hcp_priority(false, 250_000), 1);
+        assert_eq!(t.hcp_priority(false, 400_000), 2);
+        assert_eq!(t.hcp_priority(false, 999_999), 2);
+        assert_eq!(t.hcp_priority(false, 1_000_000), 3);
         assert_eq!(t.hcp_priority(false, u64::MAX), 3);
     }
 
     #[test]
     fn mirror_symmetry_holds_everywhere() {
-        let t = MirrorTagger::default();
+        let t = MirrorTagger;
         for &large in &[false, true] {
             for sent in [0u64, 50_000, 150_000, 500_000, 2_000_000] {
                 let h = t.hcp_priority(large, sent);
@@ -142,15 +125,9 @@ mod tests {
     fn hcp_always_beats_lcp() {
         // Any HCP priority must be numerically smaller (= strictly higher
         // priority) than any LCP priority: HCP is never harmed by LCP.
-        let t = MirrorTagger::default();
+        let t = MirrorTagger;
         let worst_hcp = t.hcp_priority(true, u64::MAX);
         let best_lcp = t.lcp_priority(false, 0);
         assert!(worst_hcp < best_lcp);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn bad_thresholds_rejected() {
-        MirrorTagger::new(vec![100, 100]);
     }
 }

@@ -63,7 +63,7 @@ fn tagging_is_monotone_and_banded_seeded() {
         let sent_a = rng.gen_range(100_000_000);
         let delta = rng.gen_range(100_000_000);
         let large = rng.gen_range(2) == 1;
-        let t = MirrorTagger::default();
+        let t = MirrorTagger;
         let before = t.hcp_priority(large, sent_a);
         let after = t.hcp_priority(large, sent_a + delta);
         assert!(after >= before, "priority improved with bytes sent");

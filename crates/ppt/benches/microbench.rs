@@ -702,7 +702,7 @@ fn bench_core_state_machines() {
     });
     let mut clock = LcpAckClock::new();
     bench("core/ewd_ack_clock", 100, 1_000_000, || clock.on_data(black_box(false)));
-    let t = MirrorTagger::default();
+    let t = MirrorTagger;
     let mut sent = 0u64;
     bench("core/mirror_tagger", 100, 1_000_000, || {
         sent = (sent + 50_000) % 5_000_000;
@@ -828,7 +828,7 @@ fn bench_tracing_overhead() {
             SwitchConfig::dctcp(200_000, 30_000),
         );
         let cfg = TcpCfg::new(topo.base_rtt);
-        install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp::default(), ()));
+        install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp, ()));
         for i in 0..12u64 {
             topo.sim.add_flow(
                 topo.hosts[(i % 3) as usize],
@@ -864,7 +864,7 @@ fn events_per_packet() -> f64 {
         SwitchConfig::dctcp(200_000, 30_000),
     );
     let cfg = TcpCfg::new(topo.base_rtt);
-    install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp::default(), ()));
+    install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp, ()));
     topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 4 << 20, SimTime::ZERO, 4 << 20);
     let report = topo.sim.run(RunLimits::default());
     assert_eq!(report.flows_completed, 1);

@@ -10,8 +10,8 @@ use netsim::trace::{
 };
 use netsim::{Rate, RunLimits, SanLevel, SimDuration, SimTime, SwitchConfig, Topology};
 use transports::{
-    install, DctcpHcp, ExpressPassCfg, Halfback, HomaCfg, HpccHcp, Lcp, MwRecorder, NdpCfg, Oracle,
-    PiasCfg, PowerTcpHcp, Proto, Pull, Rc3Cfg, SwiftHcp, Tcp10, TcpCfg, Window,
+    install, DctcpHcp, ExpressPassCfg, Halfback, HomaCfg, HpccHcp, MwRecorder, NdpCfg, Oracle,
+    PiasCfg, PowerTcpHcp, Ppt, Proto, Pull, Rc3Cfg, SwiftHcp, Tcp10, TcpCfg, Window,
 };
 use workloads::FlowSpec;
 
@@ -248,7 +248,7 @@ impl Scheme {
         let (tcp, ppt) = (env.tcp_cfg(), env.ppt_cfg());
         let (rate, rtt, mss) = (topo.edge_rate, topo.base_rtt, netsim::MSS_BYTES);
         match self {
-            Scheme::Dctcp => install(topo, || Window::new(tcp.clone(), DctcpHcp::default(), ())),
+            Scheme::Dctcp => install(topo, || Window::new(tcp.clone(), DctcpHcp, ())),
             Scheme::Tcp10 => install(topo, || Window::new(tcp.clone(), Tcp10, ())),
             Scheme::Halfback => install(topo, || Window::new(tcp.clone(), Halfback, ())),
             Scheme::ExpressPass => {
@@ -256,16 +256,16 @@ impl Scheme {
                 install(topo, || Pull::new(cfg.clone(), mss))
             }
             Scheme::Lcp(knobs) => {
-                let ppt = PptConfig { knobs: *knobs, ..ppt };
-                install(topo, || Lcp::new(tcp.clone(), ppt, DctcpHcp::default()))
+                let ppt = Ppt { cfg: PptConfig { knobs: *knobs, ..ppt } };
+                install(topo, || Window::new(tcp.clone(), DctcpHcp, ppt))
             }
             Scheme::Rc3 | Scheme::Rc3BufferCap(_) => {
                 let bdp_bytes = netsim::bdp_bytes(env.edge_rate, env.base_rtt);
                 let cfg = Rc3Cfg { bdp_bytes, send_buffer_bytes: 2 << 30 };
-                install(topo, || Window::new(tcp.clone(), DctcpHcp::default(), cfg.clone()))
+                install(topo, || Window::new(tcp.clone(), DctcpHcp, cfg.clone()))
             }
             Scheme::Pias => {
-                install(topo, || Window::new(tcp.clone(), DctcpHcp::default(), PiasCfg::default()))
+                install(topo, || Window::new(tcp.clone(), DctcpHcp, PiasCfg::default()))
             }
             Scheme::Homa | Scheme::Aeolus => {
                 let mut cfg = HomaCfg::new(env.rtt_bytes);
@@ -283,10 +283,12 @@ impl Scheme {
             }
             Scheme::HpccPpt => {
                 let hcp = HpccHcp::new(rate, rtt).with_high_band_only();
-                install(topo, || Lcp::new(tcp.clone(), ppt, hcp))
+                install(topo, || Window::new(tcp.clone(), hcp, Ppt { cfg: ppt }))
             }
             Scheme::Swift => install(topo, || Window::new(tcp.clone(), SwiftHcp, ())),
-            Scheme::SwiftPpt => install(topo, || Lcp::new(tcp.clone(), ppt, SwiftHcp)),
+            Scheme::SwiftPpt => {
+                install(topo, || Window::new(tcp.clone(), SwiftHcp, Ppt { cfg: ppt }))
+            }
             Scheme::Hypothetical(_) => return Err(InstallError::NeedsTwoPass),
         }
         Ok(())
@@ -718,14 +720,10 @@ where
         // Recording pass: plain DCTCP on the same topology & flows.
         let rec = MwRecorder::default();
         let mut pass = exp.topo.build(Scheme::Dctcp.switch_config(&exp.env));
-        install(&mut pass, || {
-            Window::new(tcp.clone(), DctcpHcp::default(), ()).with_mw_recorder(rec.clone())
-        });
+        install(&mut pass, || Window::new(tcp.clone(), DctcpHcp, ()).with_mw_recorder(rec.clone()));
         workloads::install_flows(&mut pass.sim, &pass.hosts, &exp.flows);
         pass.sim.run(RunLimits { max_time: exp.max_time, max_events: exp.max_events });
-        install(&mut topo, || {
-            Window::new(tcp.clone(), DctcpHcp::default(), Oracle::new(&rec, frac))
-        });
+        install(&mut topo, || Window::new(tcp.clone(), DctcpHcp, Oracle::new(&rec, frac)));
     } else if let Err(e) = exp.scheme.install(&mut topo, &exp.env) {
         // Unreachable by construction: the only erroring variant is
         // Hypothetical, and the branch above always takes it.

@@ -603,37 +603,6 @@ mod tests {
     use ppt::spec::parse_topo;
     use ppt::workloads::{all_to_all, SizeDistribution, WorkloadSpec};
 
-    /// Every id `pptlab schemes` lists parses (a `<f>` id at a sample
-    /// fraction), the ids cover `Scheme::all()`, and they map to
-    /// pairwise-distinct display names — no two ids alias one scheme.
-    #[test]
-    fn every_listed_scheme_id_parses_to_a_distinct_scheme() {
-        let parsed: Vec<Scheme> = SCHEMES
-            .iter()
-            .map(|(id, ..)| {
-                let id = id.replace("<f>", "0.75");
-                ppt::spec::parse_scheme(&id)
-                    .unwrap_or_else(|| panic!("listed id '{id}' does not parse"))
-            })
-            .collect();
-        // Row for row the same variants as `Scheme::all()` (the fractions differ).
-        let all = Scheme::all();
-        assert_eq!(parsed.len(), all.len(), "the id table and Scheme::all() disagree");
-        for (p, a) in parsed.iter().zip(&all) {
-            assert_eq!(std::mem::discriminant(p), std::mem::discriminant(a), "{p:?} vs {a:?}");
-        }
-        let mut names: Vec<String> = parsed.iter().map(Scheme::name).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), all.len(), "two scheme ids share a display name: {names:?}");
-        assert_eq!(
-            ppt::spec::parse_scheme("ppt-fill:<f>"),
-            None,
-            "the placeholder itself is not an id"
-        );
-        assert_eq!(ppt::spec::parse_scheme("nope"), None);
-    }
-
     /// A report over a ring shorter than the run says so once, with the
     /// counts; a run the ring held whole prints no such line.
     #[test]

@@ -9,13 +9,23 @@ use crate::event::{encode_jsonl, TraceEvent};
 /// The simulator holds `Option<Box<dyn TraceSink>>`; `None` is the
 /// strictly zero-cost disabled path. `Any` is a supertrait so callers can
 /// take the sink back from the engine and downcast to the concrete type
-/// (`sink.as_any().downcast_ref::<MemorySink>()`).
+/// (`sink.as_any().downcast_ref::<MemorySink>()`); a sink writes `emit`
+/// only.
 pub trait TraceSink: Any {
     /// Consume one event stamped with simulated time `at` (nanoseconds).
     fn emit(&mut self, at: u64, ev: &TraceEvent);
+}
 
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+impl dyn TraceSink {
+    /// The sink as `Any`, to downcast to its concrete type.
+    pub fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    /// The sink as mutable `Any`, to downcast to its concrete type.
+    pub fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 /// Keeps every event in memory. The sink for tests and for the
@@ -63,12 +73,6 @@ impl MemorySink {
 impl TraceSink for MemorySink {
     fn emit(&mut self, at: u64, ev: &TraceEvent) {
         self.events.push((at, *ev));
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -128,12 +132,6 @@ impl TraceSink for FlightRecorder {
         let mask = self.ring.len() - 1;
         self.ring[self.total as usize & mask] = (at, *ev);
         self.total += 1;
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

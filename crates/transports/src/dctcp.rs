@@ -101,6 +101,7 @@ pub struct Tcp10;
 impl Hcp for Tcp10 {
     const STAMP: Stamp = Stamp::Delay;
     type Law = DctcpLaw;
+    type Detector = ();
 
     fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, DctcpLaw) {
         dctcp_flow(flow, tcp.clone())
@@ -115,6 +116,7 @@ pub struct Halfback;
 impl Hcp for Halfback {
     const STAMP: Stamp = Stamp::Delay;
     type Law = DctcpLaw;
+    type Detector = ();
 
     fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, DctcpLaw) {
         let mut tcp = tcp.clone();
@@ -132,12 +134,10 @@ mod tests {
     use crate::common::testkit::run_done;
     use crate::common::TableStats;
     use crate::proto::Proto;
-    use netsim::{
-        star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig, TraceEvent, Transport,
-    };
+    use netsim::{star, Rate, SimDuration, SimTime, SwitchConfig, TraceEvent, Transport};
 
     fn install_dctcp(topo: &mut netsim::Topology<Proto>, cfg: &TcpCfg) {
-        crate::install(topo, || DctcpTransport::new(cfg.clone(), DctcpHcp::default(), ()));
+        crate::install(topo, || DctcpTransport::new(cfg.clone(), DctcpHcp, ()));
     }
 
     fn testbed(n: usize, k_bytes: u64) -> netsim::Topology<Proto> {
@@ -174,8 +174,7 @@ mod tests {
                 1,
             );
         }
-        let report =
-            topo.sim.run(RunLimits { max_time: SimTime(5_000_000_000), max_events: 200_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(100), 50_000);
         assert_eq!(report.flows_completed, 20);
     }
 
@@ -189,8 +188,7 @@ mod tests {
         let size = 10 << 20;
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], size, SimTime::ZERO, size);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], size, SimTime::ZERO, size);
-        let report =
-            topo.sim.run(RunLimits { max_time: SimTime(10_000_000_000), max_events: 500_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 200_000);
         assert_eq!(report.flows_completed, 2);
         let c = topo.sim.total_counters();
         assert_eq!(c.dropped, 0, "ECN should prevent drops: {c:?}");
@@ -211,8 +209,7 @@ mod tests {
         let size = 2 << 20;
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], size, SimTime::ZERO, size);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], size, SimTime::ZERO, size);
-        let report =
-            topo.sim.run(RunLimits { max_time: SimTime(30_000_000_000), max_events: 500_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(20), 50_000);
         let c = topo.sim.total_counters();
         assert!(c.dropped > 0, "expected drops with a 15KB buffer");
         assert_eq!(report.flows_completed, 2, "flows must survive losses");
@@ -224,12 +221,12 @@ mod tests {
         let cfg = TcpCfg::new(topo.base_rtt);
         let rec: MwRecorder = Rc::new(RefCell::new(BTreeMap::new()));
         crate::install(&mut topo, || {
-            DctcpTransport::new(cfg.clone(), DctcpHcp::default(), ()).with_mw_recorder(rec.clone())
+            DctcpTransport::new(cfg.clone(), DctcpHcp, ()).with_mw_recorder(rec.clone())
         });
         let size = 10 << 20;
         let f1 = topo.sim.add_flow(topo.hosts[0], topo.hosts[2], size, SimTime::ZERO, size);
         let f2 = topo.sim.add_flow(topo.hosts[1], topo.hosts[2], size, SimTime::ZERO, size);
-        topo.sim.run(RunLimits { max_time: SimTime(10_000_000_000), max_events: 500_000_000 });
+        run_done(&mut topo.sim, SimDuration::from_millis(50), 200_000);
         let rec = rec.borrow();
         assert!(rec.contains_key(&f1) && rec.contains_key(&f2));
         assert!(rec[&f1] >= netsim::MSS_BYTES as u64);
@@ -246,7 +243,7 @@ mod tests {
         use netsim::HostId;
         let me = HostId(0);
         let tcp = TcpCfg::new(SimDuration::from_micros(80));
-        let mut t = DctcpTransport::new(tcp, DctcpHcp::default(), ());
+        let mut t = DctcpTransport::new(tcp, DctcpHcp, ());
         let flow = netsim::FlowDesc::new(FlowId(3), me, HostId(1), 1000, SimTime::ZERO);
         let start = drive(SimTime::ZERO, me, |ctx| t.on_flow_start(&flow, ctx));
         assert_eq!((start.packets.len(), start.timers.len()), (1, 1));

@@ -149,7 +149,7 @@ mod tests {
     use super::*;
     use crate::common::testkit::run_done;
     use crate::common::TableStats;
-    use netsim::{star, FlowId, HostId, RunLimits, SimTime, SwitchConfig, Transport};
+    use netsim::{star, FlowId, HostId, SimTime, SwitchConfig, Transport};
 
     pub(super) fn install_expresspass(topo: &mut netsim::Topology<Proto>, watchdog: SimDuration) {
         let cfg = ExpressPassCfg::new(topo.edge_rate, watchdog);
@@ -178,9 +178,7 @@ mod tests {
         for i in 0..8 {
             topo.sim.add_flow(topo.hosts[i], topo.hosts[8], 200_000, SimTime(i as u64 * 100), 1);
         }
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(5), 20_000);
         assert_eq!(report.flows_completed, 8);
         assert_eq!(topo.sim.total_counters().dropped, 0, "credit clocking must prevent drops");
     }
@@ -191,7 +189,7 @@ mod tests {
         install_expresspass(&mut topo, SimDuration::from_millis(1));
         let size = 4 << 20;
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, size);
-        topo.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        run_done(&mut topo.sim, SimDuration::from_millis(10), 50_000);
         let fct = topo.sim.completion(f).unwrap().as_nanos() as f64;
         let ideal = Rate::gbps(10).serialization_time(size).as_nanos() as f64;
         assert!(fct / ideal < 1.5, "{}x ideal", fct / ideal);
@@ -258,8 +256,9 @@ mod tests {
 mod stress_tests {
     use super::tests::install_expresspass;
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::proto::Proto;
-    use netsim::{star, RunLimits, SwitchConfig};
+    use netsim::{star, SwitchConfig};
 
     /// Lossy environment: a 30KB switch buffer forces request/credit/data
     /// losses; the two watchdogs must still complete every flow.
@@ -282,10 +281,7 @@ mod stress_tests {
                 1,
             );
         }
-        let report = topo.sim.run(RunLimits {
-            max_time: netsim::SimTime(60_000_000_000),
-            max_events: 2_000_000_000,
-        });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(100), 500_000);
         assert_eq!(
             report.flows_completed,
             40,

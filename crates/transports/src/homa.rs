@@ -163,7 +163,7 @@ mod tests {
     use super::*;
     use crate::common::testkit::run_done;
     use crate::common::TableStats;
-    use netsim::{star, HostId, Rate, RunLimits, SimDuration, SimTime, Transport};
+    use netsim::{star, HostId, Rate, SimDuration, SimTime, Transport};
 
     fn install_homa(topo: &mut netsim::Topology<Proto>, cfg: &HomaCfg) {
         crate::install(topo, || HomaTransport::new(cfg.clone(), netsim::MSS_BYTES));
@@ -207,9 +207,7 @@ mod tests {
         install_homa(&mut topo, &cfg);
         let size = 2 << 20;
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, size);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(10), 20_000);
         assert_eq!(report.flows_completed, 1);
         let fct = topo.sim.completion(f).unwrap();
         let ideal = Rate::gbps(10).serialization_time(size).as_nanos();
@@ -224,9 +222,7 @@ mod tests {
         // must finish far sooner than the long one.
         let long = topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 8 << 20, SimTime::ZERO, 1);
         let short = topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 300_000, SimTime(1_000_000), 1);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 100_000);
         assert_eq!(report.flows_completed, 2);
         assert!(topo.sim.completion(short).unwrap() < topo.sim.completion(long).unwrap());
     }
@@ -241,9 +237,7 @@ mod tests {
         for i in 0..8 {
             topo.sim.add_flow(topo.hosts[i], topo.hosts[8], 100_000, SimTime(i as u64 * 100), 1);
         }
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(10), 10_000);
         assert_eq!(report.flows_completed, 8, "all incast messages must finish");
         assert!(topo.sim.total_counters().dropped > 0, "bursts should overflow the buffer");
     }
@@ -255,9 +249,7 @@ mod tests {
         for i in 0..8 {
             topo.sim.add_flow(topo.hosts[i], topo.hosts[8], 100_000, SimTime(i as u64 * 100), 1);
         }
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(10), 10_000);
         assert_eq!(report.flows_completed, 8);
         let c = topo.sim.total_counters();
         assert!(c.dropped > 0, "selective dropper must engage under incast");

@@ -12,13 +12,13 @@
 //! low-priority opportunistic packets whenever HPCC's estimated in-flight
 //! bytes are smaller than BDP and use PPT's buffer-aware scheduling to
 //! prioritize small flows over large ones". [`HpccPptTransport`] does
-//! exactly that with [`Lcp`] over the same [`HpccHcp`].
+//! exactly that with [`Ppt`] beside the same [`HpccHcp`].
 
 use netsim::{FlowDesc, Rate, SimDuration, SimTime};
 use ppt_core::PptConfig;
 
 use crate::hcp::{Hcp, Stamp, Window};
-use crate::lcp::Lcp;
+use crate::ppt::Ppt;
 use crate::proto::{AckHdr, IntHop};
 use crate::tcp_base::{DctcpFlowTx, TcpCfg, WindowLaw};
 
@@ -166,6 +166,7 @@ impl HpccHcp {
 impl Hcp for HpccHcp {
     const STAMP: Stamp = Stamp::Int;
     type Law = HpccLaw;
+    type Detector = ();
 
     fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, HpccLaw) {
         let mut tcp = tcp.clone();
@@ -180,7 +181,8 @@ impl Hcp for HpccHcp {
     /// The inflight estimate says the path has headroom: fill up to the
     /// BDP.
     fn spare_capacity(
-        &mut self,
+        &self,
+        _: &mut (),
         tx: &DctcpFlowTx,
         law: &HpccLaw,
         _: Option<f64>,
@@ -194,13 +196,14 @@ impl Hcp for HpccHcp {
 /// The HPCC endpoint.
 pub type HpccTransport = Window<HpccHcp>;
 /// The PPT-over-HPCC endpoint.
-pub type HpccPptTransport = Lcp<HpccHcp>;
+pub type HpccPptTransport = Window<HpccHcp, Ppt>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::proto::Proto;
-    use netsim::{star, EcnRule, MarkScope, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+    use netsim::{star, EcnRule, MarkScope, Rate, SimDuration, SimTime, SwitchConfig};
 
     fn install_hpcc(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
         let hcp = HpccHcp::new(topo.edge_rate, topo.base_rtt);
@@ -209,7 +212,7 @@ mod tests {
 
     fn install_hpcc_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
         let hcp = HpccHcp::new(topo.edge_rate, topo.base_rtt).with_high_band_only();
-        crate::install(topo, || HpccPptTransport::new(tcp.clone(), *cfg, hcp));
+        crate::install(topo, || HpccPptTransport::new(tcp.clone(), hcp, Ppt { cfg: *cfg }));
     }
 
     fn setup(n: usize) -> (netsim::Topology<Proto>, TcpCfg) {
@@ -227,9 +230,7 @@ mod tests {
         install_hpcc(&mut topo, &tcp);
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 2 << 20, SimTime::ZERO, 1);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 500_000, SimTime(100_000), 1);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 20_000);
         assert_eq!(report.flows_completed, 2);
     }
 
@@ -247,9 +248,7 @@ mod tests {
             .switch_port_towards(topo.leaves[0], netsim::NodeId::Host(topo.hosts[2]))
             .unwrap();
         topo.sim.enable_telemetry(netsim::TelemetryConfig::new(SimDuration::from_micros(50)));
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 200_000);
         assert_eq!(report.flows_completed, 2);
         assert_eq!(topo.sim.total_counters().dropped, 0, "HPCC should not overflow a 200KB buffer");
         // Average backlog over the steady interval should be well under
@@ -283,9 +282,7 @@ mod tests {
         install_hpcc_ppt(&mut topo, &tcp, &cfg);
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 2 << 20, SimTime::ZERO, 2 << 20);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 100_000, SimTime(300_000), 100_000);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 20_000);
         assert_eq!(report.flows_completed, 2);
     }
 
@@ -305,7 +302,7 @@ mod tests {
         let tcp = TcpCfg::new(a.base_rtt);
         install_hpcc_ppt(&mut a, &tcp, &cfg);
         let f = a.sim.add_flow(a.hosts[0], a.hosts[1], size, SimTime::ZERO, size);
-        a.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        run_done(&mut a.sim, SimDuration::from_millis(20), 50_000);
         let ppt_fct = a.sim.completion(f).expect("hpcc-ppt done");
 
         let mut b = star::<Proto>(
@@ -316,7 +313,7 @@ mod tests {
         );
         install_hpcc(&mut b, &tcp);
         let g = b.sim.add_flow(b.hosts[0], b.hosts[1], size, SimTime::ZERO, size);
-        b.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        run_done(&mut b.sim, SimDuration::from_millis(20), 50_000);
         let hpcc_fct = b.sim.completion(g).expect("hpcc done");
 
         // HPCC already starts at line rate, so gains are modest — but the

@@ -10,12 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use netsim::{Ctx, FlowDesc, FlowId};
+use netsim::{FlowDesc, FlowId};
 
+use crate::common::Token;
 use crate::dctcp::MwRecorder;
-use crate::hcp::{low_packet, Beside, Window};
+use crate::hcp::{low_packet, Beside, Cx, Hcp, Window};
 use crate::ppt::DctcpHcp;
-use crate::proto::Proto;
 use crate::tcp_base::DctcpFlowTx;
 
 /// Per-RTT oracle fill tick.
@@ -36,24 +36,27 @@ impl Oracle {
     }
 }
 
-impl Beside for Oracle {
+impl<H: Hcp> Beside<H> for Oracle {
     /// The flow's MW from the recording run (None → no filling).
     type Flow = Option<u64>;
-    const TICK: u8 = TIMER_HYPO_FILL;
 
     fn flow(&self, flow: &FlowDesc) -> Option<u64> {
         self.oracle.get(&flow.id).copied()
     }
 
+    /// The fill starts with the first window.
+    fn started(&self, mw: &mut Option<u64>, _: &H, tx: &mut DctcpFlowTx, ctx: &mut Cx<'_>) {
+        let token = Token { kind: TIMER_HYPO_FILL, generation: 0, flow: tx.id.0 };
+        Beside::<H>::on_timer(self, mw, tx, token, ctx);
+    }
+
     /// Once per RTT: send opportunistic tail packets so that cwnd plus
     /// this RTT's fill ≈ fill_fraction × MW. The fill of earlier RTTs is
     /// not counted: delivered or lost, it no longer occupies the path.
-    fn on_tick(
-        &self,
-        mw: &mut Option<u64>,
-        tx: &mut DctcpFlowTx,
-        ctx: &mut Ctx<'_, Proto>,
-    ) -> bool {
+    fn on_timer(&self, mw: &mut Option<u64>, tx: &mut DctcpFlowTx, token: Token, ctx: &mut Cx<'_>) {
+        if token.kind != TIMER_HYPO_FILL {
+            return;
+        }
         let target = mw.map_or(0, |mw| (mw as f64 * self.fill_fraction) as u64);
         let mut budget = target.saturating_sub(tx.cwnd_bytes());
         while budget >= tx.mss() as u64 {
@@ -61,7 +64,7 @@ impl Beside for Oracle {
             budget = budget.saturating_sub(seg.1 as u64);
             ctx.send(low_packet(tx, seg, 4, true, ctx.now()));
         }
-        true
+        ctx.timer_after(tx.cfg().base_rtt, token.encode());
     }
 }
 
@@ -71,10 +74,12 @@ pub type HypotheticalTransport = Window<DctcpHcp, Oracle>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::dctcp::DctcpTransport;
+    use crate::proto::Proto;
     use crate::tcp_base::TcpCfg;
     use netsim::SimTime;
-    use netsim::{star, Rate, RunLimits, SimDuration, SwitchConfig};
+    use netsim::{star, Rate, SimDuration, SwitchConfig};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -86,7 +91,7 @@ mod tests {
     ) {
         crate::install(topo, || {
             let oracle = Oracle::new(oracle, fill_fraction);
-            HypotheticalTransport::new(tcp.clone(), DctcpHcp::default(), oracle)
+            HypotheticalTransport::new(tcp.clone(), DctcpHcp, oracle)
         });
     }
 
@@ -104,11 +109,11 @@ mod tests {
         let tcp = TcpCfg::new(a.base_rtt);
         let rec: MwRecorder = Rc::new(RefCell::new(BTreeMap::new()));
         crate::install(&mut a, || {
-            DctcpTransport::new(tcp.clone(), DctcpHcp::default(), ()).with_mw_recorder(rec.clone())
+            DctcpTransport::new(tcp.clone(), DctcpHcp, ()).with_mw_recorder(rec.clone())
         });
         let f1 = a.sim.add_flow(a.hosts[0], a.hosts[2], size, SimTime::ZERO, size);
         let f2 = a.sim.add_flow(a.hosts[1], a.hosts[2], size, SimTime(40_000_000), size);
-        a.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        run_done(&mut a.sim, SimDuration::from_millis(100), 100_000);
         let base1 = a.sim.completion(f1).unwrap();
         let _ = f2;
 
@@ -117,8 +122,7 @@ mod tests {
         install_hypothetical(&mut b, &tcp, &rec, 1.0);
         let g1 = b.sim.add_flow(b.hosts[0], b.hosts[2], size, SimTime::ZERO, size);
         b.sim.add_flow(b.hosts[1], b.hosts[2], size, SimTime(40_000_000), size);
-        let report =
-            b.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut b.sim, SimDuration::from_millis(100), 200_000);
         assert_eq!(report.flows_completed, 2);
         let hypo1 = b.sim.completion(g1).unwrap();
         assert!(hypo1 < base1, "oracle filler ({hypo1}) must beat plain DCTCP ({base1})");
@@ -133,9 +137,7 @@ mod tests {
         let rec: MwRecorder = Rc::new(RefCell::new(BTreeMap::new())); // empty oracle
         install_hypothetical(&mut topo, &tcp, &rec, 1.0);
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 1 << 20, SimTime::ZERO, 1);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(20), 10_000);
         assert_eq!(report.flows_completed, 1);
         assert!(topo.sim.completion(f).is_some());
     }

@@ -106,9 +106,10 @@ impl Grant for NdpCfg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::common::TableStats;
     use crate::proto::PullHdr;
-    use netsim::{star, HostId, Packet, RunLimits, SimTime, SwitchConfig, Transport};
+    use netsim::{star, HostId, Packet, SimTime, SwitchConfig, Transport};
 
     fn install_ndp(topo: &mut netsim::Topology<Proto>, watchdog: SimDuration) {
         let cfg = NdpCfg::new(topo.edge_rate, topo.base_rtt, watchdog);
@@ -131,9 +132,7 @@ mod tests {
         install_ndp(&mut topo, SimDuration::from_millis(1));
         let size = 1 << 20;
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, size);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(5), 20_000);
         assert_eq!(report.flows_completed, 1);
         let fct = topo.sim.completion(f).unwrap();
         let ideal = Rate::gbps(10).serialization_time(size).as_nanos();
@@ -147,9 +146,7 @@ mod tests {
         for i in 0..8 {
             topo.sim.add_flow(topo.hosts[i], topo.hosts[8], 200_000, SimTime(i as u64 * 100), 1);
         }
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(5), 20_000);
         assert_eq!(report.flows_completed, 8);
         let c = topo.sim.total_counters();
         assert!(c.trimmed > 0, "incast must engage the trimmer: {c:?}");
@@ -165,7 +162,7 @@ mod tests {
         install_ndp(&mut topo, SimDuration::from_millis(1));
         let size = 4 << 20;
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, size);
-        topo.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        run_done(&mut topo.sim, SimDuration::from_millis(10), 50_000);
         let fct = topo.sim.completion(f).unwrap().as_nanos() as f64;
         let ideal = Rate::gbps(10).serialization_time(size).as_nanos() as f64;
         assert!(fct / ideal < 2.6, "pull clocking too slow: {}x ideal", fct / ideal);

@@ -7,11 +7,10 @@
 //! has no spare-bandwidth filling and demotes large flows only *after*
 //! they have pushed a lot of bytes through the high-priority queues.
 
-use netsim::{Ctx, TraceEvent};
+use netsim::TraceEvent;
 
-use crate::hcp::{Beside, Window};
+use crate::hcp::{Beside, Cx, Hcp, Window};
 use crate::ppt::DctcpHcp;
-use crate::proto::Proto;
 use crate::tcp_base::DctcpFlowTx;
 
 /// PIAS demotion thresholds: bytes-sent boundaries between the 8 priority
@@ -35,13 +34,14 @@ impl PiasCfg {
     }
 }
 
-impl Beside for PiasCfg {
+impl<H: Hcp> Beside<H> for PiasCfg {
     /// Last priority the flow's packets were tagged with — only maintained
     /// while tracing, to emit `PiasDemote` on level changes.
     type Flow = u8;
 
-    fn hcp_priority(&self, traced: &mut u8, tx: &DctcpFlowTx, ctx: &mut Ctx<'_, Proto>) -> u8 {
-        let prio = self.priority(tx.bytes_sent);
+    /// Each segment's own level: that of the bytes sent through it.
+    fn hcp_priority(&self, traced: &mut u8, tx: &DctcpFlowTx, sent: u64, ctx: &mut Cx<'_>) -> u8 {
+        let prio = self.priority(sent);
         if ctx.tracing() {
             if prio > *traced {
                 ctx.emit(TraceEvent::PiasDemote { flow: tx.id.0, from: *traced, to: prio });
@@ -58,8 +58,10 @@ pub type PiasTransport = Window<DctcpHcp, PiasCfg>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
+    use crate::proto::Proto;
     use crate::tcp_base::TcpCfg;
-    use netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+    use netsim::{star, Rate, SimDuration, SimTime, SwitchConfig};
 
     #[test]
     fn demotion_levels() {
@@ -77,14 +79,10 @@ mod tests {
         let delay = SimDuration::from_micros(20);
         let mut topo = star::<Proto>(3, rate, delay, SwitchConfig::dctcp(200_000, 17_000));
         let tcp = TcpCfg::new(topo.base_rtt);
-        crate::install(&mut topo, || {
-            PiasTransport::new(tcp.clone(), DctcpHcp::default(), PiasCfg::default())
-        });
+        crate::install(&mut topo, || PiasTransport::new(tcp.clone(), DctcpHcp, PiasCfg::default()));
         let big = topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 8 << 20, SimTime::ZERO, 1);
         let small = topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 20_000, SimTime(1_000_000), 1);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 100_000);
         assert_eq!(report.flows_completed, 2);
         // The aged-down big flow must not block the young small flow.
         let small_fct = topo.sim.completion(small).unwrap() - SimTime(1_000_000);

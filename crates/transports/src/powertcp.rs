@@ -117,6 +117,7 @@ impl PowerTcpHcp {
 impl Hcp for PowerTcpHcp {
     const STAMP: Stamp = Stamp::Int;
     type Law = PowerTcpLaw;
+    type Detector = ();
 
     fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, PowerTcpLaw) {
         let mut tcp = tcp.clone();
@@ -141,8 +142,9 @@ pub type PowerTcpTransport = Window<PowerTcpHcp>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::proto::{IntStack, Proto};
-    use netsim::{star, FlowId, HostId, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+    use netsim::{star, FlowId, HostId, Rate, SimDuration, SimTime, SwitchConfig};
 
     fn install_powertcp(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
         let hcp = PowerTcpHcp::new(topo.edge_rate, topo.base_rtt);
@@ -164,9 +166,7 @@ mod tests {
         install_powertcp(&mut topo, &tcp);
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 2 << 20, SimTime::ZERO, 1);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 500_000, SimTime(100_000), 1);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 50_000);
         assert_eq!(report.flows_completed, 2);
     }
 
@@ -184,9 +184,7 @@ mod tests {
             .switch_port_towards(topo.leaves[0], netsim::NodeId::Host(topo.hosts[2]))
             .unwrap();
         topo.sim.enable_telemetry(netsim::TelemetryConfig::new(SimDuration::from_micros(50)));
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 200_000);
         assert_eq!(report.flows_completed, 2);
         assert_eq!(
             topo.sim.total_counters().dropped,

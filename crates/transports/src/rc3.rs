@@ -16,11 +16,10 @@
 //! flow ride P4, the next 400 ride P5, the next 4000 ride P6 and the rest
 //! P7, so across flows the scarcest tail bytes win ties.
 
-use netsim::Ctx;
-
-use crate::hcp::{low_packet, Beside, Window};
+use crate::common::Token;
+use crate::hcp::{low_packet, Beside, Cx, Hcp, Window};
 use crate::ppt::DctcpHcp;
-use crate::proto::{AckHdr, Proto};
+use crate::proto::AckHdr;
 use crate::tcp_base::DctcpFlowTx;
 
 /// Per-RTT low-priority top-up tick.
@@ -62,7 +61,7 @@ impl Rc3Cfg {
     }
 
     /// Top the low-priority loop back up to a full BDP of in-flight bytes.
-    fn top_up(&self, f: &mut Rc3Flow, tx: &mut DctcpFlowTx, ctx: &mut Ctx<'_, Proto>) {
+    fn top_up(&self, f: &mut Rc3Flow, tx: &mut DctcpFlowTx, ctx: &mut Cx<'_>) {
         if f.crossed {
             return;
         }
@@ -83,19 +82,18 @@ impl Rc3Cfg {
     }
 }
 
-impl Beside for Rc3Cfg {
+impl<H: Hcp> Beside<H> for Rc3Cfg {
     type Flow = Rc3Flow;
-    const TICK: u8 = TIMER_RC3_TOPUP;
+
+    /// The loop opens with the first window.
+    fn started(&self, f: &mut Rc3Flow, _: &H, tx: &mut DctcpFlowTx, ctx: &mut Cx<'_>) {
+        let token = Token { kind: TIMER_RC3_TOPUP, generation: 0, flow: tx.id.0 };
+        Beside::<H>::on_timer(self, f, tx, token, ctx);
+    }
 
     /// An ACK frees low-priority window: immediately refill it (this is
     /// what "fills the entire BDP every RTT" means).
-    fn on_low_ack(
-        &self,
-        f: &mut Rc3Flow,
-        tx: &mut DctcpFlowTx,
-        ack: &AckHdr,
-        ctx: &mut Ctx<'_, Proto>,
-    ) {
+    fn on_low_ack(&self, f: &mut Rc3Flow, tx: &mut DctcpFlowTx, ack: &AckHdr, ctx: &mut Cx<'_>) {
         let sacked: u64 = ack.sacks.iter().map(|&(s, e)| e - s).sum();
         f.lp_inflight = f.lp_inflight.saturating_sub(sacked);
         self.top_up(f, tx, ctx);
@@ -103,11 +101,12 @@ impl Beside for Rc3Cfg {
 
     /// Periodic refill: lost low-priority packets never get acked, so
     /// reclaim their window each RTT, until the tick after the loops cross.
-    fn on_tick(&self, f: &mut Rc3Flow, tx: &mut DctcpFlowTx, ctx: &mut Ctx<'_, Proto>) -> bool {
-        let open = !f.crossed;
-        f.lp_inflight = 0;
-        self.top_up(f, tx, ctx);
-        open
+    fn on_timer(&self, f: &mut Rc3Flow, tx: &mut DctcpFlowTx, token: Token, ctx: &mut Cx<'_>) {
+        if token.kind == TIMER_RC3_TOPUP && !f.crossed {
+            f.lp_inflight = 0;
+            self.top_up(f, tx, ctx);
+            ctx.timer_after(tx.cfg().base_rtt, token.encode());
+        }
     }
 }
 
@@ -119,12 +118,13 @@ pub type Rc3Transport = Window<DctcpHcp, Rc3Cfg>;
 mod tests {
     use super::*;
     use crate::common::testkit::run_done;
+    use crate::proto::Proto;
     use crate::tcp_base::TcpCfg;
     use netsim::SimTime;
-    use netsim::{star, Rate, RunLimits, SimDuration, SwitchConfig};
+    use netsim::{star, Rate, SimDuration, SwitchConfig};
 
     fn install_rc3(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &Rc3Cfg) {
-        crate::install(topo, || Rc3Transport::new(tcp.clone(), DctcpHcp::default(), cfg.clone()));
+        crate::install(topo, || Rc3Transport::new(tcp.clone(), DctcpHcp, cfg.clone()));
     }
 
     #[test]
@@ -151,9 +151,7 @@ mod tests {
         install_rc3(&mut topo, &tcp, &cfg);
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 3 << 20, SimTime::ZERO, 3 << 20);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 200_000, SimTime(500_000), 200_000);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(30_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 50_000);
         assert_eq!(report.flows_completed, 2);
     }
 
@@ -171,11 +169,11 @@ mod tests {
             Rc3Cfg { bdp_bytes: netsim::bdp_bytes(rate, a.base_rtt), send_buffer_bytes: 2 << 30 };
         install_rc3(&mut a, &tcp, &cfg);
         let f = a.sim.add_flow(a.hosts[0], a.hosts[1], size, SimTime::ZERO, size);
-        a.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        run_done(&mut a.sim, SimDuration::from_millis(20), 50_000);
         let rc3_fct = a.sim.completion(f).expect("rc3 done");
 
         let mut b = star::<Proto>(2, rate, delay, SwitchConfig::dctcp(200_000, 17_000));
-        crate::install(&mut b, || crate::DctcpTransport::new(tcp.clone(), DctcpHcp::default(), ()));
+        crate::install(&mut b, || crate::DctcpTransport::new(tcp.clone(), DctcpHcp, ()));
         let g = b.sim.add_flow(b.hosts[0], b.hosts[1], size, SimTime::ZERO, size);
         run_done(&mut b.sim, SimDuration::from_millis(100), 1_000_000);
         let dctcp_fct = b.sim.completion(g).expect("dctcp done");

@@ -10,7 +10,7 @@ use netsim::{FlowDesc, SimDuration, SimTime};
 use ppt_core::PptConfig;
 
 use crate::hcp::{Case1, Hcp, Stamp, Window};
-use crate::lcp::Lcp;
+use crate::ppt::Ppt;
 use crate::proto::AckHdr;
 use crate::tcp_base::{DctcpFlowTx, TcpCfg, WindowLaw};
 
@@ -77,6 +77,7 @@ pub struct SwiftHcp;
 impl Hcp for SwiftHcp {
     const STAMP: Stamp = Stamp::Delay;
     type Law = SwiftLaw;
+    type Detector = ();
 
     fn flow_tx(&self, flow: &FlowDesc, tcp: &TcpCfg) -> (DctcpFlowTx, SwiftLaw) {
         let tx = DctcpFlowTx::new(flow.id, flow.src, flow.dst, flow.size_bytes, tcp.clone());
@@ -95,7 +96,8 @@ impl Hcp for SwiftHcp {
 
     /// A loop sized to the gap between the window and the BDP.
     fn spare_capacity(
-        &mut self,
+        &self,
+        _: &mut (),
         tx: &DctcpFlowTx,
         law: &SwiftLaw,
         _: Option<f64>,
@@ -108,20 +110,21 @@ impl Hcp for SwiftHcp {
 /// Plain Swift-like endpoint: delay-based window, single priority.
 pub type SwiftTransport = Window<SwiftHcp>;
 /// PPT layered over the Swift-like transport (Fig 14).
-pub type SwiftPptTransport = Lcp<SwiftHcp>;
+pub type SwiftPptTransport = Window<SwiftHcp, Ppt>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::testkit::run_done;
     use crate::proto::Proto;
-    use netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+    use netsim::{star, Rate, SimDuration, SimTime, SwitchConfig};
 
     fn install_swift(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg) {
         crate::install(topo, || SwiftTransport::new(tcp.clone(), SwiftHcp, ()));
     }
 
     fn install_swift_ppt(topo: &mut netsim::Topology<Proto>, tcp: &TcpCfg, cfg: &PptConfig) {
-        crate::install(topo, || SwiftPptTransport::new(tcp.clone(), *cfg, SwiftHcp));
+        crate::install(topo, || SwiftPptTransport::new(tcp.clone(), SwiftHcp, Ppt { cfg: *cfg }));
     }
 
     fn setup(n: usize) -> (netsim::Topology<Proto>, TcpCfg, PptConfig) {
@@ -139,9 +142,7 @@ mod tests {
         install_swift(&mut topo, &tcp);
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 2 << 20, SimTime::ZERO, 1);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 100_000, SimTime(200_000), 1);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(30_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 20_000);
         assert_eq!(report.flows_completed, 2);
     }
 
@@ -152,9 +153,7 @@ mod tests {
         install_swift(&mut topo, &tcp);
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 8 << 20, SimTime::ZERO, 1);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 8 << 20, SimTime::ZERO, 1);
-        let report = topo
-            .sim
-            .run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        let report = run_done(&mut topo.sim, SimDuration::from_millis(50), 200_000);
         assert_eq!(report.flows_completed, 2);
         let c = topo.sim.total_counters();
         assert_eq!(c.marked, 0, "Swift packets must not be ECN-marked");
@@ -166,13 +165,13 @@ mod tests {
         let (mut a, tcp, cfg) = setup(2);
         install_swift_ppt(&mut a, &tcp, &cfg);
         let f = a.sim.add_flow(a.hosts[0], a.hosts[1], size, SimTime::ZERO, size);
-        a.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        run_done(&mut a.sim, SimDuration::from_millis(20), 50_000);
         let ppt_fct = a.sim.completion(f).expect("swift-ppt done");
 
         let (mut b, tcp2, _) = setup(2);
         install_swift(&mut b, &tcp2);
         let g = b.sim.add_flow(b.hosts[0], b.hosts[1], size, SimTime::ZERO, size);
-        b.sim.run(RunLimits { max_time: SimTime(60_000_000_000), max_events: 2_000_000_000 });
+        run_done(&mut b.sim, SimDuration::from_millis(20), 50_000);
         let swift_fct = b.sim.completion(g).expect("swift done");
 
         assert!(ppt_fct < swift_fct, "ppt-over-swift ({ppt_fct}) must beat swift ({swift_fct})");

@@ -16,8 +16,8 @@ use netsim::{
 use ppt_core::PptConfig;
 use transports::{
     homa_switch_config, DctcpHcp, DctcpTransport, ExpressPassCfg, ExpressPassTransport, HomaCfg,
-    HomaTransport, NdpCfg, NdpTransport, PiasTransport, PptTransport, Proto, Rc3Cfg, Rc3Transport,
-    SwiftHcp, TableStats, TcpCfg, Window,
+    HomaTransport, NdpCfg, NdpTransport, PiasTransport, Ppt, PptTransport, Proto, Rc3Cfg,
+    Rc3Transport, SwiftHcp, TableStats, TcpCfg, Window,
 };
 use workloads::{all_to_all, install_flows, SizeDistribution, WorkloadSpec};
 
@@ -113,7 +113,7 @@ fn window_endpoints_hold_only_flows_in_progress() {
         "DCTCP",
         Senders::Window,
         ecn(),
-        |t| DctcpTransport::new(tcp(t), DctcpHcp::default(), ()),
+        |t| DctcpTransport::new(tcp(t), DctcpHcp, ()),
         DctcpTransport::flow_tables,
     );
     churn(
@@ -127,22 +127,18 @@ fn window_endpoints_hold_only_flows_in_progress() {
         "PIAS",
         Senders::Window,
         ecn(),
-        |t| PiasTransport::new(tcp(t), DctcpHcp::default(), Default::default()),
+        |t| PiasTransport::new(tcp(t), DctcpHcp, Default::default()),
         PiasTransport::flow_tables,
     );
     let dual_band = || SwitchConfig::ppt(200_000, 30_000, 20_000);
     let ppt = |t: &Topology<Proto>| {
         let cfg = PptConfig::new(t.edge_rate, t.base_rtt);
-        PptTransport::new(tcp(t), cfg, DctcpHcp::default())
+        PptTransport::new(tcp(t), DctcpHcp, Ppt { cfg })
     };
     churn("PPT", Senders::Window, dual_band(), ppt, PptTransport::flow_tables);
     let rc3 = |t: &Topology<Proto>| {
         let bdp_bytes = netsim::bdp_bytes(t.edge_rate, t.base_rtt);
-        Rc3Transport::new(
-            tcp(t),
-            DctcpHcp::default(),
-            Rc3Cfg { bdp_bytes, send_buffer_bytes: 2 << 30 },
-        )
+        Rc3Transport::new(tcp(t), DctcpHcp, Rc3Cfg { bdp_bytes, send_buffer_bytes: 2 << 30 })
     };
     churn("RC3", Senders::Window, dual_band(), rc3, Rc3Transport::flow_tables);
 }

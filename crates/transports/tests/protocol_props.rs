@@ -4,18 +4,18 @@
 use netsim::{star, Pcg32, Rate, RunLimits, SimDuration, SimTime, StopReason, SwitchConfig};
 use ppt_core::PptConfig;
 use transports::{
-    install, DctcpHcp, DctcpTransport, HomaCfg, HomaTransport, NdpCfg, NdpTransport, PptTransport,
-    Proto, TcpCfg,
+    install, DctcpHcp, DctcpTransport, HomaCfg, HomaTransport, NdpCfg, NdpTransport, Ppt,
+    PptTransport, Proto, TcpCfg,
 };
 
 type Topo = netsim::Topology<Proto>;
 
 fn install_dctcp(topo: &mut Topo, tcp: &TcpCfg) {
-    install(topo, || DctcpTransport::new(tcp.clone(), DctcpHcp::default(), ()));
+    install(topo, || DctcpTransport::new(tcp.clone(), DctcpHcp, ()));
 }
 
 fn install_ppt(topo: &mut Topo, tcp: &TcpCfg, cfg: &PptConfig) {
-    install(topo, || PptTransport::new(tcp.clone(), *cfg, DctcpHcp::default()));
+    install(topo, || PptTransport::new(tcp.clone(), DctcpHcp, Ppt { cfg: *cfg }));
 }
 
 fn install_homa(topo: &mut Topo, cfg: &HomaCfg) {

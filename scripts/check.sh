@@ -98,14 +98,14 @@ for f in common tcp_base rx; do
     fi
 done
 
-echo "==> one TCP-family endpoint and one receiver-driven endpoint (Window, Lcp, Pull; DESIGN.md §16)"
-# Window, Lcp over it, and Pull. A fourth `impl Transport` is a copy of
-# Window's ACK / RTO / retire loop or of Pull's grant / watchdog / pacer
-# loop: write an Hcp, a Beside or a Grant instead. TCP-family data packets
+echo "==> one TCP-family endpoint and one receiver-driven endpoint (Window, Pull; DESIGN.md §16)"
+# Window and Pull. A third `impl Transport` is a copy of Window's ACK / RTO /
+# retire loop or of Pull's grant / watchdog / pacer loop: write an Hcp, a
+# Beside (PPT's loop is one) or a Grant instead. TCP-family data packets
 # are built in two places, hcp::{send_hcp, low_packet}.
 impls=$(grep -c 'Transport<Proto> for' crates/transports/src/*.rs | awk -F: '{ n += $2 } END { print n }')
-if [ "$impls" -gt 3 ]; then
-    echo "check.sh: $impls Transport<Proto> impls under crates/transports/src (at most 3)" >&2
+if [ "$impls" -gt 2 ]; then
+    echo "check.sh: $impls Transport<Proto> impls under crates/transports/src (at most 2)" >&2
     exit 1
 fi
 # NDP, Homa, Aeolus and ExpressPass share one header, PullHdr.
@@ -292,7 +292,7 @@ for scheme in swift-ppt hpcc-ppt; do
             --workload websearch --flows 40 --seed 42 --out "$LCP_TMP/$scheme/$run" > /dev/null
     done
     cmp "$LCP_TMP/$scheme/a/events.jsonl" "$LCP_TMP/$scheme/b/events.jsonl"
-    # The one LCP layer traces its loops whatever HCP is underneath.
+    # The one LCP policy traces its loops whatever HCP it rides beside.
     grep -q '"ev":"lcp_opened"' "$LCP_TMP/$scheme/a/events.jsonl" || {
         echo "check.sh: $scheme trace has no lcp_opened event" >&2
         exit 1

@@ -173,7 +173,7 @@ fn pinned_seed_goldens_hold_on_the_heap_oracle_queue() {
 const POWERTCP_GOLDEN: (u64, u64) = (0xbb9e_33ec_99e0_819c, 0x70df_3d3a_e6c6_bb2c);
 const PFC_GOLDEN: (u64, u64) = (0xb886_9142_c5be_5660, 0xf7ac_2e0a_905a_a3f6);
 
-/// The two layered variants on the same workload: pins `Lcp<H>` over a
+/// The two layered variants on the same workload: pins `Ppt` beside a
 /// non-DCTCP HCP — the delay and U triggers, INT stamping under an LCP,
 /// and the layer's trace events. CHANGES.md (PR 12) records the digests
 /// these replaced and why each moved; their trace halves moved once more,

@@ -353,12 +353,6 @@ impl ppt::trace::TraceSink for ResendCounter {
             *self.0.entry((flow, offset)).or_default() += 1;
         }
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Run `exp` under an event cap about ten times what it needs and check

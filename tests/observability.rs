@@ -84,7 +84,7 @@ fn no_sink_means_no_trace() {
         SwitchConfig::dctcp(200_000, 30_000),
     );
     let cfg = TcpCfg::new(topo.base_rtt);
-    install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp::default(), ()));
+    install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp, ()));
     topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 500_000, SimTime::ZERO, 1);
     assert!(!topo.sim.trace_enabled());
     let report = topo.sim.run(RunLimits::default());
