@@ -6,15 +6,6 @@
 
 use netsim::{SimDuration, SimTime};
 
-/// Why an LCP loop was opened (affects the initial window rule).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LoopTrigger {
-    /// Case 1: flow start — spare bandwidth in the first RTTs.
-    FlowStart,
-    /// Case 2: queue-buildup phase — α hit its window minimum.
-    AlphaMinimum,
-}
-
 /// Initial LCP window for case 1 (flow start): the BDP minus the DCTCP
 /// initial window — the pipe capacity the slow-starting HCP loop is not
 /// yet using. Saturates at zero.
@@ -61,9 +52,9 @@ pub enum LcpAction {
 /// One LCP loop instance.
 ///
 /// ```
-/// use ppt_core::{LcpAction, LcpLoop, LoopTrigger};
+/// use ppt_core::{LcpAction, LcpLoop};
 /// use netsim::{SimDuration, SimTime};
-/// let mut l = LcpLoop::open(LoopTrigger::FlowStart, 80_000, SimTime::ZERO);
+/// let mut l = LcpLoop::open(80_000, SimTime::ZERO);
 /// // EWD: every clean low-priority ACK clocks exactly one new packet...
 /// assert_eq!(l.on_low_priority_ack(false, SimTime(1000)), LcpAction::SendOne);
 /// // ...and ECE-marked ones are ignored to protect normal traffic.
@@ -78,9 +69,7 @@ pub enum LcpAction {
 /// (§3.2, "Remarks").
 #[derive(Clone, Debug)]
 pub struct LcpLoop {
-    trigger: LoopTrigger,
     initial_window_bytes: u64,
-    opened_at: SimTime,
     last_ack_at: SimTime,
     acks_received: u64,
     ece_acks: u64,
@@ -92,30 +81,13 @@ pub const LOOP_EXPIRY_RTTS: u64 = 2;
 impl LcpLoop {
     /// Open a loop with the given initial window. A zero window is legal
     /// (the loop exists but transmits nothing and quickly expires).
-    pub fn open(trigger: LoopTrigger, initial_window_bytes: u64, now: SimTime) -> Self {
-        LcpLoop {
-            trigger,
-            initial_window_bytes,
-            opened_at: now,
-            last_ack_at: now,
-            acks_received: 0,
-            ece_acks: 0,
-        }
-    }
-
-    /// Why this loop was opened.
-    pub fn trigger(&self) -> LoopTrigger {
-        self.trigger
+    pub fn open(initial_window_bytes: u64, now: SimTime) -> Self {
+        LcpLoop { initial_window_bytes, last_ack_at: now, acks_received: 0, ece_acks: 0 }
     }
 
     /// The initial window to pace out over one RTT (rate I/RTT).
     pub fn initial_window_bytes(&self) -> u64 {
         self.initial_window_bytes
-    }
-
-    /// When the loop was opened.
-    pub fn opened_at(&self) -> SimTime {
-        self.opened_at
     }
 
     /// Handle a low-priority ACK; implements the EWD sender rule.
@@ -207,7 +179,7 @@ mod tests {
 
     #[test]
     fn ewd_sender_rule() {
-        let mut l = LcpLoop::open(LoopTrigger::FlowStart, 50_000, SimTime::ZERO);
+        let mut l = LcpLoop::open(50_000, SimTime::ZERO);
         assert_eq!(l.on_low_priority_ack(false, SimTime(100)), LcpAction::SendOne);
         assert_eq!(l.on_low_priority_ack(true, SimTime(200)), LcpAction::Ignore);
         assert_eq!(l.ack_counts(), (2, 1));
@@ -216,7 +188,7 @@ mod tests {
     #[test]
     fn loop_expires_after_two_silent_rtts() {
         let rtt = SimDuration::from_micros(80);
-        let mut l = LcpLoop::open(LoopTrigger::AlphaMinimum, 10_000, SimTime::ZERO);
+        let mut l = LcpLoop::open(10_000, SimTime::ZERO);
         assert!(!l.is_expired(SimTime(100_000), rtt)); // 100us < 160us
         assert!(l.is_expired(SimTime(160_000), rtt)); // exactly 2 RTTs
                                                       // An ACK resets the expiry clock.

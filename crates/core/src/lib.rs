@@ -33,7 +33,7 @@ pub use alpha::{AlphaEstimator, MinTracker, DEFAULT_G, DEFAULT_MIN_WINDOW};
 pub use config::{PptConfig, PptKnobs};
 pub use ecn::{marking_threshold_bytes, ppt_thresholds, LAMBDA_HIGH, LAMBDA_LOW};
 pub use lcp::{
-    initial_window_case1, initial_window_case2, LcpAckClock, LcpAction, LcpLoop, LoopTrigger,
+    initial_window_case1, initial_window_case2, LcpAckClock, LcpAction, LcpLoop,
     LCP_PACKETS_PER_ACK, LOOP_EXPIRY_RTTS,
 };
 pub use scheduling::{

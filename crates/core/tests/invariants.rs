@@ -4,7 +4,7 @@
 use netsim::{Pcg32, SimDuration, SimTime};
 use ppt_core::{
     initial_window_case1, initial_window_case2, AlphaEstimator, LcpAckClock, LcpAction, LcpLoop,
-    LoopTrigger, MinTracker, MirrorTagger, PptConfig,
+    MinTracker, MirrorTagger, PptConfig,
 };
 
 /// α is always in [0, 1] no matter the feedback sequence.
@@ -129,7 +129,7 @@ fn lcp_expiry_is_two_rtts_seeded() {
         let last_ack_ns = rng.gen_range(10_000_000);
         let probe_ns = rng.gen_range(30_000_000);
         let rtt = SimDuration::from_micros(80);
-        let mut l = LcpLoop::open(LoopTrigger::FlowStart, 10_000, SimTime::ZERO);
+        let mut l = LcpLoop::open(10_000, SimTime::ZERO);
         l.on_low_priority_ack(false, SimTime(last_ack_ns));
         let probe = SimTime(last_ack_ns.saturating_add(probe_ns));
         let expired = l.is_expired(probe, rtt);
@@ -166,7 +166,7 @@ fn ignored_ece_acks_still_count_for_liveness() {
     // An all-ECE stream keeps the loop alive (it is receiving feedback)
     // but never clocks new packets.
     let rtt = SimDuration::from_micros(80);
-    let mut l = LcpLoop::open(LoopTrigger::AlphaMinimum, 10_000, SimTime::ZERO);
+    let mut l = LcpLoop::open(10_000, SimTime::ZERO);
     for i in 1..10u64 {
         let t = SimTime(i * 50_000);
         assert_eq!(l.on_low_priority_ack(true, t), LcpAction::Ignore);

@@ -183,8 +183,7 @@ pub struct Simulator<P: Payload> {
     pub(crate) pfc_fabric: bool,
     /// Pause / resume frames scheduled and not yet applied.
     pub(crate) pfc_frames_in_flight: u32,
-    /// Per-flow retransmit counts (fed by `Ctx::note_retransmit`).
-    retransmit_counts: Vec<u32>,
+    /// Retransmissions noted by transports (`Ctx::note_retransmit`).
     retransmits_total: u64,
     /// `None` = tracing disabled: every emission site reduces to one branch.
     pub(crate) trace: Option<Box<dyn TraceSink>>,
@@ -226,7 +225,6 @@ impl<P: Payload> Simulator<P> {
             faults: None,
             pfc_fabric: false,
             pfc_frames_in_flight: 0,
-            retransmit_counts: Vec::new(),
             retransmits_total: 0,
             trace: None,
             san: None,
@@ -263,7 +261,6 @@ impl<P: Payload> Simulator<P> {
         let id = FlowId(self.flows.len() as u64);
         self.flows.push(FlowDesc { id, src, dst, size_bytes, start, first_write_bytes });
         self.completions.push(None);
-        self.retransmit_counts.push(0);
         id
     }
 
@@ -397,11 +394,6 @@ impl<P: Payload> Simulator<P> {
     pub fn fault_report(&self) -> FaultReport {
         let faults = self.faults.as_ref().map(|fs| fs.report(self.now)).unwrap_or_default();
         FaultReport { retransmits: self.retransmits_total, ..faults }
-    }
-
-    /// Retransmissions noted for `flow` via `Ctx::note_retransmit`.
-    pub fn flow_retransmits(&self, flow: FlowId) -> u32 {
-        self.retransmit_counts.get(flow.0 as usize).copied().unwrap_or(0)
     }
 
     // ---------------------------------------------------------------
@@ -654,12 +646,8 @@ impl<P: Payload> Simulator<P> {
         // `self`, and cleared. The packets are already in the pool.
         // Retransmit notes first: they only bump counters (never touch the
         // queue), so draining them here cannot shift sequence numbers.
-        for flow in self.effects.retransmits.drain(..) {
-            self.retransmits_total += 1;
-            if let Some(c) = self.retransmit_counts.get_mut(flow.0 as usize) {
-                *c += 1;
-            }
-        }
+        self.retransmits_total += self.effects.retransmits.len() as u64;
+        self.effects.retransmits.clear();
         // Sanitizer notes likewise are ledger-only: the vec is empty unless
         // the sanitizer is installed (Ctx::san_note gates on it).
         for note in self.effects.san_notes.drain(..) {

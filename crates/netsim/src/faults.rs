@@ -1,20 +1,21 @@
-//! Deterministic fault injection: timed link outages, switch stalls, and
+//! Deterministic fault injection: timed host outages, switch stalls, and
 //! random packet/ACK loss.
 //!
 //! A [`FaultSchedule`] is attached to a [`crate::Simulator`] before the
 //! run via [`crate::Simulator::set_fault_schedule`]. Two fault classes are
 //! supported:
 //!
-//! - **Timed operations** ([`FaultOp`]): link down/up and switch
+//! - **Timed operations** ([`FaultOp`]): host down/up and switch
 //!   stall/resume at fixed simulated instants. They enter the ordinary
 //!   event heap as `Ev::Fault` entries, so they interleave with traffic
-//!   under the same `(time, seq)` total order as everything else.
+//!   under the same `(time, seq)` total order as everything else. A host
+//!   op acts on the host's uplink, looked up when the op fires.
 //! - **Random loss**: independent per-packet drop probabilities, decided
 //!   at serialization time from a dedicated [`Pcg32`] stream seeded by
 //!   [`FaultSchedule::seed`]. Data packets (non-zero payload) use
 //!   `data_loss`; control packets (header-only: ACKs, NACKs, pulls,
-//!   credits) use `ack_loss`, optionally restricted to priorities `>=
-//!   ack_loss_min_prio` — which isolates PPT's low-priority ACK band
+//!   credits) use `ack_loss`, optionally restricted to priorities `>=`
+//!   [`LP_ACK_MIN_PRIO`] — which isolates PPT's low-priority ACK band
 //!   (LP ACKs ride P4+, HCP ACKs ride P0).
 //!
 //! Determinism: the fault RNG is owned by the simulator, advances only
@@ -35,19 +36,24 @@
 use dcn_trace::TraceEvent;
 
 use crate::engine::Simulator;
-use crate::ids::{LinkId, NodeId, SwitchId};
+use crate::ids::{HostId, LinkId, NodeId, SwitchId};
 use crate::packet::Payload;
 use crate::rng::Pcg32;
 use crate::time::{SimDuration, SimTime};
 
+/// The lowest priority of PPT's low-priority ACK band, the one
+/// [`FaultSchedule::lp_acks_only`] confines `ack_loss` to.
+pub const LP_ACK_MIN_PRIO: u8 = 4;
+
 /// One timed fault operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultOp {
-    /// Take a unidirectional link down: packets serialized onto it while
-    /// down are lost (the sender still pays serialization time).
-    LinkDown(LinkId),
-    /// Bring a downed link back up.
-    LinkUp(LinkId),
+    /// Take a host's uplink (the link its NIC transmits on) down: packets
+    /// serialized onto it while down are lost (the sender still pays
+    /// serialization time).
+    HostDown(HostId),
+    /// Bring a downed host uplink back up.
+    HostUp(HostId),
     /// Freeze a switch's egress scheduling: queues keep admitting (and
     /// tail-dropping) but no packet starts serialization on any port.
     StallStart(SwitchId),
@@ -66,12 +72,13 @@ pub struct TimedFault {
 
 /// A complete fault scenario for one run: timed operations plus random
 /// loss probabilities. Built with the fluent helpers, then handed to
-/// [`crate::Simulator::set_fault_schedule`].
+/// [`crate::Simulator::set_fault_schedule`]. A builder's hosts and switches
+/// have their creation order as ids, so a schedule can precede its topology.
 ///
 /// ```
-/// use netsim::{FaultSchedule, LinkId, SimDuration, SimTime, SwitchId};
+/// use netsim::{FaultSchedule, HostId, SimDuration, SimTime, SwitchId};
 /// let faults = FaultSchedule::new(7)
-///     .link_outage(LinkId(0), SimTime(1_000_000), SimTime(3_000_000))
+///     .host_outage(HostId(0), SimTime(1_000_000), SimTime(3_000_000))
 ///     .stall_switch(SwitchId(0), SimTime(5_000_000), SimDuration::from_micros(500))
 ///     .with_data_loss(0.01);
 /// assert_eq!(faults.ops.len(), 4);
@@ -85,10 +92,11 @@ pub struct FaultSchedule {
     /// Probability that a serialized *control* packet (header-only: ACKs,
     /// NACKs, pulls, credits) is lost.
     pub ack_loss: f64,
-    /// `ack_loss` only applies to control packets with priority `>= this`.
-    /// 0 (the default) covers every control packet; 4 isolates PPT's
-    /// low-priority ACK band.
-    pub ack_loss_min_prio: u8,
+    /// `ack_loss` only applies to control packets of priority
+    /// [`LP_ACK_MIN_PRIO`] and above: PPT's low-priority ACK band, the
+    /// §3.2 "LCP ACKs all lost" experiment. `false` covers every control
+    /// packet.
+    pub lp_acks_only: bool,
     /// Seed for the dedicated fault RNG stream.
     pub seed: u64,
 }
@@ -96,7 +104,7 @@ pub struct FaultSchedule {
 impl FaultSchedule {
     /// An empty schedule (no timed ops, no loss) with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        FaultSchedule { ops: Vec::new(), data_loss: 0.0, ack_loss: 0.0, ack_loss_min_prio: 0, seed }
+        FaultSchedule { ops: Vec::new(), data_loss: 0.0, ack_loss: 0.0, lp_acks_only: false, seed }
     }
 
     /// Append one timed operation.
@@ -105,10 +113,10 @@ impl FaultSchedule {
         self
     }
 
-    /// Take `link` down at `from` and restore it at `until`.
-    pub fn link_outage(self, link: LinkId, from: SimTime, until: SimTime) -> Self {
+    /// Take `host`'s uplink down at `from` and restore it at `until`.
+    pub fn host_outage(self, host: HostId, from: SimTime, until: SimTime) -> Self {
         debug_assert!(from < until, "outage must end after it starts");
-        self.op(from, FaultOp::LinkDown(link)).op(until, FaultOp::LinkUp(link))
+        self.op(from, FaultOp::HostDown(host)).op(until, FaultOp::HostUp(host))
     }
 
     /// Stall `switch` at `at` for `duration`.
@@ -130,9 +138,9 @@ impl FaultSchedule {
         self
     }
 
-    /// Restrict `ack_loss` to control packets with priority `>= min_prio`.
-    pub fn with_ack_loss_min_prio(mut self, min_prio: u8) -> Self {
-        self.ack_loss_min_prio = min_prio;
+    /// Confine `ack_loss` to the low-priority ACK band.
+    pub fn lp_acks_only(mut self) -> Self {
+        self.lp_acks_only = true;
         self
     }
 
@@ -216,46 +224,39 @@ impl FaultState {
         &self.schedule.ops
     }
 
-    /// Apply one timed operation at `now`. Redundant ops (`LinkUp` on an
-    /// up link, `StallEnd` on an unstalled switch, a second `LinkDown`)
-    /// change nothing. Returns the switch to restart when this op ended
-    /// the last of its nested stalls.
-    pub(crate) fn apply(&mut self, op: FaultOp, now: SimTime) -> Option<SwitchId> {
-        match op {
-            FaultOp::LinkDown(l) => {
-                let since = &mut self.down_since[l.0 as usize];
-                if since.is_none() {
-                    *since = Some(now);
-                    self.active += 1;
-                }
+    /// Take `link` down (`down`) or bring it back up at `now`. A second
+    /// down, or an up on an up link, changes nothing.
+    pub(crate) fn set_link_down(&mut self, link: LinkId, down: bool, now: SimTime) {
+        let since = &mut self.down_since[link.0 as usize];
+        if down && since.is_none() {
+            *since = Some(now);
+            self.active += 1;
+        } else if let Some(t0) = since.take_if(|_| !down) {
+            self.close_interval(t0, now);
+        }
+    }
+
+    /// Start (`stall`) or end one stall of `switch` at `now`; stalls nest,
+    /// and an end on an unstalled switch changes nothing. Returns whether
+    /// this ended the last of its nested stalls, so its ports must restart.
+    pub(crate) fn set_stalled(&mut self, switch: SwitchId, stall: bool, now: SimTime) -> bool {
+        let si = switch.0 as usize;
+        if stall {
+            self.stalled[si] += 1;
+            if self.stalled[si] == 1 {
+                self.stall_since[si] = Some(now);
+                self.active += 1;
             }
-            FaultOp::LinkUp(l) => {
-                if let Some(t0) = self.down_since[l.0 as usize].take() {
+        } else if self.stalled[si] > 0 {
+            self.stalled[si] -= 1;
+            if self.stalled[si] == 0 {
+                if let Some(t0) = self.stall_since[si].take() {
                     self.close_interval(t0, now);
                 }
-            }
-            FaultOp::StallStart(s) => {
-                let si = s.0 as usize;
-                self.stalled[si] += 1;
-                if self.stalled[si] == 1 {
-                    self.stall_since[si] = Some(now);
-                    self.active += 1;
-                }
-            }
-            FaultOp::StallEnd(s) => {
-                let si = s.0 as usize;
-                if self.stalled[si] > 0 {
-                    self.stalled[si] -= 1;
-                    if self.stalled[si] == 0 {
-                        if let Some(t0) = self.stall_since[si].take() {
-                            self.close_interval(t0, now);
-                        }
-                        return Some(s);
-                    }
-                }
+                return true;
             }
         }
-        None
+        false
     }
 
     fn close_interval(&mut self, t0: SimTime, now: SimTime) {
@@ -290,7 +291,7 @@ impl FaultState {
         // the ACK-loss knob, gated on the priority band; data uses data_loss.
         let p = if payload_bytes > 0 {
             self.schedule.data_loss
-        } else if prio >= self.schedule.ack_loss_min_prio {
+        } else if !self.schedule.lp_acks_only || prio >= LP_ACK_MIN_PRIO {
             self.schedule.ack_loss
         } else {
             0.0
@@ -320,19 +321,29 @@ impl<P: Payload> Simulator<P> {
     /// Apply timed fault op `idx` (dispatch target for `Ev::Fault`).
     pub(crate) fn apply_fault(&mut self, idx: u32) {
         let now = self.now;
-        let Some(fs) = self.faults.as_mut() else { return };
+        let Some(fs) = self.faults.as_ref() else { return };
         let Some(op) = fs.ops().get(idx as usize).map(|timed| timed.op) else { return };
-        let resumed = fs.apply(op, now);
         match op {
-            FaultOp::LinkDown(l) => self.emit(TraceEvent::LinkDown { link: l.0 }),
-            FaultOp::LinkUp(l) => self.emit(TraceEvent::LinkUp { link: l.0 }),
-            FaultOp::StallStart(_) | FaultOp::StallEnd(_) => {}
-        }
-        if let Some(s) = resumed {
-            // Restart every backlogged idle port in a fixed (port index)
-            // order so the resume is deterministic.
-            for pi in 0..self.switches[s.0 as usize].ports.len() {
-                self.kick(NodeId::Switch(s), pi as u16);
+            FaultOp::HostDown(h) | FaultOp::HostUp(h) => {
+                let (link, down) = (self.host_uplink(h), op == FaultOp::HostDown(h));
+                if let Some(fs) = self.faults.as_mut() {
+                    fs.set_link_down(link, down, now);
+                }
+                self.emit(if down {
+                    TraceEvent::LinkDown { link: link.0 }
+                } else {
+                    TraceEvent::LinkUp { link: link.0 }
+                });
+            }
+            FaultOp::StallStart(s) | FaultOp::StallEnd(s) => {
+                let stall = op == FaultOp::StallStart(s);
+                if self.faults.as_mut().is_some_and(|fs| fs.set_stalled(s, stall, now)) {
+                    // Restart every backlogged idle port in a fixed (port
+                    // index) order so the resume is deterministic.
+                    for pi in 0..self.switches[s.0 as usize].ports.len() {
+                        self.kick(NodeId::Switch(s), pi as u16);
+                    }
+                }
             }
         }
     }
@@ -341,6 +352,11 @@ impl<P: Payload> Simulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{Ctx, FlowDesc, Transport};
+    use crate::packet::{NoPayload, Packet};
+    use crate::report::{RunLimits, StopReason};
+    use crate::{topology, Rate, SwitchConfig};
+    use dcn_trace::MemorySink;
 
     fn state(schedule: FaultSchedule) -> FaultState {
         FaultState::new(schedule, 2, 2)
@@ -350,13 +366,13 @@ mod tests {
     fn nested_stalls_resume_only_on_the_last_end() {
         let (sw, other) = (SwitchId(1), SwitchId(0));
         let mut fs = state(FaultSchedule::new(1));
-        assert_eq!(fs.apply(FaultOp::StallStart(sw), SimTime(100)), None);
-        assert_eq!(fs.apply(FaultOp::StallStart(sw), SimTime(200)), None);
+        assert!(!fs.set_stalled(sw, true, SimTime(100)));
+        assert!(!fs.set_stalled(sw, true, SimTime(200)));
         assert!(fs.is_stalled(sw) && !fs.is_stalled(other));
-        assert_eq!(fs.apply(FaultOp::StallEnd(sw), SimTime(300)), None, "one stall still open");
+        assert!(!fs.set_stalled(sw, false, SimTime(300)), "one stall still open");
         assert!(fs.is_stalled(sw));
         assert_eq!(fs.active, 1, "nested stalls of one switch are one active fault");
-        assert_eq!(fs.apply(FaultOp::StallEnd(sw), SimTime(450)), Some(sw));
+        assert!(fs.set_stalled(sw, false, SimTime(450)));
         assert!(!fs.is_stalled(sw));
         assert_eq!(fs.active, 0);
         // The interval runs from the first start to the last end.
@@ -366,14 +382,14 @@ mod tests {
     #[test]
     fn redundant_ops_leave_the_active_count_untouched() {
         let mut fs = state(FaultSchedule::new(1));
-        assert_eq!(fs.apply(FaultOp::LinkUp(LinkId(0)), SimTime(10)), None);
-        assert_eq!(fs.apply(FaultOp::StallEnd(SwitchId(0)), SimTime(10)), None);
+        fs.set_link_down(LinkId(0), false, SimTime(10));
+        assert!(!fs.set_stalled(SwitchId(0), false, SimTime(10)));
         assert_eq!(fs.active, 0, "closing what was never opened must not underflow");
-        fs.apply(FaultOp::LinkDown(LinkId(0)), SimTime(20));
-        fs.apply(FaultOp::LinkDown(LinkId(0)), SimTime(30));
+        fs.set_link_down(LinkId(0), true, SimTime(20));
+        fs.set_link_down(LinkId(0), true, SimTime(30));
         assert_eq!(fs.active, 1, "a link is down once however often it is taken down");
-        fs.apply(FaultOp::LinkUp(LinkId(0)), SimTime(50));
-        fs.apply(FaultOp::LinkUp(LinkId(0)), SimTime(60));
+        fs.set_link_down(LinkId(0), false, SimTime(50));
+        fs.set_link_down(LinkId(0), false, SimTime(60));
         assert_eq!(fs.active, 0);
         assert_eq!(fs.report(SimTime(100)).max_stall, SimDuration::from_nanos(30));
     }
@@ -381,14 +397,14 @@ mod tests {
     #[test]
     fn report_counts_an_interval_still_open() {
         let mut fs = state(FaultSchedule::new(1));
-        fs.apply(FaultOp::LinkDown(LinkId(1)), SimTime(100));
-        fs.apply(FaultOp::LinkUp(LinkId(1)), SimTime(150));
-        fs.apply(FaultOp::StallStart(SwitchId(0)), SimTime(200));
+        fs.set_link_down(LinkId(1), true, SimTime(100));
+        fs.set_link_down(LinkId(1), false, SimTime(150));
+        fs.set_stalled(SwitchId(0), true, SimTime(200));
         assert_eq!(fs.report(SimTime(220)).max_stall, SimDuration::from_nanos(50));
         assert_eq!(fs.report(SimTime(900)).max_stall, SimDuration::from_nanos(700));
         // Goodput is booked only while a fault is active.
         fs.note_delivery(1_000);
-        fs.apply(FaultOp::StallEnd(SwitchId(0)), SimTime(950));
+        fs.set_stalled(SwitchId(0), false, SimTime(950));
         fs.note_delivery(5_000);
         assert_eq!(fs.report(SimTime(950)).goodput_during_fault_bytes, 1_000);
     }
@@ -396,7 +412,7 @@ mod tests {
     #[test]
     fn loss_free_schedule_draws_nothing_from_the_rng() {
         let mut fs = state(FaultSchedule::new(9));
-        fs.apply(FaultOp::LinkDown(LinkId(0)), SimTime(0));
+        fs.set_link_down(LinkId(0), true, SimTime(0));
         // A downed link destroys without a draw; with both probabilities
         // zero, neither data nor control packets consult the RNG.
         assert!(fs.loses_packet(LinkId(0), 1_460, 0));
@@ -411,13 +427,13 @@ mod tests {
     #[test]
     fn builders_accumulate_ops_in_order() {
         let s = FaultSchedule::new(1)
-            .link_outage(LinkId(2), SimTime(100), SimTime(200))
+            .host_outage(HostId(2), SimTime(100), SimTime(200))
             .stall_switch(SwitchId(0), SimTime(150), SimDuration::from_nanos(25));
         assert_eq!(
             s.ops,
             vec![
-                TimedFault { at: SimTime(100), op: FaultOp::LinkDown(LinkId(2)) },
-                TimedFault { at: SimTime(200), op: FaultOp::LinkUp(LinkId(2)) },
+                TimedFault { at: SimTime(100), op: FaultOp::HostDown(HostId(2)) },
+                TimedFault { at: SimTime(200), op: FaultOp::HostUp(HostId(2)) },
                 TimedFault { at: SimTime(150), op: FaultOp::StallStart(SwitchId(0)) },
                 TimedFault { at: SimTime(175), op: FaultOp::StallEnd(SwitchId(0)) },
             ]
@@ -429,6 +445,64 @@ mod tests {
         assert!(FaultSchedule::new(9).is_empty());
         assert!(!FaultSchedule::new(9).with_data_loss(0.5).is_empty());
         assert!(!FaultSchedule::new(9).with_ack_loss(0.5).is_empty());
-        assert!(!FaultSchedule::new(9).op(SimTime(1), FaultOp::LinkDown(LinkId(0))).is_empty());
+        assert!(!FaultSchedule::new(9).op(SimTime(1), FaultOp::HostDown(HostId(0))).is_empty());
+    }
+
+    /// Sends one 1 000-byte packet at each flow start and completes the
+    /// flow when it arrives.
+    struct OnePacket;
+
+    impl Transport<NoPayload> for OnePacket {
+        fn on_flow_start(&mut self, flow: &FlowDesc, ctx: &mut Ctx<'_, NoPayload>) {
+            ctx.send(Packet::data(flow.id, flow.src, flow.dst, 1_000, NoPayload));
+        }
+        fn on_packet(&mut self, pkt: Packet<NoPayload>, ctx: &mut Ctx<'_, NoPayload>) {
+            ctx.flow_completed(pkt.flow);
+        }
+        fn on_timer(&mut self, _: u64, _: &mut Ctx<'_, NoPayload>) {}
+    }
+
+    #[test]
+    fn a_down_host_loses_what_it_sends_at_its_uplink_and_the_trace_names_that_link() {
+        let mut topo = topology::star::<NoPayload>(
+            3,
+            Rate::gbps(10),
+            SimDuration::from_micros(1),
+            SwitchConfig::basic(1 << 20),
+        );
+        // A builder gives hosts their ids in creation order, so a schedule
+        // written before the topology names the host it means.
+        assert_eq!(topo.hosts, [HostId(0), HostId(1), HostId(2)]);
+        for &h in &topo.hosts {
+            topo.sim.set_transport(h, Box::new(OnePacket));
+        }
+        let down = HostId(1);
+        // While host 1 is down, what it sends dies on its uplink; what is
+        // sent to it still arrives, and so does what it sends afterwards.
+        let sent = topo.sim.add_flow(down, HostId(2), 1_000, SimTime(1_000), 1_000);
+        let received = topo.sim.add_flow(HostId(0), down, 1_000, SimTime(1_000), 1_000);
+        let after = topo.sim.add_flow(down, HostId(2), 1_000, SimTime(60_000), 1_000);
+        topo.sim.set_fault_schedule(FaultSchedule::new(1).host_outage(
+            down,
+            SimTime::ZERO,
+            SimTime(50_000),
+        ));
+        topo.sim.set_trace_sink(Box::new(MemorySink::new()));
+        let report = topo.sim.run(RunLimits { max_time: SimTime(200_000), max_events: 100 });
+        assert_eq!(report.stop, StopReason::AllFlowsDone);
+        assert_eq!(report.faults.fault_drops, 1);
+        assert_eq!(topo.sim.completion(sent), None);
+        assert!(topo.sim.completion(received).is_some() && topo.sim.completion(after).is_some());
+        let mut sink = topo.sim.take_trace_sink().unwrap();
+        let events = sink.as_any_mut().downcast_mut::<MemorySink>().unwrap().take_events();
+        let link = topo.sim.host_uplink(down).0;
+        let outage: Vec<_> = events
+            .into_iter()
+            .filter(|(_, ev)| matches!(ev, TraceEvent::LinkDown { .. } | TraceEvent::LinkUp { .. }))
+            .collect();
+        assert_eq!(
+            outage,
+            [(0, TraceEvent::LinkDown { link }), (50_000, TraceEvent::LinkUp { link })]
+        );
     }
 }

@@ -87,6 +87,18 @@ mod engine_tests {
     use crate::host::Ctx;
     use crate::packet::segment;
 
+    /// Run `sim` until its queue drains, under a bound of about twice what
+    /// the run needs: a run that cannot stop fails here instead of hanging.
+    fn run_done<P: Payload>(
+        sim: &mut Simulator<P>,
+        max_time_ns: u64,
+        max_events: u64,
+    ) -> RunReport {
+        let report = sim.run(RunLimits { max_time: SimTime(max_time_ns), max_events });
+        assert_eq!(report.stop, StopReason::AllFlowsDone, "{report:?}");
+        report
+    }
+
     /// A toy go-back-nothing transport: the sender blasts every segment
     /// immediately; the receiver counts bytes and completes the flow.
     /// Exercises NIC serialization, switch forwarding and completion
@@ -143,7 +155,7 @@ mod engine_tests {
             topo.sim.set_transport(h, blast());
         }
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 1000, SimTime::ZERO, 1000);
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, 100_000, 10);
         assert_eq!(report.flows_completed, 1);
         // 1000B payload + 40B header = 1040B wire = 832ns at 10G, twice
         // (host link + switch link), plus 2 × 20us propagation.
@@ -164,7 +176,7 @@ mod engine_tests {
         }
         let size = 100 * MSS_BYTES as u64;
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, size);
-        topo.sim.run(RunLimits::default());
+        run_done(&mut topo.sim, 250_000, 800);
         let fct = topo.sim.completion(f).unwrap();
         // Store-and-forward pipeline: ~100 packets × 1.2us serialization on
         // the bottleneck + one extra serialization + 2us propagation.
@@ -189,7 +201,7 @@ mod engine_tests {
         let size = 50 * MSS_BYTES as u64;
         let f1 = topo.sim.add_flow(topo.hosts[0], topo.hosts[2], size, SimTime::ZERO, size);
         let f2 = topo.sim.add_flow(topo.hosts[1], topo.hosts[2], size, SimTime::ZERO, size);
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, 250_000, 800);
         assert_eq!(report.flows_completed, 2);
         let last = topo.sim.completion(f1).unwrap().max(topo.sim.completion(f2).unwrap());
         let wire = 100 * Rate::gbps(10).serialization_time(MTU_BYTES as u64).as_nanos();
@@ -214,7 +226,7 @@ mod engine_tests {
         let f = topo.sim.add_flow(topo.hosts[0], topo.hosts[5], 5000, SimTime::ZERO, 5000);
         // Same-rack flow: host 2 -> host 3 (both leaf 1).
         let g = topo.sim.add_flow(topo.hosts[2], topo.hosts[3], 5000, SimTime::ZERO, 5000);
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, 20_000, 80);
         assert_eq!(report.flows_completed, 2);
         // Cross-rack traverses 4 links (2 more hops) so takes longer.
         assert!(topo.sim.completion(f).unwrap() > topo.sim.completion(g).unwrap());
@@ -272,7 +284,7 @@ mod engine_tests {
         // The small flow starts later, once the big flow's backlog is
         // already queued at the switch.
         let small = topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 1000, SimTime(10_000), 1);
-        topo.sim.run(RunLimits::default());
+        run_done(&mut topo.sim, 130_000, 400);
         assert!(
             topo.sim.completion(small).unwrap() < topo.sim.completion(big).unwrap(),
             "high-priority flow must bypass the low-priority backlog"
@@ -322,7 +334,7 @@ mod engine_tests {
             topo.sim.set_transport(h, Box::new(Probe(0)));
         }
         topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 200, SimTime::ZERO, 200);
-        assert_eq!(topo.sim.run(RunLimits::default()).flows_completed, 1, "both arrived");
+        assert_eq!(run_done(&mut topo.sim, 10_000, 25).flows_completed, 1, "both arrived");
     }
 
     #[test]
@@ -342,7 +354,7 @@ mod engine_tests {
         for i in 0..64 {
             topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 1000, SimTime(i * 1_000_000), 1000);
         }
-        topo.sim.run(RunLimits::default());
+        run_done(&mut topo.sim, 130_000_000, 640);
         // Each leaf->spine link must have carried some traffic.
         let leaf0 = topo.leaves[0];
         let mut used = 0;
@@ -371,7 +383,7 @@ mod engine_tests {
         topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, size);
         let uplink = topo.sim.host_uplink(topo.hosts[0]);
         topo.sim.enable_telemetry(TelemetryConfig::new(SimDuration::from_micros(100)));
-        topo.sim.run(RunLimits::default());
+        run_done(&mut topo.sim, 2_600_000, 8000);
         let util = topo.sim.telemetry().unwrap().link_util(uplink);
         // 1000 MTU packets at 10G serialize for ~1.2 ms: a dozen windows.
         assert!(util.len() >= 10);
@@ -402,7 +414,7 @@ mod engine_tests {
         assert_eq!(report.flows_completed, 0);
         assert_eq!(report.end_time, SimTime(10_000));
         // Resuming finishes the flow.
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, 250_000, 800);
         assert_eq!(report.flows_completed, 1);
     }
 
@@ -419,18 +431,17 @@ mod engine_tests {
         for &h in &topo.hosts {
             topo.sim.set_transport(h, blast());
         }
-        let uplink = topo.sim.host_uplink(topo.hosts[0]);
         // Starts strictly inside the outage window (a flow starting at the
         // same instant as LinkDown would serialize its first packet first).
         topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 10 * MSS_BYTES as u64, SimTime(1_000), 1);
         // A second flow starts after the link is back and must complete.
         let late = topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 1000, SimTime(30_000_000), 1000);
-        topo.sim.set_fault_schedule(FaultSchedule::new(1).link_outage(
-            uplink,
+        topo.sim.set_fault_schedule(FaultSchedule::new(1).host_outage(
+            topo.hosts[0],
             SimTime::ZERO,
             SimTime(20_000_000),
         ));
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, 60_000_000, 30);
         assert_eq!(report.faults.fault_drops, 10, "all 10 MSS packets die on the downed link");
         assert_eq!(report.flows_completed, 1);
         assert!(topo.sim.completion(late).is_some());
@@ -458,7 +469,7 @@ mod engine_tests {
             SimTime::ZERO,
             stall,
         ));
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, 2_000_000, 10);
         assert_eq!(report.flows_completed, 1);
         // No-fault latency is 2×832ns serialization + 2×20us propagation
         // (see single_packet_end_to_end_latency_is_exact); the switch holds
@@ -481,7 +492,7 @@ mod engine_tests {
         }
         topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 10 * MSS_BYTES as u64, SimTime::ZERO, 1);
         topo.sim.set_fault_schedule(FaultSchedule::new(3).with_data_loss(1.0));
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, 25_000, 20);
         assert_eq!(report.flows_completed, 0);
         assert_eq!(report.faults.fault_drops, 10, "every packet dies at the host NIC");
     }
@@ -508,7 +519,7 @@ mod engine_tests {
                 );
             }
             topo.sim.set_fault_schedule(FaultSchedule::new(seed).with_data_loss(0.05));
-            let report = topo.sim.run(RunLimits::default());
+            let report = run_done(&mut topo.sim, 1_000_000, 3000);
             (report.faults.fault_drops, report.events, topo.sim.link(LinkId(0)).tx_packets)
         };
         let a = run(7);
@@ -544,9 +555,8 @@ mod engine_tests {
             topo.sim.set_transport(h, Box::new(CtrlPair));
         }
         topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 1000, SimTime::ZERO, 1000);
-        topo.sim
-            .set_fault_schedule(FaultSchedule::new(5).with_ack_loss(1.0).with_ack_loss_min_prio(4));
-        let report = topo.sim.run(RunLimits::default());
+        topo.sim.set_fault_schedule(FaultSchedule::new(5).with_ack_loss(1.0).lp_acks_only());
+        let report = run_done(&mut topo.sim, 5000, 10);
         assert_eq!(report.flows_completed, 1, "the P0 control packet must survive");
         // The P4 control is dropped independently at the NIC and would be
         // dropped again at the switch; it dies at the first hop.
@@ -568,7 +578,7 @@ mod engine_tests {
         }
         topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 100 * MSS_BYTES as u64, SimTime::ZERO, 1);
         topo.sim.add_flow(topo.hosts[1], topo.hosts[2], 100 * MSS_BYTES as u64, SimTime::ZERO, 1);
-        topo.sim.run(RunLimits::default());
+        run_done(&mut topo.sim, 250_000, 1200);
         let c = topo.sim.total_counters();
         assert!(c.dropped > 50, "expected heavy drops, got {c:?}");
     }

@@ -4,7 +4,8 @@
 use crate::faults::FaultReport;
 use crate::time::SimTime;
 
-/// Run limits: the simulation stops at whichever comes first.
+/// Run limits: the simulation stops at whichever comes first. There is no
+/// default: every run states both bounds.
 #[derive(Clone, Copy, Debug)]
 pub struct RunLimits {
     /// Hard stop time.
@@ -12,12 +13,6 @@ pub struct RunLimits {
     /// Hard event budget (guards against livelock bugs), in dispatched
     /// events — see [`RunReport::events`].
     pub max_events: u64,
-}
-
-impl Default for RunLimits {
-    fn default() -> Self {
-        RunLimits { max_time: SimTime(u64::MAX), max_events: u64::MAX }
-    }
 }
 
 /// Why [`crate::Simulator::run`] returned.

@@ -287,12 +287,6 @@ impl<P: Payload> Simulator<P> {
         self.telemetry.as_deref()
     }
 
-    /// Detach and return the telemetry state (e.g. to move it into a
-    /// post-run report without cloning the series table).
-    pub fn take_telemetry(&mut self) -> Option<Box<Telemetry>> {
-        self.telemetry.take()
-    }
-
     /// One telemetry tick: snapshot fabric state into the series table.
     /// Strictly read-only with respect to simulation state — the only
     /// mutations are to the telemetry ledgers themselves — which is what

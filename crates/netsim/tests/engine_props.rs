@@ -5,8 +5,8 @@
 use netsim::host::{Ctx, FlowDesc, Transport};
 use netsim::packet::segment;
 use netsim::{
-    star, FlowId, LeafSpineParams, Packet, Payload, Pcg32, Rate, RunLimits, SimDuration, SimTime,
-    SwitchConfig, Topology,
+    star, FlowId, LeafSpineParams, Packet, Payload, Pcg32, Rate, RunLimits, RunReport, SimDuration,
+    SimTime, Simulator, StopReason, SwitchConfig, Topology,
 };
 
 #[derive(Clone, Debug)]
@@ -54,6 +54,14 @@ fn random_flows(rng: &mut Pcg32, max_n: usize, max_size: u64, max_start: u64) ->
     (0..n).map(|_| (1 + rng.gen_range(max_size - 1), rng.gen_range(max_start))).collect()
 }
 
+/// Run `sim` until its queue drains, under a bound of about twice what the
+/// run needs: a run that cannot stop fails here instead of hanging.
+fn run_done(sim: &mut Simulator<Hdr>, max_time_ns: u64, max_events: u64) -> RunReport {
+    let report = sim.run(RunLimits { max_time: SimTime(max_time_ns), max_events });
+    assert_eq!(report.stop, StopReason::AllFlowsDone, "{report:?}");
+    report
+}
+
 /// Every flow completes on an over-provisioned star, regardless of sizes
 /// and arrival times, and FCT >= the physical lower bound.
 #[test]
@@ -75,7 +83,7 @@ fn all_flows_complete_and_respect_physics_seeded() {
                 size,
             ));
         }
-        let report = topo.sim.run(RunLimits::default());
+        let report = run_done(&mut topo.sim, 20_000_000, 140_000);
         assert_eq!(report.flows_completed, flows.len(), "seed {seed}");
         for (id, &(size, start_ns)) in ids.iter().zip(flows.iter()) {
             let done = topo.sim.completion(*id).expect("completed flow has a completion time");
@@ -112,7 +120,7 @@ fn engine_is_deterministic_seeded() {
                     )
                 })
                 .collect();
-            let report = topo.sim.run(RunLimits::default());
+            let report = run_done(&mut topo.sim, 2_000_000, 17_000);
             let times: Vec<_> = ids.iter().map(|&id| topo.sim.completion(id)).collect();
             (report.events, times)
         };
@@ -132,7 +140,7 @@ fn switch_counters_conserve_packets_seeded() {
         for (i, &size) in sizes.iter().enumerate() {
             topo.sim.add_flow(topo.hosts[i % 2], topo.hosts[2], size, SimTime::ZERO, size);
         }
-        topo.sim.run(RunLimits::default());
+        run_done(&mut topo.sim, 2_600_000, 8_500);
         let c = topo.sim.total_counters();
         assert_eq!(c.dropped, 0, "seed {seed}: no drops on a 1GB buffer");
         // Every data packet sent by hosts crossed exactly one switch.
@@ -162,7 +170,7 @@ fn ecmp_is_flow_consistent() {
     // One multi-packet cross-rack flow: all packets must take one path,
     // so exactly one leaf->spine link sees them.
     topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 100 * 1460, SimTime::ZERO, 1);
-    topo.sim.run(RunLimits::default());
+    run_done(&mut topo.sim, 250_000, 1_200);
     let mut used_links = 0;
     for &spine in &topo.spines.clone() {
         let port = topo.sim.switch_port_towards(topo.leaves[0], netsim::NodeId::Switch(spine));

@@ -4,8 +4,8 @@
 use netsim::host::{Ctx, FlowDesc, Transport};
 use netsim::packet::segment;
 use netsim::{
-    star, FlowId, NodeId, Packet, Payload, Rate, RunLimits, SimDuration, SimTime, SwitchConfig,
-    TelemetryConfig,
+    star, FlowId, NodeId, Packet, Payload, Rate, RunLimits, RunReport, SimDuration, SimTime,
+    Simulator, StopReason, SwitchConfig, TelemetryConfig,
 };
 
 #[derive(Clone, Debug)]
@@ -57,12 +57,20 @@ fn topo_with(spin: u32, tag_odd_flows_low: bool) -> netsim::Topology<Hdr> {
     t
 }
 
+/// Run `sim` until its queue drains, under a bound of about twice what the
+/// run needs: a run that cannot stop fails here instead of hanging.
+fn run_done(sim: &mut Simulator<Hdr>, max_time_ns: u64, max_events: u64) -> RunReport {
+    let report = sim.run(RunLimits { max_time: SimTime(max_time_ns), max_events });
+    assert_eq!(report.stop, StopReason::AllFlowsDone, "{report:?}");
+    report
+}
+
 #[test]
 fn cpu_accounting_counts_handler_invocations() {
     let mut topo = topo_with(10, false);
     topo.sim.measure_cpu = true;
     topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 50 * 1460, SimTime::ZERO, 1);
-    topo.sim.run(RunLimits::default());
+    run_done(&mut topo.sim, 150_000, 400);
     let (tx_ns, tx_calls) = topo.sim.cpu_account(topo.hosts[0]);
     let (rx_ns, rx_calls) = topo.sim.cpu_account(topo.hosts[1]);
     // Sender: 1 flow-start call. Receiver: 50 packet deliveries.
@@ -75,7 +83,7 @@ fn cpu_accounting_counts_handler_invocations() {
 fn cpu_accounting_is_off_by_default() {
     let mut topo = topo_with(0, false);
     topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 1460, SimTime::ZERO, 1);
-    topo.sim.run(RunLimits::default());
+    run_done(&mut topo.sim, 25_000, 10);
     assert_eq!(topo.sim.cpu_account(topo.hosts[1]), (0, 0));
 }
 
@@ -93,7 +101,7 @@ fn port_series_split_backlog_by_priority_band() {
         .switch_port_towards(topo.leaves[0], NodeId::Host(topo.hosts[2]))
         .expect("port toward receiver");
     topo.sim.enable_telemetry(TelemetryConfig::new(SimDuration::from_micros(10)));
-    topo.sim.run(RunLimits::default());
+    run_done(&mut topo.sim, 1_500_000, 5_000);
     let t = topo.sim.telemetry().expect("telemetry enabled");
     let total = t.port_queue_bytes(topo.leaves[0], port);
     let low = t.port_queue_lp_bytes(topo.leaves[0], port);
@@ -117,7 +125,7 @@ fn link_counters_track_bytes_and_packets() {
     let mut topo = topo_with(0, false);
     let size = 10 * 1460u64;
     topo.sim.add_flow(topo.hosts[0], topo.hosts[1], size, SimTime::ZERO, 1);
-    topo.sim.run(RunLimits::default());
+    run_done(&mut topo.sim, 50_000, 80);
     let link = topo.sim.link(topo.sim.host_uplink(topo.hosts[0]));
     assert_eq!(link.tx_packets, 10);
     assert_eq!(link.tx_bytes, size + 10 * 40); // payload + headers
@@ -138,7 +146,7 @@ fn forwarding_without_routes_panics_clearly() {
     sim.set_transport(a, blast(0, false));
     sim.set_transport(b, blast(0, false));
     sim.add_flow(a, b, 100, SimTime::ZERO, 100);
-    sim.run(RunLimits::default());
+    sim.run(RunLimits { max_time: SimTime(1_000_000), max_events: 100 });
 }
 
 #[test]

@@ -140,7 +140,7 @@ fn run(cfg: SwitchConfig, faults: Option<FaultSchedule>, flows: &[Flow]) -> Run 
     }
     sim.set_trace_sink(Box::new(MemorySink::new()));
     sim.set_sanitizer(SanLevel::PerEvent);
-    let report = sim.run(RunLimits::default());
+    let report = sim.run(RunLimits { max_time: SimTime(700_000), max_events: 800 });
     assert_eq!(report.stop, StopReason::AllFlowsDone, "{:?}", sim.san_violations());
     assert!(sim.san_violations().is_empty(), "{:?}", sim.san_violations());
     let mut sink = sim.take_trace_sink().expect("sink installed");

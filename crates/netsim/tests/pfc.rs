@@ -88,7 +88,8 @@ fn run_probing_pauses(topo: &mut Topology<Hdr>) -> (netsim::RunReport, [bool; 4]
 fn pfc_pauses_senders_and_prevents_incast_drops() {
     // Without PFC the 3:1 blast overflows the 100KB buffer.
     let mut lossy = incast_star(SwitchConfig::basic(BUF));
-    let report = lossy.sim.run(RunLimits::default());
+    let report = lossy.sim.run(RunLimits { max_time: SimTime(600_000), max_events: 2_500 });
+    assert_eq!(report.stop, StopReason::AllFlowsDone);
     assert!(report.flows_completed < 3, "blast senders never retransmit, so drops must show");
     assert!(lossy.sim.total_counters().dropped > 0);
 
@@ -155,8 +156,8 @@ fn pfc_runs_are_deterministic_and_sanitizer_clean() {
         if sanitize {
             topo.sim.set_sanitizer(SanLevel::PerEvent);
         }
-        let report = topo.sim.run(RunLimits::default());
-        assert_eq!(report.flows_completed, 3);
+        let report = topo.sim.run(RunLimits { max_time: SimTime(1_000_000), max_events: 3_500 });
+        assert_eq!((report.stop, report.flows_completed), (StopReason::AllFlowsDone, 3));
         assert!(topo.sim.san_violations().is_empty(), "{:?}", topo.sim.san_violations());
         let times: Vec<_> = topo.sim.flows().iter().map(|f| topo.sim.completion(f.id)).collect();
         (report.events, times)
@@ -187,7 +188,7 @@ fn a_pfc_switch_never_evicts_or_tail_drops_even_with_push_out() {
     for (src, start) in [(0, 0), (1, 0), (2, 30_000), (3, 30_000)] {
         topo.sim.add_flow(topo.hosts[src], sink, 100_000, SimTime(start), 1);
     }
-    let report = topo.sim.run(RunLimits::default());
+    let report = topo.sim.run(RunLimits { max_time: SimTime(700_000), max_events: 2_400 });
     assert_eq!((report.stop, report.flows_completed), (StopReason::AllFlowsDone, 4));
     assert!(topo.sim.san_violations().is_empty(), "{:?}", topo.sim.san_violations());
     let c = topo.sim.total_counters();
@@ -229,7 +230,7 @@ fn ring(senders: usize) -> (Simulator<Hdr>, netsim::RunReport) {
         sim.add_flow(HostId(i), HostId((i + 2) % N), 2_000_000, SimTime::ZERO, 1);
     }
     sim.set_sanitizer(SanLevel::PerEpoch);
-    let report = sim.run(RunLimits::default());
+    let report = sim.run(RunLimits { max_time: SimTime(10_000_000), max_events: 90_000 });
     assert!(sim.san_violations().is_empty(), "{:?}", sim.san_violations());
     (sim, report)
 }

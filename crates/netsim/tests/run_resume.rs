@@ -53,7 +53,7 @@ fn assert_clean(sim: &Simulator<Hdr>) {
 }
 
 fn until(us: u64) -> RunLimits {
-    RunLimits { max_time: SimTime(us * 1_000), ..RunLimits::default() }
+    RunLimits { max_time: SimTime(us * 1_000), max_events: 20 }
 }
 
 /// How many `flow_start` and `link_down` events the run traced.
@@ -70,16 +70,11 @@ fn starts_and_outages(sim: &mut Simulator<Hdr>) -> (usize, usize) {
 #[test]
 fn a_run_that_stops_before_its_first_event_schedules_nothing_twice() {
     let (mut sim, a, b) = sanitized_line();
-    let uplink = sim.host_uplink(b);
     sim.add_flow(a, b, MSS_BYTES as u64, SimTime(50_000), MSS_BYTES as u64);
-    sim.set_fault_schedule(FaultSchedule::new(1).link_outage(
-        uplink,
-        SimTime(60_000),
-        SimTime(70_000),
-    ));
+    sim.set_fault_schedule(FaultSchedule::new(1).host_outage(b, SimTime(60_000), SimTime(70_000)));
     let first = sim.run(until(10));
     assert_eq!((first.stop, first.events), (StopReason::MaxTime, 0));
-    let second = sim.run(RunLimits::default());
+    let second = sim.run(RunLimits { max_time: SimTime(150_000), max_events: 10 });
     assert_eq!((second.stop, second.flows_completed), (StopReason::AllFlowsDone, 1));
     // FlowStart, Deliver, LinkDown, LinkUp.
     assert_eq!(second.events, 4);
@@ -99,8 +94,11 @@ fn a_flow_added_between_two_runs_starts() {
     // one starts now, at the 100 us the first run stopped at.
     let ahead = sim.add_flow(b, a, MSS_BYTES as u64, SimTime(200_000), MSS_BYTES as u64);
     let behind = sim.add_flow(a, b, MSS_BYTES as u64, SimTime(5_000), MSS_BYTES as u64);
-    let second = sim.run(RunLimits::default());
-    assert_eq!((second.flows_completed, second.flows_total), (4, 4));
+    let second = sim.run(RunLimits { max_time: SimTime(400_000), max_events: 20 });
+    assert_eq!(
+        (second.stop, second.flows_completed, second.flows_total),
+        (StopReason::AllFlowsDone, 4, 4)
+    );
     let (ahead, behind) = (sim.completion(ahead), sim.completion(behind));
     assert!(Some(until(100).max_time) < behind && behind < ahead, "{behind:?} {ahead:?}");
     assert_eq!(starts_and_outages(&mut sim).0, 4);
@@ -114,12 +112,11 @@ fn a_flow_added_between_two_runs_starts() {
 #[test]
 fn a_sanitizer_installed_mid_run_knows_the_queued_events() {
     let (mut sim, a, b) = line();
-    let uplink = sim.host_uplink(b);
     for start in [0, 150_000, 150_000, 170_000] {
         sim.add_flow(a, b, MSS_BYTES as u64, SimTime(start), MSS_BYTES as u64);
     }
-    sim.set_fault_schedule(FaultSchedule::new(1).link_outage(
-        uplink,
+    sim.set_fault_schedule(FaultSchedule::new(1).host_outage(
+        b,
         SimTime(160_000),
         SimTime(165_000),
     ));
@@ -127,7 +124,7 @@ fn a_sanitizer_installed_mid_run_knows_the_queued_events() {
     let first = sim.run(until(1));
     assert_eq!((first.stop, first.events, first.flows_completed), (StopReason::MaxTime, 1, 0));
     sim.set_sanitizer(SanLevel::PerEvent);
-    let second = sim.run(RunLimits::default());
+    let second = sim.run(RunLimits { max_time: SimTime(350_000), max_events: 25 });
     assert_eq!((second.stop, second.flows_completed), (StopReason::AllFlowsDone, 4));
     assert_clean(&sim);
 }

@@ -8,7 +8,7 @@ use netsim::host::{Ctx, FlowDesc, Transport};
 use netsim::trace::ProfKind;
 use netsim::{
     FlowId, HostId, NodeId, Packet, Payload, Rate, RunLimits, SanLevel, SimDuration, SimTime,
-    Simulator, TelemetryConfig, MSS_BYTES,
+    Simulator, StopReason, TelemetryConfig, MSS_BYTES,
 };
 
 #[derive(Clone, Debug)]
@@ -86,8 +86,8 @@ fn run_line(script: &[Send]) -> (Vec<u64>, u64) {
         sim.add_flow(a, b, MSS_BYTES as u64, SimTime::ZERO, MSS_BYTES as u64);
     }
     sim.enable_telemetry(TelemetryConfig::new(SimDuration::from_micros(100)).with_prof());
-    let report = sim.run(RunLimits::default());
-    assert_eq!(report.flows_completed, script.len());
+    let report = sim.run(RunLimits { max_time: SimTime(200_000), max_events: 80 });
+    assert_eq!((report.stop, report.flows_completed), (StopReason::AllFlowsDone, script.len()));
     assert!(sim.san_violations().is_empty(), "{:?}", sim.san_violations());
     let done =
         (0..script.len()).map(|i| sim.completion(FlowId(i as u64)).expect("done").0).collect();

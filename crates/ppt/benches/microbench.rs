@@ -738,7 +738,7 @@ fn bench_end_to_end() {
 fn bench_hop() -> bool {
     use ppt::netsim::host::{Ctx, FlowDesc, Transport};
     use ppt::netsim::{
-        NodeId, Payload, PfcConfig, Rate, RunLimits, SimDuration, SimTime, Simulator,
+        NodeId, Payload, PfcConfig, Rate, RunLimits, SimDuration, SimTime, Simulator, StopReason,
     };
     const PACKETS: u64 = 20_000;
     const BUFFER: u64 = 1 << 30;
@@ -775,7 +775,8 @@ fn bench_hop() -> bool {
         sim.set_transport(a, Box::new(Blast(0)));
         sim.set_transport(b, Box::new(Blast(0)));
         sim.add_flow(a, b, PACKETS * 1460, SimTime::ZERO, 1);
-        let report = sim.run(RunLimits::default());
+        let report = sim.run(RunLimits { max_time: SimTime(200_000_000), max_events: 160_000 });
+        assert_eq!(report.stop, StopReason::AllFlowsDone, "hop bench: the run must drain");
         assert_eq!(report.flows_completed, 1, "hop bench: the burst must arrive");
         assert_eq!(sim.total_counters().dropped, 0, "hop bench: nothing may be lost");
         report.events
@@ -816,7 +817,7 @@ fn bench_hop() -> bool {
 /// replay pass and `run_experiment_traced`. The sink is an `Option`
 /// checked per emission point.
 fn bench_tracing_overhead() {
-    use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+    use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, StopReason, SwitchConfig};
     use ppt::trace::{FlightRecorder, MemorySink, TraceSink};
     use ppt::transports::{install, DctcpHcp, DctcpTransport, Proto, TcpCfg};
 
@@ -841,7 +842,9 @@ fn bench_tracing_overhead() {
         if let Some(sink) = sink {
             topo.sim.set_trace_sink(sink);
         }
-        topo.sim.run(RunLimits::default()).events
+        let report = topo.sim.run(RunLimits { max_time: SimTime(62_000_000), max_events: 28_000 });
+        assert_eq!(report.stop, StopReason::AllFlowsDone);
+        report.events
     };
     bench("trace/off", 2, 30, || run(None));
     bench("trace/flight_recorder_256", 2, 30, || run(Some(Box::new(FlightRecorder::new(256)))));
@@ -855,7 +858,7 @@ fn bench_tracing_overhead() {
 /// scheduled (DESIGN.md §10.1), and this count is how one shows up if it
 /// comes back. The run is deterministic, so the count is exact.
 fn events_per_packet() -> f64 {
-    use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, SwitchConfig};
+    use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, StopReason, SwitchConfig};
     use ppt::transports::{install, DctcpHcp, DctcpTransport, Proto, TcpCfg};
     let mut topo = star::<Proto>(
         2,
@@ -866,8 +869,8 @@ fn events_per_packet() -> f64 {
     let cfg = TcpCfg::new(topo.base_rtt);
     install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp, ()));
     topo.sim.add_flow(topo.hosts[0], topo.hosts[1], 4 << 20, SimTime::ZERO, 4 << 20);
-    let report = topo.sim.run(RunLimits::default());
-    assert_eq!(report.flows_completed, 1);
+    let report = topo.sim.run(RunLimits { max_time: SimTime(20_000_000), max_events: 35_000 });
+    assert_eq!((report.stop, report.flows_completed), (StopReason::AllFlowsDone, 1));
     let data_packets = topo.sim.link(topo.sim.host_uplink(topo.hosts[0])).tx_packets;
     report.events as f64 / data_packets as f64
 }

@@ -8,7 +8,9 @@ use netsim::trace::{
     encode_jsonl, write_jsonl, FlightRecorder, JsonObject, LogHistogram, MemorySink,
     MetricsRegistry, ProfKind, TraceEvent,
 };
-use netsim::{Rate, RunLimits, SanLevel, SimDuration, SimTime, SwitchConfig, Topology};
+use netsim::{
+    FaultSchedule, Rate, RunLimits, SanLevel, SimDuration, SimTime, SwitchConfig, Topology,
+};
 use transports::{
     install, DctcpHcp, ExpressPassCfg, Halfback, HomaCfg, HpccHcp, MwRecorder, NdpCfg, Oracle,
     PiasCfg, PowerTcpHcp, Ppt, Proto, Pull, Rc3Cfg, SwiftHcp, Tcp10, TcpCfg, Window,
@@ -394,99 +396,6 @@ impl TopoKind {
     }
 }
 
-/// A timed fault command, phrased against topology-level names (host
-/// index, switch index) and resolved to concrete link ids once the
-/// topology is built.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultCmd {
-    /// Take the NIC uplink of host `host` down over `[from, until)`.
-    HostUplinkDown { host: usize, from: SimTime, until: SimTime },
-    /// Freeze all forwarding at switch `switch` over `[at, at + duration)`.
-    SwitchStall { switch: usize, at: SimTime, duration: SimDuration },
-}
-
-/// Fault-injection description attached to an [`Experiment`].
-///
-/// This is the harness-level mirror of [`netsim::FaultSchedule`]: the
-/// random-loss knobs carry over verbatim, while [`FaultCmd`]s are resolved
-/// against the built topology. For `Hypothetical` schemes only the main
-/// pass sees faults — the DCTCP oracle recording pass runs on a clean
-/// network, so the MW oracle is the same one a fault-free run would use.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultSpec {
-    /// Probability that any serialized data packet is destroyed.
-    pub data_loss: f64,
-    /// Probability that any serialized control packet is destroyed.
-    pub ack_loss: f64,
-    /// Restrict `ack_loss` to the low-priority band (priority ≥ 4): the
-    /// §3.2 "LCP ACKs all lost" experiment, which must close PPT's loop
-    /// with [`netsim::trace::LcpCloseReason::NoLpAcks`] without touching
-    /// the high-priority ACK stream.
-    pub lp_acks_only: bool,
-    /// Seed of the dedicated fault RNG (independent of the workload seed).
-    pub seed: u64,
-    /// Timed link/switch events.
-    pub events: Vec<FaultCmd>,
-}
-
-impl FaultSpec {
-    /// An empty schedule with the given fault-RNG seed.
-    pub fn new(seed: u64) -> Self {
-        FaultSpec { data_loss: 0.0, ack_loss: 0.0, lp_acks_only: false, seed, events: Vec::new() }
-    }
-
-    /// Set the per-packet data-loss probability.
-    pub fn with_data_loss(mut self, p: f64) -> Self {
-        self.data_loss = p;
-        self
-    }
-
-    /// Set the per-packet control-loss probability.
-    pub fn with_ack_loss(mut self, p: f64) -> Self {
-        self.ack_loss = p;
-        self
-    }
-
-    /// Confine ACK loss to the low-priority band (priority ≥ 4).
-    pub fn lp_acks_only(mut self) -> Self {
-        self.lp_acks_only = true;
-        self
-    }
-
-    /// Append a timed fault command.
-    pub fn cmd(mut self, cmd: FaultCmd) -> Self {
-        self.events.push(cmd);
-        self
-    }
-
-    /// True when the spec injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.data_loss <= 0.0 && self.ack_loss <= 0.0
-    }
-
-    /// Resolve against a built topology into an engine-level schedule.
-    pub fn resolve(&self, topo: &Topology<Proto>) -> netsim::FaultSchedule {
-        let mut sched = netsim::FaultSchedule::new(self.seed)
-            .with_data_loss(self.data_loss)
-            .with_ack_loss(self.ack_loss);
-        if self.lp_acks_only {
-            sched = sched.with_ack_loss_min_prio(4);
-        }
-        for cmd in &self.events {
-            match *cmd {
-                FaultCmd::HostUplinkDown { host, from, until } => {
-                    let link = topo.sim.host_uplink(topo.hosts[host]);
-                    sched = sched.link_outage(link, from, until);
-                }
-                FaultCmd::SwitchStall { switch, at, duration } => {
-                    sched = sched.stall_switch(netsim::SwitchId(switch as u32), at, duration);
-                }
-            }
-        }
-        sched
-    }
-}
-
 /// Continuous-telemetry knobs for an experiment: the engine's own
 /// config, cloned with the experiment into sweep points.
 pub use netsim::TelemetryConfig as TelemetrySpec;
@@ -498,8 +407,10 @@ pub struct Experiment {
     pub scheme: Scheme,
     pub env: SchemeEnv,
     pub flows: Vec<FlowSpec>,
-    /// Faults to inject during the (main) run; `None` ⇒ clean network.
-    pub faults: Option<FaultSpec>,
+    /// Faults to inject during the main run; `None` ⇒ clean network. The
+    /// DCTCP recording pass of a `Hypothetical` scheme runs on a clean
+    /// network, so its MW oracle is the one a fault-free run would use.
+    pub faults: Option<FaultSchedule>,
     /// Continuous telemetry for the main run; `None` ⇒ off. The oracle
     /// recording pass of `Hypothetical` schemes is never telemetered.
     pub telemetry: Option<TelemetrySpec>,
@@ -533,7 +444,7 @@ impl Experiment {
     }
 
     /// Attach a fault schedule to the experiment.
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
+    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = Some(faults);
         self
     }
@@ -736,11 +647,8 @@ where
     if let Some(level) = exp.sanitize.filter(|_| !topo.sim.sanitizer_enabled()) {
         topo.sim.set_sanitizer(level);
     }
-    if let Some(spec) = &exp.faults {
-        if !spec.is_empty() {
-            let sched = spec.resolve(&topo);
-            topo.sim.set_fault_schedule(sched);
-        }
+    if let Some(faults) = exp.faults.as_ref().filter(|faults| !faults.is_empty()) {
+        topo.sim.set_fault_schedule(faults.clone());
     }
     if let Some(spec) = &exp.telemetry {
         topo.sim.enable_telemetry(*spec);
@@ -1028,9 +936,15 @@ mod tests {
             TopoKind::Oversubscribed,
             TopoKind::NonOversubscribed,
             TopoKind::HighSpeed,
+            TopoKind::FatTree { k: 4, edge_gbps: 10 },
         ] {
             let topo = kind.build(SwitchConfig::basic(1 << 20));
             assert_eq!(topo.hosts.len(), kind.hosts(), "{kind:?}: host count");
+            // Host `i` is `HostId(i)`: what lets a fault schedule name hosts
+            // before the topology is built.
+            for (i, &h) in topo.hosts.iter().enumerate() {
+                assert_eq!(h, netsim::HostId(i as u32), "{kind:?}: host {i}");
+            }
             assert_eq!(topo.edge_rate, kind.edge_rate(), "{kind:?}: edge rate");
             assert_eq!(topo.base_rtt, kind.base_rtt(), "{kind:?}: base rtt");
         }

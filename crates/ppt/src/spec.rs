@@ -9,10 +9,10 @@ use std::fmt::Display;
 use std::path::PathBuf;
 use std::str::FromStr;
 
-use netsim::{SanLevel, SimDuration, SimTime};
+use netsim::{FaultSchedule, HostId, SanLevel, SimDuration, SimTime, SwitchId};
 use workloads::{all_to_all, incast, FlowSpec, SizeDistribution, WorkloadSpec};
 
-use crate::harness::{Experiment, FaultCmd, FaultSpec, Scheme, TelemetrySpec, TopoKind};
+use crate::harness::{Experiment, Scheme, TelemetrySpec, TopoKind};
 use crate::sweep::{grid_cells, Cell};
 use ppt_core::PptKnobs;
 
@@ -321,10 +321,11 @@ fn check_load(key: &str, load: f64) -> Result<f64, String> {
     }
 }
 
-/// Parse a `--faults` spec (see `pptlab --help`) into a [`FaultSpec`] for
-/// `topo`: probabilities lie in [0, 1], hosts and switches exist, and an
-/// outage ends after it starts.
-pub fn parse_faults(spec: &str, topo: TopoKind) -> Result<FaultSpec, String> {
+/// Parse a `--faults` spec (see `pptlab --help`) into a [`FaultSchedule`]
+/// for `topo`: probabilities lie in [0, 1], hosts and switches exist, and
+/// an outage ends after it starts. Host `i` is `HostId(i)`, the id every
+/// topology builder gives the `i`-th host it creates.
+pub fn parse_faults(spec: &str, topo: TopoKind) -> Result<FaultSchedule, String> {
     let triple = |item: &str, rest: &str| {
         numbers(rest).ok_or_else(|| format!("--faults: '{item}' wants three ':'-separated numbers"))
     };
@@ -333,7 +334,7 @@ pub fn parse_faults(spec: &str, topo: TopoKind) -> Result<FaultSpec, String> {
         Ok(_) => Err(format!("--faults: {what} {v} is outside [0, 1]")),
         Err(_) => Err(format!("--faults: bad {what} '{v}'")),
     };
-    let mut f = FaultSpec::new(1);
+    let mut f = FaultSchedule::new(1);
     for item in spec.split(',') {
         let item = item.trim();
         if item.is_empty() {
@@ -349,8 +350,7 @@ pub fn parse_faults(spec: &str, topo: TopoKind) -> Result<FaultSpec, String> {
             f.seed = v.parse().map_err(|_| format!("--faults: bad seed '{v}'"))?;
         } else if let Some(rest) = item.strip_prefix("down:") {
             let [host, from_us, until_us] = triple(item, rest)?;
-            let host = host as usize;
-            if host >= topo.hosts() {
+            if host >= topo.hosts() as u64 {
                 let n = topo.hosts();
                 return Err(format!(
                     "--faults: '{item}': host {host} is not on the topology (it has {n})"
@@ -363,16 +363,15 @@ pub fn parse_faults(spec: &str, topo: TopoKind) -> Result<FaultSpec, String> {
             if nanos(until_us).is_none() {
                 return Err(format!("--faults: '{item}': {until_us} us is too large"));
             }
-            f.events.push(FaultCmd::HostUplinkDown {
-                host,
-                from: SimTime(from_us * 1_000),
-                until: SimTime(until_us * 1_000),
-            });
+            f = f.host_outage(
+                HostId(host as u32),
+                SimTime(from_us * 1_000),
+                SimTime(until_us * 1_000),
+            );
         } else if let Some(rest) = item.strip_prefix("stall:") {
             let [switch, at_us, dur_us] = triple(item, rest)?;
-            let switch = switch as usize;
             let switches = topo.switches();
-            if switch >= switches {
+            if switch >= switches as u64 {
                 return Err(format!(
                     "--faults: '{item}': switch {switch} is not on the topology (it has {switches})"
                 ));
@@ -381,11 +380,11 @@ pub fn parse_faults(spec: &str, topo: TopoKind) -> Result<FaultSpec, String> {
             if nanos(at_us.saturating_add(dur_us)).is_none() {
                 return Err(format!("--faults: '{item}': {at_us} + {dur_us} us is too large"));
             }
-            f.events.push(FaultCmd::SwitchStall {
-                switch,
-                at: SimTime(at_us * 1_000),
-                duration: SimDuration::from_micros(dur_us),
-            });
+            f = f.stall_switch(
+                SwitchId(switch as u32),
+                SimTime(at_us * 1_000),
+                SimDuration::from_micros(dur_us),
+            );
         } else {
             return Err(format!("--faults: unknown item '{item}'"));
         }
@@ -553,7 +552,6 @@ fn flow_list(args: &Args, topo: TopoKind, spec: &WorkloadSpec) -> Result<Vec<Flo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::FaultCmd;
     use netsim::SwitchConfig;
     use workloads::incast;
 
@@ -708,23 +706,21 @@ mod tests {
                        --telemetry 20us --prof \
                        --faults loss=0.01,ackloss=0.02,lp,seed=9,down:1:10:50,stall:0:20:5";
         let topo = TopoKind::Star { n: 6, rate_gbps: 25, delay_us: 5 };
+        // `--faults` is the engine's schedule, ops in the order the spec
+        // names them; host 1 is `HostId(1)` before the topology exists.
+        let faults = FaultSchedule::new(9)
+            .with_data_loss(0.01)
+            .with_ack_loss(0.02)
+            .lp_acks_only()
+            .host_outage(HostId(1), SimTime(10_000), SimTime(50_000))
+            .stall_switch(SwitchId(0), SimTime(20_000), SimDuration::from_micros(5));
+        assert_eq!(
+            parse_faults("loss=0.01,ackloss=0.02,lp,seed=9,down:1:10:50,stall:0:20:5", topo),
+            Ok(faults.clone())
+        );
         let by_hand = |scheme: Scheme, flows: Vec<FlowSpec>| {
-            let faults = FaultSpec::new(9)
-                .with_data_loss(0.01)
-                .with_ack_loss(0.02)
-                .lp_acks_only()
-                .cmd(FaultCmd::HostUplinkDown {
-                    host: 1,
-                    from: SimTime(10_000),
-                    until: SimTime(50_000),
-                })
-                .cmd(FaultCmd::SwitchStall {
-                    switch: 0,
-                    at: SimTime(20_000),
-                    duration: SimDuration::from_micros(5),
-                });
             let mut exp = Experiment::new(topo, scheme, flows)
-                .with_faults(faults)
+                .with_faults(faults.clone())
                 .with_telemetry(TelemetrySpec::new(SimDuration::from_micros(20)).with_prof());
             exp.env = exp.env.scale_buffers(0.5);
             exp.env.pfc = true;

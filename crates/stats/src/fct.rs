@@ -179,14 +179,6 @@ impl FctStats {
     }
 }
 
-/// Harvest flows started by a specific set of sizes for a partial view
-/// (used when an experiment mixes warm-up and measured flows).
-pub fn filter_measured(stats: &FctStats, min_size: u64) -> FctStats {
-    FctStats {
-        records: stats.records.iter().copied().filter(|r| r.size_bytes >= min_size).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -256,11 +256,6 @@ impl LogHistogram {
         self.sum += other.sum;
     }
 
-    /// Non-empty buckets as `(bucket_floor, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (bucket_floor(i), c))
-    }
-
     /// JSON summary: count, exact min/max/mean and the standard
     /// percentile ladder (p50/p90/p99/p999).
     pub fn to_json(&self) -> String {

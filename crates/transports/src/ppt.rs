@@ -21,8 +21,8 @@
 use netsim::trace::{LcpCloseReason, LcpTrigger};
 use netsim::{FlowDesc, FlowId, SimDuration, TraceEvent};
 use ppt_core::{
-    initial_window_case1, initial_window_case2, FlowIdentifier, LcpAction, LcpLoop, LoopTrigger,
-    MinTracker, MirrorTagger, PptConfig, LCP_PACKETS_PER_ACK,
+    initial_window_case1, initial_window_case2, FlowIdentifier, LcpAction, LcpLoop, MinTracker,
+    MirrorTagger, PptConfig, LCP_PACKETS_PER_ACK,
 };
 
 use crate::common::Token;
@@ -119,7 +119,7 @@ impl Ppt {
         &self,
         f: &mut PptFlow<D>,
         tx: &mut DctcpFlowTx,
-        trigger: LoopTrigger,
+        trigger: LcpTrigger,
         init_bytes: u64,
         ctx: &mut Cx<'_>,
     ) {
@@ -128,15 +128,8 @@ impl Ppt {
         if f.lcp.is_some() || init_bytes < mss {
             return;
         }
-        f.lcp = Some(LcpLoop::open(trigger, init_bytes, ctx.now()));
-        ctx.emit(TraceEvent::LcpOpened {
-            flow: tx.id.0,
-            trigger: match trigger {
-                LoopTrigger::FlowStart => LcpTrigger::FlowStart,
-                LoopTrigger::AlphaMinimum => LcpTrigger::QueueBuildup,
-            },
-            init_bytes,
-        });
+        f.lcp = Some(LcpLoop::open(init_bytes, ctx.now()));
+        ctx.emit(TraceEvent::LcpOpened { flow: tx.id.0, trigger, init_bytes });
         if self.cfg.knobs.ewd {
             // Pace the initial window at I/RTT: one MSS every mss·RTT/I.
             // The first packet goes out immediately; the timer drives the
@@ -206,7 +199,7 @@ impl<H: Hcp> Beside<H> for Ppt {
         match hcp.case1(f.identified_large) {
             Case1::FirstRtt => {
                 let init = initial_window_case1(self.cfg.bdp_bytes(), tx.cwnd_bytes());
-                self.open_lcp(f, tx, LoopTrigger::FlowStart, init, ctx);
+                self.open_lcp(f, tx, LcpTrigger::FlowStart, init, ctx);
             }
             Case1::SecondRtt => {
                 ctx.timer_after(self.cfg.base_rtt, f.token(tx.id, TIMER_LCP_DELAYED_OPEN));
@@ -237,7 +230,7 @@ impl<H: Hcp> Beside<H> for Ppt {
     }
 
     fn fill(&self, f: &mut Self::Flow, tx: &mut DctcpFlowTx, init: u64, ctx: &mut Cx<'_>) {
-        self.open_lcp(f, tx, LoopTrigger::AlphaMinimum, init, ctx);
+        self.open_lcp(f, tx, LcpTrigger::QueueBuildup, init, ctx);
     }
 
     fn on_low_ack(&self, f: &mut Self::Flow, tx: &mut DctcpFlowTx, ack: &AckHdr, ctx: &mut Cx<'_>) {
@@ -284,7 +277,7 @@ impl<H: Hcp> Beside<H> for Ppt {
             TIMER_LCP_DELAYED_OPEN => {
                 // The spare window is the BDP minus what HCP now occupies.
                 let init = initial_window_case1(self.cfg.bdp_bytes(), tx.cwnd_bytes());
-                self.open_lcp(f, tx, LoopTrigger::FlowStart, init, ctx);
+                self.open_lcp(f, tx, LcpTrigger::FlowStart, init, ctx);
             }
             _ => {}
         }

@@ -54,9 +54,10 @@ fi
 
 echo "==> one run grammar (ppt::spec parses every run into Experiments; one scheme table; DESIGN.md §10.1)"
 # pptlab keeps its commands and their printing; every option value is
-# parsed by ppt::spec, and the harness's telemetry knobs are the engine's
-# own TelemetryConfig. A private options struct is how a second path back.
-if grep -rnE '\b(RunOpts|RunSetup)\b|struct TelemetrySpec' crates tests examples; then
+# parsed by ppt::spec, and the harness's telemetry knobs and fault schedule
+# are the engine's own TelemetryConfig and FaultSchedule. A private options
+# struct is how a second path back.
+if grep -rnE '\b(RunOpts|RunSetup)\b|struct (TelemetrySpec|FaultSpec)|enum FaultCmd' crates tests examples; then
     echo "check.sh: a second options path is back; parse run options in ppt::spec" >&2
     exit 1
 fi

@@ -308,16 +308,16 @@ fn powertcp_and_pfc_mode_goldens_for_any_job_count() {
 /// it is kept for. PPT seed 42's pair moved with `RECOVERY_GOLDENS`
 /// (DESIGN.md §16, "Loss recovery"). Under simsan when `sanitize` is set.
 fn fault_golden_digests_on(scheme: Scheme, seed: u64, sanitize: bool) -> (u64, u64) {
-    use ppt::harness::{run_experiment_traced_with, FaultCmd, FaultSpec};
-    use ppt::netsim::SimTime;
+    use ppt::harness::run_experiment_traced_with;
+    use ppt::netsim::{FaultSchedule, HostId, SimTime};
     let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
     let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), 60, seed);
     let flows = all_to_all(topo.hosts(), &spec);
-    let faults = FaultSpec::new(21).with_data_loss(0.01).cmd(FaultCmd::HostUplinkDown {
-        host: 0,
-        from: SimTime(100_000),
-        until: SimTime(600_000),
-    });
+    let faults = FaultSchedule::new(21).with_data_loss(0.01).host_outage(
+        HostId(0),
+        SimTime(100_000),
+        SimTime(600_000),
+    );
     let name = scheme.name();
     let (outcome, trace) = run_experiment_traced_with(
         &Experiment::new(topo, scheme, flows).with_faults(faults),

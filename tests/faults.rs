@@ -3,10 +3,9 @@
 //! the paper says it does when its ACK stream is destroyed.
 
 use ppt::harness::{
-    run_experiment, run_experiment_traced, run_experiment_traced_with, Experiment, FaultCmd,
-    FaultSpec, Scheme, TopoKind,
+    run_experiment, run_experiment_traced, run_experiment_traced_with, Experiment, Scheme, TopoKind,
 };
-use ppt::netsim::SimTime;
+use ppt::netsim::{FaultSchedule, HostId, SimDuration, SimTime, SwitchId};
 use ppt::spec::{Args, Run};
 use ppt::stats::{analyze_lcp, analyze_recovery};
 use ppt::trace::{LcpCloseReason, TraceEvent};
@@ -28,7 +27,7 @@ fn every_scheme_completes_under_one_percent_data_loss() {
     let flows = workload(topo, 60, 3);
     for scheme in Scheme::all() {
         let name = scheme.name();
-        let faults = FaultSpec::new(0xFA17).with_data_loss(0.01);
+        let faults = FaultSchedule::new(0xFA17).with_data_loss(0.01);
         let outcome =
             run_experiment(&Experiment::new(topo, scheme, flows.clone()).with_faults(faults));
         assert!(
@@ -91,11 +90,8 @@ fn ppt_and_baselines_ride_out_a_link_outage() {
     let flows = workload(topo, 40, 11);
     for scheme in [Scheme::Ppt, Scheme::Dctcp, Scheme::Ndp] {
         let name = scheme.name();
-        let faults = FaultSpec::new(5).cmd(FaultCmd::HostUplinkDown {
-            host: 0,
-            from: SimTime(2_000_000),
-            until: SimTime(2_800_000),
-        });
+        let faults =
+            FaultSchedule::new(5).host_outage(HostId(0), SimTime(2_000_000), SimTime(2_800_000));
         let outcome =
             run_experiment(&Experiment::new(topo, scheme, flows.clone()).with_faults(faults));
         assert_eq!(
@@ -117,7 +113,7 @@ fn ppt_and_baselines_ride_out_a_link_outage() {
 fn lp_ack_blackhole_closes_lcp_as_no_lp_acks_after_two_rtts() {
     let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
     let flows = workload(topo, 40, 7);
-    let faults = FaultSpec::new(9).with_ack_loss(1.0).lp_acks_only();
+    let faults = FaultSchedule::new(9).with_ack_loss(1.0).lp_acks_only();
     let (outcome, trace) =
         run_experiment_traced(&Experiment::new(topo, Scheme::Ppt, flows).with_faults(faults));
 
@@ -190,11 +186,8 @@ fn pfc_storm_during_uplink_outage_recovers_deterministically() {
     // climbs into the aggregation layer.
     let flows = ppt::workloads::incast_burst(6, 300_000, 1_000);
     let run = |sanitize: bool| {
-        let faults = FaultSpec::new(23).cmd(FaultCmd::HostUplinkDown {
-            host: 0,
-            from: SimTime(400_000),
-            until: SimTime(1_200_000),
-        });
+        let faults =
+            FaultSchedule::new(23).host_outage(HostId(0), SimTime(400_000), SimTime(1_200_000));
         let mut exp = Experiment::new(topo, Scheme::Ppt, flows.clone()).with_faults(faults);
         exp.env.pfc = true;
         run_experiment_traced_with(&exp, move |t| {
@@ -272,11 +265,11 @@ fn fault_runs_repeat_bit_identically() {
     let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
     let run = || {
         let flows = workload(topo, 40, 13);
-        let faults = FaultSpec::new(17).with_data_loss(0.02).cmd(FaultCmd::SwitchStall {
-            switch: 0,
-            at: SimTime(1_000_000),
-            duration: ppt::netsim::SimDuration::from_micros(300),
-        });
+        let faults = FaultSchedule::new(17).with_data_loss(0.02).stall_switch(
+            SwitchId(0),
+            SimTime(1_000_000),
+            SimDuration::from_micros(300),
+        );
         let outcome =
             run_experiment(&Experiment::new(topo, Scheme::Ppt, flows).with_faults(faults));
         let fcts: Vec<(u64, u64)> =
@@ -314,11 +307,11 @@ fn every_tcp_family_scheme_traces_its_retransmissions() {
         Scheme::HpccPpt,
     ] {
         let name = scheme.name();
-        let faults = FaultSpec::new(7).with_data_loss(0.01).cmd(FaultCmd::HostUplinkDown {
-            host: 0,
-            from: SimTime(200_000),
-            until: SimTime(700_000),
-        });
+        let faults = FaultSchedule::new(7).with_data_loss(0.01).host_outage(
+            HostId(0),
+            SimTime(200_000),
+            SimTime(700_000),
+        );
         let (outcome, trace) = run_experiment_traced(
             &Experiment::new(topo, scheme, flows.clone()).with_faults(faults),
         );
@@ -401,6 +394,6 @@ fn powertcp_under_two_percent_loss_does_not_run_away() {
     let topo = TopoKind::PaperTestbed;
     let spec = WorkloadSpec::new(SizeDistribution::web_search(), 0.5, topo.edge_rate(), 400, 42);
     let exp = Experiment::new(topo, Scheme::PowerTcp, all_to_all(topo.hosts(), &spec))
-        .with_faults(FaultSpec::new(7).with_data_loss(0.02));
+        .with_faults(FaultSchedule::new(7).with_data_loss(0.02));
     assert_no_runaway(exp, 38_000_000, 10_000);
 }

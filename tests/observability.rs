@@ -75,7 +75,7 @@ fn tracing_does_not_change_the_run() {
 /// reports no tracing and yields no sink to take.
 #[test]
 fn no_sink_means_no_trace() {
-    use ppt::netsim::{star, Rate, RunLimits, SimDuration, SwitchConfig};
+    use ppt::netsim::{star, Rate, RunLimits, SimDuration, StopReason, SwitchConfig};
     use ppt::transports::{install, DctcpHcp, DctcpTransport, Proto, TcpCfg};
     let mut topo = star::<Proto>(
         3,
@@ -87,8 +87,8 @@ fn no_sink_means_no_trace() {
     install(&mut topo, || DctcpTransport::new(cfg.clone(), DctcpHcp, ()));
     topo.sim.add_flow(topo.hosts[0], topo.hosts[2], 500_000, SimTime::ZERO, 1);
     assert!(!topo.sim.trace_enabled());
-    let report = topo.sim.run(RunLimits::default());
-    assert_eq!(report.flows_completed, 1);
+    let report = topo.sim.run(RunLimits { max_time: SimTime(20_000_000), max_events: 4_100 });
+    assert_eq!((report.stop, report.flows_completed), (StopReason::AllFlowsDone, 1));
     assert!(topo.sim.take_trace_sink().is_none());
 }
 

@@ -8,11 +8,12 @@
 //! never contain them.
 
 use ppt::harness::{
-    run_experiment_traced, run_experiment_traced_with, run_experiment_with, Experiment, FaultSpec,
-    Scheme, TopoKind,
+    run_experiment_traced, run_experiment_traced_with, run_experiment_with, Experiment, Scheme,
+    TopoKind,
 };
 use ppt::netsim::{
-    FlowId, HostId, RunLimits, SanLevel, SanViolation, SimTime, Simulator, StopReason,
+    FaultSchedule, FlowId, HostId, RunLimits, SanLevel, SanViolation, SimTime, Simulator,
+    StopReason,
 };
 use ppt::trace::SanCheck;
 use ppt::transports::Proto;
@@ -49,7 +50,9 @@ fn corrupted_run(
     assert!(outcome.sim.san_violations().is_empty(), "clean run must be violation-free");
     let mut sim = outcome.sim;
     corrupt(&mut sim);
-    let report = sim.run(RunLimits::default());
+    // About twice the events and time the clean run took; the corrupted
+    // resume stops long before.
+    let report = sim.run(RunLimits { max_time: SimTime(100_000_000), max_events: 135_000 });
     (report.stop, sim.san_violations().to_vec())
 }
 
@@ -93,7 +96,7 @@ fn lost_queue_entry_is_caught() {
     assert!(outcome.sim.san_violations().is_empty(), "clean run must be violation-free");
     let mut sim = outcome.sim;
     sim.corrupt_queue_loss();
-    let report = sim.run(RunLimits::default());
+    let report = sim.run(RunLimits { max_time: SimTime(6_000_000), max_events: 8_200 });
     assert_caught(report.stop, sim.san_violations(), SanCheck::EventOrder);
 }
 
@@ -118,7 +121,7 @@ fn second_live_rto_timer_is_caught() {
 #[test]
 fn unattributed_fault_drop_is_caught() {
     let (stop, v) =
-        corrupted_run(ppt().with_faults(FaultSpec::new(3).with_data_loss(0.01)), |sim| {
+        corrupted_run(ppt().with_faults(FaultSchedule::new(3).with_data_loss(0.01)), |sim| {
             sim.corrupt_fault_attribution()
         });
     assert_caught(stop, &v, SanCheck::FaultAttribution);
