@@ -78,7 +78,7 @@ pub use switch::{
 };
 pub use telemetry::{CcSnapshot, Telemetry, TelemetryConfig};
 pub use time::{SimDuration, SimTime};
-pub use topology::{fat_tree, leaf_spine, star, FatTreeParams, LeafSpineParams, Topology};
+pub use topology::{fat_tree, leaf_spine, star, FatTreeParams, LeafSpineParams, Shape, Topology};
 pub use units::{bdp_bytes, Rate};
 
 #[cfg(test)]

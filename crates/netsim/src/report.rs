@@ -55,10 +55,10 @@ impl StopReason {
 pub struct RunReport {
     /// Simulated time when the run stopped.
     pub end_time: SimTime,
-    /// Events dispatched. Only events that do work are ever scheduled
-    /// (DESIGN.md §10.1): a serialization whose `TxDone` would have found
-    /// its egress queue empty, and an RTO deadline that merely moved, add
-    /// nothing to this count.
+    /// Events dispatched. A `TxDone` is pushed only when its port has a
+    /// successor queued, but an RTO timer cannot be cancelled: a retired
+    /// sender's still fires, one whose deadline moved later re-arms once,
+    /// and `end_time` is usually such a fire, not the last completion.
     pub events: u64,
     /// Flows that reported completion.
     pub flows_completed: usize,

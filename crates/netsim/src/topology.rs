@@ -134,14 +134,67 @@ pub struct Topology<P: Payload> {
     pub leaves: Vec<SwitchId>,
     /// Spine switches, if any.
     pub spines: Vec<SwitchId>,
-    /// One-way host-to-host base RTT components: 2 × (per-link delay × hops).
+    /// Host-to-host base RTT, [`Shape::base_rtt`].
     pub base_rtt: SimDuration,
     /// Edge (host) link rate.
     pub edge_rate: Rate,
 }
 
+/// The parameters of one [`star`], [`leaf_spine`] or [`fat_tree`] build:
+/// what a topology is before it is built, and the one place its host and
+/// switch counts, base RTT and edge rate are derived from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    Star { hosts: usize, rate: Rate, link_delay: SimDuration },
+    LeafSpine(LeafSpineParams),
+    FatTree(FatTreeParams),
+}
+
+impl Shape {
+    pub fn build<P: Payload>(&self, cfg: SwitchConfig) -> Topology<P> {
+        match self {
+            Shape::Star { hosts, rate, link_delay } => star(*hosts, *rate, *link_delay, cfg),
+            Shape::LeafSpine(p) => leaf_spine(p, cfg),
+            Shape::FatTree(p) => fat_tree(p, cfg),
+        }
+    }
+
+    pub fn hosts(&self) -> usize {
+        match *self {
+            Shape::Star { hosts, .. } => hosts,
+            Shape::LeafSpine(p) => p.n_leaves * p.hosts_per_leaf,
+            Shape::FatTree(p) => p.k * p.k * p.k / 4,
+        }
+    }
+
+    pub fn switches(&self) -> usize {
+        match *self {
+            Shape::Star { .. } => 1,
+            Shape::LeafSpine(p) => p.n_leaves + p.n_spines,
+            Shape::FatTree(p) => p.k * p.k + p.k * p.k / 4,
+        }
+    }
+
+    /// Twice the longest host-to-host path: 2, 3 or 5 links each way.
+    pub fn base_rtt(&self) -> SimDuration {
+        match *self {
+            Shape::Star { link_delay, .. } => link_delay * 4,
+            Shape::LeafSpine(p) => p.link_delay * 6,
+            Shape::FatTree(p) => p.link_delay * 10,
+        }
+    }
+
+    pub fn edge_rate(&self) -> Rate {
+        match *self {
+            Shape::Star { rate, .. } => rate,
+            Shape::LeafSpine(p) => p.edge_rate,
+            Shape::FatTree(p) => p.edge_rate,
+        }
+    }
+}
+
 /// Parameters for a two-tier leaf-spine topology (§6.2).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LeafSpineParams {
     pub n_leaves: usize,
     pub n_spines: usize,
@@ -151,8 +204,7 @@ pub struct LeafSpineParams {
     pub link_delay: SimDuration,
 }
 
-/// Build a star: `n` hosts on one switch. Used for the testbed experiments
-/// (15-to-15, 14-to-1) and the 2-sender microbenchmarks (Figs 1, 28, 29).
+/// Build a star: `n` hosts on one switch (the testbed, Figs 1, 28, 29).
 pub fn star<P: Payload>(
     n_hosts: usize,
     link_rate: Rate,
@@ -174,18 +226,12 @@ pub fn star<P: Payload>(
         hosts,
         leaves: vec![sw],
         spines: Vec::new(),
-        // host -> switch -> host: 2 links each way.
-        base_rtt: link_delay * 4,
+        base_rtt: Shape::Star { hosts: n_hosts, rate: link_rate, link_delay }.base_rtt(),
         edge_rate: link_rate,
     }
 }
 
-/// Build a two-tier leaf-spine fabric.
-///
-/// The paper's large-scale setup (§6.2): 9 leaves × 16 hosts = 144 servers,
-/// 4 spines, 40 Gbps edge and 100 Gbps core links, which is 1.4:1
-/// oversubscribed (16×40 / [4×100] ≈ 1.6... the paper calls it 1.4:1 with
-/// its exact trunking; the ratio is configurable here).
+/// Build a two-tier leaf-spine fabric (the paper's: 9 leaves × 16 hosts, 4 spines).
 pub fn leaf_spine<P: Payload>(p: &LeafSpineParams, cfg: SwitchConfig) -> Topology<P> {
     let mut sim = Simulator::new();
     let leaves: Vec<SwitchId> = (0..p.n_leaves).map(|_| sim.add_switch(cfg.clone())).collect();
@@ -207,53 +253,13 @@ pub fn leaf_spine<P: Payload>(p: &LeafSpineParams, cfg: SwitchConfig) -> Topolog
         hosts,
         leaves,
         spines,
-        // Worst case host->leaf->spine->leaf->host: 3 links each way.
-        base_rtt: p.link_delay * 6,
+        base_rtt: Shape::LeafSpine(*p).base_rtt(),
         edge_rate: p.edge_rate,
     }
 }
 
-/// The paper's 144-server fabric — 9 leaves × 16 hosts, 4 spines, 2 µs
-/// links — at the given edge/core rates.
-fn paper_leaf_spine<P: Payload>(edge_gbps: u64, core_gbps: u64, cfg: SwitchConfig) -> Topology<P> {
-    leaf_spine(
-        &LeafSpineParams {
-            n_leaves: 9,
-            n_spines: 4,
-            hosts_per_leaf: 16,
-            edge_rate: Rate::gbps(edge_gbps),
-            core_rate: Rate::gbps(core_gbps),
-            link_delay: SimDuration::from_micros(2),
-        },
-        cfg,
-    )
-}
-
-/// The paper's large-scale oversubscribed topology (§6.2): 144 servers,
-/// 9 leaves, 4 spines, 40 G edge / 100 G core.
-pub fn paper_oversubscribed<P: Payload>(cfg: SwitchConfig) -> Topology<P> {
-    paper_leaf_spine(40, 100, cfg)
-}
-
-/// The appendix-E non-oversubscribed topology: 9 leaves × 16 hosts at
-/// 10 Gbps edge, 4 spines at 40 Gbps core (16×10 = 4×40, i.e. 1:1).
-pub fn paper_nonoversubscribed<P: Payload>(cfg: SwitchConfig) -> Topology<P> {
-    paper_leaf_spine(10, 40, cfg)
-}
-
-/// The §6.3.2 100/400G topology.
-pub fn paper_100_400g<P: Payload>(cfg: SwitchConfig) -> Topology<P> {
-    paper_leaf_spine(100, 400, cfg)
-}
-
-/// The paper's 15-host, 10 Gbps testbed (§6.1) with ~80 µs base RTT.
-pub fn paper_testbed<P: Payload>(cfg: SwitchConfig) -> Topology<P> {
-    star(15, Rate::gbps(10), SimDuration::from_micros(20), cfg)
-}
-
-/// Parameters for a three-tier k-ary fat-tree (k pods, (k/2)² core
-/// switches, k²/4 hosts per pod at full bisection).
-#[derive(Clone, Copy, Debug)]
+/// Parameters for a three-tier k-ary fat-tree at full bisection ([`fat_tree`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FatTreeParams {
     /// Pod count k (must be even, ≥ 2).
     pub k: usize,
@@ -322,8 +328,7 @@ pub fn fat_tree<P: Payload>(p: &FatTreeParams, cfg: SwitchConfig) -> Topology<P>
         hosts,
         leaves: edges,
         spines,
-        // Worst case: host-edge-agg-core-agg-edge-host = 5 links each way.
-        base_rtt: p.link_delay * 10,
+        base_rtt: Shape::FatTree(*p).base_rtt(),
         edge_rate: p.edge_rate,
     }
 }

@@ -854,9 +854,10 @@ fn bench_tracing_overhead() {
 /// Events dispatched per data packet for one 4 MB DCTCP flow through one
 /// switch. A data packet and its ACK cross two links each: four `Deliver`s.
 /// Everything above that is `TxDone`s that had a successor to start and
-/// the flow's few RTO timer fires; an event that does no work is never
-/// scheduled (DESIGN.md §10.1), and this count is how one shows up if it
-/// comes back. The run is deterministic, so the count is exact.
+/// the flow's few RTO timer fires: a `TxDone` with nothing to start is
+/// never pushed and a flow keeps one live RTO timer (DESIGN.md §10.1), and
+/// this count is how a relapse shows up. The run is deterministic, so the
+/// count is exact.
 fn events_per_packet() -> f64 {
     use ppt::netsim::{star, Rate, RunLimits, SimDuration, SimTime, StopReason, SwitchConfig};
     use ppt::transports::{install, DctcpHcp, DctcpTransport, Proto, TcpCfg};

@@ -5,11 +5,11 @@
 use std::path::{Path, PathBuf};
 
 use netsim::trace::{
-    encode_jsonl, write_jsonl, FlightRecorder, JsonObject, LogHistogram, MemorySink,
-    MetricsRegistry, ProfKind, TraceEvent,
+    FlightRecorder, JsonObject, LogHistogram, MemorySink, MetricsRegistry, ProfKind,
 };
 use netsim::{
-    FaultSchedule, Rate, RunLimits, SanLevel, SimDuration, SimTime, SwitchConfig, Topology,
+    FatTreeParams, FaultSchedule, LeafSpineParams, Rate, RunLimits, SanLevel, Shape, SimDuration,
+    SimTime, SwitchConfig, Topology,
 };
 use transports::{
     install, DctcpHcp, ExpressPassCfg, Halfback, HomaCfg, HpccHcp, MwRecorder, NdpCfg, Oracle,
@@ -316,70 +316,64 @@ pub enum TopoKind {
 }
 
 impl TopoKind {
-    /// Build the topology with the given per-port switch config.
-    pub fn build(&self, cfg: SwitchConfig) -> Topology<Proto> {
+    /// The parameters of this topology's build, from which every count
+    /// and rate below is derived.
+    pub fn shape(&self) -> Shape {
+        let us = SimDuration::from_micros;
+        // The paper's 144-server fabric: 9 leaves × 16 hosts, 4 spines, 2 µs links.
+        let paper_fabric = |edge_gbps, core_gbps| {
+            Shape::LeafSpine(LeafSpineParams {
+                n_leaves: 9,
+                n_spines: 4,
+                hosts_per_leaf: 16,
+                edge_rate: Rate::gbps(edge_gbps),
+                core_rate: Rate::gbps(core_gbps),
+                link_delay: us(2),
+            })
+        };
         match *self {
             TopoKind::Star { n, rate_gbps, delay_us } => {
-                netsim::star(n, Rate::gbps(rate_gbps), SimDuration::from_micros(delay_us), cfg)
+                Shape::Star { hosts: n, rate: Rate::gbps(rate_gbps), link_delay: us(delay_us) }
             }
-            TopoKind::PaperTestbed => netsim::topology::paper_testbed(cfg),
-            TopoKind::Oversubscribed => netsim::topology::paper_oversubscribed(cfg),
-            TopoKind::NonOversubscribed => netsim::topology::paper_nonoversubscribed(cfg),
-            TopoKind::HighSpeed => netsim::topology::paper_100_400g(cfg),
-            TopoKind::FatTree { k, edge_gbps } => netsim::fat_tree(
-                &netsim::FatTreeParams {
-                    k,
-                    edge_rate: Rate::gbps(edge_gbps),
-                    aggregate_rate: Rate::gbps(edge_gbps * 4),
-                    core_rate: Rate::gbps(edge_gbps * 4),
-                    link_delay: SimDuration::from_micros(1),
-                },
-                cfg,
-            ),
+            TopoKind::PaperTestbed => {
+                Shape::Star { hosts: 15, rate: Rate::gbps(10), link_delay: us(20) }
+            }
+            TopoKind::Oversubscribed => paper_fabric(40, 100),
+            TopoKind::NonOversubscribed => paper_fabric(10, 40),
+            TopoKind::HighSpeed => paper_fabric(100, 400),
+            TopoKind::FatTree { k, edge_gbps } => Shape::FatTree(FatTreeParams {
+                k,
+                edge_rate: Rate::gbps(edge_gbps),
+                aggregate_rate: Rate::gbps(edge_gbps * 4),
+                core_rate: Rate::gbps(edge_gbps * 4),
+                link_delay: us(1),
+            }),
         }
+    }
+
+    /// Build the topology with the given per-port switch config.
+    pub fn build(&self, cfg: SwitchConfig) -> Topology<Proto> {
+        self.shape().build(cfg)
     }
 
     /// Edge rate of the topology (for load calculations).
     pub fn edge_rate(&self) -> Rate {
-        match *self {
-            TopoKind::Star { rate_gbps, .. } => Rate::gbps(rate_gbps),
-            TopoKind::PaperTestbed => Rate::gbps(10),
-            TopoKind::Oversubscribed => Rate::gbps(40),
-            TopoKind::NonOversubscribed => Rate::gbps(10),
-            TopoKind::HighSpeed => Rate::gbps(100),
-            TopoKind::FatTree { edge_gbps, .. } => Rate::gbps(edge_gbps),
-        }
+        self.shape().edge_rate()
     }
 
     /// Host count.
     pub fn hosts(&self) -> usize {
-        match *self {
-            TopoKind::Star { n, .. } => n,
-            TopoKind::PaperTestbed => 15,
-            TopoKind::FatTree { k, .. } => k * k * k / 4,
-            _ => 144,
-        }
+        self.shape().hosts()
     }
 
     /// Switch count, as [`Self::build`] would make it.
     pub fn switches(&self) -> usize {
-        match *self {
-            TopoKind::Star { .. } | TopoKind::PaperTestbed => 1,
-            // k pods of k/2 edge and k/2 aggregation switches, (k/2)^2 cores.
-            TopoKind::FatTree { k, .. } => k * k + k * k / 4,
-            // 9 leaves, 4 spines.
-            _ => 13,
-        }
+        self.shape().switches()
     }
 
     /// Base RTT of the topology.
     pub fn base_rtt(&self) -> SimDuration {
-        match *self {
-            TopoKind::Star { delay_us, .. } => SimDuration::from_micros(delay_us) * 4,
-            TopoKind::PaperTestbed => SimDuration::from_micros(80),
-            TopoKind::FatTree { .. } => SimDuration::from_micros(10),
-            _ => SimDuration::from_micros(12),
-        }
+        self.shape().base_rtt()
     }
 
     /// A `SchemeEnv` with the paper's parameters for this topology.
@@ -749,26 +743,9 @@ fn dump_file_path(dir: &Path, exp: &Experiment) -> PathBuf {
     dir.join(format!("ppt-dump-{}-{}-{}.jsonl", slug.join("-"), std::process::id(), n))
 }
 
-/// A captured event stream from a traced run.
-#[derive(Clone, Debug, Default)]
-pub struct TraceData {
-    /// `(time_ns, event)` pairs in emission order.
-    pub events: Vec<(u64, TraceEvent)>,
-}
-
-impl TraceData {
-    /// Encode the stream as JSON Lines (one event object per line).
-    pub fn to_jsonl(&self) -> String {
-        encode_jsonl(&self.events)
-    }
-
-    /// Write the bytes of [`Self::to_jsonl`] to `w` line by line, so a
-    /// file is written without the text ever existing beside the events
-    /// it is made from. Hand it a buffered writer.
-    pub fn write_jsonl(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        write_jsonl(w, &self.events)
-    }
-}
+/// A captured event stream from a traced run: the [`MemorySink`] the run
+/// wrote, `(time_ns, event)` pairs in emission order in its `events`.
+pub type TraceData = MemorySink;
 
 /// Run an experiment with full event capture: a [`MemorySink`] records
 /// every engine + transport event. Same experiment (topology, scheme,

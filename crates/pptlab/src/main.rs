@@ -185,7 +185,7 @@ fn cmd_compare(args: &Args, run: &Run) -> Result<(), String> {
 /// Write a captured stream as JSON Lines, a chunk at a time: the file's
 /// text never exists in memory beside the events it is made from.
 fn write_events(path: &Path, trace: &TraceData) -> Result<(), String> {
-    let write = || trace.write_jsonl(&mut std::fs::File::create(path)?);
+    let write = || ppt::trace::write_jsonl(&mut std::fs::File::create(path)?, &trace.events);
     write().map_err(|e| format!("{}: {e}", path.display()))
 }
 

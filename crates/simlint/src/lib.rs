@@ -46,23 +46,20 @@
 //! pragma that suppresses nothing is flagged by `pragma_hygiene`
 //! (escape hatch: include `pragma_hygiene` in the same `allow(...)`).
 //!
-//! ## Baseline / ratchet
+//! ## The gate
 //!
-//! `simlint.baseline` at the workspace root tolerates pre-existing
-//! findings per `(rule, file)`; counts may only decrease. See
-//! [`baseline`] for the exact semantics.
+//! [`lint_workspace`] is the whole gate: the CLI, `scripts/check.sh` and
+//! the `workspace_is_clean` test all run it and fail on any violation.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod items;
 pub mod output;
 pub mod rules;
 pub mod source;
 pub mod walk;
 
-pub use baseline::{Baseline, Outcome};
 pub use items::ItemTree;
 pub use rules::{Findings, Rule, ALL_RULES, RULE_TABLE};
 pub use source::MaskedSource;
@@ -129,7 +126,7 @@ pub fn lint_source(rel_path: &str, content: &str) -> Vec<Violation> {
 
 /// Lint every workspace source file under `root`, plus the cross-file
 /// paper-constant checks. Output is sorted (file, line, rule, message)
-/// so reports are deterministic.
+/// so reports are deterministic. The tree passes iff this is empty.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     let mut files = walk::rust_sources(&root.join("crates"))?;
     files.sort();
@@ -144,18 +141,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     rules::check_trace_schema(root, &mut out);
     output::sort_violations(&mut out);
     Ok(out)
-}
-
-/// Name of the ratchet file at the workspace root.
-pub const BASELINE_FILE: &str = "simlint.baseline";
-
-/// The full gate: lint the workspace and apply the baseline ratchet.
-/// This is what both the CLI and the in-test `workspace_is_clean` check
-/// run, so `cargo test` and CI cannot disagree.
-pub fn gate(root: &Path) -> Result<Outcome, String> {
-    let violations = lint_workspace(root)?;
-    let baseline = Baseline::load(&root.join(BASELINE_FILE))?;
-    Ok(baseline.apply(&violations))
 }
 
 fn relative_to(path: &Path, root: &Path) -> String {

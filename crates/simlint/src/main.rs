@@ -1,69 +1,37 @@
 #![forbid(unsafe_code)]
-//! `simlint` binary: lint the workspace, apply the `simlint.baseline`
-//! ratchet, report in the chosen format, exit non-zero on any gate
-//! failure.
+//! `simlint` binary: lint the workspace, report in the chosen format,
+//! exit non-zero on any violation.
 //!
 //! ```text
-//! cargo run -p simlint -- [<workspace-root>] [--format text|json|sarif]
-//!                         [--baseline <path>] [--write-baseline]
-//!                         [--no-baseline] [--list-rules]
+//! cargo run -p simlint -- [<workspace-root>] [--format text|json] [--list-rules]
 //! ```
 //!
-//! `--baseline <path>` reads (and, with `--write-baseline`, writes) the
-//! ratchet file at an explicit location instead of
-//! `<root>/simlint.baseline` — CI jobs keep per-branch baselines out of
-//! the tree this way.
-//!
-//! Exit codes: 0 clean, 1 gate failure (violations, baseline
-//! regressions or stale entries), 2 usage/IO error.
+//! Exit codes: 0 clean, 1 violations, 2 usage/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{output, Baseline, Outcome, RULE_TABLE};
-
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+use simlint::{output, RULE_TABLE};
 
 struct Args {
     root: Option<PathBuf>,
-    format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
-    no_baseline: bool,
+    json: bool,
     list_rules: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        format: Format::Text,
-        baseline: None,
-        write_baseline: false,
-        no_baseline: false,
-        list_rules: false,
-    };
+    let mut args = Args { root: None, json: false, list_rules: false };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file path")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
             "--format" => {
-                let v = it.next().ok_or("--format needs a value: text|json|sarif")?;
-                args.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}`; use text|json|sarif")),
+                args.json = match it.next().as_deref() {
+                    Some("text") => false,
+                    Some("json") => true,
+                    Some(other) => return Err(format!("unknown format `{other}`; use text|json")),
+                    None => return Err("--format needs a value: text|json".into()),
                 };
             }
-            "--write-baseline" => args.write_baseline = true,
-            "--no-baseline" => args.no_baseline = true,
             "--list-rules" => args.list_rules = true,
             other if !other.starts_with('-') && args.root.is_none() => {
                 args.root = Some(PathBuf::from(other));
@@ -111,54 +79,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args.baseline.clone().unwrap_or_else(|| root.join(simlint::BASELINE_FILE));
-    let baseline = if args.no_baseline {
-        Baseline::default()
-    } else {
-        match Baseline::load(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("simlint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-
-    if args.write_baseline {
-        match Baseline::ratcheted_from(&baseline, &violations) {
-            Ok(new) => {
-                if let Err(e) = std::fs::write(&baseline_path, new.render()) {
-                    eprintln!("simlint: write {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-                println!(
-                    "simlint: wrote {} ({} entr(ies))",
-                    baseline_path.display(),
-                    if new.is_empty() {
-                        "no".to_owned()
-                    } else {
-                        new.render().lines().count().saturating_sub(3).to_string()
-                    }
-                );
-                return ExitCode::SUCCESS;
-            }
-            Err(raised) => {
-                for r in raised {
-                    eprintln!("simlint: refusing to raise baseline: {r}");
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let outcome: Outcome = baseline.apply(&violations);
-    let rendered = match args.format {
-        Format::Text => output::render_text(&outcome),
-        Format::Json => output::render_json(&outcome),
-        Format::Sarif => output::render_sarif(&outcome),
-    };
+    let rendered =
+        if args.json { output::render_json(&violations) } else { output::render_text(&violations) };
     print!("{rendered}");
-    if outcome.is_clean() {
+    if violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,11 +1,9 @@
-//! Report renderers: human text, machine JSON, and minimal SARIF 2.1.0.
+//! Report renderers: human text and machine JSON.
 //!
-//! All three are deterministic — violations are sorted before
+//! Both are deterministic — violations are sorted before
 //! rendering, nothing host- or time-dependent is emitted — so two runs
 //! over the same tree produce byte-identical output (CI diffs the two).
 
-use crate::baseline::Outcome;
-use crate::rules::RULE_TABLE;
 use crate::Violation;
 
 /// Sort for stable output: file, then line, then rule id, then message.
@@ -32,38 +30,27 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Human-readable report: one line per finding, then the gate notes.
-pub fn render_text(outcome: &Outcome) -> String {
+/// Human-readable report: one line per finding, then a summary line.
+pub fn render_text(violations: &[Violation]) -> String {
     let mut out = String::new();
-    for v in &outcome.fresh {
+    for v in violations {
         out.push_str(&format!("{v}\n"));
     }
-    for r in &outcome.regressions {
-        out.push_str(&format!("baseline regression: {r}\n"));
-    }
-    for s in &outcome.stale {
-        out.push_str(&format!("stale baseline: {s}\n"));
-    }
-    if outcome.is_clean() {
+    if violations.is_empty() {
         out.push_str("simlint: workspace clean\n");
     } else {
-        out.push_str(&format!(
-            "simlint: {} violation(s), {} regression(s), {} stale baseline entr(ies)\n",
-            outcome.fresh.len(),
-            outcome.regressions.len(),
-            outcome.stale.len()
-        ));
+        out.push_str(&format!("simlint: {} violation(s)\n", violations.len()));
     }
     out
 }
 
-/// Machine-readable JSON: `{"version":1,"clean":…,"violations":[…],…}`.
-pub fn render_json(outcome: &Outcome) -> String {
+/// Machine-readable JSON: `{"version":2,"clean":…,"violations":[…]}`.
+pub fn render_json(violations: &[Violation]) -> String {
     let mut out = String::new();
-    out.push_str("{\"version\":1");
-    out.push_str(&format!(",\"clean\":{}", outcome.is_clean()));
+    out.push_str("{\"version\":2");
+    out.push_str(&format!(",\"clean\":{}", violations.is_empty()));
     out.push_str(",\"violations\":[");
-    for (i, v) in outcome.fresh.iter().enumerate() {
+    for (i, v) in violations.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -75,89 +62,7 @@ pub fn render_json(outcome: &Outcome) -> String {
             json_escape(&v.message)
         ));
     }
-    out.push(']');
-    for (key, notes) in [("regressions", &outcome.regressions), ("stale", &outcome.stale)] {
-        out.push_str(&format!(",\"{key}\":["));
-        for (i, n) in notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(n)));
-        }
-        out.push(']');
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// A violation's file path as a SARIF artifact URI: repo-relative,
-/// forward slashes only, no leading `./` or `/`. Violations already
-/// carry workspace-relative paths, but anything that slipped through a
-/// host-specific join (backslashes on Windows, a `./` prefix from a
-/// CLI argument) is normalized here so SARIF consumers resolve every
-/// URI against the repo root.
-fn artifact_uri(file: &str) -> String {
-    let unixy = file.replace('\\', "/");
-    let mut s = unixy.as_str();
-    loop {
-        if let Some(rest) = s.strip_prefix("./") {
-            s = rest;
-        } else if let Some(rest) = s.strip_prefix('/') {
-            s = rest;
-        } else {
-            break;
-        }
-    }
-    s.to_owned()
-}
-
-/// Minimal SARIF 2.1.0 log: one run, the full rule table as driver
-/// metadata, one result per fresh violation (baseline notes become
-/// tool-level notifications).
-pub fn render_sarif(outcome: &Outcome) -> String {
-    let mut out = String::new();
-    out.push_str("{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\"");
-    out.push_str(",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{");
-    out.push_str("\"name\":\"simlint\",\"informationUri\":\"DESIGN.md\",\"rules\":[");
-    for (i, rule) in RULE_TABLE.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            rule.id(),
-            json_escape(rule.describe())
-        ));
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, v) in outcome.fresh.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
-             \"region\":{{\"startLine\":{}}}}}}}]}}",
-            v.rule.id(),
-            json_escape(&v.message),
-            json_escape(&artifact_uri(&v.file)),
-            v.line
-        ));
-    }
-    out.push_str(
-        "],\"invocations\":[{\"executionSuccessful\":true,\"toolExecutionNotifications\":[",
-    );
-    let notes = outcome.regressions.iter().chain(outcome.stale.iter());
-    for (i, n) in notes.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"level\":\"error\",\"message\":{{\"text\":\"{}\"}}}}",
-            json_escape(n)
-        ));
-    }
-    out.push_str("]}]}]}\n");
+    out.push_str("]}\n");
     out
 }
 
@@ -166,17 +71,13 @@ mod tests {
     use super::*;
     use crate::rules::Rule;
 
-    fn outcome() -> Outcome {
-        Outcome {
-            fresh: vec![Violation {
-                file: "crates/a.rs".into(),
-                line: 3,
-                rule: Rule::SharedMut,
-                message: "a \"quoted\" message".into(),
-            }],
-            regressions: vec!["shared_mut crates/a.rs: 2 violation(s), baseline tolerates 1".into()],
-            stale: vec![],
-        }
+    fn violations() -> Vec<Violation> {
+        vec![Violation {
+            file: "crates/a.rs".into(),
+            line: 3,
+            rule: Rule::SharedMut,
+            message: "a \"quoted\" message".into(),
+        }]
     }
 
     #[test]
@@ -209,40 +110,17 @@ mod tests {
 
     #[test]
     fn json_escapes_and_is_deterministic() {
-        let o = outcome();
-        let a = render_json(&o);
-        let b = render_json(&o);
+        let v = violations();
+        let a = render_json(&v);
+        let b = render_json(&v);
         assert_eq!(a, b);
         assert!(a.contains("\\\"quoted\\\""));
         assert!(a.contains("\"clean\":false"));
     }
 
     #[test]
-    fn sarif_lists_every_rule_and_each_result() {
-        let s = render_sarif(&outcome());
-        for rule in RULE_TABLE {
-            assert!(s.contains(&format!("\"id\":\"{}\"", rule.id())), "missing {}", rule.id());
-        }
-        assert!(s.contains("\"ruleId\":\"shared_mut\""));
-        assert!(s.contains("\"startLine\":3"));
-    }
-
-    #[test]
-    fn sarif_artifact_uris_are_repo_relative() {
-        assert_eq!(artifact_uri("crates/a.rs"), "crates/a.rs");
-        assert_eq!(artifact_uri("./crates/a.rs"), "crates/a.rs");
-        assert_eq!(artifact_uri("crates\\netsim\\src\\engine.rs"), "crates/netsim/src/engine.rs");
-        assert_eq!(artifact_uri("/crates/a.rs"), "crates/a.rs");
-        let mut o = outcome();
-        o.fresh[0].file = ".\\crates\\a.rs".into();
-        let s = render_sarif(&o);
-        assert!(s.contains("\"uri\":\"crates/a.rs\""), "normalized URI missing: {s}");
-    }
-
-    #[test]
     fn clean_outcome_renders_clean() {
-        let o = Outcome::default();
-        assert!(render_text(&o).contains("workspace clean"));
-        assert!(render_json(&o).contains("\"clean\":true"));
+        assert!(render_text(&[]).contains("workspace clean"));
+        assert!(render_json(&[]).contains("\"clean\":true"));
     }
 }

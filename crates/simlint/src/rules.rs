@@ -41,7 +41,7 @@ pub enum Rule {
     /// message string: a bare boolean tells a crash report nothing.
     AssertMsg,
     /// An `allow(...)` pragma that suppresses nothing is itself a
-    /// violation, so the pragma count ratchets down.
+    /// violation, so dead pragmas cannot pile up.
     PragmaHygiene,
     /// Paper constants must match DESIGN.md (checked workspace-wide).
     PaperConstants,
@@ -109,7 +109,7 @@ impl Rule {
         RULE_TABLE.iter().copied().find(|r| r.id() == id)
     }
 
-    /// One-line description for `--list-rules` and SARIF metadata.
+    /// One-line description for `--list-rules`.
     pub fn describe(self) -> &'static str {
         match self {
             Rule::Determinism => {

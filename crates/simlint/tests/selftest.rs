@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use simlint::{classify, lint_source, Baseline, Rule};
+use simlint::{classify, lint_source, Rule};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name);
@@ -388,35 +388,6 @@ fn pragma_hygiene_rule_fires_on_stale_and_malformed_pragmas() {
     assert!(lines_for(&v, Rule::Determinism).is_empty(), "all Instants suppressed: {v:?}");
 }
 
-/// The ratchet: baseline counts may only decrease. A regression fails
-/// the gate, an improvement demands a rewrite, and the rewrite refuses
-/// to raise any existing entry.
-#[test]
-fn baseline_counts_can_only_decrease() {
-    // Three real violations from the shared_mut fixture struct body.
-    let all = lint_source("crates/netsim/src/fixture.rs", &fixture("shared_mut_pos.rs"));
-    let all: Vec<_> = all.into_iter().filter(|v| v.rule == Rule::SharedMut).collect();
-    assert_eq!(all.len(), 7);
-
-    // Adopt them; at the recorded count the gate is clean.
-    let base = Baseline::from_violations(&all);
-    assert!(base.apply(&all).is_clean());
-
-    // Fixing some makes the baseline stale: the gate demands a ratchet.
-    let fewer = &all[..2];
-    let out = base.apply(fewer);
-    assert!(!out.is_clean() && !out.stale.is_empty(), "improvement must force a rewrite");
-
-    // Ratcheting down succeeds and locks in the lower count…
-    let lower = Baseline::ratcheted_from(&base, fewer).expect("ratchet down");
-    assert!(lower.apply(fewer).is_clean());
-    let out = lower.apply(&all[..3]);
-    assert!(!out.is_clean() && !out.regressions.is_empty(), "2 -> 3 is a regression");
-
-    // …and the rewrite path refuses to raise the entry back up.
-    assert!(Baseline::ratcheted_from(&lower, &all[..3]).is_err(), "counts may only decrease");
-}
-
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
@@ -424,13 +395,17 @@ fn workspace_root() -> &'static Path {
         .expect("simlint lives at <root>/crates/simlint")
 }
 
-/// THE gate: the real workspace must be clean after the baseline is
-/// applied. This is what wires simlint into plain `cargo test` — the
-/// exact pass the CLI and scripts/check.sh run.
+/// THE gate: the real workspace must have no violation. This is what
+/// wires simlint into plain `cargo test` — the exact pass the CLI and
+/// scripts/check.sh run.
 #[test]
 fn workspace_is_clean() {
-    let outcome = simlint::gate(workspace_root()).expect("lint workspace");
-    assert!(outcome.is_clean(), "simlint gate failed:\n{}", simlint::output::render_text(&outcome));
+    let violations = simlint::lint_workspace(workspace_root()).expect("lint workspace");
+    assert!(
+        violations.is_empty(),
+        "simlint gate failed:\n{}",
+        simlint::output::render_text(&violations)
+    );
 }
 
 /// Machine-readable output must be byte-identical across runs over the
@@ -438,8 +413,7 @@ fn workspace_is_clean() {
 #[test]
 fn reports_are_deterministic() {
     let root = workspace_root();
-    let a = simlint::gate(root).expect("first pass");
-    let b = simlint::gate(root).expect("second pass");
+    let a = simlint::lint_workspace(root).expect("first pass");
+    let b = simlint::lint_workspace(root).expect("second pass");
     assert_eq!(simlint::output::render_json(&a), simlint::output::render_json(&b));
-    assert_eq!(simlint::output::render_sarif(&a), simlint::output::render_sarif(&b));
 }

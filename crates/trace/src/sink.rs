@@ -32,7 +32,8 @@ impl dyn TraceSink {
 /// `stats` analyzers, which want typed events rather than text.
 #[derive(Debug, Default, Clone)]
 pub struct MemorySink {
-    events: Vec<(u64, TraceEvent)>,
+    /// `(time_ns, event)` pairs in emission order.
+    pub events: Vec<(u64, TraceEvent)>,
 }
 
 impl MemorySink {
@@ -44,13 +45,9 @@ impl MemorySink {
         &self.events
     }
 
-    pub fn into_events(self) -> Vec<(u64, TraceEvent)> {
-        self.events
-    }
-
     /// Move the captured events out, leaving the sink empty: what a caller
     /// holding the sink as `&mut dyn TraceSink` (`as_any_mut` + downcast)
-    /// uses where [`Self::into_events`] would need the concrete box.
+    /// uses, having no sink to move `events` out of.
     pub fn take_events(&mut self) -> Vec<(u64, TraceEvent)> {
         std::mem::take(&mut self.events)
     }

@@ -484,7 +484,7 @@ pub(crate) mod testkit {
         f(&mut Ctx::with_trace(now, host, &mut fx, Some(&mut sink)).with_sanitizer(true));
         let notes = fx.san_notes().to_vec();
         let (packets, timers, completed) = fx.into_parts();
-        let trace = sink.into_events().into_iter().map(|(_, ev)| ev).collect();
+        let trace = sink.events.into_iter().map(|(_, ev)| ev).collect();
         Did { packets, timers, completed, notes, trace }
     }
 

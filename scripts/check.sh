@@ -14,11 +14,10 @@ cargo clippy --all-targets -- -D warnings
 echo "==> rustdoc (deny warnings: no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 
-echo "==> simlint (json gate, deterministic output, baseline ratchet)"
+echo "==> simlint (json gate, deterministic output)"
 LINT_TMP="${TMPDIR:-/tmp}/simlint-gate.$$"
 mkdir -p "$LINT_TMP"
-# The gate itself: fails on fresh violations, baseline regressions or
-# stale baseline entries.
+# The gate itself: fails on any violation.
 cargo run -q -p simlint -- --format json > "$LINT_TMP/pass1.json"
 # Machine-readable output must be byte-identical across runs.
 cargo run -q -p simlint -- --format json > "$LINT_TMP/pass2.json"
@@ -344,10 +343,10 @@ done
 echo "==> documents that describe the system (ROADMAP item 6: the trend, made visible)"
 wc -l DESIGN.md CHANGES.md
 
-echo "==> DESIGN.md under its ceiling, and every DESIGN.md section reference resolves (ROADMAP item 9)"
+echo "==> DESIGN.md under its ceiling, every DESIGN.md section reference resolves, every named test exists"
 # The ceiling only comes down: a section that grows pays for itself by
 # cutting another.
-DESIGN_CEILING=2151
+DESIGN_CEILING=1197
 design_lines=$(wc -l < DESIGN.md)
 echo "check.sh: DESIGN.md has $design_lines lines (ceiling $DESIGN_CEILING)"
 if [ "$design_lines" -gt "$DESIGN_CEILING" ]; then
@@ -357,12 +356,25 @@ fi
 # "## 10. …" and "### 10.2 …" headings are what "DESIGN.md §10" and
 # "DESIGN.md §10.2" name.
 sections=$(grep -oE '^#{2,3} [0-9]+(\.[0-9]+)?' DESIGN.md | awk '{ print $2 }')
-dangling=$(grep -rnoE 'DESIGN\.md §[0-9]+(\.[0-9]+)?' crates tests README.md scripts |
+dangling=$(grep -rnoE 'DESIGN\.md §[0-9]+(\.[0-9]+)?' crates tests README.md scripts EXPERIMENTS.md \
+    .claude/skills/verify/SKILL.md |
     awk -v secs="$sections" 'BEGIN { n = split(secs, s, "\n"); for (i = 1; i <= n; i++) ok[s[i]] = 1 }
         { sec = $0; sub(/.*§/, "", sec); if (!(sec in ok)) print }')
 if [ -n "$dangling" ]; then
     printf '%s\n' "$dangling" >&2
     echo "check.sh: a DESIGN.md section reference names no heading" >&2
+    exit 1
+fi
+# Each mechanism's paragraph names the tier-1 test that holds it, in
+# backticks as `path.rs::name` or `module::tests::name`: a test renamed or
+# deleted takes its mention with it.
+unnamed=$(grep -oE '`[A-Za-z0-9_/.-]*(\.rs|::tests)::[a-z0-9_]+`' DESIGN.md | tr -d '`' |
+    sed 's/.*:://' | sort -u | while read -r name; do
+        grep -rqw "fn $name" crates tests || echo "$name"
+    done)
+if [ -n "$unnamed" ]; then
+    printf '%s\n' "$unnamed" >&2
+    echo "check.sh: DESIGN.md names a test that is no fn under crates/ or tests/" >&2
     exit 1
 fi
 

@@ -55,7 +55,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// once, when a flow went from one RTO timer per pump to one live timer:
 /// `TraceEvent::Timer` lines disappeared, every FCT half stayed the old
 /// constant, and the NDP and Homa rows (no `tcp_base`; `TxDone` writes no
-/// trace event) did not move — DESIGN.md §10.1 has the old → new table.
+/// trace event) did not move (DESIGN.md §10.1; the replaced digests are
+/// in the git history of DESIGN.md).
 /// The NDP and Homa rows moved once, both halves, when every
 /// receiver-driven sender got the retry (DESIGN.md §16): a sender its
 /// receiver never answers probes it, and a completed receiver answers
@@ -224,9 +225,10 @@ fn layered_ppt_goldens_hold_on_both_queues() {
 /// while PIAS and the oracle were endpoints of their own and did not move
 /// when they became policies; the trace halves (and `POWERTCP_GOLDEN`'s)
 /// were re-pinned then, because the one endpoint traces `retransmit` /
-/// `alpha_update` / `cwnd_update` for every scheme — DESIGN.md §16 has the
-/// old → new table. The oracle's trace half, and RC3's two below, moved
-/// again when push-out evictions became `evict` lines (CHANGES.md). None of these runs retransmits
+/// `alpha_update` / `cwnd_update` for every scheme (DESIGN.md §16; the
+/// replaced digests are in the git history of DESIGN.md). The oracle's
+/// trace half, and RC3's two below, moved again when push-out evictions
+/// became `evict` lines (CHANGES.md). None of these runs retransmits
 /// (`goldens_outside_the_recovery_set_retransmit_nothing`).
 const TCP_FAMILY_GOLDENS: [(Scheme, u64, u64); 4] = [
     (Scheme::Pias, 0xe375_9eda_6539_3692, 0xc536_1551_6b57_5840),
@@ -238,8 +240,7 @@ const TCP_FAMILY_GOLDENS: [(Scheme, u64, u64); 4] = [
 /// The `Window<H, L>` goldens that retransmit, with `PFC_GOLDEN` and the
 /// fault golden: the only ones a change to loss recovery may move. All six
 /// were re-pinned once, when the scoreboard ring replaced the
-/// retransmission queue; DESIGN.md §16, "Loss recovery", has the old → new
-/// table.
+/// retransmission queue (DESIGN.md §16, "Loss recovery").
 const RECOVERY_GOLDENS: [(Scheme, u64, u64); 4] = [
     (Scheme::Tcp10, 0xfd44_6e3e_4f65_a126, 0xe33d_ea56_8385_381e),
     (Scheme::Halfback, 0xf10a_3fa3_903b_ef02, 0xb9e6_e5b9_f591_d917),
