@@ -406,8 +406,8 @@ impl<P: Payload> Simulator<P> {
         self.trace = Some(sink);
     }
 
-    /// Detach and return the trace sink (downcast via `TraceSink::as_any`
-    /// to recover the concrete type).
+    /// Detach and return the trace sink (upcast it to `Box<dyn Any>` and
+    /// `downcast` it to recover the concrete type).
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.trace.take()
     }

@@ -493,8 +493,8 @@ mod tests {
         assert_eq!(report.faults.fault_drops, 1);
         assert_eq!(topo.sim.completion(sent), None);
         assert!(topo.sim.completion(received).is_some() && topo.sim.completion(after).is_some());
-        let mut sink = topo.sim.take_trace_sink().unwrap();
-        let events = sink.as_any_mut().downcast_mut::<MemorySink>().unwrap().take_events();
+        let sink: Box<dyn std::any::Any> = topo.sim.take_trace_sink().unwrap();
+        let events = sink.downcast::<MemorySink>().unwrap().events;
         let link = topo.sim.host_uplink(down).0;
         let outage: Vec<_> = events
             .into_iter()

@@ -143,8 +143,8 @@ fn run(cfg: SwitchConfig, faults: Option<FaultSchedule>, flows: &[Flow]) -> Run 
     let report = sim.run(RunLimits { max_time: SimTime(700_000), max_events: 800 });
     assert_eq!(report.stop, StopReason::AllFlowsDone, "{:?}", sim.san_violations());
     assert!(sim.san_violations().is_empty(), "{:?}", sim.san_violations());
-    let mut sink = sim.take_trace_sink().expect("sink installed");
-    let events = sink.as_any_mut().downcast_mut::<MemorySink>().expect("memory sink").take_events();
+    let sink: Box<dyn std::any::Any> = sim.take_trace_sink().expect("sink installed");
+    let events = sink.downcast::<MemorySink>().expect("memory sink").events;
     let arrivals = arrivals.borrow().clone();
     let admissions = events.iter().filter(|(_, ev)| {
         use TraceEvent::{Drop, Enqueue, Trim};

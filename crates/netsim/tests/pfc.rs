@@ -193,9 +193,9 @@ fn a_pfc_switch_never_evicts_or_tail_drops_even_with_push_out() {
     assert!(topo.sim.san_violations().is_empty(), "{:?}", topo.sim.san_violations());
     let c = topo.sim.total_counters();
     assert_eq!((c.evicted, c.dropped), (0, 0), "{c:?}");
-    let trace = topo.sim.take_trace_sink().expect("installed");
-    let events = trace.as_any().downcast_ref::<netsim::trace::MemorySink>().expect("memory");
-    let deepest = events.events().iter().filter_map(|(_, ev)| match *ev {
+    let trace: Box<dyn std::any::Any> = topo.sim.take_trace_sink().expect("installed");
+    let events = trace.downcast::<netsim::trace::MemorySink>().expect("memory").events;
+    let deepest = events.iter().filter_map(|(_, ev)| match *ev {
         netsim::TraceEvent::Enqueue { qlen, .. } => Some(qlen),
         _ => None,
     });

@@ -58,8 +58,8 @@ fn until(us: u64) -> RunLimits {
 
 /// How many `flow_start` and `link_down` events the run traced.
 fn starts_and_outages(sim: &mut Simulator<Hdr>) -> (usize, usize) {
-    let sink = sim.take_trace_sink().expect("line() installs a sink");
-    let events = sink.as_any().downcast_ref::<MemorySink>().expect("a MemorySink").events();
+    let sink: Box<dyn std::any::Any> = sim.take_trace_sink().expect("line() installs a sink");
+    let events = sink.downcast::<MemorySink>().expect("a MemorySink").events;
     let count = |pred: fn(&TraceEvent) -> bool| events.iter().filter(|(_, ev)| pred(ev)).count();
     (
         count(|ev| matches!(ev, TraceEvent::FlowStart { .. })),

@@ -2,10 +2,11 @@
 //! workload, run, and collect FCT statistics — the loop every figure of
 //! the paper runs.
 
+use std::any::Any;
 use std::path::{Path, PathBuf};
 
 use netsim::trace::{
-    FlightRecorder, JsonObject, LogHistogram, MemorySink, MetricsRegistry, ProfKind,
+    FlightRecorder, JsonObject, LogHistogram, MemorySink, MetricsRegistry, ProfKind, TraceSink,
 };
 use netsim::{
     FatTreeParams, FaultSchedule, LeafSpineParams, Rate, RunLimits, SanLevel, Shape, SimDuration,
@@ -588,29 +589,22 @@ pub fn run_experiment_with<F>(exp: &Experiment, pre_run: F) -> Outcome
 where
     F: Fn(&mut Topology<Proto>),
 {
-    let (mut topo, report) = run_once(exp, &pre_run);
-    if report.is_abnormal() {
-        warn_abnormal(exp, &topo.sim, &report);
-        // A sink `pre_run` installed saw the run itself; nothing to replay.
-        if !topo.sim.trace_enabled() {
-            // The first pass is dropped before the second starts and the
-            // second is what the caller gets — the same state, by
-            // determinism — so a run stopped for running away is never
-            // held in memory twice.
-            drop(topo);
-            let (replay, replayed) = run_once(exp, |t: &mut Topology<Proto>| {
-                pre_run(t);
-                t.sim.set_trace_sink(Box::new(FlightRecorder::new(FLIGHT_RECORDER_EVENTS)));
-            });
-            debug_assert_eq!(replayed, report, "{}: the replay diverged", exp.scheme.name());
-            topo = replay;
-            let sink = topo.sim.take_trace_sink();
-            if let Some(rec) = sink.as_deref().and_then(|s| s.as_any().downcast_ref()) {
-                dump_flight_recorder(exp, rec);
-            }
-        }
+    let (topo, report) = run_once(exp, &pre_run);
+    // A sink `pre_run` installed saw the run itself; nothing to replay.
+    if !report.is_abnormal() || topo.sim.trace_enabled() {
+        return collect_outcome(exp, topo, report);
     }
-    collect_outcome(topo, report)
+    // The first pass is dropped before the second starts and the second is
+    // what the caller gets — the same state, by determinism, and the same
+    // warning — so a run stopped for running away is never held twice.
+    drop(topo);
+    let recorder = FlightRecorder::new(FLIGHT_RECORDER_EVENTS);
+    let (outcome, recorder) = run_into(exp, recorder, &pre_run);
+    debug_assert_eq!(outcome.report, report, "{}: the replay diverged", exp.scheme.name());
+    if let Some(rec) = recorder {
+        dump_flight_recorder(exp, &rec);
+    }
+    outcome
 }
 
 /// One pass of an experiment, from an empty topology to the stopped
@@ -651,8 +645,12 @@ where
     (topo, report)
 }
 
-/// Collect what a stopped run leaves behind.
-fn collect_outcome(topo: Topology<Proto>, report: netsim::RunReport) -> Outcome {
+/// Collect what a stopped run leaves behind, saying on stderr if it
+/// stopped abnormally.
+fn collect_outcome(exp: &Experiment, topo: Topology<Proto>, report: netsim::RunReport) -> Outcome {
+    if report.is_abnormal() {
+        warn_abnormal(exp, &topo.sim, &report);
+    }
     let fct = FctStats::from_sim(&topo.sim);
     let completion_ratio = FctStats::completion_ratio(&topo.sim);
     let counters = topo.sim.total_counters();
@@ -743,43 +741,52 @@ fn dump_file_path(dir: &Path, exp: &Experiment) -> PathBuf {
     dir.join(format!("ppt-dump-{}-{}-{}.jsonl", slug.join("-"), std::process::id(), n))
 }
 
+/// Run `exp` with `sink` attached before `pre_run` runs, and take the sink
+/// back as its type once the run stops (`None` if `pre_run` replaced it):
+/// the workspace's one downcast of a sink.
+fn run_into<S, F>(exp: &Experiment, sink: S, pre_run: F) -> (Outcome, Option<S>)
+where
+    S: TraceSink,
+    F: FnOnce(&mut Topology<Proto>),
+{
+    let (mut topo, report) = run_once(exp, |topo: &mut Topology<Proto>| {
+        topo.sim.set_trace_sink(Box::new(sink));
+        pre_run(topo);
+    });
+    let sink = topo.sim.take_trace_sink().and_then(|sink| (sink as Box<dyn Any>).downcast().ok());
+    (collect_outcome(exp, topo, report), sink.map(|sink| *sink))
+}
+
+/// Run an experiment with `sink` seeing every engine + transport event as it
+/// happens, and hand the sink back with the outcome: with a sink that folds
+/// ([`netsim::trace::JsonlWriter`], [`dcn_stats::LcpFold`], a pair of them)
+/// the run holds no event. The stream records an abnormal stop: no replay.
+pub fn run_experiment_into<S: TraceSink>(exp: &Experiment, sink: S) -> (Outcome, S) {
+    let (outcome, sink) = run_into(exp, sink, |_| {});
+    // Nothing but `run_into` installs a sink on this run.
+    (outcome, sink.expect("the run's one sink comes back")) // simlint: allow(panic_hygiene)
+}
+
 /// A captured event stream from a traced run: the [`MemorySink`] the run
 /// wrote, `(time_ns, event)` pairs in emission order in its `events`.
 pub type TraceData = MemorySink;
 
-/// Run an experiment with full event capture: a [`MemorySink`] records
-/// every engine + transport event. Same experiment (topology, scheme,
-/// flows, seed) ⇒ identical event stream.
+/// [`run_experiment_into`] a [`MemorySink`]: full event capture. Same
+/// experiment (topology, scheme, flows, seed) ⇒ identical event stream.
 pub fn run_experiment_traced(exp: &Experiment) -> (Outcome, TraceData) {
     run_experiment_traced_with(exp, |_| {})
 }
 
 /// [`run_experiment_traced`] with a pre-run hook (runs after the memory
 /// sink is installed — use it for samplers or [`netsim::Simulator::set_sanitizer`]).
-/// The captured stream is the record of an abnormal stop, so this door
-/// never replays and `pre_run` is called once.
+/// Like [`run_experiment_into`], this door never replays and `pre_run` is
+/// called once.
 pub fn run_experiment_traced_with<F>(exp: &Experiment, pre_run: F) -> (Outcome, TraceData)
 where
     F: FnOnce(&mut Topology<Proto>),
 {
-    let (topo, report) = run_once(exp, |topo: &mut Topology<Proto>| {
-        topo.sim.set_trace_sink(Box::new(MemorySink::new()));
-        pre_run(topo);
-    });
-    if report.is_abnormal() {
-        warn_abnormal(exp, &topo.sim, &report);
-    }
-    let mut outcome = collect_outcome(topo, report);
-    // The sink was installed here and nothing reads it afterwards, so its
-    // vector is moved out, not copied.
-    let events = outcome
-        .sim
-        .take_trace_sink()
-        .and_then(|mut sink| {
-            sink.as_any_mut().downcast_mut::<MemorySink>().map(MemorySink::take_events)
-        })
-        .unwrap_or_default();
-    (outcome, TraceData { events })
+    let (outcome, sink) = run_into(exp, MemorySink::new(), pre_run);
+    (outcome, sink.unwrap_or_default())
 }
 
 /// Distill an [`Outcome`] into a deterministic [`MetricsRegistry`]:

@@ -432,10 +432,10 @@ pub struct Run {
 
 impl Run {
     /// Parse the options of run command `cmd` (`compare`, `sweep`, `trace`,
-    /// `faults`, `report` or `gen`), checking every value before anything
-    /// runs. `faults` always injects and `report` always samples, so those
-    /// two fall back to a default spec where the others fall back to off; a
-    /// bare `--telemetry` / `--sanitize` means 10 µs / epoch.
+    /// `report` or `gen`), checking every value before anything runs.
+    /// `report` always samples, so it falls back to a 10 µs interval where
+    /// the others fall back to off; a bare `--telemetry` / `--sanitize`
+    /// means 10 µs / epoch.
     pub fn parse(cmd: &str, args: &Args, dump_dir: Option<PathBuf>) -> Result<Run, String> {
         // A replayed trace fixes the flows, so nothing may describe others.
         let workload_keys = ["workload", "load", "flows", "seed", "incast"];
@@ -445,7 +445,7 @@ impl Run {
             return Err(format!("--{key} cannot be given with --trace: the trace fixes the flows"));
         }
         let (default_schemes, default_flows) = match cmd {
-            "trace" | "faults" | "report" => ("ppt", 80),
+            "trace" | "report" => ("ppt", 80),
             _ => ("ppt,dctcp", 400),
         };
         let schemes = parse_schemes(args.get("schemes").unwrap_or(default_schemes))?;
@@ -488,11 +488,7 @@ impl Run {
             Some("pfc") => true,
             Some(v) => return Err(format!("--switch: unknown mode '{v}' (default | pfc)")),
         };
-        template.faults = args
-            .get("faults")
-            .or((cmd == "faults").then_some("loss=0.01"))
-            .map(|spec| parse_faults(spec, topo))
-            .transpose()?;
+        template.faults = args.get("faults").map(|spec| parse_faults(spec, topo)).transpose()?;
         if let Some(v) = args.get("telemetry").or((cmd == "report").then_some("10us")) {
             let v = if v == "true" { "10us" } else { v };
             let spec =

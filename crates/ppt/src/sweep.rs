@@ -149,11 +149,6 @@ impl Cell {
         exp.flows = all_to_all(exp.topo.hosts(), &workload);
         SweepPoint { label, exp }
     }
-
-    /// Expand the cell and run it.
-    pub fn run(self) -> PointResult {
-        self.expand().run()
-    }
 }
 
 /// The scheme × load × seed grid of the paper's figures as cells, in

@@ -15,12 +15,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ppt::figures::{self, FigureOpts, FIGURES};
-use ppt::harness::{collect_metrics, run_experiment, run_experiment_traced};
-use ppt::harness::{Outcome, TelemetrySummary, TraceData};
+use ppt::harness::{collect_metrics, run_experiment, run_experiment_into};
+use ppt::harness::{Outcome, TelemetrySummary};
 use ppt::spec::{parse_flows, Args, Run, SCHEMES, TOPOS, WORKLOADS};
-use ppt::stats::{analyze_all, analyze_lcp, analyze_recovery, FctSummary, SeriesAnalysis};
+use ppt::stats::{analyze_all, FctSummary, LcpFold, RecoveryFold, SeriesAnalysis};
 use ppt::sweep::{run_points, run_stream, Cell};
-use ppt::trace::JsonObject;
+use ppt::trace::{JsonObject, JsonlWriter};
 
 const USAGE: &str = "\
 pptlab — PPT reproduction laboratory
@@ -29,8 +29,8 @@ USAGE:
   pptlab compare [OPTIONS]     run schemes on one workload and print FCT rows
   pptlab sweep [OPTIONS]       run a scheme x load x seed grid and print one row per point
   pptlab trace [OPTIONS]       record a traced run: events.jsonl + metrics.json
-                               (+ telemetry.jsonl with --telemetry)
-  pptlab faults [OPTIONS]      traced fault-injection run; one JSONL recovery summary per scheme
+                               (+ telemetry.jsonl with --telemetry); prints the LCP
+                               loops and, with --faults, the recovery summary
   pptlab report [OPTIONS]      telemetered run: series summaries, histogram percentiles,
                                oscillation flags and (with --prof) a profile breakdown
   pptlab gen [OPTIONS] > t.csv generate a flow trace as CSV on stdout
@@ -41,7 +41,7 @@ USAGE:
   pptlab topos                 list topology ids
   pptlab workloads             list workload ids
 
-OPTIONS (compare, sweep, trace, faults, report — unless the flag names its
+OPTIONS (compare, sweep, trace, report — unless the flag names its
 commands; an option a command does not take is an error, not ignored):
   --schemes a,b,c   comma-separated `pptlab schemes` ids, each scheme once;
                     ppt-fill:<f> takes a fraction in (0,4], rc3-cap:<f> in (0,1]
@@ -63,8 +63,8 @@ commands; an option a command does not take is an error, not ignored):
   --json            (compare, report) one JSON document / (sweep) one JSON
                     line per point
   --metrics         (compare) also collect + print per-scheme metrics
-  --out DIR         (trace, faults, report, figure) output directory; all but
-                    trace only write files when --out is given. report writes
+  --out DIR         (trace, report, figure) output directory; all but trace
+                    only write files when --out is given. report writes
                     <id>.report.json + <id>.telemetry.jsonl per scheme, figure
                     <id>.txt per figure               [default: . / off]
   --sanitize [LVL]  run simsan, the runtime invariant sanitizer, on every
@@ -87,8 +87,7 @@ commands; an option a command does not take is an error, not ignored):
                     with several schemes), the bytes report writes
   --prof            (report) also run the wall-clock dispatch profiler and
                     include its (non-deterministic) breakdown in output
-  --faults SPEC     deterministic fault schedule [faults default: loss=0.01].
-                    SPEC is comma-separated items:
+  --faults SPEC     deterministic fault schedule. SPEC is comma-separated items:
                       loss=F        per-packet data-loss probability, in [0, 1]
                       ackloss=F     per-packet control-loss probability, in [0, 1]
                       lp            confine ackloss to priorities >= 4 (LP ACKs)
@@ -182,13 +181,6 @@ fn cmd_compare(args: &Args, run: &Run) -> Result<(), String> {
     Ok(())
 }
 
-/// Write a captured stream as JSON Lines, a chunk at a time: the file's
-/// text never exists in memory beside the events it is made from.
-fn write_events(path: &Path, trace: &TraceData) -> Result<(), String> {
-    let write = || ppt::trace::write_jsonl(&mut std::fs::File::create(path)?, &trace.events);
-    write().map_err(|e| format!("{}: {e}", path.display()))
-}
-
 /// Write `bytes` to `path`, naming the path in the error.
 fn write_file(path: &Path, bytes: impl AsRef<[u8]>) -> Result<(), String> {
     std::fs::write(path, bytes).map_err(|e| format!("{}: {e}", path.display()))
@@ -215,81 +207,56 @@ fn out_dir(args: &Args) -> Result<Option<PathBuf>, String> {
 
 fn cmd_trace(args: &Args, run: &Run) -> Result<(), String> {
     let out_dir = out_dir(args)?.unwrap_or_else(|| PathBuf::from("."));
+    let single = run.schemes.len() == 1;
+    let path = |id: &str, name: &str| {
+        if single {
+            out_dir.join(name)
+        } else {
+            out_dir.join(format!("{id}.{name}"))
+        }
+    };
+    let rtt = run.template.topo.base_rtt();
 
-    // Traced runs go through the shared sweep runner; file writes and
-    // report lines stay on this thread, in scheme order, so output is
-    // byte-identical for any --jobs.
+    // Each worker writes its run's events as they happen and folds them
+    // into the LCP and recovery summaries on the way, so no stream is ever
+    // held. Every other file and line is written here, in scheme order,
+    // so output is byte-identical for any --jobs.
     let results = run_points(run.schemes.len(), run.jobs, |i| {
-        let (outcome, trace) = run_experiment_traced(&run.experiment(i));
-        (trace, collect_metrics(&outcome).to_json(), telemetry_dump(&outcome, false))
+        let ev_path = path(&run.schemes[i].0, "events.jsonl");
+        let failed = |e: std::io::Error| format!("{}: {e}", ev_path.display());
+        let writer = JsonlWriter::new(std::fs::File::create(&ev_path).map_err(failed)?);
+        let folds = (LcpFold::default(), RecoveryFold::default());
+        let (outcome, (writer, (lcp, rec))) =
+            run_experiment_into(&run.experiment(i), (writer, folds));
+        let (_, events) = writer.finish().map_err(failed)?;
+        let rec = outcome.sim.faults_enabled().then(|| rec.finish(outcome.report.faults));
+        let telemetry = telemetry_dump(&outcome, false);
+        let metrics = collect_metrics(&outcome).to_json();
+        Ok::<_, String>((ev_path, events, metrics, telemetry, lcp.finish(rtt), rec))
     });
 
-    let single = run.schemes.len() == 1;
-    for ((id, scheme), (trace, metrics_json, telemetry)) in run.schemes.iter().zip(results) {
-        let path = |name: &str| {
-            if single {
-                out_dir.join(name)
-            } else {
-                out_dir.join(format!("{id}.{name}"))
-            }
-        };
-        let (ev_path, m_path) = (path("events.jsonl"), path("metrics.json"));
-        write_events(&ev_path, &trace)?;
+    for ((id, scheme), result) in run.schemes.iter().zip(results) {
+        let (ev_path, events, metrics_json, telemetry, lcp, recovery) = result?;
+        let m_path = path(id, "metrics.json");
         write_file(&m_path, metrics_json)?;
         let mut line = format!(
-            "{}: {} events -> {}, metrics -> {}",
+            "{}: {events} events -> {}, metrics -> {}",
             scheme.name(),
-            trace.events.len(),
             ev_path.display(),
             m_path.display()
         );
         if let Some(dump) = telemetry {
-            let t_path = path("telemetry.jsonl");
+            let t_path = path(id, "telemetry.jsonl");
             write_file(&t_path, dump)?;
             line += &format!(", telemetry -> {}", t_path.display());
         }
         println!("{line}");
-        let lcp = analyze_lcp(&trace.events, run.template.topo.base_rtt());
+        if let Some(recovery) = recovery {
+            print!("{}", recovery.render());
+        }
         if !lcp.loops.is_empty() {
             print!("{}", lcp.render());
         }
-    }
-    Ok(())
-}
-
-fn cmd_faults(args: &Args, run: &Run) -> Result<(), String> {
-    let out_dir = out_dir(args)?;
-    let results = run_points(run.schemes.len(), run.jobs, |i| {
-        let (outcome, trace) = run_experiment_traced(&run.experiment(i));
-        (trace, outcome.report, outcome.completion_ratio)
-    });
-
-    // One JSON line per scheme: the recovery summary the fault suite keys
-    // off, stable for any --jobs.
-    for ((id, scheme), (trace, report, completion_ratio)) in run.schemes.iter().zip(results) {
-        let engine = report.faults;
-        if let Some(dir) = &out_dir {
-            write_events(&dir.join(format!("{id}.faults.events.jsonl")), &trace)?;
-        }
-        let rec = analyze_recovery(&trace.events, engine);
-        let lcp = analyze_lcp(&trace.events, run.template.topo.base_rtt());
-        let doc = JsonObject::new()
-            .str("scheme", &scheme.name())
-            .u64("flows_completed", report.flows_completed as u64)
-            .u64("flows_total", report.flows_total as u64)
-            .f64("completion_ratio", completion_ratio)
-            .u64("fault_drops", engine.fault_drops)
-            .u64("ctrl_drops", rec.ctrl_drops)
-            .u64("outages", rec.outages.len() as u64)
-            .u64("outage_ns", rec.total_outage_ns())
-            .u64("retransmits", engine.retransmits)
-            .f64("mean_recovery_us", rec.mean_recovery_us())
-            .f64("max_recovery_us", rec.max_recovery_us())
-            .f64("degraded_goodput_gbps", rec.degraded_goodput_gbps())
-            .u64("max_stall_ns", engine.max_stall.as_nanos())
-            .u64("lcp_no_lp_acks", lcp.closed_no_lp_acks as u64)
-            .finish();
-        println!("{doc}");
     }
     Ok(())
 }
@@ -483,7 +450,6 @@ const COMMANDS: &[(&str, &[&[&str]], Option<Cmd>)] = &[
     ("compare", &[RUN_KEYS, SETUP_KEYS, &["json", "metrics"]], Some(cmd_compare)),
     ("sweep", &[RUN_KEYS, GRID_KEYS, &["json", "telemetry"]], Some(cmd_sweep)),
     ("trace", &[RUN_KEYS, SETUP_KEYS, &["out", "telemetry"]], Some(cmd_trace)),
-    ("faults", &[RUN_KEYS, SETUP_KEYS, &["out"]], Some(cmd_faults)),
     ("report", &[RUN_KEYS, SETUP_KEYS, &["out", "json", "prof", "telemetry"]], Some(cmd_report)),
     ("gen", &[&["topo", "workload", "load", "flows", "seed"]], Some(cmd_gen)),
     ("figure", &[&["ids", "flows", "seed", "jobs", "out"]], None),
@@ -700,7 +666,8 @@ mod tests {
     fn trace_telemetry_is_the_report_dump() {
         let exp =
             parse_run("trace", "--topo star:4:10:20 --flows 20 --telemetry 10us").experiment(0);
-        let traced = telemetry_dump(&run_experiment_traced(&exp).0, false).expect("sampled");
+        let traced = run_experiment_into(&exp, JsonlWriter::new(Vec::new())).0;
+        let traced = telemetry_dump(&traced, false).expect("sampled");
         assert!(traced.starts_with(br#"{"at":10000,"ev":"sample","series":0,"#), "no samples");
         assert_eq!(Some(traced), telemetry_dump(&run_experiment(&exp), false));
     }
@@ -771,6 +738,7 @@ mod tests {
                 assert_eq!(err(cmd, &["--topo", topo]), format!("--topo {topo}: {says}"));
             }
         }
+        assert!(run_command("faults", &[], None).is_none(), "`trace --faults` is the fault run");
         assert!(err("compare", &["--topo", "star:2:10"]).starts_with("bad --topo 'star:2:10'"));
         assert!(err("compare", &["--topo", "ring"]).starts_with("bad --topo 'ring'"));
         // Fault items name hosts and switches of the topology, probabilities
@@ -784,7 +752,7 @@ mod tests {
                 "'down:9:0:10': host 9 is not on the topology (it has 3)",
             ),
             (
-                "faults",
+                "trace",
                 &["--faults", "stall:7:0:10"],
                 "'stall:7:0:10': switch 7 is not on the topology (it has 1)",
             ),
@@ -803,7 +771,7 @@ mod tests {
                 "'down:0:1:18446744073709552': 18446744073709552 us is too large",
             ),
             (
-                "faults",
+                "trace",
                 &["--faults", "stall:0:18446744073709552:1"],
                 "'stall:0:18446744073709552:1': 18446744073709552 + 1 us is too large",
             ),
@@ -817,11 +785,9 @@ mod tests {
             assert_eq!(err(cmd, &argv), format!("--faults: {says}"));
         }
         // The sampler runs only where something prints what it records.
-        for cmd in ["compare", "faults"] {
-            let says = format!("unknown option --telemetry for '{cmd}'");
-            assert!(err(cmd, &["--telemetry", "10us"]).starts_with(&says), "{cmd}");
-            assert!(err(cmd, &["--telemetry"]).starts_with(&says), "{cmd}");
-        }
+        let says = "unknown option --telemetry for 'compare'";
+        assert!(err("compare", &["--telemetry", "10us"]).starts_with(says));
+        assert!(err("compare", &["--telemetry"]).starts_with(says));
         for interval in ["18446744073709552", "18446744073709552us", "18446744073710ms"] {
             assert_eq!(
                 err("report", &["--telemetry", interval]),

@@ -147,36 +147,6 @@ impl FctStats {
             counts: (self.records.len(), small, self.records.len() - small),
         }
     }
-
-    /// Mean normalized slowdown: FCT divided by the ideal FCT of a flow of
-    /// that size on an empty `rate` path with `base_rtt` (a common
-    /// alternative metric; used by some ablations).
-    pub fn mean_slowdown(&self, rate: netsim::Rate, base_rtt: SimDuration) -> f64 {
-        if self.records.is_empty() {
-            return f64::NAN;
-        }
-        let sum: f64 = self
-            .records
-            .iter()
-            .map(|r| {
-                let ideal = rate.serialization_time(r.size_bytes).as_nanos() + base_rtt.as_nanos();
-                r.fct.as_nanos() as f64 / ideal as f64
-            })
-            .sum();
-        sum / self.records.len() as f64
-    }
-}
-
-impl FctStats {
-    /// The empirical FCT CDF over records matching `pred`: sorted
-    /// (fct_us, cumulative_fraction) points, ready for plotting.
-    pub fn cdf_us_where<F: Fn(&FctRecord) -> bool>(&self, pred: F) -> Vec<(f64, f64)> {
-        let mut v: Vec<f64> =
-            self.records.iter().filter(|r| pred(r)).map(|r| r.fct.as_micros_f64()).collect();
-        v.sort_by(f64::total_cmp);
-        let n = v.len();
-        v.into_iter().enumerate().map(|(i, x)| (x, (i + 1) as f64 / n as f64)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -239,29 +209,5 @@ mod tests {
         let s = build(&[rec(1_000, 42)]);
         assert_eq!(s.small_p99_us(), 42.0);
         assert_eq!(s.quantile_us_where(0.0, |_| true), 42.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let s = build(&[rec(1000, 30), rec(1000, 10), rec(1000, 20)]);
-        let cdf = s.cdf_us_where(|_| true);
-        assert_eq!(cdf.len(), 3);
-        assert_eq!(cdf[0], (10.0, 1.0 / 3.0));
-        assert_eq!(cdf[2], (30.0, 1.0));
-        for w in cdf.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 > w[0].1);
-        }
-        assert!(s.cdf_us_where(|r| r.size_bytes > 1_000_000).is_empty());
-    }
-
-    #[test]
-    fn mean_slowdown_is_one_for_ideal_flows() {
-        let rate = netsim::Rate::gbps(10);
-        let rtt = SimDuration::from_micros(80);
-        let size = 100_000u64;
-        let ideal = rate.serialization_time(size) + rtt;
-        let mut s = FctStats::new();
-        s.push(size, SimTime::ZERO, SimTime::ZERO + ideal);
-        assert!((s.mean_slowdown(rate, rtt) - 1.0).abs() < 1e-9);
     }
 }

@@ -1,6 +1,7 @@
-//! LCP loop lifecycle analysis over recorded trace streams.
+//! LCP loop lifecycle analysis over trace streams.
 //!
-//! Reconstructs PPT's tail-loop behaviour from a [`TraceEvent`] stream:
+//! Reconstructs PPT's tail-loop behaviour from a [`TraceEvent`] stream,
+//! live beside a run or over a captured one:
 //! when loops opened (case-1 flow start vs case-2 queue buildup), how
 //! long they lived and why they closed, whether ECE-marked LCP ACKs were
 //! correctly ignored (the LCP never reacts to its own marks), and whether
@@ -9,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use netsim::trace::{LcpCloseReason, LcpTrigger, TraceEvent};
+use netsim::trace::{LcpCloseReason, LcpTrigger, TraceEvent, TraceSink};
 use netsim::SimDuration;
 
 /// One reconstructed LCP loop lifecycle.
@@ -27,12 +28,6 @@ pub struct LcpLoop {
     pub close_reason: Option<LcpCloseReason>,
     /// Every LCP data send as `(time_ns, bytes)`.
     pub sends: Vec<(u64, u64)>,
-    /// LCP ACKs received while this was the flow's latest loop.
-    pub acks: u32,
-    /// ... of which ECE-marked.
-    pub ece_acks: u32,
-    /// ... of which ECE-marked and correctly ignored (no new packet).
-    pub ece_ignored: u32,
 }
 
 impl LcpLoop {
@@ -165,104 +160,98 @@ impl LcpReport {
     }
 }
 
-/// Reconstruct every LCP loop lifecycle from a `(time_ns, event)` stream.
-///
-/// `rtt` sizes the windows for the EWD halving-ratio estimate; pass the
-/// topology's base RTT.
-pub fn analyze_lcp(events: &[(u64, TraceEvent)], rtt: SimDuration) -> LcpReport {
-    let mut loops: Vec<LcpLoop> = Vec::new();
-    // Flow → index of its most recent loop (events for a flow always
-    // refer to its latest loop: PPT runs at most one LCP per flow).
-    let mut latest: BTreeMap<u64, usize> = BTreeMap::new();
-    for &(at, ev) in events {
-        match ev {
+/// Reconstructs every LCP loop lifecycle from the event stream as it
+/// arrives: a [`TraceSink`] to run beside any other, or to feed a captured
+/// stream ([`analyze_lcp`]). [`LcpFold::finish`] gives the report.
+#[derive(Clone, Debug, Default)]
+pub struct LcpFold {
+    /// The loops and the ACK counts so far.
+    report: LcpReport,
+    /// Flow → index of its most recent loop (events for a flow always
+    /// refer to its latest loop: PPT runs at most one LCP per flow).
+    latest: BTreeMap<u64, usize>,
+}
+
+impl LcpFold {
+    /// The report over every event seen. `rtt` sizes the windows for the
+    /// EWD halving-ratio estimate; pass the topology's base RTT.
+    pub fn finish(self, rtt: SimDuration) -> LcpReport {
+        let (rtt_ns, mut report) = (rtt.as_nanos(), self.report);
+        let (mut dur_sum, mut dur_n) = (0u64, 0usize);
+        let (mut ratio_sum, mut ratio_n) = (0.0f64, 0usize);
+        for l in &report.loops {
+            // Rows and columns in the enums' order; a loop still open last.
+            let col = l.close_reason.map_or(3, |reason| reason as usize);
+            let cell = &mut report.by_cause[l.trigger as usize][col];
+            cell.loops += 1;
+            cell.sends += l.sends.len();
+            if l.closed_at.is_some() {
+                dur_sum += l.duration_ns();
+                dur_n += 1;
+            }
+            for pair in l.rtt_windows(rtt_ns).windows(2) {
+                if pair[0] > 0 && pair[1] > 0 {
+                    ratio_sum += pair[1] as f64 / pair[0] as f64;
+                    ratio_n += 1;
+                }
+            }
+        }
+        let table = report.by_cause;
+        let opened = |row: usize| table[row].iter().map(|c| c.loops).sum();
+        let closed = |col: usize| table.iter().map(|r| r[col].loops).sum();
+        (report.opened_flow_start, report.opened_queue_buildup) = (opened(0), opened(1));
+        (report.closed_flow_done, report.closed_expired) = (closed(0), closed(1));
+        (report.closed_no_lp_acks, report.still_open) = (closed(2), closed(3));
+        report.mean_duration_us =
+            if dur_n == 0 { 0.0 } else { dur_sum as f64 / dur_n as f64 / 1000.0 };
+        report.ewd_ratios = ratio_n;
+        report.ewd_halving_ratio = if ratio_n == 0 { 0.0 } else { ratio_sum / ratio_n as f64 };
+        report
+    }
+}
+
+impl TraceSink for LcpFold {
+    fn emit(&mut self, at: u64, ev: &TraceEvent) {
+        let (report, latest) = (&mut self.report, &mut self.latest);
+        match *ev {
             TraceEvent::LcpOpened { flow, trigger, .. } => {
-                latest.insert(flow, loops.len());
-                loops.push(LcpLoop {
+                latest.insert(flow, report.loops.len());
+                report.loops.push(LcpLoop {
                     flow,
                     trigger,
                     opened_at: at,
                     closed_at: None,
                     close_reason: None,
                     sends: Vec::new(),
-                    acks: 0,
-                    ece_acks: 0,
-                    ece_ignored: 0,
                 });
             }
             TraceEvent::LcpClosed { flow, reason } => {
-                if let Some(&i) = latest.get(&flow) {
-                    let l = &mut loops[i];
+                if let Some(l) = latest.get(&flow).map(|&i| &mut report.loops[i]) {
                     if l.closed_at.is_none() {
-                        l.closed_at = Some(at);
-                        l.close_reason = Some(reason);
+                        (l.closed_at, l.close_reason) = (Some(at), Some(reason));
                     }
                 }
             }
             TraceEvent::LcpSend { flow, len, .. } => {
                 if let Some(&i) = latest.get(&flow) {
-                    loops[i].sends.push((at, len));
+                    report.loops[i].sends.push((at, len));
                 }
             }
-            TraceEvent::LcpAck { flow, ece, sent_new } => {
-                if let Some(&i) = latest.get(&flow) {
-                    let l = &mut loops[i];
-                    l.acks += 1;
-                    if ece {
-                        l.ece_acks += 1;
-                        if !sent_new {
-                            l.ece_ignored += 1;
-                        }
-                    }
-                }
+            TraceEvent::LcpAck { flow, ece, sent_new } if latest.contains_key(&flow) => {
+                report.lcp_acks += 1;
+                report.ece_acks += ece as usize;
+                report.ece_ignored += (ece && !sent_new) as usize;
             }
             _ => {}
         }
     }
+}
 
-    let rtt_ns = rtt.as_nanos();
-    let mut report = LcpReport::default();
-    let (mut dur_sum, mut dur_n) = (0u64, 0usize);
-    let (mut ratio_sum, mut ratio_n) = (0.0f64, 0usize);
-    for l in &loops {
-        let row = match l.trigger {
-            LcpTrigger::FlowStart => 0,
-            LcpTrigger::QueueBuildup => 1,
-        };
-        let col = match l.close_reason {
-            Some(LcpCloseReason::FlowDone) => 0,
-            Some(LcpCloseReason::Expired) => 1,
-            Some(LcpCloseReason::NoLpAcks) => 2,
-            None => 3,
-        };
-        let cell = &mut report.by_cause[row][col];
-        cell.loops += 1;
-        cell.sends += l.sends.len();
-        if l.closed_at.is_some() {
-            dur_sum += l.duration_ns();
-            dur_n += 1;
-        }
-        report.lcp_acks += l.acks as usize;
-        report.ece_acks += l.ece_acks as usize;
-        report.ece_ignored += l.ece_ignored as usize;
-        for pair in l.rtt_windows(rtt_ns).windows(2) {
-            if pair[0] > 0 && pair[1] > 0 {
-                ratio_sum += pair[1] as f64 / pair[0] as f64;
-                ratio_n += 1;
-            }
-        }
-    }
-    let table = report.by_cause;
-    let opened = |row: usize| table[row].iter().map(|c| c.loops).sum();
-    let closed = |col: usize| table.iter().map(|r| r[col].loops).sum();
-    (report.opened_flow_start, report.opened_queue_buildup) = (opened(0), opened(1));
-    (report.closed_flow_done, report.closed_expired) = (closed(0), closed(1));
-    (report.closed_no_lp_acks, report.still_open) = (closed(2), closed(3));
-    report.mean_duration_us = if dur_n == 0 { 0.0 } else { dur_sum as f64 / dur_n as f64 / 1000.0 };
-    report.ewd_ratios = ratio_n;
-    report.ewd_halving_ratio = if ratio_n == 0 { 0.0 } else { ratio_sum / ratio_n as f64 };
-    report.loops = loops;
-    report
+/// [`LcpFold`] over a captured `(time_ns, event)` stream.
+pub fn analyze_lcp(events: &[(u64, TraceEvent)], rtt: SimDuration) -> LcpReport {
+    let mut fold = LcpFold::default();
+    events.iter().for_each(|(at, ev)| fold.emit(*at, ev));
+    fold.finish(rtt)
 }
 
 #[cfg(test)]
@@ -335,9 +324,6 @@ mod tests {
             closed_at: None,
             close_reason: None,
             sends: vec![(10_100, 16), (10_900, 8), (12_500, 4)],
-            acks: 0,
-            ece_acks: 0,
-            ece_ignored: 0,
         };
         assert_eq!(l.rtt_windows(1_000), vec![24, 0, 4]);
         assert!(l.rtt_windows(0).is_empty());

@@ -14,8 +14,8 @@ pub mod series;
 pub mod telemetry;
 
 pub use fct::{FctRecord, FctStats, FctSummary, SMALL_FLOW_MAX_BYTES};
-pub use lcp::{analyze_lcp, LcpCell, LcpLoop, LcpReport};
-pub use recovery::{analyze_recovery, OutageWindow, RecoveryReport};
+pub use lcp::{analyze_lcp, LcpCell, LcpFold, LcpLoop, LcpReport};
+pub use recovery::{analyze_recovery, OutageWindow, RecoveryFold, RecoveryReport};
 pub use series::{
     jain_index, mean_utilization, occupancy_split, utilization_series, OccupancySplit,
     UtilizationPoint,

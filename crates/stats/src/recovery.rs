@@ -1,17 +1,19 @@
 //! Recovery statistics for fault-injection runs.
 //!
 //! Reconstructs link-outage windows from the engine's `LinkDown` /
-//! `LinkUp` trace events, attributes injected `FaultDrop`s to them, and
-//! measures how long each recovery took: the delay from a link coming
-//! back up to the first sign of forward progress (a retransmission or a
-//! flow completion) afterwards.
+//! `LinkUp` trace events, live beside a run or over a captured stream,
+//! attributes injected `FaultDrop`s to them, and measures how long each
+//! recovery took: the delay from a link coming back up to the first sign
+//! of forward progress (a retransmission or a flow completion) afterwards.
 //!
 //! The engine-side totals a trace cannot carry (goodput delivered while
 //! faults were active, the longest switch stall) come straight from the
 //! engine's [`FaultReport`] — pass `outcome.report.faults`, or
 //! `FaultReport::default()` when analyzing a bare trace.
 
-use netsim::trace::TraceEvent;
+use std::collections::BTreeMap;
+
+use netsim::trace::{TraceEvent, TraceSink};
 use netsim::FaultReport;
 
 /// One `LinkDown` → `LinkUp` window of a single link.
@@ -47,9 +49,9 @@ pub struct RecoveryReport {
     pub ctrl_drops: u64,
     /// Retransmit events seen in the trace.
     pub retransmits: u64,
-    /// Per closed outage: delay from `LinkUp` to the first retransmission
-    /// or flow completion at/after it (outages with no later activity are
-    /// skipped).
+    /// Per closed outage, in down order: delay from `LinkUp` to the first
+    /// retransmission or flow completion at/after it (outages with no later
+    /// activity are skipped).
     pub recovery_times_ns: Vec<u64>,
     /// Engine totals, when the caller supplied them.
     pub engine: FaultReport,
@@ -85,7 +87,8 @@ impl RecoveryReport {
         self.engine.goodput_during_fault_bytes as f64 * 8.0 / ns as f64
     }
 
-    /// Multi-line human-readable summary.
+    /// Multi-line human-readable summary. Retransmissions are the engine's
+    /// count: receiver-driven schemes trace no `retransmit` line.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -98,7 +101,7 @@ impl RecoveryReport {
         ));
         out.push_str(&format!(
             "  recovery: {} retransmits, mean {:.1} us, worst {:.1} us over {} samples\n",
-            self.retransmits,
+            self.engine.retransmits,
             self.mean_recovery_us(),
             self.max_recovery_us(),
             self.recovery_times_ns.len(),
@@ -112,23 +115,61 @@ impl RecoveryReport {
     }
 }
 
-/// Reconstruct outage windows and recovery times from a `(time_ns,
-/// event)` stream. Pass the engine's [`FaultReport`] to fill in the
-/// goodput/stall numbers a trace cannot carry; `FaultReport::default()`
-/// leaves them zero.
-pub fn analyze_recovery(events: &[(u64, TraceEvent)], engine: FaultReport) -> RecoveryReport {
-    let mut report = RecoveryReport { engine, ..RecoveryReport::default() };
-    // link → index of its currently-open outage.
-    let mut open: std::collections::BTreeMap<u32, usize> = std::collections::BTreeMap::new();
-    for &(at, ev) in events {
-        match ev {
+/// Reconstructs outage windows and recovery times from the event stream
+/// as it arrives, in one pass: a [`TraceSink`] to run beside any other, or
+/// to feed a captured stream ([`analyze_recovery`]). The stream is in time
+/// order, as the engine emits it. [`RecoveryFold::finish`] gives the
+/// report.
+#[derive(Clone, Debug, Default)]
+pub struct RecoveryFold {
+    report: RecoveryReport,
+    /// Per outage, the recovery delay once measured.
+    recovery: Vec<Option<u64>>,
+    /// Link → index of its currently-open outage.
+    open: BTreeMap<u32, usize>,
+    /// Closed outages, by index and link-up time, still waiting for their
+    /// first forward progress.
+    waiting: Vec<(usize, u64)>,
+    /// When the last forward progress was seen.
+    last_progress: Option<u64>,
+}
+
+impl RecoveryFold {
+    /// The report over every event seen. Pass the engine's [`FaultReport`]
+    /// to fill in the goodput/stall numbers a trace cannot carry;
+    /// `FaultReport::default()` leaves them zero.
+    pub fn finish(self, engine: FaultReport) -> RecoveryReport {
+        let recovery_times_ns = self.recovery.into_iter().flatten().collect();
+        RecoveryReport { engine, recovery_times_ns, ..self.report }
+    }
+
+    /// Forward progress at `at`: every outage waiting for it has recovered.
+    fn progress(&mut self, at: u64) {
+        self.last_progress = Some(at);
+        for (i, up) in self.waiting.drain(..) {
+            self.recovery[i] = Some(at.saturating_sub(up));
+        }
+    }
+}
+
+impl TraceSink for RecoveryFold {
+    fn emit(&mut self, at: u64, ev: &TraceEvent) {
+        let report = &mut self.report;
+        match *ev {
             TraceEvent::LinkDown { link } => {
-                open.insert(link, report.outages.len());
+                self.open.insert(link, report.outages.len());
                 report.outages.push(OutageWindow { link, from_ns: at, until_ns: None, drops: 0 });
+                self.recovery.push(None);
             }
             TraceEvent::LinkUp { link } => {
-                if let Some(i) = open.remove(&link) {
+                if let Some(i) = self.open.remove(&link) {
                     report.outages[i].until_ns = Some(at);
+                    self.waiting.push((i, at));
+                    // Progress stamped at this very nanosecond may have
+                    // been emitted before the link-up: it counts, as 0.
+                    if self.last_progress == Some(at) {
+                        self.progress(at);
+                    }
                 }
             }
             TraceEvent::FaultDrop { link, bytes, .. } => {
@@ -137,26 +178,25 @@ pub fn analyze_recovery(events: &[(u64, TraceEvent)], engine: FaultReport) -> Re
                 if bytes == 0 {
                     report.ctrl_drops += 1;
                 }
-                if let Some(&i) = open.get(&link) {
+                if let Some(&i) = self.open.get(&link) {
                     report.outages[i].drops += 1;
                 }
             }
-            TraceEvent::Retransmit { .. } => report.retransmits += 1,
+            TraceEvent::Retransmit { .. } => {
+                report.retransmits += 1;
+                self.progress(at);
+            }
+            TraceEvent::FlowComplete { .. } => self.progress(at),
             _ => {}
         }
     }
-    // Recovery time per closed outage: first forward progress at/after up.
-    for o in &report.outages {
-        let Some(up) = o.until_ns else { continue };
-        let first_progress = events.iter().find_map(|&(at, ev)| match ev {
-            TraceEvent::Retransmit { .. } | TraceEvent::FlowComplete { .. } if at >= up => Some(at),
-            _ => None,
-        });
-        if let Some(at) = first_progress {
-            report.recovery_times_ns.push(at - up);
-        }
-    }
-    report
+}
+
+/// [`RecoveryFold`] over a captured `(time_ns, event)` stream.
+pub fn analyze_recovery(events: &[(u64, TraceEvent)], engine: FaultReport) -> RecoveryReport {
+    let mut fold = RecoveryFold::default();
+    events.iter().for_each(|(at, ev)| fold.emit(*at, ev));
+    fold.finish(engine)
 }
 
 #[cfg(test)]
@@ -193,12 +233,49 @@ mod tests {
         assert_eq!(r.recovery_times_ns, vec![2_000], "retransmit at 7000 - up at 5000");
     }
 
+    /// Progress stamped at the link-up's own nanosecond counts as a
+    /// recovery of 0 even when its line comes before the `link_up` line,
+    /// as the whole-stream scan this fold replaced counted it.
+    #[test]
+    fn progress_at_the_link_up_nanosecond_is_a_recovery_of_zero() {
+        let retransmit = TraceEvent::Retransmit { flow: 1, offset: 0, len: 1460 };
+        let events = vec![down(1_000, 3), (5_000, retransmit), up(5_000, 3)];
+        let r = analyze_recovery(&events, FaultReport::default());
+        assert_eq!(r.recovery_times_ns, vec![0]);
+        // Progress before that nanosecond is not a recovery.
+        let events = vec![down(1_000, 3), (4_999, retransmit), up(5_000, 3)];
+        assert!(analyze_recovery(&events, FaultReport::default()).recovery_times_ns.is_empty());
+    }
+
+    /// Outages whose links come back out of down order keep down order in
+    /// `recovery_times_ns`, each measured from its own link-up to the first
+    /// progress at or after it.
+    #[test]
+    fn recoveries_stay_in_down_order_when_links_come_back_out_of_it() {
+        let done = |at: u64, flow: u64| (at, TraceEvent::FlowComplete { flow });
+        let events = vec![
+            down(100, 1),
+            down(200, 2),
+            up(300, 2),
+            done(350, 0),
+            up(400, 1),
+            done(450, 1),
+            down(500, 3),
+            up(600, 3),
+        ];
+        let r = analyze_recovery(&events, FaultReport::default());
+        let links: Vec<u32> = r.outages.iter().map(|o| o.link).collect();
+        assert_eq!(links, vec![1, 2, 3]);
+        assert_eq!(r.recovery_times_ns, vec![50, 50], "link 1: 450 - 400, link 2: 350 - 300");
+    }
+
     #[test]
     fn open_outages_and_degraded_goodput() {
         let events = vec![down(0, 1), up(1_000_000, 1), down(2_000_000, 1)];
         let engine = FaultReport {
             goodput_during_fault_bytes: 125_000, // 1 Mb over the 1 ms closed window
             max_stall: netsim::SimDuration::from_nanos(42),
+            retransmits: 7,
             ..FaultReport::default()
         };
         let r = analyze_recovery(&events, engine);
@@ -209,5 +286,6 @@ mod tests {
         assert!(r.recovery_times_ns.is_empty(), "no progress events in the trace");
         let text = r.render();
         assert!(text.contains("2 outages") && text.contains("max stall 42 ns"), "{text}");
+        assert!(text.contains("recovery: 7 retransmits"), "the engine's count: {text}");
     }
 }

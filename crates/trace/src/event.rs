@@ -13,10 +13,13 @@
 //! `ev` (the [`TraceEvent::kind`] tag) first, then variant fields. One
 //! encoder, `encode_into`, holds an arm per variant — simlint's
 //! `trace_schema` rule enforces that — and [`encode_line`],
-//! [`encode_jsonl`], [`write_jsonl`] and [`encode_telemetry`] all go
+//! [`encode_jsonl`], [`JsonlWriter`] and [`encode_telemetry`] all go
 //! through it.
 
+use std::io::Write;
+
 use crate::json::{decimal_len, push_f64, push_u64, write_decimal};
+use crate::sink::TraceSink;
 use crate::telemetry::Series;
 
 /// Why an LCP (low-priority control loop) was opened.
@@ -358,7 +361,12 @@ impl Line {
         Line { bytes: [0; LINE_MAX], len: 0 }
     }
 
-    fn bytes(&self) -> &[u8] {
+    /// Encode `(at, ev)` over what the line held: its bytes, newline
+    /// included.
+    fn encode(&mut self, at: u64, ev: &TraceEvent) -> &[u8] {
+        self.len = 0;
+        encode_into(self, at, ev);
+        self.put("\n");
         &self.bytes[..self.len]
     }
 }
@@ -379,7 +387,6 @@ impl Out for Line {
     }
 
     fn put_f64(&mut self, v: f64) {
-        use std::io::Write;
         let mut rest = &mut self.bytes[self.len..];
         let room = rest.len();
         // [`LINE_MAX`] leaves room for the longest `Display`, so only a
@@ -543,20 +550,13 @@ pub fn encode_line(out: &mut String, at: u64, ev: &TraceEvent) {
     encode_into(out, at, ev);
 }
 
-/// The workspace's one JSONL loop: hand each event's line, newline
-/// included, to `each`, encoding every line in one reused [`Line`].
-fn for_each_line(
-    events: impl IntoIterator<Item = (u64, TraceEvent)>,
-    mut each: impl FnMut(&[u8]) -> std::io::Result<()>,
-) -> std::io::Result<()> {
+/// Append each event's line, newline included, to `out`, every line
+/// encoded in one reused [`Line`].
+fn push_lines(out: &mut Vec<u8>, events: impl IntoIterator<Item = (u64, TraceEvent)>) {
     let mut line = Line::new();
     for (at, ev) in events {
-        line.len = 0;
-        encode_into(&mut line, at, &ev);
-        line.put("\n");
-        each(line.bytes())?;
+        out.extend_from_slice(line.encode(at, &ev));
     }
-    Ok(())
 }
 
 /// What a line of a captured stream runs to: the PPT and DCTCP streams of
@@ -572,37 +572,60 @@ where
 {
     let events = events.into_iter();
     let mut out = Vec::with_capacity(events.len() * LINE_ESTIMATE);
-    // Nothing here can fail.
-    let _ = for_each_line(events.copied(), |line| {
-        out.extend_from_slice(line);
-        Ok(())
-    });
+    push_lines(&mut out, events.copied());
     // The bytes are ASCII, so the check passes and the vector becomes the
     // string as it is; the lossy fallback only keeps a panic out of the
     // library.
     String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
-/// How much encoded text [`write_jsonl`] gathers before it writes.
+/// How much encoded text a [`JsonlWriter`] gathers before it writes.
 const WRITE_CHUNK: usize = 64 * 1024;
 
-/// Write `events` as JSON Lines to `w`, the same bytes as [`encode_jsonl`],
-/// in writes of about 64 KiB from one reused buffer: the text
-/// never exists whole in memory, and `w` needs no buffering of its own.
-pub fn write_jsonl<'a>(
-    w: &mut impl std::io::Write,
-    events: impl IntoIterator<Item = &'a (u64, TraceEvent)>,
-) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(WRITE_CHUNK + LINE_MAX);
-    for_each_line(events.into_iter().copied(), |line| {
-        buf.extend_from_slice(line);
-        if buf.len() >= WRITE_CHUNK {
-            w.write_all(&buf)?;
-            buf.clear();
+/// A sink that writes the stream to `W` as JSON Lines while the run goes:
+/// the same bytes as [`encode_jsonl`] of the whole stream, in writes of
+/// about 64 KiB from one reused buffer, so neither the events nor their
+/// text ever exist whole in memory and `W` needs no buffering of its own.
+/// After the first failed write it writes nothing more. [`Self::finish`]
+/// writes the rest, or returns that error; a dropped writer writes nothing.
+pub struct JsonlWriter<W: Write> {
+    out: W,
+    buf: Vec<u8>,
+    line: Line,
+    lines: u64,
+    error: Option<std::io::Error>,
+}
+
+impl<W: Write> JsonlWriter<W> {
+    pub fn new(out: W) -> Self {
+        let buf = Vec::with_capacity(WRITE_CHUNK + LINE_MAX);
+        JsonlWriter { out, buf, line: Line::new(), lines: 0, error: None }
+    }
+
+    /// Write what is still gathered and flush: `W` and the number of lines
+    /// the stream had, or the first error a write met.
+    pub fn finish(mut self) -> std::io::Result<(W, u64)> {
+        if let Some(e) = self.error {
+            return Err(e);
         }
-        Ok(())
-    })?;
-    w.write_all(&buf)
+        self.out.write_all(&self.buf)?;
+        self.out.flush()?;
+        Ok((self.out, self.lines))
+    }
+}
+
+impl<W: Write + 'static> TraceSink for JsonlWriter<W> {
+    fn emit(&mut self, at: u64, ev: &TraceEvent) {
+        self.lines += 1;
+        if self.error.is_some() {
+            return;
+        }
+        self.buf.extend_from_slice(self.line.encode(at, ev));
+        if self.buf.len() >= WRITE_CHUNK {
+            self.error = self.out.write_all(&self.buf).err();
+            self.buf.clear();
+        }
+    }
 }
 
 /// Append a run's sampled telemetry to `out` as JSON Lines: one
@@ -622,11 +645,7 @@ pub fn encode_telemetry(
     let rows = rows
         .iter()
         .map(|&(kind, count, total_ns)| (at, TraceEvent::Profile { kind, count, total_ns }));
-    // Nothing here can fail.
-    let _ = for_each_line(samples.chain(rows), |line| {
-        out.extend_from_slice(line);
-        Ok(())
-    });
+    push_lines(out, samples.chain(rows));
 }
 
 #[cfg(test)]
@@ -896,7 +915,7 @@ mod tests {
     }
 
     /// Each door to the one encoder writes what the `write!` reference
-    /// writes, line for line: `encode_line`, `encode_jsonl`, `write_jsonl`
+    /// writes, line for line: `encode_line`, `encode_jsonl`, `JsonlWriter`
     /// (past one write chunk), the sinks' `to_jsonl` and `encode_telemetry`,
     /// which `Telemetry::dump_events` is.
     #[test]
@@ -918,18 +937,19 @@ mod tests {
         }
         assert_eq!(lines, want, "encode_line");
         assert_eq!(encode_jsonl(&events), want, "encode_jsonl");
-        let mut written = Vec::new();
-        write_jsonl(&mut written, &events).expect("writing to a Vec cannot fail");
-        assert_eq!(String::from_utf8(written).expect("ASCII"), want, "write_jsonl");
 
         let mut memory = crate::MemorySink::new();
         let mut recorder = crate::FlightRecorder::new(events.len());
         let mut tail = crate::FlightRecorder::new(100);
+        let mut writer = JsonlWriter::new(Vec::new());
         for (at, ev) in &events {
-            for sink in [&mut memory as &mut dyn crate::TraceSink, &mut recorder, &mut tail] {
+            for sink in [&mut memory as &mut dyn TraceSink, &mut recorder, &mut tail, &mut writer] {
                 sink.emit(*at, ev);
             }
         }
+        let (written, lines) = writer.finish().expect("writing to a Vec cannot fail");
+        assert_eq!(lines, events.len() as u64);
+        assert_eq!(String::from_utf8(written).expect("ASCII"), want, "JsonlWriter");
         assert_eq!(memory.to_jsonl(), want, "MemorySink::to_jsonl");
         assert_eq!(recorder.to_jsonl(), want, "FlightRecorder::to_jsonl");
         let last = reference_jsonl(&events[events.len() - 100..]);
@@ -997,10 +1017,53 @@ mod tests {
         let text = encode_jsonl(&events);
         assert_eq!(text.lines().count(), events.len());
         assert!(text.ends_with("}\n"));
-        let mut written = Vec::new();
-        write_jsonl(&mut written, &events).expect("writing to a Vec cannot fail");
-        assert_eq!(written, text.as_bytes());
+        let mut writer = JsonlWriter::new(Vec::new());
+        for (at, ev) in &events {
+            writer.emit(*at, ev);
+        }
+        let (written, lines) = writer.finish().expect("writing to a Vec cannot fail");
+        assert_eq!((written.as_slice(), lines), (text.as_bytes(), events.len() as u64));
         assert_eq!(encode_jsonl(&Vec::new()), "");
+        let empty = JsonlWriter::new(Vec::new()).finish().expect("nothing to write");
+        assert_eq!(empty, (Vec::new(), 0));
+    }
+
+    /// A writer whose writes fail: the first error is what `finish`
+    /// returns, and nothing is written after it.
+    #[test]
+    fn a_failed_write_is_the_error_finish_returns() {
+        /// Takes `room` bytes, then fails every write, counting them.
+        #[derive(Debug)]
+        struct Full {
+            room: usize,
+            failed: u32,
+        }
+        impl std::io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.room == 0 {
+                    self.failed += 1;
+                    return Err(std::io::Error::other(format!("full, failure {}", self.failed)));
+                }
+                let n = buf.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let ev = TraceEvent::Timer { host: 1, token: 2 };
+        // Past the chunk: the failure comes mid-run, from `emit`.
+        let mut writer = JsonlWriter::new(Full { room: 100, failed: 0 });
+        for at in 0..(3 * WRITE_CHUNK as u64 / 30) {
+            writer.emit(at, &ev);
+        }
+        let err = writer.finish().expect_err("the device is full");
+        assert_eq!(err.to_string(), "full, failure 1");
+        // Under one chunk: the failure comes from `finish` itself.
+        let mut writer = JsonlWriter::new(Full { room: 0, failed: 0 });
+        writer.emit(0, &ev);
+        assert_eq!(writer.finish().expect_err("the device is full").to_string(), "full, failure 1");
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!   ACKs, alpha/cwnd updates, PIAS demotions). Events are plain integers
 //!   and bools — constructing one never allocates, so the disabled path
 //!   costs a single branch.
-//! - **[`TraceSink`]**: where events go. [`MemorySink`] keeps everything
-//!   (tests, analyzers, `pptlab trace`), and [`FlightRecorder`] is a
-//!   bounded ring that keeps only the last N events for post-mortem dumps
-//!   on abnormal runs. Text is made from the typed events afterwards, by
-//!   [`encode_jsonl`] or streamed by [`write_jsonl`].
+//! - **[`TraceSink`]**: where events go, as they happen. [`JsonlWriter`]
+//!   writes them as JSON Lines while the run goes (`pptlab trace`),
+//!   [`MemorySink`] keeps everything (tests, [`encode_jsonl`]), and
+//!   [`FlightRecorder`] is a bounded ring that keeps only the last N
+//!   events for post-mortem dumps on abnormal runs. A pair of sinks is a
+//!   sink that feeds both, so one run can write and be analyzed at once.
 //! - **[`MetricsRegistry`]**: BTreeMap-keyed counters and gauges with a
 //!   hand-rolled, deterministically ordered JSON snapshot. No serde; the
 //!   workspace stays offline.
@@ -33,7 +34,7 @@ pub mod sink;
 pub mod telemetry;
 
 pub use event::{
-    encode_jsonl, encode_line, encode_telemetry, write_jsonl, LcpCloseReason, LcpTrigger, ProfKind,
+    encode_jsonl, encode_line, encode_telemetry, JsonlWriter, LcpCloseReason, LcpTrigger, ProfKind,
     SanCheck, TraceEvent,
 };
 pub use json::JsonObject;

@@ -7,10 +7,11 @@ use crate::event::{encode_jsonl, TraceEvent};
 /// A consumer of trace events.
 ///
 /// The simulator holds `Option<Box<dyn TraceSink>>`; `None` is the
-/// strictly zero-cost disabled path. `Any` is a supertrait so callers can
-/// take the sink back from the engine and downcast to the concrete type
-/// (`sink.as_any().downcast_ref::<MemorySink>()`); a sink writes `emit`
-/// only.
+/// strictly zero-cost disabled path. `Any` is a supertrait so a caller can
+/// take its sink back from the engine as the concrete type: upcast the
+/// box to `Box<dyn Any>` and `downcast` it, or read it in place through
+/// `as_any`. A sink writes `emit` only; a reader of the stream is a sink
+/// that folds each event as it arrives.
 pub trait TraceSink: Any {
     /// Consume one event stamped with simulated time `at` (nanoseconds).
     fn emit(&mut self, at: u64, ev: &TraceEvent);
@@ -21,10 +22,14 @@ impl dyn TraceSink {
     pub fn as_any(&self) -> &dyn Any {
         self
     }
+}
 
-    /// The sink as mutable `Any`, to downcast to its concrete type.
-    pub fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+/// Two sinks side by side, the tee: each event goes to `A`, then to `B`.
+/// Nest pairs for more.
+impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
+    fn emit(&mut self, at: u64, ev: &TraceEvent) {
+        self.0.emit(at, ev);
+        self.1.emit(at, ev);
     }
 }
 
@@ -43,13 +48,6 @@ impl MemorySink {
 
     pub fn events(&self) -> &[(u64, TraceEvent)] {
         &self.events
-    }
-
-    /// Move the captured events out, leaving the sink empty: what a caller
-    /// holding the sink as `&mut dyn TraceSink` (`as_any_mut` + downcast)
-    /// uses, having no sink to move `events` out of.
-    pub fn take_events(&mut self) -> Vec<(u64, TraceEvent)> {
-        std::mem::take(&mut self.events)
     }
 
     pub fn len(&self) -> usize {
@@ -208,16 +206,33 @@ mod tests {
         assert_eq!(mem.len(), 1);
     }
 
+    /// A sink taken back from its box is the sink that was boxed: the
+    /// upcast and the downcast move the stream, they do not copy it, so a
+    /// captured stream exists once.
     #[test]
-    fn take_events_moves_the_stream_out_of_a_boxed_sink() {
+    fn a_boxed_sink_comes_back_by_upcasting_without_a_copy() {
         let mut boxed: Box<dyn TraceSink> = Box::new(MemorySink::new());
         boxed.emit(1, &TraceEvent::FlowComplete { flow: 0 });
         boxed.emit(2, &TraceEvent::FlowComplete { flow: 1 });
-        let mem = boxed.as_any_mut().downcast_mut::<MemorySink>().unwrap();
-        let before = mem.events().as_ptr();
-        let events = mem.take_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events.as_ptr(), before, "the vector is moved, not copied");
-        assert!(mem.is_empty());
+        let before = boxed.as_any().downcast_ref::<MemorySink>().unwrap().events().as_ptr();
+        let any: Box<dyn Any> = boxed;
+        let mem = *any.downcast::<MemorySink>().unwrap();
+        assert_eq!(mem.len(), 2);
+        assert_eq!(mem.events().as_ptr(), before, "the vector is moved, not copied");
+        let any: Box<dyn Any> = Box::new(FlightRecorder::new(1)) as Box<dyn TraceSink>;
+        assert!(any.downcast::<MemorySink>().is_err(), "another sink is not a MemorySink");
+    }
+
+    /// The tee hands every event to both sides, in order.
+    #[test]
+    fn a_pair_of_sinks_sees_the_stream_twice() {
+        let mut pair = (MemorySink::new(), (FlightRecorder::new(1), MemorySink::new()));
+        for flow in 0..3 {
+            pair.emit(flow, &TraceEvent::FlowComplete { flow });
+        }
+        let (all, (last, again)) = pair;
+        assert_eq!((all.len(), last.total_seen()), (3, 3));
+        assert_eq!(all.events(), again.events());
+        assert_eq!(last.to_jsonl(), encode_jsonl(&all.events()[2..]));
     }
 }

@@ -162,27 +162,13 @@ impl LogHistogram {
         LogHistogram { counts: vec![0; BUCKETS], total: 0, min: u64::MAX, max: 0, sum: 0 }
     }
 
-    /// Record one value. Specialized over [`LogHistogram::record_n`]
-    /// because this is the per-packet hot path: no zero-count branch and
-    /// no 128-bit multiply.
+    /// Record one value.
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_index(v)] += 1;
         self.total += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.sum += v as u128;
-    }
-
-    /// Record `n` occurrences of a value.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[bucket_index(v)] += n;
-        self.total += n;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.sum += v as u128 * n as u128;
     }
 
     /// Values recorded.
@@ -243,17 +229,6 @@ impl LogHistogram {
             }
         }
         self.max
-    }
-
-    /// Add every recorded value of `other` into `self` (exact bucket-wise).
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
     }
 
     /// JSON summary: count, exact min/max/mean and the standard
@@ -360,24 +335,6 @@ mod tests {
         assert!((960..=990).contains(&p99), "p99 {p99} outside quantization window");
         assert_eq!(h.percentile(0.0), 1);
         assert_eq!(h.percentile(100.0), 1000);
-    }
-
-    #[test]
-    fn histogram_merge_equals_combined_recording() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut c = LogHistogram::new();
-        for v in [3u64, 77, 1460, 95_000, 12] {
-            a.record(v);
-            c.record(v);
-        }
-        for v in [40u64, 40, 2_000_000] {
-            b.record(v);
-            c.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.to_json(), c.to_json());
-        assert_eq!(a.count(), 8);
     }
 
     #[test]

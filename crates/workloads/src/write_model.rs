@@ -36,12 +36,6 @@ impl Default for AppWriteModel {
 }
 
 impl AppWriteModel {
-    /// Every application writes its whole message at once (identification
-    /// oracle — useful for ablations).
-    pub fn always_full() -> Self {
-        AppWriteModel { full_write_prob: 1.0, chunk_bytes: DEFAULT_CHUNK_BYTES }
-    }
-
     /// Draw the first-syscall size for a flow of `size_bytes`.
     pub fn first_write(&self, size_bytes: u64, rng: &mut Pcg32) -> u64 {
         if size_bytes <= self.chunk_bytes || rng.next_f64() < self.full_write_prob {
@@ -73,14 +67,5 @@ mod tests {
         assert_eq!(m.first_write(100, &mut rng), 100);
         assert_eq!(m.first_write(512, &mut rng), 512);
         assert_eq!(m.first_write(513, &mut rng), 512);
-    }
-
-    #[test]
-    fn oracle_model_always_full() {
-        let m = AppWriteModel::always_full();
-        let mut rng = Pcg32::seed_from_u64(1);
-        for _ in 0..100 {
-            assert_eq!(m.first_write(10_000_000, &mut rng), 10_000_000);
-        }
     }
 }

@@ -335,6 +335,46 @@ fn every_tcp_family_scheme_traces_its_retransmissions() {
     }
 }
 
+/// `RecoveryFold` fed live equals `analyze_recovery` over the stream the
+/// run captured, and both keep what the whole-stream scan they replaced
+/// measured, on a run whose two outages (two hosts) come back out of down
+/// order: each recovery is its link-up to the first retransmission or
+/// completion at or after it, listed in down order.
+#[test]
+fn recovery_fold_fed_live_equals_the_analysis_of_the_captured_stream() {
+    use ppt::harness::run_experiment_into;
+    use ppt::stats::RecoveryFold;
+    use ppt::trace::MemorySink;
+    let topo = TopoKind::Star { n: 5, rate_gbps: 10, delay_us: 20 };
+    let faults = FaultSchedule::new(7)
+        .with_data_loss(0.01)
+        .host_outage(HostId(0), SimTime(100_000), SimTime(900_000))
+        .host_outage(HostId(1), SimTime(200_000), SimTime(500_000));
+    let exp = Experiment::new(topo, Scheme::Ppt, workload(topo, 40, 42)).with_faults(faults);
+    let (outcome, (captured, fold)) =
+        run_experiment_into(&exp, (MemorySink::new(), RecoveryFold::default()));
+    let engine = outcome.report.faults;
+    let live = fold.finish(engine);
+    let ups: Vec<u64> = live.outages.iter().filter_map(|o| o.until_ns).collect();
+    assert_eq!((live.outages.len(), ups.len()), (2, 2), "{:?}", live.outages);
+    assert!(ups[1] < ups[0], "the later outage must come back first: {ups:?}");
+    let events = captured.events();
+    let progress = |up: u64| {
+        events.iter().find_map(|&(at, ev)| match ev {
+            TraceEvent::Retransmit { .. } | TraceEvent::FlowComplete { .. } if at >= up => {
+                Some(at - up)
+            }
+            _ => None,
+        })
+    };
+    let scanned: Vec<u64> = ups.iter().filter_map(|&up| progress(up)).collect();
+    assert_eq!(scanned.len(), 2, "both outages see progress after them");
+    assert_eq!(live.recovery_times_ns, scanned);
+    let after = analyze_recovery(events, engine);
+    assert_eq!(format!("{live:?}"), format!("{after:?}"));
+    assert_eq!(live.retransmits, engine.retransmits);
+}
+
 /// Counts `retransmit` lines per `(flow, offset)`: all a runaway check needs
 /// of the event stream, in memory that does not grow with the run.
 #[derive(Default)]
@@ -352,19 +392,14 @@ impl ppt::trace::TraceSink for ResendCounter {
 /// that it did not run away: every flow done, at most `max_live` packets
 /// alive at once, and no offset retransmitted more than three times.
 fn assert_no_runaway(mut exp: Experiment, max_events: u64, max_live: u64) {
-    use ppt::netsim::{StopReason, Topology};
-    use ppt::transports::Proto;
+    use ppt::netsim::StopReason;
     let name = exp.scheme.name();
     exp.max_events = max_events;
-    let outcome = ppt::harness::run_experiment_with(&exp, |t: &mut Topology<Proto>| {
-        t.sim.set_trace_sink(Box::new(ResendCounter::default()));
-    });
+    let (outcome, ResendCounter(counts)) =
+        ppt::harness::run_experiment_into(&exp, ResendCounter::default());
     assert_eq!(outcome.report.stop, StopReason::AllFlowsDone, "{name}: ran away");
     let live = outcome.sim.pool_stats().fresh;
     assert!(live <= max_live, "{name}: {live} packets alive at once (bound {max_live})");
-    let mut sim = outcome.sim;
-    let sink = sim.take_trace_sink().expect("the counter is installed");
-    let counts = &sink.as_any().downcast_ref::<ResendCounter>().expect("a ResendCounter").0;
     let worst = counts.iter().max_by_key(|&(_, n)| *n);
     assert!(
         worst.is_none_or(|(_, &n)| n <= 3),

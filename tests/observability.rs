@@ -202,6 +202,29 @@ fn layered_variants_expose_their_lcp_loops_and_windows() {
     }
 }
 
+/// `LcpFold` fed live beside the run equals `analyze_lcp` over the stream
+/// that run captured, on each HCP the one LCP policy rides beside; and a
+/// sink teed beside the fold captures the traced door's stream.
+#[test]
+fn lcp_fold_fed_live_equals_the_analysis_of_the_captured_stream() {
+    use ppt::harness::run_experiment_into;
+    use ppt::stats::LcpFold;
+    use ppt::trace::MemorySink;
+    for scheme in [Scheme::Ppt, Scheme::SwiftPpt, Scheme::HpccPpt] {
+        let name = scheme.name();
+        let mut exp = websearch_experiment(42, 60, 0.5);
+        exp.scheme = scheme;
+        let rtt = exp.topo.base_rtt();
+        let (_, (captured, fold)) =
+            run_experiment_into(&exp, (MemorySink::new(), LcpFold::default()));
+        let live = fold.finish(rtt);
+        assert!(!live.loops.is_empty() && live.lcp_acks > 0, "{name}: no LCP activity");
+        let after = analyze_lcp(captured.events(), rtt);
+        assert_eq!(format!("{live:?}"), format!("{after:?}"), "{name}");
+        assert_eq!(captured.events(), run_experiment_traced(&exp).1.events(), "{name}");
+    }
+}
+
 /// Stop reasons: a run cut short by `max_time` reports `MaxTime` and is
 /// abnormal; a completed run reports `AllFlowsDone` and is not.
 #[test]
